@@ -149,9 +149,6 @@ pub struct CacheStats {
     pub code_windows: u64,
     /// Sorted function-table rows.
     pub function_rows: u64,
-    /// Artifacts seeded by merging streamed shard partials instead of
-    /// full recomputation (see [`Analyzer::with_streamed_artifacts`]).
-    pub merges: u64,
 }
 
 /// Interior-mutability memoization of the analyzer's artifacts.
@@ -182,7 +179,6 @@ struct Counters {
     zoom: AtomicU64,
     code_windows: AtomicU64,
     function_rows: AtomicU64,
-    merges: AtomicU64,
 }
 
 impl Counters {
@@ -257,41 +253,7 @@ impl<'a> Analyzer<'a> {
             zoom: c.zoom.load(Ordering::Relaxed),
             code_windows: c.code_windows.load(Ordering::Relaxed),
             function_rows: c.function_rows.load(Ordering::Relaxed),
-            merges: c.merges.load(Ordering::Relaxed),
         }
-    }
-
-    /// Seed the artifact cache with the merged artifacts of a streaming
-    /// ingest pass, so a follow-up resident analysis serves them without
-    /// recomputing. The report must come from the same trace, annotation
-    /// file, symbols, and configuration this analyzer holds — like
-    /// [`with_config`](Self::with_config), artifact validity is the
-    /// caller's contract. Each seeded slot counts as a merge (not a
-    /// compute) in [`cache_stats`](Self::cache_stats).
-    pub fn with_streamed_artifacts(
-        self,
-        report: &crate::streaming::StreamingReport,
-    ) -> Analyzer<'a> {
-        if self.cache.decompression.set(report.decompression).is_ok() {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        if self
-            .cache
-            .block_reuse
-            .set(report.block_reuse.clone())
-            .is_ok()
-        {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        if self
-            .cache
-            .function_rows
-            .set(report.function_rows.clone())
-            .is_ok()
-        {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        self
     }
 
     /// ρ/κ decompression facts of the trace.

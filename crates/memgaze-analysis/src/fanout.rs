@@ -38,9 +38,12 @@ use crate::reuse::BlockReuse;
 use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
 };
+use memgaze_model::wire::{
+    self, add_delta, put_f64, put_str, put_varint, unzigzag, zigzag, Reader, WireError,
+};
 use memgaze_model::{
-    compression_ratio, fnv1a64, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex,
-    FunctionId, Ip, IpAnnot, LoadClass, ModelError, SymbolTable, TraceMeta,
+    compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, FunctionId, Ip,
+    IpAnnot, LoadClass, ModelError, SymbolTable, TraceMeta,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -85,6 +88,17 @@ impl std::fmt::Display for PartialError {
 }
 
 impl std::error::Error for PartialError {}
+
+impl From<WireError> for PartialError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { context } => PartialError::Truncated { context },
+            other => PartialError::Corrupt {
+                detail: other.to_string(),
+            },
+        }
+    }
+}
 
 /// Exact-merge summary of a [`ReuseTracker`] over one stream segment.
 ///
@@ -541,8 +555,7 @@ impl PartialReport {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let _span = memgaze_obs::span("codec.encode_partial");
         let start = buf.len();
-        buf.extend_from_slice(PARTIAL_MAGIC);
-        buf.extend_from_slice(&PARTIAL_VERSION.to_le_bytes());
+        wire::put_header(buf, PARTIAL_MAGIC, PARTIAL_VERSION);
         buf.push(self.footprint_block.log2());
         buf.push(self.reuse_block.log2());
         put_u64s(buf, &self.locality_sizes);
@@ -640,8 +653,7 @@ impl PartialReport {
         put_varint(buf, self.stats.merge_events);
         put_varint(buf, self.stats.peak_shard_samples as u64);
         put_varint(buf, self.stats.peak_shard_bytes as u64);
-        let sum = fnv1a64(&buf[start..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        wire::seal(buf, start);
     }
 
     /// Decode a serialized partial, rejecting truncation, corruption,
@@ -649,114 +661,110 @@ impl PartialReport {
     /// surface as a typed error, never a bad merge.
     pub fn decode(data: &[u8]) -> Result<PartialReport, PartialError> {
         let _span = memgaze_obs::span("codec.decode_partial");
-        let body = check_frame(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
-        let mut src = body;
-        let footprint_block = get_block_size(&mut src, "partial footprint block")?;
-        let reuse_block = get_block_size(&mut src, "partial reuse block")?;
-        let locality_sizes = get_u64s(&mut src, "partial locality sizes")?;
-        let num_samples = get_varint(&mut src, "partial num_samples")?;
-        let observed = get_varint(&mut src, "partial observed")?;
-        let implied_const = get_varint(&mut src, "partial implied_const")?;
-        let n = get_len(&mut src, "partial diag count")?;
+        let mut r = wire::open(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
+        let footprint_block = get_block_size(&mut r, "partial footprint block")?;
+        let reuse_block = get_block_size(&mut r, "partial reuse block")?;
+        let locality_sizes = get_u64s(&mut r, "partial locality sizes")?;
+        let num_samples = r.varint("partial num_samples")?;
+        let observed = r.varint("partial observed")?;
+        let implied_const = r.varint("partial implied_const")?;
+        let n = r.count(13, "partial diag count")?;
         let mut per_sample_diags = Vec::with_capacity(n);
         for _ in 0..n {
             per_sample_diags.push(FootprintDiagnostics {
-                observed: get_varint(&mut src, "diag observed")?,
-                implied_const: get_varint(&mut src, "diag implied_const")?,
-                footprint: get_varint(&mut src, "diag footprint")?,
-                f_str: get_varint(&mut src, "diag f_str")?,
-                f_irr: get_varint(&mut src, "diag f_irr")?,
-                kappa: get_f64(&mut src, "diag kappa")?,
+                observed: r.varint("diag observed")?,
+                implied_const: r.varint("diag implied_const")?,
+                footprint: r.varint("diag footprint")?,
+                f_str: r.varint("diag f_str")?,
+                f_irr: r.varint("diag f_irr")?,
+                kappa: r.f64("diag kappa")?,
             });
         }
-        let n = get_len(&mut src, "partial reuse count")?;
+        let n = r.count(9, "partial reuse count")?;
         let mut per_sample_reuse = Vec::with_capacity(n);
         for _ in 0..n {
             per_sample_reuse.push(SampleReuseSummary {
-                events: get_varint(&mut src, "reuse events")? as usize,
-                mean_d: get_f64(&mut src, "reuse mean_d")?,
+                events: r.usize("reuse events")?,
+                mean_d: r.f64("reuse mean_d")?,
             });
         }
         let mut locality = Vec::with_capacity(locality_sizes.len());
         for _ in 0..locality_sizes.len() {
-            let n = get_len(&mut src, "locality row count")?;
+            let n = r.count(25, "locality row count")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push((
-                    get_varint(&mut src, "locality windows")?,
-                    get_f64(&mut src, "locality d")?,
-                    get_f64(&mut src, "locality g")?,
-                    get_f64(&mut src, "locality f")?,
+                    r.varint("locality windows")?,
+                    r.f64("locality d")?,
+                    r.f64("locality g")?,
+                    r.f64("locality f")?,
                 ));
             }
             locality.push(rows);
         }
-        let n = get_count(&mut src, "block reuse count")?;
-        let mut rows: Vec<(u64, [u64; 4])> = Vec::with_capacity(n);
+        let n = get_count(&mut r, "block reuse count")?;
+        let mut rows: Vec<(u64, [u64; 4])> = Vec::with_capacity(r.reserve_hint(n));
         let mut block = 0u64;
         let mut prev_delta = 0u64;
         while rows.len() < n {
-            let delta = get_varint(&mut src, "block delta")?;
-            if delta == 0 && !rows.is_empty() {
+            let delta = r.varint("block delta")?;
+            if let (0, Some(&(_, stats))) = (delta, rows.last()) {
                 // Repeat escape: `k` more rows with the previous delta
                 // and stats (see the encoder).
-                let k = get_varint(&mut src, "block repeat")? as usize;
-                let (_, stats) = *rows.last().expect("guarded non-empty");
+                let k = r.usize("block repeat")?;
                 if k == 0 || prev_delta == 0 || k > n - rows.len() {
                     return Err(PartialError::Corrupt {
                         detail: "bad block repeat run".to_string(),
                     });
                 }
+                rows.reserve(k);
                 for _ in 0..k {
-                    block += prev_delta;
+                    block = add_delta(block, prev_delta, "block repeat")?;
                     rows.push((block, stats));
                 }
                 continue;
             }
-            block += delta;
+            block = add_delta(block, delta, "block delta")?;
             prev_delta = delta;
             let mut stats = [0u64; 4];
             for s in &mut stats {
-                *s = get_varint(&mut src, "block stat")?;
+                *s = r.varint("block stat")?;
             }
             rows.push((block, stats));
         }
         let block_reuse = BlockReuse::from_raw_rows(rows).ok_or_else(|| PartialError::Corrupt {
             detail: "block reuse rows out of order".to_string(),
         })?;
-        let bins = get_u64s(&mut src, "histogram bins")?;
-        let count = get_varint(&mut src, "histogram count")?;
-        let sum = get_varint(&mut src, "histogram sum")?;
+        let bins = get_u64s(&mut r, "histogram bins")?;
+        let count = r.varint("histogram count")?;
+        let sum = r.varint("histogram sum")?;
         let histogram = Log2Histogram::from_raw_parts(bins, count, sum);
-        let n = get_len(&mut src, "function count")?;
+        let n = r.count(12, "function count")?;
         let mut funcs = BTreeMap::new();
         for _ in 0..n {
-            let id = get_varint(&mut src, "function id")?;
-            let id = u32::try_from(id).map_err(|_| PartialError::Corrupt {
-                detail: format!("function id {id} out of range"),
-            })?;
-            let name = get_str(&mut src, "function name")?;
-            let all = get_sorted(&mut src, "function footprint")?;
-            let strided = get_class_list(&mut src, &all, "function strided")?;
-            let irregular = get_class_list(&mut src, &all, "function irregular")?;
+            let id = r.u32("function id")?;
+            let name = r.string("function name")?;
+            let all = get_sorted(&mut r, "function footprint")?;
+            let strided = get_class_list(&mut r, &all, "function strided")?;
+            let irregular = get_class_list(&mut r, &all, "function irregular")?;
             let fp = FuncPartial {
                 name,
                 all,
                 strided,
                 irregular,
-                observed: get_varint(&mut src, "function observed")?,
-                implied_const: get_varint(&mut src, "function implied_const")?,
+                observed: r.varint("function observed")?,
+                implied_const: r.varint("function implied_const")?,
                 reuse: ReusePartial {
-                    firsts: get_u64s(&mut src, "function firsts")?,
-                    lru: get_u64s(&mut src, "function lru")?,
-                    events: get_varint(&mut src, "function events")?,
-                    dist_sum: get_varint(&mut src, "function dist_sum")?,
+                    firsts: get_u64s(&mut r, "function firsts")?,
+                    lru: get_u64s(&mut r, "function lru")?,
+                    events: r.varint("function events")?,
+                    dist_sum: r.varint("function dist_sum")?,
                 },
                 obs: {
-                    let n = get_len(&mut src, "function obs count")?;
+                    let n = r.count(8, "function obs count")?;
                     let mut obs = Vec::with_capacity(n);
                     for _ in 0..n {
-                        obs.push(get_f64(&mut src, "function obs")?);
+                        obs.push(r.f64("function obs")?);
                     }
                     obs
                 },
@@ -764,17 +772,13 @@ impl PartialReport {
             funcs.insert(id, fp);
         }
         let stats = IngestStats {
-            shards: get_varint(&mut src, "stats shards")?,
-            samples: get_varint(&mut src, "stats samples")?,
-            merge_events: get_varint(&mut src, "stats merges")?,
-            peak_shard_samples: get_varint(&mut src, "stats peak samples")? as usize,
-            peak_shard_bytes: get_varint(&mut src, "stats peak bytes")? as usize,
+            shards: r.varint("stats shards")?,
+            samples: r.varint("stats samples")?,
+            merge_events: r.varint("stats merges")?,
+            peak_shard_samples: r.usize("stats peak samples")?,
+            peak_shard_bytes: r.usize("stats peak bytes")?,
         };
-        if !src.is_empty() {
-            return Err(PartialError::Corrupt {
-                detail: format!("{} trailing bytes in partial report", src.len()),
-            });
-        }
+        r.finish("partial report")?;
         Ok(PartialReport {
             footprint_block,
             reuse_block,
@@ -836,8 +840,7 @@ impl WorkerSpec {
     /// [`encode`](Self::encode) whatever precedes it.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let start = buf.len();
-        buf.extend_from_slice(SPEC_MAGIC);
-        buf.extend_from_slice(&SPEC_VERSION.to_le_bytes());
+        wire::put_header(buf, SPEC_MAGIC, SPEC_VERSION);
         buf.push(self.footprint_block.log2());
         buf.push(self.reuse_block.log2());
         put_varint(buf, self.threads as u64);
@@ -864,23 +867,21 @@ impl WorkerSpec {
             put_varint(buf, f.hi.raw());
             put_str(buf, &f.src_file);
         }
-        let sum = fnv1a64(&buf[start..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        wire::seal(buf, start);
     }
 
     /// Decode a serialized spec.
     pub fn decode(data: &[u8]) -> Result<WorkerSpec, PartialError> {
-        let body = check_frame(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
-        let mut src = body;
-        let footprint_block = get_block_size(&mut src, "spec footprint block")?;
-        let reuse_block = get_block_size(&mut src, "spec reuse block")?;
-        let threads = get_varint(&mut src, "spec threads")? as usize;
-        let locality_sizes = get_u64s(&mut src, "spec locality sizes")?;
-        let n = get_len(&mut src, "spec annot count")?;
+        let mut r = wire::open(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
+        let footprint_block = get_block_size(&mut r, "spec footprint block")?;
+        let reuse_block = get_block_size(&mut r, "spec reuse block")?;
+        let threads = r.usize("spec threads")?;
+        let locality_sizes = get_u64s(&mut r, "spec locality sizes")?;
+        let n = r.count(8, "spec annot count")?;
         let mut annots = AuxAnnotations::new();
         for _ in 0..n {
-            let ip = Ip(get_varint(&mut src, "annot ip")?);
-            let class = match get_byte(&mut src, "annot class")? {
+            let ip = Ip(r.varint("annot ip")?);
+            let class = match r.u8("annot class")? {
                 0 => LoadClass::Constant,
                 1 => LoadClass::Strided,
                 2 => LoadClass::Irregular,
@@ -890,22 +891,12 @@ impl WorkerSpec {
                     })
                 }
             };
-            let implied_const = get_varint(&mut src, "annot implied_const")?;
-            let implied_const =
-                u32::try_from(implied_const).map_err(|_| PartialError::Corrupt {
-                    detail: format!("annot implied_const {implied_const} out of range"),
-                })?;
-            let scale = get_byte(&mut src, "annot scale")?;
-            let offset = unzigzag(get_varint(&mut src, "annot offset")?);
-            let two_source = get_byte(&mut src, "annot two_source")? != 0;
-            let func = get_varint(&mut src, "annot func")?;
-            let func = u32::try_from(func).map_err(|_| PartialError::Corrupt {
-                detail: format!("annot func id {func} out of range"),
-            })?;
-            let src_line = get_varint(&mut src, "annot src_line")?;
-            let src_line = u32::try_from(src_line).map_err(|_| PartialError::Corrupt {
-                detail: format!("annot src_line {src_line} out of range"),
-            })?;
+            let implied_const = r.u32("annot implied_const")?;
+            let scale = r.u8("annot scale")?;
+            let offset = r.zigzag("annot offset")?;
+            let two_source = r.u8("annot two_source")? != 0;
+            let func = r.u32("annot func")?;
+            let src_line = r.u32("annot src_line")?;
             let mut an = IpAnnot::of_class(class, FunctionId(func));
             an.implied_const = implied_const;
             an.scale = scale;
@@ -914,25 +905,26 @@ impl WorkerSpec {
             an.src_line = src_line;
             annots.insert(ip, an);
         }
-        let n = get_len(&mut src, "spec symbol count")?;
+        let n = r.count(4, "spec symbol count")?;
         let mut symbols = SymbolTable::new();
+        // The encoder writes the table in address order, so a symbol
+        // that starts before its predecessor ends is corrupt — and would
+        // trip `add_function`'s overlap assertion.
+        let mut prev_hi = 0u64;
         for _ in 0..n {
-            let name = get_str(&mut src, "symbol name")?;
-            let lo = Ip(get_varint(&mut src, "symbol lo")?);
-            let hi = Ip(get_varint(&mut src, "symbol hi")?);
-            let src_file = get_str(&mut src, "symbol src_file")?;
-            if hi.raw() <= lo.raw() {
+            let name = r.string("symbol name")?;
+            let lo = Ip(r.varint("symbol lo")?);
+            let hi = Ip(r.varint("symbol hi")?);
+            let src_file = r.string("symbol src_file")?;
+            if hi.raw() <= lo.raw() || lo.raw() < prev_hi {
                 return Err(PartialError::Corrupt {
-                    detail: format!("symbol {name} has empty range"),
+                    detail: format!("symbol {name} has an empty or overlapping range"),
                 });
             }
+            prev_hi = hi.raw();
             symbols.add_function(&name, lo, hi, &src_file);
         }
-        if !src.is_empty() {
-            return Err(PartialError::Corrupt {
-                detail: format!("{} trailing bytes in worker spec", src.len()),
-            });
-        }
+        r.finish("worker spec")?;
         Ok(WorkerSpec {
             footprint_block,
             reuse_block,
@@ -1011,120 +1003,26 @@ pub fn partition_by_samples(samples: &[u64], workers: usize) -> Vec<Range<usize>
     out
 }
 
-// ---- wire primitives ----
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_varint(src: &mut &[u8], context: &'static str) -> Result<u64, PartialError> {
-    // Fast path: a u64 varint spans at most 10 bytes, so with that much
-    // input left the whole value decodes with one bounds decision
-    // instead of one per byte. The partial codec decodes hundreds of
-    // thousands of these per report, so the per-byte checks are a
-    // measurable share of coordinator decode time.
-    let s = *src;
-    if s.len() >= 10 {
-        let mut v: u64 = 0;
-        for (i, &byte) in s[..10].iter().enumerate() {
-            v |= u64::from(byte & 0x7f) << (7 * i as u32);
-            if byte & 0x80 == 0 {
-                *src = &s[i + 1..];
-                return Ok(v);
-            }
-        }
-        return Err(PartialError::Corrupt {
-            detail: format!("varint overflow in {context}"),
-        });
-    }
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = get_byte(src, context)?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(PartialError::Corrupt {
-                detail: format!("varint overflow in {context}"),
-            });
-        }
-    }
-}
-
-fn get_byte(src: &mut &[u8], context: &'static str) -> Result<u8, PartialError> {
-    let (&b, rest) = src
-        .split_first()
-        .ok_or(PartialError::Truncated { context })?;
-    *src = rest;
-    Ok(b)
-}
-
-/// A length prefix, bounded by the bytes actually remaining so corrupt
-/// counts cannot trigger giant allocations.
-fn get_len(src: &mut &[u8], context: &'static str) -> Result<usize, PartialError> {
-    let n = get_varint(src, context)? as usize;
-    if n > src.len() {
-        return Err(PartialError::Truncated { context });
-    }
-    Ok(n)
-}
+// ---- list codecs ----
 
 /// Hard ceiling on entries in one run-length-encoded list. The
-/// `get_len` remaining-bytes guard does not apply to RLE lists — a run
-/// escape stores thousands of entries in three bytes — so this bounds
-/// the memory a corrupt (checksum-colliding) count can make the
+/// [`Reader::count`] remaining-bytes guard does not apply to RLE lists
+/// — a run escape stores thousands of entries in three bytes — so this
+/// bounds the memory a corrupt (checksum-colliding) count can make the
 /// decoder commit.
 const MAX_RLE_ENTRIES: usize = 1 << 26;
 
 /// Length prefix of a run-length-encoded list; see [`MAX_RLE_ENTRIES`].
-fn get_count(src: &mut &[u8], context: &'static str) -> Result<usize, PartialError> {
-    let n = get_varint(src, context)? as usize;
+/// Callers reserve [`Reader::reserve_hint`] of it up front and grow as
+/// runs are expanded.
+fn get_count(r: &mut Reader<'_>, context: &'static str) -> Result<usize, PartialError> {
+    let n = r.usize(context)?;
     if n > MAX_RLE_ENTRIES {
         return Err(PartialError::Corrupt {
             detail: format!("list of {n} entries exceeds decoder limit ({context})"),
         });
     }
     Ok(n)
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(src: &mut &[u8], context: &'static str) -> Result<f64, PartialError> {
-    if src.len() < 8 {
-        return Err(PartialError::Truncated { context });
-    }
-    let (bytes, rest) = src.split_at(8);
-    *src = rest;
-    Ok(f64::from_bits(u64::from_le_bytes(
-        bytes.try_into().expect("split_at gave 8 bytes"),
-    )))
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(src: &mut &[u8], context: &'static str) -> Result<String, PartialError> {
-    let n = get_len(src, context)?;
-    let (bytes, rest) = src.split_at(n);
-    *src = rest;
-    String::from_utf8(bytes.to_vec()).map_err(|_| PartialError::Corrupt {
-        detail: format!("non-utf8 string in {context}"),
-    })
 }
 
 /// Encode an arbitrary-order `u64` list as zigzag deltas with
@@ -1164,24 +1062,27 @@ fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-fn get_u64s(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(src, context)?;
-    let mut out = Vec::with_capacity(n);
+fn get_u64s(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, PartialError> {
+    let n = get_count(r, context)?;
+    let mut out = Vec::with_capacity(r.reserve_hint(n));
     if n == 0 {
         return Ok(out);
     }
-    let mut v = get_varint(src, context)?;
+    // The encoder's deltas are wrapping differences of an arbitrary-order
+    // list, so the sums below wrap back by construction.
+    let mut v = r.varint(context)?;
     out.push(v);
     while out.len() < n {
-        let token = get_varint(src, context)?;
+        let token = r.varint(context)?;
         if token == 0 {
-            let d = unzigzag(get_varint(src, context)?) as u64;
-            let k = get_varint(src, context)? as usize;
+            let d = r.zigzag(context)? as u64;
+            let k = r.usize(context)?;
             if k == 0 || k > n - out.len() {
                 return Err(PartialError::Corrupt {
                     detail: format!("bad run in u64 list ({context})"),
                 });
             }
+            out.reserve(k);
             for _ in 0..k {
                 v = v.wrapping_add(d);
                 out.push(v);
@@ -1257,26 +1158,27 @@ fn put_sorted(buf: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(src, context)?;
-    let mut out = Vec::with_capacity(n);
+fn get_sorted(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, PartialError> {
+    let n = get_count(r, context)?;
+    let mut out = Vec::with_capacity(r.reserve_hint(n));
     if n == 0 {
         return Ok(out);
     }
-    let mut v = get_varint(src, context)?;
+    let mut v = r.varint(context)?;
     out.push(v);
     while out.len() < n {
-        let delta = get_varint(src, context)?;
+        let delta = r.varint(context)?;
         if delta == 0 {
             // Pattern escape: `k` repetitions of a `p`-delta pattern of
             // strictly positive deltas.
-            let p = get_varint(src, context)? as usize;
-            let k = get_varint(src, context)? as usize;
-            if p == 0 || k == 0 || p.checked_mul(k).is_none_or(|t| t > n - out.len()) {
+            let p = r.usize(context)?;
+            let k = r.usize(context)?;
+            let total = p.checked_mul(k).filter(|&t| t != 0 && t <= n - out.len());
+            let Some(total) = total else {
                 return Err(PartialError::Corrupt {
                     detail: format!("bad pattern run in sorted list ({context})"),
                 });
-            }
+            };
             let mut pat = [0u64; 16];
             if p > pat.len() {
                 return Err(PartialError::Corrupt {
@@ -1284,21 +1186,22 @@ fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, Partia
                 });
             }
             for d in pat[..p].iter_mut() {
-                *d = get_varint(src, context)?;
+                *d = r.varint(context)?;
                 if *d == 0 {
                     return Err(PartialError::Corrupt {
                         detail: format!("zero delta in sorted-list pattern ({context})"),
                     });
                 }
             }
+            out.reserve(total);
             for _ in 0..k {
                 for &d in &pat[..p] {
-                    v += d;
+                    v = add_delta(v, d, context)?;
                     out.push(v);
                 }
             }
         } else {
-            v += delta;
+            v = add_delta(v, delta, context)?;
             out.push(v);
         }
     }
@@ -1320,66 +1223,27 @@ fn put_class_list(buf: &mut Vec<u8>, vs: &[u64], all: &[u64]) {
 }
 
 fn get_class_list(
-    src: &mut &[u8],
+    r: &mut Reader<'_>,
     all: &[u64],
     context: &'static str,
 ) -> Result<Vec<u64>, PartialError> {
-    match get_byte(src, context)? {
+    match r.u8(context)? {
         0 => Ok(all.to_vec()),
-        1 => get_sorted(src, context),
+        1 => get_sorted(r, context),
         tag => Err(PartialError::Corrupt {
             detail: format!("bad class-list tag {tag} ({context})"),
         }),
     }
 }
 
-fn get_block_size(src: &mut &[u8], context: &'static str) -> Result<BlockSize, PartialError> {
-    let log2 = get_byte(src, context)?;
+fn get_block_size(r: &mut Reader<'_>, context: &'static str) -> Result<BlockSize, PartialError> {
+    let log2 = r.u8(context)?;
     if log2 >= 64 {
         return Err(PartialError::Corrupt {
             detail: format!("block size log2 {log2} out of range ({context})"),
         });
     }
     Ok(BlockSize::from_log2(log2))
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Validate magic + version + trailing FNV checksum, returning the body.
-fn check_frame<'a>(
-    data: &'a [u8],
-    magic: &[u8; 4],
-    version: u16,
-    what: &'static str,
-) -> Result<&'a [u8], PartialError> {
-    if data.len() < 14 {
-        return Err(PartialError::Truncated { context: what });
-    }
-    let (body, sum_bytes) = data.split_at(data.len() - 8);
-    let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-    if fnv1a64(body) != want {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} checksum mismatch"),
-        });
-    }
-    if &body[..4] != magic {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} magic {:?}", &body[..4]),
-        });
-    }
-    let ver = u16::from_le_bytes([body[4], body[5]]);
-    if ver != version {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} version {ver}, expected {version}"),
-        });
-    }
-    Ok(&body[6..])
 }
 
 #[cfg(test)]
@@ -1531,14 +1395,14 @@ mod tests {
         for vs in [&seq, &pattern, &small, &Vec::new()] {
             let mut buf = Vec::new();
             put_sorted(&mut buf, vs);
-            let mut src = buf.as_slice();
+            let mut src = Reader::new(&buf);
             assert_eq!(&get_sorted(&mut src, "t").unwrap(), vs);
             assert!(src.is_empty());
         }
         for vs in [&seq, &pattern, &rev, &dups, &small, &Vec::new()] {
             let mut buf = Vec::new();
             put_u64s(&mut buf, vs);
-            let mut src = buf.as_slice();
+            let mut src = Reader::new(&buf);
             assert_eq!(&get_u64s(&mut src, "t").unwrap(), vs);
             assert!(src.is_empty());
         }

@@ -338,11 +338,20 @@ impl BlockReuse {
 
     /// Rebuild from [`raw_rows`](Self::raw_rows) output (fan-out wire
     /// codec, store catalog). Rows must be in strictly increasing block
-    /// order; returns `None` otherwise.
+    /// order with stat totals that fit `u64`; returns `None` otherwise.
     pub fn from_raw_rows(rows: Vec<(u64, [u64; 4])>) -> Option<BlockReuse> {
         if !rows.windows(2).all(|w| w[0].0 < w[1].0) {
             return None;
         }
+        // The index keeps prefix sums of the summable stats; rows whose
+        // totals leave `u64` are not something an analyzer produced.
+        rows.iter().try_fold([0u64; 3], |sums, &(_, stats)| {
+            Some([
+                sums[0].checked_add(stats[0])?,
+                sums[1].checked_add(stats[1])?,
+                sums[2].checked_add(stats[2])?,
+            ])
+        })?;
         let mut br = BlockReuse {
             blocks: rows.iter().map(|&(b, _)| b).collect(),
             stats: rows

@@ -33,9 +33,7 @@
 //!
 //! Artifacts that need the whole trace by construction (location zoom,
 //! window series keyed on the global κ, time-range heatmaps) are out of
-//! scope here; run them on a resident trace, optionally seeding the
-//! analyzer with [`Analyzer::with_streamed_artifacts`] so everything
-//! already merged is served from the cache.
+//! scope here; run them on a resident trace.
 
 use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
@@ -936,28 +934,5 @@ mod tests {
             report.ingest.peak_shard_bytes,
             5 * 100 * std::mem::size_of::<Access>()
         );
-    }
-
-    #[test]
-    fn seeded_analyzer_serves_merged_artifacts() {
-        let (t, annots, symbols) = synthetic_setup();
-        let report =
-            stream_resident_trace(&t, &annots, &symbols, AnalysisConfig::default(), &[], 4);
-        let a = Analyzer::new(&t, &annots, &symbols).with_streamed_artifacts(&report);
-        let stats = a.cache_stats();
-        assert_eq!(stats.merges, 3);
-        // Seeded slots are served without recomputation...
-        let _ = a.decompression();
-        let _ = a.function_table();
-        let _ = a.region_rows();
-        let stats = a.cache_stats();
-        assert_eq!(stats.merges, 3);
-        assert_eq!(stats.decompression, 0);
-        assert_eq!(stats.function_rows, 0);
-        assert_eq!(stats.block_reuse, 0);
-        // ...and agree with a fresh resident analyzer.
-        let fresh = Analyzer::new(&t, &annots, &symbols);
-        assert_eq!(a.function_table(), fresh.function_table());
-        assert_eq!(a.decompression(), fresh.decompression());
     }
 }

@@ -14,12 +14,13 @@
 //! key) and exits nonzero when a matched value violates the bound, so a
 //! perf-smoke job fails loudly instead of archiving a regression.
 //!
-//! The parser handles exactly the JSON subset our `emit` writes
-//! (objects, arrays, strings, numbers, bools, null); it is not a
-//! general-purpose JSON reader. Host-identity fields (`host_cpus`,
-//! `memgaze_threads`) are compared too: a ratio between runs on
-//! different hosts is flagged rather than silently reported.
+//! Files are read with the workspace's one JSON reader
+//! (`memgaze_obs::json`), so paths come out in key order. Host-identity
+//! fields (`host_cpus`, `memgaze_threads`) are compared too: a ratio
+//! between runs on different hosts is flagged rather than silently
+//! reported.
 
+use memgaze_obs::json::{self, Value};
 use std::process::ExitCode;
 
 /// One numeric leaf of a bench JSON: dotted path and value.
@@ -46,15 +47,39 @@ fn main() -> ExitCode {
 
 fn load_leaves(path: &str) -> Result<Vec<Leaf>, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let doc = json::parse(&body).map_err(|e| format!("parse {path}: {e}"))?;
     let mut leaves = Vec::new();
-    let mut p = Parser {
-        bytes: body.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value("", &mut leaves)
-        .map_err(|e| format!("parse {path}: {e}"))?;
+    flatten(&doc, String::new(), &mut leaves);
     Ok(leaves)
+}
+
+/// Collect every numeric leaf under `v` with its dotted path.
+fn flatten(v: &Value, path: String, out: &mut Vec<Leaf>) {
+    let child = |key: &dyn std::fmt::Display| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}.{key}")
+        }
+    };
+    match v {
+        Value::Int(n) => out.push(Leaf {
+            path,
+            value: *n as f64,
+        }),
+        Value::Float(f) => out.push(Leaf { path, value: *f }),
+        Value::Arr(items) => {
+            for (i, item) in items.iter().enumerate() {
+                flatten(item, child(&i), out);
+            }
+        }
+        Value::Obj(fields) => {
+            for (key, item) in fields {
+                flatten(item, child(key), out);
+            }
+        }
+        Value::Null | Value::Bool(_) | Value::Str(_) => {}
+    }
 }
 
 fn run_diff(old_path: &str, new_path: &str) -> ExitCode {
@@ -185,170 +210,4 @@ fn path_matches(pattern: &str, path: &str) -> bool {
     let ps: Vec<&str> = pattern.split('.').collect();
     let ls: Vec<&str> = path.split('.').collect();
     ps.len() == ls.len() && ps.iter().zip(&ls).all(|(p, l)| *p == "*" || p == l)
-}
-
-/// Minimal recursive-descent reader for the JSON subset `emit` writes.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self, path: &str, out: &mut Vec<Leaf>) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(path, out),
-            Some(b'[') => self.array(path, out),
-            Some(b'"') => {
-                self.string()?;
-                Ok(())
-            }
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(_) => {
-                let v = self.number()?;
-                out.push(Leaf {
-                    path: path.to_string(),
-                    value: v,
-                });
-                Ok(())
-            }
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn object(&mut self, path: &str, out: &mut Vec<Leaf>) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let child = if path.is_empty() {
-                key
-            } else {
-                format!("{path}.{key}")
-            };
-            self.value(&child, out)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self, path: &str, out: &mut Vec<Leaf>) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        let mut i = 0usize;
-        loop {
-            let child = format!("{path}.{i}");
-            self.value(&child, out)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    i += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    match esc {
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        // Keep the raw escape; keys we match on are ASCII.
-                        b'u' => s.push_str("\\u"),
-                        other => s.push(other as char),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    s.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
 }

@@ -61,6 +61,7 @@ use memgaze_analysis::{
     analyze_frames, partition_by_samples, partition_frames, AnalysisConfig, PartialError,
     PartialReport, StreamingReport, WorkerSpec,
 };
+use memgaze_model::wire::{self, Reader, WireError};
 use memgaze_model::{AuxAnnotations, FrameIndex, ModelError, ShardReader, SymbolTable, TraceMeta};
 use memgaze_store::{Catalog, StoreConfig, StoreError, TraceStore};
 use std::io::{Read, Write};
@@ -82,9 +83,6 @@ const REQUEST_PAYLOAD_LEN: u32 = 16;
 /// Sanity cap on a framed response payload; a length beyond this is a
 /// protocol error, not an allocation request.
 const MAX_RESPONSE_BYTES: u64 = 1 << 34;
-/// Largest single allocation/read the response reader makes per step;
-/// payloads grow chunk by chunk only as bytes actually arrive.
-const RESPONSE_READ_CHUNK: u64 = 1 << 20;
 
 /// Crash-injection env var: a marker-file path; first worker to find it
 /// absent creates it, writes garbage, and exits nonzero.
@@ -248,6 +246,17 @@ impl std::error::Error for FanoutError {
             FanoutError::Store(e) => Some(e),
             FanoutError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<WireError> for FanoutError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Io(e) => FanoutError::Io(e),
+            other => FanoutError::Protocol {
+                detail: other.to_string(),
+            },
         }
     }
 }
@@ -865,25 +874,11 @@ fn request_range(
 }
 
 /// Encode a range request in place: magic, payload length, lo, hi.
-fn encode_request(buf: &mut [u8; 24], range: &Range<usize>) {
+pub fn encode_request(buf: &mut [u8; 24], range: &Range<usize>) {
     buf[..4].copy_from_slice(REQUEST_MAGIC);
     buf[4..8].copy_from_slice(&REQUEST_PAYLOAD_LEN.to_le_bytes());
     buf[8..16].copy_from_slice(&(range.start as u64).to_le_bytes());
     buf[16..24].copy_from_slice(&(range.end as u64).to_le_bytes());
-}
-
-/// Read until `buf` is full or EOF; returns the bytes actually read.
-fn read_full(src: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match src.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
 }
 
 /// Parse one framed worker response: `MGZW` + `u64` LE payload length +
@@ -891,48 +886,26 @@ fn read_full(src: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
 /// a frame boundary (worker shut down); every malformation — bad magic,
 /// truncated header, a framed length that disagrees with the bytes that
 /// follow — is a string detail routed through the retry path.
-fn read_response_frame(src: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
-    let mut magic = [0u8; 4];
-    let got = read_full(src, &mut magic).map_err(|e| format!("read worker response: {e}"))?;
-    if got == 0 {
+pub fn read_response_frame(src: &mut impl Read) -> Result<Option<Vec<u8>>, String> {
+    let wire = |e: WireError| format!("read worker response: {e}");
+    if !wire::read_magic(src, WORKER_MAGIC, "worker").map_err(wire)? {
         return Ok(None);
     }
-    if got < magic.len() {
-        return Err(format!("worker framing truncated ({got} bytes)"));
-    }
-    if &magic != WORKER_MAGIC {
-        return Err(format!("bad worker magic {magic:?}"));
-    }
-    let mut len_bytes = [0u8; 8];
-    let got = read_full(src, &mut len_bytes).map_err(|e| format!("read worker framing: {e}"))?;
-    if got < len_bytes.len() {
-        return Err("worker framing truncated (length field)".to_string());
-    }
-    let len = u64::from_le_bytes(len_bytes);
+    let len = u64::from_le_bytes(wire::read_array(src, "worker framing").map_err(wire)?);
     if len > MAX_RESPONSE_BYTES {
         return Err(format!("worker framed an implausible {len}-byte payload"));
     }
-    // The framed length is untrusted until the bytes actually arrive:
-    // allocate in bounded chunks as data is read (the `model::io`
-    // validate-before-allocate discipline), so a hostile header framing
-    // gigabytes against a short stream costs one chunk, not `len`.
+    // The framed length is untrusted until the bytes actually arrive,
+    // so the payload is read chunk by chunk.
     let mut payload = Vec::new();
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(RESPONSE_READ_CHUNK) as usize;
-        let start = payload.len();
-        payload.resize(start + take, 0);
-        let got = read_full(src, &mut payload[start..])
-            .map_err(|e| format!("read worker payload: {e}"))?;
-        if got < take {
-            return Err(format!(
-                "worker payload length {} != framed {len}",
-                start + got
-            ));
-        }
-        remaining -= take as u64;
+    match wire::read_bounded(src, len, &mut payload, "worker payload") {
+        Ok(()) => Ok(Some(payload)),
+        Err(WireError::Truncated { .. }) => Err(format!(
+            "worker payload length {} != framed {len}",
+            payload.len()
+        )),
+        Err(e) => Err(wire(e)),
     }
-    Ok(Some(payload))
 }
 
 /// Saturating `u64 → u32` narrowing for report counters. A plain
@@ -1408,7 +1381,7 @@ impl StoreWorkerState {
 /// payload — assembled in one reusable buffer so each response is a
 /// single `write_all`, with no per-range allocation once the buffer
 /// has grown to the working size.
-fn frame_partial_into(partial: &PartialReport, buf: &mut Vec<u8>) {
+pub fn frame_partial_into(partial: &PartialReport, buf: &mut Vec<u8>) {
     buf.clear();
     buf.extend_from_slice(WORKER_MAGIC);
     buf.extend_from_slice(&[0u8; 8]);
@@ -1435,32 +1408,21 @@ pub fn worker_main(args: &WorkerArgs, out: &mut impl Write) -> Result<(), Fanout
 /// LE payload length (16) + lo/hi as `u64` LE. `Ok(None)` is a clean
 /// EOF at a frame boundary — the coordinator closed our stdin, which is
 /// the shutdown signal.
-fn read_request(input: &mut impl Read) -> Result<Option<Range<usize>>, FanoutError> {
-    let mut magic = [0u8; 4];
-    let got = read_full(input, &mut magic)?;
-    if got == 0 {
+pub fn read_request(input: &mut impl Read) -> Result<Option<Range<usize>>, FanoutError> {
+    if !wire::read_magic(input, REQUEST_MAGIC, "request")? {
         return Ok(None);
     }
-    let protocol = |detail: String| FanoutError::Protocol { detail };
-    if got < magic.len() {
-        return Err(protocol(format!("request magic truncated ({got} bytes)")));
-    }
-    if &magic != REQUEST_MAGIC {
-        return Err(protocol(format!("bad request magic {magic:?}")));
-    }
-    let mut head = [0u8; 4];
-    input.read_exact(&mut head)?;
-    let len = u32::from_le_bytes(head);
+    let len = u32::from_le_bytes(wire::read_array(input, "request length")?);
     if len != REQUEST_PAYLOAD_LEN {
-        return Err(protocol(format!(
-            "request payload length {len} != {REQUEST_PAYLOAD_LEN}"
-        )));
+        return Err(FanoutError::Protocol {
+            detail: format!("request payload length {len} != {REQUEST_PAYLOAD_LEN}"),
+        });
     }
-    let mut body = [0u8; 16];
-    input.read_exact(&mut body)?;
-    let lo = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    let hi = u64::from_le_bytes(body[8..].try_into().expect("8 bytes"));
-    Ok(Some(lo as usize..hi as usize))
+    let body = wire::read_array::<16>(input, "request range")?;
+    let mut r = Reader::new(&body);
+    let lo = wire::to_usize(r.u64_le("request lo")?, "request lo")?;
+    let hi = wire::to_usize(r.u64_le("request hi")?, "request hi")?;
+    Ok(Some(lo..hi))
 }
 
 /// The persistent `analyze-shard --serve` worker body: load and
@@ -1624,7 +1586,7 @@ mod tests {
         let err = read_response_frame(&mut src).expect_err("truncated payload must error");
         assert!(err.contains("framed"), "unexpected detail: {err}");
         assert!(
-            src.max_request as u64 <= RESPONSE_READ_CHUNK,
+            src.max_request <= wire::READ_CHUNK,
             "reader requested {} bytes at once for an untrusted length",
             src.max_request
         );
@@ -1633,7 +1595,7 @@ mod tests {
     #[test]
     fn honest_frames_roundtrip_through_chunked_reader() {
         // Payloads both below and above one chunk decode intact.
-        for len in [0usize, 5, (RESPONSE_READ_CHUNK + 123) as usize] {
+        for len in [0usize, 5, wire::READ_CHUNK + 123] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let mut data = Vec::new();
             data.extend_from_slice(WORKER_MAGIC);

@@ -1,5 +1,7 @@
 //! Error type shared by trace-model operations.
 
+use crate::wire::WireError;
+
 /// Errors produced while building, encoding, or decoding trace-model data.
 #[derive(Debug)]
 pub enum ModelError {
@@ -133,6 +135,17 @@ impl std::error::Error for ModelError {
 impl From<std::io::Error> for ModelError {
     fn from(e: std::io::Error) -> Self {
         ModelError::Io(e)
+    }
+}
+
+impl From<WireError> for ModelError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { context } => ModelError::Truncated { context },
+            WireError::Oversize { context, value } => ModelError::Oversize { context, value },
+            WireError::Malformed { detail } => ModelError::BadHeader { detail },
+            WireError::Io(e) => ModelError::Io(e),
+        }
     }
 }
 

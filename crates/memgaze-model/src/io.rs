@@ -21,118 +21,32 @@
 use crate::access::Access;
 use crate::error::ModelError;
 use crate::sample::{FullTrace, Sample, SampledTrace, TraceMeta};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{self, put_str, put_varint, read_string, read_varint, zigzag, Reader};
+use bytes::Bytes;
+use std::io::Read;
 
 pub(crate) const MAGIC: &[u8; 4] = b"MGZT";
 const VERSION: u16 = 1;
 const KIND_SAMPLED: u8 = 0;
 const KIND_FULL: u8 = 1;
 
-/// Append an unsigned LEB128 varint.
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Read an unsigned LEB128 varint.
-pub(crate) fn get_varint<B: Buf>(buf: &mut B, context: &'static str) -> Result<u64, ModelError> {
-    // Fast path: a u64 varint is at most 10 bytes, so when the current
-    // contiguous chunk holds that many the whole value decodes off the
-    // slice with a single bounds decision instead of one per byte.
-    let chunk = buf.chunk();
-    if chunk.len() >= 10 {
-        let mut v: u64 = 0;
-        for (i, &byte) in chunk[..10].iter().enumerate() {
-            v |= u64::from(byte & 0x7f) << (7 * i as u32);
-            if byte & 0x80 == 0 {
-                buf.advance(i + 1);
-                return Ok(v);
-            }
-        }
-        return Err(ModelError::BadHeader {
-            detail: format!("varint overflow in {context}"),
-        });
-    }
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(ModelError::Truncated { context });
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(ModelError::BadHeader {
-                detail: format!("varint overflow in {context}"),
-            });
-        }
-    }
-}
-
-/// Zigzag-encode a signed delta so small magnitudes stay small.
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Narrow a decoded count/length/offset to `usize`, rejecting values a
-/// 32-bit target cannot address instead of letting `as usize` wrap them
-/// into small (hostile-length-aliasing) allocations. On 64-bit targets
-/// this never fails, but every decode path routes through it so the
-/// codec is identical on both.
-pub(crate) fn decoded_usize(v: u64, context: &'static str) -> Result<usize, ModelError> {
-    usize::try_from(v).map_err(|_| ModelError::Oversize { context, value: v })
-}
-
-fn get_string<B: Buf>(buf: &mut B, context: &'static str) -> Result<String, ModelError> {
-    let len = decoded_usize(get_varint(buf, context)?, context)?;
-    if buf.remaining() < len {
-        return Err(ModelError::Truncated { context });
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| ModelError::BadHeader {
-        detail: format!("non-utf8 string in {context}"),
-    })
-}
-
-pub(crate) fn put_meta(buf: &mut BytesMut, meta: &TraceMeta) {
-    put_string(buf, &meta.workload);
+pub(crate) fn put_meta(buf: &mut Vec<u8>, meta: &TraceMeta) {
+    put_str(buf, &meta.workload);
     put_varint(buf, meta.period);
     put_varint(buf, meta.buffer_bytes);
     put_varint(buf, meta.total_loads);
     put_varint(buf, meta.total_instrumented_loads);
 }
 
-pub(crate) fn get_meta<B: Buf>(buf: &mut B) -> Result<TraceMeta, ModelError> {
+/// Read the metadata block from a stream (a slice cursor lends itself
+/// as one through [`Reader::as_stream`]).
+pub(crate) fn read_meta(src: &mut impl Read) -> Result<TraceMeta, ModelError> {
     Ok(TraceMeta {
-        workload: get_string(buf, "meta.workload")?,
-        period: get_varint(buf, "meta.period")?,
-        buffer_bytes: get_varint(buf, "meta.buffer_bytes")?,
-        total_loads: get_varint(buf, "meta.total_loads")?,
-        total_instrumented_loads: get_varint(buf, "meta.total_instr")?,
+        workload: read_string(src, "meta.workload")?,
+        period: read_varint(src, "meta.period")?,
+        buffer_bytes: read_varint(src, "meta.buffer_bytes")?,
+        total_loads: read_varint(src, "meta.total_loads")?,
+        total_instrumented_loads: read_varint(src, "meta.total_instr")?,
     })
 }
 
@@ -144,7 +58,7 @@ struct DeltaState {
     time: u64,
 }
 
-fn put_access(buf: &mut BytesMut, st: &mut DeltaState, a: &Access) {
+fn put_access(buf: &mut Vec<u8>, st: &mut DeltaState, a: &Access) {
     put_varint(buf, zigzag(a.ip.0.wrapping_sub(st.ip) as i64));
     put_varint(buf, zigzag(a.addr.0.wrapping_sub(st.addr) as i64));
     put_varint(buf, a.time.wrapping_sub(st.time));
@@ -153,13 +67,18 @@ fn put_access(buf: &mut BytesMut, st: &mut DeltaState, a: &Access) {
     st.time = a.time;
 }
 
-fn get_access<B: Buf>(buf: &mut B, st: &mut DeltaState) -> Result<Access, ModelError> {
-    let dip = unzigzag(get_varint(buf, "access.ip")?);
-    let daddr = unzigzag(get_varint(buf, "access.addr")?);
-    let dtime = get_varint(buf, "access.time")?;
+#[inline]
+fn get_access(r: &mut Reader<'_>, st: &mut DeltaState) -> Result<Access, ModelError> {
+    let dip = r.zigzag("access.ip")?;
+    let daddr = r.zigzag("access.addr")?;
+    let dtime = r.varint("access.time")?;
+    // The encoder's ip/addr deltas are signed wrapping differences, so
+    // those sums wrap back by construction. Time only moves forward
+    // within a sample (`Sample::new`'s invariant), so a sum that leaves
+    // `u64` is corrupt input, not a wrapped difference.
     st.ip = st.ip.wrapping_add(dip as u64);
     st.addr = st.addr.wrapping_add(daddr as u64);
-    st.time = st.time.wrapping_add(dtime);
+    st.time = wire::add_delta(st.time, dtime, "access.time")?;
     Ok(Access {
         ip: crate::Ip(st.ip),
         addr: crate::Addr(st.addr),
@@ -167,33 +86,19 @@ fn get_access<B: Buf>(buf: &mut B, st: &mut DeltaState) -> Result<Access, ModelE
     })
 }
 
-pub(crate) fn put_header(buf: &mut BytesMut, version: u16, kind: u8) {
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
-    buf.put_u8(kind);
+/// The MGZT container header: magic, version, then the payload kind.
+pub(crate) fn put_header(buf: &mut Vec<u8>, version: u16, kind: u8) {
+    wire::put_header(buf, MAGIC, version);
+    buf.push(kind);
 }
 
-fn check_header<B: Buf>(buf: &mut B, want_kind: u8) -> Result<(), ModelError> {
-    if buf.remaining() < 7 {
-        return Err(ModelError::Truncated { context: "header" });
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+/// Check a header written by [`put_header`].
+pub(crate) fn check_header(r: &mut Reader<'_>, version: u16, kind: u8) -> Result<(), ModelError> {
+    r.header(MAGIC, version, "header")?;
+    let got = r.u8("header")?;
+    if got != kind {
         return Err(ModelError::BadHeader {
-            detail: format!("magic {magic:?}"),
-        });
-    }
-    let ver = buf.get_u16_le();
-    if ver != VERSION {
-        return Err(ModelError::BadHeader {
-            detail: format!("version {ver}"),
-        });
-    }
-    let kind = buf.get_u8();
-    if kind != want_kind {
-        return Err(ModelError::BadHeader {
-            detail: format!("kind {kind}, expected {want_kind}"),
+            detail: format!("kind {got}, expected {kind}"),
         });
     }
     Ok(())
@@ -202,7 +107,7 @@ fn check_header<B: Buf>(buf: &mut B, want_kind: u8) -> Result<(), ModelError> {
 /// Append one sample: trigger delta from `prev_trigger`, window length,
 /// then delta-coded accesses with a fresh [`DeltaState`]. Shared by the
 /// v1 monolithic payload and the v2 shard frames.
-pub(crate) fn put_sample(buf: &mut BytesMut, prev_trigger: u64, s: &Sample) {
+pub(crate) fn put_sample(buf: &mut Vec<u8>, prev_trigger: u64, s: &Sample) {
     put_varint(buf, s.trigger_time.wrapping_sub(prev_trigger));
     put_varint(buf, s.accesses.len() as u64);
     let mut st = DeltaState::default();
@@ -215,26 +120,40 @@ pub(crate) fn put_sample(buf: &mut BytesMut, prev_trigger: u64, s: &Sample) {
 /// length is validated against the remaining payload before any
 /// allocation, so a corrupt count errors instead of reserving memory
 /// for it.
-pub(crate) fn get_sample<B: Buf>(buf: &mut B, prev_trigger: u64) -> Result<Sample, ModelError> {
-    let trigger = prev_trigger.wrapping_add(get_varint(buf, "trigger_time")?);
-    let w = decoded_usize(get_varint(buf, "window")?, "window")?;
+pub(crate) fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample, ModelError> {
+    let trigger = prev_trigger.wrapping_add(r.varint("trigger_time")?);
     // Every encoded access costs at least three bytes (three varints).
-    if w > buf.remaining() / 3 {
-        return Err(ModelError::Truncated {
-            context: "sample accesses",
-        });
-    }
+    let w = r.count(3, "sample accesses")?;
     let mut st = DeltaState::default();
     let mut accesses = Vec::with_capacity(w);
     for _ in 0..w {
-        accesses.push(get_access(buf, &mut st)?);
+        accesses.push(get_access(r, &mut st)?);
     }
     Ok(Sample::new(accesses, trigger))
 }
 
+/// Decode `n` samples whose trigger chain starts at 0, naming the
+/// failing sample on error. Shared by the v1 payload and v2 frames.
+pub(crate) fn get_samples(
+    r: &mut Reader<'_>,
+    n: usize,
+    mut push: impl FnMut(Sample) -> Result<(), ModelError>,
+) -> Result<(), ModelError> {
+    let mut trigger = 0u64;
+    for index in 0..n {
+        let s = get_sample(r, trigger).map_err(|e| ModelError::InSample {
+            index,
+            source: Box::new(e),
+        })?;
+        trigger = s.trigger_time;
+        push(s)?;
+    }
+    Ok(())
+}
+
 /// Encode a sampled trace to its compact byte representation.
 pub fn encode_sampled(trace: &SampledTrace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.observed_accesses() as usize * 4);
+    let mut buf = Vec::with_capacity(64 + trace.observed_accesses() as usize * 4);
     put_header(&mut buf, VERSION, KIND_SAMPLED);
     put_meta(&mut buf, &trace.meta);
     put_varint(&mut buf, trace.samples.len() as u64);
@@ -243,35 +162,25 @@ pub fn encode_sampled(trace: &SampledTrace) -> Bytes {
         put_sample(&mut buf, prev_trigger, s);
         prev_trigger = s.trigger_time;
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a sampled trace previously produced by [`encode_sampled`].
-pub fn decode_sampled(mut data: Bytes) -> Result<SampledTrace, ModelError> {
-    check_header(&mut data, KIND_SAMPLED)?;
-    let meta = get_meta(&mut data)?;
-    let n = decoded_usize(get_varint(&mut data, "num_samples")?, "num_samples")?;
+pub fn decode_sampled(data: Bytes) -> Result<SampledTrace, ModelError> {
+    let mut r = Reader::new(data.as_slice());
+    check_header(&mut r, VERSION, KIND_SAMPLED)?;
+    let meta = read_meta(r.as_stream())?;
     // Every encoded sample costs at least two bytes (two varints), so a
     // claimed count beyond that is corrupt; reject it before allocating.
-    if n > data.remaining() / 2 {
-        return Err(ModelError::Truncated { context: "samples" });
-    }
+    let n = r.count(2, "samples")?;
     let mut trace = SampledTrace::new(meta);
-    let mut trigger = 0u64;
-    for index in 0..n {
-        let s = get_sample(&mut data, trigger).map_err(|e| ModelError::InSample {
-            index,
-            source: Box::new(e),
-        })?;
-        trigger = s.trigger_time;
-        trace.push_sample(s)?;
-    }
+    get_samples(&mut r, n, |s| trace.push_sample(s))?;
     Ok(trace)
 }
 
 /// Encode a full trace.
 pub fn encode_full(trace: &FullTrace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.accesses.len() * 4);
+    let mut buf = Vec::with_capacity(64 + trace.accesses.len() * 4);
     put_header(&mut buf, VERSION, KIND_FULL);
     put_meta(&mut buf, &trace.meta);
     put_varint(&mut buf, trace.dropped);
@@ -280,24 +189,20 @@ pub fn encode_full(trace: &FullTrace) -> Bytes {
     for a in &trace.accesses {
         put_access(&mut buf, &mut st, a);
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a full trace previously produced by [`encode_full`].
-pub fn decode_full(mut data: Bytes) -> Result<FullTrace, ModelError> {
-    check_header(&mut data, KIND_FULL)?;
-    let meta = get_meta(&mut data)?;
-    let dropped = get_varint(&mut data, "dropped")?;
-    let n = decoded_usize(get_varint(&mut data, "num_accesses")?, "num_accesses")?;
-    if n > data.remaining() / 3 {
-        return Err(ModelError::Truncated {
-            context: "accesses",
-        });
-    }
+pub fn decode_full(data: Bytes) -> Result<FullTrace, ModelError> {
+    let mut r = Reader::new(data.as_slice());
+    check_header(&mut r, VERSION, KIND_FULL)?;
+    let meta = read_meta(r.as_stream())?;
+    let dropped = r.varint("dropped")?;
+    let n = r.count(3, "accesses")?;
     let mut st = DeltaState::default();
     let mut accesses = Vec::with_capacity(n);
     for _ in 0..n {
-        accesses.push(get_access(&mut data, &mut st)?);
+        accesses.push(get_access(&mut r, &mut st)?);
     }
     Ok(FullTrace {
         meta,
@@ -407,25 +312,25 @@ mod tests {
     fn corrupt_sample_count_is_rejected_without_allocating() {
         // Header + meta, then a sample count far beyond the payload: the
         // decoder must refuse before reserving memory for it.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION, KIND_SAMPLED);
         put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
         put_varint(&mut buf, u64::MAX >> 1);
         assert!(matches!(
-            decode_sampled(buf.freeze()),
+            decode_sampled(Bytes::from(buf)),
             Err(ModelError::Truncated { .. })
         ));
     }
 
     #[test]
     fn corrupt_window_count_is_rejected_without_allocating() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION, KIND_SAMPLED);
         put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
         put_varint(&mut buf, 1); // one sample
         put_varint(&mut buf, 5); // trigger delta
         put_varint(&mut buf, u64::MAX >> 1); // absurd window length
-        match decode_sampled(buf.freeze()) {
+        match decode_sampled(Bytes::from(buf)) {
             Err(ModelError::InSample { index: 0, source }) => {
                 assert!(matches!(*source, ModelError::Truncated { .. }));
             }
@@ -435,13 +340,13 @@ mod tests {
 
     #[test]
     fn corrupt_full_count_is_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION, KIND_FULL);
         put_meta(&mut buf, &TraceMeta::new("corrupt", 0, 0));
         put_varint(&mut buf, 0); // dropped
         put_varint(&mut buf, u64::MAX >> 1); // absurd access count
         assert!(matches!(
-            decode_full(buf.freeze()),
+            decode_full(Bytes::from(buf)),
             Err(ModelError::Truncated { .. })
         ));
     }
@@ -449,11 +354,11 @@ mod tests {
     #[test]
     fn overlong_varint_is_rejected() {
         // Eleven continuation bytes cannot encode a u64.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION, KIND_SAMPLED);
-        buf.put_slice(&[0xff; 11]);
+        buf.extend_from_slice(&[0xff; 11]);
         assert!(matches!(
-            decode_sampled(buf.freeze()),
+            decode_sampled(Bytes::from(buf)),
             Err(ModelError::BadHeader { .. })
         ));
     }
@@ -466,22 +371,5 @@ mod tests {
             decode_full(bytes),
             Err(ModelError::BadHeader { .. })
         ));
-    }
-
-    #[test]
-    fn zigzag_inverts() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 12345, -98765] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn varint_roundtrip_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let mut b = buf.freeze();
-            assert_eq!(get_varint(&mut b, "t").unwrap(), v);
-        }
     }
 }

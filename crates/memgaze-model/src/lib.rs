@@ -22,6 +22,7 @@ pub mod ratio;
 pub mod sample;
 pub mod stream;
 pub mod symbols;
+pub mod wire;
 
 pub use access::{Access, LoadClass};
 pub use addr::{Addr, BlockSize, Ip};

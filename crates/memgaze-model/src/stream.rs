@@ -41,11 +41,9 @@
 
 use crate::error::ModelError;
 use crate::hash::fnv1a64;
-use crate::io::{
-    decoded_usize, get_sample, get_varint, put_header, put_meta, put_sample, put_varint,
-};
+use crate::io::{check_header, get_samples, put_header, put_meta, put_sample, read_meta};
 use crate::sample::{Sample, SampledTrace, TraceMeta};
-use bytes::{Buf, BytesMut};
+use crate::wire::{self, put_u64_le, put_varint, read_varint, Reader};
 use std::io::{Read, Write};
 
 const VERSION_SHARDED: u16 = 2;
@@ -184,11 +182,10 @@ impl FrameIndex {
 
     /// Serialize the index (`MGZX` framing, FNV-checksummed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(32 + self.entries.len() * 16);
-        buf.extend_from_slice(INDEX_MAGIC);
-        buf.extend_from_slice(&INDEX_VERSION.to_le_bytes());
+        let mut buf = Vec::with_capacity(32 + self.entries.len() * 16);
+        wire::put_header(&mut buf, INDEX_MAGIC, INDEX_VERSION);
         put_varint(&mut buf, self.header_len);
-        buf.extend_from_slice(&self.header_checksum.to_le_bytes());
+        put_u64_le(&mut buf, self.header_checksum);
         put_varint(&mut buf, self.container_len);
         put_varint(&mut buf, self.total_loads);
         put_varint(&mut buf, self.total_instrumented_loads);
@@ -200,76 +197,38 @@ impl FrameIndex {
             prev_offset = e.offset;
             put_varint(&mut buf, e.len);
             put_varint(&mut buf, e.samples);
-            buf.extend_from_slice(&e.checksum.to_le_bytes());
+            put_u64_le(&mut buf, e.checksum);
         }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf.to_vec()
+        wire::seal(&mut buf, 0);
+        buf
     }
 
     /// Decode a serialized index, rejecting truncation and corruption.
     pub fn decode(data: &[u8]) -> Result<FrameIndex, ModelError> {
-        if data.len() < 14 {
-            return Err(ModelError::Truncated {
-                context: "frame index",
-            });
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-        if fnv1a64(body) != want {
-            return Err(ModelError::BadHeader {
-                detail: "frame index checksum mismatch".to_string(),
-            });
-        }
-        let mut src = body;
-        let mut magic = [0u8; 4];
-        src.read_exact(&mut magic)
-            .map_err(|e| map_eof(e, "frame index magic"))?;
-        if &magic != INDEX_MAGIC {
-            return Err(ModelError::BadHeader {
-                detail: format!("frame index magic {magic:?}"),
-            });
-        }
-        let mut ver = [0u8; 2];
-        src.read_exact(&mut ver)
-            .map_err(|e| map_eof(e, "frame index version"))?;
-        let ver = u16::from_le_bytes(ver);
-        if ver != INDEX_VERSION {
-            return Err(ModelError::BadHeader {
-                detail: format!("frame index version {ver}, expected {INDEX_VERSION}"),
-            });
-        }
-        let header_len = read_varint(&mut src, "index header_len")?;
-        let header_checksum = read_u64_le(&mut src, "index header_checksum")?;
-        let container_len = read_varint(&mut src, "index container_len")?;
-        let total_loads = read_varint(&mut src, "index total_loads")?;
-        let total_instrumented_loads = read_varint(&mut src, "index total_instr")?;
-        let n = decoded_usize(
-            read_varint(&mut src, "index entry count")?,
-            "index entry count",
-        )?;
+        let mut r = wire::open(data, INDEX_MAGIC, INDEX_VERSION, "frame index")?;
+        let header_len = r.varint("index header_len")?;
+        let header_checksum = r.u64_le("index header_checksum")?;
+        let container_len = r.varint("index container_len")?;
+        let total_loads = r.varint("index total_loads")?;
+        let total_instrumented_loads = r.varint("index total_instr")?;
         // Each entry is at least 11 bytes encoded; bound the allocation.
-        if n > body.len() / 11 {
-            return Err(ModelError::Truncated {
-                context: "frame index entries",
-            });
-        }
+        let n = r.count(11, "frame index entries")?;
         let mut entries = Vec::with_capacity(n);
         let mut offset = 0u64;
         for _ in 0..n {
-            offset += read_varint(&mut src, "index entry offset")?;
+            offset = wire::add_delta(
+                offset,
+                r.varint("index entry offset")?,
+                "index entry offset",
+            )?;
             entries.push(FrameIndexEntry {
                 offset,
-                len: read_varint(&mut src, "index entry len")?,
-                samples: read_varint(&mut src, "index entry samples")?,
-                checksum: read_u64_le(&mut src, "index entry checksum")?,
+                len: r.varint("index entry len")?,
+                samples: r.varint("index entry samples")?,
+                checksum: r.u64_le("index entry checksum")?,
             });
         }
-        if !src.is_empty() {
-            return Err(ModelError::BadHeader {
-                detail: format!("{} trailing bytes in frame index", src.len()),
-            });
-        }
+        r.finish("frame index")?;
         Ok(FrameIndex {
             header_len,
             header_checksum,
@@ -286,7 +245,7 @@ pub struct ShardWriter<W: Write> {
     sink: W,
     shards: u64,
     samples: u64,
-    scratch: BytesMut,
+    scratch: Vec<u8>,
     /// Bytes written so far (header + frames).
     pos: u64,
     header_len: u64,
@@ -299,7 +258,7 @@ impl<W: Write> ShardWriter<W> {
     /// totals in `meta` are placeholders; [`finish`](Self::finish)
     /// writes the real values into the trailer.
     pub fn new(mut sink: W, meta: &TraceMeta) -> Result<ShardWriter<W>, ModelError> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
         put_meta(&mut buf, meta);
         sink.write_all(&buf)?;
@@ -307,7 +266,7 @@ impl<W: Write> ShardWriter<W> {
             sink,
             shards: 0,
             samples: 0,
-            scratch: BytesMut::new(),
+            scratch: Vec::new(),
             pos: buf.len() as u64,
             header_len: buf.len() as u64,
             header_checksum: fnv1a64(&buf),
@@ -328,7 +287,7 @@ impl<W: Write> ShardWriter<W> {
             put_sample(&mut self.scratch, prev_trigger, s);
             prev_trigger = s.trigger_time;
         }
-        let mut head = BytesMut::with_capacity(10);
+        let mut head = Vec::with_capacity(10);
         put_varint(&mut head, self.scratch.len() as u64);
         self.sink.write_all(&head)?;
         self.sink.write_all(&self.scratch)?;
@@ -370,7 +329,7 @@ impl<W: Write> ShardWriter<W> {
                 samples: self.samples,
             });
         }
-        let mut tail = BytesMut::with_capacity(24);
+        let mut tail = Vec::with_capacity(24);
         put_varint(&mut tail, 0);
         put_varint(&mut tail, total_loads);
         put_varint(&mut tail, total_instrumented_loads);
@@ -430,24 +389,8 @@ pub struct ShardReader<R: Read> {
 impl<R: Read> ShardReader<R> {
     /// Read and validate the container header and provisional metadata.
     pub fn new(mut src: R) -> Result<ShardReader<R>, ModelError> {
-        let mut hdr = [0u8; 7];
-        src.read_exact(&mut hdr).map_err(|e| map_eof(e, "header"))?;
-        if &hdr[..4] != crate::io::MAGIC {
-            return Err(ModelError::BadHeader {
-                detail: format!("magic {:?}", &hdr[..4]),
-            });
-        }
-        let ver = u16::from_le_bytes([hdr[4], hdr[5]]);
-        if ver != VERSION_SHARDED {
-            return Err(ModelError::BadHeader {
-                detail: format!("version {ver}, expected {VERSION_SHARDED}"),
-            });
-        }
-        if hdr[6] != KIND_SHARDED {
-            return Err(ModelError::BadHeader {
-                detail: format!("kind {}, expected {KIND_SHARDED}", hdr[6]),
-            });
-        }
+        let hdr = wire::read_array::<7>(&mut src, "header")?;
+        check_header(&mut Reader::new(&hdr), VERSION_SHARDED, KIND_SHARDED)?;
         let meta = read_meta(&mut src)?;
         Ok(ShardReader {
             src,
@@ -481,19 +424,12 @@ impl<R: Read> ShardReader<R> {
         // A frame that cannot fit in this platform's address space is
         // rejected up front with a typed error — on 32-bit targets an
         // `as usize` narrowing here would wrap instead.
-        let encoded_bytes = decoded_usize(len, "frame length")?;
-        // Read exactly `len` payload bytes into the reusable scratch.
-        // `take` + `read_to_end` grows the buffer only as data actually
-        // arrives, so a corrupt length on a truncated stream cannot
-        // trigger a giant allocation.
+        let encoded_bytes = wire::to_usize(len, "frame length")?;
+        // Read exactly `len` payload bytes into the reusable scratch,
+        // which grows only as data actually arrives, so a corrupt length
+        // on a truncated stream cannot trigger a giant allocation.
         self.payload.clear();
-        self.payload.reserve(encoded_bytes.min(1 << 20));
-        let got = (&mut self.src).take(len).read_to_end(&mut self.payload)?;
-        if got as u64 != len {
-            return Err(ModelError::Truncated {
-                context: "shard frame",
-            });
-        }
+        wire::read_bounded(&mut self.src, len, &mut self.payload, "shard frame")?;
         let samples = decode_frame_payload(&self.payload)?;
         memgaze_obs::counter!("model.frames_decoded").add(1);
         memgaze_obs::counter!("model.frame_bytes").add(len);
@@ -536,31 +472,16 @@ impl<R: Read> Iterator for ShardReader<R> {
 /// [`ShardReader`], the seeking [`FrameIndex::read_frame`], and the
 /// `memgaze-store` blob path, which holds frame payloads outside any
 /// container.
-pub fn decode_frame_payload(mut buf: &[u8]) -> Result<Vec<Sample>, ModelError> {
-    let n = decoded_usize(
-        get_varint(&mut buf, "shard num_samples")?,
-        "shard num_samples",
-    )?;
-    if n > buf.remaining() / 2 {
-        return Err(ModelError::Truncated {
-            context: "shard samples",
-        });
-    }
+pub fn decode_frame_payload(buf: &[u8]) -> Result<Vec<Sample>, ModelError> {
+    let mut r = Reader::new(buf);
+    // Every encoded sample costs at least two bytes (two varints).
+    let n = r.count(2, "shard samples")?;
     let mut samples = Vec::with_capacity(n);
-    let mut prev_trigger = 0u64;
-    for index in 0..n {
-        let s = get_sample(&mut buf, prev_trigger).map_err(|e| ModelError::InSample {
-            index,
-            source: Box::new(e),
-        })?;
-        prev_trigger = s.trigger_time;
+    get_samples(&mut r, n, |s| {
         samples.push(s);
-    }
-    if buf.has_remaining() {
-        return Err(ModelError::BadHeader {
-            detail: format!("{} trailing bytes in shard frame", buf.remaining()),
-        });
-    }
+        Ok(())
+    })?;
+    r.finish("shard frame")?;
     Ok(samples)
 }
 
@@ -596,66 +517,6 @@ pub fn decode_sharded(data: &[u8]) -> Result<SampledTrace, ModelError> {
         trace.push_sample(s)?;
     }
     Ok(trace)
-}
-
-fn map_eof(e: std::io::Error, context: &'static str) -> ModelError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        ModelError::Truncated { context }
-    } else {
-        ModelError::Io(e)
-    }
-}
-
-fn read_byte<R: Read>(src: &mut R, context: &'static str) -> Result<u8, ModelError> {
-    let mut b = [0u8; 1];
-    src.read_exact(&mut b).map_err(|e| map_eof(e, context))?;
-    Ok(b[0])
-}
-
-fn read_varint<R: Read>(src: &mut R, context: &'static str) -> Result<u64, ModelError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = read_byte(src, context)?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(ModelError::BadHeader {
-                detail: format!("varint overflow in {context}"),
-            });
-        }
-    }
-}
-
-fn read_u64_le<R: Read>(src: &mut R, context: &'static str) -> Result<u64, ModelError> {
-    let mut b = [0u8; 8];
-    src.read_exact(&mut b).map_err(|e| map_eof(e, context))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_string<R: Read>(src: &mut R, context: &'static str) -> Result<String, ModelError> {
-    let len = decoded_usize(read_varint(src, context)?, context)?;
-    let mut raw = Vec::with_capacity(len.min(1 << 16));
-    let got = src.take(len as u64).read_to_end(&mut raw)?;
-    if got != len {
-        return Err(ModelError::Truncated { context });
-    }
-    String::from_utf8(raw).map_err(|_| ModelError::BadHeader {
-        detail: format!("non-utf8 string in {context}"),
-    })
-}
-
-fn read_meta<R: Read>(src: &mut R) -> Result<TraceMeta, ModelError> {
-    Ok(TraceMeta {
-        workload: read_string(src, "meta.workload")?,
-        period: read_varint(src, "meta.period")?,
-        buffer_bytes: read_varint(src, "meta.buffer_bytes")?,
-        total_loads: read_varint(src, "meta.total_loads")?,
-        total_instrumented_loads: read_varint(src, "meta.total_instr")?,
-    })
 }
 
 #[cfg(test)]
@@ -781,11 +642,11 @@ mod tests {
 
     #[test]
     fn corrupt_frame_count_is_rejected_without_allocating() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
         put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
         // Frame of 3 bytes claiming an absurd sample count.
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         put_varint(&mut payload, u64::MAX >> 1);
         put_varint(&mut buf, payload.len() as u64);
         buf.extend_from_slice(&payload);
@@ -808,7 +669,7 @@ mod tests {
 
         // A frame payload claiming u64::MAX samples is rejected before
         // any allocation (Oversize on 32-bit, count-vs-bytes bound here).
-        let mut payload = BytesMut::new();
+        let mut payload = Vec::new();
         put_varint(&mut payload, u64::MAX);
         match decode_frame_payload(&payload) {
             Err(ModelError::Truncated { .. } | ModelError::Oversize { .. }) => {}
@@ -816,7 +677,7 @@ mod tests {
         }
 
         // A meta string whose length varint claims u64::MAX bytes.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
         put_varint(&mut buf, u64::MAX); // meta.workload length
         buf.extend_from_slice(b"x");
@@ -828,7 +689,7 @@ mod tests {
 
         // A varint that never terminates within 64 bits of shift.
         let overlong = [0xffu8; 11];
-        match read_varint(&mut &overlong[..], "overlong") {
+        match read_varint(&mut &overlong[..], "overlong").map_err(ModelError::from) {
             Err(ModelError::BadHeader { detail }) => assert!(detail.contains("varint overflow")),
             other => panic!("expected varint overflow, got {other:?}"),
         }

@@ -1,12 +1,15 @@
-//! A minimal JSON reader for the event wire format.
+//! The workspace's one JSON reader and string escaper.
 //!
 //! The workspace's vendored `serde_json` is write-only, and this crate
 //! must stay dependency-free, so stitching worker JSONL back into the
-//! coordinator's trace needs its own parser. It reads exactly the JSON
-//! subset the [`Event`](crate::Event) encoder emits — flat objects,
-//! string keys, strings, nonnegative integers, floats, and arrays of
-//! integers — but is written as a general recursive-descent parser so a
-//! malformed line fails with a position, never a panic.
+//! coordinator's trace needs its own parser; `compare_bench` reads the
+//! bench JSONs with it too, and every hand-written JSON body (the serve
+//! daemon's errors, `memgaze lint --json`) escapes strings with
+//! [`escape`]. The reader was sized for the JSON subset the
+//! [`Event`](crate::Event) encoder emits — flat objects, string keys,
+//! strings, nonnegative integers, floats, and arrays of integers — but
+//! is written as a general recursive-descent parser so a malformed
+//! document fails with a position, never a panic.
 
 use std::collections::BTreeMap;
 
@@ -276,6 +279,13 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// [`escape_into`] a fresh string.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! ```
 
 mod event;
-mod json;
+pub mod json;
 mod metrics;
 mod profile;
 

@@ -8,7 +8,7 @@
 //! its deltas — so a SIGTERM'd server never loses an accepted shard.
 
 use crate::error::ServeError;
-use crate::http::{json_escape, read_request, HttpError, Request, Response};
+use crate::http::{read_request, HttpError, Request, Response};
 use crate::pool::ThreadPool;
 use crate::session::Registry;
 use crate::ServeConfig;
@@ -250,7 +250,7 @@ fn error_response(e: &ServeError) -> Response {
     let body = format!(
         "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
         e.kind(),
-        json_escape(&e.to_string())
+        memgaze_obs::json::escape(&e.to_string())
     );
     let mut resp = Response::json(e.status(), body);
     if let Some(secs) = e.retry_after() {

@@ -550,7 +550,7 @@ fn anomaly_json(session: &str, m: &AnomalyMark) -> String {
         m.window,
         m.kind.metric(),
         m.ratio,
-        crate::http::json_escape(&m.detail())
+        memgaze_obs::json::escape(&m.detail())
     )
 }
 

@@ -23,7 +23,8 @@
 
 use crate::compress;
 use crate::error::StoreError;
-use memgaze_model::{fnv1a64, fnv1a64_seeded};
+use memgaze_model::fnv1a64_seeded;
+use memgaze_model::wire::{self, put_varint, WireError};
 
 const BLOB_MAGIC: &[u8; 4] = b"MGZB";
 const BLOB_VERSION: u16 = 1;
@@ -42,35 +43,6 @@ pub fn content_hash(payload: &[u8]) -> u64 {
     fnv1a64_seeded(CONTENT_HASH_SEED, payload)
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_varint(src: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = src.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return None;
-        }
-    }
-}
-
 /// Frame a payload for disk: compress when it pays, checksum always.
 pub fn encode_blob(payload: &[u8]) -> Vec<u8> {
     let compressed = compress::compress(payload);
@@ -80,13 +52,11 @@ pub fn encode_blob(payload: &[u8]) -> Vec<u8> {
         (ENC_RAW, payload)
     };
     let mut out = Vec::with_capacity(body.len() + 32);
-    out.extend_from_slice(BLOB_MAGIC);
-    out.extend_from_slice(&BLOB_VERSION.to_le_bytes());
+    wire::put_header(&mut out, BLOB_MAGIC, BLOB_VERSION);
     out.push(enc);
     put_varint(&mut out, payload.len() as u64);
     out.extend_from_slice(body);
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    wire::seal(&mut out, 0);
     out
 }
 
@@ -101,46 +71,22 @@ fn corrupt(hash: u64, detail: impl Into<String>) -> StoreError {
 /// framing checksum, the declared encoding, and finally that the
 /// recovered payload really hashes to `hash`.
 pub fn decode_blob(hash: u64, data: &[u8]) -> Result<Vec<u8>, StoreError> {
-    if data.len() < 16 {
-        return Err(corrupt(hash, format!("{} bytes is too short", data.len())));
-    }
-    let (body, sum_bytes) = data.split_at(data.len() - 8);
-    let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-    let got = fnv1a64(body);
-    if got != want {
-        return Err(corrupt(
-            hash,
-            format!("frame checksum {got:#018x} != stored {want:#018x}"),
-        ));
-    }
-    if &body[..4] != BLOB_MAGIC {
-        return Err(corrupt(hash, format!("bad magic {:?}", &body[..4])));
-    }
-    let ver = u16::from_le_bytes([body[4], body[5]]);
-    if ver != BLOB_VERSION {
-        return Err(corrupt(
-            hash,
-            format!("version {ver}, expected {BLOB_VERSION}"),
-        ));
-    }
-    let enc = body[6];
-    let mut pos = 7usize;
-    let raw_len =
-        get_varint(body, &mut pos).ok_or_else(|| corrupt(hash, "truncated raw length"))? as usize;
+    let wire = |e: WireError| corrupt(hash, e.to_string());
+    let mut r = wire::open(data, BLOB_MAGIC, BLOB_VERSION, "blob").map_err(wire)?;
+    let enc = r.u8("encoding").map_err(wire)?;
+    let raw_len = r.usize("raw length").map_err(wire)?;
+    let body = r.rest();
     let payload = match enc {
         ENC_RAW => {
-            let raw = &body[pos..];
-            if raw.len() != raw_len {
+            if body.len() != raw_len {
                 return Err(corrupt(
                     hash,
-                    format!("raw blob holds {} bytes, declares {raw_len}", raw.len()),
+                    format!("raw blob holds {} bytes, declares {raw_len}", body.len()),
                 ));
             }
-            raw.to_vec()
+            body.to_vec()
         }
-        ENC_LZ => {
-            compress::decompress(&body[pos..], raw_len).map_err(|detail| corrupt(hash, detail))?
-        }
+        ENC_LZ => compress::decompress(body, raw_len).map_err(|detail| corrupt(hash, detail))?,
         other => return Err(corrupt(hash, format!("unknown encoding {other}"))),
     };
     let got = content_hash(&payload);
@@ -156,6 +102,7 @@ pub fn decode_blob(hash: u64, data: &[u8]) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memgaze_model::fnv1a64;
 
     #[test]
     fn roundtrip_compressible_and_not() {

@@ -37,6 +37,9 @@ use crate::blob::content_hash;
 use crate::error::StoreError;
 use memgaze_analysis::{analyze_window, BlockReuse};
 use memgaze_model::stream::decode_frame_payload;
+use memgaze_model::wire::{
+    self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, WireError,
+};
 use memgaze_model::{fnv1a64, BlockSize, FrameIndex, ModelError, SymbolTable, TraceMeta};
 use std::collections::BTreeMap;
 
@@ -232,23 +235,22 @@ impl Catalog {
     /// Serialize (MGZC framing, FNV-checksummed).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + self.frames.len() * 64);
-        buf.extend_from_slice(CATALOG_MAGIC);
-        buf.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
-        put_string(&mut buf, &self.trace_id);
+        wire::put_header(&mut buf, CATALOG_MAGIC, CATALOG_VERSION);
+        put_str(&mut buf, &self.trace_id);
         buf.push(self.summary_block.log2());
         put_bytes(&mut buf, &self.header_bytes);
         put_bytes(&mut buf, &self.trailer_bytes);
         put_varint(&mut buf, self.container_len);
-        buf.extend_from_slice(&self.container_checksum.to_le_bytes());
+        put_u64_le(&mut buf, self.container_checksum);
         put_varint(&mut buf, self.total_loads);
         put_varint(&mut buf, self.total_instrumented_loads);
         put_varint(&mut buf, self.func_names.len() as u64);
         for name in &self.func_names {
-            put_string(&mut buf, name);
+            put_str(&mut buf, name);
         }
         put_varint(&mut buf, self.frames.len() as u64);
         for f in &self.frames {
-            buf.extend_from_slice(&f.hash.to_le_bytes());
+            put_u64_le(&mut buf, f.hash);
             put_varint(&mut buf, f.len);
             put_varint(&mut buf, f.samples);
             put_varint(&mut buf, f.loads);
@@ -270,174 +272,96 @@ impl Catalog {
                 put_varint(&mut buf, loads);
             }
         }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        wire::seal(&mut buf, 0);
         buf
     }
 
     /// Decode a serialized catalog for trace `id`, rejecting truncation
     /// and corruption with [`StoreError::CorruptCatalog`].
     pub fn decode(id: &str, data: &[u8]) -> Result<Catalog, StoreError> {
-        let corrupt = |detail: String| StoreError::CorruptCatalog {
+        decode_catalog(data).map_err(|e| StoreError::CorruptCatalog {
             id: id.to_string(),
-            detail,
-        };
-        if data.len() < 14 {
-            return Err(corrupt(format!("{} bytes is too short", data.len())));
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-        let got = fnv1a64(body);
-        if got != want {
-            return Err(corrupt(format!(
-                "checksum {got:#018x} != stored {want:#018x}"
-            )));
-        }
-        let mut r = Dec { src: body, pos: 0 };
-        let magic = r.take(4).ok_or_else(|| corrupt("truncated magic".into()))?;
-        if magic != CATALOG_MAGIC {
-            return Err(corrupt(format!("bad magic {magic:?}")));
-        }
-        let ver = r
-            .u16_le()
-            .ok_or_else(|| corrupt("truncated version".into()))?;
-        if ver != CATALOG_VERSION {
-            return Err(corrupt(format!(
-                "version {ver}, expected {CATALOG_VERSION}"
-            )));
-        }
-        let trace_id = r
-            .string()
-            .ok_or_else(|| corrupt("bad trace id field".into()))?;
-        let summary_block = BlockSize::from_log2(
-            r.byte()
-                .filter(|&b| b < 64)
-                .ok_or_else(|| corrupt("bad summary block".into()))?,
-        );
-        let header_bytes = r
-            .bytes()
-            .ok_or_else(|| corrupt("truncated header bytes".into()))?;
-        let trailer_bytes = r
-            .bytes()
-            .ok_or_else(|| corrupt("truncated trailer bytes".into()))?;
-        let container_len = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated container length".into()))?;
-        let container_checksum = r
-            .u64_le()
-            .ok_or_else(|| corrupt("truncated container checksum".into()))?;
-        let total_loads = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated total loads".into()))?;
-        let total_instrumented_loads = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated instrumented loads".into()))?;
-        let nfuncs =
-            r.varint()
-                .ok_or_else(|| corrupt("truncated function count".into()))? as usize;
-        if nfuncs > body.len() {
-            return Err(corrupt(format!("function count {nfuncs} exceeds catalog")));
-        }
-        let mut func_names = Vec::with_capacity(nfuncs);
-        for _ in 0..nfuncs {
-            func_names.push(
-                r.string()
-                    .ok_or_else(|| corrupt("bad function name".into()))?,
-            );
-        }
-        let nframes = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated frame count".into()))? as usize;
-        // Each frame is at least 14 encoded bytes; bound the allocation.
-        if nframes > body.len() / 14 {
-            return Err(corrupt(format!("frame count {nframes} exceeds catalog")));
-        }
-        let mut frames = Vec::with_capacity(nframes);
-        for i in 0..nframes {
-            let bad = |what: &str| corrupt(format!("frame {i}: bad {what}"));
-            let hash = r.u64_le().ok_or_else(|| bad("hash"))?;
-            let len = r.varint().ok_or_else(|| bad("length"))?;
-            let samples = r.varint().ok_or_else(|| bad("sample count"))?;
-            let loads = r.varint().ok_or_else(|| bad("load count"))?;
-            let time_range = get_range(&mut r).ok_or_else(|| bad("time range"))?;
-            let addr_range = get_range(&mut r).ok_or_else(|| bad("address range"))?;
-            let nrows = r.varint().ok_or_else(|| bad("reuse row count"))? as usize;
-            if nrows > body.len() / 5 {
-                return Err(bad("reuse row count"));
-            }
-            let mut reuse_rows = Vec::with_capacity(nrows);
-            let mut block = 0u64;
-            for _ in 0..nrows {
-                block = block
-                    .checked_add(r.varint().ok_or_else(|| bad("reuse block"))?)
-                    .ok_or_else(|| bad("reuse block"))?;
-                let mut stats = [0u64; 4];
-                for s in &mut stats {
-                    *s = r.varint().ok_or_else(|| bad("reuse stat"))?;
-                }
-                reuse_rows.push((block, stats));
-            }
-            let nfl = r.varint().ok_or_else(|| bad("function load count"))? as usize;
-            if nfl > body.len() / 2 {
-                return Err(bad("function load count"));
-            }
-            let mut func_loads = Vec::with_capacity(nfl);
-            for _ in 0..nfl {
-                let id = r.varint().ok_or_else(|| bad("function id"))?;
-                if id >= func_names.len() as u64 {
-                    return Err(bad("function id"));
-                }
-                let fl = r.varint().ok_or_else(|| bad("function loads"))?;
-                func_loads.push((id as u32, fl));
-            }
-            frames.push(FrameSummary {
-                hash,
-                len,
-                samples,
-                loads,
-                time_range,
-                addr_range,
-                reuse_rows,
-                func_loads,
-            });
-        }
-        if r.pos != body.len() {
-            return Err(corrupt(format!("{} trailing bytes", body.len() - r.pos)));
-        }
-        Ok(Catalog {
-            trace_id,
-            summary_block,
-            header_bytes,
-            trailer_bytes,
-            container_len,
-            container_checksum,
-            total_loads,
-            total_instrumented_loads,
-            func_names,
-            frames,
+            detail: e.to_string(),
         })
     }
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
+fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
+    let mut r = wire::open(data, CATALOG_MAGIC, CATALOG_VERSION, "catalog")?;
+    let trace_id = r.string("trace id")?;
+    let summary_block = r.u8("summary block")?;
+    if summary_block >= 64 {
+        return Err(WireError::Malformed {
+            detail: format!("summary block log2 {summary_block} out of range"),
+        });
     }
-}
-
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
-    put_varint(buf, data.len() as u64);
-    buf.extend_from_slice(data);
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
+    let header_bytes = r.bytes("header bytes")?.to_vec();
+    let trailer_bytes = r.bytes("trailer bytes")?.to_vec();
+    let container_len = r.varint("container length")?;
+    let container_checksum = r.u64_le("container checksum")?;
+    let total_loads = r.varint("total loads")?;
+    let total_instrumented_loads = r.varint("instrumented loads")?;
+    let nfuncs = r.count(1, "function count")?;
+    let mut func_names = Vec::with_capacity(nfuncs);
+    for _ in 0..nfuncs {
+        func_names.push(r.string("function name")?);
+    }
+    // Each frame is at least 14 encoded bytes; bound the allocation.
+    let nframes = r.count(14, "frame count")?;
+    let mut frames = Vec::with_capacity(nframes);
+    for _ in 0..nframes {
+        let hash = r.u64_le("frame hash")?;
+        let len = r.varint("frame length")?;
+        let samples = r.varint("frame sample count")?;
+        let loads = r.varint("frame load count")?;
+        let time_range = get_range(&mut r, "frame time range")?;
+        let addr_range = get_range(&mut r, "frame address range")?;
+        let nrows = r.count(5, "frame reuse row count")?;
+        let mut reuse_rows = Vec::with_capacity(nrows);
+        let mut block = 0u64;
+        for _ in 0..nrows {
+            block = add_delta(block, r.varint("frame reuse block")?, "frame reuse block")?;
+            let mut stats = [0u64; 4];
+            for s in &mut stats {
+                *s = r.varint("frame reuse stat")?;
+            }
+            reuse_rows.push((block, stats));
+        }
+        let nfl = r.count(2, "frame function load count")?;
+        let mut func_loads = Vec::with_capacity(nfl);
+        for _ in 0..nfl {
+            let id = r.u32("frame function id")?;
+            if id as usize >= func_names.len() {
+                return Err(WireError::Malformed {
+                    detail: format!("frame function id {id} names no function"),
+                });
+            }
+            func_loads.push((id, r.varint("frame function loads")?));
+        }
+        frames.push(FrameSummary {
+            hash,
+            len,
+            samples,
+            loads,
+            time_range,
+            addr_range,
+            reuse_rows,
+            func_loads,
+        });
+    }
+    r.finish("catalog")?;
+    Ok(Catalog {
+        trace_id,
+        summary_block: BlockSize::from_log2(summary_block),
+        header_bytes,
+        trailer_bytes,
+        container_len,
+        container_checksum,
+        total_loads,
+        total_instrumented_loads,
+        func_names,
+        frames,
+    })
 }
 
 /// Optional inclusive range: presence flag, then lo + span.
@@ -452,69 +376,17 @@ fn put_range(buf: &mut Vec<u8>, range: Option<(u64, u64)>) {
     }
 }
 
-fn get_range(r: &mut Dec<'_>) -> Option<Option<(u64, u64)>> {
-    match r.byte()? {
-        0 => Some(None),
+fn get_range(r: &mut Reader<'_>, context: &'static str) -> Result<Option<(u64, u64)>, WireError> {
+    match r.u8(context)? {
+        0 => Ok(None),
         1 => {
-            let lo = r.varint()?;
-            let span = r.varint()?;
-            Some(Some((lo, lo.checked_add(span)?)))
+            let lo = r.varint(context)?;
+            let hi = add_delta(lo, r.varint(context)?, context)?;
+            Ok(Some((lo, hi)))
         }
-        _ => None,
-    }
-}
-
-/// Cursor-style decoder over the catalog body. All methods return
-/// `None` on truncation/malformation; callers attach context.
-struct Dec<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.src.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(out)
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16_le(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().expect("take gave 2 bytes")))
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("take gave 8 bytes")))
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-            if shift >= 64 {
-                return None;
-            }
-        }
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.varint()? as usize;
-        self.take(len).map(|b| b.to_vec())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
+        flag => Err(WireError::Malformed {
+            detail: format!("{context} flag {flag}"),
+        }),
     }
 }
 

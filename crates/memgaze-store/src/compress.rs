@@ -30,8 +30,14 @@
 //! overrun, trailing bytes) and never panics — the blob layer maps
 //! those into [`StoreError::CorruptBlob`](crate::StoreError::CorruptBlob).
 
+use memgaze_model::wire::{grow_toward, put_varint, Reader, WireError};
+
 /// Matches shorter than this cost more to encode than to emit literally.
 const MIN_MATCH: usize = 4;
+/// The output buffer starts at this multiple of the compressed length
+/// (or the declared length, if smaller) and from there only grows as
+/// bytes are actually produced.
+const INITIAL_RESERVE_FACTOR: usize = 4;
 /// log2 of the match hash table size.
 const HASH_BITS: u32 = 14;
 /// Sentinel for an empty hash-table slot.
@@ -42,37 +48,6 @@ const NO_POS: u32 = u32::MAX;
 fn hash4(bytes: &[u8]) -> usize {
     let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
-}
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_varint(src: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = src.get(*pos) else {
-            return Err(format!("truncated varint in {context}"));
-        };
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(format!("varint overflow in {context}"));
-        }
-    }
 }
 
 /// Compress `src`. The output always decodes back to `src` exactly; it
@@ -138,59 +113,68 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a [`compress`] stream, checking it declares exactly
-/// `expected_len` bytes. Every malformation is a typed detail string;
-/// nothing panics and no allocation is driven by unvalidated lengths
-/// beyond `expected_len`.
+/// `expected_len` bytes. Every malformation is a typed detail string
+/// and nothing panics. The declared length is checked against
+/// `expected_len` but neither is trusted with an allocation: the output
+/// starts at a small multiple of the input and grows, to the declared
+/// length at most, only by what literals present in the input or matches
+/// over bytes already produced justify.
 pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
-    let mut pos = 0usize;
-    let raw_len = get_varint(src, &mut pos, "raw length")? as usize;
+    let wire = |e: WireError| e.to_string();
+    let mut r = Reader::new(src);
+    let raw_len = r.usize("raw length").map_err(wire)?;
     if raw_len != expected_len {
         return Err(format!(
             "stream declares {raw_len} raw bytes, catalog expects {expected_len}"
         ));
     }
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = Vec::with_capacity(raw_len.min(src.len().saturating_mul(INITIAL_RESERVE_FACTOR)));
     while out.len() < raw_len {
-        let lit_len = get_varint(src, &mut pos, "literal length")? as usize;
+        let lit_len = r.usize("literal length").map_err(wire)?;
         if lit_len > raw_len - out.len() {
             return Err(format!(
                 "literal run of {lit_len} overruns output ({} of {raw_len} produced)",
                 out.len()
             ));
         }
-        let Some(lits) = src.get(pos..pos + lit_len) else {
-            return Err("truncated literal run".to_string());
-        };
+        let lits = r.take(lit_len, "literal run").map_err(wire)?;
+        grow_toward(&mut out, lit_len, raw_len);
         out.extend_from_slice(lits);
-        pos += lit_len;
         if out.len() == raw_len {
             break;
         }
-        let match_len = get_varint(src, &mut pos, "match length")? as usize + MIN_MATCH;
-        let dist = get_varint(src, &mut pos, "match distance")? as usize;
+        let match_len = r
+            .usize("match length")
+            .map_err(wire)?
+            .checked_add(MIN_MATCH)
+            .filter(|&m| m <= raw_len - out.len());
+        let dist = r.usize("match distance").map_err(wire)?;
         if dist == 0 || dist > out.len() {
             return Err(format!(
                 "match distance {dist} with only {} bytes produced",
                 out.len()
             ));
         }
-        if match_len > raw_len - out.len() {
+        let Some(match_len) = match_len else {
             return Err(format!(
-                "match of {match_len} overruns output ({} of {raw_len} produced)",
+                "match overruns output ({} of {raw_len} produced)",
                 out.len()
             ));
-        }
-        // Byte-at-a-time copy: overlapping matches (dist < len) must see
-        // the bytes they just produced.
+        };
+        // An overlapping match (dist < len) must see the bytes it just
+        // produced: copy from the match start in steps no longer than
+        // what has been produced since, which keeps every step a plain
+        // non-overlapping copy of the period repeated so far.
         let start = out.len() - dist;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        let mut left = match_len;
+        while left > 0 {
+            let step = left.min(out.len() - start);
+            grow_toward(&mut out, step, raw_len);
+            out.extend_from_within(start..start + step);
+            left -= step;
         }
     }
-    if pos != src.len() {
-        return Err(format!("{} trailing bytes after stream", src.len() - pos));
-    }
+    r.finish("stream").map_err(wire)?;
     Ok(out)
 }
 

@@ -35,6 +35,7 @@ use memgaze_analysis::streaming::StreamingReport;
 use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer, WorkerSpec};
 use memgaze_model::annot::AuxAnnotations;
 use memgaze_model::stream::decode_frame_payload;
+use memgaze_model::wire::{grow_toward, put_varint, varint_len};
 use memgaze_model::{fnv1a64, BlockSize, FrameIndex, SymbolTable, TraceMeta};
 use std::fs;
 use std::ops::Range;
@@ -299,8 +300,10 @@ impl TraceStore {
     /// catalog.
     pub fn reassemble(&self, catalog: &Catalog) -> Result<Vec<u8>, StoreError> {
         let _span = memgaze_obs::span("store.reassemble");
-        let mut out = Vec::with_capacity(catalog.container_len as usize);
-        out.extend_from_slice(&catalog.header_bytes);
+        // The catalog's length is checked below, not trusted with an
+        // allocation: the buffer grows toward it as blobs arrive.
+        let declared = usize::try_from(catalog.container_len).unwrap_or(usize::MAX);
+        let mut out = catalog.header_bytes.clone();
         for f in &catalog.frames {
             let payload = self.get_blob(f.hash)?;
             if payload.len() as u64 != f.len {
@@ -313,9 +316,11 @@ impl TraceStore {
                     ),
                 });
             }
-            put_varint(&mut out, payload.len() as u64);
+            grow_toward(&mut out, varint_len(f.len) + payload.len(), declared);
+            put_varint(&mut out, f.len);
             out.extend_from_slice(&payload);
         }
+        grow_toward(&mut out, catalog.trailer_bytes.len(), declared);
         out.extend_from_slice(&catalog.trailer_bytes);
         if out.len() as u64 != catalog.container_len {
             return Err(StoreError::StaleCatalog {
@@ -587,18 +592,6 @@ pub fn validate_trace_id(id: &str) -> Result<(), StoreError> {
         Ok(())
     } else {
         Err(StoreError::InvalidTraceId { id: id.to_string() })
-    }
-}
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
     }
 }
 

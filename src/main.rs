@@ -185,23 +185,6 @@ fn run_lint(args: &Args) -> i32 {
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Hand-rolled JSON for `memgaze lint --json`: per-module differential
 /// summaries plus every diagnostic, the latter sorted by lint id then
 /// site so the output is diffable across runs.
@@ -217,7 +200,7 @@ fn lint_reports_json(
             "    {{\"module\": \"{}\", \"loads\": {}, \"agree\": {}, \
              \"absint_unknown\": {}, \"upgraded\": {}, \"lost_compression\": {}, \
              \"unsound\": {}, \"errors\": {}, \"warnings\": {}}}{}\n",
-            json_escape(&r.module),
+            memgaze::obs::json::escape(&r.module),
             d.loads,
             d.agree,
             d.absint_unknown,
@@ -241,8 +224,8 @@ fn lint_reports_json(
              \"message\": \"{}\"}}{}\n",
             d.lint.code(),
             d.severity,
-            json_escape(&d.site.to_string()),
-            json_escape(&d.message),
+            memgaze::obs::json::escape(&d.site.to_string()),
+            memgaze::obs::json::escape(&d.message),
             if i + 1 < diags.len() { "," } else { "" }
         ));
     }
