@@ -8,8 +8,8 @@
 //! `A_const%`.
 
 use crate::footprint::footprint_growth;
-use crate::fxhash::FxHashSet;
-use memgaze_model::{Access, AuxAnnotations, BlockSize, LoadClass};
+use crate::kernel::{self, AnnotMemo, ClassCounts};
+use memgaze_model::{Access, AuxAnnotations, BlockSize};
 use serde::{Deserialize, Serialize};
 
 /// The footprint access diagnostics of one window.
@@ -32,36 +32,26 @@ pub struct FootprintDiagnostics {
 impl FootprintDiagnostics {
     /// Compute the diagnostics of a window given the annotation file.
     pub fn compute(accesses: &[Access], annots: &AuxAnnotations, bs: BlockSize) -> Self {
-        let mut all: FxHashSet<u64> =
-            FxHashSet::with_capacity_and_hasher(accesses.len(), Default::default());
-        let mut strided: FxHashSet<u64> = FxHashSet::default();
-        let mut irregular: FxHashSet<u64> = FxHashSet::default();
-        let mut implied_const = 0u64;
-        for a in accesses {
-            let b = a.addr.block(bs);
-            all.insert(b);
-            match annots.class_of(a.ip) {
-                LoadClass::Strided => {
-                    strided.insert(b);
-                }
-                LoadClass::Irregular => {
-                    irregular.insert(b);
-                }
-                // Constant accesses appear in uncompressed traces; they
-                // occupy "1 unit" of space and are excluded from the
-                // str/irr decomposition.
-                LoadClass::Constant => {}
-            }
-            implied_const += annots.implied_const_of(a.ip);
-        }
-        let observed = accesses.len() as u64;
+        let mut memo = AnnotMemo::new(annots);
+        let counts = kernel::with_workspace(|ws| {
+            ws.class_pass(accesses.iter().map(|a| {
+                let (class, implied) = memo.get(a.ip);
+                (a.addr.block(bs), class, implied)
+            }))
+        });
+        FootprintDiagnostics::from_counts(accesses.len() as u64, counts)
+    }
+
+    /// The diagnostics of a window of `observed` accesses from its
+    /// kernel counts.
+    pub(crate) fn from_counts(observed: u64, c: ClassCounts) -> Self {
         FootprintDiagnostics {
             observed,
-            implied_const,
-            footprint: all.len() as u64,
-            f_str: strided.len() as u64,
-            f_irr: irregular.len() as u64,
-            kappa: memgaze_model::compression_ratio(observed, implied_const),
+            implied_const: c.implied_const,
+            footprint: c.footprint,
+            f_str: c.f_str,
+            f_irr: c.f_irr,
+            kappa: memgaze_model::compression_ratio(observed, c.implied_const),
         }
     }
 
@@ -146,7 +136,7 @@ impl FootprintDiagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{Access, FunctionId, Ip, IpAnnot};
+    use memgaze_model::{Access, FunctionId, Ip, IpAnnot, LoadClass};
 
     /// Annotations: 0x10 strided (1 implied const), 0x20 irregular.
     fn annots() -> AuxAnnotations {

@@ -162,7 +162,8 @@ impl ReusePartial {
     /// blocks, then `other.lru`.
     pub fn absorb(&mut self, other: &ReusePartial) {
         let mut replay = ReuseTracker::new();
-        self.absorb_with(other, &mut replay);
+        self.absorb_with(other, &mut replay)
+            .expect("reuse totals of one stream fit u64");
     }
 
     /// [`absorb`](Self::absorb) with a caller-supplied replay tracker,
@@ -170,14 +171,20 @@ impl ReusePartial {
     /// allocations. The tracker is reset here; any prior state is
     /// discarded. Results are independent of the tracker's capacity
     /// (compaction preserves every distance), so scratch reuse cannot
-    /// change the merge.
-    pub(crate) fn absorb_with(&mut self, other: &ReusePartial, replay: &mut ReuseTracker) {
+    /// change the merge. Fails, before changing `self`, when the summed
+    /// totals leave `u64` — which no analyzed stream's do, but a decoded
+    /// partial's can.
+    pub(crate) fn absorb_with(
+        &mut self,
+        other: &ReusePartial,
+        replay: &mut ReuseTracker,
+    ) -> Result<(), PartialError> {
         if other.firsts.is_empty() {
-            return;
+            return Ok(());
         }
         if self.firsts.is_empty() {
             *self = other.clone();
-            return;
+            return Ok(());
         }
         replay.reset();
         // The replay stream is `self.lru` then `other.firsts`; sizing the
@@ -190,8 +197,11 @@ impl ReusePartial {
         for &b in &other.firsts {
             replay.feed(b);
         }
-        let boundary_events = replay.events();
-        let boundary_dist = replay.distance_sum();
+        let events = checked_sum([self.events, other.events, replay.events()], "reuse events")?;
+        let dist_sum = checked_sum(
+            [self.dist_sum, other.dist_sum, replay.distance_sum()],
+            "reuse distance sum",
+        )?;
 
         let self_blocks: FxHashSet<u64> = self.lru.iter().copied().collect();
         let other_blocks: FxHashSet<u64> = other.lru.iter().copied().collect();
@@ -210,8 +220,9 @@ impl ReusePartial {
             .collect();
         lru.extend_from_slice(&other.lru);
         self.lru = lru;
-        self.events += other.events + boundary_events;
-        self.dist_sum += other.dist_sum + boundary_dist;
+        self.events = events;
+        self.dist_sum = dist_sum;
+        Ok(())
     }
 }
 
@@ -234,15 +245,47 @@ impl FuncPartial {
     /// Merge the partial of the immediately following shard range.
     /// `replay` is scratch for the reuse-summary merge, reused across
     /// the per-function fold.
-    fn absorb(&mut self, other: FuncPartial, replay: &mut ReuseTracker) {
+    fn absorb(
+        &mut self,
+        other: FuncPartial,
+        replay: &mut ReuseTracker,
+    ) -> Result<(), PartialError> {
+        let observed = checked_sum([self.observed, other.observed], "function accesses")?;
+        let implied_const = checked_sum(
+            [self.implied_const, other.implied_const],
+            "function implied constants",
+        )?;
+        self.reuse.absorb_with(&other.reuse, replay)?;
         union_sorted(&mut self.all, &other.all);
         union_sorted(&mut self.strided, &other.strided);
         union_sorted(&mut self.irregular, &other.irregular);
-        self.observed += other.observed;
-        self.implied_const += other.implied_const;
-        self.reuse.absorb_with(&other.reuse, replay);
+        self.observed = observed;
+        self.implied_const = implied_const;
         self.obs.extend(other.obs);
+        Ok(())
     }
+}
+
+/// The sum of counters that came off the wire, or the typed error a
+/// sum leaving `u64` earns: an analyzer's own counters count accesses
+/// it held in memory, a decoded partial's are whatever the bytes said.
+fn checked_sum(
+    terms: impl IntoIterator<Item = u64>,
+    what: &'static str,
+) -> Result<u64, PartialError> {
+    terms
+        .into_iter()
+        .try_fold(0u64, |sum, t| sum.checked_add(t))
+        .ok_or_else(|| PartialError::Corrupt {
+            detail: format!("{what} overflow u64 when merged"),
+        })
+}
+
+/// Whether sorted, deduplicated `sub` is a subset of sorted `all`: one
+/// walk over `all`, resumed for each element of `sub`.
+fn is_sorted_subset(sub: &[u64], all: &[u64]) -> bool {
+    let mut all = all.iter();
+    sub.iter().all(|b| all.any(|a| a == b))
 }
 
 /// Union of two sorted, deduplicated block lists, by galloping
@@ -251,7 +294,7 @@ impl FuncPartial {
 /// disjoint or mostly overlapping inputs cost O(runs · log) instead of
 /// one comparison per element. Output is the sorted dedup union either
 /// way — identical to a two-pointer merge.
-fn union_sorted(a: &mut Vec<u64>, b: &[u64]) {
+pub(crate) fn union_sorted(a: &mut Vec<u64>, b: &[u64]) {
     if b.is_empty() {
         return;
     }
@@ -399,6 +442,7 @@ impl PartialReport {
             *self = other;
             return Ok(());
         }
+        PartialReport::check_sums([&*self, &other].into_iter())?;
         self.num_samples += other.num_samples;
         self.observed += other.observed;
         self.implied_const += other.implied_const;
@@ -413,7 +457,7 @@ impl PartialReport {
         for (id, fp) in other.funcs {
             match self.funcs.entry(id) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().absorb(fp, &mut replay)
+                    e.get_mut().absorb(fp, &mut replay)?
                 }
                 std::collections::btree_map::Entry::Vacant(v) => {
                     v.insert(fp);
@@ -422,6 +466,28 @@ impl PartialReport {
         }
         self.stats.merge(&other.stats);
         Ok(())
+    }
+
+    /// Sum every trace-wide counter over `parts`, so that the `+=` of
+    /// their merge (and the prefix sums of the merged [`BlockReuse`])
+    /// cannot overflow afterwards.
+    fn check_sums<'p>(
+        parts: impl Iterator<Item = &'p PartialReport> + Clone,
+    ) -> Result<(), PartialError> {
+        let sum = |what, of: &dyn Fn(&PartialReport) -> u64| {
+            checked_sum(parts.clone().map(of), what).map(drop)
+        };
+        sum("sample counts", &|p| p.num_samples)?;
+        sum("access counts", &|p| p.observed)?;
+        sum("implied constants", &|p| p.implied_const)?;
+        sum("histogram counts", &|p| p.histogram.raw_parts().1)?;
+        sum("histogram sums", &|p| p.histogram.raw_parts().2)?;
+        sum("shard counts", &|p| p.stats.shards)?;
+        sum("ingested samples", &|p| p.stats.samples)?;
+        sum("merge events", &|p| p.stats.merge_events)?;
+        sum("block accesses", &|p| p.block_reuse.totals()[0])?;
+        sum("block distance sums", &|p| p.block_reuse.totals()[1])?;
+        sum("block reuse counts", &|p| p.block_reuse.totals()[2])
     }
 
     /// Exact fold of `parts` in frame order, equivalent to a sequential
@@ -438,6 +504,9 @@ impl PartialReport {
         locality_sizes: &[u64],
     ) -> Result<PartialReport, PartialError> {
         let mut parts = parts;
+        // Up front: the summaries leave their partials next, so the
+        // pairwise merges below would not see the block totals.
+        PartialReport::check_sums(parts.iter())?;
         let mut reuses = Vec::with_capacity(parts.len());
         for p in &mut parts {
             reuses.push(std::mem::take(&mut p.block_reuse));
@@ -457,7 +526,7 @@ impl PartialReport {
             Some(p) => p,
             None => PartialReport::empty(footprint_block, reuse_block, locality_sizes),
         };
-        merged.block_reuse = BlockReuse::merge_many(reuses);
+        merged.block_reuse = BlockReuse::from_parts(reuses);
         Ok(merged)
     }
 
@@ -779,7 +848,7 @@ impl PartialReport {
             peak_shard_bytes: r.usize("stats peak bytes")?,
         };
         r.finish("partial report")?;
-        Ok(PartialReport {
+        let partial = PartialReport {
             footprint_block,
             reuse_block,
             locality_sizes,
@@ -793,7 +862,59 @@ impl PartialReport {
             histogram,
             funcs,
             stats,
-        })
+        };
+        partial.validate()?;
+        Ok(partial)
+    }
+
+    /// What [`into_partial`](StreamingAnalyzer::into_partial) guarantees
+    /// and [`merge`](Self::merge), [`finish`](Self::finish) and
+    /// [`StreamingReport::interval_rows`] add up without looking: one
+    /// row per sample whose counters total the trace-wide ones, and
+    /// per-function lists that are views of one footprint. A frame can
+    /// pass its checksum and say otherwise.
+    fn validate(&self) -> Result<(), PartialError> {
+        let corrupt = |detail: &str| {
+            Err(PartialError::Corrupt {
+                detail: detail.to_string(),
+            })
+        };
+        let rows = [self.per_sample_diags.len(), self.per_sample_reuse.len()];
+        let rows = rows.into_iter().chain(self.locality.iter().map(Vec::len));
+        if rows.into_iter().any(|n| n as u64 != self.num_samples) {
+            return corrupt("per-sample rows disagree with the sample count");
+        }
+        let diags = &self.per_sample_diags;
+        if checked_sum(diags.iter().map(|d| d.observed), "sample accesses")? != self.observed
+            || checked_sum(diags.iter().map(|d| d.implied_const), "sample constants")?
+                != self.implied_const
+            || diags
+                .iter()
+                .any(|d| d.footprint > d.observed || d.f_str.max(d.f_irr) > d.footprint)
+        {
+            return corrupt("per-sample diagnostics disagree with the trace totals");
+        }
+        // A sample has at most one locality interval per access.
+        let mut windows = self.locality.iter().flat_map(|rows| rows.iter().zip(diags));
+        if windows.any(|(row, d)| row.0 > d.observed) {
+            return corrupt("more locality intervals than accesses");
+        }
+        let (bins, count, _) = self.histogram.raw_parts();
+        let events = self.per_sample_reuse.iter().map(|r| r.events as u64);
+        if checked_sum(bins.iter().copied(), "histogram bins")? != count
+            || checked_sum(events, "sample reuse events")? != count
+        {
+            return corrupt("reuse histogram disagrees with its count");
+        }
+        for fp in self.funcs.values() {
+            if !is_sorted_subset(&fp.strided, &fp.all)
+                || !is_sorted_subset(&fp.irregular, &fp.all)
+                || fp.obs.len() as u64 > self.num_samples
+            {
+                return corrupt("function lists are not views of one footprint");
+            }
+        }
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@
 //! (Eq. 3), and footprint growth is footprint per (decompressed) access:
 //! `ΔF̂(σ) = F(σ) / (κ(σ)·A(σ))` (Eq. 4).
 
-use crate::fxhash::FxHashMap;
+use crate::kernel;
 use memgaze_model::{Access, BlockSize};
 use serde::{Deserialize, Serialize};
 
@@ -31,30 +31,20 @@ impl CapturesSurvivals {
 
 /// Count unique blocks in a window.
 pub fn footprint(accesses: &[Access], bs: BlockSize) -> u64 {
-    let mut seen: FxHashMap<u64, ()> =
-        FxHashMap::with_capacity_and_hasher(accesses.len(), Default::default());
-    for a in accesses {
-        seen.insert(a.addr.block(bs), ());
-    }
-    seen.len() as u64
+    captures_survivals(accesses, bs).footprint()
 }
 
 /// Count captures and survivals in a window.
 pub fn captures_survivals(accesses: &[Access], bs: BlockSize) -> CapturesSurvivals {
-    let mut counts: FxHashMap<u64, u32> =
-        FxHashMap::with_capacity_and_hasher(accesses.len(), Default::default());
-    for a in accesses {
-        *counts.entry(a.addr.block(bs)).or_insert(0) += 1;
-    }
-    let mut cs = CapturesSurvivals::default();
-    for (_, n) in counts {
-        if n >= 2 {
-            cs.captures += 1;
-        } else {
-            cs.survivals += 1;
+    kernel::with_workspace(|ws| {
+        ws.count_pass(accesses.iter().map(|a| a.addr.block(bs)), 0);
+        let blocks = ws.rows().len() as u64;
+        let captures = ws.rows().iter().filter(|r| r.accesses >= 2).count() as u64;
+        CapturesSurvivals {
+            captures,
+            survivals: blocks - captures,
         }
-    }
-    cs
+    })
 }
 
 /// Which of Eq. 3's two cases applies.

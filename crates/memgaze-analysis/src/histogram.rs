@@ -4,7 +4,7 @@
 //! and Fig. 9's "data locality of hot access intervals (intra-sample)" —
 //! average locality metrics as a function of access-interval size.
 
-use crate::diagnostics::FootprintDiagnostics;
+use crate::kernel::{self, AnnotMemo};
 use crate::par;
 use crate::reuse::{self, ReuseAnalysis};
 use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace};
@@ -181,20 +181,10 @@ pub fn locality_sample_partial(
     reuse_block: BlockSize,
     chunk: usize,
 ) -> (u64, f64, f64, f64) {
-    let mut n = 0u64;
-    let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-    for w in accesses.chunks(chunk) {
-        if w.len() < chunk.div_ceil(2) {
-            continue;
-        }
-        let r = reuse::analyze_window(w, reuse_block);
-        let d = FootprintDiagnostics::compute(w, annots, reuse_block);
-        n += 1;
-        sum_d += r.mean_distance();
-        sum_g += d.delta_f();
-        sum_f += d.footprint as f64;
-    }
-    (n, sum_d, sum_g, sum_f)
+    let mut memo = AnnotMemo::new(annots);
+    kernel::with_workspace(|ws| {
+        ws.locality_partial(accesses, reuse_block, chunk, |_, a| memo.get(a.ip).1)
+    })
 }
 
 /// Reuse-distance histogram over all intra-sample windows.
@@ -309,8 +299,69 @@ mod tests {
         let annots = AuxAnnotations::new();
         let sizes = [8u64, 32, 64];
         let one = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, 1);
-        let four = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, 4);
-        assert_eq!(one, four);
+        for threads in [2, 4] {
+            let many =
+                locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, threads);
+            assert_eq!(one, many, "threads {threads}");
+        }
+    }
+
+    /// `locality_sample_partial` written out as the composition it
+    /// fuses: per interval, a reuse analysis and the diagnostics.
+    fn locality_by_composition(
+        accesses: &[Access],
+        annots: &AuxAnnotations,
+        bs: BlockSize,
+        chunk: usize,
+    ) -> (u64, f64, f64, f64) {
+        let mut n = 0u64;
+        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
+        for w in accesses.chunks(chunk) {
+            if w.len() < chunk.div_ceil(2) {
+                continue;
+            }
+            let r = reuse::analyze_window_naive(w, bs);
+            let d = crate::FootprintDiagnostics::compute(w, annots, bs);
+            n += 1;
+            sum_d += r.mean_distance();
+            sum_g += d.delta_f();
+            sum_f += d.footprint as f64;
+        }
+        (n, sum_d, sum_g, sum_f)
+    }
+
+    #[test]
+    fn locality_partial_is_the_chunked_composition_bit_for_bit() {
+        use memgaze_model::{FunctionId, Ip, IpAnnot, LoadClass};
+        let mut annots = AuxAnnotations::new();
+        for (k, class) in [
+            LoadClass::Strided,
+            LoadClass::Constant,
+            LoadClass::Irregular,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut an = IpAnnot::of_class(class, FunctionId(0));
+            an.implied_const = k as u32 * 2 + 1;
+            annots.insert(Ip(0x400 + k as u64 * 4), an);
+        }
+        let bs = BlockSize::CACHE_LINE;
+        for len in [0usize, 1, 63, 64, 65, 500] {
+            // ips 0x400..0x410: three annotated, one not.
+            let accesses: Vec<Access> = (0..len as u64)
+                .map(|i| Access::new(0x400 + (i * 5 % 4) * 4, (i * i % 89) * 24, i))
+                .collect();
+            for chunk in [1usize, 15, 16, 17, 63, 64, 65, 200] {
+                let (n, d, g, f) = locality_sample_partial(&accesses, &annots, bs, chunk);
+                let (wn, wd, wg, wf) = locality_by_composition(&accesses, &annots, bs, chunk);
+                let tag = format!("len {len} chunk {chunk}");
+                assert_eq!(n, wn, "{tag}");
+                assert_eq!(d.to_bits(), wd.to_bits(), "{tag}");
+                assert_eq!(g.to_bits(), wg.to_bits(), "{tag}");
+                assert_eq!(f.to_bits(), wf.to_bits(), "{tag}");
+            }
+        }
     }
 
     #[test]

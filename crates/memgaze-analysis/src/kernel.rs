@@ -1,0 +1,666 @@
+//! The window kernels: the one place a window of accesses is turned
+//! into reuse distances, footprints and class counts.
+//!
+//! Every public window function in this crate (`reuse::analyze_window`,
+//! `FootprintDiagnostics::compute`, `footprint::footprint`,
+//! `histogram::locality_sample_partial`, `BlockReuse::from_analysis`)
+//! and the per-sample passes of `StreamingAnalyzer::ingest_shard` run on
+//! the [`Workspace`] here, so a 16-access locality window and a
+//! whole-function code window share one block table, one Fenwick
+//! implementation and one set of buffers, and a window allocates
+//! nothing once its thread's workspace is warm.
+//!
+//! The workspace is thread-local (`par_map` workers each own one) and
+//! what a thread keeps between calls is bounded: a window longer than
+//! [`RETAIN_WINDOW`] accesses still runs here, but
+//! [`with_workspace`] drops the buffers it grew before returning.
+//!
+//! Positions and row indices are `u32`. A window is a resident
+//! `&[Access]` at 24 bytes per access, so 2³² accesses is a 96 GiB
+//! slice; no caller builds one.
+
+use crate::fxhash::FxHashMap;
+use memgaze_model::{Access, AuxAnnotations, BlockSize, Ip, LoadClass, SymbolTable};
+use std::cell::RefCell;
+
+/// Longest window whose buffers a thread keeps for the next call. The
+/// dense sampler's 16 KiB buffer holds 2048 accesses, so samples and
+/// everything chopped out of them stay below it; the resident
+/// `function_table` (whole-function windows, tens of thousands of
+/// accesses) does not, and must not pin megabytes per thread.
+pub(crate) const RETAIN_WINDOW: usize = 4096;
+
+/// Windows up to this length keep their markers in one `u64`.
+const BITSET_WINDOW: usize = 64;
+
+/// Class bit of a Strided load in a block's class mask.
+pub(crate) const STRIDED: u8 = 1;
+/// Class bit of an Irregular load in a block's class mask.
+pub(crate) const IRREGULAR: u8 = 2;
+
+/// The class-mask bit of a load class. Constant accesses occupy "1 unit"
+/// of space and are outside the strided/irregular decomposition.
+pub(crate) fn class_bit(class: LoadClass) -> u8 {
+    match class {
+        LoadClass::Strided => STRIDED,
+        LoadClass::Irregular => IRREGULAR,
+        LoadClass::Constant => 0,
+    }
+}
+
+/// The one Fenwick (binary indexed) tree of the crate, as functions
+/// over a slice of `positions + 1` counters: window kernels keep theirs
+/// in the workspace, `ReuseTracker` owns one that outlives any window.
+pub(crate) mod fenwick {
+    /// Add `delta` at position `pos`.
+    #[inline]
+    pub(crate) fn add(tree: &mut [i32], pos: usize, delta: i32) {
+        let mut i = pos + 1;
+        while i < tree.len() {
+            tree[i] += delta;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Sum of positions `[0, pos]`.
+    #[inline]
+    pub(crate) fn prefix(tree: &[i32], pos: usize) -> i32 {
+        let mut i = pos + 1;
+        let mut s = 0;
+        while i > 0 {
+            s += tree[i];
+            i -= i & i.wrapping_neg();
+        }
+        s
+    }
+}
+
+// ---- the block table ----
+
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    val: u32,
+    /// Generation that wrote the slot; any other value means empty.
+    stamp: u32,
+}
+
+/// Open-addressed `block → u32` map, cleared in O(1) by bumping a
+/// generation stamp. A window of `n` accesses probes only the first
+/// `2n` (rounded up to a power of two) slots, so a 16-access window
+/// stays inside two kilobytes however large the table has grown.
+#[derive(Default)]
+struct BlockTable {
+    slots: Vec<Slot>,
+    generation: u32,
+    /// `64 - log2(slots in use)`: the hash keeps its top bits.
+    shift: u32,
+}
+
+impl BlockTable {
+    fn begin(&mut self, n: usize) {
+        let cap = (2 * n).next_power_of_two().max(2 * BITSET_WINDOW);
+        if self.slots.len() < cap {
+            self.slots = vec![Slot::default(); cap];
+            self.generation = 0;
+        }
+        self.shift = 64 - cap.trailing_zeros();
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // The stamp wrapped: slots written 2³² windows ago would
+            // read as live.
+            self.slots.fill(Slot::default());
+            self.generation = 1;
+        }
+    }
+
+    /// The value slot of `key`, and whether this call created it (then
+    /// zero).
+    #[inline]
+    fn entry(&mut self, key: u64) -> (&mut u32, bool) {
+        let mask = (1usize << (64 - self.shift)) - 1;
+        // Fibonacci hashing: sequential block numbers spread over the
+        // top bits.
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot.stamp != self.generation {
+                self.slots[i] = Slot {
+                    key,
+                    val: 0,
+                    stamp: self.generation,
+                };
+                return (&mut self.slots[i].val, true);
+            }
+            if slot.key == key {
+                return (&mut self.slots[i].val, false);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+// ---- the workspace ----
+
+/// Per-block statistics of one window, in first-touch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row {
+    pub(crate) block: u64,
+    pub(crate) dist_sum: u64,
+    pub(crate) accesses: u32,
+    pub(crate) reuse_cnt: u32,
+    pub(crate) max_dist: u32,
+    /// Position of the block's latest access.
+    last: u32,
+}
+
+impl Row {
+    fn new(block: u64) -> Row {
+        Row {
+            block,
+            dist_sum: 0,
+            accesses: 0,
+            reuse_cnt: 0,
+            max_dist: 0,
+            last: 0,
+        }
+    }
+}
+
+/// Totals of one [`Workspace::class_pass`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ClassCounts {
+    pub(crate) footprint: u64,
+    pub(crate) f_str: u64,
+    pub(crate) f_irr: u64,
+    pub(crate) implied_const: u64,
+}
+
+/// The buffers every window kernel runs on.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    table: BlockTable,
+    fenwick: Vec<i32>,
+    rows: Vec<Row>,
+    /// Longest window since the buffers were last released.
+    longest: usize,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Run `f` on this thread's workspace. Kernels do not nest: `f` must
+/// not call back into a function that takes the workspace itself.
+pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    WORKSPACE.with(|cell| {
+        let mut ws = cell.borrow_mut();
+        let out = f(&mut ws);
+        if ws.longest > RETAIN_WINDOW {
+            *ws = Workspace::default();
+        }
+        out
+    })
+}
+
+impl Workspace {
+    /// Start a window of `n` accesses: empty table, no rows.
+    fn begin(&mut self, n: usize) {
+        debug_assert!(u32::try_from(n).is_ok(), "window positions are u32");
+        self.longest = self.longest.max(n);
+        self.table.begin(n);
+        self.rows.clear();
+    }
+
+    /// The rows of the last [`reuse_pass`](Self::reuse_pass) or
+    /// [`count_pass`](Self::count_pass), one per distinct block in
+    /// first-touch order.
+    pub(crate) fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// The row of `block`, created (all zero) on first touch.
+    #[inline]
+    fn row_of(&mut self, block: u64) -> &mut Row {
+        let (slot, new) = self.table.entry(block);
+        if new {
+            *slot = self.rows.len() as u32;
+            self.rows.push(Row::new(block));
+        }
+        &mut self.rows[*slot as usize]
+    }
+
+    /// Exact reuse distances of one window: `on_event(pos, block,
+    /// interval, distance)` for every access to a block seen before, in
+    /// access order, and per-block totals left in [`rows`](Self::rows).
+    ///
+    /// A marker sits at the latest position of every distinct block;
+    /// the distance of a reuse is the number of markers strictly
+    /// between the block's previous access and this one. Windows of at
+    /// most 64 accesses keep the markers in a `u64` and count with a
+    /// mask and a popcount; longer ones keep them in a Fenwick tree.
+    pub(crate) fn reuse_pass(
+        &mut self,
+        blocks: impl ExactSizeIterator<Item = u64>,
+        mut on_event: impl FnMut(usize, u64, u64, u64),
+    ) {
+        let n = blocks.len();
+        self.begin(n);
+        let bitset = n <= BITSET_WINDOW;
+        let mut markers = 0u64;
+        if !bitset {
+            self.fenwick.clear();
+            self.fenwick.resize(n + 1, 0);
+        }
+        for (pos, block) in blocks.enumerate() {
+            let (slot, new) = self.table.entry(block);
+            if new {
+                *slot = self.rows.len() as u32;
+                self.rows.push(Row {
+                    accesses: 1,
+                    last: pos as u32,
+                    ..Row::new(block)
+                });
+            } else {
+                let row = &mut self.rows[*slot as usize];
+                let prev = row.last as usize;
+                // Distinct blocks in (prev, pos): 0 for back-to-back
+                // reuse. Counted before the block's own marker moves.
+                let distance = if pos == prev + 1 {
+                    0
+                } else if bitset {
+                    let between = ((1u64 << pos) - 1) & !((2u64 << prev) - 1);
+                    u64::from((markers & between).count_ones())
+                } else {
+                    (fenwick::prefix(&self.fenwick, pos - 1) - fenwick::prefix(&self.fenwick, prev))
+                        as u64
+                };
+                row.accesses += 1;
+                row.reuse_cnt += 1;
+                row.dist_sum += distance;
+                row.max_dist = row.max_dist.max(distance as u32);
+                row.last = pos as u32;
+                if bitset {
+                    markers &= !(1u64 << prev);
+                } else {
+                    fenwick::add(&mut self.fenwick, prev, -1);
+                }
+                on_event(pos, block, (pos - prev) as u64, distance);
+            }
+            if bitset {
+                markers |= 1u64 << pos;
+            } else {
+                fenwick::add(&mut self.fenwick, pos, 1);
+            }
+        }
+    }
+
+    /// Access counts per distinct block, left in [`rows`](Self::rows)
+    /// (the reuse columns stay zero), with room in the table for `spare`
+    /// more blocks from [`add_event`](Self::add_event).
+    pub(crate) fn count_pass(&mut self, blocks: impl ExactSizeIterator<Item = u64>, spare: usize) {
+        self.begin(blocks.len() + spare);
+        for block in blocks {
+            self.row_of(block).accesses += 1;
+        }
+    }
+
+    /// Fold a reuse event computed elsewhere into the rows of a
+    /// [`count_pass`](Self::count_pass). An event for a block the pass
+    /// did not see gets a row with zero accesses.
+    pub(crate) fn add_event(&mut self, block: u64, distance: u64) {
+        let row = self.row_of(block);
+        row.reuse_cnt += 1;
+        row.dist_sum += distance;
+        row.max_dist = row.max_dist.max(distance as u32);
+    }
+
+    /// Footprint access diagnostics of one window (paper §V-E): distinct
+    /// blocks, distinct blocks touched by a Strided and by an Irregular
+    /// load, and the implied Constant loads. `items` yields `(block,
+    /// class bit, implied constants)` per access.
+    pub(crate) fn class_pass(
+        &mut self,
+        items: impl ExactSizeIterator<Item = (u64, u8, u64)>,
+    ) -> ClassCounts {
+        self.begin(items.len());
+        let mut c = ClassCounts::default();
+        for (block, bit, implied) in items {
+            let (mask, new) = self.table.entry(block);
+            c.footprint += u64::from(new);
+            let fresh = bit & !(*mask as u8);
+            *mask |= u32::from(bit);
+            c.f_str += u64::from(fresh & STRIDED != 0);
+            c.f_irr += u64::from(fresh & IRREGULAR != 0);
+            c.implied_const += implied;
+        }
+        c
+    }
+
+    /// One sample's row of a locality-vs-interval point: `(windows,
+    /// Σ mean D, Σ ΔF, Σ F)` over its `chunk`-sized intervals, tails
+    /// shorter than half an interval skipped. `implied_of(i, access)`
+    /// is the implied-constant weight of `accesses[i]`.
+    pub(crate) fn locality_partial(
+        &mut self,
+        accesses: &[Access],
+        bs: BlockSize,
+        chunk: usize,
+        mut implied_of: impl FnMut(usize, &Access) -> u64,
+    ) -> (u64, f64, f64, f64) {
+        let mut n = 0u64;
+        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
+        for (k, w) in accesses.chunks(chunk).enumerate() {
+            if w.len() < chunk.div_ceil(2) {
+                continue;
+            }
+            let (mut events, mut dist_sum) = (0u64, 0u64);
+            self.reuse_pass(w.iter().map(|a| a.addr.block(bs)), |_, _, _, d| {
+                events += 1;
+                dist_sum += d;
+            });
+            let mut implied_const = 0u64;
+            for (i, a) in w.iter().enumerate() {
+                implied_const += implied_of(k * chunk + i, a);
+            }
+            let observed = w.len() as u64;
+            let footprint = self.rows.len() as u64;
+            let kappa = memgaze_model::compression_ratio(observed, implied_const);
+            n += 1;
+            sum_d += mean_distance(dist_sum, events);
+            sum_g += crate::footprint::footprint_growth(footprint, observed, kappa);
+            sum_f += footprint as f64;
+        }
+        (n, sum_d, sum_g, sum_f)
+    }
+}
+
+/// Mean reuse distance from the integer sums (0 when nothing is
+/// reused) — the one expression every engine uses, so the means agree
+/// bit for bit however the events were grouped.
+pub(crate) fn mean_distance(dist_sum: u64, events: u64) -> f64 {
+    if events == 0 {
+        0.0
+    } else {
+        dist_sum as f64 / events as f64
+    }
+}
+
+// ---- per-ip resolution ----
+
+/// What the analyses need to know about an instruction, looked up once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IpInfo {
+    /// Dense index of the enclosing function, in first-seen order.
+    pub(crate) slot: u32,
+    /// [`class_bit`] of the load's class.
+    pub(crate) class: u8,
+    /// Constant loads the instruction stands for as a proxy.
+    pub(crate) implied: u32,
+}
+
+/// The annotation facts of an access stream, re-read only when the ip
+/// changes from one access to the next.
+pub(crate) struct AnnotMemo<'a> {
+    annots: &'a AuxAnnotations,
+    ip: Option<Ip>,
+    class: u8,
+    implied: u32,
+}
+
+impl<'a> AnnotMemo<'a> {
+    pub(crate) fn new(annots: &'a AuxAnnotations) -> AnnotMemo<'a> {
+        AnnotMemo {
+            annots,
+            ip: None,
+            class: 0,
+            implied: 0,
+        }
+    }
+
+    /// `(class bit, implied constants)` of `ip`; an unannotated ip is
+    /// Irregular and implies nothing, as in `AuxAnnotations::class_of`.
+    #[inline]
+    pub(crate) fn get(&mut self, ip: Ip) -> (u8, u64) {
+        if self.ip != Some(ip) {
+            self.ip = Some(ip);
+            (self.class, self.implied) = annots_of(self.annots, ip);
+        }
+        (self.class, u64::from(self.implied))
+    }
+}
+
+fn annots_of(annots: &AuxAnnotations, ip: Ip) -> (u8, u32) {
+    annots
+        .get(ip)
+        .map_or((IRREGULAR, 0), |a| (class_bit(a.class), a.implied_const))
+}
+
+/// Memoised `ip → (function slot, class bit, implied constants)`: one
+/// hash probe per access in place of a symbol-table binary search and
+/// two annotation lookups. Functions get dense slots in first-seen
+/// order; accesses outside every function share the slot of
+/// `("<unknown>", u32::MAX)`. Symbols and annotations are borrowed for
+/// the resolver's lifetime, so an entry cannot go stale.
+pub(crate) struct IpResolver<'a> {
+    symbols: &'a SymbolTable,
+    annots: &'a AuxAnnotations,
+    by_ip: FxHashMap<Ip, IpInfo>,
+    slot_of_func: FxHashMap<u32, u32>,
+    /// `(function id, name)` per slot.
+    funcs: Vec<(u32, &'a str)>,
+}
+
+impl<'a> IpResolver<'a> {
+    pub(crate) fn new(symbols: &'a SymbolTable, annots: &'a AuxAnnotations) -> IpResolver<'a> {
+        IpResolver {
+            symbols,
+            annots,
+            by_ip: FxHashMap::default(),
+            slot_of_func: FxHashMap::default(),
+            funcs: Vec::new(),
+        }
+    }
+
+    /// Resolve `ip`. A returned slot equal to the number of slots the
+    /// caller has seen so far is a new function:
+    /// [`function`](Self::function) names it.
+    #[inline]
+    pub(crate) fn resolve(&mut self, ip: Ip) -> IpInfo {
+        match self.by_ip.get(&ip) {
+            Some(&info) => info,
+            None => self.resolve_slow(ip),
+        }
+    }
+
+    #[cold]
+    fn resolve_slow(&mut self, ip: Ip) -> IpInfo {
+        let (id, name) = match self.symbols.lookup(ip) {
+            Some(f) => (f.id.0, f.name.as_str()),
+            None => (u32::MAX, "<unknown>"),
+        };
+        let next = self.funcs.len() as u32;
+        let slot = *self.slot_of_func.entry(id).or_insert(next);
+        if slot == next {
+            self.funcs.push((id, name));
+        }
+        let (class, implied) = annots_of(self.annots, ip);
+        let info = IpInfo {
+            slot,
+            class,
+            implied,
+        };
+        self.by_ip.insert(ip, info);
+        info
+    }
+
+    /// `(function id, name)` of a slot.
+    pub(crate) fn function(&self, slot: u32) -> (u32, &'a str) {
+        self.funcs[slot as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reuse::{analyze_window, analyze_window_naive};
+
+    fn seq(blocks: impl IntoIterator<Item = u64>) -> Vec<Access> {
+        blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| Access::new(0x400u64, b * 64, i as u64))
+            .collect()
+    }
+
+    /// A stream with reuse at every distance up to `distinct`.
+    fn mixed(n: usize, distinct: u64) -> Vec<Access> {
+        seq((0..n as u64).map(|i| (i.wrapping_mul(2654435761) >> 7) % distinct))
+    }
+
+    #[test]
+    fn fenwick_counts_ranges() {
+        let mut tree = vec![0i32; 11];
+        for pos in [0, 3, 4, 9] {
+            fenwick::add(&mut tree, pos, 1);
+        }
+        assert_eq!(fenwick::prefix(&tree, 0), 1);
+        assert_eq!(fenwick::prefix(&tree, 3), 2);
+        assert_eq!(fenwick::prefix(&tree, 9), 4);
+        fenwick::add(&mut tree, 3, -1);
+        assert_eq!(fenwick::prefix(&tree, 8) - fenwick::prefix(&tree, 0), 1);
+    }
+
+    #[test]
+    fn both_marker_paths_match_the_oracle_around_the_split() {
+        for n in [0usize, 1, 2, 63, 64, 65, 130] {
+            for distinct in [1u64, 3, 17, 1000] {
+                let a = mixed(n, distinct);
+                assert_eq!(
+                    analyze_window(&a, BlockSize::CACHE_LINE),
+                    analyze_window_naive(&a, BlockSize::CACHE_LINE),
+                    "n {n} distinct {distinct}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_total_the_events() {
+        let a = mixed(300, 23);
+        let bs = BlockSize::CACHE_LINE;
+        let oracle = analyze_window_naive(&a, bs);
+        with_workspace(|ws| {
+            let mut events = 0usize;
+            ws.reuse_pass(a.iter().map(|x| x.addr.block(bs)), |_, _, _, _| events += 1);
+            assert_eq!(events, oracle.events.len());
+            assert_eq!(ws.rows().len() as u64, oracle.unique_blocks);
+            for row in ws.rows() {
+                let mine: Vec<u64> = oracle
+                    .events
+                    .iter()
+                    .filter(|e| e.block == row.block)
+                    .map(|e| e.distance)
+                    .collect();
+                assert_eq!(row.reuse_cnt as usize, mine.len());
+                assert_eq!(row.accesses as usize, mine.len() + 1);
+                assert_eq!(row.dist_sum, mine.iter().sum::<u64>());
+                assert_eq!(
+                    u64::from(row.max_dist),
+                    mine.iter().copied().max().unwrap_or(0)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn retention_bound_holds_and_does_not_change_results() {
+        let bs = BlockSize::CACHE_LINE;
+        for n in [RETAIN_WINDOW - 1, RETAIN_WINDOW, RETAIN_WINDOW + 1] {
+            let a = mixed(n, 97);
+            let fast = analyze_window(&a, bs);
+            let slow = analyze_window_naive(&a[..400], bs);
+            assert_eq!(fast.events[..slow.events.len()], slow.events[..], "n {n}");
+            assert_eq!(fast.unique_blocks, 97);
+            let kept = with_workspace(|ws| ws.table.slots.len());
+            if n > RETAIN_WINDOW {
+                assert_eq!(kept, 0, "buffers of an over-long window are released");
+            } else {
+                assert_eq!(kept, (2 * n).next_power_of_two());
+            }
+        }
+        // A short window after a released one starts from nothing and
+        // still answers right.
+        let a = mixed(50, 7);
+        assert_eq!(analyze_window(&a, bs), analyze_window_naive(&a, bs));
+    }
+
+    #[test]
+    fn generation_wrap_rezeroes_the_table() {
+        let bs = BlockSize::CACHE_LINE;
+        let a = mixed(40, 9);
+        let want = analyze_window_naive(&a, bs);
+        assert_eq!(analyze_window(&a, bs), want);
+        // Leave live-looking slots behind, then wrap: generation 1 is
+        // what the first window after a fresh table stamped.
+        with_workspace(|ws| ws.table.generation = u32::MAX - 1);
+        for round in 0..4 {
+            assert_eq!(analyze_window(&a, bs), want, "round {round}");
+        }
+        assert!(with_workspace(|ws| ws.table.generation) < 8);
+    }
+
+    #[test]
+    fn class_pass_matches_the_set_definition() {
+        use std::collections::BTreeSet;
+        let items: Vec<(u64, u8, u64)> = (0..500u64)
+            .map(|i| {
+                let block = (i * 7 + i / 11) % 61;
+                let bit = [STRIDED, IRREGULAR, 0][(i % 3) as usize];
+                (block, bit, i % 4)
+            })
+            .collect();
+        let all: BTreeSet<u64> = items.iter().map(|t| t.0).collect();
+        let with = |bit: u8| {
+            items
+                .iter()
+                .filter(|t| t.1 == bit)
+                .map(|t| t.0)
+                .collect::<BTreeSet<u64>>()
+                .len() as u64
+        };
+        let got = with_workspace(|ws| ws.class_pass(items.iter().copied()));
+        assert_eq!(
+            got,
+            ClassCounts {
+                footprint: all.len() as u64,
+                f_str: with(STRIDED),
+                f_irr: with(IRREGULAR),
+                implied_const: items.iter().map(|t| t.2).sum(),
+            }
+        );
+    }
+
+    #[test]
+    fn resolver_numbers_functions_in_first_seen_order() {
+        use memgaze_model::{FunctionId, IpAnnot};
+        let mut symbols = SymbolTable::new();
+        symbols.add_function("a", Ip(0x100), Ip(0x200), "a.c");
+        symbols.add_function("b", Ip(0x200), Ip(0x300), "a.c");
+        let mut annots = AuxAnnotations::new();
+        let mut an = IpAnnot::of_class(LoadClass::Strided, FunctionId(1));
+        an.implied_const = 3;
+        annots.insert(Ip(0x210), an);
+        let mut r = IpResolver::new(&symbols, &annots);
+        let b = r.resolve(Ip(0x210));
+        assert_eq!((b.slot, b.class, b.implied), (0, STRIDED, 3));
+        assert_eq!(r.resolve(Ip(0x999)).slot, 1);
+        let a = r.resolve(Ip(0x110));
+        assert_eq!((a.slot, a.class, a.implied), (2, IRREGULAR, 0));
+        assert_eq!(r.resolve(Ip(0x220)).slot, 0);
+        assert_eq!(r.function(0), (1, "b"));
+        assert_eq!(r.function(1), (u32::MAX, "<unknown>"));
+        assert_eq!(r.function(2), (0, "a"));
+        assert_eq!(r.resolve(Ip(0x210)), b);
+    }
+}

@@ -30,6 +30,7 @@ pub mod fxhash;
 pub mod heatmap;
 pub mod histogram;
 pub mod interval_tree;
+mod kernel;
 pub mod live;
 pub mod mape;
 pub mod par;

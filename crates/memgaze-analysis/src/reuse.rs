@@ -3,51 +3,14 @@
 //! A *reuse interval* is the number of loads between two references to the
 //! same (block) address; *reuse distance* (stack distance) is the number
 //! of *unique* blocks in that interval. Reuse distance is computed
-//! exactly in `O(log n)` per access with a last-access map plus a Fenwick
-//! tree that marks the most recent position of each distinct block —
-//! querying the tree over `(last[b], now)` counts distinct blocks touched
-//! since the previous access to `b`.
+//! exactly by the crate's window kernel (`kernel::reuse_pass`): a marker at the
+//! most recent position of each distinct block, counted over
+//! `(last[b], now)` — a popcount for windows of up to 64 accesses, an
+//! `O(log n)` Fenwick query beyond.
 
-use crate::fxhash::FxHashMap;
+use crate::kernel::{self, Row};
 use memgaze_model::{Access, BlockSize};
 use serde::{Deserialize, Serialize};
-
-/// Fenwick (binary indexed) tree over access positions.
-struct Fenwick {
-    tree: Vec<i64>,
-}
-
-impl Fenwick {
-    fn new(n: usize) -> Fenwick {
-        Fenwick {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    fn add(&mut self, mut i: usize, delta: i64) {
-        i += 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of `[0, i]`.
-    fn prefix(&self, mut i: usize) -> i64 {
-        i += 1;
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Sum of `(lo, hi]` with exclusive lower bound.
-    fn range_exclusive(&self, lo: usize, hi: usize) -> i64 {
-        self.prefix(hi) - self.prefix(lo)
-    }
-}
 
 /// One observed reuse: the access index, its block, interval, and distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,11 +43,10 @@ impl ReuseAnalysis {
     /// result is independent of how the events were grouped — the same
     /// invariant the streaming tracker and fan-out merges rely on.
     pub fn mean_distance(&self) -> f64 {
-        if self.events.is_empty() {
-            0.0
-        } else {
-            self.events.iter().map(|e| e.distance).sum::<u64>() as f64 / self.events.len() as f64
-        }
+        kernel::mean_distance(
+            self.events.iter().map(|e| e.distance).sum(),
+            self.events.len() as u64,
+        )
     }
 
     /// Maximum reuse distance (the paper's "Max D"), or 0.
@@ -114,47 +76,25 @@ impl ReuseAnalysis {
 /// Analyze reuse within one window (typically one sample — the paper
 /// prefers intra-sample calculation).
 pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
-    let n = accesses.len();
-    let mut fen = Fenwick::new(n);
-    let mut last: FxHashMap<u64, usize> =
-        FxHashMap::with_capacity_and_hasher(n, Default::default());
     let mut events = Vec::new();
-
-    for (pos, a) in accesses.iter().enumerate() {
-        let b = a.addr.block(bs);
-        match last.get(&b).copied() {
-            Some(prev) => {
-                // Unique blocks strictly between prev and pos, plus... by
-                // convention D counts blocks *between* the pair, i.e.
-                // distinct blocks in (prev, pos) — 0 for back-to-back
-                // reuse.
-                let distance = if pos > prev + 1 {
-                    fen.range_exclusive(prev, pos - 1) as u64
-                } else {
-                    0
-                };
+    let unique_blocks = kernel::with_workspace(|ws| {
+        ws.reuse_pass(
+            accesses.iter().map(|a| a.addr.block(bs)),
+            |pos, block, interval, distance| {
                 events.push(ReuseEvent {
                     pos,
-                    block: b,
-                    interval: (pos - prev) as u64,
+                    block,
+                    interval,
                     distance,
-                });
-                // Move the block's marker to its new position.
-                fen.add(prev, -1);
-                fen.add(pos, 1);
-                last.insert(b, pos);
-            }
-            None => {
-                fen.add(pos, 1);
-                last.insert(b, pos);
-            }
-        }
-    }
-
+                })
+            },
+        );
+        ws.rows().len() as u64
+    });
     ReuseAnalysis {
         events,
-        accesses: n,
-        unique_blocks: last.len() as u64,
+        accesses: accesses.len(),
+        unique_blocks,
     }
 }
 
@@ -196,6 +136,18 @@ struct BlockStats {
 }
 
 impl BlockStats {
+    fn of_row(row: &Row) -> (u64, BlockStats) {
+        (
+            row.block,
+            BlockStats {
+                accesses: u64::from(row.accesses),
+                dist_sum: row.dist_sum,
+                reuse_cnt: u64::from(row.reuse_cnt),
+                max_dist: u64::from(row.max_dist),
+            },
+        )
+    }
+
     fn absorb(&mut self, other: &BlockStats) {
         self.accesses += other.accesses;
         self.dist_sum += other.dist_sum;
@@ -251,27 +203,17 @@ impl BlockReuse {
         bs: BlockSize,
         analysis: &ReuseAnalysis,
     ) -> BlockReuse {
-        let mut per_block: FxHashMap<u64, BlockStats> =
-            FxHashMap::with_capacity_and_hasher(accesses.len(), Default::default());
-        for a in accesses {
-            per_block.entry(a.addr.block(bs)).or_default().accesses += 1;
-        }
-        for e in &analysis.events {
-            let entry = per_block.entry(e.block).or_default();
-            entry.dist_sum += e.distance;
-            entry.reuse_cnt += 1;
-            entry.max_dist = entry.max_dist.max(e.distance);
-        }
-        let mut pairs: Vec<(u64, BlockStats)> = per_block.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(b, _)| b);
-        let mut br = BlockReuse {
-            blocks: pairs.iter().map(|&(b, _)| b).collect(),
-            stats: pairs.into_iter().map(|(_, s)| s).collect(),
-            pre_accesses: Vec::new(),
-            pre_dist_sum: Vec::new(),
-            pre_reuse_cnt: Vec::new(),
-            max_table: Vec::new(),
-        };
+        let pairs = kernel::with_workspace(|ws| {
+            // The events are the window's own, but nothing makes a caller
+            // pass matching arguments: leave room for a row each.
+            let blocks = accesses.iter().map(|a| a.addr.block(bs));
+            ws.count_pass(blocks, analysis.events.len());
+            for e in &analysis.events {
+                ws.add_event(e.block, e.distance);
+            }
+            ws.rows().iter().map(BlockStats::of_row).collect()
+        });
+        let mut br = BlockReuse::from_pairs_unindexed(pairs);
         br.rebuild_index();
         br
     }
@@ -299,11 +241,28 @@ impl BlockReuse {
         for p in parts {
             pairs.extend(p.blocks.into_iter().zip(p.stats));
         }
-        // Each part arrives with strictly increasing blocks, so the
-        // concatenation is a handful of pre-sorted runs — the stable
-        // sort's run detection merges them in near-linear time, where an
-        // unstable sort would pay the full comparison cost. Order among
-        // equal keys is irrelevant: `absorb` only sums and maxes.
+        BlockReuse::from_pairs_unindexed(pairs)
+    }
+
+    /// The unindexed summary of many windows' kernel rows — a streaming
+    /// shard's samples — concatenated and sorted once.
+    pub(crate) fn from_rows_unindexed<'r>(
+        windows: impl Iterator<Item = &'r [Row]> + Clone,
+    ) -> BlockReuse {
+        let mut pairs = Vec::with_capacity(windows.clone().map(<[Row]>::len).sum());
+        for rows in windows {
+            pairs.extend(rows.iter().map(BlockStats::of_row));
+        }
+        BlockReuse::from_pairs_unindexed(pairs)
+    }
+
+    /// Sort `(block, stats)` pairs and absorb duplicate blocks; no
+    /// query index. Order among equal blocks is irrelevant: `absorb`
+    /// only sums and maxes.
+    fn from_pairs_unindexed(mut pairs: Vec<(u64, BlockStats)>) -> BlockReuse {
+        // The stable sort detects runs: summaries arrive with strictly
+        // increasing blocks, so their concatenation is a handful of
+        // pre-sorted runs that merge in near-linear time.
         pairs.sort_by_key(|&(b, _)| b);
         let mut br = BlockReuse {
             blocks: Vec::with_capacity(pairs.len()),
@@ -315,13 +274,20 @@ impl BlockReuse {
         };
         for (b, s) in pairs {
             if br.blocks.last() == Some(&b) {
-                br.stats.last_mut().unwrap().absorb(&s);
+                br.stats.last_mut().expect("parallel to blocks").absorb(&s);
             } else {
                 br.blocks.push(b);
                 br.stats.push(s);
             }
         }
         br
+    }
+
+    /// `[accesses, Σ distance, reuse count]` over every block of an
+    /// indexed summary.
+    pub(crate) fn totals(&self) -> [u64; 3] {
+        [&self.pre_accesses, &self.pre_dist_sum, &self.pre_reuse_cnt]
+            .map(|pre| *pre.last().expect("an indexed summary has prefix sums"))
     }
 
     /// Raw `(block, [accesses, dist_sum, reuse_cnt, max_dist])` rows in
@@ -409,38 +375,6 @@ impl BlockReuse {
         self.blocks = blocks;
         self.stats = stats;
         self.rebuild_index();
-    }
-
-    /// Exact k-way merge: equivalent to folding [`merge`](Self::merge)
-    /// pairwise over `parts` (the per-block stats combine by sum/max,
-    /// so order cannot matter), but the prefix sums and the range-max
-    /// sparse table are rebuilt once at the end instead of once per
-    /// pairwise step — the difference between O(k · n log n) and
-    /// O(n log n) when folding one partial per shard frame.
-    pub fn merge_many(parts: impl IntoIterator<Item = BlockReuse>) -> BlockReuse {
-        let mut pairs: Vec<(u64, BlockStats)> = Vec::new();
-        for p in parts {
-            pairs.extend(p.blocks.into_iter().zip(p.stats));
-        }
-        pairs.sort_unstable_by_key(|&(b, _)| b);
-        let mut out = BlockReuse {
-            blocks: Vec::with_capacity(pairs.len()),
-            stats: Vec::with_capacity(pairs.len()),
-            pre_accesses: Vec::new(),
-            pre_dist_sum: Vec::new(),
-            pre_reuse_cnt: Vec::new(),
-            max_table: Vec::new(),
-        };
-        for (b, s) in pairs {
-            if out.blocks.last() == Some(&b) {
-                out.stats.last_mut().expect("parallel to blocks").absorb(&s);
-            } else {
-                out.blocks.push(b);
-                out.stats.push(s);
-            }
-        }
-        out.rebuild_index();
-        out
     }
 
     /// Recompute the prefix sums and the range-max sparse table from
@@ -627,6 +561,17 @@ mod tests {
         // Block 10 reused at distance 1; block 11 at distance 2.
         let d = br.region_mean_distance(10, 12);
         assert!((d - 1.5).abs() < 1e-12, "d={d}");
+    }
+
+    #[test]
+    fn from_analysis_tolerates_events_of_another_window() {
+        // Far more foreign blocks than the (empty) window sized the
+        // kernel's table for: each still gets a zero-access row.
+        let other = seq(&(0..300).flat_map(|b| [b, b]).collect::<Vec<u64>>());
+        let r = analyze_window(&other, BlockSize::CACHE_LINE);
+        let br = BlockReuse::from_analysis(&[], BlockSize::CACHE_LINE, &r);
+        assert_eq!(br.len(), 300);
+        assert_eq!(br.region_accesses(0, u64::MAX), 0);
     }
 
     #[test]

@@ -37,15 +37,16 @@
 
 use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::histogram::{locality_sample_partial, LocalityPoint, Log2Histogram};
+use crate::fxhash::FxHashMap;
+use crate::histogram::{LocalityPoint, Log2Histogram};
+use crate::kernel::{self, fenwick, IpInfo, IpResolver, Row};
 use crate::par;
-use crate::reuse::{self, BlockReuse};
+use crate::reuse::BlockReuse;
 use memgaze_model::{
-    AuxAnnotations, BlockSize, DecompressionInfo, LoadClass, Sample, SampledTrace, SymbolTable,
-    TraceMeta,
+    AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable, TraceMeta,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Ingest accounting of a streaming pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,7 +91,7 @@ pub(crate) struct SampleReuseSummary {
 /// Feeding the concatenation of a function's accesses (one
 /// [`feed`](Self::feed) per access, in order) produces the same event
 /// count and the same integer distance sum as
-/// [`reuse::analyze_window`] over the whole slice, so
+/// [`reuse::analyze_window`](crate::reuse::analyze_window) over the whole slice, so
 /// [`mean_distance`](Self::mean_distance) is bit-identical — including
 /// across shard boundaries, which a windowed analysis cannot see.
 ///
@@ -107,15 +108,13 @@ pub(crate) struct SampleReuseSummary {
 /// merge *exactly* — see
 /// [`ReusePartial`](crate::fanout::ReusePartial).
 pub struct ReuseTracker {
-    fen: Vec<i64>,
+    fen: Vec<i32>,
     last: FxHashMap<u64, usize>,
     next_slot: usize,
     cap: usize,
     events: u64,
     dist_sum: u64,
     firsts: Vec<u64>,
-    /// Live-marker scratch reused across compaction rounds.
-    live_scratch: Vec<(u64, usize)>,
 }
 
 impl Default for ReuseTracker {
@@ -142,12 +141,11 @@ impl ReuseTracker {
             events: 0,
             dist_sum: 0,
             firsts: Vec::new(),
-            live_scratch: Vec::new(),
         }
     }
 
     /// Return to the fresh state while keeping every allocation (Fenwick
-    /// array, marker map, scratch), so one tracker can serve many replay
+    /// array, marker map), so one tracker can serve many replay
     /// rounds without churning the allocator.
     pub fn reset(&mut self) {
         self.fen.clear();
@@ -198,24 +196,6 @@ impl ReuseTracker {
         self.next_slot = n;
     }
 
-    fn add(&mut self, pos: usize, delta: i64) {
-        let mut i = pos + 1;
-        while i < self.fen.len() {
-            self.fen[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn prefix(&self, pos: usize) -> i64 {
-        let mut i = pos + 1;
-        let mut s = 0i64;
-        while i > 0 {
-            s += self.fen[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
     /// Observe the next block in the stream.
     pub fn feed(&mut self, block: u64) {
         if self.next_slot == self.cap {
@@ -223,49 +203,43 @@ impl ReuseTracker {
         }
         let pos = self.next_slot;
         self.next_slot += 1;
-        match self.last.get(&block).copied() {
-            Some(prev) => {
+        match self.last.entry(block) {
+            Entry::Occupied(mut e) => {
+                let prev = e.insert(pos);
                 // Distinct blocks touched strictly between the previous
                 // access to this block and now — same definition as
                 // `analyze_window`, queried before the marker moves.
                 let distance = if pos > prev + 1 {
-                    (self.prefix(pos - 1) - self.prefix(prev)) as u64
+                    (fenwick::prefix(&self.fen, pos - 1) - fenwick::prefix(&self.fen, prev)) as u64
                 } else {
                     0
                 };
                 self.events += 1;
                 self.dist_sum += distance;
-                self.add(prev, -1);
-                self.add(pos, 1);
-                self.last.insert(block, pos);
+                fenwick::add(&mut self.fen, prev, -1);
             }
-            None => {
-                self.add(pos, 1);
-                self.last.insert(block, pos);
+            Entry::Vacant(e) => {
+                e.insert(pos);
                 self.firsts.push(block);
             }
         }
+        fenwick::add(&mut self.fen, pos, 1);
     }
 
-    /// Remap live markers onto consecutive slots, preserving order. The
-    /// marker list and Fenwick array are reused across rounds, and the
-    /// Fenwick tree is rebuilt in one O(cap) pass from the "markers
-    /// occupy slots 0..n" shape instead of n point updates.
+    /// Remap live markers onto consecutive slots, preserving order: a
+    /// marker's new slot is its rank among the live markers, which the
+    /// Fenwick tree already counts. The tree is then rebuilt in one
+    /// O(cap) pass from the "markers occupy slots 0..n" shape.
     fn compact(&mut self) {
-        let mut live = std::mem::take(&mut self.live_scratch);
-        live.clear();
-        live.extend(self.last.iter().map(|(&b, &s)| (b, s)));
-        live.sort_unstable_by_key(|&(_, slot)| slot);
-        if live.len() * 2 > self.cap {
+        let live = self.last.len();
+        for slot in self.last.values_mut() {
+            *slot = (fenwick::prefix(&self.fen, *slot) - 1) as usize;
+        }
+        if live * 2 > self.cap {
             self.cap *= 2;
         }
-        self.rebuild_fen_for_prefix(live.len());
-        self.last.clear();
-        self.next_slot = live.len();
-        for (i, &(block, _)) in live.iter().enumerate() {
-            self.last.insert(block, i);
-        }
-        self.live_scratch = live;
+        self.rebuild_fen_for_prefix(live);
+        self.next_slot = live;
     }
 
     /// Set the Fenwick array to the state where slots `0..n` each hold
@@ -277,7 +251,7 @@ impl ReuseTracker {
         self.fen.resize(self.cap + 1, 0);
         for i in 1..=self.cap {
             let lo = i - (i & i.wrapping_neg());
-            self.fen[i] = (i.min(n) - lo.min(n)) as i64;
+            self.fen[i] = (i.min(n) - lo.min(n)) as i32;
         }
     }
 
@@ -309,11 +283,7 @@ impl ReuseTracker {
     /// Mean reuse distance so far (0 when no reuse occurred), identical
     /// to `ReuseAnalysis::mean_distance` over the same stream.
     pub fn mean_distance(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.dist_sum as f64 / self.events as f64
-        }
+        kernel::mean_distance(self.dist_sum, self.events)
     }
 }
 
@@ -322,16 +292,17 @@ impl ReuseTracker {
 struct FuncState {
     id: u32,
     name: String,
-    all: FxHashSet<u64>,
-    strided: FxHashSet<u64>,
-    irregular: FxHashSet<u64>,
+    /// Footprint block → `stamp << 2 | class mask`: the classes whose
+    /// loads touched the block, and the 1-based global number of the
+    /// last sample that did.
+    blocks: FxHashMap<u64, u64>,
     observed: u64,
     implied_const: u64,
     tracker: ReuseTracker,
     /// Per-sample footprint observations, in sample order.
     obs: Vec<f64>,
-    /// Footprint blocks of the sample currently being ingested.
-    cur: FxHashSet<u64>,
+    /// Distinct footprint blocks of the sample being ingested.
+    cur: u64,
 }
 
 impl FuncState {
@@ -339,24 +310,31 @@ impl FuncState {
         FuncState {
             id,
             name: name.to_string(),
-            all: FxHashSet::default(),
-            strided: FxHashSet::default(),
-            irregular: FxHashSet::default(),
+            blocks: FxHashMap::default(),
             observed: 0,
             implied_const: 0,
             tracker: ReuseTracker::new(),
             obs: Vec::new(),
-            cur: FxHashSet::default(),
+            cur: 0,
         }
     }
+}
+
+/// What one sample's kernel passes produce.
+struct SampleArtifacts {
+    reuse: SampleReuseSummary,
+    histogram: Log2Histogram,
+    diag: FootprintDiagnostics,
+    /// Per-block reuse rows of the sample.
+    rows: Vec<Row>,
+    /// One locality row per configured size.
+    locality: Vec<(u64, f64, f64, f64)>,
 }
 
 /// Streaming counterpart of the resident [`Analyzer`](crate::Analyzer):
 /// feed shards in trace order via [`ingest_shard`](Self::ingest_shard),
 /// then [`finish`](Self::finish) into a [`StreamingReport`].
 pub struct StreamingAnalyzer<'a> {
-    annots: &'a AuxAnnotations,
-    symbols: &'a SymbolTable,
     cfg: AnalysisConfig,
     locality_sizes: Vec<u64>,
     num_samples: u64,
@@ -371,14 +349,10 @@ pub struct StreamingAnalyzer<'a> {
     /// the final fold runs once, in global sample order — `f64` sums of
     /// per-shard subtotals would not be associative.
     locality: Vec<Vec<(u64, f64, f64, f64)>>,
-    /// Per-function accumulators in first-seen order; the hot loop
-    /// reaches them by slot index (via `ip_cache`), never by key lookup.
-    /// `into_partial` re-keys by function id into a `BTreeMap`, so this
-    /// order never reaches the report.
+    /// Per-function accumulators, indexed by the resolver's slots
+    /// (first-seen order). `into_partial` re-keys by function id into a
+    /// `BTreeMap`, so this order never reaches the report.
     funcs: Vec<FuncState>,
-    /// Function id → slot in `funcs`; consulted only on `ip_cache`
-    /// misses.
-    func_slots: FxHashMap<u32, usize>,
     stats: IngestStats,
     /// Shard-level [`BlockReuse`] summaries not yet folded into
     /// `block_reuse`. Folding is deferred geometrically (see
@@ -390,13 +364,12 @@ pub struct StreamingAnalyzer<'a> {
     /// Total entries across `pending_block_reuse`, driving the fold
     /// threshold.
     pending_blocks: usize,
-    /// Per-IP memo of `(function slot, load class, implied-const
-    /// weight)`, replacing three map/range lookups per access with one
-    /// hash probe — and, because it memoizes the *slot*, the per-access
-    /// function lookup becomes a vector index instead of a second hash
-    /// probe. Annotations and symbols are borrowed immutably for the
-    /// analyzer's lifetime, so entries can never go stale.
-    ip_cache: FxHashMap<memgaze_model::Ip, (usize, LoadClass, u64)>,
+    /// Per-ip memo of `(function slot, class bit, implied constants)`.
+    resolver: IpResolver<'a>,
+    /// The current shard's accesses, resolved: one entry per access in
+    /// shard order, the buffer reused from shard to shard. (The block
+    /// columns are the accesses' own `addr`, shifted where it is read.)
+    resolved: Vec<IpInfo>,
 }
 
 impl<'a> StreamingAnalyzer<'a> {
@@ -407,8 +380,6 @@ impl<'a> StreamingAnalyzer<'a> {
         cfg: AnalysisConfig,
     ) -> StreamingAnalyzer<'a> {
         StreamingAnalyzer {
-            annots,
-            symbols,
             cfg,
             locality_sizes: Vec::new(),
             num_samples: 0,
@@ -420,11 +391,11 @@ impl<'a> StreamingAnalyzer<'a> {
             histogram: Log2Histogram::new(),
             locality: Vec::new(),
             funcs: Vec::new(),
-            func_slots: FxHashMap::default(),
             stats: IngestStats::default(),
             pending_block_reuse: Vec::new(),
             pending_blocks: 0,
-            ip_cache: FxHashMap::default(),
+            resolver: IpResolver::new(symbols, annots),
+            resolved: Vec::new(),
         }
     }
 
@@ -438,7 +409,8 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Ingest the next shard of samples, which must continue the trace's
-    /// global time order. The per-sample heavy analyses run in parallel
+    /// global time order. Every access is resolved once into columns;
+    /// the per-sample kernel passes over them run in parallel
     /// (`cfg.threads`); all folds happen sequentially in sample order.
     pub fn ingest_shard(&mut self, samples: &[Sample]) {
         let mut span = memgaze_obs::span("streaming.ingest_shard");
@@ -449,56 +421,47 @@ impl<'a> StreamingAnalyzer<'a> {
                 samples.len()
             ));
         }
-        let rb = self.cfg.reuse_block;
-        let fb = self.cfg.footprint_block;
-        let annots = self.annots;
+        let resolved = self.resolve(samples);
+        // Each sample with its slice of the resolved column.
+        let mut rest = &resolved[..];
+        let items: Vec<(&Sample, &[IpInfo])> = samples
+            .iter()
+            .map(|s| {
+                let (mine, after) = rest.split_at(s.accesses.len());
+                rest = after;
+                (s, mine)
+            })
+            .collect();
+        let shard_bytes = resolved.len() * std::mem::size_of::<memgaze_model::Access>();
+
+        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
         let sizes = &self.locality_sizes;
-        let arts = par::par_map(samples, self.cfg.threads, |s| {
-            let r = reuse::analyze_window(&s.accesses, rb);
-            let diag = FootprintDiagnostics::compute(&s.accesses, annots, fb);
-            let part = BlockReuse::from_analysis(&s.accesses, rb, &r);
-            let loc: Vec<(u64, f64, f64, f64)> = sizes
-                .iter()
-                .map(|&size| locality_sample_partial(&s.accesses, annots, rb, size.max(1) as usize))
-                .collect();
-            (r, diag, part, loc)
+        let arts = par::par_map(&items, self.cfg.threads, |&(s, infos)| {
+            sample_passes(s, infos, rb, fb, sizes)
         });
 
-        let mut shard_bytes = 0usize;
-        let mut parts = Vec::with_capacity(samples.len());
-        for (s, (r, diag, part, loc)) in samples.iter().zip(arts) {
-            shard_bytes += std::mem::size_of_val(s.accesses.as_slice());
+        for (&(s, infos), art) in items.iter().zip(&arts) {
             self.num_samples += 1;
-            self.observed += diag.observed;
-            self.implied_const += diag.implied_const;
-            for e in &r.events {
-                self.histogram.insert(e.distance);
-            }
-            self.per_sample_reuse.push(SampleReuseSummary {
-                events: r.events.len(),
-                mean_d: r.mean_distance(),
-            });
-            self.per_sample_diags.push(diag);
-            parts.push(part);
-            for (rows, p) in self.locality.iter_mut().zip(loc) {
+            self.observed += art.diag.observed;
+            self.implied_const += art.diag.implied_const;
+            self.histogram.merge(&art.histogram);
+            self.per_sample_reuse.push(art.reuse);
+            self.per_sample_diags.push(art.diag);
+            for (rows, &p) in self.locality.iter_mut().zip(&art.locality) {
                 rows.push(p);
             }
-            self.ingest_sample_functions(s);
+            self.fold_sample_functions(s, infos);
         }
-        // One shard-level BlockReuse merge event: `from_parts` over the
-        // shard equals folding per-sample merges, and merging shard
-        // summaries equals `from_parts` over everything (integer
-        // absorption is associative). The shard summary is queued rather
-        // than merged into the global summary here — rebuilding the
-        // global index once per shard was the top streaming hotspot —
-        // and folded geometrically in `fold_pending_block_reuse`.
-        if !parts.is_empty() {
-            let shard_summary = if parts.len() == 1 {
-                parts.pop().expect("len checked")
-            } else {
-                // Queued, never queried: skip the index build.
-                BlockReuse::from_parts_unindexed(parts)
-            };
+        self.resolved = resolved;
+        // One shard-level BlockReuse merge event, built from the
+        // samples' concatenated rows in one sort: that equals folding
+        // per-sample merges, and merging shard summaries equals
+        // `from_parts` over everything (integer absorption is
+        // associative). The shard summary is queued, never queried —
+        // so no index — and folded geometrically in
+        // `fold_pending_block_reuse`.
+        if !samples.is_empty() {
+            let shard_summary = BlockReuse::from_rows_unindexed(arts.iter().map(|a| &a.rows[..]));
             self.pending_blocks += shard_summary.len();
             self.pending_block_reuse.push(shard_summary);
             if self.pending_blocks > 4096.max(2 * self.block_reuse.len()) {
@@ -514,6 +477,23 @@ impl<'a> StreamingAnalyzer<'a> {
         memgaze_obs::counter!("streaming.shards").add(1);
         memgaze_obs::counter!("streaming.samples").add(samples.len() as u64);
         memgaze_obs::gauge!("streaming.peak_shard_bytes").set_max(shard_bytes as u64);
+    }
+
+    /// Resolve every access of the shard, once, into the (reused)
+    /// column buffer, creating the accumulator of each function on its
+    /// first access.
+    fn resolve(&mut self, samples: &[Sample]) -> Vec<IpInfo> {
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
+        for a in samples.iter().flat_map(|s| &s.accesses) {
+            let info = self.resolver.resolve(a.ip);
+            if info.slot as usize == self.funcs.len() {
+                let (id, name) = self.resolver.function(info.slot);
+                self.funcs.push(FuncState::new(id, name));
+            }
+            resolved.push(info);
+        }
+        resolved
     }
 
     /// Fold every queued shard summary into the global `block_reuse` in
@@ -536,67 +516,45 @@ impl<'a> StreamingAnalyzer<'a> {
         self.pending_blocks = 0;
     }
 
-    /// Sequential per-access function pass, mirroring what the resident
-    /// code-window grouping + per-function analyses compute.
-    fn ingest_sample_functions(&mut self, s: &Sample) {
+    /// Sequential per-access function pass over one sample and its
+    /// resolved column, mirroring what the resident code-window
+    /// grouping + per-function analyses compute. One map probe per
+    /// access records the block, its class and whether this sample has
+    /// counted it; one more feeds the reuse tracker.
+    fn fold_sample_functions(&mut self, s: &Sample, infos: &[IpInfo]) {
         let fb = self.cfg.footprint_block;
         let rb = self.cfg.reuse_block;
-        for a in &s.accesses {
-            let (slot, class, implied) = match self.ip_cache.get(&a.ip) {
-                Some(&hit) => hit,
-                None => {
-                    let (id, name) = match self.symbols.lookup(a.ip) {
-                        Some(f) => (f.id.0, f.name.as_str()),
-                        None => (u32::MAX, "<unknown>"),
-                    };
-                    let slot = match self.func_slots.get(&id) {
-                        Some(&slot) => slot,
-                        None => {
-                            self.funcs.push(FuncState::new(id, name));
-                            self.func_slots.insert(id, self.funcs.len() - 1);
-                            self.funcs.len() - 1
-                        }
-                    };
-                    let info = (
-                        slot,
-                        self.annots.class_of(a.ip),
-                        self.annots.implied_const_of(a.ip),
-                    );
-                    self.ip_cache.insert(a.ip, info);
-                    info
+        // `num_samples` already counts this sample, so stamps are ≥ 1
+        // and 62 bits of them outlast any trace.
+        let stamp = self.num_samples;
+        for (a, info) in s.accesses.iter().zip(infos) {
+            let st = &mut self.funcs[info.slot as usize];
+            let class = u64::from(info.class);
+            match st.blocks.entry(a.addr.block(fb)) {
+                Entry::Occupied(mut e) => {
+                    let v = e.get_mut();
+                    if *v >> 2 != stamp {
+                        st.cur += 1;
+                    }
+                    // Two ips of different classes can hit the same
+                    // block; each class must still record it.
+                    *v = stamp << 2 | (*v & 3) | class;
                 }
-            };
-            let st = &mut self.funcs[slot];
-            let fb_block = a.addr.block(fb);
-            // `cur` dedups within the sample: a block already seen this
-            // sample is in `all` already. Class sets stay unconditional
-            // — two ips of *different* classes can hit the same block,
-            // and each class must still record it.
-            if st.cur.insert(fb_block) {
-                st.all.insert(fb_block);
+                Entry::Vacant(e) => {
+                    e.insert(stamp << 2 | class);
+                    st.cur += 1;
+                }
             }
-            match class {
-                LoadClass::Strided => {
-                    st.strided.insert(fb_block);
-                }
-                LoadClass::Irregular => {
-                    st.irregular.insert(fb_block);
-                }
-                LoadClass::Constant => {}
-            }
-            st.implied_const += implied;
+            st.implied_const += u64::from(info.implied);
             st.observed += 1;
             st.tracker.feed(a.addr.block(rb));
         }
-        // A non-empty `cur` marks exactly the functions this sample
-        // touched; iterating the accumulators directly (instead of a
-        // side list of touched ids) makes the invariant hold by
-        // construction — there is no id list to fall out of sync with
-        // `funcs`.
+        // A non-zero `cur` marks exactly the functions this sample
+        // touched.
         for st in self.funcs.iter_mut() {
-            if !st.cur.is_empty() {
-                st.obs.push(st.cur.len() as f64);
-                st.cur.clear();
+            if st.cur != 0 {
+                st.obs.push(st.cur as f64);
+                st.cur = 0;
             }
         }
     }
@@ -628,38 +586,37 @@ impl<'a> StreamingAnalyzer<'a> {
             .funcs
             .into_iter()
             .map(|st| {
-                let sort = |set: FxHashSet<u64>| {
-                    let mut v: Vec<u64> = set.into_iter().collect();
-                    v.sort_unstable();
-                    v
-                };
-                let reuse = crate::fanout::ReusePartial::from_tracker(&st.tracker);
-                let all = sort(st.all);
-                // Every class set is a subset of `all` (the hot loop
-                // inserts into `all` for every first touch), so equal
-                // cardinality means set equality — the sorted vector is
-                // then a straight copy instead of another O(n log n)
-                // sort. Functions dominated by one class (the common
-                // case) skip their big class sort entirely.
-                let sorted_class = |set: FxHashSet<u64>, all: &[u64]| {
-                    if set.len() == all.len() {
-                        all.to_vec()
-                    } else {
-                        sort(set)
+                // Bucket the footprint by class mask and sort each
+                // bucket — word-sized keys, and for a function of one
+                // class, one bucket. The buckets are disjoint, so each
+                // list is the merge of the buckets whose mask has its
+                // bit.
+                let mut by_mask: [Vec<u64>; 4] = Default::default();
+                for (block, v) in st.blocks {
+                    by_mask[(v & 3) as usize].push(block);
+                }
+                for bucket in &mut by_mask {
+                    bucket.sort_unstable();
+                }
+                let merged = |wanted: fn(u8) -> bool| {
+                    let mut out = Vec::new();
+                    for (mask, bucket) in by_mask.iter().enumerate() {
+                        if wanted(mask as u8) {
+                            crate::fanout::union_sorted(&mut out, bucket);
+                        }
                     }
+                    out
                 };
-                let strided = sorted_class(st.strided, &all);
-                let irregular = sorted_class(st.irregular, &all);
                 (
                     st.id,
                     crate::fanout::FuncPartial {
                         name: st.name,
-                        all,
-                        strided,
-                        irregular,
+                        all: merged(|_| true),
+                        strided: merged(|mask| mask & kernel::STRIDED != 0),
+                        irregular: merged(|mask| mask & kernel::IRREGULAR != 0),
                         observed: st.observed,
                         implied_const: st.implied_const,
-                        reuse,
+                        reuse: crate::fanout::ReusePartial::from_tracker(&st.tracker),
                         obs: st.obs,
                     },
                 )
@@ -692,6 +649,51 @@ impl<'a> StreamingAnalyzer<'a> {
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         self.into_partial().finish(meta)
     }
+}
+
+/// The kernel passes over one sample and its resolved column: reuse
+/// (histogram, summary and per-block rows, no events materialised),
+/// diagnostics, and one locality row per size.
+fn sample_passes(
+    s: &Sample,
+    infos: &[IpInfo],
+    rb: BlockSize,
+    fb: BlockSize,
+    sizes: &[u64],
+) -> SampleArtifacts {
+    let accesses = &s.accesses[..];
+    kernel::with_workspace(|ws| {
+        let mut histogram = Log2Histogram::new();
+        let (mut events, mut dist_sum) = (0u64, 0u64);
+        ws.reuse_pass(accesses.iter().map(|a| a.addr.block(rb)), |_, _, _, d| {
+            histogram.insert(d);
+            events += 1;
+            dist_sum += d;
+        });
+        let rows = ws.rows().to_vec();
+        let counts = ws.class_pass(
+            (accesses.iter().zip(infos))
+                .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
+        );
+        let locality = sizes
+            .iter()
+            .map(|&size| {
+                ws.locality_partial(accesses, rb, size.max(1) as usize, |i, _| {
+                    u64::from(infos[i].implied)
+                })
+            })
+            .collect();
+        SampleArtifacts {
+            reuse: SampleReuseSummary {
+                events: events as usize,
+                mean_d: kernel::mean_distance(dist_sum, events),
+            },
+            histogram,
+            diag: FootprintDiagnostics::from_counts(accesses.len() as u64, counts),
+            rows,
+            locality,
+        }
+    })
 }
 
 /// Merged artifacts of a streaming pass. Every field and derived table
@@ -811,13 +813,17 @@ mod tests {
     use super::*;
     use crate::analyzer::Analyzer;
     use crate::histogram::{locality_vs_interval_with, reuse_histogram_from};
-    use memgaze_model::{Access, FunctionId, Ip, IpAnnot};
+    use memgaze_model::{Access, FunctionId, Ip, IpAnnot, LoadClass};
 
     fn synthetic_setup() -> (SampledTrace, AuxAnnotations, SymbolTable) {
+        synthetic_trace(16)
+    }
+
+    fn synthetic_trace(samples: u64) -> (SampledTrace, AuxAnnotations, SymbolTable) {
         let mut t = SampledTrace::new(TraceMeta::new("stream-test", 10_000, 16 << 10));
-        t.meta.total_loads = 160_000;
-        t.meta.total_instrumented_loads = 1600;
-        for s in 0..16u64 {
+        t.meta.total_loads = samples * 10_000;
+        t.meta.total_instrumented_loads = samples * 100;
+        for s in 0..samples {
             let base = s * 10_000;
             let mut accesses = Vec::new();
             for i in 0..100u64 {
@@ -858,7 +864,7 @@ mod tests {
             .map(|i| Access::new(0x400u64, ((i * 7 + i / 13) % 41) * 64, i))
             .collect();
         let bs = BlockSize::CACHE_LINE;
-        let r = reuse::analyze_window(&accesses, bs);
+        let r = crate::reuse::analyze_window(&accesses, bs);
         for cap in [2usize, 8, 64, 4096] {
             let mut tr = ReuseTracker::with_slot_capacity(cap);
             for a in &accesses {
@@ -871,7 +877,10 @@ mod tests {
 
     #[test]
     fn report_matches_resident_for_all_shard_sizes_and_threads() {
-        let (t, annots, symbols) = synthetic_setup();
+        // 48 samples: a 64-sample shard holds them all, which is more
+        // than `par_map` runs inline, so threads 2 and 4 really fan the
+        // sample passes out over workers with their own workspaces.
+        let (t, annots, symbols) = synthetic_trace(48);
         let sizes = [8u64, 32];
         let cfg = AnalysisConfig::default();
         let resident =
@@ -879,7 +888,7 @@ mod tests {
         let res_hist = reuse_histogram_from(resident.sample_reuse());
         let res_loc = locality_vs_interval_with(&t, &annots, cfg.reuse_block, &sizes, 1);
         for shard in [1usize, 3, 7, 16, 64] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let report = stream_resident_trace(
                     &t,
                     &annots,

@@ -12,6 +12,7 @@
 
 use crate::diagnostics::FootprintDiagnostics;
 use crate::footprint::WindowKind;
+use crate::kernel::IpResolver;
 use crate::par;
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
@@ -224,33 +225,43 @@ impl CodeWindows {
     /// Accesses outside any known function are grouped under
     /// `"<unknown>"` with id `u32::MAX`.
     pub fn build(trace: &SampledTrace, symbols: &SymbolTable) -> CodeWindows {
-        let mut per_func: BTreeMap<u32, FuncWindow> = BTreeMap::new();
+        // Code windows need only the function of an ip.
+        let no_annots = AuxAnnotations::new();
+        let mut resolver = IpResolver::new(symbols, &no_annots);
+        // Windows by resolver slot; keyed by function id at the end.
+        let mut windows: Vec<(u32, FuncWindow)> = Vec::new();
         for s in &trace.samples {
             let mut prev: Option<u32> = None;
             for a in &s.accesses {
-                let (id, name) = match symbols.lookup(a.ip) {
-                    Some(f) => (f.id.0, f.name.clone()),
-                    None => (u32::MAX, "<unknown>".to_string()),
-                };
-                let entry = per_func.entry(id).or_insert_with(|| FuncWindow {
-                    name,
-                    ..FuncWindow::default()
-                });
+                let slot = resolver.resolve(a.ip).slot;
+                if slot as usize == windows.len() {
+                    let (id, name) = resolver.function(slot);
+                    windows.push((
+                        id,
+                        FuncWindow {
+                            name: name.to_string(),
+                            ..FuncWindow::default()
+                        },
+                    ));
+                }
+                let entry = &mut windows[slot as usize].1;
                 entry.accesses.push(*a);
-                if prev != Some(id) {
+                if prev != Some(slot) {
                     entry.runs += 1; // a new run begins
                 }
-                prev = Some(id);
+                prev = Some(slot);
             }
             // Record the sample boundary for every function this sample
             // touched.
-            for fw in per_func.values_mut() {
+            for (_, fw) in &mut windows {
                 if fw.accesses.len() > fw.sample_ends.last().copied().unwrap_or(0) {
                     fw.sample_ends.push(fw.accesses.len());
                 }
             }
         }
-        CodeWindows { per_func }
+        CodeWindows {
+            per_func: windows.into_iter().collect(),
+        }
     }
 
     /// Iterate `(function name, accesses, runs)` sorted by function id.

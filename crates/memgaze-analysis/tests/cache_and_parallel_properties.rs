@@ -5,14 +5,17 @@
 //! 2. the indexed `BlockReuse` region queries agree with a linear-scan
 //!    oracle over `(block, stats)` pairs;
 //! 3. every parallelized per-sample pass is invariant in the worker
-//!    count (threads = N matches threads = 1 bit-for-bit).
+//!    count (threads = N matches threads = 1 bit-for-bit);
+//! 4. the window kernels equal their set-and-scan definitions.
 
 use memgaze_analysis::{
-    analyze_window, locality_vs_interval_with, region_heatmaps_from, window_series_with,
-    AnalysisConfig, Analyzer, BlockReuse, IntervalTree,
+    analyze_window, analyze_window_naive, captures_survivals, locality_vs_interval_with,
+    region_heatmaps_from, window_series_with, AnalysisConfig, Analyzer, BlockReuse,
+    FootprintDiagnostics, IntervalTree,
 };
 use memgaze_model::{
-    Access, AuxAnnotations, BlockSize, Sample, SampledTrace, SymbolTable, TraceMeta,
+    Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace,
+    SymbolTable, TraceMeta,
 };
 use proptest::prelude::*;
 
@@ -225,5 +228,57 @@ proptest! {
         prop_assert_eq!(one.region_rows(), many.region_rows());
         prop_assert_eq!(one.interval_rows(4), many.interval_rows(4));
         prop_assert_eq!(one.block_reuse(), many.block_reuse());
+    }
+
+    /// Pillar 4: the fused kernels against plain definitions — reuse
+    /// against the O(n²) oracle on both sides of the 64-access marker
+    /// split, diagnostics and captures against `BTreeSet`s.
+    #[test]
+    fn kernels_match_their_definitions(w in arb_window(150), classes in prop::collection::vec(0u8..4, 64..65)) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let bs = BlockSize::CACHE_LINE;
+        for part in [&w[..], &w[..w.len().min(64)], &w[..w.len().min(17)]] {
+            prop_assert_eq!(analyze_window(part, bs), analyze_window_naive(part, bs));
+        }
+
+        // ip k of `arb_access` is Strided, Irregular, Constant or
+        // unannotated (which reads as Irregular), implying k constants.
+        let mut annots = AuxAnnotations::new();
+        for (k, &c) in classes.iter().enumerate() {
+            let class = match c {
+                0 => LoadClass::Strided,
+                1 => LoadClass::Irregular,
+                2 => LoadClass::Constant,
+                _ => continue,
+            };
+            let mut an = IpAnnot::of_class(class, FunctionId(0));
+            an.implied_const = k as u32;
+            annots.insert(Ip(0x400 + k as u64 * 4), an);
+        }
+        let blocks_of = |class: LoadClass| -> u64 {
+            w.iter()
+                .filter(|a| annots.class_of(a.ip) == class)
+                .map(|a| a.addr.block(bs))
+                .collect::<BTreeSet<u64>>()
+                .len() as u64
+        };
+        let d = FootprintDiagnostics::compute(&w, &annots, bs);
+        let all: BTreeSet<u64> = w.iter().map(|a| a.addr.block(bs)).collect();
+        prop_assert_eq!(d.observed, w.len() as u64);
+        prop_assert_eq!(d.footprint, all.len() as u64);
+        prop_assert_eq!(d.f_str, blocks_of(LoadClass::Strided));
+        prop_assert_eq!(d.f_irr, blocks_of(LoadClass::Irregular));
+        prop_assert_eq!(
+            d.implied_const,
+            w.iter().map(|a| annots.implied_const_of(a.ip)).sum::<u64>()
+        );
+
+        let mut touches: BTreeMap<u64, u64> = BTreeMap::new();
+        for a in &w {
+            *touches.entry(a.addr.block(bs)).or_default() += 1;
+        }
+        let cs = captures_survivals(&w, bs);
+        prop_assert_eq!(cs.captures, touches.values().filter(|&&n| n >= 2).count() as u64);
+        prop_assert_eq!(cs.survivals, touches.values().filter(|&&n| n == 1).count() as u64);
     }
 }

@@ -14,6 +14,8 @@
 //! damage reaches the parser. Every decode must return — `Ok` or the
 //! crate's typed error, never a panic — and a counting allocator holds
 //! its peak allocation to `ALLOC_FACTOR × input + ALLOC_SLACK` bytes.
+//! A partial report (`MGZP`, `.mgzr`, `MGZW`) that still decodes is then
+//! merged with itself and finished, under the same two rules.
 //! Inputs that broke the decoders before they shared `model::wire` are
 //! kept as named rows.
 //!
@@ -25,7 +27,7 @@ mod common;
 use memgaze::analysis::{PartialReport, WorkerSpec};
 use memgaze::core::fanout::{read_request, read_response_frame};
 use memgaze::model::stream::decode_frame_payload;
-use memgaze::model::{decode_sharded, fnv1a64, io, FrameIndex};
+use memgaze::model::{decode_sharded, fnv1a64, io, FrameIndex, TraceMeta};
 use memgaze::store::blob::decode_blob;
 use memgaze::store::{Catalog, StoreConfig, StoreError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,7 +133,24 @@ fn formats() -> Vec<Format> {
     let index_container = container.clone();
     let (raw_hash, raw_blob) = common::mgzb(&common::raw_blob_payload());
     let (lz_hash, lz_blob) = common::mgzb(&common::lz_blob_payload());
-    let partial = |data: &[u8]| typed(PartialReport::decode(data));
+    // A partial that decodes goes one step on, as the store's merged
+    // range and every fan-out fold would take it: merged with itself
+    // (every counter doubles, every list unions with itself, the reuse
+    // replay crosses a boundary) and finished into a report.
+    let partial = |data: &[u8]| {
+        let p = PartialReport::decode(data).map_err(|e| e.to_string())?;
+        let cfg = common::config();
+        let merged = PartialReport::merge_many(
+            vec![p.clone(), p],
+            cfg.footprint_block,
+            cfg.reuse_block,
+            &common::LOCALITY_SIZES,
+        )
+        .map_err(|e| e.to_string())?;
+        let report = merged.finish(&TraceMeta::new(common::TRACE_ID, 10_000, 16 << 10));
+        std::hint::black_box(report.interval_rows(4));
+        Ok(())
+    };
     vec![
         Format {
             name: "MGZT v1 sampled",

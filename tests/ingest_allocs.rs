@@ -1,0 +1,149 @@
+//! Allocation and retention ratchet for the window kernels.
+//!
+//! A counting allocator (per thread, as in `decoder_torture.rs`) holds
+//! two bounds the kernels' thread-local workspace exists for: a warm
+//! `StreamingAnalyzer::ingest_shard` allocates a few times per *sample*,
+//! not three times per four *accesses*; and the buffers a
+//! whole-function window grows are gone once a sample-sized window has
+//! run after it.
+
+use memgaze::analysis::{analyze_window, AnalysisConfig, StreamingAnalyzer};
+use memgaze::model::{
+    Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, Sample, SymbolTable,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local cells without destructors and never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            shrank(layout.size());
+            grew(new_size);
+        }
+        q
+    }
+}
+
+fn grew(n: usize) {
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    let _ = LIVE.try_with(|live| live.set(live.get() + n));
+}
+
+fn shrank(n: usize) {
+    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(n)));
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const SAMPLE_ACCESSES: u64 = 500;
+const SHARD_SAMPLES: u64 = 16;
+
+/// Shard `k` of a trace with a streaming function (fresh words, so the
+/// per-function state keeps growing) and a cyclic one (reuse at every
+/// distance up to 40 lines).
+fn shard(k: u64) -> Vec<Sample> {
+    (0..SHARD_SAMPLES)
+        .map(|s| {
+            let sample = k * SHARD_SAMPLES + s;
+            let base = sample * 10_000;
+            let accesses = (0..SAMPLE_ACCESSES)
+                .map(|i| {
+                    let (ip, addr) = if i % 3 == 0 {
+                        (0x500 + (i % 4) * 4, 0x20_0000 + (i * 7 % 41) * 64)
+                    } else {
+                        (
+                            0x400 + (i % 5) * 4,
+                            0x10_0000 + (sample * SAMPLE_ACCESSES + i) * 8,
+                        )
+                    };
+                    Access::new(ip, addr, base + i)
+                })
+                .collect();
+            Sample::new(accesses, base + SAMPLE_ACCESSES)
+        })
+        .collect()
+}
+
+fn side_tables() -> (AuxAnnotations, SymbolTable) {
+    let mut annots = AuxAnnotations::new();
+    for k in 0..5u64 {
+        let mut an = IpAnnot::of_class(LoadClass::Strided, FunctionId(0));
+        an.implied_const = 2;
+        annots.insert(Ip(0x400 + k * 4), an);
+    }
+    annots.insert(
+        Ip(0x500),
+        IpAnnot::of_class(LoadClass::Irregular, FunctionId(1)),
+    );
+    let mut symbols = SymbolTable::new();
+    symbols.add_function("stream_fn", Ip(0x400), Ip(0x500), "a.c");
+    symbols.add_function("cycle_fn", Ip(0x500), Ip(0x600), "a.c");
+    (annots, symbols)
+}
+
+#[test]
+fn warm_ingest_allocates_per_sample_not_per_access() {
+    let (annots, symbols) = side_tables();
+    let mut analyzer = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default())
+        .with_locality_sizes(&[16, 64]);
+    analyzer.ingest_shard(&shard(0));
+    let shards: Vec<Vec<Sample>> = (1..9).map(shard).collect();
+    let before = ALLOCS.with(Cell::get);
+    for s in &shards {
+        analyzer.ingest_shard(s);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let accesses = shards.len() as u64 * SHARD_SAMPLES * SAMPLE_ACCESSES;
+    let per_access = allocs as f64 / accesses as f64;
+    assert!(
+        per_access <= 0.05,
+        "{allocs} allocations for {accesses} accesses ({per_access:.3} per access)"
+    );
+    // The report is still there to be had.
+    assert_eq!(analyzer.stats().samples, 9 * SHARD_SAMPLES);
+}
+
+#[test]
+fn a_whole_function_window_does_not_stay_resident() {
+    let window = |n: u64| -> Vec<Access> {
+        (0..n)
+            .map(|i| Access::new(0x400u64, (i * 2654435761 % (n / 2 + 1)) * 64, i))
+            .collect()
+    };
+    let (big, small) = (window(200_000), window(SAMPLE_ACCESSES));
+    let bs = BlockSize::CACHE_LINE;
+    let start = LIVE.with(Cell::get);
+    let events = analyze_window(&big, bs).events.len();
+    assert!(events > 0);
+    drop(analyze_window(&small, bs));
+    let kept = LIVE.with(Cell::get).saturating_sub(start);
+    assert!(
+        kept <= 64 << 10,
+        "{kept} bytes still live after a 200 k-access window and a {SAMPLE_ACCESSES}-access one"
+    );
+}
