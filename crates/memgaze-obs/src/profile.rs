@@ -215,14 +215,48 @@ fn render_group(out: &mut String, tree: &Tree, keys: &[Key], depth: usize) {
 /// processes.
 struct Metrics {
     counters: Vec<(String, u64)>,
-    hists: Vec<(String, u64, f64)>,
+    hists: Vec<HistRow>,
     gauges: Vec<(String, u64)>,
+}
+
+/// One histogram merged across processes. The quantiles are the
+/// exclusive upper edge of the power-of-2 bin they fall in.
+struct HistRow {
+    name: String,
+    count: u64,
+    mean: f64,
+    p50_below: u64,
+    p99_below: u64,
+}
+
+impl HistRow {
+    fn render(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "  {:<36} n={:<10} mean={:<10.1} p50<{:<8} p99<{}",
+            self.name, self.count, self.mean, self.p50_below, self.p99_below
+        );
+    }
+}
+
+/// Upper edge of the bin holding the `q` quantile of `count` values
+/// (bin 0 holds zeros, bin `k` holds `[2^(k-1), 2^k)`).
+fn quantile_below(bins: &[u64], count: u64, q: f64) -> u64 {
+    let rank = ((count as f64 * q).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (k, &n) in bins.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return 1u64.checked_shl(k as u32).unwrap_or(u64::MAX);
+        }
+    }
+    0
 }
 
 fn merge_metrics(events: &[Event]) -> Metrics {
     let mut counts: BTreeMap<(u32, &str), u64> = BTreeMap::new();
     let mut gauges: BTreeMap<(u32, &str), u64> = BTreeMap::new();
-    let mut hists: BTreeMap<(u32, &str), (u64, u64)> = BTreeMap::new();
+    let mut hists: BTreeMap<(u32, &str), (u64, u64, &[u64])> = BTreeMap::new();
     for e in events {
         match e {
             Event::Count { pid, name, value } => {
@@ -238,11 +272,11 @@ fn merge_metrics(events: &[Event]) -> Metrics {
                 name,
                 count,
                 sum,
-                ..
+                bins,
             } => {
                 let slot = hists.entry((*pid, name)).or_default();
                 if *count > slot.0 {
-                    *slot = (*count, *sum);
+                    *slot = (*count, *sum, bins);
                 }
             }
             _ => {}
@@ -268,20 +302,26 @@ fn merge_metrics(events: &[Event]) -> Metrics {
         .map(|(n, v)| (n.to_string(), v))
         .collect();
 
-    let mut hist_by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for ((_, name), (c, s)) in &hists {
+    let mut hist_by_name: BTreeMap<&str, (u64, u64, Vec<u64>)> = BTreeMap::new();
+    for ((_, name), (c, s, bins)) in &hists {
         let slot = hist_by_name.entry(name).or_default();
         slot.0 += c;
         slot.1 += s;
+        if slot.2.len() < bins.len() {
+            slot.2.resize(bins.len(), 0);
+        }
+        for (total, n) in slot.2.iter_mut().zip(bins.iter()) {
+            *total += n;
+        }
     }
     let hists_out = hist_by_name
         .into_iter()
-        .map(|(n, (c, s))| {
-            (
-                n.to_string(),
-                c,
-                if c == 0 { 0.0 } else { s as f64 / c as f64 },
-            )
+        .map(|(n, (c, s, bins))| HistRow {
+            name: n.to_string(),
+            count: c,
+            mean: if c == 0 { 0.0 } else { s as f64 / c as f64 },
+            p50_below: quantile_below(&bins, c, 0.5),
+            p99_below: quantile_below(&bins, c, 0.99),
         })
         .collect();
     Metrics {
@@ -333,8 +373,8 @@ pub fn render_profile(events: &[Event]) -> String {
     }
     if !metrics.hists.is_empty() {
         out.push_str("\n== histograms ==\n");
-        for (name, count, mean) in &metrics.hists {
-            let _ = writeln!(out, "  {name:<36} n={count:<10} mean={mean:.1}");
+        for h in &metrics.hists {
+            h.render(&mut out);
         }
     }
     if !metrics.gauges.is_empty() {
@@ -376,8 +416,8 @@ pub fn render_summary() -> String {
     for (name, v) in &metrics.counters {
         let _ = writeln!(out, "  {name:<36} {v:>14}");
     }
-    for (name, count, mean) in &metrics.hists {
-        let _ = writeln!(out, "  {name:<36} n={count:<10} mean={mean:.1}");
+    for h in &metrics.hists {
+        h.render(&mut out);
     }
     for (name, v) in &metrics.gauges {
         let _ = writeln!(out, "  {name:<36} max {v:>10}");
@@ -408,6 +448,34 @@ mod tests {
             dur_us: dur,
             label: None,
         }
+    }
+
+    #[test]
+    fn histogram_quantiles_are_bin_upper_edges_merged_across_processes() {
+        let hist = |pid, count, sum, bins: &[u64]| Event::Hist {
+            pid,
+            name: "serve.request_us".to_string(),
+            count,
+            sum,
+            bins: bins.to_vec(),
+        };
+        // 90 values in [128, 256) from one process, 10 in [4096, 8192)
+        // from another; a stale snapshot of the first is superseded.
+        let events = vec![
+            hist(1, 40, 40 * 200, &[0, 0, 0, 0, 0, 0, 0, 0, 40]),
+            hist(1, 90, 90 * 200, &[0, 0, 0, 0, 0, 0, 0, 0, 90]),
+            hist(
+                2,
+                10,
+                10 * 5000,
+                &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10],
+            ),
+        ];
+        let m = merge_metrics(&events);
+        let h = &m.hists[0];
+        assert_eq!((h.count, h.p50_below, h.p99_below), (100, 256, 8192));
+        assert_eq!(quantile_below(&[5], 5, 0.5), 1);
+        assert_eq!(quantile_below(&[], 0, 0.5), 0);
     }
 
     #[test]

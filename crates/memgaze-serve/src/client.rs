@@ -164,7 +164,8 @@ impl SseCollector {
     }
 }
 
-/// Write a request, with either `Content-Length` or chunked transfer.
+/// Write a request, with either `Content-Length` or chunked transfer,
+/// as one write however many chunks the body is cut into.
 fn write_request(
     w: &mut impl Write,
     method: &str,
@@ -172,28 +173,32 @@ fn write_request(
     body: &[u8],
     chunk: Option<usize>,
 ) -> std::io::Result<()> {
+    // A chunk costs its size in hex and two CRLFs on top of its bytes.
+    let chunks = chunk.map_or(0, |size| body.len().div_ceil(size.max(1)));
+    let mut wire = Vec::with_capacity(128 + path.len() + body.len() + chunks * 12);
     match chunk {
         Some(size) if !body.is_empty() => {
             write!(
-                w,
+                wire,
                 "{method} {path} HTTP/1.1\r\nHost: memgaze\r\nTransfer-Encoding: chunked\r\n\r\n"
             )?;
             for piece in body.chunks(size.max(1)) {
-                write!(w, "{:x}\r\n", piece.len())?;
-                w.write_all(piece)?;
-                write!(w, "\r\n")?;
+                write!(wire, "{:x}\r\n", piece.len())?;
+                wire.extend_from_slice(piece);
+                wire.extend_from_slice(b"\r\n");
             }
-            write!(w, "0\r\n\r\n")?;
+            wire.extend_from_slice(b"0\r\n\r\n");
         }
         _ => {
             write!(
-                w,
+                wire,
                 "{method} {path} HTTP/1.1\r\nHost: memgaze\r\nContent-Length: {}\r\n\r\n",
                 body.len()
             )?;
-            w.write_all(body)?;
+            wire.extend_from_slice(body);
         }
     }
+    w.write_all(&wire)?;
     w.flush()
 }
 

@@ -104,16 +104,15 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpErr
     }
 }
 
-/// Read exactly `n` body bytes, or fail as truncated.
-fn read_exact_body(r: &mut impl BufRead, n: usize) -> Result<Vec<u8>, HttpError> {
-    let mut body = Vec::new();
-    let got = r.take(n as u64).read_to_end(&mut body)?;
+/// Append exactly `n` body bytes to `body`, or fail as truncated.
+fn read_body(r: &mut impl BufRead, n: usize, body: &mut Vec<u8>) -> Result<(), HttpError> {
+    let got = r.by_ref().take(n as u64).read_to_end(body)?;
     if got != n {
         return Err(HttpError::Malformed(format!(
             "body truncated: got {got} of {n} bytes"
         )));
     }
-    Ok(body)
+    Ok(())
 }
 
 /// Decode a `Transfer-Encoding: chunked` body, bounded by `max_body`.
@@ -134,10 +133,10 @@ fn read_chunked_body(r: &mut impl BufRead, max_body: usize) -> Result<Vec<u8>, H
                 }
             }
         }
-        if body.len() + size > max_body {
+        if size > max_body.saturating_sub(body.len()) {
             return Err(HttpError::TooLarge { limit: max_body });
         }
-        body.extend_from_slice(&read_exact_body(r, size)?);
+        read_body(r, size, &mut body)?;
         let mut crlf_budget = 8usize;
         if !read_line(r, &mut crlf_budget)?.is_empty() {
             return Err(HttpError::Malformed("missing chunk terminator".into()));
@@ -200,7 +199,7 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, Ht
         if len > max_body {
             return Err(HttpError::TooLarge { limit: max_body });
         }
-        req.body = read_exact_body(r, len)?;
+        read_body(r, len, &mut req.body)?;
     }
     Ok(req)
 }
@@ -269,23 +268,34 @@ impl Response {
         self
     }
 
-    /// Serialize onto the wire with a correct `Content-Length`.
+    /// Serialize onto the wire with a correct `Content-Length`, as one
+    /// write: on a `TCP_NODELAY` socket every write is a segment and a
+    /// wake-up of the peer's reader.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status))?;
+        let head: usize = self
+            .headers
+            .iter()
+            .map(|(n, v)| n.len() + v.len() + 4)
+            .sum();
+        let mut wire = Vec::with_capacity(96 + head + self.body.len());
+        write!(wire, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status))?;
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        write!(w, "Content-Length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&self.body)?;
+        write!(wire, "Content-Length: {}\r\n\r\n", self.body.len())?;
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
 
 /// Lower-case hex of `bytes` (delta frames travel inside JSON lines).
 pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -344,6 +354,57 @@ mod tests {
             read_request(&mut BufReader::new(&raw[..]), 1024),
             Err(HttpError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn chunk_size_that_overflows_the_running_total_is_too_large() {
+        let raw = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                    1\r\na\r\nffffffffffffffff\r\n";
+        assert!(matches!(
+            read_request(&mut BufReader::new(&raw[..]), 1024),
+            Err(HttpError::TooLarge { limit: 1024 })
+        ));
+    }
+
+    #[test]
+    fn truncated_chunk_is_malformed() {
+        let raw = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nwiki\r\n5\r\npe";
+        assert!(matches!(parse(raw), Err(HttpError::Malformed(_))));
+    }
+
+    /// Counts the writes that reach the socket.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        Response::binary(200, vec![7u8; 40_000])
+            .header("X-Memgaze-Shards", 3)
+            .header("Connection", "keep-alive")
+            .write_to(&mut w)
+            .unwrap();
+        assert_eq!(w.writes, 1);
+        let head = b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
+                     X-Memgaze-Shards: 3\r\nConnection: keep-alive\r\nContent-Length: 40000\r\n\r\n";
+        assert_eq!(&w.bytes[..head.len()], head);
+        assert_eq!(w.bytes.len(), head.len() + 40_000);
     }
 
     #[test]

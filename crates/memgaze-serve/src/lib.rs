@@ -6,8 +6,8 @@
 //! is continuous ingest with live reporting. This crate keeps
 //! [`StreamingAnalyzer`](memgaze_analysis::StreamingAnalyzer) sessions
 //! alive across requests behind a hand-rolled HTTP/1.1 server over
-//! [`std::net`] and a bounded [`pool::ThreadPool`] — the same zero-
-//! dependency discipline as `memgaze-obs`.
+//! [`std::net`] whose fixed set of workers block in `accept` on one
+//! listener — the same zero-dependency discipline as `memgaze-obs`.
 //!
 //! ## Protocol
 //!
@@ -32,15 +32,16 @@
 //!
 //! Capacity refusals are typed ([`ServeError`]) and carry
 //! `Retry-After`: live-session cap (503), bounded per-session upload
-//! queues (429), per-session byte budgets (413). Idle sessions are
-//! reaped by the accept loop; `drain` (SIGTERM in the CLI) stops
+//! queues (429), per-session byte budgets (413); connections beyond
+//! the worker count wait in the listen backlog. Idle sessions are
+//! reaped by a janitor thread; `drain` (SIGTERM in the CLI) stops
 //! accepting, finishes in-flight requests, then seals every open
 //! session and flushes its deltas.
 
 pub mod client;
 pub mod error;
 pub mod http;
-pub mod pool;
+mod pool;
 pub mod server;
 pub mod session;
 
@@ -73,7 +74,7 @@ pub struct ServeConfig {
     /// Sessions idle past this are reaped.
     pub idle_timeout: Duration,
     /// Socket read timeout — bounds how long a torn client can hold a
-    /// pool worker.
+    /// connection worker.
     pub read_timeout: Duration,
     /// Shards folded into one rolling watch window; every closed
     /// window is published on `GET /watch/events`.

@@ -1,23 +1,32 @@
-//! The daemon: listener, accept loop, request routing, graceful drain.
+//! The daemon: listener, connection workers, request routing, graceful
+//! drain.
 //!
-//! The accept loop runs nonblocking on its own thread, polling a
-//! shutdown flag every few milliseconds and reaping idle sessions as it
-//! goes; accepted connections are handled to completion on the bounded
-//! [`ThreadPool`]. Draining is a strict sequence — stop accepting, let
-//! in-flight handlers finish, then seal every open session and flush
-//! its deltas — so a SIGTERM'd server never loses an accepted shard.
+//! No request waits on a timer. [`Server::bind`] starts `threads`
+//! workers that block in `accept` on the one listener and handle each
+//! connection to completion (the `pool` module), and a janitor thread
+//! that reaps idle sessions every [`REAP_INTERVAL`]. Draining is a
+//! strict sequence — stop accepting, let in-flight handlers finish,
+//! then seal every open session and flush its deltas — so a SIGTERM'd
+//! server never loses an accepted shard.
 
 use crate::error::ServeError;
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::pool::ThreadPool;
+use crate::pool::Workers;
 use crate::session::Registry;
 use crate::ServeConfig;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often the janitor looks for idle sessions.
+const REAP_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The response head that opens either SSE stream.
+const SSE_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
+                          Cache-Control: no-cache\r\nConnection: close\r\n\r\n";
 
 /// What a completed drain did.
 #[derive(Debug, Clone, Copy)]
@@ -31,42 +40,49 @@ pub struct DrainReport {
 }
 
 /// A running `memgaze serve` instance.
+///
+/// [`drain`](Self::drain) and drop are the only ways to stop it: the
+/// workers sleep in `accept`, so stopping them means waking them, and
+/// only the server knows how. Drop stops without sealing.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     registry: Arc<Registry>,
-    accept_thread: Option<JoinHandle<()>>,
-    pool: Option<ThreadPool>,
+    workers: Workers,
+    janitor: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// accepting with a pool of `threads` connection handlers.
+    /// accepting on `threads` connection workers.
     pub fn bind(addr: &str, cfg: ServeConfig, threads: usize) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Registry::new(cfg));
-        let pool = ThreadPool::new(threads);
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
+        let workers = {
             let registry = Arc::clone(&registry);
-            // The accept loop submits handler closures through a pool
-            // handle; the pool itself stays owned by the Server so
-            // drain can join it after accepting stops (the handle dies
-            // with the accept thread, unblocking the join).
-            let dispatch = pool.handle();
+            Workers::start(listener, threads, Arc::clone(&stopping), move |stream| {
+                handle_connection(stream, &registry)
+            })?
+        };
+        // If this spawn fails, `workers` drops, which stops them.
+        let janitor = {
+            let registry = Arc::clone(&registry);
             std::thread::Builder::new()
-                .name("memgaze-serve-accept".into())
-                .spawn(move || accept_loop(listener, shutdown, registry, dispatch))?
+                .name("memgaze-serve-janitor".into())
+                .spawn(move || loop {
+                    std::thread::park_timeout(REAP_INTERVAL);
+                    if stopping.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    registry.reap_idle();
+                })?
         };
         Ok(Server {
             addr,
-            shutdown,
             registry,
-            accept_thread: Some(accept_thread),
-            pool: Some(pool),
+            workers,
+            janitor: Some(janitor),
         })
     }
 
@@ -80,86 +96,52 @@ impl Server {
         &self.registry
     }
 
-    /// A flag that, once set, initiates shutdown from any thread (the
-    /// CLI's signal handler stores into it).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Graceful drain: stop accepting, finish in-flight requests, seal
-    /// every open session (flushing subscriber deltas), and shut the
-    /// pool down.
+    /// Graceful drain: stop accepting, finish in-flight requests, then
+    /// seal every open session (flushing subscriber deltas).
     pub fn drain(mut self) -> DrainReport {
         let _span = memgaze_obs::span("serve.drain");
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
+        self.stop();
         let (sessions_sealed, seal_failures) = self.registry.seal_all();
         DrainReport {
             sessions_sealed,
             seal_failures,
         }
     }
+
+    /// Stop and join the workers, then the janitor, which watches the
+    /// latch the workers' stop sets.
+    fn stop(&mut self) {
+        self.workers.stop();
+        if let Some(janitor) = self.janitor.take() {
+            janitor.thread().unpark();
+            let _ = janitor.join();
+        }
+    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    registry: Arc<Registry>,
-    dispatch: crate::pool::PoolHandle,
-) {
-    let mut since_reap = 0u32;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _span = memgaze_obs::span("serve.accept");
-                memgaze_obs::counter!("serve.connections").add(1);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(registry.cfg.read_timeout));
-                let registry = Arc::clone(&registry);
-                if !dispatch.execute(move || handle_connection(stream, registry)) {
-                    // Pool already shut down; the stream drops and the
-                    // peer sees a reset — acceptable only mid-teardown.
-                    memgaze_obs::counter!("serve.dropped_connections").add(1);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                since_reap += 1;
-                // Reap idle sessions roughly every 250ms of quiet.
-                if since_reap >= 50 {
-                    since_reap = 0;
-                    registry.reap_idle();
-                }
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+        self.stop();
     }
 }
 
 /// Serve one connection until close, error, or hand-off to SSE.
-fn handle_connection(stream: TcpStream, registry: Arc<Registry>) {
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
+fn handle_connection(stream: TcpStream, registry: &Registry) {
+    // `serve.request_us` runs from here, the connection just accepted,
+    // to the response's last byte handed to the kernel: the whole of
+    // what the server adds to a request, where `serve.feed_us` is the
+    // analysis alone.
+    let mut started = Instant::now();
+    let (mut reader, mut writer) = {
+        let _span = memgaze_obs::span("serve.accept");
+        memgaze_obs::counter!("serve.connections").add(1);
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(registry.cfg.read_timeout));
+        match stream.try_clone() {
+            Ok(s) => (BufReader::new(s), stream),
+            Err(_) => return,
+        }
     };
-    let mut writer = stream;
     loop {
         let req = match read_request(&mut reader, registry.cfg.max_upload_bytes) {
             Ok(req) => req,
@@ -191,50 +173,64 @@ fn handle_connection(stream: TcpStream, registry: Arc<Registry>) {
         }
         memgaze_obs::counter!("serve.requests").add(1);
         let close = req.wants_close();
-        match route(&req, &registry) {
+        let sent = match route(&req, registry) {
             Routed::Respond(resp) => {
                 let resp = if close {
                     resp.header("Connection", "close")
                 } else {
                     resp.header("Connection", "keep-alive")
                 };
-                if resp.write_to(&mut writer).is_err() {
-                    return;
-                }
-                if close {
-                    return;
-                }
+                resp.write_to(&mut writer)
             }
+            // SSE hand-off: the socket moves into the subscriber list and
+            // events are written by whichever handler publishes; this
+            // worker goes back to `accept`. If the session sealed between
+            // routing and here, `subscribe` writes the final `sealed`
+            // event before the socket closes.
             Routed::Subscribe(session) => {
-                // SSE hand-off: send the stream header, then move the
-                // socket into the session's subscriber list. Events are
-                // written by whichever handler publishes a delta; this
-                // worker goes back to the pool. If the session sealed
-                // between routing and registration, `subscribe` writes
-                // the final `sealed` event before the socket closes.
-                let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-                            Cache-Control: no-cache\r\nConnection: close\r\n\r\n";
-                if std::io::Write::write_all(&mut writer, head.as_bytes()).is_err() {
-                    return;
+                if let Some(stream) = open_sse(writer, started) {
+                    let _ = session.subscribe(stream);
                 }
-                let _ = writer.set_read_timeout(None);
-                let _ = session.subscribe(writer);
                 return;
             }
+            // Server-wide watch stream: every session's rolling windows
+            // and anomaly marks until drain.
             Routed::SubscribeWatch => {
-                // Server-wide watch stream: every session's rolling
-                // windows and anomaly marks until drain.
-                let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-                            Cache-Control: no-cache\r\nConnection: close\r\n\r\n";
-                if std::io::Write::write_all(&mut writer, head.as_bytes()).is_err() {
-                    return;
+                if let Some(stream) = open_sse(writer, started) {
+                    registry.watch_hub().subscribe(stream);
                 }
-                let _ = writer.set_read_timeout(None);
-                registry.watch_hub().subscribe(writer);
                 return;
             }
+        };
+        if sent.is_err() {
+            return;
+        }
+        record_request_us(started);
+        drop(span);
+        if close {
+            return;
+        }
+        // A later request on this connection is timed from its first
+        // byte: what the client does between requests is not latency.
+        match reader.fill_buf() {
+            Ok(buf) if !buf.is_empty() => started = Instant::now(),
+            _ => return,
         }
     }
+}
+
+/// Answer with the SSE stream head and lift the read timeout; `None`
+/// when the peer is already gone.
+fn open_sse(mut stream: TcpStream, started: Instant) -> Option<TcpStream> {
+    stream.write_all(SSE_HEAD).ok()?;
+    record_request_us(started);
+    let _ = stream.set_read_timeout(None);
+    Some(stream)
+}
+
+fn record_request_us(started: Instant) {
+    memgaze_obs::histogram!("serve.request_us")
+        .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
 }
 
 /// Routing outcome: an ordinary response, or an SSE subscription that

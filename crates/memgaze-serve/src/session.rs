@@ -554,14 +554,14 @@ fn anomaly_json(session: &str, m: &AnomalyMark) -> String {
     )
 }
 
-/// Write one SSE event to every subscriber, dropping the dead ones.
+/// Write one SSE event to every subscriber — formatted once, one write
+/// each — dropping the dead ones.
 fn publish(subscribers: &mut Vec<TcpStream>, event: &str, data: &str) {
     let _span = memgaze_obs::span("serve.publish");
-    subscribers.retain_mut(|s| {
-        write!(s, "event: {event}\ndata: {data}\n\n")
-            .and_then(|_| s.flush())
-            .is_ok()
-    });
+    if !subscribers.is_empty() {
+        let frame = format!("event: {event}\ndata: {data}\n\n");
+        subscribers.retain_mut(|s| s.write_all(frame.as_bytes()).is_ok());
+    }
     memgaze_obs::counter!("serve.deltas_published").add(1);
 }
 

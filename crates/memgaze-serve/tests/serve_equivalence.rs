@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One planned session for the equivalence property: workload name,
 /// shard groups, shards-per-upload split, HTTP chunk size.
@@ -245,6 +245,106 @@ fn draining_registry_refuses_creates_and_feeds_with_typed_errors() {
         other => panic!("expected Sealed, got {other:?}"),
     }
     assert_eq!(registry.seal_all(), (0, 0));
+}
+
+/// No request waits on a timer: a request that takes one mutex costs
+/// microseconds, not a poll interval. 400 requests behind a 5 ms accept
+/// poll take 2 s.
+#[test]
+fn idle_server_answers_without_a_poll_floor() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 2).expect("bind");
+    let client = Client::new(server.addr());
+    let started = Instant::now();
+    for _ in 0..200 {
+        let id = client.create_session().expect("create");
+        let del = client
+            .request("DELETE", &format!("/sessions/{id}"), &[], None)
+            .expect("delete");
+        assert_eq!(del.status, 200);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "200 create + delete pairs took {took:?}"
+    );
+    server.drain();
+}
+
+/// Workers idle in `accept` are woken by the drain, on a wildcard bind
+/// too, where the wake-up has to go to loopback.
+#[test]
+fn drain_and_drop_are_prompt_with_every_worker_idle() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(addr, ServeConfig::default(), 4).expect("bind");
+        let started = Instant::now();
+        let report = server.drain();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "drain of {addr} took {:?}",
+            started.elapsed()
+        );
+        assert_eq!((report.sessions_sealed, report.seal_failures), (0, 0));
+    }
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 4).expect("bind");
+    let addr = server.addr();
+    let started = Instant::now();
+    drop(server);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "drop took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "listener outlived the server"
+    );
+}
+
+/// Idle sessions are reaped on a server that receives no connections.
+#[test]
+fn idle_sessions_are_reaped_without_traffic() {
+    let cfg = ServeConfig {
+        idle_timeout: Duration::from_millis(50),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg, 2).expect("bind");
+    let id = Client::new(server.addr()).create_session().expect("create");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while server.registry().get(&id).is_ok() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        server.registry().get(&id).is_err(),
+        "session {id} still live 2 s past a 50 ms idle timeout"
+    );
+    server.drain();
+}
+
+/// The listen backlog is the only queue: with the one worker held by a
+/// silent connection, the next client waits there, and is served when
+/// the worker frees up.
+#[test]
+fn connections_beyond_the_workers_wait_in_the_backlog() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 1).expect("bind");
+    let addr = server.addr();
+    let silent = TcpStream::connect(addr).expect("connect");
+    let second = std::thread::spawn(move || {
+        let resp = Client::new(addr).request("GET", "/healthz", &[], None);
+        (resp, Instant::now())
+    });
+    // Long enough for an answer to arrive if anything could give one.
+    std::thread::sleep(Duration::from_millis(200));
+    let closed_at = Instant::now();
+    drop(silent);
+    let (resp, answered_at) = second.join().expect("client thread");
+    let resp = resp.expect("request");
+    assert!(
+        answered_at > closed_at,
+        "answered while the only worker was held"
+    );
+    assert_eq!(resp.status, 200);
+    assert!(resp.text().contains("\"status\":\"ok\""), "{}", resp.text());
+    server.drain();
 }
 
 #[test]
