@@ -12,13 +12,13 @@
 //! measurably shrinks the instrumentation plan.
 
 use memgaze_analysis::Table;
-use memgaze_bench::{
-    call_graph_module, emit, masked_index_module, nested_loop_module, scales, spilled_iv_module,
-    synthetic_module, timed,
-};
+use memgaze_bench::{emit, scales, timed};
 use memgaze_instrument::{lint_module, InstrPlan, InstrumentConfig, ModuleClassification};
 use memgaze_isa::codegen::{self, OptLevel};
 use memgaze_isa::{LoadModule, Severity};
+use memgaze_workloads::modules::{
+    call_graph_module, masked_index_module, nested_loop_module, spilled_iv_module, synthetic_module,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]

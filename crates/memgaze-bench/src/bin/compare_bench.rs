@@ -1,18 +1,21 @@
-//! Diff two bench JSONs (`experiments/BENCH_*.json`) as ratio deltas,
-//! or gate one file against a threshold for CI.
+//! Diff two result JSONs (a `benchmark/` result line saved to a file,
+//! or `experiments/BENCH_lint.json`) as ratio deltas, or gate one file
+//! against a threshold for CI.
 //!
 //! ```text
 //! compare_bench OLD.json NEW.json
-//! compare_bench --check 'variants.*.overhead_vs_resident<=1.5' FILE.json
+//! compare_bench --check 'metrics.core.fanout_vs_stream.value<=1.5' FILE.json
+//! compare_bench --check 'metrics.store.cold_analyze_s.value/metrics.store.cached_analyze_s.value>=5' FILE.json
 //! ```
 //!
 //! Diff mode flattens every numeric field into a dotted path
-//! (`variants.0.wall_speedup`) and prints old, new, and new/old for the
+//! (`metrics.round_s.value`) and prints old, new, and new/old for the
 //! paths present in both files — the quickest way to see which stage a
 //! perf change actually moved. Check mode evaluates `path<=bound` /
 //! `path>=bound` expressions (a `*` segment matches any array index or
-//! key) and exits nonzero when a matched value violates the bound, so a
-//! perf-smoke job fails loudly instead of archiving a regression.
+//! key; `lhs/rhs` is the quotient of two fields, each matching exactly
+//! one) and exits nonzero when a matched value violates the bound, so a
+//! CI gate fails loudly instead of archiving a regression.
 //!
 //! Files are read with the workspace's one JSON reader
 //! (`memgaze_obs::json`), so paths come out in key order. Host-identity
@@ -38,7 +41,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: compare_bench OLD.json NEW.json\n       \
-                 compare_bench --check 'PATH<=BOUND' FILE.json"
+                 compare_bench --check 'PATH[/PATH]<=BOUND' FILE.json"
             );
             ExitCode::from(2)
         }
@@ -163,13 +166,23 @@ fn run_check(expr: &str, file: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut matched = 0usize;
+    // The values under test: every leaf the pattern matches, or for
+    // `lhs/rhs` the one quotient of two leaves.
+    let checked: Vec<Leaf> = match path_pat.split_once('/') {
+        Some((lhs, rhs)) => quotient(lhs.trim(), rhs.trim(), &leaves)
+            .into_iter()
+            .collect(),
+        None => leaves
+            .into_iter()
+            .filter(|l| path_matches(path_pat, &l.path))
+            .collect(),
+    };
+    if checked.is_empty() {
+        eprintln!("compare_bench: no numeric field matches {path_pat:?} in {file}");
+        return ExitCode::FAILURE;
+    }
     let mut violations = 0usize;
-    for l in &leaves {
-        if !path_matches(path_pat, &l.path) {
-            continue;
-        }
-        matched += 1;
+    for l in &checked {
         let ok = match op {
             "<=" => l.value <= bound,
             _ => l.value >= bound,
@@ -181,15 +194,27 @@ fn run_check(expr: &str, file: &str) -> ExitCode {
             violations += 1;
         }
     }
-    if matched == 0 {
-        eprintln!("compare_bench: no numeric field matches {path_pat:?} in {file}");
-        return ExitCode::FAILURE;
-    }
     if violations > 0 {
-        eprintln!("compare_bench: {violations}/{matched} checked values out of bounds");
+        eprintln!(
+            "compare_bench: {violations}/{} checked values out of bounds",
+            checked.len()
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// `lhs/rhs` as one leaf, when each side matches exactly one field.
+fn quotient(lhs: &str, rhs: &str, leaves: &[Leaf]) -> Option<Leaf> {
+    let only = |pat: &str| {
+        let mut hits = leaves.iter().filter(|l| path_matches(pat, &l.path));
+        hits.next().filter(|_| hits.next().is_none())
+    };
+    let (a, b) = (only(lhs)?, only(rhs)?);
+    Some(Leaf {
+        path: format!("{}/{}", a.path, b.path),
+        value: a.value / b.value,
+    })
 }
 
 fn parse_check(expr: &str) -> Option<(&str, &'static str, f64)> {

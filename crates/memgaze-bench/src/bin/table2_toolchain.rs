@@ -7,13 +7,14 @@
 //! 'Analysis/2' (trace analysis: function table, regions, intervals).
 
 use memgaze_analysis::{AnalysisConfig, Table};
-use memgaze_bench::{emit, scales, synthetic_module, timed};
+use memgaze_bench::{emit, scales, timed};
 use memgaze_core::{trace_workload, MemGaze, PipelineConfig};
 use memgaze_instrument::Instrumenter;
 use memgaze_ptsim::SamplerConfig;
 use memgaze_workloads::darknet::{self, Network};
 use memgaze_workloads::gap::{self, GapConfig, GapKernel};
 use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
+use memgaze_workloads::modules::synthetic_module;
 use memgaze_workloads::ubench::{MicroBench, OptLevel};
 use serde::Serialize;
 

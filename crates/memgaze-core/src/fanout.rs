@@ -9,27 +9,27 @@
 //!   thread — no serialization, no processes; the reference backend for
 //!   tests and the fallback when no worker binary is available;
 //! * [`FanoutBackend::Subprocess`] runs ranges on **persistent**
-//!   `<exe> analyze-shard --serve` workers held in a [`FanoutPool`]:
+//!   `<exe> analyze-shard` workers held in a [`FanoutPool`]:
 //!   one subprocess per slot, spawned once, loading the spec +
 //!   container + index a single time and then answering length-prefixed
 //!   range requests over stdin (`MGZQ` framing) with framed
 //!   [`PartialReport`]s on stdout (`MGZW` framing). A worker that dies,
 //!   produces garbage, or exceeds the per-range timeout is killed and
 //!   **respawned**, and the range re-run on the fresh worker, up to
-//!   [`FanoutConfig::max_attempts`] tries — the same crash/hang retry
-//!   semantics the retired one-subprocess-per-range model had, without
-//!   paying a process spawn and a container load per range.
+//!   [`FanoutConfig::max_attempts`] tries, without paying a process
+//!   spawn and a container load per range.
 //!
 //! Crash-path tests inject failures via environment variables passed to
 //! workers ([`FanoutConfig::worker_env`]): `MEMGAZE_FANOUT_CRASH_ONCE`
-//! names a marker file; the first worker to see it absent creates it,
-//! emits garbage, and exits nonzero — so exactly one attempt fails and
-//! the retry succeeds. `MEMGAZE_FANOUT_HANG_ONCE` does the same but
-//! sleeps past any reasonable timeout instead;
+//! names a marker file; the one worker that creates it (`create_new`,
+//! so concurrent workers cannot both win) emits garbage and exits
+//! nonzero — so exactly one attempt fails and the retry succeeds.
+//! `MEMGAZE_FANOUT_HANG_ONCE` does the same but sleeps past any
+//! reasonable timeout instead;
 //! `MEMGAZE_FANOUT_SHORT_WRITE_ONCE` frames a payload longer than it
 //! writes; `MEMGAZE_FANOUT_STDERR_FLOOD_ONCE` floods stderr before
 //! exiting nonzero; and `MEMGAZE_FANOUT_PANIC_ONCE` panics an
-//! [`FanoutBackend::InProcess`] worker thread. In serve mode the
+//! [`FanoutBackend::InProcess`] worker thread. The subprocess
 //! injections fire while a range is in flight, so they exercise exactly
 //! the kill-respawn-retry path.
 //!
@@ -84,8 +84,8 @@ const REQUEST_PAYLOAD_LEN: u32 = 16;
 /// protocol error, not an allocation request.
 const MAX_RESPONSE_BYTES: u64 = 1 << 34;
 
-/// Crash-injection env var: a marker-file path; first worker to find it
-/// absent creates it, writes garbage, and exits nonzero.
+/// Crash-injection env var: a marker-file path; the worker that creates
+/// it writes garbage and exits nonzero.
 pub const CRASH_ONCE_ENV: &str = "MEMGAZE_FANOUT_CRASH_ONCE";
 /// Hang-injection env var: like [`CRASH_ONCE_ENV`] but sleeps instead.
 pub const HANG_ONCE_ENV: &str = "MEMGAZE_FANOUT_HANG_ONCE";
@@ -96,9 +96,9 @@ pub const SHORT_WRITE_ONCE_ENV: &str = "MEMGAZE_FANOUT_SHORT_WRITE_ONCE";
 /// exiting nonzero — exercising the drain cap.
 pub const STDERR_FLOOD_ONCE_ENV: &str = "MEMGAZE_FANOUT_STDERR_FLOOD_ONCE";
 /// Panic injection for the [`FanoutBackend::InProcess`] backend: the
-/// first in-process worker to find the marker absent creates it and
-/// panics. Read from [`FanoutConfig::worker_env`], never the process
-/// environment, so parallel tests cannot contaminate each other.
+/// in-process worker that creates the marker panics. Read from
+/// [`FanoutConfig::worker_env`], never the process environment, so
+/// parallel tests cannot contaminate each other.
 pub const PANIC_ONCE_ENV: &str = "MEMGAZE_FANOUT_PANIC_ONCE";
 
 /// Stderr bytes kept per worker; the rest is drained (so the child
@@ -150,7 +150,7 @@ impl Default for FanoutConfig {
 pub enum FanoutBackend {
     /// Coordinator threads calling [`analyze_frames`] directly.
     InProcess,
-    /// Persistent `<exe> analyze-shard --serve` subprocesses exchanging
+    /// Persistent `<exe> analyze-shard` subprocesses exchanging
     /// partials over pipes (a transient [`FanoutPool`]).
     Subprocess {
         /// The `memgaze` binary to spawn (usually
@@ -339,7 +339,7 @@ struct WorkerHandle {
     obs_path: Option<PathBuf>,
 }
 
-/// A pool of persistent `analyze-shard --serve` workers over one
+/// A pool of persistent `analyze-shard` workers over one
 /// (container, index, spec) triple. Workers are spawned lazily (or via
 /// [`prewarm`](Self::prewarm)), checked out by coordinator slot threads
 /// for the duration of a run, and kept warm between
@@ -558,17 +558,15 @@ impl FanoutPool {
                     .arg(&catalog.trace_id);
             }
         }
-        cmd.arg("--serve")
-            .arg("1")
-            .envs(
-                self.cfg
-                    .worker_env
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone())),
-            )
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
+        cmd.envs(
+            self.cfg
+                .worker_env
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone())),
+        )
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
         if let Some(p) = &obs_path {
             // Set after `worker_env` so the coordinator's sink choice
             // wins: the worker must write JSONL to the scratch file
@@ -1237,27 +1235,23 @@ fn maybe_inject_inprocess_panic(worker_env: &[(String, String)]) {
     let Some((_, marker)) = worker_env.iter().find(|(k, _)| k == PANIC_ONCE_ENV) else {
         return;
     };
-    let path = Path::new(marker);
-    if !path.exists() {
-        let _ = std::fs::write(path, b"panicked");
+    if claim_marker(Path::new(marker)) {
         panic!("injected in-process worker panic");
     }
 }
 
-/// Arguments of one one-shot `analyze-shard` worker invocation.
-#[derive(Debug, Clone)]
-pub struct WorkerArgs {
-    /// Path to the encoded [`WorkerSpec`].
-    pub spec: PathBuf,
-    /// Path to the sharded container.
-    pub container: PathBuf,
-    /// Path to the encoded [`FrameIndex`].
-    pub index: PathBuf,
-    /// The frame range to analyze.
-    pub frames: Range<usize>,
+/// Claim a once-marker by creating it: true for exactly one caller,
+/// however many workers race for it. (`create_new` is atomic; testing
+/// `exists` and then writing let two workers both fire.)
+fn claim_marker(path: &Path) -> bool {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(path)
+        .is_ok()
 }
 
-/// Arguments of a persistent `analyze-shard --serve` worker: the same
+/// Arguments of a persistent `analyze-shard` worker: the
 /// spec/container/index triple, loaded once; ranges arrive over stdin.
 #[derive(Debug, Clone)]
 pub struct WorkerServeArgs {
@@ -1269,7 +1263,7 @@ pub struct WorkerServeArgs {
     pub index: PathBuf,
 }
 
-/// Arguments of a persistent store-backed `analyze-shard --serve`
+/// Arguments of a persistent store-backed `analyze-shard`
 /// worker: the spec plus a [`TraceStore`] root and trace id. The worker
 /// opens the store and loads the catalog once, then serves each range
 /// by fetching only the blobs that range references — through the
@@ -1294,11 +1288,11 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn load(spec: &Path, container: &Path, index: &Path) -> Result<WorkerState, FanoutError> {
-        let spec_bytes = std::fs::read(spec)?;
+    fn load(args: &WorkerServeArgs) -> Result<WorkerState, FanoutError> {
+        let spec_bytes = std::fs::read(&args.spec)?;
         let spec = WorkerSpec::decode(&spec_bytes)?;
-        let container = std::fs::read(container)?;
-        let index_bytes = std::fs::read(index)?;
+        let container = std::fs::read(&args.container)?;
+        let index_bytes = std::fs::read(&args.index)?;
         let index = FrameIndex::decode(&index_bytes)?;
         index.validate(&container)?;
         Ok(WorkerState {
@@ -1390,20 +1384,6 @@ pub fn frame_partial_into(partial: &PartialReport, buf: &mut Vec<u8>) {
     buf[4..12].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The one-shot `analyze-shard` worker body: load spec + container +
-/// index, analyze the range, and write the framed partial to `out` in
-/// one buffered write.
-pub fn worker_main(args: &WorkerArgs, out: &mut impl Write) -> Result<(), FanoutError> {
-    maybe_inject_failure(out);
-    let state = WorkerState::load(&args.spec, &args.container, &args.index)?;
-    let partial = state.analyze(args.frames.clone())?;
-    let mut frame = Vec::new();
-    frame_partial_into(&partial, &mut frame);
-    out.write_all(&frame)?;
-    out.flush()?;
-    Ok(())
-}
-
 /// Parse one coordinator request off the worker's stdin: `MGZQ` + `u32`
 /// LE payload length (16) + lo/hi as `u64` LE. `Ok(None)` is a clean
 /// EOF at a frame boundary — the coordinator closed our stdin, which is
@@ -1425,9 +1405,9 @@ pub fn read_request(input: &mut impl Read) -> Result<Option<Range<usize>>, Fanou
     Ok(Some(lo..hi))
 }
 
-/// The persistent `analyze-shard --serve` worker body: load and
-/// validate the spec + container + index **once**, then answer framed
-/// range requests from stdin until it reaches EOF. Each response is
+/// The container-backed `analyze-shard` worker body: load and validate
+/// the spec + container + index **once**, then answer framed range
+/// requests from stdin until it reaches EOF. Each response is
 /// framed into one pooled buffer and issued as a single write. Failure
 /// injections fire per request, so an injected death happens with a
 /// range in flight — exactly what the coordinator's respawn path must
@@ -1437,7 +1417,7 @@ pub fn worker_serve(
     input: &mut impl Read,
     out: &mut impl Write,
 ) -> Result<(), FanoutError> {
-    let state = WorkerState::load(&args.spec, &args.container, &args.index)?;
+    let state = WorkerState::load(args)?;
     serve_loop(input, out, |frames| state.analyze(frames))
 }
 
@@ -1453,7 +1433,7 @@ pub fn worker_serve_store(
     serve_loop(input, out, |frames| state.analyze(frames))
 }
 
-/// The request-response loop both serve modes share: read a framed
+/// The request-response loop both worker kinds share: read a framed
 /// range, analyze it, write the framed partial, flush.
 fn serve_loop(
     input: &mut impl Read,
@@ -1477,25 +1457,19 @@ fn serve_loop(
 /// [`FanoutConfig::worker_env`]).
 fn maybe_inject_failure(out: &mut impl Write) {
     if let Ok(marker) = std::env::var(CRASH_ONCE_ENV) {
-        let path = Path::new(&marker);
-        if !path.exists() {
-            let _ = std::fs::write(path, b"crashed");
+        if claim_marker(Path::new(&marker)) {
             let _ = out.write_all(b"garbage, not a partial report");
             let _ = out.flush();
             std::process::exit(3);
         }
     }
     if let Ok(marker) = std::env::var(HANG_ONCE_ENV) {
-        let path = Path::new(&marker);
-        if !path.exists() {
-            let _ = std::fs::write(path, b"hung");
+        if claim_marker(Path::new(&marker)) {
             std::thread::sleep(Duration::from_secs(600));
         }
     }
     if let Ok(marker) = std::env::var(SHORT_WRITE_ONCE_ENV) {
-        let path = Path::new(&marker);
-        if !path.exists() {
-            let _ = std::fs::write(path, b"short-wrote");
+        if claim_marker(Path::new(&marker)) {
             // Valid magic, a length claiming 4096 payload bytes, but
             // only a fragment actually written — then a clean exit, so
             // only framing validation can catch it.
@@ -1507,9 +1481,7 @@ fn maybe_inject_failure(out: &mut impl Write) {
         }
     }
     if let Ok(marker) = std::env::var(STDERR_FLOOD_ONCE_ENV) {
-        let path = Path::new(&marker);
-        if !path.exists() {
-            let _ = std::fs::write(path, b"flooded");
+        if claim_marker(Path::new(&marker)) {
             // Several MiB of stderr — far past the pipe buffer and the
             // coordinator's STDERR_KEEP cap — then a nonzero exit.
             let mut err = std::io::stderr().lock();
@@ -1753,8 +1725,9 @@ mod tests {
         let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
         store.put("fan", &container, &index, &symbols).unwrap();
         let marker = root.join("panic-marker");
+        // Four workers reach the marker together: exactly one may fire.
         let cfg = FanoutConfig {
-            workers: 2,
+            workers: 4,
             worker_env: vec![(
                 PANIC_ONCE_ENV.to_string(),
                 marker.to_string_lossy().into_owned(),

@@ -23,9 +23,8 @@ pub mod recorders;
 pub mod watch;
 
 pub use fanout::{
-    run_fanout, run_fanout_store, worker_main, worker_serve, worker_serve_store, FanoutBackend,
-    FanoutConfig, FanoutError, FanoutPool, FanoutRunReport, WorkerArgs, WorkerFailure,
-    WorkerServeArgs, WorkerStoreServeArgs,
+    run_fanout, run_fanout_store, worker_serve, worker_serve_store, FanoutBackend, FanoutConfig,
+    FanoutError, FanoutPool, FanoutRunReport, WorkerFailure, WorkerServeArgs, WorkerStoreServeArgs,
 };
 pub use hotspot::{profile_hotspots, HotspotReport};
 pub use overheads::{phase_profiles, PhaseOverhead};
@@ -36,6 +35,6 @@ pub use pipeline::{
 };
 pub use recorders::{FullRecorder, SamplerRecorder, StreamingRecorder, TeeRecorder};
 pub use watch::{
-    phase_shift_steps, smoke_run, watch_smoke, watch_workload, Controller, ControllerConfig,
-    ControllerMode, GuardAction, Retune, WatchConfig, WatchReport,
+    phase_shift_steps, watch_smoke, watch_workload, Controller, ControllerConfig, ControllerMode,
+    GuardAction, Retune, WatchConfig, WatchReport,
 };

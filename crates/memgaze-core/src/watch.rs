@@ -528,10 +528,10 @@ pub fn watch_smoke() -> Result<String, String> {
     ))
 }
 
-/// The smoke run itself, shared with `bench_watch`: phase-shift
-/// workload, undersized initial buffer, watch config tuned so the
-/// adaptive controller has room to converge before the run ends.
-pub fn smoke_run(mode: ControllerMode) -> Result<(WatchReport, WatchConfig), String> {
+/// The smoke run itself: phase-shift workload, undersized initial
+/// buffer, watch config tuned so the adaptive controller has room to
+/// converge before the run ends.
+fn smoke_run(mode: ControllerMode) -> Result<(WatchReport, WatchConfig), String> {
     let mut cfg = SamplerConfig::application(2_000);
     cfg.buffer_bytes = 1 << 10;
     let watch = WatchConfig {

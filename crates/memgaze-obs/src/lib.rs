@@ -43,10 +43,7 @@ mod profile;
 pub use event::{Event, SpanCtx};
 pub use json::{parse as parse_json, Value};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use profile::{
-    exclusive_by_name, render_profile, render_summary, stats as profile_stats, ProfileStats,
-    SpanAgg,
-};
+pub use profile::{render_profile, render_summary, stats as profile_stats, ProfileStats};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -101,41 +101,6 @@ fn build_tree(events: &[Event]) -> Tree {
     }
 }
 
-/// Per-span-name aggregate over a flat event stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanAgg {
-    /// Spans with this name.
-    pub count: u64,
-    /// Summed inclusive time, µs.
-    pub incl_us: u64,
-    /// Summed exclusive time, µs: inclusive minus direct children —
-    /// the same subtraction the rendered tree shows.
-    pub excl_us: u64,
-}
-
-/// Aggregate inclusive/exclusive span time by name. This is what the
-/// bench binaries emit as their before/after hot-path breakdown: a
-/// flat, machine-comparable view of where a timed region's exclusive
-/// time lives.
-pub fn exclusive_by_name(events: &[Event]) -> BTreeMap<String, SpanAgg> {
-    let tree = build_tree(events);
-    let mut out: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    for (key, node) in &tree.nodes {
-        let child_incl: u64 = tree
-            .children
-            .get(key)
-            .into_iter()
-            .flatten()
-            .map(|k| tree.nodes[k].dur_us)
-            .sum();
-        let agg = out.entry(node.name.clone()).or_default();
-        agg.count += 1;
-        agg.incl_us += node.dur_us;
-        agg.excl_us += node.dur_us.saturating_sub(child_incl);
-    }
-    out
-}
-
 /// Trace statistics without rendering.
 pub fn stats(events: &[Event]) -> ProfileStats {
     let tree = build_tree(events);

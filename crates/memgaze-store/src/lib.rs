@@ -1,4 +1,4 @@
-//! Content-addressed trace store with tiered caching and an
+//! Content-addressed trace store with a per-frame result cache and an
 //! index-backed query engine.
 //!
 //! MemGaze's value proposition (paper §I) is *rapid* load-level
@@ -16,8 +16,6 @@
 //!   [`FrameIndex`](memgaze_model::FrameIndex) sidecar: ordered frame
 //!   hashes plus per-frame sample/load counts, time and address ranges,
 //!   per-block reuse rows, and function attribution (MGZC format);
-//! * [`cache`] — a byte-budgeted in-memory LRU over decoded payloads,
-//!   instrumented through `memgaze-obs`;
 //! * [`store`] — [`TraceStore`]: `put`/`get`/`ls`/`gc`, byte-identical
 //!   container reassembly, and store-backed analysis with a per-frame
 //!   result cache keyed by (frame hash, analyzer-config hash);
@@ -29,7 +27,6 @@
 //! and staleness are detected, named, and never returned as data.
 
 pub mod blob;
-pub mod cache;
 pub mod catalog;
 pub mod compress;
 pub mod error;
@@ -37,11 +34,10 @@ pub mod query;
 pub mod store;
 
 pub use blob::{content_hash, CONTENT_HASH_SEED};
-pub use cache::{BlobCache, CacheStats};
 pub use catalog::{Catalog, FrameSummary};
 pub use error::StoreError;
 pub use query::{FunctionAnswer, QueryEngine, RegionAnswer, TimeAnswer};
 pub use store::{
-    validate_trace_id, GcReport, PutReceipt, StoreAnalysis, StoreConfig, TraceEntry, TraceStore,
-    DEFAULT_CACHE_BUDGET,
+    validate_trace_id, CacheStats, GcReport, PutReceipt, StoreAnalysis, StoreConfig, TraceEntry,
+    TraceStore,
 };

@@ -8,6 +8,8 @@
 //! * [`graph`] — CSR graphs with uniform and RMAT generators;
 //! * [`ubench`] — the microbenchmark suite (IR-generated, `str`/`irr`
 //!   compositions);
+//! * [`modules`] — the other generated IR modules: Table II's
+//!   application-sized module and the classifier showcase kernels;
 //! * [`minivite`] — Louvain community detection with map variants
 //!   v1/v2/v3;
 //! * [`gap`] — GAP PageRank (`pr`, `pr-spmv`) and Connected Components
@@ -21,6 +23,7 @@ pub mod gap;
 pub mod graph;
 pub mod hashes;
 pub mod minivite;
+pub mod modules;
 pub mod space;
 pub mod ubench;
 

@@ -16,9 +16,9 @@
 
 use memgaze::analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Analyzer, Table};
 use memgaze::core::{
-    run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, worker_main,
-    worker_serve, worker_serve_store, FanoutBackend, FanoutConfig, MemGaze, PipelineConfig,
-    StreamingWorkloadReport, WorkerArgs, WorkerServeArgs, WorkerStoreServeArgs,
+    run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, worker_serve,
+    worker_serve_store, FanoutBackend, FanoutConfig, MemGaze, PipelineConfig,
+    StreamingWorkloadReport, WorkerServeArgs, WorkerStoreServeArgs,
 };
 use memgaze::model::DecompressionInfo;
 use memgaze::ptsim::SamplerConfig;
@@ -131,7 +131,7 @@ fn run_lint(args: &Args) -> i32 {
         }
         // Synthetic application-shaped modules (Table II sizing).
         for (procs, loads) in [(4, 9), (16, 12), (64, 9)] {
-            modules.push(memgaze_bench::synthetic_module(procs, loads));
+            modules.push(memgaze::workloads::modules::synthetic_module(procs, loads));
         }
     }
 
@@ -505,11 +505,11 @@ fn run_fanout_cmd(args: &Args) -> i32 {
     0
 }
 
-/// `memgaze analyze-shard`: the fan-out worker. Reads the spec,
-/// container, and index files, then either analyzes one assigned frame
-/// range (`--frames lo:hi`) or — with `--serve 1` — loads them once and
-/// answers framed range requests over stdin until EOF, the persistent
-/// worker the coordinator's [`FanoutPool`] keeps warm. Returns (rather
+/// `memgaze analyze-shard`: the persistent fan-out worker the
+/// coordinator's [`FanoutPool`] keeps warm. Loads the spec and its
+/// source once — container + index files, or with `--store-root` a
+/// trace store it fetches only the requested ranges' blobs from — then
+/// answers framed range requests over stdin until EOF. Returns (rather
 /// than exits) so `main` can flush observability sinks — the
 /// coordinator stitches this worker's JSONL into its trace.
 fn run_analyze_shard(args: &Args) -> i32 {
@@ -521,59 +521,30 @@ fn run_analyze_shard(args: &Args) -> i32 {
             })
             .into()
     };
-    if args.get("serve").is_some() {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        // Store-backed serve mode: the worker opens the trace store and
-        // fetches only the blobs each requested range references.
-        let served = if args.get("store-root").is_some() {
-            let serve = WorkerStoreServeArgs {
-                spec: path("spec"),
-                store_root: path("store-root"),
-                trace_id: args
-                    .get("trace")
-                    .unwrap_or_else(|| {
-                        eprintln!("analyze-shard: missing --trace");
-                        std::process::exit(2);
-                    })
-                    .to_string(),
-            };
-            worker_serve_store(&serve, &mut stdin.lock(), &mut stdout.lock())
-        } else {
-            let serve = WorkerServeArgs {
-                spec: path("spec"),
-                container: path("container"),
-                index: path("index"),
-            };
-            worker_serve(&serve, &mut stdin.lock(), &mut stdout.lock())
-        };
-        return match served {
-            Ok(()) => 0,
-            Err(e) => {
-                eprintln!("analyze-shard: {e}");
-                1
-            }
-        };
-    }
-    let frames = args.get("frames").unwrap_or_else(|| {
-        eprintln!("analyze-shard: missing --frames lo:hi");
-        std::process::exit(2);
-    });
-    let (lo, hi) = frames
-        .split_once(':')
-        .and_then(|(lo, hi)| Some((lo.parse().ok()?, hi.parse().ok()?)))
-        .unwrap_or_else(|| {
-            eprintln!("analyze-shard: bad --frames {frames}, expected lo:hi");
-            std::process::exit(2);
-        });
-    let worker = WorkerArgs {
-        spec: path("spec"),
-        container: path("container"),
-        index: path("index"),
-        frames: lo..hi,
-    };
+    let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    match worker_main(&worker, &mut stdout.lock()) {
+    let served = if args.get("store-root").is_some() {
+        let serve = WorkerStoreServeArgs {
+            spec: path("spec"),
+            store_root: path("store-root"),
+            trace_id: args
+                .get("trace")
+                .unwrap_or_else(|| {
+                    eprintln!("analyze-shard: missing --trace");
+                    std::process::exit(2);
+                })
+                .to_string(),
+        };
+        worker_serve_store(&serve, &mut stdin.lock(), &mut stdout.lock())
+    } else {
+        let serve = WorkerServeArgs {
+            spec: path("spec"),
+            container: path("container"),
+            index: path("index"),
+        };
+        worker_serve(&serve, &mut stdin.lock(), &mut stdout.lock())
+    };
+    match served {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("analyze-shard: {e}");
@@ -756,10 +727,9 @@ fn run_store_cmd(args: &Args) -> i32 {
                         info.kappa(),
                         info.rho()
                     );
-                    let cache = store.cache_stats();
                     println!(
-                        "result cache: {} hits, {} misses; hot-shard LRU: {} hits, {} misses",
-                        a.result_hits, a.result_misses, cache.hits, cache.misses
+                        "result cache: {} hits, {} misses",
+                        a.result_hits, a.result_misses
                     );
                     0
                 }

@@ -324,25 +324,40 @@ fn warm_pool_reuses_workers_across_runs() {
     };
     let sizes = vec![8u64, 32];
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
-    let cfg = FanoutConfig {
-        workers: 2,
-        locality_sizes: sizes.clone(),
-        ..FanoutConfig::default()
-    };
     let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_memgaze"));
-    let pool = FanoutPool::new(&exe, &container, &index, &annots, &symbols, analysis, cfg).unwrap();
-    pool.prewarm().unwrap();
-    assert_eq!(pool.spawn_count(), 2, "prewarm spawns one worker per slot");
-    // Repeated runs are served entirely by the warm workers — no new
-    // process spawns, no container reloads — and every run's report is
-    // still bit-identical to the resident analyzer.
-    for round in 0..3 {
-        let run = pool.run().unwrap();
-        assert_eq!(run.spawns, 0, "round {round} must reuse warm workers");
-        assert_eq!(run.retries, 0, "round {round}");
-        assert_reports_identical(&run, &resident, "warm-pool run");
+    // Fewer workers than frames, as many, and more (the fixture has 5).
+    for workers in [1usize, 2, 4, 8] {
+        let cfg = FanoutConfig {
+            workers,
+            locality_sizes: sizes.clone(),
+            ..FanoutConfig::default()
+        };
+        let pool =
+            FanoutPool::new(&exe, &container, &index, &annots, &symbols, analysis, cfg).unwrap();
+        pool.prewarm().unwrap();
+        assert_eq!(
+            pool.spawn_count(),
+            workers as u64,
+            "prewarm spawns one worker per slot"
+        );
+        // Repeated runs are served entirely by the warm workers — no new
+        // process spawns, no container reloads — and every run's report
+        // is still bit-identical to the resident analyzer.
+        for round in 0..3 {
+            let run = pool.run().unwrap();
+            assert_eq!(
+                run.spawns, 0,
+                "w{workers} round {round} must reuse warm workers"
+            );
+            assert_eq!(run.retries, 0, "w{workers} round {round}");
+            assert_reports_identical(&run, &resident, "warm-pool run");
+        }
+        assert_eq!(
+            pool.spawn_count(),
+            workers as u64,
+            "no extra spawns across runs"
+        );
     }
-    assert_eq!(pool.spawn_count(), 2, "no extra spawns across runs");
 }
 
 #[test]

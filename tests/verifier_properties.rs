@@ -15,8 +15,8 @@ use memgaze::isa::{
     LintId, LoadModule, Operand, ProcId, Reg, Severity, Terminator,
 };
 use memgaze::model::{Ip, LoadClass};
-use memgaze_bench::{
-    call_graph_module, masked_index_module, nested_loop_module, spilled_iv_module,
+use memgaze::workloads::modules::{
+    call_graph_module, masked_index_module, nested_loop_module, spilled_iv_module, synthetic_module,
 };
 use proptest::prelude::*;
 
@@ -268,8 +268,8 @@ fn differential_no_unsound_disagreements_across_suites() {
             modules.push(bench.module());
         }
     }
-    modules.push(memgaze_bench::synthetic_module(4, 9));
-    modules.push(memgaze_bench::synthetic_module(16, 12));
+    modules.push(synthetic_module(4, 9));
+    modules.push(synthetic_module(16, 12));
 
     let config = InstrumentConfig::default();
     let mut total = memgaze::instrument::DiffSummary::default();
