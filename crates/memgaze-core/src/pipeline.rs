@@ -11,7 +11,7 @@ use memgaze_ptsim::{
     BandwidthModel, OverheadModel, RunStats, SamplerConfig, StreamFull, StreamSampler, StreamStats,
 };
 use memgaze_workloads::ubench::MicroBench;
-use memgaze_workloads::{Allocation, FnRecorder, Phase, TracedSpace};
+use memgaze_workloads::{Allocation, NullRecorder, Phase, TracedSpace};
 use serde::{Deserialize, Serialize};
 
 /// Pipeline configuration: collection, instrumentation, analysis, and
@@ -380,9 +380,11 @@ pub fn trace_workload_streaming<T>(
     locality_sizes: &[u64],
     run: impl FnOnce(&mut TracedSpace<StreamingRecorder>) -> T,
 ) -> Result<(StreamingWorkloadReport, T), PipelineError> {
-    let provisional = TraceMeta::new(name, cfg.period, cfg.buffer_bytes);
-    let recorder =
-        StreamingRecorder::new(StreamSampler::new(cfg.clone()), &provisional, shard_samples);
+    // The header carries the knobs the sampler runs, not the ones asked
+    // for: a zero period or buffer is raised at construction.
+    let sampler = StreamSampler::new(cfg.clone());
+    let provisional = TraceMeta::new(name, sampler.config().period, sampler.config().buffer_bytes);
+    let recorder = StreamingRecorder::new(sampler, &provisional, shard_samples);
     let mut space = TracedSpace::new(recorder);
     let value = {
         let mut span = memgaze_obs::span("pipeline.collect");
@@ -458,11 +460,8 @@ pub fn full_trace_workload<T>(
 
 /// Count a workload's loads without collecting anything (used to size
 /// sampling periods).
-pub fn dry_run_loads<T>(
-    run: impl FnOnce(&mut TracedSpace<FnRecorder<fn(memgaze_model::Ip, u64, bool, u8)>>) -> T,
-) -> (u64, T) {
-    fn nop(_: memgaze_model::Ip, _: u64, _: bool, _: u8) {}
-    let mut space = TracedSpace::new(FnRecorder(nop as fn(memgaze_model::Ip, u64, bool, u8)));
+pub fn dry_run_loads<T>(run: impl FnOnce(&mut TracedSpace<NullRecorder>) -> T) -> (u64, T) {
+    let mut space = TracedSpace::new(NullRecorder);
     let value = run(&mut space);
     (space.counters().loads, value)
 }

@@ -19,6 +19,7 @@ impl SamplerRecorder {
 }
 
 impl LoadRecorder for SamplerRecorder {
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         self.sampler.on_load(ip, addr, instrumented, packets);
     }
@@ -38,6 +39,7 @@ impl FullRecorder {
 }
 
 impl LoadRecorder for FullRecorder {
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         self.full.on_load(ip, addr, instrumented, packets);
     }
@@ -76,7 +78,11 @@ impl StreamingRecorder {
         self.writer.shards()
     }
 
-    fn flush_full_shards(&mut self) {
+    /// Move the sampler's completed samples to `pending` and write out
+    /// every full shard.
+    #[cold]
+    fn drain_completed(&mut self) {
+        self.pending.extend(self.sampler.take_completed());
         while self.pending.len() >= self.shard_samples {
             let shard: Vec<Sample> = self.pending.drain(..self.shard_samples).collect();
             self.writer
@@ -116,12 +122,11 @@ impl StreamingRecorder {
 }
 
 impl LoadRecorder for StreamingRecorder {
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         self.sampler.on_load(ip, addr, instrumented, packets);
         if self.sampler.completed_samples() > 0 {
-            let drained = self.sampler.take_completed();
-            self.pending.extend(drained);
-            self.flush_full_shards();
+            self.drain_completed();
         }
     }
 }
@@ -143,6 +148,7 @@ impl<A: LoadRecorder, B: LoadRecorder> TeeRecorder<A, B> {
 }
 
 impl<A: LoadRecorder, B: LoadRecorder> LoadRecorder for TeeRecorder<A, B> {
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         self.a.record(ip, addr, instrumented, packets);
         self.b.record(ip, addr, instrumented, packets);

@@ -308,8 +308,11 @@ pub fn watch_workload(
     locality_sizes: &[u64],
     mut step: impl FnMut(&mut TracedSpace<SamplerRecorder>, usize) -> bool,
 ) -> Result<WatchReport, PipelineError> {
-    let initial_period = sampler_cfg.period;
-    let initial_buffer = sampler_cfg.buffer_bytes;
+    // The knobs the sampler runs: a zero period or buffer is raised at
+    // construction.
+    let sampler = memgaze_ptsim::StreamSampler::new(sampler_cfg.clone());
+    let initial_period = sampler.config().period;
+    let initial_buffer = sampler.config().buffer_bytes;
     let initial_guards = sampler_cfg.guards.clone();
     let window_samples = watch.window_samples.max(1);
 
@@ -317,10 +320,9 @@ pub fn watch_workload(
     let mut writer = ShardWriter::new(Vec::new(), &provisional)
         .expect("writing a container header to a Vec cannot fail");
 
-    let recorder = SamplerRecorder::new(memgaze_ptsim::StreamSampler::new(sampler_cfg.clone()));
-    let mut space = TracedSpace::new(recorder);
+    let mut controller = Controller::new(watch.mode, watch.controller, sampler.config());
+    let mut space = TracedSpace::new(SamplerRecorder::new(sampler));
     let mut ring = WindowRing::new(watch.live);
-    let mut controller = Controller::new(watch.mode, watch.controller, sampler_cfg);
     let mut windows: Vec<WindowStats> = Vec::new();
     let mut pending: Vec<Sample> = Vec::new();
     let mut hottest: Option<String> = None;

@@ -9,9 +9,6 @@
 //! 1024. [`CircBuffer::snapshot`] reproduces that with a configurable
 //! yield factor jittered by a small deterministic LCG.
 
-use crate::packet::{PtwPacket, PSB_PERIOD, TSC_PERIOD};
-use std::collections::VecDeque;
-
 /// Deterministic 64-bit LCG (no `rand` dependency in the hardware model).
 #[derive(Debug, Clone)]
 pub struct Lcg {
@@ -48,102 +45,139 @@ impl Lcg {
     }
 }
 
-/// Fixed-capacity circular packet buffer with byte accounting.
+/// Default mean yield factor matching the paper's observed ≈ 0.49–0.56
+/// addresses per expected buffer slot.
+pub const DEFAULT_YIELD: f64 = 0.55;
+
+/// Slots reserved up front: a buffer of up to this many items (40 KiB of
+/// full PTW packets; the presets are 8 and 16 KiB) is allocated once, at
+/// its final size. Past that — `memgaze watch --buffer-kb` is unchecked,
+/// its controller may grow to 256 KiB — the ring grows as items arrive.
+const EAGER_SLOTS: u64 = 4096;
+
+/// The circular trace buffer: a ring of slots, each holding one item and
+/// what it cost, in the caller's unit (packets for the stream samplers,
+/// bytes where sideband packets share the space).
+///
+/// Invariant: the contents are the longest suffix of the pushes since
+/// the last [`snapshot`](CircBuffer::snapshot) whose costs fit the
+/// capacity — except that the newest push always stays, and that
+/// lowering the capacity evicts nothing until the next push.
 #[derive(Debug, Clone)]
-pub struct CircBuffer {
-    cap_bytes: u64,
-    used_bytes: u64,
-    packet_bytes: u64,
-    /// Packets plus their individual byte cost (a packet that carried an
-    /// amortized TSC/PSB sideband costs more).
-    items: VecDeque<(PtwPacket, u64)>,
+pub struct CircBuffer<T> {
+    /// `head..head + len` (wrapping) are live, oldest first.
+    slots: Vec<(T, u64)>,
+    head: usize,
+    len: usize,
+    used: u64,
+    cap: u64,
     /// Mean fraction of buffer contents the snapshot yields (kernel
     /// async-fill artifact); jittered ±0.1 per snapshot.
     yield_factor: f64,
     rng: Lcg,
-    /// PTW packets pushed since the buffer was created (drives amortized
-    /// TSC/PSB space inside the buffer).
-    pushed: u64,
 }
 
-impl CircBuffer {
-    /// Default mean yield factor matching the paper's observed ≈ 0.49–0.56
-    /// addresses per expected buffer slot.
-    pub const DEFAULT_YIELD: f64 = 0.55;
-
-    /// A buffer of `cap_bytes` capacity holding packets of
-    /// `packet_bytes` each.
-    pub fn new(cap_bytes: u64, packet_bytes: u64, yield_factor: f64, seed: u64) -> CircBuffer {
-        assert!(cap_bytes >= packet_bytes, "buffer smaller than one packet");
+impl<T: Copy> CircBuffer<T> {
+    /// A buffer of capacity `cap ≥ min_cost`, what its cheapest item costs.
+    pub fn new(cap: u64, min_cost: u64, yield_factor: f64, seed: u64) -> CircBuffer<T> {
+        assert!(cap >= min_cost, "buffer smaller than one packet");
         assert!(
             (0.0..=1.0).contains(&yield_factor),
             "yield factor out of range"
         );
         CircBuffer {
-            cap_bytes,
-            used_bytes: 0,
-            packet_bytes,
-            items: VecDeque::new(),
+            slots: Vec::with_capacity((cap / min_cost.max(1)).min(EAGER_SLOTS) as usize),
+            head: 0,
+            len: 0,
+            used: 0,
+            cap,
             yield_factor,
             rng: Lcg::new(seed),
-            pushed: 0,
         }
     }
 
-    /// Push a packet, evicting the oldest contents on wrap (circular
-    /// overwrite). Sideband TSC/PSB packets consume amortized space.
-    pub fn push(&mut self, p: PtwPacket) {
-        self.pushed += 1;
-        let mut cost = self.packet_bytes;
-        if self.pushed.is_multiple_of(TSC_PERIOD) {
-            cost += crate::packet::TSC_BYTES;
-        }
-        if self.pushed.is_multiple_of(PSB_PERIOD) {
-            cost += crate::packet::PSB_BYTES;
-        }
-        while self.used_bytes + cost > self.cap_bytes {
-            match self.items.pop_front() {
-                Some((_, c)) => self.used_bytes = self.used_bytes.saturating_sub(c),
-                None => break,
+    /// Push an item, evicting the oldest contents on wrap (circular
+    /// overwrite).
+    #[inline]
+    pub fn push(&mut self, item: T, cost: u64) {
+        // Locals, so each field is read and written once per push
+        // whatever the slot store may alias.
+        let (mut head, mut len, mut used) = (self.head, self.len, self.used);
+        while used + cost > self.cap && len > 0 {
+            used -= self.slots[head].1;
+            head += 1;
+            if head == self.slots.len() {
+                head = 0;
             }
+            len -= 1;
         }
-        self.items.push_back((p, cost));
-        self.used_bytes += cost;
+        if len == self.slots.len() {
+            self.grow(head, (item, cost));
+            head = 0;
+        }
+        let mut tail = head + len;
+        if tail >= self.slots.len() {
+            tail -= self.slots.len();
+        }
+        self.slots[tail] = (item, cost);
+        self.head = head;
+        self.len = len + 1;
+        self.used = used + cost;
     }
 
-    /// Number of packets currently held.
+    /// Every slot is live: straighten the ring (oldest item at `head`)
+    /// and add slots, holding `fill` until a push overwrites them.
+    #[cold]
+    fn grow(&mut self, head: usize, fill: (T, u64)) {
+        self.slots.rotate_left(head);
+        let n = (self.slots.len() * 2).max(self.slots.capacity()).max(4);
+        self.slots.resize(n, fill);
+    }
+
+    /// Number of items currently held.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
-    /// True when no packets are held.
+    /// True when no items are held.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
+    }
+
+    /// Cost currently held.
+    #[inline]
+    pub fn used(&self) -> u64 {
+        self.used
+    }
+
+    /// Change the capacity. Contents stay until the next push evicts
+    /// what no longer fits.
+    pub fn set_capacity(&mut self, cap: u64) {
+        self.cap = cap;
     }
 
     /// Read the buffer at a sampling trigger: returns the most recent
-    /// packets (the async-fill artifact discards the oldest fraction) and
+    /// items (the async-fill artifact discards the oldest fraction) and
     /// resets the buffer for the next window.
-    pub fn snapshot(&mut self) -> Vec<PtwPacket> {
+    pub fn snapshot(&mut self) -> Vec<T> {
         let jitter = self.rng.range_f64(-0.1, 0.1);
         let f = (self.yield_factor + jitter).clamp(0.05, 1.0);
-        let keep = ((self.items.len() as f64) * f).round() as usize;
-        let skip = self.items.len() - keep.min(self.items.len());
-        let out: Vec<PtwPacket> = self.items.iter().skip(skip).map(|(p, _)| *p).collect();
-        self.items.clear();
-        self.used_bytes = 0;
+        let keep = ((self.len as f64) * f).round() as usize;
+        let skip = self.len - keep.min(self.len);
+        self.slots.rotate_left(self.head);
+        let live = &self.slots[skip..self.len];
+        let out = live.iter().map(|(item, _)| *item).collect();
+        self.head = 0;
+        self.len = 0;
+        self.used = 0;
         out
-    }
-
-    /// Expected number of packets a full buffer would hold.
-    pub fn nominal_capacity(&self) -> u64 {
-        self.cap_bytes / self.packet_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PtwPacket;
     use memgaze_model::Ip;
 
     fn pkt(i: u64) -> PtwPacket {
@@ -158,7 +192,7 @@ mod tests {
     fn wraps_when_full() {
         let mut b = CircBuffer::new(100, 10, 1.0, 1);
         for i in 0..25 {
-            b.push(pkt(i));
+            b.push(pkt(i), 10);
         }
         // Capacity 10 packets: only the newest survive.
         assert!(b.len() <= 10);
@@ -176,7 +210,7 @@ mod tests {
         let mut totals = Vec::new();
         for round in 0..20u64 {
             for i in 0..4096 {
-                b.push(pkt(round * 10_000 + i));
+                b.push(pkt(round * 10_000 + i), 8);
             }
             totals.push(b.snapshot().len());
         }
@@ -191,7 +225,7 @@ mod tests {
     fn snapshot_preserves_order_and_recency() {
         let mut b = CircBuffer::new(1000, 10, 0.5, 7);
         for i in 0..50 {
-            b.push(pkt(i));
+            b.push(pkt(i), 10);
         }
         let snap = b.snapshot();
         assert!(snap.windows(2).all(|w| w[0].payload < w[1].payload));
@@ -211,8 +245,28 @@ mod tests {
     }
 
     #[test]
+    fn grows_past_the_eager_reservation_and_keeps_order() {
+        // 2-cost items fill the reserved slots, then 1-cost items need
+        // twice as many while the ring is wrapped.
+        let mut b = CircBuffer::new(2 * EAGER_SLOTS + 7, 1, 1.0, 3);
+        let mut next = 0u64;
+        for cost in [2, 1] {
+            for _ in 0..3 * EAGER_SLOTS {
+                b.push(pkt(next), cost);
+                next += 1;
+            }
+        }
+        assert_eq!(b.len() as u64, 2 * EAGER_SLOTS + 7);
+        // The jitter may trim the oldest tenth.
+        let snap = b.snapshot();
+        assert!(snap.len() as u64 > 2 * EAGER_SLOTS * 8 / 10);
+        assert_eq!(snap.last().unwrap().payload, next - 1);
+        assert!(snap.windows(2).all(|w| w[0].payload + 1 == w[1].payload));
+    }
+
+    #[test]
     #[should_panic(expected = "smaller than one packet")]
     fn tiny_buffer_rejected() {
-        CircBuffer::new(4, 10, 0.5, 0);
+        CircBuffer::<PtwPacket>::new(4, 10, 0.5, 0);
     }
 }

@@ -12,9 +12,9 @@
 //! real-time, resulting in random drops of 30–50%" (§VI-A): a token-bucket
 //! bandwidth model drops packets under pressure and emits DROP records.
 
-use crate::buffer::CircBuffer;
+use crate::buffer::{CircBuffer, DEFAULT_YIELD};
 use crate::guard::IpGuards;
-use crate::packet::{PacketStats, PtwPacket};
+use crate::packet::{sideband_bytes, PacketStats, PtwPacket};
 use memgaze_isa::interp::EventSink;
 use memgaze_model::Ip;
 use serde::{Deserialize, Serialize};
@@ -53,13 +53,8 @@ impl SamplerConfig {
     /// 16-KiB buffer (≈1150 addresses per sample).
     pub fn microbench() -> SamplerConfig {
         SamplerConfig {
-            period: 10_000,
             buffer_bytes: 16 << 10,
-            compact_payloads: false,
-            guards: IpGuards::all(),
-            mode: PtMode::Continuous,
-            seed: 0x5eed,
-            yield_factor: CircBuffer::DEFAULT_YIELD,
+            ..SamplerConfig::application(10_000)
         }
     }
 
@@ -73,20 +68,39 @@ impl SamplerConfig {
             guards: IpGuards::all(),
             mode: PtMode::Continuous,
             seed: 0x5eed,
-            yield_factor: CircBuffer::DEFAULT_YIELD,
+            yield_factor: DEFAULT_YIELD,
         }
     }
 
-    fn packet_bytes(&self) -> u64 {
+    pub(crate) fn packet_bytes(&self) -> u64 {
         PtwPacket::bytes(self.compact_payloads)
     }
 
-    /// Loads before a trigger during which PT must be enabled in
-    /// [`PtMode::SampleOnly`] so the buffer can fill. Sized to the
-    /// buffer's nominal packet capacity with 50% slack. This is an upper
-    /// bound on `w` in loads assuming ≥1 packet per load.
-    pub fn enable_window_loads(&self) -> u64 {
-        (self.buffer_bytes / self.packet_bytes()) * 3 / 2
+    /// Whole packets the buffer holds.
+    pub(crate) fn packet_slots(&self) -> u64 {
+        self.buffer_bytes / self.packet_bytes()
+    }
+
+    /// Bring degenerate knobs to what a collector can run: a period of one
+    /// load, a buffer of one packet, a yield factor in `[0, 1]`. Every collector
+    /// constructor, `StreamSampler::retune` and `runner::collect_sampled` call it.
+    pub(crate) fn normalise(&mut self) {
+        self.period = self.period.max(1);
+        self.buffer_bytes = self.buffer_bytes.max(self.packet_bytes());
+        let y = self.yield_factor;
+        self.yield_factor = if y.is_nan() { 0.0 } else { y.clamp(0.0, 1.0) };
+    }
+
+    /// First load index at which PT generates packets ahead of a trigger
+    /// at load `next_trigger`: 0 in [`PtMode::Continuous`]; in
+    /// [`PtMode::SampleOnly`] the start of an enable window sized to the
+    /// buffer's packet capacity with 50% slack (an upper bound on `w` in
+    /// loads assuming ≥1 packet per load), so the buffer can fill.
+    pub(crate) fn enable_from(&self, next_trigger: u64) -> u64 {
+        match self.mode {
+            PtMode::Continuous => 0,
+            PtMode::SampleOnly => next_trigger.saturating_sub(self.packet_slots() * 3 / 2),
+        }
     }
 }
 
@@ -119,49 +133,38 @@ pub struct RawSampledTrace {
 #[derive(Debug)]
 pub struct SampledCollector {
     cfg: SamplerConfig,
-    buf: CircBuffer,
+    buf: CircBuffer<PtwPacket>,
     out: RawSampledTrace,
     next_trigger: u64,
 }
 
 impl SampledCollector {
     /// A collector with the given configuration.
-    pub fn new(cfg: SamplerConfig) -> SampledCollector {
-        let buf = CircBuffer::new(
-            cfg.buffer_bytes,
-            cfg.packet_bytes(),
-            cfg.yield_factor,
-            cfg.seed,
-        );
-        let next_trigger = cfg.period;
+    pub fn new(mut cfg: SamplerConfig) -> SampledCollector {
+        cfg.normalise();
+        let (cap, packet) = (cfg.buffer_bytes, cfg.packet_bytes());
         SampledCollector {
-            cfg,
-            buf,
+            buf: CircBuffer::new(cap, packet, cfg.yield_factor, cfg.seed),
             out: RawSampledTrace::default(),
-            next_trigger,
+            next_trigger: cfg.period,
+            cfg,
         }
     }
 
-    /// Whether PT is currently generating packets.
-    fn pt_enabled(&self) -> bool {
-        match self.cfg.mode {
-            PtMode::Continuous => true,
-            PtMode::SampleOnly => {
-                let to_trigger = self.next_trigger.saturating_sub(self.out.total_loads);
-                to_trigger <= self.cfg.enable_window_loads()
-            }
-        }
+    /// Snapshot the buffer into a raw sample at the current load count.
+    fn sample(&mut self) {
+        let packets = self.buf.snapshot();
+        self.out.samples.push(RawSample {
+            trigger_time: self.out.total_loads,
+            packets,
+        });
     }
 
     /// Finish collection: flush a final partial sample if the buffer holds
     /// data, and return the raw trace.
     pub fn finish(mut self) -> RawSampledTrace {
         if !self.buf.is_empty() {
-            let packets = self.buf.snapshot();
-            self.out.samples.push(RawSample {
-                trigger_time: self.out.total_loads,
-                packets,
-            });
+            self.sample();
         }
         self.out
     }
@@ -176,27 +179,27 @@ impl EventSink for SampledCollector {
     fn on_load(&mut self, _ip: Ip, _addr: u64, _load_time: u64) {
         self.out.total_loads += 1;
         if self.out.total_loads >= self.next_trigger {
-            let packets = self.buf.snapshot();
-            self.out.samples.push(RawSample {
-                trigger_time: self.out.total_loads,
-                packets,
-            });
+            self.sample();
             self.next_trigger += self.cfg.period;
         }
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {
         self.out.ptwrites_executed += 1;
-        if !self.pt_enabled() || !self.cfg.guards.allows(ip) {
+        let enabled = self.out.total_loads >= self.cfg.enable_from(self.next_trigger);
+        if !enabled || !self.cfg.guards.allows(ip) {
             return;
         }
         self.out.ptwrites_enabled += 1;
         self.out.stats.add_ptw(1);
-        self.buf.push(PtwPacket {
+        // Sideband TSC/PSB packets consume amortized buffer space.
+        let cost = self.cfg.packet_bytes() + sideband_bytes(self.out.stats.ptw_packets);
+        let packet = PtwPacket {
             ip,
             payload,
             load_time,
-        });
+        };
+        self.buf.push(packet, cost);
     }
 }
 

@@ -52,6 +52,7 @@ impl IpGuards {
     }
 
     /// Whether any filter is configured.
+    #[inline]
     pub fn is_filtering(&self) -> bool {
         !self.ranges.is_empty()
     }

@@ -25,6 +25,8 @@ pub mod buffer;
 pub mod collector;
 pub mod decode;
 pub mod guard;
+#[cfg(test)]
+mod oracle;
 pub mod overhead;
 pub mod packet;
 pub mod runner;

@@ -74,9 +74,11 @@ pub fn ground_truth(
 pub fn collect_sampled(
     inst: &Instrumented,
     entry: ProcId,
-    cfg: SamplerConfig,
+    mut cfg: SamplerConfig,
     workload: &str,
 ) -> Result<(SampledTrace, RunStats, DecodeOutcome<SampledTrace>), Box<dyn std::error::Error>> {
+    // The decoder stamps the knobs the collector runs with.
+    cfg.normalise();
     let meta = TraceMeta::new(workload, cfg.period, cfg.buffer_bytes);
     let mut mach = Machine::new(&inst.module, SampledCollector::new(cfg));
     let exec = mach.run(entry, DEFAULT_MAX_INSTRS)?;

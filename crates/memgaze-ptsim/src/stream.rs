@@ -9,116 +9,93 @@
 //! streams, producing the same [`SampledTrace`]/[`FullTrace`] the decoder
 //! yields on the packet path.
 
-use crate::buffer::Lcg;
-use crate::collector::{BandwidthModel, PtMode, SamplerConfig};
+use crate::buffer::CircBuffer;
+use crate::collector::{BandwidthModel, SamplerConfig};
+use crate::guard::IpGuards;
 use crate::packet::{PacketStats, PtwPacket};
-use memgaze_model::{Access, Addr, FullTrace, Ip, Sample, SampledTrace, TraceMeta};
-use std::collections::VecDeque;
+use memgaze_model::{Access, FullTrace, Ip, Sample, SampledTrace, TraceMeta};
 
-/// Sampled collection over a decoded load stream.
+/// Sampled collection over a decoded load stream. A load costs a few
+/// counter bumps and, when its `ptwrite` is enabled, one write into the
+/// ring; everything else is derived when somebody reads it.
 #[derive(Debug)]
 pub struct StreamSampler {
     cfg: SamplerConfig,
-    /// Buffered accesses plus their byte cost (two-source loads carry two
-    /// packets).
-    items: VecDeque<(Access, u64)>,
-    used_bytes: u64,
-    rng: Lcg,
+    /// Buffered accesses, each costing its packet count (two-source
+    /// loads carry two packets).
+    ring: CircBuffer<Access>,
     loads: u64,
     next_trigger: u64,
+    /// `cfg.enable_from(next_trigger)`, re-derived whenever either moves.
+    enable_from: u64,
     samples: Vec<Sample>,
-    stats: PacketStats,
-    ptwrites_enabled: u64,
     ptwrites_executed: u64,
-    /// Interval accounting since the last [`take_observation`]
-    /// (`StreamSampler::take_observation`): packets enabled, packets
-    /// overwritten by buffer wrap, and the peak buffer fill.
-    interval_enabled: u64,
-    interval_overwritten: u64,
-    interval_peak_bytes: u64,
+    ptwrites_enabled: u64,
+    /// Packets the snapshots took out of the ring. An enabled packet is
+    /// in the ring, was snapshotted, or was overwritten by buffer wrap,
+    /// so the overwritten count needs no counter of its own.
+    snapshotted: u64,
+    /// Since the last [`StreamSampler::take_observation`]: the enabled and
+    /// overwritten totals at its start, and the peak fill in packets.
+    enabled_at_observation: u64,
+    overwritten_at_observation: u64,
+    interval_peak: u64,
 }
 
 impl StreamSampler {
-    /// A sampler with the given configuration.
-    pub fn new(cfg: SamplerConfig) -> StreamSampler {
-        let seed = cfg.seed;
-        let next_trigger = cfg.period;
+    /// A sampler with the given configuration, degenerate knobs floored.
+    pub fn new(mut cfg: SamplerConfig) -> StreamSampler {
+        cfg.normalise();
         StreamSampler {
-            cfg,
-            items: VecDeque::new(),
-            used_bytes: 0,
-            rng: Lcg::new(seed),
+            ring: CircBuffer::new(cfg.packet_slots(), 1, cfg.yield_factor, cfg.seed),
             loads: 0,
-            next_trigger,
+            next_trigger: cfg.period,
+            enable_from: cfg.enable_from(cfg.period),
             samples: Vec::new(),
-            stats: PacketStats::default(),
-            ptwrites_enabled: 0,
             ptwrites_executed: 0,
-            interval_enabled: 0,
-            interval_overwritten: 0,
-            interval_peak_bytes: 0,
+            ptwrites_enabled: 0,
+            snapshotted: 0,
+            enabled_at_observation: 0,
+            overwritten_at_observation: 0,
+            interval_peak: 0,
+            cfg,
         }
     }
 
-    fn pt_enabled(&self) -> bool {
-        match self.cfg.mode {
-            PtMode::Continuous => true,
-            PtMode::SampleOnly => {
-                let to_trigger = self.next_trigger.saturating_sub(self.loads);
-                to_trigger <= self.cfg.enable_window_loads()
-            }
-        }
+    /// Snapshot the ring into a sample at the current load count.
+    fn sample(&mut self) {
+        self.snapshotted += self.ring.used();
+        let accesses = self.ring.snapshot();
+        self.samples.push(Sample::new(accesses, self.loads));
     }
 
-    fn snapshot(&mut self) -> Vec<Access> {
-        let jitter = self.rng.range_f64(-0.1, 0.1);
-        let f = (self.cfg.yield_factor + jitter).clamp(0.05, 1.0);
-        let keep = ((self.items.len() as f64) * f).round() as usize;
-        let skip = self.items.len() - keep.min(self.items.len());
-        let out = self.items.iter().skip(skip).map(|(a, _)| *a).collect();
-        self.items.clear();
-        self.used_bytes = 0;
-        out
+    #[cold]
+    fn trigger(&mut self) {
+        self.sample();
+        self.next_trigger += self.cfg.period;
+        self.enable_from = self.cfg.enable_from(self.next_trigger);
     }
 
     /// Feed one executed load. `instrumented` marks loads that carry
     /// `ptwrite`s; `packets` is the number of source registers (1 or 2).
+    #[inline]
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
-        let time = self.loads;
         if instrumented {
-            self.ptwrites_executed += u64::from(packets);
-            if self.pt_enabled() && self.cfg.guards.allows(ip) {
-                self.ptwrites_enabled += u64::from(packets);
-                self.interval_enabled += u64::from(packets);
-                self.stats.add_ptw(u64::from(packets));
-                let cost = u64::from(packets) * PtwPacket::bytes(self.cfg.compact_payloads);
-                while self.used_bytes + cost > self.cfg.buffer_bytes {
-                    match self.items.pop_front() {
-                        Some((_, c)) => {
-                            self.used_bytes = self.used_bytes.saturating_sub(c);
-                            self.interval_overwritten +=
-                                c / PtwPacket::bytes(self.cfg.compact_payloads).max(1);
-                        }
-                        None => break,
-                    }
+            let packets = u64::from(packets);
+            self.ptwrites_executed += packets;
+            if self.loads >= self.enable_from
+                && (!self.cfg.guards.is_filtering() || self.cfg.guards.allows(ip))
+            {
+                self.ptwrites_enabled += packets;
+                self.ring.push(Access::new(ip, addr, self.loads), packets);
+                if self.ring.used() > self.interval_peak {
+                    self.interval_peak = self.ring.used();
                 }
-                self.items.push_back((
-                    Access {
-                        ip,
-                        addr: Addr(addr),
-                        time,
-                    },
-                    cost,
-                ));
-                self.used_bytes += cost;
-                self.interval_peak_bytes = self.interval_peak_bytes.max(self.used_bytes);
             }
         }
         self.loads += 1;
         if self.loads >= self.next_trigger {
-            let accesses = self.snapshot();
-            self.samples.push(Sample::new(accesses, self.loads));
-            self.next_trigger += self.cfg.period;
+            self.trigger();
         }
     }
 
@@ -128,6 +105,7 @@ impl StreamSampler {
     }
 
     /// Number of completed samples awaiting collection.
+    #[inline]
     pub fn completed_samples(&self) -> usize {
         self.samples.len()
     }
@@ -144,29 +122,35 @@ impl StreamSampler {
     /// before a snapshot could save them, and the peak buffer fill.
     /// This is the feedback signal the watch controller observes.
     pub fn take_observation(&mut self) -> SamplerObservation {
+        let overwritten = self.ptwrites_enabled - self.snapshotted - self.ring.used();
         let obs = SamplerObservation {
-            enabled_packets: self.interval_enabled,
-            overwritten_packets: self.interval_overwritten,
-            peak_used_bytes: self.interval_peak_bytes,
+            enabled_packets: self.ptwrites_enabled - self.enabled_at_observation,
+            overwritten_packets: overwritten - self.overwritten_at_observation,
+            peak_used_bytes: self.interval_peak * self.cfg.packet_bytes(),
             buffer_bytes: self.cfg.buffer_bytes,
         };
-        self.interval_enabled = 0;
-        self.interval_overwritten = 0;
-        self.interval_peak_bytes = self.used_bytes;
+        self.enabled_at_observation = self.ptwrites_enabled;
+        self.overwritten_at_observation = overwritten;
+        self.interval_peak = self.ring.used();
         obs
     }
 
     /// Retune the sampling knobs mid-run: period (`w + z`), buffer
     /// capacity, and the hardware address-range guards. The next
     /// trigger is re-derived from the new period so a shrunk period
-    /// takes effect immediately instead of after the old interval.
-    pub fn retune(&mut self, period: u64, buffer_bytes: u64, guards: crate::guard::IpGuards) {
-        if period != self.cfg.period {
-            self.cfg.period = period.max(1);
+    /// takes effect immediately instead of after the old interval. A
+    /// shrunk buffer keeps its contents until the next packet arrives.
+    pub fn retune(&mut self, period: u64, buffer_bytes: u64, guards: IpGuards) {
+        let old_period = self.cfg.period;
+        self.cfg.period = period;
+        self.cfg.buffer_bytes = buffer_bytes;
+        self.cfg.guards = guards;
+        self.cfg.normalise();
+        if self.cfg.period != old_period {
             self.next_trigger = self.loads + self.cfg.period;
         }
-        self.cfg.buffer_bytes = buffer_bytes.max(PtwPacket::bytes(self.cfg.compact_payloads));
-        self.cfg.guards = guards;
+        self.ring.set_capacity(self.cfg.packet_slots());
+        self.enable_from = self.cfg.enable_from(self.next_trigger);
     }
 
     /// The sampling configuration currently in force (post-retune).
@@ -178,15 +162,18 @@ impl StreamSampler {
     /// final metadata, any samples not yet drained (including the
     /// flushed trailing partial sample), and collection stats.
     pub fn finish_parts(mut self, workload: &str) -> (TraceMeta, Vec<Sample>, StreamStats) {
-        if !self.items.is_empty() {
-            let accesses = self.snapshot();
-            self.samples.push(Sample::new(accesses, self.loads));
+        if !self.ring.is_empty() {
+            self.sample();
         }
         let mut meta = TraceMeta::new(workload, self.cfg.period, self.cfg.buffer_bytes);
         meta.total_loads = self.loads;
         meta.total_instrumented_loads = self.ptwrites_executed;
+        // TSC/PSB counts telescope, so one bulk add equals the per-load
+        // adds it replaces.
+        let mut packets = PacketStats::default();
+        packets.add_ptw(self.ptwrites_enabled);
         let stats = StreamStats {
-            packets: self.stats,
+            packets,
             total_loads: self.loads,
             ptwrites_executed: self.ptwrites_executed,
             ptwrites_enabled: self.ptwrites_enabled,
@@ -206,7 +193,7 @@ impl StreamSampler {
 }
 
 /// Accounting from a stream collection run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Packet/byte accounting.
     pub packets: PacketStats,
@@ -307,11 +294,7 @@ impl StreamFull {
         if self.tokens >= cost {
             self.tokens -= cost;
             self.in_drop_burst = false;
-            self.accesses.push(Access {
-                ip,
-                addr: Addr(addr),
-                time,
-            });
+            self.accesses.push(Access::new(ip, addr, time));
         } else {
             self.stats.dropped_packets += u64::from(packets);
             self.dropped_accesses += 1;
@@ -337,11 +320,54 @@ impl StreamFull {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::PtMode;
 
     fn feed_n(s: &mut StreamSampler, n: u64) {
         for t in 0..n {
             s.on_load(Ip(0x400), 0x10_0000 + (t % 256) * 64, true, 1);
         }
+    }
+
+    #[test]
+    fn degenerate_knobs_are_raised_at_construction_and_retune() {
+        let mut cfg = SamplerConfig::microbench();
+        cfg.period = 0;
+        cfg.buffer_bytes = 0;
+        let mut s = StreamSampler::new(cfg.clone());
+        assert_eq!((s.config().period, s.config().buffer_bytes), (1, 10));
+        feed_n(&mut s, 10);
+        s.retune(50, 4096, IpGuards::all());
+        s.retune(0, 3, IpGuards::all());
+        assert_eq!((s.config().period, s.config().buffer_bytes), (1, 10));
+        feed_n(&mut s, 10);
+        let (trace, _) = s.finish("w");
+        // One sample per load, and a period the analysis can divide by.
+        assert_eq!(trace.meta.period, 1);
+        assert_eq!(trace.num_samples(), 20);
+
+        cfg.compact_payloads = true;
+        assert_eq!(StreamSampler::new(cfg.clone()).config().buffer_bytes, 6);
+        // An out-of-range yield factor is clamped, not a panic.
+        for (given, taken) in [(-3.0, 0.0), (7.5, 1.0), (f64::NAN, 0.0), (0.25, 0.25)] {
+            cfg.yield_factor = given;
+            assert_eq!(StreamSampler::new(cfg.clone()).config().yield_factor, taken);
+        }
+
+        // The packet path (`memgaze ubench --period 0`) takes the same
+        // floors, in the collector and in the meta its decoder stamps.
+        use memgaze_isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
+        let m = codegen::generate(&UKernelSpec {
+            compose: Compose::Single(Pattern::strided(1)),
+            elems: 16,
+            reps: 2,
+            opt: OptLevel::O3,
+        });
+        let main = m.find_proc("main").unwrap();
+        let inst = memgaze_instrument::Instrumenter::default().instrument(&m);
+        cfg.yield_factor = 7.5;
+        let (trace, stats, _) = crate::runner::collect_sampled(&inst, main, cfg, "u").unwrap();
+        assert_eq!((trace.meta.period, trace.meta.buffer_bytes), (1, 6));
+        assert_eq!(stats.samples, stats.exec.loads);
     }
 
     #[test]

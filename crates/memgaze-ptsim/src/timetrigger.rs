@@ -9,19 +9,17 @@
 //! rate are over-represented per load — the ablation binary quantifies
 //! the resulting bias.
 
-use crate::buffer::Lcg;
+use crate::buffer::CircBuffer;
 use crate::collector::SamplerConfig;
-use crate::packet::{PacketStats, PtwPacket};
-use memgaze_model::{Access, Addr, Ip, Sample, SampledTrace, TraceMeta};
-use std::collections::VecDeque;
+use crate::packet::PacketStats;
+use memgaze_model::{Access, Ip, Sample, SampledTrace, TraceMeta};
 
 /// Sampled collection triggered on elapsed cycles instead of loads.
 #[derive(Debug)]
 pub struct TimeStreamSampler {
     cfg: SamplerConfig,
-    items: VecDeque<(Access, u64)>,
-    used_bytes: u64,
-    rng: Lcg,
+    /// Buffered accesses, each costing its packet count.
+    ring: CircBuffer<Access>,
     loads: u64,
     cycles: u64,
     next_trigger_cycles: u64,
@@ -31,60 +29,31 @@ pub struct TimeStreamSampler {
 
 impl TimeStreamSampler {
     /// A time-triggered sampler; `cfg.period` is interpreted in *cycles*.
-    pub fn new(cfg: SamplerConfig) -> TimeStreamSampler {
-        let seed = cfg.seed;
-        let next = cfg.period;
+    pub fn new(mut cfg: SamplerConfig) -> TimeStreamSampler {
+        cfg.normalise();
         TimeStreamSampler {
-            cfg,
-            items: VecDeque::new(),
-            used_bytes: 0,
-            rng: Lcg::new(seed),
+            ring: CircBuffer::new(cfg.packet_slots(), 1, cfg.yield_factor, cfg.seed),
             loads: 0,
             cycles: 0,
-            next_trigger_cycles: next,
+            next_trigger_cycles: cfg.period,
             samples: Vec::new(),
             stats: PacketStats::default(),
+            cfg,
         }
-    }
-
-    fn snapshot(&mut self) -> Vec<Access> {
-        let jitter = self.rng.range_f64(-0.1, 0.1);
-        let f = (self.cfg.yield_factor + jitter).clamp(0.05, 1.0);
-        let keep = ((self.items.len() as f64) * f).round() as usize;
-        let skip = self.items.len() - keep.min(self.items.len());
-        let out = self.items.iter().skip(skip).map(|(a, _)| *a).collect();
-        self.items.clear();
-        self.used_bytes = 0;
-        out
     }
 
     /// Feed one executed load that took `cycles` cycles of program time
     /// (1 for back-to-back loads; larger in compute-heavy phases).
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8, cycles: u64) {
-        let time = self.loads;
         if instrumented && self.cfg.guards.allows(ip) {
             self.stats.add_ptw(u64::from(packets));
-            let cost = u64::from(packets) * PtwPacket::bytes(self.cfg.compact_payloads);
-            while self.used_bytes + cost > self.cfg.buffer_bytes {
-                match self.items.pop_front() {
-                    Some((_, c)) => self.used_bytes = self.used_bytes.saturating_sub(c),
-                    None => break,
-                }
-            }
-            self.items.push_back((
-                Access {
-                    ip,
-                    addr: Addr(addr),
-                    time,
-                },
-                cost,
-            ));
-            self.used_bytes += cost;
+            let access = Access::new(ip, addr, self.loads);
+            self.ring.push(access, u64::from(packets));
         }
         self.loads += 1;
         self.cycles += cycles.max(1);
         if self.cycles >= self.next_trigger_cycles {
-            let accesses = self.snapshot();
+            let accesses = self.ring.snapshot();
             self.samples.push(Sample::new(accesses, self.loads));
             self.next_trigger_cycles += self.cfg.period;
         }
@@ -94,8 +63,8 @@ impl TimeStreamSampler {
     /// *average* loads per sample so ρ stays meaningful for downstream
     /// analysis (which is exactly the bias: it is only an average).
     pub fn finish(mut self, workload: &str) -> (SampledTrace, PacketStats) {
-        if !self.items.is_empty() {
-            let accesses = self.snapshot();
+        if !self.ring.is_empty() {
+            let accesses = self.ring.snapshot();
             self.samples.push(Sample::new(accesses, self.loads));
         }
         let avg_period = if self.samples.is_empty() {

@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 pub trait LoadRecorder {
     /// One executed load: synthetic site ip, simulated data address,
     /// whether the site is `ptwrite`-instrumented, and its packet count.
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         let _ = (ip, addr, instrumented, packets);
     }
@@ -38,6 +39,7 @@ impl NullRecorder {
 pub struct FnRecorder<F: FnMut(Ip, u64, bool, u8)>(pub F);
 
 impl<F: FnMut(Ip, u64, bool, u8)> LoadRecorder for FnRecorder<F> {
+    #[inline]
     fn record(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         (self.0)(ip, addr, instrumented, packets)
     }
@@ -48,6 +50,8 @@ impl<F: FnMut(Ip, u64, bool, u8)> LoadRecorder for FnRecorder<F> {
 pub struct Site {
     /// Synthetic instruction address.
     pub ip: Ip,
+    /// Enclosing function, as the symbol table and annotations number it.
+    pub func_id: FunctionId,
     /// Enclosing function name.
     pub func: String,
     /// Short site label ("bucket-head", "neighbor-scan", …).
@@ -109,14 +113,35 @@ const INSTRS_PER_LOAD: u64 = 3;
 /// Instructions charged per store.
 const INSTRS_PER_STORE: u64 = 2;
 
+/// What [`TracedSpace::load`] touches of a site: the arguments the
+/// recorder takes, already resolved, and how often the site ran since
+/// the counters were last folded.
+#[derive(Debug, Clone, Copy)]
+struct HotSite {
+    ip: Ip,
+    execs: u64,
+    /// `class.is_instrumented()`, or true when compression is off.
+    instrumented: bool,
+    packets: u8,
+}
+
+/// A registered function: its name and how many sites it holds.
+#[derive(Debug, Clone)]
+struct Func {
+    name: String,
+    sites: u32,
+}
+
 /// The traced address space.
 pub struct TracedSpace<R: LoadRecorder> {
     recorder: R,
     brk: u64,
     allocations: Vec<Allocation>,
     sites: Vec<Site>,
-    /// Function name → id, in registration order.
-    funcs: Vec<String>,
+    /// One row per entry of `sites`, same index.
+    hot: Vec<HotSite>,
+    /// Indexed by [`FunctionId`], in registration order.
+    funcs: Vec<Func>,
     /// Whether Constant sites are compressed away (true) or recorded
     /// (false, the "All⁺" mode).
     compress: bool,
@@ -124,8 +149,12 @@ pub struct TracedSpace<R: LoadRecorder> {
     /// non-Constant site — emulates O0 codegen's frame spills/reloads
     /// (κ ≈ 1 + o0_extra).
     o0_extra: u32,
+    /// Every phase but the last is final; the last lacks what `hot`,
+    /// `stores` and `alu` hold until [`fold`](TracedSpace::fold) adds it.
     phases: Vec<Phase>,
-    total: Counters,
+    /// Stores and ALU instructions executed since the last fold.
+    stores: u64,
+    alu: u64,
 }
 
 /// Site ips: `SITE_BASE + func_id·FUNC_STRIDE + site_in_func·4`.
@@ -142,6 +171,7 @@ impl<R: LoadRecorder> TracedSpace<R> {
             brk: DATA_BASE,
             allocations: Vec::new(),
             sites: Vec::new(),
+            hot: Vec::new(),
             funcs: Vec::new(),
             compress: true,
             o0_extra: 0,
@@ -149,14 +179,46 @@ impl<R: LoadRecorder> TracedSpace<R> {
                 name: "main".to_string(),
                 counters: Counters::default(),
             }],
-            total: Counters::default(),
+            stores: 0,
+            alu: 0,
         }
+    }
+
+    /// Fold what ran since the last fold into the current phase. The
+    /// per-load path only bumps `execs`; everything a [`Counters`] holds
+    /// is a product of that count and the site's static metadata.
+    fn fold(&mut self) {
+        let c = &mut self
+            .phases
+            .last_mut()
+            .expect("phase list is never empty")
+            .counters;
+        for (h, s) in self.hot.iter_mut().zip(&self.sites) {
+            let execs = std::mem::take(&mut h.execs);
+            // Each execution plus the constant loads its block implies.
+            let loads = execs * (1 + u64::from(s.implied_const));
+            c.loads += loads;
+            c.instrs += loads * INSTRS_PER_LOAD;
+            if h.instrumented {
+                let ptwrites = execs * u64::from(h.packets);
+                c.ptwrites += ptwrites;
+                c.instrumented_loads += execs;
+                c.instrs += ptwrites; // the ptwrite instructions
+            }
+        }
+        let stores = std::mem::take(&mut self.stores);
+        c.stores += stores;
+        c.instrs += stores * INSTRS_PER_STORE + std::mem::take(&mut self.alu);
     }
 
     /// Disable compression: Constant sites are recorded too (the
     /// uncompressed "All⁺" baseline).
     pub fn set_compress(&mut self, compress: bool) {
+        self.fold();
         self.compress = compress;
+        for (h, s) in self.hot.iter_mut().zip(&self.sites) {
+            h.instrumented = !compress || s.class.is_instrumented();
+        }
     }
 
     /// Emulate O0 codegen: every non-Constant site registered *after*
@@ -168,6 +230,7 @@ impl<R: LoadRecorder> TracedSpace<R> {
 
     /// Begin a new phase; subsequent counters accrue to it.
     pub fn phase(&mut self, name: impl Into<String>) {
+        self.fold();
         self.phases.push(Phase {
             name: name.into(),
             counters: Counters::default(),
@@ -220,12 +283,15 @@ impl<R: LoadRecorder> TracedSpace<R> {
         (lo < hi).then_some((lo, hi))
     }
 
-    fn func_id(&mut self, func: &str) -> u32 {
-        match self.funcs.iter().position(|f| f == func) {
-            Some(i) => i as u32,
+    fn func_id(&mut self, func: &str) -> usize {
+        match self.funcs.iter().position(|f| f.name == func) {
+            Some(i) => i,
             None => {
-                self.funcs.push(func.to_string());
-                (self.funcs.len() - 1) as u32
+                self.funcs.push(Func {
+                    name: func.to_string(),
+                    sites: 0,
+                });
+                self.funcs.len() - 1
             }
         }
     }
@@ -240,16 +306,24 @@ impl<R: LoadRecorder> TracedSpace<R> {
         line: u32,
     ) -> SiteId {
         let fid = self.func_id(func);
-        let in_func = self.sites.iter().filter(|s| s.func == func).count() as u64;
+        let in_func = u64::from(self.funcs[fid].sites);
         assert!(in_func * 4 < FUNC_STRIDE, "too many sites in {func}");
-        let ip = Ip(SITE_BASE + u64::from(fid) * FUNC_STRIDE + in_func * 4);
+        self.funcs[fid].sites += 1;
+        let ip = Ip(SITE_BASE + fid as u64 * FUNC_STRIDE + in_func * 4);
         let implied_const = if class.is_instrumented() {
             self.o0_extra
         } else {
             0
         };
+        self.hot.push(HotSite {
+            ip,
+            execs: 0,
+            instrumented: !self.compress || class.is_instrumented(),
+            packets: if two_source { 2 } else { 1 },
+        });
         self.sites.push(Site {
             ip,
+            func_id: FunctionId(fid as u32),
             func: func.to_string(),
             label: label.to_string(),
             class,
@@ -279,73 +353,48 @@ impl<R: LoadRecorder> TracedSpace<R> {
     /// Execute one load through `site` at `addr`.
     #[inline]
     pub fn load(&mut self, site: SiteId, addr: u64) {
-        let s = &self.sites[site.0 as usize];
-        let instrumented = if self.compress {
-            s.class.is_instrumented()
-        } else {
-            true
-        };
-        let packets = if s.two_source { 2 } else { 1 };
-        let implied = u64::from(s.implied_const);
-        let ip = s.ip;
-        self.recorder.record(ip, addr, instrumented, packets);
-
-        let c = &mut self
-            .phases
-            .last_mut()
-            .expect("phase list is never empty")
-            .counters;
-        // This load plus the constant loads its block implies.
-        let loads = 1 + implied;
-        c.loads += loads;
-        c.instrs += loads * INSTRS_PER_LOAD;
-        if instrumented {
-            c.ptwrites += u64::from(packets);
-            c.instrumented_loads += 1;
-            c.instrs += u64::from(packets); // the ptwrite instructions
-        }
-        self.total.loads += loads;
-        self.total.instrs += loads * INSTRS_PER_LOAD;
-        if instrumented {
-            self.total.ptwrites += u64::from(packets);
-            self.total.instrumented_loads += 1;
-            self.total.instrs += u64::from(packets);
-        }
+        let h = &mut self.hot[site.0 as usize];
+        h.execs += 1;
+        self.recorder.record(h.ip, addr, h.instrumented, h.packets);
     }
 
     /// Execute one store (counted, never traced).
     #[inline]
     pub fn store(&mut self, _addr: u64) {
-        let c = &mut self.phases.last_mut().expect("phase").counters;
-        c.stores += 1;
-        c.instrs += INSTRS_PER_STORE;
-        self.total.stores += 1;
-        self.total.instrs += INSTRS_PER_STORE;
+        self.stores += 1;
     }
 
     /// Charge `n` ALU instructions to the current phase.
     #[inline]
     pub fn alu(&mut self, n: u64) {
-        self.phases.last_mut().expect("phase").counters.instrs += n;
-        self.total.instrs += n;
+        self.alu += n;
     }
 
-    /// Total counters.
-    pub fn counters(&self) -> Counters {
-        self.total
+    /// Total counters: the sum over the phases.
+    pub fn counters(&mut self) -> Counters {
+        let mut total = Counters::default();
+        for p in self.phases() {
+            total.loads += p.counters.loads;
+            total.stores += p.counters.stores;
+            total.instrs += p.counters.instrs;
+            total.ptwrites += p.counters.ptwrites;
+            total.instrumented_loads += p.counters.instrumented_loads;
+        }
+        total
     }
 
     /// Per-phase counters.
-    pub fn phases(&self) -> &[Phase] {
+    pub fn phases(&mut self) -> &[Phase] {
+        self.fold();
         &self.phases
     }
 
     /// Build the symbol table covering every registered function.
     pub fn symbols(&self) -> SymbolTable {
         let mut t = SymbolTable::new();
-        for (i, name) in self.funcs.iter().enumerate() {
+        for (i, f) in self.funcs.iter().enumerate() {
             let lo = SITE_BASE + i as u64 * FUNC_STRIDE;
-            t.add_function(name.clone(), Ip(lo), Ip(lo + FUNC_STRIDE), "workload.rs");
+            t.add_function(f.name.clone(), Ip(lo), Ip(lo + FUNC_STRIDE), "workload.rs");
         }
         t
     }
@@ -354,12 +403,7 @@ impl<R: LoadRecorder> TracedSpace<R> {
     pub fn annotations(&self) -> AuxAnnotations {
         let mut ax = AuxAnnotations::new();
         for s in &self.sites {
-            let fid = self
-                .funcs
-                .iter()
-                .position(|f| *f == s.func)
-                .expect("site func registered") as u32;
-            let mut a = IpAnnot::of_class(s.class, FunctionId(fid));
+            let mut a = IpAnnot::of_class(s.class, s.func_id);
             a.two_source = s.two_source;
             a.implied_const = s.implied_const;
             a.src_line = s.line;
@@ -482,6 +526,71 @@ mod tests {
         let t = s.counters();
         assert_eq!(t.loads, 9);
         assert_eq!(t.instrumented_loads, 3);
+    }
+
+    #[test]
+    fn folded_counters_equal_per_operation_accumulation() {
+        // The reference charges every operation to its phase as it
+        // happens; the space defers all of it to the next fold. Phases
+        // and compression flip mid-run, with and without a read between.
+        let mut s = TracedSpace::new(NullRecorder);
+        let meta = [
+            (LoadClass::Strided, true, 2u32),
+            (LoadClass::Constant, false, 0),
+            (LoadClass::Irregular, false, 1),
+        ];
+        let sites: Vec<SiteId> = meta
+            .iter()
+            .map(|&(class, two, implied)| s.site_with_const("f", "x", class, two, 1, implied))
+            .collect();
+        let mut expect = vec![Counters::default()];
+        let mut compress = true;
+        let mut x = 7u64;
+        for step in 0..4000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let c = expect.last_mut().unwrap();
+            match (x >> 33) % 16 {
+                0 => {
+                    s.phase(format!("p{step}"));
+                    expect.push(Counters::default());
+                }
+                1 => {
+                    compress = !compress;
+                    s.set_compress(compress);
+                }
+                2 => assert_eq!(s.phases().len(), expect.len()),
+                3 | 4 => {
+                    s.store(0x40);
+                    c.stores += 1;
+                    c.instrs += INSTRS_PER_STORE;
+                }
+                5 => {
+                    s.alu(x % 9);
+                    c.instrs += x % 9;
+                }
+                k => {
+                    let i = (k % 3) as usize;
+                    s.load(sites[i], x);
+                    let (class, two, implied) = meta[i];
+                    let loads = 1 + u64::from(implied);
+                    c.loads += loads;
+                    c.instrs += loads * INSTRS_PER_LOAD;
+                    if !compress || class.is_instrumented() {
+                        let packets = if two { 2 } else { 1 };
+                        c.ptwrites += packets;
+                        c.instrumented_loads += 1;
+                        c.instrs += packets;
+                    }
+                }
+            }
+        }
+        let got: Vec<Counters> = s.phases().iter().map(|p| p.counters).collect();
+        assert_eq!(got, expect);
+        let total = s.counters();
+        assert_eq!(total.loads, expect.iter().map(|c| c.loads).sum::<u64>());
+        assert_eq!(total.instrs, expect.iter().map(|c| c.instrs).sum::<u64>());
     }
 
     #[test]
