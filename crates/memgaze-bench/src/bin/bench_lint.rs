@@ -1,7 +1,7 @@
 //! BENCH_lint: static verification + differential classification check
 //! over every generated module.
 //!
-//! Runs `lint_module` (IR verifier, abstract-interpretation differential
+//! Runs the lint pass (IR verifier, abstract-interpretation differential
 //! against the fused classifier, instrumentation-plan checker) on the
 //! full O0/O3 microbenchmark suites, a set of synthetic
 //! application-shaped modules, and four absint showcase workloads
@@ -13,7 +13,9 @@
 
 use memgaze_analysis::Table;
 use memgaze_bench::{emit, scales, timed};
-use memgaze_instrument::{lint_module, InstrPlan, InstrumentConfig, ModuleClassification};
+use memgaze_instrument::{
+    lint_and_instrument, InstrPlan, InstrumentConfig, LintArtifacts, ModuleClassification,
+};
 use memgaze_isa::codegen::{self, OptLevel};
 use memgaze_isa::{LoadModule, Severity};
 use memgaze_workloads::modules::{
@@ -124,7 +126,7 @@ fn main() {
     };
 
     for (name, module) in modules() {
-        let (lint_ms, report) = timed(|| lint_module(&module, &config));
+        let (lint_ms, (report, artifacts)) = timed(|| lint_and_instrument(&module, &config));
         let errors = report.count(Severity::Error);
         let warnings = report.count(Severity::Warning);
         for d in &report.diagnostics {
@@ -134,14 +136,22 @@ fn main() {
         total_errors += errors;
         total_warnings += warnings;
 
-        let classification = ModuleClassification::analyze(&module);
-        let base = InstrPlan::build(&module, &classification, &config);
-        let elide = InstrPlan::build(&module, &classification, &InstrumentConfig::eliding());
-        instr.base_instrumented += base.num_instrumented();
-        instr.elision_instrumented += elide.num_instrumented();
-        instr.elided += elide.num_elided();
-        instr.base_trace_bytes += trace_bytes(&classification, &base);
-        instr.elision_trace_bytes += trace_bytes(&classification, &elide);
+        // The lint pass classified and planned the module (unless it is
+        // structurally broken, which the assertion below reports); the
+        // eliding plan is the one thing it did not build.
+        if let Some(LintArtifacts {
+            classification,
+            plan: base,
+            ..
+        }) = artifacts
+        {
+            let elide = InstrPlan::build(&module, &classification, &InstrumentConfig::eliding());
+            instr.base_instrumented += base.num_instrumented();
+            instr.elision_instrumented += elide.num_instrumented();
+            instr.elided += elide.num_elided();
+            instr.base_trace_bytes += trace_bytes(&classification, &base);
+            instr.elision_trace_bytes += trace_bytes(&classification, &elide);
+        }
 
         let d = report.differential;
         rows.push(LintRow {

@@ -15,7 +15,7 @@
 use memgaze_analysis::Table;
 use memgaze_bench::{emit, scales};
 use memgaze_core::{full_trace_workload, trace_workload, MemGaze, PipelineConfig};
-use memgaze_instrument::{InstrumentConfig, Instrumenter};
+use memgaze_instrument::{InstrumentConfig, Instrumenter, ModuleClassification};
 use memgaze_model::{io, DecompressionInfo};
 use memgaze_ptsim::{collect_full, BandwidthModel, SamplerConfig};
 use memgaze_workloads::darknet::{self, Network};
@@ -115,8 +115,11 @@ fn micro_row(name: &str, opt: OptLevel, elems: u32, reps: u32, period: u64) -> T
     let module = bench.module();
     let main = module.find_proc("main").unwrap();
 
-    let comp = Instrumenter::default().instrument(&module);
-    let unc = Instrumenter::new(InstrumentConfig::uncompressed()).instrument(&module);
+    // One classification serves both configurations.
+    let classification = ModuleClassification::analyze(&module);
+    let comp = Instrumenter::default().instrument_classified(&module, &classification);
+    let unc = Instrumenter::new(InstrumentConfig::uncompressed())
+        .instrument_classified(&module, &classification);
 
     // Microbenchmarks barely drop in the paper (their 'Rec' equals
     // 'All'): the IR kernels are small enough that copies keep up. Use a

@@ -166,26 +166,31 @@ impl MemGaze {
         // Opt-in verification gate: with MEMGAZE_VERIFY=1, the module is
         // linted (IR verifier + differential classification + plan
         // checker) and the run aborts on any error-severity diagnostic.
-        if std::env::var("MEMGAZE_VERIFY").is_ok_and(|v| v == "1") {
+        // The run then goes on with the rewrite the linter checked, so
+        // the module is classified and rewritten once either way.
+        let inst = if std::env::var("MEMGAZE_VERIFY").is_ok_and(|v| v == "1") {
             let _span = memgaze_obs::span("pipeline.verify");
-            let report = memgaze_instrument::lint_module(&module, &self.cfg.instrument);
-            if report.has_errors() {
-                let msgs: Vec<String> = report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.severity == memgaze_isa::Severity::Error)
-                    .map(|d| d.to_string())
-                    .collect();
-                return Err(format!(
-                    "MEMGAZE_VERIFY: {} lint error(s) in module '{}':\n{}",
-                    msgs.len(),
-                    module.name,
-                    msgs.join("\n")
-                )
-                .into());
+            let (report, artifacts) =
+                memgaze_instrument::lint_and_instrument(&module, &self.cfg.instrument);
+            match artifacts {
+                Some(artifacts) if !report.has_errors() => artifacts.instrumented,
+                _ => {
+                    let msgs: Vec<String> = report
+                        .diagnostics
+                        .iter()
+                        .filter(|d| d.severity == memgaze_isa::Severity::Error)
+                        .map(|d| d.to_string())
+                        .collect();
+                    return Err(format!(
+                        "MEMGAZE_VERIFY: {} lint error(s) in module '{}':\n{}",
+                        msgs.len(),
+                        module.name,
+                        msgs.join("\n")
+                    )
+                    .into());
+                }
             }
-        }
-        let inst = {
+        } else {
             let _span = memgaze_obs::span("pipeline.instrument");
             Instrumenter::new(self.cfg.instrument.clone()).instrument(&module)
         };

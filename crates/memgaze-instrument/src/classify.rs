@@ -1,8 +1,8 @@
 //! Module-wide load classification.
 //!
 //! Runs the per-procedure data-dependence analysis of `memgaze-isa` over
-//! every procedure of a load module and keys the result by instruction
-//! address, attaching the addressing-mode literals the annotation file
+//! every procedure of a load module and tables the result in instruction-
+//! address order, attaching the addressing-mode literals the annotation file
 //! needs (paper §III-A: "The literals are extracted, keyed by instruction
 //! address, and placed in the auxiliary annotation file").
 
@@ -11,7 +11,6 @@ use memgaze_isa::{
     ModuleAbsInterp,
 };
 use memgaze_model::{Ip, LoadClass};
-use std::collections::BTreeMap;
 
 /// Classification and addressing facts for one static load.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,10 +88,16 @@ fn fuse(dataflow: AddrKind, absint: AbsResult, absint_class: Option<LoadClass>) 
     }
 }
 
-/// Classification of every load in a module, keyed by instruction address.
+/// Classification of every load in a module, in address order.
+///
+/// The analysis visits procedures, blocks and instructions in layout
+/// order, which is address order, so the table is sorted by `ip` as
+/// built: the `k`-th entry is the `k`-th load a walk over the module
+/// meets. The planner, the rewriter and the checker read it by that
+/// position; [`get`](Self::get) is a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct ModuleClassification {
-    loads: BTreeMap<Ip, ClassifiedLoad>,
+    loads: Vec<ClassifiedLoad>,
 }
 
 impl ModuleClassification {
@@ -100,9 +105,10 @@ impl ModuleClassification {
     /// first, then per-procedure dataflow and abstract interpretation,
     /// fused per load.
     pub fn analyze(module: &LoadModule) -> ModuleClassification {
+        let _span = memgaze_obs::span("pipeline.classify");
         let layout = module.layout();
         let mai = ModuleAbsInterp::analyze(module);
-        let mut loads = BTreeMap::new();
+        let mut loads = Vec::with_capacity(module.num_loads());
         for proc in &module.procs {
             let cfg = Cfg::build(proc);
             let forest = LoopForest::build(proc, &cfg);
@@ -118,25 +124,20 @@ impl ModuleClassification {
                             .load_result(block.id, idx)
                             .expect("load must have an absint result");
                         let absint_class = AbsInterp::proven_class(absint, addr);
-                        let kind = fuse(dataflow_kind, absint, absint_class);
-                        let ip = layout.ip_of(proc.id, block.id, idx);
-                        loads.insert(
-                            ip,
-                            ClassifiedLoad {
-                                ip,
-                                proc: proc.id,
-                                block: block.id,
-                                idx,
-                                kind,
-                                dataflow_kind,
-                                absint,
-                                absint_class,
-                                scale: addr.scale,
-                                disp: addr.disp,
-                                num_sources: addr.num_sources(),
-                                src_line: block.src_line,
-                            },
-                        );
+                        loads.push(ClassifiedLoad {
+                            ip: layout.ip_of(proc.id, block.id, idx),
+                            proc: proc.id,
+                            block: block.id,
+                            idx,
+                            kind: fuse(dataflow_kind, absint, absint_class),
+                            dataflow_kind,
+                            absint,
+                            absint_class,
+                            scale: addr.scale,
+                            disp: addr.disp,
+                            num_sources: addr.num_sources(),
+                            src_line: block.src_line,
+                        });
                     }
                 }
             }
@@ -144,14 +145,23 @@ impl ModuleClassification {
         ModuleClassification { loads }
     }
 
-    /// The classification of the load at `ip`.
+    /// The classification of the load at `ip`; `None` for any address
+    /// that is not a load's (another instruction, a terminator, padding,
+    /// unaligned or outside the module).
     pub fn get(&self, ip: Ip) -> Option<&ClassifiedLoad> {
-        self.loads.get(&ip)
+        let at = self.loads.binary_search_by_key(&ip, |l| l.ip).ok()?;
+        self.loads.get(at)
     }
 
     /// All classified loads in address order.
     pub fn loads(&self) -> impl Iterator<Item = &ClassifiedLoad> + '_ {
-        self.loads.values()
+        self.loads.iter()
+    }
+
+    /// The same, as the table the planner, rewriter and checker index
+    /// by load position.
+    pub(crate) fn as_slice(&self) -> &[ClassifiedLoad] {
+        &self.loads
     }
 
     /// Number of static loads.

@@ -32,7 +32,7 @@ pub mod plan;
 pub mod rewrite;
 
 pub use classify::{ClassifiedLoad, ModuleClassification};
-pub use lint::{lint_module, DiffSummary, LintReport};
+pub use lint::{lint_and_instrument, lint_module, DiffSummary, LintArtifacts, LintReport};
 pub use plan::{InstrPlan, PlannedLoad};
 pub use rewrite::{Instrumented, PtwInfo, PtwRole};
 
@@ -160,15 +160,23 @@ impl Instrumenter {
     /// plan, and insert `ptwrite`s, producing the new executable plus the
     /// auxiliary annotation file and source map.
     pub fn instrument(&self, module: &LoadModule) -> Instrumented {
-        let classification = {
-            let _span = memgaze_obs::span("pipeline.classify");
-            ModuleClassification::analyze(module)
-        };
-        let plan = InstrPlan::build(module, &classification, &self.config);
-        {
-            let _span = memgaze_obs::span("pipeline.rewrite");
-            rewrite::apply(module, &classification, &plan, &self.config)
-        }
+        self.instrument_classified(module, &ModuleClassification::analyze(module))
+    }
+
+    /// Plan and rewrite `module` from a classification the caller already
+    /// has. Classifying is the expensive step and does not depend on the
+    /// configuration, so one [`ModuleClassification::analyze`] serves
+    /// every configuration, the linter and the rewriter alike.
+    ///
+    /// # Panics
+    /// Panics if `classification` was not built from `module`.
+    pub fn instrument_classified(
+        &self,
+        module: &LoadModule,
+        classification: &ModuleClassification,
+    ) -> Instrumented {
+        let plan = InstrPlan::build(module, classification, &self.config);
+        rewrite::apply(module, classification, &plan, &self.config)
     }
 }
 

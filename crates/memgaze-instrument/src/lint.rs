@@ -22,16 +22,16 @@
 //!    into the original module, and annotation implied-Constant counts
 //!    reconcile with the plan and per-block load counts.
 
-use crate::classify::ModuleClassification;
-use crate::plan::InstrPlan;
-use crate::rewrite::{Instrumented, PtwInfo, PtwRole};
-use crate::{InstrumentConfig, Instrumenter};
+use crate::classify::{ClassifiedLoad, ModuleClassification};
+use crate::plan::{same_block, InstrPlan, PlannedLoad};
+use crate::rewrite::{self, Instrumented, PtwInfo, PtwRole};
+use crate::InstrumentConfig;
 use memgaze_isa::absint::AbsResult;
+use memgaze_isa::module::ModuleLayout;
 use memgaze_isa::verify::{self, Diagnostic, LintId, Severity, Site};
 use memgaze_isa::{AddrKind, Instr, LoadModule};
 use memgaze_model::{Ip, LoadClass};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Aggregate outcome of the differential classification pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,7 +193,11 @@ pub fn differential_pass(
 /// Check `rewrite::apply` output against the plan it was built from.
 ///
 /// `classification` and `plan` must be recomputed from the *original*
-/// module with the same `config` (they are deterministic).
+/// module with the same `config` (they are deterministic); handed tables
+/// of another module the checker says so in one [`LintId::StatsMismatch`]
+/// and stops. The artifacts in `inst` are what is under suspicion: each
+/// is read once, in address order, against the tables, and an entry that
+/// is missing, surplus or out of place is reported, never assumed away.
 pub fn check_instrumented(
     orig: &LoadModule,
     inst: &Instrumented,
@@ -201,296 +205,35 @@ pub fn check_instrumented(
     plan: &InstrPlan,
     config: &InstrumentConfig,
 ) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
     let name = &inst.module.name;
+    let (classified, planned) = (classification.as_slice(), plan.as_slice());
     let orig_layout = orig.layout();
-    let new_layout = inst.module.layout();
-
-    // --- ptwrite groups ---------------------------------------------------
-    // Group ptw_map entries by the load they instrument; BTreeMap keys are
-    // new addresses, so each group comes out in address order.
-    let mut groups: BTreeMap<Ip, Vec<(Ip, PtwInfo)>> = BTreeMap::new();
-    for (&ip, &info) in &inst.ptw_map {
-        groups.entry(info.load_ip).or_default().push((ip, info));
-    }
-    for (&load_ip, decision) in plan.iter() {
-        let cl = classification
-            .get(load_ip)
-            .expect("planned load classified");
-        let site = || Site::instr(name, cl.proc, cl.block, cl.idx, Some(load_ip));
-        let expected = if decision.instrument {
-            cl.num_sources
-        } else {
-            0
-        };
-        let group = groups.remove(&load_ip).unwrap_or_default();
-        if group.len() < expected {
-            diags.push(Diagnostic::error(
-                LintId::MissingPtwrite,
-                site(),
-                format!(
-                    "load has {} ptwrites, plan requires {expected}",
-                    group.len()
-                ),
-            ));
-            continue;
-        }
-        if group.len() > expected {
-            diags.push(Diagnostic::error(
-                LintId::DuplicatePtwrite,
-                site(),
-                format!(
-                    "load has {} ptwrites, plan requires {expected}",
-                    group.len()
-                ),
-            ));
-            continue;
-        }
-        // Role order (Base before Index), exactly one `last` on the final
-        // entry, and payload registers matching the addressing mode.
-        let roles: Vec<PtwRole> = group.iter().map(|(_, i)| i.role).collect();
-        let mut expected_roles: Vec<PtwRole> = Vec::new();
-        if base_reg_of(orig, cl.proc, cl.block, cl.idx).is_some() {
-            expected_roles.push(PtwRole::Base);
-        }
-        if index_reg_of(orig, cl.proc, cl.block, cl.idx).is_some() {
-            expected_roles.push(PtwRole::Index);
-        }
-        if expected > 0 && roles != expected_roles {
-            diags.push(Diagnostic::error(
-                LintId::PtwriteGroupOrder,
-                site(),
-                format!("ptwrite roles {roles:?}, expected {expected_roles:?}"),
-            ));
-        }
-        let lasts: Vec<bool> = group.iter().map(|(_, i)| i.last).collect();
-        if expected > 0
-            && (lasts.iter().filter(|&&l| l).count() != 1 || lasts.last() != Some(&true))
-        {
-            diags.push(Diagnostic::error(
-                LintId::PtwriteGroupOrder,
-                site(),
-                format!("bad `last` marking {lasts:?} in ptwrite group"),
-            ));
-        }
-        // Each entry must point at an actual Ptwrite of the right register
-        // placed before the load in the same block.
-        for (ptw_ip, info) in &group {
-            match located_instr(&inst.module, &new_layout, *ptw_ip) {
-                Some(Instr::Ptwrite { src }) => {
-                    let want = match info.role {
-                        PtwRole::Base => base_reg_of(orig, cl.proc, cl.block, cl.idx),
-                        PtwRole::Index => index_reg_of(orig, cl.proc, cl.block, cl.idx),
-                    };
-                    if want != Some(src) {
-                        diags.push(Diagnostic::error(
-                            LintId::OrphanPtwrite,
-                            site(),
-                            format!(
-                                "ptwrite at {ptw_ip} writes {src}, expected {want:?} for \
-                                 role {:?}",
-                                info.role
-                            ),
-                        ));
-                    }
-                }
-                other => diags.push(Diagnostic::error(
-                    LintId::OrphanPtwrite,
-                    site(),
-                    format!("ptw_map entry {ptw_ip} points at {other:?}, not a ptwrite"),
-                )),
-            }
-        }
-    }
-    // Groups not consumed above instrument a load the plan doesn't know.
-    for (load_ip, group) in groups {
-        diags.push(Diagnostic::error(
-            LintId::OrphanPtwrite,
-            Site::module(name),
-            format!("{} ptwrites for unplanned load {load_ip}", group.len()),
-        ));
-    }
-    // Reverse direction: every Ptwrite instruction has a ptw_map entry.
-    for proc in &inst.module.procs {
-        for block in &proc.blocks {
-            for (idx, ins) in block.instrs.iter().enumerate() {
-                if ins.is_ptwrite() {
-                    let ip = new_layout.ip_of(proc.id, block.id, idx);
-                    if !inst.ptw_map.contains_key(&ip) {
-                        diags.push(Diagnostic::error(
-                            LintId::OrphanPtwrite,
-                            Site::instr(name, proc.id, block.id, idx, Some(ip)),
-                            "ptwrite instruction missing from ptw_map".to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // --- source map: total, round-tripping, injective, order-preserving ---
-    let mut remap: Vec<Ip> = Vec::new();
-    for proc in &inst.module.procs {
-        for block in &proc.blocks {
-            for idx in 0..block.len() {
-                let new_ip = new_layout.ip_of(proc.id, block.id, idx);
-                let Some(loc) = inst.source_map.resolve(new_ip) else {
-                    diags.push(Diagnostic::error(
-                        LintId::SourceMapMissing,
-                        Site::instr(name, proc.id, block.id, idx, Some(new_ip)),
-                        "new instruction has no source-map entry".to_string(),
-                    ));
-                    continue;
-                };
-                if orig_layout.locate(loc.orig_ip).is_none() {
-                    diags.push(Diagnostic::error(
-                        LintId::SourceMapDangling,
-                        Site::instr(name, proc.id, block.id, idx, Some(new_ip)),
-                        format!(
-                            "source-map target {} is not an original instruction",
-                            loc.orig_ip
-                        ),
-                    ));
-                    continue;
-                }
-                // Inserted ptwrites legitimately share their load's origin;
-                // every other instruction must map to a distinct original
-                // in the original order.
-                let is_ptw = idx < block.instrs.len() && block.instrs[idx].is_ptwrite();
-                if !is_ptw {
-                    remap.push(loc.orig_ip);
-                }
-            }
-        }
-    }
-    for w in remap.windows(2) {
-        if w[1] == w[0] {
-            diags.push(Diagnostic::error(
-                LintId::RemapNotInjective,
-                Site::module(name),
-                format!("two non-inserted instructions map to original {}", w[0]),
-            ));
-        } else if w[1] < w[0] {
-            diags.push(Diagnostic::error(
-                LintId::RemapOrderViolation,
-                Site::module(name),
-                format!("original order inverted: {} after {}", w[1], w[0]),
-            ));
-        }
-    }
-
-    // --- annotations reconcile with classification and plan ---------------
-    for cl in classification.loads() {
-        let site = || Site::instr(name, cl.proc, cl.block, cl.idx, Some(cl.ip));
-        let Some(a) = inst.annots.get(cl.ip) else {
-            diags.push(Diagnostic::error(
-                LintId::AnnotationMismatch,
-                site(),
-                "load has no annotation".to_string(),
-            ));
-            continue;
-        };
-        if a.class != cl.class() || a.scale != cl.scale || a.offset != cl.disp {
-            diags.push(Diagnostic::error(
-                LintId::AnnotationMismatch,
-                site(),
-                format!(
-                    "annotation (class {:?}, scale {}, offset {}) disagrees with \
-                     classification (class {:?}, scale {}, offset {})",
-                    a.class,
-                    a.scale,
-                    a.offset,
-                    cl.class(),
-                    cl.scale,
-                    cl.disp
-                ),
-            ));
-        }
-        let planned = plan.get(cl.ip).expect("classified load planned");
-        if a.implied_const != planned.implied_const {
-            diags.push(Diagnostic::error(
-                LintId::ImpliedCountMismatch,
-                site(),
-                format!(
-                    "annotation implies {} constant loads, plan says {}",
-                    a.implied_const, planned.implied_const
-                ),
-            ));
-        }
-    }
-    if inst.annots.len() != classification.len() {
-        diags.push(Diagnostic::error(
-            LintId::AnnotationMismatch,
+    if !tables_line_up(orig, &orig_layout, classified, planned) {
+        return vec![Diagnostic::error(
+            LintId::StatsMismatch,
             Site::module(name),
             format!(
-                "{} annotations for {} classified loads",
-                inst.annots.len(),
-                classification.len()
+                "plan of {} loads and classification of {} loads were not built from this \
+                 module of {} loads",
+                planned.len(),
+                classified.len(),
+                orig.num_loads()
             ),
-        ));
+        )];
     }
-    // Per-block conservation (Fig. 2): in a compressed ROI block with any
-    // instrumentation, observed + implied loads reconstruct the block's
-    // static load count.
-    if config.compresses() {
-        for proc in &orig.procs {
-            if !config.in_roi(&proc.name) {
-                continue;
-            }
-            for block in &proc.blocks {
-                let loads: Vec<Ip> = block
-                    .load_positions()
-                    .map(|idx| orig_layout.ip_of(proc.id, block.id, idx))
-                    .collect();
-                if loads.is_empty() {
-                    continue;
-                }
-                let decisions: Vec<_> = loads
-                    .iter()
-                    .map(|ip| plan.get(*ip).expect("planned"))
-                    .collect();
-                let instrumented = decisions.iter().filter(|d| d.instrument).count() as u64;
-                let implied: u64 = decisions.iter().map(|d| d.implied_const as u64).sum();
-                let elided = decisions.iter().filter(|d| d.elided).count() as u64;
-                if (instrumented > 0 || elided > 0)
-                    && instrumented + implied + elided != loads.len() as u64
-                {
-                    diags.push(Diagnostic::error(
-                        LintId::ImpliedCountMismatch,
-                        Site {
-                            proc: Some(proc.id),
-                            block: Some(block.id),
-                            ..Site::module(name)
-                        },
-                        format!(
-                            "{}: block observes {instrumented} + implies {implied} + \
-                             elides {elided} loads but contains {}",
-                            proc.name,
-                            loads.len()
-                        ),
-                    ));
-                }
-            }
-        }
-    }
+    let new_layout = inst.module.layout();
+    let mut diags = Vec::new();
+    check_ptwrites(orig, inst, &new_layout, classified, planned, &mut diags);
+    check_source_map(&orig_layout, inst, &new_layout, &mut diags);
+    check_annotations(inst, classified, planned, &mut diags);
+    let counts = check_conservation(orig, name, classified, planned, config, &mut diags);
 
     // --- stats reconcile ---------------------------------------------------
-    let mut counts = (0u64, 0u64, 0u64);
-    for cl in classification.loads() {
-        if !config.in_roi(&orig.proc(cl.proc).name) {
-            continue;
-        }
-        match cl.kind {
-            AddrKind::Constant => counts.0 += 1,
-            AddrKind::Strided { .. } => counts.1 += 1,
-            AddrKind::Irregular => counts.2 += 1,
-        }
-    }
     let s = &inst.stats;
     let expect = [
-        ("constant_loads", s.constant_loads, counts.0),
-        ("strided_loads", s.strided_loads, counts.1),
-        ("irregular_loads", s.irregular_loads, counts.2),
+        ("constant_loads", s.constant_loads, counts[0]),
+        ("strided_loads", s.strided_loads, counts[1]),
+        ("irregular_loads", s.irregular_loads, counts[2]),
         (
             "instrumented_loads",
             s.instrumented_loads,
@@ -520,73 +263,460 @@ pub fn check_instrumented(
     diags
 }
 
-fn located_instr(
-    module: &LoadModule,
-    layout: &memgaze_isa::module::ModuleLayout,
-    ip: Ip,
-) -> Option<Instr> {
-    let (p, b, idx) = layout.locate(ip)?;
-    module.proc(p).block(b).instrs.get(idx).copied()
+/// Whether entry `k` of both tables is the `k`-th load a walk over
+/// `orig` meets, for every `k` — the address-order invariant every pass
+/// below reads the tables by.
+fn tables_line_up(
+    orig: &LoadModule,
+    layout: &ModuleLayout,
+    classified: &[ClassifiedLoad],
+    planned: &[(Ip, PlannedLoad)],
+) -> bool {
+    let mut tabled = classified.iter().zip(planned);
+    for proc in &orig.procs {
+        for block in &proc.blocks {
+            for idx in block.load_positions() {
+                let ip = layout.ip_of(proc.id, block.id, idx);
+                let in_place = tabled.next().is_some_and(|(cl, (planned_ip, _))| {
+                    (cl.ip, cl.proc, cl.block, cl.idx) == (ip, proc.id, block.id, idx)
+                        && *planned_ip == ip
+                });
+                if !in_place {
+                    return false;
+                }
+            }
+        }
+    }
+    classified.len() == planned.len() && tabled.next().is_none()
 }
 
-fn base_reg_of(
-    module: &LoadModule,
-    proc: memgaze_isa::ProcId,
-    block: memgaze_isa::BlockId,
-    idx: usize,
-) -> Option<memgaze_isa::Reg> {
-    module.proc(proc).block(block).instrs[idx]
-        .addr_mode()
-        .and_then(|a| a.base)
+/// One `ptw_map` entry and the instruction of the rewritten module it
+/// points at (`None`: a terminator, padding, or no address of the
+/// module at all).
+struct PtwEntry {
+    ptw_ip: Ip,
+    info: PtwInfo,
+    target: Option<Instr>,
 }
 
-fn index_reg_of(
-    module: &LoadModule,
-    proc: memgaze_isa::ProcId,
-    block: memgaze_isa::BlockId,
-    idx: usize,
-) -> Option<memgaze_isa::Reg> {
-    module.proc(proc).block(block).instrs[idx]
-        .addr_mode()
-        .and_then(|a| a.index)
+/// `ptwrite` groups: complete, well-ordered, pointing at the right
+/// instructions, and covering every `ptwrite` of the rewritten module.
+fn check_ptwrites(
+    orig: &LoadModule,
+    inst: &Instrumented,
+    new_layout: &ModuleLayout,
+    classified: &[ClassifiedLoad],
+    planned: &[(Ip, PlannedLoad)],
+    diags: &mut Vec<Diagnostic>,
+) {
+    let name = &inst.module.name;
+
+    // Walk the rewritten code and `ptw_map` together, both in new-address
+    // order: each entry meets the instruction at its address, and each
+    // `ptwrite` instruction its entry.
+    let mut entries: Vec<PtwEntry> = Vec::with_capacity(inst.ptw_map.len());
+    let mut unmapped = Vec::new();
+    let mut map = inst.ptw_map.iter().peekable();
+    let entry = |(&ptw_ip, &info): (&Ip, &PtwInfo), target| PtwEntry {
+        ptw_ip,
+        info,
+        target,
+    };
+    for proc in &inst.module.procs {
+        for block in &proc.blocks {
+            for (idx, ins) in block.instrs.iter().enumerate() {
+                let ip = new_layout.ip_of(proc.id, block.id, idx);
+                while let Some(e) = map.next_if(|e| *e.0 < ip) {
+                    entries.push(entry(e, None));
+                }
+                match map.next_if(|e| *e.0 == ip) {
+                    Some(e) => entries.push(entry(e, Some(*ins))),
+                    None if ins.is_ptwrite() => unmapped.push(Diagnostic::error(
+                        LintId::OrphanPtwrite,
+                        Site::instr(name, proc.id, block.id, idx, Some(ip)),
+                        "ptwrite instruction missing from ptw_map".to_string(),
+                    )),
+                    None => {}
+                }
+            }
+        }
+    }
+    entries.extend(map.map(|e| entry(e, None)));
+
+    // Group the entries by the load they instrument. A sound rewrite
+    // emits them grouped already; within a group they stay in address
+    // order either way.
+    if !entries.is_sorted_by_key(|e| e.info.load_ip) {
+        entries.sort_by_key(|e| e.info.load_ip);
+    }
+    let mut groups = entries
+        .chunk_by(|a, b| a.info.load_ip == b.info.load_ip)
+        .peekable();
+    // Groups instrumenting a load the plan doesn't know.
+    let mut unplanned = Vec::new();
+    let mut orphan = |group: &[PtwEntry]| {
+        unplanned.push(Diagnostic::error(
+            LintId::OrphanPtwrite,
+            Site::module(name),
+            format!(
+                "{} ptwrites for unplanned load {}",
+                group.len(),
+                group[0].info.load_ip
+            ),
+        ));
+    };
+
+    for (cl, &(load_ip, decision)) in classified.iter().zip(planned) {
+        while let Some(g) = groups.next_if(|g| g[0].info.load_ip < load_ip) {
+            orphan(g);
+        }
+        let group = groups
+            .next_if(|g| g[0].info.load_ip == load_ip)
+            .unwrap_or(&[]);
+        let site = || Site::instr(name, cl.proc, cl.block, cl.idx, Some(load_ip));
+        let expected = if decision.instrument {
+            cl.num_sources
+        } else {
+            0
+        };
+        if group.len() != expected {
+            let lint = if group.len() < expected {
+                LintId::MissingPtwrite
+            } else {
+                LintId::DuplicatePtwrite
+            };
+            diags.push(Diagnostic::error(
+                lint,
+                site(),
+                format!(
+                    "load has {} ptwrites, plan requires {expected}",
+                    group.len()
+                ),
+            ));
+            continue;
+        }
+        // Role order (Base before Index), exactly one `last` on the final
+        // entry, and payload registers matching the addressing mode.
+        let addr = orig.proc(cl.proc).block(cl.block).instrs[cl.idx]
+            .addr_mode()
+            .expect("tables line up: a load");
+        let expected_roles = [(addr.base, PtwRole::Base), (addr.index, PtwRole::Index)]
+            .into_iter()
+            .filter_map(|(reg, role)| reg.map(|_| role));
+        let roles = group.iter().map(|e| e.info.role);
+        if expected > 0 && !roles.clone().eq(expected_roles.clone()) {
+            diags.push(Diagnostic::error(
+                LintId::PtwriteGroupOrder,
+                site(),
+                format!(
+                    "ptwrite roles {:?}, expected {:?}",
+                    roles.collect::<Vec<_>>(),
+                    expected_roles.collect::<Vec<_>>()
+                ),
+            ));
+        }
+        let lasts = group.iter().map(|e| e.info.last);
+        if !lasts.clone().eq((1..=expected).map(|nth| nth == expected)) {
+            diags.push(Diagnostic::error(
+                LintId::PtwriteGroupOrder,
+                site(),
+                format!(
+                    "bad `last` marking {:?} in ptwrite group",
+                    lasts.collect::<Vec<_>>()
+                ),
+            ));
+        }
+        // Each entry must point at an actual Ptwrite of the right register
+        // placed before the load in the same block.
+        for &PtwEntry {
+            ptw_ip,
+            info,
+            target,
+        } in group
+        {
+            match target {
+                Some(Instr::Ptwrite { src }) => {
+                    let want = match info.role {
+                        PtwRole::Base => addr.base,
+                        PtwRole::Index => addr.index,
+                    };
+                    if want != Some(src) {
+                        diags.push(Diagnostic::error(
+                            LintId::OrphanPtwrite,
+                            site(),
+                            format!(
+                                "ptwrite at {ptw_ip} writes {src}, expected {want:?} for \
+                                 role {:?}",
+                                info.role
+                            ),
+                        ));
+                    }
+                }
+                other => diags.push(Diagnostic::error(
+                    LintId::OrphanPtwrite,
+                    site(),
+                    format!("ptw_map entry {ptw_ip} points at {other:?}, not a ptwrite"),
+                )),
+            }
+        }
+    }
+    groups.for_each(orphan);
+    diags.append(&mut unplanned);
+    // Reverse direction: every Ptwrite instruction has a ptw_map entry.
+    diags.append(&mut unmapped);
+}
+
+/// Source map: total, round-tripping, injective, order-preserving.
+fn check_source_map(
+    orig_layout: &ModuleLayout,
+    inst: &Instrumented,
+    new_layout: &ModuleLayout,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let name = &inst.module.name;
+    let mut map = inst.source_map.iter().peekable();
+    // A sound remap names the original instructions in order, so the next
+    // original address answers "is this one?" without a search; anything
+    // else is looked up, so an out-of-order but real address is told
+    // apart from a dangling one.
+    let mut next_orig = orig_layout.instr_ips().peekable();
+    let mut prev: Option<Ip> = None;
+    let mut remap = Vec::new();
+    for proc in &inst.module.procs {
+        for block in &proc.blocks {
+            for idx in 0..block.len() {
+                let new_ip = new_layout.ip_of(proc.id, block.id, idx);
+                let site = || Site::instr(name, proc.id, block.id, idx, Some(new_ip));
+                while map.next_if(|e| *e.0 < new_ip).is_some() {}
+                let Some((_, loc)) = map.next_if(|e| *e.0 == new_ip) else {
+                    diags.push(Diagnostic::error(
+                        LintId::SourceMapMissing,
+                        site(),
+                        "new instruction has no source-map entry".to_string(),
+                    ));
+                    continue;
+                };
+                let in_order = next_orig.peek() == Some(&loc.orig_ip);
+                if !in_order && orig_layout.locate(loc.orig_ip).is_none() {
+                    diags.push(Diagnostic::error(
+                        LintId::SourceMapDangling,
+                        site(),
+                        format!(
+                            "source-map target {} is not an original instruction",
+                            loc.orig_ip
+                        ),
+                    ));
+                    continue;
+                }
+                // Inserted ptwrites legitimately share their load's origin;
+                // every other instruction must map to a distinct original
+                // in the original order.
+                if block.instrs.get(idx).is_some_and(Instr::is_ptwrite) {
+                    continue;
+                }
+                if in_order {
+                    next_orig.next();
+                }
+                match prev {
+                    Some(p) if loc.orig_ip == p => remap.push(Diagnostic::error(
+                        LintId::RemapNotInjective,
+                        Site::module(name),
+                        format!("two non-inserted instructions map to original {p}"),
+                    )),
+                    Some(p) if loc.orig_ip < p => remap.push(Diagnostic::error(
+                        LintId::RemapOrderViolation,
+                        Site::module(name),
+                        format!("original order inverted: {} after {p}", loc.orig_ip),
+                    )),
+                    _ => {}
+                }
+                prev = Some(loc.orig_ip);
+            }
+        }
+    }
+    diags.append(&mut remap);
+}
+
+/// Annotations reconcile with classification and plan.
+fn check_annotations(
+    inst: &Instrumented,
+    classified: &[ClassifiedLoad],
+    planned: &[(Ip, PlannedLoad)],
+    diags: &mut Vec<Diagnostic>,
+) {
+    let name = &inst.module.name;
+    let mut annots = inst.annots.iter().peekable();
+    for (cl, (_, planned)) in classified.iter().zip(planned) {
+        let site = || Site::instr(name, cl.proc, cl.block, cl.idx, Some(cl.ip));
+        while annots.next_if(|a| *a.0 < cl.ip).is_some() {}
+        let Some((_, a)) = annots.next_if(|a| *a.0 == cl.ip) else {
+            diags.push(Diagnostic::error(
+                LintId::AnnotationMismatch,
+                site(),
+                "load has no annotation".to_string(),
+            ));
+            continue;
+        };
+        if a.class != cl.class() || a.scale != cl.scale || a.offset != cl.disp {
+            diags.push(Diagnostic::error(
+                LintId::AnnotationMismatch,
+                site(),
+                format!(
+                    "annotation (class {:?}, scale {}, offset {}) disagrees with \
+                     classification (class {:?}, scale {}, offset {})",
+                    a.class,
+                    a.scale,
+                    a.offset,
+                    cl.class(),
+                    cl.scale,
+                    cl.disp
+                ),
+            ));
+        }
+        if a.implied_const != planned.implied_const {
+            diags.push(Diagnostic::error(
+                LintId::ImpliedCountMismatch,
+                site(),
+                format!(
+                    "annotation implies {} constant loads, plan says {}",
+                    a.implied_const, planned.implied_const
+                ),
+            ));
+        }
+    }
+    if inst.annots.len() != classified.len() {
+        diags.push(Diagnostic::error(
+            LintId::AnnotationMismatch,
+            Site::module(name),
+            format!(
+                "{} annotations for {} classified loads",
+                inst.annots.len(),
+                classified.len()
+            ),
+        ));
+    }
+}
+
+/// Per-block conservation (Fig. 2): in a compressed ROI block with any
+/// instrumentation, observed + implied + elided loads reconstruct the
+/// block's static load count. Returns the ROI's Constant, Strided and
+/// Irregular load counts, which the same walk over the blocks tallies.
+fn check_conservation(
+    orig: &LoadModule,
+    name: &str,
+    classified: &[ClassifiedLoad],
+    planned: &[(Ip, PlannedLoad)],
+    config: &InstrumentConfig,
+    diags: &mut Vec<Diagnostic>,
+) -> [u64; 3] {
+    let mut counts = [0u64; 3];
+    let mut done = 0;
+    for loads in classified.chunk_by(same_block) {
+        let decisions = &planned[done..done + loads.len()];
+        done += loads.len();
+        let (proc, block) = (loads[0].proc, loads[0].block);
+        let proc_name = &orig.proc(proc).name;
+        if !config.in_roi(proc_name) {
+            continue;
+        }
+        for cl in loads {
+            counts[match cl.kind {
+                AddrKind::Constant => 0,
+                AddrKind::Strided { .. } => 1,
+                AddrKind::Irregular => 2,
+            }] += 1;
+        }
+        if !config.compresses() {
+            continue;
+        }
+        let instrumented = decisions.iter().filter(|d| d.1.instrument).count() as u64;
+        let elided = decisions.iter().filter(|d| d.1.elided).count() as u64;
+        let implied: u64 = decisions.iter().map(|d| d.1.implied_const as u64).sum();
+        if (instrumented > 0 || elided > 0) && instrumented + implied + elided != loads.len() as u64
+        {
+            diags.push(Diagnostic::error(
+                LintId::ImpliedCountMismatch,
+                Site {
+                    proc: Some(proc),
+                    block: Some(block),
+                    ..Site::module(name)
+                },
+                format!(
+                    "{proc_name}: block observes {instrumented} + implies {implied} + \
+                     elides {elided} loads but contains {}",
+                    loads.len()
+                ),
+            ));
+        }
+    }
+    counts
+}
+
+/// What a lint pass built on the way to its report, for a caller that
+/// goes on to use it instead of classifying and rewriting again.
+#[derive(Debug, Clone)]
+pub struct LintArtifacts {
+    /// The module's classification.
+    pub classification: ModuleClassification,
+    /// The plan under the linted configuration.
+    pub plan: InstrPlan,
+    /// The rewritten module and side tables the checker examined.
+    pub instrumented: Instrumented,
 }
 
 /// Lint a module end to end: verify the original IR, run the differential
 /// classification pass, instrument under `config`, verify the rewritten
 /// module, and check the plan artifacts.
 pub fn lint_module(module: &LoadModule, config: &InstrumentConfig) -> LintReport {
+    lint_and_instrument(module, config).0
+}
+
+/// [`lint_module`], handing back what it classified, planned and
+/// rewrote — once each — beside the report. `None` when the verifier
+/// found structural errors and nothing further ran.
+pub fn lint_and_instrument(
+    module: &LoadModule,
+    config: &InstrumentConfig,
+) -> (LintReport, Option<LintArtifacts>) {
     let mut diagnostics = verify::verify_module(module);
-    let structural_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
     let mut differential = DiffSummary::default();
     // Instrumenting a structurally broken module would panic; stop at the
     // verifier's findings in that case.
-    if !structural_errors {
+    let structural_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
+    let artifacts = (!structural_errors).then(|| {
         let classification = ModuleClassification::analyze(module);
         let (diff_diags, summary) = differential_pass(module, &classification);
         diagnostics.extend(diff_diags);
         differential = summary;
 
         let plan = InstrPlan::build(module, &classification, config);
-        let inst = Instrumenter::new(config.clone()).instrument(module);
-        diagnostics.extend(verify::verify_module(&inst.module));
+        let instrumented = rewrite::apply(module, &classification, &plan, config);
+        diagnostics.extend(verify::verify_module(&instrumented.module));
         diagnostics.extend(check_instrumented(
             module,
-            &inst,
+            &instrumented,
             &classification,
             &plan,
             config,
         ));
-    }
-    LintReport {
+        LintArtifacts {
+            classification,
+            plan,
+            instrumented,
+        }
+    });
+    let report = LintReport {
         module: module.name.clone(),
         diagnostics,
         differential,
-    }
+    };
+    (report, artifacts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Instrumenter;
     use memgaze_isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
 
     fn gen(compose: Compose, opt: OptLevel) -> LoadModule {

@@ -7,11 +7,10 @@
 //! instrumented itself). The proxy's annotation carries the number of
 //! implied Constant loads, making the compression non-lossy.
 
-use crate::classify::ModuleClassification;
+use crate::classify::{ClassifiedLoad, ModuleClassification};
 use crate::InstrumentConfig;
 use memgaze_isa::{AddrKind, LoadModule};
 use memgaze_model::Ip;
-use std::collections::BTreeMap;
 
 /// What the plan decides for one static load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,163 +24,144 @@ pub struct PlannedLoad {
     pub elided: bool,
 }
 
-/// The full instrumentation plan, keyed by original load address.
+/// The full instrumentation plan: one decision per static load, in
+/// address order — entry `k` decides the classification's load `k`.
 #[derive(Debug, Clone, Default)]
 pub struct InstrPlan {
-    decisions: BTreeMap<Ip, PlannedLoad>,
+    decisions: Vec<(Ip, PlannedLoad)>,
+}
+
+/// The loads of one basic block: a run of the address-ordered table.
+pub(crate) fn same_block(a: &ClassifiedLoad, b: &ClassifiedLoad) -> bool {
+    (a.proc, a.block) == (b.proc, b.block)
 }
 
 impl InstrPlan {
     /// Build the plan for `module` under `config`.
+    ///
+    /// # Panics
+    /// Panics if `classification` does not classify `module`'s loads.
     pub fn build(
         module: &LoadModule,
         classification: &ModuleClassification,
         config: &InstrumentConfig,
     ) -> InstrPlan {
-        let layout = module.layout();
-        let mut decisions = BTreeMap::new();
+        assert_eq!(
+            classification.len(),
+            module.num_loads(),
+            "classification of another module: {} classified loads, module has {}",
+            classification.len(),
+            module.num_loads()
+        );
+        // A load with no source register (global-absolute addressing)
+        // cannot be `ptwrite`n without an extra register, which the
+        // paper's scheme deliberately avoids (§III-A); such loads are only
+        // ever implied by a proxy.
+        let instrumentable = |cl: &ClassifiedLoad| cl.num_sources > 0;
+        let constant = |cl: &ClassifiedLoad| cl.kind == AddrKind::Constant;
+        // A load may be elided only when both oracles agree on the same
+        // nonzero stride: the final class says Strided{s} and the
+        // abstract interpreter *proved* that exact s. The annotation then
+        // reconstructs the address sequence.
+        let elidable = |cl: &ClassifiedLoad| {
+            config.elides()
+                && instrumentable(cl)
+                && matches!(cl.kind, AddrKind::Strided { stride }
+                            if stride != 0 && cl.absint.stride() == Some(stride))
+        };
 
-        for proc in &module.procs {
-            let in_roi = config.in_roi(&proc.name);
-            for block in &proc.blocks {
-                // Gather this block's loads in order. A load with no
-                // source register (global-absolute addressing) cannot be
-                // `ptwrite`n without an extra register, which the paper's
-                // scheme deliberately avoids (§III-A); such loads are only
-                // ever implied by a proxy.
-                let loads: Vec<(Ip, AddrKind, usize, Option<i64>)> = block
-                    .load_positions()
-                    .map(|idx| {
-                        let ip = layout.ip_of(proc.id, block.id, idx);
-                        let cl = classification.get(ip).expect("classified load");
-                        (ip, cl.kind, cl.num_sources, cl.absint.stride())
-                    })
-                    .collect();
-                if loads.is_empty() {
-                    continue;
-                }
-                if !in_roi {
-                    for (ip, _, _, _) in loads {
-                        decisions.insert(
-                            ip,
-                            PlannedLoad {
-                                instrument: false,
-                                implied_const: 0,
-                                elided: false,
-                            },
-                        );
-                    }
-                    continue;
-                }
-                if !config.compresses() {
-                    // Uncompressed: every instrumentable load is
-                    // instrumented, none imply others.
-                    for (ip, _, srcs, _) in loads {
-                        decisions.insert(
-                            ip,
-                            PlannedLoad {
-                                instrument: srcs > 0,
-                                implied_const: 0,
-                                elided: false,
-                            },
-                        );
-                    }
-                    continue;
-                }
-
-                let const_count = loads
-                    .iter()
-                    .filter(|(_, k, _, _)| *k == AddrKind::Constant)
-                    .count() as u32;
-                // A load may be elided only when both oracles agree on the
-                // same nonzero stride: the final class says Strided{s} and
-                // the abstract interpreter *proved* that exact s. The
-                // annotation then reconstructs the address sequence.
-                let mut elided: Vec<bool> = loads
-                    .iter()
-                    .map(|(_, k, srcs, abs)| {
-                        config.elides()
-                            && *srcs > 0
-                            && matches!(k, AddrKind::Strided { stride }
-                                        if *stride != 0 && *abs == Some(*stride))
-                    })
-                    .collect();
-                // Proxy preference (Fig. 2): first instrumentable
-                // non-elided Strided/Irregular load, else first
-                // instrumentable Constant load.
-                let mut proxy_pos = loads
-                    .iter()
-                    .enumerate()
-                    .position(|(i, (_, k, s, _))| {
-                        !elided[i] && !matches!(k, AddrKind::Constant) && *s > 0
-                    })
-                    .or_else(|| {
-                        loads
-                            .iter()
-                            .position(|(_, k, s, _)| matches!(k, AddrKind::Constant) && *s > 0)
-                    });
-                // Constant loads need a proxy to imply their counts; if
-                // elision removed every candidate, un-elide one to serve.
-                if proxy_pos.is_none() && const_count > 0 {
-                    if let Some(i) = elided.iter().position(|&e| e) {
-                        elided[i] = false;
-                        proxy_pos = Some(i);
-                    }
-                }
-
-                for (i, (ip, k, srcs, _)) in loads.iter().enumerate() {
-                    let is_proxy = proxy_pos == Some(i);
-                    // Strided/Irregular loads are always instrumented when
-                    // possible (unless elided); a Constant load only when
-                    // it is the proxy.
-                    let instrument = match k {
-                        AddrKind::Constant => is_proxy,
-                        _ => !elided[i] && *srcs > 0,
+        let mut decisions = Vec::with_capacity(classification.len());
+        for loads in classification.as_slice().chunk_by(same_block) {
+            let in_roi = config.in_roi(&module.proc(loads[0].proc).name);
+            if !in_roi || !config.compresses() {
+                // Outside the region of interest nothing is instrumented;
+                // uncompressed, every instrumentable load is and none
+                // imply others.
+                decisions.extend(loads.iter().map(|cl| {
+                    let planned = PlannedLoad {
+                        instrument: in_roi && instrumentable(cl),
+                        implied_const: 0,
+                        elided: false,
                     };
-                    // The proxy implies all Constant loads in the block —
-                    // minus itself when the proxy *is* a Constant load
-                    // (its own execution is observed directly).
-                    let implied_const = if is_proxy {
-                        if matches!(k, AddrKind::Constant) {
-                            const_count.saturating_sub(1)
-                        } else {
-                            const_count
-                        }
-                    } else {
-                        0
-                    };
-                    decisions.insert(
-                        *ip,
-                        PlannedLoad {
-                            instrument,
-                            implied_const,
-                            elided: elided[i],
-                        },
-                    );
-                }
+                    (cl.ip, planned)
+                }));
+                continue;
             }
+
+            let const_count = loads.iter().filter(|cl| constant(cl)).count() as u32;
+            // Proxy preference (Fig. 2): first instrumentable non-elided
+            // Strided/Irregular load, else first instrumentable Constant
+            // load.
+            let mut proxy_pos = loads
+                .iter()
+                .position(|cl| !elidable(cl) && !constant(cl) && instrumentable(cl))
+                .or_else(|| {
+                    loads
+                        .iter()
+                        .position(|cl| constant(cl) && instrumentable(cl))
+                });
+            // Constant loads need a proxy to imply their counts; if
+            // elision removed every candidate, un-elide one to serve.
+            if proxy_pos.is_none() && const_count > 0 {
+                proxy_pos = loads.iter().position(elidable);
+            }
+
+            decisions.extend(loads.iter().enumerate().map(|(i, cl)| {
+                let is_proxy = proxy_pos == Some(i);
+                let elided = elidable(cl) && !is_proxy;
+                // Strided/Irregular loads are always instrumented when
+                // possible (unless elided); a Constant load only when it
+                // is the proxy.
+                let instrument = if constant(cl) {
+                    is_proxy
+                } else {
+                    !elided && instrumentable(cl)
+                };
+                // The proxy implies all Constant loads in the block —
+                // minus itself when the proxy *is* a Constant load (its
+                // own execution is observed directly).
+                let implied_const = match (is_proxy, constant(cl)) {
+                    (false, _) => 0,
+                    (true, true) => const_count.saturating_sub(1),
+                    (true, false) => const_count,
+                };
+                let planned = PlannedLoad {
+                    instrument,
+                    implied_const,
+                    elided,
+                };
+                (cl.ip, planned)
+            }));
         }
         InstrPlan { decisions }
     }
 
-    /// The decision for the load at `ip`.
+    /// The decision for the load at `ip`; `None` for any address that is
+    /// not a load's.
     pub fn get(&self, ip: Ip) -> Option<PlannedLoad> {
-        self.decisions.get(&ip).copied()
+        let at = self.decisions.binary_search_by_key(&ip, |d| d.0).ok()?;
+        self.decisions.get(at).map(|d| d.1)
     }
 
     /// Iterate all decisions in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Ip, &PlannedLoad)> + '_ {
-        self.decisions.iter()
+        self.decisions.iter().map(|(ip, d)| (ip, d))
+    }
+
+    /// The same, as the table the rewriter and checker index by load
+    /// position.
+    pub(crate) fn as_slice(&self) -> &[(Ip, PlannedLoad)] {
+        &self.decisions
     }
 
     /// Number of instrumented loads.
     pub fn num_instrumented(&self) -> u64 {
-        self.decisions.values().filter(|d| d.instrument).count() as u64
+        self.decisions.iter().filter(|d| d.1.instrument).count() as u64
     }
 
     /// Number of elided proven-strided loads.
     pub fn num_elided(&self) -> u64 {
-        self.decisions.values().filter(|d| d.elided).count() as u64
+        self.decisions.iter().filter(|d| d.1.elided).count() as u64
     }
 }
 
@@ -214,6 +194,58 @@ mod tests {
         pb.ret();
         mb.add(pb);
         mb.finish()
+    }
+
+    /// Lookup by address against the layout, byte by byte from below the
+    /// module to past its end: `Some` for exactly the loads, `None` for
+    /// every other instruction, terminator, padding byte, unaligned and
+    /// out-of-range address — in both tables.
+    #[test]
+    fn lookup_answers_for_exactly_the_loads() {
+        use memgaze_isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
+        let generated = |opt| {
+            codegen::generate(&UKernelSpec {
+                compose: Compose::Serial(vec![Pattern::strided(2), Pattern::Irregular]),
+                elems: 32,
+                reps: 2,
+                opt,
+            })
+        };
+        let mut padding = 0;
+        for m in [
+            mixed_block_module(),
+            const_only_module(),
+            generated(OptLevel::O0),
+            generated(OptLevel::O3),
+        ] {
+            let c = ModuleClassification::analyze(&m);
+            let plan = InstrPlan::build(&m, &c, &InstrumentConfig::eliding());
+            let layout = m.layout();
+            let code = m.base_ip..m.base_ip + layout.code_bytes();
+            let mut loads = 0;
+            for raw in code.start - 8..code.end + 8 {
+                let ip = Ip(raw);
+                let located = layout.locate(ip);
+                padding += usize::from(located.is_none() && raw % 4 == 0 && code.contains(&raw));
+                let is_load = located.is_some_and(|(p, b, idx)| {
+                    m.proc(p)
+                        .block(b)
+                        .instrs
+                        .get(idx)
+                        .is_some_and(|i| i.is_load())
+                });
+                assert_eq!(c.get(ip).map(|l| l.ip), is_load.then_some(ip), "{ip}");
+                assert_eq!(plan.get(ip).is_some(), is_load, "{ip}");
+                loads += usize::from(is_load);
+            }
+            assert_eq!(loads, m.num_loads());
+            assert_eq!((c.len(), plan.iter().count()), (loads, loads));
+            // Positional agreement: entry `k` of one is entry `k` of the other.
+            assert!(c.loads().zip(plan.iter()).all(|(l, (ip, _))| l.ip == *ip));
+            assert_eq!(c.get(Ip(u64::MAX)).map(|l| l.ip), None);
+            assert_eq!(plan.get(Ip(0)), None);
+        }
+        assert!(padding > 0, "no inter-procedure padding address probed");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 use crate::classify::ModuleClassification;
 use crate::plan::InstrPlan;
 use crate::{InstrStats, InstrumentConfig};
-use memgaze_isa::{Instr, LoadModule, Procedure};
-use memgaze_model::symbols::SourceMap;
+use memgaze_isa::{AddrKind, Instr, LoadModule, Procedure};
+use memgaze_model::symbols::{SourceLoc, SourceMap};
 use memgaze_model::{AuxAnnotations, FunctionId, Ip, IpAnnot, SymbolTable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -58,57 +58,72 @@ pub struct Instrumented {
 }
 
 /// Apply `plan` to `module`, producing the instrumented module and maps.
+///
+/// The walk meets the loads in address order, the order `classification`
+/// and `plan` table them in, so load `k` of the walk reads entry `k` of
+/// both; the side tables come out in address order too and are built in
+/// one pass each.
+///
+/// # Panics
+/// Panics if `classification` or `plan` was not built from `module`.
 pub fn apply(
     module: &LoadModule,
     classification: &ModuleClassification,
     plan: &InstrPlan,
     config: &InstrumentConfig,
 ) -> Instrumented {
+    let _span = memgaze_obs::span("pipeline.rewrite");
+    let (classified, planned) = (classification.as_slice(), plan.as_slice());
+    assert!(
+        classified.len() == module.num_loads() && planned.len() == classified.len(),
+        "tables of another module: {} classified and {} planned loads, module has {}",
+        classified.len(),
+        planned.len(),
+        module.num_loads()
+    );
     let orig_layout = module.layout();
     let mut stats = InstrStats::default();
 
-    // Count classes (ROI only) for the stats block.
-    for cl in classification.loads() {
-        let name = &module.proc(cl.proc).name;
-        if !config.in_roi(name) {
-            continue;
-        }
-        match cl.kind {
-            memgaze_isa::AddrKind::Constant => stats.constant_loads += 1,
-            memgaze_isa::AddrKind::Strided { .. } => stats.strided_loads += 1,
-            memgaze_isa::AddrKind::Irregular => stats.irregular_loads += 1,
-        }
-    }
-
-    // Rewrite procedures. While emitting we record, per emitted
-    // instruction, (orig_ip, line) and for ptwrites their info; the new
-    // addresses are resolved after the new layout is computed.
     let mut new_module = LoadModule::new(module.name.clone());
     new_module.data = module.data.clone();
     new_module.base_ip = module.base_ip;
     new_module.data_break = module.data_break;
 
-    // (proc, block, new_idx) → orig ip + line, parallel to emission.
-    let mut emitted_src: Vec<Vec<Vec<(Ip, u32)>>> = Vec::new();
-    let mut emitted_ptw: Vec<Vec<Vec<Option<PtwInfo>>>> = Vec::new();
-    let mut annots = AuxAnnotations::new();
+    let inserted: usize = classified
+        .iter()
+        .zip(planned)
+        .filter(|(_, (_, decision))| decision.instrument)
+        .map(|(cl, _)| cl.num_sources)
+        .sum();
+    // One row per emitted instruction, in emission order: where it came
+    // from. The new addresses are resolved once the new layout exists.
+    let mut emitted: Vec<SourceLoc> = Vec::with_capacity(module.num_instrs() + inserted);
+    // Inserted `ptwrite`s: row number in `emitted`, and what they carry.
+    let mut ptws: Vec<(usize, PtwInfo)> = Vec::with_capacity(inserted);
+    let mut annots: Vec<(Ip, IpAnnot)> = Vec::with_capacity(classified.len());
+    let mut next_load = classified.iter().zip(planned);
 
     for proc in &module.procs {
+        let in_roi = config.in_roi(&proc.name);
         let mut blocks = Vec::with_capacity(proc.blocks.len());
-        let mut src_rows = Vec::with_capacity(proc.blocks.len());
-        let mut ptw_rows = Vec::with_capacity(proc.blocks.len());
         stats.blocks += proc.blocks.len() as u64;
 
         for block in &proc.blocks {
             let mut instrs = Vec::with_capacity(block.instrs.len());
-            let mut srcs: Vec<(Ip, u32)> = Vec::new();
-            let mut ptws: Vec<Option<PtwInfo>> = Vec::new();
+            let line = block.src_line;
 
             for (idx, ins) in block.instrs.iter().enumerate() {
                 let orig_ip = orig_layout.ip_of(proc.id, block.id, idx);
                 if let Instr::Load { addr, .. } = ins {
-                    let cl = classification.get(orig_ip).expect("classified load");
-                    let decision = plan.get(orig_ip).expect("planned load");
+                    let (cl, (_, decision)) = next_load.next().expect("length checked above");
+                    debug_assert_eq!(cl.ip, orig_ip, "tables are in walk order");
+                    if in_roi {
+                        match cl.kind {
+                            AddrKind::Constant => stats.constant_loads += 1,
+                            AddrKind::Strided { .. } => stats.strided_loads += 1,
+                            AddrKind::Irregular => stats.irregular_loads += 1,
+                        }
+                    }
                     // Record the annotation for every load (observed or
                     // implied) so analyses know classes and literals.
                     let mut a = IpAnnot::of_class(cl.class(), FunctionId(proc.id.0));
@@ -117,47 +132,35 @@ pub fn apply(
                     a.offset = cl.disp;
                     a.two_source = cl.num_sources == 2;
                     a.src_line = cl.src_line;
-                    annots.insert(orig_ip, a);
+                    annots.push((orig_ip, a));
 
-                    if decision.elided {
-                        stats.elided_loads += 1;
-                    }
+                    stats.elided_loads += u64::from(decision.elided);
                     if decision.instrument {
                         stats.instrumented_loads += 1;
-                        let n = cl.num_sources;
-                        let mut emitted = 0usize;
-                        if let Some(b) = addr.base {
-                            instrs.push(Instr::Ptwrite { src: b });
-                            srcs.push((orig_ip, block.src_line));
-                            emitted += 1;
-                            ptws.push(Some(PtwInfo {
+                        let sources = [(addr.base, PtwRole::Base), (addr.index, PtwRole::Index)];
+                        let mut left = addr.num_sources();
+                        for (src, role) in sources {
+                            let Some(src) = src else { continue };
+                            left -= 1;
+                            let info = PtwInfo {
                                 load_ip: orig_ip,
-                                role: PtwRole::Base,
-                                last: emitted == n,
-                            }));
-                            stats.ptwrites_inserted += 1;
-                        }
-                        if let Some(i) = addr.index {
-                            instrs.push(Instr::Ptwrite { src: i });
-                            srcs.push((orig_ip, block.src_line));
-                            emitted += 1;
-                            ptws.push(Some(PtwInfo {
-                                load_ip: orig_ip,
-                                role: PtwRole::Index,
-                                last: emitted == n,
-                            }));
-                            stats.ptwrites_inserted += 1;
+                                role,
+                                last: left == 0,
+                            };
+                            ptws.push((emitted.len(), info));
+                            instrs.push(Instr::Ptwrite { src });
+                            emitted.push(SourceLoc { orig_ip, line });
                         }
                     }
                 }
                 instrs.push(*ins);
-                srcs.push((orig_ip, block.src_line));
-                ptws.push(None);
+                emitted.push(SourceLoc { orig_ip, line });
             }
             // Terminator keeps its original mapping.
-            let term_ip = orig_layout.ip_of(proc.id, block.id, block.instrs.len());
-            srcs.push((term_ip, block.src_line));
-            ptws.push(None);
+            emitted.push(SourceLoc {
+                orig_ip: orig_layout.ip_of(proc.id, block.id, block.instrs.len()),
+                line,
+            });
 
             blocks.push(memgaze_isa::BasicBlock {
                 id: block.id,
@@ -165,8 +168,6 @@ pub fn apply(
                 term: block.term,
                 src_line: block.src_line,
             });
-            src_rows.push(srcs);
-            ptw_rows.push(ptws);
         }
 
         new_module.add_proc(Procedure {
@@ -176,31 +177,22 @@ pub fn apply(
             entry: proc.entry,
             src_file: proc.src_file.clone(),
         });
-        emitted_src.push(src_rows);
-        emitted_ptw.push(ptw_rows);
     }
+    stats.ptwrites_inserted = ptws.len() as u64;
 
-    // Resolve new addresses.
-    let new_layout = new_module.layout();
-    let mut source_map = SourceMap::new();
-    let mut ptw_map = BTreeMap::new();
-    for proc in &new_module.procs {
-        for block in &proc.blocks {
-            let n = block.len();
-            for idx in 0..n {
-                let new_ip = new_layout.ip_of(proc.id, block.id, idx);
-                let (orig_ip, line) = emitted_src[proc.id.index()][block.id.index()][idx];
-                source_map.record(new_ip, orig_ip, line);
-                if let Some(info) = emitted_ptw[proc.id.index()][block.id.index()][idx] {
-                    ptw_map.insert(new_ip, info);
-                }
-            }
-        }
-    }
+    // Resolve new addresses: row `r` of `emitted` is the `r`-th
+    // instruction of the new layout.
+    let new_ips: Vec<Ip> = new_module.layout().instr_ips().collect();
+    debug_assert_eq!(new_ips.len(), emitted.len());
+    let ptw_map = ptws
+        .into_iter()
+        .map(|(row, info)| (new_ips[row], info))
+        .collect();
+    let source_map = new_ips.into_iter().zip(emitted).collect();
 
     Instrumented {
         module: new_module,
-        annots,
+        annots: annots.into_iter().collect(),
         source_map,
         ptw_map,
         stats,

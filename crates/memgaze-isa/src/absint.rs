@@ -166,6 +166,17 @@ impl AbsVal {
         self.scale(-1)
     }
 
+    /// `self + k` for a literal `k`: what `add(konst(k))` gives.
+    fn offset(self, k: i64) -> AbsVal {
+        match self {
+            AbsVal::Affine { coef, konst } => AbsVal::Affine {
+                coef,
+                konst: konst.wrapping_add(k),
+            },
+            tainted => tainted,
+        }
+    }
+
     /// Constant term of a coefficient-free form, if this is one.
     fn as_const(self) -> Option<i64> {
         match self {
@@ -225,23 +236,25 @@ fn join_states(a: &State, b: &State) -> State {
     }
 }
 
-/// Evaluate an address expression in a state.
+/// Evaluate an address expression in a state: `base + index·scale +
+/// disp`, summed from the base register's value so the common
+/// one-register address costs one copy.
 fn eval_addr(addr: &AddrMode, st: &State) -> AbsVal {
-    let mut v = AbsVal::konst(addr.disp);
-    if let Some(b) = addr.base {
-        v = v.add(st.regs[b.index()]);
-    }
+    let mut v = match addr.base {
+        Some(b) => st.regs[b.index()],
+        None => AbsVal::konst(0),
+    };
     if let Some(i) = addr.index {
         v = v.add(st.regs[i.index()].scale(addr.scale as i64));
     }
-    v
+    v.offset(addr.disp)
 }
 
 /// Per-loop analysis context: which frame slots are tracked, and the
 /// module facts available.
 struct LoopCtx<'a> {
     /// Tracked slot keys `(frame base, disp)`, indexed by slot number.
-    slot_keys: Vec<(Reg, i64)>,
+    slot_keys: &'a [(Reg, i64)],
     summaries: Option<&'a ProcSummaries>,
 }
 
@@ -275,8 +288,11 @@ impl LoopCtx<'_> {
 fn transfer(ins: &Instr, st: &mut State, rst: Option<&RegRanges>, ctx: &LoopCtx) {
     match ins {
         Instr::Load { dst, addr } => {
-            let fwd = ctx
-                .frame_slot(addr, st)
+            // With no slot tracked nothing can forward: skip resolving
+            // the address (most loops store to no frame slot).
+            let fwd = (!ctx.slot_keys.is_empty())
+                .then(|| ctx.frame_slot(addr, st))
+                .flatten()
                 .and_then(|key| ctx.slot_index(key))
                 .map(|s| st.slots[s]);
             st.regs[dst.index()] = match fwd {
@@ -502,51 +518,83 @@ fn analyze_loop(
         }
     }
     let ctx = LoopCtx {
-        slot_keys,
+        slot_keys: &slot_keys,
         summaries,
     };
 
+    // How a body block's in-state comes about. Only a joined one depends
+    // on other blocks' out-states.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Entry {
+        /// The header: every dimension at its symbolic header value.
+        Header,
+        /// Entered from outside the loop: no guarantees.
+        Outside,
+        /// The join of its predecessors' out-states.
+        Joined,
+    }
     let n = proc.blocks.len();
-    let mut in_states: Vec<Option<State>> = vec![None; n];
-    in_states[l.header.index()] = Some(identity_state());
+    let mut entry: Vec<Option<Entry>> = vec![None; n];
     let order: Vec<BlockId> = cfg
         .rpo()
         .iter()
         .copied()
         .filter(|b| l.contains(*b))
         .collect();
-    // Flat lattice (unvisited → affine/loaded → ⊤) with monotone
-    // transfers: the fixpoint terminates in O(body · NUM_DIMS) joins.
-    let mut out_states: Vec<Option<State>> = vec![None; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
+    for &b in &order {
+        entry[b.index()] = Some(if b == l.header {
+            Entry::Header
+        } else if cfg.preds(b).iter().any(|p| !l.body.contains(p)) {
+            Entry::Outside
+        } else {
+            Entry::Joined
+        });
+    }
+
+    // Sweep the body in reverse postorder until nothing is pending. A
+    // block is pending when an input of its transfer changed since it
+    // last ran: once to begin with for the header and the blocks entered
+    // from outside, whose in-states are fixed, and for a joined block
+    // whenever a predecessor's out-state moved. Re-running a block whose
+    // inputs stand would reproduce its states, so skipping it leaves
+    // every sweep's result, and the fixpoint, what a full sweep gives.
+    // Flat lattice (unvisited → affine/loaded → ⊤): the fixpoint
+    // terminates in O(body · NUM_DIMS) joins.
+    // (`vec![None; n]` would copy a 4.8 KB `None` per slot.)
+    let unvisited = || -> Vec<Option<State>> { (0..n).map(|_| None).collect() };
+    let (mut in_states, mut out_states) = (unvisited(), unvisited());
+    let mut pending: Vec<bool> = entry
+        .iter()
+        .map(|e| matches!(e, Some(Entry::Header | Entry::Outside)))
+        .collect();
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
         for &b in &order {
-            let inn = if b == l.header {
-                identity_state()
-            } else if cfg.preds(b).iter().any(|p| !l.body.contains(p)) {
-                // Body blocks entered from outside the loop get no
-                // guarantees.
-                top_state()
-            } else {
-                let mut acc: Option<State> = None;
-                for &p in cfg.preds(b) {
-                    if let Some(ref o) = out_states[p.index()] {
-                        acc = Some(match acc {
-                            None => *o,
-                            Some(a) => join_states(&a, o),
-                        });
+            if !std::mem::take(&mut pending[b.index()]) {
+                continue;
+            }
+            progressed = true;
+            let inn = match entry[b.index()] {
+                Some(Entry::Header) => identity_state(),
+                Some(Entry::Outside) => top_state(),
+                _ => {
+                    let mut acc: Option<State> = None;
+                    for &p in cfg.preds(b) {
+                        if let Some(ref o) = out_states[p.index()] {
+                            acc = Some(match acc {
+                                None => *o,
+                                Some(a) => join_states(&a, o),
+                            });
+                        }
+                    }
+                    match acc {
+                        Some(a) => a,
+                        None => continue, // no pred processed yet
                     }
                 }
-                match acc {
-                    Some(a) => a,
-                    None => continue, // no pred processed yet
-                }
             };
-            if in_states[b.index()] != Some(inn) {
-                in_states[b.index()] = Some(inn);
-                changed = true;
-            }
+            in_states[b.index()] = Some(inn);
             let mut st = inn;
             let mut rr = ranges.map(|ra| *ra.block_entry(b));
             for ins in &proc.block(b).instrs {
@@ -555,9 +603,11 @@ fn analyze_loop(
                     ranges::step(ins, rr, summaries);
                 }
             }
-            if out_states[b.index()] != Some(st) {
+            if out_states[b.index()].as_ref() != Some(&st) {
                 out_states[b.index()] = Some(st);
-                changed = true;
+                for &succ in cfg.succs(b) {
+                    pending[succ.index()] |= entry[succ.index()] == Some(Entry::Joined);
+                }
             }
         }
     }
@@ -612,7 +662,7 @@ fn analyze_loop(
         in_states,
         out_states,
         deltas,
-        slot_keys: ctx.slot_keys,
+        slot_keys,
     }
 }
 
@@ -659,15 +709,10 @@ impl AbsInterp {
         let per_loop: Vec<LoopStates> = (0..forest.loops.len())
             .map(|li| analyze_loop(proc, cfg, forest, li, summaries, ranges))
             .collect();
-        let loop_index = |b: BlockId| -> Option<usize> {
-            let l = forest.innermost(b)?;
-            forest.loops.iter().position(|x| std::ptr::eq(x, l))
-        };
-
         let mut results = Vec::with_capacity(proc.blocks.len());
         for blk in &proc.blocks {
             let mut row = Vec::with_capacity(blk.instrs.len());
-            match loop_index(blk.id) {
+            match forest.innermost_index(blk.id) {
                 None => {
                     for ins in &blk.instrs {
                         row.push(ins.is_load().then_some(AbsResult::NoLoop));
@@ -676,7 +721,7 @@ impl AbsInterp {
                 Some(li) => {
                     let ls = &per_loop[li];
                     let ctx = LoopCtx {
-                        slot_keys: ls.slot_keys.clone(),
+                        slot_keys: &ls.slot_keys,
                         summaries,
                     };
                     let mut st = match ls.in_states[blk.id.index()] {

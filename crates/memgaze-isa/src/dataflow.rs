@@ -16,12 +16,11 @@
 
 use crate::cfg::Cfg;
 use crate::instr::{AddrMode, BinOp, Instr};
-use crate::loops::{Loop, LoopForest};
+use crate::loops::LoopForest;
 use crate::proc::{BlockId, Procedure};
 use crate::reg::{Reg, NUM_REGS};
 use crate::summary::ProcSummaries;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Static kind of a load's effective address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,6 +65,33 @@ pub struct DataflowAnalysis {
     kinds: Vec<Vec<Option<AddrKind>>>,
 }
 
+/// Where a register is defined within a loop body, as far as the
+/// induction patterns care: nowhere, at exactly one site, or at several.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DefSites {
+    /// Not redefined inside the loop.
+    None,
+    /// One def site: `(block, instruction index)`.
+    One(BlockId, usize),
+    /// Two or more.
+    Many,
+}
+
+impl DefSites {
+    fn add(&mut self, block: BlockId, idx: usize) {
+        *self = match self {
+            DefSites::None => DefSites::One(block, idx),
+            _ => DefSites::Many,
+        };
+    }
+}
+
+type Defs = [DefSites; NUM_REGS];
+
+/// Per register, the per-iteration step of the induction variable it is
+/// in a loop (`None`: not one).
+type Ivs = [Option<i64>; NUM_REGS];
+
 /// Def sites of each register within a region of blocks.
 ///
 /// With procedure summaries, a call only pseudo-defines the registers the
@@ -75,13 +101,13 @@ fn def_sites(
     proc: &Procedure,
     body: impl Iterator<Item = BlockId>,
     summaries: Option<&ProcSummaries>,
-) -> Vec<Vec<(BlockId, usize)>> {
-    let mut defs: Vec<Vec<(BlockId, usize)>> = vec![Vec::new(); NUM_REGS];
+) -> Defs {
+    let mut defs = [DefSites::None; NUM_REGS];
     for b in body {
         let blk = proc.block(b);
         for (i, ins) in blk.instrs.iter().enumerate() {
             if let Some(d) = ins.def() {
-                defs[d.index()].push((b, i));
+                defs[d.index()].add(b, i);
             }
             if let Instr::Call { proc: callee } = ins {
                 for (r, d) in defs.iter_mut().enumerate() {
@@ -90,7 +116,7 @@ fn def_sites(
                         None => r < 6,
                     };
                     if clobbered {
-                        d.push((b, i));
+                        d.add(b, i);
                     }
                 }
             }
@@ -101,28 +127,20 @@ fn def_sites(
 
 /// Find basic induction variables of a loop: registers whose only def in
 /// the loop body is `r ← r ± imm`.
-fn basic_ivs(proc: &Procedure, l: &Loop, summaries: Option<&ProcSummaries>) -> HashMap<Reg, i64> {
-    let defs = def_sites(proc, l.body.iter().copied(), summaries);
-    let mut ivs = HashMap::new();
-    for r in 0..NUM_REGS as u8 {
-        let reg = Reg(r);
-        let sites = &defs[reg.index()];
-        if sites.len() != 1 {
+fn basic_ivs(proc: &Procedure, defs: &Defs) -> Ivs {
+    let mut ivs = [None; NUM_REGS];
+    for (r, sites) in defs.iter().enumerate() {
+        let DefSites::One(b, i) = *sites else {
             continue;
-        }
-        let (b, i) = sites[0];
+        };
         if let Instr::Bin { op, dst, rhs } = proc.block(b).instrs[i] {
-            if dst == reg {
+            if dst.index() == r {
                 let step = match (op, rhs) {
                     (BinOp::Add, crate::instr::Operand::Imm(c)) => Some(c),
                     (BinOp::Sub, crate::instr::Operand::Imm(c)) => Some(-c),
                     _ => None,
                 };
-                if let Some(s) = step {
-                    if s != 0 {
-                        ivs.insert(reg, s);
-                    }
-                }
+                ivs[r] = step.filter(|&s| s != 0);
             }
         }
     }
@@ -131,44 +149,27 @@ fn basic_ivs(proc: &Procedure, l: &Loop, summaries: Option<&ProcSummaries>) -> H
 
 /// Extend basic IVs with one level of derived IVs: `j ← mov i` or
 /// `j ← lea [inv + i*k + d]` where `i` is a basic IV.
-fn derived_ivs(
-    proc: &Procedure,
-    l: &Loop,
-    basic: &HashMap<Reg, i64>,
-    summaries: Option<&ProcSummaries>,
-) -> HashMap<Reg, i64> {
-    let defs = def_sites(proc, l.body.iter().copied(), summaries);
-    let mut all = basic.clone();
-    for r in 0..NUM_REGS as u8 {
-        let reg = Reg(r);
-        if all.contains_key(&reg) {
+fn derived_ivs(proc: &Procedure, defs: &Defs, basic: &Ivs) -> Ivs {
+    let mut all = *basic;
+    for (r, sites) in defs.iter().enumerate() {
+        let DefSites::One(b, i) = *sites else {
+            continue;
+        };
+        if basic[r].is_some() {
             continue;
         }
-        let sites = &defs[reg.index()];
-        if sites.len() != 1 {
-            continue;
-        }
-        let (b, i) = sites[0];
         match proc.block(b).instrs[i] {
-            Instr::Mov { dst, src } if dst == reg => {
-                if let Some(&s) = basic.get(&src) {
-                    all.insert(reg, s);
-                }
-            }
-            Instr::Lea { dst, addr } if dst == reg => {
-                let base_ok = addr
-                    .base
-                    .is_none_or(|br| defs[br.index()].is_empty() && !basic.contains_key(&br));
+            Instr::Mov { dst, src } if dst.index() == r => all[r] = basic[src.index()],
+            Instr::Lea { dst, addr } if dst.index() == r => {
+                let base_ok = addr.base.is_none_or(|br| {
+                    defs[br.index()] == DefSites::None && basic[br.index()].is_none()
+                });
                 if let Some(idx) = addr.index {
                     if base_ok {
-                        if let Some(&s) = basic.get(&idx) {
-                            all.insert(reg, s * addr.scale as i64);
-                        }
+                        all[r] = basic[idx.index()].map(|s| s * addr.scale as i64);
                     }
                 } else if let Some(br) = addr.base {
-                    if let Some(&s) = basic.get(&br) {
-                        all.insert(reg, s);
-                    }
+                    all[r] = basic[br.index()];
                 }
             }
             _ => {}
@@ -178,22 +179,18 @@ fn derived_ivs(
 }
 
 /// Classify one register against a loop.
-fn component(reg: Reg, ivs: &HashMap<Reg, i64>, defs: &[Vec<(BlockId, usize)>]) -> Component {
-    if let Some(&s) = ivs.get(&reg) {
+fn component(reg: Reg, ivs: &Ivs, defs: &Defs) -> Component {
+    if let Some(s) = ivs[reg.index()] {
         return Component::Iv(s);
     }
-    if defs[reg.index()].is_empty() {
+    if defs[reg.index()] == DefSites::None {
         return Component::Invariant;
     }
     Component::Varying
 }
 
 /// Classify an address mode within a loop.
-fn classify_in_loop(
-    addr: &AddrMode,
-    ivs: &HashMap<Reg, i64>,
-    defs: &[Vec<(BlockId, usize)>],
-) -> AddrKind {
+fn classify_in_loop(addr: &AddrMode, ivs: &Ivs, defs: &Defs) -> AddrKind {
     let base = addr.base.map(|r| component(r, ivs, defs));
     let index = addr.index.map(|r| component(r, ivs, defs));
     if matches!(base, Some(Component::Varying)) || matches!(index, Some(Component::Varying)) {
@@ -247,27 +244,25 @@ impl DataflowAnalysis {
         forest: &LoopForest,
         summaries: Option<&ProcSummaries>,
     ) -> DataflowAnalysis {
-        // Cache per-loop IV sets and def sites, keyed by header block.
-        type LoopInfo = (HashMap<Reg, i64>, Vec<Vec<(BlockId, usize)>>);
-        let mut loop_info: HashMap<BlockId, LoopInfo> = HashMap::new();
-        for l in &forest.loops {
-            let basic = basic_ivs(proc, l, summaries);
-            let ivs = derived_ivs(proc, l, &basic, summaries);
-            let defs = def_sites(proc, l.body.iter().copied(), summaries);
-            loop_info.insert(l.header, (ivs, defs));
-        }
+        // Per-loop IV steps and def sites, indexed like `forest.loops`.
+        let loop_info: Vec<(Ivs, Defs)> = forest
+            .loops
+            .iter()
+            .map(|l| {
+                let defs = def_sites(proc, l.body.iter().copied(), summaries);
+                let basic = basic_ivs(proc, &defs);
+                (derived_ivs(proc, &defs, &basic), defs)
+            })
+            .collect();
 
         let mut kinds = Vec::with_capacity(proc.blocks.len());
         for blk in &proc.blocks {
             let mut row = Vec::with_capacity(blk.instrs.len());
-            let enclosing = forest.innermost(blk.id);
+            let enclosing = forest.innermost_index(blk.id).map(|li| &loop_info[li]);
             for ins in &blk.instrs {
                 let kind = match ins {
                     Instr::Load { addr, .. } => Some(match enclosing {
-                        Some(l) => {
-                            let (ivs, defs) = &loop_info[&l.header];
-                            classify_in_loop(addr, ivs, defs)
-                        }
+                        Some((ivs, defs)) => classify_in_loop(addr, ivs, defs),
                         None => {
                             if addr.is_scalar_frame_or_global() {
                                 AddrKind::Constant

@@ -284,29 +284,16 @@ impl Instr {
         matches!(self, Instr::Ptwrite { .. })
     }
 
-    /// Registers read by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Instr::Load { addr, .. } => addr.source_regs().collect(),
-            Instr::Store { src, addr } => {
-                let mut v: Vec<Reg> = addr.source_regs().collect();
-                v.push(*src);
-                v
-            }
-            Instr::MovImm { .. } => vec![],
-            Instr::Mov { src, .. } => vec![*src],
-            Instr::Bin { dst, rhs, .. } => {
-                let mut v = vec![*dst];
-                if let Operand::Reg(r) = rhs {
-                    v.push(*r);
-                }
-                v
-            }
-            Instr::Lea { addr, .. } => addr.source_regs().collect(),
-            Instr::Call { .. } => vec![],
-            Instr::Ptwrite { src } => vec![*src],
-            Instr::Nop => vec![],
-        }
+    /// Registers read by this instruction, address sources first.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+        let regs: [Option<Reg>; 3] = match *self {
+            Instr::Load { addr, .. } | Instr::Lea { addr, .. } => [addr.base, addr.index, None],
+            Instr::Store { src, addr } => [addr.base, addr.index, Some(src)],
+            Instr::Mov { src, .. } | Instr::Ptwrite { src } => [Some(src), None, None],
+            Instr::Bin { dst, rhs, .. } => [Some(dst), rhs.as_reg(), None],
+            Instr::MovImm { .. } | Instr::Call { .. } | Instr::Nop => [None; 3],
+        };
+        regs.into_iter().flatten()
     }
 
     /// The register written by this instruction, if any.
@@ -394,7 +381,7 @@ mod tests {
             addr: AddrMode::base_disp(Reg::gp(1), 0),
         };
         assert_eq!(ld.def(), Some(Reg::gp(0)));
-        assert_eq!(ld.uses(), vec![Reg::gp(1)]);
+        assert_eq!(ld.uses().collect::<Vec<_>>(), vec![Reg::gp(1)]);
         assert!(ld.is_load());
 
         let bin = Instr::Bin {
@@ -403,12 +390,12 @@ mod tests {
             rhs: Operand::Reg(Reg::gp(3)),
         };
         assert_eq!(bin.def(), Some(Reg::gp(2)));
-        assert_eq!(bin.uses(), vec![Reg::gp(2), Reg::gp(3)]);
+        assert_eq!(bin.uses().collect::<Vec<_>>(), vec![Reg::gp(2), Reg::gp(3)]);
 
         let ptw = Instr::Ptwrite { src: Reg::gp(5) };
         assert!(ptw.is_ptwrite());
         assert_eq!(ptw.def(), None);
-        assert_eq!(ptw.uses(), vec![Reg::gp(5)]);
+        assert_eq!(ptw.uses().collect::<Vec<_>>(), vec![Reg::gp(5)]);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! full-trace validation baselines consume the load stream.
 
 use crate::instr::{AddrMode, BinOp, Instr, Operand, Terminator};
-use crate::module::LoadModule;
+use crate::module::{LoadModule, INSTR_BYTES};
 use crate::proc::{BlockId, ProcId};
 use crate::reg::{Reg, NUM_REGS};
 use memgaze_model::Ip;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 const PAGE_BYTES: u64 = 4096;
@@ -67,27 +68,90 @@ impl ExecStats {
     }
 }
 
+type Page = [u8; PAGE_BYTES as usize];
+
+/// Entries of the direct-mapped page memo.
+const MEMO_SLOTS: usize = 64;
+/// Memo tag no page number can equal (page numbers are below 2^52).
+const MEMO_EMPTY: u64 = u64::MAX;
+/// Memoised answer "this page is not resident".
+const UNMAPPED: u32 = u32::MAX;
+
 /// Sparse paged memory.
-#[derive(Debug, Default)]
+///
+/// Pages live in a `Vec` in first-touch order; `index` maps a page
+/// number to its position. In front of the index sits a direct-mapped
+/// memo keyed on the low bits of the page number, so a repeated page —
+/// nearly every access of a loop over a few arrays and one stack frame —
+/// is found by one compare, without hashing. The memo also remembers
+/// that a page is *not* resident; mapping a page overwrites the memo
+/// entry it would be found through, so the memo never disagrees with
+/// the index.
+///
+/// A word that lies inside one page is read or written with one page
+/// lookup; a word that straddles a page boundary (including the wrap at
+/// `u64::MAX`) takes the byte-wise path. Both give the bytes the
+/// byte-wise path alone would.
+#[derive(Debug)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES as usize]>>,
+    pages: Vec<Box<Page>>,
+    index: HashMap<u64, u32>,
+    /// `(page number, position in pages | UNMAPPED)`.
+    memo: [Cell<(u64, u32)>; MEMO_SLOTS],
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory::new()
+    }
 }
 
 impl Memory {
     /// Empty memory.
     pub fn new() -> Memory {
-        Memory::default()
+        Memory {
+            pages: Vec::new(),
+            index: HashMap::new(),
+            memo: std::array::from_fn(|_| Cell::new((MEMO_EMPTY, UNMAPPED))),
+        }
     }
 
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_BYTES as usize] {
+    /// Position of page `page_no` in `pages`, or `UNMAPPED`.
+    #[inline]
+    fn lookup(&self, page_no: u64) -> u32 {
+        let memo = &self.memo[page_no as usize % MEMO_SLOTS];
+        let (tag, pos) = memo.get();
+        if tag == page_no {
+            return pos;
+        }
+        let pos = self.index.get(&page_no).copied().unwrap_or(UNMAPPED);
+        memo.set((page_no, pos));
+        pos
+    }
+
+    #[inline]
+    fn page(&self, addr: u64) -> Option<&Page> {
         self.pages
-            .entry(addr / PAGE_BYTES)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES as usize]))
+            .get(self.lookup(addr / PAGE_BYTES) as usize)
+            .map(|p| &**p)
+    }
+
+    #[inline]
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        let page_no = addr / PAGE_BYTES;
+        let mut pos = self.lookup(page_no);
+        if pos == UNMAPPED {
+            pos = u32::try_from(self.pages.len()).expect("fewer than 2^32 resident pages");
+            self.pages.push(Box::new([0; PAGE_BYTES as usize]));
+            self.index.insert(page_no, pos);
+            self.memo[page_no as usize % MEMO_SLOTS].set((page_no, pos));
+        }
+        &mut self.pages[pos as usize]
     }
 
     /// Read one byte (unmapped memory reads as zero).
     pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr / PAGE_BYTES)) {
+        match self.page(addr) {
             Some(p) => p[(addr % PAGE_BYTES) as usize],
             None => 0,
         }
@@ -98,8 +162,33 @@ impl Memory {
         self.page_mut(addr)[(addr % PAGE_BYTES) as usize] = v;
     }
 
-    /// Read a little-endian u64 (byte-wise; alignment not required).
+    /// Read a little-endian u64 (alignment not required; unmapped
+    /// memory reads as zero).
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let off = (addr % PAGE_BYTES) as usize;
+        if off + 8 > PAGE_BYTES as usize {
+            return self.read_straddling(addr);
+        }
+        match self.page(addr) {
+            Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().expect("8-byte slice")),
+            None => 0,
+        }
+    }
+
+    /// Write a little-endian u64.
+    #[inline]
+    pub fn write_u64(&mut self, addr: u64, v: u64) {
+        let off = (addr % PAGE_BYTES) as usize;
+        if off + 8 <= PAGE_BYTES as usize {
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&v.to_le_bytes());
+        } else {
+            self.write_straddling(addr, v);
+        }
+    }
+
+    #[cold]
+    fn read_straddling(&self, addr: u64) -> u64 {
         let mut v = 0u64;
         for i in 0..8 {
             v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
@@ -107,10 +196,39 @@ impl Memory {
         v
     }
 
-    /// Write a little-endian u64.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
+    #[cold]
+    fn write_straddling(&mut self, addr: u64, v: u64) {
         for i in 0..8 {
             self.write_u8(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+        }
+    }
+
+    /// Store `words` from `base` up, a page at a time. A page none of
+    /// whose words is nonzero is not made resident.
+    fn load_image(&mut self, base: u64, words: &[u64]) {
+        if !base.is_multiple_of(8) {
+            // Words may straddle pages: one at a time.
+            for (i, &w) in words.iter().enumerate() {
+                if w != 0 {
+                    self.write_u64(base.wrapping_add(i as u64 * 8), w);
+                }
+            }
+            return;
+        }
+        let mut addr = base;
+        let mut rest = words;
+        while !rest.is_empty() {
+            let off = (addr % PAGE_BYTES) as usize;
+            let n = rest.len().min((PAGE_BYTES as usize - off) / 8);
+            let (chunk, tail) = rest.split_at(n);
+            if chunk.iter().any(|&w| w != 0) {
+                let bytes = &mut self.page_mut(addr)[off..off + n * 8];
+                for (dst, w) in bytes.chunks_exact_mut(8).zip(chunk) {
+                    dst.copy_from_slice(&w.to_le_bytes());
+                }
+            }
+            addr = addr.wrapping_add(n as u64 * 8);
+            rest = tail;
         }
     }
 
@@ -177,11 +295,7 @@ impl<'m, S: EventSink> Machine<'m, S> {
     pub fn new(module: &'m LoadModule, sink: S) -> Machine<'m, S> {
         let mut mem = Memory::new();
         for d in &module.data {
-            for (i, w) in d.words.iter().enumerate() {
-                if *w != 0 {
-                    mem.write_u64(d.base + i as u64 * 8, *w);
-                }
-            }
+            mem.load_image(d.base, &d.words);
         }
         let mut regs = [0u64; NUM_REGS];
         regs[Reg::SP.index()] = STACK_TOP;
@@ -237,47 +351,50 @@ impl<'m, S: EventSink> Machine<'m, S> {
         a
     }
 
-    fn enter_proc(&mut self, proc: ProcId) {
+    /// Open a frame: all arithmetic wraps, as everywhere in the machine.
+    fn enter_proc(&mut self) {
         let sp = self.reg(Reg::SP);
-        let new_sp = sp - FRAME_BYTES;
         self.set_reg(Reg::FP, sp);
-        self.set_reg(Reg::SP, new_sp);
-        let _ = proc;
+        self.set_reg(Reg::SP, sp.wrapping_sub(FRAME_BYTES));
     }
 
     /// Run `entry` to completion (its `Ret` at depth 0) under a step
     /// budget.
     pub fn run(&mut self, entry: ProcId, max_instrs: u64) -> Result<ExecStats, ExecError> {
-        let mut proc = entry;
-        let mut block = self.module.proc(proc).entry;
-        let mut idx = 0usize;
+        let module = self.module;
         let outer_fp = self.reg(Reg::FP);
         let outer_sp = self.reg(Reg::SP);
-        self.enter_proc(proc);
+        self.enter_proc();
 
+        // The position: procedure and block, plus the block's body,
+        // terminator and base address, re-read only when the block
+        // changes.
+        let mut proc = entry;
+        let mut block = module.proc(proc).entry;
+        let mut idx = 0usize;
         loop {
-            if self.stats.instrs >= max_instrs {
-                return Err(ExecError::StepBudgetExhausted {
-                    executed: self.stats.instrs,
-                });
-            }
-            let blk = &self.module.procs[proc.index()].blocks[block.index()];
-            if idx < blk.instrs.len() {
-                let ins = blk.instrs[idx];
-                let ip = self.layout.ip_of(proc, block, idx);
+            let blk = &module.procs[proc.index()].blocks[block.index()];
+            let base_ip = self.layout.ip_of(proc, block, 0).raw();
+            let ip_at = |idx: usize| Ip(base_ip + idx as u64 * INSTR_BYTES);
+            let mut call = None;
+            for (i, ins) in blk.instrs.iter().enumerate().skip(idx) {
+                if self.stats.instrs >= max_instrs {
+                    return Err(ExecError::StepBudgetExhausted {
+                        executed: self.stats.instrs,
+                    });
+                }
                 self.stats.instrs += 1;
-                match ins {
+                match *ins {
                     Instr::Load { dst, addr } => {
                         let ea = self.effective_addr(&addr);
-                        let t = self.stats.loads;
-                        self.sink.on_load(ip, ea, t);
+                        self.sink.on_load(ip_at(i), ea, self.stats.loads);
                         self.stats.loads += 1;
                         let v = self.mem.read_u64(ea);
                         self.set_reg(dst, v);
                     }
                     Instr::Store { src, addr } => {
                         let ea = self.effective_addr(&addr);
-                        self.sink.on_store(ip, ea, self.stats.loads);
+                        self.sink.on_store(ip_at(i), ea, self.stats.loads);
                         self.stats.stores += 1;
                         let v = self.reg(src);
                         self.mem.write_u64(ea, v);
@@ -314,65 +431,69 @@ impl<'m, S: EventSink> Machine<'m, S> {
                         self.set_reg(dst, ea);
                     }
                     Instr::Call { proc: callee } => {
-                        if self.call_stack.len() >= MAX_CALL_DEPTH {
-                            return Err(ExecError::StackOverflow);
-                        }
-                        self.call_stack.push(Frame {
-                            proc,
-                            block,
-                            idx: idx + 1,
-                            saved_fp: self.reg(Reg::FP),
-                            saved_sp: self.reg(Reg::SP),
-                        });
-                        self.enter_proc(callee);
-                        proc = callee;
-                        block = self.module.proc(callee).entry;
-                        idx = 0;
-                        continue;
+                        call = Some((callee, i + 1));
+                        break;
                     }
                     Instr::Ptwrite { src } => {
                         let v = self.reg(src);
                         self.stats.ptwrites += 1;
-                        self.sink.on_ptwrite(ip, v, self.stats.loads);
+                        self.sink.on_ptwrite(ip_at(i), v, self.stats.loads);
                     }
                     Instr::Nop => {}
                 }
-                idx += 1;
-            } else {
-                // Terminator.
-                self.stats.instrs += 1;
-                match blk.term {
-                    Terminator::Jmp(t) => {
-                        block = t;
-                        idx = 0;
-                    }
-                    Terminator::Br {
-                        lhs,
-                        op,
-                        rhs,
-                        taken,
-                        not_taken,
-                    } => {
-                        let l = self.reg(lhs);
-                        let r = self.operand(rhs);
-                        block = if op.eval(l, r) { taken } else { not_taken };
-                        idx = 0;
-                    }
-                    Terminator::Ret => match self.call_stack.pop() {
-                        Some(f) => {
-                            self.set_reg(Reg::FP, f.saved_fp);
-                            self.set_reg(Reg::SP, f.saved_sp);
-                            proc = f.proc;
-                            block = f.block;
-                            idx = f.idx;
-                        }
-                        None => {
-                            self.set_reg(Reg::FP, outer_fp);
-                            self.set_reg(Reg::SP, outer_sp);
-                            return Ok(self.stats);
-                        }
-                    },
+            }
+            if let Some((callee, resume)) = call {
+                if self.call_stack.len() >= MAX_CALL_DEPTH {
+                    return Err(ExecError::StackOverflow);
                 }
+                self.call_stack.push(Frame {
+                    proc,
+                    block,
+                    idx: resume,
+                    saved_fp: self.reg(Reg::FP),
+                    saved_sp: self.reg(Reg::SP),
+                });
+                self.enter_proc();
+                proc = callee;
+                block = module.proc(callee).entry;
+                idx = 0;
+                continue;
+            }
+
+            if self.stats.instrs >= max_instrs {
+                return Err(ExecError::StepBudgetExhausted {
+                    executed: self.stats.instrs,
+                });
+            }
+            self.stats.instrs += 1;
+            idx = 0;
+            match blk.term {
+                Terminator::Jmp(t) => block = t,
+                Terminator::Br {
+                    lhs,
+                    op,
+                    rhs,
+                    taken,
+                    not_taken,
+                } => {
+                    let l = self.reg(lhs);
+                    let r = self.operand(rhs);
+                    block = if op.eval(l, r) { taken } else { not_taken };
+                }
+                Terminator::Ret => match self.call_stack.pop() {
+                    Some(f) => {
+                        self.set_reg(Reg::FP, f.saved_fp);
+                        self.set_reg(Reg::SP, f.saved_sp);
+                        proc = f.proc;
+                        block = f.block;
+                        idx = f.idx;
+                    }
+                    None => {
+                        self.set_reg(Reg::FP, outer_fp);
+                        self.set_reg(Reg::SP, outer_sp);
+                        return Ok(self.stats);
+                    }
+                },
             }
         }
     }
@@ -401,6 +522,8 @@ mod tests {
     use super::*;
     use crate::builder::{ModuleBuilder, ProcBuilder};
     use crate::instr::{AddrMode, CmpOp, Operand};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// sum = Σ A[i] for i in 0..n; returns module and the A base.
     fn sum_module(n: i64) -> (LoadModule, u64) {
@@ -511,6 +634,148 @@ mod tests {
         // Unmapped reads as zero.
         assert_eq!(mem.read_u64(0x99_0000), 0);
         assert!(mem.resident_pages() >= 2);
+    }
+
+    /// The word path against the byte path it replaced: one memory is
+    /// driven through `read_u64`/`write_u64`, the other through eight
+    /// `read_u8`/`write_u8` calls, over aligned, unaligned,
+    /// page-straddling and address-space-wrapping words, reads and writes
+    /// interleaved. More pages than memo entries are touched, several of
+    /// them sharing a memo entry, so evicted and negative entries are
+    /// exercised too.
+    #[test]
+    fn word_path_equals_byte_path() {
+        let byte_read = |m: &Memory, addr: u64| {
+            (0..8).fold(0u64, |v, i| {
+                v | (m.read_u8(addr.wrapping_add(i)) as u64) << (8 * i)
+            })
+        };
+        let byte_write = |m: &mut Memory, addr: u64, v: u64| {
+            for i in 0..8 {
+                m.write_u8(addr.wrapping_add(i), (v >> (8 * i)) as u8);
+            }
+        };
+        let pages: Vec<u64> = (0..3 * MEMO_SLOTS as u64)
+            .map(|p| p * 37 % (2 * MEMO_SLOTS as u64) * PAGE_BYTES + 0x10_0000)
+            .chain([0, STACK_TOP - PAGE_BYTES, u64::MAX - PAGE_BYTES + 1])
+            .collect();
+        let offsets = [
+            0,
+            8,
+            0x7f8,
+            3,
+            0x801,
+            PAGE_BYTES - 8,
+            PAGE_BYTES - 7,
+            PAGE_BYTES - 4,
+            PAGE_BYTES - 1,
+        ];
+        let (mut words, mut bytes) = (Memory::new(), Memory::new());
+        let mut rng = SmallRng::seed_from_u64(19);
+        for _ in 0..20_000 {
+            let page = pages[rng.gen_range(0..pages.len())];
+            let addr = page.wrapping_add(offsets[rng.gen_range(0..offsets.len())]);
+            if rng.gen_range(0..4u32) == 0 {
+                let v = rng.gen::<u64>();
+                words.write_u64(addr, v);
+                byte_write(&mut bytes, addr, v);
+            }
+            assert_eq!(words.read_u64(addr), byte_read(&bytes, addr), "{addr:#x}");
+            assert_eq!(words.resident_pages(), bytes.resident_pages());
+        }
+        // The wrap at the top of the address space, and the reverse
+        // direction: what the byte path wrote, the word path reads.
+        let top = u64::MAX - 3;
+        words.write_u64(top, 0x0123_4567_89ab_cdef);
+        byte_write(&mut bytes, top, 0x0123_4567_89ab_cdef);
+        for addr in [top, top.wrapping_add(4), 0, u64::MAX - 7] {
+            assert_eq!(words.read_u64(addr), byte_read(&bytes, addr), "{addr:#x}");
+            assert_eq!(bytes.read_u64(addr), byte_read(&words, addr), "{addr:#x}");
+        }
+        assert_eq!(words.read_u64(0) as u32, 0x0123_4567);
+        assert_eq!(words.resident_pages(), bytes.resident_pages());
+        // Unmapped reads are zero and map nothing.
+        let before = words.resident_pages();
+        assert_eq!(words.read_u64(0x5555_0000_0ff9), 0);
+        assert_eq!(words.read_u64(0x5555_0000_0000), 0);
+        assert_eq!(words.resident_pages(), before);
+    }
+
+    /// The data image lands where the word-at-a-time load put it, and an
+    /// all-zero page of it stays unmapped.
+    #[test]
+    fn image_load_equals_word_writes() {
+        for base in [0x10_0000u64, 0x10_0ff8, 0x10_0ffb, u64::MAX - 15] {
+            let mut image: Vec<u64> = (1..=1500u64).collect();
+            image[600..1300].fill(0);
+            let mut m = LoadModule::new("image");
+            m.data.push(crate::module::DataInit {
+                label: "d".into(),
+                base,
+                words: image.clone(),
+            });
+            let mach = Machine::new(&m, NullSink);
+            let mut want = Memory::new();
+            for (i, &w) in image.iter().enumerate() {
+                if w != 0 {
+                    want.write_u64(base.wrapping_add(i as u64 * 8), w);
+                }
+            }
+            for i in 0..image.len() as u64 + 2 {
+                let addr = base.wrapping_add(i * 8);
+                assert_eq!(mach.mem.read_u64(addr), want.read_u64(addr), "{addr:#x}");
+            }
+            assert_eq!(
+                mach.mem.resident_pages(),
+                want.resident_pages(),
+                "{base:#x}"
+            );
+        }
+    }
+
+    /// A call below the bottom of the address space wraps like every
+    /// other operation of the machine (it used to panic the debug build).
+    #[test]
+    fn frame_below_zero_wraps() {
+        let mut mb = ModuleBuilder::new("low");
+        let mut leaf = ProcBuilder::new("leaf", "l.c");
+        leaf.mov(Reg::gp(1), Reg::SP);
+        leaf.ret();
+        let leaf_id = mb.add(leaf);
+        let mut main = ProcBuilder::new("main", "l.c");
+        main.mov_imm(Reg::SP, 16);
+        main.call(leaf_id);
+        main.ret();
+        let main_id = mb.add(main);
+        let m = mb.finish();
+        let mut mach = Machine::new(&m, NullSink);
+        mach.run(main_id, 100).unwrap();
+        assert_eq!(
+            mach.regs[Reg::gp(1).index()],
+            16u64.wrapping_sub(FRAME_BYTES)
+        );
+        assert_eq!(mach.regs[Reg::SP.index()], STACK_TOP);
+    }
+
+    /// The budget is exact at every position: a run allowed `k`
+    /// instructions executes `k`, whether it stops in a block body, at a
+    /// terminator or across a call.
+    #[test]
+    fn step_budget_is_exact() {
+        let (m, _) = sum_module(8);
+        let total = Machine::new(&m, NullSink).run(ProcId(0), 1_000).unwrap();
+        for k in 0..total.instrs {
+            let mut mach = Machine::new(&m, NullSink);
+            assert_eq!(
+                mach.run(ProcId(0), k),
+                Err(ExecError::StepBudgetExhausted { executed: k })
+            );
+            assert_eq!(mach.stats().instrs, k);
+        }
+        assert_eq!(
+            Machine::new(&m, NullSink).run(ProcId(0), total.instrs),
+            Ok(total)
+        );
     }
 
     #[test]

@@ -123,11 +123,13 @@ impl LoopForest {
 
     /// The innermost loop containing `b`, if any.
     pub fn innermost(&self, b: BlockId) -> Option<&Loop> {
-        self.innermost
-            .get(b.index())
-            .copied()
-            .flatten()
-            .map(|i| &self.loops[i])
+        self.innermost_index(b).map(|i| &self.loops[i])
+    }
+
+    /// Index into [`loops`](Self::loops) of the innermost loop
+    /// containing `b`, if any.
+    pub fn innermost_index(&self, b: BlockId) -> Option<usize> {
+        self.innermost.get(b.index()).copied().flatten()
     }
 
     /// Number of loops.

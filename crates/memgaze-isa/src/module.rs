@@ -88,7 +88,9 @@ impl ModuleLayout {
     /// Locate an instruction address: `(proc, block, index)`.
     pub fn locate(&self, ip: Ip) -> Option<(ProcId, BlockId, usize)> {
         let raw = ip.raw();
-        if raw >= self.end_ip {
+        // Procedure bases are `PROC_ALIGN`-aligned addresses, so every
+        // instruction address is a multiple of the instruction size.
+        if raw >= self.end_ip || !raw.is_multiple_of(INSTR_BYTES) {
             return None;
         }
         let p = self.proc_base.partition_point(|&b| b <= raw);
@@ -107,15 +109,23 @@ impl ModuleLayout {
             return None;
         }
         let block = b - 1;
-        let off = raw - blocks[block];
-        if !off.is_multiple_of(INSTR_BYTES) {
-            return None;
-        }
-        let idx = (off / INSTR_BYTES) as usize;
+        let idx = ((raw - blocks[block]) / INSTR_BYTES) as usize;
         if (idx as u64) >= self.block_len[proc][block] {
             return None;
         }
         Some((ProcId(proc as u32), BlockId(block as u32), idx))
+    }
+
+    /// Every instruction address of the module — block bodies and
+    /// terminators, padding excluded — in address order, which is the
+    /// order a walk over procedures, blocks and instruction indices
+    /// visits them in.
+    pub fn instr_ips(&self) -> impl Iterator<Item = Ip> + '_ {
+        self.block_base
+            .iter()
+            .zip(&self.block_len)
+            .flat_map(|(bases, lens)| bases.iter().zip(lens))
+            .flat_map(|(&base, &len)| (0..len).map(move |i| Ip(base + i * INSTR_BYTES)))
     }
 
     /// Total code size in (synthetic) bytes.
@@ -324,14 +334,17 @@ mod tests {
         let m = two_proc_module();
         m.validate().unwrap();
         let l = m.layout();
+        let mut ips = l.instr_ips();
         for p in &m.procs {
             for b in &p.blocks {
                 for idx in 0..b.len() {
                     let ip = l.ip_of(p.id, b.id, idx);
                     assert_eq!(l.locate(ip), Some((p.id, b.id, idx)), "ip {ip}");
+                    assert_eq!(ips.next(), Some(ip), "walk order is address order");
                 }
             }
         }
+        assert_eq!(ips.next(), None);
         // Unaligned and out-of-range addresses resolve to nothing.
         assert_eq!(l.locate(Ip(m.base_ip + 1)), None);
         assert_eq!(l.locate(Ip(0)), None);

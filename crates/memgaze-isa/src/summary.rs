@@ -169,11 +169,16 @@ impl ProcSummaries {
         // ⊤) until stable. Because facts only ever rise, the loop
         // terminates in at most 2·NUM_ARG_REGS·n joins; the cap is a
         // backstop, and any residual instability degrades to ⊤.
-        let cfgs: Vec<Cfg> = module.procs.iter().map(Cfg::build).collect();
+        // Only a procedure that calls has sites to evaluate.
+        let callers: Vec<(usize, Cfg)> = (0..n)
+            .filter(|&i| !callees[i].is_empty())
+            .map(|i| (i, Cfg::build(&module.procs[i])))
+            .collect();
         let mut facts: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
         let max_rounds = 2 * NUM_ARG_REGS * n + 2;
+        let mut stable = false;
         for _ in 0..max_rounds {
-            let next = out.eval_sites(module, &cfgs, &facts);
+            let next = out.eval_sites(module, &callers, &facts);
             let mut grew = false;
             for (cur, new) in facts.iter_mut().zip(next.iter()) {
                 for (c, v) in cur.iter_mut().zip(new.iter()) {
@@ -186,42 +191,45 @@ impl ProcSummaries {
             }
             out.apply_facts(&facts);
             if !grew {
+                stable = true;
                 break;
             }
         }
 
-        // Verification pass: the published facts must absorb one more
-        // evaluation round; anything that would still move goes to ⊤.
-        let check = out.eval_sites(module, &cfgs, &facts);
-        let mut dirty = false;
-        for (cur, new) in facts.iter_mut().zip(check.iter()) {
-            for (c, v) in cur.iter_mut().zip(new.iter()) {
-                if c.join(*v) != *c {
-                    *c = Fact::Top;
-                    dirty = true;
+        // A round that moved nothing evaluated every site under the facts
+        // it left published, so they absorb it. If the cap cut the loop
+        // short instead, they must absorb one more evaluation round;
+        // anything that would still move goes to ⊤.
+        if !stable {
+            let check = out.eval_sites(module, &callers, &facts);
+            for (cur, new) in facts.iter_mut().zip(check.iter()) {
+                for (c, v) in cur.iter_mut().zip(new.iter()) {
+                    if c.join(*v) != *c {
+                        *c = Fact::Top;
+                    }
                 }
             }
-        }
-        if dirty {
             out.apply_facts(&facts);
         }
         out
     }
 
     /// Evaluate every call site under the current fact table: run the
-    /// range analysis in each caller (entry seeded from the caller's own
-    /// facts) and collect the argument-register ranges at each `Call`.
+    /// range analysis in each caller (`callers`: procedure index and CFG;
+    /// entry seeded from the caller's own facts) and collect the
+    /// argument-register ranges at each `Call`.
     fn eval_sites(
         &self,
         module: &LoadModule,
-        cfgs: &[Cfg],
+        callers: &[(usize, Cfg)],
         facts: &[[Fact; NUM_ARG_REGS]],
     ) -> Vec<[Fact; NUM_ARG_REGS]> {
         let n = module.procs.len();
         let mut seen: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
-        for (pi, proc) in module.procs.iter().enumerate() {
-            let entry = entry_from_facts(&facts[pi]);
-            let ra = RangeAnalysis::analyze(proc, &cfgs[pi], entry, Some(self));
+        for (pi, cfg) in callers {
+            let proc = &module.procs[*pi];
+            let entry = entry_from_facts(&facts[*pi]);
+            let ra = RangeAnalysis::analyze(proc, cfg, entry, Some(self));
             for b in &proc.blocks {
                 let mut st = *ra.block_entry(b.id);
                 for ins in &b.instrs {

@@ -23,7 +23,7 @@
 
 use crate::cfg::Cfg;
 use crate::instr::Instr;
-use crate::module::{LoadModule, INSTR_BYTES, PROC_ALIGN};
+use crate::module::{LoadModule, ModuleLayout, INSTR_BYTES, PROC_ALIGN};
 use crate::proc::{BlockId, ProcId, Procedure};
 use crate::reg::{Reg, NUM_REGS};
 use memgaze_model::Ip;
@@ -328,10 +328,13 @@ pub fn verify_module(module: &LoadModule) -> Vec<Diagnostic> {
     if diags.iter().any(|d| d.severity == Severity::Error) {
         return diags;
     }
-    cfg_pass(module, &mut diags);
-    def_before_use_pass(module, &mut diags);
-    layout_pass(module, &mut diags);
-    data_pass(module, &mut diags);
+    // One CFG per procedure and one layout serve every pass below.
+    let cfgs: Vec<Cfg> = module.procs.iter().map(Cfg::build).collect();
+    let layout = module.layout();
+    cfg_pass(module, &cfgs, &mut diags);
+    def_before_use_pass(module, &cfgs, &layout, &mut diags);
+    layout_pass(module, &layout, &mut diags);
+    data_pass(module, &layout, &mut diags);
     diags
 }
 
@@ -389,9 +392,8 @@ fn structural_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn cfg_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
-    for p in &module.procs {
-        let cfg = Cfg::build(p);
+fn cfg_pass(module: &LoadModule, cfgs: &[Cfg], out: &mut Vec<Diagnostic>) {
+    for (p, cfg) in module.procs.iter().zip(cfgs) {
         for b in &p.blocks {
             if !cfg.is_reachable(b.id) {
                 out.push(Diagnostic::warning(
@@ -439,10 +441,13 @@ fn entry_defined() -> u32 {
     set
 }
 
-fn def_before_use_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
-    let layout = module.layout();
-    for p in &module.procs {
-        let cfg = Cfg::build(p);
+fn def_before_use_pass(
+    module: &LoadModule,
+    cfgs: &[Cfg],
+    layout: &ModuleLayout,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (p, cfg) in module.procs.iter().zip(cfgs) {
         let n = p.blocks.len();
         // Forward must-be-defined analysis: bitset per block of registers
         // definitely written on every path from entry to block entry.
@@ -522,11 +527,7 @@ fn def_before_use_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
                 }
             }
             if let crate::instr::Terminator::Br { lhs, rhs, .. } = b.term {
-                let mut regs = vec![lhs];
-                if let crate::instr::Operand::Reg(r) = rhs {
-                    regs.push(r);
-                }
-                for u in regs {
+                for u in [Some(lhs), rhs.as_reg()].into_iter().flatten() {
                     if defined & (1 << u.0) == 0 {
                         out.push(Diagnostic::warning(
                             LintId::UseBeforeDef,
@@ -546,8 +547,7 @@ fn def_before_use_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn layout_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
-    let layout = module.layout();
+fn layout_pass(module: &LoadModule, layout: &ModuleLayout, out: &mut Vec<Diagnostic>) {
     for p in &module.procs {
         let base = layout.proc_base(p.id).raw();
         if !base.is_multiple_of(PROC_ALIGN) {
@@ -607,8 +607,7 @@ fn layout_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn data_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
-    let layout = module.layout();
+fn data_pass(module: &LoadModule, layout: &ModuleLayout, out: &mut Vec<Diagnostic>) {
     let code_lo = module.base_ip;
     let code_hi = code_lo + layout.code_bytes();
     // Sort regions by base to find overlaps in one sweep.

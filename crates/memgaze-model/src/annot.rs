@@ -112,6 +112,16 @@ impl AuxAnnotations {
     }
 }
 
+/// Builds the annotation file in one pass; pairs already in address
+/// order (as the instrumentor emits them) cost no per-entry tree descent.
+impl FromIterator<(Ip, IpAnnot)> for AuxAnnotations {
+    fn from_iter<I: IntoIterator<Item = (Ip, IpAnnot)>>(pairs: I) -> AuxAnnotations {
+        AuxAnnotations {
+            map: pairs.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +141,21 @@ mod tests {
         assert_eq!(ax.implied_const_of(Ip(0x99)), 0);
         assert_eq!(ax.len(), 1);
         assert!(!ax.is_empty());
+    }
+
+    #[test]
+    fn collected_annotations_equal_inserted() {
+        let annot = |c| IpAnnot::of_class(c, FunctionId(0));
+        let pairs = [
+            (Ip(0x30), annot(LoadClass::Constant)),
+            (Ip(0x10), annot(LoadClass::Strided)),
+            (Ip(0x20), annot(LoadClass::Irregular)),
+        ];
+        let mut inserted = AuxAnnotations::new();
+        for (ip, a) in pairs {
+            inserted.insert(ip, a);
+        }
+        assert_eq!(pairs.into_iter().collect::<AuxAnnotations>(), inserted);
     }
 
     #[test]

@@ -176,6 +176,22 @@ impl SourceMap {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+
+    /// Iterate over `(instrumented ip, original location)` pairs in
+    /// address order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Ip, &SourceLoc)> + '_ {
+        self.map.iter()
+    }
+}
+
+/// Builds the map in one pass; pairs already in address order (as a
+/// rewriter emits them) cost no per-entry tree descent.
+impl FromIterator<(Ip, SourceLoc)> for SourceMap {
+    fn from_iter<I: IntoIterator<Item = (Ip, SourceLoc)>>(pairs: I) -> SourceMap {
+        SourceMap {
+            map: pairs.into_iter().collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -225,5 +241,33 @@ mod tests {
         assert_eq!(loc.line, 42);
         assert!(m.resolve(Ip(0x9999)).is_none());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn collected_source_map_equals_recorded() {
+        let pairs = [
+            (0x1008u64, 0x1004u64, 7u32),
+            (0x1000, 0x1000, 3),
+            (0x1004, 0x1004, 7),
+        ];
+        let mut recorded = SourceMap::new();
+        for (new_ip, orig_ip, line) in pairs {
+            recorded.record(Ip(new_ip), Ip(orig_ip), line);
+        }
+        let collected: SourceMap = pairs
+            .iter()
+            .map(|&(new_ip, orig_ip, line)| {
+                (
+                    Ip(new_ip),
+                    SourceLoc {
+                        orig_ip: Ip(orig_ip),
+                        line,
+                    },
+                )
+            })
+            .collect();
+        assert_eq!(collected, recorded);
+        let order: Vec<u64> = collected.iter().map(|(ip, _)| ip.raw()).collect();
+        assert_eq!(order, vec![0x1000, 0x1004, 0x1008]);
     }
 }

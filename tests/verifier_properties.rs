@@ -254,6 +254,43 @@ fn mutation_stats_bump() {
     assert!(has(&diags, LintId::StatsMismatch), "{diags:?}");
 }
 
+/// `check_instrumented` is public and takes the plan and classification
+/// on trust; handed tables of another module it used to panic in
+/// `expect`. It now refuses them in one `StatsMismatch` naming the load
+/// counts — also when the counts agree and only the addresses differ.
+#[test]
+fn foreign_tables_are_refused_not_indexed() {
+    let a = artifacts(OptLevel::O3);
+    let other = gen(Compose::Single(Pattern::Irregular), OptLevel::O0);
+    let mut shifted = a.module.clone();
+    let entry = shifted.procs[0].entry.index();
+    shifted.procs[0].blocks[entry].instrs.insert(0, Instr::Nop);
+    assert_ne!(other.num_loads(), a.module.num_loads());
+    assert_eq!(shifted.num_loads(), a.module.num_loads());
+
+    for foreign in [&other, &shifted] {
+        let classification = ModuleClassification::analyze(foreign);
+        let plan = InstrPlan::build(foreign, &classification, &a.config);
+        for (c, p) in [
+            (&classification, &a.plan),
+            (&a.classification, &plan),
+            (&classification, &plan),
+        ] {
+            let diags = check_instrumented(&a.module, &a.inst, c, p, &a.config);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].lint, LintId::StatsMismatch);
+            for loads in [p.iter().count(), c.len(), a.module.num_loads()] {
+                assert!(
+                    diags[0].message.contains(&format!("{loads} loads")),
+                    "{}",
+                    diags[0].message
+                );
+            }
+        }
+    }
+    assert!(check(&a).is_empty());
+}
+
 // --- clean modules verify; differential agreement -----------------------
 
 /// Every generated microbenchmark module and every synthetic workload
