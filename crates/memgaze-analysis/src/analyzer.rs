@@ -11,29 +11,30 @@
 //! * [`Analyzer::window_series`] / [`Analyzer::locality_series`] — the
 //!   Fig. 6 and Fig. 9 series; [`Analyzer::heatmaps`] — Fig. 8.
 //!
-//! Every expensive artifact (ρ/κ facts, the flattened access stream,
-//! per-sample reuse analyses and diagnostics, the merged [`BlockReuse`],
-//! the zoom tree, code windows, and the function table) is memoized in an
-//! interior-mutability [`ArtifactCache`], so rendering several tables
-//! from one `Analyzer` computes each artifact exactly once. The cache is
-//! keyed implicitly by `(trace, config)`: the trace is borrowed
-//! immutably, and [`Analyzer::with_config`] resets the cache.
+//! The analyzer computes no report of its own: it feeds `trace.samples`
+//! to the streaming fold ([`crate::StreamingAnalyzer`]) once and reads
+//! the [`StreamingReport`] back, so the resident tables are the tables
+//! `store`, `serve`, `watch` and the fan-out produce. What it adds is
+//! what needs the resident trace — the per-sample reuse *event lists*
+//! (heatmaps, histogram), the location zoom, the window and locality
+//! series, the interval tree, the working set — and three memo slots
+//! for what a multi-table report re-reads: the report, the event lists,
+//! the zoom. The slots are keyed implicitly by `(trace, config)`: the
+//! trace is borrowed immutably, and [`Analyzer::with_config`] empties
+//! them.
 
 use crate::confidence::Confidence;
-use crate::diagnostics::FootprintDiagnostics;
 use crate::heatmap::{region_heatmaps_from, Heatmap};
 use crate::histogram::{locality_vs_interval_with, LocalityPoint};
 use crate::interval_tree::IntervalTree;
 use crate::par;
 use crate::report::{fmt_f3, fmt_pct, fmt_si, Table};
 use crate::reuse::{self, BlockReuse, ReuseAnalysis};
-use crate::window::{window_series_with, CodeWindows, WindowPoint};
-use crate::zoom::{LocationZoom, ZoomConfig, ZoomRegion};
-use memgaze_model::{
-    Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
-};
+use crate::streaming::{stream_resident_trace, StreamingReport};
+use crate::window::{window_series_with, WindowPoint};
+use crate::zoom::{zoom_trace_with, ZoomConfig, ZoomRegion};
+use memgaze_model::{AuxAnnotations, BlockSize, DecompressionInfo, SampledTrace, SymbolTable};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Analyzer configuration.
@@ -128,64 +129,39 @@ pub struct IntervalRow {
     pub accesses_decompressed: f64,
 }
 
-/// How many times each memoized artifact was actually *computed*
-/// (not served from the cache). Exposed so perf tests can assert that
-/// rendering every table computes each artifact exactly once.
+/// Which memoized artifacts exist so far: each field is 1 when the slot
+/// its artifact lives in is filled and 0 when it is empty. A slot is a
+/// `OnceLock`, which cannot compute twice, so occupancy is the compute
+/// count. The eight fields date from an analyzer with eight slots and
+/// stay because `benchmark/` sums them (ROADMAP, "Thaw the benchmark
+/// once (a)"); there are three slots now.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
-    /// ρ/κ decompression facts.
+    /// ρ/κ decompression facts — the report slot.
     pub decompression: u64,
-    /// Flattened access stream.
+    /// Flattened access stream, built and dropped by the zoom — the
+    /// zoom slot.
     pub accesses: u64,
-    /// Per-sample reuse analyses (at the reuse block size).
+    /// Per-sample reuse analyses (at the reuse block size) — their own
+    /// slot.
     pub sample_reuse: u64,
-    /// Per-sample footprint diagnostics (at the footprint block size).
+    /// Per-sample footprint diagnostics — the report slot.
     pub sample_diags: u64,
-    /// Merged trace-wide [`BlockReuse`].
+    /// Merged trace-wide [`BlockReuse`] — the report slot.
     pub block_reuse: u64,
-    /// Location-zoom tree.
+    /// Location-zoom tree — the zoom slot.
     pub zoom: u64,
-    /// Per-function code windows.
+    /// Always 0: nothing builds code windows for a report.
     pub code_windows: u64,
-    /// Sorted function-table rows.
+    /// Sorted function-table rows — the report slot.
     pub function_rows: u64,
 }
 
-/// Interior-mutability memoization of the analyzer's artifacts.
-///
-/// Each slot is a `OnceLock` so a `&Analyzer` can lazily fill it; the
-/// paired counters record how many times the compute closure actually
-/// ran, which the throughput tests assert on.
-#[derive(Default)]
-struct ArtifactCache {
-    decompression: OnceLock<DecompressionInfo>,
-    accesses: OnceLock<Vec<Access>>,
-    sample_reuse: OnceLock<Vec<ReuseAnalysis>>,
-    sample_diags: OnceLock<Vec<FootprintDiagnostics>>,
-    block_reuse: OnceLock<BlockReuse>,
-    zoom: OnceLock<Option<ZoomRegion>>,
-    code_windows: OnceLock<CodeWindows>,
-    function_rows: OnceLock<Vec<FunctionRow>>,
-    computes: Counters,
-}
-
-#[derive(Default)]
-struct Counters {
-    decompression: AtomicU64,
-    accesses: AtomicU64,
-    sample_reuse: AtomicU64,
-    sample_diags: AtomicU64,
-    block_reuse: AtomicU64,
-    zoom: AtomicU64,
-    code_windows: AtomicU64,
-    function_rows: AtomicU64,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
+/// Samples per shard the resident pass feeds the fold. Any value gives
+/// the same report; this one keeps the fold's per-shard buffers (the
+/// resolved column, the samples' kernel rows) small beside the trace
+/// while leaving `par_map` more than its inline cutoff to spread.
+const RESIDENT_SHARD_SAMPLES: usize = 64;
 
 /// The analyzer façade.
 pub struct Analyzer<'a> {
@@ -193,7 +169,14 @@ pub struct Analyzer<'a> {
     annots: &'a AuxAnnotations,
     symbols: &'a SymbolTable,
     cfg: AnalysisConfig,
-    cache: ArtifactCache,
+    /// The fold's report: re-read by the function table, `region_rows`,
+    /// every `region_row_for` and `interval_rows`.
+    report: OnceLock<StreamingReport>,
+    /// Per-sample reuse event lists: re-read by every heatmap and the
+    /// histogram.
+    sample_reuse: OnceLock<Vec<ReuseAnalysis>>,
+    /// The zoom tree: re-read by every `region_rows`.
+    zoom: OnceLock<Option<ZoomRegion>>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -208,17 +191,20 @@ impl<'a> Analyzer<'a> {
             annots,
             symbols,
             cfg: AnalysisConfig::default(),
-            cache: ArtifactCache::default(),
+            report: OnceLock::new(),
+            sample_reuse: OnceLock::new(),
+            zoom: OnceLock::new(),
         }
     }
 
-    /// Replace the configuration. Resets the artifact cache — cached
-    /// artifacts are only valid for the `(trace, config)` pair they were
-    /// computed under.
-    pub fn with_config(mut self, cfg: AnalysisConfig) -> Analyzer<'a> {
-        self.cfg = cfg;
-        self.cache = ArtifactCache::default();
-        self
+    /// Replace the configuration. Empties the memo slots — an artifact
+    /// is only valid for the `(trace, config)` pair it was computed
+    /// under.
+    pub fn with_config(self, cfg: AnalysisConfig) -> Analyzer<'a> {
+        Analyzer {
+            cfg,
+            ..Analyzer::new(self.trace, self.annots, self.symbols)
+        }
     }
 
     /// The sampled trace under analysis.
@@ -241,43 +227,52 @@ impl<'a> Analyzer<'a> {
         &self.cfg
     }
 
-    /// Compute counts of the memoized artifacts so far.
+    /// Occupancy of the memo slots so far.
     pub fn cache_stats(&self) -> CacheStats {
-        let c = &self.cache.computes;
+        let report = u64::from(self.report.get().is_some());
+        let zoom = u64::from(self.zoom.get().is_some());
         CacheStats {
-            decompression: c.decompression.load(Ordering::Relaxed),
-            accesses: c.accesses.load(Ordering::Relaxed),
-            sample_reuse: c.sample_reuse.load(Ordering::Relaxed),
-            sample_diags: c.sample_diags.load(Ordering::Relaxed),
-            block_reuse: c.block_reuse.load(Ordering::Relaxed),
-            zoom: c.zoom.load(Ordering::Relaxed),
-            code_windows: c.code_windows.load(Ordering::Relaxed),
-            function_rows: c.function_rows.load(Ordering::Relaxed),
+            decompression: report,
+            accesses: zoom,
+            sample_reuse: u64::from(self.sample_reuse.get().is_some()),
+            sample_diags: report,
+            block_reuse: report,
+            zoom,
+            code_windows: 0,
+            function_rows: report,
         }
     }
 
-    /// ρ/κ decompression facts of the trace.
+    /// The streaming fold's report over the whole trace, memoized.
+    fn report(&self) -> &StreamingReport {
+        self.report.get_or_init(|| {
+            stream_resident_trace(
+                self.trace,
+                self.annots,
+                self.symbols,
+                self.cfg,
+                &[],
+                RESIDENT_SHARD_SAMPLES,
+            )
+        })
+    }
+
+    /// ρ/κ decompression facts of the trace: the report's once a table
+    /// has been asked for, the model's one-pass definition (which the
+    /// spec holds the report's copy equal to) for callers that never ask
+    /// for one.
     pub fn decompression(&self) -> DecompressionInfo {
-        *self.cache.decompression.get_or_init(|| {
-            Counters::bump(&self.cache.computes.decompression);
-            DecompressionInfo::from_trace(self.trace, self.annots)
-        })
+        match self.report.get() {
+            Some(report) => report.decompression,
+            None => DecompressionInfo::from_trace(self.trace, self.annots),
+        }
     }
 
-    /// All sampled accesses, flattened and memoized (feeds the zoom and
-    /// any custom analysis).
-    pub fn all_accesses(&self) -> &[Access] {
-        self.cache.accesses.get_or_init(|| {
-            Counters::bump(&self.cache.computes.accesses);
-            self.trace.accesses().copied().collect()
-        })
-    }
-
-    /// Per-sample reuse analyses at the configured reuse block size,
-    /// computed in parallel and memoized.
+    /// Per-sample reuse analyses — the event lists heatmaps and the
+    /// histogram bin — at the configured reuse block size, computed in
+    /// parallel and memoized.
     pub fn sample_reuse(&self) -> &[ReuseAnalysis] {
-        self.cache.sample_reuse.get_or_init(|| {
-            Counters::bump(&self.cache.computes.sample_reuse);
+        self.sample_reuse.get_or_init(|| {
             let rb = self.cfg.reuse_block;
             par::par_map(&self.trace.samples, self.cfg.threads, |s| {
                 reuse::analyze_window(&s.accesses, rb)
@@ -285,66 +280,10 @@ impl<'a> Analyzer<'a> {
         })
     }
 
-    /// Per-sample footprint diagnostics at the configured footprint
-    /// block size, computed in parallel and memoized.
-    pub fn sample_diagnostics(&self) -> &[FootprintDiagnostics] {
-        self.cache.sample_diags.get_or_init(|| {
-            Counters::bump(&self.cache.computes.sample_diags);
-            let fb = self.cfg.footprint_block;
-            par::par_map(&self.trace.samples, self.cfg.threads, |s| {
-                FootprintDiagnostics::compute(&s.accesses, self.annots, fb)
-            })
-        })
-    }
-
-    /// Per-function code windows, memoized.
-    pub fn code_windows(&self) -> &CodeWindows {
-        self.cache.code_windows.get_or_init(|| {
-            Counters::bump(&self.cache.computes.code_windows);
-            CodeWindows::build(self.trace, self.symbols)
-        })
-    }
-
     /// Per-function locality rows, sorted by decompressed accesses
-    /// (hottest first). Computed once per analyzer; per-function work
-    /// runs in parallel.
+    /// (hottest first).
     pub fn function_table(&self) -> &[FunctionRow] {
-        self.cache.function_rows.get_or_init(|| {
-            Counters::bump(&self.cache.computes.function_rows);
-            let rho = self.decompression().rho();
-            let cw = self.code_windows();
-            let fb = self.cfg.footprint_block;
-            let rb = self.cfg.reuse_block;
-            let funcs: Vec<(&str, &[Access], &[usize])> = cw
-                .iter_with_samples()
-                .map(|(name, accesses, _runs, ends)| (name, accesses, ends))
-                .collect();
-            let mut rows = par::par_map(&funcs, self.cfg.threads, |&(name, accesses, ends)| {
-                let diag = FootprintDiagnostics::compute(accesses, self.annots, fb);
-                let r = reuse::analyze_window(accesses, rb);
-                // Per-sample footprint observations for the confidence
-                // interval: slice the function's accesses at the sample
-                // boundaries the code windows recorded.
-                let mut obs = Vec::with_capacity(ends.len());
-                let mut start = 0usize;
-                for &end in ends {
-                    obs.push(crate::footprint::footprint(&accesses[start..end], fb) as f64);
-                    start = end;
-                }
-                FunctionRow {
-                    name: name.to_string(),
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    f_str_pct: diag.delta_f_str_pct(),
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                    observed: diag.observed,
-                    mean_d: r.mean_distance(),
-                    confidence: Confidence::from_observations(&obs),
-                }
-            });
-            rows.sort_by(|a, b| b.accesses_decompressed.total_cmp(&a.accesses_decompressed));
-            rows
-        })
+        &self.report().function_rows
     }
 
     /// Render the function table in the paper's Table IV shape.
@@ -363,53 +302,26 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Merged per-block reuse over all samples (location analyses).
-    /// Per-sample summaries are built in parallel from the cached
-    /// per-sample reuse analyses, then coalesced with a single index
-    /// rebuild; the merged summary is memoized.
     pub fn block_reuse(&self) -> &BlockReuse {
-        self.cache.block_reuse.get_or_init(|| {
-            Counters::bump(&self.cache.computes.block_reuse);
-            let rb = self.cfg.reuse_block;
-            let analyses = self.sample_reuse();
-            let pairs: Vec<(&Sample, &ReuseAnalysis)> =
-                self.trace.samples.iter().zip(analyses).collect();
-            let parts = par::par_map(&pairs, self.cfg.threads, |&(s, r)| {
-                BlockReuse::from_analysis(&s.accesses, rb, r)
-            });
-            BlockReuse::from_parts(parts)
-        })
+        &self.report().block_reuse
     }
 
     /// The location zoom tree (Fig. 5), with source-line attribution
-    /// from the annotation file. Memoized; shares the cached
+    /// from the annotation file. Memoized; runs on the report's
     /// [`Analyzer::block_reuse`] when the zoom's access block matches
     /// the reuse block (the default).
     pub fn zoom(&self) -> Option<&ZoomRegion> {
-        self.cache
-            .zoom
+        self.zoom
             .get_or_init(|| {
-                Counters::bump(&self.cache.computes.zoom);
-                let accesses = self.all_accesses();
-                if accesses.is_empty() {
-                    return None;
-                }
                 let zcfg = self.cfg.zoom;
-                let run = |summary: &BlockReuse| {
-                    LocationZoom::new(accesses, summary, self.symbols, zcfg)
-                        .with_annotations(self.annots)
-                        .run()
-                };
-                if zcfg.access_block == self.cfg.reuse_block {
-                    run(self.block_reuse())
+                let dedicated;
+                let summary = if zcfg.access_block == self.cfg.reuse_block {
+                    self.block_reuse()
                 } else {
-                    // The zoom wants a different block granularity; build
-                    // a dedicated summary at that size.
-                    let parts = par::par_map(&self.trace.samples, self.cfg.threads, |s| {
-                        let r = reuse::analyze_window(&s.accesses, zcfg.access_block);
-                        BlockReuse::from_analysis(&s.accesses, zcfg.access_block, &r)
-                    });
-                    run(&BlockReuse::from_parts(parts))
-                }
+                    dedicated = BlockReuse::from_samples(&self.trace.samples, zcfg.access_block);
+                    &dedicated
+                };
+                zoom_trace_with(self.trace, summary, self.symbols, Some(self.annots), zcfg)
             })
             .as_ref()
     }
@@ -417,7 +329,6 @@ impl<'a> Analyzer<'a> {
     /// Hot-memory reuse rows from the zoom's leaves, hottest first
     /// (Tables V / VII / IX).
     pub fn region_rows(&self) -> Vec<RegionRow> {
-        let rb = self.cfg.reuse_block;
         let root = match self.zoom() {
             Some(r) => r,
             None => return Vec::new(),
@@ -427,8 +338,7 @@ impl<'a> Analyzer<'a> {
             .leaves()
             .into_iter()
             .map(|leaf| {
-                let lo_b = leaf.lo >> rb.log2();
-                let hi_b = (leaf.hi + rb.bytes() - 1) >> rb.log2();
+                let (lo_b, hi_b) = self.cfg.reuse_block.block_range(leaf.lo, leaf.hi);
                 RegionRow {
                     range: (leaf.lo, leaf.hi),
                     reuse_d: leaf.reuse_d,
@@ -447,70 +357,13 @@ impl<'a> Analyzer<'a> {
     /// Reuse row for one explicit address range (when the caller knows
     /// the object, e.g. Table V's named objects).
     pub fn region_row_for(&self, lo: u64, hi: u64) -> RegionRow {
-        let summary = self.block_reuse();
-        let rb = self.cfg.reuse_block;
-        let lo_b = lo >> rb.log2();
-        let hi_b = (hi + rb.bytes() - 1) >> rb.log2();
-        let accesses = summary.region_accesses(lo_b, hi_b);
-        let total = self.trace.observed_accesses();
-        RegionRow {
-            range: (lo, hi),
-            reuse_d: summary.region_mean_distance(lo_b, hi_b),
-            max_d: summary.region_max_distance(lo_b, hi_b),
-            blocks: summary.region_blocks(lo_b, hi_b),
-            accesses,
-            pct_of_total: if total == 0 {
-                0.0
-            } else {
-                100.0 * accesses as f64 / total as f64
-            },
-            code: Vec::new(),
-        }
+        self.report().region_row_for(lo, hi)
     }
 
     /// Locality over time: split the samples into `n` equal time
-    /// intervals and report per-interval metrics (Table VIII). Consumes
-    /// the cached per-sample diagnostics and reuse analyses, so repeat
-    /// calls (and other tables) share the per-sample passes.
+    /// intervals and report per-interval metrics (Table VIII).
     pub fn interval_rows(&self, n: usize) -> Vec<IntervalRow> {
-        if self.trace.samples.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let rho = self.decompression().rho();
-        let fb = self.cfg.footprint_block;
-        let diags = self.sample_diagnostics();
-        let reuses = self.sample_reuse();
-        let per_interval = self.trace.samples.len().div_ceil(n);
-        diags
-            .chunks(per_interval)
-            .zip(reuses.chunks(per_interval))
-            .enumerate()
-            .map(|(i, (dgroup, rgroup))| {
-                let mut diag: Option<FootprintDiagnostics> = None;
-                for d in dgroup {
-                    match &mut diag {
-                        Some(m) => m.merge(d),
-                        None => diag = Some(*d),
-                    }
-                }
-                let mut d_sum = 0.0;
-                let mut d_n = 0u64;
-                for r in rgroup {
-                    if !r.events.is_empty() {
-                        d_sum += r.mean_distance() * r.events.len() as f64;
-                        d_n += r.events.len() as u64;
-                    }
-                }
-                let diag = diag.unwrap_or_default();
-                IntervalRow {
-                    interval: i,
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                }
-            })
-            .collect()
+        self.report().interval_rows(n)
     }
 
     /// Footprint-metric histograms over power-of-2 windows (Fig. 6).
@@ -587,7 +440,7 @@ impl<'a> Analyzer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{FunctionId, Ip, IpAnnot, LoadClass, Sample, TraceMeta};
+    use memgaze_model::{Access, FunctionId, Ip, IpAnnot, LoadClass, Sample, TraceMeta};
 
     /// A trace with a hot streaming function and a cold reusing one, plus
     /// matching annotations and symbols.
@@ -733,67 +586,122 @@ mod tests {
     }
 
     #[test]
-    fn report_path_computes_each_artifact_once() {
-        // The ISSUE's acceptance criterion: region_rows() followed by
-        // region_row_for() performs exactly one block_reuse and one zoom
-        // computation; the rest of the multi-table report path keeps
-        // every counter at one.
+    fn report_path_fills_each_slot_once() {
         let (t, annots, symbols) = setup();
         let a = Analyzer::new(&t, &annots, &symbols);
+        assert_eq!(a.cache_stats(), CacheStats::default());
+        // Series and the tree need ρ/κ but no table: no slot fills.
+        let _ = a.window_series(&[16, 64]);
+        let _ = a.interval_tree();
+        assert_eq!(a.cache_stats(), CacheStats::default());
+
+        // region_rows() then region_row_for(): the report and the zoom,
+        // and no event list.
         let rows = a.region_rows();
         assert!(!rows.is_empty());
         let _row = a.region_row_for(16 << 20, (16 << 20) + 4 * 64);
-        let stats = a.cache_stats();
-        assert_eq!(stats.block_reuse, 1, "{stats:?}");
-        assert_eq!(stats.zoom, 1, "{stats:?}");
-        assert_eq!(stats.sample_reuse, 1, "{stats:?}");
+        let report_and_zoom = CacheStats {
+            decompression: 1,
+            accesses: 1,
+            sample_reuse: 0,
+            sample_diags: 1,
+            block_reuse: 1,
+            zoom: 1,
+            code_windows: 0,
+            function_rows: 1,
+        };
+        assert_eq!(a.cache_stats(), report_and_zoom);
 
-        // Pile on the rest of the report; artifacts must not recompute.
+        // Pile on the rest of the report: the event lists join the
+        // other two slots, and nothing ever builds code windows.
         let _ = a.function_table();
         let _ = a.function_table_rendered("again");
         let _ = a.interval_rows(8);
         let _ = a.interval_rows(4);
         let _ = a.region_rows();
         let _ = a.heatmaps((1 << 20, 2 << 20), 4, 4);
-        let _ = a.window_series(&[16, 64]);
-        let stats = a.cache_stats();
-        assert_eq!(stats.block_reuse, 1, "{stats:?}");
-        assert_eq!(stats.zoom, 1, "{stats:?}");
-        assert_eq!(stats.sample_reuse, 1, "{stats:?}");
-        assert_eq!(stats.sample_diags, 1, "{stats:?}");
-        assert_eq!(stats.decompression, 1, "{stats:?}");
-        assert_eq!(stats.code_windows, 1, "{stats:?}");
-        assert_eq!(stats.function_rows, 1, "{stats:?}");
+        let _ = a.heatmaps((1 << 20, 2 << 20), 8, 8);
+        assert_eq!(
+            a.cache_stats(),
+            CacheStats {
+                sample_reuse: 1,
+                ..report_and_zoom
+            }
+        );
+        // The report's ρ/κ facts are the model's one-pass definition.
+        assert_eq!(
+            a.decompression(),
+            DecompressionInfo::from_trace(&t, &annots)
+        );
     }
 
     #[test]
-    fn with_config_resets_cache() {
+    fn with_config_empties_the_slots() {
         let (t, annots, symbols) = setup();
         let a = Analyzer::new(&t, &annots, &symbols);
-        let _ = a.block_reuse();
+        let _ = a.region_rows();
+        let _ = a.sample_reuse();
         assert_eq!(a.cache_stats().block_reuse, 1);
         let a = a.with_config(AnalysisConfig {
-            threads: 1,
+            reuse_block: BlockSize::OS_PAGE,
             ..AnalysisConfig::default()
         });
-        assert_eq!(a.cache_stats().block_reuse, 0, "cache must reset");
-        let _ = a.block_reuse();
+        assert_eq!(a.cache_stats(), CacheStats::default(), "slots must empty");
+        // … and refill under the new configuration: 4 lines of one page.
+        assert_eq!(a.region_row_for(16 << 20, (16 << 20) + 4 * 64).blocks, 1);
         assert_eq!(a.cache_stats().block_reuse, 1);
     }
 
     #[test]
-    fn cached_results_match_fresh_analyzer() {
+    fn zoom_at_its_own_block_size_builds_a_dedicated_summary() {
+        // reuse_block ≠ zoom.access_block: the zoom's D and #blocks are
+        // at cache-line granularity whatever the report's summary is.
+        let (t, annots, symbols) = setup();
+        let lines = Analyzer::new(&t, &annots, &symbols);
+        let pages = Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig {
+            reuse_block: BlockSize::OS_PAGE,
+            ..AnalysisConfig::default()
+        });
+        assert_eq!(lines.zoom(), pages.zoom());
+        assert_ne!(lines.block_reuse(), pages.block_reuse());
+    }
+
+    #[test]
+    fn region_at_the_top_of_the_address_space_keeps_its_access() {
+        // `(hi + block − 1) >> log2` overflowed here: a panic in debug
+        // builds, an empty block range (0 accesses) in release.
+        let mut t = SampledTrace::new(TraceMeta::new("top", 1000, 8192));
+        t.meta.total_loads = 1000;
+        t.push_sample(Sample::new(
+            vec![Access::new(Ip(0x110), u64::MAX - 7, 0)],
+            1,
+        ))
+        .unwrap();
+        let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+        let a = Analyzer::new(&t, &annots, &symbols);
+        let row = a.region_row_for(0, u64::MAX);
+        assert_eq!((row.accesses, row.blocks), (1, 1));
+        assert_eq!(row.pct_of_total, 100.0);
+        // The zoom describes the same region through the same helper.
+        let rows = a.region_rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].accesses, rows[0].blocks), (1, 1));
+        // An empty or reversed range holds nothing.
+        assert_eq!(a.region_row_for(u64::MAX, u64::MAX).accesses, 0);
+        assert_eq!(a.region_row_for(u64::MAX, 0).accesses, 0);
+    }
+
+    #[test]
+    fn memoized_results_match_fresh_analyzer() {
         let (t, annots, symbols) = setup();
         let cached = Analyzer::new(&t, &annots, &symbols);
-        // Warm every artifact, then ask again.
+        // Warm every slot, then ask again.
         let first_regions = cached.region_rows();
-        let first_functions = cached.function_table().to_vec();
+        let first_events = cached.sample_reuse().to_vec();
         let fresh = Analyzer::new(&t, &annots, &symbols);
         assert_eq!(first_regions, fresh.region_rows());
-        assert_eq!(first_functions, fresh.function_table());
         assert_eq!(cached.region_rows(), fresh.region_rows());
-        assert_eq!(cached.interval_rows(8), fresh.interval_rows(8));
-        assert_eq!(cached.block_reuse(), fresh.block_reuse());
+        assert_eq!(first_events, fresh.sample_reuse());
         assert_eq!(cached.zoom(), fresh.zoom());
     }
 }

@@ -6,9 +6,10 @@
 //! and snapshots it into a [`PartialReport`]
 //! ([`StreamingAnalyzer::into_partial`]). The coordinator folds the
 //! partials **in shard order** with [`PartialReport::merge`] and calls
-//! [`PartialReport::finish`] — the *same* fold the resident streaming
-//! path uses — so fan-out reports are bit-identical to the resident
-//! [`Analyzer`](crate::Analyzer) for every worker count and shard size.
+//! [`PartialReport::finish`] — the *same* fold every other consumer
+//! ends in, the resident [`Analyzer`](crate::Analyzer) included — so
+//! fan-out reports are bit-identical to a single pass for every worker
+//! count and shard size.
 //!
 //! The merge laws, per artifact:
 //!
@@ -532,7 +533,7 @@ impl PartialReport {
 
     /// Fold into the final report — the single fold shared with
     /// [`StreamingAnalyzer::finish`], which is what makes fan-out
-    /// reports bit-identical to resident streaming by construction.
+    /// reports bit-identical to a single pass by construction.
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         let _span = memgaze_obs::span("fanout.finish");
         let decompression = DecompressionInfo {

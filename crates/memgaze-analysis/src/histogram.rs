@@ -6,7 +6,7 @@
 
 use crate::kernel::{self, AnnotMemo};
 use crate::par;
-use crate::reuse::{self, ReuseAnalysis};
+use crate::reuse::ReuseAnalysis;
 use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace};
 use serde::{Deserialize, Serialize};
 
@@ -122,17 +122,7 @@ pub struct LocalityPoint {
 
 /// Intra-sample locality as a function of access-interval size: chop each
 /// sample into intervals of each requested size and average D and ΔF.
-pub fn locality_vs_interval(
-    trace: &SampledTrace,
-    annots: &AuxAnnotations,
-    reuse_block: BlockSize,
-    sizes: &[u64],
-) -> Vec<LocalityPoint> {
-    locality_vs_interval_with(trace, annots, reuse_block, sizes, par::default_threads())
-}
-
-/// [`locality_vs_interval`] with an explicit worker count. The
-/// per-sample chunk analyses run in parallel; their partial sums are
+/// The per-sample chunk analyses run in parallel; their partial sums are
 /// folded in sample order, so the result is identical for every thread
 /// count.
 pub fn locality_vs_interval_with(
@@ -172,9 +162,9 @@ pub fn locality_vs_interval_with(
 
 /// One sample's partial sums for a locality-vs-interval point:
 /// `(windows, Σ mean-D, Σ ΔF, Σ F)` over the sample's `chunk`-sized
-/// intervals. Shared by the resident series above and the streaming
-/// analyzer, so both fold identical per-sample terms and agree bit for
-/// bit.
+/// intervals. The series above and the streaming analyzer run the same
+/// kernel pass, so both fold identical per-sample terms and agree bit
+/// for bit.
 pub fn locality_sample_partial(
     accesses: &[Access],
     annots: &AuxAnnotations,
@@ -185,14 +175,6 @@ pub fn locality_sample_partial(
     kernel::with_workspace(|ws| {
         ws.locality_partial(accesses, reuse_block, chunk, |_, a| memo.get(a.ip).1)
     })
-}
-
-/// Reuse-distance histogram over all intra-sample windows.
-pub fn reuse_distance_histogram(trace: &SampledTrace, bs: BlockSize) -> Log2Histogram {
-    let analyses = par::par_map(&trace.samples, par::default_threads(), |s| {
-        reuse::analyze_window(&s.accesses, bs)
-    });
-    reuse_histogram_from(&analyses)
 }
 
 /// Reuse-distance histogram from precomputed per-sample analyses.
@@ -209,6 +191,7 @@ pub fn reuse_histogram_from(analyses: &[ReuseAnalysis]) -> Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reuse;
     use memgaze_model::{Access, Sample, TraceMeta};
 
     #[test]
@@ -256,7 +239,7 @@ mod tests {
         // smaller windows see smaller distances (only first-touches).
         let t = mk_trace(32, 256);
         let annots = AuxAnnotations::new();
-        let pts = locality_vs_interval(&t, &annots, BlockSize::CACHE_LINE, &[8, 64, 128]);
+        let pts = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &[8, 64, 128], 1);
         assert_eq!(pts.len(), 3);
         // Interval 8 < cycle: no reuse at all.
         assert_eq!(pts[0].mean_d, 0.0);
@@ -367,7 +350,8 @@ mod tests {
     #[test]
     fn reuse_histogram_of_cyclic_trace() {
         let t = mk_trace(16, 64);
-        let h = reuse_distance_histogram(&t, BlockSize::CACHE_LINE);
+        let r = reuse::analyze_window(&t.samples[0].accesses, BlockSize::CACHE_LINE);
+        let h = reuse_histogram_from(&[r]);
         // 64 accesses cycling over 16 blocks → 48 reuses at distance 15.
         assert_eq!(h.count(), 48);
         assert!((h.mean() - 15.0).abs() < 1e-9);

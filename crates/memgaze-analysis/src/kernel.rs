@@ -3,7 +3,7 @@
 //!
 //! Every public window function in this crate (`reuse::analyze_window`,
 //! `FootprintDiagnostics::compute`, `footprint::footprint`,
-//! `histogram::locality_sample_partial`, `BlockReuse::from_analysis`)
+//! `histogram::locality_sample_partial`, `BlockReuse::from_samples`)
 //! and the per-sample passes of `StreamingAnalyzer::ingest_shard` run on
 //! the [`Workspace`] here, so a 16-access locality window and a
 //! whole-function code window share one block table, one Fenwick
@@ -25,9 +25,9 @@ use std::cell::RefCell;
 
 /// Longest window whose buffers a thread keeps for the next call. The
 /// dense sampler's 16 KiB buffer holds 2048 accesses, so samples and
-/// everything chopped out of them stay below it; the resident
-/// `function_table` (whole-function windows, tens of thousands of
-/// accesses) does not, and must not pin megabytes per thread.
+/// everything chopped out of them stay below it; a whole-function
+/// code window or a full trace viewed as one sample (tens of thousands
+/// of accesses and up) does not, and must not pin megabytes per thread.
 pub(crate) const RETAIN_WINDOW: usize = 4096;
 
 /// Windows up to this length keep their markers in one `u64`.
@@ -219,17 +219,6 @@ impl Workspace {
         &self.rows
     }
 
-    /// The row of `block`, created (all zero) on first touch.
-    #[inline]
-    fn row_of(&mut self, block: u64) -> &mut Row {
-        let (slot, new) = self.table.entry(block);
-        if new {
-            *slot = self.rows.len() as u32;
-            self.rows.push(Row::new(block));
-        }
-        &mut self.rows[*slot as usize]
-    }
-
     /// Exact reuse distances of one window: `on_event(pos, block,
     /// interval, distance)` for every access to a block seen before, in
     /// access order, and per-block totals left in [`rows`](Self::rows).
@@ -296,23 +285,17 @@ impl Workspace {
     }
 
     /// Access counts per distinct block, left in [`rows`](Self::rows)
-    /// (the reuse columns stay zero), with room in the table for `spare`
-    /// more blocks from [`add_event`](Self::add_event).
-    pub(crate) fn count_pass(&mut self, blocks: impl ExactSizeIterator<Item = u64>, spare: usize) {
-        self.begin(blocks.len() + spare);
+    /// (the reuse columns stay zero).
+    pub(crate) fn count_pass(&mut self, blocks: impl ExactSizeIterator<Item = u64>) {
+        self.begin(blocks.len());
         for block in blocks {
-            self.row_of(block).accesses += 1;
+            let (slot, new) = self.table.entry(block);
+            if new {
+                *slot = self.rows.len() as u32;
+                self.rows.push(Row::new(block));
+            }
+            self.rows[*slot as usize].accesses += 1;
         }
-    }
-
-    /// Fold a reuse event computed elsewhere into the rows of a
-    /// [`count_pass`](Self::count_pass). An event for a block the pass
-    /// did not see gets a row with zero accesses.
-    pub(crate) fn add_event(&mut self, block: u64, distance: u64) {
-        let row = self.row_of(block);
-        row.reuse_cnt += 1;
-        row.dist_sum += distance;
-        row.max_dist = row.max_dist.max(distance as u32);
     }
 
     /// Footprint access diagnostics of one window (paper §V-E): distinct

@@ -18,7 +18,10 @@
 //! * [`histogram`], [`heatmap`] — distribution views (Figs. 8–9);
 //! * [`mape`] — the Fig. 6 validation machinery;
 //! * [`confidence`] — undersampling detection (§VI-A's suggestion);
-//! * [`analyzer`] — a façade producing the paper's table shapes;
+//! * [`streaming`] — the one engine that computes a report, shard by
+//!   shard; [`fanout`] — its mergeable partials and their wire codec;
+//! * [`analyzer`] — a façade producing the paper's table shapes from
+//!   that report plus what needs the resident trace;
 //! * [`report`] — table rendering; [`par`] — scoped-thread parallel helpers.
 
 pub mod analyzer;
@@ -55,8 +58,7 @@ pub use footprint::{
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use heatmap::{region_heatmaps, region_heatmaps_from, Heatmap};
 pub use histogram::{
-    locality_vs_interval, locality_vs_interval_with, reuse_distance_histogram,
-    reuse_histogram_from, LocalityPoint, Log2Histogram,
+    locality_vs_interval_with, reuse_histogram_from, LocalityPoint, Log2Histogram,
 };
 pub use interval_tree::{IntervalNode, IntervalTree, NodeKind};
 pub use live::{
@@ -70,6 +72,4 @@ pub use streaming::{
 };
 pub use window::{pow2_sizes, window_series, window_series_with, CodeWindows, WindowPoint};
 pub use workingset::{working_set, WorkingSet};
-pub use zoom::{
-    zoom_trace, zoom_trace_annotated, LocationZoom, RegionCode, ZoomConfig, ZoomRegion,
-};
+pub use zoom::{zoom_trace, zoom_trace_with, LocationZoom, RegionCode, ZoomConfig, ZoomRegion};

@@ -9,7 +9,7 @@
 //! `O(log n)` Fenwick query beyond.
 
 use crate::kernel::{self, Row};
-use memgaze_model::{Access, BlockSize};
+use memgaze_model::{Access, BlockSize, Sample};
 use serde::{Deserialize, Serialize};
 
 /// One observed reuse: the access index, its block, interval, and distance.
@@ -197,21 +197,17 @@ impl Default for BlockReuse {
 }
 
 impl BlockReuse {
-    /// Build from a window's reuse analysis plus its accesses.
-    pub fn from_analysis(
-        accesses: &[Access],
-        bs: BlockSize,
-        analysis: &ReuseAnalysis,
-    ) -> BlockReuse {
-        let pairs = kernel::with_workspace(|ws| {
-            // The events are the window's own, but nothing makes a caller
-            // pass matching arguments: leave room for a row each.
-            let blocks = accesses.iter().map(|a| a.addr.block(bs));
-            ws.count_pass(blocks, analysis.events.len());
-            for e in &analysis.events {
-                ws.add_event(e.block, e.distance);
+    /// The summary of `samples` at block size `bs` — the one place a
+    /// `BlockReuse` is built from accesses. Reuse is intra-sample
+    /// (§IV-B): one kernel reuse pass per sample, the per-block rows of
+    /// all of them sorted once, the query index built once.
+    pub fn from_samples(samples: &[Sample], bs: BlockSize) -> BlockReuse {
+        let mut pairs = Vec::new();
+        kernel::with_workspace(|ws| {
+            for s in samples {
+                ws.reuse_pass(s.accesses.iter().map(|a| a.addr.block(bs)), |_, _, _, _| {});
+                pairs.extend(ws.rows().iter().map(BlockStats::of_row));
             }
-            ws.rows().iter().map(BlockStats::of_row).collect()
         });
         let mut br = BlockReuse::from_pairs_unindexed(pairs);
         br.rebuild_index();
@@ -491,6 +487,11 @@ mod tests {
             .collect()
     }
 
+    /// The summary of one window of cache-line blocks.
+    fn summary(blocks: &[u64]) -> BlockReuse {
+        BlockReuse::from_samples(&[Sample::new(seq(blocks), 0)], BlockSize::CACHE_LINE)
+    }
+
     #[test]
     fn simple_reuse_distances() {
         // a b c a: reuse of a at distance 2 (b, c), interval 3.
@@ -550,9 +551,7 @@ mod tests {
 
     #[test]
     fn block_reuse_region_queries() {
-        let a = seq(&[10, 11, 10, 20, 20, 11]);
-        let r = analyze_window(&a, BlockSize::CACHE_LINE);
-        let br = BlockReuse::from_analysis(&a, BlockSize::CACHE_LINE, &r);
+        let br = summary(&[10, 11, 10, 20, 20, 11]);
         assert_eq!(br.region_accesses(10, 12), 4);
         assert_eq!(br.region_accesses(20, 21), 2);
         assert_eq!(br.region_blocks(10, 21), 3);
@@ -564,17 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn from_analysis_tolerates_events_of_another_window() {
-        // Far more foreign blocks than the (empty) window sized the
-        // kernel's table for: each still gets a zero-access row.
-        let other = seq(&(0..300).flat_map(|b| [b, b]).collect::<Vec<u64>>());
-        let r = analyze_window(&other, BlockSize::CACHE_LINE);
-        let br = BlockReuse::from_analysis(&[], BlockSize::CACHE_LINE, &r);
-        assert_eq!(br.len(), 300);
-        assert_eq!(br.region_accesses(0, u64::MAX), 0);
-    }
-
-    #[test]
     fn indexed_queries_match_full_scan() {
         // Pseudo-random block stream with clustered regions; compare the
         // indexed queries against a straight scan over iter() plus an
@@ -582,9 +570,8 @@ mod tests {
         let blocks: Vec<u64> = (0..500u64)
             .map(|i| (i.wrapping_mul(2654435761) % 97) + (i % 3) * 1000)
             .collect();
-        let a = seq(&blocks);
-        let r = analyze_window(&a, BlockSize::CACHE_LINE);
-        let br = BlockReuse::from_analysis(&a, BlockSize::CACHE_LINE, &r);
+        let r = analyze_window(&seq(&blocks), BlockSize::CACHE_LINE);
+        let br = summary(&blocks);
 
         let mut max_by_block: std::collections::HashMap<u64, u64> =
             std::collections::HashMap::new();
@@ -658,30 +645,25 @@ mod tests {
             vec![],
             (0..40).map(|i| i % 7).collect(),
         ];
-        let parts: Vec<BlockReuse> = windows
-            .iter()
-            .map(|w| {
-                let a = seq(w);
-                let r = analyze_window(&a, BlockSize::CACHE_LINE);
-                BlockReuse::from_analysis(&a, BlockSize::CACHE_LINE, &r)
-            })
-            .collect();
+        let parts: Vec<BlockReuse> = windows.iter().map(|w| summary(w)).collect();
         let mut folded = BlockReuse::default();
         for p in &parts {
             folded.merge(p);
         }
         let bulk = BlockReuse::from_parts(parts);
         assert_eq!(folded, bulk);
+        // And both equal the one pass over the windows as samples.
+        let samples: Vec<Sample> = windows.iter().map(|w| Sample::new(seq(w), 0)).collect();
+        assert_eq!(
+            bulk,
+            BlockReuse::from_samples(&samples, BlockSize::CACHE_LINE)
+        );
     }
 
     #[test]
     fn block_reuse_merge_accumulates() {
-        let a1 = seq(&[1, 2, 1]);
-        let a2 = seq(&[1, 3, 1]);
-        let r1 = analyze_window(&a1, BlockSize::CACHE_LINE);
-        let r2 = analyze_window(&a2, BlockSize::CACHE_LINE);
-        let mut b = BlockReuse::from_analysis(&a1, BlockSize::CACHE_LINE, &r1);
-        b.merge(&BlockReuse::from_analysis(&a2, BlockSize::CACHE_LINE, &r2));
+        let mut b = summary(&[1, 2, 1]);
+        b.merge(&summary(&[1, 3, 1]));
         assert_eq!(b.region_accesses(1, 2), 4);
         assert_eq!(b.region_blocks(0, 100), 3);
     }

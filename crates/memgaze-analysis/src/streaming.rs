@@ -1,39 +1,42 @@
-//! Incremental (streaming) trace analysis over shard frames.
+//! The analysis engine: an incremental fold over shards of samples.
 //!
-//! The resident [`Analyzer`](crate::Analyzer) assumes the whole
-//! `SampledTrace` is in memory before any pass runs. This module
-//! consumes a trace one shard of samples at a time — e.g. straight off
-//! a [`ShardReader`](memgaze_model::ShardReader) — and folds per-shard
-//! partial artifacts with the same order-preserving merges the resident
-//! passes use, so the final [`StreamingReport`] is **bit-identical** to
-//! the resident results for any shard size and worker count, while
-//! holding only one decoded shard plus O(partials) state.
+//! [`StreamingAnalyzer::ingest_shard`] → [`into_partial`] →
+//! [`PartialReport::finish`] is the only code in the workspace that
+//! computes a report. It consumes a trace one shard of samples at a
+//! time — straight off a [`ShardReader`](memgaze_model::ShardReader),
+//! out of the store's frames, from a `serve` upload, or from the
+//! resident [`Analyzer`](crate::Analyzer), which feeds it
+//! `trace.samples` and reads the [`StreamingReport`] back — holding one
+//! decoded shard plus O(partials) state. The report is the same for any
+//! shard size and worker count; the reference it answers to is the
+//! definitional spec in `tests/common/spec.rs`.
 //!
-//! The merge laws that make this exact:
+//! The merge laws that make "any sharding == one shard" exact:
 //!
 //! * integer accumulations (access counts, footprint set unions,
 //!   histogram bins) are associative, so any shard grouping agrees;
 //! * every `f64` reduction folds *per-sample* terms in global sample
-//!   order — never per-shard subtotals — reproducing the resident fold
-//!   addition for addition;
+//!   order — never per-shard subtotals;
 //! * [`BlockReuse::merge`] is the pairwise form of
-//!   [`BlockReuse::from_parts`], which the resident pass uses;
+//!   [`BlockReuse::from_parts`], and both only sum and max integers;
 //! * per-function exact reuse distances cross shard boundaries via
 //!   [`ReuseTracker`], an incremental engine whose event sequence (and
-//!   thus integer distance sum) matches
-//!   [`reuse::analyze_window`](crate::reuse::analyze_window) on the
-//!   concatenated stream.
+//!   thus integer distance sum) is that of the quadratic definition
+//!   over the function's concatenated code window.
 //!
 //! The same laws extend across *processes*: a shard range's partials
 //! can be snapshotted into a [`PartialReport`](crate::fanout::PartialReport)
 //! and merged in shard order by the fan-out coordinator (see
 //! [`fanout`](crate::fanout)), with [`finish`](StreamingAnalyzer::finish)
-//! itself implemented as `into_partial().finish(..)` so resident
-//! streaming and fan-out share one fold path.
+//! itself implemented as `into_partial().finish(..)` so every consumer
+//! shares one fold path.
 //!
 //! Artifacts that need the whole trace by construction (location zoom,
 //! window series keyed on the global κ, time-range heatmaps) are out of
-//! scope here; run them on a resident trace.
+//! scope here; they stay on the resident [`Analyzer`](crate::Analyzer).
+//!
+//! [`into_partial`]: StreamingAnalyzer::into_partial
+//! [`PartialReport::finish`]: crate::fanout::PartialReport::finish
 
 use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
@@ -77,8 +80,8 @@ impl IngestStats {
     }
 }
 
-/// Per-sample reuse summary retained for interval rows: enough to
-/// replay the resident `Σ mean·count / Σ count` fold exactly.
+/// Per-sample reuse summary retained for interval rows: enough for
+/// their `Σ mean·count / Σ count` fold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub(crate) struct SampleReuseSummary {
     pub(crate) events: usize,
@@ -287,8 +290,8 @@ impl ReuseTracker {
     }
 }
 
-/// Per-function accumulators mirroring what the resident function table
-/// derives from a whole code window.
+/// Per-function accumulators: what the function table needs of a
+/// code window (§IV-B), without the window.
 struct FuncState {
     id: u32,
     name: String,
@@ -331,9 +334,9 @@ struct SampleArtifacts {
     locality: Vec<(u64, f64, f64, f64)>,
 }
 
-/// Streaming counterpart of the resident [`Analyzer`](crate::Analyzer):
-/// feed shards in trace order via [`ingest_shard`](Self::ingest_shard),
-/// then [`finish`](Self::finish) into a [`StreamingReport`].
+/// The fold: feed shards in trace order via
+/// [`ingest_shard`](Self::ingest_shard), then [`finish`](Self::finish)
+/// into a [`StreamingReport`].
 pub struct StreamingAnalyzer<'a> {
     cfg: AnalysisConfig,
     locality_sizes: Vec<u64>,
@@ -517,8 +520,8 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Sequential per-access function pass over one sample and its
-    /// resolved column, mirroring what the resident code-window
-    /// grouping + per-function analyses compute. One map probe per
+    /// resolved column: the code-window grouping (§IV-B) and the
+    /// per-function analyses over it, fused. One map probe per
     /// access records the block, its class and whether this sample has
     /// counted it; one more feeds the reuse tracker.
     fn fold_sample_functions(&mut self, s: &Sample, infos: &[IpInfo]) {
@@ -643,9 +646,9 @@ impl<'a> StreamingAnalyzer<'a> {
     /// the trace metadata (with trailer-patched totals when reading a
     /// sharded container).
     ///
-    /// Implemented as `into_partial().finish(meta)` so the resident
-    /// streaming path and the fan-out merge path share one fold,
-    /// keeping their reports bit-identical by construction.
+    /// Implemented as `into_partial().finish(meta)` so this path and
+    /// the fan-out merge path share one fold, keeping their reports
+    /// bit-identical by construction.
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         self.into_partial().finish(meta)
     }
@@ -696,16 +699,16 @@ fn sample_passes(
     })
 }
 
-/// Merged artifacts of a streaming pass. Every field and derived table
-/// is bit-identical to its resident [`Analyzer`](crate::Analyzer)
-/// counterpart for the same trace and configuration.
+/// The report of a pass: what [`Analyzer`](crate::Analyzer)'s
+/// `decompression`, `function_table`, `block_reuse`, `interval_rows`
+/// and `region_row_for` read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingReport {
-    /// ρ/κ decompression facts (== `Analyzer::decompression`).
+    /// ρ/κ decompression facts.
     pub decompression: DecompressionInfo,
-    /// Function table (== `Analyzer::function_table`).
+    /// Function table, hottest first.
     pub function_rows: Vec<FunctionRow>,
-    /// Trace-wide block reuse summary (== `Analyzer::block_reuse`).
+    /// Trace-wide block reuse summary.
     pub block_reuse: BlockReuse,
     /// Reuse-distance histogram over samples (==
     /// `reuse_histogram_from(Analyzer::sample_reuse())`).
@@ -722,9 +725,9 @@ pub struct StreamingReport {
 }
 
 impl StreamingReport {
-    /// Locality over time, replaying the resident
-    /// [`Analyzer::interval_rows`](crate::Analyzer::interval_rows) fold
-    /// from the retained per-sample summaries.
+    /// Locality over time: split the samples into `n` equal time
+    /// intervals and report per-interval metrics (Table VIII), folded
+    /// from the retained per-sample summaries in sample order.
     pub fn interval_rows(&self, n: usize) -> Vec<IntervalRow> {
         if self.per_sample_diags.is_empty() || n == 0 {
             return Vec::new();
@@ -764,13 +767,11 @@ impl StreamingReport {
             .collect()
     }
 
-    /// Reuse metrics of an address region (==
-    /// [`Analyzer::region_row_for`](crate::Analyzer::region_row_for),
-    /// sans code attribution, which needs the resident access stream).
+    /// Reuse row for one explicit address range `[lo, hi)` (when the
+    /// caller knows the object, e.g. Table V's named objects). No code
+    /// attribution: that needs the resident access stream.
     pub fn region_row_for(&self, lo: u64, hi: u64) -> RegionRow {
-        let rb = self.reuse_block;
-        let lo_b = lo >> rb.log2();
-        let hi_b = (hi + rb.bytes() - 1) >> rb.log2();
+        let (lo_b, hi_b) = self.reuse_block.block_range(lo, hi);
         let accesses = self.block_reuse.region_accesses(lo_b, hi_b);
         let total = self.decompression.observed;
         RegionRow {
@@ -789,9 +790,9 @@ impl StreamingReport {
     }
 }
 
-/// Convenience: stream a resident trace through a [`StreamingAnalyzer`]
-/// in `shard_samples`-sized shards. Mostly useful for tests and
-/// benchmarks; real streaming callers feed a
+/// Stream a resident trace through a [`StreamingAnalyzer`] in
+/// `shard_samples`-sized shards — what [`Analyzer`](crate::Analyzer)
+/// does with its trace; streaming callers feed a
 /// [`ShardReader`](memgaze_model::ShardReader) instead.
 pub fn stream_resident_trace<'a>(
     trace: &SampledTrace,
@@ -811,19 +812,13 @@ pub fn stream_resident_trace<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::Analyzer;
-    use crate::histogram::{locality_vs_interval_with, reuse_histogram_from};
     use memgaze_model::{Access, FunctionId, Ip, IpAnnot, LoadClass};
 
     fn synthetic_setup() -> (SampledTrace, AuxAnnotations, SymbolTable) {
-        synthetic_trace(16)
-    }
-
-    fn synthetic_trace(samples: u64) -> (SampledTrace, AuxAnnotations, SymbolTable) {
         let mut t = SampledTrace::new(TraceMeta::new("stream-test", 10_000, 16 << 10));
-        t.meta.total_loads = samples * 10_000;
-        t.meta.total_instrumented_loads = samples * 100;
-        for s in 0..samples {
+        t.meta.total_loads = 16 * 10_000;
+        t.meta.total_instrumented_loads = 16 * 100;
+        for s in 0..16u64 {
             let base = s * 10_000;
             let mut accesses = Vec::new();
             for i in 0..100u64 {
@@ -873,61 +868,6 @@ mod tests {
             assert_eq!(tr.events(), r.events.len() as u64, "cap {cap}");
             assert_eq!(tr.mean_distance(), r.mean_distance(), "cap {cap}");
         }
-    }
-
-    #[test]
-    fn report_matches_resident_for_all_shard_sizes_and_threads() {
-        // 48 samples: a 64-sample shard holds them all, which is more
-        // than `par_map` runs inline, so threads 2 and 4 really fan the
-        // sample passes out over workers with their own workspaces.
-        let (t, annots, symbols) = synthetic_trace(48);
-        let sizes = [8u64, 32];
-        let cfg = AnalysisConfig::default();
-        let resident =
-            Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig { threads: 1, ..cfg });
-        let res_hist = reuse_histogram_from(resident.sample_reuse());
-        let res_loc = locality_vs_interval_with(&t, &annots, cfg.reuse_block, &sizes, 1);
-        for shard in [1usize, 3, 7, 16, 64] {
-            for threads in [1usize, 2, 4] {
-                let report = stream_resident_trace(
-                    &t,
-                    &annots,
-                    &symbols,
-                    AnalysisConfig { threads, ..cfg },
-                    &sizes,
-                    shard,
-                );
-                let tag = format!("shard {shard} threads {threads}");
-                assert_eq!(report.decompression, resident.decompression(), "{tag}");
-                assert_eq!(report.function_rows, resident.function_table(), "{tag}");
-                assert_eq!(&report.block_reuse, resident.block_reuse(), "{tag}");
-                assert_eq!(report.reuse_histogram, res_hist, "{tag}");
-                assert_eq!(report.locality_series, res_loc, "{tag}");
-                for n in [1usize, 3, 8] {
-                    assert_eq!(report.interval_rows(n), resident.interval_rows(n), "{tag}");
-                }
-                let row = report.region_row_for(0x10_0000, 0x10_4000);
-                let mut want = resident.region_row_for(0x10_0000, 0x10_4000);
-                want.code = Vec::new();
-                assert_eq!(row, want, "{tag}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_trace_matches_resident() {
-        let t = SampledTrace::new(TraceMeta::new("empty", 1000, 4096));
-        let annots = AuxAnnotations::new();
-        let symbols = SymbolTable::new();
-        let cfg = AnalysisConfig::default();
-        let report = stream_resident_trace(&t, &annots, &symbols, cfg, &[8], 4);
-        let resident = Analyzer::new(&t, &annots, &symbols);
-        assert_eq!(report.decompression, resident.decompression());
-        assert_eq!(report.function_rows, resident.function_table());
-        assert_eq!(&report.block_reuse, resident.block_reuse());
-        assert!(report.locality_series.is_empty());
-        assert!(report.interval_rows(4).is_empty());
-        assert_eq!(report.ingest.merge_events, 0);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!
 //! *Code windows* aggregate access runs by function over many samples,
 //! which "reduces blind spots and statistical error" — the second Fig. 6
-//! series, and the basis of the per-function hot-spot tables.
+//! series. [`CodeWindows`] materialises that view for callers that want
+//! the accesses themselves; the per-function hot-spot table folds the
+//! same grouping shard by shard without copying an access
+//! ([`streaming`](crate::streaming)).
 
 use crate::diagnostics::FootprintDiagnostics;
 use crate::footprint::WindowKind;
@@ -209,9 +212,6 @@ struct FuncWindow {
     accesses: Vec<Access>,
     /// Number of contiguous access runs.
     runs: u64,
-    /// End offset into `accesses` after each sample the function
-    /// appears in; `accesses[ends[i-1]..ends[i]]` is one sample's worth.
-    sample_ends: Vec<usize>,
 }
 
 /// Access runs grouped by function — code windows.
@@ -251,13 +251,6 @@ impl CodeWindows {
                 }
                 prev = Some(slot);
             }
-            // Record the sample boundary for every function this sample
-            // touched.
-            for (_, fw) in &mut windows {
-                if fw.accesses.len() > fw.sample_ends.last().copied().unwrap_or(0) {
-                    fw.sample_ends.push(fw.accesses.len());
-                }
-            }
         }
         CodeWindows {
             per_func: windows.into_iter().collect(),
@@ -269,20 +262,6 @@ impl CodeWindows {
         self.per_func
             .values()
             .map(|f| (f.name.as_str(), f.accesses.as_slice(), f.runs))
-    }
-
-    /// Like [`iter`](Self::iter) but also yielding each function's
-    /// per-sample end offsets, so callers can slice the accesses at
-    /// sample boundaries.
-    pub fn iter_with_samples(&self) -> impl Iterator<Item = (&str, &[Access], u64, &[usize])> + '_ {
-        self.per_func.values().map(|f| {
-            (
-                f.name.as_str(),
-                f.accesses.as_slice(),
-                f.runs,
-                f.sample_ends.as_slice(),
-            )
-        })
     }
 
     /// The accesses attributed to the named function.
@@ -403,42 +382,6 @@ mod tests {
         assert_eq!(cw.function("<unknown>").unwrap().len(), 1);
         let a_runs = cw.iter().find(|(n, _, _)| *n == "a").unwrap().2;
         assert_eq!(a_runs, 2);
-    }
-
-    #[test]
-    fn code_windows_record_sample_boundaries() {
-        let mut symbols = SymbolTable::new();
-        symbols.add_function("a", Ip(0x100), Ip(0x200), "a.c");
-        symbols.add_function("b", Ip(0x200), Ip(0x300), "a.c");
-        let mut t = SampledTrace::new(TraceMeta::new("t", 100, 8192));
-        // Sample 0: a ×2, b ×1. Sample 1: b ×2. Sample 2: a ×1.
-        t.push_sample(Sample::new(
-            vec![
-                Access::new(Ip(0x100), 0u64, 0),
-                Access::new(Ip(0x110), 64u64, 1),
-                Access::new(Ip(0x210), 128u64, 2),
-            ],
-            3,
-        ))
-        .unwrap();
-        t.push_sample(Sample::new(
-            vec![
-                Access::new(Ip(0x220), 192u64, 10),
-                Access::new(Ip(0x230), 256u64, 11),
-            ],
-            12,
-        ))
-        .unwrap();
-        t.push_sample(Sample::new(vec![Access::new(Ip(0x120), 0u64, 20)], 21))
-            .unwrap();
-        let cw = CodeWindows::build(&t, &symbols);
-        let ends: Vec<(&str, Vec<usize>)> = cw
-            .iter_with_samples()
-            .map(|(n, _, _, e)| (n, e.to_vec()))
-            .collect();
-        // Function "a": 2 accesses in sample 0, 1 in sample 2 → [2, 3].
-        // Function "b": 1 in sample 0, 2 in sample 1 → [1, 3].
-        assert_eq!(ends, vec![("a", vec![2, 3]), ("b", vec![1, 3])]);
     }
 
     #[test]

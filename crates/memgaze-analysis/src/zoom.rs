@@ -10,7 +10,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::reuse::BlockReuse;
-use memgaze_model::{Access, AuxAnnotations, BlockSize, SymbolTable};
+use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace, SymbolTable};
 use serde::{Deserialize, Serialize};
 
 /// Zoom parameters.
@@ -169,9 +169,7 @@ impl<'a> LocationZoom<'a> {
     }
 
     fn describe(&self, lo: u64, hi: u64, members: &[usize], depth: u32) -> ZoomRegion {
-        let bs = self.cfg.access_block;
-        let lo_block = lo >> bs.log2();
-        let hi_block = (hi + bs.bytes() - 1) >> bs.log2();
+        let (lo_block, hi_block) = self.cfg.access_block.block_range(lo, hi);
         let d = self.reuse.region_mean_distance(lo_block, hi_block);
         let blocks = self.reuse.region_blocks(lo_block, hi_block);
 
@@ -295,27 +293,26 @@ impl<'a> LocationZoom<'a> {
 
 /// Convenience: run the zoom over every sampled access of a trace.
 pub fn zoom_trace(
-    trace: &memgaze_model::SampledTrace,
+    trace: &SampledTrace,
     symbols: &SymbolTable,
     cfg: ZoomConfig,
 ) -> Option<ZoomRegion> {
-    zoom_trace_annotated(trace, symbols, None, cfg)
+    let summary = BlockReuse::from_samples(&trace.samples, cfg.access_block);
+    zoom_trace_with(trace, &summary, symbols, None, cfg)
 }
 
-/// [`zoom_trace`] with source-line attribution from the annotation file.
-pub fn zoom_trace_annotated(
-    trace: &memgaze_model::SampledTrace,
+/// The zoom driver: every sampled access of `trace` against `summary`,
+/// the trace's per-block reuse at `cfg.access_block`, with source-line
+/// attribution when the annotation file is given.
+pub fn zoom_trace_with(
+    trace: &SampledTrace,
+    summary: &BlockReuse,
     symbols: &SymbolTable,
     annots: Option<&AuxAnnotations>,
     cfg: ZoomConfig,
 ) -> Option<ZoomRegion> {
     let accesses: Vec<Access> = trace.accesses().copied().collect();
-    let parts = crate::par::par_map(&trace.samples, crate::par::default_threads(), |s| {
-        let r = crate::reuse::analyze_window(&s.accesses, cfg.access_block);
-        BlockReuse::from_analysis(&s.accesses, cfg.access_block, &r)
-    });
-    let merged = BlockReuse::from_parts(parts);
-    let zoom = LocationZoom::new(&accesses, &merged, symbols, cfg);
+    let zoom = LocationZoom::new(&accesses, summary, symbols, cfg);
     match annots {
         Some(ax) => zoom.with_annotations(ax).run(),
         None => zoom.run(),
@@ -325,8 +322,7 @@ pub fn zoom_trace_annotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reuse;
-    use memgaze_model::{Access, Ip};
+    use memgaze_model::{Access, Ip, Sample};
 
     /// Two hot objects far apart: object A at 1 MiB (streamed, poor
     /// locality), object B at 64 MiB (reused heavily).
@@ -348,9 +344,13 @@ mod tests {
         acc
     }
 
+    /// The reuse summary of `acc` taken as one sample.
+    fn summary(acc: &[Access], bs: BlockSize) -> BlockReuse {
+        BlockReuse::from_samples(&[Sample::new(acc.to_vec(), 0)], bs)
+    }
+
     fn zoom_over(acc: &[Access], cfg: ZoomConfig) -> ZoomRegion {
-        let r = reuse::analyze_window(acc, cfg.access_block);
-        let br = BlockReuse::from_analysis(acc, cfg.access_block, &r);
+        let br = summary(acc, cfg.access_block);
         let symbols = SymbolTable::new();
         let z = LocationZoom::new(acc, &br, &symbols, cfg);
         z.run().unwrap()
@@ -425,8 +425,7 @@ mod tests {
     fn annotations_attach_source_lines() {
         use memgaze_model::{AuxAnnotations, FunctionId, IpAnnot, LoadClass};
         let acc = two_objects();
-        let r = reuse::analyze_window(&acc, BlockSize::CACHE_LINE);
-        let br = BlockReuse::from_analysis(&acc, BlockSize::CACHE_LINE, &r);
+        let br = summary(&acc, BlockSize::CACHE_LINE);
         let mut symbols = SymbolTable::new();
         symbols.add_function("streamer", Ip(0x100), Ip(0x200), "w.c");
         symbols.add_function("reuser", Ip(0x200), Ip(0x300), "w.c");

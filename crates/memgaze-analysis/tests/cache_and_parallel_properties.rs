@@ -1,53 +1,29 @@
 //! Property tests of the throughput overhaul's three pillars:
 //!
-//! 1. the memoized `Analyzer` returns the same artifacts as a fresh
-//!    analyzer computed from scratch for each query;
+//! 1. the memoized `Analyzer` returns the same resident-only artifacts
+//!    (zoom, region rows, heatmaps, window series, interval tree) as a
+//!    fresh analyzer computed from scratch for each query — the tables
+//!    it reads from the fold's report answer to the spec instead
+//!    (`spec_equivalence.rs`);
 //! 2. the indexed `BlockReuse` region queries agree with a linear-scan
 //!    oracle over `(block, stats)` pairs;
 //! 3. every parallelized per-sample pass is invariant in the worker
 //!    count (threads = N matches threads = 1 bit-for-bit);
 //! 4. the window kernels equal their set-and-scan definitions.
 
+#[path = "../../../tests/common/arb.rs"]
+mod arb;
+
+use arb::{arb_trace, arb_window};
 use memgaze_analysis::{
     analyze_window, analyze_window_naive, captures_survivals, locality_vs_interval_with,
     region_heatmaps_from, window_series_with, AnalysisConfig, Analyzer, BlockReuse,
     FootprintDiagnostics, IntervalTree,
 };
 use memgaze_model::{
-    Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace,
-    SymbolTable, TraceMeta,
+    AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, SampledTrace, SymbolTable,
 };
 use proptest::prelude::*;
-
-fn arb_access() -> impl Strategy<Value = Access> {
-    (0u64..64, 0u64..(1 << 12), 0u64..(1 << 20))
-        .prop_map(|(ip, addr, t)| Access::new(0x400 + ip * 4, 0x10_0000 + addr * 8, t))
-}
-
-fn arb_window(max: usize) -> impl Strategy<Value = Vec<Access>> {
-    prop::collection::vec(arb_access(), 0..max).prop_map(|mut v| {
-        v.sort_by_key(|a| a.time);
-        v
-    })
-}
-
-fn arb_trace() -> impl Strategy<Value = SampledTrace> {
-    prop::collection::vec(arb_window(120), 0..10).prop_map(|windows| {
-        let mut t = SampledTrace::new(TraceMeta::new("prop", 10_000, 8192));
-        let mut offset = 0u64;
-        for w in windows {
-            let shifted: Vec<Access> = w
-                .iter()
-                .map(|a| Access::new(a.ip, a.addr, a.time + offset))
-                .collect();
-            let trigger = shifted.last().map_or(offset, |a| a.time + 1);
-            t.push_sample(Sample::new(shifted, trigger)).unwrap();
-            offset = trigger + 10_000;
-        }
-        t.meta.total_loads = offset.max(1);
-        t
-    })
-}
 
 /// Linear-scan oracle for the indexed region queries: per-block
 /// `(accesses, Σ distance, reuse count, max distance)` accumulated
@@ -110,8 +86,7 @@ impl ScanOracle {
 fn trace_block_reuse(t: &SampledTrace, bs: BlockSize) -> BlockReuse {
     let mut br = BlockReuse::default();
     for s in &t.samples {
-        let r = analyze_window(&s.accesses, bs);
-        br.merge(&BlockReuse::from_analysis(&s.accesses, bs, &r));
+        br.merge(&BlockReuse::from_samples(std::slice::from_ref(s), bs));
     }
     br
 }
@@ -119,41 +94,33 @@ fn trace_block_reuse(t: &SampledTrace, bs: BlockSize) -> BlockReuse {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pillar 1: every cached artifact equals the same artifact from a
-    /// fresh analyzer, and repeated queries never recompute.
+    /// Pillar 1: every memoized resident-only artifact equals the same
+    /// artifact from a fresh analyzer, asked once or twice.
     #[test]
     fn cached_analyzer_matches_fresh(t in arb_trace()) {
         let annots = AuxAnnotations::new();
         let symbols = SymbolTable::new();
         let cfg = AnalysisConfig::default();
         let cached = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+        let region = (0x10_0000u64, 0x10_0000 + (1 << 15));
+        let sizes = [8u64, 32, 128];
 
         // Query everything twice from the cached analyzer.
         for _ in 0..2 {
-            let _ = cached.decompression();
-            let _ = cached.function_table();
-            let _ = cached.region_rows();
-            let _ = cached.interval_rows(4);
-            let _ = cached.block_reuse();
             let _ = cached.zoom();
+            let _ = cached.region_rows();
+            let _ = cached.heatmaps(region, 8, 8);
+            let _ = cached.window_series(&sizes);
+            let _ = cached.interval_tree();
         }
         let fresh = || Analyzer::new(&t, &annots, &symbols).with_config(cfg);
-        prop_assert_eq!(cached.decompression(), fresh().decompression());
-        prop_assert_eq!(cached.function_table(), fresh().function_table().to_vec());
         prop_assert_eq!(cached.region_rows(), fresh().region_rows());
-        prop_assert_eq!(cached.interval_rows(4), fresh().interval_rows(4));
+        prop_assert_eq!(cached.heatmaps(region, 8, 8), fresh().heatmaps(region, 8, 8));
+        prop_assert_eq!(cached.window_series(&sizes), fresh().window_series(&sizes));
+        prop_assert_eq!(cached.interval_tree(), fresh().interval_tree());
         let f = fresh();
-        prop_assert_eq!(cached.block_reuse(), f.block_reuse());
+        prop_assert_eq!(cached.sample_reuse(), f.sample_reuse());
         prop_assert_eq!(cached.zoom(), f.zoom());
-
-        // Each artifact computed at most once despite repeated queries.
-        let stats = cached.cache_stats();
-        prop_assert!(stats.block_reuse <= 1);
-        prop_assert!(stats.zoom <= 1);
-        prop_assert!(stats.sample_reuse <= 1);
-        prop_assert!(stats.sample_diags <= 1);
-        prop_assert!(stats.function_rows <= 1);
-        prop_assert!(stats.decompression <= 1);
     }
 
     /// Pillar 2: indexed region queries equal the linear-scan oracle on
@@ -216,7 +183,7 @@ proptest! {
         prop_assert_eq!(tree1, treen);
 
         // And through the analyzer façade: threads=1 vs threads=N config
-        // produce identical tables.
+        // produce identical resident-only artifacts.
         let c1 = AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
@@ -224,10 +191,11 @@ proptest! {
         let cn = AnalysisConfig { threads, ..c1 };
         let one = Analyzer::new(&t, &annots, &symbols).with_config(c1);
         let many = Analyzer::new(&t, &annots, &symbols).with_config(cn);
-        prop_assert_eq!(one.function_table().to_vec(), many.function_table().to_vec());
+        prop_assert_eq!(one.zoom(), many.zoom());
         prop_assert_eq!(one.region_rows(), many.region_rows());
-        prop_assert_eq!(one.interval_rows(4), many.interval_rows(4));
-        prop_assert_eq!(one.block_reuse(), many.block_reuse());
+        prop_assert_eq!(one.heatmaps(region, 8, 8), many.heatmaps(region, 8, 8));
+        prop_assert_eq!(one.window_series(&sizes), many.window_series(&sizes));
+        prop_assert_eq!(one.interval_tree(), many.interval_tree());
     }
 
     /// Pillar 4: the fused kernels against plain definitions — reuse

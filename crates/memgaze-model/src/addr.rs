@@ -124,6 +124,20 @@ impl BlockSize {
     pub fn bytes(self) -> u64 {
         1u64 << self.log2
     }
+
+    /// The block range `[lo_block, hi_block)` that covers the byte range
+    /// `[lo, hi)`: `hi` rounds up to the next block boundary without
+    /// adding to it, so a range that ends at the top of the address
+    /// space neither overflows nor wraps to nothing. Empty when
+    /// `hi <= lo`.
+    #[inline]
+    pub fn block_range(self, lo: u64, hi: u64) -> (u64, u64) {
+        let lo_block = lo >> self.log2;
+        if hi <= lo {
+            return (lo_block, lo_block);
+        }
+        (lo_block, ((hi - 1) >> self.log2) + 1)
+    }
 }
 
 impl Default for BlockSize {
@@ -160,6 +174,29 @@ mod tests {
         // Two addresses in the same line share the block number.
         assert_eq!(Addr(0x1000).block(bs), Addr(0x103f).block(bs));
         assert_ne!(Addr(0x1000).block(bs), Addr(0x1040).block(bs));
+    }
+
+    #[test]
+    fn block_range_rounds_up_without_overflow() {
+        let bs = BlockSize::CACHE_LINE;
+        // A block-aligned `hi` ends the range at its own block …
+        assert_eq!(bs.block_range(0x1000, 0x1040), (0x40, 0x41));
+        // … and one byte more takes the next block in.
+        assert_eq!(bs.block_range(0x1000, 0x1041), (0x40, 0x42));
+        assert_eq!(bs.block_range(0x103f, 0x1040), (0x40, 0x41));
+        // Empty and reversed ranges cover no block.
+        assert_eq!(bs.block_range(100, 100), (1, 1));
+        assert_eq!(bs.block_range(0x2000, 0x1000), (0x80, 0x80));
+        assert_eq!(bs.block_range(0, 0), (0, 0));
+        // The top of the address space: the last block is inside.
+        let last = u64::MAX >> 6;
+        assert_eq!(bs.block_range(0, u64::MAX), (0, last + 1));
+        assert_eq!(bs.block_range(u64::MAX - 7, u64::MAX), (last, last + 1));
+        assert_eq!(
+            BlockSize::BYTE.block_range(0, u64::MAX),
+            (0, u64::MAX),
+            "block == address: [0, MAX) has no room to round"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::blob::content_hash;
 use crate::error::StoreError;
-use memgaze_analysis::{analyze_window, BlockReuse};
+use memgaze_analysis::BlockReuse;
 use memgaze_model::stream::decode_frame_payload;
 use memgaze_model::wire::{
     self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, WireError,
@@ -134,7 +134,9 @@ impl Catalog {
             .unwrap_or(index.header_len as usize);
         let trailer_bytes = container[body_end..].to_vec();
         let mut names: Vec<String> = Vec::new();
-        let mut name_ids: BTreeMap<String, u32> = BTreeMap::new();
+        // Keyed by the symbol table's own names: an access looks its
+        // function up by `&str`, and a name is cloned on first sight only.
+        let mut name_ids: BTreeMap<&str, u32> = BTreeMap::new();
         let mut frames = Vec::with_capacity(index.entries.len());
         for (i, e) in index.entries.iter().enumerate() {
             let payload = &container[e.offset as usize..(e.offset + e.len) as usize];
@@ -145,7 +147,6 @@ impl Catalog {
             let mut loads = 0u64;
             let mut time_range: Option<(u64, u64)> = None;
             let mut addr_range: Option<(u64, u64)> = None;
-            let mut reuse: Option<BlockReuse> = None;
             let mut func_loads: BTreeMap<u32, u64> = BTreeMap::new();
             for s in &samples {
                 loads += s.accesses.len() as u64;
@@ -159,22 +160,17 @@ impl Catalog {
                         Some((lo, hi)) => (lo.min(a.addr.0), hi.max(a.addr.0)),
                     });
                     if let Some(f) = symbols.lookup(a.ip) {
-                        let id = *name_ids.entry(f.name.clone()).or_insert_with(|| {
+                        let id = *name_ids.entry(f.name.as_str()).or_insert_with(|| {
                             names.push(f.name.clone());
                             (names.len() - 1) as u32
                         });
                         *func_loads.entry(id).or_insert(0) += 1;
                     }
                 }
-                // Intra-sample reuse, matching the streaming analyzer's
-                // window semantics, merged across the frame's samples.
-                let analysis = analyze_window(&s.accesses, summary_block);
-                let br = BlockReuse::from_analysis(&s.accesses, summary_block, &analysis);
-                match &mut reuse {
-                    None => reuse = Some(br),
-                    Some(acc) => acc.merge(&br),
-                }
             }
+            // Intra-sample reuse, matching the streaming analyzer's
+            // window semantics, over the frame's samples.
+            let reuse = BlockReuse::from_samples(&samples, summary_block);
             frames.push(FrameSummary {
                 hash: content_hash(payload),
                 len: e.len,
@@ -182,7 +178,7 @@ impl Catalog {
                 loads,
                 time_range,
                 addr_range,
-                reuse_rows: reuse.map(|r| r.raw_rows().collect()).unwrap_or_default(),
+                reuse_rows: reuse.raw_rows().collect(),
                 func_loads: func_loads.into_iter().collect(),
             });
         }

@@ -145,9 +145,7 @@ impl QueryEngine {
                 frames: 0,
             };
         }
-        let log2 = self.summary_block.log2();
-        let lo_block = lo_addr >> log2;
-        let hi_block = ((hi_addr - 1) >> log2) + 1;
+        let (lo_block, hi_block) = self.summary_block.block_range(lo_addr, hi_addr);
         let frames = self
             .frames
             .iter()

@@ -5,12 +5,16 @@
 //! `StreamingAnalyzer::ingest_shard` allocates a few times per *sample*,
 //! not three times per four *accesses*; and the buffers a
 //! whole-function window grows are gone once a sample-sized window has
-//! run after it.
+//! run after it. A third holds the store's `Catalog::scan`, which
+//! summarises every frame `put` files, to allocations per frame and
+//! sample, not per access.
 
 use memgaze::analysis::{analyze_window, AnalysisConfig, StreamingAnalyzer};
 use memgaze::model::{
-    Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, Sample, SymbolTable,
+    encode_sharded_indexed, Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass,
+    Sample, SampledTrace, SymbolTable, TraceMeta,
 };
+use memgaze::store::Catalog;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -145,5 +149,39 @@ fn a_whole_function_window_does_not_stay_resident() {
     assert!(
         kept <= 64 << 10,
         "{kept} bytes still live after a 200 k-access window and a {SAMPLE_ACCESSES}-access one"
+    );
+}
+
+#[test]
+fn catalog_scan_allocates_per_frame_not_per_access() {
+    // Two traces of 8 frames of 4 samples over the same 32 lines and
+    // the same two functions; one has 16 times the accesses per sample.
+    let (_, symbols) = side_tables();
+    let scan_allocs = |per_sample: u64| -> (u64, u64) {
+        let mut t = SampledTrace::new(TraceMeta::new("scan", 10_000, 16 << 10));
+        t.meta.total_loads = 32 * 10_000;
+        for s in 0..32u64 {
+            let base = s * 10_000;
+            let accesses = (0..per_sample)
+                .map(|i| Access::new(0x400 + (i % 2) * 0x100, (i * 7 % 32) * 64, base + i))
+                .collect();
+            t.push_sample(Sample::new(accesses, base + per_sample))
+                .unwrap();
+        }
+        let (container, index) = encode_sharded_indexed(&t, 4);
+        let before = ALLOCS.with(Cell::get);
+        let catalog =
+            Catalog::scan("scan", &container, &index, &symbols, BlockSize::CACHE_LINE).unwrap();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(catalog.frames.len(), 8);
+        assert_eq!(catalog.func_names, ["stream_fn", "cycle_fn"]);
+        (allocs, catalog.frames.iter().map(|f| f.loads).sum())
+    };
+    let (small, small_loads) = scan_allocs(64);
+    let (big, big_loads) = scan_allocs(1024);
+    assert_eq!(big_loads, 16 * small_loads);
+    assert!(
+        big <= small + small / 2,
+        "{small} allocations for {small_loads} accesses, {big} for {big_loads}"
     );
 }

@@ -120,11 +120,12 @@ proptest! {
         let mut merged = BlockReuse::default();
         let mut total = 0u64;
         for s in &t.samples {
-            let r = analysis::analyze_window(&s.accesses, bs);
-            merged.merge(&BlockReuse::from_analysis(&s.accesses, bs, &r));
+            merged.merge(&BlockReuse::from_samples(std::slice::from_ref(s), bs));
             total += s.accesses.len() as u64;
         }
         prop_assert_eq!(merged.region_accesses(0, u64::MAX), total);
+        // Merging sample by sample is the one pass over all of them.
+        prop_assert_eq!(merged, BlockReuse::from_samples(&t.samples, bs));
     }
 
     /// κ/ρ algebra: ρ·κ·A always recovers |σ|·(w+z).

@@ -1,69 +1,20 @@
 //! Property-based equivalence of the streaming/sharded ingest path:
-//! the sharded v2 container round-trips arbitrary traces, and the
-//! incremental `StreamingAnalyzer` reproduces the resident `Analyzer`
-//! field for field, bit for bit, for any shard size and thread count.
+//! the sharded v2 container round-trips arbitrary traces; the streaming
+//! fold — the one engine — equals the definitional spec
+//! (`tests/common/spec.rs`) field for field, bit for bit, for any shard
+//! size, thread count and block sizes; and the fan-out's partial
+//! encode/decode/merge path equals the fold.
 
-use memgaze::analysis::{
-    locality_vs_interval_with, reuse_histogram_from, stream_resident_trace, AnalysisConfig,
-    Analyzer,
-};
+#[path = "common/arb.rs"]
+mod arb;
+#[path = "common/spec.rs"]
+mod spec;
+
+use arb::{arb_trace, fixtures, BLOCK_SIZES};
+use memgaze::analysis::{stream_resident_trace, AnalysisConfig};
 use memgaze::core::{run_fanout, FanoutBackend, FanoutConfig};
-use memgaze::model::{
-    decode_sharded, encode_sharded, encode_sharded_indexed, Access, AuxAnnotations, FunctionId, Ip,
-    IpAnnot, LoadClass, Sample, SampledTrace, ShardReader, SymbolTable, TraceMeta,
-};
+use memgaze::model::{decode_sharded, encode_sharded, encode_sharded_indexed, ShardReader};
 use proptest::prelude::*;
-
-fn arb_access() -> impl Strategy<Value = Access> {
-    (0u64..64, 0u64..(1 << 16), 0u64..(1 << 20))
-        .prop_map(|(ip, addr, t)| Access::new(0x400 + ip * 4, 0x10_0000 + addr * 8, t))
-}
-
-fn arb_window(max: usize) -> impl Strategy<Value = Vec<Access>> {
-    prop::collection::vec(arb_access(), 0..max).prop_map(|mut v| {
-        v.sort_by_key(|a| a.time);
-        v
-    })
-}
-
-fn arb_trace() -> impl Strategy<Value = SampledTrace> {
-    prop::collection::vec(arb_window(120), 0..10).prop_map(|windows| {
-        let mut t = SampledTrace::new(TraceMeta::new("prop", 10_000, 8192));
-        let mut offset = 0u64;
-        for w in windows {
-            let shifted: Vec<Access> = w
-                .iter()
-                .map(|a| Access::new(a.ip, a.addr, a.time + offset))
-                .collect();
-            let trigger = shifted.last().map_or(offset, |a| a.time + 1);
-            t.push_sample(Sample::new(shifted, trigger)).unwrap();
-            offset = trigger + 10_000;
-        }
-        t.meta.total_loads = offset;
-        t
-    })
-}
-
-/// Annotations and symbols covering the ip range `arb_access` draws
-/// from, mixing strided/irregular/constant classes across two functions.
-fn fixtures() -> (AuxAnnotations, SymbolTable) {
-    let mut annots = AuxAnnotations::new();
-    for k in 0..64u64 {
-        let ip = Ip(0x400 + k * 4);
-        let (class, func) = match k % 3 {
-            0 => (LoadClass::Strided, FunctionId(0)),
-            1 => (LoadClass::Irregular, FunctionId(if k < 32 { 0 } else { 1 })),
-            _ => (LoadClass::Constant, FunctionId(1)),
-        };
-        let mut an = IpAnnot::of_class(class, func);
-        an.implied_const = (k % 5) as u32;
-        annots.insert(ip, an);
-    }
-    let mut symbols = SymbolTable::new();
-    symbols.add_function("alpha", Ip(0x400), Ip(0x480), "p.c");
-    symbols.add_function("beta", Ip(0x480), Ip(0x500), "p.c");
-    (annots, symbols)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -85,42 +36,49 @@ proptest! {
         prop_assert_eq!(reader.meta(), &t.meta);
     }
 
-    /// Streaming analysis equals resident analysis field for field, for
-    /// random traces, shard sizes, and worker counts.
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The fold equals the spec on every field of the report and every
+    /// row derived from it, for random traces, shard sizes, worker
+    /// counts and block sizes. (The name dates from the resident
+    /// analyzer being a second implementation; it reads the fold's
+    /// report now, and the reference is the spec.)
     #[test]
     fn streaming_report_matches_resident(
         t in arb_trace(),
         shard in 1usize..24,
         threads in 1usize..5,
+        blocks in 0usize..3,
     ) {
         let (annots, symbols) = fixtures();
-        let cfg = AnalysisConfig::default();
+        let (footprint_block, reuse_block) = BLOCK_SIZES[blocks];
+        let cfg = AnalysisConfig {
+            footprint_block,
+            reuse_block,
+            threads,
+            ..AnalysisConfig::default()
+        };
         let sizes = [8u64, 32];
-        let resident = Analyzer::new(&t, &annots, &symbols)
-            .with_config(AnalysisConfig { threads: 1, ..cfg });
-        let report = stream_resident_trace(
-            &t,
-            &annots,
-            &symbols,
-            AnalysisConfig { threads, ..cfg },
-            &sizes,
-            shard,
-        );
-        prop_assert_eq!(report.decompression, resident.decompression());
-        prop_assert_eq!(&report.function_rows[..], resident.function_table());
-        prop_assert_eq!(&report.block_reuse, resident.block_reuse());
-        prop_assert_eq!(
-            &report.reuse_histogram,
-            &reuse_histogram_from(resident.sample_reuse())
-        );
-        prop_assert_eq!(
-            &report.locality_series,
-            &locality_vs_interval_with(&t, &annots, cfg.reuse_block, &sizes, 1)
-        );
-        for n in [1usize, 4] {
-            prop_assert_eq!(report.interval_rows(n), resident.interval_rows(n));
+        let report = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, shard);
+        let input = spec::Input {
+            trace: &t,
+            annots: &annots,
+            symbols: &symbols,
+            footprint_block,
+            reuse_block,
+        };
+        if let Err(e) = spec::check_report(&report, &input, &sizes, shard) {
+            return Err(TestCaseError::fail(e));
         }
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Fan-out over an indexed container reproduces the resident
     /// streaming report field for field, for random traces, shard
