@@ -12,6 +12,7 @@ use crate::fxhash::FxHashMap;
 use crate::reuse::BlockReuse;
 use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace, SymbolTable};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Zoom parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,7 +53,8 @@ impl Default for ZoomConfig {
 pub struct RegionCode {
     /// Function name.
     pub function: String,
-    /// Source line of the hottest access site in the region.
+    /// Source line of the function's hottest access site in the region;
+    /// the lowest line number among equally hot ones.
     pub line: u32,
     /// Accesses from this function into the region.
     pub accesses: u64,
@@ -77,7 +79,8 @@ pub struct ZoomRegion {
     pub depth: u32,
     /// Hot subregions (empty at the leaves).
     pub children: Vec<ZoomRegion>,
-    /// Code attribution, hottest first.
+    /// Code attribution: the four hottest functions, accesses
+    /// descending, equal counts in name order.
     pub code: Vec<RegionCode>,
 }
 
@@ -197,15 +200,21 @@ impl<'a> LocationZoom<'a> {
             .into_iter()
             .map(|(function, (accesses, lines))| RegionCode {
                 function: function.to_string(),
+                // Hottest line; the lowest line number among equals.
                 line: lines
                     .into_iter()
-                    .max_by_key(|(_, c)| *c)
+                    .max_by_key(|&(l, c)| (c, Reverse(l)))
                     .map(|(l, _)| l)
                     .unwrap_or(0),
                 accesses,
             })
             .collect();
-        code.sort_by_key(|c| std::cmp::Reverse(c.accesses));
+        // Hottest first; equal counts by name, not by hash order.
+        code.sort_by(|a, b| {
+            b.accesses
+                .cmp(&a.accesses)
+                .then_with(|| a.function.cmp(&b.function))
+        });
         code.truncate(4);
 
         ZoomRegion {

@@ -6,7 +6,9 @@
 //! change that made the streaming fold the only engine that computes a
 //! report. Every row, every `f64` and the block summary's whole query
 //! index are in those strings, so a digest moves only when an answer
-//! does.
+//! does. The location zoom's whole tree has its own table
+//! ([`GOLDEN_ZOOM`]), recorded one commit before the zoom was rebuilt on
+//! the block summary.
 //!
 //! The traces reach every branch of the report path: two native
 //! workloads through `trace_workload`, two IR microbenchmarks through
@@ -14,7 +16,7 @@
 //! function, a block touched by a Strided and by an Irregular load, two
 //! ips of one function in different classes, and an empty sample.
 
-use memgaze::analysis::{reuse_histogram_from, AnalysisConfig, Analyzer};
+use memgaze::analysis::{reuse_histogram_from, AnalysisConfig, Analyzer, ZoomConfig};
 use memgaze::core::{trace_workload, MemGaze, PipelineConfig};
 use memgaze::model::{
     Access, AuxAnnotations, BlockSize, Fnv64, FunctionId, Ip, IpAnnot, LoadClass, Sample,
@@ -321,12 +323,95 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
     ),
 ];
 
+/// The zoom the paper tables never ask for: a 1 % threshold and a
+/// 256-byte floor grow the tree to hundreds of regions, many with
+/// equally hot functions and lines.
+fn fine_zoom() -> ZoomConfig {
+    ZoomConfig {
+        hot_threshold_pct: 1.0,
+        min_page_log2: 8,
+        min_region_bytes: 256,
+        max_depth: 12,
+        ..ZoomConfig::default()
+    }
+}
+
+/// Digests of `zoom()` — the whole tree, every `RegionCode` with its
+/// line — under the default `ZoomConfig` and under [`fine_zoom`].
+fn zoom_digests(a: Analyzer<'_>) -> [u64; 2] {
+    let default = digest(&[format!("{:?}", a.zoom())]);
+    let cfg = AnalysisConfig {
+        zoom: fine_zoom(),
+        ..*a.config()
+    };
+    let fine = a.with_config(cfg);
+    [default, digest(&[format!("{:?}", fine.zoom())])]
+}
+
+/// `(trace, config, zoom digests)` of the parent's zoom once the order
+/// of equally hot functions and lines was defined (accesses descending,
+/// then name; the lowest line among equals) — the commit before the
+/// zoom was rebuilt on the block summary.
+const GOLDEN_ZOOM: &[(&str, &str, [u64; 2])] = &[
+    (
+        "gap-pr",
+        "8/64",
+        [0xa52d_3905_4946_6806, 0x10e8_35f8_fa8e_8ac4],
+    ),
+    (
+        "gap-pr",
+        "64/4096",
+        [0xa52d_3905_4946_6806, 0x10e8_35f8_fa8e_8ac4],
+    ),
+    (
+        "miniVite-v1",
+        "8/64",
+        [0x3dda_c546_4970_1c94, 0x089e_17e3_ddd8_aa57],
+    ),
+    (
+        "miniVite-v1",
+        "64/4096",
+        [0x3dda_c546_4970_1c94, 0x089e_17e3_ddd8_aa57],
+    ),
+    (
+        "str2|irr O0",
+        "8/64",
+        [0xedf3_9c0f_80e9_2e6d, 0x1e0c_3713_d271_19fe],
+    ),
+    (
+        "str2|irr O0",
+        "64/4096",
+        [0xedf3_9c0f_80e9_2e6d, 0x1e0c_3713_d271_19fe],
+    ),
+    (
+        "irr O3",
+        "8/64",
+        [0x1e87_e6cd_b707_ef5a, 0xa589_44a8_79f3_3602],
+    ),
+    (
+        "irr O3",
+        "64/4096",
+        [0x1e87_e6cd_b707_ef5a, 0xa589_44a8_79f3_3602],
+    ),
+    (
+        "hand-built",
+        "8/64",
+        [0x5507_99f1_138d_7684, 0xcdf4_262d_cb97_dade],
+    ),
+    (
+        "hand-built",
+        "64/4096",
+        [0x5507_99f1_138d_7684, 0xcdf4_262d_cb97_dade],
+    ),
+];
+
 #[test]
 fn report_is_identical_to_the_parent_commit() {
     let mut fixtures = workload_traces();
     fixtures.extend(microbench_traces());
     fixtures.push(hand_built());
     let mut got = Vec::new();
+    let mut got_zoom = Vec::new();
     for (name, trace, annots, symbols) in &fixtures {
         assert!(
             trace.observed_accesses() > 0 && trace.num_samples() > 1,
@@ -335,10 +420,15 @@ fn report_is_identical_to_the_parent_commit() {
         for (cfg_name, cfg) in configs() {
             let a = Analyzer::new(trace, annots, symbols).with_config(cfg);
             got.push((*name, cfg_name, report_digests(&a)));
+            got_zoom.push((*name, cfg_name, zoom_digests(a)));
         }
     }
     for (g, w) in got.iter().zip(GOLDEN.iter()) {
         assert_eq!(g, w, "got {:#018x?}", g.2);
     }
     assert_eq!(got.len(), GOLDEN.len(), "got {got:#018x?}");
+    for (g, w) in got_zoom.iter().zip(GOLDEN_ZOOM.iter()) {
+        assert_eq!(g, w, "got {:#018x?}", g.2);
+    }
+    assert_eq!(got_zoom.len(), GOLDEN_ZOOM.len(), "got {got_zoom:#018x?}");
 }
