@@ -17,14 +17,14 @@
 //! `store`, `serve`, `watch` and the fan-out produce. What it adds is
 //! what needs the resident trace — the per-sample reuse *event lists*
 //! (heatmaps, histogram), the location zoom, the window and locality
-//! series, the interval tree, the working set — and three memo slots
-//! for what a multi-table report re-reads: the report, the event lists,
-//! the zoom. The slots are keyed implicitly by `(trace, config)`: the
-//! trace is borrowed immutably, and [`Analyzer::with_config`] empties
-//! them.
+//! series, the interval tree, the working set — and memo slots for what
+//! a multi-table report re-reads: the report, the event lists, the zoom,
+//! and the time range every heatmap's columns cut. The slots are keyed
+//! implicitly by `(trace, config)`: the trace is borrowed immutably, and
+//! [`Analyzer::with_config`] empties them.
 
 use crate::confidence::Confidence;
-use crate::heatmap::{region_heatmaps_from, Heatmap};
+use crate::heatmap::{self, region_heatmaps_from, Heatmap};
 use crate::histogram::{locality_vs_interval_with, LocalityPoint};
 use crate::interval_tree::IntervalTree;
 use crate::par;
@@ -134,12 +134,12 @@ pub struct IntervalRow {
 /// `OnceLock`, which cannot compute twice, so occupancy is the compute
 /// count. The eight fields date from an analyzer with eight slots and
 /// stay because `benchmark/` sums them (ROADMAP, "Thaw the benchmark
-/// once (a)"); there are three slots now.
+/// once (a)"); three slots hold these artifacts now.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// ρ/κ decompression facts — the report slot.
     pub decompression: u64,
-    /// Flattened access stream, built and dropped by the zoom — the
+    /// The zoom's attribution pass over the accesses, in place — the
     /// zoom slot.
     pub accesses: u64,
     /// Per-sample reuse analyses (at the reuse block size) — their own
@@ -177,6 +177,9 @@ pub struct Analyzer<'a> {
     sample_reuse: OnceLock<Vec<ReuseAnalysis>>,
     /// The zoom tree: re-read by every `region_rows`.
     zoom: OnceLock<Option<ZoomRegion>>,
+    /// The trace's time range, a full pass to find: re-read by every
+    /// heatmap.
+    time_range: OnceLock<(u64, u64)>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -194,6 +197,7 @@ impl<'a> Analyzer<'a> {
             report: OnceLock::new(),
             sample_reuse: OnceLock::new(),
             zoom: OnceLock::new(),
+            time_range: OnceLock::new(),
         }
     }
 
@@ -391,11 +395,15 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Access-frequency and reuse-distance heatmaps of a region (Fig. 8).
-    /// Shares the cached per-sample reuse analyses.
+    /// Shares the cached per-sample reuse analyses and the trace's time
+    /// range.
     pub fn heatmaps(&self, region: (u64, u64), rows: usize, cols: usize) -> (Heatmap, Heatmap) {
         region_heatmaps_from(
             self.trace,
             self.sample_reuse(),
+            *self
+                .time_range
+                .get_or_init(|| heatmap::time_range(self.trace)),
             region,
             rows,
             cols,
@@ -689,6 +697,33 @@ mod tests {
         // An empty or reversed range holds nothing.
         assert_eq!(a.region_row_for(u64::MAX, u64::MAX).accesses, 0);
         assert_eq!(a.region_row_for(u64::MAX, 0).accesses, 0);
+    }
+
+    #[test]
+    fn last_address_and_last_tick_are_kept() {
+        // `max + 1` overflowed on both axes: a panic in debug builds; in
+        // release a zoom root of `(u64::MAX − 7, 0)` with no block, and
+        // a heatmap whose last column dropped the last access.
+        let mut t = SampledTrace::new(TraceMeta::new("top", 1000, 8192));
+        t.meta.total_loads = 1000;
+        let accesses = vec![
+            Access::new(Ip(0x110), u64::MAX - 7, 0),
+            Access::new(Ip(0x110), u64::MAX, u64::MAX),
+        ];
+        t.push_sample(Sample::new(accesses, u64::MAX)).unwrap();
+        let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+        let a = Analyzer::new(&t, &annots, &symbols);
+        let root = a.zoom().expect("two accesses");
+        assert_eq!((root.lo, root.hi), (u64::MAX - 7, u64::MAX));
+        assert_eq!((root.accesses, root.blocks), (2, 1));
+        assert_eq!(root.code[0].accesses, 2);
+        let rows = a.region_rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].range, rows[0].accesses), ((root.lo, root.hi), 2));
+        // The last tick falls in the last column.
+        let (acc, _) = a.heatmaps(rows[0].range, 2, 4);
+        assert_eq!(acc.total(), 2.0);
+        assert_eq!(acc.at(1, 3), 1.0);
     }
 
     #[test]

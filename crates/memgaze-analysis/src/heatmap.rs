@@ -5,9 +5,10 @@
 //! memory region's addresses and whose columns bin logical time; one
 //! variant accumulates access counts, the other mean reuse distance.
 
+use crate::kernel;
 use crate::par;
-use crate::reuse::{self, ReuseAnalysis};
-use memgaze_model::{BlockSize, Sample, SampledTrace};
+use crate::reuse::ReuseAnalysis;
+use memgaze_model::{Sample, SampledTrace};
 use serde::{Deserialize, Serialize};
 
 /// A dense 2-D accumulation grid.
@@ -37,14 +38,9 @@ impl Heatmap {
     }
 
     fn bin(&self, addr: u64, time: u64) -> Option<(usize, usize)> {
-        let (alo, ahi) = self.addr_range;
-        let (tlo, thi) = self.time_range;
-        if addr < alo || addr >= ahi || time < tlo || time >= thi {
-            return None;
-        }
-        let r = ((addr - alo) as u128 * self.rows as u128 / (ahi - alo) as u128) as usize;
-        let c = ((time - tlo) as u128 * self.cols as u128 / (thi - tlo) as u128) as usize;
-        Some((r.min(self.rows - 1), c.min(self.cols - 1)))
+        let r = cell(self.addr_range, addr, self.rows)?;
+        let c = cell(self.time_range, time, self.cols)?;
+        Some((r, c))
     }
 
     /// Cell value at `(row, col)`.
@@ -95,27 +91,31 @@ impl Heatmap {
     }
 }
 
-/// Build the access-frequency and reuse-distance heatmaps of a region.
-///
-/// Returns `(access_counts, mean_reuse_distance)` heatmaps with the same
-/// shape. Cells of the reuse heatmap with no reuse events are zero.
-pub fn region_heatmaps(
-    trace: &SampledTrace,
-    region: (u64, u64),
-    rows: usize,
-    cols: usize,
-    bs: BlockSize,
-) -> (Heatmap, Heatmap) {
-    let threads = par::default_threads();
-    let analyses = par::par_map(&trace.samples, threads, |s| {
-        reuse::analyze_window(&s.accesses, bs)
-    });
-    region_heatmaps_from(trace, &analyses, region, rows, cols, threads)
+/// The bin of `x` among `bins` equal cuts of `[lo, hi)`, `None` outside
+/// it. A range that ends at `u64::MAX` holds `u64::MAX` too
+/// ([`kernel::span`]).
+fn cell((lo, hi): (u64, u64), x: u64, bins: usize) -> Option<usize> {
+    if hi <= lo || x < lo || (x >= hi && hi != u64::MAX) {
+        return None;
+    }
+    let i = ((x - lo) as u128 * bins as u128 / (hi - lo) as u128) as usize;
+    Some(i.min(bins - 1))
 }
 
-/// [`region_heatmaps`] over precomputed per-sample reuse analyses
-/// (one per sample, in sample order) — lets the analyzer share its
-/// cached analyses instead of recomputing them per heatmap.
+/// `[first, last + 1)` over the access times of `trace`, `(0, 1)`
+/// without accesses. A full pass over the trace; [`crate::Analyzer`]
+/// makes it once for all its heatmaps.
+pub(crate) fn time_range(trace: &SampledTrace) -> (u64, u64) {
+    kernel::span(trace.accesses().map(|a| a.time)).unwrap_or((0, 1))
+}
+
+/// Build the access-frequency and reuse-distance heatmaps of a region:
+/// `(access_counts, mean_reuse_distance)` with the same shape, whose
+/// columns cut `time_range` — the trace's whole time range, `[first,
+/// last + 1)`. Cells of the reuse heatmap with no reuse events are zero.
+///
+/// `analyses` are the per-sample reuse analyses, one per sample in
+/// sample order — the analyzer shares its cached ones across heatmaps.
 ///
 /// Per-sample binning runs in parallel with per-worker partial grids;
 /// every cell holds a sum of whole numbers, so the merge is exact and
@@ -123,6 +123,7 @@ pub fn region_heatmaps(
 pub fn region_heatmaps_from(
     trace: &SampledTrace,
     analyses: &[ReuseAnalysis],
+    time_range: (u64, u64),
     region: (u64, u64),
     rows: usize,
     cols: usize,
@@ -134,11 +135,9 @@ pub fn region_heatmaps_from(
         trace.samples.len(),
         "one analysis per sample"
     );
-    let tlo = trace.accesses().map(|a| a.time).min().unwrap_or(0);
-    let thi = trace.accesses().map(|a| a.time).max().unwrap_or(0) + 1;
-    let mut acc_map = Heatmap::new(rows, cols, region, (tlo, thi));
-    let mut d_sum = Heatmap::new(rows, cols, region, (tlo, thi));
-    let mut d_cnt = Heatmap::new(rows, cols, region, (tlo, thi));
+    let mut acc_map = Heatmap::new(rows, cols, region, time_range);
+    let mut d_sum = Heatmap::new(rows, cols, region, time_range);
+    let mut d_cnt = Heatmap::new(rows, cols, region, time_range);
 
     let template = acc_map.clone();
     let cells = rows * cols;
@@ -192,7 +191,23 @@ pub fn region_heatmaps_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{Access, Sample, TraceMeta};
+    use crate::reuse::analyze_window;
+    use memgaze_model::{Access, BlockSize, Sample, TraceMeta};
+
+    /// Both heatmaps of `region` at cache-line reuse, on one thread.
+    fn region_heatmaps(
+        t: &SampledTrace,
+        region: (u64, u64),
+        rows: usize,
+        cols: usize,
+    ) -> (Heatmap, Heatmap) {
+        let analyses: Vec<_> = t
+            .samples
+            .iter()
+            .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
+            .collect();
+        region_heatmaps_from(t, &analyses, time_range(t), region, rows, cols, 1)
+    }
 
     fn trace() -> SampledTrace {
         let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
@@ -212,7 +227,7 @@ mod tests {
     #[test]
     fn access_heatmap_localizes_phases() {
         let t = trace();
-        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2, BlockSize::CACHE_LINE);
+        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2);
         assert_eq!(acc.total(), 200.0);
         // Phase 1: row 0 (0x1000..0x1c00), col 0. All 100 accesses in one
         // cell.
@@ -226,7 +241,7 @@ mod tests {
     #[test]
     fn reuse_heatmap_mean_distance() {
         let t = trace();
-        let (_, d) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2, BlockSize::CACHE_LINE);
+        let (_, d) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2);
         // The hammered block reuses back-to-back: mean D = 0 everywhere,
         // and streaming has no reuse → all zeros.
         assert_eq!(d.max(), 0.0);
@@ -235,7 +250,7 @@ mod tests {
     #[test]
     fn dark_cells_measure() {
         let t = trace();
-        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2, BlockSize::CACHE_LINE);
+        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 4, 2);
         // Only one cell holds 100 accesses; at 90% of max only it counts.
         assert_eq!(acc.dark_cells(0.9), 1);
         assert!(acc.dark_cells(0.01) >= 2);
@@ -244,7 +259,7 @@ mod tests {
     #[test]
     fn out_of_region_accesses_ignored() {
         let t = trace();
-        let (acc, _) = region_heatmaps(&t, (0x1000, 0x1400), 2, 2, BlockSize::CACHE_LINE);
+        let (acc, _) = region_heatmaps(&t, (0x1000, 0x1400), 2, 2);
         assert_eq!(acc.total(), 100.0); // streaming phase excluded
     }
 
@@ -269,11 +284,12 @@ mod tests {
         let analyses: Vec<_> = t
             .samples
             .iter()
-            .map(|s| reuse::analyze_window(&s.accesses, BlockSize::CACHE_LINE))
+            .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
             .collect();
         let region = (0x1000u64, 0x1000 + 512 * 64);
-        let (a1, d1) = region_heatmaps_from(&t, &analyses, region, 8, 16, 1);
-        let (a4, d4) = region_heatmaps_from(&t, &analyses, region, 8, 16, 4);
+        let times = time_range(&t);
+        let (a1, d1) = region_heatmaps_from(&t, &analyses, times, region, 8, 16, 1);
+        let (a4, d4) = region_heatmaps_from(&t, &analyses, times, region, 8, 16, 4);
         assert_eq!(a1, a4);
         assert_eq!(d1, d4);
     }
@@ -281,7 +297,7 @@ mod tests {
     #[test]
     fn ascii_rendering_shape() {
         let t = trace();
-        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 3, 5, BlockSize::CACHE_LINE);
+        let (acc, _) = region_heatmaps(&t, (0x1000, 0x4000), 3, 5);
         let s = acc.render_ascii();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);

@@ -369,6 +369,20 @@ pub(crate) fn mean_distance(dist_sum: u64, events: u64) -> f64 {
     }
 }
 
+/// `[min, max + 1)` over `values` — the address range the zoom starts
+/// from, the time range a heatmap's columns cut — or `None` without
+/// values. Never empty: at the top of the scale `hi` saturates and `lo`
+/// stays below it, and a range that ends at `u64::MAX` holds `u64::MAX`,
+/// as in `BlockSize::block_range`.
+pub(crate) fn span(values: impl Iterator<Item = u64>) -> Option<(u64, u64)> {
+    let (min, max) = values.fold(None, |span, v| match span {
+        None => Some((v, v)),
+        Some((min, max)) => Some((v.min(min), v.max(max))),
+    })?;
+    let hi = max.saturating_add(1);
+    Some((min.min(hi - 1), hi))
+}
+
 // ---- per-ip resolution ----
 
 /// What the analyses need to know about an instruction, looked up once.
@@ -380,6 +394,8 @@ pub(crate) struct IpInfo {
     pub(crate) class: u8,
     /// Constant loads the instruction stands for as a proxy.
     pub(crate) implied: u32,
+    /// Dense index of the instruction itself, in first-seen order.
+    pub(crate) site: u32,
 }
 
 /// The annotation facts of an access stream, re-read only when the ip
@@ -419,12 +435,13 @@ fn annots_of(annots: &AuxAnnotations, ip: Ip) -> (u8, u32) {
         .map_or((IRREGULAR, 0), |a| (class_bit(a.class), a.implied_const))
 }
 
-/// Memoised `ip → (function slot, class bit, implied constants)`: one
-/// hash probe per access in place of a symbol-table binary search and
-/// two annotation lookups. Functions get dense slots in first-seen
-/// order; accesses outside every function share the slot of
-/// `("<unknown>", u32::MAX)`. Symbols and annotations are borrowed for
-/// the resolver's lifetime, so an entry cannot go stale.
+/// Memoised `ip → (function slot, class bit, implied constants, site)`:
+/// one hash probe per access in place of a symbol-table binary search
+/// and two annotation lookups. Functions get dense slots and ips dense
+/// sites, both in first-seen order; accesses outside every function
+/// share the slot of `("<unknown>", u32::MAX)`. Symbols and annotations
+/// are borrowed for the resolver's lifetime, so an entry cannot go
+/// stale.
 pub(crate) struct IpResolver<'a> {
     symbols: &'a SymbolTable,
     annots: &'a AuxAnnotations,
@@ -447,7 +464,8 @@ impl<'a> IpResolver<'a> {
 
     /// Resolve `ip`. A returned slot equal to the number of slots the
     /// caller has seen so far is a new function:
-    /// [`function`](Self::function) names it.
+    /// [`function`](Self::function) names it. Likewise a site equal to
+    /// the number of sites seen so far is an ip's first sight.
     #[inline]
     pub(crate) fn resolve(&mut self, ip: Ip) -> IpInfo {
         match self.by_ip.get(&ip) {
@@ -472,6 +490,7 @@ impl<'a> IpResolver<'a> {
             slot,
             class,
             implied,
+            site: self.by_ip.len() as u32,
         };
         self.by_ip.insert(ip, info);
         info
@@ -636,11 +655,13 @@ mod tests {
         annots.insert(Ip(0x210), an);
         let mut r = IpResolver::new(&symbols, &annots);
         let b = r.resolve(Ip(0x210));
-        assert_eq!((b.slot, b.class, b.implied), (0, STRIDED, 3));
+        assert_eq!((b.slot, b.class, b.implied, b.site), (0, STRIDED, 3, 0));
         assert_eq!(r.resolve(Ip(0x999)).slot, 1);
         let a = r.resolve(Ip(0x110));
-        assert_eq!((a.slot, a.class, a.implied), (2, IRREGULAR, 0));
-        assert_eq!(r.resolve(Ip(0x220)).slot, 0);
+        assert_eq!((a.slot, a.class, a.implied, a.site), (2, IRREGULAR, 0, 2));
+        // A second ip of a known function: its slot, a site of its own.
+        let b2 = r.resolve(Ip(0x220));
+        assert_eq!((b2.slot, b2.site), (0, 3));
         assert_eq!(r.function(0), (1, "b"));
         assert_eq!(r.function(1), (u32::MAX, "<unknown>"));
         assert_eq!(r.function(2), (0, "a"));

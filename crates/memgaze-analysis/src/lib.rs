@@ -56,7 +56,7 @@ pub use footprint::{
     WindowKind,
 };
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use heatmap::{region_heatmaps, region_heatmaps_from, Heatmap};
+pub use heatmap::{region_heatmaps_from, Heatmap};
 pub use histogram::{
     locality_vs_interval_with, reuse_histogram_from, LocalityPoint, Log2Histogram,
 };
@@ -72,4 +72,4 @@ pub use streaming::{
 };
 pub use window::{pow2_sizes, window_series, window_series_with, CodeWindows, WindowPoint};
 pub use workingset::{working_set, WorkingSet};
-pub use zoom::{zoom_trace, zoom_trace_with, LocationZoom, RegionCode, ZoomConfig, ZoomRegion};
+pub use zoom::{zoom_trace_with, RegionCode, ZoomConfig, ZoomRegion};

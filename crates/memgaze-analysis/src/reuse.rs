@@ -433,6 +433,21 @@ impl BlockReuse {
         self.pre_accesses[r] - self.pre_accesses[l]
     }
 
+    /// `(block, accesses)` of every touched block in `[lo_block,
+    /// hi_block)`, in block order: what the location zoom walks to find
+    /// its page runs.
+    pub(crate) fn block_accesses(
+        &self,
+        lo_block: u64,
+        hi_block: u64,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (l, r) = self.index_range(lo_block, hi_block);
+        self.blocks[l..r]
+            .iter()
+            .zip(&self.stats[l..r])
+            .map(|(&b, s)| (b, s.accesses))
+    }
+
     /// Maximum reuse distance observed in `[lo_block, hi_block)` — the
     /// paper's "Max D" column (Table IX).
     pub fn region_max_distance(&self, lo_block: u64, hi_block: u64) -> u64 {

@@ -7,10 +7,16 @@
 //! level and the zoom stops at a minimum region size. The *contiguous*
 //! property matters: cold gaps inside a hot region are kept so the reuse
 //! distance `D` reflects the locality of the *entire* object.
+//!
+//! A zoom costs O(blocks in hot regions + accesses): the partition is
+//! computed on the trace's [`BlockReuse`] summary, and the trace itself
+//! is read once, in place, to attribute code to the finished tree. The
+//! definition it answers to — the same partition over the flattened
+//! access stream, level by level — is `tests/common/spec.rs`.
 
-use crate::fxhash::FxHashMap;
+use crate::kernel::{self, IpResolver};
 use crate::reuse::BlockReuse;
-use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace, SymbolTable};
+use memgaze_model::{AuxAnnotations, BlockSize, SampledTrace, SymbolTable};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 
@@ -21,7 +27,10 @@ pub struct ZoomConfig {
     pub access_block: BlockSize,
     /// Initial page size (log₂ bytes) used to find subregions.
     pub initial_page_log2: u8,
-    /// Minimum page size; reaching it stops the recursion.
+    /// Minimum page size; reaching it stops the recursion. A page finer
+    /// than the access block cannot be described (`D` and `#blocks` are
+    /// per block), so the floor in effect is
+    /// `max(min_page_log2, access_block.log2())`.
     pub min_page_log2: u8,
     /// Page-size shrink per level, in log₂ steps.
     pub shrink_log2: u8,
@@ -115,204 +124,15 @@ impl ZoomRegion {
     }
 }
 
-/// The zoom analysis: accesses plus merged per-block reuse data.
-pub struct LocationZoom<'a> {
-    accesses: &'a [Access],
-    reuse: &'a BlockReuse,
-    symbols: &'a SymbolTable,
-    annots: Option<&'a AuxAnnotations>,
-    cfg: ZoomConfig,
-    total_accesses: u64,
-}
-
-impl<'a> LocationZoom<'a> {
-    /// Prepare a zoom over the given accesses (typically every sampled
-    /// access, with `reuse` merged across samples).
-    pub fn new(
-        accesses: &'a [Access],
-        reuse: &'a BlockReuse,
-        symbols: &'a SymbolTable,
-        cfg: ZoomConfig,
-    ) -> LocationZoom<'a> {
-        LocationZoom {
-            accesses,
-            reuse,
-            symbols,
-            annots: None,
-            cfg,
-            total_accesses: accesses.len() as u64,
-        }
-    }
-
-    /// Attach the annotation file so region code attribution carries
-    /// source lines (paper Fig. 5's "code (function, line)").
-    pub fn with_annotations(mut self, annots: &'a AuxAnnotations) -> LocationZoom<'a> {
-        self.annots = Some(annots);
-        self
-    }
-
-    /// Run the zoom from the full address range; returns the root region
-    /// (or `None` for an empty trace).
-    ///
-    /// The configured initial page size is clamped so the top level sees
-    /// at least four pages — a span smaller than one page would otherwise
-    /// never be divided.
-    pub fn run(&self) -> Option<ZoomRegion> {
-        let lo = self.accesses.iter().map(|a| a.addr.raw()).min()?;
-        let hi = self.accesses.iter().map(|a| a.addr.raw()).max()? + 1;
-        let span = hi - lo;
-        let span_log2 = 63 - span.leading_zeros() as u8;
-        let page_log2 = self
-            .cfg
-            .initial_page_log2
-            .min(span_log2.saturating_sub(2))
-            .max(self.cfg.min_page_log2);
-        let idx: Vec<usize> = (0..self.accesses.len()).collect();
-        Some(self.zoom_region(lo, hi, &idx, page_log2, 0))
-    }
-
-    fn describe(&self, lo: u64, hi: u64, members: &[usize], depth: u32) -> ZoomRegion {
-        let (lo_block, hi_block) = self.cfg.access_block.block_range(lo, hi);
-        let d = self.reuse.region_mean_distance(lo_block, hi_block);
-        let blocks = self.reuse.region_blocks(lo_block, hi_block);
-
-        // Code attribution: accesses per function, hottest line. Names
-        // are borrowed from the symbol table until the final rows are
-        // built — one allocation per emitted row, not per access.
-        let mut per_fn: FxHashMap<&str, (u64, FxHashMap<u32, u64>)> = FxHashMap::default();
-        for &i in members {
-            let a = &self.accesses[i];
-            let name = self
-                .symbols
-                .lookup(a.ip)
-                .map(|f| f.name.as_str())
-                .unwrap_or("<unknown>");
-            let e = per_fn.entry(name).or_default();
-            e.0 += 1;
-            let line = self
-                .annots
-                .and_then(|ax| ax.get(a.ip))
-                .map(|an| an.src_line)
-                .unwrap_or(0);
-            *e.1.entry(line).or_insert(0) += 1;
-        }
-        let mut code: Vec<RegionCode> = per_fn
-            .into_iter()
-            .map(|(function, (accesses, lines))| RegionCode {
-                function: function.to_string(),
-                // Hottest line; the lowest line number among equals.
-                line: lines
-                    .into_iter()
-                    .max_by_key(|&(l, c)| (c, Reverse(l)))
-                    .map(|(l, _)| l)
-                    .unwrap_or(0),
-                accesses,
-            })
-            .collect();
-        // Hottest first; equal counts by name, not by hash order.
-        code.sort_by(|a, b| {
-            b.accesses
-                .cmp(&a.accesses)
-                .then_with(|| a.function.cmp(&b.function))
-        });
-        code.truncate(4);
-
-        ZoomRegion {
-            lo,
-            hi,
-            accesses: members.len() as u64,
-            pct_of_total: if self.total_accesses == 0 {
-                0.0
-            } else {
-                100.0 * members.len() as f64 / self.total_accesses as f64
-            },
-            reuse_d: d,
-            blocks,
-            depth,
-            children: Vec::new(),
-            code,
-        }
-    }
-
-    fn zoom_region(
-        &self,
-        lo: u64,
-        hi: u64,
-        members: &[usize],
-        page_log2: u8,
-        depth: u32,
-    ) -> ZoomRegion {
-        let mut region = self.describe(lo, hi, members, depth);
-        let page = 1u64 << page_log2;
-        let stop = depth >= self.cfg.max_depth
-            || page_log2 < self.cfg.min_page_log2
-            || (hi - lo) <= self.cfg.min_region_bytes
-            || (hi - lo) <= page;
-        if stop || members.is_empty() {
-            return region;
-        }
-
-        // Bucket member accesses into pages.
-        let first_page = lo >> page_log2;
-        let n_pages = ((hi - 1) >> page_log2) - first_page + 1;
-        let mut page_members: Vec<Vec<usize>> = vec![Vec::new(); n_pages as usize];
-        for &i in members {
-            let p = (self.accesses[i].addr.raw() >> page_log2) - first_page;
-            page_members[p as usize].push(i);
-        }
-
-        // Maximal runs of contiguous non-empty pages.
-        let threshold = (members.len() as f64 * self.cfg.hot_threshold_pct / 100.0).ceil() as usize;
-        let mut runs: Vec<(usize, usize)> = Vec::new(); // [start, end) page idx
-        let mut run_start: Option<usize> = None;
-        for (p, pm) in page_members.iter().enumerate() {
-            if pm.is_empty() {
-                if let Some(s) = run_start.take() {
-                    runs.push((s, p));
-                }
-            } else if run_start.is_none() {
-                run_start = Some(p);
-            }
-        }
-        if let Some(s) = run_start {
-            runs.push((s, page_members.len()));
-        }
-
-        let next_page_log2 = page_log2
-            .saturating_sub(self.cfg.shrink_log2)
-            .max(self.cfg.min_page_log2);
-        for (s, e) in runs {
-            let run_members: Vec<usize> = page_members[s..e].iter().flatten().copied().collect();
-            if run_members.len() < threshold.max(1) {
-                continue; // not hot enough
-            }
-            let run_lo = ((first_page + s as u64) << page_log2).max(lo);
-            let run_hi = ((first_page + e as u64) << page_log2).min(hi);
-            // A run identical to the parent at the minimum page size
-            // cannot be divided further — the parent is the leaf.
-            if run_lo == lo && run_hi == hi && next_page_log2 >= page_log2 {
-                continue;
-            }
-            let child = self.zoom_region(run_lo, run_hi, &run_members, next_page_log2, depth + 1);
-            region.children.push(child);
-        }
-        region
-    }
-}
-
-/// Convenience: run the zoom over every sampled access of a trace.
-pub fn zoom_trace(
-    trace: &SampledTrace,
-    symbols: &SymbolTable,
-    cfg: ZoomConfig,
-) -> Option<ZoomRegion> {
-    let summary = BlockReuse::from_samples(&trace.samples, cfg.access_block);
-    zoom_trace_with(trace, &summary, symbols, None, cfg)
-}
-
 /// The zoom driver: every sampled access of `trace` against `summary`,
 /// the trace's per-block reuse at `cfg.access_block`, with source-line
-/// attribution when the annotation file is given.
+/// attribution when the annotation file is given. `None` for a trace
+/// without accesses.
+///
+/// The tree's shape — page runs, the threshold test, each region's
+/// `accesses`, `D` and `#blocks` — is read off the summary's sorted
+/// blocks; the trace is walked once, for code attribution. Nothing is
+/// sized by the address span.
 pub fn zoom_trace_with(
     trace: &SampledTrace,
     summary: &BlockReuse,
@@ -320,18 +140,263 @@ pub fn zoom_trace_with(
     annots: Option<&AuxAnnotations>,
     cfg: ZoomConfig,
 ) -> Option<ZoomRegion> {
-    let accesses: Vec<Access> = trace.accesses().copied().collect();
-    let zoom = LocationZoom::new(&accesses, summary, symbols, cfg);
-    match annots {
-        Some(ax) => zoom.with_annotations(ax).run(),
-        None => zoom.run(),
+    let (lo, hi) = kernel::span(trace.accesses().map(|a| a.addr.raw()))?;
+    let shape = Shape {
+        summary,
+        cfg,
+        min_page_log2: cfg
+            .min_page_log2
+            .max(cfg.access_block.log2())
+            .min(u64::BITS as u8 - 1),
+        total: summary.totals()[0],
+    };
+    // The configured initial page size is clamped so the top level sees
+    // at least four pages — a span smaller than one page would otherwise
+    // never be divided.
+    let span_log2 = (hi - lo).ilog2() as u8;
+    let page_log2 = cfg
+        .initial_page_log2
+        .min(span_log2.saturating_sub(2))
+        .max(shape.min_page_log2);
+    let mut root = shape.zoom_region(lo, hi, page_log2, 0);
+    let no_annots = AuxAnnotations::new();
+    attribute_code(&mut root, trace, symbols, annots.unwrap_or(&no_annots));
+    Some(root)
+}
+
+/// The tree's shape, from the block summary alone.
+struct Shape<'a> {
+    summary: &'a BlockReuse,
+    cfg: ZoomConfig,
+    /// The effective page floor (see [`ZoomConfig::min_page_log2`]).
+    min_page_log2: u8,
+    /// Accesses in the whole trace.
+    total: u64,
+}
+
+impl Shape<'_> {
+    /// The region `[lo, hi)` without children or code.
+    fn describe(&self, lo: u64, hi: u64, depth: u32) -> ZoomRegion {
+        let (lo_block, hi_block) = self.cfg.access_block.block_range(lo, hi);
+        let accesses = self.summary.region_accesses(lo_block, hi_block);
+        ZoomRegion {
+            lo,
+            hi,
+            accesses,
+            pct_of_total: 100.0 * accesses as f64 / self.total as f64,
+            reuse_d: self.summary.region_mean_distance(lo_block, hi_block),
+            blocks: self.summary.region_blocks(lo_block, hi_block),
+            depth,
+            children: Vec::new(),
+            code: Vec::new(),
+        }
+    }
+
+    /// The region `[lo, hi)` and, below it, its hot subregions at
+    /// `page_log2`. A page is never smaller than an access block, so the
+    /// page an access falls in is a property of its block: the runs come
+    /// from the summary's blocks in `[lo, hi)`, in order.
+    fn zoom_region(&self, lo: u64, hi: u64, page_log2: u8, depth: u32) -> ZoomRegion {
+        let mut region = self.describe(lo, hi, depth);
+        let page = 1u64 << page_log2;
+        if depth >= self.cfg.max_depth || hi - lo <= self.cfg.min_region_bytes || hi - lo <= page {
+            return region;
+        }
+        let threshold = (region.accesses as f64 * self.cfg.hot_threshold_pct / 100.0).ceil() as u64;
+        let next_page_log2 = page_log2
+            .saturating_sub(self.cfg.shrink_log2)
+            .max(self.min_page_log2);
+
+        // A hot run of pages `first..=last` becomes a child.
+        let mut close = |(first, last, accesses): (u64, u64, u64)| {
+            if accesses < threshold.max(1) {
+                return; // not hot enough
+            }
+            let run_lo = (first << page_log2).max(lo);
+            let run_hi = ((last << page_log2) | (page - 1)).saturating_add(1).min(hi);
+            // A run identical to the parent at the minimum page size
+            // cannot be divided further — the parent is the leaf.
+            if run_lo == lo && run_hi == hi && next_page_log2 >= page_log2 {
+                return;
+            }
+            region
+                .children
+                .push(self.zoom_region(run_lo, run_hi, next_page_log2, depth + 1));
+        };
+
+        // Maximal runs of contiguous touched pages.
+        let block_log2 = self.cfg.access_block.log2();
+        let (lo_block, hi_block) = self.cfg.access_block.block_range(lo, hi);
+        let mut run: Option<(u64, u64, u64)> = None;
+        for (block, accesses) in self.summary.block_accesses(lo_block, hi_block) {
+            let p = block >> (page_log2 - block_log2);
+            match &mut run {
+                Some((_, last, sum)) if p - *last <= 1 => {
+                    *last = p;
+                    *sum += accesses;
+                }
+                _ => {
+                    if let Some(done) = run.replace((p, p, accesses)) {
+                        close(done);
+                    }
+                }
+            }
+        }
+        if let Some(done) = run {
+            close(done);
+        }
+        region
+    }
+}
+
+/// The tree flattened for the attribution pass: regions numbered in
+/// pre-order, and the address line cut into the intervals between region
+/// bounds, each owned by the deepest region that holds it.
+#[derive(Default)]
+struct RegionIndex {
+    /// Parent of each region; the root is its own.
+    parent: Vec<u32>,
+    /// Interval starts, ascending, closed by the root's `hi`.
+    starts: Vec<u64>,
+    /// Region owning `[starts[i], starts[i + 1])`.
+    owner: Vec<u32>,
+}
+
+impl RegionIndex {
+    fn of(root: &ZoomRegion) -> RegionIndex {
+        let mut index = RegionIndex::default();
+        index.walk(root, 0);
+        index.starts.push(root.hi);
+        index
+    }
+
+    fn walk(&mut self, region: &ZoomRegion, parent: u32) {
+        let id = self.parent.len() as u32;
+        self.parent.push(parent);
+        // Children are disjoint and in address order; what lies between
+        // them is the region's own.
+        let mut at = region.lo;
+        for child in &region.children {
+            if at < child.lo {
+                self.starts.push(at);
+                self.owner.push(id);
+            }
+            self.walk(child, id);
+            at = child.hi;
+        }
+        if at < region.hi {
+            self.starts.push(at);
+            self.owner.push(id);
+        }
+    }
+
+    /// The interval holding `addr`, tried at `hint` first: a stream
+    /// stays in one object for many accesses.
+    #[inline]
+    fn interval_of(&self, addr: u64, hint: usize) -> usize {
+        if self.starts[hint] <= addr && addr < self.starts[hint + 1] {
+            hint
+        } else {
+            self.starts.partition_point(|&s| s <= addr) - 1
+        }
+    }
+}
+
+/// Fill every region's `code` from one pass over the trace: an ip is
+/// resolved to its function and source line on first sight, each access
+/// bumps the counter of `(its ip, the deepest region holding its
+/// address)`, and counts are then summed from children into parents.
+fn attribute_code(
+    root: &mut ZoomRegion,
+    trace: &SampledTrace,
+    symbols: &SymbolTable,
+    annots: &AuxAnnotations,
+) {
+    let index = RegionIndex::of(root);
+    let regions = index.parent.len();
+    // Every address is below `root.hi` but `u64::MAX`, which a root
+    // that ends there holds (`kernel::span`).
+    let top = root.hi - 1;
+    let mut resolver = IpResolver::new(symbols, annots);
+    // `(function name, source line)` per site; `counts` is `[site ×
+    // region]`.
+    let mut sites: Vec<(&str, u32)> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    let mut interval = 0;
+    for sample in &trace.samples {
+        for a in &sample.accesses {
+            let info = resolver.resolve(a.ip);
+            let site = info.site as usize;
+            if site == sites.len() {
+                let line = annots.get(a.ip).map_or(0, |an| an.src_line);
+                sites.push((resolver.function(info.slot).1, line));
+                counts.resize(counts.len() + regions, 0);
+            }
+            interval = index.interval_of(a.addr.raw().min(top), interval);
+            counts[site * regions + index.owner[interval] as usize] += 1;
+        }
+    }
+    for row in counts.chunks_exact_mut(regions) {
+        for region in (1..regions).rev() {
+            row[index.parent[region] as usize] += row[region];
+        }
+    }
+
+    // Attribution is by function *name*. Sites as `(name, line, site)`,
+    // sorted: a name's sites are adjacent, its lines ascending.
+    let mut order: Vec<(&str, u32, usize)> = sites
+        .iter()
+        .enumerate()
+        .map(|(site, &(name, line))| (name, line, site))
+        .collect();
+    order.sort_unstable();
+
+    let mut codes = (0..regions).map(|region| {
+        let mut rows: Vec<(u64, &str, u32)> = Vec::new(); // accesses, name, line
+        for function in order.chunk_by(|a, b| a.0 == b.0) {
+            let (mut accesses, mut hottest, mut hottest_line) = (0, 0, 0);
+            for line in function.chunk_by(|a, b| a.1 == b.1) {
+                let n: u64 = line
+                    .iter()
+                    .map(|&(_, _, site)| counts[site * regions + region])
+                    .sum();
+                accesses += n;
+                // Lines ascend: the lowest wins among equally hot ones.
+                if n > hottest {
+                    (hottest, hottest_line) = (n, line[0].1);
+                }
+            }
+            if accesses > 0 {
+                rows.push((accesses, function[0].0, hottest_line));
+            }
+        }
+        // Hottest first; equal counts in name order.
+        rows.sort_unstable_by_key(|&(accesses, name, _)| (Reverse(accesses), name));
+        rows.truncate(4);
+        rows.into_iter()
+            .map(|(accesses, name, line)| RegionCode {
+                function: name.to_string(),
+                line,
+                accesses,
+            })
+            .collect()
+    });
+    fill_code(root, &mut codes);
+}
+
+/// Set `code` on every region from `codes`, which yields them in the
+/// pre-order that numbered the regions.
+fn fill_code(region: &mut ZoomRegion, codes: &mut impl Iterator<Item = Vec<RegionCode>>) {
+    region.code = codes.next().expect("one code list per region");
+    for child in &mut region.children {
+        fill_code(child, codes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{Access, Ip, Sample};
+    use memgaze_model::{Access, Ip, Sample, TraceMeta};
 
     /// Two hot objects far apart: object A at 1 MiB (streamed, poor
     /// locality), object B at 64 MiB (reused heavily).
@@ -353,16 +418,27 @@ mod tests {
         acc
     }
 
-    /// The reuse summary of `acc` taken as one sample.
-    fn summary(acc: &[Access], bs: BlockSize) -> BlockReuse {
-        BlockReuse::from_samples(&[Sample::new(acc.to_vec(), 0)], bs)
+    /// `acc` as a one-sample trace.
+    fn trace_of(acc: &[Access]) -> SampledTrace {
+        let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
+        let trigger = acc.last().map_or(0, |a| a.time.saturating_add(1));
+        t.push_sample(Sample::new(acc.to_vec(), trigger)).unwrap();
+        t
+    }
+
+    fn zoom_with(
+        acc: &[Access],
+        symbols: &SymbolTable,
+        annots: Option<&AuxAnnotations>,
+        cfg: ZoomConfig,
+    ) -> Option<ZoomRegion> {
+        let t = trace_of(acc);
+        let br = BlockReuse::from_samples(&t.samples, cfg.access_block);
+        zoom_trace_with(&t, &br, symbols, annots, cfg)
     }
 
     fn zoom_over(acc: &[Access], cfg: ZoomConfig) -> ZoomRegion {
-        let br = summary(acc, cfg.access_block);
-        let symbols = SymbolTable::new();
-        let z = LocationZoom::new(acc, &br, &symbols, cfg);
-        z.run().unwrap()
+        zoom_with(acc, &SymbolTable::new(), None, cfg).unwrap()
     }
 
     #[test]
@@ -434,7 +510,6 @@ mod tests {
     fn annotations_attach_source_lines() {
         use memgaze_model::{AuxAnnotations, FunctionId, IpAnnot, LoadClass};
         let acc = two_objects();
-        let br = summary(&acc, BlockSize::CACHE_LINE);
         let mut symbols = SymbolTable::new();
         symbols.add_function("streamer", Ip(0x100), Ip(0x200), "w.c");
         symbols.add_function("reuser", Ip(0x200), Ip(0x300), "w.c");
@@ -446,10 +521,7 @@ mod tests {
         a2.src_line = 77;
         annots.insert(Ip(0x200), a2);
 
-        let root = LocationZoom::new(&acc, &br, &symbols, ZoomConfig::default())
-            .with_annotations(&annots)
-            .run()
-            .unwrap();
+        let root = zoom_with(&acc, &symbols, Some(&annots), ZoomConfig::default()).unwrap();
         let leaves = root.leaves();
         let a_leaf = leaves.iter().find(|r| r.lo < (2 << 20)).unwrap();
         let code = a_leaf
@@ -464,10 +536,39 @@ mod tests {
     }
 
     #[test]
+    fn page_floor_is_never_finer_than_the_access_block() {
+        // Every other line of eight, two words of each. Left to run, a
+        // byte-sized floor would go on to cut each line into its words —
+        // regions `D` and `#blocks` cannot describe.
+        let base = 1u64 << 20;
+        let acc: Vec<Access> = (0..64u64)
+            .map(|i| {
+                let (line, word) = (i % 4 * 2, i / 4 % 2 * 5);
+                Access::new(Ip(0x100), base + line * 64 + word * 8, i)
+            })
+            .collect();
+        let floor_at = |min_page_log2| ZoomConfig {
+            min_page_log2,
+            min_region_bytes: 0,
+            ..Default::default()
+        };
+        let root = zoom_over(&acc, floor_at(0));
+        assert_eq!(root, zoom_over(&acc, floor_at(6)));
+        // At 128-byte pages every page is touched: nothing to cut.
+        assert!(zoom_over(&acc, floor_at(7)).children.is_empty());
+        let leaves = root.leaves();
+        let starts: Vec<u64> = leaves.iter().map(|r| r.lo - base).collect();
+        assert_eq!(starts, [0, 128, 256, 384]);
+        assert!(leaves.iter().all(|r| r.blocks == 1 && r.accesses == 16));
+    }
+
+    #[test]
     fn empty_input_yields_none() {
-        let br = BlockReuse::default();
         let symbols = SymbolTable::new();
-        let z = LocationZoom::new(&[], &br, &symbols, ZoomConfig::default());
-        assert!(z.run().is_none());
+        assert!(zoom_with(&[], &symbols, None, ZoomConfig::default()).is_none());
+        // No sample at all, and no summary either.
+        let t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
+        let br = BlockReuse::default();
+        assert!(zoom_trace_with(&t, &br, &symbols, None, ZoomConfig::default()).is_none());
     }
 }

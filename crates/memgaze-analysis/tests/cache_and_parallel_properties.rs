@@ -173,8 +173,10 @@ proptest! {
             .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
             .collect();
         let region = (0x10_0000u64, 0x10_0000 + (1 << 15));
-        let (a1, d1) = region_heatmaps_from(&t, &analyses, region, 8, 8, 1);
-        let (an, dn) = region_heatmaps_from(&t, &analyses, region, 8, 8, threads);
+        let last = t.accesses().map(|a| a.time).max().unwrap_or(0);
+        let times = (t.accesses().map(|a| a.time).min().unwrap_or(0), last + 1);
+        let (a1, d1) = region_heatmaps_from(&t, &analyses, times, region, 8, 8, 1);
+        let (an, dn) = region_heatmaps_from(&t, &analyses, times, region, 8, 8, threads);
         prop_assert_eq!(a1, an);
         prop_assert_eq!(d1, dn);
 

@@ -4,11 +4,11 @@
 //! paper's sentences with sets and nested loops. This suite first holds
 //! the spec itself to a trace small enough to work by hand, then holds
 //! the streaming fold — and `Analyzer`, which reads the fold's report —
-//! equal to the spec where the root proptest
+//! and the location zoom equal to the spec where the root proptests
 //! (`tests/streaming_equivalence.rs`, random traces of a few samples)
-//! does not reach: enough samples per shard that `par_map` really
-//! spreads them over workers, degenerate traces, and the top of the
-//! address space.
+//! do not reach: enough samples per shard that `par_map` really
+//! spreads them over workers, degenerate traces, zoom trees worked by
+//! hand, and the top of the address space.
 
 #[path = "../../../tests/common/arb.rs"]
 mod arb;
@@ -16,7 +16,10 @@ mod arb;
 mod spec;
 
 use arb::BLOCK_SIZES;
-use memgaze_analysis::{stream_resident_trace, AnalysisConfig, Analyzer};
+use memgaze_analysis::{
+    stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse, RegionCode,
+    ZoomConfig, ZoomRegion,
+};
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, FunctionId, Ip, IpAnnot, LoadClass,
     Sample, SampledTrace, SymbolTable, TraceMeta,
@@ -283,6 +286,118 @@ fn degenerate_traces_match_spec() {
         let top = spec::region_row(&i, 0, u64::MAX);
         assert_eq!((top.accesses, top.blocks), (3, 2));
     }
+}
+
+/// The engine's zoom of one sample of `(ip, addr)` accesses under the
+/// proptests' side tables, held equal to the spec's.
+fn zoom_of(accesses: &[(u64, u64)], cfg: ZoomConfig) -> ZoomRegion {
+    let (annots, symbols) = arb::fixtures();
+    let mut t = SampledTrace::new(TraceMeta::new("zoom", 1000, 8192));
+    let accesses: Vec<Access> = accesses
+        .iter()
+        .enumerate()
+        .map(|(i, &(ip, addr))| Access::new(ip, addr, i as u64))
+        .collect();
+    let trigger = accesses.len() as u64;
+    t.push_sample(Sample::new(accesses, trigger)).unwrap();
+    let summary = BlockReuse::from_samples(&t.samples, cfg.access_block);
+    let root = zoom_trace_with(&t, &summary, &symbols, Some(&annots), cfg);
+    let i = input(&t, &annots, &symbols, BLOCK_SIZES[0]);
+    assert_eq!(root, spec::zoom(&i, cfg));
+    root.expect("a trace with accesses")
+}
+
+fn ranges(regions: &[&ZoomRegion]) -> Vec<(u64, u64)> {
+    regions.iter().map(|r| (r.lo, r.hi)).collect()
+}
+
+#[test]
+fn zoom_matches_spec_on_cases_worked_by_hand() {
+    const MIB: u64 = 1 << 20;
+    let to_256_byte_pages = ZoomConfig {
+        min_page_log2: 8,
+        min_region_bytes: 0,
+        ..ZoomConfig::default()
+    };
+
+    // One access: a one-byte root, which is its own leaf.
+    let root = zoom_of(&[(0x400, MIB + 0x40)], ZoomConfig::default());
+    assert_eq!((root.lo, root.hi), (MIB + 0x40, MIB + 0x41));
+    assert_eq!((root.accesses, root.blocks, root.reuse_d), (1, 1, 0.0));
+    assert!(root.children.is_empty());
+    let alpha = RegionCode {
+        function: "alpha".to_string(),
+        line: 10,
+        accesses: 1,
+    };
+    assert_eq!(root.code, [alpha]);
+
+    // A span smaller than the initial 1-MiB page is cut into at least
+    // four: lines 0, 1 and 12, 13 of 1 KiB come apart at 256-byte pages.
+    let lines: Vec<(u64, u64)> = [0, 1, 12, 13, 0, 1, 12, 13]
+        .iter()
+        .map(|l| (0x400, MIB + l * 64))
+        .collect();
+    let root = zoom_of(&lines, to_256_byte_pages);
+    assert_eq!(
+        ranges(&root.leaves()),
+        [(MIB, MIB + 256), (MIB + 768, MIB + 13 * 64 + 1)]
+    );
+
+    // Objects A = [0, 2 KiB) and B = [4 KiB, 6 KiB) above 1 MiB, and a
+    // third 4 MiB up. At 4-KiB pages A's run and B's touch — one hot
+    // subregion of 8 KiB; 1-KiB pages part them; at the 256-byte floor
+    // each is a run equal to its parent, so the parent is the leaf.
+    let object = |base: u64| (0..32u64).map(move |l| (0x400 + (l % 3) * 0x80, base + l * 64));
+    let objects: Vec<(u64, u64)> = object(MIB)
+        .chain(object(MIB + 4096))
+        .chain(object(5 * MIB))
+        .collect();
+    let root = zoom_of(&objects, to_256_byte_pages);
+    let mut both = &root;
+    while both.children.len() == 1 || both.children[0].hi > MIB + 8192 {
+        both = &both.children[0];
+    }
+    assert_eq!((both.lo, both.hi, both.depth), (MIB, MIB + 8192, 5));
+    let (a, b) = ((MIB, MIB + 2048), (MIB + 4096, MIB + 6144));
+    assert_eq!(ranges(&both.children.iter().collect::<Vec<_>>()), [a, b]);
+    assert!(both.children.iter().all(|c| c.children.is_empty()));
+    assert_eq!(
+        ranges(&root.leaves()),
+        [a, b, (5 * MIB, 5 * MIB + 31 * 64 + 1)]
+    );
+    // Every third line of an object is alpha's, beta's, and an ip in
+    // no function's: 11 = 11 > 10 accesses, the equal pair in name
+    // order; the unannotated ip has no source line.
+    let code: Vec<(&str, u32, u64)> = both.children[0]
+        .code
+        .iter()
+        .map(|c| (c.function.as_str(), c.line, c.accesses))
+        .collect();
+    assert_eq!(
+        code,
+        [("alpha", 10, 11), ("beta", 10, 11), ("<unknown>", 0, 10)]
+    );
+
+    // A heap and a stack, 2^45 bytes apart: two leaves, found without
+    // anything sized by the span.
+    let (heap, stack) = (0x5555_0000_0000u64, 0x7fff_ffff_0000u64);
+    let process: Vec<(u64, u64)> = (0..64)
+        .flat_map(|i| [(0x400, heap + i * 64), (0x480, stack + i * 8)])
+        .collect();
+    let root = zoom_of(&process, ZoomConfig::default());
+    assert_eq!(
+        ranges(&root.leaves()),
+        [(heap, heap + 4096), (stack, stack + 63 * 8 + 1)]
+    );
+
+    // The last word of the address space and its last byte.
+    let root = zoom_of(
+        &[(0x400, u64::MAX - 7), (0x400, u64::MAX)],
+        ZoomConfig::default(),
+    );
+    assert_eq!((root.lo, root.hi), (u64::MAX - 7, u64::MAX));
+    assert_eq!((root.accesses, root.blocks), (2, 1));
 }
 
 proptest! {

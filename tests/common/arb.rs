@@ -69,8 +69,9 @@ pub fn arb_trace() -> impl Strategy<Value = SampledTrace> {
 }
 
 /// Annotations and symbols over the ips `arb_access` draws: Strided,
-/// Irregular and Constant loads mixed across two functions, every
-/// seventh ip of a function left without an annotation.
+/// Irregular and Constant loads mixed across two functions and four
+/// source lines, every seventh ip of a function left without an
+/// annotation.
 pub fn fixtures() -> (AuxAnnotations, SymbolTable) {
     let mut annots = AuxAnnotations::new();
     for k in (0..64u64).filter(|k| k % 7 != 6) {
@@ -81,6 +82,7 @@ pub fn fixtures() -> (AuxAnnotations, SymbolTable) {
         };
         let mut an = IpAnnot::of_class(class, func);
         an.implied_const = (k % 5) as u32;
+        an.src_line = 10 + (k % 4) as u32;
         annots.insert(Ip(0x400 + k * 4), an);
     }
     let mut symbols = SymbolTable::new();

@@ -5,9 +5,11 @@
 //! threads, no cache, quadratic where the definition is. The production
 //! path (`StreamingAnalyzer::ingest_shard → into_partial →
 //! PartialReport::finish`) is held equal to it field for field, bit for
-//! bit, by [`check_report`]. It imports nothing from `memgaze_analysis`
-//! but the result types it fills, `Confidence::from_observations` and
-//! the quadratic reuse-distance definition `analyze_window_naive`.
+//! bit, by [`check_report`]; the location zoom (`zoom_trace_with`) is
+//! held equal to [`zoom`]. It imports nothing from `memgaze_analysis`
+//! but the result types it fills, the zoom's parameters,
+//! `Confidence::from_observations` and the quadratic reuse-distance
+//! definition `analyze_window_naive`.
 //!
 //! Integers are exact whatever the order. Every `f64` is either one
 //! expression over integer totals, written here in the order the
@@ -22,7 +24,7 @@
 
 use memgaze_analysis::{
     analyze_window_naive, Confidence, FunctionRow, IngestStats, IntervalRow, LocalityPoint,
-    RegionRow, StreamingReport,
+    RegionCode, RegionRow, StreamingReport, ZoomConfig, ZoomRegion,
 };
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, LoadClass, SampledTrace, SymbolTable,
@@ -429,6 +431,161 @@ pub fn ingest(trace: &SampledTrace, shard_samples: usize) -> IngestStats {
             .max(accesses * std::mem::size_of::<Access>());
     }
     stats
+}
+
+// ---- §IV-C2: the location zoom ----
+
+/// The location-zoom tree (Fig. 5) over the flattened access stream,
+/// level by level. The root is `[min, max + 1)` of the addresses (`hi`
+/// saturates at the top of the address space, and a range that ends
+/// there holds the last address). A region is cut into pages; a maximal
+/// run of contiguous touched pages holding at least `t`% of the region's
+/// accesses is a hot subregion, zoomed in turn at a smaller page — down
+/// to the page floor, which is never finer than the access block,
+/// because `D` and `#blocks` are per block.
+pub fn zoom(i: &Input, cfg: ZoomConfig) -> Option<ZoomRegion> {
+    let accesses: Vec<Access> = i
+        .trace
+        .samples
+        .iter()
+        .flat_map(|s| &s.accesses)
+        .copied()
+        .collect();
+    let hi = accesses
+        .iter()
+        .map(|a| a.addr.raw())
+        .max()?
+        .saturating_add(1);
+    let lo = accesses.iter().map(|a| a.addr.raw()).min()?.min(hi - 1);
+    let zoom = Zoom {
+        input: i,
+        cfg,
+        floor: cfg.min_page_log2.max(cfg.access_block.log2()).min(63),
+        block_rows: block_rows(&Input {
+            reuse_block: cfg.access_block,
+            ..*i
+        }),
+        total: accesses.len() as u64,
+    };
+    // At least four pages at the top: a span smaller than one page
+    // would otherwise never be divided.
+    let span_log2 = (hi - lo).ilog2() as u8;
+    let page_log2 = cfg
+        .initial_page_log2
+        .min(span_log2.saturating_sub(2))
+        .max(zoom.floor);
+    Some(zoom.region(lo, hi, &accesses, page_log2, 0))
+}
+
+struct Zoom<'a> {
+    input: &'a Input<'a>,
+    cfg: ZoomConfig,
+    /// The page floor in effect.
+    floor: u8,
+    /// Per-block reuse at the zoom's access block.
+    block_rows: Vec<(u64, [u64; 4])>,
+    /// Accesses in the trace.
+    total: u64,
+}
+
+impl Zoom<'_> {
+    /// The region `[lo, hi)` holding `members`, without children:
+    /// accesses by counting, `D` and `#blocks` over the blocks its bytes
+    /// intersect, and the four hottest functions by name — accesses
+    /// descending, equal counts in name order — each with its hottest
+    /// source line, the lowest among equally hot ones.
+    fn describe(&self, lo: u64, hi: u64, members: &[Access], depth: u32) -> ZoomRegion {
+        let row = region_row_over(&self.block_rows, self.total, self.cfg.access_block, lo, hi);
+        let mut per_fn: BTreeMap<String, BTreeMap<u32, u64>> = BTreeMap::new();
+        for a in members {
+            let line = self.input.annots.get(a.ip).map_or(0, |an| an.src_line);
+            let name = function_of(self.input.symbols, a).1;
+            *per_fn.entry(name).or_default().entry(line).or_default() += 1;
+        }
+        let mut code: Vec<RegionCode> = per_fn
+            .into_iter()
+            .map(|(function, lines)| {
+                // Lines ascend: a later line must be strictly hotter.
+                let (mut hottest, mut hottest_line) = (0, 0);
+                for (&line, &n) in &lines {
+                    if n > hottest {
+                        (hottest, hottest_line) = (n, line);
+                    }
+                }
+                RegionCode {
+                    function,
+                    line: hottest_line,
+                    accesses: lines.values().sum(),
+                }
+            })
+            .collect();
+        // Names ascend and the sort is stable.
+        code.sort_by_key(|c| std::cmp::Reverse(c.accesses));
+        code.truncate(4);
+        ZoomRegion {
+            lo,
+            hi,
+            accesses: members.len() as u64,
+            pct_of_total: 100.0 * members.len() as f64 / self.total as f64,
+            reuse_d: row.reuse_d,
+            blocks: row.blocks,
+            depth,
+            children: Vec::new(),
+            code,
+        }
+    }
+
+    /// The region `[lo, hi)` and, below it, its hot subregions at pages
+    /// of `1 << page_log2` bytes.
+    fn region(
+        &self,
+        lo: u64,
+        hi: u64,
+        members: &[Access],
+        page_log2: u8,
+        depth: u32,
+    ) -> ZoomRegion {
+        let mut region = self.describe(lo, hi, members, depth);
+        let cfg = &self.cfg;
+        let size = hi - lo;
+        if depth >= cfg.max_depth || size <= cfg.min_region_bytes || size <= 1 << page_log2 {
+            return region;
+        }
+        let mut pages: BTreeMap<u64, Vec<Access>> = BTreeMap::new();
+        for a in members {
+            pages.entry(a.addr.raw() >> page_log2).or_default().push(*a);
+        }
+        // Maximal runs of contiguous touched pages: first page, last
+        // page, members.
+        let mut runs: Vec<(u64, u64, Vec<Access>)> = Vec::new();
+        for (page, touched) in pages {
+            match runs.last_mut() {
+                Some((_, last, run)) if *last + 1 == page => {
+                    *last = page;
+                    run.extend(touched);
+                }
+                _ => runs.push((page, page, touched)),
+            }
+        }
+        let threshold = (members.len() as f64 * cfg.hot_threshold_pct / 100.0).ceil() as usize;
+        let next_page_log2 = page_log2.saturating_sub(cfg.shrink_log2).max(self.floor);
+        for (first, last, run) in runs {
+            if run.len() < threshold.max(1) {
+                continue; // not hot enough
+            }
+            let run_lo = (first << page_log2).max(lo);
+            let run_hi = ((last as u128 + 1) << page_log2).min(hi as u128) as u64;
+            // A run that is its whole parent at a page that cannot
+            // shrink would repeat for ever: the parent is the leaf.
+            if (run_lo, run_hi) == (lo, hi) && next_page_log2 >= page_log2 {
+                continue;
+            }
+            region
+                .children
+                .push(self.region(run_lo, run_hi, &run, next_page_log2, depth + 1));
+        }
+        region
+    }
 }
 
 // ---- engine == spec ----

@@ -7,9 +7,10 @@
 //! whole-function window grows are gone once a sample-sized window has
 //! run after it. A third holds the store's `Catalog::scan`, which
 //! summarises every frame `put` files, to allocations per frame and
-//! sample, not per access.
+//! sample, not per access; a fourth the location zoom's peak memory to
+//! its accesses, not to the address span they cover.
 
-use memgaze::analysis::{analyze_window, AnalysisConfig, StreamingAnalyzer};
+use memgaze::analysis::{analyze_window, AnalysisConfig, Analyzer, StreamingAnalyzer};
 use memgaze::model::{
     encode_sharded_indexed, Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass,
     Sample, SampledTrace, SymbolTable, TraceMeta,
@@ -21,6 +22,8 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<usize> = const { Cell::new(0) };
+    /// The highest `LIVE` since a test last reset it.
+    static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -54,7 +57,10 @@ unsafe impl GlobalAlloc for Counting {
 
 fn grew(n: usize) {
     let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
-    let _ = LIVE.try_with(|live| live.set(live.get() + n));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + n);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn shrank(n: usize) {
@@ -183,5 +189,41 @@ fn catalog_scan_allocates_per_frame_not_per_access() {
     assert!(
         big <= small + small / 2,
         "{small} allocations for {small_loads} accesses, {big} for {big_loads}"
+    );
+}
+
+#[test]
+fn zoom_memory_follows_the_accesses_not_the_address_span() {
+    // Any 64-bit process: a heap and a stack 2^45 bytes apart, 64
+    // accesses each. Page buckets sized by the span were 1.1 GiB of
+    // empty vectors at the top level alone.
+    let (heap, stack) = (0x5555_0000_0000u64, 0x7fff_ffff_0000u64);
+    let (annots, symbols) = side_tables();
+    let mut t = SampledTrace::new(TraceMeta::new("process", 10_000, 16 << 10));
+    t.meta.total_loads = 2 * 10_000;
+    for (s, base) in [heap, stack].into_iter().enumerate() {
+        let time = s as u64 * 10_000;
+        let accesses = (0..64u64)
+            .map(|i| Access::new(0x400 + s as u64 * 0x100, base + i * 64, time + i))
+            .collect();
+        t.push_sample(Sample::new(accesses, time + 64)).unwrap();
+    }
+    // One thread, so that every allocation is this thread's.
+    let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig {
+        threads: 1,
+        ..AnalysisConfig::default()
+    });
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let rows = analyzer.region_rows();
+    let peak = PEAK.with(Cell::get) - start;
+    let ranges: Vec<(u64, u64)> = rows.iter().map(|r| r.range).collect();
+    assert_eq!(ranges, [(heap, heap + 4096), (stack, stack + 63 * 64 + 1)]);
+    assert_eq!(rows[0].code, ["stream_fn"]);
+    assert_eq!(rows[1].code, ["cycle_fn"]);
+    let accesses = t.observed_accesses() as usize;
+    assert!(
+        peak <= accesses * 1024,
+        "{peak} bytes at the peak for {accesses} accesses"
     );
 }

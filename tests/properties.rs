@@ -161,7 +161,9 @@ proptest! {
     #[test]
     fn zoom_partition_soundness(t in arb_trace()) {
         let symbols = SymbolTable::new();
-        let Some(root) = analysis::zoom_trace(&t, &symbols, ZoomConfig::default()) else {
+        let cfg = ZoomConfig::default();
+        let summary = BlockReuse::from_samples(&t.samples, cfg.access_block);
+        let Some(root) = analysis::zoom_trace_with(&t, &summary, &symbols, None, cfg) else {
             prop_assert_eq!(t.observed_accesses(), 0);
             return Ok(());
         };

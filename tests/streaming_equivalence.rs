@@ -2,7 +2,8 @@
 //! the sharded v2 container round-trips arbitrary traces; the streaming
 //! fold — the one engine — equals the definitional spec
 //! (`tests/common/spec.rs`) field for field, bit for bit, for any shard
-//! size, thread count and block sizes; and the fan-out's partial
+//! size, thread count and block sizes; the location zoom equals the
+//! spec's partition tree for tree; and the fan-out's partial
 //! encode/decode/merge path equals the fold.
 
 #[path = "common/arb.rs"]
@@ -11,9 +12,13 @@ mod arb;
 mod spec;
 
 use arb::{arb_trace, fixtures, BLOCK_SIZES};
-use memgaze::analysis::{stream_resident_trace, AnalysisConfig};
+use memgaze::analysis::{
+    stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse, ZoomConfig,
+};
 use memgaze::core::{run_fanout, FanoutBackend, FanoutConfig};
-use memgaze::model::{decode_sharded, encode_sharded, encode_sharded_indexed, ShardReader};
+use memgaze::model::{
+    decode_sharded, encode_sharded, encode_sharded_indexed, AuxAnnotations, BlockSize, ShardReader,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,6 +78,60 @@ proptest! {
         if let Err(e) = spec::check_report(&report, &input, &sizes, shard) {
             return Err(TestCaseError::fail(e));
         }
+    }
+
+    /// The location zoom equals its definition — the partition over the
+    /// flattened accesses, level by level — tree for tree: shape, `D`,
+    /// `#blocks`, and the attributed code with its order among equals;
+    /// whether it reads the report's block summary (`access_block ==
+    /// reuse_block`) or one of its own, down to page floors at, above
+    /// and below the access block.
+    #[test]
+    fn zoom_matches_spec(
+        t in arb_trace(),
+        threshold in 0usize..3,
+        pages in (0usize..3, 1u8..3, 0usize..2),
+        access_block in 0usize..3,
+        blocks in 0usize..3,
+    ) {
+        let (floor, shrink_log2, min_region) = pages;
+        let (annots, symbols) = fixtures();
+        let (footprint_block, reuse_block) = BLOCK_SIZES[blocks];
+        let access_block =
+            [BlockSize::WORD, BlockSize::CACHE_LINE, BlockSize::OS_PAGE][access_block];
+        let zoom = ZoomConfig {
+            access_block,
+            min_page_log2: [6, 8, 12][floor],
+            shrink_log2,
+            hot_threshold_pct: [1.0, 10.0, 40.0][threshold],
+            min_region_bytes: [256, 4096][min_region],
+            max_depth: 12,
+            ..ZoomConfig::default()
+        };
+        let cfg = AnalysisConfig {
+            footprint_block,
+            reuse_block,
+            zoom,
+            threads: 1,
+        };
+        let mut input = spec::Input {
+            trace: &t,
+            annots: &annots,
+            symbols: &symbols,
+            footprint_block,
+            reuse_block,
+        };
+        let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+        prop_assert_eq!(analyzer.zoom().cloned(), spec::zoom(&input, zoom));
+
+        // Without the annotation file every source line reads 0.
+        let no_annots = AuxAnnotations::new();
+        input.annots = &no_annots;
+        let summary = BlockReuse::from_samples(&t.samples, access_block);
+        prop_assert_eq!(
+            zoom_trace_with(&t, &summary, &symbols, None, zoom),
+            spec::zoom(&input, zoom)
+        );
     }
 
 }
