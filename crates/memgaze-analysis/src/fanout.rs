@@ -168,7 +168,7 @@ impl ReusePartial {
     }
 
     /// [`absorb`](Self::absorb) with a caller-supplied replay tracker,
-    /// so a fold over many functions reuses one set of Fenwick/marker
+    /// so a fold over many functions reuses one set of marker
     /// allocations. The tracker is reset here; any prior state is
     /// discarded. Results are independent of the tracker's capacity
     /// (compaction preserves every distance), so scratch reuse cannot
@@ -191,9 +191,8 @@ impl ReusePartial {
         // The replay stream is `self.lru` then `other.firsts`; sizing the
         // slot window to cover both makes the whole replay
         // compaction-free, and the all-distinct LRU prefix loads in one
-        // O(n) batch instead of n Fenwick point updates.
-        replay.reserve_slots(self.lru.len() + other.firsts.len() + 1);
-        replay.preload_distinct(&self.lru);
+        // batch instead of n marker updates.
+        replay.preload_distinct(&self.lru, other.firsts.len() + 1);
         debug_assert_eq!(replay.events(), 0, "lru blocks are distinct");
         for &b in &other.firsts {
             replay.feed(b);

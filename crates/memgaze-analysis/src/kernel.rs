@@ -6,9 +6,10 @@
 //! `histogram::locality_sample_partial`, `BlockReuse::from_samples`)
 //! and the per-sample passes of `StreamingAnalyzer::ingest_shard` run on
 //! the [`Workspace`] here, so a 16-access locality window and a
-//! whole-function code window share one block table, one Fenwick
-//! implementation and one set of buffers, and a window allocates
-//! nothing once its thread's workspace is warm.
+//! whole-function code window share one block table, one marker
+//! structure ([`Markers`], which the streaming `ReuseTracker` runs on
+//! too) and one set of buffers, and a window allocates nothing once its
+//! thread's workspace is warm.
 //!
 //! The workspace is thread-local (`par_map` workers each own one) and
 //! what a thread keeps between calls is bounded: a window longer than
@@ -48,30 +49,132 @@ pub(crate) fn class_bit(class: LoadClass) -> u8 {
     }
 }
 
-/// The one Fenwick (binary indexed) tree of the crate, as functions
-/// over a slice of `positions + 1` counters: window kernels keep theirs
-/// in the workspace, `ReuseTracker` owns one that outlives any window.
-pub(crate) mod fenwick {
-    /// Add `delta` at position `pos`.
+/// Most whole words between two positions that [`Markers::between`]
+/// popcounts one by one; past it the tree over the words is cheaper.
+const DIRECT_WORDS: usize = 4;
+
+/// The marker set under every reuse distance of the crate: a bit per
+/// position and a Fenwick (binary indexed) tree over the popcounts of
+/// the 64-position words. Window kernels keep theirs in the workspace,
+/// `ReuseTracker` owns one that outlives any window. A reuse at short
+/// interval lands in the word of the access it reuses and never reaches
+/// the tree.
+#[derive(Default)]
+pub(crate) struct Markers {
+    /// The `words` bit words, then the `words` tree nodes: node `i`
+    /// (1-based, at `words + i - 1`) counts words `[i - lowbit(i), i)`.
+    buf: Vec<u64>,
+    words: usize,
+}
+
+/// The bits of a word at positions above `bit`.
+#[inline]
+fn above(bit: usize) -> u64 {
+    !(!0u64 >> (63 - bit))
+}
+
+impl Markers {
+    /// Size for `positions` positions, with markers at `0..prefix` and
+    /// nowhere else, in one pass over the words; the allocation is kept.
+    pub(crate) fn reset(&mut self, positions: usize, prefix: usize) {
+        debug_assert!(prefix <= positions);
+        self.words = positions.div_ceil(64);
+        let bits = (0..self.words).map(|w| match prefix.saturating_sub(64 * w) {
+            0 => 0,
+            n if n < 64 => !above(n - 1),
+            _ => !0,
+        });
+        let tree = (1..=self.words).map(|i| {
+            let lo = i - (i & i.wrapping_neg());
+            ((64 * i).min(prefix) - (64 * lo).min(prefix)) as u64
+        });
+        self.buf.clear();
+        self.buf.extend(bits.chain(tree));
+    }
+
+    /// Add `delta` (modulo 2⁶⁴, so `u64::MAX` takes one away) to the
+    /// count of `word`.
     #[inline]
-    pub(crate) fn add(tree: &mut [i32], pos: usize, delta: i32) {
-        let mut i = pos + 1;
-        while i < tree.len() {
-            tree[i] += delta;
+    fn add(&mut self, word: usize, delta: u64) {
+        let tree = &mut self.buf[self.words..];
+        let mut i = word + 1;
+        while i <= tree.len() {
+            tree[i - 1] = tree[i - 1].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Sum of positions `[0, pos]`.
+    /// Markers in words `[lo, hi)`: the two prefix walks, each stopped
+    /// where they meet.
     #[inline]
-    pub(crate) fn prefix(tree: &[i32], pos: usize) -> i32 {
-        let mut i = pos + 1;
-        let mut s = 0;
-        while i > 0 {
-            s += tree[i];
+    fn in_words(&self, lo: usize, hi: usize) -> u64 {
+        let tree = &self.buf[self.words..];
+        let (mut i, mut j, mut sum) = (hi, lo, 0u64);
+        while i > j {
+            sum = sum.wrapping_add(tree[i - 1]);
             i -= i & i.wrapping_neg();
         }
-        s
+        while j > i {
+            sum = sum.wrapping_sub(tree[j - 1]);
+            j -= j & j.wrapping_neg();
+        }
+        sum
+    }
+
+    /// Put a marker at `pos`, which has none.
+    #[inline]
+    pub(crate) fn set(&mut self, pos: usize) {
+        debug_assert_eq!(self.buf[pos / 64] >> (pos % 64) & 1, 0);
+        self.buf[pos / 64] |= 1 << (pos % 64);
+        self.add(pos / 64, 1);
+    }
+
+    /// Take the marker at `pos` away.
+    #[inline]
+    pub(crate) fn clear(&mut self, pos: usize) {
+        debug_assert_eq!(self.buf[pos / 64] >> (pos % 64) & 1, 1);
+        self.buf[pos / 64] &= !(1 << (pos % 64));
+        self.add(pos / 64, u64::MAX);
+    }
+
+    /// Move the marker at `from` to `to`, which has none: bit
+    /// operations alone when both sit in one word.
+    #[inline]
+    pub(crate) fn shift(&mut self, from: usize, to: usize) {
+        if from / 64 == to / 64 {
+            debug_assert_eq!(self.buf[to / 64] >> (to % 64) & 1, 0);
+            self.buf[to / 64] ^= 1 << (from % 64) | 1 << (to % 64);
+        } else {
+            self.clear(from);
+            self.set(to);
+        }
+    }
+
+    /// Markers at positions `[0, pos]`.
+    pub(crate) fn rank(&self, pos: usize) -> u64 {
+        let own = self.buf[pos / 64] & !above(pos % 64);
+        self.in_words(0, pos / 64) + u64::from(own.count_ones())
+    }
+
+    /// Markers strictly between `prev` and `pos`.
+    #[inline]
+    pub(crate) fn between(&self, prev: usize, pos: usize) -> u64 {
+        debug_assert!(prev < pos);
+        let (first, last) = (prev / 64, pos / 64);
+        let (head, tail) = (above(prev % 64), (1u64 << (pos % 64)) - 1);
+        let bits = &self.buf[..self.words];
+        if first == last {
+            return u64::from((bits[first] & head & tail).count_ones());
+        }
+        let ends = (bits[first] & head).count_ones() + (bits[last] & tail).count_ones();
+        let whole = if last - first - 1 <= DIRECT_WORDS {
+            (bits[first + 1..last].iter())
+                .map(|w| u64::from(w.count_ones()))
+                .sum()
+        } else {
+            self.in_words(first + 1, last)
+        };
+        u64::from(ends) + whole
     }
 }
 
@@ -180,7 +283,7 @@ pub(crate) struct ClassCounts {
 #[derive(Default)]
 pub(crate) struct Workspace {
     table: BlockTable,
-    fenwick: Vec<i32>,
+    markers: Markers,
     rows: Vec<Row>,
     /// Longest window since the buffers were last released.
     longest: usize,
@@ -226,8 +329,9 @@ impl Workspace {
     /// A marker sits at the latest position of every distinct block;
     /// the distance of a reuse is the number of markers strictly
     /// between the block's previous access and this one. Windows of at
-    /// most 64 accesses keep the markers in a `u64` and count with a
-    /// mask and a popcount; longer ones keep them in a Fenwick tree.
+    /// most 64 accesses keep the markers in a `u64` in a register and
+    /// count with a mask and a popcount; longer ones keep them in the
+    /// workspace's [`Markers`].
     pub(crate) fn reuse_pass(
         &mut self,
         blocks: impl ExactSizeIterator<Item = u64>,
@@ -238,8 +342,7 @@ impl Workspace {
         let bitset = n <= BITSET_WINDOW;
         let mut markers = 0u64;
         if !bitset {
-            self.fenwick.clear();
-            self.fenwick.resize(n + 1, 0);
+            self.markers.reset(n, 0);
         }
         for (pos, block) in blocks.enumerate() {
             let (slot, new) = self.table.entry(block);
@@ -250,6 +353,11 @@ impl Workspace {
                     last: pos as u32,
                     ..Row::new(block)
                 });
+                if bitset {
+                    markers |= 1u64 << pos;
+                } else {
+                    self.markers.set(pos);
+                }
             } else {
                 let row = &mut self.rows[*slot as usize];
                 let prev = row.last as usize;
@@ -261,8 +369,7 @@ impl Workspace {
                     let between = ((1u64 << pos) - 1) & !((2u64 << prev) - 1);
                     u64::from((markers & between).count_ones())
                 } else {
-                    (fenwick::prefix(&self.fenwick, pos - 1) - fenwick::prefix(&self.fenwick, prev))
-                        as u64
+                    self.markers.between(prev, pos)
                 };
                 row.accesses += 1;
                 row.reuse_cnt += 1;
@@ -270,16 +377,11 @@ impl Workspace {
                 row.max_dist = row.max_dist.max(distance as u32);
                 row.last = pos as u32;
                 if bitset {
-                    markers &= !(1u64 << prev);
+                    markers ^= 1u64 << prev | 1u64 << pos;
                 } else {
-                    fenwick::add(&mut self.fenwick, prev, -1);
+                    self.markers.shift(prev, pos);
                 }
                 on_event(pos, block, (pos - prev) as u64, distance);
-            }
-            if bitset {
-                markers |= 1u64 << pos;
-            } else {
-                fenwick::add(&mut self.fenwick, pos, 1);
             }
         }
     }
@@ -506,6 +608,7 @@ impl<'a> IpResolver<'a> {
 mod tests {
     use super::*;
     use crate::reuse::{analyze_window, analyze_window_naive};
+    use proptest::prelude::*;
 
     fn seq(blocks: impl IntoIterator<Item = u64>) -> Vec<Access> {
         blocks
@@ -522,15 +625,90 @@ mod tests {
 
     #[test]
     fn fenwick_counts_ranges() {
-        let mut tree = vec![0i32; 11];
+        let mut m = Markers::default();
+        m.reset(10, 0);
         for pos in [0, 3, 4, 9] {
-            fenwick::add(&mut tree, pos, 1);
+            m.set(pos);
         }
-        assert_eq!(fenwick::prefix(&tree, 0), 1);
-        assert_eq!(fenwick::prefix(&tree, 3), 2);
-        assert_eq!(fenwick::prefix(&tree, 9), 4);
-        fenwick::add(&mut tree, 3, -1);
-        assert_eq!(fenwick::prefix(&tree, 8) - fenwick::prefix(&tree, 0), 1);
+        assert_eq!(m.rank(0), 1);
+        assert_eq!(m.rank(3), 2);
+        assert_eq!(m.rank(9), 4);
+        m.clear(3);
+        assert_eq!(m.between(0, 9), 1);
+    }
+
+    /// A position of a `cap`-position vector from a drawn `p`: the last
+    /// one for `usize::MAX`, else `p` wrapped into range.
+    fn pos_in(cap: usize, p: usize) -> usize {
+        if p == usize::MAX {
+            cap - 1
+        } else {
+            p % cap
+        }
+    }
+
+    /// Positions either side of a word boundary — the first, the two
+    /// where `between` from word 0 goes from counting directly to the
+    /// tree, and 511/512/513 — the last position, and anywhere.
+    fn arb_pos() -> impl Strategy<Value = usize> {
+        let boundaries = [1, DIRECT_WORDS + 1, DIRECT_WORDS + 2, 8];
+        prop_oneof![
+            (0..boundaries.len(), 0usize..3).prop_map(move |(k, off)| 64 * boundaries[k] + off - 1),
+            Just(usize::MAX),
+            0usize..2048,
+        ]
+    }
+
+    proptest! {
+        /// Every operation against a `Vec<bool>`: op 0 toggles the
+        /// marker at `a`, op 1 shifts it to `b` when it can, and every
+        /// step reads a rank and a between back.
+        #[test]
+        fn markers_match_a_vec_of_bools(
+            cap in prop_oneof![Just(65usize), Just(513), 66usize..2048],
+            ops in prop::collection::vec((0u8..3, arb_pos(), arb_pos()), 1..300),
+        ) {
+            let mut m = Markers::default();
+            m.reset(cap, 0);
+            let mut model = vec![false; cap];
+            let count = |bits: &[bool]| bits.iter().filter(|&&b| b).count() as u64;
+            for &(op, a, b) in &ops {
+                let (a, b) = (pos_in(cap, a), pos_in(cap, b));
+                if op == 0 && model[a] {
+                    m.clear(a);
+                    model[a] = false;
+                } else if op == 0 {
+                    m.set(a);
+                    model[a] = true;
+                } else if op == 1 && model[a] && !model[b] {
+                    m.shift(a, b);
+                    model.swap(a, b);
+                }
+                prop_assert_eq!(m.rank(a), count(&model[..=a]));
+                let (lo, hi) = (a.min(b), a.max(b));
+                if lo < hi {
+                    prop_assert_eq!(m.between(lo, hi), count(&model[lo + 1..hi]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_fill_is_that_many_sets() {
+        for cap in [129usize, 327, 1024] {
+            for n in [0, 1, 63, 64, 65, cap] {
+                let (mut filled, mut set) = (Markers::default(), Markers::default());
+                // Over what an earlier, larger use left behind.
+                filled.reset(2 * cap, 2 * cap);
+                filled.reset(cap, n);
+                set.reset(cap, 0);
+                for pos in 0..n {
+                    set.set(pos);
+                }
+                assert_eq!(filled.buf, set.buf, "cap {cap} n {n}");
+                assert_eq!(filled.words, set.words);
+            }
+        }
     }
 
     #[test]

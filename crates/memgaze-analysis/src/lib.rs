@@ -10,7 +10,8 @@
 //! * [`diagnostics`] — footprint access diagnostics (`F_str`, `F_irr`,
 //!   `ΔF_str%`, `A_const%`, §V-E);
 //! * [`reuse`] — reuse interval and exact spatio-temporal reuse distance
-//!   (`O(log n)` Fenwick algorithm) plus per-block summaries;
+//!   (a bit per position and a Fenwick tree over the 64-position
+//!   words) plus per-block summaries;
 //! * [`window`] — power-of-2 trace windows and per-function code windows
 //!   (§IV-B);
 //! * [`interval_tree`] — the execution interval tree (Fig. 4);

@@ -5,8 +5,10 @@
 //! of *unique* blocks in that interval. Reuse distance is computed
 //! exactly by the crate's window kernel (`kernel::reuse_pass`): a marker at the
 //! most recent position of each distinct block, counted over
-//! `(last[b], now)` — a popcount for windows of up to 64 accesses, an
-//! `O(log n)` Fenwick query beyond.
+//! `(last[b], now)` — a popcount of one `u64` for windows of up to 64
+//! accesses; beyond, popcounts over a bit-vector of such words with a
+//! Fenwick tree over the words for the long intervals
+//! (`kernel::Markers`).
 
 use crate::kernel::{self, Row};
 use memgaze_model::{Access, BlockSize, Sample};

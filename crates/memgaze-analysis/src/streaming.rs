@@ -42,7 +42,7 @@ use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
-use crate::kernel::{self, fenwick, IpInfo, IpResolver, Row};
+use crate::kernel::{self, IpInfo, IpResolver, Markers, Row};
 use crate::par;
 use crate::reuse::BlockReuse;
 use memgaze_model::{
@@ -98,10 +98,11 @@ pub(crate) struct SampleReuseSummary {
 /// [`mean_distance`](Self::mean_distance) is bit-identical — including
 /// across shard boundaries, which a windowed analysis cannot see.
 ///
-/// Positions live in a Fenwick tree indexed by a monotonically growing
-/// slot counter; when the slots fill up, live markers (one per distinct
-/// block) are compacted order-preservingly, which leaves every
-/// between-marker count — and hence every distance — unchanged.
+/// Positions are slots of a [`Markers`] set, handed out by a
+/// monotonically growing counter; when the slots fill up, live markers
+/// (one per distinct block) are compacted order-preservingly, which
+/// leaves every between-marker count — and hence every distance —
+/// unchanged.
 ///
 /// Beyond the running sums, the tracker records its blocks in
 /// first-touch order ([`first_touch_order`](Self::first_touch_order))
@@ -111,10 +112,12 @@ pub(crate) struct SampleReuseSummary {
 /// merge *exactly* — see
 /// [`ReusePartial`](crate::fanout::ReusePartial).
 pub struct ReuseTracker {
-    fen: Vec<i32>,
+    markers: Markers,
     last: FxHashMap<u64, usize>,
     next_slot: usize,
     cap: usize,
+    /// The slot window a fresh tracker starts from.
+    initial_cap: usize,
     events: u64,
     dist_sum: u64,
     firsts: Vec<u64>,
@@ -136,23 +139,28 @@ impl ReuseTracker {
     /// force frequent compactions.
     pub fn with_slot_capacity(cap: usize) -> ReuseTracker {
         let cap = cap.max(2);
+        let mut markers = Markers::default();
+        markers.reset(cap, 0);
         ReuseTracker {
-            fen: vec![0; cap + 1],
+            markers,
             last: FxHashMap::default(),
             next_slot: 0,
             cap,
+            initial_cap: cap,
             events: 0,
             dist_sum: 0,
             firsts: Vec::new(),
         }
     }
 
-    /// Return to the fresh state while keeping every allocation (Fenwick
-    /// array, marker map), so one tracker can serve many replay
-    /// rounds without churning the allocator.
+    /// Return to the fresh state — the initial slot window too, so a
+    /// tracker that once replayed a large function does not clear that
+    /// function's window for every small one after it — while keeping
+    /// every allocation (markers, marker map), so one tracker can serve
+    /// many replay rounds without churning the allocator.
     pub fn reset(&mut self) {
-        self.fen.clear();
-        self.fen.resize(self.cap + 1, 0);
+        self.cap = self.initial_cap;
+        self.markers.reset(self.cap, 0);
         self.last.clear();
         self.next_slot = 0;
         self.events = 0;
@@ -160,37 +168,23 @@ impl ReuseTracker {
         self.firsts.clear();
     }
 
-    /// Grow the slot window of a fresh (or just-reset) tracker so the
-    /// next `n` feeds run without compaction. Capacity never changes
-    /// results (compaction preserves every distance); this only avoids
-    /// the work.
-    pub fn reserve_slots(&mut self, n: usize) {
-        debug_assert_eq!(self.next_slot, 0, "reserve requires a fresh tracker");
-        while self.cap < n {
-            self.cap *= 2;
-        }
-        self.fen.clear();
-        self.fen.resize(self.cap + 1, 0);
-    }
-
-    /// Seed a fresh tracker with blocks known to be pairwise distinct, in
-    /// first-touch order. Equivalent to feeding each block once, but the
-    /// Fenwick tree is built in one O(cap) pass instead of n point
-    /// updates. The partial-merge replay uses this for its LRU prefix,
-    /// which is distinct by construction.
-    pub fn preload_distinct(&mut self, blocks: &[u64]) {
+    /// Seed a fresh (or just-reset) tracker with blocks known to be
+    /// pairwise distinct, in first-touch order, and grow its slot window
+    /// so that `more` feeds after them run without compaction.
+    /// Equivalent to feeding each block once, but the window is sized
+    /// and its markers are written in one pass over its words instead
+    /// of n point updates. The partial-merge replay uses this for its
+    /// LRU prefix, which is distinct by construction. Capacity never
+    /// changes results (compaction preserves every distance); the room
+    /// only avoids the work.
+    pub fn preload_distinct(&mut self, blocks: &[u64], more: usize) {
         debug_assert_eq!(self.next_slot, 0, "preload requires a fresh tracker");
         debug_assert_eq!(self.events, 0, "preload requires a fresh tracker");
         let n = blocks.len();
-        if n == 0 {
-            return;
-        }
-        // Same doubling a feed loop would have performed at each
-        // compaction, so the resulting capacity matches feeding exactly.
-        while self.cap < n {
+        while self.cap < n + more {
             self.cap *= 2;
         }
-        self.rebuild_fen_for_prefix(n);
+        self.markers.reset(self.cap, n);
         self.last.reserve(n);
         for (i, &b) in blocks.iter().enumerate() {
             self.last.insert(b, i);
@@ -213,49 +207,35 @@ impl ReuseTracker {
                 // access to this block and now — same definition as
                 // `analyze_window`, queried before the marker moves.
                 let distance = if pos > prev + 1 {
-                    (fenwick::prefix(&self.fen, pos - 1) - fenwick::prefix(&self.fen, prev)) as u64
+                    self.markers.between(prev, pos)
                 } else {
                     0
                 };
                 self.events += 1;
                 self.dist_sum += distance;
-                fenwick::add(&mut self.fen, prev, -1);
+                self.markers.shift(prev, pos);
             }
             Entry::Vacant(e) => {
                 e.insert(pos);
                 self.firsts.push(block);
+                self.markers.set(pos);
             }
         }
-        fenwick::add(&mut self.fen, pos, 1);
     }
 
     /// Remap live markers onto consecutive slots, preserving order: a
-    /// marker's new slot is its rank among the live markers, which the
-    /// Fenwick tree already counts. The tree is then rebuilt in one
-    /// O(cap) pass from the "markers occupy slots 0..n" shape.
+    /// marker's new slot is its rank among the live markers. The
+    /// markers are then rewritten in one pass as "slots 0..live".
     fn compact(&mut self) {
         let live = self.last.len();
         for slot in self.last.values_mut() {
-            *slot = (fenwick::prefix(&self.fen, *slot) - 1) as usize;
+            *slot = self.markers.rank(*slot) as usize - 1;
         }
         if live * 2 > self.cap {
             self.cap *= 2;
         }
-        self.rebuild_fen_for_prefix(live);
+        self.markers.reset(self.cap, live);
         self.next_slot = live;
-    }
-
-    /// Set the Fenwick array to the state where slots `0..n` each hold
-    /// exactly one marker: node `i` (1-based) covers slots
-    /// `[i - lowbit(i), i)`, so its value is how much of that range lies
-    /// below `n`. Identical to `add(pos, 1)` for every `pos < n`.
-    fn rebuild_fen_for_prefix(&mut self, n: usize) {
-        self.fen.clear();
-        self.fen.resize(self.cap + 1, 0);
-        for i in 1..=self.cap {
-            let lo = i - (i & i.wrapping_neg());
-            self.fen[i] = (i.min(n) - lo.min(n)) as i32;
-        }
     }
 
     /// Reuse events observed so far.
@@ -854,19 +834,48 @@ mod tests {
     #[test]
     fn tracker_matches_windowed_analysis() {
         // A stream with heavy reuse and a tiny slot capacity, forcing
-        // many compactions.
+        // many compactions; 63 to 129 land them in the middle of a
+        // marker word.
         let accesses: Vec<Access> = (0..600u64)
             .map(|i| Access::new(0x400u64, ((i * 7 + i / 13) % 41) * 64, i))
             .collect();
         let bs = BlockSize::CACHE_LINE;
         let r = crate::reuse::analyze_window(&accesses, bs);
-        for cap in [2usize, 8, 64, 4096] {
+        for cap in [2usize, 8, 63, 64, 65, 129, 4096] {
             let mut tr = ReuseTracker::with_slot_capacity(cap);
             for a in &accesses {
                 tr.feed(a.addr.block(bs));
             }
             assert_eq!(tr.events(), r.events.len() as u64, "cap {cap}");
             assert_eq!(tr.mean_distance(), r.mean_distance(), "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn reset_returns_a_replay_tracker_to_its_initial_window() {
+        use crate::fanout::ReusePartial;
+        let partial = |blocks: std::ops::Range<u64>| {
+            let mut t = ReuseTracker::new();
+            blocks.for_each(|b| t.feed(b));
+            ReusePartial::from_tracker(&t)
+        };
+        // One function of 100 000 blocks through the replay tracker a
+        // `PartialReport::merge` shares among its functions…
+        let mut replay = ReuseTracker::new();
+        let mut large = partial(0..100_000);
+        large
+            .absorb_with(&partial(50_000..150_000), &mut replay)
+            .unwrap();
+        assert!(replay.cap >= 200_000);
+        // …then 200 of ten blocks: each runs on the window a fresh
+        // tracker has, and merges as it would on a fresh tracker.
+        for f in 0..200u64 {
+            let (mut shared, mut fresh) = (partial(f..f + 10), partial(f..f + 10));
+            let next = partial(f + 5..f + 15);
+            shared.absorb_with(&next, &mut replay).unwrap();
+            assert_eq!(replay.cap, 1024, "function {f}");
+            fresh.absorb(&next);
+            assert_eq!(shared, fresh, "function {f}");
         }
     }
 

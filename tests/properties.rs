@@ -41,7 +41,7 @@ fn arb_trace() -> impl Strategy<Value = SampledTrace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The Fenwick reuse-distance algorithm agrees with the O(n²) oracle.
+    /// The marker reuse-distance algorithm agrees with the O(n²) oracle.
     #[test]
     fn reuse_distance_matches_oracle(w in arb_window(150)) {
         let fast = analysis::analyze_window(&w, BlockSize::CACHE_LINE);
