@@ -8,7 +8,9 @@
 //! index are in those strings, so a digest moves only when an answer
 //! does. The location zoom's whole tree has its own table
 //! ([`GOLDEN_ZOOM`]), recorded one commit before the zoom was rebuilt on
-//! the block summary.
+//! the block summary; the window series and the heatmaps theirs
+//! ([`GOLDEN_SERIES`]), recorded one commit before the interval metrics
+//! were counted from one pass per sample.
 //!
 //! The traces reach every branch of the report path: two native
 //! workloads through `trace_workload`, two IR microbenchmarks through
@@ -405,6 +407,77 @@ const GOLDEN_ZOOM: &[(&str, &str, [u64; 2])] = &[
     ),
 ];
 
+/// Digests of `window_series` over sizes inside a sample, at and past
+/// the period, and of both `heatmaps` of the two hottest region rows at
+/// 16 × 32 and at 3 × 5 cells.
+fn series_digests(a: &Analyzer<'_>) -> [u64; 2] {
+    let period = a.trace().meta.period;
+    let sizes = [1, 16, 64, 256, period, 4 * period];
+    let maps: Vec<String> = (a.region_rows().iter().take(2))
+        .flat_map(|r| [(16, 32), (3, 5)].map(|(rows, cols)| (r.range, rows, cols)))
+        .map(|(range, rows, cols)| format!("{:?}", a.heatmaps(range, rows, cols)))
+        .collect();
+    [
+        digest(&[format!("{:?}", a.window_series(&sizes))]),
+        digest(&maps),
+    ]
+}
+
+/// `(trace, config, series digests)` of the parent of the change that
+/// computed every interval of a sample from one pass over it.
+const GOLDEN_SERIES: &[(&str, &str, [u64; 2])] = &[
+    (
+        "gap-pr",
+        "8/64",
+        [0x6622_41d4_5945_7493, 0x3350_4250_68d3_33a7],
+    ),
+    (
+        "gap-pr",
+        "64/4096",
+        [0x1f45_3c7c_0380_a3c5, 0x173a_c04a_eacc_271c],
+    ),
+    (
+        "miniVite-v1",
+        "8/64",
+        [0xba97_b8e2_5fab_e2a3, 0x9c83_9117_f4df_2b57],
+    ),
+    (
+        "miniVite-v1",
+        "64/4096",
+        [0xb703_dd7b_5d95_1f0b, 0xc2c6_88c3_1caa_6a14],
+    ),
+    (
+        "str2|irr O0",
+        "8/64",
+        [0x4563_2be3_4dcb_fa11, 0x5731_1213_013a_34cb],
+    ),
+    (
+        "str2|irr O0",
+        "64/4096",
+        [0x1c15_f4e3_7a4a_79b2, 0x022b_366e_2bb7_2c70],
+    ),
+    (
+        "irr O3",
+        "8/64",
+        [0x9a05_2c5d_a995_b2d8, 0x80d6_e2be_cbbd_3abc],
+    ),
+    (
+        "irr O3",
+        "64/4096",
+        [0xeee0_f146_167d_af80, 0x816f_2e7c_f9a4_b21b],
+    ),
+    (
+        "hand-built",
+        "8/64",
+        [0x753d_d45f_fcbd_b402, 0x415e_d1eb_ffe0_cb0f],
+    ),
+    (
+        "hand-built",
+        "64/4096",
+        [0x431e_db41_27e5_1a69, 0x5983_8a96_2d05_2936],
+    ),
+];
+
 #[test]
 fn report_is_identical_to_the_parent_commit() {
     let mut fixtures = workload_traces();
@@ -412,6 +485,7 @@ fn report_is_identical_to_the_parent_commit() {
     fixtures.push(hand_built());
     let mut got = Vec::new();
     let mut got_zoom = Vec::new();
+    let mut got_series = Vec::new();
     for (name, trace, annots, symbols) in &fixtures {
         assert!(
             trace.observed_accesses() > 0 && trace.num_samples() > 1,
@@ -420,6 +494,7 @@ fn report_is_identical_to_the_parent_commit() {
         for (cfg_name, cfg) in configs() {
             let a = Analyzer::new(trace, annots, symbols).with_config(cfg);
             got.push((*name, cfg_name, report_digests(&a)));
+            got_series.push((*name, cfg_name, series_digests(&a)));
             got_zoom.push((*name, cfg_name, zoom_digests(a)));
         }
     }
@@ -431,4 +506,12 @@ fn report_is_identical_to_the_parent_commit() {
         assert_eq!(g, w, "got {:#018x?}", g.2);
     }
     assert_eq!(got_zoom.len(), GOLDEN_ZOOM.len(), "got {got_zoom:#018x?}");
+    for (g, w) in got_series.iter().zip(GOLDEN_SERIES.iter()) {
+        assert_eq!(g, w, "got {:#018x?}", g.2);
+    }
+    assert_eq!(
+        got_series.len(),
+        GOLDEN_SERIES.len(),
+        "got {got_series:#018x?}"
+    );
 }
