@@ -37,7 +37,7 @@ pub fn footprint(accesses: &[Access], bs: BlockSize) -> u64 {
 /// Count captures and survivals in a window.
 pub fn captures_survivals(accesses: &[Access], bs: BlockSize) -> CapturesSurvivals {
     kernel::with_workspace(|ws| {
-        ws.count_pass(accesses.iter().map(|a| a.addr.block(bs)));
+        ws.reuse_pass(accesses.iter().map(|a| (a.addr.block(bs), 0)));
         let blocks = ws.rows().len() as u64;
         let captures = ws.rows().iter().filter(|r| r.accesses >= 2).count() as u64;
         CapturesSurvivals {

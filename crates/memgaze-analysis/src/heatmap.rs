@@ -93,13 +93,15 @@ impl Heatmap {
 
 /// The bin of `x` among `bins` equal cuts of `[lo, hi)`, `None` outside
 /// it. A range that ends at `u64::MAX` holds `u64::MAX` too
-/// ([`kernel::span`]).
+/// ([`kernel::span`]). It divides in `u64` while `(x − lo) · bins` fits.
 fn cell((lo, hi): (u64, u64), x: u64, bins: usize) -> Option<usize> {
     if hi <= lo || x < lo || (x >= hi && hi != u64::MAX) {
         return None;
     }
-    let i = ((x - lo) as u128 * bins as u128 / (hi - lo) as u128) as usize;
-    Some(i.min(bins - 1))
+    let (offset, span) = (x - lo, hi - lo);
+    let i = (offset.checked_mul(bins as u64).map(|scaled| scaled / span))
+        .unwrap_or_else(|| (offset as u128 * bins as u128 / span as u128) as u64);
+    Some((i as usize).min(bins - 1))
 }
 
 /// `[first, last + 1)` over the access times of `trace`, `(0, 1)`
@@ -114,8 +116,8 @@ pub(crate) fn time_range(trace: &SampledTrace) -> (u64, u64) {
 /// columns cut `time_range` — the trace's whole time range, `[first,
 /// last + 1)`. Cells of the reuse heatmap with no reuse events are zero.
 ///
-/// `analyses` are the per-sample reuse analyses, one per sample in
-/// sample order — the analyzer shares its cached ones across heatmaps.
+/// `analyses` are the per-sample reuse analyses in sample order, events
+/// in access order — the analyzer shares its cached ones across heatmaps.
 ///
 /// Per-sample binning runs in parallel with per-worker partial grids;
 /// every cell holds a sum of whole numbers, so the merge is exact and
@@ -153,18 +155,19 @@ pub fn region_heatmaps_from(
             )
         },
         |(acc, dsum, dcnt), &(s, analysis)| {
-            for a in &s.accesses {
+            let mut events = analysis.events.iter().peekable();
+            for (pos, a) in s.accesses.iter().enumerate() {
+                let event = events.next_if(|e| e.pos == pos);
                 if let Some((r, c)) = template.bin(a.addr.raw(), a.time) {
-                    acc[r * cols + c] += 1.0;
+                    let i = r * cols + c;
+                    acc[i] += 1.0;
+                    if let Some(e) = event {
+                        dsum[i] += e.distance as f64;
+                        dcnt[i] += 1.0;
+                    }
                 }
             }
-            for e in &analysis.events {
-                let a = &s.accesses[e.pos];
-                if let Some((r, c)) = template.bin(a.addr.raw(), a.time) {
-                    dsum[r * cols + c] += e.distance as f64;
-                    dcnt[r * cols + c] += 1.0;
-                }
-            }
+            debug_assert!(events.next().is_none(), "events in access order");
         },
         |(mut a1, mut s1, mut c1), (a2, s2, c2)| {
             for i in 0..cells {
@@ -292,6 +295,41 @@ mod tests {
         let (a4, d4) = region_heatmaps_from(&t, &analyses, times, region, 8, 16, 4);
         assert_eq!(a1, a4);
         assert_eq!(d1, d4);
+    }
+
+    #[test]
+    fn cells_divide_in_u64_while_the_product_fits_and_in_u128_past_it() {
+        let by_u128 = |(lo, hi): (u64, u64), x: u64, bins: usize| {
+            ((x - lo) as u128 * bins as u128 / (hi - lo) as u128).min(bins as u128 - 1) as usize
+        };
+        for range in [
+            (0, u64::MAX),
+            (7, u64::MAX - 3),
+            (1 << 63, u64::MAX),
+            (0, 1 << 40),
+        ] {
+            let last = range.1 - range.0 - 1;
+            for bins in [1usize, 2, 3, 5, 16, 32, 1 << 20] {
+                // The largest offset whose product with `bins` fits in
+                // a `u64`, the first that does not, and the ends.
+                let fits = u64::MAX / bins as u64;
+                for offset in [0, 1, fits, fits.saturating_add(1), last / 2, last] {
+                    let x = range.0 + offset.min(last);
+                    let want = Some(by_u128(range, x, bins));
+                    assert_eq!(cell(range, x, bins), want, "{range:x?} {x:#x} {bins}");
+                }
+            }
+        }
+        // A region spanning the address space: 2⁶³ · 3 overflows.
+        let mut t = SampledTrace::new(TraceMeta::new("top", 1000, 8192));
+        let acc = [0, 1 << 63, u64::MAX]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(addr, i)| Access::new(0x400u64, addr, i))
+            .collect();
+        t.push_sample(Sample::new(acc, 3)).unwrap();
+        let (acc, _) = region_heatmaps(&t, (0, u64::MAX), 3, 1);
+        assert_eq!([acc.at(0, 0), acc.at(1, 0), acc.at(2, 0)], [1.0; 3]);
     }
 
     #[test]

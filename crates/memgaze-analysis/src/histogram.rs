@@ -5,9 +5,8 @@
 //! average locality metrics as a function of access-interval size.
 
 use crate::kernel::{self, AnnotMemo};
-use crate::par;
 use crate::reuse::ReuseAnalysis;
-use memgaze_model::{Access, AuxAnnotations, BlockSize, SampledTrace};
+use memgaze_model::{AuxAnnotations, BlockSize, Sample, SampledTrace};
 use serde::{Deserialize, Serialize};
 
 /// A log₂-binned histogram of nonnegative values.
@@ -122,9 +121,9 @@ pub struct LocalityPoint {
 
 /// Intra-sample locality as a function of access-interval size: chop each
 /// sample into intervals of each requested size and average D and ΔF.
-/// The per-sample chunk analyses run in parallel; their partial sums are
-/// folded in sample order, so the result is identical for every thread
-/// count.
+/// Every size is split out of one reuse pass per sample — the streaming
+/// analyzer's, so both agree bit for bit — and the per-sample sums fold
+/// in sample order, identical for every thread count.
 pub fn locality_vs_interval_with(
     trace: &SampledTrace,
     annots: &AuxAnnotations,
@@ -132,49 +131,34 @@ pub fn locality_vs_interval_with(
     sizes: &[u64],
     threads: usize,
 ) -> Vec<LocalityPoint> {
-    let mut out = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        let chunk = size.max(1) as usize;
-        // Per-sample partials (windows, Σd, Σg, Σf), merged in order.
-        let partials = par::par_map(&trace.samples, threads, |s| {
-            locality_sample_partial(&s.accesses, annots, reuse_block, chunk)
-        });
-        let mut n = 0u64;
-        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-        for (pn, pd, pg, pf) in partials {
-            n += pn;
-            sum_d += pd;
-            sum_g += pg;
-            sum_f += pf;
-        }
-        if n > 0 {
-            out.push(LocalityPoint {
-                interval: size,
-                mean_d: sum_d / n as f64,
-                mean_delta_f: sum_g / n as f64,
-                mean_f: sum_f / n as f64,
-                windows: n,
-            });
-        }
-    }
-    out
-}
-
-/// One sample's partial sums for a locality-vs-interval point:
-/// `(windows, Σ mean-D, Σ ΔF, Σ F)` over the sample's `chunk`-sized
-/// intervals. The series above and the streaming analyzer run the same
-/// kernel pass, so both fold identical per-sample terms and agree bit
-/// for bit.
-pub fn locality_sample_partial(
-    accesses: &[Access],
-    annots: &AuxAnnotations,
-    reuse_block: BlockSize,
-    chunk: usize,
-) -> (u64, f64, f64, f64) {
-    let mut memo = AnnotMemo::new(annots);
-    kernel::with_workspace(|ws| {
-        ws.locality_partial(accesses, reuse_block, chunk, |_, a| memo.get(a.ip).1)
-    })
+    // Per size: windows, Σ mean D, Σ ΔF, Σ F.
+    let mut sums = vec![(0u64, 0.0, 0.0, 0.0); sizes.len()];
+    let sample_rows = |s: &Sample, group: &[u64]| {
+        let mut memo = AnnotMemo::new(annots);
+        kernel::with_workspace(|ws| {
+            let items = s.accesses.iter();
+            ws.reuse_pass(items.map(|a| (a.addr.block(reuse_block), memo.get(a.ip).1)));
+            std::array::from_fn(|k| {
+                let split = |&size: &u64| ws.locality_split(size.max(1) as usize);
+                group.get(k).map_or((0, 0.0, 0.0, 0.0), split)
+            })
+        })
+    };
+    let fold = |k: usize, (n, d, g, f): (u64, f64, f64, f64)| {
+        let sum = &mut sums[k];
+        *sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
+    };
+    kernel::rows_per_size(&trace.samples, sizes, threads, sample_rows, fold);
+    (sizes.iter().zip(sums))
+        .filter(|(_, (n, ..))| *n > 0)
+        .map(|(&interval, (n, d, g, f))| LocalityPoint {
+            interval,
+            mean_d: d / n as f64,
+            mean_delta_f: g / n as f64,
+            mean_f: f / n as f64,
+            windows: n,
+        })
+        .collect()
 }
 
 /// Reuse-distance histogram from precomputed per-sample analyses.
@@ -192,7 +176,7 @@ pub fn reuse_histogram_from(analyses: &[ReuseAnalysis]) -> Log2Histogram {
 mod tests {
     use super::*;
     use crate::reuse;
-    use memgaze_model::{Access, Sample, TraceMeta};
+    use memgaze_model::{Access, TraceMeta};
 
     #[test]
     fn log2_bins() {
@@ -289,8 +273,9 @@ mod tests {
         }
     }
 
-    /// `locality_sample_partial` written out as the composition it
-    /// fuses: per interval, a reuse analysis and the diagnostics.
+    /// One sample's `(windows, Σ mean D, Σ ΔF, Σ F)` written out as the
+    /// composition the chunk split replaces: per interval, a reuse
+    /// analysis and the diagnostics.
     fn locality_by_composition(
         accesses: &[Access],
         annots: &AuxAnnotations,
@@ -330,21 +315,37 @@ mod tests {
             annots.insert(Ip(0x400 + k as u64 * 4), an);
         }
         let bs = BlockSize::CACHE_LINE;
-        for len in [0usize, 1, 63, 64, 65, 500] {
+        let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
+        for (s, len) in (0u64..).zip([0u64, 1, 63, 64, 65, 500]) {
             // ips 0x400..0x410: three annotated, one not.
-            let accesses: Vec<Access> = (0..len as u64)
-                .map(|i| Access::new(0x400 + (i * 5 % 4) * 4, (i * i % 89) * 24, i))
+            let accesses: Vec<Access> = (0..len)
+                .map(|i| Access::new(0x400 + (i * 5 % 4) * 4, (i * i % 89 + s) * 24, s * 1000 + i))
                 .collect();
-            for chunk in [1usize, 15, 16, 17, 63, 64, 65, 200] {
-                let (n, d, g, f) = locality_sample_partial(&accesses, &annots, bs, chunk);
-                let (wn, wd, wg, wf) = locality_by_composition(&accesses, &annots, bs, chunk);
-                let tag = format!("len {len} chunk {chunk}");
-                assert_eq!(n, wn, "{tag}");
-                assert_eq!(d.to_bits(), wd.to_bits(), "{tag}");
-                assert_eq!(g.to_bits(), wg.to_bits(), "{tag}");
-                assert_eq!(f.to_bits(), wf.to_bits(), "{tag}");
-            }
+            t.push_sample(Sample::new(accesses, s * 1000 + len))
+                .unwrap();
         }
+        // Every size split out of one reuse pass per sample, more sizes
+        // than one pass serves, against the composition per interval.
+        let chunks = [1u64, 15, 16, 17, 63, 64, 65, 200, 1000];
+        let want: Vec<LocalityPoint> = (chunks.iter())
+            .filter_map(|&chunk| {
+                let mut sum = (0u64, 0.0, 0.0, 0.0);
+                for s in &t.samples {
+                    let (n, d, g, f) =
+                        locality_by_composition(&s.accesses, &annots, bs, chunk as usize);
+                    sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
+                }
+                let (n, d, g, f) = sum;
+                (n > 0).then(|| LocalityPoint {
+                    interval: chunk,
+                    mean_d: d / n as f64,
+                    mean_delta_f: g / n as f64,
+                    mean_f: f / n as f64,
+                    windows: n,
+                })
+            })
+            .collect();
+        assert_eq!(locality_vs_interval_with(&t, &annots, bs, &chunks, 1), want);
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! Every public window function in this crate (`reuse::analyze_window`,
 //! `FootprintDiagnostics::compute`, `footprint::footprint`,
-//! `histogram::locality_sample_partial`, `BlockReuse::from_samples`)
-//! and the per-sample passes of `StreamingAnalyzer::ingest_shard` run on
-//! the [`Workspace`] here, so a 16-access locality window and a
-//! whole-function code window share one block table, one marker
-//! structure ([`Markers`], which the streaming `ReuseTracker` runs on
-//! too) and one set of buffers, and a window allocates nothing once its
-//! thread's workspace is warm.
+//! `BlockReuse::from_samples`, the window and locality series) and the
+//! per-sample passes of `StreamingAnalyzer::ingest_shard` run on the
+//! [`Workspace`] here, so a sample and a whole-function code window
+//! share one block table, one marker structure ([`Markers`], which the
+//! streaming `ReuseTracker` runs on too) and one set of buffers, and a
+//! window allocates nothing once its thread's workspace is warm. A pass
+//! keeps what its chunk split needs to count any interval of it.
 //!
 //! The workspace is thread-local (`par_map` workers each own one) and
 //! what a thread keeps between calls is bounded: a window longer than
@@ -21,7 +21,7 @@
 //! slice; no caller builds one.
 
 use crate::fxhash::FxHashMap;
-use memgaze_model::{Access, AuxAnnotations, BlockSize, Ip, LoadClass, SymbolTable};
+use memgaze_model::{AuxAnnotations, Ip, LoadClass, SymbolTable};
 use std::cell::RefCell;
 
 /// Longest window whose buffers a thread keeps for the next call. The
@@ -33,6 +33,29 @@ pub(crate) const RETAIN_WINDOW: usize = 4096;
 
 /// Windows up to this length keep their markers in one `u64`.
 const BITSET_WINDOW: usize = 64;
+
+/// Interval sizes one pass over a sample serves in the series: a
+/// sample's row is an array of this many, so it allocates nothing.
+const SIZES_PER_PASS: usize = 4;
+
+/// `row(item, group)` of every item for every [`SIZES_PER_PASS`]
+/// sizes, items in parallel: `fold(size index, row)` sees each size's
+/// rows in item order, whatever the worker count.
+pub(crate) fn rows_per_size<T: Sync, S: Sync, R: Send>(
+    items: &[T],
+    sizes: &[S],
+    threads: usize,
+    row: impl Fn(&T, &[S]) -> [R; SIZES_PER_PASS] + Sync,
+    mut fold: impl FnMut(usize, R),
+) {
+    for (pass, group) in sizes.chunks(SIZES_PER_PASS).enumerate() {
+        for rows in crate::par::par_map(items, threads, |item| row(item, group)) {
+            for (k, r) in rows.into_iter().take(group.len()).enumerate() {
+                fold(pass * SIZES_PER_PASS + k, r);
+            }
+        }
+    }
+}
 
 /// Class bit of a Strided load in a block's class mask.
 pub(crate) const STRIDED: u8 = 1;
@@ -279,12 +302,31 @@ pub(crate) struct ClassCounts {
     pub(crate) implied_const: u64,
 }
 
+/// The `[s, e)` of a `len`-access window's `chunk`-sized intervals, a
+/// tail shorter than half an interval skipped.
+pub(crate) fn intervals(len: usize, chunk: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len)
+        .step_by(chunk)
+        .map(move |s| (s, len.min(s + chunk)))
+        .filter(move |(s, e)| e - s >= chunk.div_ceil(2))
+}
+
 /// The buffers every window kernel runs on.
 #[derive(Default)]
 pub(crate) struct Workspace {
     table: BlockTable,
     markers: Markers,
     rows: Vec<Row>,
+    /// `[pos, prev, distance]` of every reuse of the last reuse pass.
+    reuses: Vec<[u32; 3]>,
+    /// Per access of the last class columns, one more than the latest
+    /// earlier position of its block by any load, by a Strided load and
+    /// by an Irregular one (0 for none, `u32::MAX` in a class the access
+    /// is not of); `lasts` the same per block, after its last access.
+    firsts: Vec<[u32; 3]>,
+    lasts: Vec<[u32; 3]>,
+    /// `implied[i]`: implied constants of the last pass's first `i` accesses.
+    implied: Vec<u64>,
     /// Longest window since the buffers were last released.
     longest: usize,
 }
@@ -307,24 +349,28 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
 }
 
 impl Workspace {
-    /// Start a window of `n` accesses: empty table, no rows.
+    /// Start a window of `n` accesses: empty table, no rows, no columns.
     fn begin(&mut self, n: usize) {
         debug_assert!(u32::try_from(n).is_ok(), "window positions are u32");
         self.longest = self.longest.max(n);
         self.table.begin(n);
         self.rows.clear();
+        for column in [&mut self.reuses, &mut self.firsts, &mut self.lasts] {
+            column.clear();
+        }
+        self.implied.resize(1, 0);
     }
 
-    /// The rows of the last [`reuse_pass`](Self::reuse_pass) or
-    /// [`count_pass`](Self::count_pass), one per distinct block in
-    /// first-touch order.
+    /// The rows of the last [`reuse_pass`](Self::reuse_pass), one per
+    /// distinct block in first-touch order.
     pub(crate) fn rows(&self) -> &[Row] {
         &self.rows
     }
 
-    /// Exact reuse distances of one window: `on_event(pos, block,
-    /// interval, distance)` for every access to a block seen before, in
-    /// access order, and per-block totals left in [`rows`](Self::rows).
+    /// Exact reuse distances of one window of `(block, implied
+    /// constants)`: returns `[pos, prev, distance]` of every access to a
+    /// block seen before, in access order, and leaves per-block totals in
+    /// [`rows`](Self::rows).
     ///
     /// A marker sits at the latest position of every distinct block;
     /// the distance of a reuse is the number of markers strictly
@@ -334,17 +380,17 @@ impl Workspace {
     /// workspace's [`Markers`].
     pub(crate) fn reuse_pass(
         &mut self,
-        blocks: impl ExactSizeIterator<Item = u64>,
-        mut on_event: impl FnMut(usize, u64, u64, u64),
-    ) {
-        let n = blocks.len();
+        items: impl ExactSizeIterator<Item = (u64, u64)>,
+    ) -> &[[u32; 3]] {
+        let n = items.len();
         self.begin(n);
         let bitset = n <= BITSET_WINDOW;
         let mut markers = 0u64;
         if !bitset {
             self.markers.reset(n, 0);
         }
-        for (pos, block) in blocks.enumerate() {
+        for (pos, (block, implied)) in items.enumerate() {
+            self.implied.push(self.implied[pos] + implied);
             let (slot, new) = self.table.entry(block);
             if new {
                 *slot = self.rows.len() as u32;
@@ -381,23 +427,10 @@ impl Workspace {
                 } else {
                     self.markers.shift(prev, pos);
                 }
-                on_event(pos, block, (pos - prev) as u64, distance);
+                self.reuses.push([pos as u32, prev as u32, distance as u32]);
             }
         }
-    }
-
-    /// Access counts per distinct block, left in [`rows`](Self::rows)
-    /// (the reuse columns stay zero).
-    pub(crate) fn count_pass(&mut self, blocks: impl ExactSizeIterator<Item = u64>) {
-        self.begin(blocks.len());
-        for block in blocks {
-            let (slot, new) = self.table.entry(block);
-            if new {
-                *slot = self.rows.len() as u32;
-                self.rows.push(Row::new(block));
-            }
-            self.rows[*slot as usize].accesses += 1;
-        }
+        &self.reuses
     }
 
     /// Footprint access diagnostics of one window (paper §V-E): distinct
@@ -422,41 +455,75 @@ impl Workspace {
         c
     }
 
-    /// One sample's row of a locality-vs-interval point: `(windows,
-    /// Σ mean D, Σ ΔF, Σ F)` over its `chunk`-sized intervals, tails
-    /// shorter than half an interval skipped. `implied_of(i, access)`
-    /// is the implied-constant weight of `accesses[i]`.
-    pub(crate) fn locality_partial(
-        &mut self,
-        accesses: &[Access],
-        bs: BlockSize,
-        chunk: usize,
-        mut implied_of: impl FnMut(usize, &Access) -> u64,
-    ) -> (u64, f64, f64, f64) {
-        let mut n = 0u64;
-        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-        for (k, w) in accesses.chunks(chunk).enumerate() {
-            if w.len() < chunk.div_ceil(2) {
-                continue;
+    /// What [`class_counts`](Self::class_counts) reads of a window given
+    /// as for [`class_pass`](Self::class_pass): per access, where its
+    /// block was last touched before it, and the implied constants.
+    pub(crate) fn class_columns(&mut self, items: impl ExactSizeIterator<Item = (u64, u8, u64)>) {
+        self.begin(items.len());
+        for (pos, (block, bit, implied)) in items.enumerate() {
+            let (slot, new) = self.table.entry(block);
+            if new {
+                *slot = self.lasts.len() as u32;
+                self.lasts.push([0; 3]);
             }
-            let (mut events, mut dist_sum) = (0u64, 0u64);
-            self.reuse_pass(w.iter().map(|a| a.addr.block(bs)), |_, _, _, d| {
-                events += 1;
-                dist_sum += d;
-            });
-            let mut implied_const = 0u64;
-            for (i, a) in w.iter().enumerate() {
-                implied_const += implied_of(k * chunk + i, a);
+            let last = &mut self.lasts[*slot as usize];
+            let mut first = *last;
+            last[0] = pos as u32 + 1;
+            for (k, class) in [(1, STRIDED), (2, IRREGULAR)] {
+                if bit & class == 0 {
+                    first[k] = u32::MAX;
+                } else {
+                    last[k] = pos as u32 + 1;
+                }
             }
-            let observed = w.len() as u64;
-            let footprint = self.rows.len() as u64;
-            let kappa = memgaze_model::compression_ratio(observed, implied_const);
-            n += 1;
-            sum_d += mean_distance(dist_sum, events);
-            sum_g += crate::footprint::footprint_growth(footprint, observed, kappa);
-            sum_f += footprint as f64;
+            self.firsts.push(first);
+            self.implied.push(self.implied[pos] + implied);
         }
-        (n, sum_d, sum_g, sum_f)
+    }
+
+    /// Class counts of `[s, e)` of the last class columns: an access is
+    /// the first of its block in the interval, for a class, exactly when
+    /// the previous access to it by a load of that class lies before `s`.
+    pub(crate) fn class_counts(&self, s: usize, e: usize) -> ClassCounts {
+        let mut c = ClassCounts {
+            implied_const: self.implied[e] - self.implied[s],
+            ..ClassCounts::default()
+        };
+        for p in &self.firsts[s..e] {
+            let [all, strided, irregular] = p.map(|p| u64::from(p as usize <= s));
+            c.footprint += all;
+            c.f_str += strided;
+            c.f_irr += irregular;
+        }
+        c
+    }
+
+    /// `(windows, Σ mean D, Σ ΔF, Σ F)` over the `chunk`-sized intervals
+    /// of the last [`reuse_pass`](Self::reuse_pass)'s window. A reuse
+    /// belongs to the interval `[s, e)` exactly when its previous access
+    /// does, at the same distance, and every other access of the interval
+    /// is a first touch of it.
+    pub(crate) fn locality_split(&self, chunk: usize) -> (u64, f64, f64, f64) {
+        let mut reuses = self.reuses.iter().peekable();
+        let mut out = (0u64, 0.0, 0.0, 0.0);
+        for (s, e) in intervals(self.implied.len() - 1, chunk) {
+            let (mut events, mut dist_sum) = (0u64, 0u64);
+            while let Some(&[_, prev, d]) = reuses.next_if(|r| (r[0] as usize) < e) {
+                if prev as usize >= s {
+                    events += 1;
+                    dist_sum += u64::from(d);
+                }
+            }
+            let observed = (e - s) as u64;
+            let footprint = observed - events;
+            let implied = self.implied[e] - self.implied[s];
+            let kappa = memgaze_model::compression_ratio(observed, implied);
+            out.0 += 1;
+            out.1 += mean_distance(dist_sum, events);
+            out.2 += crate::footprint::footprint_growth(footprint, observed, kappa);
+            out.3 += footprint as f64;
+        }
+        out
     }
 }
 
@@ -608,6 +675,7 @@ impl<'a> IpResolver<'a> {
 mod tests {
     use super::*;
     use crate::reuse::{analyze_window, analyze_window_naive};
+    use memgaze_model::{Access, BlockSize};
     use proptest::prelude::*;
 
     fn seq(blocks: impl IntoIterator<Item = u64>) -> Vec<Access> {
@@ -731,9 +799,8 @@ mod tests {
         let bs = BlockSize::CACHE_LINE;
         let oracle = analyze_window_naive(&a, bs);
         with_workspace(|ws| {
-            let mut events = 0usize;
-            ws.reuse_pass(a.iter().map(|x| x.addr.block(bs)), |_, _, _, _| events += 1);
-            assert_eq!(events, oracle.events.len());
+            ws.reuse_pass(a.iter().map(|x| (x.addr.block(bs), 0)));
+            assert_eq!(ws.reuses.len(), oracle.events.len());
             assert_eq!(ws.rows().len() as u64, oracle.unique_blocks);
             for row in ws.rows() {
                 let mine: Vec<u64> = oracle
@@ -767,6 +834,34 @@ mod tests {
                 assert_eq!(kept, 0, "buffers of an over-long window are released");
             } else {
                 assert_eq!(kept, (2 * n).next_power_of_two());
+            }
+            // So are the per-access columns the chunk split reads.
+            let columns = |ws: &mut Workspace| {
+                let c = [&ws.reuses, &ws.firsts, &ws.lasts].map(|v| v.capacity());
+                [c[0], c[1], c[2], ws.implied.capacity()]
+            };
+            let after_reuse = with_workspace(columns);
+            let counts = with_workspace(|ws| {
+                ws.class_columns(a.iter().map(|x| (x.addr.block(bs), STRIDED, 1)));
+                ws.class_counts(0, n)
+            });
+            let whole = ClassCounts {
+                footprint: 97,
+                f_str: 97,
+                f_irr: 0,
+                implied_const: n as u64,
+            };
+            assert_eq!(counts, whole, "n {n}");
+            let after_class = with_workspace(columns);
+            if n > RETAIN_WINDOW {
+                assert_eq!(
+                    [after_reuse, after_class],
+                    [[0; 4]; 2],
+                    "columns are released"
+                );
+            } else {
+                assert!(after_reuse[0] >= n - 97 && after_reuse[3] > n, "n {n}");
+                assert!(after_class[1] >= n && after_class[2] >= 97, "n {n}");
             }
         }
         // A short window after a released one starts from nothing and
@@ -809,16 +904,22 @@ mod tests {
                 .collect::<BTreeSet<u64>>()
                 .len() as u64
         };
-        let got = with_workspace(|ws| ws.class_pass(items.iter().copied()));
+        let want = ClassCounts {
+            footprint: all.len() as u64,
+            f_str: with(STRIDED),
+            f_irr: with(IRREGULAR),
+            implied_const: items.iter().map(|t| t.2).sum(),
+        };
         assert_eq!(
-            got,
-            ClassCounts {
-                footprint: all.len() as u64,
-                f_str: with(STRIDED),
-                f_irr: with(IRREGULAR),
-                implied_const: items.iter().map(|t| t.2).sum(),
-            }
+            with_workspace(|ws| ws.class_pass(items.iter().copied())),
+            want
         );
+        // The columns answer the whole window, as the pass does.
+        let columns = with_workspace(|ws| {
+            ws.class_columns(items.iter().copied());
+            ws.class_counts(0, items.len())
+        });
+        assert_eq!(columns, want);
     }
 
     #[test]

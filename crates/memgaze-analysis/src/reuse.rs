@@ -78,20 +78,17 @@ impl ReuseAnalysis {
 /// Analyze reuse within one window (typically one sample — the paper
 /// prefers intra-sample calculation).
 pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
-    let mut events = Vec::new();
-    let unique_blocks = kernel::with_workspace(|ws| {
-        ws.reuse_pass(
-            accesses.iter().map(|a| a.addr.block(bs)),
-            |pos, block, interval, distance| {
-                events.push(ReuseEvent {
-                    pos,
-                    block,
-                    interval,
-                    distance,
-                })
-            },
-        );
-        ws.rows().len() as u64
+    let (events, unique_blocks) = kernel::with_workspace(|ws| {
+        let reuses = ws.reuse_pass(accesses.iter().map(|a| (a.addr.block(bs), 0)));
+        let events = (reuses.iter())
+            .map(|&[pos, prev, distance]| ReuseEvent {
+                pos: pos as usize,
+                block: accesses[pos as usize].addr.block(bs),
+                interval: u64::from(pos - prev),
+                distance: u64::from(distance),
+            })
+            .collect();
+        (events, ws.rows().len() as u64)
     });
     ReuseAnalysis {
         events,
@@ -207,7 +204,7 @@ impl BlockReuse {
         let mut pairs = Vec::new();
         kernel::with_workspace(|ws| {
             for s in samples {
-                ws.reuse_pass(s.accesses.iter().map(|a| a.addr.block(bs)), |_, _, _, _| {});
+                ws.reuse_pass(s.accesses.iter().map(|a| (a.addr.block(bs), 0)));
                 pairs.extend(ws.rows().iter().map(BlockStats::of_row));
             }
         });

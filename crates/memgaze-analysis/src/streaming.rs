@@ -635,8 +635,8 @@ impl<'a> StreamingAnalyzer<'a> {
 }
 
 /// The kernel passes over one sample and its resolved column: reuse
-/// (histogram, summary and per-block rows, no events materialised),
-/// diagnostics, and one locality row per size.
+/// (histogram, summary, per-block rows and one locality row per size,
+/// read before the class pass starts its own window), diagnostics.
 fn sample_passes(
     s: &Sample,
     infos: &[IpInfo],
@@ -646,26 +646,23 @@ fn sample_passes(
 ) -> SampleArtifacts {
     let accesses = &s.accesses[..];
     kernel::with_workspace(|ws| {
+        let reuses = ws.reuse_pass(
+            (accesses.iter().zip(infos)).map(|(a, i)| (a.addr.block(rb), u64::from(i.implied))),
+        );
         let mut histogram = Log2Histogram::new();
-        let (mut events, mut dist_sum) = (0u64, 0u64);
-        ws.reuse_pass(accesses.iter().map(|a| a.addr.block(rb)), |_, _, _, d| {
-            histogram.insert(d);
-            events += 1;
-            dist_sum += d;
-        });
+        let (events, mut dist_sum) = (reuses.len() as u64, 0u64);
+        for &[_, _, d] in reuses {
+            histogram.insert(u64::from(d));
+            dist_sum += u64::from(d);
+        }
         let rows = ws.rows().to_vec();
+        let locality = (sizes.iter())
+            .map(|&size| ws.locality_split(size.max(1) as usize))
+            .collect();
         let counts = ws.class_pass(
             (accesses.iter().zip(infos))
                 .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
         );
-        let locality = sizes
-            .iter()
-            .map(|&size| {
-                ws.locality_partial(accesses, rb, size.max(1) as usize, |i, _| {
-                    u64::from(infos[i].implied)
-                })
-            })
-            .collect();
         SampleArtifacts {
             reuse: SampleReuseSummary {
                 events: events as usize,

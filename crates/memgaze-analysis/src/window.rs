@@ -15,12 +15,13 @@
 
 use crate::diagnostics::FootprintDiagnostics;
 use crate::footprint::WindowKind;
-use crate::kernel::IpResolver;
+use crate::kernel::{self, AnnotMemo, IpResolver};
 use crate::par;
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// One point of a metric-vs-window-size series.
@@ -49,44 +50,26 @@ pub fn pow2_sizes(lo: u32, hi: u32) -> Vec<u64> {
     (lo..=hi).map(|k| 1u64 << k).collect()
 }
 
-/// Compute one intra-sample series point: chop every sample into chunks
-/// of `target/κ` observed accesses and average the diagnostics.
-fn intra_point(
-    trace: &SampledTrace,
-    annots: &AuxAnnotations,
-    bs: BlockSize,
-    target: u64,
-    kappa_global: f64,
-    threads: usize,
-) -> Option<WindowPoint> {
-    let chunk_obs = ((target as f64 / kappa_global).round() as usize).max(1);
-    // Per-sample partial sums, folded in sample order so the result is
-    // independent of the worker count.
-    let partials = par::par_map(&trace.samples, threads, |s| {
-        let mut n = 0u64;
-        let mut sum = [0.0f64; 5]; // f, f_str, f_irr, delta_f, eff_size
-        for chunk in s.accesses.chunks(chunk_obs) {
-            if chunk.len() < chunk_obs.div_ceil(2) {
-                continue; // skip ragged tails smaller than half a window
-            }
-            let d = FootprintDiagnostics::compute(chunk, annots, bs);
-            n += 1;
-            sum[0] += d.footprint as f64;
-            sum[1] += d.f_str as f64;
-            sum[2] += d.f_irr as f64;
-            sum[3] += d.delta_f();
-            sum[4] += d.kappa * d.observed as f64;
-        }
-        (n, sum)
-    });
-    let mut n = 0u64;
-    let mut sum = [0.0f64; 5];
-    for (pn, psum) in partials {
-        n += pn;
-        for (s, p) in sum.iter_mut().zip(psum) {
-            *s += p;
-        }
+/// Windows, and sums over them of `[F, F_str, F_irr, ΔF, decompressed
+/// accesses]`: what a series point averages.
+type Sums = (u64, [f64; 5]);
+
+/// Add `terms` (one window's, or the sums of a run of windows) to `sums`.
+fn add(sums: &mut Sums, (n, terms): Sums) {
+    sums.0 += n;
+    for (s, t) in sums.1.iter_mut().zip(terms) {
+        *s += t;
     }
+}
+
+/// One window's terms, its footprints scaled by `scale`.
+fn terms(d: &FootprintDiagnostics, scale: f64, decompressed: f64) -> Sums {
+    let f = [d.footprint, d.f_str, d.f_irr].map(|f| scale * f as f64);
+    (1, [f[0], f[1], f[2], d.delta_f(), decompressed])
+}
+
+/// The point of `target` from its sums; none without a window.
+fn point(target: u64, (n, sum): Sums, kind: WindowKind) -> Option<WindowPoint> {
     (n > 0).then(|| WindowPoint {
         target_size: target,
         effective_size: sum[4] / n as f64,
@@ -95,62 +78,33 @@ fn intra_point(
         f_str: sum[1] / n as f64,
         f_irr: sum[2] / n as f64,
         delta_f: sum[3] / n as f64,
-        kind: WindowKind::Intra,
+        kind,
     })
 }
 
-/// Compute one inter-sample series point: group `k` consecutive samples,
-/// merge diagnostics, and scale footprints by ρ.
+/// One inter-sample series point: group `k` consecutive samples, merge
+/// their diagnostics, and scale footprints by ρ.
 fn inter_point(
-    trace: &SampledTrace,
-    annots: &AuxAnnotations,
-    bs: BlockSize,
+    diags: &[FootprintDiagnostics],
     target: u64,
     rho: f64,
     k: usize,
-    threads: usize,
+    period: u64,
 ) -> Option<WindowPoint> {
-    if trace.samples.is_empty() || k == 0 {
-        return None;
-    }
-    // Each sample group merges independently; group partials fold in
-    // time order.
-    let groups: Vec<&[Sample]> = trace.samples.chunks(k).collect();
-    let partials = par::par_map(&groups, threads, |group| {
-        let mut merged: Option<FootprintDiagnostics> = None;
-        for s in *group {
-            let d = FootprintDiagnostics::compute(&s.accesses, annots, bs);
-            match &mut merged {
-                Some(m) => m.merge(&d),
-                None => merged = Some(d),
-            }
+    let mut sums = (0, [0.0; 5]);
+    for group in diags.chunks(k) {
+        let mut d = group[0];
+        for other in &group[1..] {
+            d.merge(other);
         }
-        merged.map(|d| (d, group.len()))
-    });
-    let mut n = 0u64;
-    let mut sum = [0.0f64; 5];
-    for p in partials {
-        let (d, group_len) = p?;
-        if d.observed == 0 {
-            continue;
+        if d.observed > 0 {
+            add(
+                &mut sums,
+                terms(&d, rho, group.len() as f64 * period as f64),
+            );
         }
-        n += 1;
-        sum[0] += rho * d.footprint as f64;
-        sum[1] += rho * d.f_str as f64;
-        sum[2] += rho * d.f_irr as f64;
-        sum[3] += d.delta_f();
-        sum[4] += group_len as f64 * trace.meta.period as f64;
     }
-    (n > 0).then(|| WindowPoint {
-        target_size: target,
-        effective_size: sum[4] / n as f64,
-        windows: n,
-        f: sum[0] / n as f64,
-        f_str: sum[1] / n as f64,
-        f_irr: sum[2] / n as f64,
-        delta_f: sum[3] / n as f64,
-        kind: WindowKind::Inter,
-    })
+    point(target, sums, WindowKind::Inter)
 }
 
 /// Metric-vs-window-size series over the given decompressed window sizes.
@@ -175,30 +129,66 @@ pub fn window_series_with(
     info: &DecompressionInfo,
     threads: usize,
 ) -> Vec<WindowPoint> {
-    let kappa = info.kappa();
-    let rho = info.rho();
+    let (kappa, rho, period) = (info.kappa(), info.rho(), trace.meta.period);
     // A window fits inside a sample while its decompressed size is below
-    // the mean decompressed sample window.
+    // the mean decompressed sample window; a full trace viewed as one
+    // sample (no period) keeps chunking it.
     let mean_window_decomp = trace.mean_window() * kappa;
+    let intra = |target: u64| (target as f64) <= mean_window_decomp.max(1.0) || period == 0;
+    let chunks: Vec<usize> = (sizes.iter().filter(|&&t| intra(t)))
+        .map(|&t| ((t as f64 / kappa).round() as usize).max(1))
+        .collect();
+    // Intra-sample windows: every size split out of one column pass per
+    // sample.
+    let mut intra_sums = vec![(0, [0.0; 5]); chunks.len()];
+    let sample_rows = |s: &Sample, group: &[usize]| {
+        let mut memo = AnnotMemo::new(annots);
+        kernel::with_workspace(|ws| {
+            let len = s.accesses.len();
+            ws.class_columns(s.accesses.iter().map(|a| {
+                let (class, implied) = memo.get(a.ip);
+                (a.addr.block(bs), class, implied)
+            }));
+            std::array::from_fn(|k| {
+                let mut row = (0, [0.0; 5]);
+                for (lo, hi) in group
+                    .get(k)
+                    .into_iter()
+                    .flat_map(|&chunk| kernel::intervals(len, chunk))
+                {
+                    let counts = ws.class_counts(lo, hi);
+                    let d = FootprintDiagnostics::from_counts((hi - lo) as u64, counts);
+                    add(&mut row, terms(&d, 1.0, d.kappa * d.observed as f64));
+                }
+                row
+            })
+        })
+    };
+    kernel::rows_per_size(&trace.samples, &chunks, threads, sample_rows, |k, row| {
+        add(&mut intra_sums[k], row)
+    });
+    // Inter-sample windows: whole samples' diagnostics, grouped.
+    let diags = OnceCell::new();
+    let whole_samples = || {
+        par::par_map(&trace.samples, threads, |s| {
+            FootprintDiagnostics::compute(&s.accesses, annots, bs)
+        })
+    };
+    let mut intra_sums = intra_sums.into_iter();
     sizes
         .iter()
         .filter_map(|&target| {
-            if (target as f64) <= mean_window_decomp.max(1.0) {
-                intra_point(trace, annots, bs, target, kappa, threads)
-            } else if trace.meta.period > 0 && target >= trace.meta.period {
-                let k = ((target as f64) / trace.meta.period as f64)
-                    .round()
-                    .max(1.0) as usize;
-                inter_point(trace, annots, bs, target, rho, k, threads)
-            } else if trace.meta.period > 0 {
+            if intra(target) {
+                point(target, intra_sums.next()?, WindowKind::Intra)
+            } else if target >= period {
+                let k = ((target as f64) / period as f64).round().max(1.0) as usize;
+                inter_point(diags.get_or_init(whole_samples), target, rho, k, period)
+            } else {
                 // The R2 blind spot (paper §IV-A): window sizes between
                 // the sample window w and the period w+z cannot be
                 // observed — neither a sample nor a sample group covers
                 // them.
                 None
-            } else {
-                // A full trace viewed as one sample: keep chunking it.
-                intra_point(trace, annots, bs, target, kappa, threads)
             }
         })
         .collect()

@@ -51,7 +51,14 @@ pub fn arb_window(max: usize) -> impl Strategy<Value = Vec<Access>> {
 
 /// Up to nine samples of up to 119 accesses, a period apart.
 pub fn arb_trace() -> impl Strategy<Value = SampledTrace> {
-    prop::collection::vec(arb_window(120), 0..10).prop_map(|windows| {
+    traces_of(arb_window(120))
+}
+
+/// Up to nine samples drawn from `window`, a period apart.
+pub fn traces_of(
+    window: impl Strategy<Value = Vec<Access>>,
+) -> impl Strategy<Value = SampledTrace> {
+    prop::collection::vec(window, 0..10).prop_map(|windows| {
         let mut t = SampledTrace::new(TraceMeta::new("prop", 10_000, 8192));
         let mut offset = 0u64;
         for w in windows {

@@ -6,10 +6,10 @@
 //! path (`StreamingAnalyzer::ingest_shard → into_partial →
 //! PartialReport::finish`) is held equal to it field for field, bit for
 //! bit, by [`check_report`]; the location zoom (`zoom_trace_with`) is
-//! held equal to [`zoom`]. It imports nothing from `memgaze_analysis`
-//! but the result types it fills, the zoom's parameters,
-//! `Confidence::from_observations` and the quadratic reuse-distance
-//! definition `analyze_window_naive`.
+//! held equal to [`zoom`], the window series to [`window_series`]. It
+//! imports nothing from `memgaze_analysis` but the result types it
+//! fills, the zoom's parameters, `Confidence::from_observations` and the
+//! quadratic reuse-distance definition `analyze_window_naive`.
 //!
 //! Integers are exact whatever the order. Every `f64` is either one
 //! expression over integer totals, written here in the order the
@@ -24,7 +24,7 @@
 
 use memgaze_analysis::{
     analyze_window_naive, Confidence, FunctionRow, IngestStats, IntervalRow, LocalityPoint,
-    RegionCode, RegionRow, StreamingReport, ZoomConfig, ZoomRegion,
+    RegionCode, RegionRow, StreamingReport, WindowKind, WindowPoint, ZoomConfig, ZoomRegion,
 };
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, LoadClass, SampledTrace, SymbolTable,
@@ -369,6 +369,109 @@ pub fn locality_series(i: &Input, sizes: &[u64]) -> Vec<LocalityPoint> {
                 mean_delta_f: sum_g / n as f64,
                 mean_f: sum_f / n as f64,
                 windows: n,
+            });
+        }
+    }
+    out
+}
+
+/// Footprint metrics against window size (Fig. 6, §IV-B), sizes in
+/// decompressed accesses. A size no larger than the mean decompressed
+/// sample — any size, for a trace without a period — is intra-sample:
+/// every sample chopped into intervals of `size / κ` observed accesses
+/// (rounded, at least one; a tail shorter than half an interval
+/// skipped), each measured exactly. A size of at least a period is
+/// inter-sample: runs of `size / period` consecutive samples (rounded,
+/// at least one), footprints added and scaled by ρ (Eq. 3), a run
+/// standing for its samples' periods and skipped when it observed
+/// nothing. A size between the two is the R2 blind spot (§IV-A) and has
+/// no point; nor has a size without a window. Intra-sample sums run over
+/// a sample's intervals, then over the samples' sums.
+pub fn window_series(i: &Input, sizes: &[u64]) -> Vec<WindowPoint> {
+    let d = decompression(i);
+    let k = kappa(d.observed, d.implied_const);
+    let rho = rho(d.num_samples, d.period, d.observed, k);
+    let samples = &i.trace.samples;
+    let mean_window = if samples.is_empty() {
+        0.0
+    } else {
+        d.observed as f64 / samples.len() as f64
+    };
+    let add = |sum: &mut [f64; 5], terms: [f64; 5]| {
+        for (s, t) in sum.iter_mut().zip(terms) {
+            *s += t;
+        }
+    };
+    let mut out = Vec::new();
+    for &size in sizes {
+        let (mut n, mut sum) = (0u64, [0.0f64; 5]);
+        let kind = if size as f64 <= (mean_window * k).max(1.0) || d.period == 0 {
+            let chunk = ((size as f64 / k).round() as usize).max(1);
+            for s in samples {
+                let mut sample_sum = [0.0f64; 5];
+                for w in s.accesses.chunks(chunk) {
+                    if w.len() < chunk.div_ceil(2) {
+                        continue;
+                    }
+                    let wd = Diagnostics::of(w, i.annots, i.footprint_block);
+                    let (f, wk) = (wd.footprint, wd.kappa());
+                    n += 1;
+                    add(
+                        &mut sample_sum,
+                        [
+                            f as f64,
+                            wd.f_str as f64,
+                            wd.f_irr as f64,
+                            delta_f(f, wd.observed, wk),
+                            wk * wd.observed as f64,
+                        ],
+                    );
+                }
+                add(&mut sum, sample_sum);
+            }
+            WindowKind::Intra
+        } else if size >= d.period {
+            let per_run = ((size as f64 / d.period as f64).round() as usize).max(1);
+            for run in samples.chunks(per_run) {
+                let [mut observed, mut implied, mut f, mut f_str, mut f_irr] = [0u64; 5];
+                for s in run {
+                    let sd = Diagnostics::of(&s.accesses, i.annots, i.footprint_block);
+                    observed += sd.observed;
+                    implied += sd.implied_const;
+                    f += sd.footprint;
+                    f_str += sd.f_str;
+                    f_irr += sd.f_irr;
+                }
+                if observed == 0 {
+                    continue;
+                }
+                n += 1;
+                add(
+                    &mut sum,
+                    [
+                        rho * f as f64,
+                        rho * f_str as f64,
+                        rho * f_irr as f64,
+                        delta_f(f, observed, kappa(observed, implied)),
+                        run.len() as f64 * d.period as f64,
+                    ],
+                );
+            }
+            WindowKind::Inter
+        } else {
+            continue;
+        };
+        if n > 0 {
+            let mean = |x: f64| x / n as f64;
+            out.push(WindowPoint {
+                target_size: size,
+                effective_size: mean(sum[4]),
+                windows: n,
+                f: mean(sum[0]),
+                f_str: mean(sum[1]),
+                f_irr: mean(sum[2]),
+                delta_f: mean(sum[3]),
+                kind,
             });
         }
     }

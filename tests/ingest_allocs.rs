@@ -8,7 +8,8 @@
 //! run after it. A third holds the store's `Catalog::scan`, which
 //! summarises every frame `put` files, to allocations per frame and
 //! sample, not per access; a fourth the location zoom's peak memory to
-//! its accesses, not to the address span they cover.
+//! its accesses, not to the address span they cover; a fifth the window
+//! and locality series to allocations per call, not per sample.
 
 use memgaze::analysis::{analyze_window, AnalysisConfig, Analyzer, StreamingAnalyzer};
 use memgaze::model::{
@@ -136,6 +137,41 @@ fn warm_ingest_allocates_per_sample_not_per_access() {
     );
     // The report is still there to be had.
     assert_eq!(analyzer.stats().samples, 9 * SHARD_SAMPLES);
+}
+
+#[test]
+fn interval_series_allocate_per_call_not_per_sample() {
+    let (annots, symbols) = side_tables();
+    // Intra-sample sizes (more than one pass over the samples serves)
+    // and two past the 10 000-load period.
+    let sizes = [1, 16, 64, 100, 256, 10_000, 40_000];
+    let allocs = |shards: u64| -> u64 {
+        let mut t = SampledTrace::new(TraceMeta::new("series", 10_000, 16 << 10));
+        t.meta.total_loads = shards * SHARD_SAMPLES * 10_000;
+        for s in (0..shards).flat_map(shard) {
+            t.push_sample(s).unwrap();
+        }
+        // One thread, so that every allocation is this thread's.
+        let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig {
+            threads: 1,
+            ..AnalysisConfig::default()
+        });
+        let series = || {
+            (
+                analyzer.window_series(&sizes),
+                analyzer.locality_series(&sizes),
+            )
+        };
+        let warm = series();
+        let before = ALLOCS.with(Cell::get);
+        let again = series();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(again, warm);
+        assert!(warm.0.len() == sizes.len() && warm.1.len() == 5, "{warm:?}");
+        allocs
+    };
+    let (few, many) = (allocs(2), allocs(8));
+    assert_eq!(few, many, "32 samples: {few} allocations, 128: {many}");
 }
 
 #[test]

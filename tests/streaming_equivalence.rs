@@ -3,15 +3,16 @@
 //! fold — the one engine — equals the definitional spec
 //! (`tests/common/spec.rs`) field for field, bit for bit, for any shard
 //! size, thread count and block sizes; the location zoom equals the
-//! spec's partition tree for tree; and the fan-out's partial
-//! encode/decode/merge path equals the fold.
+//! spec's partition tree for tree, and the window series the spec's
+//! point for point; and the fan-out's partial encode/decode/merge path
+//! equals the fold.
 
 #[path = "common/arb.rs"]
 mod arb;
 #[path = "common/spec.rs"]
 mod spec;
 
-use arb::{arb_trace, fixtures, BLOCK_SIZES};
+use arb::{arb_trace, fixtures, traces_of, BLOCK_SIZES};
 use memgaze::analysis::{
     stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse, ZoomConfig,
 };
@@ -134,6 +135,67 @@ proptest! {
         );
     }
 
+    /// The window series equals its definition point for point: every
+    /// intra-sample size split out of one pass per sample equals its
+    /// intervals measured one by one, inter-sample runs are scaled by ρ,
+    /// the R2 blind spot stays empty. Sample lengths straddle 1 and
+    /// 63/64/65; sizes straddle 1, the half-interval tails, the sample
+    /// and the period, with more of them than one pass serves — and
+    /// without a period every size chops the samples, up to sizes
+    /// longer than any sample.
+    #[test]
+    fn window_series_matches_spec(
+        t in traces_of(straddling_window()),
+        sizes in prop::collection::vec(
+            prop_oneof![(0..SERIES_SIZES.len()).prop_map(|k| SERIES_SIZES[k]), 1u64..400],
+            1..10,
+        ),
+        blocks in 0usize..3,
+        threads in 1usize..4,
+        no_period in 0u8..2,
+    ) {
+        let mut t = t;
+        if no_period == 1 {
+            t.meta.period = 0;
+        }
+        let (annots, symbols) = fixtures();
+        let (footprint_block, reuse_block) = BLOCK_SIZES[blocks];
+        let cfg = AnalysisConfig {
+            footprint_block,
+            reuse_block,
+            threads,
+            ..AnalysisConfig::default()
+        };
+        let input = spec::Input {
+            trace: &t,
+            annots: &annots,
+            symbols: &symbols,
+            footprint_block,
+            reuse_block,
+        };
+        let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+        prop_assert_eq!(analyzer.window_series(&sizes), spec::window_series(&input, &sizes));
+    }
+
+}
+
+/// Window sizes either side of 1, of small intervals and their halves,
+/// of the sample lengths [`straddling_window`] draws, and of the period
+/// (10 000) and its multiples.
+const SERIES_SIZES: [u64; 20] = [
+    1, 2, 3, 4, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1_000, 9_999, 10_000, 10_001, 14_999,
+    15_000, 40_000,
+];
+
+/// A time-ordered window of 0, 1, 2, 31–33, 63–65 or 127–129 accesses.
+fn straddling_window() -> impl Strategy<Value = Vec<memgaze::model::Access>> {
+    const LENGTHS: [usize; 12] = [0, 1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129];
+    let accesses = prop::collection::vec(arb::arb_access(), 129..130);
+    (0..LENGTHS.len(), accesses).prop_map(|(k, mut w)| {
+        w.truncate(LENGTHS[k]);
+        w.sort_by_key(|a| a.time);
+        w
+    })
 }
 
 proptest! {
