@@ -317,37 +317,21 @@ pub fn watch_workload(
     let window_samples = watch.window_samples.max(1);
 
     let provisional = TraceMeta::new(name, initial_period, initial_buffer);
-    let mut writer = ShardWriter::new(Vec::new(), &provisional)
-        .expect("writing a container header to a Vec cannot fail");
+    let mut sink = WindowSink {
+        name,
+        initial_period,
+        initial_buffer,
+        analysis,
+        locality_sizes,
+        writer: ShardWriter::new(Vec::new(), &provisional)
+            .expect("writing a container header to a Vec cannot fail"),
+        ring: WindowRing::new(watch.live),
+        windows: Vec::new(),
+    };
 
     let mut controller = Controller::new(watch.mode, watch.controller, sampler.config());
     let mut space = TracedSpace::new(SamplerRecorder::new(sampler));
-    let mut ring = WindowRing::new(watch.live);
-    let mut windows: Vec<WindowStats> = Vec::new();
     let mut pending: Vec<Sample> = Vec::new();
-    let mut hottest: Option<String> = None;
-
-    let close_window = |window_slice: &[Sample],
-                        space: &TracedSpace<SamplerRecorder>,
-                        ring: &mut WindowRing,
-                        windows: &mut Vec<WindowStats>,
-                        writer: &mut ShardWriter<Vec<u8>>,
-                        hottest: &mut Option<String>| {
-        writer
-            .write_shard(window_slice)
-            .expect("writing a shard frame to a Vec cannot fail");
-        let annots = space.annotations();
-        let symbols = space.symbols();
-        let mut sa =
-            StreamingAnalyzer::new(&annots, &symbols, analysis).with_locality_sizes(locality_sizes);
-        sa.ingest_shard(window_slice);
-        let meta = window_meta(name, initial_period, initial_buffer, window_slice);
-        let report = sa.finish(&meta);
-        *hottest = report.function_rows.first().map(|r| r.name.clone());
-        let (stats, marks) = ring.push(report);
-        windows.push(stats);
-        publish_window_gauges(&stats, marks.len());
-    };
 
     let mut i = 0usize;
     loop {
@@ -356,16 +340,9 @@ pub fn watch_workload(
         pending.extend(space.recorder_mut().sampler.take_completed());
         while pending.len() >= window_samples {
             let window_slice: Vec<Sample> = pending.drain(..window_samples).collect();
-            close_window(
-                &window_slice,
-                &space,
-                &mut ring,
-                &mut windows,
-                &mut writer,
-                &mut hottest,
-            );
+            let hottest = sink.close(&window_slice, &space.annotations(), &space.symbols());
             let obs = space.recorder_mut().sampler.take_observation();
-            let window = windows.len() - 1;
+            let window = sink.windows.len() - 1;
             if let Some(r) = controller.observe(window, &obs) {
                 let guards = match r.guard {
                     GuardAction::Keep => space.recorder_mut().sampler.config().guards.clone(),
@@ -395,20 +372,11 @@ pub fn watch_workload(
     // Close remaining windows, including a trailing partial one — the
     // live view should not silently drop the stream's tail.
     for window_slice in pending.chunks(window_samples) {
-        writer
-            .write_shard(window_slice)
-            .expect("writing a shard frame to a Vec cannot fail");
-        let mut sa =
-            StreamingAnalyzer::new(&annots, &symbols, analysis).with_locality_sizes(locality_sizes);
-        sa.ingest_shard(window_slice);
-        let wmeta = window_meta(name, initial_period, initial_buffer, window_slice);
-        let report = sa.finish(&wmeta);
-        let (stats, marks) = ring.push(report);
-        windows.push(stats);
-        publish_window_gauges(&stats, marks.len());
+        sink.close(window_slice, &annots, &symbols);
     }
 
-    let (container, index) = writer
+    let (container, index) = sink
+        .writer
         .finish_indexed(meta.total_loads, meta.total_instrumented_loads)
         .map_err(|source| PipelineError::Container {
             stage: "watch-seal",
@@ -416,12 +384,12 @@ pub fn watch_workload(
         })?;
 
     Ok(WatchReport {
-        anomalies: ring.anomalies().to_vec(),
-        windows,
+        anomalies: sink.ring.anomalies().to_vec(),
+        windows: sink.windows,
         retunes: controller.trace().to_vec(),
         converged_at: controller.converged_at(),
         final_drop_rate: controller.last_drop_rate(),
-        ring,
+        ring: sink.ring,
         container,
         index,
         meta,
@@ -434,14 +402,50 @@ pub fn watch_workload(
     })
 }
 
-fn publish_window_gauges(stats: &WindowStats, marks: usize) {
-    memgaze_obs::gauge!("watch.window").set(stats.window as u64);
-    memgaze_obs::gauge!("watch.f_hat_bytes").set(stats.f_hat_bytes as u64);
-    memgaze_obs::gauge!("watch.mean_d_milli").set((stats.mean_d * 1000.0) as u64);
-    memgaze_obs::gauge!("watch.df_irr_pct").set(stats.delta_f_irr_pct as u64);
-    memgaze_obs::gauge!("watch.a_const_pct").set(stats.a_const_pct as u64);
-    if marks > 0 {
-        memgaze_obs::counter!("watch.anomalies").add(marks as u64);
+/// Where a watch run's windows go: each closed window becomes one
+/// container frame, one ring entry and one set of gauges.
+struct WindowSink<'a> {
+    name: &'a str,
+    initial_period: u64,
+    initial_buffer: u64,
+    analysis: AnalysisConfig,
+    locality_sizes: &'a [u64],
+    writer: ShardWriter<Vec<u8>>,
+    ring: WindowRing,
+    windows: Vec<WindowStats>,
+}
+
+impl WindowSink<'_> {
+    /// Close one window: write its frame, analyze it with a transient
+    /// [`StreamingAnalyzer`] under the window metadata both the live and
+    /// the replay side derive, push the report to the ring and publish
+    /// the gauges. Returns the window's hottest function.
+    fn close(
+        &mut self,
+        slice: &[Sample],
+        annots: &AuxAnnotations,
+        symbols: &SymbolTable,
+    ) -> Option<String> {
+        self.writer
+            .write_shard(slice)
+            .expect("writing a shard frame to a Vec cannot fail");
+        let mut sa = StreamingAnalyzer::new(annots, symbols, self.analysis)
+            .with_locality_sizes(self.locality_sizes);
+        sa.ingest_shard(slice);
+        let meta = window_meta(self.name, self.initial_period, self.initial_buffer, slice);
+        let report = sa.finish(&meta);
+        let hottest = report.function_rows.first().map(|r| r.name.clone());
+        let (stats, marks) = self.ring.push(report);
+        self.windows.push(stats);
+        memgaze_obs::gauge!("watch.window").set(stats.window as u64);
+        memgaze_obs::gauge!("watch.f_hat_bytes").set(stats.f_hat_bytes as u64);
+        memgaze_obs::gauge!("watch.mean_d_milli").set((stats.mean_d * 1000.0) as u64);
+        memgaze_obs::gauge!("watch.df_irr_pct").set(stats.delta_f_irr_pct as u64);
+        memgaze_obs::gauge!("watch.a_const_pct").set(stats.a_const_pct as u64);
+        if !marks.is_empty() {
+            memgaze_obs::counter!("watch.anomalies").add(marks.len() as u64);
+        }
+        hottest
     }
 }
 

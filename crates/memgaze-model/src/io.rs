@@ -1,34 +1,33 @@
-//! Compact on-disk trace encoding.
+//! The per-sample trace codec, and Table III's byte meters over it.
+//!
+//! Every trace the system writes, stores or ships is a sharded
+//! container ([`crate::stream`]); this module holds the pieces that
+//! container is built from:
+//!
+//! ```text
+//! header := magic "MGZT" | version u16 | kind u8
+//! meta   := workload(len-prefixed utf8) | period | buffer_bytes
+//!           | total_loads | total_instr        (all varint)
+//! sample := trigger_time Δvarint | w varint |
+//!           per access: ip zigzag-Δ | addr zigzag-Δ | time Δ  (varints)
+//! ```
 //!
 //! MemGaze trace sizes matter (paper §VI-C, Table III): the collector's
 //! output is what gets copied from the pinned kernel buffer and stored.
-//! This module provides a delta + LEB128-varint codec for sampled and full
-//! traces; the encoded byte counts are what the Table III space-savings
+//! [`sampled_size_bytes`] and [`full_size_bytes`] count what this codec
+//! writes for a whole trace, which is what the Table III space-savings
 //! experiment reports.
-//!
-//! Layout (little-endian):
-//!
-//! ```text
-//! magic "MGZT" | version u16 | kind u8 | meta | payload
-//! meta   := workload(len-prefixed utf8) | period | buffer_bytes
-//!           | total_loads | total_instr        (all varint)
-//! sampled payload := |σ| varint, then per sample:
-//!           trigger_time Δvarint | w varint |
-//!           per access: ip zigzag-Δ | addr zigzag-Δ | time Δ  (varints)
-//! full payload := dropped varint | n varint | accesses as above
-//! ```
 
 use crate::access::Access;
 use crate::error::ModelError;
 use crate::sample::{FullTrace, Sample, SampledTrace, TraceMeta};
 use crate::wire::{self, put_str, put_varint, read_string, read_varint, zigzag, Reader};
-use bytes::Bytes;
 use std::io::Read;
 
 pub(crate) const MAGIC: &[u8; 4] = b"MGZT";
-const VERSION: u16 = 1;
-const KIND_SAMPLED: u8 = 0;
-const KIND_FULL: u8 = 1;
+
+/// Bytes of a [`put_header`] header: magic, `u16` version, kind.
+const HEADER_BYTES: u64 = 7;
 
 pub(crate) fn put_meta(buf: &mut Vec<u8>, meta: &TraceMeta) {
     put_str(buf, &meta.workload);
@@ -105,8 +104,7 @@ pub(crate) fn check_header(r: &mut Reader<'_>, version: u16, kind: u8) -> Result
 }
 
 /// Append one sample: trigger delta from `prev_trigger`, window length,
-/// then delta-coded accesses with a fresh [`DeltaState`]. Shared by the
-/// v1 monolithic payload and the v2 shard frames.
+/// then delta-coded accesses with a fresh [`DeltaState`].
 pub(crate) fn put_sample(buf: &mut Vec<u8>, prev_trigger: u64, s: &Sample) {
     put_varint(buf, s.trigger_time.wrapping_sub(prev_trigger));
     put_varint(buf, s.accesses.len() as u64);
@@ -133,7 +131,7 @@ pub(crate) fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample
 }
 
 /// Decode `n` samples whose trigger chain starts at 0, naming the
-/// failing sample on error. Shared by the v1 payload and v2 frames.
+/// failing sample on error.
 pub(crate) fn get_samples(
     r: &mut Reader<'_>,
     n: usize,
@@ -151,225 +149,43 @@ pub(crate) fn get_samples(
     Ok(())
 }
 
-/// Encode a sampled trace to its compact byte representation.
-pub fn encode_sampled(trace: &SampledTrace) -> Bytes {
-    let mut buf = Vec::with_capacity(64 + trace.observed_accesses() as usize * 4);
-    put_header(&mut buf, VERSION, KIND_SAMPLED);
-    put_meta(&mut buf, &trace.meta);
-    put_varint(&mut buf, trace.samples.len() as u64);
+/// Encoded size in bytes of a sampled trace: Table III's 'MemGaze'
+/// column. These are the bytes Table III has always reported — a
+/// 7-byte header, the meta block, the sample count, then the samples
+/// as [`put_sample`] writes them, trigger chain from 0 — counted
+/// through one scratch buffer cleared per sample, so the encoded trace
+/// is never held.
+pub fn sampled_size_bytes(trace: &SampledTrace) -> u64 {
+    let mut scratch = Vec::new();
+    put_meta(&mut scratch, &trace.meta);
+    put_varint(&mut scratch, trace.samples.len() as u64);
+    let mut total = HEADER_BYTES + scratch.len() as u64;
     let mut prev_trigger = 0u64;
     for s in &trace.samples {
-        put_sample(&mut buf, prev_trigger, s);
+        scratch.clear();
+        put_sample(&mut scratch, prev_trigger, s);
+        total += scratch.len() as u64;
         prev_trigger = s.trigger_time;
     }
-    Bytes::from(buf)
+    total
 }
 
-/// Decode a sampled trace previously produced by [`encode_sampled`].
-pub fn decode_sampled(data: Bytes) -> Result<SampledTrace, ModelError> {
-    let mut r = Reader::new(data.as_slice());
-    check_header(&mut r, VERSION, KIND_SAMPLED)?;
-    let meta = read_meta(r.as_stream())?;
-    // Every encoded sample costs at least two bytes (two varints), so a
-    // claimed count beyond that is corrupt; reject it before allocating.
-    let n = r.count(2, "samples")?;
-    let mut trace = SampledTrace::new(meta);
-    get_samples(&mut r, n, |s| trace.push_sample(s))?;
-    Ok(trace)
-}
-
-/// Encode a full trace.
-pub fn encode_full(trace: &FullTrace) -> Bytes {
-    let mut buf = Vec::with_capacity(64 + trace.accesses.len() * 4);
-    put_header(&mut buf, VERSION, KIND_FULL);
-    put_meta(&mut buf, &trace.meta);
-    put_varint(&mut buf, trace.dropped);
-    put_varint(&mut buf, trace.accesses.len() as u64);
+/// Encoded size in bytes of a full trace: Table III's 'Rec'/'All'
+/// columns, depending on whether drops occurred upstream. A 7-byte
+/// header, the meta block, the drop and access counts, then one delta
+/// chain over every access as [`put_access`] writes it, counted
+/// through one scratch buffer cleared per access.
+pub fn full_size_bytes(trace: &FullTrace) -> u64 {
+    let mut scratch = Vec::new();
+    put_meta(&mut scratch, &trace.meta);
+    put_varint(&mut scratch, trace.dropped);
+    put_varint(&mut scratch, trace.accesses.len() as u64);
+    let mut total = HEADER_BYTES + scratch.len() as u64;
     let mut st = DeltaState::default();
     for a in &trace.accesses {
-        put_access(&mut buf, &mut st, a);
+        scratch.clear();
+        put_access(&mut scratch, &mut st, a);
+        total += scratch.len() as u64;
     }
-    Bytes::from(buf)
-}
-
-/// Decode a full trace previously produced by [`encode_full`].
-pub fn decode_full(data: Bytes) -> Result<FullTrace, ModelError> {
-    let mut r = Reader::new(data.as_slice());
-    check_header(&mut r, VERSION, KIND_FULL)?;
-    let meta = read_meta(r.as_stream())?;
-    let dropped = r.varint("dropped")?;
-    let n = r.count(3, "accesses")?;
-    let mut st = DeltaState::default();
-    let mut accesses = Vec::with_capacity(n);
-    for _ in 0..n {
-        accesses.push(get_access(&mut r, &mut st)?);
-    }
-    Ok(FullTrace {
-        meta,
-        accesses,
-        dropped,
-    })
-}
-
-/// Encoded size in bytes of a sampled trace (what Table III reports as the
-/// 'MemGaze' column).
-pub fn sampled_size_bytes(trace: &SampledTrace) -> u64 {
-    encode_sampled(trace).len() as u64
-}
-
-/// Encoded size in bytes of a full trace ('Rec'/'All' columns of Table III,
-/// depending on whether drops occurred upstream).
-pub fn full_size_bytes(trace: &FullTrace) -> u64 {
-    encode_full(trace).len() as u64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::access::Access;
-    use crate::sample::{Sample, TraceMeta};
-
-    fn mk_trace(samples: usize, w: usize) -> SampledTrace {
-        let mut t = SampledTrace::new(TraceMeta::new("unit", 10_000, 16 << 10));
-        t.meta.total_loads = (samples * 10_000) as u64;
-        for s in 0..samples {
-            let base = (s as u64) * 10_000;
-            let accesses = (0..w)
-                .map(|i| {
-                    Access::new(
-                        0x400u64 + (i as u64 % 7) * 4,
-                        0x10_0000u64 + (i as u64) * 64,
-                        base + i as u64,
-                    )
-                })
-                .collect();
-            t.push_sample(Sample::new(accesses, base + w as u64))
-                .unwrap();
-        }
-        t
-    }
-
-    #[test]
-    fn sampled_roundtrip() {
-        let t = mk_trace(5, 100);
-        let bytes = encode_sampled(&t);
-        let back = decode_sampled(bytes).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn full_roundtrip() {
-        let mut f = FullTrace::new(TraceMeta::new("unit", 0, 0));
-        f.dropped = 17;
-        f.accesses = (0..1000)
-            .map(|i| Access::new(0x400u64, 0x1000u64 + i * 8, i))
-            .collect();
-        let back = decode_full(encode_full(&f)).unwrap();
-        assert_eq!(f, back);
-    }
-
-    #[test]
-    fn delta_coding_compresses_regular_streams() {
-        // A strided stream should cost only a few bytes per access.
-        let t = mk_trace(1, 10_000);
-        let per_access = sampled_size_bytes(&t) as f64 / 10_000.0;
-        assert!(
-            per_access < 6.0,
-            "expected < 6 B/access for strided stream, got {per_access}"
-        );
-    }
-
-    #[test]
-    fn truncated_input_is_rejected() {
-        let t = mk_trace(2, 50);
-        let bytes = encode_sampled(&t);
-        for cut in [0usize, 3, 6, 10, bytes.len() - 1] {
-            let sliced = bytes.slice(0..cut);
-            assert!(decode_sampled(sliced).is_err(), "cut at {cut} must fail");
-        }
-    }
-
-    #[test]
-    fn truncation_mid_sample_names_the_sample() {
-        let t = mk_trace(3, 50);
-        let bytes = encode_sampled(&t);
-        // Cut deep into the payload: past the header, meta, and first
-        // sample, but before the end — the error must locate a sample.
-        let sliced = bytes.slice(0..bytes.len() - 10);
-        match decode_sampled(sliced) {
-            Err(ModelError::InSample { index, source }) => {
-                assert_eq!(index, 2);
-                assert!(matches!(
-                    *source,
-                    ModelError::Truncated { .. } | ModelError::BadHeader { .. }
-                ));
-            }
-            other => panic!("expected InSample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_sample_count_is_rejected_without_allocating() {
-        // Header + meta, then a sample count far beyond the payload: the
-        // decoder must refuse before reserving memory for it.
-        let mut buf = Vec::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
-        put_varint(&mut buf, u64::MAX >> 1);
-        assert!(matches!(
-            decode_sampled(Bytes::from(buf)),
-            Err(ModelError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn corrupt_window_count_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
-        put_varint(&mut buf, 1); // one sample
-        put_varint(&mut buf, 5); // trigger delta
-        put_varint(&mut buf, u64::MAX >> 1); // absurd window length
-        match decode_sampled(Bytes::from(buf)) {
-            Err(ModelError::InSample { index: 0, source }) => {
-                assert!(matches!(*source, ModelError::Truncated { .. }));
-            }
-            other => panic!("expected InSample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupt_full_count_is_rejected() {
-        let mut buf = Vec::new();
-        put_header(&mut buf, VERSION, KIND_FULL);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 0, 0));
-        put_varint(&mut buf, 0); // dropped
-        put_varint(&mut buf, u64::MAX >> 1); // absurd access count
-        assert!(matches!(
-            decode_full(Bytes::from(buf)),
-            Err(ModelError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn overlong_varint_is_rejected() {
-        // Eleven continuation bytes cannot encode a u64.
-        let mut buf = Vec::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        buf.extend_from_slice(&[0xff; 11]);
-        assert!(matches!(
-            decode_sampled(Bytes::from(buf)),
-            Err(ModelError::BadHeader { .. })
-        ));
-    }
-
-    #[test]
-    fn wrong_kind_is_rejected() {
-        let t = mk_trace(1, 10);
-        let bytes = encode_sampled(&t);
-        assert!(matches!(
-            decode_full(bytes),
-            Err(ModelError::BadHeader { .. })
-        ));
-    }
+    total
 }

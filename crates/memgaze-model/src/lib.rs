@@ -10,6 +10,12 @@
 //! The crate is deliberately free of analysis logic; it is the vocabulary
 //! shared by the instrumentor (`memgaze-instrument`), the Processor-Tracing
 //! model (`memgaze-ptsim`), and the analyses (`memgaze-analysis`).
+//! It owns the trace container every crate reads, so its non-test code
+//! may not `unwrap`, `expect` or index unchecked (an `allow` says why).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod access;
 pub mod addr;

@@ -17,13 +17,18 @@ pub fn filter_accesses(
     trace: &SampledTrace,
     mut pred: impl FnMut(&Access) -> bool,
 ) -> SampledTrace {
-    let mut out = SampledTrace::new(trace.meta.clone());
-    for s in &trace.samples {
-        let kept: Vec<Access> = s.accesses.iter().filter(|a| pred(a)).copied().collect();
-        out.push_sample(Sample::new(kept, s.trigger_time))
-            .expect("filter preserves order");
+    let samples = trace
+        .samples
+        .iter()
+        .map(|s| {
+            let kept = s.accesses.iter().filter(|a| pred(a)).copied().collect();
+            Sample::new(kept, s.trigger_time)
+        })
+        .collect();
+    SampledTrace {
+        meta: trace.meta.clone(),
+        samples,
     }
-    out
 }
 
 /// Keep only accesses into the address region `[lo, hi)`.
@@ -44,15 +49,7 @@ pub fn filter_function(trace: &SampledTrace, symbols: &SymbolTable, name: &str) 
         .map(|f| (f.lo, f.hi));
     match range {
         Some((lo, hi)) => filter_accesses(trace, |a| a.ip >= lo && a.ip < hi),
-        None => {
-            let mut empty = SampledTrace::new(trace.meta.clone());
-            for s in &trace.samples {
-                empty
-                    .push_sample(Sample::new(Vec::new(), s.trigger_time))
-                    .expect("order preserved");
-            }
-            empty
-        }
+        None => filter_accesses(trace, |_| false),
     }
 }
 
@@ -61,54 +58,45 @@ pub fn filter_function(trace: &SampledTrace, symbols: &SymbolTable, name: &str) 
 /// accesses interleave by logical time; duplicates (same time + ip) are
 /// kept once.
 pub fn merge(a: &SampledTrace, b: &SampledTrace) -> SampledTrace {
-    let mut out = SampledTrace::new(a.meta.clone());
-    out.meta.total_loads = a.meta.total_loads.max(b.meta.total_loads);
-
+    let mut meta = a.meta.clone();
+    meta.total_loads = a.meta.total_loads.max(b.meta.total_loads);
+    let mut samples = Vec::with_capacity(a.samples.len() + b.samples.len());
     let mut ia = a.samples.iter().peekable();
     let mut ib = b.samples.iter().peekable();
-    while ia.peek().is_some() || ib.peek().is_some() {
-        let next = match (ia.peek(), ib.peek()) {
+    loop {
+        let next = match (ia.peek().copied(), ib.peek().copied()) {
             (Some(x), Some(y)) if x.trigger_time == y.trigger_time => {
-                let (x, y) = (ia.next().unwrap(), ib.next().unwrap());
-                let mut acc = Vec::with_capacity(x.accesses.len() + y.accesses.len());
-                let (mut i, mut j) = (0, 0);
-                while i < x.accesses.len() || j < y.accesses.len() {
-                    let take_x = match (x.accesses.get(i), y.accesses.get(j)) {
-                        (Some(p), Some(q)) => p.time <= q.time,
-                        (Some(_), None) => true,
-                        _ => false,
-                    };
-                    let cand = if take_x {
-                        i += 1;
-                        x.accesses[i - 1]
-                    } else {
-                        j += 1;
-                        y.accesses[j - 1]
-                    };
-                    let dup = acc
-                        .last()
-                        .is_some_and(|p: &Access| p.time == cand.time && p.ip == cand.ip);
-                    if !dup {
-                        acc.push(cand);
-                    }
-                }
-                Sample::new(acc, x.trigger_time)
+                ia.next();
+                ib.next();
+                merge_sample(x, y)
             }
-            (Some(x), Some(y)) => {
-                if x.trigger_time < y.trigger_time {
-                    ia.next().unwrap().clone()
-                } else {
-                    let _ = x;
-                    ib.next().unwrap().clone()
-                }
+            (Some(x), Some(y)) if x.trigger_time < y.trigger_time => {
+                ia.next();
+                x.clone()
             }
-            (Some(_), None) => ia.next().unwrap().clone(),
-            (None, Some(_)) => ib.next().unwrap().clone(),
-            (None, None) => unreachable!(),
+            (Some(x), None) => {
+                ia.next();
+                x.clone()
+            }
+            (_, Some(y)) => {
+                ib.next();
+                y.clone()
+            }
+            (None, None) => break,
         };
-        out.push_sample(next).expect("merged samples stay ordered");
+        samples.push(next);
     }
-    out
+    SampledTrace { meta, samples }
+}
+
+/// The accesses of two samples with one trigger, interleaved by time
+/// with `x`'s first on a tie (the sort is stable), and an access equal
+/// in time and ip to the one kept before it dropped.
+fn merge_sample(x: &Sample, y: &Sample) -> Sample {
+    let mut acc = [x.accesses.as_slice(), y.accesses.as_slice()].concat();
+    acc.sort_by_key(|a| a.time);
+    acc.dedup_by(|a, kept| a.time == kept.time && a.ip == kept.ip);
+    Sample::new(acc, x.trigger_time)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ impl Sample {
     /// A sample from time-ordered accesses.
     pub fn new(accesses: Vec<Access>, trigger_time: u64) -> Sample {
         debug_assert!(
-            accesses.windows(2).all(|p| p[0].time <= p[1].time),
+            accesses.is_sorted_by_key(|a| a.time),
             "sample accesses must be time-ordered"
         );
         Sample {

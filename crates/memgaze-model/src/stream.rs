@@ -1,20 +1,22 @@
-//! Chunked (sharded) trace container for streaming ingest.
+//! The trace container: the one layout every trace is written, stored
+//! and scanned in.
 //!
-//! The v1 MGZT payload is monolithic: sample count up front, every
-//! sample delta-chained to the previous one, so a decoder must walk the
-//! whole byte stream to recover anything. Real collectors (HMTT-style
-//! DMA windows, perf ring buffers) hand data over in bounded chunks;
-//! this module adds a v2 framing of the same codec whose payload is a
+//! Real collectors (HMTT-style DMA windows, perf ring buffers) hand
+//! data over in bounded chunks, so the container's payload is a
 //! sequence of self-delimiting *shard frames*, each decodable on its
-//! own with O(shard) memory:
+//! own with O(shard) memory. Header, meta and samples are
+//! [`crate::io`]'s codec:
 //!
 //! ```text
 //! magic "MGZT" | version u16 = 2 | kind u8 = 2 | meta | frames | trailer
 //! frame   := frame_len varint (> 0) | payload
-//! payload := nsamples varint | per sample as in v1, trigger delta
-//!            chain restarting at 0 for each frame
+//! payload := nsamples varint | samples, trigger delta chain
+//!            restarting at 0 for each frame
 //! trailer := 0 varint | total_loads varint | total_instr varint
 //! ```
+//!
+//! Version 2 is the only version: a header naming any other is a typed
+//! [`ModelError::BadHeader`].
 //!
 //! The header's meta is provisional — a live collector does not know
 //! the final load totals when it emits the header — and the trailer
@@ -110,16 +112,17 @@ impl FrameIndex {
                 ),
             });
         }
-        // Compare in u64 space before narrowing: an `as usize` cast of a
-        // hostile header length would wrap on 32-bit targets and pass
-        // the bound check with a bogus small value.
-        if self.header_len > container.len() as u64 {
+        // Narrow with a check, never `as`: a hostile header length
+        // would wrap on 32-bit targets into a bogus small value.
+        let header = usize::try_from(self.header_len)
+            .ok()
+            .and_then(|hdr| container.get(..hdr));
+        let Some(header) = header else {
             return Err(ModelError::StaleIndex {
                 detail: format!("header length {} exceeds container", self.header_len),
             });
-        }
-        let hdr = self.header_len as usize;
-        let got = fnv1a64(&container[..hdr]);
+        };
+        let got = fnv1a64(header);
         if got != self.header_checksum {
             return Err(ModelError::StaleIndex {
                 detail: format!(
@@ -148,21 +151,18 @@ impl FrameIndex {
         let entry = self.entries.get(i).ok_or_else(|| ModelError::StaleIndex {
             detail: format!("frame {i} out of range ({} indexed)", self.entries.len()),
         })?;
-        // Bounds-check in u64 space, then narrow: both casts are safe
-        // once `end <= container.len()` holds, and a hostile offset/len
-        // can no longer wrap through `as usize` on 32-bit targets.
-        let end = entry
-            .offset
-            .checked_add(entry.len)
-            .filter(|&end| end <= container.len() as u64);
-        let Some(end) = end else {
+        // Add in u64 space and narrow with a check, never `as`: a
+        // hostile offset/len can neither overflow nor wrap on 32-bit
+        // targets.
+        let payload = entry.offset.checked_add(entry.len).and_then(|end| {
+            let lo = usize::try_from(entry.offset).ok()?;
+            container.get(lo..usize::try_from(end).ok()?)
+        });
+        let Some(payload) = payload else {
             return Err(ModelError::StaleIndex {
                 detail: format!("frame {i} spans past the container end"),
             });
         };
-        let lo = entry.offset as usize;
-        let hi = end as usize;
-        let payload = &container[lo..hi];
         let got = fnv1a64(payload);
         if got != entry.checksum {
             return Err(ModelError::StaleIndex {
@@ -496,6 +496,8 @@ pub fn encode_sharded(trace: &SampledTrace, shard_samples: usize) -> Vec<u8> {
 }
 
 /// Like [`encode_sharded`], but also return the [`FrameIndex`] sidecar.
+// Writing to a Vec cannot fail; untruthful totals are the caller bug above.
+#[allow(clippy::expect_used)]
 pub fn encode_sharded_indexed(trace: &SampledTrace, shard_samples: usize) -> (Vec<u8>, FrameIndex) {
     let mut w = ShardWriter::new(Vec::new(), &trace.meta).expect("writing to a Vec cannot fail");
     for chunk in trace.samples.chunks(shard_samples.max(1)) {
@@ -523,7 +525,6 @@ pub fn decode_sharded(data: &[u8]) -> Result<SampledTrace, ModelError> {
 mod tests {
     use super::*;
     use crate::access::Access;
-    use crate::io::encode_sampled;
 
     fn mk_trace(samples: usize, w: usize) -> SampledTrace {
         let mut t = SampledTrace::new(TraceMeta::new("stream-unit", 10_000, 16 << 10));
@@ -721,23 +722,79 @@ mod tests {
 
     #[test]
     fn v1_container_is_rejected_with_version_error() {
-        let t = mk_trace(2, 4);
-        let v1 = encode_sampled(&t);
+        // The retired monolithic layout opened "MGZT", version 1, kind 0,
+        // then the same meta block.
+        let mut v1 = b"MGZT\x01\x00\x00".to_vec();
+        put_meta(&mut v1, &TraceMeta::new("v1", 10_000, 16 << 10));
+        put_varint(&mut v1, 0);
         match ShardReader::new(v1.as_slice()) {
-            Err(ModelError::BadHeader { detail }) => assert!(detail.contains("version")),
+            Err(ModelError::BadHeader { detail }) => assert!(detail.contains("version 1")),
             Err(other) => panic!("expected BadHeader, got {other:?}"),
             Ok(_) => panic!("v1 container must be rejected"),
         }
     }
 
+    /// `t`'s samples as one frame payload.
+    fn frame_of(t: &SampledTrace) -> Vec<u8> {
+        let mut w = ShardWriter::new(Vec::new(), &t.meta).unwrap();
+        w.write_shard(&t.samples).unwrap();
+        w.scratch
+    }
+
+    /// The sample a frame payload fails to decode in, and why.
+    fn failing_sample(payload: &[u8]) -> (usize, ModelError) {
+        match decode_frame_payload(payload) {
+            Err(ModelError::InSample { index, source }) => (index, *source),
+            other => panic!("expected InSample, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn v2_container_is_rejected_by_v1_decoder() {
-        let t = mk_trace(2, 4);
-        let v2 = encode_sharded(&t, 2);
+    fn truncation_mid_sample_names_the_sample() {
+        let payload = frame_of(&mk_trace(3, 50));
+        for cut in [0usize, 1, 3, payload.len() - 1] {
+            assert!(decode_frame_payload(&payload[..cut]).is_err(), "cut {cut}");
+        }
+        // Cut into the last sample: the error must locate it.
+        let (index, source) = failing_sample(&payload[..payload.len() - 10]);
+        assert_eq!(index, 2);
         assert!(matches!(
-            crate::io::decode_sampled(bytes::Bytes::from(v2)),
+            source,
+            ModelError::Truncated { .. } | ModelError::BadHeader { .. }
+        ));
+    }
+
+    #[test]
+    fn corrupt_window_count_is_rejected_without_allocating() {
+        let mut payload = Vec::new();
+        // One sample, its trigger delta, then an absurd window length.
+        for v in [1, 5, u64::MAX >> 1] {
+            put_varint(&mut payload, v);
+        }
+        let failed = failing_sample(&payload);
+        assert!(matches!(failed, (0, ModelError::Truncated { .. })));
+    }
+
+    #[test]
+    fn overlong_varint_is_rejected() {
+        // Eleven continuation bytes cannot encode a u64, whether as the
+        // sample count or as the first sample's trigger delta.
+        assert!(matches!(
+            decode_frame_payload(&[0xff; 11]),
             Err(ModelError::BadHeader { .. })
         ));
+        let failed = failing_sample(&[&[1u8][..], &[0xff; 11]].concat());
+        assert!(matches!(failed, (0, ModelError::BadHeader { .. })));
+    }
+
+    #[test]
+    fn delta_coding_compresses_regular_streams() {
+        // A strided stream should cost only a few bytes per access.
+        let per_access = crate::io::sampled_size_bytes(&mk_trace(1, 10_000)) as f64 / 1e4;
+        assert!(
+            per_access < 6.0,
+            "{per_access} B/access for a strided stream"
+        );
     }
 
     #[test]

@@ -75,20 +75,20 @@ impl SymbolTable {
         };
         // Keep sorted by lo for binary-search lookup.
         let pos = self.functions.partition_point(|f| f.lo < sym.lo);
-        if pos > 0 {
+        if let Some(prev) = pos.checked_sub(1).and_then(|p| self.functions.get(p)) {
             assert!(
-                self.functions[pos - 1].hi <= sym.lo,
+                prev.hi <= sym.lo,
                 "function {} overlaps {}",
                 sym.name,
-                self.functions[pos - 1].name
+                prev.name
             );
         }
-        if pos < self.functions.len() {
+        if let Some(next) = self.functions.get(pos) {
             assert!(
-                sym.hi <= self.functions[pos].lo,
+                sym.hi <= next.lo,
                 "function {} overlaps {}",
                 sym.name,
-                self.functions[pos].name
+                next.name
             );
         }
         self.functions.insert(pos, sym);
@@ -96,16 +96,13 @@ impl SymbolTable {
         for (i, f) in self.functions.iter_mut().enumerate() {
             f.id = FunctionId(i as u32);
         }
-        self.functions[pos].id
+        FunctionId(pos as u32)
     }
 
     /// The function containing `ip`, if any.
     pub fn lookup(&self, ip: Ip) -> Option<&FunctionSym> {
         let pos = self.functions.partition_point(|f| f.lo <= ip);
-        if pos == 0 {
-            return None;
-        }
-        let f = &self.functions[pos - 1];
+        let f = self.functions.get(pos.checked_sub(1)?)?;
         (ip < f.hi).then_some(f)
     }
 

@@ -25,7 +25,6 @@
 //! the primitives, so a fix to one of them is a fix to every format.
 //! All failures are a [`WireError`], which each crate's error type
 //! absorbs via `From`.
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::hash::fnv1a64;
 use std::io::Read;

@@ -7,8 +7,8 @@
 use memgaze::analysis::{analyze_frames, AnalysisConfig, PartialReport, WorkerSpec};
 use memgaze::core::fanout::{encode_request, frame_partial_into};
 use memgaze::model::{
-    encode_sharded_indexed, io, Access, AuxAnnotations, BlockSize, FrameIndex, FullTrace,
-    FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace, SymbolTable, TraceMeta,
+    encode_sharded_indexed, Access, AuxAnnotations, BlockSize, FrameIndex, FullTrace, FunctionId,
+    Ip, IpAnnot, LoadClass, Sample, SampledTrace, SymbolTable, TraceMeta,
 };
 use memgaze::store::blob::{content_hash, encode_blob};
 use memgaze::store::Catalog;
@@ -87,14 +87,6 @@ pub fn config() -> AnalysisConfig {
         threads: 1,
         ..AnalysisConfig::default()
     }
-}
-
-pub fn mgzt_v1_sampled() -> Vec<u8> {
-    io::encode_sampled(&trace()).to_vec()
-}
-
-pub fn mgzt_v1_full() -> Vec<u8> {
-    io::encode_full(&full_trace()).to_vec()
 }
 
 /// The v2 container and its index.

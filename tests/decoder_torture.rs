@@ -27,7 +27,7 @@ mod common;
 use memgaze::analysis::{PartialReport, WorkerSpec};
 use memgaze::core::fanout::{read_request, read_response_frame};
 use memgaze::model::stream::decode_frame_payload;
-use memgaze::model::{decode_sharded, fnv1a64, io, FrameIndex, TraceMeta};
+use memgaze::model::{decode_sharded, fnv1a64, FrameIndex, TraceMeta};
 use memgaze::store::blob::decode_blob;
 use memgaze::store::{Catalog, StoreConfig, StoreError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -152,18 +152,6 @@ fn formats() -> Vec<Format> {
         Ok(())
     };
     vec![
-        Format {
-            name: "MGZT v1 sampled",
-            valid: common::mgzt_v1_sampled(),
-            sealed: false,
-            decode: Box::new(|d| typed(io::decode_sampled(d.to_vec().into()))),
-        },
-        Format {
-            name: "MGZT v1 full",
-            valid: common::mgzt_v1_full(),
-            sealed: false,
-            decode: Box::new(|d| typed(io::decode_full(d.to_vec().into()))),
-        },
         Format {
             name: "MGZT v2 container",
             valid: container,

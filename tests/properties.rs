@@ -76,14 +76,6 @@ proptest! {
         }
     }
 
-    /// Trace codec round-trips arbitrary sampled traces.
-    #[test]
-    fn trace_codec_roundtrip(t in arb_trace()) {
-        let bytes = io::encode_sampled(&t);
-        let back = io::decode_sampled(bytes).unwrap();
-        prop_assert_eq!(t, back);
-    }
-
     /// The stream sampler never fabricates accesses and never reorders
     /// them.
     #[test]
