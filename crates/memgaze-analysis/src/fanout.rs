@@ -405,43 +405,11 @@ impl PartialReport {
     /// range index and folds them in ascending order.
     pub fn merge(&mut self, other: PartialReport) -> Result<(), PartialError> {
         let _span = memgaze_obs::span("fanout.merge");
-        if self.footprint_block != other.footprint_block || self.reuse_block != other.reuse_block {
-            return Err(PartialError::ConfigMismatch {
-                detail: format!(
-                    "block sizes ({:?}/{:?}) vs ({:?}/{:?})",
-                    self.footprint_block,
-                    self.reuse_block,
-                    other.footprint_block,
-                    other.reuse_block
-                ),
-            });
-        }
-        if self.locality_sizes != other.locality_sizes {
-            return Err(PartialError::ConfigMismatch {
-                detail: format!(
-                    "locality sizes {:?} vs {:?}",
-                    self.locality_sizes, other.locality_sizes
-                ),
-            });
-        }
-        // Merging into the identity is a move: the coordinator seeds its
-        // fold with `PartialReport::empty`, so without this the first —
-        // and for one worker, only — merge would clone the whole
-        // partial field by field.
-        if self.num_samples == 0
-            && self.observed == 0
-            && self.implied_const == 0
-            && self.per_sample_diags.is_empty()
-            && self.per_sample_reuse.is_empty()
-            && self.locality.iter().all(|rows| rows.is_empty())
-            && self.block_reuse.is_empty()
-            && self.funcs.is_empty()
-            && self.histogram == Log2Histogram::new()
-            && self.stats == IngestStats::default()
-        {
-            *self = other;
-            return Ok(());
-        }
+        self.check_config(
+            other.footprint_block,
+            other.reuse_block,
+            &other.locality_sizes,
+        )?;
         PartialReport::check_sums([&*self, &other].into_iter())?;
         self.num_samples += other.num_samples;
         self.observed += other.observed;
@@ -465,6 +433,33 @@ impl PartialReport {
             }
         }
         self.stats.merge(&other.stats);
+        Ok(())
+    }
+
+    /// `ConfigMismatch` unless this partial was built for these block
+    /// and locality sizes.
+    fn check_config(
+        &self,
+        footprint_block: BlockSize,
+        reuse_block: BlockSize,
+        locality_sizes: &[u64],
+    ) -> Result<(), PartialError> {
+        if (self.footprint_block, self.reuse_block) != (footprint_block, reuse_block) {
+            return Err(PartialError::ConfigMismatch {
+                detail: format!(
+                    "block sizes ({:?}/{:?}) vs ({footprint_block:?}/{reuse_block:?})",
+                    self.footprint_block, self.reuse_block,
+                ),
+            });
+        }
+        if self.locality_sizes != locality_sizes {
+            return Err(PartialError::ConfigMismatch {
+                detail: format!(
+                    "locality sizes {:?} vs {locality_sizes:?}",
+                    self.locality_sizes
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -497,6 +492,9 @@ impl PartialReport {
     /// single index rebuild, and everything order-sensitive is folded
     /// as a balanced tree of adjacent pairs, which preserves segment
     /// order while keeping each element out of all but O(log k) merges.
+    /// Every part must have been built for the given block and locality
+    /// sizes (else `ConfigMismatch`); an empty `parts` folds to
+    /// [`empty`](Self::empty) for them.
     pub fn merge_many(
         parts: Vec<PartialReport>,
         footprint_block: BlockSize,
@@ -504,6 +502,9 @@ impl PartialReport {
         locality_sizes: &[u64],
     ) -> Result<PartialReport, PartialError> {
         let mut parts = parts;
+        for p in &parts {
+            p.check_config(footprint_block, reuse_block, locality_sizes)?;
+        }
         // Up front: the summaries leave their partials next, so the
         // pairwise merges below would not see the block totals.
         PartialReport::check_sums(parts.iter())?;
@@ -1613,8 +1614,15 @@ mod tests {
         ));
         let mut c = PartialReport::empty(BlockSize::OS_PAGE, BlockSize::CACHE_LINE, &[8]);
         assert!(matches!(
-            c.merge(a),
+            c.merge(a.clone()),
             Err(PartialError::ConfigMismatch { .. })
         ));
+        // `merge_many` holds even a lone part to the sizes it is given.
+        for (fb, sizes) in [(BlockSize::WORD, [16u64]), (BlockSize::OS_PAGE, [8])] {
+            assert!(matches!(
+                PartialReport::merge_many(vec![a.clone()], fb, BlockSize::CACHE_LINE, &sizes),
+                Err(PartialError::ConfigMismatch { .. })
+            ));
+        }
     }
 }

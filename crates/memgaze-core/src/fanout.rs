@@ -1,46 +1,35 @@
-//! Multi-process fan-out coordinator: partition an indexed sharded
-//! container across workers, retry crashed or hung workers, and fold the
-//! partial reports in shard order into a [`StreamingReport`] that is
-//! bit-identical to the resident analyzer.
+//! Multi-process fan-out coordinator: partition a trace's frames across
+//! workers, retry crashed or hung workers, and fold the partial reports
+//! in shard order into a [`StreamingReport`] that is bit-identical to
+//! the resident analyzer.
 //!
-//! Two backends share every other moving part:
+//! The frames come from one [`FrameSource`]: an indexed sharded
+//! container, or a trace in a [`TraceStore`] whose ranges are analyzed
+//! from the catalog and only the blobs they reference (per-frame result
+//! cache first), so a retried range re-reads a few blobs rather than the
+//! whole container. Both give the same per-frame sample counts, so the
+//! partition, merge order and merged report do not depend on the source.
+//!
+//! Two backends run the ranges:
 //!
 //! * [`FanoutBackend::InProcess`] runs each range on a coordinator
 //!   thread — no serialization, no processes; the reference backend for
 //!   tests and the fallback when no worker binary is available;
 //! * [`FanoutBackend::Subprocess`] runs ranges on **persistent**
-//!   `<exe> analyze-shard` workers held in a [`FanoutPool`]:
-//!   one subprocess per slot, spawned once, loading the spec +
-//!   container + index a single time and then answering length-prefixed
-//!   range requests over stdin (`MGZQ` framing) with framed
-//!   [`PartialReport`]s on stdout (`MGZW` framing). A worker that dies,
-//!   produces garbage, or exceeds the per-range timeout is killed and
-//!   **respawned**, and the range re-run on the fresh worker, up to
-//!   [`FanoutConfig::max_attempts`] tries, without paying a process
-//!   spawn and a container load per range.
+//!   `<exe> analyze-shard` workers held in a [`FanoutPool`]: one
+//!   subprocess per slot, spawned once, reopening the source from the
+//!   flags it names and then answering length-prefixed range requests
+//!   over stdin (`MGZQ` framing) with framed [`PartialReport`]s on
+//!   stdout (`MGZW` framing) — the one [`worker_serve`] body. A worker
+//!   that dies, produces garbage, or exceeds the per-range timeout is
+//!   killed and **respawned**, and the range re-run on the fresh
+//!   worker, up to [`FanoutConfig::max_attempts`] tries, without paying
+//!   a process spawn and a source load per range.
 //!
-//! Crash-path tests inject failures via environment variables passed to
-//! workers ([`FanoutConfig::worker_env`]): `MEMGAZE_FANOUT_CRASH_ONCE`
-//! names a marker file; the one worker that creates it (`create_new`,
-//! so concurrent workers cannot both win) emits garbage and exits
-//! nonzero — so exactly one attempt fails and the retry succeeds.
-//! `MEMGAZE_FANOUT_HANG_ONCE` does the same but sleeps past any
-//! reasonable timeout instead;
-//! `MEMGAZE_FANOUT_SHORT_WRITE_ONCE` frames a payload longer than it
-//! writes; `MEMGAZE_FANOUT_STDERR_FLOOD_ONCE` floods stderr before
-//! exiting nonzero; and `MEMGAZE_FANOUT_PANIC_ONCE` panics an
-//! [`FanoutBackend::InProcess`] worker thread. The subprocess
-//! injections fire while a range is in flight, so they exercise exactly
-//! the kill-respawn-retry path.
-//!
-//! Both backends can also run **store-backed** ([`run_fanout_store`]):
-//! instead of mapping scratch `container.bin`/`index.bin` files, workers
-//! open a [`TraceStore`] and fetch only their assigned ranges' blobs by
-//! content hash (per-frame result cache first). A retried range
-//! re-fetches a few blobs rather than re-reading the full shard
-//! container, and since the store catalog carries the same per-frame
-//! sample counts as the [`FrameIndex`], the partition, merge order, and
-//! merged report are identical to the container-backed path.
+//! No production path fails on purpose. Tests reach the failure paths
+//! from outside: a subprocess backend pointed at a wrapper executable
+//! that misbehaves once, and an in-process attempt that panics once,
+//! passed to the coordinator loop this module's unit tests call.
 //!
 //! The coordinator never panics on a worker's behalf: mutexes poisoned
 //! by a panicking in-process worker are recovered (the protected data
@@ -58,14 +47,17 @@
 //! parent), which the coordinator absorbs when the worker retires.
 
 use memgaze_analysis::{
-    analyze_frames, partition_by_samples, partition_frames, AnalysisConfig, PartialError,
-    PartialReport, StreamingReport, WorkerSpec,
+    analyze_frames, partition_by_samples, AnalysisConfig, PartialError, PartialReport,
+    StreamingReport, WorkerSpec,
 };
 use memgaze_model::wire::{self, Reader, WireError};
 use memgaze_model::{AuxAnnotations, FrameIndex, ModelError, ShardReader, SymbolTable, TraceMeta};
 use memgaze_store::{Catalog, StoreConfig, StoreError, TraceStore};
+use std::borrow::Cow;
+use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,22 +76,10 @@ const REQUEST_PAYLOAD_LEN: u32 = 16;
 /// protocol error, not an allocation request.
 const MAX_RESPONSE_BYTES: u64 = 1 << 34;
 
-/// Crash-injection env var: a marker-file path; the worker that creates
-/// it writes garbage and exits nonzero.
-pub const CRASH_ONCE_ENV: &str = "MEMGAZE_FANOUT_CRASH_ONCE";
-/// Hang-injection env var: like [`CRASH_ONCE_ENV`] but sleeps instead.
-pub const HANG_ONCE_ENV: &str = "MEMGAZE_FANOUT_HANG_ONCE";
-/// Short-write injection: the worker frames a payload longer than what
-/// it actually writes, then exits 0 — exercising framing validation.
-pub const SHORT_WRITE_ONCE_ENV: &str = "MEMGAZE_FANOUT_SHORT_WRITE_ONCE";
-/// Stderr-flood injection: the worker writes megabytes of stderr before
-/// exiting nonzero — exercising the drain cap.
-pub const STDERR_FLOOD_ONCE_ENV: &str = "MEMGAZE_FANOUT_STDERR_FLOOD_ONCE";
-/// Panic injection for the [`FanoutBackend::InProcess`] backend: the
-/// in-process worker that creates the marker panics. Read from
-/// [`FanoutConfig::worker_env`], never the process environment, so
-/// parallel tests cannot contaminate each other.
-pub const PANIC_ONCE_ENV: &str = "MEMGAZE_FANOUT_PANIC_ONCE";
+/// The `analyze-shard` flags naming a container source.
+const CONTAINER_FLAGS: [&str; 2] = ["container", "index"];
+/// The `analyze-shard` flags naming a store source.
+const STORE_FLAGS: [&str; 2] = ["store-root", "trace"];
 
 /// Stderr bytes kept per worker; the rest is drained (so the child
 /// cannot deadlock on a full pipe) but dropped, and the failure detail
@@ -127,9 +107,6 @@ pub struct FanoutConfig {
     pub timeout: Duration,
     /// Locality-vs-interval sizes to accumulate.
     pub locality_sizes: Vec<u64>,
-    /// Extra environment for spawned workers (failure injection in
-    /// tests; empty in production).
-    pub worker_env: Vec<(String, String)>,
 }
 
 impl Default for FanoutConfig {
@@ -140,7 +117,6 @@ impl Default for FanoutConfig {
             max_attempts: 3,
             timeout: Duration::from_secs(120),
             locality_sizes: Vec::new(),
-            worker_env: Vec::new(),
         }
     }
 }
@@ -285,38 +261,202 @@ impl From<std::io::Error> for FanoutError {
     }
 }
 
+/// The frames a fan-out analyzes, as the coordinator, the pool and the
+/// worker all see them.
+pub enum FrameSource<'a> {
+    /// An indexed sharded container and its [`FrameIndex`] sidecar.
+    Container {
+        /// The container bytes.
+        container: Cow<'a, [u8]>,
+        /// The index describing them.
+        index: Cow<'a, FrameIndex>,
+    },
+    /// A trace in a [`TraceStore`]: each range fetches only the blobs
+    /// it references.
+    Store {
+        /// The open store.
+        store: TraceStore,
+        /// The trace's catalog, loaded once.
+        catalog: Catalog,
+    },
+}
+
+impl<'a> FrameSource<'a> {
+    /// A container source borrowing its bytes and index.
+    pub fn container(container: &'a [u8], index: &'a FrameIndex) -> FrameSource<'a> {
+        FrameSource::Container {
+            container: Cow::Borrowed(container),
+            index: Cow::Borrowed(index),
+        }
+    }
+
+    /// The stored trace `trace_id` under `root`, catalog loaded.
+    fn store(root: &Path, trace_id: &str) -> Result<FrameSource<'static>, FanoutError> {
+        let store = TraceStore::open(StoreConfig::new(root))?;
+        let catalog = store.catalog(trace_id)?;
+        Ok(FrameSource::Store { store, catalog })
+    }
+
+    /// Reopen the source an `analyze-shard` worker was spawned with from
+    /// its flags: exactly one complete source, `--container`/`--index`
+    /// or `--store-root`/`--trace`. Both sources, or half of one, is a
+    /// [`FanoutError::Protocol`] naming the flag — the only `Protocol`
+    /// error this returns.
+    pub fn from_flags<'f>(
+        flag: impl Fn(&str) -> Option<&'f str>,
+    ) -> Result<FrameSource<'static>, FanoutError> {
+        let usage = |detail: String| FanoutError::Protocol { detail };
+        let named = |[a, b]: [&str; 2]| match (flag(a), flag(b)) {
+            (Some(x), Some(y)) => Ok(Some((x, y))),
+            (None, None) => Ok(None),
+            (Some(_), None) => Err(usage(format!("--{a} needs --{b}"))),
+            (None, Some(_)) => Err(usage(format!("--{b} needs --{a}"))),
+        };
+        match (named(CONTAINER_FLAGS)?, named(STORE_FLAGS)?) {
+            (Some((container, index)), None) => Ok(FrameSource::Container {
+                container: Cow::Owned(std::fs::read(container)?),
+                index: Cow::Owned(FrameIndex::decode(&std::fs::read(index)?)?),
+            }),
+            (None, Some((root, trace))) => FrameSource::store(Path::new(root), trace),
+            (Some(_), Some(_)) => Err(usage(
+                "--container and --store-root name two sources; give one".to_string(),
+            )),
+            (None, None) => Err(usage(
+                "no source: give --container and --index, or --store-root and --trace".to_string(),
+            )),
+        }
+    }
+
+    /// The `analyze-shard` flags [`from_flags`](Self::from_flags)
+    /// reopens this source from; a container source is written into
+    /// `dir` for them.
+    fn worker_flags(&self, dir: &Path) -> std::io::Result<Vec<OsString>> {
+        let (names, values): (_, [OsString; 2]) = match self {
+            FrameSource::Container { container, index } => {
+                let [c, i] = CONTAINER_FLAGS.map(|name| dir.join(format!("{name}.bin")));
+                std::fs::write(&c, container)?;
+                std::fs::write(&i, index.encode())?;
+                (CONTAINER_FLAGS, [c.into(), i.into()])
+            }
+            FrameSource::Store { store, catalog } => (
+                STORE_FLAGS,
+                [store.root().into(), catalog.trace_id.clone().into()],
+            ),
+        };
+        Ok(names
+            .into_iter()
+            .zip(values)
+            .flat_map(|(name, value)| [format!("--{name}").into(), value])
+            .collect())
+    }
+
+    /// This source with its borrowed parts copied.
+    fn into_owned(self) -> FrameSource<'static> {
+        match self {
+            FrameSource::Container { container, index } => FrameSource::Container {
+                container: Cow::Owned(container.into_owned()),
+                index: Cow::Owned(index.into_owned()),
+            },
+            FrameSource::Store { store, catalog } => FrameSource::Store { store, catalog },
+        }
+    }
+
+    /// Reject stale input before anything is dispatched or served: a
+    /// container must be the one its index describes. (A catalog decode
+    /// is already FNV-checksummed, and every blob read self-verifies
+    /// against its content hash.)
+    fn validate(&self) -> Result<(), FanoutError> {
+        match self {
+            FrameSource::Container { container, index } => Ok(index.validate(container)?),
+            FrameSource::Store { .. } => Ok(()),
+        }
+    }
+
+    /// Trace metadata with trailer-final totals.
+    fn meta(&self) -> Result<TraceMeta, FanoutError> {
+        match self {
+            FrameSource::Container { container, index } => {
+                let mut meta = ShardReader::new(container.as_ref())?.meta().clone();
+                meta.total_loads = index.total_loads;
+                meta.total_instrumented_loads = index.total_instrumented_loads;
+                Ok(meta)
+            }
+            FrameSource::Store { catalog, .. } => Ok(catalog.meta()?),
+        }
+    }
+
+    /// Samples per frame: the weights the partition balances.
+    fn sample_weights(&self) -> Vec<u64> {
+        match self {
+            FrameSource::Container { index, .. } => {
+                index.entries.iter().map(|e| e.samples).collect()
+            }
+            FrameSource::Store { catalog, .. } => catalog.sample_weights(),
+        }
+    }
+
+    fn frame_count(&self) -> usize {
+        match self {
+            FrameSource::Container { index, .. } => index.entries.len(),
+            FrameSource::Store { catalog, .. } => catalog.frames.len(),
+        }
+    }
+
+    /// Analyze `frames`. A range that is reversed or runs past the last
+    /// frame is a [`FanoutError::Protocol`], raised before any analysis.
+    fn analyze(
+        &self,
+        frames: Range<usize>,
+        annots: &AuxAnnotations,
+        symbols: &SymbolTable,
+        cfg: AnalysisConfig,
+        locality_sizes: &[u64],
+    ) -> Result<PartialReport, FanoutError> {
+        let count = self.frame_count();
+        if frames.start > frames.end || frames.end > count {
+            return Err(FanoutError::Protocol {
+                detail: format!(
+                    "frame range {}..{} out of bounds for {count} frames",
+                    frames.start, frames.end
+                ),
+            });
+        }
+        match self {
+            FrameSource::Container { container, index } => Ok(analyze_frames(
+                container,
+                index,
+                frames,
+                annots,
+                symbols,
+                cfg,
+                locality_sizes,
+            )?),
+            FrameSource::Store { store, catalog } => Ok(store
+                .analyze_frames(catalog, frames, annots, symbols, cfg, locality_sizes)?
+                .0),
+        }
+    }
+}
+
 /// Monotonic scratch-directory discriminator within this process.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Scratch files shared by all workers of one pool; the directory is
-/// removed on drop, success or failure. Every pool writes `spec.bin`;
-/// resident pools add the container and index files, store-backed pools
-/// add nothing (workers read the store directly).
+/// A pool's scratch directory — the worker spec, a container source's
+/// files, the workers' obs event files — removed on drop, success or
+/// failure.
 struct Scratch {
     dir: PathBuf,
-    spec: PathBuf,
 }
 
 impl Scratch {
-    fn create(spec: &WorkerSpec) -> std::io::Result<Scratch> {
+    fn create() -> std::io::Result<Scratch> {
         let dir = std::env::temp_dir().join(format!(
             "memgaze-fanout-{}-{}",
             std::process::id(),
             SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir)?;
-        let s = Scratch {
-            spec: dir.join("spec.bin"),
-            dir,
-        };
-        std::fs::write(&s.spec, spec.encode())?;
-        Ok(s)
-    }
-
-    fn add_file(&self, name: &str, bytes: &[u8]) -> std::io::Result<PathBuf> {
-        let path = self.dir.join(name);
-        std::fs::write(&path, bytes)?;
-        Ok(path)
+        Ok(Scratch { dir })
     }
 }
 
@@ -340,18 +480,18 @@ struct WorkerHandle {
 }
 
 /// A pool of persistent `analyze-shard` workers over one
-/// (container, index, spec) triple. Workers are spawned lazily (or via
+/// [`FrameSource`]. Workers are spawned lazily (or via
 /// [`prewarm`](Self::prewarm)), checked out by coordinator slot threads
 /// for the duration of a run, and kept warm between
 /// [`run`](Self::run) calls — so repeated fan-out analyses of the same
-/// container pay the process spawn and container load once, not per
-/// range or per run. Dropping the pool closes every worker's stdin
-/// (the graceful-shutdown signal) and reaps the processes.
+/// source pay the process spawn and source load once, not per range or
+/// per run. Dropping the pool closes every worker's stdin (the
+/// graceful-shutdown signal) and reaps the processes.
 pub struct FanoutPool {
     exe: PathBuf,
-    source: PoolSource,
-    annots: AuxAnnotations,
-    symbols: SymbolTable,
+    /// `analyze-shard` and its flags: the spec, then the source's own.
+    args: Vec<OsString>,
+    source: FrameSource<'static>,
     analysis: AnalysisConfig,
     cfg: FanoutConfig,
     scratch: Scratch,
@@ -360,50 +500,36 @@ pub struct FanoutPool {
     worker_seq: AtomicU64,
 }
 
-/// What a pool's workers load: scratch container/index files, or a
-/// content-addressed store the workers open themselves (fetching only
-/// their assigned ranges' blobs).
-enum PoolSource {
-    Resident {
-        container: Vec<u8>,
-        index: FrameIndex,
-        container_path: PathBuf,
-        index_path: PathBuf,
-    },
-    Store {
-        store: TraceStore,
-        catalog: Catalog,
-    },
-}
-
 impl FanoutPool {
-    /// Build a pool for one container + index. Writes the scratch files
-    /// every worker maps; no worker is spawned yet (see
-    /// [`prewarm`](Self::prewarm)).
+    /// Build a pool over `source`. Writes the worker spec (and a
+    /// container source's files) into a scratch directory every worker
+    /// reads; no worker is spawned yet (see [`prewarm`](Self::prewarm)).
     pub fn new(
         exe: &Path,
-        container: &[u8],
-        index: &FrameIndex,
+        source: FrameSource<'_>,
         annots: &AuxAnnotations,
         symbols: &SymbolTable,
         analysis: AnalysisConfig,
         cfg: FanoutConfig,
     ) -> Result<FanoutPool, FanoutError> {
-        index.validate(container)?;
-        let spec = pool_spec(annots, symbols, &analysis, &cfg);
-        let scratch = Scratch::create(&spec)?;
-        let container_path = scratch.add_file("container.bin", container)?;
-        let index_path = scratch.add_file("index.bin", &index.encode())?;
-        Ok(FanoutPool {
-            exe: exe.to_path_buf(),
-            source: PoolSource::Resident {
-                container: container.to_vec(),
-                index: index.clone(),
-                container_path,
-                index_path,
-            },
+        source.validate()?;
+        let scratch = Scratch::create()?;
+        let spec = WorkerSpec {
+            footprint_block: analysis.footprint_block,
+            reuse_block: analysis.reuse_block,
+            threads: cfg.threads_per_worker.max(1),
+            locality_sizes: cfg.locality_sizes.clone(),
             annots: annots.clone(),
             symbols: symbols.clone(),
+        };
+        let spec_path = scratch.dir.join("spec.bin");
+        std::fs::write(&spec_path, spec.encode())?;
+        let mut args = vec!["analyze-shard".into(), "--spec".into(), spec_path.into()];
+        args.extend(source.worker_flags(&scratch.dir)?);
+        Ok(FanoutPool {
+            exe: exe.to_path_buf(),
+            args,
+            source: source.into_owned(),
             analysis,
             cfg,
             scratch,
@@ -411,46 +537,6 @@ impl FanoutPool {
             spawns: AtomicU64::new(0),
             worker_seq: AtomicU64::new(0),
         })
-    }
-
-    /// Build a pool over a stored trace. Workers are spawned with the
-    /// store root and trace id instead of container/index paths; each
-    /// opens the store once and serves ranges by fetching only the
-    /// blobs those ranges reference, result cache first.
-    pub fn new_store(
-        exe: &Path,
-        store_root: &Path,
-        trace_id: &str,
-        annots: &AuxAnnotations,
-        symbols: &SymbolTable,
-        analysis: AnalysisConfig,
-        cfg: FanoutConfig,
-    ) -> Result<FanoutPool, FanoutError> {
-        let store = TraceStore::open(StoreConfig::new(store_root))?;
-        let catalog = store.catalog(trace_id)?;
-        let spec = pool_spec(annots, symbols, &analysis, &cfg);
-        let scratch = Scratch::create(&spec)?;
-        Ok(FanoutPool {
-            exe: exe.to_path_buf(),
-            source: PoolSource::Store { store, catalog },
-            annots: annots.clone(),
-            symbols: symbols.clone(),
-            analysis,
-            cfg,
-            scratch,
-            idle: Mutex::new(Vec::new()),
-            spawns: AtomicU64::new(0),
-            worker_seq: AtomicU64::new(0),
-        })
-    }
-
-    fn job_source(&self) -> JobSource<'_> {
-        match &self.source {
-            PoolSource::Resident {
-                container, index, ..
-            } => JobSource::Resident { container, index },
-            PoolSource::Store { store, catalog } => JobSource::Store { store, catalog },
-        }
     }
 
     /// Spawn workers until `workers` slots are warm, so a following
@@ -480,14 +566,16 @@ impl FanoutPool {
     /// workers. The merged report is bit-identical to the resident
     /// analyzer; see [`run_fanout`].
     pub fn run(&self) -> Result<FanoutRunReport, FanoutError> {
-        run_fanout_core(
-            &self.job_source(),
-            &self.annots,
-            &self.symbols,
+        let spawns_before = self.spawn_count();
+        let mut run = coordinate(
+            &self.source,
             self.analysis,
             &self.cfg,
             Some(self),
-        )
+            |slot, range| self.run_range(slot, range),
+        )?;
+        run.spawns = saturate_u32(self.spawn_count() - spawns_before);
+        Ok(run)
     }
 
     /// Check a warm worker out of the pool, spawning if none is idle.
@@ -537,44 +625,15 @@ impl FanoutPool {
         let obs_path = memgaze_obs::enabled()
             .then(|| self.scratch.dir.join(format!("obs-worker-{seq}.jsonl")));
         let mut cmd = Command::new(&self.exe);
-        cmd.arg("analyze-shard")
-            .arg("--spec")
-            .arg(&self.scratch.spec);
-        match &self.source {
-            PoolSource::Resident {
-                container_path,
-                index_path,
-                ..
-            } => {
-                cmd.arg("--container")
-                    .arg(container_path)
-                    .arg("--index")
-                    .arg(index_path);
-            }
-            PoolSource::Store { store, catalog } => {
-                cmd.arg("--store-root")
-                    .arg(store.root())
-                    .arg("--trace")
-                    .arg(&catalog.trace_id);
-            }
-        }
-        cmd.envs(
-            self.cfg
-                .worker_env
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone())),
-        )
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
+        cmd.args(&self.args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
         if let Some(p) = &obs_path {
-            // Set after `worker_env` so the coordinator's sink choice
-            // wins: the worker must write JSONL to the scratch file
-            // (stdout is the MGZW response channel, so a summary sink
-            // there would corrupt it).
-            for (k, v) in memgaze_obs::worker_env(spawn_span.ctx(), p) {
-                cmd.env(k, v);
-            }
+            // The worker must write JSONL to the scratch file: stdout is
+            // the MGZW response channel, so a summary sink there would
+            // corrupt it.
+            cmd.envs(memgaze_obs::worker_env(spawn_span.ctx(), p));
         }
         let mut child = cmd
             .spawn()
@@ -618,10 +677,8 @@ impl FanoutPool {
                     Ok(0) | Err(_) => break,
                     Ok(n) => {
                         total += n;
-                        if kept.len() < STDERR_KEEP {
-                            let take = n.min(STDERR_KEEP - kept.len());
-                            kept.extend_from_slice(&chunk[..take]);
-                        }
+                        let room = STDERR_KEEP.saturating_sub(kept.len());
+                        kept.extend(chunk.iter().take(n.min(room)));
                     }
                 }
             }
@@ -708,114 +765,6 @@ impl Drop for FanoutPool {
         let workers = std::mem::take(&mut *lock_live(&self.idle));
         for w in workers {
             self.retire_graceful(w);
-        }
-    }
-}
-
-/// The [`WorkerSpec`] a pool ships to its workers: the analysis knobs
-/// that determine results, with the per-worker thread count applied.
-fn pool_spec(
-    annots: &AuxAnnotations,
-    symbols: &SymbolTable,
-    analysis: &AnalysisConfig,
-    cfg: &FanoutConfig,
-) -> WorkerSpec {
-    WorkerSpec {
-        footprint_block: analysis.footprint_block,
-        reuse_block: analysis.reuse_block,
-        threads: cfg.threads_per_worker.max(1),
-        locality_sizes: cfg.locality_sizes.clone(),
-        annots: annots.clone(),
-        symbols: symbols.clone(),
-    }
-}
-
-/// Where the frames being fanned out live: resident container bytes +
-/// index sidecar, or a content-addressed store catalog. Both expose the
-/// same per-frame sample counts, so partitions — and therefore merge
-/// order and the merged report — are identical across sources.
-enum JobSource<'a> {
-    Resident {
-        container: &'a [u8],
-        index: &'a FrameIndex,
-    },
-    Store {
-        store: &'a TraceStore,
-        catalog: &'a Catalog,
-    },
-}
-
-impl JobSource<'_> {
-    /// Reject stale inputs before dispatching anything.
-    fn validate(&self) -> Result<(), FanoutError> {
-        match self {
-            JobSource::Resident { container, index } => Ok(index.validate(container)?),
-            // A catalog decode is already FNV-checksummed, and every
-            // blob read self-verifies against its content hash.
-            JobSource::Store { .. } => Ok(()),
-        }
-    }
-
-    fn meta(&self) -> Result<TraceMeta, FanoutError> {
-        match self {
-            JobSource::Resident { container, index } => {
-                let mut meta = ShardReader::new(*container)?.meta().clone();
-                meta.total_loads = index.total_loads;
-                meta.total_instrumented_loads = index.total_instrumented_loads;
-                Ok(meta)
-            }
-            JobSource::Store { catalog, .. } => Ok(catalog.meta()?),
-        }
-    }
-
-    fn frame_count(&self) -> usize {
-        match self {
-            JobSource::Resident { index, .. } => index.entries.len(),
-            JobSource::Store { catalog, .. } => catalog.frames.len(),
-        }
-    }
-
-    fn partition(&self, workers: usize) -> Vec<Range<usize>> {
-        match self {
-            JobSource::Resident { index, .. } => partition_frames(index, workers),
-            JobSource::Store { catalog, .. } => {
-                partition_by_samples(&catalog.sample_weights(), workers)
-            }
-        }
-    }
-
-    /// One in-process analysis of one range (panic catching is the
-    /// caller's job; see [`run_worker_in_process`]).
-    fn analyze(
-        &self,
-        range: &Range<usize>,
-        annots: &AuxAnnotations,
-        symbols: &SymbolTable,
-        worker_cfg: AnalysisConfig,
-        locality_sizes: &[u64],
-    ) -> Result<PartialReport, String> {
-        match self {
-            JobSource::Resident { container, index } => analyze_frames(
-                container,
-                index,
-                range.clone(),
-                annots,
-                symbols,
-                worker_cfg,
-                locality_sizes,
-            )
-            .map_err(|e| e.to_string()),
-            JobSource::Store { store, catalog } => store
-                .analyze_frames(
-                    catalog,
-                    range.clone(),
-                    annots,
-                    symbols,
-                    worker_cfg,
-                    locality_sizes,
-                )
-                .map(|(partial, _, _)| partial)
-                .map_err(|e| e.to_string()),
         }
     }
 }
@@ -931,37 +880,13 @@ pub fn run_fanout(
     cfg: &FanoutConfig,
     backend: &FanoutBackend,
 ) -> Result<FanoutRunReport, FanoutError> {
-    match backend {
-        FanoutBackend::InProcess => run_fanout_core(
-            &JobSource::Resident { container, index },
-            annots,
-            symbols,
-            analysis,
-            cfg,
-            None,
-        ),
-        FanoutBackend::Subprocess { exe } => {
-            let pool = FanoutPool::new(
-                exe,
-                container,
-                index,
-                annots,
-                symbols,
-                analysis,
-                cfg.clone(),
-            )?;
-            pool.run()
-        }
-    }
+    let source = FrameSource::container(container, index);
+    run_source(source, annots, symbols, analysis, cfg, backend)
 }
 
-/// [`run_fanout`] over a trace in a [`TraceStore`]: ranges are analyzed
-/// from the catalog + content-addressed blobs (per-frame result cache
-/// first), so a worker — and crucially, a *retried* range — fetches
-/// only the blobs its range references instead of re-reading the whole
-/// shard container. The catalog carries the same per-frame sample
-/// counts as the [`FrameIndex`], so the partition, merge order, and
-/// merged report are identical to the container-backed path.
+/// [`run_fanout`] over the trace `trace_id` in a [`TraceStore`]: the
+/// same partition, merge order and report, with every range analyzed
+/// from the catalog and the blobs it references.
 pub fn run_fanout_store(
     store: &TraceStore,
     trace_id: &str,
@@ -971,62 +896,71 @@ pub fn run_fanout_store(
     cfg: &FanoutConfig,
     backend: &FanoutBackend,
 ) -> Result<FanoutRunReport, FanoutError> {
-    match backend {
-        FanoutBackend::InProcess => {
-            let catalog = store.catalog(trace_id)?;
-            run_fanout_core(
-                &JobSource::Store {
-                    store,
-                    catalog: &catalog,
-                },
-                annots,
-                symbols,
-                analysis,
-                cfg,
-                None,
-            )
-        }
-        FanoutBackend::Subprocess { exe } => {
-            let pool = FanoutPool::new_store(
-                exe,
-                store.root(),
-                trace_id,
-                annots,
-                symbols,
-                analysis,
-                cfg.clone(),
-            )?;
-            pool.run()
-        }
-    }
+    let source = FrameSource::store(store.root(), trace_id)?;
+    run_source(source, annots, symbols, analysis, cfg, backend)
 }
 
-fn run_fanout_core(
-    source: &JobSource<'_>,
+fn run_source(
+    source: FrameSource<'_>,
     annots: &AuxAnnotations,
     symbols: &SymbolTable,
     analysis: AnalysisConfig,
     cfg: &FanoutConfig,
+    backend: &FanoutBackend,
+) -> Result<FanoutRunReport, FanoutError> {
+    match backend {
+        FanoutBackend::InProcess => {
+            let worker_cfg = AnalysisConfig {
+                threads: cfg.threads_per_worker.max(1),
+                ..analysis
+            };
+            coordinate(&source, analysis, cfg, None, |_, range| {
+                source
+                    .analyze(
+                        range.clone(),
+                        annots,
+                        symbols,
+                        worker_cfg,
+                        &cfg.locality_sizes,
+                    )
+                    .map_err(|e| e.to_string())
+            })
+        }
+        FanoutBackend::Subprocess { exe } => {
+            FanoutPool::new(exe, source, annots, symbols, analysis, cfg.clone())?.run()
+        }
+    }
+}
+
+/// The coordinator loop both backends share: partition `source`, drain
+/// the ranges on up to `cfg.workers` slots, retry each failed attempt,
+/// and fold the partials in range order with
+/// [`PartialReport::merge_many`]. `attempt` runs one range on the
+/// slot's worker, which it may check out into the slot and leave there
+/// for the slot's next range; `pool` takes the slots' workers back at
+/// the end. A panic inside `attempt` is caught and retried like a
+/// crashed subprocess — `std::thread::scope` would otherwise re-raise it
+/// at join and take the whole coordinator down.
+fn coordinate(
+    source: &FrameSource<'_>,
+    analysis: AnalysisConfig,
+    cfg: &FanoutConfig,
     pool: Option<&FanoutPool>,
+    attempt: impl Fn(&mut Option<WorkerHandle>, &Range<usize>) -> Result<PartialReport, String> + Sync,
 ) -> Result<FanoutRunReport, FanoutError> {
     // Reject a stale index before dispatching anything: every downstream
     // read depends on it describing exactly these bytes.
     source.validate()?;
     let meta = source.meta()?;
+    let ranges = partition_by_samples(&source.sample_weights(), cfg.workers);
 
-    let worker_cfg = AnalysisConfig {
-        threads: cfg.threads_per_worker.max(1),
-        ..analysis
-    };
-    let ranges = source.partition(cfg.workers);
-
-    let queue: Mutex<Vec<Range<usize>>> = Mutex::new(ranges.clone());
+    let queue: Mutex<Vec<(usize, Range<usize>)>> =
+        Mutex::new(ranges.iter().cloned().enumerate().collect());
     let results: Mutex<Vec<Option<PartialReport>>> = Mutex::new(vec![None; ranges.len()]);
     let failures: Mutex<Vec<WorkerFailure>> = Mutex::new(Vec::new());
     let retries = AtomicU64::new(0);
     let fatal: Mutex<Option<FanoutError>> = Mutex::new(None);
     let slots = cfg.workers.clamp(1, ranges.len().max(1));
-    let spawns_before = pool.map(|p| p.spawn_count()).unwrap_or(0);
 
     let mut run_span = memgaze_obs::span("fanout.run");
     if run_span.is_active() {
@@ -1039,9 +973,7 @@ fn run_fanout_core(
     }
     let run_ctx = run_span.ctx();
 
-    // Each slot drains ranges off the shared queue with a persistent
-    // worker, checked out on first use and reused for every range the
-    // slot serves.
+    // Each slot drains ranges off the shared queue.
     let slot_loop = || {
         // The slot's persistent worker, checked out on first use
         // and reused for every range this slot serves.
@@ -1050,56 +982,46 @@ fn run_fanout_core(
             if lock_live(&fatal).is_some() {
                 break;
             }
-            let Some(range) = lock_live(&queue).pop() else {
-                break;
-            };
-            // A range index is its position in the (contiguous,
-            // sorted) partition — recover it from the range starts.
-            let Some(idx) = ranges.iter().position(|r| r.start == range.start) else {
-                let mut f = lock_live(&fatal);
-                if f.is_none() {
-                    *f = Some(FanoutError::Protocol {
-                        detail: format!(
-                            "queued range {}..{} is not in the partition",
-                            range.start, range.end
-                        ),
-                    });
-                }
+            let Some((idx, range)) = lock_live(&queue).pop() else {
                 break;
             };
             let mut range_span = memgaze_obs::span_under("fanout.range", run_ctx);
             if range_span.is_active() {
                 range_span.set_label(format!("frames {}..{}", range.start, range.end));
             }
-            let mut attempt = 0u32;
+            let mut tries = 0u32;
             let outcome = loop {
-                attempt += 1;
+                tries += 1;
                 memgaze_obs::counter!("fanout.attempts").add(1);
                 let run = {
                     let _attempt_span = memgaze_obs::span("fanout.attempt");
-                    match pool {
-                        None => {
-                            run_worker_in_process(source, &range, annots, symbols, worker_cfg, cfg)
-                        }
-                        Some(p) => p.run_range(&mut worker, &range),
-                    }
+                    catch_unwind(AssertUnwindSafe(|| attempt(&mut worker, &range))).unwrap_or_else(
+                        |payload| {
+                            Err(format!(
+                                "worker for frames {}..{} panicked: {}",
+                                range.start,
+                                range.end,
+                                panic_message(payload.as_ref())
+                            ))
+                        },
+                    )
                 };
                 match run {
                     Ok(p) => break Ok(p),
                     Err(detail) => {
                         lock_live(&failures).push(WorkerFailure {
                             range: (range.start, range.end),
-                            attempt,
+                            attempt: tries,
                             detail: detail.clone(),
                         });
-                        if attempt >= cfg.max_attempts.max(1) {
+                        if tries >= cfg.max_attempts.max(1) {
                             break Err(detail);
                         }
                         memgaze_obs::mark(
                             "fanout.retry",
                             &[
                                 ("range", format!("{}..{}", range.start, range.end)),
-                                ("attempt", attempt.to_string()),
+                                ("attempt", tries.to_string()),
                                 ("detail", truncate_detail(&detail)),
                             ],
                         );
@@ -1109,7 +1031,9 @@ fn run_fanout_core(
             };
             match outcome {
                 Ok(p) => {
-                    lock_live(&results)[idx] = Some(p);
+                    if let Some(slot) = lock_live(&results).get_mut(idx) {
+                        *slot = Some(p);
+                    }
                 }
                 Err(last) => {
                     let mut f = lock_live(&fatal);
@@ -1117,7 +1041,7 @@ fn run_fanout_core(
                         *f = Some(FanoutError::RangeFailed {
                             lo: range.start,
                             hi: range.end,
-                            attempts: attempt,
+                            attempts: tries,
                             last,
                         });
                     }
@@ -1145,32 +1069,30 @@ fn run_fanout_core(
     if let Some(err) = fatal.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(err);
     }
-    let mut merged = PartialReport::empty(
-        worker_cfg.footprint_block,
-        worker_cfg.reuse_block,
-        &cfg.locality_sizes,
-    );
-    for (i, slot) in results
+    let parts = results
         .into_inner()
         .unwrap_or_else(|e| e.into_inner())
         .into_iter()
         .enumerate()
-    {
-        let partial = slot.ok_or_else(|| FanoutError::Protocol {
-            detail: format!("range {i} produced no partial report"),
-        })?;
-        merged.merge(partial)?;
-    }
-    let report = merged.finish(&meta);
+        .map(|(i, slot)| {
+            slot.ok_or_else(|| FanoutError::Protocol {
+                detail: format!("range {i} produced no partial report"),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = PartialReport::merge_many(
+        parts,
+        analysis.footprint_block,
+        analysis.reuse_block,
+        &cfg.locality_sizes,
+    )?;
     Ok(FanoutRunReport {
-        report,
+        report: merged.finish(&meta),
         meta,
         ranges,
         retries: saturate_u32(retries.into_inner()),
         failures: failures.into_inner().unwrap_or_else(|e| e.into_inner()),
-        spawns: pool
-            .map(|p| saturate_u32(p.spawn_count() - spawns_before))
-            .unwrap_or(0),
+        spawns: 0,
     })
 }
 
@@ -1199,178 +1121,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// One in-process attempt over one frame range. A panicking worker
-/// (analysis bug, injected via [`PANIC_ONCE_ENV`]) is caught here and
-/// routed through the same string-error retry path as a crashed
-/// subprocess — `std::thread::scope` would otherwise re-raise the panic
-/// at join and take the whole coordinator down.
-fn run_worker_in_process(
-    source: &JobSource<'_>,
-    range: &Range<usize>,
-    annots: &AuxAnnotations,
-    symbols: &SymbolTable,
-    worker_cfg: AnalysisConfig,
-    cfg: &FanoutConfig,
-) -> Result<PartialReport, String> {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        maybe_inject_inprocess_panic(&cfg.worker_env);
-        source.analyze(range, annots, symbols, worker_cfg, &cfg.locality_sizes)
-    }));
-    match caught {
-        Ok(run) => run,
-        Err(payload) => Err(format!(
-            "in-process worker for frames {}..{} panicked: {}",
-            range.start,
-            range.end,
-            panic_message(payload.as_ref())
-        )),
-    }
-}
-
-/// [`PANIC_ONCE_ENV`] injection for the in-process backend. The marker
-/// path comes from `worker_env` (the per-run config), not the process
-/// environment, so concurrent tests in one process cannot trip each
-/// other's injections.
-fn maybe_inject_inprocess_panic(worker_env: &[(String, String)]) {
-    let Some((_, marker)) = worker_env.iter().find(|(k, _)| k == PANIC_ONCE_ENV) else {
-        return;
-    };
-    if claim_marker(Path::new(marker)) {
-        panic!("injected in-process worker panic");
-    }
-}
-
-/// Claim a once-marker by creating it: true for exactly one caller,
-/// however many workers race for it. (`create_new` is atomic; testing
-/// `exists` and then writing let two workers both fire.)
-fn claim_marker(path: &Path) -> bool {
-    std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(path)
-        .is_ok()
-}
-
-/// Arguments of a persistent `analyze-shard` worker: the
-/// spec/container/index triple, loaded once; ranges arrive over stdin.
-#[derive(Debug, Clone)]
-pub struct WorkerServeArgs {
-    /// Path to the encoded [`WorkerSpec`].
-    pub spec: PathBuf,
-    /// Path to the sharded container.
-    pub container: PathBuf,
-    /// Path to the encoded [`FrameIndex`].
-    pub index: PathBuf,
-}
-
-/// Arguments of a persistent store-backed `analyze-shard`
-/// worker: the spec plus a [`TraceStore`] root and trace id. The worker
-/// opens the store and loads the catalog once, then serves each range
-/// by fetching only the blobs that range references — through the
-/// per-frame result cache, so warmed frames never decode a sample.
-#[derive(Debug, Clone)]
-pub struct WorkerStoreServeArgs {
-    /// Path to the encoded [`WorkerSpec`].
-    pub spec: PathBuf,
-    /// Root directory of the [`TraceStore`].
-    pub store_root: PathBuf,
-    /// Trace id within the store.
-    pub trace_id: String,
-}
-
-/// Spec + container + index, loaded and cross-validated once per worker
-/// process (a stale sidecar must fail in the worker, not poison the
-/// merge).
-struct WorkerState {
-    spec: WorkerSpec,
-    container: Vec<u8>,
-    index: FrameIndex,
-}
-
-impl WorkerState {
-    fn load(args: &WorkerServeArgs) -> Result<WorkerState, FanoutError> {
-        let spec_bytes = std::fs::read(&args.spec)?;
-        let spec = WorkerSpec::decode(&spec_bytes)?;
-        let container = std::fs::read(&args.container)?;
-        let index_bytes = std::fs::read(&args.index)?;
-        let index = FrameIndex::decode(&index_bytes)?;
-        index.validate(&container)?;
-        Ok(WorkerState {
-            spec,
-            container,
-            index,
-        })
-    }
-
-    fn analyze(&self, frames: Range<usize>) -> Result<PartialReport, FanoutError> {
-        if frames.end > self.index.entries.len() || frames.start > frames.end {
-            return Err(FanoutError::Protocol {
-                detail: format!(
-                    "frame range {}..{} out of bounds for {} frames",
-                    frames.start,
-                    frames.end,
-                    self.index.entries.len()
-                ),
-            });
-        }
-        Ok(analyze_frames(
-            &self.container,
-            &self.index,
-            frames,
-            &self.spec.annots,
-            &self.spec.symbols,
-            self.spec.analysis_config(),
-            &self.spec.locality_sizes,
-        )?)
-    }
-}
-
-/// Spec + store handle + catalog, loaded once per store-backed worker
-/// process. Each range request fetches only its blobs (result cache
-/// first); a missing or corrupt object is a typed error the coordinator
-/// retries, never a panic.
-struct StoreWorkerState {
-    spec: WorkerSpec,
-    store: TraceStore,
-    catalog: Catalog,
-}
-
-impl StoreWorkerState {
-    fn load(args: &WorkerStoreServeArgs) -> Result<StoreWorkerState, FanoutError> {
-        let spec_bytes = std::fs::read(&args.spec)?;
-        let spec = WorkerSpec::decode(&spec_bytes)?;
-        let store = TraceStore::open(StoreConfig::new(&args.store_root))?;
-        let catalog = store.catalog(&args.trace_id)?;
-        Ok(StoreWorkerState {
-            spec,
-            store,
-            catalog,
-        })
-    }
-
-    fn analyze(&self, frames: Range<usize>) -> Result<PartialReport, FanoutError> {
-        if frames.end > self.catalog.frames.len() || frames.start > frames.end {
-            return Err(FanoutError::Protocol {
-                detail: format!(
-                    "frame range {}..{} out of bounds for {} cataloged frames",
-                    frames.start,
-                    frames.end,
-                    self.catalog.frames.len()
-                ),
-            });
-        }
-        let (partial, _, _) = self.store.analyze_frames(
-            &self.catalog,
-            frames,
-            &self.spec.annots,
-            &self.spec.symbols,
-            self.spec.analysis_config(),
-            &self.spec.locality_sizes,
-        )?;
-        Ok(partial)
-    }
-}
-
 /// Frame an encoded partial into `buf` (cleared first): magic, length,
 /// payload — assembled in one reusable buffer so each response is a
 /// single `write_all`, with no per-range allocation once the buffer
@@ -1381,7 +1131,9 @@ pub fn frame_partial_into(partial: &PartialReport, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&[0u8; 8]);
     partial.encode_into(buf);
     let len = (buf.len() - 12) as u64;
-    buf[4..12].copy_from_slice(&len.to_le_bytes());
+    if let Some(field) = buf.get_mut(4..12) {
+        field.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// Parse one coordinator request off the worker's stdin: `MGZQ` + `u32`
@@ -1405,45 +1157,29 @@ pub fn read_request(input: &mut impl Read) -> Result<Option<Range<usize>>, Fanou
     Ok(Some(lo..hi))
 }
 
-/// The container-backed `analyze-shard` worker body: load and validate
-/// the spec + container + index **once**, then answer framed range
-/// requests from stdin until it reaches EOF. Each response is
-/// framed into one pooled buffer and issued as a single write. Failure
-/// injections fire per request, so an injected death happens with a
-/// range in flight — exactly what the coordinator's respawn path must
-/// recover from.
+/// The `analyze-shard` worker body: load the [`WorkerSpec`] at `spec`
+/// and validate `source` **once**, then answer framed range requests
+/// from `input` until it reaches EOF at a frame boundary. A range
+/// outside the source is a [`FanoutError::Protocol`], raised before any
+/// analysis. Each response is framed into one pooled buffer and issued
+/// as a single write.
 pub fn worker_serve(
-    args: &WorkerServeArgs,
+    spec: &Path,
+    source: &FrameSource<'_>,
     input: &mut impl Read,
     out: &mut impl Write,
 ) -> Result<(), FanoutError> {
-    let state = WorkerState::load(args)?;
-    serve_loop(input, out, |frames| state.analyze(frames))
-}
-
-/// The store-backed [`worker_serve`]: open the [`TraceStore`] and load
-/// the catalog **once**, then answer framed range requests from stdin
-/// until EOF, fetching only each requested range's blobs.
-pub fn worker_serve_store(
-    args: &WorkerStoreServeArgs,
-    input: &mut impl Read,
-    out: &mut impl Write,
-) -> Result<(), FanoutError> {
-    let state = StoreWorkerState::load(args)?;
-    serve_loop(input, out, |frames| state.analyze(frames))
-}
-
-/// The request-response loop both worker kinds share: read a framed
-/// range, analyze it, write the framed partial, flush.
-fn serve_loop(
-    input: &mut impl Read,
-    out: &mut impl Write,
-    analyze: impl Fn(Range<usize>) -> Result<PartialReport, FanoutError>,
-) -> Result<(), FanoutError> {
+    let spec = WorkerSpec::decode(&std::fs::read(spec)?)?;
+    source.validate()?;
     let mut frame = Vec::new();
     while let Some(frames) = read_request(input)? {
-        maybe_inject_failure(out);
-        let partial = analyze(frames)?;
+        let partial = source.analyze(
+            frames,
+            &spec.annots,
+            &spec.symbols,
+            spec.analysis_config(),
+            &spec.locality_sizes,
+        )?;
         frame_partial_into(&partial, &mut frame);
         out.write_all(&frame)?;
         out.flush()?;
@@ -1452,53 +1188,11 @@ fn serve_loop(
     Ok(())
 }
 
-/// Failure injection for crash-path tests; a no-op unless the marker
-/// env vars are set (the coordinator only sets them via
-/// [`FanoutConfig::worker_env`]).
-fn maybe_inject_failure(out: &mut impl Write) {
-    if let Ok(marker) = std::env::var(CRASH_ONCE_ENV) {
-        if claim_marker(Path::new(&marker)) {
-            let _ = out.write_all(b"garbage, not a partial report");
-            let _ = out.flush();
-            std::process::exit(3);
-        }
-    }
-    if let Ok(marker) = std::env::var(HANG_ONCE_ENV) {
-        if claim_marker(Path::new(&marker)) {
-            std::thread::sleep(Duration::from_secs(600));
-        }
-    }
-    if let Ok(marker) = std::env::var(SHORT_WRITE_ONCE_ENV) {
-        if claim_marker(Path::new(&marker)) {
-            // Valid magic, a length claiming 4096 payload bytes, but
-            // only a fragment actually written — then a clean exit, so
-            // only framing validation can catch it.
-            let _ = out.write_all(WORKER_MAGIC);
-            let _ = out.write_all(&4096u64.to_le_bytes());
-            let _ = out.write_all(b"truncated");
-            let _ = out.flush();
-            std::process::exit(0);
-        }
-    }
-    if let Ok(marker) = std::env::var(STDERR_FLOOD_ONCE_ENV) {
-        if claim_marker(Path::new(&marker)) {
-            // Several MiB of stderr — far past the pipe buffer and the
-            // coordinator's STDERR_KEEP cap — then a nonzero exit.
-            let mut err = std::io::stderr().lock();
-            let line = [b'e'; 8192];
-            for _ in 0..512 {
-                let _ = err.write_all(&line);
-            }
-            let _ = err.flush();
-            std::process::exit(4);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace};
+    use std::io::Cursor;
 
     fn mk_indexed_trace() -> (SampledTrace, Vec<u8>, FrameIndex) {
         let mut t = SampledTrace::new(TraceMeta::new("fanout-core", 1000, 8192));
@@ -1518,6 +1212,47 @@ mod tests {
         t.meta.total_loads = 10_000;
         let (container, index) = encode_sharded_indexed(&t, 2);
         (t, container, index)
+    }
+
+    /// A fresh store under the temp dir holding `container` as "fan".
+    fn temp_store(tag: &str, container: &[u8], index: &FrameIndex) -> (PathBuf, TraceStore) {
+        let root = std::env::temp_dir().join(format!(
+            "memgaze-fanout-{tag}-{}-{}",
+            std::process::id(),
+            SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
+        store
+            .put("fan", container, index, &SymbolTable::new())
+            .unwrap();
+        (root, store)
+    }
+
+    /// The in-process coordinator over `source`, with an attempt that
+    /// panics on its first call however many slots race for it.
+    fn run_panicking_once(
+        source: &FrameSource<'_>,
+        analysis: AnalysisConfig,
+        cfg: &FanoutConfig,
+    ) -> FanoutRunReport {
+        let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+        let armed = std::sync::atomic::AtomicBool::new(true);
+        coordinate(source, analysis, cfg, None, |_, range| {
+            if armed.swap(false, Ordering::Relaxed) {
+                panic!("injected worker panic");
+            }
+            source
+                .analyze(
+                    range.clone(),
+                    &annots,
+                    &symbols,
+                    analysis,
+                    &cfg.locality_sizes,
+                )
+                .map_err(|e| e.to_string())
+        })
+        .unwrap()
     }
 
     /// A reader that serves a fixed prefix then EOF, recording the
@@ -1710,55 +1445,149 @@ mod tests {
     #[test]
     fn store_backed_fanout_recovers_from_panicking_worker() {
         let (t, container, index) = mk_indexed_trace();
-        let annots = AuxAnnotations::new();
-        let symbols = SymbolTable::new();
         let analysis = AnalysisConfig {
             threads: 1,
             ..AnalysisConfig::default()
         };
-        let root = std::env::temp_dir().join(format!(
-            "memgaze-fanout-store-panic-{}-{}",
-            std::process::id(),
-            SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
-        store.put("fan", &container, &index, &symbols).unwrap();
-        let marker = root.join("panic-marker");
-        // Four workers reach the marker together: exactly one may fire.
+        let (root, _store) = temp_store("store-panic", &container, &index);
+        // Four slots reach the first attempt together: exactly one fires.
         let cfg = FanoutConfig {
             workers: 4,
-            worker_env: vec![(
-                PANIC_ONCE_ENV.to_string(),
-                marker.to_string_lossy().into_owned(),
-            )],
             ..FanoutConfig::default()
         };
-        let run = run_fanout_store(
-            &store,
-            "fan",
-            &annots,
-            &symbols,
-            analysis,
-            &cfg,
-            &FanoutBackend::InProcess,
-        )
-        .unwrap();
-        // The injected panic costs one retry; the retried range only
-        // re-reads its own blobs, and the merged report still matches
-        // the resident analyzer.
+        let run = run_panicking_once(&FrameSource::store(&root, "fan").unwrap(), analysis, &cfg);
+        // The panic costs one retry; the retried range only re-reads its
+        // own blobs, and the merged report still matches the resident
+        // analyzer.
         assert_eq!(run.retries, 1);
         assert_eq!(run.failures.len(), 1);
         assert!(run.failures[0].detail.contains("panicked"));
         let resident = memgaze_analysis::stream_resident_trace(
             &t,
-            &annots,
-            &symbols,
+            &AuxAnnotations::new(),
+            &SymbolTable::new(),
             analysis,
             &cfg.locality_sizes,
             2,
         );
         assert_eq!(run.report, resident);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn panicking_in_process_worker_still_yields_complete_report() {
+        let (t, container, index) = mk_indexed_trace();
+        let analysis = AnalysisConfig {
+            threads: 1,
+            ..AnalysisConfig::default()
+        };
+        let sizes = vec![8u64, 32];
+        let resident = memgaze_analysis::stream_resident_trace(
+            &t,
+            &AuxAnnotations::new(),
+            &SymbolTable::new(),
+            analysis,
+            &sizes,
+            2,
+        );
+        // An in-process worker panics on its first attempt. The
+        // coordinator must catch the unwind (not die at scope join),
+        // recover any mutex the panicking thread poisoned, record the
+        // failure, retry, and still produce the identical report.
+        let cfg = FanoutConfig {
+            workers: 2,
+            locality_sizes: sizes,
+            ..FanoutConfig::default()
+        };
+        let run = run_panicking_once(&FrameSource::container(&container, &index), analysis, &cfg);
+        assert!(run.retries >= 1, "the injected panic must cost a retry");
+        assert!(
+            run.failures.iter().any(|f| f.detail.contains("panicked")),
+            "{:?}",
+            run.failures
+        );
+        assert_eq!(run.report, resident);
+    }
+
+    #[test]
+    fn worker_serve_answers_in_bounds_ranges_of_either_source() {
+        let (_, container, index) = mk_indexed_trace();
+        let (root, _store) = temp_store("serve", &container, &index);
+        let spec = WorkerSpec {
+            footprint_block: AnalysisConfig::default().footprint_block,
+            reuse_block: AnalysisConfig::default().reuse_block,
+            threads: 1,
+            locality_sizes: vec![8, 32],
+            annots: AuxAnnotations::new(),
+            symbols: SymbolTable::new(),
+        };
+        let spec_path = root.join("spec.bin");
+        std::fs::write(&spec_path, spec.encode()).unwrap();
+        let requests = |ranges: &[Range<usize>]| -> Vec<u8> {
+            let mut feed = Vec::new();
+            for r in ranges {
+                let mut req = [0u8; 24];
+                encode_request(&mut req, r);
+                feed.extend_from_slice(&req);
+            }
+            feed
+        };
+        let frames = index.entries.len();
+        let sources = [
+            FrameSource::container(&container, &index),
+            FrameSource::store(&root, "fan").unwrap(),
+        ];
+        for source in &sources {
+            // The worker serves the source reopened from the flags the
+            // source names for it.
+            let flags = source.worker_flags(&root).unwrap();
+            let served = FrameSource::from_flags(|name| {
+                let at = flags.iter().position(|f| *f == *format!("--{name}"))?;
+                flags.get(at + 1)?.to_str()
+            })
+            .unwrap();
+            let ranges = [0..2, 2..frames];
+            let mut out = Vec::new();
+            // EOF at a frame boundary ends the loop cleanly.
+            worker_serve(
+                &spec_path,
+                &served,
+                &mut Cursor::new(requests(&ranges)),
+                &mut out,
+            )
+            .unwrap();
+            let mut responses = Cursor::new(out.as_slice());
+            for r in ranges {
+                let want = source
+                    .analyze(
+                        r,
+                        &spec.annots,
+                        &spec.symbols,
+                        spec.analysis_config(),
+                        &spec.locality_sizes,
+                    )
+                    .unwrap();
+                let got = read_response_frame(&mut responses).unwrap().unwrap();
+                assert_eq!(PartialReport::decode(&got).unwrap(), want);
+            }
+            assert_eq!(read_response_frame(&mut responses).unwrap(), None);
+            // Analyzed, a reversed range would answer an empty partial
+            // and one past the last frame a model or store error: the
+            // typed protocol error shows the bounds check ran first.
+            let reversed = Range { start: 3, end: 1 };
+            for bad in [reversed, 0..frames + 1] {
+                let mut out = Vec::new();
+                let err = worker_serve(
+                    &spec_path,
+                    &served,
+                    &mut Cursor::new(requests(&[bad])),
+                    &mut out,
+                )
+                .unwrap_err();
+                assert!(matches!(err, FanoutError::Protocol { .. }), "{err}");
+                assert!(out.is_empty());
+            }
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1788,7 +1617,6 @@ mod tests {
 
     #[test]
     fn worker_response_framing_is_validated() {
-        use std::io::Cursor;
         // Clean EOF at a frame boundary is a shutdown, not an error.
         assert!(matches!(
             read_response_frame(&mut Cursor::new(&b""[..])),

@@ -14,6 +14,13 @@
 //!
 //! Both yield a [`memgaze_model::SampledTrace`] plus annotations and
 //! symbols, which [`memgaze_analysis::Analyzer`] consumes.
+//!
+//! Its non-test code may not `unwrap`, `expect` or index unchecked (an
+//! `allow` says why).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod fanout;
 pub mod hotspot;
@@ -23,8 +30,8 @@ pub mod recorders;
 pub mod watch;
 
 pub use fanout::{
-    run_fanout, run_fanout_store, worker_serve, worker_serve_store, FanoutBackend, FanoutConfig,
-    FanoutError, FanoutPool, FanoutRunReport, WorkerFailure, WorkerServeArgs, WorkerStoreServeArgs,
+    run_fanout, run_fanout_store, worker_serve, FanoutBackend, FanoutConfig, FanoutError,
+    FanoutPool, FanoutRunReport, FrameSource, WorkerFailure,
 };
 pub use hotspot::{profile_hotspots, HotspotReport};
 pub use overheads::{phase_profiles, PhaseOverhead};

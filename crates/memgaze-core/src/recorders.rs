@@ -58,6 +58,8 @@ pub struct StreamingRecorder {
 impl StreamingRecorder {
     /// Wrap a sampler, writing `shard_samples`-sample frames against the
     /// provisional `meta` (totals are patched by the trailer at finish).
+    // Writing a header to a Vec cannot fail.
+    #[allow(clippy::expect_used)]
     pub fn new(
         sampler: StreamSampler,
         meta: &TraceMeta,
@@ -80,6 +82,8 @@ impl StreamingRecorder {
 
     /// Move the sampler's completed samples to `pending` and write out
     /// every full shard.
+    // Writing a frame to a Vec cannot fail.
+    #[allow(clippy::expect_used)]
     #[cold]
     fn drain_completed(&mut self) {
         self.pending.extend(self.sampler.take_completed());
@@ -111,9 +115,7 @@ impl StreamingRecorder {
         let (meta, samples, stats) = sampler.finish_parts(workload);
         pending.extend(samples);
         for shard in pending.chunks(shard_samples) {
-            writer
-                .write_shard(shard)
-                .expect("writing a shard frame to a Vec cannot fail");
+            writer.write_shard(shard)?;
         }
         let (container, index) =
             writer.finish_indexed(meta.total_loads, meta.total_instrumented_loads)?;

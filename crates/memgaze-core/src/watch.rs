@@ -323,8 +323,12 @@ pub fn watch_workload(
         initial_buffer,
         analysis,
         locality_sizes,
-        writer: ShardWriter::new(Vec::new(), &provisional)
-            .expect("writing a container header to a Vec cannot fail"),
+        writer: ShardWriter::new(Vec::new(), &provisional).map_err(|source| {
+            PipelineError::Container {
+                stage: "watch-open",
+                source,
+            }
+        })?,
         ring: WindowRing::new(watch.live),
         windows: Vec::new(),
     };
@@ -420,6 +424,8 @@ impl WindowSink<'_> {
     /// [`StreamingAnalyzer`] under the window metadata both the live and
     /// the replay side derive, push the report to the ring and publish
     /// the gauges. Returns the window's hottest function.
+    // Writing a frame to a Vec cannot fail.
+    #[allow(clippy::expect_used)]
     fn close(
         &mut self,
         slice: &[Sample],
@@ -481,14 +487,19 @@ pub fn phase_shift_steps(
     }
     if step < shift_at {
         let site = space.site("stream_sum", "a[i]", LoadClass::Strided, false, 10);
-        let base = space.find_allocation("stream").expect("stream alloc").base;
+        // A caller that skipped step 0 has nothing to load from.
+        let Some(base) = space.find_allocation("stream").map(|a| a.base) else {
+            return false;
+        };
         for l in 0..loads_per_step {
             let off = ((step * loads_per_step + l) as u64 * 64) % (64 << 10);
             space.load(site, base + off);
         }
     } else {
         let site = space.site("chase_walk", "n->next", LoadClass::Irregular, true, 20);
-        let base = space.find_allocation("chase").expect("chase alloc").base;
+        let Some(base) = space.find_allocation("chase").map(|a| a.base) else {
+            return false;
+        };
         for l in 0..loads_per_step {
             let x = (step * loads_per_step + l) as u64;
             let off = (x.wrapping_mul(2654435761) ^ (x << 7)) % (8 << 20);
@@ -505,16 +516,16 @@ pub fn phase_shift_steps(
 /// Returns a human-readable summary, or the first failure.
 pub fn watch_smoke() -> Result<String, String> {
     let (report, watch) = smoke_run(ControllerMode::Adaptive)?;
-    if report.anomalies.is_empty() {
+    let Some(first) = report.anomalies.first() else {
         return Err("smoke run raised no anomaly marks".to_string());
-    }
-    if report.converged_at.is_none() {
+    };
+    let Some(converged_at) = report.converged_at else {
         return Err(format!(
             "controller failed to converge (final drop rate {:.2}, {} retunes)",
             report.final_drop_rate,
             report.retunes.len()
         ));
-    }
+    };
     let (lo, hi) = watch.controller.target_drop;
     if report.final_drop_rate < lo || report.final_drop_rate > hi {
         return Err(format!(
@@ -527,8 +538,8 @@ pub fn watch_smoke() -> Result<String, String> {
          window {} after {} retunes, final drop rate {:.2} in band [{lo:.2}, {hi:.2}]",
         report.windows.len(),
         report.anomalies.len(),
-        report.anomalies[0].detail(),
-        report.converged_at.unwrap_or(0),
+        first.detail(),
+        converged_at,
         report.retunes.len(),
         report.final_drop_rate,
     ))

@@ -81,26 +81,38 @@ struct FrameFacts {
 }
 
 impl QueryEngine {
-    /// Build the engine from a catalog. Fails only if a frame's stored
-    /// reuse rows are malformed (blocks out of order) — corruption the
-    /// codec checksum should have caught.
+    /// Build the engine from a catalog. Fails only on corruption the
+    /// codec checksum should have caught: a frame's reuse rows out of
+    /// block order, or a total across frames — of samples, loads,
+    /// accesses, distance sums, reuse counts or a function's loads —
+    /// that leaves `u64`. Checking every total here is what lets the
+    /// queries add without overflow.
     pub fn new(catalog: &Catalog) -> Result<QueryEngine, StoreError> {
         let _span = memgaze_obs::span("store.query_build");
+        let corrupt = |detail: String| StoreError::CorruptCatalog {
+            id: catalog.trace_id.clone(),
+            detail,
+        };
         let mut parts = Vec::with_capacity(catalog.frames.len());
         let mut frames = Vec::with_capacity(catalog.frames.len());
         let mut functions: BTreeMap<String, (u64, usize)> = BTreeMap::new();
+        let mut totals = [0u64; 5];
         for (i, f) in catalog.frames.iter().enumerate() {
-            let br = BlockReuse::from_raw_rows(f.reuse_rows.clone()).ok_or_else(|| {
-                StoreError::CorruptCatalog {
-                    id: catalog.trace_id.clone(),
-                    detail: format!("frame {i}: reuse rows out of block order"),
-                }
-            })?;
+            let overflow = || corrupt(format!("frame {i}: totals overflow u64"));
+            let br = BlockReuse::from_raw_rows(f.reuse_rows.clone())
+                .ok_or_else(|| corrupt(format!("frame {i}: reuse rows out of block order")))?;
             parts.push(br);
-            let (dist_sum, reuse_cnt) = f
-                .reuse_rows
-                .iter()
-                .fold((0u64, 0u64), |(d, c), (_, s)| (d + s[1], c + s[2]));
+            // One frame's row sums fit: `from_raw_rows` checked them.
+            let [accesses, dist_sum, reuse_cnt] =
+                f.reuse_rows.iter().fold([0u64; 3], |[a, d, c], (_, s)| {
+                    [a + s[0], d + s[1], c + s[2]]
+                });
+            for (total, v) in totals
+                .iter_mut()
+                .zip([f.samples, f.loads, accesses, dist_sum, reuse_cnt])
+            {
+                *total = total.checked_add(v).ok_or_else(overflow)?;
+            }
             frames.push(FrameFacts {
                 samples: f.samples,
                 loads: f.loads,
@@ -110,14 +122,12 @@ impl QueryEngine {
                 reuse_cnt,
             });
             for &(id, loads) in &f.func_loads {
-                let name = catalog.func_names.get(id as usize).ok_or_else(|| {
-                    StoreError::CorruptCatalog {
-                        id: catalog.trace_id.clone(),
-                        detail: format!("frame {i}: function id {id} out of table"),
-                    }
-                })?;
+                let name = catalog
+                    .func_names
+                    .get(id as usize)
+                    .ok_or_else(|| corrupt(format!("frame {i}: function id {id} out of table")))?;
                 let slot = functions.entry(name.clone()).or_insert((0, 0));
-                slot.0 += loads;
+                slot.0 = slot.0.checked_add(loads).ok_or_else(overflow)?;
                 slot.1 += 1;
             }
         }
@@ -172,6 +182,7 @@ impl QueryEngine {
             loads: 0,
             mean_distance: 0.0,
         };
+        // `new` checked the totals over every frame, so no sum overflows.
         let (mut dist, mut cnt) = (0u64, 0u64);
         for f in &self.frames {
             let overlaps = f.time_range.is_some_and(|(tlo, thi)| tlo < hi && thi >= lo);

@@ -17,8 +17,8 @@
 use memgaze::analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Analyzer, Table};
 use memgaze::core::{
     run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, worker_serve,
-    worker_serve_store, FanoutBackend, FanoutConfig, MemGaze, PipelineConfig,
-    StreamingWorkloadReport, WorkerServeArgs, WorkerStoreServeArgs,
+    FanoutBackend, FanoutConfig, FanoutError, FrameSource, MemGaze, PipelineConfig,
+    StreamingWorkloadReport,
 };
 use memgaze::model::DecompressionInfo;
 use memgaze::ptsim::SamplerConfig;
@@ -506,44 +506,35 @@ fn run_fanout_cmd(args: &Args) -> i32 {
 }
 
 /// `memgaze analyze-shard`: the persistent fan-out worker the
-/// coordinator's [`FanoutPool`] keeps warm. Loads the spec and its
-/// source once — container + index files, or with `--store-root` a
-/// trace store it fetches only the requested ranges' blobs from — then
-/// answers framed range requests over stdin until EOF. Returns (rather
-/// than exits) so `main` can flush observability sinks — the
-/// coordinator stitches this worker's JSONL into its trace.
+/// coordinator's [`FanoutPool`] keeps warm. Loads `--spec` and reopens
+/// exactly one source — `--container`/`--index` files, or a trace store
+/// (`--store-root`/`--trace`) it fetches only the requested ranges'
+/// blobs from — then answers framed range requests over stdin until
+/// EOF. Returns (rather than exits) so `main` can flush observability
+/// sinks — the coordinator stitches this worker's JSONL into its trace.
 fn run_analyze_shard(args: &Args) -> i32 {
-    let path = |key: &str| -> std::path::PathBuf {
-        args.get(key)
-            .unwrap_or_else(|| {
-                eprintln!("analyze-shard: missing --{key}");
-                std::process::exit(2);
-            })
-            .into()
+    let Some(spec) = args.get("spec") else {
+        eprintln!("analyze-shard: missing --spec");
+        return 2;
     };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let served = if args.get("store-root").is_some() {
-        let serve = WorkerStoreServeArgs {
-            spec: path("spec"),
-            store_root: path("store-root"),
-            trace_id: args
-                .get("trace")
-                .unwrap_or_else(|| {
-                    eprintln!("analyze-shard: missing --trace");
-                    std::process::exit(2);
-                })
-                .to_string(),
-        };
-        worker_serve_store(&serve, &mut stdin.lock(), &mut stdout.lock())
-    } else {
-        let serve = WorkerServeArgs {
-            spec: path("spec"),
-            container: path("container"),
-            index: path("index"),
-        };
-        worker_serve(&serve, &mut stdin.lock(), &mut stdout.lock())
+    let source = match FrameSource::from_flags(|key| args.get(key)) {
+        Ok(source) => source,
+        Err(e) => {
+            eprintln!("analyze-shard: {e}");
+            // A protocol error here is a flag naming no single source.
+            return if matches!(e, FanoutError::Protocol { .. }) {
+                2
+            } else {
+                1
+            };
+        }
     };
+    let served = worker_serve(
+        std::path::Path::new(spec),
+        &source,
+        &mut std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+    );
     match served {
         Ok(()) => 0,
         Err(e) => {

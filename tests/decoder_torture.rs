@@ -15,7 +15,8 @@
 //! crate's typed error, never a panic — and a counting allocator holds
 //! its peak allocation to `ALLOC_FACTOR × input + ALLOC_SLACK` bytes.
 //! A partial report (`MGZP`, `.mgzr`, `MGZW`) that still decodes is then
-//! merged with itself and finished, under the same two rules.
+//! merged with itself and finished, and a catalog (`MGZC`) that still
+//! decodes is queried through `QueryEngine`, under the same two rules.
 //! Inputs that broke the decoders before they shared `model::wire` are
 //! kept as named rows.
 //!
@@ -29,7 +30,7 @@ use memgaze::core::fanout::{read_request, read_response_frame};
 use memgaze::model::stream::decode_frame_payload;
 use memgaze::model::{decode_sharded, fnv1a64, FrameIndex, TraceMeta};
 use memgaze::store::blob::decode_blob;
-use memgaze::store::{Catalog, StoreConfig, StoreError, TraceStore};
+use memgaze::store::{Catalog, QueryEngine, StoreConfig, StoreError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -215,9 +216,17 @@ fn formats() -> Vec<Format> {
             name: "MGZC",
             valid: common::mgzc(),
             sealed: true,
+            // A decoded catalog is then queried, as `memgaze query` does.
             decode: Box::new(|d| {
                 let catalog = Catalog::decode(common::TRACE_ID, d).map_err(|e| e.to_string())?;
-                typed(catalog.meta())
+                typed(catalog.meta())?;
+                let engine = QueryEngine::new(&catalog).map_err(|e| e.to_string())?;
+                std::hint::black_box((
+                    engine.region(0, u64::MAX),
+                    engine.time_range(0, u64::MAX),
+                    engine.functions(),
+                ));
+                Ok(())
             }),
         },
         Format {

@@ -1,12 +1,12 @@
 //! Failure injection: corrupted packet streams, drop storms, degenerate
 //! configurations, and empty inputs must degrade gracefully — never
-//! panic, never fabricate data.
+//! panic, never fabricate data. Fan-out workers are made to crash, hang,
+//! short-write or flood stderr from outside, through a wrapper
+//! executable; the in-process worker panic is `memgaze-core`'s own unit
+//! test, since it needs a seam inside the coordinator.
 
 use memgaze::analysis::{stream_resident_trace, AnalysisConfig, Analyzer};
 use memgaze::core::{
-    fanout::{
-        CRASH_ONCE_ENV, HANG_ONCE_ENV, PANIC_ONCE_ENV, SHORT_WRITE_ONCE_ENV, STDERR_FLOOD_ONCE_ENV,
-    },
     full_trace_workload, run_fanout, trace_workload, FanoutBackend, FanoutConfig, FanoutError,
     MemGaze, PipelineConfig,
 };
@@ -234,6 +234,51 @@ fn assert_reports_identical(
     }
 }
 
+/// A fan-out backend whose first spawned worker misbehaves as `mode`
+/// says (`crash`, `hang`, `short-write` or `stderr-flood`; see
+/// `tests/fanout_wrapper.sh`) with its first range in flight, and whose
+/// every other worker is the real one. The directory goes with it.
+#[cfg(unix)]
+struct MisbehavesOnce(std::path::PathBuf);
+
+#[cfg(unix)]
+impl MisbehavesOnce {
+    fn new(mode: &str) -> MisbehavesOnce {
+        use std::os::unix::fs::symlink;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "memgaze-misbehave-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Links and a data file only: an executable this process had just
+        // written could still be open for writing in another test
+        // thread's fork, and exec would fail with ETXTBSY.
+        let script = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fanout_wrapper.sh");
+        symlink(script, dir.join("memgaze")).unwrap();
+        symlink(env!("CARGO_BIN_EXE_memgaze"), dir.join("real")).unwrap();
+        std::fs::write(dir.join("mode"), mode).unwrap();
+        MisbehavesOnce(dir)
+    }
+
+    fn backend(&self) -> FanoutBackend {
+        FanoutBackend::Subprocess {
+            exe: self.0.join("memgaze"),
+        }
+    }
+}
+
+#[cfg(unix)]
+impl Drop for MisbehavesOnce {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[cfg(unix)]
 #[test]
 fn killed_worker_is_reassigned_and_report_stays_identical() {
     let (t, container, index, annots, symbols) = fanout_fixture();
@@ -246,25 +291,22 @@ fn killed_worker_is_reassigned_and_report_stays_identical() {
     // One worker crashes mid-run (garbage output + nonzero exit); the
     // coordinator must re-run its range and still produce the identical
     // report.
-    let marker = std::env::temp_dir().join(format!("memgaze-crash-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 3,
         locality_sizes: sizes.clone(),
-        worker_env: vec![(
-            CRASH_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("crash");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&marker);
     assert!(run.retries >= 1, "the injected crash must cost a retry");
     assert!(!run.failures.is_empty());
     assert!(
@@ -275,6 +317,7 @@ fn killed_worker_is_reassigned_and_report_stays_identical() {
     assert_reports_identical(&run, &resident, "crash-recovery run");
 }
 
+#[cfg(unix)]
 #[test]
 fn persistent_worker_killed_mid_range_is_respawned() {
     let (t, container, index, annots, symbols) = fanout_fixture();
@@ -288,25 +331,22 @@ fn persistent_worker_killed_mid_range_is_respawned() {
     // flight: the coordinator must respawn a fresh persistent worker
     // (exactly one extra spawn), retry the range on it, and produce the
     // identical report.
-    let marker = std::env::temp_dir().join(format!("memgaze-respawn-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 1,
         locality_sizes: sizes.clone(),
-        worker_env: vec![(
-            CRASH_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("crash");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&marker);
     assert_eq!(run.ranges.len(), 1);
     assert!(run.retries >= 1, "the mid-range death must cost a retry");
     assert_eq!(run.spawns, 2, "the dead worker plus exactly one respawn");
@@ -315,7 +355,7 @@ fn persistent_worker_killed_mid_range_is_respawned() {
 
 #[test]
 fn warm_pool_reuses_workers_across_runs() {
-    use memgaze::core::FanoutPool;
+    use memgaze::core::{FanoutPool, FrameSource};
 
     let (t, container, index, annots, symbols) = fanout_fixture();
     let analysis = AnalysisConfig {
@@ -332,8 +372,8 @@ fn warm_pool_reuses_workers_across_runs() {
             locality_sizes: sizes.clone(),
             ..FanoutConfig::default()
         };
-        let pool =
-            FanoutPool::new(&exe, &container, &index, &annots, &symbols, analysis, cfg).unwrap();
+        let source = FrameSource::container(&container, &index);
+        let pool = FanoutPool::new(&exe, source, &annots, &symbols, analysis, cfg).unwrap();
         pool.prewarm().unwrap();
         assert_eq!(
             pool.spawn_count(),
@@ -360,6 +400,7 @@ fn warm_pool_reuses_workers_across_runs() {
     }
 }
 
+#[cfg(unix)]
 #[test]
 fn hung_worker_is_killed_and_reassigned() {
     let (t, container, index, annots, symbols) = fanout_fixture();
@@ -368,25 +409,22 @@ fn hung_worker_is_killed_and_reassigned() {
         ..AnalysisConfig::default()
     };
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
-    let marker = std::env::temp_dir().join(format!("memgaze-hang-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 2,
         timeout: std::time::Duration::from_secs(1),
-        worker_env: vec![(
-            HANG_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("hang");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&marker);
     assert!(run.retries >= 1);
     assert!(
         run.failures.iter().any(|f| f.detail.contains("timeout")),
@@ -396,6 +434,7 @@ fn hung_worker_is_killed_and_reassigned() {
     assert_reports_identical(&run, &resident, "hang-recovery run");
 }
 
+#[cfg(unix)]
 #[test]
 fn short_write_worker_fails_typed_and_is_retried() {
     let (t, container, index, annots, symbols) = fanout_fixture();
@@ -408,25 +447,21 @@ fn short_write_worker_fails_typed_and_is_retried() {
     // payload bytes, then only a fragment, then exits 0 — so only the
     // coordinator's framing validation can catch it. That must surface
     // as a typed protocol failure and a clean retry, never a panic.
-    let marker =
-        std::env::temp_dir().join(format!("memgaze-shortwrite-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 3,
-        worker_env: vec![(
-            SHORT_WRITE_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("short-write");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&marker);
     assert!(run.retries >= 1, "the short write must cost a retry");
     assert!(
         run.failures
@@ -438,50 +473,7 @@ fn short_write_worker_fails_typed_and_is_retried() {
     assert_reports_identical(&run, &resident, "short-write-recovery run");
 }
 
-#[test]
-fn panicking_in_process_worker_still_yields_complete_report() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
-    let sizes = vec![8u64, 32];
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
-    // An in-process worker panics on its first attempt. The coordinator
-    // must catch the unwind (not die at scope join), recover any mutex
-    // the panicking thread poisoned, record the failure, retry, and
-    // still produce the identical report.
-    let marker = std::env::temp_dir().join(format!("memgaze-panic-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
-    let cfg = FanoutConfig {
-        workers: 2,
-        locality_sizes: sizes.clone(),
-        worker_env: vec![(
-            PANIC_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
-        ..FanoutConfig::default()
-    };
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &FanoutBackend::InProcess,
-    )
-    .unwrap();
-    let _ = std::fs::remove_file(&marker);
-    assert!(run.retries >= 1, "the injected panic must cost a retry");
-    assert!(
-        run.failures.iter().any(|f| f.detail.contains("panicked")),
-        "{:?}",
-        run.failures
-    );
-    assert_reports_identical(&run, &resident, "panic-recovery run");
-}
-
+#[cfg(unix)]
 #[test]
 fn stderr_flooding_worker_is_drained_capped_and_retried() {
     let (t, container, index, annots, symbols) = fanout_fixture();
@@ -490,28 +482,25 @@ fn stderr_flooding_worker_is_drained_capped_and_retried() {
         ..AnalysisConfig::default()
     };
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
-    // One worker floods stderr with ~4 MiB (far past the pipe buffer)
+    // One worker floods stderr with 4 MiB (far past the pipe buffer)
     // and exits nonzero. The coordinator must drain without deadlock,
     // keep only a bounded prefix in the failure detail (noting the
     // truncation), and recover via retry.
-    let marker = std::env::temp_dir().join(format!("memgaze-flood-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 2,
-        worker_env: vec![(
-            STDERR_FLOOD_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("stderr-flood");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     )
     .unwrap();
-    let _ = std::fs::remove_file(&marker);
     assert!(run.retries >= 1);
     let flood = run
         .failures
@@ -527,6 +516,7 @@ fn stderr_flooding_worker_is_drained_capped_and_retried() {
     assert_reports_identical(&run, &resident, "stderr-flood-recovery run");
 }
 
+#[cfg(unix)]
 #[test]
 fn fanout_with_obs_produces_stitched_trace_with_retry() {
     use memgaze::obs::{self, Event, ObsConfig};
@@ -536,33 +526,28 @@ fn fanout_with_obs_produces_stitched_trace_with_retry() {
         threads: 1,
         ..AnalysisConfig::default()
     };
-    // Capture-sink observability plus one injected worker crash: the
-    // run must yield a single stitched trace holding the coordinator's
-    // spans, the subprocess workers' spans (absorbed from their JSONL
-    // scratch files, stitched via the remote-parent edge), and at least
-    // one retry mark.
+    // Capture-sink observability plus one worker crash: the run must
+    // yield a single stitched trace holding the coordinator's spans, the
+    // subprocess workers' spans (absorbed from their JSONL scratch files,
+    // stitched via the remote-parent edge), and at least one retry mark.
     obs::configure(ObsConfig {
         capture: true,
         ..ObsConfig::disabled()
     });
-    let marker =
-        std::env::temp_dir().join(format!("memgaze-obs-crash-once-{}", std::process::id()));
-    let _ = std::fs::remove_file(&marker);
     let cfg = FanoutConfig {
         workers: 2,
-        worker_env: vec![(
-            CRASH_ONCE_ENV.to_string(),
-            marker.to_string_lossy().into_owned(),
-        )],
         ..FanoutConfig::default()
     };
-    let backend = FanoutBackend::Subprocess {
-        exe: env!("CARGO_BIN_EXE_memgaze").into(),
-    };
+    let backend = MisbehavesOnce::new("crash");
     let run = run_fanout(
-        &container, &index, &annots, &symbols, analysis, &cfg, &backend,
+        &container,
+        &index,
+        &annots,
+        &symbols,
+        analysis,
+        &cfg,
+        &backend.backend(),
     );
-    let _ = std::fs::remove_file(&marker);
     let events = obs::take_capture();
     obs::configure(ObsConfig::disabled());
     let run = run.unwrap();
@@ -591,6 +576,39 @@ fn fanout_with_obs_produces_stitched_trace_with_retry() {
             .any(|e| matches!(e, Event::Mark { name, .. } if name == "fanout.retry")),
         "no fanout.retry mark recorded"
     );
+}
+
+#[test]
+fn analyze_shard_takes_exactly_one_complete_source() {
+    // Two sources, or half of one, is a usage error naming the flag at
+    // fault — caught before any file is opened.
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "--container",
+                "c",
+                "--index",
+                "i",
+                "--store-root",
+                "r",
+                "--trace",
+                "t",
+            ],
+            "--store-root",
+        ),
+        (&["--container", "c"], "--index"),
+        (&["--trace", "t"], "--store-root"),
+    ];
+    for (flags, named) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_memgaze"))
+            .args(["analyze-shard", "--spec", "s"])
+            .args(flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+    }
 }
 
 #[test]
