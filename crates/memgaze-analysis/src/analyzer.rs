@@ -27,7 +27,6 @@ use crate::confidence::Confidence;
 use crate::heatmap::{self, region_heatmaps_from, Heatmap};
 use crate::histogram::{locality_vs_interval_with, LocalityPoint};
 use crate::interval_tree::IntervalTree;
-use crate::par;
 use crate::report::{fmt_f3, fmt_pct, fmt_si, Table};
 use crate::reuse::{self, BlockReuse, ReuseAnalysis};
 use crate::streaming::{stream_resident_trace, StreamingReport};
@@ -48,7 +47,9 @@ pub struct AnalysisConfig {
     pub reuse_block: BlockSize,
     /// Location-zoom parameters.
     pub zoom: ZoomConfig,
-    /// Worker threads for per-sample analysis.
+    /// Ignored; kept until `benchmark/` thaws, which sets it (ROADMAP,
+    /// "Thaw the benchmark once (a)"). Every pass runs on the calling
+    /// thread.
     pub threads: usize,
 }
 
@@ -58,7 +59,7 @@ impl Default for AnalysisConfig {
             footprint_block: BlockSize::WORD,
             reuse_block: BlockSize::CACHE_LINE,
             zoom: ZoomConfig::default(),
-            threads: par::default_threads(),
+            threads: 1,
         }
     }
 }
@@ -160,7 +161,7 @@ pub struct CacheStats {
 /// Samples per shard the resident pass feeds the fold. Any value gives
 /// the same report; this one keeps the fold's per-shard buffers (the
 /// resolved column, the samples' kernel rows) small beside the trace
-/// while leaving `par_map` more than its inline cutoff to spread.
+/// and its per-shard block-summary sort few.
 const RESIDENT_SHARD_SAMPLES: usize = 64;
 
 /// The analyzer façade.
@@ -273,14 +274,13 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Per-sample reuse analyses — the event lists heatmaps and the
-    /// histogram bin — at the configured reuse block size, computed in
-    /// parallel and memoized.
+    /// histogram bin — at the configured reuse block size, memoized.
     pub fn sample_reuse(&self) -> &[ReuseAnalysis] {
         self.sample_reuse.get_or_init(|| {
             let rb = self.cfg.reuse_block;
-            par::par_map(&self.trace.samples, self.cfg.threads, |s| {
-                reuse::analyze_window(&s.accesses, rb)
-            })
+            (self.trace.samples.iter())
+                .map(|s| reuse::analyze_window(&s.accesses, rb))
+                .collect()
         })
     }
 
@@ -379,19 +379,12 @@ impl<'a> Analyzer<'a> {
             self.cfg.footprint_block,
             sizes,
             &info,
-            self.cfg.threads,
         )
     }
 
     /// Locality vs. interval size (Fig. 9).
     pub fn locality_series(&self, sizes: &[u64]) -> Vec<LocalityPoint> {
-        locality_vs_interval_with(
-            self.trace,
-            self.annots,
-            self.cfg.reuse_block,
-            sizes,
-            self.cfg.threads,
-        )
+        locality_vs_interval_with(self.trace, self.annots, self.cfg.reuse_block, sizes, 1)
     }
 
     /// Access-frequency and reuse-distance heatmaps of a region (Fig. 8).
@@ -407,19 +400,17 @@ impl<'a> Analyzer<'a> {
             region,
             rows,
             cols,
-            self.cfg.threads,
         )
     }
 
     /// The execution interval tree (Fig. 4).
     pub fn interval_tree(&self) -> IntervalTree {
-        IntervalTree::build_par(
+        IntervalTree::build(
             self.trace,
             self.annots,
             self.symbols,
             self.cfg.footprint_block,
             self.decompression().rho(),
-            self.cfg.threads,
         )
     }
 

@@ -52,7 +52,7 @@ use std::ops::Range;
 const PARTIAL_MAGIC: &[u8; 4] = b"MGZP";
 const PARTIAL_VERSION: u16 = 2;
 const SPEC_MAGIC: &[u8; 4] = b"MGZS";
-const SPEC_VERSION: u16 = 2;
+const SPEC_VERSION: u16 = 3;
 
 /// Errors of the partial-report algebra and its wire codec.
 #[derive(Debug)]
@@ -928,8 +928,6 @@ pub struct WorkerSpec {
     pub footprint_block: BlockSize,
     /// Reuse block size.
     pub reuse_block: BlockSize,
-    /// Analysis threads per worker.
-    pub threads: usize,
     /// Locality-vs-interval sizes.
     pub locality_sizes: Vec<u64>,
     /// The instrumentor's annotation side table.
@@ -945,7 +943,6 @@ impl WorkerSpec {
         AnalysisConfig {
             footprint_block: self.footprint_block,
             reuse_block: self.reuse_block,
-            threads: self.threads.max(1),
             ..AnalysisConfig::default()
         }
     }
@@ -965,7 +962,6 @@ impl WorkerSpec {
         wire::put_header(buf, SPEC_MAGIC, SPEC_VERSION);
         buf.push(self.footprint_block.log2());
         buf.push(self.reuse_block.log2());
-        put_varint(buf, self.threads as u64);
         put_u64s(buf, &self.locality_sizes);
         put_varint(buf, self.annots.len() as u64);
         for (ip, an) in self.annots.iter() {
@@ -997,7 +993,6 @@ impl WorkerSpec {
         let mut r = wire::open(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
         let footprint_block = get_block_size(&mut r, "spec footprint block")?;
         let reuse_block = get_block_size(&mut r, "spec reuse block")?;
-        let threads = r.usize("spec threads")?;
         let locality_sizes = get_u64s(&mut r, "spec locality sizes")?;
         let n = r.count(8, "spec annot count")?;
         let mut annots = AuxAnnotations::new();
@@ -1050,7 +1045,6 @@ impl WorkerSpec {
         Ok(WorkerSpec {
             footprint_block,
             reuse_block,
-            threads,
             locality_sizes,
             annots,
             symbols,
@@ -1462,10 +1456,7 @@ mod tests {
     #[test]
     fn merged_partials_match_single_pass_for_any_split() {
         let (t, annots, symbols) = synthetic_trace();
-        let cfg = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let cfg = AnalysisConfig::default();
         let sizes = [8u64, 32];
         let (container, index) = encode_sharded_indexed(&t, 3);
         let whole = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, 3);
@@ -1542,10 +1533,7 @@ mod tests {
     #[test]
     fn partial_report_roundtrips_through_codec() {
         let (t, annots, symbols) = synthetic_trace();
-        let cfg = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let cfg = AnalysisConfig::default();
         let (container, index) = encode_sharded_indexed(&t, 4);
         let p = analyze_frames(
             &container,
@@ -1574,7 +1562,6 @@ mod tests {
         let spec = WorkerSpec {
             footprint_block: BlockSize::WORD,
             reuse_block: BlockSize::CACHE_LINE,
-            threads: 2,
             locality_sizes: vec![8, 64],
             annots,
             symbols,

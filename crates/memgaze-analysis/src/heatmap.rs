@@ -6,9 +6,8 @@
 //! variant accumulates access counts, the other mean reuse distance.
 
 use crate::kernel;
-use crate::par;
 use crate::reuse::ReuseAnalysis;
-use memgaze_model::{Sample, SampledTrace};
+use memgaze_model::SampledTrace;
 use serde::{Deserialize, Serialize};
 
 /// A dense 2-D accumulation grid.
@@ -118,10 +117,6 @@ pub(crate) fn time_range(trace: &SampledTrace) -> (u64, u64) {
 ///
 /// `analyses` are the per-sample reuse analyses in sample order, events
 /// in access order — the analyzer shares its cached ones across heatmaps.
-///
-/// Per-sample binning runs in parallel with per-worker partial grids;
-/// every cell holds a sum of whole numbers, so the merge is exact and
-/// independent of scheduling order.
 pub fn region_heatmaps_from(
     trace: &SampledTrace,
     analyses: &[ReuseAnalysis],
@@ -129,7 +124,6 @@ pub fn region_heatmaps_from(
     region: (u64, u64),
     rows: usize,
     cols: usize,
-    threads: usize,
 ) -> (Heatmap, Heatmap) {
     assert!(rows > 0 && cols > 0, "heatmap shape must be nonzero");
     assert_eq!(
@@ -138,57 +132,31 @@ pub fn region_heatmaps_from(
         "one analysis per sample"
     );
     let mut acc_map = Heatmap::new(rows, cols, region, time_range);
-    let mut d_sum = Heatmap::new(rows, cols, region, time_range);
-    let mut d_cnt = Heatmap::new(rows, cols, region, time_range);
-
-    let template = acc_map.clone();
-    let cells = rows * cols;
-    let pairs: Vec<(&Sample, &ReuseAnalysis)> = trace.samples.iter().zip(analyses).collect();
-    let (acc_part, dsum_part, dcnt_part) = par::par_fold(
-        &pairs,
-        threads,
-        || {
-            (
-                vec![0.0f64; cells],
-                vec![0.0f64; cells],
-                vec![0.0f64; cells],
-            )
-        },
-        |(acc, dsum, dcnt), &(s, analysis)| {
-            let mut events = analysis.events.iter().peekable();
-            for (pos, a) in s.accesses.iter().enumerate() {
-                let event = events.next_if(|e| e.pos == pos);
-                if let Some((r, c)) = template.bin(a.addr.raw(), a.time) {
-                    let i = r * cols + c;
-                    acc[i] += 1.0;
-                    if let Some(e) = event {
-                        dsum[i] += e.distance as f64;
-                        dcnt[i] += 1.0;
-                    }
+    let mut d_mean = Heatmap::new(rows, cols, region, time_range);
+    let mut d_cnt = vec![0.0f64; rows * cols];
+    for (s, analysis) in trace.samples.iter().zip(analyses) {
+        let mut events = analysis.events.iter().peekable();
+        for (pos, a) in s.accesses.iter().enumerate() {
+            let event = events.next_if(|e| e.pos == pos);
+            if let Some((r, c)) = acc_map.bin(a.addr.raw(), a.time) {
+                let i = r * cols + c;
+                acc_map.data[i] += 1.0;
+                if let Some(e) = event {
+                    d_mean.data[i] += e.distance as f64;
+                    d_cnt[i] += 1.0;
                 }
             }
-            debug_assert!(events.next().is_none(), "events in access order");
-        },
-        |(mut a1, mut s1, mut c1), (a2, s2, c2)| {
-            for i in 0..cells {
-                a1[i] += a2[i];
-                s1[i] += s2[i];
-                c1[i] += c2[i];
-            }
-            (a1, s1, c1)
-        },
-    );
-    acc_map.data = acc_part;
-    d_sum.data = dsum_part;
-    d_cnt.data = dcnt_part;
+        }
+        debug_assert!(events.next().is_none(), "events in access order");
+    }
 
     // Convert sums to means.
-    for i in 0..d_sum.data.len() {
-        if d_cnt.data[i] > 0.0 {
-            d_sum.data[i] /= d_cnt.data[i];
+    for (d, &n) in d_mean.data.iter_mut().zip(&d_cnt) {
+        if n > 0.0 {
+            *d /= n;
         }
     }
-    (acc_map, d_sum)
+    (acc_map, d_mean)
 }
 
 #[cfg(test)]
@@ -197,7 +165,7 @@ mod tests {
     use crate::reuse::analyze_window;
     use memgaze_model::{Access, BlockSize, Sample, TraceMeta};
 
-    /// Both heatmaps of `region` at cache-line reuse, on one thread.
+    /// Both heatmaps of `region` at cache-line reuse.
     fn region_heatmaps(
         t: &SampledTrace,
         region: (u64, u64),
@@ -209,7 +177,7 @@ mod tests {
             .iter()
             .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
             .collect();
-        region_heatmaps_from(t, &analyses, time_range(t), region, rows, cols, 1)
+        region_heatmaps_from(t, &analyses, time_range(t), region, rows, cols)
     }
 
     fn trace() -> SampledTrace {
@@ -264,37 +232,6 @@ mod tests {
         let t = trace();
         let (acc, _) = region_heatmaps(&t, (0x1000, 0x1400), 2, 2);
         assert_eq!(acc.total(), 100.0); // streaming phase excluded
-    }
-
-    #[test]
-    fn parallel_binning_matches_single_thread() {
-        // Many uneven samples: partial-grid merging must reproduce the
-        // single-threaded result exactly (all cell values are integer
-        // sums, so no float-order slack is needed).
-        let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
-        let mut time = 0u64;
-        for s in 0..200u64 {
-            let n = 1 + (s * 7) % 90;
-            let acc: Vec<Access> = (0..n)
-                .map(|i| {
-                    let a = Access::new(0x400u64, 0x1000 + ((s * 31 + i * 13) % 512) * 64, time);
-                    time += 1;
-                    a
-                })
-                .collect();
-            t.push_sample(Sample::new(acc, time)).unwrap();
-        }
-        let analyses: Vec<_> = t
-            .samples
-            .iter()
-            .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
-            .collect();
-        let region = (0x1000u64, 0x1000 + 512 * 64);
-        let times = time_range(&t);
-        let (a1, d1) = region_heatmaps_from(&t, &analyses, times, region, 8, 16, 1);
-        let (a4, d4) = region_heatmaps_from(&t, &analyses, times, region, 8, 16, 4);
-        assert_eq!(a1, a4);
-        assert_eq!(d1, d4);
     }
 
     #[test]

@@ -123,13 +123,16 @@ pub struct LocalityPoint {
 /// sample into intervals of each requested size and average D and ΔF.
 /// Every size is split out of one reuse pass per sample — the streaming
 /// analyzer's, so both agree bit for bit — and the per-sample sums fold
-/// in sample order, identical for every thread count.
+/// in sample order.
+///
+/// `_threads` is ignored; kept until `benchmark/` thaws, which passes it
+/// (ROADMAP, "Thaw the benchmark once (a)").
 pub fn locality_vs_interval_with(
     trace: &SampledTrace,
     annots: &AuxAnnotations,
     reuse_block: BlockSize,
     sizes: &[u64],
-    threads: usize,
+    _threads: usize,
 ) -> Vec<LocalityPoint> {
     // Per size: windows, Σ mean D, Σ ΔF, Σ F.
     let mut sums = vec![(0u64, 0.0, 0.0, 0.0); sizes.len()];
@@ -148,7 +151,7 @@ pub fn locality_vs_interval_with(
         let sum = &mut sums[k];
         *sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
     };
-    kernel::rows_per_size(&trace.samples, sizes, threads, sample_rows, fold);
+    kernel::rows_per_size(&trace.samples, sizes, sample_rows, fold);
     (sizes.iter().zip(sums))
         .filter(|(_, (n, ..))| *n > 0)
         .map(|(&interval, (n, d, g, f))| LocalityPoint {
@@ -251,101 +254,6 @@ mod tests {
         assert_eq!(a, whole);
         a.merge(&Log2Histogram::new());
         assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn locality_series_threads_invariant() {
-        let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
-        for s in 0..120u64 {
-            let n = 8 + (s * 11) % 120;
-            let acc: Vec<Access> = (0..n)
-                .map(|i| Access::new(0x400u64, ((s * 17 + i * 3) % 256) * 64, s * 1000 + i))
-                .collect();
-            t.push_sample(Sample::new(acc, s * 1000 + n)).unwrap();
-        }
-        let annots = AuxAnnotations::new();
-        let sizes = [8u64, 32, 64];
-        let one = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, 1);
-        for threads in [2, 4] {
-            let many =
-                locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, threads);
-            assert_eq!(one, many, "threads {threads}");
-        }
-    }
-
-    /// One sample's `(windows, Σ mean D, Σ ΔF, Σ F)` written out as the
-    /// composition the chunk split replaces: per interval, a reuse
-    /// analysis and the diagnostics.
-    fn locality_by_composition(
-        accesses: &[Access],
-        annots: &AuxAnnotations,
-        bs: BlockSize,
-        chunk: usize,
-    ) -> (u64, f64, f64, f64) {
-        let mut n = 0u64;
-        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-        for w in accesses.chunks(chunk) {
-            if w.len() < chunk.div_ceil(2) {
-                continue;
-            }
-            let r = reuse::analyze_window_naive(w, bs);
-            let d = crate::FootprintDiagnostics::compute(w, annots, bs);
-            n += 1;
-            sum_d += r.mean_distance();
-            sum_g += d.delta_f();
-            sum_f += d.footprint as f64;
-        }
-        (n, sum_d, sum_g, sum_f)
-    }
-
-    #[test]
-    fn locality_partial_is_the_chunked_composition_bit_for_bit() {
-        use memgaze_model::{FunctionId, Ip, IpAnnot, LoadClass};
-        let mut annots = AuxAnnotations::new();
-        for (k, class) in [
-            LoadClass::Strided,
-            LoadClass::Constant,
-            LoadClass::Irregular,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut an = IpAnnot::of_class(class, FunctionId(0));
-            an.implied_const = k as u32 * 2 + 1;
-            annots.insert(Ip(0x400 + k as u64 * 4), an);
-        }
-        let bs = BlockSize::CACHE_LINE;
-        let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
-        for (s, len) in (0u64..).zip([0u64, 1, 63, 64, 65, 500]) {
-            // ips 0x400..0x410: three annotated, one not.
-            let accesses: Vec<Access> = (0..len)
-                .map(|i| Access::new(0x400 + (i * 5 % 4) * 4, (i * i % 89 + s) * 24, s * 1000 + i))
-                .collect();
-            t.push_sample(Sample::new(accesses, s * 1000 + len))
-                .unwrap();
-        }
-        // Every size split out of one reuse pass per sample, more sizes
-        // than one pass serves, against the composition per interval.
-        let chunks = [1u64, 15, 16, 17, 63, 64, 65, 200, 1000];
-        let want: Vec<LocalityPoint> = (chunks.iter())
-            .filter_map(|&chunk| {
-                let mut sum = (0u64, 0.0, 0.0, 0.0);
-                for s in &t.samples {
-                    let (n, d, g, f) =
-                        locality_by_composition(&s.accesses, &annots, bs, chunk as usize);
-                    sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
-                }
-                let (n, d, g, f) = sum;
-                (n > 0).then(|| LocalityPoint {
-                    interval: chunk,
-                    mean_d: d / n as f64,
-                    mean_delta_f: g / n as f64,
-                    mean_f: f / n as f64,
-                    windows: n,
-                })
-            })
-            .collect();
-        assert_eq!(locality_vs_interval_with(&t, &annots, bs, &chunks, 1), want);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! footprint growth).
 
 use crate::diagnostics::FootprintDiagnostics;
-use crate::par;
 use crate::reuse;
 use memgaze_model::{AuxAnnotations, BlockSize, Sample, SampledTrace, SymbolTable};
 use serde::{Deserialize, Serialize};
@@ -78,7 +77,9 @@ pub struct IntervalTree {
 }
 
 impl IntervalTree {
-    /// Build the tree for a trace.
+    /// Build the tree for a trace: each sample's subtree (function runs,
+    /// intra halves, sample node) in time order, then the binary levels
+    /// above the samples.
     pub fn build(
         trace: &SampledTrace,
         annots: &AuxAnnotations,
@@ -86,37 +87,11 @@ impl IntervalTree {
         bs: BlockSize,
         rho: f64,
     ) -> IntervalTree {
-        IntervalTree::build_par(trace, annots, symbols, bs, rho, par::default_threads())
-    }
-
-    /// [`IntervalTree::build`] with an explicit worker count: each
-    /// sample's subtree (function runs, intra halves, sample node) is an
-    /// independent local arena built in parallel, then spliced into the
-    /// shared arena in time order with an index offset — so the node
-    /// layout is identical for every thread count.
-    pub fn build_par(
-        trace: &SampledTrace,
-        annots: &AuxAnnotations,
-        symbols: &SymbolTable,
-        bs: BlockSize,
-        rho: f64,
-        threads: usize,
-    ) -> IntervalTree {
-        let locals = par::par_map(&trace.samples, threads, |s| {
-            sample_subtree(s, annots, symbols, bs)
-        });
-
         let mut nodes: Vec<IntervalNode> = Vec::new();
         let mut level_nodes: Vec<usize> = Vec::new();
-        for mut local in locals {
-            let base = nodes.len();
-            for node in &mut local {
-                for c in &mut node.children {
-                    *c += base;
-                }
-            }
-            nodes.extend(local);
-            // The sample node is the last entry of its local arena.
+        for s in &trace.samples {
+            sample_subtree(&mut nodes, s, annots, symbols, bs);
+            // The sample node is the last one its subtree appends.
             level_nodes.push(nodes.len() - 1);
         }
 
@@ -220,8 +195,8 @@ impl IntervalTree {
 /// (two halves) between themselves and the function runs.
 const INTRA_SPLIT_MIN: usize = 16;
 
-/// Function-run leaf nodes for one access slice, appended to a local
-/// arena; returns their local indices.
+/// Function-run leaf nodes for one access slice, appended to the arena;
+/// returns their indices.
 fn run_nodes(
     nodes: &mut Vec<IntervalNode>,
     accesses: &[memgaze_model::Access],
@@ -262,20 +237,20 @@ fn run_nodes(
     out
 }
 
-/// One sample's subtree as a local arena (function runs, optional intra
-/// halves, then the sample node last), with local child indices.
+/// One sample's subtree appended to the arena: function runs, optional
+/// intra halves, then the sample node last.
 fn sample_subtree(
+    nodes: &mut Vec<IntervalNode>,
     s: &Sample,
     annots: &AuxAnnotations,
     symbols: &SymbolTable,
     bs: BlockSize,
-) -> Vec<IntervalNode> {
-    let mut nodes: Vec<IntervalNode> = Vec::new();
+) {
     let children = if s.accesses.len() >= INTRA_SPLIT_MIN {
         let mid = s.accesses.len() / 2;
         let mut halves = Vec::with_capacity(2);
         for half in [&s.accesses[..mid], &s.accesses[mid..]] {
-            let fn_children = run_nodes(&mut nodes, half, annots, symbols, bs);
+            let fn_children = run_nodes(nodes, half, annots, symbols, bs);
             let diag = FootprintDiagnostics::compute(half, annots, bs);
             let r = reuse::analyze_window(half, bs);
             nodes.push(IntervalNode {
@@ -292,7 +267,7 @@ fn sample_subtree(
         }
         halves
     } else {
-        run_nodes(&mut nodes, &s.accesses, annots, symbols, bs)
+        run_nodes(nodes, &s.accesses, annots, symbols, bs)
     };
 
     let diag = FootprintDiagnostics::compute(&s.accesses, annots, bs);
@@ -308,7 +283,6 @@ fn sample_subtree(
         diag,
         children,
     });
-    nodes
 }
 
 #[cfg(test)]
@@ -435,15 +409,6 @@ mod tests {
             k => panic!("leaf is {k:?}"),
         }
         assert!((leaf.delta_f() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn build_threads_invariant() {
-        let (t, symbols) = trace(9);
-        let annots = AuxAnnotations::new();
-        let one = IntervalTree::build_par(&t, &annots, &symbols, BlockSize::CACHE_LINE, 3.0, 1);
-        let four = IntervalTree::build_par(&t, &annots, &symbols, BlockSize::CACHE_LINE, 3.0, 4);
-        assert_eq!(one, four);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   shard; [`fanout`] — its mergeable partials and their wire codec;
 //! * [`analyzer`] — a façade producing the paper's table shapes from
 //!   that report plus what needs the resident trace;
-//! * [`report`] — table rendering; [`par`] — scoped-thread parallel helpers.
+//! * [`report`] — table rendering.
+//!
+//! Every pass runs on the calling thread: a sample is a few hundred to a
+//! thousand accesses, which the window kernels analyze in microseconds.
 
 pub mod analyzer;
 pub mod confidence;
@@ -37,7 +40,6 @@ pub mod interval_tree;
 mod kernel;
 pub mod live;
 pub mod mape;
-pub mod par;
 pub mod report;
 pub mod reuse;
 pub mod streaming;
@@ -67,7 +69,7 @@ pub use live::{
 };
 pub use mape::{compare_window_series, mape, pct_error, MapeReport};
 pub use report::{fmt_f3, fmt_pct, fmt_si, Table};
-pub use reuse::{analyze_window, analyze_window_naive, BlockReuse, ReuseAnalysis, ReuseEvent};
+pub use reuse::{analyze_window, BlockReuse, ReuseAnalysis, ReuseEvent};
 pub use streaming::{
     stream_resident_trace, IngestStats, ReuseTracker, StreamingAnalyzer, StreamingReport,
 };

@@ -11,7 +11,7 @@
 //!
 //! Determinism is load-bearing: window stats derive from the merged
 //! per-sample diagnostics of a [`StreamingReport`], whose merge laws
-//! make them bit-identical across shard sizes and thread counts; the
+//! make them bit-identical across shard sizes; the
 //! drift tests are pure `f64` ratio comparisons. Two watch runs over
 //! the same stream with the same config therefore mark the same
 //! windows — the property `tests/watch_equivalence.rs` pins.

@@ -97,34 +97,6 @@ pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
     }
 }
 
-/// O(n²) oracle used by tests and property checks.
-pub fn analyze_window_naive(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
-    let n = accesses.len();
-    let blocks: Vec<u64> = accesses.iter().map(|a| a.addr.block(bs)).collect();
-    let mut events = Vec::new();
-    for pos in 0..n {
-        // Find previous access to the same block.
-        if let Some(prev) = (0..pos).rev().find(|&p| blocks[p] == blocks[pos]) {
-            let between: std::collections::HashSet<u64> =
-                blocks[prev + 1..pos].iter().copied().collect();
-            let mut between = between;
-            between.remove(&blocks[pos]);
-            events.push(ReuseEvent {
-                pos,
-                block: blocks[pos],
-                interval: (pos - prev) as u64,
-                distance: between.len() as u64,
-            });
-        }
-    }
-    let unique: std::collections::HashSet<u64> = blocks.iter().copied().collect();
-    ReuseAnalysis {
-        events,
-        accesses: n,
-        unique_blocks: unique.len() as u64,
-    }
-}
-
 /// Per-block statistics tracked by [`BlockReuse`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct BlockStats {
@@ -239,26 +211,31 @@ impl BlockReuse {
         BlockReuse::from_pairs_unindexed(pairs)
     }
 
-    /// The unindexed summary of many windows' kernel rows — a streaming
-    /// shard's samples — concatenated and sorted once.
-    pub(crate) fn from_rows_unindexed<'r>(
-        windows: impl Iterator<Item = &'r [Row]> + Clone,
-    ) -> BlockReuse {
-        let mut pairs = Vec::with_capacity(windows.clone().map(<[Row]>::len).sum());
-        for rows in windows {
-            pairs.extend(rows.iter().map(BlockStats::of_row));
-        }
-        BlockReuse::from_pairs_unindexed(pairs)
+    /// The unindexed summary of many windows' kernel rows, concatenated
+    /// — a streaming shard's samples — sorted once, in place.
+    pub(crate) fn from_rows_unindexed(rows: &mut [Row]) -> BlockReuse {
+        // Rows arrive in first-touch order, so there are no runs for a
+        // stable sort to find.
+        rows.sort_unstable_by_key(|r| r.block);
+        BlockReuse::from_sorted_unindexed(rows.iter().map(BlockStats::of_row))
     }
 
     /// Sort `(block, stats)` pairs and absorb duplicate blocks; no
-    /// query index. Order among equal blocks is irrelevant: `absorb`
-    /// only sums and maxes.
+    /// query index.
     fn from_pairs_unindexed(mut pairs: Vec<(u64, BlockStats)>) -> BlockReuse {
         // The stable sort detects runs: summaries arrive with strictly
         // increasing blocks, so their concatenation is a handful of
         // pre-sorted runs that merge in near-linear time.
         pairs.sort_by_key(|&(b, _)| b);
+        BlockReuse::from_sorted_unindexed(pairs.into_iter())
+    }
+
+    /// Absorb duplicate blocks of `(block, stats)` pairs in block order;
+    /// no query index. Order among equal blocks is irrelevant: `absorb`
+    /// only sums and maxes.
+    fn from_sorted_unindexed(
+        pairs: impl ExactSizeIterator<Item = (u64, BlockStats)>,
+    ) -> BlockReuse {
         let mut br = BlockReuse {
             blocks: Vec::with_capacity(pairs.len()),
             stats: Vec::with_capacity(pairs.len()),
@@ -533,24 +510,6 @@ mod tests {
         let a_reuse = r.events.iter().find(|e| e.block == 1).unwrap();
         assert_eq!(a_reuse.interval, 4);
         assert_eq!(a_reuse.distance, 1);
-    }
-
-    #[test]
-    fn matches_naive_oracle_on_patterns() {
-        let patterns: Vec<Vec<u64>> = vec![
-            vec![],
-            vec![7],
-            vec![1, 2, 3, 4, 1, 2, 3, 4],
-            vec![1, 1, 2, 1, 3, 1, 4, 1],
-            (0..64).map(|i| i % 8).collect(),
-            (0..100).map(|i| (i * 37) % 11).collect(),
-        ];
-        for p in patterns {
-            let a = seq(&p);
-            let fast = analyze_window(&a, BlockSize::CACHE_LINE);
-            let slow = analyze_window_naive(&a, BlockSize::CACHE_LINE);
-            assert_eq!(fast, slow, "pattern {p:?}");
-        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! out of the store's frames, from a `serve` upload, or from the
 //! resident [`Analyzer`](crate::Analyzer), which feeds it
 //! `trace.samples` and reads the [`StreamingReport`] back — holding one
-//! decoded shard plus O(partials) state. The report is the same for any
-//! shard size and worker count; the reference it answers to is the
-//! definitional spec in `tests/common/spec.rs`.
+//! decoded shard plus O(partials) state. A shard's samples are analyzed
+//! one after another on the calling thread. The report is the same for
+//! any shard size and any number of fan-out workers; the reference it
+//! answers to is the definitional spec in `tests/common/spec.rs`.
 //!
 //! The merge laws that make "any sharding == one shard" exact:
 //!
@@ -43,7 +44,6 @@ use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
 use crate::kernel::{self, IpInfo, IpResolver, Markers, Row};
-use crate::par;
 use crate::reuse::BlockReuse;
 use memgaze_model::{
     AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable, TraceMeta,
@@ -303,17 +303,6 @@ impl FuncState {
     }
 }
 
-/// What one sample's kernel passes produce.
-struct SampleArtifacts {
-    reuse: SampleReuseSummary,
-    histogram: Log2Histogram,
-    diag: FootprintDiagnostics,
-    /// Per-block reuse rows of the sample.
-    rows: Vec<Row>,
-    /// One locality row per configured size.
-    locality: Vec<(u64, f64, f64, f64)>,
-}
-
 /// The fold: feed shards in trace order via
 /// [`ingest_shard`](Self::ingest_shard), then [`finish`](Self::finish)
 /// into a [`StreamingReport`].
@@ -353,6 +342,9 @@ pub struct StreamingAnalyzer<'a> {
     /// shard order, the buffer reused from shard to shard. (The block
     /// columns are the accesses' own `addr`, shifted where it is read.)
     resolved: Vec<IpInfo>,
+    /// The current shard's per-block reuse rows, sample after sample;
+    /// reused likewise.
+    shard_rows: Vec<Row>,
 }
 
 impl<'a> StreamingAnalyzer<'a> {
@@ -379,6 +371,7 @@ impl<'a> StreamingAnalyzer<'a> {
             pending_blocks: 0,
             resolver: IpResolver::new(symbols, annots),
             resolved: Vec::new(),
+            shard_rows: Vec::new(),
         }
     }
 
@@ -393,8 +386,8 @@ impl<'a> StreamingAnalyzer<'a> {
 
     /// Ingest the next shard of samples, which must continue the trace's
     /// global time order. Every access is resolved once into columns;
-    /// the per-sample kernel passes over them run in parallel
-    /// (`cfg.threads`); all folds happen sequentially in sample order.
+    /// then each sample's kernel passes and its function pass fold into
+    /// the accumulators, in sample order.
     pub fn ingest_shard(&mut self, samples: &[Sample]) {
         let mut span = memgaze_obs::span("streaming.ingest_shard");
         if span.is_active() {
@@ -405,34 +398,15 @@ impl<'a> StreamingAnalyzer<'a> {
             ));
         }
         let resolved = self.resolve(samples);
+        let shard_bytes = resolved.len() * std::mem::size_of::<memgaze_model::Access>();
+        let mut rows = std::mem::take(&mut self.shard_rows);
+        rows.clear();
         // Each sample with its slice of the resolved column.
         let mut rest = &resolved[..];
-        let items: Vec<(&Sample, &[IpInfo])> = samples
-            .iter()
-            .map(|s| {
-                let (mine, after) = rest.split_at(s.accesses.len());
-                rest = after;
-                (s, mine)
-            })
-            .collect();
-        let shard_bytes = resolved.len() * std::mem::size_of::<memgaze_model::Access>();
-
-        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
-        let sizes = &self.locality_sizes;
-        let arts = par::par_map(&items, self.cfg.threads, |&(s, infos)| {
-            sample_passes(s, infos, rb, fb, sizes)
-        });
-
-        for (&(s, infos), art) in items.iter().zip(&arts) {
-            self.num_samples += 1;
-            self.observed += art.diag.observed;
-            self.implied_const += art.diag.implied_const;
-            self.histogram.merge(&art.histogram);
-            self.per_sample_reuse.push(art.reuse);
-            self.per_sample_diags.push(art.diag);
-            for (rows, &p) in self.locality.iter_mut().zip(&art.locality) {
-                rows.push(p);
-            }
+        for s in samples {
+            let (infos, after) = rest.split_at(s.accesses.len());
+            rest = after;
+            self.fold_sample_passes(s, infos, &mut rows);
             self.fold_sample_functions(s, infos);
         }
         self.resolved = resolved;
@@ -444,7 +418,7 @@ impl<'a> StreamingAnalyzer<'a> {
         // so no index — and folded geometrically in
         // `fold_pending_block_reuse`.
         if !samples.is_empty() {
-            let shard_summary = BlockReuse::from_rows_unindexed(arts.iter().map(|a| &a.rows[..]));
+            let shard_summary = BlockReuse::from_rows_unindexed(&mut rows);
             self.pending_blocks += shard_summary.len();
             self.pending_block_reuse.push(shard_summary);
             if self.pending_blocks > 4096.max(2 * self.block_reuse.len()) {
@@ -453,6 +427,7 @@ impl<'a> StreamingAnalyzer<'a> {
             self.stats.merge_events += 1;
             memgaze_obs::counter!("streaming.merges").add(1);
         }
+        self.shard_rows = rows;
         self.stats.shards += 1;
         self.stats.samples += samples.len() as u64;
         self.stats.peak_shard_samples = self.stats.peak_shard_samples.max(samples.len());
@@ -497,6 +472,43 @@ impl<'a> StreamingAnalyzer<'a> {
         // the final one in `into_partial`, so the query index waits.
         self.block_reuse = BlockReuse::from_parts_unindexed(parts);
         self.pending_blocks = 0;
+    }
+
+    /// The kernel passes over one sample and its resolved column, folded
+    /// into the accumulators: reuse (histogram, summary, one locality
+    /// row per size, and the per-block rows, appended to `rows`, all
+    /// read before the class pass starts its own window), then the
+    /// diagnostics.
+    fn fold_sample_passes(&mut self, s: &Sample, infos: &[IpInfo], rows: &mut Vec<Row>) {
+        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
+        let accesses = &s.accesses[..];
+        kernel::with_workspace(|ws| {
+            let reuses = ws.reuse_pass(
+                (accesses.iter().zip(infos)).map(|(a, i)| (a.addr.block(rb), u64::from(i.implied))),
+            );
+            let (events, mut dist_sum) = (reuses.len() as u64, 0u64);
+            for &[_, _, d] in reuses {
+                self.histogram.insert(u64::from(d));
+                dist_sum += u64::from(d);
+            }
+            self.per_sample_reuse.push(SampleReuseSummary {
+                events: events as usize,
+                mean_d: kernel::mean_distance(dist_sum, events),
+            });
+            rows.extend_from_slice(ws.rows());
+            for (series, &size) in self.locality.iter_mut().zip(&self.locality_sizes) {
+                series.push(ws.locality_split(size.max(1) as usize));
+            }
+            let counts = ws.class_pass(
+                (accesses.iter().zip(infos))
+                    .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
+            );
+            let diag = FootprintDiagnostics::from_counts(accesses.len() as u64, counts);
+            self.num_samples += 1;
+            self.observed += diag.observed;
+            self.implied_const += diag.implied_const;
+            self.per_sample_diags.push(diag);
+        });
     }
 
     /// Sequential per-access function pass over one sample and its
@@ -632,48 +644,6 @@ impl<'a> StreamingAnalyzer<'a> {
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         self.into_partial().finish(meta)
     }
-}
-
-/// The kernel passes over one sample and its resolved column: reuse
-/// (histogram, summary, per-block rows and one locality row per size,
-/// read before the class pass starts its own window), diagnostics.
-fn sample_passes(
-    s: &Sample,
-    infos: &[IpInfo],
-    rb: BlockSize,
-    fb: BlockSize,
-    sizes: &[u64],
-) -> SampleArtifacts {
-    let accesses = &s.accesses[..];
-    kernel::with_workspace(|ws| {
-        let reuses = ws.reuse_pass(
-            (accesses.iter().zip(infos)).map(|(a, i)| (a.addr.block(rb), u64::from(i.implied))),
-        );
-        let mut histogram = Log2Histogram::new();
-        let (events, mut dist_sum) = (reuses.len() as u64, 0u64);
-        for &[_, _, d] in reuses {
-            histogram.insert(u64::from(d));
-            dist_sum += u64::from(d);
-        }
-        let rows = ws.rows().to_vec();
-        let locality = (sizes.iter())
-            .map(|&size| ws.locality_split(size.max(1) as usize))
-            .collect();
-        let counts = ws.class_pass(
-            (accesses.iter().zip(infos))
-                .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
-        );
-        SampleArtifacts {
-            reuse: SampleReuseSummary {
-                events: events as usize,
-                mean_d: kernel::mean_distance(dist_sum, events),
-            },
-            histogram,
-            diag: FootprintDiagnostics::from_counts(accesses.len() as u64, counts),
-            rows,
-            locality,
-        }
-    })
 }
 
 /// The report of a pass: what [`Analyzer`](crate::Analyzer)'s

@@ -16,7 +16,6 @@
 use crate::diagnostics::FootprintDiagnostics;
 use crate::footprint::WindowKind;
 use crate::kernel::{self, AnnotMemo, IpResolver};
-use crate::par;
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
 };
@@ -115,19 +114,18 @@ pub fn window_series(
     sizes: &[u64],
 ) -> Vec<WindowPoint> {
     let info = DecompressionInfo::from_trace(trace, annots);
-    window_series_with(trace, annots, bs, sizes, &info, par::default_threads())
+    window_series_with(trace, annots, bs, sizes, &info)
 }
 
-/// [`window_series`] with precomputed decompression facts and an
-/// explicit worker count — the analyzer passes its cached ρ/κ here so
-/// the series does not re-derive them per call.
+/// [`window_series`] with precomputed decompression facts — the
+/// analyzer passes its cached ρ/κ here so the series does not re-derive
+/// them per call.
 pub fn window_series_with(
     trace: &SampledTrace,
     annots: &AuxAnnotations,
     bs: BlockSize,
     sizes: &[u64],
     info: &DecompressionInfo,
-    threads: usize,
 ) -> Vec<WindowPoint> {
     let (kappa, rho, period) = (info.kappa(), info.rho(), trace.meta.period);
     // A window fits inside a sample while its decompressed size is below
@@ -164,15 +162,15 @@ pub fn window_series_with(
             })
         })
     };
-    kernel::rows_per_size(&trace.samples, &chunks, threads, sample_rows, |k, row| {
+    kernel::rows_per_size(&trace.samples, &chunks, sample_rows, |k, row| {
         add(&mut intra_sums[k], row)
     });
     // Inter-sample windows: whole samples' diagnostics, grouped.
     let diags = OnceCell::new();
-    let whole_samples = || {
-        par::par_map(&trace.samples, threads, |s| {
-            FootprintDiagnostics::compute(&s.accesses, annots, bs)
-        })
+    let whole_samples = || -> Vec<FootprintDiagnostics> {
+        (trace.samples.iter())
+            .map(|s| FootprintDiagnostics::compute(&s.accesses, annots, bs))
+            .collect()
     };
     let mut intra_sums = intra_sums.into_iter();
     sizes
@@ -332,21 +330,6 @@ mod tests {
         // 2 samples × 128/32 windows each.
         assert_eq!(pts[0].windows, 8);
         assert!((pts[0].effective_size - 32.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_series_threads_invariant() {
-        let t = trace_with_samples(40, 200, 10_000);
-        let annots = AuxAnnotations::new();
-        let info = DecompressionInfo::from_trace(&t, &annots);
-        let sizes = [16u64, 64, 10_000, 20_000];
-        let one = window_series_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, &info, 1);
-        let four = window_series_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, &info, 4);
-        assert_eq!(one, four);
-        assert_eq!(
-            one,
-            window_series(&t, &annots, BlockSize::CACHE_LINE, &sizes)
-        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests of the throughput overhaul's three pillars:
+//! Property tests of the throughput overhaul's pillars:
 //!
 //! 1. the memoized `Analyzer` returns the same resident-only artifacts
 //!    (zoom, region rows, heatmaps, window series, interval tree) as a
@@ -7,18 +7,16 @@
 //!    (`spec_equivalence.rs`);
 //! 2. the indexed `BlockReuse` region queries agree with a linear-scan
 //!    oracle over `(block, stats)` pairs;
-//! 3. every parallelized per-sample pass is invariant in the worker
-//!    count (threads = N matches threads = 1 bit-for-bit);
-//! 4. the window kernels equal their set-and-scan definitions.
+//! 3. the window kernels equal their set-and-scan definitions.
 
 #[path = "../../../tests/common/arb.rs"]
 mod arb;
+#[path = "../../../tests/common/spec.rs"]
+mod spec;
 
 use arb::{arb_trace, arb_window};
 use memgaze_analysis::{
-    analyze_window, analyze_window_naive, captures_survivals, locality_vs_interval_with,
-    region_heatmaps_from, window_series_with, AnalysisConfig, Analyzer, BlockReuse,
-    FootprintDiagnostics, IntervalTree,
+    analyze_window, captures_survivals, AnalysisConfig, Analyzer, BlockReuse, FootprintDiagnostics,
 };
 use memgaze_model::{
     AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, SampledTrace, SymbolTable,
@@ -147,68 +145,16 @@ proptest! {
         prop_assert_eq!(br.region_accesses(0, u64::MAX), o.accesses(0, u64::MAX));
     }
 
-    /// Pillar 3: the parallel per-sample passes are bit-for-bit
-    /// invariant in the worker count.
-    #[test]
-    fn parallel_passes_match_single_thread(t in arb_trace(), threads in 2usize..6) {
-        let annots = AuxAnnotations::new();
-        let symbols = SymbolTable::new();
-        let sizes = [8u64, 32, 128];
-        let info = {
-            let a = Analyzer::new(&t, &annots, &symbols);
-            a.decompression()
-        };
-
-        let w1 = window_series_with(&t, &annots, BlockSize::WORD, &sizes, &info, 1);
-        let wn = window_series_with(&t, &annots, BlockSize::WORD, &sizes, &info, threads);
-        prop_assert_eq!(w1, wn);
-
-        let l1 = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, 1);
-        let ln = locality_vs_interval_with(&t, &annots, BlockSize::CACHE_LINE, &sizes, threads);
-        prop_assert_eq!(l1, ln);
-
-        let analyses: Vec<_> = t
-            .samples
-            .iter()
-            .map(|s| analyze_window(&s.accesses, BlockSize::CACHE_LINE))
-            .collect();
-        let region = (0x10_0000u64, 0x10_0000 + (1 << 15));
-        let last = t.accesses().map(|a| a.time).max().unwrap_or(0);
-        let times = (t.accesses().map(|a| a.time).min().unwrap_or(0), last + 1);
-        let (a1, d1) = region_heatmaps_from(&t, &analyses, times, region, 8, 8, 1);
-        let (an, dn) = region_heatmaps_from(&t, &analyses, times, region, 8, 8, threads);
-        prop_assert_eq!(a1, an);
-        prop_assert_eq!(d1, dn);
-
-        let tree1 = IntervalTree::build_par(&t, &annots, &symbols, BlockSize::WORD, 1.0, 1);
-        let treen = IntervalTree::build_par(&t, &annots, &symbols, BlockSize::WORD, 1.0, threads);
-        prop_assert_eq!(tree1, treen);
-
-        // And through the analyzer façade: threads=1 vs threads=N config
-        // produce identical resident-only artifacts.
-        let c1 = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
-        let cn = AnalysisConfig { threads, ..c1 };
-        let one = Analyzer::new(&t, &annots, &symbols).with_config(c1);
-        let many = Analyzer::new(&t, &annots, &symbols).with_config(cn);
-        prop_assert_eq!(one.zoom(), many.zoom());
-        prop_assert_eq!(one.region_rows(), many.region_rows());
-        prop_assert_eq!(one.heatmaps(region, 8, 8), many.heatmaps(region, 8, 8));
-        prop_assert_eq!(one.window_series(&sizes), many.window_series(&sizes));
-        prop_assert_eq!(one.interval_tree(), many.interval_tree());
-    }
-
-    /// Pillar 4: the fused kernels against plain definitions — reuse
-    /// against the O(n²) oracle on both sides of the 64-access marker
-    /// split, diagnostics and captures against `BTreeSet`s.
+    /// Pillar 3: the fused kernels against plain definitions — reuse
+    /// against the spec's O(n²) definition on both sides of the
+    /// 64-access marker split, diagnostics and captures against
+    /// `BTreeSet`s.
     #[test]
     fn kernels_match_their_definitions(w in arb_window(150), classes in prop::collection::vec(0u8..4, 64..65)) {
         use std::collections::{BTreeMap, BTreeSet};
         let bs = BlockSize::CACHE_LINE;
         for part in [&w[..], &w[..w.len().min(64)], &w[..w.len().min(17)]] {
-            prop_assert_eq!(analyze_window(part, bs), analyze_window_naive(part, bs));
+            prop_assert_eq!(analyze_window(part, bs), spec::analyze_window_naive(part, bs));
         }
 
         // ip k of `arb_access` is Strided, Irregular, Constant or

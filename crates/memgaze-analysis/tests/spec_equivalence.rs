@@ -6,9 +6,10 @@
 //! the streaming fold — and `Analyzer`, which reads the fold's report —
 //! and the location zoom equal to the spec where the root proptests
 //! (`tests/streaming_equivalence.rs`, random traces of a few samples)
-//! do not reach: enough samples per shard that `par_map` really
-//! spreads them over workers, degenerate traces, zoom trees worked by
-//! hand, and the top of the address space.
+//! do not reach: 48 samples over every shard size, degenerate traces,
+//! zoom trees worked by hand, and the top of the address space. Last,
+//! it holds the reuse kernel to the quadratic definition around the
+//! lengths where the kernel changes how it works.
 
 #[path = "../../../tests/common/arb.rs"]
 mod arb;
@@ -17,8 +18,8 @@ mod spec;
 
 use arb::BLOCK_SIZES;
 use memgaze_analysis::{
-    stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse, RegionCode,
-    ZoomConfig, ZoomRegion,
+    analyze_window, locality_vs_interval_with, stream_resident_trace, zoom_trace_with,
+    AnalysisConfig, Analyzer, BlockReuse, RegionCode, ZoomConfig, ZoomRegion,
 };
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, FunctionId, Ip, IpAnnot, LoadClass,
@@ -41,11 +42,10 @@ fn input<'a>(
     }
 }
 
-fn config(blocks: (BlockSize, BlockSize), threads: usize) -> AnalysisConfig {
+fn config(blocks: (BlockSize, BlockSize)) -> AnalysisConfig {
     AnalysisConfig {
         footprint_block: blocks.0,
         reuse_block: blocks.1,
-        threads,
         ..AnalysisConfig::default()
     }
 }
@@ -180,14 +180,7 @@ fn spec_gives_the_values_worked_by_hand() {
     ));
 
     // And the engine says the same, bit for bit.
-    let report = stream_resident_trace(
-        &t,
-        &annots,
-        &symbols,
-        config(BLOCK_SIZES[0], 1),
-        &[2, 64],
-        1,
-    );
+    let report = stream_resident_trace(&t, &annots, &symbols, config(BLOCK_SIZES[0]), &[2, 64], 1);
     spec::check_report(&report, &i, &[2, 64], 1).unwrap();
 }
 
@@ -231,20 +224,17 @@ fn forty_eight_samples() -> (SampledTrace, AuxAnnotations, SymbolTable) {
 
 #[test]
 fn fold_matches_spec_when_samples_spread_over_workers() {
-    // A 64-sample shard holds all 48 samples, more than `par_map` runs
-    // inline, so threads 2 and 4 really fan the sample passes out over
-    // workers with their own kernel workspaces.
+    // From one sample per shard to a 64-sample shard that holds all 48,
+    // at every pair of block sizes.
     let (t, annots, symbols) = forty_eight_samples();
     let sizes = [8u64, 32];
     for blocks in BLOCK_SIZES {
         let want = spec::Expected::of(&input(&t, &annots, &symbols, blocks), &sizes);
         for shard in [1usize, 3, 7, 16, 64] {
-            for threads in [1usize, 2, 4] {
-                let cfg = config(blocks, threads);
-                let report = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, shard);
-                want.check(&report, shard)
-                    .unwrap_or_else(|e| panic!("{blocks:?} shard {shard} threads {threads}: {e}"));
-            }
+            let report =
+                stream_resident_trace(&t, &annots, &symbols, config(blocks), &sizes, shard);
+            want.check(&report, shard)
+                .unwrap_or_else(|e| panic!("{blocks:?} shard {shard}: {e}"));
         }
     }
 }
@@ -279,7 +269,7 @@ fn degenerate_traces_match_spec() {
         let i = input(&t, &annots, &symbols, blocks);
         for shard in [1usize, 2, 3] {
             let report =
-                stream_resident_trace(&t, &annots, &symbols, config(blocks, 1), &[1, 8], shard);
+                stream_resident_trace(&t, &annots, &symbols, config(blocks), &[1, 8], shard);
             spec::check_report(&report, &i, &[1, 8], shard)
                 .unwrap_or_else(|e| panic!("{blocks:?} shard {shard}: {e}"));
         }
@@ -400,6 +390,97 @@ fn zoom_matches_spec_on_cases_worked_by_hand() {
     assert_eq!((root.accesses, root.blocks), (2, 1));
 }
 
+/// One access per cache-line block of `blocks`, in order.
+fn lines(blocks: impl IntoIterator<Item = u64>) -> Vec<Access> {
+    (blocks.into_iter().zip(0u64..))
+        .map(|(b, i)| Access::new(0x400u64, b * 64, i))
+        .collect()
+}
+
+/// `n` accesses with reuse at every distance up to `distinct`.
+fn mixed(n: usize, distinct: u64) -> Vec<Access> {
+    lines((0..n as u64).map(|i| (i.wrapping_mul(2654435761) >> 7) % distinct))
+}
+
+#[test]
+fn reuse_kernel_matches_the_definition_where_it_changes_method() {
+    let bs = BlockSize::CACHE_LINE;
+    let check = |a: &[Access], what: &str| {
+        assert_eq!(
+            analyze_window(a, bs),
+            spec::analyze_window_naive(a, bs),
+            "{what}"
+        );
+    };
+    for p in [
+        vec![],
+        vec![7],
+        vec![1, 2, 3, 4, 1, 2, 3, 4],
+        vec![1, 1, 2, 1, 3, 1, 4, 1],
+        (0..64).map(|i| i % 8).collect(),
+        (0..100).map(|i| (i * 37) % 11).collect(),
+    ] {
+        check(&lines(p.iter().copied()), &format!("{p:?}"));
+    }
+    // Either side of 64 accesses, where the markers leave one `u64`
+    // for the bit vector and its tree.
+    for n in [0usize, 1, 2, 63, 64, 65, 130] {
+        for distinct in [1u64, 3, 17, 1000] {
+            check(&mixed(n, distinct), &format!("n {n} distinct {distinct}"));
+        }
+    }
+    // Either side of the 4096-access window whose buffers a thread
+    // keeps, then a short window on the buffers a long one released.
+    for n in [4095usize, 4096, 4097] {
+        check(&mixed(n, 97), &format!("n {n}"));
+    }
+    check(&mixed(50, 7), "after a released window");
+}
+
+#[test]
+fn kernel_rows_total_the_events() {
+    let mut t = SampledTrace::new(TraceMeta::new("rows", 1000, 8192));
+    t.push_sample(Sample::new(mixed(300, 23), 300)).unwrap();
+    let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+    let i = input(&t, &annots, &symbols, BLOCK_SIZES[0]);
+    let summary = BlockReuse::from_samples(&t.samples, i.reuse_block);
+    assert_eq!(summary.raw_rows().collect::<Vec<_>>(), spec::block_rows(&i));
+}
+
+#[test]
+fn locality_series_matches_spec_across_passes() {
+    // Three annotated ips and one not; samples on both sides of the
+    // 64-access marker split; more sizes than one pass serves.
+    let mut annots = AuxAnnotations::new();
+    for (k, class) in [
+        LoadClass::Strided,
+        LoadClass::Constant,
+        LoadClass::Irregular,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut an = IpAnnot::of_class(class, FunctionId(0));
+        an.implied_const = k as u32 * 2 + 1;
+        annots.insert(Ip(0x400 + k as u64 * 4), an);
+    }
+    let mut t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
+    for (s, len) in (0u64..).zip([0u64, 1, 63, 64, 65, 500]) {
+        let accesses: Vec<Access> = (0..len)
+            .map(|i| Access::new(0x400 + (i * 5 % 4) * 4, (i * i % 89 + s) * 24, s * 1000 + i))
+            .collect();
+        t.push_sample(Sample::new(accesses, s * 1000 + len))
+            .unwrap();
+    }
+    let chunks = [1u64, 15, 16, 17, 63, 64, 65, 200, 1000];
+    let symbols = SymbolTable::new();
+    let blocks = (BlockSize::CACHE_LINE, BlockSize::CACHE_LINE);
+    assert_eq!(
+        locality_vs_interval_with(&t, &annots, blocks.1, &chunks, 1),
+        spec::locality_series(&input(&t, &annots, &symbols, blocks), &chunks)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -410,13 +491,12 @@ proptest! {
     #[test]
     fn analyzer_tables_match_spec(
         t in arb::arb_trace(),
-        threads in 1usize..5,
         blocks in 0usize..3,
         tables_first in 0usize..2,
     ) {
         let (annots, symbols) = arb::fixtures();
         let i = input(&t, &annots, &symbols, BLOCK_SIZES[blocks]);
-        let a = Analyzer::new(&t, &annots, &symbols).with_config(config(BLOCK_SIZES[blocks], threads));
+        let a = Analyzer::new(&t, &annots, &symbols).with_config(config(BLOCK_SIZES[blocks]));
         let want = spec::decompression(&i);
         if tables_first == 1 {
             prop_assert_eq!(a.function_table(), &spec::function_rows(&i)[..]);

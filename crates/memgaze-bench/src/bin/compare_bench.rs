@@ -18,10 +18,9 @@
 //! CI gate fails loudly instead of archiving a regression.
 //!
 //! Files are read with the workspace's one JSON reader
-//! (`memgaze_obs::json`), so paths come out in key order. Host-identity
-//! fields (`host_cpus`, `memgaze_threads`) are compared too: a ratio
-//! between runs on different hosts is flagged rather than silently
-//! reported.
+//! (`memgaze_obs::json`), so paths come out in key order. The
+//! host-identity field (`host_cpus`) is compared too: a ratio between
+//! runs on different hosts is flagged rather than silently reported.
 
 use memgaze_obs::json::{self, Value};
 use std::process::ExitCode;
@@ -93,16 +92,19 @@ fn run_diff(old_path: &str, new_path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for host_key in ["host_cpus", "memgaze_threads"] {
-        let a = old.iter().find(|l| l.path == host_key).map(|l| l.value);
-        let b = new.iter().find(|l| l.path == host_key).map(|l| l.value);
-        if a != b {
-            println!(
-                "warning: {host_key} differs ({} vs {}) — ratios below compare different hosts",
-                a.map_or("absent".into(), |v| v.to_string()),
-                b.map_or("absent".into(), |v| v.to_string()),
-            );
-        }
+    let host_cpus = |leaves: &[Leaf]| {
+        leaves
+            .iter()
+            .find(|l| l.path == "host_cpus")
+            .map(|l| l.value)
+    };
+    let (a, b) = (host_cpus(&old), host_cpus(&new));
+    if a != b {
+        println!(
+            "warning: host_cpus differs ({} vs {}) — ratios below compare different hosts",
+            a.map_or("absent".into(), |v| v.to_string()),
+            b.map_or("absent".into(), |v| v.to_string()),
+        );
     }
     let width = old
         .iter()

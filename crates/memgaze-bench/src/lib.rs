@@ -96,22 +96,21 @@ pub fn emit<T: Serialize>(id: &str, table: &Table, payload: &T) {
     println!("[experiment data → {}]\n", path.display());
 }
 
-/// Prepend the host facts every bench JSON must carry — core count and
-/// the effective `MEMGAZE_THREADS` resolution — to a serialized
-/// top-level JSON object. Timings are only comparable between two runs
-/// when these match, so [`emit`] injects them unconditionally.
+/// Prepend the host fact every bench JSON must carry — the core count —
+/// to a serialized top-level JSON object. Timings are only comparable
+/// between two runs when it matches, so [`emit`] injects it
+/// unconditionally.
 fn with_host_fields(body: String) -> String {
     let Some(rest) = body.strip_prefix('{') else {
         return body; // non-object payload: nothing to annotate
     };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = memgaze_analysis::par::default_threads();
     let sep = if rest.trim_start().starts_with('}') {
         ""
     } else {
         ","
     };
-    format!("{{\n  \"host_cpus\": {cpus},\n  \"memgaze_threads\": {threads}{sep}{rest}")
+    format!("{{\n  \"host_cpus\": {cpus}{sep}{rest}")
 }
 
 /// Milliseconds elapsed running `f`, plus its result.
@@ -134,11 +133,10 @@ mod tests {
     fn host_fields_are_injected_into_object_payloads() {
         let annotated = with_host_fields("{\n  \"a\": 1\n}".to_string());
         assert!(annotated.starts_with("{\n  \"host_cpus\": "), "{annotated}");
-        assert!(annotated.contains("\"memgaze_threads\": "), "{annotated}");
         assert!(annotated.ends_with("\"a\": 1\n}"), "{annotated}");
-        // An empty object gains the fields without a dangling comma.
+        // An empty object gains the field without a dangling comma.
         let empty = with_host_fields("{}".to_string());
-        assert!(empty.contains("\"memgaze_threads\""), "{empty}");
+        assert!(empty.contains("\"host_cpus\""), "{empty}");
         assert!(!empty.contains(",}"), "{empty}");
         // Non-object payloads pass through untouched.
         assert_eq!(with_host_fields("[1,2]".to_string()), "[1,2]");

@@ -99,8 +99,6 @@ fn lock_live<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct FanoutConfig {
     /// Worker slots (and the target number of frame ranges).
     pub workers: usize,
-    /// Analysis threads inside each worker.
-    pub threads_per_worker: usize,
     /// Attempts per range before the run fails.
     pub max_attempts: u32,
     /// Wall-clock budget per range request.
@@ -113,7 +111,6 @@ impl Default for FanoutConfig {
     fn default() -> Self {
         FanoutConfig {
             workers: 4,
-            threads_per_worker: 1,
             max_attempts: 3,
             timeout: Duration::from_secs(120),
             locality_sizes: Vec::new(),
@@ -517,7 +514,6 @@ impl FanoutPool {
         let spec = WorkerSpec {
             footprint_block: analysis.footprint_block,
             reuse_block: analysis.reuse_block,
-            threads: cfg.threads_per_worker.max(1),
             locality_sizes: cfg.locality_sizes.clone(),
             annots: annots.clone(),
             symbols: symbols.clone(),
@@ -909,23 +905,17 @@ fn run_source(
     backend: &FanoutBackend,
 ) -> Result<FanoutRunReport, FanoutError> {
     match backend {
-        FanoutBackend::InProcess => {
-            let worker_cfg = AnalysisConfig {
-                threads: cfg.threads_per_worker.max(1),
-                ..analysis
-            };
-            coordinate(&source, analysis, cfg, None, |_, range| {
-                source
-                    .analyze(
-                        range.clone(),
-                        annots,
-                        symbols,
-                        worker_cfg,
-                        &cfg.locality_sizes,
-                    )
-                    .map_err(|e| e.to_string())
-            })
-        }
+        FanoutBackend::InProcess => coordinate(&source, analysis, cfg, None, |_, range| {
+            source
+                .analyze(
+                    range.clone(),
+                    annots,
+                    symbols,
+                    analysis,
+                    &cfg.locality_sizes,
+                )
+                .map_err(|e| e.to_string())
+        }),
         FanoutBackend::Subprocess { exe } => {
             FanoutPool::new(exe, source, annots, symbols, analysis, cfg.clone())?.run()
         }
@@ -1334,10 +1324,7 @@ mod tests {
         let (t, container, index) = mk_indexed_trace();
         let annots = AuxAnnotations::new();
         let symbols = SymbolTable::new();
-        let analysis = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let analysis = AnalysisConfig::default();
         let sizes = vec![8u64, 32];
         let resident =
             memgaze_analysis::stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 2);
@@ -1375,10 +1362,7 @@ mod tests {
         let (t, container, index) = mk_indexed_trace();
         let annots = AuxAnnotations::new();
         let symbols = SymbolTable::new();
-        let analysis = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let analysis = AnalysisConfig::default();
         let sizes = vec![8u64, 32];
         let root = std::env::temp_dir().join(format!(
             "memgaze-fanout-store-unit-{}-{}",
@@ -1445,10 +1429,7 @@ mod tests {
     #[test]
     fn store_backed_fanout_recovers_from_panicking_worker() {
         let (t, container, index) = mk_indexed_trace();
-        let analysis = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let analysis = AnalysisConfig::default();
         let (root, _store) = temp_store("store-panic", &container, &index);
         // Four slots reach the first attempt together: exactly one fires.
         let cfg = FanoutConfig {
@@ -1477,10 +1458,7 @@ mod tests {
     #[test]
     fn panicking_in_process_worker_still_yields_complete_report() {
         let (t, container, index) = mk_indexed_trace();
-        let analysis = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let analysis = AnalysisConfig::default();
         let sizes = vec![8u64, 32];
         let resident = memgaze_analysis::stream_resident_trace(
             &t,
@@ -1516,7 +1494,6 @@ mod tests {
         let spec = WorkerSpec {
             footprint_block: AnalysisConfig::default().footprint_block,
             reuse_block: AnalysisConfig::default().reuse_block,
-            threads: 1,
             locality_sizes: vec![8, 32],
             annots: AuxAnnotations::new(),
             symbols: SymbolTable::new(),
@@ -1644,10 +1621,7 @@ mod tests {
         let (_, container, index) = mk_indexed_trace();
         let annots = AuxAnnotations::new();
         let symbols = SymbolTable::new();
-        let cfg = AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        };
+        let cfg = AnalysisConfig::default();
         let a = analyze_frames(&container, &index, 0..2, &annots, &symbols, cfg, &[8]).unwrap();
         let b = analyze_frames(
             &container,

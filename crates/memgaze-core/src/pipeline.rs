@@ -564,13 +564,7 @@ mod tests {
         assert_eq!(&streamed.report.block_reuse, analyzer.block_reuse());
         assert_eq!(
             streamed.report.locality_series,
-            memgaze_analysis::locality_vs_interval_with(
-                &resident.trace,
-                &resident.annots,
-                AnalysisConfig::default().reuse_block,
-                &sizes,
-                1,
-            )
+            analyzer.locality_series(&sizes)
         );
         assert_eq!(streamed.report.interval_rows(8), analyzer.interval_rows(8));
         let n = resident.trace.num_samples() as u64;

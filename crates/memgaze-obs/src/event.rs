@@ -392,7 +392,7 @@ mod tests {
         });
         round_trip(Event::Hist {
             pid: 7,
-            name: "par.queue_depth".into(),
+            name: "serve.request_us".into(),
             count: 10,
             sum: 55,
             bins: vec![1, 2, 3, 4],

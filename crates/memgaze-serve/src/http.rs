@@ -291,25 +291,26 @@ impl Response {
 
 /// Lower-case hex of `bytes` (delta frames travel inside JSON lines).
 pub fn hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let digit = |n: u8| char::from(if n < 10 { b'0' + n } else { b'a' + n - 10 });
     let mut out = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
-        out.push(DIGITS[usize::from(b >> 4)] as char);
-        out.push(DIGITS[usize::from(b & 0xf)] as char);
+        out.push(digit(b >> 4));
+        out.push(digit(b & 0xf));
     }
     out
 }
 
 /// Inverse of [`hex`]; `None` on odd length or non-hex digits.
 pub fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let pairs = s.as_bytes().chunks_exact(2);
+    if !pairs.remainder().is_empty() {
         return None;
     }
-    s.as_bytes()
-        .chunks(2)
+    pairs
         .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
+            let &[hi, lo] = pair else { return None };
+            let hi = char::from(hi).to_digit(16)?;
+            let lo = char::from(lo).to_digit(16)?;
             Some((hi * 16 + lo) as u8)
         })
         .collect()

@@ -37,6 +37,10 @@
 //! reaped by a janitor thread; `drain` (SIGTERM in the CLI) stops
 //! accepting, finishes in-flight requests, then seals every open
 //! session and flushes its deltas.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod client;
 pub mod error;
@@ -57,8 +61,7 @@ use std::time::Duration;
 /// runs with, and the admission-control limits.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Analysis configuration shared by all sessions (block sizes,
-    /// threads per ingest).
+    /// Analysis configuration shared by all sessions (block sizes).
     pub analysis: AnalysisConfig,
     /// Locality window sizes accumulated per session.
     pub locality_sizes: Vec<u64>,
@@ -138,6 +141,9 @@ pub mod harness {
 
     /// Encode one upload container holding `shards`, with trailer
     /// totals proportional to the samples it carries.
+    // Writing to a Vec cannot fail, and the totals count every sample
+    // `period` ≥ 1 times.
+    #[allow(clippy::expect_used)]
     pub fn container(workload: &str, shards: &[&[Sample]]) -> Vec<u8> {
         let meta = base_meta(workload);
         let mut w = ShardWriter::new(Vec::new(), &meta).expect("header write");

@@ -112,7 +112,6 @@ struct SessionInner {
     /// Per-shard partial clones accumulated toward the next rolling
     /// watch window.
     window_partials: Vec<PartialReport>,
-    window_samples: u64,
     /// Rolling window ring + drift detection for this session.
     ring: WindowRing,
 }
@@ -192,7 +191,6 @@ impl Session {
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
                 window_partials: Vec::new(),
-                window_samples: 0,
                 ring: WindowRing::new(live),
             }),
             idle: Condvar::new(),
@@ -348,8 +346,26 @@ impl Session {
                         ),
                     });
                 }
-                meta.total_loads += an.trailer.total_loads;
-                meta.total_instrumented_loads += an.trailer.total_instrumented_loads;
+                // The totals are what the client's trailers claim; a sum
+                // past `u64` is not a trace any client recorded.
+                let sum = |session: u64, upload: u64, what: &str| {
+                    session
+                        .checked_add(upload)
+                        .ok_or_else(|| ServeError::MetaMismatch {
+                            detail: format!(
+                                "{what}: the session's {session} plus the upload's {upload} \
+                                 overflows u64"
+                            ),
+                        })
+                };
+                let total = sum(meta.total_loads, an.trailer.total_loads, "total loads")?;
+                let instrumented = sum(
+                    meta.total_instrumented_loads,
+                    an.trailer.total_instrumented_loads,
+                    "total instrumented loads",
+                )?;
+                meta.total_loads = total;
+                meta.total_instrumented_loads = instrumented;
             }
         }
         for (partial, samples) in an.shards {
@@ -370,7 +386,6 @@ impl Session {
                 publish(&mut g.subscribers, "shard", &data);
             }
             g.window_partials.push(partial.clone());
-            g.window_samples += samples;
             g.partials.push(partial);
             if g.window_partials.len() >= cfg.watch_window_shards.max(1) {
                 self.close_watch_window(g, cfg);
@@ -384,7 +399,6 @@ impl Session {
     /// events on the server-wide watch hub.
     fn close_watch_window(&self, g: &mut MutexGuard<'_, SessionInner>, cfg: &ServeConfig) {
         let partials = std::mem::take(&mut g.window_partials);
-        let samples = std::mem::replace(&mut g.window_samples, 0);
         let merged = match PartialReport::merge_many(
             partials,
             cfg.analysis.footprint_block,
@@ -394,12 +408,12 @@ impl Session {
             Ok(m) => m,
             Err(_) => return, // incompatible partials cannot form a window
         };
-        let mut meta = g
+        // `finish` reads the period alone; the session's totals are not
+        // this window's, and nothing reads a window's.
+        let meta = g
             .meta
             .clone()
             .unwrap_or_else(|| TraceMeta::new("watch-window", 1, 0));
-        meta.total_loads = samples * meta.period;
-        meta.total_instrumented_loads = 0;
         let report = merged.finish(&meta);
         let (stats, marks) = g.ring.push(report);
         memgaze_obs::counter!("serve.watch_windows").add(1);

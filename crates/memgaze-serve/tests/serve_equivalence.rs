@@ -9,8 +9,10 @@
 //! server, and drain seals what it holds.
 
 use memgaze_analysis::PartialReport;
-use memgaze_model::Sample;
-use memgaze_serve::harness::{container, drive_session, resident_report, synthetic_samples};
+use memgaze_model::{Sample, ShardWriter};
+use memgaze_serve::harness::{
+    base_meta, container, drive_session, resident_report, synthetic_samples,
+};
 use memgaze_serve::{client, Client, Registry, ServeConfig, ServeError, Server};
 use proptest::prelude::*;
 use std::io::Write;
@@ -245,6 +247,46 @@ fn draining_registry_refuses_creates_and_feeds_with_typed_errors() {
         other => panic!("expected Sealed, got {other:?}"),
     }
     assert_eq!(registry.seal_all(), (0, 0));
+}
+
+/// Trailer totals are the client's claim. Two uploads whose
+/// `total_loads` sum past `u64::MAX` are a typed 422 that poisons the
+/// session, and sealing it answers at once: an unchecked sum wrapped in
+/// release builds, and in debug builds panicked inside the drainer and
+/// left every later seal waiting for a drain that never ends.
+#[test]
+fn upload_totals_past_u64_are_a_typed_422_and_seal_returns() {
+    let cfg = ServeConfig::default();
+    let registry = Registry::new(cfg.clone());
+    let session = registry.create().expect("create");
+    let samples = synthetic_samples(2, 32, 13);
+    let upload = |sample: &Sample, total_loads: u64| {
+        let mut w = ShardWriter::new(Vec::new(), &base_meta("overflow")).expect("header");
+        w.write_shard(std::slice::from_ref(sample)).expect("shard");
+        w.finish(total_loads, 0).expect("trailer")
+    };
+    session
+        .feed(upload(&samples[0], u64::MAX - 1), &cfg)
+        .expect("first upload");
+    let refused = session
+        .feed(upload(&samples[1], 2), &cfg)
+        .expect_err("the totals leave u64");
+    assert!(
+        matches!(refused, ServeError::MetaMismatch { .. }),
+        "{refused:?}"
+    );
+    assert_eq!(refused.status(), 422);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (sealer, seal_cfg) = (session.clone(), cfg.clone());
+    std::thread::spawn(move || tx.send(sealer.seal(&seal_cfg).map(|_| ())));
+    let sealed = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("seal returns promptly");
+    let err = sealed.expect_err("the session is poisoned");
+    assert_eq!(err.status(), 422);
+    assert!(err.to_string().contains("overflows u64"), "{err}");
+    assert_eq!(registry.seal_all(), (0, 1));
 }
 
 /// No request waits on a timer: a request that takes one mutex costs

@@ -424,10 +424,7 @@ impl TraceStore {
     }
 
     /// Hash of everything that determines an analysis *result* for a
-    /// frame: block sizes, locality sizes, annotations, symbols. The
-    /// thread count is deliberately pinned to 1 before hashing —
-    /// results are thread-invariant, so runs at different parallelism
-    /// share one cache namespace.
+    /// frame: block sizes, locality sizes, annotations, symbols.
     pub fn config_hash(
         analysis: &AnalysisConfig,
         locality_sizes: &[u64],
@@ -437,7 +434,6 @@ impl TraceStore {
         let spec = WorkerSpec {
             footprint_block: analysis.footprint_block,
             reuse_block: analysis.reuse_block,
-            threads: 1,
             locality_sizes: locality_sizes.to_vec(),
             annots: annots.clone(),
             symbols: symbols.clone(),

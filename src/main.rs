@@ -87,14 +87,14 @@ fn usage() -> ! {
          memgaze gap <pr|pr-spmv|cc|cc-sv> [--scale N] [--degree N] [--period N]\n  \
          memgaze darknet <alexnet|resnet152> [--period N]\n  \
          memgaze fanout <pr|pr-spmv|cc|cc-sv> [--workers N] [--scale N] [--period N]\n  \
-         \u{20}                [--shard N] [--threads N] [--in-process yes] [--verify yes]\n  \
+         \u{20}                [--shard N] [--in-process yes] [--verify yes]\n  \
          \u{20}                [--store DIR]\n  \
          memgaze store put <pr|pr-spmv|cc|cc-sv> --dir DIR [--id ID] [--scale N]\n  \
          \u{20}                [--period N] [--shard N]\n  \
          memgaze store get <id> --dir DIR [--out FILE]\n  \
          memgaze store ls --dir DIR\n  \
          memgaze store gc --dir DIR\n  \
-         memgaze store analyze <id> --dir DIR [--threads N]\n  \
+         memgaze store analyze <id> --dir DIR\n  \
          memgaze query <id> --dir DIR [--region lo:hi] [--time lo:hi] [--function NAME]\n  \
          memgaze serve [--addr HOST:PORT] [--threads N] [--max-sessions N] [--queue N]\n  \
          \u{20}                [--session-mb N] [--idle-secs N] [--smoke]\n  \
@@ -319,13 +319,12 @@ fn run_workload(
 struct TracedGap {
     name: String,
     kernel: GapKernel,
-    analysis: AnalysisConfig,
     sizes: [u64; 3],
     streamed: StreamingWorkloadReport,
 }
 
 /// Trace the GAP kernel named at `args.positional[pos]` with the shared
-/// `--scale/--degree/--iters/--seed/--period/--shard/--threads` knobs.
+/// `--scale/--degree/--iters/--seed/--period/--shard` knobs.
 fn trace_gap(args: &Args, pos: usize) -> Result<TracedGap, i32> {
     let kernel = match args.positional.get(pos).map(String::as_str) {
         Some("pr") => GapKernel::Pr,
@@ -343,19 +342,15 @@ fn trace_gap(args: &Args, pos: usize) -> Result<TracedGap, i32> {
     };
     let name = format!("GAP-{}", kernel.label());
     let sampler = SamplerConfig::application(args.num("period", 20_000u64));
-    let analysis = AnalysisConfig {
-        threads: args.num("threads", 1usize).max(1),
-        ..AnalysisConfig::default()
-    };
     let sizes = [16u64, 64, 256];
     let shard = args.num("shard", 8usize);
+    let analysis = AnalysisConfig::default();
     match trace_workload_streaming(&name, &sampler, shard, analysis, &sizes, |s| {
         gap::run(s, &gap_cfg);
     }) {
         Ok((streamed, ())) => Ok(TracedGap {
             name,
             kernel,
-            analysis,
             sizes,
             streamed,
         }),
@@ -380,14 +375,13 @@ fn run_fanout_cmd(args: &Args) -> i32 {
     let TracedGap {
         name,
         kernel,
-        analysis,
         sizes,
         streamed,
     } = traced;
+    let analysis = AnalysisConfig::default();
 
     let fan_cfg = FanoutConfig {
         workers: args.num("workers", 4usize).max(1),
-        threads_per_worker: analysis.threads,
         locality_sizes: sizes.to_vec(),
         ..FanoutConfig::default()
     };
@@ -698,10 +692,7 @@ fn run_store_cmd(args: &Args) -> i32 {
                 Ok(s) => s,
                 Err(code) => return code,
             };
-            let analysis = AnalysisConfig {
-                threads: args.num("threads", 1usize).max(1),
-                ..AnalysisConfig::default()
-            };
+            let analysis = AnalysisConfig::default();
             // Trace-level re-analysis: annotations and symbols are not
             // persisted in the store, so function attribution is empty;
             // reuse/locality/decompression statistics are exact.

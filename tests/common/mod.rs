@@ -83,10 +83,7 @@ pub fn symbols() -> SymbolTable {
 }
 
 pub fn config() -> AnalysisConfig {
-    AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    }
+    AnalysisConfig::default()
 }
 
 /// The v2 container and its index.
@@ -145,7 +142,6 @@ pub fn spec() -> WorkerSpec {
     WorkerSpec {
         footprint_block: cfg.footprint_block,
         reuse_block: cfg.reuse_block,
-        threads: 2,
         locality_sizes: LOCALITY_SIZES.to_vec(),
         annots: annots(),
         symbols: symbols(),

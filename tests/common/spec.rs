@@ -6,10 +6,10 @@
 //! path (`StreamingAnalyzer::ingest_shard → into_partial →
 //! PartialReport::finish`) is held equal to it field for field, bit for
 //! bit, by [`check_report`]; the location zoom (`zoom_trace_with`) is
-//! held equal to [`zoom`], the window series to [`window_series`]. It
+//! held equal to [`zoom`], the window series to [`window_series`], and
+//! the reuse kernel (`analyze_window`) to [`analyze_window_naive`]. It
 //! imports nothing from `memgaze_analysis` but the result types it
-//! fills, the zoom's parameters, `Confidence::from_observations` and the
-//! quadratic reuse-distance definition `analyze_window_naive`.
+//! fills, the zoom's parameters and `Confidence::from_observations`.
 //!
 //! Integers are exact whatever the order. Every `f64` is either one
 //! expression over integer totals, written here in the order the
@@ -23,8 +23,8 @@
 #![allow(dead_code)]
 
 use memgaze_analysis::{
-    analyze_window_naive, Confidence, FunctionRow, IngestStats, IntervalRow, LocalityPoint,
-    RegionCode, RegionRow, StreamingReport, WindowKind, WindowPoint, ZoomConfig, ZoomRegion,
+    Confidence, FunctionRow, IngestStats, IntervalRow, LocalityPoint, RegionCode, RegionRow,
+    ReuseAnalysis, ReuseEvent, StreamingReport, WindowKind, WindowPoint, ZoomConfig, ZoomRegion,
 };
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, LoadClass, SampledTrace, SymbolTable,
@@ -129,9 +129,32 @@ impl Diagnostics {
     }
 }
 
-/// `(block, distance)` of every reuse in a window, by the quadratic
-/// definition: the distinct other blocks between two consecutive
-/// accesses to a block (§IV-A).
+/// Reuse in one window by the quadratic definition (§IV-A): every access
+/// to a block the window touched before is a reuse, its interval the
+/// loads since that previous access, its distance the distinct other
+/// blocks touched in between.
+pub fn analyze_window_naive(window: &[Access], bs: BlockSize) -> ReuseAnalysis {
+    let blocks: Vec<u64> = window.iter().map(|a| a.addr.block(bs)).collect();
+    let mut events = Vec::new();
+    for (pos, &block) in blocks.iter().enumerate() {
+        if let Some(prev) = (0..pos).rev().find(|&p| blocks[p] == block) {
+            let between: BTreeSet<u64> = blocks[prev + 1..pos].iter().copied().collect();
+            events.push(ReuseEvent {
+                pos,
+                block,
+                interval: (pos - prev) as u64,
+                distance: between.len() as u64,
+            });
+        }
+    }
+    ReuseAnalysis {
+        events,
+        accesses: window.len(),
+        unique_blocks: blocks.iter().collect::<BTreeSet<_>>().len() as u64,
+    }
+}
+
+/// `(block, distance)` of every reuse in a window.
 fn reuses(window: &[Access], bs: BlockSize) -> Vec<(u64, u64)> {
     analyze_window_naive(window, bs)
         .events
@@ -730,8 +753,7 @@ fn probe_ranges(i: &Input) -> Vec<(u64, u64)> {
 }
 
 /// Everything a report is compared with, computed once per input: a
-/// report depends on the sharding and the thread count only in its
-/// ingest accounting.
+/// report depends on the sharding only in its ingest accounting.
 pub struct Expected<'a> {
     trace: &'a SampledTrace,
     decompression: DecompressionInfo,

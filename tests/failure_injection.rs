@@ -282,10 +282,7 @@ impl Drop for MisbehavesOnce {
 #[test]
 fn killed_worker_is_reassigned_and_report_stays_identical() {
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let sizes = vec![8u64, 32];
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
     // One worker crashes mid-run (garbage output + nonzero exit); the
@@ -321,10 +318,7 @@ fn killed_worker_is_reassigned_and_report_stays_identical() {
 #[test]
 fn persistent_worker_killed_mid_range_is_respawned() {
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let sizes = vec![8u64, 32];
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
     // One slot, one range, and a worker that dies with the range in
@@ -358,10 +352,7 @@ fn warm_pool_reuses_workers_across_runs() {
     use memgaze::core::{FanoutPool, FrameSource};
 
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let sizes = vec![8u64, 32];
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
     let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_memgaze"));
@@ -404,10 +395,7 @@ fn warm_pool_reuses_workers_across_runs() {
 #[test]
 fn hung_worker_is_killed_and_reassigned() {
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
     let cfg = FanoutConfig {
         workers: 2,
@@ -438,10 +426,7 @@ fn hung_worker_is_killed_and_reassigned() {
 #[test]
 fn short_write_worker_fails_typed_and_is_retried() {
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
     // One worker writes a valid magic + a length header claiming 4096
     // payload bytes, then only a fragment, then exits 0 — so only the
@@ -477,10 +462,7 @@ fn short_write_worker_fails_typed_and_is_retried() {
 #[test]
 fn stderr_flooding_worker_is_drained_capped_and_retried() {
     let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
     // One worker floods stderr with 4 MiB (far past the pipe buffer)
     // and exits nonzero. The coordinator must drain without deadlock,
@@ -522,10 +504,7 @@ fn fanout_with_obs_produces_stitched_trace_with_retry() {
     use memgaze::obs::{self, Event, ObsConfig};
 
     let (_, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    };
+    let analysis = AnalysisConfig::default();
     // Capture-sink observability plus one worker crash: the run must
     // yield a single stitched trace holding the coordinator's spans, the
     // subprocess workers' spans (absorbed from their JSONL scratch files,

@@ -151,11 +151,7 @@ fn interval_series_allocate_per_call_not_per_sample() {
         for s in (0..shards).flat_map(shard) {
             t.push_sample(s).unwrap();
         }
-        // One thread, so that every allocation is this thread's.
-        let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig {
-            threads: 1,
-            ..AnalysisConfig::default()
-        });
+        let analyzer = Analyzer::new(&t, &annots, &symbols);
         let series = || {
             (
                 analyzer.window_series(&sizes),
@@ -244,11 +240,7 @@ fn zoom_memory_follows_the_accesses_not_the_address_span() {
             .collect();
         t.push_sample(Sample::new(accesses, time + 64)).unwrap();
     }
-    // One thread, so that every allocation is this thread's.
-    let analyzer = Analyzer::new(&t, &annots, &symbols).with_config(AnalysisConfig {
-        threads: 1,
-        ..AnalysisConfig::default()
-    });
+    let analyzer = Analyzer::new(&t, &annots, &symbols);
     let start = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(start));
     let rows = analyzer.region_rows();

@@ -1,0 +1,63 @@
+#!/bin/sh
+# The mutation ratchet on the analysis kernels.
+#
+# Each tests/mutants/*.patch is one minimal hunk against
+# crates/memgaze-analysis/src whose header carries a line
+#   # suite: <cargo test arguments>
+# naming the suite that must fail under it. For every patch this script
+# applies it with `git apply`, builds and runs that suite in release,
+# requires the suite to fail, and reverts with `git apply -R`. A patch
+# that no longer applies, a mutant that does not build, a suite that
+# fails without its mutant (it would kill anything) and a suite that
+# still passes with it all fail the run. It prints killed/total and
+# exits 0 only when every mutant is killed.
+#
+# Usage: tests/mutants/run.sh [PATCH...]   (default: every patch)
+# It edits the sources it tests while it runs: run it on a tree with no
+# other build or edit in flight.
+set -u
+cd "$(dirname "$0")/../.." || exit 2
+[ $# -gt 0 ] || set -- tests/mutants/*.patch
+
+total=0
+killed=0
+clean=""
+for patch in "$@"; do
+    total=$((total + 1))
+    name=$(basename "$patch" .patch)
+    suite=$(sed -n 's/^# suite: //p' "$patch" | head -n 1)
+    if [ -z "$suite" ]; then
+        echo "$name: FAILED (no '# suite:' line)"
+        continue
+    fi
+    # $suite is a list of cargo arguments: split it.
+    # shellcheck disable=SC2086
+    case "$clean" in
+    *"|$suite|"*) ;;
+    *)
+        if ! cargo test --release -q $suite >/dev/null 2>&1; then
+            echo "$name: FAILED (cargo test $suite fails without the mutant)"
+            continue
+        fi
+        clean="$clean|$suite|"
+        ;;
+    esac
+    if ! git apply "$patch"; then
+        echo "$name: FAILED (the patch no longer applies)"
+        continue
+    fi
+    trap 'git apply -R "$patch"; exit 130' INT TERM
+    # shellcheck disable=SC2086
+    if ! cargo test --release -q $suite --no-run >/dev/null 2>&1; then
+        echo "$name: FAILED (the mutant does not build)"
+    elif cargo test --release -q $suite >/dev/null 2>&1; then
+        echo "$name: SURVIVED cargo test $suite"
+    else
+        echo "$name: killed by cargo test $suite"
+        killed=$((killed + 1))
+    fi
+    git apply -R "$patch" || exit 2
+    trap - INT TERM
+done
+echo "killed $killed/$total"
+[ "$killed" -eq "$total" ]

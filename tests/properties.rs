@@ -1,5 +1,8 @@
 //! Property-based tests (proptest) of the core invariants across crates.
 
+#[path = "common/spec.rs"]
+mod spec;
+
 use memgaze::analysis::{self, BlockReuse, IntervalTree, NodeKind, ZoomConfig, ZoomRegion};
 use memgaze::model::{
     io, Access, AuxAnnotations, BlockSize, Sample, SampledTrace, SymbolTable, TraceMeta,
@@ -41,11 +44,12 @@ fn arb_trace() -> impl Strategy<Value = SampledTrace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The marker reuse-distance algorithm agrees with the O(n²) oracle.
+    /// The marker reuse-distance algorithm agrees with the spec's O(n²)
+    /// definition.
     #[test]
     fn reuse_distance_matches_oracle(w in arb_window(150)) {
         let fast = analysis::analyze_window(&w, BlockSize::CACHE_LINE);
-        let slow = analysis::analyze_window_naive(&w, BlockSize::CACHE_LINE);
+        let slow = spec::analyze_window_naive(&w, BlockSize::CACHE_LINE);
         prop_assert_eq!(fast, slow);
     }
 

@@ -139,7 +139,6 @@ proptest! {
         let cfg = AnalysisConfig {
             footprint_block: footprint,
             reuse_block: reuse,
-            threads: 1,
             ..AnalysisConfig::default()
         };
         let cold = store.analyze("t", &annots, &sy, cfg, &sizes).unwrap();
@@ -155,7 +154,6 @@ proptest! {
         let other = AnalysisConfig {
             footprint_block: reuse,
             reuse_block: footprint,
-            threads: 1,
             ..AnalysisConfig::default()
         };
         if other.footprint_block != cfg.footprint_block

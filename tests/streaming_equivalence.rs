@@ -2,7 +2,7 @@
 //! the sharded v2 container round-trips arbitrary traces; the streaming
 //! fold — the one engine — equals the definitional spec
 //! (`tests/common/spec.rs`) field for field, bit for bit, for any shard
-//! size, thread count and block sizes; the location zoom equals the
+//! size and block sizes; the location zoom equals the
 //! spec's partition tree for tree, and the window series the spec's
 //! point for point; and the fan-out's partial encode/decode/merge path
 //! equals the fold.
@@ -56,7 +56,6 @@ proptest! {
     fn streaming_report_matches_resident(
         t in arb_trace(),
         shard in 1usize..24,
-        threads in 1usize..5,
         blocks in 0usize..3,
     ) {
         let (annots, symbols) = fixtures();
@@ -64,7 +63,6 @@ proptest! {
         let cfg = AnalysisConfig {
             footprint_block,
             reuse_block,
-            threads,
             ..AnalysisConfig::default()
         };
         let sizes = [8u64, 32];
@@ -113,7 +111,7 @@ proptest! {
             footprint_block,
             reuse_block,
             zoom,
-            threads: 1,
+            ..AnalysisConfig::default()
         };
         let mut input = spec::Input {
             trace: &t,
@@ -151,7 +149,6 @@ proptest! {
             1..10,
         ),
         blocks in 0usize..3,
-        threads in 1usize..4,
         no_period in 0u8..2,
     ) {
         let mut t = t;
@@ -163,7 +160,6 @@ proptest! {
         let cfg = AnalysisConfig {
             footprint_block,
             reuse_block,
-            threads,
             ..AnalysisConfig::default()
         };
         let input = spec::Input {
@@ -211,7 +207,7 @@ proptest! {
         workers in 1usize..7,
     ) {
         let (annots, symbols) = fixtures();
-        let cfg = AnalysisConfig { threads: 1, ..AnalysisConfig::default() };
+        let cfg = AnalysisConfig::default();
         let sizes = [8u64, 32];
         let resident = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, shard);
         let (container, index) = encode_sharded_indexed(&t, shard);
@@ -256,7 +252,7 @@ proptest! {
         use memgaze::analysis::{analyze_frames, WorkerSpec};
 
         let (annots, symbols) = fixtures();
-        let cfg = AnalysisConfig { threads: 1, ..AnalysisConfig::default() };
+        let cfg = AnalysisConfig::default();
         let (container, index) = encode_sharded_indexed(&t, shard);
         let partial = analyze_frames(
             &container,
@@ -286,7 +282,6 @@ proptest! {
         let spec = WorkerSpec {
             footprint_block: cfg.footprint_block,
             reuse_block: cfg.reuse_block,
-            threads: 1,
             locality_sizes: vec![8, 32],
             annots: annots.clone(),
             symbols: symbols.clone(),

@@ -1,9 +1,8 @@
 //! Equivalence proof for the watch subsystem: a pinned-controller
 //! watch run's per-window reports are **bit-identical** to a resident
 //! analysis of the same window slices, replayed offline from the
-//! container frames the run wrote — across window sizes and
-//! `MEMGAZE_THREADS` settings — and the anomaly marks it raises are
-//! deterministic.
+//! container frames the run wrote — across window sizes — and the
+//! anomaly marks it raises are deterministic.
 //!
 //! The replay side deliberately shares only [`window_meta`] with the
 //! live driver: frames decode through the public [`FrameIndex`] seek
@@ -17,14 +16,9 @@ use memgaze::analysis::{
 use memgaze::core::{phase_shift_steps, watch_workload, ControllerMode, WatchConfig, WatchReport};
 use memgaze::ptsim::SamplerConfig;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 const LOCALITY: &[u64] = &[16, 64, 256];
 const WORKLOAD: &str = "watch-eq";
-
-/// Serializes tests that set `MEMGAZE_THREADS` — the analysis layer
-/// reads it per pass, and the process environment is shared.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// One pinned-controller watch run over the phase-shift workload. The
 /// controller observes but never retunes, so the container is a pure
@@ -105,54 +99,26 @@ fn assert_replay_matches(run: &WatchReport) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Across window sizes × thread counts: pinned watch windows are
-    /// bit-identical to resident analysis of the replayed frames.
+    /// Across window sizes: pinned watch windows are bit-identical to
+    /// resident analysis of the replayed frames.
     #[test]
-    fn pinned_watch_replays_bit_identical(
-        window in 2usize..7,
-        threads in prop_oneof![Just(1usize), Just(4usize)],
-    ) {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("MEMGAZE_THREADS", threads.to_string());
+    fn pinned_watch_replays_bit_identical(window in 2usize..7) {
         let run = pinned_run(window, 20);
         prop_assert!(run.retunes.is_empty(), "pinned controller must not retune");
         assert_replay_matches(&run);
-        std::env::remove_var("MEMGAZE_THREADS");
     }
 }
 
-/// The same run is bit-identical across thread counts — windows,
-/// anomaly marks, and the container artifact itself — and repeating a
-/// run reproduces its anomaly marks exactly.
+/// Repeating a run reproduces it exactly: windows, anomaly marks, and
+/// the container artifact itself.
 #[test]
 fn watch_windows_and_marks_deterministic_across_threads() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let mut baseline: Option<WatchReport> = None;
-    for threads in ["1", "4"] {
-        std::env::set_var("MEMGAZE_THREADS", threads);
-        let run = pinned_run(4, 20);
-        let rerun = pinned_run(4, 20);
-        assert_eq!(
-            run.anomalies, rerun.anomalies,
-            "marks must be deterministic"
-        );
-        assert_eq!(run.container, rerun.container);
-        if let Some(base) = &baseline {
-            assert_eq!(
-                base.windows, run.windows,
-                "windows differ across thread counts"
-            );
-            assert_eq!(
-                base.anomalies, run.anomalies,
-                "marks differ across thread counts"
-            );
-            assert_eq!(
-                base.container, run.container,
-                "container differs across thread counts"
-            );
-        } else {
-            baseline = Some(run);
-        }
-    }
-    std::env::remove_var("MEMGAZE_THREADS");
+    let run = pinned_run(4, 20);
+    let rerun = pinned_run(4, 20);
+    assert_eq!(run.windows, rerun.windows, "windows must be deterministic");
+    assert_eq!(
+        run.anomalies, rerun.anomalies,
+        "marks must be deterministic"
+    );
+    assert_eq!(run.container, rerun.container);
 }

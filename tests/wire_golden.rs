@@ -30,7 +30,8 @@ fn encoders_are_byte_identical_to_the_parent_commit() {
         ("MGZX", common::mgzx(), 0x1535_1188_e7cb_b7cf),
         ("MGZP", common::mgzp(), 0xbe36_3839_a3f4_e57a),
         (".mgzr", common::mgzr(), 0x4236_7fab_5bf6_9c87),
-        ("MGZS", common::mgzs(), 0x7897_a531_099f_9c36),
+        // Re-pinned at `MGZS` v3, which dropped the thread count.
+        ("MGZS", common::mgzs(), 0xf65b_0bfe_fc10_f4d0),
         (
             "MGZB raw",
             common::mgzb(&common::raw_blob_payload()).1,
