@@ -12,10 +12,10 @@
 
 mod common;
 
-use memgaze::analysis::PartialReport;
-use memgaze::model::{fnv1a64, io, FrameIndex};
+use memgaze::analysis::{AnalysisConfig, PartialReport};
+use memgaze::model::{fnv1a64, io, BlockSize, FrameIndex};
 use memgaze::store::blob::decode_blob;
-use memgaze::store::Catalog;
+use memgaze::store::{Catalog, TraceStore};
 
 #[test]
 fn encoders_are_byte_identical_to_the_parent_commit() {
@@ -73,6 +73,25 @@ fn encoders_are_byte_identical_to_the_parent_commit() {
 fn table3_meters_count_the_parent_commits_bytes() {
     assert_eq!(io::sampled_size_bytes(&common::trace()), 1772);
     assert_eq!(io::full_size_bytes(&common::full_trace()), 484);
+}
+
+/// The store's result-cache keys: `TraceStore::config_hash` over the
+/// fixture's side tables, at the default configuration and at a
+/// non-default reuse block. A moved key orphans every cached result, so
+/// these move only with a deliberate cache-format revision.
+#[test]
+fn result_cache_keys_are_the_parent_commits() {
+    let sizes = [16u64, 64, 256];
+    let default = common::config();
+    let page = AnalysisConfig {
+        reuse_block: BlockSize::OS_PAGE,
+        ..default
+    };
+    let key = |cfg: &AnalysisConfig| {
+        TraceStore::config_hash(cfg, &sizes, &common::annots(), &common::symbols())
+    };
+    assert_eq!(key(&default), 0x8207_bc32_aa9f_739b);
+    assert_eq!(key(&page), 0x378b_db0c_898b_8176);
 }
 
 /// The one escaper over every class of character it treats specially.
