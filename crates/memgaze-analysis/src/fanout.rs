@@ -1,8 +1,7 @@
-//! Partial-report algebra and wire codec for multi-process fan-out.
+//! Partial-report algebra and wire codec for fan-out.
 //!
 //! A fan-out coordinator partitions a sharded container's frame ranges
-//! across workers (threads or `memgaze analyze-shard` subprocesses);
-//! each worker runs a [`StreamingAnalyzer`] over its contiguous range
+//! across worker threads; each worker runs a [`StreamingAnalyzer`] over its contiguous range
 //! and snapshots it into a [`PartialReport`]
 //! ([`StreamingAnalyzer::into_partial`]). The coordinator folds the
 //! partials **in shard order** with [`PartialReport::merge`] and calls
@@ -25,7 +24,8 @@
 //!   boundary events of two adjacent segments (see
 //!   [`ReusePartial::absorb`]).
 //!
-//! Everything crossing a process boundary uses a hand-rolled,
+//! A partial that leaves the process — the store's result cache, the
+//! body `memgaze serve` answers a seal with — uses a hand-rolled,
 //! length-prefixed, FNV-checksummed binary codec (varints + `f64` as
 //! IEEE-754 bits), because serialization here must round-trip **bit
 //! exactly** — JSON would not.
@@ -43,16 +43,14 @@ use memgaze_model::wire::{
     self, add_delta, put_f64, put_str, put_varint, unzigzag, zigzag, Reader, WireError,
 };
 use memgaze_model::{
-    compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, FunctionId, Ip,
-    IpAnnot, LoadClass, ModelError, SymbolTable, TraceMeta,
+    compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, ModelError,
+    SymbolTable, TraceMeta,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 const PARTIAL_MAGIC: &[u8; 4] = b"MGZP";
 const PARTIAL_VERSION: u16 = 2;
-const SPEC_MAGIC: &[u8; 4] = b"MGZS";
-const SPEC_VERSION: u16 = 3;
 
 /// Errors of the partial-report algebra and its wire codec.
 #[derive(Debug)]
@@ -919,139 +917,6 @@ impl PartialReport {
     }
 }
 
-/// Everything a worker needs besides the container + index: the side
-/// tables and the analysis configuration. Shipped to workers as a spec
-/// file (`MGZS` framing).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerSpec {
-    /// Footprint block size.
-    pub footprint_block: BlockSize,
-    /// Reuse block size.
-    pub reuse_block: BlockSize,
-    /// Locality-vs-interval sizes.
-    pub locality_sizes: Vec<u64>,
-    /// The instrumentor's annotation side table.
-    pub annots: AuxAnnotations,
-    /// Function symbols.
-    pub symbols: SymbolTable,
-}
-
-impl WorkerSpec {
-    /// The analysis configuration this spec encodes. Zoom settings are
-    /// irrelevant to the streaming path and take their defaults.
-    pub fn analysis_config(&self) -> AnalysisConfig {
-        AnalysisConfig {
-            footprint_block: self.footprint_block,
-            reuse_block: self.reuse_block,
-            ..AnalysisConfig::default()
-        }
-    }
-
-    /// Serialize (`MGZS` framing, FNV-checksummed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(256);
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Append the `MGZS` frame to a pooled buffer; the checksum covers
-    /// only this frame's bytes, so the encoding is byte-identical to
-    /// [`encode`](Self::encode) whatever precedes it.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let start = buf.len();
-        wire::put_header(buf, SPEC_MAGIC, SPEC_VERSION);
-        buf.push(self.footprint_block.log2());
-        buf.push(self.reuse_block.log2());
-        put_u64s(buf, &self.locality_sizes);
-        put_varint(buf, self.annots.len() as u64);
-        for (ip, an) in self.annots.iter() {
-            put_varint(buf, ip.raw());
-            buf.push(match an.class {
-                LoadClass::Constant => 0,
-                LoadClass::Strided => 1,
-                LoadClass::Irregular => 2,
-            });
-            put_varint(buf, u64::from(an.implied_const));
-            buf.push(an.scale);
-            put_varint(buf, zigzag(an.offset));
-            buf.push(u8::from(an.two_source));
-            put_varint(buf, u64::from(an.func.0));
-            put_varint(buf, u64::from(an.src_line));
-        }
-        put_varint(buf, self.symbols.len() as u64);
-        for f in self.symbols.functions() {
-            put_str(buf, &f.name);
-            put_varint(buf, f.lo.raw());
-            put_varint(buf, f.hi.raw());
-            put_str(buf, &f.src_file);
-        }
-        wire::seal(buf, start);
-    }
-
-    /// Decode a serialized spec.
-    pub fn decode(data: &[u8]) -> Result<WorkerSpec, PartialError> {
-        let mut r = wire::open(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
-        let footprint_block = get_block_size(&mut r, "spec footprint block")?;
-        let reuse_block = get_block_size(&mut r, "spec reuse block")?;
-        let locality_sizes = get_u64s(&mut r, "spec locality sizes")?;
-        let n = r.count(8, "spec annot count")?;
-        let mut annots = AuxAnnotations::new();
-        for _ in 0..n {
-            let ip = Ip(r.varint("annot ip")?);
-            let class = match r.u8("annot class")? {
-                0 => LoadClass::Constant,
-                1 => LoadClass::Strided,
-                2 => LoadClass::Irregular,
-                other => {
-                    return Err(PartialError::Corrupt {
-                        detail: format!("unknown load class {other}"),
-                    })
-                }
-            };
-            let implied_const = r.u32("annot implied_const")?;
-            let scale = r.u8("annot scale")?;
-            let offset = r.zigzag("annot offset")?;
-            let two_source = r.u8("annot two_source")? != 0;
-            let func = r.u32("annot func")?;
-            let src_line = r.u32("annot src_line")?;
-            let mut an = IpAnnot::of_class(class, FunctionId(func));
-            an.implied_const = implied_const;
-            an.scale = scale;
-            an.offset = offset;
-            an.two_source = two_source;
-            an.src_line = src_line;
-            annots.insert(ip, an);
-        }
-        let n = r.count(4, "spec symbol count")?;
-        let mut symbols = SymbolTable::new();
-        // The encoder writes the table in address order, so a symbol
-        // that starts before its predecessor ends is corrupt — and would
-        // trip `add_function`'s overlap assertion.
-        let mut prev_hi = 0u64;
-        for _ in 0..n {
-            let name = r.string("symbol name")?;
-            let lo = Ip(r.varint("symbol lo")?);
-            let hi = Ip(r.varint("symbol hi")?);
-            let src_file = r.string("symbol src_file")?;
-            if hi.raw() <= lo.raw() || lo.raw() < prev_hi {
-                return Err(PartialError::Corrupt {
-                    detail: format!("symbol {name} has an empty or overlapping range"),
-                });
-            }
-            prev_hi = hi.raw();
-            symbols.add_function(&name, lo, hi, &src_file);
-        }
-        r.finish("worker spec")?;
-        Ok(WorkerSpec {
-            footprint_block,
-            reuse_block,
-            locality_sizes,
-            annots,
-            symbols,
-        })
-    }
-}
-
 /// Run a [`StreamingAnalyzer`] over the contiguous frame range
 /// `frames` of an indexed container — the worker's whole job between
 /// decode and ship-back. Frames are fetched by seek via the index,
@@ -1077,21 +942,13 @@ pub fn analyze_frames(
     Ok(sa.into_partial())
 }
 
-/// Partition the indexed frames into at most `workers` contiguous
-/// ranges, balanced by sample count (frames vary in size; samples are
-/// the unit of analysis work). Every returned range is non-empty;
-/// fewer than `workers` ranges come back when there are fewer frames.
-pub fn partition_frames(index: &FrameIndex, workers: usize) -> Vec<Range<usize>> {
-    let samples: Vec<u64> = index.entries.iter().map(|e| e.samples).collect();
-    partition_by_samples(&samples, workers)
-}
-
-/// [`partition_frames`] over bare per-frame sample counts — the same
-/// balanced contiguous partition for callers whose frame inventory
-/// lives in a store catalog rather than a [`FrameIndex`] sidecar.
-/// Given the same counts, the two produce identical ranges, so a
-/// store-backed fan-out dispatches exactly the ranges a container-backed
-/// one would.
+/// Partition frames, given as per-frame sample counts, into at most
+/// `workers` contiguous ranges balanced by sample count (frames vary
+/// in size; samples are the unit of analysis work). Every returned
+/// range is non-empty; fewer than `workers` ranges come back when there
+/// are fewer frames. A [`FrameIndex`] sidecar and a store catalog give
+/// the same counts, so a store-backed fan-out dispatches exactly the
+/// ranges a container-backed one would.
 pub fn partition_by_samples(samples: &[u64], workers: usize) -> Vec<Range<usize>> {
     let n = samples.len();
     if n == 0 {
@@ -1366,7 +1223,14 @@ fn get_block_size(r: &mut Reader<'_>, context: &'static str) -> Result<BlockSize
 mod tests {
     use super::*;
     use crate::streaming::stream_resident_trace;
-    use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace};
+    use memgaze_model::{
+        encode_sharded_indexed, Access, FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace,
+    };
+
+    /// Samples per indexed frame: the weights the partition balances.
+    fn samples(index: &FrameIndex) -> Vec<u64> {
+        index.entries.iter().map(|e| e.samples).collect()
+    }
 
     fn mk_stream(seed: u64, n: usize) -> Vec<u64> {
         // Deterministic pseudo-random block stream with heavy reuse.
@@ -1461,7 +1325,7 @@ mod tests {
         let (container, index) = encode_sharded_indexed(&t, 3);
         let whole = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, 3);
         for workers in [1usize, 2, 3, 4, 7] {
-            let ranges = partition_frames(&index, workers);
+            let ranges = partition_by_samples(&samples(&index), workers);
             let mut merged = PartialReport::empty(cfg.footprint_block, cfg.reuse_block, &sizes);
             for r in ranges {
                 let p =
@@ -1557,28 +1421,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_spec_roundtrips_through_codec() {
-        let (_, annots, symbols) = synthetic_trace();
-        let spec = WorkerSpec {
-            footprint_block: BlockSize::WORD,
-            reuse_block: BlockSize::CACHE_LINE,
-            locality_sizes: vec![8, 64],
-            annots,
-            symbols,
-        };
-        let wire = spec.encode();
-        let back = WorkerSpec::decode(&wire).unwrap();
-        assert_eq!(spec, back);
-        assert!(WorkerSpec::decode(&wire[..wire.len() - 1]).is_err());
-    }
-
-    #[test]
     fn partition_covers_all_frames_without_overlap() {
         let (t, _, _) = synthetic_trace();
         for shard in [1usize, 2, 5] {
             let (_, index) = encode_sharded_indexed(&t, shard);
             for workers in [1usize, 2, 3, 4, 8, 64] {
-                let ranges = partition_frames(&index, workers);
+                let ranges = partition_by_samples(&samples(&index), workers);
                 assert!(ranges.len() <= workers.max(1));
                 let mut next = 0usize;
                 for r in &ranges {

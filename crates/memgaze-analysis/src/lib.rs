@@ -51,8 +51,7 @@ pub use analyzer::{AnalysisConfig, Analyzer, CacheStats, FunctionRow, IntervalRo
 pub use confidence::Confidence;
 pub use diagnostics::FootprintDiagnostics;
 pub use fanout::{
-    analyze_frames, partition_by_samples, partition_frames, FuncPartial, PartialError,
-    PartialReport, ReusePartial, WorkerSpec,
+    analyze_frames, partition_by_samples, FuncPartial, PartialError, PartialReport, ReusePartial,
 };
 pub use footprint::{
     captures_survivals, estimated_footprint, footprint, footprint_growth, CapturesSurvivals,

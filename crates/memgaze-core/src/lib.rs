@@ -30,8 +30,8 @@ pub mod recorders;
 pub mod watch;
 
 pub use fanout::{
-    run_fanout, run_fanout_store, worker_serve, FanoutBackend, FanoutConfig, FanoutError,
-    FanoutPool, FanoutRunReport, FrameSource, WorkerFailure,
+    run_fanout, run_fanout_store, FanoutBackend, FanoutConfig, FanoutError, FanoutRunReport,
+    WorkerFailure,
 };
 pub use hotspot::{profile_hotspots, HotspotReport};
 pub use overheads::{phase_profiles, PhaseOverhead};

@@ -1,8 +1,8 @@
 //! The workspace's one FNV-1a-64 implementation.
 //!
 //! Every checksum in the MemGaze wire formats — the `MGZX` frame-index
-//! sidecar, the `MGZP`/`MGZS` fan-out codec, and the `memgaze-store`
-//! blob and catalog formats — is 64-bit FNV-1a. It is fast,
+//! sidecar, the `MGZP` partial report, and the `memgaze-store` blob
+//! and catalog formats and result-cache keys — is 64-bit FNV-1a. It is fast,
 //! dependency-free, and has good dispersion; all of these uses are
 //! corruption detection and content addressing among trusted peers,
 //! not cryptography, so collision resistance against an adversary is

@@ -1,9 +1,8 @@
 //! The workspace's one wire kit.
 //!
-//! Every binary format in the workspace — the `MGZT` containers, the
-//! `MGZX` index, the `MGZP`/`MGZS` fan-out frames, the `MGZB`/`MGZC`
-//! store objects, the `MGZW`/`MGZQ` pipe protocol — is built from the
-//! same few primitives: LEB128 varints, zigzag deltas, little-endian
+//! Every binary format in the workspace — the `MGZT` container, the
+//! `MGZX` index, the `MGZP` partial report, the `MGZB`/`MGZC` store
+//! objects — is built from the same few primitives: LEB128 varints, zigzag deltas, little-endian
 //! scalars, length-prefixed bytes, and a `magic | version | body | FNV`
 //! frame. They live here once, together with the guards every decoder
 //! of outside input needs:
@@ -34,7 +33,7 @@ use std::io::Read;
 const FRAME_OVERHEAD: usize = 4 + 2 + 8;
 
 /// Largest step [`read_bounded`] asks a stream for at once.
-pub const READ_CHUNK: usize = 1 << 20;
+const READ_CHUNK: usize = 1 << 20;
 
 /// What [`read_bounded`] reserves before any byte has arrived.
 const FIRST_RESERVE: usize = 64 << 10;
@@ -466,32 +465,6 @@ pub fn read_array<const N: usize>(
         }
         Err(e) => Err(WireError::Io(e)),
     }
-}
-
-/// The magic that opens each frame of a pipe protocol. `Ok(false)` is a
-/// clean end of stream at a frame boundary — the peer closed the pipe
-/// between frames, which is how it says it is done; an end part-way
-/// through the magic is [`WireError::Truncated`].
-pub fn read_magic(
-    src: &mut impl Read,
-    magic: &[u8; 4],
-    what: &'static str,
-) -> Result<bool, WireError> {
-    let mut got = [0u8; 4];
-    let mut filled = 0usize;
-    while let Some(space) = got.get_mut(filled..).filter(|s| !s.is_empty()) {
-        match src.read(space) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(WireError::Truncated { context: what }),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    if &got != magic {
-        return Err(bad_magic(what, got));
-    }
-    Ok(true)
 }
 
 /// A varint read byte-at-a-time from a stream (wrap slow sources in a

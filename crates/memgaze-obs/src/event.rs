@@ -2,19 +2,16 @@
 //!
 //! Every observable fact is an [`Event`]: a closed span, an
 //! instantaneous mark, or a metric snapshot (counter / histogram /
-//! gauge). Events are self-describing — they carry the emitting
-//! process id — so a coordinator can absorb a worker's event stream
-//! verbatim and the merged stream still reconstructs one trace tree.
+//! gauge). Events carry the emitting process id, and span ids are
+//! unique within it.
 
 use crate::json::{self, Value};
 
-/// A span or mark's identity within one process. Ids are only unique
-/// per process; cross-process references always pair an id with a pid.
+/// A span's identity within this process, for parenting work on
+/// another thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanCtx {
-    /// Emitting process.
-    pub pid: u32,
-    /// Span id within that process.
+    /// Span id within this process.
     pub id: u64,
 }
 
@@ -27,11 +24,8 @@ pub enum Event {
         pid: u32,
         /// Span id (unique within `pid`).
         id: u64,
-        /// Parent span id within the same process, 0 for none.
+        /// Parent span id, 0 for none.
         parent: u64,
-        /// Cross-process parent, when this span is a worker-side root
-        /// stitched under a coordinator span.
-        remote: Option<SpanCtx>,
         /// Static span name (e.g. `pipeline.collect`).
         name: String,
         /// Start, in microseconds since the Unix epoch (monotonic
@@ -48,8 +42,6 @@ pub enum Event {
         pid: u32,
         /// Enclosing span id, 0 for none.
         parent: u64,
-        /// Cross-process parent, mirroring [`Event::Span::remote`].
-        remote: Option<SpanCtx>,
         /// Mark name (e.g. `fanout.retry`).
         name: String,
         /// Timestamp, microseconds since the Unix epoch.
@@ -135,7 +127,6 @@ impl Event {
                 pid,
                 id,
                 parent,
-                remote,
                 name,
                 start_us,
                 dur_us,
@@ -148,12 +139,6 @@ impl Event {
                 field_num(&mut s, "id", *id);
                 s.push(',');
                 field_num(&mut s, "parent", *parent);
-                if let Some(r) = remote {
-                    s.push(',');
-                    field_num(&mut s, "rpid", r.pid as u64);
-                    s.push(',');
-                    field_num(&mut s, "rid", r.id);
-                }
                 s.push(',');
                 field_str(&mut s, "name", name);
                 s.push(',');
@@ -168,7 +153,6 @@ impl Event {
             Event::Mark {
                 pid,
                 parent,
-                remote,
                 name,
                 at_us,
                 fields,
@@ -178,12 +162,6 @@ impl Event {
                 field_num(&mut s, "pid", *pid as u64);
                 s.push(',');
                 field_num(&mut s, "parent", *parent);
-                if let Some(r) = remote {
-                    s.push(',');
-                    field_num(&mut s, "rpid", r.pid as u64);
-                    s.push(',');
-                    field_num(&mut s, "rid", r.id);
-                }
                 s.push(',');
                 field_str(&mut s, "name", name);
                 s.push(',');
@@ -258,19 +236,11 @@ impl Event {
             .and_then(Value::as_str)
             .ok_or("missing 'name'")?
             .to_string();
-        let remote = match (v.get("rpid"), v.get("rid")) {
-            (Some(rp), Some(ri)) => Some(SpanCtx {
-                pid: rp.as_u64().ok_or("bad 'rpid'")? as u32,
-                id: ri.as_u64().ok_or("bad 'rid'")?,
-            }),
-            _ => None,
-        };
         match tag {
             "span" => Ok(Event::Span {
                 pid,
                 id: req_u64(v, "id")?,
                 parent: req_u64(v, "parent")?,
-                remote,
                 name,
                 start_us: req_u64(v, "start_us")?,
                 dur_us: req_u64(v, "dur_us")?,
@@ -292,7 +262,6 @@ impl Event {
                 Ok(Event::Mark {
                     pid,
                     parent: req_u64(v, "parent")?,
-                    remote,
                     name,
                     at_us: req_u64(v, "at_us")?,
                     fields,
@@ -356,7 +325,6 @@ mod tests {
             pid: 7,
             id: 3,
             parent: 1,
-            remote: None,
             name: "pipeline.collect".into(),
             start_us: 1_700_000_000_000_000,
             dur_us: 12345,
@@ -366,7 +334,6 @@ mod tests {
             pid: 8,
             id: 1,
             parent: 0,
-            remote: Some(SpanCtx { pid: 7, id: 3 }),
             name: "worker.analyze_frames".into(),
             start_us: 5,
             dur_us: 6,
@@ -375,7 +342,6 @@ mod tests {
         round_trip(Event::Mark {
             pid: 7,
             parent: 2,
-            remote: None,
             name: "fanout.retry".into(),
             at_us: 99,
             // Key-sorted: fields decode via a BTreeMap, so round-trip

@@ -1,9 +1,9 @@
 //! The workspace's one JSON reader and string escaper.
 //!
 //! The workspace's vendored `serde_json` is write-only, and this crate
-//! must stay dependency-free, so stitching worker JSONL back into the
-//! coordinator's trace needs its own parser; `compare_bench` reads the
-//! bench JSONs with it too, and every hand-written JSON body (the serve
+//! must stay dependency-free, so reading an event file back (`memgaze
+//! profile` validates the JSONL it wrote) needs its own parser;
+//! `compare_bench` reads the bench JSONs with it too, and every hand-written JSON body (the serve
 //! daemon's errors, `memgaze lint --json`) escapes strings with
 //! [`escape`]. The reader was sized for the JSON subset the
 //! [`Event`](crate::Event) encoder emits — flat objects, string keys,
@@ -63,13 +63,13 @@ impl Value {
 /// error, so a line holding two concatenated objects is rejected.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
     Ok(v)
@@ -80,13 +80,15 @@ pub fn parse(input: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 16;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; every value parsed so far ended on a
+    /// character boundary.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -96,7 +98,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -126,7 +128,11 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self
+            .text
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit))
+        {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -208,11 +214,10 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let s = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let cp = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape")?;
+                                .ok_or("bad \\u escape")?;
+                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // Surrogates are not emitted by the encoder;
                             // map them to the replacement character.
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
@@ -223,11 +228,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -251,8 +257,10 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| "bad number".to_string())?;
         if !float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Int(n));

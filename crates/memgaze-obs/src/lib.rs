@@ -19,21 +19,22 @@
 //! * `capture` — additionally buffer events in memory (used by
 //!   `memgaze profile` and tests).
 //!
-//! ## Cross-process stitching
-//!
-//! Span ids are only unique per process, so every event carries the
-//! emitting `pid`. A coordinator hands a worker subprocess two
-//! environment variables — [`OBS_PARENT_ENV`] (`pid:spanid`, adopted
-//! as the remote parent of the worker's root spans) and its own
-//! `MEMGAZE_OBS=jsonl:<file>` — then absorbs the worker's event file
-//! with [`absorb_jsonl`], producing one stitched trace tree spanning
-//! both processes.
+//! Spans nest under the innermost open span on their thread; work
+//! handed to another thread parents explicitly with [`span_under`] and
+//! the handing span's [`Span::ctx`].
 //!
 //! ```
 //! let _span = memgaze_obs::span("docs.example");
 //! memgaze_obs::counter!("docs.examples_run").add(1);
 //! // Disabled by default: near-zero cost, no events recorded.
 //! ```
+//!
+//! Its non-test code may not `unwrap`, `expect` or index unchecked (an
+//! `allow` says why).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 mod event;
 pub mod json;
@@ -49,15 +50,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
 /// Sink-selection environment variable (see the crate docs).
 pub const OBS_ENV: &str = "MEMGAZE_OBS";
-/// Cross-process parent span, as `pid:spanid`.
-pub const OBS_PARENT_ENV: &str = "MEMGAZE_OBS_PARENT";
 
 /// Observability configuration: which sinks receive events.
 #[derive(Debug, Clone, Default)]
@@ -69,8 +68,6 @@ pub struct ObsConfig {
     pub capture: bool,
     /// Print a metric summary to stderr on [`flush`].
     pub summary: bool,
-    /// Remote parent adopted by spans with no local parent.
-    pub remote_parent: Option<SpanCtx>,
 }
 
 impl ObsConfig {
@@ -84,7 +81,7 @@ impl ObsConfig {
         self.jsonl_path.is_some() || self.capture || self.summary
     }
 
-    /// Parse [`OBS_ENV`] / [`OBS_PARENT_ENV`].
+    /// Parse [`OBS_ENV`].
     pub fn from_env() -> ObsConfig {
         let mut cfg = ObsConfig::default();
         if let Ok(spec) = std::env::var(OBS_ENV) {
@@ -103,20 +100,8 @@ impl ObsConfig {
                 }
             }
         }
-        cfg.remote_parent = std::env::var(OBS_PARENT_ENV)
-            .ok()
-            .as_deref()
-            .and_then(parse_parent);
         cfg
     }
-}
-
-fn parse_parent(s: &str) -> Option<SpanCtx> {
-    let (pid, id) = s.split_once(':')?;
-    Some(SpanCtx {
-        pid: pid.trim().parse().ok()?,
-        id: id.trim().parse().ok()?,
-    })
 }
 
 /// Active sinks. All writes are best-effort: a full disk must not
@@ -133,7 +118,6 @@ struct State {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
-    remote_parent: Mutex<Option<SpanCtx>>,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -156,7 +140,6 @@ fn state() -> &'static State {
         counters: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
-        remote_parent: Mutex::new(None),
     })
 }
 
@@ -201,7 +184,6 @@ pub fn configure(cfg: ObsConfig) {
         sinks.capture = cfg.capture.then(Vec::new);
         sinks.summary = cfg.summary;
     }
-    *lock_live(&st.remote_parent) = cfg.remote_parent;
     ENABLED.store(cfg.is_enabled(), Ordering::Relaxed);
     INITTED.store(true, Ordering::Release);
 }
@@ -243,48 +225,39 @@ pub struct Span(Option<SpanInner>);
 struct SpanInner {
     id: u64,
     parent: u64,
-    remote: Option<SpanCtx>,
     name: &'static str,
     start_us: u64,
     label: Option<String>,
 }
 
-/// Open a span nested under the current thread's innermost open span
-/// (or under the configured cross-process parent at top level).
+/// Open a span nested under the current thread's innermost open span.
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
         return Span(None);
     }
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-    open_span(name, parent, None)
+    open_span(name, parent)
 }
 
-/// Open a span under an explicit parent — the cross-thread and
-/// cross-process form. `None` (a disabled parent's [`Span::ctx`])
-/// falls back to [`span`] semantics.
+/// Open a span under an explicit parent — the cross-thread form.
+/// `None` (a disabled parent's [`Span::ctx`]) falls back to [`span`]
+/// semantics.
 pub fn span_under(name: &'static str, parent: Option<SpanCtx>) -> Span {
     if !enabled() {
         return Span(None);
     }
     match parent {
         None => span(name),
-        Some(ctx) if ctx.pid == own_pid() => open_span(name, ctx.id, None),
-        Some(ctx) => open_span(name, 0, Some(ctx)),
+        Some(ctx) => open_span(name, ctx.id),
     }
 }
 
-fn open_span(name: &'static str, parent: u64, remote: Option<SpanCtx>) -> Span {
-    let remote = if parent == 0 {
-        remote.or_else(|| *lock_live(&state().remote_parent))
-    } else {
-        remote
-    };
+fn open_span(name: &'static str, parent: u64) -> Span {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
     Span(Some(SpanInner {
         id,
         parent,
-        remote,
         name,
         start_us: now_us(),
         label: None,
@@ -305,13 +278,10 @@ impl Span {
         }
     }
 
-    /// The span's identity, for parenting work on other threads or in
-    /// other processes. `None` when inactive.
+    /// The span's identity, for parenting work on other threads.
+    /// `None` when inactive.
     pub fn ctx(&self) -> Option<SpanCtx> {
-        self.0.as_ref().map(|i| SpanCtx {
-            pid: own_pid(),
-            id: i.id,
-        })
+        self.0.as_ref().map(|i| SpanCtx { id: i.id })
     }
 }
 
@@ -331,7 +301,6 @@ impl Drop for Span {
             pid: own_pid(),
             id: inner.id,
             parent: inner.parent,
-            remote: inner.remote,
             name: inner.name.to_string(),
             start_us: inner.start_us,
             dur_us,
@@ -347,15 +316,9 @@ pub fn mark(name: &'static str, fields: &[(&str, String)]) {
         return;
     }
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-    let remote = if parent == 0 {
-        *lock_live(&state().remote_parent)
-    } else {
-        None
-    };
     emit(Event::Mark {
         pid: own_pid(),
         parent,
-        remote,
         name: name.to_string(),
         at_us: now_us(),
         fields: fields
@@ -463,47 +426,6 @@ pub fn take_capture() -> Vec<Event> {
     }
 }
 
-/// Outcome of absorbing a JSONL event stream: how many events landed
-/// and how many malformed lines were skipped along the way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AbsorbStats {
-    /// Events successfully parsed and emitted into this process's sinks.
-    pub absorbed: usize,
-    /// Nonempty lines that failed to parse and were skipped.
-    pub skipped: usize,
-}
-
-/// Absorb a worker's JSONL event stream into this process's sinks,
-/// preserving each event verbatim (events are pid-qualified, so no
-/// rewriting is needed to keep the merged trace consistent).
-///
-/// Concurrent writers appending to a shared `jsonl:` sink can interleave
-/// partial lines anywhere in the file, not just at the tail, so a
-/// malformed line is not fatal: it is skipped, counted in
-/// [`AbsorbStats::skipped`], and surfaced on the `obs.absorb.skipped`
-/// counter. Every well-formed line before *and after* a torn write
-/// still lands. Use [`validate_jsonl`] when strictness is the point.
-pub fn absorb_jsonl(text: &str) -> AbsorbStats {
-    let mut stats = AbsorbStats::default();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match Event::from_json_line(line) {
-            Ok(ev) => {
-                emit(ev);
-                stats.absorbed += 1;
-            }
-            Err(_) => stats.skipped += 1,
-        }
-    }
-    if stats.skipped > 0 {
-        counter("obs.absorb.skipped").add(stats.skipped as u64);
-    }
-    stats
-}
-
 /// Validate that every nonempty line of a JSONL event stream parses as
 /// an [`Event`], without emitting anything. Returns the event count; a
 /// malformed line is an error naming the line.
@@ -520,35 +442,13 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// The environment a coordinator hands a worker subprocess so the
-/// worker's spans stitch under `parent` and its events land in
-/// `jsonl_path` (later fed to [`absorb_jsonl`]).
-pub fn worker_env(parent: Option<SpanCtx>, jsonl_path: &Path) -> Vec<(String, String)> {
-    let mut env = vec![(
-        OBS_ENV.to_string(),
-        format!("jsonl:{}", jsonl_path.display()),
-    )];
-    if let Some(p) = parent {
-        env.push((OBS_PARENT_ENV.to_string(), format!("{}:{}", p.pid, p.id)));
-    }
-    env
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The global sink set is process-wide, so tests that reconfigure
-    /// sinks or drain `take_capture` serialize on this lock.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
-    fn spans_counters_and_stitching() {
-        let _guard = serial();
+    fn spans_counters_and_cross_thread_parents() {
+        // The only test here that configures the process-wide sinks.
         configure(ObsConfig {
             capture: true,
             ..ObsConfig::default()
@@ -599,66 +499,18 @@ mod tests {
             |e| matches!(e, Event::Gauge { name, max, .. } if name == "test.gauge" && *max >= 41)
         ));
 
-        // Absorb a synthetic worker stream: events keep their pid and
-        // remote parent, and garbage lines are skipped, not fatal.
-        configure(ObsConfig {
-            capture: true,
-            ..ObsConfig::default()
-        });
-        let worker_line = Event::Span {
-            pid: own_pid() + 1,
-            id: 1,
-            parent: 0,
-            remote: Some(SpanCtx {
-                pid: own_pid(),
-                id: outer_id,
-            }),
-            name: "worker.root".to_string(),
-            start_us: 1,
-            dur_us: 2,
-            label: None,
-        }
-        .to_json_line();
-        assert_eq!(
-            absorb_jsonl(&format!("{worker_line}\n\n")),
-            AbsorbStats {
-                absorbed: 1,
-                skipped: 0
-            }
-        );
-        assert_eq!(
-            absorb_jsonl("not json"),
-            AbsorbStats {
-                absorbed: 0,
-                skipped: 1
-            }
-        );
-        let absorbed = take_capture();
-        assert!(matches!(
-            &absorbed[0],
-            Event::Span { remote: Some(r), .. } if r.id == outer_id
-        ));
-
-        // The profile renderer sees the worker span under the outer span.
         configure(ObsConfig::disabled());
         assert!(!enabled());
         let s = span("test.disabled");
         assert!(!s.is_active());
         assert!(s.ctx().is_none());
+        assert!(!ObsConfig::default().is_enabled());
     }
 
-    /// Regression: concurrent handlers appending to one `jsonl:` sink
-    /// can tear a line in the *middle* of the file, not only at the
-    /// tail. The pre-fix absorber stopped at the first malformed line,
-    /// dropping every event after the tear; it must instead skip the
-    /// torn fragments, keep absorbing, and count what it skipped.
+    /// A torn line anywhere in an event file — not only at the tail —
+    /// fails validation, naming the line.
     #[test]
-    fn interior_torn_writes_are_skipped_not_fatal() {
-        let _guard = serial();
-        configure(ObsConfig {
-            capture: true,
-            ..ObsConfig::default()
-        });
+    fn validation_names_the_first_torn_line() {
         let line = |name: &str| {
             Event::Count {
                 pid: own_pid(),
@@ -667,48 +519,11 @@ mod tests {
             }
             .to_json_line()
         };
-        let good_a = line("torn.a");
-        let good_b = line("torn.b");
-        let good_c = line("torn.c");
-        // A writer torn mid-record splices half a line into another
-        // writer's record, producing two malformed fragments between
-        // intact neighbors.
-        let torn = format!(
-            "{good_a}\n{}\n{}{good_b}\n{good_c}\n",
-            &good_a[..good_a.len() / 2],
-            &good_b[..3],
-        );
-        let before = counter("obs.absorb.skipped").value();
-        let stats = absorb_jsonl(&torn);
-        assert_eq!(stats.absorbed, 2, "events after the tear must land");
-        assert_eq!(stats.skipped, 2, "both torn fragments counted");
-        assert_eq!(counter("obs.absorb.skipped").value(), before + 2);
-        let names: Vec<String> = take_capture()
-            .into_iter()
-            .filter_map(|e| match e {
-                Event::Count { name, .. } => Some(name),
-                _ => None,
-            })
-            .collect();
-        assert!(names.contains(&"torn.a".to_string()));
-        assert!(names.contains(&"torn.c".to_string()));
-        // Strict validation still refuses the same stream.
-        assert!(validate_jsonl(&torn).is_err());
-        configure(ObsConfig::disabled());
-    }
-
-    #[test]
-    fn env_config_parses() {
-        let cfg = ObsConfig::default();
-        assert!(!cfg.is_enabled());
-        assert!(parse_parent("123:9").is_some());
-        assert_eq!(parse_parent("123:9"), Some(SpanCtx { pid: 123, id: 9 }));
-        assert!(parse_parent("123").is_none());
-        assert!(parse_parent("a:b").is_none());
-        let env = worker_env(Some(SpanCtx { pid: 1, id: 2 }), Path::new("/tmp/x.jsonl"));
-        assert_eq!(env[0].0, OBS_ENV);
-        assert!(env[0].1.starts_with("jsonl:"));
-        assert_eq!(env[1], (OBS_PARENT_ENV.to_string(), "1:2".to_string()));
+        let (good_a, good_b) = (line("torn.a"), line("torn.b"));
+        assert_eq!(validate_jsonl(&format!("{good_a}\n\n{good_b}\n")), Ok(2));
+        let torn = format!("{good_a}\n{}\n{good_b}\n", &good_a[..good_a.len() / 2]);
+        let err = validate_jsonl(&torn).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]

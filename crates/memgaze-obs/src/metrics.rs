@@ -47,6 +47,8 @@ impl Counter {
     }
 
     /// Add `n`. A no-op when observability is disabled.
+    // `shard_index` is reduced modulo `SHARDS`.
+    #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn add(&self, n: u64) {
         if !crate::enabled() {
@@ -93,6 +95,8 @@ impl Histogram {
     }
 
     /// Record a value. A no-op when observability is disabled.
+    // The bin is at most 64, and there are 65.
+    #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn record(&self, v: u64) {
         if !crate::enabled() {
@@ -125,16 +129,16 @@ impl Histogram {
 
     /// Snapshot `(count, sum, populated-prefix bins)`.
     pub fn snapshot(&self) -> (u64, u64, Vec<u64>) {
-        let bins: Vec<u64> = self
+        let mut bins: Vec<u64> = self
             .bins
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
-        let hi = bins.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
+        bins.truncate(bins.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1));
         (
             self.count.load(Ordering::Relaxed),
             self.sum.load(Ordering::Relaxed),
-            bins[..hi].to_vec(),
+            bins,
         )
     }
 }

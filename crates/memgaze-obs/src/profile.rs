@@ -1,15 +1,13 @@
 //! Trace rendering: the span tree with inclusive/exclusive times, and
 //! the counter / histogram / gauge tables, built from a flat event
-//! stream (in-memory capture or absorbed JSONL).
+//! stream (in-memory capture or a JSONL file read back).
 //!
-//! Spans are keyed `(pid, id)` — ids are only unique per process — and
-//! a worker root's `remote` edge resolves to the coordinator span it
-//! was parented under, so one render covers a whole fan-out run.
+//! Spans are keyed `(pid, id)`, since ids are only unique per process.
 //! Sibling spans with the same name are aggregated into one line
 //! (`×count`), since a fan-out run repeats the same per-range span
 //! many times.
 
-use crate::event::{Event, SpanCtx};
+use crate::event::Event;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -27,30 +25,35 @@ pub struct ProfileStats {
     pub events: usize,
 }
 
+type Key = (u32, u64);
+
+/// One span with its children, each level in start order.
 struct Node {
+    key: Key,
     name: String,
     start_us: u64,
     dur_us: u64,
     label: Option<String>,
+    children: Vec<Node>,
 }
 
-type Key = (u32, u64);
-
 struct Tree {
-    nodes: BTreeMap<Key, Node>,
-    children: BTreeMap<Key, Vec<Key>>,
-    roots: Vec<Key>,
+    roots: Vec<Node>,
+    spans: usize,
+}
+
+fn by_start(nodes: &mut [impl std::borrow::Borrow<Node>]) {
+    nodes.sort_by_key(|n| (n.borrow().start_us, n.borrow().key));
 }
 
 fn build_tree(events: &[Event]) -> Tree {
     let mut nodes: BTreeMap<Key, Node> = BTreeMap::new();
-    let mut parent_of: BTreeMap<Key, Option<Key>> = BTreeMap::new();
+    let mut parent_of: BTreeMap<Key, Key> = BTreeMap::new();
     for e in events {
         if let Event::Span {
             pid,
             id,
             parent,
-            remote,
             name,
             start_us,
             dur_us,
@@ -61,44 +64,53 @@ fn build_tree(events: &[Event]) -> Tree {
             nodes.insert(
                 key,
                 Node {
+                    key,
                     name: name.clone(),
                     start_us: *start_us,
                     dur_us: *dur_us,
                     label: label.clone(),
+                    children: Vec::new(),
                 },
             );
-            let pkey = if *parent != 0 {
-                Some((*pid, *parent))
-            } else {
-                remote.map(|SpanCtx { pid, id }| (pid, id))
-            };
-            parent_of.insert(key, pkey);
+            if *parent != 0 {
+                parent_of.insert(key, (*pid, *parent));
+            }
         }
     }
+    let spans = nodes.len();
     let mut children: BTreeMap<Key, Vec<Key>> = BTreeMap::new();
     let mut roots: Vec<Key> = Vec::new();
-    for (&key, pkey) in &parent_of {
-        match pkey {
+    for &key in nodes.keys() {
+        match parent_of.get(&key) {
             // A parent key that names no recorded span (e.g. the
-            // enclosing span had not closed when a worker's file was
-            // absorbed, or obs was enabled mid-run) makes this span a
-            // root rather than dropping it.
+            // enclosing span had not closed when the events were taken,
+            // or obs was enabled mid-run) makes this span a root rather
+            // than dropping it.
             Some(p) if nodes.contains_key(p) => children.entry(*p).or_default().push(key),
             _ => roots.push(key),
         }
     }
-    let by_start = |keys: &mut Vec<Key>, nodes: &BTreeMap<Key, Node>| {
-        keys.sort_by_key(|k| (nodes[k].start_us, *k));
-    };
-    by_start(&mut roots, &nodes);
-    for v in children.values_mut() {
-        by_start(v, &nodes);
+    fn take(
+        key: Key,
+        nodes: &mut BTreeMap<Key, Node>,
+        children: &BTreeMap<Key, Vec<Key>>,
+    ) -> Option<Node> {
+        let mut node = nodes.remove(&key)?;
+        node.children = children
+            .get(&key)
+            .into_iter()
+            .flatten()
+            .filter_map(|&c| take(c, nodes, children))
+            .collect();
+        by_start(&mut node.children);
+        Some(node)
     }
-    Tree {
-        nodes,
-        children,
-        roots,
-    }
+    let mut roots: Vec<Node> = roots
+        .into_iter()
+        .filter_map(|k| take(k, &mut nodes, &children))
+        .collect();
+    by_start(&mut roots);
+    Tree { roots, spans }
 }
 
 /// Trace statistics without rendering.
@@ -108,7 +120,7 @@ pub fn stats(events: &[Event]) -> ProfileStats {
     pids.sort_unstable();
     pids.dedup();
     ProfileStats {
-        spans: tree.nodes.len(),
+        spans: tree.spans,
         roots: tree.roots.len(),
         processes: pids.len(),
         events: events.len(),
@@ -125,26 +137,20 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-fn render_group(out: &mut String, tree: &Tree, keys: &[Key], depth: usize) {
+fn render_group(out: &mut String, nodes: &[&Node], depth: usize) {
     // Aggregate same-named siblings into one line, preserving the
     // first-seen (earliest-start) order.
-    let mut order: Vec<&str> = Vec::new();
-    let mut groups: BTreeMap<&str, Vec<Key>> = BTreeMap::new();
-    for k in keys {
-        let name = tree.nodes[k].name.as_str();
-        if !groups.contains_key(name) {
-            order.push(name);
+    let mut groups: Vec<(&str, Vec<&Node>)> = Vec::new();
+    for &n in nodes {
+        match groups.iter_mut().find(|(name, _)| *name == n.name) {
+            Some((_, members)) => members.push(n),
+            None => groups.push((&n.name, vec![n])),
         }
-        groups.entry(name).or_default().push(*k);
     }
-    for name in order {
-        let members = &groups[name];
-        let incl: u64 = members.iter().map(|k| tree.nodes[k].dur_us).sum();
-        let child_keys: Vec<Key> = members
-            .iter()
-            .flat_map(|k| tree.children.get(k).into_iter().flatten().copied())
-            .collect();
-        let child_incl: u64 = child_keys.iter().map(|k| tree.nodes[k].dur_us).sum();
+    for (name, members) in groups {
+        let incl: u64 = members.iter().map(|n| n.dur_us).sum();
+        let mut children: Vec<&Node> = members.iter().flat_map(|n| &n.children).collect();
+        let child_incl: u64 = children.iter().map(|n| n.dur_us).sum();
         let excl = incl.saturating_sub(child_incl);
         let indent = "  ".repeat(depth);
         let count = if members.len() > 1 {
@@ -153,7 +159,7 @@ fn render_group(out: &mut String, tree: &Tree, keys: &[Key], depth: usize) {
             String::new()
         };
         let label = match members.as_slice() {
-            [only] => tree.nodes[only]
+            [only] => only
                 .label
                 .as_deref()
                 .map(|l| format!("  [{l}]"))
@@ -166,10 +172,9 @@ fn render_group(out: &mut String, tree: &Tree, keys: &[Key], depth: usize) {
             fmt_us(incl),
             fmt_us(excl)
         );
-        if !child_keys.is_empty() {
-            let mut sorted = child_keys;
-            sorted.sort_by_key(|k| (tree.nodes[k].start_us, *k));
-            render_group(out, tree, &sorted, depth + 1);
+        if !children.is_empty() {
+            by_start(&mut children);
+            render_group(out, &children, depth + 1);
         }
     }
 }
@@ -309,7 +314,8 @@ pub fn render_profile(events: &[Event]) -> String {
     if tree.roots.is_empty() {
         out.push_str("(no spans recorded)\n");
     } else {
-        render_group(&mut out, &tree, &tree.roots, 0);
+        let roots: Vec<&Node> = tree.roots.iter().collect();
+        render_group(&mut out, &roots, 0);
     }
 
     let marks: Vec<&Event> = events
@@ -394,20 +400,11 @@ pub fn render_summary() -> String {
 mod tests {
     use super::*;
 
-    fn span(
-        pid: u32,
-        id: u64,
-        parent: u64,
-        remote: Option<SpanCtx>,
-        name: &str,
-        start: u64,
-        dur: u64,
-    ) -> Event {
+    fn span(pid: u32, id: u64, parent: u64, name: &str, start: u64, dur: u64) -> Event {
         Event::Span {
             pid,
             id,
             parent,
-            remote,
             name: name.to_string(),
             start_us: start,
             dur_us: dur,
@@ -444,20 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_stitches_across_processes() {
+    fn tree_nests_and_aggregates_siblings() {
         let events = vec![
-            span(1, 1, 0, None, "fanout.run", 0, 100),
-            span(1, 2, 1, None, "fanout.range", 5, 40),
-            span(1, 3, 1, None, "fanout.range", 50, 40),
-            span(
-                2,
-                1,
-                0,
-                Some(SpanCtx { pid: 1, id: 2 }),
-                "worker.analyze_frames",
-                10,
-                30,
-            ),
+            span(1, 1, 0, "fanout.run", 0, 100),
+            span(1, 2, 1, "fanout.range", 5, 40),
+            span(1, 3, 1, "fanout.range", 50, 40),
+            span(1, 4, 2, "worker.analyze_frames", 10, 30),
             Event::Count {
                 pid: 2,
                 name: "model.frames_decoded".into(),
@@ -490,7 +479,7 @@ mod tests {
 
     #[test]
     fn orphan_parents_become_roots() {
-        let events = vec![span(1, 7, 99, None, "lonely", 0, 5)];
+        let events = vec![span(1, 7, 99, "lonely", 0, 5)];
         let st = stats(&events);
         assert_eq!(st.spans, 1);
         assert_eq!(st.roots, 1);

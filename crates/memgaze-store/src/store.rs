@@ -31,15 +31,86 @@ use crate::blob::{decode_blob, encode_blob};
 use crate::catalog::Catalog;
 use crate::error::{io_err, StoreError};
 use memgaze_analysis::streaming::StreamingReport;
-use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer, WorkerSpec};
+use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer};
 use memgaze_model::annot::AuxAnnotations;
 use memgaze_model::stream::decode_frame_payload;
-use memgaze_model::wire::{grow_toward, put_varint, varint_len};
-use memgaze_model::{fnv1a64, BlockSize, FrameIndex, SymbolTable, TraceMeta};
+use memgaze_model::wire::{self, grow_toward, put_str, put_varint, varint_len, zigzag};
+use memgaze_model::{fnv1a64, BlockSize, FrameIndex, LoadClass, SymbolTable, TraceMeta};
 use std::fs;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The canonical encoding [`TraceStore::config_hash`] hashes: the
+/// block sizes, the locality sizes, every annotation and every symbol,
+/// in the frame the fan-out worker spec (`MGZS` v3) once used. Nothing
+/// decodes it; it keeps those bytes exactly so result caches written
+/// under the spec keep their keys (pinned in `tests/wire_golden.rs`).
+fn config_bytes(
+    analysis: &AnalysisConfig,
+    locality_sizes: &[u64],
+    annots: &AuxAnnotations,
+    symbols: &SymbolTable,
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(256);
+    wire::put_header(&mut buf, b"MGZS", 3);
+    buf.push(analysis.footprint_block.log2());
+    buf.push(analysis.reuse_block.log2());
+    put_u64_runs(&mut buf, locality_sizes);
+    put_varint(&mut buf, annots.len() as u64);
+    for (ip, an) in annots.iter() {
+        put_varint(&mut buf, ip.raw());
+        buf.push(match an.class {
+            LoadClass::Constant => 0,
+            LoadClass::Strided => 1,
+            LoadClass::Irregular => 2,
+        });
+        put_varint(&mut buf, u64::from(an.implied_const));
+        buf.push(an.scale);
+        put_varint(&mut buf, zigzag(an.offset));
+        buf.push(u8::from(an.two_source));
+        put_varint(&mut buf, u64::from(an.func.0));
+        put_varint(&mut buf, u64::from(an.src_line));
+    }
+    put_varint(&mut buf, symbols.len() as u64);
+    for f in symbols.functions() {
+        put_str(&mut buf, &f.name);
+        put_varint(&mut buf, f.lo.raw());
+        put_varint(&mut buf, f.hi.raw());
+        put_str(&mut buf, &f.src_file);
+    }
+    wire::seal(&mut buf, 0);
+    buf
+}
+
+/// A `u64` list as its length, its first element, then each maximal run
+/// of equal wrapping deltas: four or more as `0, zigzag(d), count`,
+/// shorter ones as one `zigzag(d) + 1` per element — the `MGZP` list
+/// codec's layout.
+fn put_u64_runs(buf: &mut Vec<u8>, vs: &[u64]) {
+    put_varint(buf, vs.len() as u64);
+    let Some(&first) = vs.first() else {
+        return;
+    };
+    put_varint(buf, first);
+    let mut deltas = vs.windows(2).map(|w| w[1].wrapping_sub(w[0])).peekable();
+    while let Some(delta) = deltas.next() {
+        let mut run = 1u64;
+        while deltas.next_if_eq(&delta).is_some() {
+            run += 1;
+        }
+        let token = zigzag(delta as i64);
+        if run >= 4 {
+            put_varint(buf, 0);
+            put_varint(buf, token);
+            put_varint(buf, run);
+        } else {
+            for _ in 0..run {
+                put_varint(buf, token.wrapping_add(1));
+            }
+        }
+    }
+}
 
 /// Configuration for opening a [`TraceStore`].
 #[derive(Debug, Clone)]
@@ -424,21 +495,15 @@ impl TraceStore {
     }
 
     /// Hash of everything that determines an analysis *result* for a
-    /// frame: block sizes, locality sizes, annotations, symbols.
+    /// frame: block sizes, locality sizes, annotations, symbols. It is
+    /// the FNV-1a-64 of their canonical encoding (`config_bytes`).
     pub fn config_hash(
         analysis: &AnalysisConfig,
         locality_sizes: &[u64],
         annots: &AuxAnnotations,
         symbols: &SymbolTable,
     ) -> u64 {
-        let spec = WorkerSpec {
-            footprint_block: analysis.footprint_block,
-            reuse_block: analysis.reuse_block,
-            locality_sizes: locality_sizes.to_vec(),
-            annots: annots.clone(),
-            symbols: symbols.clone(),
-        };
-        fnv1a64(&spec.encode())
+        fnv1a64(&config_bytes(analysis, locality_sizes, annots, symbols))
     }
 
     /// Analyze a contiguous frame range of a stored trace into a
@@ -792,5 +857,21 @@ mod tests {
             Err(StoreError::CorruptBlob { .. })
         ));
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn u64_lists_encode_as_delta_runs() {
+        let encode = |vs: &[u64]| {
+            let mut buf = Vec::new();
+            put_u64_runs(&mut buf, vs);
+            buf
+        };
+        assert_eq!(encode(&[]), [0]);
+        assert_eq!(encode(&[5]), [1, 5]);
+        // Deltas +2 and -1: one `zigzag + 1` token each.
+        assert_eq!(encode(&[1, 3, 2]), [3, 1, 5, 2]);
+        // Three equal deltas stay tokens; four collapse into an escape.
+        assert_eq!(encode(&[0, 8, 16, 24]), [4, 0, 17, 17, 17]);
+        assert_eq!(encode(&[0, 8, 16, 24, 32, 33]), [6, 0, 0, 16, 4, 3]);
     }
 }

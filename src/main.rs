@@ -16,9 +16,8 @@
 
 use memgaze::analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Analyzer, Table};
 use memgaze::core::{
-    run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, worker_serve,
-    FanoutBackend, FanoutConfig, FanoutError, FrameSource, MemGaze, PipelineConfig,
-    StreamingWorkloadReport,
+    run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, FanoutBackend,
+    FanoutConfig, MemGaze, PipelineConfig, StreamingWorkloadReport,
 };
 use memgaze::model::DecompressionInfo;
 use memgaze::ptsim::SamplerConfig;
@@ -87,8 +86,7 @@ fn usage() -> ! {
          memgaze gap <pr|pr-spmv|cc|cc-sv> [--scale N] [--degree N] [--period N]\n  \
          memgaze darknet <alexnet|resnet152> [--period N]\n  \
          memgaze fanout <pr|pr-spmv|cc|cc-sv> [--workers N] [--scale N] [--period N]\n  \
-         \u{20}                [--shard N] [--in-process yes] [--verify yes]\n  \
-         \u{20}                [--store DIR]\n  \
+         \u{20}                [--shard N] [--verify yes] [--store DIR]\n  \
          memgaze store put <pr|pr-spmv|cc|cc-sv> --dir DIR [--id ID] [--scale N]\n  \
          \u{20}                [--period N] [--shard N]\n  \
          memgaze store get <id> --dir DIR [--out FILE]\n  \
@@ -362,11 +360,11 @@ fn trace_gap(args: &Args, pos: usize) -> Result<TracedGap, i32> {
 }
 
 /// `memgaze fanout`: trace a GAP kernel through the streaming recorder,
-/// then analyze the indexed container across worker processes and print
+/// then analyze the indexed container across worker threads and print
 /// the merged report. `--store DIR` first puts the trace into a content
-/// -addressed store and dispatches workers against it (each fetches only
-/// its ranges' blobs). `--verify yes` re-runs the analysis in-process
-/// and exits nonzero unless the two reports are identical.
+/// -addressed store and analyzes it from there (each range fetches only
+/// its own blobs). `--verify yes` exits nonzero unless the merged report
+/// is identical to the resident streaming report.
 fn run_fanout_cmd(args: &Args) -> i32 {
     let traced = match trace_gap(args, 1) {
         Ok(t) => t,
@@ -385,17 +383,7 @@ fn run_fanout_cmd(args: &Args) -> i32 {
         locality_sizes: sizes.to_vec(),
         ..FanoutConfig::default()
     };
-    let backend = if args.get("in-process").is_some() {
-        FanoutBackend::InProcess
-    } else {
-        match std::env::current_exe() {
-            Ok(exe) => FanoutBackend::Subprocess { exe },
-            Err(e) => {
-                eprintln!("cannot locate own binary ({e}); falling back to in-process workers");
-                FanoutBackend::InProcess
-            }
-        }
-    };
+    let backend = FanoutBackend::InProcess;
     let run = if let Some(dir) = args.get("store") {
         let store = match TraceStore::open(StoreConfig::new(dir)) {
             Ok(s) => s,
@@ -497,45 +485,6 @@ fn run_fanout_cmd(args: &Args) -> i32 {
         }
     }
     0
-}
-
-/// `memgaze analyze-shard`: the persistent fan-out worker the
-/// coordinator's [`FanoutPool`] keeps warm. Loads `--spec` and reopens
-/// exactly one source — `--container`/`--index` files, or a trace store
-/// (`--store-root`/`--trace`) it fetches only the requested ranges'
-/// blobs from — then answers framed range requests over stdin until
-/// EOF. Returns (rather than exits) so `main` can flush observability
-/// sinks — the coordinator stitches this worker's JSONL into its trace.
-fn run_analyze_shard(args: &Args) -> i32 {
-    let Some(spec) = args.get("spec") else {
-        eprintln!("analyze-shard: missing --spec");
-        return 2;
-    };
-    let source = match FrameSource::from_flags(|key| args.get(key)) {
-        Ok(source) => source,
-        Err(e) => {
-            eprintln!("analyze-shard: {e}");
-            // A protocol error here is a flag naming no single source.
-            return if matches!(e, FanoutError::Protocol { .. }) {
-                2
-            } else {
-                1
-            };
-        }
-    };
-    let served = worker_serve(
-        std::path::Path::new(spec),
-        &source,
-        &mut std::io::stdin().lock(),
-        &mut std::io::stdout().lock(),
-    );
-    match served {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("analyze-shard: {e}");
-            1
-        }
-    }
 }
 
 /// Open the trace store named by `--dir`.
@@ -803,13 +752,6 @@ fn run_query_cmd(args: &Args) -> i32 {
     0
 }
 
-/// `memgaze profile <subcommand...>`: run any other subcommand with
-/// observability forced on (in-memory capture + a JSONL file), then
-/// render the span tree with inclusive/exclusive times, the recorded
-/// marks, and the top counters. `--obs-out FILE` chooses where the
-/// JSONL events land (default: a file under the temp dir, reported on
-/// completion). Exits nonzero if the run recorded no spans or the
-/// event file fails to parse.
 /// SIGTERM/SIGINT latch for `memgaze serve`: the handler only stores a
 /// flag; the serve loop polls it and runs the graceful drain itself.
 #[cfg(unix)]
@@ -1024,6 +966,13 @@ fn run_watch_cmd(args: &Args) -> i32 {
     0
 }
 
+/// `memgaze profile <subcommand...>`: run any other subcommand with
+/// observability forced on (in-memory capture + a JSONL file), then
+/// render the span tree with inclusive/exclusive times, the recorded
+/// marks, and the top counters. `--obs-out FILE` chooses where the
+/// JSONL events land (default: a file under the temp dir, reported on
+/// completion). Exits nonzero if the run recorded no spans or the
+/// event file fails to parse.
 fn run_profile(args: &Args) -> i32 {
     if args.positional.len() < 2 {
         usage();
@@ -1035,7 +984,6 @@ fn run_profile(args: &Args) -> i32 {
         jsonl_path: Some(obs_out.clone()),
         capture: true,
         summary: false,
-        remote_parent: None,
     });
     let inner = Args {
         positional: args.positional[1..].to_vec(),
@@ -1076,9 +1024,8 @@ fn run_profile(args: &Args) -> i32 {
 fn main() {
     let args = Args::parse();
     let code = dispatch(&args);
-    // Flush observability sinks on every path that returns here: the
-    // `analyze-shard` worker's JSONL must hit disk before the
-    // coordinator absorbs it, and `MEMGAZE_OBS=summary` prints now.
+    // Flush observability sinks on every path that returns here, so a
+    // `jsonl:` file is complete and `MEMGAZE_OBS=summary` prints now.
     memgaze::obs::flush();
     std::process::exit(code);
 }
@@ -1184,9 +1131,6 @@ fn dispatch(args: &Args) -> i32 {
         "fanout" => run_fanout_cmd(args),
         "store" => run_store_cmd(args),
         "query" => run_query_cmd(args),
-        // Hidden worker entry point spawned by the fan-out coordinator;
-        // not part of the user-facing surface, so absent from usage().
-        "analyze-shard" => run_analyze_shard(args),
         "serve" => run_serve_cmd(args),
         "watch" => run_watch_cmd(args),
         "lint" => run_lint(args),

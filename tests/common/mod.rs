@@ -4,8 +4,7 @@
 //! alone.
 #![allow(dead_code)]
 
-use memgaze::analysis::{analyze_frames, AnalysisConfig, PartialReport, WorkerSpec};
-use memgaze::core::fanout::{encode_request, frame_partial_into};
+use memgaze::analysis::{analyze_frames, AnalysisConfig, PartialReport};
 use memgaze::model::{
     encode_sharded_indexed, Access, AuxAnnotations, BlockSize, FrameIndex, FullTrace, FunctionId,
     Ip, IpAnnot, LoadClass, Sample, SampledTrace, SymbolTable, TraceMeta,
@@ -137,21 +136,6 @@ pub fn mgzr() -> Vec<u8> {
     .encode()
 }
 
-pub fn spec() -> WorkerSpec {
-    let cfg = config();
-    WorkerSpec {
-        footprint_block: cfg.footprint_block,
-        reuse_block: cfg.reuse_block,
-        locality_sizes: LOCALITY_SIZES.to_vec(),
-        annots: annots(),
-        symbols: symbols(),
-    }
-}
-
-pub fn mgzs() -> Vec<u8> {
-    spec().encode()
-}
-
 /// An incompressible payload, so the blob keeps the raw encoding.
 pub fn raw_blob_payload() -> Vec<u8> {
     (0u32..48)
@@ -187,20 +171,6 @@ pub fn catalog() -> Catalog {
 
 pub fn mgzc() -> Vec<u8> {
     catalog().encode()
-}
-
-/// A worker's framed response carrying the `.mgzp` fixture.
-pub fn mgzw() -> Vec<u8> {
-    let mut buf = Vec::new();
-    frame_partial_into(&partial(0..1), &mut buf);
-    buf
-}
-
-/// A coordinator's range request.
-pub fn mgzq() -> Vec<u8> {
-    let mut buf = [0u8; 24];
-    encode_request(&mut buf, &(3..9));
-    buf.to_vec()
 }
 
 /// A bench-emitter-shaped document: nesting, arrays, escapes, floats.

@@ -14,7 +14,7 @@
 //! damage reaches the parser. Every decode must return — `Ok` or the
 //! crate's typed error, never a panic — and a counting allocator holds
 //! its peak allocation to `ALLOC_FACTOR × input + ALLOC_SLACK` bytes.
-//! A partial report (`MGZP`, `.mgzr`, `MGZW`) that still decodes is then
+//! A partial report (`MGZP`, `.mgzr`) that still decodes is then
 //! merged with itself and finished, and a catalog (`MGZC`) that still
 //! decodes is queried through `QueryEngine`, under the same two rules.
 //! Inputs that broke the decoders before they shared `model::wire` are
@@ -25,8 +25,7 @@
 
 mod common;
 
-use memgaze::analysis::{PartialReport, WorkerSpec};
-use memgaze::core::fanout::{read_request, read_response_frame};
+use memgaze::analysis::PartialReport;
 use memgaze::model::stream::decode_frame_payload;
 use memgaze::model::{decode_sharded, fnv1a64, FrameIndex, TraceMeta};
 use memgaze::store::blob::decode_blob;
@@ -195,12 +194,6 @@ fn formats() -> Vec<Format> {
             decode: Box::new(partial),
         },
         Format {
-            name: "MGZS",
-            valid: common::mgzs(),
-            sealed: true,
-            decode: Box::new(|d| typed(WorkerSpec::decode(d))),
-        },
-        Format {
             name: "MGZB raw",
             valid: raw_blob,
             sealed: true,
@@ -227,25 +220,6 @@ fn formats() -> Vec<Format> {
                     engine.functions(),
                 ));
                 Ok(())
-            }),
-        },
-        Format {
-            name: "MGZW",
-            valid: common::mgzw(),
-            sealed: false,
-            decode: Box::new(move |d| match read_response_frame(&mut &d[..])? {
-                Some(payload) => partial(&payload),
-                None => Err("no frame".to_string()),
-            }),
-        },
-        Format {
-            name: "MGZQ",
-            valid: common::mgzq(),
-            sealed: false,
-            decode: Box::new(|d| match read_request(&mut &d[..]) {
-                Ok(Some(_)) => Ok(()),
-                Ok(None) => Err("no request".to_string()),
-                Err(e) => Err(e.to_string()),
             }),
         },
         Format {

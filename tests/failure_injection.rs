@@ -1,11 +1,10 @@
 //! Failure injection: corrupted packet streams, drop storms, degenerate
-//! configurations, and empty inputs must degrade gracefully — never
-//! panic, never fabricate data. Fan-out workers are made to crash, hang,
-//! short-write or flood stderr from outside, through a wrapper
-//! executable; the in-process worker panic is `memgaze-core`'s own unit
-//! test, since it needs a seam inside the coordinator.
+//! configurations, empty inputs, and stale or corrupt fan-out input must
+//! degrade gracefully — never panic, never fabricate data. A panicking
+//! fan-out range is `memgaze-core`'s own unit test, since it needs a
+//! seam inside the coordinator.
 
-use memgaze::analysis::{stream_resident_trace, AnalysisConfig, Analyzer};
+use memgaze::analysis::{AnalysisConfig, Analyzer};
 use memgaze::core::{
     full_trace_workload, run_fanout, trace_workload, FanoutBackend, FanoutConfig, FanoutError,
     MemGaze, PipelineConfig,
@@ -168,15 +167,9 @@ fn microbench_with_one_element_array() {
     let _ = report.trace.mean_window();
 }
 
-/// A deterministic multi-sample trace with enough reuse structure that a
-/// wrong merge would change the report, plus its indexed container.
-fn fanout_fixture() -> (
-    SampledTrace,
-    Vec<u8>,
-    FrameIndex,
-    AuxAnnotations,
-    SymbolTable,
-) {
+/// A deterministic multi-sample trace's indexed container, with side
+/// tables that give its ips every load class.
+fn fanout_fixture() -> (Vec<u8>, FrameIndex, AuxAnnotations, SymbolTable) {
     let mut t = SampledTrace::new(TraceMeta::new("fanout-fi", 1000, 8192));
     for s in 0..14u64 {
         let n = 25 + (s * 11) % 60;
@@ -206,393 +199,12 @@ fn fanout_fixture() -> (
     }
     let mut symbols = SymbolTable::new();
     symbols.add_function("hot", Ip(0x400), Ip(0x500), "hot.c");
-    (t, container, index, annots, symbols)
-}
-
-fn assert_reports_identical(
-    run: &memgaze::core::FanoutRunReport,
-    resident: &memgaze::analysis::StreamingReport,
-    what: &str,
-) {
-    assert_eq!(run.report.decompression, resident.decompression, "{what}");
-    assert_eq!(run.report.function_rows, resident.function_rows, "{what}");
-    assert_eq!(run.report.block_reuse, resident.block_reuse, "{what}");
-    assert_eq!(
-        run.report.reuse_histogram, resident.reuse_histogram,
-        "{what}"
-    );
-    assert_eq!(
-        run.report.locality_series, resident.locality_series,
-        "{what}"
-    );
-    for n in [1usize, 4] {
-        assert_eq!(
-            run.report.interval_rows(n),
-            resident.interval_rows(n),
-            "{what}"
-        );
-    }
-}
-
-/// A fan-out backend whose first spawned worker misbehaves as `mode`
-/// says (`crash`, `hang`, `short-write` or `stderr-flood`; see
-/// `tests/fanout_wrapper.sh`) with its first range in flight, and whose
-/// every other worker is the real one. The directory goes with it.
-#[cfg(unix)]
-struct MisbehavesOnce(std::path::PathBuf);
-
-#[cfg(unix)]
-impl MisbehavesOnce {
-    fn new(mode: &str) -> MisbehavesOnce {
-        use std::os::unix::fs::symlink;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "memgaze-misbehave-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Links and a data file only: an executable this process had just
-        // written could still be open for writing in another test
-        // thread's fork, and exec would fail with ETXTBSY.
-        let script = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fanout_wrapper.sh");
-        symlink(script, dir.join("memgaze")).unwrap();
-        symlink(env!("CARGO_BIN_EXE_memgaze"), dir.join("real")).unwrap();
-        std::fs::write(dir.join("mode"), mode).unwrap();
-        MisbehavesOnce(dir)
-    }
-
-    fn backend(&self) -> FanoutBackend {
-        FanoutBackend::Subprocess {
-            exe: self.0.join("memgaze"),
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for MisbehavesOnce {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-#[cfg(unix)]
-#[test]
-fn killed_worker_is_reassigned_and_report_stays_identical() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let sizes = vec![8u64, 32];
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
-    // One worker crashes mid-run (garbage output + nonzero exit); the
-    // coordinator must re-run its range and still produce the identical
-    // report.
-    let cfg = FanoutConfig {
-        workers: 3,
-        locality_sizes: sizes.clone(),
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("crash");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    )
-    .unwrap();
-    assert!(run.retries >= 1, "the injected crash must cost a retry");
-    assert!(!run.failures.is_empty());
-    assert!(
-        run.failures[0].detail.contains("exited"),
-        "{:?}",
-        run.failures
-    );
-    assert_reports_identical(&run, &resident, "crash-recovery run");
-}
-
-#[cfg(unix)]
-#[test]
-fn persistent_worker_killed_mid_range_is_respawned() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let sizes = vec![8u64, 32];
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
-    // One slot, one range, and a worker that dies with the range in
-    // flight: the coordinator must respawn a fresh persistent worker
-    // (exactly one extra spawn), retry the range on it, and produce the
-    // identical report.
-    let cfg = FanoutConfig {
-        workers: 1,
-        locality_sizes: sizes.clone(),
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("crash");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    )
-    .unwrap();
-    assert_eq!(run.ranges.len(), 1);
-    assert!(run.retries >= 1, "the mid-range death must cost a retry");
-    assert_eq!(run.spawns, 2, "the dead worker plus exactly one respawn");
-    assert_reports_identical(&run, &resident, "respawn-recovery run");
-}
-
-#[test]
-fn warm_pool_reuses_workers_across_runs() {
-    use memgaze::core::{FanoutPool, FrameSource};
-
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let sizes = vec![8u64, 32];
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &sizes, 3);
-    let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_memgaze"));
-    // Fewer workers than frames, as many, and more (the fixture has 5).
-    for workers in [1usize, 2, 4, 8] {
-        let cfg = FanoutConfig {
-            workers,
-            locality_sizes: sizes.clone(),
-            ..FanoutConfig::default()
-        };
-        let source = FrameSource::container(&container, &index);
-        let pool = FanoutPool::new(&exe, source, &annots, &symbols, analysis, cfg).unwrap();
-        pool.prewarm().unwrap();
-        assert_eq!(
-            pool.spawn_count(),
-            workers as u64,
-            "prewarm spawns one worker per slot"
-        );
-        // Repeated runs are served entirely by the warm workers — no new
-        // process spawns, no container reloads — and every run's report
-        // is still bit-identical to the resident analyzer.
-        for round in 0..3 {
-            let run = pool.run().unwrap();
-            assert_eq!(
-                run.spawns, 0,
-                "w{workers} round {round} must reuse warm workers"
-            );
-            assert_eq!(run.retries, 0, "w{workers} round {round}");
-            assert_reports_identical(&run, &resident, "warm-pool run");
-        }
-        assert_eq!(
-            pool.spawn_count(),
-            workers as u64,
-            "no extra spawns across runs"
-        );
-    }
-}
-
-#[cfg(unix)]
-#[test]
-fn hung_worker_is_killed_and_reassigned() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
-    let cfg = FanoutConfig {
-        workers: 2,
-        timeout: std::time::Duration::from_secs(1),
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("hang");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    )
-    .unwrap();
-    assert!(run.retries >= 1);
-    assert!(
-        run.failures.iter().any(|f| f.detail.contains("timeout")),
-        "{:?}",
-        run.failures
-    );
-    assert_reports_identical(&run, &resident, "hang-recovery run");
-}
-
-#[cfg(unix)]
-#[test]
-fn short_write_worker_fails_typed_and_is_retried() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
-    // One worker writes a valid magic + a length header claiming 4096
-    // payload bytes, then only a fragment, then exits 0 — so only the
-    // coordinator's framing validation can catch it. That must surface
-    // as a typed protocol failure and a clean retry, never a panic.
-    let cfg = FanoutConfig {
-        workers: 3,
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("short-write");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    )
-    .unwrap();
-    assert!(run.retries >= 1, "the short write must cost a retry");
-    assert!(
-        run.failures
-            .iter()
-            .any(|f| f.detail.contains("payload length")),
-        "{:?}",
-        run.failures
-    );
-    assert_reports_identical(&run, &resident, "short-write-recovery run");
-}
-
-#[cfg(unix)]
-#[test]
-fn stderr_flooding_worker_is_drained_capped_and_retried() {
-    let (t, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    let resident = stream_resident_trace(&t, &annots, &symbols, analysis, &[], 3);
-    // One worker floods stderr with 4 MiB (far past the pipe buffer)
-    // and exits nonzero. The coordinator must drain without deadlock,
-    // keep only a bounded prefix in the failure detail (noting the
-    // truncation), and recover via retry.
-    let cfg = FanoutConfig {
-        workers: 2,
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("stderr-flood");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    )
-    .unwrap();
-    assert!(run.retries >= 1);
-    let flood = run
-        .failures
-        .iter()
-        .find(|f| f.detail.contains("stderr bytes truncated"))
-        .unwrap_or_else(|| panic!("no truncation note in {:?}", run.failures));
-    // Bounded: the 64 KiB keep cap plus a little framing, not 4 MiB.
-    assert!(
-        flood.detail.len() < 70_000,
-        "failure detail not capped: {} bytes",
-        flood.detail.len()
-    );
-    assert_reports_identical(&run, &resident, "stderr-flood-recovery run");
-}
-
-#[cfg(unix)]
-#[test]
-fn fanout_with_obs_produces_stitched_trace_with_retry() {
-    use memgaze::obs::{self, Event, ObsConfig};
-
-    let (_, container, index, annots, symbols) = fanout_fixture();
-    let analysis = AnalysisConfig::default();
-    // Capture-sink observability plus one worker crash: the run must
-    // yield a single stitched trace holding the coordinator's spans, the
-    // subprocess workers' spans (absorbed from their JSONL scratch files,
-    // stitched via the remote-parent edge), and at least one retry mark.
-    obs::configure(ObsConfig {
-        capture: true,
-        ..ObsConfig::disabled()
-    });
-    let cfg = FanoutConfig {
-        workers: 2,
-        ..FanoutConfig::default()
-    };
-    let backend = MisbehavesOnce::new("crash");
-    let run = run_fanout(
-        &container,
-        &index,
-        &annots,
-        &symbols,
-        analysis,
-        &cfg,
-        &backend.backend(),
-    );
-    let events = obs::take_capture();
-    obs::configure(ObsConfig::disabled());
-    let run = run.unwrap();
-    assert!(run.retries >= 1);
-
-    let me = obs::own_pid();
-    assert!(
-        events.iter().any(
-            |e| matches!(e, Event::Span { pid, name, .. } if *pid == me && name == "fanout.run")
-        ),
-        "no coordinator fanout.run span among {} events",
-        events.len()
-    );
-    // Worker spans carry a different pid and stitch to a coordinator
-    // span through their remote-parent edge.
-    assert!(
-        events.iter().any(|e| matches!(
-            e,
-            Event::Span { pid, remote: Some(r), .. } if *pid != me && r.pid == me
-        )),
-        "no worker span stitched under a coordinator span"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, Event::Mark { name, .. } if name == "fanout.retry")),
-        "no fanout.retry mark recorded"
-    );
-}
-
-#[test]
-fn analyze_shard_takes_exactly_one_complete_source() {
-    // Two sources, or half of one, is a usage error naming the flag at
-    // fault — caught before any file is opened.
-    let cases: [(&[&str], &str); 3] = [
-        (
-            &[
-                "--container",
-                "c",
-                "--index",
-                "i",
-                "--store-root",
-                "r",
-                "--trace",
-                "t",
-            ],
-            "--store-root",
-        ),
-        (&["--container", "c"], "--index"),
-        (&["--trace", "t"], "--store-root"),
-    ];
-    for (flags, named) in cases {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_memgaze"))
-            .args(["analyze-shard", "--spec", "s"])
-            .args(flags)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
-        assert!(stderr.contains(named), "{flags:?}: {stderr}");
-    }
+    (container, index, annots, symbols)
 }
 
 #[test]
 fn stale_index_sidecar_is_a_typed_error() {
-    let (_, container, _, annots, symbols) = fanout_fixture();
+    let (container, _, annots, symbols) = fanout_fixture();
     // An index describing a *different* container must be rejected up
     // front — before any worker is dispatched.
     let mut other = SampledTrace::new(TraceMeta::new("other", 1000, 8192));
@@ -619,7 +231,7 @@ fn stale_index_sidecar_is_a_typed_error() {
 
 #[test]
 fn truncated_frame_mid_range_fails_typed_after_retries() {
-    let (_, container, index, annots, symbols) = fanout_fixture();
+    let (container, index, annots, symbols) = fanout_fixture();
     // Flip a byte inside the middle frame's payload: the header still
     // validates (so dispatch proceeds), but the per-frame checksum fails
     // in whichever worker owns that frame — a persistent error that

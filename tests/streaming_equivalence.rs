@@ -204,7 +204,7 @@ proptest! {
     fn fanout_report_matches_resident(
         t in arb_trace(),
         shard in 1usize..24,
-        workers in 1usize..7,
+        workers in 1usize..9,
     ) {
         let (annots, symbols) = fixtures();
         let cfg = AnalysisConfig::default();
@@ -239,17 +239,15 @@ proptest! {
 
     /// Pooled-buffer encodes — `encode_into` appending to a dirty,
     /// pre-filled buffer, then reusing that buffer — are byte-identical
-    /// to the unpooled seed `encode` for both the MGZP partial-report
-    /// and MGZS worker-spec codecs, for random traces and dirty
-    /// prefixes. (The MGZW response framing over a pooled buffer is
-    /// covered by the fan-out coordinator's unit tests.)
+    /// to the unpooled seed `encode` for the MGZP partial-report codec,
+    /// for random traces and dirty prefixes.
     #[test]
     fn pooled_codec_encodes_match_unpooled(
         t in arb_trace(),
         shard in 1usize..16,
         prefix in prop::collection::vec(0u8..=255, 0..64),
     ) {
-        use memgaze::analysis::{analyze_frames, WorkerSpec};
+        use memgaze::analysis::analyze_frames;
 
         let (annots, symbols) = fixtures();
         let cfg = AnalysisConfig::default();
@@ -273,25 +271,9 @@ proptest! {
         prop_assert_eq!(&buf[..prefix.len()], prefix.as_slice());
         prop_assert_eq!(&buf[prefix.len()..], seed.as_slice());
         // … and so does reusing the buffer's allocation for the next
-        // encode, the pooling pattern the workers run.
+        // encode.
         buf.clear();
         partial.encode_into(&mut buf);
         prop_assert_eq!(buf.as_slice(), seed.as_slice());
-
-        // MGZS: same law for the worker-spec codec.
-        let spec = WorkerSpec {
-            footprint_block: cfg.footprint_block,
-            reuse_block: cfg.reuse_block,
-            locality_sizes: vec![8, 32],
-            annots: annots.clone(),
-            symbols: symbols.clone(),
-        };
-        let spec_seed = spec.encode();
-        let mut sbuf = prefix.clone();
-        spec.encode_into(&mut sbuf);
-        prop_assert_eq!(&sbuf[prefix.len()..], spec_seed.as_slice());
-        sbuf.clear();
-        spec.encode_into(&mut sbuf);
-        prop_assert_eq!(sbuf.as_slice(), spec_seed.as_slice());
     }
 }
