@@ -14,7 +14,7 @@
 //! The analyzer computes no report of its own: it feeds `trace.samples`
 //! to the streaming fold ([`crate::StreamingAnalyzer`]) once and reads
 //! the [`StreamingReport`] back, so the resident tables are the tables
-//! `store`, `serve`, `watch` and the fan-out produce. What it adds is
+//! `store`, `serve` and `watch` produce. What it adds is
 //! what needs the resident trace — the per-sample reuse *event lists*
 //! (heatmaps, histogram), the location zoom, the window and locality
 //! series, the interval tree, the working set — and memo slots for what

@@ -69,12 +69,12 @@ impl Log2Histogram {
         }
     }
 
-    /// Raw `(bins, count, sum)` for the fan-out wire codec.
+    /// Raw `(bins, count, sum)` for the `MGZP` partial codec.
     pub(crate) fn raw_parts(&self) -> (&[u64], u64, u64) {
         (&self.bins, self.count, self.sum)
     }
 
-    /// Rebuild from raw parts (fan-out wire codec).
+    /// Rebuild from raw parts (`MGZP` partial codec).
     pub(crate) fn from_raw_parts(bins: Vec<u64>, count: u64, sum: u64) -> Log2Histogram {
         Log2Histogram { bins, count, sum }
     }

@@ -11,11 +11,10 @@
 //! window allocates nothing once its thread's workspace is warm. A pass
 //! keeps what its chunk split needs to count any interval of it.
 //!
-//! The workspace is thread-local (each `serve` pool thread and each
-//! in-process fan-out worker owns one) and what a thread keeps between
-//! calls is bounded: a window longer than [`RETAIN_WINDOW`] accesses
-//! still runs here, but [`with_workspace`] drops the buffers it grew
-//! before returning.
+//! The workspace is thread-local (each `serve` pool thread owns one)
+//! and what a thread keeps between calls is bounded: a window longer
+//! than [`RETAIN_WINDOW`] accesses still runs here, but
+//! [`with_workspace`] drops the buffers it grew before returning.
 //!
 //! Positions and row indices are `u32`. A window is a resident
 //! `&[Access]` at 24 bytes per access, so 2³² accesses is a 96 GiB

@@ -20,7 +20,7 @@
 //! * [`mape`] — the Fig. 6 validation machinery;
 //! * [`confidence`] — undersampling detection (§VI-A's suggestion);
 //! * [`streaming`] — the one engine that computes a report, shard by
-//!   shard; [`fanout`] — its mergeable partials and their wire codec;
+//!   shard; [`partial`] — its mergeable partials and their wire codec;
 //! * [`analyzer`] — a façade producing the paper's table shapes from
 //!   that report plus what needs the resident trace;
 //! * [`report`] — table rendering.
@@ -31,7 +31,6 @@
 pub mod analyzer;
 pub mod confidence;
 pub mod diagnostics;
-pub mod fanout;
 pub mod footprint;
 pub mod fxhash;
 pub mod heatmap;
@@ -40,6 +39,7 @@ pub mod interval_tree;
 mod kernel;
 pub mod live;
 pub mod mape;
+pub mod partial;
 pub mod report;
 pub mod reuse;
 pub mod streaming;
@@ -50,9 +50,6 @@ pub mod zoom;
 pub use analyzer::{AnalysisConfig, Analyzer, CacheStats, FunctionRow, IntervalRow, RegionRow};
 pub use confidence::Confidence;
 pub use diagnostics::FootprintDiagnostics;
-pub use fanout::{
-    analyze_frames, partition_by_samples, FuncPartial, PartialError, PartialReport, ReusePartial,
-};
 pub use footprint::{
     captures_survivals, estimated_footprint, footprint, footprint_growth, CapturesSurvivals,
     WindowKind,
@@ -67,6 +64,7 @@ pub use live::{
     window_meta, AnomalyKind, AnomalyMark, LiveConfig, WindowReport, WindowRing, WindowStats,
 };
 pub use mape::{compare_window_series, mape, pct_error, MapeReport};
+pub use partial::{analyze_frames, FuncPartial, PartialError, PartialReport, ReusePartial};
 pub use report::{fmt_f3, fmt_pct, fmt_si, Table};
 pub use reuse::{analyze_window, BlockReuse, ReuseAnalysis, ReuseEvent};
 pub use streaming::{

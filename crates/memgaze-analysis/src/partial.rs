@@ -1,14 +1,19 @@
-//! Partial-report algebra and wire codec for fan-out.
+//! Partial reports: the mergeable snapshot of a [`StreamingAnalyzer`]
+//! over a run of frames, and its `MGZP` wire codec.
 //!
-//! A fan-out coordinator partitions a sharded container's frame ranges
-//! across worker threads; each worker runs a [`StreamingAnalyzer`] over its contiguous range
-//! and snapshots it into a [`PartialReport`]
-//! ([`StreamingAnalyzer::into_partial`]). The coordinator folds the
-//! partials **in shard order** with [`PartialReport::merge`] and calls
-//! [`PartialReport::finish`] — the *same* fold every other consumer
-//! ends in, the resident [`Analyzer`](crate::Analyzer) included — so
-//! fan-out reports are bit-identical to a single pass for every worker
-//! count and shard size.
+//! Two users build a report out of pieces analyzed apart:
+//!
+//! * the trace store's **result cache** analyzes each frame once into a
+//!   [`PartialReport`] ([`StreamingAnalyzer::into_partial`]), keeps it
+//!   on disk, and on every later analysis folds the cached partials in
+//!   frame order with [`PartialReport::merge_many`];
+//! * `memgaze serve` **seals** a session by merging the partials its
+//!   feeds produced and answers with the merged partial's bytes.
+//!
+//! Both end in [`PartialReport::finish`] — the *same* fold every other
+//! consumer ends in, the resident [`Analyzer`](crate::Analyzer)
+//! included — so a report merged from any contiguous split of the
+//! frames is bit-identical to a single pass.
 //!
 //! The merge laws, per artifact:
 //!
@@ -76,9 +81,9 @@ impl std::fmt::Display for PartialError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PartialError::Truncated { context } => {
-                write!(f, "truncated fan-out data while decoding {context}")
+                write!(f, "truncated partial report while decoding {context}")
             }
-            PartialError::Corrupt { detail } => write!(f, "corrupt fan-out data: {detail}"),
+            PartialError::Corrupt { detail } => write!(f, "corrupt partial report: {detail}"),
             PartialError::ConfigMismatch { detail } => {
                 write!(f, "partial-report config mismatch: {detail}")
             }
@@ -399,10 +404,9 @@ impl PartialReport {
 
     /// Merge the partial of the **immediately following** shard range
     /// into this one. Merging in any other order silently computes a
-    /// different (wrong) trace, so the coordinator keys partials by
-    /// range index and folds them in ascending order.
+    /// different (wrong) trace, so callers fold partials in frame order.
     pub fn merge(&mut self, other: PartialReport) -> Result<(), PartialError> {
-        let _span = memgaze_obs::span("fanout.merge");
+        let _span = memgaze_obs::span("partial.merge");
         self.check_config(
             other.footprint_block,
             other.reuse_block,
@@ -530,10 +534,10 @@ impl PartialReport {
     }
 
     /// Fold into the final report — the single fold shared with
-    /// [`StreamingAnalyzer::finish`], which is what makes fan-out
+    /// [`StreamingAnalyzer::finish`], which is what makes merged
     /// reports bit-identical to a single pass by construction.
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
-        let _span = memgaze_obs::span("fanout.finish");
+        let _span = memgaze_obs::span("partial.finish");
         let decompression = DecompressionInfo {
             num_samples: self.num_samples,
             period: meta.period,
@@ -607,22 +611,13 @@ impl PartialReport {
         }
     }
 
-    /// Serialize for the worker→coordinator pipe (`MGZP` framing,
-    /// FNV-checksummed, `f64` as IEEE-754 bits — bit-exact round trip).
+    /// Serialize for the result cache and the serve seal (`MGZP`
+    /// framing, FNV-checksummed, `f64` as IEEE-754 bits — bit-exact
+    /// round trip).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1024);
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Append the `MGZP` frame to `buf`, which may carry reused capacity
-    /// or earlier content — a persistent worker encodes every response
-    /// into one pooled buffer. The checksum covers only this frame's
-    /// bytes, so the encoding is byte-identical to [`encode`](Self::encode)
-    /// regardless of what precedes it.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let _span = memgaze_obs::span("codec.encode_partial");
-        let start = buf.len();
+        let mut out = Vec::with_capacity(1024);
+        let buf = &mut out;
         wire::put_header(buf, PARTIAL_MAGIC, PARTIAL_VERSION);
         buf.push(self.footprint_block.log2());
         buf.push(self.reuse_block.log2());
@@ -721,12 +716,13 @@ impl PartialReport {
         put_varint(buf, self.stats.merge_events);
         put_varint(buf, self.stats.peak_shard_samples as u64);
         put_varint(buf, self.stats.peak_shard_bytes as u64);
-        wire::seal(buf, start);
+        wire::seal(buf, 0);
+        out
     }
 
     /// Decode a serialized partial, rejecting truncation, corruption,
-    /// and structural inconsistencies — a worker's garbled output must
-    /// surface as a typed error, never a bad merge.
+    /// and structural inconsistencies — a damaged cache entry or upload
+    /// must surface as a typed error, never a bad merge.
     pub fn decode(data: &[u8]) -> Result<PartialReport, PartialError> {
         let _span = memgaze_obs::span("codec.decode_partial");
         let mut r = wire::open(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
@@ -918,9 +914,9 @@ impl PartialReport {
 }
 
 /// Run a [`StreamingAnalyzer`] over the contiguous frame range
-/// `frames` of an indexed container — the worker's whole job between
-/// decode and ship-back. Frames are fetched by seek via the index,
-/// never by scanning.
+/// `frames` of an indexed container into a [`PartialReport`]. Frames
+/// are fetched by seek via the index and checked against its per-frame
+/// checksums, never found by scanning.
 pub fn analyze_frames(
     container: &[u8],
     index: &FrameIndex,
@@ -930,7 +926,7 @@ pub fn analyze_frames(
     cfg: AnalysisConfig,
     locality_sizes: &[u64],
 ) -> Result<PartialReport, ModelError> {
-    let mut span = memgaze_obs::span("worker.analyze_frames");
+    let mut span = memgaze_obs::span("partial.analyze_frames");
     if span.is_active() {
         span.set_label(format!("frames {}..{}", frames.start, frames.end));
     }
@@ -940,40 +936,6 @@ pub fn analyze_frames(
         sa.ingest_shard(&samples);
     }
     Ok(sa.into_partial())
-}
-
-/// Partition frames, given as per-frame sample counts, into at most
-/// `workers` contiguous ranges balanced by sample count (frames vary
-/// in size; samples are the unit of analysis work). Every returned
-/// range is non-empty; fewer than `workers` ranges come back when there
-/// are fewer frames. A [`FrameIndex`] sidecar and a store catalog give
-/// the same counts, so a store-backed fan-out dispatches exactly the
-/// ranges a container-backed one would.
-pub fn partition_by_samples(samples: &[u64], workers: usize) -> Vec<Range<usize>> {
-    let n = samples.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let weights: Vec<u64> = samples.iter().map(|&s| s.max(1)).collect();
-    let total: u64 = weights.iter().sum();
-    let mut out = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        let k = out.len() + 1;
-        if k < workers && i + 1 < n {
-            let quota_met = acc as u128 * workers as u128 >= total as u128 * k as u128;
-            let must_close = n - (i + 1) == workers - k;
-            if quota_met || must_close {
-                out.push(start..i + 1);
-                start = i + 1;
-            }
-        }
-    }
-    out.push(start..n);
-    out
 }
 
 // ---- list codecs ----
@@ -1227,11 +1189,6 @@ mod tests {
         encode_sharded_indexed, Access, FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace,
     };
 
-    /// Samples per indexed frame: the weights the partition balances.
-    fn samples(index: &FrameIndex) -> Vec<u64> {
-        index.entries.iter().map(|e| e.samples).collect()
-    }
-
     fn mk_stream(seed: u64, n: usize) -> Vec<u64> {
         // Deterministic pseudo-random block stream with heavy reuse.
         let mut x = seed | 1;
@@ -1284,7 +1241,7 @@ mod tests {
     }
 
     fn synthetic_trace() -> (SampledTrace, AuxAnnotations, SymbolTable) {
-        let mut t = SampledTrace::new(TraceMeta::new("fanout-test", 10_000, 16 << 10));
+        let mut t = SampledTrace::new(TraceMeta::new("partial-test", 10_000, 16 << 10));
         t.meta.total_loads = 120_000;
         t.meta.total_instrumented_loads = 1200;
         for s in 0..12u64 {
@@ -1324,37 +1281,47 @@ mod tests {
         let sizes = [8u64, 32];
         let (container, index) = encode_sharded_indexed(&t, 3);
         let whole = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, 3);
-        for workers in [1usize, 2, 3, 4, 7] {
-            let ranges = partition_by_samples(&samples(&index), workers);
+        let frames = index.entries.len();
+        assert_eq!(frames, 4);
+        for cuts in [vec![], vec![1], vec![2], vec![1, 3], vec![1, 2, 3]] {
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([frames]).collect();
             let mut merged = PartialReport::empty(cfg.footprint_block, cfg.reuse_block, &sizes);
-            for r in ranges {
-                let p =
-                    analyze_frames(&container, &index, r, &annots, &symbols, cfg, &sizes).unwrap();
+            for r in bounds.windows(2) {
+                let p = analyze_frames(
+                    &container,
+                    &index,
+                    r[0]..r[1],
+                    &annots,
+                    &symbols,
+                    cfg,
+                    &sizes,
+                )
+                .unwrap();
                 merged.merge(p).unwrap();
             }
             let report = merged.finish(&t.meta);
             assert_eq!(
                 report.decompression, whole.decompression,
-                "workers {workers}"
+                "bounds {bounds:?}"
             );
             assert_eq!(
                 report.function_rows, whole.function_rows,
-                "workers {workers}"
+                "bounds {bounds:?}"
             );
-            assert_eq!(report.block_reuse, whole.block_reuse, "workers {workers}");
+            assert_eq!(report.block_reuse, whole.block_reuse, "bounds {bounds:?}");
             assert_eq!(
                 report.reuse_histogram, whole.reuse_histogram,
-                "workers {workers}"
+                "bounds {bounds:?}"
             );
             assert_eq!(
                 report.locality_series, whole.locality_series,
-                "workers {workers}"
+                "bounds {bounds:?}"
             );
             for n in [1usize, 3, 5] {
                 assert_eq!(
                     report.interval_rows(n),
                     whole.interval_rows(n),
-                    "workers {workers}"
+                    "bounds {bounds:?}"
                 );
             }
         }
@@ -1418,25 +1385,6 @@ mod tests {
         flipped[20] ^= 0x10;
         assert!(PartialReport::decode(&flipped).is_err());
         assert!(PartialReport::decode(b"MGZP\x01\x00junk").is_err());
-    }
-
-    #[test]
-    fn partition_covers_all_frames_without_overlap() {
-        let (t, _, _) = synthetic_trace();
-        for shard in [1usize, 2, 5] {
-            let (_, index) = encode_sharded_indexed(&t, shard);
-            for workers in [1usize, 2, 3, 4, 8, 64] {
-                let ranges = partition_by_samples(&samples(&index), workers);
-                assert!(ranges.len() <= workers.max(1));
-                let mut next = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "shard {shard} workers {workers}");
-                    assert!(r.end > r.start, "empty range");
-                    next = r.end;
-                }
-                assert_eq!(next, index.entries.len());
-            }
-        }
     }
 
     #[test]

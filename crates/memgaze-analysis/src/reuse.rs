@@ -43,7 +43,7 @@ impl ReuseAnalysis {
     /// Mean reuse distance over all reuse events (first-touches excluded),
     /// or 0 when nothing is reused. The sum is taken in integers so the
     /// result is independent of how the events were grouped — the same
-    /// invariant the streaming tracker and fan-out merges rely on.
+    /// invariant the streaming tracker and partial merges rely on.
     pub fn mean_distance(&self) -> f64 {
         kernel::mean_distance(
             self.events.iter().map(|e| e.distance).sum(),
@@ -264,7 +264,7 @@ impl BlockReuse {
 
     /// Raw `(block, [accesses, dist_sum, reuse_cnt, max_dist])` rows in
     /// block order — the summary's interchange form, consumed by the
-    /// fan-out wire codec and persisted per frame in the
+    /// `MGZP` partial codec and persisted per frame in the
     /// `memgaze-store` catalog so region queries can rebuild a
     /// [`BlockReuse`] without decoding any shard.
     pub fn raw_rows(&self) -> impl Iterator<Item = (u64, [u64; 4])> + '_ {
@@ -274,7 +274,7 @@ impl BlockReuse {
             .map(|(&b, s)| (b, [s.accesses, s.dist_sum, s.reuse_cnt, s.max_dist]))
     }
 
-    /// Rebuild from [`raw_rows`](Self::raw_rows) output (fan-out wire
+    /// Rebuild from [`raw_rows`](Self::raw_rows) output (`MGZP` partial
     /// codec, store catalog). Rows must be in strictly increasing block
     /// order with stat totals that fit `u64`; returns `None` otherwise.
     pub fn from_raw_rows(rows: Vec<(u64, [u64; 4])>) -> Option<BlockReuse> {

@@ -9,8 +9,8 @@
 //! `trace.samples` and reads the [`StreamingReport`] back — holding one
 //! decoded shard plus O(partials) state. A shard's samples are analyzed
 //! one after another on the calling thread. The report is the same for
-//! any shard size and any number of fan-out workers; the reference it
-//! answers to is the definitional spec in `tests/common/spec.rs`.
+//! any shard size and any contiguous split of the shards; the reference
+//! it answers to is the definitional spec in `tests/common/spec.rs`.
 //!
 //! The merge laws that make "any sharding == one shard" exact:
 //!
@@ -25,19 +25,19 @@
 //!   thus integer distance sum) is that of the quadratic definition
 //!   over the function's concatenated code window.
 //!
-//! The same laws extend across *processes*: a shard range's partials
-//! can be snapshotted into a [`PartialReport`](crate::fanout::PartialReport)
-//! and merged in shard order by the fan-out coordinator (see
-//! [`fanout`](crate::fanout)), with [`finish`](StreamingAnalyzer::finish)
-//! itself implemented as `into_partial().finish(..)` so every consumer
-//! shares one fold path.
+//! The same laws extend across *passes*: a shard range's partials can be
+//! snapshotted into a [`PartialReport`](crate::partial::PartialReport)
+//! and merged in shard order later (the store's result cache, the serve
+//! seal; see [`partial`](crate::partial)), with
+//! [`finish`](StreamingAnalyzer::finish) itself implemented as
+//! `into_partial().finish(..)` so every consumer shares one fold path.
 //!
 //! Artifacts that need the whole trace by construction (location zoom,
 //! window series keyed on the global κ, time-range heatmaps) are out of
 //! scope here; they stay on the resident [`Analyzer`](crate::Analyzer).
 //!
 //! [`into_partial`]: StreamingAnalyzer::into_partial
-//! [`PartialReport::finish`]: crate::fanout::PartialReport::finish
+//! [`PartialReport::finish`]: crate::partial::PartialReport::finish
 
 use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
@@ -69,8 +69,7 @@ pub struct IngestStats {
 
 impl IngestStats {
     /// Roll another pass's accounting into this one: counters add,
-    /// peaks take the max — the fan-out coordinator's per-worker
-    /// rollup.
+    /// peaks take the max — the rollup of a partial-report merge.
     pub fn merge(&mut self, other: &IngestStats) {
         self.shards += other.shards;
         self.samples += other.samples;
@@ -110,7 +109,7 @@ pub(crate) struct SampleReuseSummary {
 /// ([`lru_order`](Self::lru_order)); together these summarize the
 /// stream well enough that two trackers over adjacent stream segments
 /// merge *exactly* — see
-/// [`ReusePartial`](crate::fanout::ReusePartial).
+/// [`ReusePartial`](crate::partial::ReusePartial).
 pub struct ReuseTracker {
     markers: Markers,
     last: FxHashMap<u64, usize>,
@@ -317,7 +316,7 @@ pub struct StreamingAnalyzer<'a> {
     block_reuse: BlockReuse,
     histogram: Log2Histogram,
     /// Per locality size, one `(windows, Σd, Σg, Σf)` row *per sample*,
-    /// retained (not pre-summed) so fan-out merges concatenate rows and
+    /// retained (not pre-summed) so partial merges concatenate rows and
     /// the final fold runs once, in global sample order — `f64` sums of
     /// per-shard subtotals would not be associative.
     locality: Vec<Vec<(u64, f64, f64, f64)>>,
@@ -560,10 +559,9 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Snapshot everything accumulated so far into a mergeable
-    /// [`PartialReport`](crate::fanout::PartialReport). The partial of
-    /// a shard range is exactly what a fan-out worker ships back to the
-    /// coordinator.
-    pub fn into_partial(mut self) -> crate::fanout::PartialReport {
+    /// [`PartialReport`](crate::partial::PartialReport): what the
+    /// store's result cache keeps per frame.
+    pub fn into_partial(mut self) -> crate::partial::PartialReport {
         let _span = memgaze_obs::span("streaming.into_partial");
         // Final fold, always through the *indexed* `from_parts`: every
         // earlier fold skipped the query index, so the last one must
@@ -597,27 +595,27 @@ impl<'a> StreamingAnalyzer<'a> {
                     let mut out = Vec::new();
                     for (mask, bucket) in by_mask.iter().enumerate() {
                         if wanted(mask as u8) {
-                            crate::fanout::union_sorted(&mut out, bucket);
+                            crate::partial::union_sorted(&mut out, bucket);
                         }
                     }
                     out
                 };
                 (
                     st.id,
-                    crate::fanout::FuncPartial {
+                    crate::partial::FuncPartial {
                         name: st.name,
                         all: merged(|_| true),
                         strided: merged(|mask| mask & kernel::STRIDED != 0),
                         irregular: merged(|mask| mask & kernel::IRREGULAR != 0),
                         observed: st.observed,
                         implied_const: st.implied_const,
-                        reuse: crate::fanout::ReusePartial::from_tracker(&st.tracker),
+                        reuse: crate::partial::ReusePartial::from_tracker(&st.tracker),
                         obs: st.obs,
                     },
                 )
             })
             .collect();
-        crate::fanout::PartialReport {
+        crate::partial::PartialReport {
             footprint_block: self.cfg.footprint_block,
             reuse_block: self.cfg.reuse_block,
             locality_sizes: self.locality_sizes,
@@ -639,7 +637,7 @@ impl<'a> StreamingAnalyzer<'a> {
     /// sharded container).
     ///
     /// Implemented as `into_partial().finish(meta)` so this path and
-    /// the fan-out merge path share one fold, keeping their reports
+    /// the partial-merge path share one fold, keeping their reports
     /// bit-identical by construction.
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         self.into_partial().finish(meta)
@@ -820,7 +818,7 @@ mod tests {
 
     #[test]
     fn reset_returns_a_replay_tracker_to_its_initial_window() {
-        use crate::fanout::ReusePartial;
+        use crate::partial::ReusePartial;
         let partial = |blocks: std::ops::Range<u64>| {
             let mut t = ReuseTracker::new();
             blocks.for_each(|b| t.feed(b));

@@ -29,10 +29,7 @@ pub mod pipeline;
 pub mod recorders;
 pub mod watch;
 
-pub use fanout::{
-    run_fanout, run_fanout_store, FanoutBackend, FanoutConfig, FanoutError, FanoutRunReport,
-    WorkerFailure,
-};
+pub use fanout::{run_fanout, FanoutBackend, FanoutConfig, FanoutRunReport};
 pub use hotspot::{profile_hotspots, HotspotReport};
 pub use overheads::{phase_profiles, PhaseOverhead};
 pub use pipeline::{

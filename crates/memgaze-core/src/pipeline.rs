@@ -316,8 +316,8 @@ pub struct StreamingWorkloadReport {
     /// The sharded v2 container the analysis consumed; kept so callers
     /// can persist it or re-run other analyses shard by shard.
     pub container: Vec<u8>,
-    /// Frame index sidecar for `container`, enabling seek-based fan-out
-    /// without rescanning the container.
+    /// Frame index sidecar for `container`, enabling seek-based frame
+    /// reads without rescanning the container.
     pub index: FrameIndex,
 }
 

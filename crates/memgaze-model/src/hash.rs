@@ -22,7 +22,7 @@ pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice, starting from the standard offset
-/// basis. This is the checksum used by the sidecar, the fan-out wire
+/// basis. This is the checksum used by the sidecar, the partial-report
 /// codec, and the store formats.
 #[inline]
 pub fn fnv1a64(data: &[u8]) -> u64 {

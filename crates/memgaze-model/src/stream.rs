@@ -33,13 +33,13 @@
 //!
 //! Shard frames are self-delimiting but not self-locating: a reader
 //! must still scan the container front to back to find frame `k`. For
-//! fan-out — worker processes each analyzing a contiguous frame range —
+//! seek-based reads — the store's `put`, an analysis of a frame range —
 //! [`ShardWriter::finish_indexed`] additionally emits a [`FrameIndex`]
 //! sidecar recording, per frame, the payload byte offset, payload
 //! length, sample count, and an FNV-1a checksum, plus enough container
 //! identity (header checksum, total length, trailer totals) that
 //! [`FrameIndex::validate`] can detect a stale or mismatched
-//! index-vs-container pair before any worker seeks with it.
+//! index-vs-container pair before anything seeks with it.
 
 use crate::error::ModelError;
 use crate::hash::fnv1a64;

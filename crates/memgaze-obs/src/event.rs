@@ -7,14 +7,6 @@
 
 use crate::json::{self, Value};
 
-/// A span's identity within this process, for parenting work on
-/// another thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpanCtx {
-    /// Span id within this process.
-    pub id: u64,
-}
-
 /// One observability event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -42,7 +34,7 @@ pub enum Event {
         pid: u32,
         /// Enclosing span id, 0 for none.
         parent: u64,
-        /// Mark name (e.g. `fanout.retry`).
+        /// Mark name.
         name: String,
         /// Timestamp, microseconds since the Unix epoch.
         at_us: u64,
@@ -334,7 +326,7 @@ mod tests {
             pid: 8,
             id: 1,
             parent: 0,
-            name: "worker.analyze_frames".into(),
+            name: "partial.analyze_frames".into(),
             start_us: 5,
             dur_us: 6,
             label: None,
@@ -342,7 +334,7 @@ mod tests {
         round_trip(Event::Mark {
             pid: 7,
             parent: 2,
-            name: "fanout.retry".into(),
+            name: "test.mark".into(),
             at_us: 99,
             // Key-sorted: fields decode via a BTreeMap, so round-trip
             // preserves the set, not the order.

@@ -19,9 +19,7 @@
 //! * `capture` — additionally buffer events in memory (used by
 //!   `memgaze profile` and tests).
 //!
-//! Spans nest under the innermost open span on their thread; work
-//! handed to another thread parents explicitly with [`span_under`] and
-//! the handing span's [`Span::ctx`].
+//! Spans nest under the innermost open span on their thread.
 //!
 //! ```
 //! let _span = memgaze_obs::span("docs.example");
@@ -41,7 +39,7 @@ pub mod json;
 mod metrics;
 mod profile;
 
-pub use event::{Event, SpanCtx};
+pub use event::Event;
 pub use json::{parse as parse_json, Value};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use profile::{render_profile, render_summary, stats as profile_stats, ProfileStats};
@@ -239,19 +237,6 @@ pub fn span(name: &'static str) -> Span {
     open_span(name, parent)
 }
 
-/// Open a span under an explicit parent — the cross-thread form.
-/// `None` (a disabled parent's [`Span::ctx`]) falls back to [`span`]
-/// semantics.
-pub fn span_under(name: &'static str, parent: Option<SpanCtx>) -> Span {
-    if !enabled() {
-        return Span(None);
-    }
-    match parent {
-        None => span(name),
-        Some(ctx) => open_span(name, ctx.id),
-    }
-}
-
 fn open_span(name: &'static str, parent: u64) -> Span {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     SPAN_STACK.with(|s| s.borrow_mut().push(id));
@@ -276,12 +261,6 @@ impl Span {
         if let Some(inner) = self.0.as_mut() {
             inner.label = Some(label.into());
         }
-    }
-
-    /// The span's identity, for parenting work on other threads.
-    /// `None` when inactive.
-    pub fn ctx(&self) -> Option<SpanCtx> {
-        self.0.as_ref().map(|i| SpanCtx { id: i.id })
     }
 }
 
@@ -447,7 +426,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_counters_and_cross_thread_parents() {
+    fn spans_counters_and_marks() {
         // The only test here that configures the process-wide sinks.
         configure(ObsConfig {
             capture: true,
@@ -455,11 +434,9 @@ mod tests {
         });
         assert!(enabled());
 
-        // Nested spans record parentage; a sibling thread parents
-        // explicitly via ctx().
+        // Nested spans record parentage.
         let mut outer = span("test.outer");
         outer.set_label("label text");
-        let outer_ctx = outer.ctx();
         {
             let _inner = span("test.inner");
             counter!("test.counter").add(3);
@@ -467,10 +444,6 @@ mod tests {
             gauge!("test.gauge").set_max(41);
             mark("test.mark", &[("k", "v".to_string())]);
         }
-        let t = std::thread::spawn(move || {
-            let _s = span_under("test.cross_thread", outer_ctx);
-        });
-        t.join().unwrap();
         drop(outer);
         flush();
 
@@ -487,8 +460,6 @@ mod tests {
         assert_eq!(outer_parent, 0);
         let (_, inner_parent) = find_span("test.inner").unwrap();
         assert_eq!(inner_parent, outer_id);
-        let (_, cross_parent) = find_span("test.cross_thread").unwrap();
-        assert_eq!(cross_parent, outer_id);
         assert!(events.iter().any(
             |e| matches!(e, Event::Mark { name, parent, .. } if name == "test.mark" && *parent != 0)
         ));
@@ -503,7 +474,6 @@ mod tests {
         assert!(!enabled());
         let s = span("test.disabled");
         assert!(!s.is_active());
-        assert!(s.ctx().is_none());
         assert!(!ObsConfig::default().is_enabled());
     }
 

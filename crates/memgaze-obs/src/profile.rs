@@ -4,7 +4,7 @@
 //!
 //! Spans are keyed `(pid, id)`, since ids are only unique per process.
 //! Sibling spans with the same name are aggregated into one line
-//! (`×count`), since a fan-out run repeats the same per-range span
+//! (`×count`), since a streaming run repeats the same per-shard span
 //! many times.
 
 use crate::event::Event;
@@ -443,10 +443,10 @@ mod tests {
     #[test]
     fn tree_nests_and_aggregates_siblings() {
         let events = vec![
-            span(1, 1, 0, "fanout.run", 0, 100),
-            span(1, 2, 1, "fanout.range", 5, 40),
-            span(1, 3, 1, "fanout.range", 50, 40),
-            span(1, 4, 2, "worker.analyze_frames", 10, 30),
+            span(1, 1, 0, "pipeline.analyze", 0, 100),
+            span(1, 2, 1, "streaming.ingest_shard", 5, 40),
+            span(1, 3, 1, "streaming.ingest_shard", 50, 40),
+            span(1, 4, 2, "streaming.fold_block_reuse", 10, 30),
             Event::Count {
                 pid: 2,
                 name: "model.frames_decoded".into(),
@@ -468,12 +468,18 @@ mod tests {
         assert_eq!(st.roots, 1);
         assert_eq!(st.processes, 2);
         let rendered = render_profile(&events);
-        assert!(rendered.contains("fanout.run"), "{rendered}");
-        assert!(rendered.contains("fanout.range \u{00d7}2"), "{rendered}");
-        assert!(rendered.contains("worker.analyze_frames"), "{rendered}");
+        assert!(rendered.contains("pipeline.analyze"), "{rendered}");
+        assert!(
+            rendered.contains("streaming.ingest_shard \u{00d7}2"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("streaming.fold_block_reuse"),
+            "{rendered}"
+        );
         // Cumulative snapshots: max per pid (80), summed across pids (+10).
         assert!(rendered.contains("90"), "{rendered}");
-        // Exclusive time of fanout.run = 100 - (40 + 40).
+        // Exclusive time of pipeline.analyze = 100 - (40 + 40).
         assert!(rendered.contains("incl 100us  excl 20us"), "{rendered}");
     }
 

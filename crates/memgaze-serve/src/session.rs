@@ -5,7 +5,7 @@
 //! a complete v2 MGZT container (header + shard frames + trailer) whose
 //! frames are decoded through [`ShardReader`] and analyzed shard by
 //! shard into [`PartialReport`] delta frames — the same per-shard
-//! partials the fan-out coordinator and the store's result cache merge,
+//! partials the store's result cache merges,
 //! so the sealed report inherits their proven merge laws: folding the
 //! per-shard partials in feed order and finishing once is bit-identical
 //! to a resident [`StreamingAnalyzer`](memgaze_analysis::StreamingAnalyzer)

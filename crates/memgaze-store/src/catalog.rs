@@ -40,7 +40,9 @@ use memgaze_model::stream::decode_frame_payload;
 use memgaze_model::wire::{
     self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, WireError,
 };
-use memgaze_model::{fnv1a64, BlockSize, FrameIndex, ModelError, SymbolTable, TraceMeta};
+use memgaze_model::{
+    fnv1a64, BlockSize, FrameIndex, FrameIndexEntry, ModelError, SymbolTable, TraceMeta,
+};
 use std::collections::BTreeMap;
 
 const CATALOG_MAGIC: &[u8; 4] = b"MGZC";
@@ -126,20 +128,30 @@ impl Catalog {
         summary_block: BlockSize,
     ) -> Result<Catalog, StoreError> {
         index.validate(container)?;
-        let header_bytes = container[..index.header_len as usize].to_vec();
         let body_end = index
             .entries
             .last()
-            .map(|e| (e.offset + e.len) as usize)
-            .unwrap_or(index.header_len as usize);
-        let trailer_bytes = container[body_end..].to_vec();
+            .map_or(Some(index.header_len), |e| e.offset.checked_add(e.len));
+        let stale = |detail: &str| ModelError::StaleIndex {
+            detail: detail.to_string(),
+        };
+        let header_bytes = usize::try_from(index.header_len)
+            .ok()
+            .and_then(|hdr| container.get(..hdr))
+            .ok_or_else(|| stale("header length exceeds the container"))?
+            .to_vec();
+        let trailer_bytes = body_end
+            .and_then(|end| usize::try_from(end).ok())
+            .and_then(|end| container.get(end..))
+            .ok_or_else(|| stale("frames end past the container"))?
+            .to_vec();
         let mut names: Vec<String> = Vec::new();
         // Keyed by the symbol table's own names: an access looks its
         // function up by `&str`, and a name is cloned on first sight only.
         let mut name_ids: BTreeMap<&str, u32> = BTreeMap::new();
         let mut frames = Vec::with_capacity(index.entries.len());
         for (i, e) in index.entries.iter().enumerate() {
-            let payload = &container[e.offset as usize..(e.offset + e.len) as usize];
+            let payload = frame_payload(container, e, i)?;
             let samples = decode_frame_payload(payload).map_err(|err| ModelError::InShard {
                 shard: i as u64,
                 source: Box::new(err),
@@ -220,12 +232,6 @@ impl Catalog {
     /// Total uncompressed payload bytes across all frames.
     pub fn payload_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.len).sum()
-    }
-
-    /// Per-frame sample counts, the weights
-    /// [`memgaze_analysis::partition_by_samples`] balances over.
-    pub fn sample_weights(&self) -> Vec<u64> {
-        self.frames.iter().map(|f| f.samples).collect()
     }
 
     /// Serialize (MGZC framing, FNV-checksummed).
@@ -358,6 +364,25 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
         func_names,
         frames,
     })
+}
+
+/// Frame `i`'s payload bytes in `container`, or the
+/// [`ModelError::StaleIndex`] an entry reaching past the container earns.
+pub(crate) fn frame_payload<'c>(
+    container: &'c [u8],
+    e: &FrameIndexEntry,
+    i: usize,
+) -> Result<&'c [u8], ModelError> {
+    let lo = usize::try_from(e.offset).ok();
+    let hi = e
+        .offset
+        .checked_add(e.len)
+        .and_then(|hi| usize::try_from(hi).ok());
+    lo.zip(hi)
+        .and_then(|(lo, hi)| container.get(lo..hi))
+        .ok_or_else(|| ModelError::StaleIndex {
+            detail: format!("frame {i} spans past the container end"),
+        })
 }
 
 /// Optional inclusive range: presence flag, then lo + span.

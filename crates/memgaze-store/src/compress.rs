@@ -43,10 +43,13 @@ const HASH_BITS: u32 = 14;
 /// Sentinel for an empty hash-table slot.
 const NO_POS: u32 = u32::MAX;
 
-/// Hash of a 4-byte window, Fibonacci-style multiplicative.
+/// Hash of the 4-byte window at the start of `bytes`, Fibonacci-style
+/// multiplicative; below `1 << HASH_BITS`. Callers pass at least 4
+/// bytes. A shorter slice would hash as 0, which costs only a missed
+/// match: every candidate is compared byte for byte before use.
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    let v = bytes.first_chunk().map_or(0, |w| u32::from_le_bytes(*w));
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
@@ -54,6 +57,12 @@ fn hash4(bytes: &[u8]) -> usize {
 /// is *usually* smaller, but incompressible input costs a few bytes of
 /// framing overhead — callers compare lengths and keep the raw form
 /// when compression does not pay (see the blob encoder).
+// The encoder loop indexes unchecked, because it is `store.put`'s hot
+// path and its guards bound every index: `i + MIN_MATCH <= src.len()`
+// for the window at `i`, `cand < i` for the candidate, `i + len <
+// src.len()` while a match extends, `lit_start <= i` for the literals,
+// and `head` is indexed by `hash4`, which is below its length.
+#[allow(clippy::indexing_slicing)]
 pub fn compress(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
     put_varint(&mut out, src.len() as u64);

@@ -25,6 +25,13 @@
 //!
 //! Every degraded on-disk state is a typed [`StoreError`]; corruption
 //! and staleness are detected, named, and never returned as data.
+//!
+//! Its non-test code may not `unwrap`, `expect` or index unchecked (an
+//! `allow` says why).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod blob;
 pub mod catalog;

@@ -28,7 +28,7 @@
 //! torn file.
 
 use crate::blob::{decode_blob, encode_blob};
-use crate::catalog::Catalog;
+use crate::catalog::{frame_payload, Catalog};
 use crate::error::{io_err, StoreError};
 use memgaze_analysis::streaming::StreamingReport;
 use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer};
@@ -37,7 +37,6 @@ use memgaze_model::stream::decode_frame_payload;
 use memgaze_model::wire::{self, grow_toward, put_str, put_varint, varint_len, zigzag};
 use memgaze_model::{fnv1a64, BlockSize, FrameIndex, LoadClass, SymbolTable, TraceMeta};
 use std::fs;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,7 +92,11 @@ fn put_u64_runs(buf: &mut Vec<u8>, vs: &[u64]) {
         return;
     };
     put_varint(buf, first);
-    let mut deltas = vs.windows(2).map(|w| w[1].wrapping_sub(w[0])).peekable();
+    let mut deltas = vs
+        .iter()
+        .zip(vs.iter().skip(1))
+        .map(|(a, b)| b.wrapping_sub(*a))
+        .peekable();
     while let Some(delta) = deltas.next() {
         let mut run = 1u64;
         while deltas.next_if_eq(&delta).is_some() {
@@ -241,13 +244,13 @@ impl TraceStore {
         CacheStats::default()
     }
 
+    /// `blobs/<top byte, 2 hex>/<hash, 16 hex>.blob`.
     fn blob_path(&self, hash: u64) -> PathBuf {
-        let hex = format!("{hash:016x}");
         self.config
             .root
             .join("blobs")
-            .join(&hex[..2])
-            .join(format!("{hex}.blob"))
+            .join(format!("{:02x}", hash >> 56))
+            .join(format!("{hash:016x}.blob"))
     }
 
     fn catalog_path(&self, id: &str) -> Result<PathBuf, StoreError> {
@@ -263,7 +266,7 @@ impl TraceStore {
             .join(format!("{frame_hash:016x}.mgzp"))
     }
 
-    /// Merged-range cache entry: the exact fold of a frame range's
+    /// Merged cache entry: the exact fold of a trace's per-frame
     /// partials, keyed by the sequence of frame content hashes (the
     /// `.mgzr` extension keeps it apart from per-frame `.mgzp`
     /// entries in the same config directory).
@@ -301,7 +304,7 @@ impl TraceStore {
             stored_bytes: 0,
         };
         let mut seen = std::collections::BTreeSet::new();
-        for (e, f) in index.entries.iter().zip(&catalog.frames) {
+        for (i, (e, f)) in index.entries.iter().zip(&catalog.frames).enumerate() {
             receipt.raw_bytes += f.len;
             if !seen.insert(f.hash) {
                 continue;
@@ -314,8 +317,7 @@ impl TraceStore {
                     m.len()
                 }
                 Err(_) => {
-                    let payload = &container[e.offset as usize..(e.offset + e.len) as usize];
-                    let framed = encode_blob(payload);
+                    let framed = encode_blob(frame_payload(container, e, i)?);
                     write_atomic(&path, &framed)?;
                     receipt.new_blobs += 1;
                     memgaze_obs::counter!("store.put_blobs").add(1);
@@ -506,70 +508,49 @@ impl TraceStore {
         fnv1a64(&config_bytes(analysis, locality_sizes, annots, symbols))
     }
 
-    /// Analyze a contiguous frame range of a stored trace into a
-    /// mergeable [`PartialReport`], result caches first: the
-    /// merged-range tier (the exact fold of this frame-hash sequence,
-    /// what a repeat analysis or a retried fan-out range asks for),
-    /// then the per-frame tier for whatever overlaps. This is the unit
-    /// the store-backed fan-out workers run; returns the partial plus
-    /// (cache hits, misses).
-    pub fn analyze_frames(
+    /// The fold behind [`analyze`](Self::analyze): every frame of
+    /// `catalog` into one [`PartialReport`], result caches first. The
+    /// merged tier holds the exact fold of the trace's frame-hash
+    /// sequence (a repeat analysis of an unchanged trace); otherwise
+    /// each frame comes from the per-frame tier or its blob. Returns the
+    /// partial plus (cache hits, misses).
+    fn analyze_frames(
         &self,
         catalog: &Catalog,
-        frames: Range<usize>,
         annots: &AuxAnnotations,
         symbols: &SymbolTable,
         analysis: AnalysisConfig,
         locality_sizes: &[u64],
     ) -> Result<(PartialReport, usize, usize), StoreError> {
+        let frames = &catalog.frames;
         let mut span = memgaze_obs::span("store.analyze_frames");
         if span.is_active() {
-            span.set_label(format!(
-                "{} frames {}..{}",
-                catalog.trace_id, frames.start, frames.end
-            ));
+            span.set_label(format!("{} ({} frames)", catalog.trace_id, frames.len()));
         }
         let cfg_hash = Self::config_hash(&analysis, locality_sizes, annots, symbols);
-        // Merged-range tier first: the exact fold of this frame-hash
-        // sequence may already be cached (a re-analysis of an unchanged
-        // trace, or a retried fan-out range), skipping both the
-        // per-frame reads and the fold itself. The key is the hash
-        // sequence, not the indices, so identical content anywhere in
-        // any trace shares the entry.
-        let range_hash = frames
-            .end
-            .checked_sub(frames.start)
-            .filter(|&n| n > 1)
-            .and_then(|_| {
-                let fs = catalog.frames.get(frames.clone())?;
-                let mut key = Vec::with_capacity(fs.len() * 8);
-                for f in fs {
-                    key.extend_from_slice(&f.hash.to_le_bytes());
-                }
-                Some(fnv1a64(&key))
-            });
+        // The key is the hash sequence, not the trace id, so identical
+        // content under any id shares the entry. A one-frame trace has
+        // no merged entry: its per-frame entry is the fold.
+        let range_hash = (frames.len() > 1).then(|| {
+            let mut key = Vec::with_capacity(frames.len() * 8);
+            for f in frames {
+                key.extend_from_slice(&f.hash.to_le_bytes());
+            }
+            fnv1a64(&key)
+        });
         if let Some(rh) = range_hash {
             let cached = fs::read(self.range_result_path(cfg_hash, rh))
                 .ok()
                 .and_then(|d| PartialReport::decode(&d).ok());
             if let Some(p) = cached {
-                let n = frames.end - frames.start;
-                memgaze_obs::counter!("store.result_hits").add(n as u64);
-                return Ok((p, n, 0));
+                memgaze_obs::counter!("store.result_hits").add(frames.len() as u64);
+                return Ok((p, frames.len(), 0));
             }
         }
         let mut parts: Vec<PartialReport> = Vec::with_capacity(frames.len());
         let mut hits = 0usize;
         let mut misses = 0usize;
-        for i in frames {
-            let Some(f) = catalog.frames.get(i) else {
-                return Err(StoreError::StaleCatalog {
-                    detail: format!(
-                        "frame {i} out of range ({} cataloged)",
-                        catalog.frames.len()
-                    ),
-                });
-            };
+        for f in frames {
             let path = self.result_path(cfg_hash, f.hash);
             // A cached result that fails to decode is treated as a miss
             // and overwritten — the cache can never wedge an analysis.
@@ -625,9 +606,8 @@ impl TraceStore {
     ) -> Result<StoreAnalysis, StoreError> {
         let catalog = self.catalog(id)?;
         let meta = catalog.meta()?;
-        let n = catalog.frames.len();
         let (merged, result_hits, result_misses) =
-            self.analyze_frames(&catalog, 0..n, annots, symbols, analysis, locality_sizes)?;
+            self.analyze_frames(&catalog, annots, symbols, analysis, locality_sizes)?;
         Ok(StoreAnalysis {
             report: merged.finish(&meta),
             meta,
@@ -657,7 +637,12 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Write-then-rename so concurrent readers (and crashed writers) never
 /// see a torn object.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    let parent = path.parent().expect("store object paths have parents");
+    let parent = path.parent().ok_or_else(|| {
+        io_err(
+            format!("writing {}", path.display()),
+            std::io::ErrorKind::InvalidInput.into(),
+        )
+    })?;
     fs::create_dir_all(parent).map_err(|e| io_err(format!("creating {}", parent.display()), e))?;
     let tmp = parent.join(format!(
         ".tmp-{}-{}",

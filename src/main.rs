@@ -16,8 +16,7 @@
 
 use memgaze::analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Analyzer, Table};
 use memgaze::core::{
-    run_fanout, run_fanout_store, trace_workload, trace_workload_streaming, FanoutBackend,
-    FanoutConfig, MemGaze, PipelineConfig, StreamingWorkloadReport,
+    trace_workload, trace_workload_streaming, MemGaze, PipelineConfig, StreamingWorkloadReport,
 };
 use memgaze::model::DecompressionInfo;
 use memgaze::ptsim::SamplerConfig;
@@ -85,8 +84,6 @@ fn usage() -> ! {
          memgaze minivite [v1|v2|v3] [--scale N] [--degree N] [--iters N] [--period N]\n  \
          memgaze gap <pr|pr-spmv|cc|cc-sv> [--scale N] [--degree N] [--period N]\n  \
          memgaze darknet <alexnet|resnet152> [--period N]\n  \
-         memgaze fanout <pr|pr-spmv|cc|cc-sv> [--workers N] [--scale N] [--period N]\n  \
-         \u{20}                [--shard N] [--verify yes] [--store DIR]\n  \
          memgaze store put <pr|pr-spmv|cc|cc-sv> --dir DIR [--id ID] [--scale N]\n  \
          \u{20}                [--period N] [--shard N]\n  \
          memgaze store get <id> --dir DIR [--out FILE]\n  \
@@ -312,18 +309,10 @@ fn run_workload(
     );
 }
 
-/// A GAP kernel traced through the streaming recorder — the input both
-/// `fanout` and `store put` share.
-struct TracedGap {
-    name: String,
-    kernel: GapKernel,
-    sizes: [u64; 3],
-    streamed: StreamingWorkloadReport,
-}
-
-/// Trace the GAP kernel named at `args.positional[pos]` with the shared
+/// Trace the GAP kernel named at `args.positional[pos]` through the
+/// streaming recorder, with the shared
 /// `--scale/--degree/--iters/--seed/--period/--shard` knobs.
-fn trace_gap(args: &Args, pos: usize) -> Result<TracedGap, i32> {
+fn trace_gap(args: &Args, pos: usize) -> Result<(GapKernel, StreamingWorkloadReport), i32> {
     let kernel = match args.positional.get(pos).map(String::as_str) {
         Some("pr") => GapKernel::Pr,
         Some("pr-spmv") => GapKernel::PrSpmv,
@@ -346,145 +335,12 @@ fn trace_gap(args: &Args, pos: usize) -> Result<TracedGap, i32> {
     match trace_workload_streaming(&name, &sampler, shard, analysis, &sizes, |s| {
         gap::run(s, &gap_cfg);
     }) {
-        Ok((streamed, ())) => Ok(TracedGap {
-            name,
-            kernel,
-            sizes,
-            streamed,
-        }),
+        Ok((streamed, ())) => Ok((kernel, streamed)),
         Err(e) => {
             eprintln!("streaming pipeline failed: {e}");
             Err(1)
         }
     }
-}
-
-/// `memgaze fanout`: trace a GAP kernel through the streaming recorder,
-/// then analyze the indexed container across worker threads and print
-/// the merged report. `--store DIR` first puts the trace into a content
-/// -addressed store and analyzes it from there (each range fetches only
-/// its own blobs). `--verify yes` exits nonzero unless the merged report
-/// is identical to the resident streaming report.
-fn run_fanout_cmd(args: &Args) -> i32 {
-    let traced = match trace_gap(args, 1) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let TracedGap {
-        name,
-        kernel,
-        sizes,
-        streamed,
-    } = traced;
-    let analysis = AnalysisConfig::default();
-
-    let fan_cfg = FanoutConfig {
-        workers: args.num("workers", 4usize).max(1),
-        locality_sizes: sizes.to_vec(),
-        ..FanoutConfig::default()
-    };
-    let backend = FanoutBackend::InProcess;
-    let run = if let Some(dir) = args.get("store") {
-        let store = match TraceStore::open(StoreConfig::new(dir)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open store {dir}: {e}");
-                return 1;
-            }
-        };
-        let id = format!("fanout-{}", kernel.label());
-        let receipt = match streamed.put_into(&store, &id) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("store put failed: {e}");
-                return 1;
-            }
-        };
-        println!(
-            "store: {} as {} frames ({} new, {} deduplicated), {:.2}x compression",
-            id,
-            receipt.frames,
-            receipt.new_blobs,
-            receipt.dedup_blobs,
-            receipt.compression_ratio()
-        );
-        run_fanout_store(
-            &store,
-            &id,
-            &streamed.annots,
-            &streamed.symbols,
-            analysis,
-            &fan_cfg,
-            &backend,
-        )
-    } else {
-        run_fanout(
-            &streamed.container,
-            &streamed.index,
-            &streamed.annots,
-            &streamed.symbols,
-            analysis,
-            &fan_cfg,
-            &backend,
-        )
-    };
-    let run = match run {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("fan-out failed: {e}");
-            return 1;
-        }
-    };
-
-    let info = &run.report.decompression;
-    println!(
-        "{name}: {} samples over {} worker ranges ({} retries), A(σ) = {}, κ = {:.2}, ρ = {:.1}\n",
-        info.num_samples,
-        run.ranges.len(),
-        run.retries,
-        fmt_si(info.observed as f64),
-        info.kappa(),
-        info.rho()
-    );
-    let mut table = Table::new(
-        "Hot functions (fan-out)",
-        &["Function", "Â", "F̂", "ΔF̂", "Fstr%", "D", "±CI"],
-    );
-    for r in run.report.function_rows.iter().take(10) {
-        table.push_row(vec![
-            r.name.clone(),
-            fmt_si(r.accesses_decompressed),
-            fmt_si(r.f_hat_bytes),
-            fmt_f3(r.delta_f),
-            fmt_pct(r.f_str_pct),
-            fmt_f3(r.mean_d),
-            fmt_f3(r.confidence.ci_half_width),
-        ]);
-    }
-    print!("{}", table.render());
-    for f in &run.failures {
-        eprintln!(
-            "worker failure (recovered): frames {}..{} attempt {}: {}",
-            f.range.0, f.range.1, f.attempt, f.detail
-        );
-    }
-
-    if args.get("verify").is_some() {
-        let resident = &streamed.report;
-        let identical = run.report.decompression == resident.decompression
-            && run.report.function_rows == resident.function_rows
-            && run.report.block_reuse == resident.block_reuse
-            && run.report.reuse_histogram == resident.reuse_histogram
-            && run.report.locality_series == resident.locality_series
-            && run.report.interval_rows(8) == resident.interval_rows(8);
-        if identical {
-            println!("\nverify: fan-out report is identical to the resident streaming report");
-        } else {
-            eprintln!("\nverify FAILED: fan-out report differs from the resident streaming report");
-            return 1;
-        }
-    }
-    0
 }
 
 /// Open the trace store named by `--dir`.
@@ -518,7 +374,7 @@ fn parse_span(s: &str) -> Option<(u64, u64)> {
 fn run_store_cmd(args: &Args) -> i32 {
     match args.positional.get(1).map(String::as_str) {
         Some("put") => {
-            let traced = match trace_gap(args, 2) {
+            let (kernel, streamed) = match trace_gap(args, 2) {
                 Ok(t) => t,
                 Err(code) => return code,
             };
@@ -529,8 +385,8 @@ fn run_store_cmd(args: &Args) -> i32 {
             let id = args
                 .get("id")
                 .map(str::to_string)
-                .unwrap_or_else(|| format!("gap-{}", traced.kernel.label()));
-            match traced.streamed.put_into(&store, &id) {
+                .unwrap_or_else(|| format!("gap-{}", kernel.label()));
+            match streamed.put_into(&store, &id) {
                 Ok(r) => {
                     println!(
                         "put {id}: {} frames ({} new blobs, {} deduplicated), \
@@ -1128,7 +984,6 @@ fn dispatch(args: &Args) -> i32 {
             );
             0
         }
-        "fanout" => run_fanout_cmd(args),
         "store" => run_store_cmd(args),
         "query" => run_query_cmd(args),
         "serve" => run_serve_cmd(args),

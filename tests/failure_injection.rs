@@ -1,13 +1,12 @@
 //! Failure injection: corrupted packet streams, drop storms, degenerate
-//! configurations, empty inputs, and stale or corrupt fan-out input must
-//! degrade gracefully — never panic, never fabricate data. A panicking
-//! fan-out range is `memgaze-core`'s own unit test, since it needs a
-//! seam inside the coordinator.
+//! configurations, empty inputs, and a stale index or a corrupt frame
+//! under an indexed analysis must degrade gracefully — never panic,
+//! never fabricate data.
 
 use memgaze::analysis::{AnalysisConfig, Analyzer};
 use memgaze::core::{
-    full_trace_workload, run_fanout, trace_workload, FanoutBackend, FanoutConfig, FanoutError,
-    MemGaze, PipelineConfig,
+    full_trace_workload, run_fanout, trace_workload, FanoutBackend, FanoutConfig, MemGaze,
+    PipelineConfig,
 };
 use memgaze::instrument::Instrumenter;
 use memgaze::model::Ip;
@@ -169,8 +168,8 @@ fn microbench_with_one_element_array() {
 
 /// A deterministic multi-sample trace's indexed container, with side
 /// tables that give its ips every load class.
-fn fanout_fixture() -> (Vec<u8>, FrameIndex, AuxAnnotations, SymbolTable) {
-    let mut t = SampledTrace::new(TraceMeta::new("fanout-fi", 1000, 8192));
+fn indexed_fixture() -> (Vec<u8>, FrameIndex, AuxAnnotations, SymbolTable) {
+    let mut t = SampledTrace::new(TraceMeta::new("indexed-fi", 1000, 8192));
     for s in 0..14u64 {
         let n = 25 + (s * 11) % 60;
         let acc: Vec<Access> = (0..n)
@@ -204,9 +203,9 @@ fn fanout_fixture() -> (Vec<u8>, FrameIndex, AuxAnnotations, SymbolTable) {
 
 #[test]
 fn stale_index_sidecar_is_a_typed_error() {
-    let (container, _, annots, symbols) = fanout_fixture();
+    let (container, _, annots, symbols) = indexed_fixture();
     // An index describing a *different* container must be rejected up
-    // front — before any worker is dispatched.
+    // front — before any frame is analyzed.
     let mut other = SampledTrace::new(TraceMeta::new("other", 1000, 8192));
     other
         .push_sample(Sample::new(vec![Access::new(0x400u64, 64, 0)], 1))
@@ -223,44 +222,30 @@ fn stale_index_sidecar_is_a_typed_error() {
         &FanoutBackend::InProcess,
     )
     .unwrap_err();
-    assert!(
-        matches!(err, FanoutError::Model(ModelError::StaleIndex { .. })),
-        "{err}"
-    );
+    assert!(matches!(err, ModelError::StaleIndex { .. }), "{err}");
 }
 
 #[test]
-fn truncated_frame_mid_range_fails_typed_after_retries() {
-    let (container, index, annots, symbols) = fanout_fixture();
+fn corrupt_middle_frame_is_a_typed_error() {
+    let (container, index, annots, symbols) = indexed_fixture();
     // Flip a byte inside the middle frame's payload: the header still
-    // validates (so dispatch proceeds), but the per-frame checksum fails
-    // in whichever worker owns that frame — a persistent error that
-    // must exhaust retries and surface as RangeFailed, never a panic.
+    // validates, so the analysis starts, but that frame's checksum
+    // fails when it is read — a typed error, never a panic.
     let mut corrupt = container.clone();
     let victim = index.entries[index.entries.len() / 2];
     corrupt[victim.offset as usize + 1] ^= 0x40;
-    let cfg = FanoutConfig {
-        workers: 4,
-        max_attempts: 2,
-        ..FanoutConfig::default()
-    };
     let err = run_fanout(
         &corrupt,
         &index,
         &annots,
         &symbols,
         AnalysisConfig::default(),
-        &cfg,
+        &FanoutConfig::default(),
         &FanoutBackend::InProcess,
     )
     .unwrap_err();
-    match err {
-        FanoutError::RangeFailed { attempts, last, .. } => {
-            assert_eq!(attempts, 2);
-            assert!(last.contains("stale frame index"), "{last}");
-        }
-        other => panic!("expected RangeFailed, got {other}"),
-    }
+    assert!(matches!(err, ModelError::StaleIndex { .. }), "{err}");
+    assert!(err.to_string().contains("checksum"), "{err}");
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! (`tests/common/spec.rs`) field for field, bit for bit, for any shard
 //! size and block sizes; the location zoom equals the
 //! spec's partition tree for tree, and the window series the spec's
-//! point for point; and the fan-out's partial encode/decode/merge path
-//! equals the fold.
+//! point for point; and partials of any contiguous split of the frames,
+//! merged in frame order, equal the fold.
 
 #[path = "common/arb.rs"]
 mod arb;
@@ -14,9 +14,9 @@ mod spec;
 
 use arb::{arb_trace, fixtures, traces_of, BLOCK_SIZES};
 use memgaze::analysis::{
-    stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse, ZoomConfig,
+    analyze_frames, stream_resident_trace, zoom_trace_with, AnalysisConfig, Analyzer, BlockReuse,
+    PartialReport, ZoomConfig,
 };
-use memgaze::core::{run_fanout, FanoutBackend, FanoutConfig};
 use memgaze::model::{
     decode_sharded, encode_sharded, encode_sharded_indexed, AuxAnnotations, BlockSize, ShardReader,
 };
@@ -197,83 +197,36 @@ fn straddling_window() -> impl Strategy<Value = Vec<memgaze::model::Access>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fan-out over an indexed container reproduces the resident
-    /// streaming report field for field, for random traces, shard
-    /// sizes, and worker counts.
+    /// The merge laws: cut an indexed container's frames into 1–8
+    /// contiguous parts at random frames (a repeated cut leaves a part
+    /// empty), analyze each part on its own, fold the partials in frame
+    /// order with `merge_many` and finish — and the report equals the
+    /// one-pass fold field for field. Only the count of geometric folds
+    /// inside each part's pass may differ.
     #[test]
-    fn fanout_report_matches_resident(
+    fn partial_merge_matches_resident(
         t in arb_trace(),
-        shard in 1usize..24,
-        workers in 1usize..9,
+        shard in 1usize..8,
+        cuts in prop::collection::vec(0usize..64, 0..8),
     ) {
         let (annots, symbols) = fixtures();
         let cfg = AnalysisConfig::default();
         let sizes = [8u64, 32];
         let resident = stream_resident_trace(&t, &annots, &symbols, cfg, &sizes, shard);
         let (container, index) = encode_sharded_indexed(&t, shard);
-        let fan_cfg = FanoutConfig {
-            workers,
-            locality_sizes: sizes.to_vec(),
-            ..FanoutConfig::default()
-        };
-        let run = run_fanout(
-            &container,
-            &index,
-            &annots,
-            &symbols,
-            cfg,
-            &fan_cfg,
-            &FanoutBackend::InProcess,
-        )
-        .unwrap();
-        prop_assert_eq!(&run.meta, &t.meta);
-        prop_assert_eq!(run.report.decompression, resident.decompression);
-        prop_assert_eq!(&run.report.function_rows, &resident.function_rows);
-        prop_assert_eq!(&run.report.block_reuse, &resident.block_reuse);
-        prop_assert_eq!(&run.report.reuse_histogram, &resident.reuse_histogram);
-        prop_assert_eq!(&run.report.locality_series, &resident.locality_series);
-        for n in [1usize, 4] {
-            prop_assert_eq!(run.report.interval_rows(n), resident.interval_rows(n));
-        }
-    }
-
-    /// Pooled-buffer encodes — `encode_into` appending to a dirty,
-    /// pre-filled buffer, then reusing that buffer — are byte-identical
-    /// to the unpooled seed `encode` for the MGZP partial-report codec,
-    /// for random traces and dirty prefixes.
-    #[test]
-    fn pooled_codec_encodes_match_unpooled(
-        t in arb_trace(),
-        shard in 1usize..16,
-        prefix in prop::collection::vec(0u8..=255, 0..64),
-    ) {
-        use memgaze::analysis::analyze_frames;
-
-        let (annots, symbols) = fixtures();
-        let cfg = AnalysisConfig::default();
-        let (container, index) = encode_sharded_indexed(&t, shard);
-        let partial = analyze_frames(
-            &container,
-            &index,
-            0..index.entries.len(),
-            &annots,
-            &symbols,
-            cfg,
-            &[8, 32],
-        )
-        .unwrap();
-
-        // MGZP: appending after arbitrary dirty contents yields the
-        // same bytes (checksums cover only the appended frame) …
-        let seed = partial.encode();
-        let mut buf = prefix.clone();
-        partial.encode_into(&mut buf);
-        prop_assert_eq!(&buf[..prefix.len()], prefix.as_slice());
-        prop_assert_eq!(&buf[prefix.len()..], seed.as_slice());
-        // … and so does reusing the buffer's allocation for the next
-        // encode.
-        buf.clear();
-        partial.encode_into(&mut buf);
-        prop_assert_eq!(buf.as_slice(), seed.as_slice());
+        let frames = index.entries.len();
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (frames + 1)).collect();
+        bounds.extend([0, frames]);
+        bounds.sort_unstable();
+        let parts = bounds
+            .windows(2)
+            .map(|r| analyze_frames(&container, &index, r[0]..r[1], &annots, &symbols, cfg, &sizes))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let merged =
+            PartialReport::merge_many(parts, cfg.footprint_block, cfg.reuse_block, &sizes).unwrap();
+        let mut report = merged.finish(&t.meta);
+        report.ingest.merge_events = resident.ingest.merge_events;
+        prop_assert_eq!(&report, &resident);
     }
 }
