@@ -60,9 +60,7 @@ pub use histogram::{
     locality_vs_interval_with, reuse_histogram_from, LocalityPoint, Log2Histogram,
 };
 pub use interval_tree::{IntervalNode, IntervalTree, NodeKind};
-pub use live::{
-    window_meta, AnomalyKind, AnomalyMark, LiveConfig, WindowReport, WindowRing, WindowStats,
-};
+pub use live::{AnomalyKind, AnomalyMark, WindowRing, WindowStats, ANOMALY_THRESHOLD};
 pub use mape::{compare_window_series, mape, pct_error, MapeReport};
 pub use partial::{analyze_frames, FuncPartial, PartialError, PartialReport, ReusePartial};
 pub use report::{fmt_f3, fmt_pct, fmt_si, Table};

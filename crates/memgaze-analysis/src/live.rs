@@ -1,54 +1,48 @@
-//! Live rolling-window analysis: the `memgaze watch` engine.
+//! Live rolling-window analysis: the one window engine `memgaze watch`
+//! and `memgaze serve` share.
 //!
 //! Offline analysis sees the whole trace at once; live monitoring
 //! (HMTT's online analyzer, BSC's live access-pattern tooling) sees an
-//! unbounded stream and must answer "what changed?" from a bounded
-//! ring of recent windows. This module folds per-window
-//! [`StreamingReport`]s into [`WindowStats`] — footprint growth,
-//! reuse-distance drift, `A_const%` shift — and raises deterministic
-//! [`AnomalyMark`]s when a metric jumps past a threshold between
-//! consecutive windows ("ΔF_irr% doubled in window N").
+//! unbounded stream and must answer "what changed?" window by window.
+//! A closed window goes into [`WindowRing::close`] as its
+//! [`PartialReport`] and the number of loads it covers, and comes out
+//! as [`WindowStats`] — footprint growth, reuse-distance drift,
+//! `A_const%` shift — plus deterministic [`AnomalyMark`]s when a metric
+//! jumps past a threshold between consecutive windows ("ΔF_irr%
+//! doubled in window N"). The ring keeps only the drift chain and the
+//! marks.
 //!
-//! Determinism is load-bearing: window stats derive from the merged
-//! per-sample diagnostics of a [`StreamingReport`], whose merge laws
-//! make them bit-identical across shard sizes; the
-//! drift tests are pure `f64` ratio comparisons. Two watch runs over
-//! the same stream with the same config therefore mark the same
-//! windows — the property `tests/watch_equivalence.rs` pins.
+//! The loads are part of the window's data: Eq. 1 scales `F̂` by
+//! `ρ = |σ|(w+z)/(κ·A)`, and `|σ|(w+z)` is exactly the loads the
+//! window's samples covered. The caller counts them (watch from the
+//! samples' trigger times, serve from the session's period), so a
+//! window collected across a period retune is scaled by the loads it
+//! really covered.
+//!
+//! Determinism is load-bearing: window stats derive from a partial's
+//! per-sample diagnostics, whose merge laws make them bit-identical
+//! across shard cuts; the drift tests are pure `f64` ratio comparisons.
+//! Two runs over the same stream with the same config therefore mark
+//! the same windows — the property `tests/watch_equivalence.rs` pins.
 
 use crate::diagnostics::FootprintDiagnostics;
-use crate::streaming::StreamingReport;
-use memgaze_model::{Sample, TraceMeta};
+use crate::partial::PartialReport;
+use memgaze_model::{compression_ratio, sample_ratio};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
-/// Configuration for the rolling-window engine.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveConfig {
-    /// Windows retained in the ring; older windows are evicted (their
-    /// stats survive in the drift chain, their reports do not).
-    pub ring_capacity: usize,
-    /// Ratio between consecutive windows at which a metric counts as
-    /// anomalous; `2.0` means "doubled".
-    pub anomaly_threshold: f64,
-    /// Windows with fewer observed accesses than this are too thin to
-    /// trust for drift — they update the chain but raise no marks.
-    pub min_observed: u64,
-}
+/// Ratio between consecutive windows at which a metric counts as
+/// anomalous by default; `2.0` means "doubled". Every `serve` session
+/// runs at it; `memgaze watch --anomaly-threshold` overrides it.
+pub const ANOMALY_THRESHOLD: f64 = 2.0;
 
-impl Default for LiveConfig {
-    fn default() -> LiveConfig {
-        LiveConfig {
-            ring_capacity: 32,
-            anomaly_threshold: 2.0,
-            min_observed: 64,
-        }
-    }
-}
+/// Windows with fewer observed accesses than this are too thin to
+/// trust for drift — they update the chain but raise no marks.
+const MIN_OBSERVED: u64 = 64;
 
-/// Drift metrics of one closed window, derived from the window's
-/// [`StreamingReport`] by merging its per-sample diagnostics — the same
-/// fold [`StreamingReport::interval_rows`] runs, collapsed to one row.
+/// Drift metrics of one closed window, folded from the window's
+/// per-sample diagnostics and reuse rows — the fold
+/// [`StreamingReport::interval_rows`](crate::StreamingReport::interval_rows)
+/// runs, collapsed to one row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WindowStats {
     /// Window index (0-based, monotonically increasing).
@@ -71,41 +65,6 @@ pub struct WindowStats {
     pub mean_d: f64,
     /// Compression factor κ of the merged window.
     pub kappa: f64,
-}
-
-impl WindowStats {
-    /// Fold a window's report into its drift metrics.
-    pub fn from_report(window: usize, report: &StreamingReport) -> WindowStats {
-        let mut diag: Option<FootprintDiagnostics> = None;
-        for d in &report.per_sample_diags {
-            match &mut diag {
-                Some(m) => m.merge(d),
-                None => diag = Some(*d),
-            }
-        }
-        let diag = diag.unwrap_or_default();
-        let mut d_sum = 0.0;
-        let mut d_n = 0u64;
-        for r in &report.per_sample_reuse {
-            if r.events > 0 {
-                d_sum += r.mean_d * r.events as f64;
-                d_n += r.events as u64;
-            }
-        }
-        let rho = report.decompression.rho();
-        WindowStats {
-            window,
-            samples: report.per_sample_diags.len(),
-            observed: diag.observed,
-            implied_const: diag.implied_const,
-            f_hat_bytes: rho * diag.footprint as f64 * report.footprint_block.bytes() as f64,
-            delta_f: diag.delta_f(),
-            delta_f_irr_pct: diag.delta_f_irr_pct(),
-            a_const_pct: diag.a_const_pct(),
-            mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
-            kappa: diag.kappa,
-        }
-    }
 }
 
 /// Which window metric drifted past the threshold.
@@ -163,25 +122,13 @@ impl AnomalyMark {
     }
 }
 
-/// One retained window: its drift stats plus the full per-window
-/// report (for zooming into a marked window).
-#[derive(Debug, Clone)]
-pub struct WindowReport {
-    /// The window's drift metrics.
-    pub stats: WindowStats,
-    /// The window's full analysis.
-    pub report: StreamingReport,
-}
-
-/// Bounded ring of recent windows with drift detection between
-/// consecutive pushes. Eviction drops old reports but never the drift
-/// chain: the previous window's stats are kept separately.
+/// The drift chain of a stream of windows: each closed window is
+/// tested against the previous one, and every mark is kept.
 #[derive(Debug)]
 pub struct WindowRing {
-    cfg: LiveConfig,
-    windows: VecDeque<WindowReport>,
+    anomaly_threshold: f64,
     prev: Option<WindowStats>,
-    pushed: usize,
+    closed: usize,
     anomalies: Vec<AnomalyMark>,
 }
 
@@ -195,13 +142,12 @@ const DRIFT_FLOORS: [(AnomalyKind, f64); 4] = [
 ];
 
 impl WindowRing {
-    /// An empty ring.
-    pub fn new(cfg: LiveConfig) -> WindowRing {
+    /// An empty ring marking jumps of at least `anomaly_threshold`.
+    pub fn new(anomaly_threshold: f64) -> WindowRing {
         WindowRing {
-            cfg,
-            windows: VecDeque::new(),
+            anomaly_threshold,
             prev: None,
-            pushed: 0,
+            closed: 0,
             anomalies: Vec::new(),
         }
     }
@@ -215,22 +161,54 @@ impl WindowRing {
         }
     }
 
-    /// Close a window: fold its report into stats, test drift against
-    /// the previous window, retain it (evicting past capacity), and
+    /// Close a window: fold its partial into stats with
+    /// `ρ = loads / (κ·A)` (Eq. 1 with `|σ|(w+z)` = the `loads` the
+    /// window covered), test drift against the previous window, and
     /// return the stats plus any new marks.
-    pub fn push(&mut self, report: StreamingReport) -> (WindowStats, Vec<AnomalyMark>) {
-        let stats = WindowStats::from_report(self.pushed, &report);
-        self.pushed += 1;
+    pub fn close(
+        &mut self,
+        partial: &PartialReport,
+        loads: u64,
+    ) -> (WindowStats, Vec<AnomalyMark>) {
+        let mut diag: Option<FootprintDiagnostics> = None;
+        for d in &partial.per_sample_diags {
+            match &mut diag {
+                Some(m) => m.merge(d),
+                None => diag = Some(*d),
+            }
+        }
+        let diag = diag.unwrap_or_default();
+        let mut d_sum = 0.0;
+        let mut d_n = 0u64;
+        for r in &partial.per_sample_reuse {
+            if r.events > 0 {
+                d_sum += r.mean_d * r.events as f64;
+                d_n += r.events as u64;
+            }
+        }
+        let kappa = compression_ratio(partial.observed, partial.implied_const);
+        let rho = sample_ratio(1, loads, partial.observed, kappa);
+        let stats = WindowStats {
+            window: self.closed,
+            samples: partial.per_sample_diags.len(),
+            observed: diag.observed,
+            implied_const: diag.implied_const,
+            f_hat_bytes: rho * diag.footprint as f64 * partial.footprint_block.bytes() as f64,
+            delta_f: diag.delta_f(),
+            delta_f_irr_pct: diag.delta_f_irr_pct(),
+            a_const_pct: diag.a_const_pct(),
+            mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
+            kappa: diag.kappa,
+        };
+        self.closed += 1;
         let mut marks = Vec::new();
         if let Some(prev) = &self.prev {
-            let trusted =
-                prev.observed >= self.cfg.min_observed && stats.observed >= self.cfg.min_observed;
-            if trusted {
+            if prev.observed >= MIN_OBSERVED && stats.observed >= MIN_OBSERVED {
                 for (kind, floor) in DRIFT_FLOORS {
                     let was = Self::metric(kind, prev).max(floor);
                     let now = Self::metric(kind, &stats);
                     let ratio = now / was;
-                    if ratio >= self.cfg.anomaly_threshold {
+                    if ratio >= self.anomaly_threshold {
                         marks.push(AnomalyMark {
                             window: stats.window,
                             kind,
@@ -244,50 +222,13 @@ impl WindowRing {
         }
         self.prev = Some(stats);
         self.anomalies.extend(marks.iter().cloned());
-        self.windows.push_back(WindowReport { stats, report });
-        while self.windows.len() > self.cfg.ring_capacity.max(1) {
-            self.windows.pop_front();
-        }
         (stats, marks)
-    }
-
-    /// Windows currently retained (oldest first).
-    pub fn windows(&self) -> impl Iterator<Item = &WindowReport> {
-        self.windows.iter()
-    }
-
-    /// Total windows ever pushed (≥ retained count).
-    pub fn pushed(&self) -> usize {
-        self.pushed
     }
 
     /// Every mark raised since the ring was created.
     pub fn anomalies(&self) -> &[AnomalyMark] {
         &self.anomalies
     }
-
-    /// The most recently closed window's stats, if any.
-    pub fn last_stats(&self) -> Option<&WindowStats> {
-        self.prev.as_ref()
-    }
-}
-
-/// Metadata for one watch window, derived deterministically from the
-/// window's samples and the sampling configuration *at collection
-/// start*. Both the live driver and the offline reference pass
-/// (`tests/watch_equivalence.rs`) derive window metadata through this
-/// one function, so their per-window reports can be compared
-/// field-for-field.
-pub fn window_meta(
-    workload: &str,
-    period: u64,
-    buffer_bytes: u64,
-    samples: &[Sample],
-) -> TraceMeta {
-    let mut meta = TraceMeta::new(workload, period, buffer_bytes);
-    meta.total_loads = samples.len() as u64 * period;
-    meta.total_instrumented_loads = samples.iter().map(|s| s.accesses.len() as u64).sum();
-    meta
 }
 
 #[cfg(test)]
@@ -299,11 +240,17 @@ mod tests {
         Access, AuxAnnotations, FunctionId, Ip, IpAnnot, LoadClass, Sample, SymbolTable,
     };
 
-    fn window_report(samples: &[Sample]) -> StreamingReport {
+    /// The period the hand-built samples are triggered at.
+    const PERIOD: u64 = 1000;
+
+    fn window_partial(samples: &[Sample]) -> PartialReport {
         let mut annots = AuxAnnotations::new();
         annots.insert(
             Ip(0x400),
-            IpAnnot::of_class(LoadClass::Strided, FunctionId(0)),
+            IpAnnot {
+                implied_const: 1,
+                ..IpAnnot::of_class(LoadClass::Strided, FunctionId(0))
+            },
         );
         annots.insert(
             Ip(0x404),
@@ -312,7 +259,12 @@ mod tests {
         let symbols = SymbolTable::new();
         let mut sa = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default());
         sa.ingest_shard(samples);
-        sa.finish(&window_meta("live-test", 1000, 8192, samples))
+        sa.into_partial()
+    }
+
+    /// Close a window whose samples each covered one full period.
+    fn close(ring: &mut WindowRing, samples: &[Sample]) -> (WindowStats, Vec<AnomalyMark>) {
+        ring.close(&window_partial(samples), samples.len() as u64 * PERIOD)
     }
 
     fn strided(samples: usize, base: u64) -> Vec<Sample> {
@@ -321,7 +273,7 @@ mod tests {
                 let accesses: Vec<Access> = (0..100u64)
                     .map(|i| Access::new(0x400, base + (s as u64 * 100 + i) * 64, i))
                     .collect();
-                Sample::new(accesses, (s as u64 + 1) * 1000)
+                Sample::new(accesses, (s as u64 + 1) * PERIOD)
             })
             .collect()
     }
@@ -335,28 +287,28 @@ mod tests {
                         Access::new(0x404, 0x900_0000 + (x * x * 2654435761) % spread, i)
                     })
                     .collect();
-                Sample::new(accesses, (s as u64 + 1) * 1000)
+                Sample::new(accesses, (s as u64 + 1) * PERIOD)
             })
             .collect()
     }
 
     #[test]
     fn steady_stream_raises_no_marks() {
-        let mut ring = WindowRing::new(LiveConfig::default());
+        let mut ring = WindowRing::new(ANOMALY_THRESHOLD);
         for w in 0..6 {
-            let (_stats, marks) = ring.push(window_report(&strided(4, w * 0x100_0000)));
+            let (stats, marks) = close(&mut ring, &strided(4, w * 0x100_0000));
+            assert_eq!(stats.window, w as usize);
             assert!(marks.is_empty(), "window {w} marked: {marks:?}");
         }
-        assert_eq!(ring.pushed(), 6);
         assert!(ring.anomalies().is_empty());
     }
 
     #[test]
     fn phase_shift_marks_the_shifted_window() {
-        let mut ring = WindowRing::new(LiveConfig::default());
-        ring.push(window_report(&strided(4, 0)));
-        ring.push(window_report(&strided(4, 0)));
-        let (_stats, marks) = ring.push(window_report(&scattered(4, 1 << 30)));
+        let mut ring = WindowRing::new(ANOMALY_THRESHOLD);
+        close(&mut ring, &strided(4, 0));
+        close(&mut ring, &strided(4, 0));
+        let (_stats, marks) = close(&mut ring, &scattered(4, 1 << 30));
         assert!(!marks.is_empty(), "phase shift must raise a mark");
         assert!(marks.iter().all(|m| m.window == 2));
         assert!(marks.iter().all(|m| m.ratio >= 2.0));
@@ -368,39 +320,68 @@ mod tests {
     #[test]
     fn marks_are_deterministic_across_runs() {
         let run = || {
-            let mut ring = WindowRing::new(LiveConfig::default());
-            ring.push(window_report(&strided(4, 0)));
-            ring.push(window_report(&scattered(4, 1 << 28)));
-            ring.push(window_report(&strided(4, 0)));
+            let mut ring = WindowRing::new(ANOMALY_THRESHOLD);
+            close(&mut ring, &strided(4, 0));
+            close(&mut ring, &scattered(4, 1 << 28));
+            close(&mut ring, &strided(4, 0));
             ring.anomalies().to_vec()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn ring_evicts_reports_but_keeps_the_drift_chain() {
-        let cfg = LiveConfig {
-            ring_capacity: 2,
-            ..LiveConfig::default()
-        };
-        let mut ring = WindowRing::new(cfg);
-        for w in 0..5 {
-            ring.push(window_report(&strided(4, w * 0x10_0000)));
-        }
-        assert_eq!(ring.windows().count(), 2);
-        assert_eq!(ring.pushed(), 5);
-        assert_eq!(ring.last_stats().unwrap().window, 4);
+    fn thin_windows_do_not_mark() {
+        let mut ring = WindowRing::new(ANOMALY_THRESHOLD);
+        close(&mut ring, &strided(4, 0));
+        let mut thin = scattered(1, 1 << 30);
+        thin[0].accesses.truncate(MIN_OBSERVED as usize - 1);
+        let (stats, marks) = close(&mut ring, &thin);
+        assert!(stats.observed < MIN_OBSERVED);
+        assert!(marks.is_empty(), "{marks:?}");
     }
 
+    /// The same samples, triggered every `p` and every `p/2` loads:
+    /// the window covered half the loads, so `F̂` exactly halves, and
+    /// nothing that does not scale by ρ moves.
     #[test]
-    fn thin_windows_do_not_mark() {
-        let cfg = LiveConfig {
-            min_observed: 1_000_000,
-            ..LiveConfig::default()
+    fn loads_scale_f_hat_alone() {
+        let mixed: Vec<Sample> = strided(4, 0)
+            .into_iter()
+            .zip(scattered(4, 1 << 30))
+            .map(|(a, b)| {
+                // Plus a cycle over eight lines, so the window has reuse.
+                let cycle = (0..32u64).map(|i| Access::new(0x400, 0x5000_0000 + (i % 8) * 64, 0));
+                let accesses = a
+                    .accesses
+                    .into_iter()
+                    .chain(b.accesses)
+                    .chain(cycle)
+                    .enumerate()
+                    .map(|(t, x)| Access::new(x.ip, x.addr, t as u64))
+                    .collect();
+                Sample::new(accesses, a.trigger_time)
+            })
+            .collect();
+        let retimed = |spacing: u64| -> (Vec<Sample>, u64) {
+            let samples: Vec<Sample> = mixed
+                .iter()
+                .enumerate()
+                .map(|(i, s)| Sample::new(s.accesses.clone(), (i as u64 + 1) * spacing))
+                .collect();
+            // The first window: its loads run from 0 to its last trigger.
+            let loads = samples.last().map_or(0, |s| s.trigger_time);
+            (samples, loads)
         };
-        let mut ring = WindowRing::new(cfg);
-        ring.push(window_report(&strided(4, 0)));
-        let (_s, marks) = ring.push(window_report(&scattered(4, 1 << 30)));
-        assert!(marks.is_empty());
+        let (full, full_loads) = retimed(PERIOD);
+        let (half, half_loads) = retimed(PERIOD / 2);
+        let (a, _) = WindowRing::new(ANOMALY_THRESHOLD).close(&window_partial(&full), full_loads);
+        let (b, _) = WindowRing::new(ANOMALY_THRESHOLD).close(&window_partial(&half), half_loads);
+        assert!(a.f_hat_bytes > 0.0 && a.a_const_pct > 0.0 && a.delta_f_irr_pct > 0.0);
+        assert!(a.mean_d > 0.0, "{a:?}");
+        assert_eq!(b.f_hat_bytes, a.f_hat_bytes / 2.0);
+        assert_eq!(b.delta_f_irr_pct, a.delta_f_irr_pct);
+        assert_eq!(b.a_const_pct, a.a_const_pct);
+        assert_eq!(b.mean_d, a.mean_d);
+        assert_eq!(b.kappa, a.kappa);
     }
 }

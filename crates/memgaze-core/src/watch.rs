@@ -4,22 +4,27 @@
 //! Every other collection path runs to completion before analysis
 //! starts; the watch loop interleaves them. Between workload steps it
 //! drains the sampler's completed samples, closes fixed-size windows,
-//! analyzes each window with a fresh [`StreamingAnalyzer`], folds the
-//! result into the bounded [`WindowRing`] (raising [`AnomalyMark`]s on
-//! metric drift), and feeds the sampler's drop-rate/pressure
-//! observation to a [`Controller`] that retunes the period (`w + z`),
-//! buffer capacity, and hardware address-range guards at runtime — the
-//! governor pattern: observe one interval, nudge one knob, clamp to
-//! bounds, settle when the signal holds inside the target band.
+//! folds each window with a fresh [`StreamingAnalyzer`] into its
+//! partial, closes that through the [`WindowRing`] (raising
+//! [`AnomalyMark`]s on metric drift), and feeds the sampler's
+//! drop-rate/pressure observation to a [`Controller`] that retunes the
+//! period (`w + z`), buffer capacity, and hardware address-range guards
+//! at runtime — the governor pattern: observe one interval, nudge one
+//! knob, clamp to bounds, settle when the signal holds inside the
+//! target band.
 //!
-//! Every closed window is also written as one container frame, so a
-//! pinned-controller run can be replayed offline frame by frame and
-//! each window's report compared field-for-field against a resident
-//! analysis of the same slice (`tests/watch_equivalence.rs`).
+//! A window's loads are its last sample's trigger time minus the
+//! previous window's: the sampler stamps every sample with the load
+//! count at its trigger and restarts the count toward the next trigger
+//! on a retune, so the rule holds across a period change, even for a
+//! window that straddles one. Every closed window is also written as
+//! one container frame, which carries those trigger times, so any run
+//! — pinned or adaptive — replays offline frame by frame to the same
+//! window stats and marks (`tests/watch_equivalence.rs`).
 
 use memgaze_analysis::{
-    window_meta, AnalysisConfig, AnomalyMark, LiveConfig, StreamingAnalyzer, WindowRing,
-    WindowStats,
+    AnalysisConfig, AnomalyMark, PartialReport, StreamingAnalyzer, WindowRing, WindowStats,
+    ANOMALY_THRESHOLD,
 };
 use memgaze_model::{
     AuxAnnotations, FrameIndex, LoadClass, Sample, ShardWriter, SymbolTable, TraceMeta,
@@ -241,8 +246,9 @@ impl Controller {
 pub struct WatchConfig {
     /// Samples per window.
     pub window_samples: usize,
-    /// Rolling-ring and anomaly parameters.
-    pub live: LiveConfig,
+    /// Ratio between consecutive windows at which a metric counts as
+    /// anomalous; `2.0` means "doubled".
+    pub anomaly_threshold: f64,
     /// Controller law.
     pub controller: ControllerConfig,
     /// Pinned or adaptive.
@@ -253,7 +259,7 @@ impl Default for WatchConfig {
     fn default() -> WatchConfig {
         WatchConfig {
             window_samples: 8,
-            live: LiveConfig::default(),
+            anomaly_threshold: ANOMALY_THRESHOLD,
             controller: ControllerConfig::default(),
             mode: ControllerMode::Adaptive,
         }
@@ -263,13 +269,10 @@ impl Default for WatchConfig {
 /// Everything a watch run produced.
 #[derive(Debug)]
 pub struct WatchReport {
-    /// Per-window drift stats, in window order (every window, not just
-    /// those still in the ring).
+    /// Per-window drift stats, in window order.
     pub windows: Vec<WindowStats>,
     /// Every anomaly mark raised.
     pub anomalies: Vec<AnomalyMark>,
-    /// The ring itself (recent windows' full reports).
-    pub ring: WindowRing,
     /// Controller retune trace.
     pub retunes: Vec<Retune>,
     /// Window where the controller's settle streak completed.
@@ -288,11 +291,6 @@ pub struct WatchReport {
     pub symbols: SymbolTable,
     /// Collection statistics.
     pub stream: StreamStats,
-    /// Sampling knobs at collection start — the values window metadata
-    /// derives from on both the live and the replay side.
-    pub initial_period: u64,
-    /// Initial buffer capacity (see `initial_period`).
-    pub initial_buffer_bytes: u64,
     /// Samples per window the run used.
     pub window_samples: usize,
 }
@@ -311,26 +309,23 @@ pub fn watch_workload(
     // The knobs the sampler runs: a zero period or buffer is raised at
     // construction.
     let sampler = memgaze_ptsim::StreamSampler::new(sampler_cfg.clone());
-    let initial_period = sampler.config().period;
-    let initial_buffer = sampler.config().buffer_bytes;
     let initial_guards = sampler_cfg.guards.clone();
     let window_samples = watch.window_samples.max(1);
 
-    let provisional = TraceMeta::new(name, initial_period, initial_buffer);
+    let header = TraceMeta::new(name, sampler.config().period, sampler.config().buffer_bytes);
     let mut sink = WindowSink {
-        name,
-        initial_period,
-        initial_buffer,
-        analysis,
-        locality_sizes,
-        writer: ShardWriter::new(Vec::new(), &provisional).map_err(|source| {
+        writer: ShardWriter::new(Vec::new(), &header).map_err(|source| {
             PipelineError::Container {
                 stage: "watch-open",
                 source,
             }
         })?,
-        ring: WindowRing::new(watch.live),
+        header,
+        analysis,
+        locality_sizes,
+        ring: WindowRing::new(watch.anomaly_threshold),
         windows: Vec::new(),
+        last_trigger: 0,
     };
 
     let mut controller = Controller::new(watch.mode, watch.controller, sampler.config());
@@ -344,14 +339,19 @@ pub fn watch_workload(
         pending.extend(space.recorder_mut().sampler.take_completed());
         while pending.len() >= window_samples {
             let window_slice: Vec<Sample> = pending.drain(..window_samples).collect();
-            let hottest = sink.close(&window_slice, &space.annotations(), &space.symbols());
+            let partial = sink.close(&window_slice, &space.annotations(), &space.symbols());
             let obs = space.recorder_mut().sampler.take_observation();
             let window = sink.windows.len() - 1;
             if let Some(r) = controller.observe(window, &obs) {
                 let guards = match r.guard {
                     GuardAction::Keep => space.recorder_mut().sampler.config().guards.clone(),
-                    GuardAction::Narrow => match &hottest {
-                        Some(name) => IpGuards::from_functions(&space.symbols(), [name.as_str()]),
+                    // Only narrowing needs the window's hottest function,
+                    // and the function table does not read the period.
+                    GuardAction::Narrow => match partial.finish(&sink.header).function_rows.first()
+                    {
+                        Some(row) => {
+                            IpGuards::from_functions(&space.symbols(), [row.name.as_str()])
+                        }
                         None => initial_guards.clone(),
                     },
                     GuardAction::Restore => initial_guards.clone(),
@@ -393,37 +393,35 @@ pub fn watch_workload(
         retunes: controller.trace().to_vec(),
         converged_at: controller.converged_at(),
         final_drop_rate: controller.last_drop_rate(),
-        ring: sink.ring,
         container,
         index,
         meta,
         annots,
         symbols,
         stream,
-        initial_period,
-        initial_buffer_bytes: initial_buffer,
         window_samples,
     })
 }
 
 /// Where a watch run's windows go: each closed window becomes one
-/// container frame, one ring entry and one set of gauges.
+/// container frame, one drift point and one set of gauges.
 struct WindowSink<'a> {
-    name: &'a str,
-    initial_period: u64,
-    initial_buffer: u64,
+    /// The container header: the run's name and initial knobs.
+    header: TraceMeta,
     analysis: AnalysisConfig,
     locality_sizes: &'a [u64],
     writer: ShardWriter<Vec<u8>>,
     ring: WindowRing,
     windows: Vec<WindowStats>,
+    /// Trigger time of the previous window's last sample.
+    last_trigger: u64,
 }
 
 impl WindowSink<'_> {
-    /// Close one window: write its frame, analyze it with a transient
-    /// [`StreamingAnalyzer`] under the window metadata both the live and
-    /// the replay side derive, push the report to the ring and publish
-    /// the gauges. Returns the window's hottest function.
+    /// Close one window: write its frame, fold it with a transient
+    /// [`StreamingAnalyzer`] into its partial, close that through the
+    /// ring with the loads its samples covered, and publish the gauges.
+    /// Returns the window's partial.
     // Writing a frame to a Vec cannot fail.
     #[allow(clippy::expect_used)]
     fn close(
@@ -431,17 +429,20 @@ impl WindowSink<'_> {
         slice: &[Sample],
         annots: &AuxAnnotations,
         symbols: &SymbolTable,
-    ) -> Option<String> {
+    ) -> PartialReport {
         self.writer
             .write_shard(slice)
             .expect("writing a shard frame to a Vec cannot fail");
         let mut sa = StreamingAnalyzer::new(annots, symbols, self.analysis)
             .with_locality_sizes(self.locality_sizes);
         sa.ingest_shard(slice);
-        let meta = window_meta(self.name, self.initial_period, self.initial_buffer, slice);
-        let report = sa.finish(&meta);
-        let hottest = report.function_rows.first().map(|r| r.name.clone());
-        let (stats, marks) = self.ring.push(report);
+        let partial = sa.into_partial();
+        // Every sample carries the load count at its trigger, so the
+        // window covered the loads since the previous window's last one.
+        let last = slice.last().map_or(self.last_trigger, |s| s.trigger_time);
+        let loads = last.saturating_sub(self.last_trigger);
+        self.last_trigger = last;
+        let (stats, marks) = self.ring.close(&partial, loads);
         self.windows.push(stats);
         memgaze_obs::gauge!("watch.window").set(stats.window as u64);
         memgaze_obs::gauge!("watch.f_hat_bytes").set(stats.f_hat_bytes as u64);
@@ -451,7 +452,7 @@ impl WindowSink<'_> {
         if !marks.is_empty() {
             memgaze_obs::counter!("watch.anomalies").add(marks.len() as u64);
         }
-        hottest
+        partial
     }
 }
 

@@ -54,7 +54,7 @@ pub use error::ServeError;
 pub use server::{DrainReport, Server};
 pub use session::{Registry, SealedReport, Session, SessionStatus, WatchHub};
 
-use memgaze_analysis::{AnalysisConfig, LiveConfig};
+use memgaze_analysis::AnalysisConfig;
 use std::time::Duration;
 
 /// Server-wide configuration: the analysis parameters every session
@@ -82,8 +82,6 @@ pub struct ServeConfig {
     /// Shards folded into one rolling watch window; every closed
     /// window is published on `GET /watch/events`.
     pub watch_window_shards: usize,
-    /// Rolling-window ring and anomaly-threshold parameters.
-    pub watch_live: LiveConfig,
 }
 
 impl Default for ServeConfig {
@@ -98,7 +96,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(300),
             read_timeout: Duration::from_secs(10),
             watch_window_shards: 4,
-            watch_live: LiveConfig::default(),
         }
     }
 }

@@ -11,6 +11,14 @@
 //! to a resident [`StreamingAnalyzer`](memgaze_analysis::StreamingAnalyzer)
 //! pass over the same shards.
 //!
+//! Every `watch_window_shards` shards close a rolling watch window: the
+//! window's shard partials are merged once, the merged partial goes
+//! through the session's [`WindowRing`] with the loads its samples
+//! covered (samples × the session's period; `absorb` rejects an upload
+//! at another period), and it replaces the shards in the list the seal
+//! merges. Merge is associative over contiguous cuts, so the sealed
+//! report is the same either way, and no partial is cloned.
+//!
 //! Concurrency discipline is a *combining lock*: uploads enter a
 //! bounded FIFO queue under the session mutex, and whichever handler
 //! finds no drainer active becomes the drainer, analyzing queued
@@ -23,6 +31,7 @@ use crate::http::hex;
 use crate::ServeConfig;
 use memgaze_analysis::{
     AnomalyMark, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing, WindowStats,
+    ANOMALY_THRESHOLD,
 };
 use memgaze_model::{AuxAnnotations, ShardReader, SymbolTable, TraceMeta};
 use std::collections::{HashMap, VecDeque};
@@ -106,13 +115,13 @@ struct SessionInner {
     shards: u64,
     samples: u64,
     meta: Option<TraceMeta>,
+    /// One merged partial per closed watch window, then the open
+    /// window's per-shard partials from `window_start` on.
     partials: Vec<PartialReport>,
+    window_start: usize,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
-    /// Per-shard partial clones accumulated toward the next rolling
-    /// watch window.
-    window_partials: Vec<PartialReport>,
-    /// Rolling window ring + drift detection for this session.
+    /// Drift detection across this session's windows.
     ring: WindowRing,
 }
 
@@ -174,7 +183,7 @@ fn lock(m: &Mutex<SessionInner>) -> MutexGuard<'_, SessionInner> {
 }
 
 impl Session {
-    fn new(id: String, live: memgaze_analysis::LiveConfig, hub: Arc<WatchHub>) -> Session {
+    fn new(id: String, hub: Arc<WatchHub>) -> Session {
         Session {
             id,
             inner: Mutex::new(SessionInner {
@@ -188,10 +197,10 @@ impl Session {
                 samples: 0,
                 meta: None,
                 partials: Vec::new(),
+                window_start: 0,
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
-                window_partials: Vec::new(),
-                ring: WindowRing::new(live),
+                ring: WindowRing::new(ANOMALY_THRESHOLD),
             }),
             idle: Condvar::new(),
             hub,
@@ -385,43 +394,44 @@ impl Session {
                 );
                 publish(&mut g.subscribers, "shard", &data);
             }
-            g.window_partials.push(partial.clone());
             g.partials.push(partial);
-            if g.window_partials.len() >= cfg.watch_window_shards.max(1) {
-                self.close_watch_window(g, cfg);
+            if g.partials.len() - g.window_start >= cfg.watch_window_shards.max(1) {
+                self.close_watch_window(g, cfg)?;
             }
         }
         Ok(())
     }
 
-    /// Fold the accumulated per-shard partials into one rolling window,
-    /// push it through the drift ring, and publish `window`/`anomaly`
-    /// events on the server-wide watch hub.
-    fn close_watch_window(&self, g: &mut MutexGuard<'_, SessionInner>, cfg: &ServeConfig) {
-        let partials = std::mem::take(&mut g.window_partials);
-        let merged = match PartialReport::merge_many(
-            partials,
-            cfg.analysis.footprint_block,
-            cfg.analysis.reuse_block,
-            &cfg.locality_sizes,
-        ) {
-            Ok(m) => m,
-            Err(_) => return, // incompatible partials cannot form a window
+    /// Merge the open window's shard partials into one, close it
+    /// through the drift ring, keep the merged partial for the seal,
+    /// and publish `window`/`anomaly` events on the server-wide watch
+    /// hub.
+    fn close_watch_window(
+        &self,
+        g: &mut SessionInner,
+        cfg: &ServeConfig,
+    ) -> Result<(), ServeError> {
+        // No upload absorbed yet: no shard, so no open window.
+        let Some(period) = g.meta.as_ref().map(|m| m.period) else {
+            return Ok(());
         };
-        // `finish` reads the period alone; the session's totals are not
-        // this window's, and nothing reads a window's.
-        let meta = g
-            .meta
-            .clone()
-            .unwrap_or_else(|| TraceMeta::new("watch-window", 1, 0));
-        let report = merged.finish(&meta);
-        let (stats, marks) = g.ring.push(report);
+        let merged = merge(g.partials.split_off(g.window_start), cfg)?;
+        let samples = merged.num_samples();
+        let loads = samples
+            .checked_mul(period)
+            .ok_or_else(|| ServeError::MetaMismatch {
+                detail: format!("a window's {samples} samples at period {period} overflow u64"),
+            })?;
+        let (stats, marks) = g.ring.close(&merged, loads);
+        g.partials.push(merged);
+        g.window_start = g.partials.len();
         memgaze_obs::counter!("serve.watch_windows").add(1);
         self.hub.publish("window", &window_json(&self.id, &stats));
         for m in &marks {
             memgaze_obs::counter!("serve.watch_anomalies").add(1);
             self.hub.publish("anomaly", &anomaly_json(&self.id, m));
         }
+        Ok(())
     }
 
     /// Seal the session: wait out any active drainer, drain whatever is
@@ -457,19 +467,14 @@ impl Session {
 
         // Flush a trailing partial watch window so the live view covers
         // the stream's tail before the final `sealed` event.
-        if !g.window_partials.is_empty() {
-            self.close_watch_window(&mut g, cfg);
+        if g.partials.len() > g.window_start {
+            if let Err(e) = self.close_watch_window(&mut g, cfg) {
+                g.error = Some(e.to_string());
+                return Err(e);
+            }
         }
         let partials = std::mem::take(&mut g.partials);
-        let merged = PartialReport::merge_many(
-            partials,
-            cfg.analysis.footprint_block,
-            cfg.analysis.reuse_block,
-            &cfg.locality_sizes,
-        )
-        .map_err(|e| ServeError::BadRequest {
-            detail: format!("merge failed: {e}"),
-        })?;
+        let merged = merge(partials, cfg)?;
         let meta = g
             .meta
             .clone()
@@ -536,6 +541,19 @@ impl Session {
     pub fn idle_for(&self) -> std::time::Duration {
         lock(&self.inner).last_touch.elapsed()
     }
+}
+
+/// Fold partials in frame order; a failure is the seal's typed error.
+fn merge(parts: Vec<PartialReport>, cfg: &ServeConfig) -> Result<PartialReport, ServeError> {
+    PartialReport::merge_many(
+        parts,
+        cfg.analysis.footprint_block,
+        cfg.analysis.reuse_block,
+        &cfg.locality_sizes,
+    )
+    .map_err(|e| ServeError::BadRequest {
+        detail: format!("merge failed: {e}"),
+    })
 }
 
 /// Render one closed window as a watch-hub event payload.
@@ -654,11 +672,7 @@ impl Registry {
             });
         }
         let id = format!("s{}", self.next_id.fetch_add(1, Ordering::SeqCst));
-        let session = Arc::new(Session::new(
-            id.clone(),
-            self.cfg.watch_live,
-            Arc::clone(&self.hub),
-        ));
+        let session = Arc::new(Session::new(id.clone(), Arc::clone(&self.hub)));
         table.insert(id, Arc::clone(&session));
         memgaze_obs::counter!("serve.sessions_created").add(1);
         memgaze_obs::gauge!("serve.live_sessions").set_max(table.len() as u64);

@@ -735,10 +735,7 @@ fn run_watch_cmd(args: &Args) -> i32 {
     sampler.buffer_bytes = args.num("buffer-kb", 1u64).max(1) << 10;
     let watch = WatchConfig {
         window_samples: args.num("window", 8usize).max(1),
-        live: memgaze::analysis::LiveConfig {
-            anomaly_threshold: args.num("anomaly-threshold", 2.0f64),
-            ..memgaze::analysis::LiveConfig::default()
-        },
+        anomaly_threshold: args.num("anomaly-threshold", memgaze::analysis::ANOMALY_THRESHOLD),
         mode,
         ..WatchConfig::default()
     };
@@ -764,7 +761,7 @@ fn run_watch_cmd(args: &Args) -> i32 {
         &[
             "window",
             "samples",
-            "loads",
+            "observed",
             "F\u{302} bytes",
             "\u{394}F",
             "\u{394}F_irr%",

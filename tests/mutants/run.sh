@@ -1,8 +1,9 @@
 #!/bin/sh
-# The mutation ratchet on the analysis kernels.
+# The mutation ratchet on the analysis kernels and the watch loop.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
-# crates/memgaze-analysis/src whose header carries a line
+# crates/memgaze-analysis/src or crates/memgaze-core/src/watch.rs whose
+# header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it. For every patch this script
 # applies it with `git apply`, builds and runs that suite in release,
