@@ -187,7 +187,7 @@ impl WindowRing {
             }
         }
         let kappa = compression_ratio(partial.observed, partial.implied_const);
-        let rho = sample_ratio(1, loads, partial.observed, kappa);
+        let rho = sample_ratio(loads, partial.observed, kappa);
         let stats = WindowStats {
             window: self.closed,
             samples: partial.per_sample_diags.len(),

@@ -535,12 +535,13 @@ impl PartialReport {
 
     /// Fold into the final report — the single fold shared with
     /// [`StreamingAnalyzer::finish`], which is what makes merged
-    /// reports bit-identical to a single pass by construction.
+    /// reports bit-identical to a single pass by construction. ρ scales
+    /// by `meta.total_loads`, the container trailer's count of the
+    /// loads the samples covered.
     pub fn finish(self, meta: &TraceMeta) -> StreamingReport {
         let _span = memgaze_obs::span("partial.finish");
         let decompression = DecompressionInfo {
-            num_samples: self.num_samples,
-            period: meta.period,
+            loads: meta.total_loads,
             observed: self.observed,
             implied_const: self.implied_const,
         };

@@ -633,8 +633,8 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// Fold the accumulated partials into the final report. `meta` is
-    /// the trace metadata (with trailer-patched totals when reading a
-    /// sharded container).
+    /// the trace metadata; its `total_loads` (the container trailer's)
+    /// is the loads ρ scales by.
     ///
     /// Implemented as `into_partial().finish(meta)` so this path and
     /// the partial-merge path share one fold, keeping their reports

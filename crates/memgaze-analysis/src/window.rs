@@ -127,6 +127,8 @@ pub fn window_series_with(
     sizes: &[u64],
     info: &DecompressionInfo,
 ) -> Vec<WindowPoint> {
+    // ρ scales by the loads the samples covered; the header period is
+    // only the time axis that groups samples into inter-sample windows.
     let (kappa, rho, period) = (info.kappa(), info.rho(), trace.meta.period);
     // A window fits inside a sample while its decompressed size is below
     // the mean decompressed sample window; a full trace viewed as one

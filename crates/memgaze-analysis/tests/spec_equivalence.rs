@@ -107,13 +107,12 @@ fn spec_gives_the_values_worked_by_hand() {
     let i = input(&t, &annots, &symbols, BLOCK_SIZES[0]);
 
     // A = 8, A_const = 4 (four executions of the proxy): κ = 1.5,
-    // ρ = 2·100 / (1.5·8).
+    // ρ = 200 loads / (1.5·8).
     let d = spec::decompression(&i);
     assert_eq!(
         d,
         DecompressionInfo {
-            num_samples: 2,
-            period: 100,
+            loads: 200,
             observed: 8,
             implied_const: 4
         }

@@ -35,7 +35,7 @@ fn chunked_footprint(accesses: &[Access], chunk: usize, fb: BlockSize) -> f64 {
 }
 use memgaze_bench::{emit, scales};
 use memgaze_core::{trace_workload, MemGaze, PipelineConfig};
-use memgaze_model::{BlockSize, DecompressionInfo};
+use memgaze_model::BlockSize;
 use memgaze_ptsim::SamplerConfig;
 use memgaze_workloads::gap::{self, GapConfig, GapKernel};
 use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
@@ -70,8 +70,6 @@ fn micro_row(bench: &MicroBench, period: u64) -> Fig6Row {
     // Code windows: aggregate the kernel's accesses over all samples and
     // compare the mean per-window footprint against the full trace at
     // the same window size.
-    let info = DecompressionInfo::from_trace(&report.trace, &report.instrumented.annots);
-    let _ = info;
     let cw_s = CodeWindows::build(&report.trace, &report.instrumented.orig_symbols);
     let cw_f = CodeWindows::build(&full_trace, &report.instrumented.orig_symbols);
     let chunk = report.trace.mean_window().max(8.0) as usize;

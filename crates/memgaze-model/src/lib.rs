@@ -23,7 +23,6 @@ pub mod annot;
 pub mod error;
 pub mod hash;
 pub mod io;
-pub mod ops;
 pub mod ratio;
 pub mod sample;
 pub mod stream;

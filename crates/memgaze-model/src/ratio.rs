@@ -10,7 +10,12 @@
 //! ρ    = |σ|(w+z) / (κ(σ)·A(σ))                         (Eq. 1)
 //! ```
 //!
-//! where the sampling period `w+z` counts *all* executed loads.
+//! where `|σ|(w+z)` *is* the executed loads the samples covered: a
+//! sample stands for the loads since the previous trigger. That count
+//! is what [`sample_ratio`] takes — for a whole trace the container
+//! trailer's `total_loads`, for a live window the span of its trigger
+//! times — so a period retuned mid-run, or a flushed partial sample at
+//! the end, scales by the loads that really ran.
 
 use crate::annot::AuxAnnotations;
 use crate::sample::SampledTrace;
@@ -29,27 +34,27 @@ pub fn compression_ratio(observed: u64, implied_const: u64) -> f64 {
     }
 }
 
-/// Sample ratio `ρ = |σ|·(w+z) / (κ·A)` (Eq. 1).
+/// Sample ratio `ρ = |σ|(w+z) / (κ·A)` (Eq. 1).
 ///
-/// `num_samples` is `|σ|`, `period` is `w+z` in executed loads, `observed`
-/// is `A(σ)`, and `kappa` the compression ratio. Returns 1.0 for degenerate
-/// inputs (no samples or no observations) so scaling becomes the identity.
-pub fn sample_ratio(num_samples: u64, period: u64, observed: u64, kappa: f64) -> f64 {
+/// `loads` is `|σ|(w+z)`, the executed loads the samples covered,
+/// `observed` is `A(σ)`, and `kappa` the compression ratio. Returns 1.0
+/// for degenerate inputs (no loads or no observations) so scaling
+/// becomes the identity.
+pub fn sample_ratio(loads: u64, observed: u64, kappa: f64) -> f64 {
     let implied = kappa * observed as f64;
-    if num_samples == 0 || implied <= 0.0 {
+    if loads == 0 || implied <= 0.0 {
         return 1.0;
     }
-    (num_samples as f64 * period as f64) / implied
+    loads as f64 / implied
 }
 
 /// Everything needed to decompress and re-scale a sampled trace's
-/// statistics: `|σ|`, `w+z`, `A(σ)`, `A_const(σ)`, and the derived κ and ρ.
+/// statistics: the loads covered, `A(σ)`, `A_const(σ)`, and the derived
+/// κ and ρ.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecompressionInfo {
-    /// Number of samples `|σ|`.
-    pub num_samples: u64,
-    /// Sampling period `w+z` in executed loads.
-    pub period: u64,
+    /// Executed loads the samples covered, `|σ|(w+z)`.
+    pub loads: u64,
     /// Observed accesses `A(σ)`.
     pub observed: u64,
     /// Implied Constant accesses `A_const(σ)`.
@@ -57,13 +62,12 @@ pub struct DecompressionInfo {
 }
 
 impl DecompressionInfo {
-    /// Derive the decompression info from a trace and its annotations.
+    /// Derive the decompression info from a trace (its trailer's
+    /// `total_loads`) and its annotations.
     pub fn from_trace(trace: &SampledTrace, annots: &AuxAnnotations) -> DecompressionInfo {
-        let observed = trace.observed_accesses();
         DecompressionInfo {
-            num_samples: trace.num_samples() as u64,
-            period: trace.meta.period,
-            observed,
+            loads: trace.meta.total_loads,
+            observed: trace.observed_accesses(),
             implied_const: annots.implied_const_accesses(trace),
         }
     }
@@ -73,19 +77,9 @@ impl DecompressionInfo {
         compression_ratio(self.observed, self.implied_const)
     }
 
-    /// Accesses directly implied by the observation: `𝒜(σ) = κ·A(σ)`.
-    pub fn implied_accesses(&self) -> f64 {
-        self.kappa() * self.observed as f64
-    }
-
     /// Sample ratio ρ (Eq. 1).
     pub fn rho(&self) -> f64 {
-        sample_ratio(self.num_samples, self.period, self.observed, self.kappa())
-    }
-
-    /// Scale a sample statistic to a population estimate: `x̂ = ρ·x`.
-    pub fn scale(&self, sample_stat: f64) -> f64 {
-        self.rho() * sample_stat
+        sample_ratio(self.loads, self.observed, self.kappa())
     }
 }
 
@@ -111,21 +105,21 @@ mod tests {
     #[test]
     fn rho_without_compression_is_period_over_window() {
         // ρ reduces to (w+z)/w for non-selective instrumentation.
-        let rho = sample_ratio(10, 10_000, 10 * 500, 1.0);
+        let rho = sample_ratio(10 * 10_000, 10 * 500, 1.0);
         assert!((rho - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn rho_accounts_for_compression() {
         // With κ=2, each observed access stands for two, halving ρ.
-        let rho = sample_ratio(10, 10_000, 10 * 500, 2.0);
+        let rho = sample_ratio(10 * 10_000, 10 * 500, 2.0);
         assert!((rho - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_rho_is_identity() {
-        assert_eq!(sample_ratio(0, 1000, 100, 1.0), 1.0);
-        assert_eq!(sample_ratio(10, 1000, 0, 1.0), 1.0);
+        assert_eq!(sample_ratio(0, 100, 1.0), 1.0);
+        assert_eq!(sample_ratio(10_000, 0, 1.0), 1.0);
     }
 
     #[test]
@@ -143,13 +137,14 @@ mod tests {
             10,
         ))
         .unwrap();
+        t.meta.total_loads = 1000;
 
         let info = DecompressionInfo::from_trace(&t, &ax);
+        assert_eq!(info.loads, 1000);
         assert_eq!(info.observed, 10);
         assert_eq!(info.implied_const, 10);
         assert!((info.kappa() - 2.0).abs() < 1e-12);
-        // 𝒜 = κA = 20; ρ = 1·1000/20 = 50.
+        // 𝒜 = κA = 20; ρ = 1000/20 = 50.
         assert!((info.rho() - 50.0).abs() < 1e-12);
-        assert!((info.scale(2.0) - 100.0).abs() < 1e-12);
     }
 }

@@ -246,8 +246,9 @@ fn print_analysis(analyzer: &Analyzer<'_>, name: &str) {
     }
     let info = analyzer.decompression();
     println!(
-        "{name}: {} samples, A(σ) = {}, κ = {:.2}, ρ = {:.1}\n",
+        "{name}: {} samples over {} loads, A(σ) = {}, κ = {:.2}, ρ = {:.1}\n",
         analyzer.trace().num_samples(),
+        fmt_si(info.loads as f64),
         fmt_si(info.observed as f64),
         info.kappa(),
         info.rho()
@@ -508,8 +509,9 @@ fn run_store_cmd(args: &Args) -> i32 {
                 Ok(a) => {
                     let info = &a.report.decompression;
                     println!(
-                        "{id}: {} samples, A(σ) = {}, κ = {:.2}, ρ = {:.1}",
-                        info.num_samples,
+                        "{id}: {} samples over {} loads, A(σ) = {}, κ = {:.2}, ρ = {:.1}",
+                        a.report.ingest.samples,
+                        fmt_si(info.loads as f64),
                         fmt_si(info.observed as f64),
                         info.kappa(),
                         info.rho()

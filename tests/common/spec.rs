@@ -53,14 +53,15 @@ fn kappa(observed: u64, implied_const: u64) -> f64 {
     }
 }
 
-/// `ρ = |σ|(w+z) / (κ(σ)·A(σ))` (Eq. 1); 1 (scaling is the identity)
-/// without samples or observations.
-fn rho(samples: u64, period: u64, observed: u64, kappa: f64) -> f64 {
+/// `ρ = |σ|(w+z) / (κ(σ)·A(σ))` (Eq. 1), where `|σ|(w+z)` is the
+/// `loads` the samples covered; 1 (scaling is the identity) without
+/// loads or observations.
+fn rho(loads: u64, observed: u64, kappa: f64) -> f64 {
     let implied = kappa * observed as f64;
-    if samples == 0 || implied <= 0.0 {
+    if loads == 0 || implied <= 0.0 {
         1.0
     } else {
-        (samples as f64 * period as f64) / implied
+        loads as f64 / implied
     }
 }
 
@@ -175,7 +176,8 @@ fn mean_distance(reuses: &[(u64, u64)]) -> f64 {
 
 // ---- the report ----
 
-/// `|σ|`, `w+z`, `A(σ)`, `A_const(σ)` of the whole trace.
+/// The loads the samples covered (the trailer's `total_loads`),
+/// `A(σ)` and `A_const(σ)` of the whole trace.
 pub fn decompression(i: &Input) -> DecompressionInfo {
     let mut observed = 0u64;
     let mut implied = 0u64;
@@ -184,8 +186,7 @@ pub fn decompression(i: &Input) -> DecompressionInfo {
         implied += implied_const(&s.accesses, i.annots);
     }
     DecompressionInfo {
-        num_samples: i.trace.samples.len() as u64,
-        period: i.trace.meta.period,
+        loads: i.trace.meta.total_loads,
         observed,
         implied_const: implied,
     }
@@ -194,12 +195,7 @@ pub fn decompression(i: &Input) -> DecompressionInfo {
 /// The sample ratio of the whole trace.
 fn trace_rho(i: &Input) -> f64 {
     let d = decompression(i);
-    rho(
-        d.num_samples,
-        d.period,
-        d.observed,
-        kappa(d.observed, d.implied_const),
-    )
+    rho(d.loads, d.observed, kappa(d.observed, d.implied_const))
 }
 
 /// `(id, name)` of the function an ip belongs to, by the symbol table;
@@ -413,7 +409,8 @@ pub fn locality_series(i: &Input, sizes: &[u64]) -> Vec<LocalityPoint> {
 pub fn window_series(i: &Input, sizes: &[u64]) -> Vec<WindowPoint> {
     let d = decompression(i);
     let k = kappa(d.observed, d.implied_const);
-    let rho = rho(d.num_samples, d.period, d.observed, k);
+    let rho = rho(d.loads, d.observed, k);
+    let period = i.trace.meta.period;
     let samples = &i.trace.samples;
     let mean_window = if samples.is_empty() {
         0.0
@@ -428,7 +425,7 @@ pub fn window_series(i: &Input, sizes: &[u64]) -> Vec<WindowPoint> {
     let mut out = Vec::new();
     for &size in sizes {
         let (mut n, mut sum) = (0u64, [0.0f64; 5]);
-        let kind = if size as f64 <= (mean_window * k).max(1.0) || d.period == 0 {
+        let kind = if size as f64 <= (mean_window * k).max(1.0) || period == 0 {
             let chunk = ((size as f64 / k).round() as usize).max(1);
             for s in samples {
                 let mut sample_sum = [0.0f64; 5];
@@ -453,8 +450,8 @@ pub fn window_series(i: &Input, sizes: &[u64]) -> Vec<WindowPoint> {
                 add(&mut sum, sample_sum);
             }
             WindowKind::Intra
-        } else if size >= d.period {
-            let per_run = ((size as f64 / d.period as f64).round() as usize).max(1);
+        } else if size >= period {
+            let per_run = ((size as f64 / period as f64).round() as usize).max(1);
             for run in samples.chunks(per_run) {
                 let [mut observed, mut implied, mut f, mut f_str, mut f_irr] = [0u64; 5];
                 for s in run {
@@ -476,7 +473,7 @@ pub fn window_series(i: &Input, sizes: &[u64]) -> Vec<WindowPoint> {
                         rho * f_str as f64,
                         rho * f_irr as f64,
                         delta_f(f, observed, kappa(observed, implied)),
-                        run.len() as f64 * d.period as f64,
+                        run.len() as f64 * period as f64,
                     ],
                 );
             }

@@ -124,18 +124,17 @@ proptest! {
         prop_assert_eq!(merged, BlockReuse::from_samples(&t.samples, bs));
     }
 
-    /// κ/ρ algebra: ρ·κ·A always recovers |σ|·(w+z).
+    /// κ/ρ algebra: ρ·κ·A always recovers the loads covered, |σ|·(w+z).
     #[test]
     fn rho_kappa_identity(
-        samples in 1u64..1000,
-        period in 1u64..100_000,
+        loads in 1u64..100_000_000,
         observed in 1u64..1_000_000,
         implied in 0u64..1_000_000,
     ) {
         let kappa = memgaze::model::compression_ratio(observed, implied);
-        let rho = memgaze::model::sample_ratio(samples, period, observed, kappa);
+        let rho = memgaze::model::sample_ratio(loads, observed, kappa);
         let lhs = rho * kappa * observed as f64;
-        let rhs = (samples * period) as f64;
+        let rhs = loads as f64;
         prop_assert!((lhs - rhs).abs() / rhs < 1e-9, "{lhs} vs {rhs}");
     }
 

@@ -12,6 +12,13 @@
 //! ([`GOLDEN_SERIES`]), recorded one commit before the interval metrics
 //! were counted from one pass per sample.
 //!
+//! Re-pinned once since, by the change that made ρ scale by the loads
+//! the samples covered (the trailer's `total_loads`) instead of samples
+//! × the header period: `decompression` of every row (its fields
+//! changed), and the function table, interval rows and window series of
+//! the four traces whose flushed partial last sample leaves the trailer
+//! total below samples × period. Nothing else moved.
+//!
 //! The traces reach every branch of the report path: two native
 //! workloads through `trace_workload`, two IR microbenchmarks through
 //! `run_microbench`, and a hand-built trace with an ip outside every
@@ -187,10 +194,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "gap-pr",
         "8/64",
         [
-            0x74dc_8a05_2971_ee77,
-            0xbd24_3761_37db_2eab,
+            0x0e0a_3fd0_ea83_3bd2,
+            0xdf37_6001_c701_d334,
             0xf920_13b0_0a9c_7d12,
-            0x037e_edb0_1d1c_f147,
+            0xa182_e757_6dac_3839,
             0x5fab_148f_bf38_fc7e,
             0x5049_cb4c_db86_3e33,
             0x191b_dcc3_d652_4890,
@@ -201,10 +208,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "gap-pr",
         "64/4096",
         [
-            0x74dc_8a05_2971_ee77,
-            0x7943_42f9_6b6f_b54d,
+            0x0e0a_3fd0_ea83_3bd2,
+            0xcaaf_5974_a36a_2fea,
             0xa838_177c_d99f_d573,
-            0xf230_d94c_944d_29a1,
+            0x2acb_d1d5_3a13_a945,
             0x451d_d561_094f_52d7,
             0x2251_129b_b21b_5879,
             0x8f78_a806_ee30_47e3,
@@ -215,10 +222,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "miniVite-v1",
         "8/64",
         [
-            0xf4f8_a176_f2c7_6d5f,
-            0xea58_80d7_dd46_0cdc,
+            0x47f1_498a_6651_59a5,
+            0x5dab_7eff_4145_e2cc,
             0x6315_7c02_b0d0_7db5,
-            0x0600_2630_62d9_7618,
+            0xa2ec_6fd5_06f8_cf1c,
             0x67e7_7b23_bff5_8180,
             0xa1b5_b39b_3b9e_4137,
             0x05ca_fc38_327c_b52e,
@@ -229,10 +236,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "miniVite-v1",
         "64/4096",
         [
-            0xf4f8_a176_f2c7_6d5f,
-            0x3c94_c099_6390_ed29,
+            0x47f1_498a_6651_59a5,
+            0x3ece_c5c6_cb4e_7272,
             0xae1f_fd89_5b0c_0e86,
-            0x11cf_3129_aab0_d47f,
+            0xded5_9e95_d118_e949,
             0x0945_ad9e_c548_d814,
             0x5716_d7c8_a00f_6bbb,
             0xc6d0_66e0_11fa_9c1e,
@@ -243,10 +250,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "str2|irr O0",
         "8/64",
         [
-            0xf049_c342_303e_9ffb,
-            0xfd2a_6a97_3a2c_2506,
+            0x07d3_c6db_f2d9_bf1b,
+            0x2095_aae5_63aa_31fa,
             0xbd40_38c0_c8f7_03da,
-            0x4f5c_28bc_6678_29a7,
+            0x7015_909e_b785_1825,
             0x7947_c28e_39d3_c9a6,
             0xdc7d_be7a_f741_5ed5,
             0x9ded_fade_59cf_cb90,
@@ -257,10 +264,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "str2|irr O0",
         "64/4096",
         [
-            0xf049_c342_303e_9ffb,
-            0x98a5_6c99_e043_a29e,
+            0x07d3_c6db_f2d9_bf1b,
+            0x8d45_8150_60df_2ff2,
             0x7e2e_218d_0ee4_8a94,
-            0x7ad6_e823_0b47_437b,
+            0xbd01_e8fc_2a12_ab2e,
             0xb9fa_c510_090a_7b3d,
             0x83cc_383b_9d99_8eb9,
             0x6a1a_0426_3c82_b4bf,
@@ -271,10 +278,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "irr O3",
         "8/64",
         [
-            0x3c4f_ae85_68d8_4832,
-            0x195d_69e3_8b27_d6fe,
+            0x1930_f9f0_39cc_3516,
+            0x718c_28fa_1a28_04ce,
             0xcbd2_e8a9_be20_9181,
-            0xa8db_72d2_5cce_6b21,
+            0x2eaa_6dfb_ce19_c3b3,
             0xc86c_8513_2b25_07cc,
             0x069a_560b_39d7_b108,
             0xa97f_2ee8_8474_adb1,
@@ -285,10 +292,10 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "irr O3",
         "64/4096",
         [
-            0x3c4f_ae85_68d8_4832,
-            0x23fb_2380_b333_f74e,
+            0x1930_f9f0_39cc_3516,
+            0x3df9_5906_4431_88d4,
             0x2bf3_eb43_4d77_a531,
-            0x93a1_66ab_7e41_9186,
+            0x700c_ba8b_d556_44e2,
             0xdddd_2b06_4f55_30fc,
             0x8800_3390_b089_b233,
             0xe0b5_dd7e_3ce6_5202,
@@ -299,7 +306,7 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "hand-built",
         "8/64",
         [
-            0x42f0_0de8_4a9d_c59c,
+            0xbb2f_7205_4d85_6a5d,
             0x123f_3e99_6184_715a,
             0xf44a_5bc7_076a_671e,
             0xfaa0_380e_b58f_7d1f,
@@ -313,7 +320,7 @@ const GOLDEN: &[(&str, &str, [u64; 8])] = &[
         "hand-built",
         "64/4096",
         [
-            0x42f0_0de8_4a9d_c59c,
+            0xbb2f_7205_4d85_6a5d,
             0xed4f_4ba2_8c24_59a3,
             0x35ab_4494_a60b_6390,
             0x2e50_731f_beae_b7dc,
@@ -429,42 +436,42 @@ const GOLDEN_SERIES: &[(&str, &str, [u64; 2])] = &[
     (
         "gap-pr",
         "8/64",
-        [0x6622_41d4_5945_7493, 0x3350_4250_68d3_33a7],
+        [0x182c_0961_0605_fcba, 0x3350_4250_68d3_33a7],
     ),
     (
         "gap-pr",
         "64/4096",
-        [0x1f45_3c7c_0380_a3c5, 0x173a_c04a_eacc_271c],
+        [0xfba2_7a66_9e76_a5d7, 0x173a_c04a_eacc_271c],
     ),
     (
         "miniVite-v1",
         "8/64",
-        [0xba97_b8e2_5fab_e2a3, 0x9c83_9117_f4df_2b57],
+        [0xbc9e_819c_4ed3_9d32, 0x9c83_9117_f4df_2b57],
     ),
     (
         "miniVite-v1",
         "64/4096",
-        [0xb703_dd7b_5d95_1f0b, 0xc2c6_88c3_1caa_6a14],
+        [0xd25d_d58b_af0a_8380, 0xc2c6_88c3_1caa_6a14],
     ),
     (
         "str2|irr O0",
         "8/64",
-        [0x4563_2be3_4dcb_fa11, 0x5731_1213_013a_34cb],
+        [0x0482_7d59_3196_68b6, 0x5731_1213_013a_34cb],
     ),
     (
         "str2|irr O0",
         "64/4096",
-        [0x1c15_f4e3_7a4a_79b2, 0x022b_366e_2bb7_2c70],
+        [0xd8ca_2af7_c500_70c3, 0x022b_366e_2bb7_2c70],
     ),
     (
         "irr O3",
         "8/64",
-        [0x9a05_2c5d_a995_b2d8, 0x80d6_e2be_cbbd_3abc],
+        [0xb282_7073_c6ef_c18d, 0x80d6_e2be_cbbd_3abc],
     ),
     (
         "irr O3",
         "64/4096",
-        [0xeee0_f146_167d_af80, 0x816f_2e7c_f9a4_b21b],
+        [0xa6a9_a577_7e05_d10f, 0x816f_2e7c_f9a4_b21b],
     ),
     (
         "hand-built",

@@ -15,6 +15,7 @@ use memgaze::analysis::{AnalysisConfig, AnomalyMark, StreamingAnalyzer, WindowRi
 use memgaze::core::{
     phase_shift_steps, watch_workload, ControllerConfig, ControllerMode, WatchConfig, WatchReport,
 };
+use memgaze::model::ShardReader;
 use memgaze::ptsim::SamplerConfig;
 use proptest::prelude::*;
 
@@ -160,4 +161,43 @@ fn watch_windows_and_marks_deterministic_across_threads() {
         "marks must be deterministic"
     );
     assert_eq!(run.container, rerun.container);
+}
+
+/// Offline, a whole watch container scales by the loads its trailer
+/// counts, and the replayed windows' trigger-time loads add up to that
+/// count: the offline rule and the live one are the same rule. The
+/// adaptive run retunes the period down from the header's, so samples ×
+/// header period would over-count its loads.
+#[test]
+fn offline_container_scales_by_trailer_loads() {
+    for (name, run) in [
+        ("pinned", pinned_run(4, 64)),
+        ("adaptive", adaptive_run(4, 64)),
+    ] {
+        let mut reader = ShardReader::new(&run.container[..]).expect("container header");
+        let mut sa = StreamingAnalyzer::new(&run.annots, &run.symbols, AnalysisConfig::default())
+            .with_locality_sizes(LOCALITY);
+        let mut samples = 0u64;
+        for shard in reader.by_ref() {
+            let shard = shard.expect("frame decodes");
+            samples += shard.samples.len() as u64;
+            sa.ingest_shard(&shard.samples);
+        }
+        let meta = reader.meta().clone();
+        let d = sa.finish(&meta).decompression;
+        let want = meta.total_loads as f64 / (d.kappa() * d.observed as f64);
+        assert_eq!(d.rho(), want, "{name}: ρ is not the trailer loads / κA");
+        let (loads, _, _) = replay(&run);
+        assert_eq!(
+            loads.iter().sum::<u64>(),
+            meta.total_loads,
+            "{name}: windows' loads do not add up to the trailer's"
+        );
+        if name == "adaptive" {
+            assert!(
+                samples * meta.period > meta.total_loads,
+                "the period never moved below the header's"
+            );
+        }
+    }
 }
