@@ -14,9 +14,9 @@
 //!
 //! The loads are part of the window's data: Eq. 1 scales `F̂` by
 //! `ρ = |σ|(w+z)/(κ·A)`, and `|σ|(w+z)` is exactly the loads the
-//! window's samples covered. The caller counts them (watch from the
-//! samples' trigger times, serve from the session's period), so a
-//! window collected across a period retune is scaled by the loads it
+//! window's samples covered, read off their trigger times (serve gives
+//! an upload's first frame the rest of its trailer's `total_loads`), so
+//! a window collected across a period retune is scaled by the loads it
 //! really covered.
 //!
 //! Determinism is load-bearing: window stats derive from a partial's
@@ -49,6 +49,8 @@ pub struct WindowStats {
     pub window: usize,
     /// Samples the window folded.
     pub samples: usize,
+    /// Loads the window's samples covered, `|σ|(w+z)`: what ρ scales by.
+    pub loads: u64,
     /// Observed accesses `A` across the window.
     pub observed: u64,
     /// Implied constant accesses `A_const` across the window.
@@ -191,6 +193,7 @@ impl WindowRing {
         let stats = WindowStats {
             window: self.closed,
             samples: partial.per_sample_diags.len(),
+            loads,
             observed: diag.observed,
             implied_const: diag.implied_const,
             f_hat_bytes: rho * diag.footprint as f64 * partial.footprint_block.bytes() as f64,

@@ -281,6 +281,16 @@ fn degenerate_traces_match_spec() {
 /// proptests' side tables, held equal to the spec's.
 fn zoom_of(accesses: &[(u64, u64)], cfg: ZoomConfig) -> ZoomRegion {
     let (annots, symbols) = arb::fixtures();
+    zoom_with(accesses, cfg, &annots, &symbols)
+}
+
+/// [`zoom_of`] under the given side tables.
+fn zoom_with(
+    accesses: &[(u64, u64)],
+    cfg: ZoomConfig,
+    annots: &AuxAnnotations,
+    symbols: &SymbolTable,
+) -> ZoomRegion {
     let mut t = SampledTrace::new(TraceMeta::new("zoom", 1000, 8192));
     let accesses: Vec<Access> = accesses
         .iter()
@@ -290,8 +300,8 @@ fn zoom_of(accesses: &[(u64, u64)], cfg: ZoomConfig) -> ZoomRegion {
     let trigger = accesses.len() as u64;
     t.push_sample(Sample::new(accesses, trigger)).unwrap();
     let summary = BlockReuse::from_samples(&t.samples, cfg.access_block);
-    let root = zoom_trace_with(&t, &summary, &symbols, Some(&annots), cfg);
-    let i = input(&t, &annots, &symbols, BLOCK_SIZES[0]);
+    let root = zoom_trace_with(&t, &summary, symbols, Some(annots), cfg);
+    let i = input(&t, annots, symbols, BLOCK_SIZES[0]);
     assert_eq!(root, spec::zoom(&i, cfg));
     root.expect("a trace with accesses")
 }
@@ -367,6 +377,38 @@ fn zoom_matches_spec_on_cases_worked_by_hand() {
         code,
         [("alpha", 10, 11), ("beta", 10, 11), ("<unknown>", 0, 10)]
     );
+
+    // Two equally hot lines of alpha, 11 and 13: the lower names the row.
+    let root = zoom_of(&[(0x40c, MIB), (0x404, MIB)], ZoomConfig::default());
+    let code: Vec<(&str, u32, u64)> = root
+        .code
+        .iter()
+        .map(|c| (c.function.as_str(), c.line, c.accesses))
+        .collect();
+    assert_eq!(code, [("alpha", 11, 2)]);
+
+    // Thirty-three functions, every other one accessed twice: the four
+    // rows are the first four of those in name order, an order a sort
+    // by count alone does not keep once a region has over twenty rows.
+    let mut symbols = SymbolTable::new();
+    let mut accesses = Vec::new();
+    for f in 0..33u64 {
+        let ip = 0x1000 + f * 0x10;
+        symbols.add_function(format!("f{f:02}"), Ip(ip), Ip(ip + 0x10), "q.c");
+        accesses.extend(std::iter::repeat_n((ip, MIB), 1 + (f % 2 == 0) as usize));
+    }
+    let root = zoom_with(
+        &accesses,
+        ZoomConfig::default(),
+        &AuxAnnotations::new(),
+        &symbols,
+    );
+    let code: Vec<(&str, u64)> = root
+        .code
+        .iter()
+        .map(|c| (c.function.as_str(), c.accesses))
+        .collect();
+    assert_eq!(code, [("f00", 2), ("f02", 2), ("f04", 2), ("f06", 2)]);
 
     // A heap and a stack, 2^45 bytes apart: two leaves, found without
     // anything sized by the span.

@@ -220,11 +220,6 @@ impl Controller {
         self.converged_at
     }
 
-    /// Whether the drop rate has held in band for the settle window.
-    pub fn converged(&self) -> bool {
-        self.converged_at.is_some()
-    }
-
     /// Every retune applied so far.
     pub fn trace(&self) -> &[Retune] {
         &self.trace
@@ -345,8 +340,8 @@ pub fn watch_workload(
             if let Some(r) = controller.observe(window, &obs) {
                 let guards = match r.guard {
                     GuardAction::Keep => space.recorder_mut().sampler.config().guards.clone(),
-                    // Only narrowing needs the window's hottest function,
-                    // and the function table does not read the period.
+                    // Only narrowing needs the window's hottest function. ρ is 1
+                    // (no `total_loads` yet), and any ρ scales every row's sort key alike.
                     GuardAction::Narrow => match partial.finish(&sink.header).function_rows.first()
                     {
                         Some(row) => {
@@ -463,7 +458,8 @@ fn publish_controller_gauges(controller: &Controller, obs: &SamplerObservation) 
     memgaze_obs::gauge!("watch.controller.drop_pct").set((obs.drop_rate() * 100.0) as u64);
     memgaze_obs::gauge!("watch.controller.pressure_pct").set((obs.pressure() * 100.0) as u64);
     memgaze_obs::gauge!("watch.controller.retunes").set(controller.trace().len() as u64);
-    memgaze_obs::gauge!("watch.controller.converged").set(u64::from(controller.converged()));
+    memgaze_obs::gauge!("watch.controller.converged")
+        .set(u64::from(controller.converged_at().is_some()));
 }
 
 /// The synthetic phase-shift workload the smoke run and the equivalence

@@ -51,12 +51,12 @@ pub enum ModelError {
     /// Trailer totals that contradict what was actually streamed — e.g.
     /// fewer total loads than samples written (each sample is triggered
     /// by at least one load, so `total_loads >= samples` always holds
-    /// for a truthful trailer).
+    /// for a truthful trailer), or than the trigger times span.
     InconsistentTotals {
-        /// The `total_loads` the caller tried to seal into the trailer.
+        /// The `total_loads` the trailer claims.
         total_loads: u64,
-        /// Samples actually written to the container.
-        samples: u64,
+        /// The fewest loads the streamed samples imply.
+        at_least: u64,
     },
     /// A frame-index sidecar that does not describe the container it was
     /// presented with (wrong length, wrong header, or a frame whose
@@ -107,10 +107,11 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::InconsistentTotals {
                 total_loads,
-                samples,
+                at_least,
             } => write!(
                 f,
-                "inconsistent trailer totals: total_loads {total_loads} < {samples} samples written"
+                "inconsistent trailer totals: total_loads {total_loads} < {at_least}, the fewest \
+                 loads the streamed samples imply"
             ),
             ModelError::StaleIndex { detail } => {
                 write!(f, "stale frame index: {detail}")

@@ -326,7 +326,7 @@ impl<W: Write> ShardWriter<W> {
         if total_loads < self.samples {
             return Err(ModelError::InconsistentTotals {
                 total_loads,
-                samples: self.samples,
+                at_least: self.samples,
             });
         }
         let mut tail = Vec::with_capacity(24);
@@ -809,10 +809,10 @@ mod tests {
         match w.finish(3, 100) {
             Err(ModelError::InconsistentTotals {
                 total_loads,
-                samples,
+                at_least,
             }) => {
                 assert_eq!(total_loads, 3);
-                assert_eq!(samples, 6);
+                assert_eq!(at_least, 6);
             }
             other => panic!("expected InconsistentTotals, got {other:?}"),
         }

@@ -50,8 +50,8 @@ pub enum ServeError {
         /// The still-open session.
         id: String,
     },
-    /// An upload's container metadata contradicts what the session was
-    /// created with (workload, period, or buffer size changed mid-feed).
+    /// An upload names another workload than the session's, or its
+    /// trailer totals take the session's past `u64`.
     MetaMismatch {
         /// Human-readable description of the contradiction.
         detail: String,

@@ -13,11 +13,12 @@
 //!
 //! Every `watch_window_shards` shards close a rolling watch window: the
 //! window's shard partials are merged once, the merged partial goes
-//! through the session's [`WindowRing`] with the loads its samples
-//! covered (samples × the session's period; `absorb` rejects an upload
-//! at another period), and it replaces the shards in the list the seal
-//! merges. Merge is associative over contiguous cuts, so the sealed
-//! report is the same either way, and no partial is cloned.
+//! through the session's [`WindowRing`] with the loads its shards
+//! covered, and it replaces the shards in the list the seal merges.
+//! Merge is associative over contiguous cuts, so the sealed report is
+//! the same either way, and no partial is cloned. A shard covers the
+//! loads since the previous one's last trigger time — watch's rule —
+//! and an upload's first shard the rest of its trailer's `total_loads`.
 //!
 //! Concurrency discipline is a *combining lock*: uploads enter a
 //! bounded FIFO queue under the session mutex, and whichever handler
@@ -33,7 +34,7 @@ use memgaze_analysis::{
     AnomalyMark, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing, WindowStats,
     ANOMALY_THRESHOLD,
 };
-use memgaze_model::{AuxAnnotations, ShardReader, SymbolTable, TraceMeta};
+use memgaze_model::{AuxAnnotations, ModelError, ShardReader, SymbolTable, TraceMeta};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
@@ -97,8 +98,9 @@ pub struct FeedSummary {
 
 /// Per-shard analysis output, before it is folded into session state.
 struct UploadAnalysis {
-    header_meta: TraceMeta,
-    trailer: TraceMeta,
+    /// The header's fields and the trailer's totals.
+    meta: TraceMeta,
+    /// Each shard's partial and the loads it covered.
     shards: Vec<(PartialReport, u64)>,
 }
 
@@ -119,6 +121,8 @@ struct SessionInner {
     /// window's per-shard partials from `window_start` on.
     partials: Vec<PartialReport>,
     window_start: usize,
+    /// Loads the open window's shards covered.
+    window_loads: u64,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
     /// Drift detection across this session's windows.
@@ -198,6 +202,7 @@ impl Session {
                 meta: None,
                 partials: Vec::new(),
                 window_start: 0,
+                window_loads: 0,
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
                 ring: WindowRing::new(ANOMALY_THRESHOLD),
@@ -319,7 +324,6 @@ impl Session {
                 }
             }
         }
-        summary.queued = 0;
         Ok(summary)
     }
 
@@ -332,26 +336,13 @@ impl Session {
         cfg: &ServeConfig,
     ) -> Result<(), ServeError> {
         match &mut g.meta {
-            None => {
-                let mut meta = an.header_meta.clone();
-                meta.total_loads = an.trailer.total_loads;
-                meta.total_instrumented_loads = an.trailer.total_instrumented_loads;
-                g.meta = Some(meta);
-            }
+            None => g.meta = Some(an.meta),
             Some(meta) => {
-                if meta.workload != an.header_meta.workload
-                    || meta.period != an.header_meta.period
-                    || meta.buffer_bytes != an.header_meta.buffer_bytes
-                {
+                if meta.workload != an.meta.workload {
                     return Err(ServeError::MetaMismatch {
                         detail: format!(
-                            "upload ({}, period {}, buffer {}) vs session ({}, period {}, buffer {})",
-                            an.header_meta.workload,
-                            an.header_meta.period,
-                            an.header_meta.buffer_bytes,
-                            meta.workload,
-                            meta.period,
-                            meta.buffer_bytes
+                            "upload workload {} vs session {}",
+                            an.meta.workload, meta.workload
                         ),
                     });
                 }
@@ -367,17 +358,18 @@ impl Session {
                             ),
                         })
                 };
-                let total = sum(meta.total_loads, an.trailer.total_loads, "total loads")?;
+                let total = sum(meta.total_loads, an.meta.total_loads, "total loads")?;
                 let instrumented = sum(
                     meta.total_instrumented_loads,
-                    an.trailer.total_instrumented_loads,
+                    an.meta.total_instrumented_loads,
                     "total instrumented loads",
                 )?;
                 meta.total_loads = total;
                 meta.total_instrumented_loads = instrumented;
             }
         }
-        for (partial, samples) in an.shards {
+        for (partial, loads) in an.shards {
+            let samples = partial.num_samples();
             let shard_no = g.shards;
             g.shards += 1;
             g.samples += samples;
@@ -395,6 +387,8 @@ impl Session {
                 publish(&mut g.subscribers, "shard", &data);
             }
             g.partials.push(partial);
+            // At most the session's checked total loads.
+            g.window_loads += loads;
             if g.partials.len() - g.window_start >= cfg.watch_window_shards.max(1) {
                 self.close_watch_window(g, cfg)?;
             }
@@ -411,18 +405,8 @@ impl Session {
         g: &mut SessionInner,
         cfg: &ServeConfig,
     ) -> Result<(), ServeError> {
-        // No upload absorbed yet: no shard, so no open window.
-        let Some(period) = g.meta.as_ref().map(|m| m.period) else {
-            return Ok(());
-        };
         let merged = merge(g.partials.split_off(g.window_start), cfg)?;
-        let samples = merged.num_samples();
-        let loads = samples
-            .checked_mul(period)
-            .ok_or_else(|| ServeError::MetaMismatch {
-                detail: format!("a window's {samples} samples at period {period} overflow u64"),
-            })?;
-        let (stats, marks) = g.ring.close(&merged, loads);
+        let (stats, marks) = g.ring.close(&merged, std::mem::take(&mut g.window_loads));
         g.partials.push(merged);
         g.window_start = g.partials.len();
         memgaze_obs::counter!("serve.watch_windows").add(1);
@@ -487,11 +471,7 @@ impl Session {
         });
         g.sealed = Some(Arc::clone(&sealed));
         g.last_touch = Instant::now();
-        let data = format!(
-            "{{\"session\":\"{}\",\"shards\":{},\"samples\":{}}}",
-            self.id, sealed.shards, sealed.samples
-        );
-        publish(&mut g.subscribers, "sealed", &data);
+        publish_sealed(&mut g.subscribers, &self.id, &sealed);
         // Closing the streams ends every subscriber's event loop.
         g.subscribers.clear();
         memgaze_obs::counter!("serve.sessions_sealed").add(1);
@@ -519,12 +499,7 @@ impl Session {
     pub fn subscribe(&self, stream: TcpStream) -> Result<(), ServeError> {
         let mut g = lock(&self.inner);
         if let Some(sealed) = &g.sealed {
-            let data = format!(
-                "{{\"session\":\"{}\",\"shards\":{},\"samples\":{}}}",
-                self.id, sealed.shards, sealed.samples
-            );
-            let mut late = vec![stream];
-            publish(&mut late, "sealed", &data);
+            publish_sealed(&mut vec![stream], &self.id, sealed);
             return Ok(());
         }
         g.subscribers.push(stream);
@@ -559,11 +534,12 @@ fn merge(parts: Vec<PartialReport>, cfg: &ServeConfig) -> Result<PartialReport, 
 /// Render one closed window as a watch-hub event payload.
 fn window_json(session: &str, s: &WindowStats) -> String {
     format!(
-        "{{\"session\":\"{session}\",\"window\":{},\"samples\":{},\"observed\":{},\
+        "{{\"session\":\"{session}\",\"window\":{},\"samples\":{},\"loads\":{},\"observed\":{},\
          \"f_hat_bytes\":{:.3},\"delta_f\":{:.6},\"df_irr_pct\":{:.3},\"a_const_pct\":{:.3},\
          \"mean_d\":{:.3},\"kappa\":{:.6}}}",
         s.window,
         s.samples,
+        s.loads,
         s.observed,
         s.f_hat_bytes,
         s.delta_f,
@@ -597,34 +573,59 @@ fn publish(subscribers: &mut Vec<TcpStream>, event: &str, data: &str) {
     memgaze_obs::counter!("serve.deltas_published").add(1);
 }
 
+/// Write a session's final `sealed` event.
+fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedReport) {
+    let data = format!(
+        "{{\"session\":\"{id}\",\"shards\":{},\"samples\":{}}}",
+        sealed.shards, sealed.samples
+    );
+    publish(subscribers, "sealed", &data);
+}
+
 /// Decode one uploaded container and analyze each shard into its
 /// partial — a transient [`StreamingAnalyzer`] per shard over empty
 /// annotations (the wire protocol carries traces, not annotation
 /// sidecars), exactly the per-frame unit the store's result cache
-/// proved merge-equivalent to a resident pass.
-fn analyze_upload(
-    body: &[u8],
-    cfg: &ServeConfig,
-) -> Result<UploadAnalysis, memgaze_model::ModelError> {
+/// proved merge-equivalent to a resident pass — beside the loads it
+/// covered. The shards' loads add up to the trailer's, whatever period
+/// each was sampled at; a trigger that runs backwards across frames, or
+/// a trailer below the loads the later frames cover, is a typed error.
+fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, ModelError> {
     let _span = memgaze_obs::span("serve.parse");
     let annots = AuxAnnotations::new();
     let symbols = SymbolTable::new();
     let mut reader = ShardReader::new(body)?;
-    let header_meta = reader.meta().clone();
-    let mut shards = Vec::new();
+    // The last trigger so far; the loads of the frames after the first.
+    let (mut shards, mut last, mut later) = (Vec::new(), None, 0u64);
     for shard in reader.by_ref() {
         let shard = shard?;
         let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
             .with_locality_sizes(&cfg.locality_sizes);
         sa.ingest_shard(&shard.samples);
-        shards.push((sa.into_partial(), shard.samples.len() as u64));
+        let now = shard.samples.last().map(|s| s.trigger_time).or(last);
+        let loads = last
+            .zip(now)
+            .map_or(Some(0), |(l, n)| n.checked_sub(l))
+            .ok_or_else(|| ModelError::InShard {
+                shard: shard.index,
+                source: Box::new(ModelError::UnorderedSamples {
+                    index: shard.samples.len().saturating_sub(1),
+                }),
+            })?;
+        (last, later) = (now, later + loads);
+        shards.push((sa.into_partial(), loads));
     }
-    let trailer = reader.meta().clone();
-    Ok(UploadAnalysis {
-        header_meta,
-        trailer,
-        shards,
-    })
+    let meta = reader.meta().clone();
+    if let Some((_, first)) = shards.first_mut() {
+        let total_loads = meta.total_loads;
+        *first = total_loads
+            .checked_sub(later)
+            .ok_or(ModelError::InconsistentTotals {
+                total_loads,
+                at_least: later,
+            })?;
+    }
+    Ok(UploadAnalysis { meta, shards })
 }
 
 /// The server's session table: creation, lookup, idle reaping, and the

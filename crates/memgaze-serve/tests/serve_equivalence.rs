@@ -289,6 +289,62 @@ fn upload_totals_past_u64_are_a_typed_422_and_seal_returns() {
     assert_eq!(registry.seal_all(), (0, 1));
 }
 
+/// An upload's frames cover the loads between their last triggers, and
+/// its first frame the rest of its trailer's `total_loads`. A trigger
+/// that runs backwards across frames, or a trailer below the loads the
+/// later frames cover, would wrap that count: each is a typed 422 that
+/// poisons the session, and sealing it answers at once.
+#[test]
+fn backwards_triggers_and_short_trailers_are_a_typed_422_and_seal_returns() {
+    let cfg = ServeConfig::default();
+    let registry = Registry::new(cfg.clone());
+    let samples = synthetic_samples(2, 32, 13);
+    let upload = |frames: [&Sample; 2], total_loads: u64| {
+        let mut w = ShardWriter::new(Vec::new(), &base_meta("bad-loads")).expect("header");
+        for sample in frames {
+            w.write_shard(std::slice::from_ref(sample)).expect("shard");
+        }
+        w.finish(total_loads, 0).expect("trailer")
+    };
+    let span = samples[1].trigger_time - samples[0].trigger_time;
+    for (case, body, says) in [
+        (
+            "a backwards trigger",
+            upload([&samples[1], &samples[0]], 2 * span),
+            "out of time order",
+        ),
+        (
+            "a trailer below the trigger span",
+            upload([&samples[0], &samples[1]], span - 1),
+            "inconsistent trailer totals",
+        ),
+    ] {
+        let session = registry.create().expect("create");
+        let refused = session.feed(body.clone(), &cfg).expect_err(case);
+        assert!(
+            matches!(refused, ServeError::Decode { .. }),
+            "{case}: {refused:?}"
+        );
+        assert_eq!(refused.status(), 422, "{case}");
+        assert!(refused.to_string().contains(says), "{case}: {refused}");
+        let again = session
+            .feed(body, &cfg)
+            .expect_err("the session is poisoned");
+        assert_eq!(again.status(), 422, "{case}");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (sealer, seal_cfg) = (session.clone(), cfg.clone());
+        std::thread::spawn(move || tx.send(sealer.seal(&seal_cfg).map(|_| ())));
+        let sealed = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("seal returns promptly");
+        let err = sealed.expect_err("the session is poisoned");
+        assert_eq!(err.status(), 422, "{case}");
+        assert!(err.to_string().contains(says), "{case}: {err}");
+    }
+    assert_eq!(registry.seal_all(), (0, 2));
+}
+
 /// No request waits on a timer: a request that takes one mutex costs
 /// microseconds, not a poll interval. 400 requests behind a 5 ms accept
 /// poll take 2 s.

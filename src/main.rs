@@ -763,6 +763,7 @@ fn run_watch_cmd(args: &Args) -> i32 {
         &[
             "window",
             "samples",
+            "loads",
             "observed",
             "F\u{302} bytes",
             "\u{394}F",
@@ -776,6 +777,7 @@ fn run_watch_cmd(args: &Args) -> i32 {
         table.push_row(vec![
             w.window.to_string(),
             w.samples.to_string(),
+            fmt_si(w.loads as f64),
             fmt_si(w.observed as f64),
             fmt_si(w.f_hat_bytes),
             fmt_f3(w.delta_f),

@@ -1,9 +1,11 @@
 #!/bin/sh
-# The mutation ratchet on the analysis kernels and the watch loop.
+# The mutation ratchet on the analysis kernels, the zoom, the watch
+# loop and serve's window loads.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
-# crates/memgaze-analysis/src or crates/memgaze-core/src/watch.rs whose
-# header carries a line
+# crates/memgaze-analysis/src (the kernels and zoom.rs),
+# crates/memgaze-core/src/watch.rs or crates/memgaze-serve/src/session.rs
+# whose header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it. For every patch this script
 # applies it with `git apply`, builds and runs that suite in release,

@@ -9,15 +9,21 @@
 //! gets a fresh [`StreamingAnalyzer`], and the replay derives each
 //! window's loads itself from the frames' trigger times. So the proof
 //! covers the container encoding and the loads rule, including across
-//! the adaptive controller's period retunes.
+//! the adaptive controller's period retunes. `memgaze serve`, fed the
+//! same frames, closes the same windows by the same rule.
 
-use memgaze::analysis::{AnalysisConfig, AnomalyMark, StreamingAnalyzer, WindowRing, WindowStats};
+use memgaze::analysis::{
+    AnalysisConfig, AnomalyMark, StreamingAnalyzer, StreamingReport, WindowRing, WindowStats,
+};
 use memgaze::core::{
     phase_shift_steps, watch_workload, ControllerConfig, ControllerMode, WatchConfig, WatchReport,
 };
-use memgaze::model::ShardReader;
+use memgaze::model::{AuxAnnotations, Sample, ShardReader, ShardWriter, SymbolTable, TraceMeta};
+use memgaze::obs::json::{self, Value};
 use memgaze::ptsim::SamplerConfig;
+use memgaze::serve::{Client, ServeConfig, Server};
 use proptest::prelude::*;
+use std::time::Duration;
 
 const LOCALITY: &[u64] = &[16, 64, 256];
 const WORKLOAD: &str = "watch-eq";
@@ -67,11 +73,14 @@ fn adaptive_run(window_samples: usize, steps: usize) -> WatchReport {
 }
 
 /// The offline replay: decode every container frame through the index,
-/// fold it with a fresh resident `StreamingAnalyzer`, and close it
-/// through a fresh ring with the loads between the previous frame's
-/// last trigger and its own. Returns each window's loads, its stats,
-/// and every mark.
-fn replay(report: &WatchReport) -> (Vec<u64>, Vec<WindowStats>, Vec<AnomalyMark>) {
+/// fold it over `annots` with a fresh resident `StreamingAnalyzer`, and
+/// close it through a fresh ring with the loads between the previous
+/// frame's last trigger and its own. Returns each window's loads, its
+/// stats, and every mark.
+fn replay(
+    report: &WatchReport,
+    annots: &AuxAnnotations,
+) -> (Vec<u64>, Vec<WindowStats>, Vec<AnomalyMark>) {
     report
         .index
         .validate(&report.container)
@@ -90,9 +99,8 @@ fn replay(report: &WatchReport) -> (Vec<u64>, Vec<WindowStats>, Vec<AnomalyMark>
             .trigger_time;
         loads.push(last - last_trigger);
         last_trigger = last;
-        let mut sa =
-            StreamingAnalyzer::new(&report.annots, &report.symbols, AnalysisConfig::default())
-                .with_locality_sizes(LOCALITY);
+        let mut sa = StreamingAnalyzer::new(annots, &report.symbols, AnalysisConfig::default())
+            .with_locality_sizes(LOCALITY);
         sa.ingest_shard(&samples);
         stats.push(ring.close(&sa.into_partial(), *loads.last().unwrap()).0);
     }
@@ -103,7 +111,7 @@ fn replay(report: &WatchReport) -> (Vec<u64>, Vec<WindowStats>, Vec<AnomalyMark>
 /// every window's drift stats and every mark. Returns the replayed
 /// windows' loads.
 fn assert_replay_matches(run: &WatchReport) -> Vec<u64> {
-    let (loads, stats, marks) = replay(run);
+    let (loads, stats, marks) = replay(run, &run.annots);
     assert_eq!(
         run.windows.len(),
         stats.len(),
@@ -187,7 +195,7 @@ fn offline_container_scales_by_trailer_loads() {
         let d = sa.finish(&meta).decompression;
         let want = meta.total_loads as f64 / (d.kappa() * d.observed as f64);
         assert_eq!(d.rho(), want, "{name}: ρ is not the trailer loads / κA");
-        let (loads, _, _) = replay(&run);
+        let (loads, _, _) = replay(&run, &run.annots);
         assert_eq!(
             loads.iter().sum::<u64>(),
             meta.total_loads,
@@ -199,5 +207,142 @@ fn offline_container_scales_by_trailer_loads() {
                 "the period never moved below the header's"
             );
         }
+    }
+}
+
+/// Feed `uploads` to one session of a fresh server that closes a window
+/// per shard; return the session's `window` events and its finished
+/// seal.
+fn serve_windows(uploads: &[Vec<u8>]) -> (Vec<Value>, StreamingReport) {
+    let cfg = ServeConfig {
+        watch_window_shards: 1,
+        locality_sizes: LOCALITY.to_vec(),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg, 3).expect("bind");
+    let http = Client::new(server.addr());
+    let collector = http.watch_collect().expect("watch subscribe");
+    let hub = server.registry().watch_hub();
+    for _ in 0..1000 {
+        if hub.subscriber_count() > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        hub.subscriber_count() > 0,
+        "watch subscriber never registered"
+    );
+    let id = http.create_session().expect("create");
+    for upload in uploads {
+        let resp = http.feed(&id, upload, None).expect("feed");
+        assert_eq!(resp.status, 202, "{}", resp.text());
+    }
+    let sealed = http.seal(&id).expect("seal").finish().expect("finish");
+    server.drain();
+    let windows = collector
+        .collect()
+        .into_iter()
+        .filter(|(event, _)| event == "window")
+        .map(|(_, data)| json::parse(&data).expect("window event JSON"))
+        .collect();
+    (windows, sealed)
+}
+
+/// A serve session closes its windows by watch's loads rule, so it
+/// needs no period: fed an adaptive run's container whole, or one frame
+/// per upload with each header at the period then in force, every
+/// window carries the watch window's loads and prints the stats of the
+/// replay over empty annotations (serve receives no annotation
+/// sidecar), and the seal is the resident finish with the trailer's
+/// totals.
+#[test]
+fn serve_windows_match_watch_across_a_retune() {
+    let run = adaptive_run(4, 64);
+    assert!(
+        run.retunes.iter().any(|r| r.period != PERIOD),
+        "the period never moved: {:?}",
+        run.retunes
+    );
+    let (loads, stats, _) = replay(&run, &AuxAnnotations::new());
+    let run_loads: Vec<u64> = run.windows.iter().map(|w| w.loads).collect();
+    assert_eq!(loads, run_loads, "the watch windows' loads");
+
+    let mut reader = ShardReader::new(&run.container[..]).expect("container header");
+    let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+    let mut sa = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default())
+        .with_locality_sizes(LOCALITY);
+    let mut frames: Vec<Vec<Sample>> = Vec::new();
+    for shard in reader.by_ref() {
+        let shard = shard.expect("frame decodes");
+        sa.ingest_shard(&shard.samples);
+        frames.push(shard.samples);
+    }
+    let meta = reader.meta().clone();
+    let resident = sa.finish(&meta);
+
+    // Each frame as an upload: its header carries the knobs the retunes
+    // before it left in force, its trailer the loads it covered.
+    let per_frame: Vec<Vec<u8>> = frames
+        .iter()
+        .zip(&loads)
+        .enumerate()
+        .map(|(k, (frame, &frame_loads))| {
+            let (period, buffer) = run
+                .retunes
+                .iter()
+                .rfind(|r| r.window < k)
+                .map_or((meta.period, meta.buffer_bytes), |r| {
+                    (r.period, r.buffer_bytes)
+                });
+            let header = TraceMeta::new(WORKLOAD, period, buffer);
+            let mut w = ShardWriter::new(Vec::new(), &header).expect("header");
+            w.write_shard(frame).expect("frame");
+            let accesses = frame.iter().map(|s| s.accesses.len() as u64).sum();
+            w.finish(frame_loads, accesses).expect("trailer")
+        })
+        .collect();
+
+    for (form, uploads) in [
+        ("whole", vec![run.container.clone()]),
+        ("per frame", per_frame),
+    ] {
+        let (windows, sealed) = serve_windows(&uploads);
+        assert_eq!(windows.len(), stats.len(), "{form}: one window per frame");
+        for (i, (event, want)) in windows.iter().zip(&stats).enumerate() {
+            let int = |key: &str| event.get(key).and_then(Value::as_u64);
+            assert_eq!(int("window"), Some(i as u64), "{form}");
+            assert_eq!(
+                int("loads"),
+                Some(run_loads[i]),
+                "{form}: window {i}'s loads"
+            );
+            assert_eq!(
+                int("samples"),
+                Some(want.samples as u64),
+                "{form}: window {i}"
+            );
+            assert_eq!(int("observed"), Some(want.observed), "{form}: window {i}");
+            for (key, value, digits) in [
+                ("f_hat_bytes", want.f_hat_bytes, 3),
+                ("delta_f", want.delta_f, 6),
+                ("df_irr_pct", want.delta_f_irr_pct, 3),
+                ("a_const_pct", want.a_const_pct, 3),
+                ("mean_d", want.mean_d, 3),
+                ("kappa", want.kappa, 6),
+            ] {
+                let printed: f64 = format!("{value:.digits$}").parse().expect("a number");
+                let got = match event.get(key) {
+                    Some(Value::Float(f)) => Some(*f),
+                    Some(Value::Int(n)) => Some(*n as f64),
+                    _ => None,
+                };
+                assert_eq!(got, Some(printed), "{form}: window {i}'s {key}");
+            }
+        }
+        assert_eq!(
+            sealed, resident,
+            "{form}: the seal is not the resident finish"
+        );
     }
 }
