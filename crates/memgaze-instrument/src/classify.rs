@@ -7,8 +7,8 @@
 //! address, and placed in the auxiliary annotation file").
 
 use memgaze_isa::{
-    AbsInterp, AbsResult, AddrKind, Cfg, DataflowAnalysis, Instr, LoadModule, LoopForest,
-    ModuleAbsInterp,
+    AbsInterp, AbsResult, AddrKind, DataflowAnalysis, Instr, LoadModule, ModuleAbsInterp,
+    ModuleFacts,
 };
 use memgaze_model::{Ip, LoadClass};
 
@@ -56,7 +56,7 @@ impl ClassifiedLoad {
 
 /// Regularity rank: higher classes compress better and may be elided or
 /// implied rather than traced.
-fn regularity(c: LoadClass) -> u8 {
+pub(crate) fn regularity(c: LoadClass) -> u8 {
     match c {
         LoadClass::Constant => 2,
         LoadClass::Strided => 1,
@@ -105,14 +105,19 @@ impl ModuleClassification {
     /// first, then per-procedure dataflow and abstract interpretation,
     /// fused per load.
     pub fn analyze(module: &LoadModule) -> ModuleClassification {
+        Self::analyze_with(module, &ModuleFacts::build(module))
+    }
+
+    /// [`analyze`](Self::analyze) over facts the caller already built
+    /// from `module`.
+    pub(crate) fn analyze_with(module: &LoadModule, facts: &ModuleFacts) -> ModuleClassification {
         let _span = memgaze_obs::span("pipeline.classify");
-        let layout = module.layout();
-        let mai = ModuleAbsInterp::analyze(module);
+        let layout = facts.layout();
+        let mai = ModuleAbsInterp::analyze(module, facts);
         let mut loads = Vec::with_capacity(module.num_loads());
         for proc in &module.procs {
-            let cfg = Cfg::build(proc);
-            let forest = LoopForest::build(proc, &cfg);
-            let df = DataflowAnalysis::analyze_in(proc, &forest, mai.summaries());
+            let df =
+                DataflowAnalysis::analyze_in(proc, facts.forest(proc.id), Some(mai.summaries()));
             let ai = mai.proc(proc.id);
             for block in &proc.blocks {
                 for (idx, ins) in block.instrs.iter().enumerate() {

@@ -22,7 +22,7 @@
 //!    into the original module, and annotation implied-Constant counts
 //!    reconcile with the plan and per-block load counts.
 
-use crate::classify::{ClassifiedLoad, ModuleClassification};
+use crate::classify::{regularity, ClassifiedLoad, ModuleClassification};
 use crate::plan::{same_block, InstrPlan, PlannedLoad};
 use crate::rewrite::{self, Instrumented, PtwInfo, PtwRole};
 use crate::InstrumentConfig;
@@ -100,14 +100,6 @@ impl LintReport {
             .iter()
             .filter(|d| d.severity == severity)
             .count()
-    }
-}
-
-fn regularity(class: LoadClass) -> u8 {
-    match class {
-        LoadClass::Constant => 2,
-        LoadClass::Strided => 1,
-        LoadClass::Irregular => 0,
     }
 }
 
@@ -678,13 +670,17 @@ pub fn lint_and_instrument(
     module: &LoadModule,
     config: &InstrumentConfig,
 ) -> (LintReport, Option<LintArtifacts>) {
-    let mut diagnostics = verify::verify_module(module);
+    // One set of facts serves the verifier and the classification.
+    let (mut diagnostics, facts) = verify::verify_module_facts(module);
     let mut differential = DiffSummary::default();
     // Instrumenting a structurally broken module would panic; stop at the
     // verifier's findings in that case.
-    let structural_errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
-    let artifacts = (!structural_errors).then(|| {
-        let classification = ModuleClassification::analyze(module);
+    let errors = diagnostics.iter().any(|d| d.severity == Severity::Error);
+    let artifacts = facts.filter(|_| !errors).map(|facts| {
+        let classification = ModuleClassification::analyze_with(module, &facts);
+        // Nothing after the classification reads them: free them before
+        // the rewrite, where the lint's heap peaks.
+        drop(facts);
         let (diff_diags, summary) = differential_pass(module, &classification);
         diagnostics.extend(diff_diags);
         differential = summary;

@@ -196,7 +196,7 @@ pub fn apply(
         source_map,
         ptw_map,
         stats,
-        orig_symbols: module.symbol_table(),
+        orig_symbols: orig_layout.symbol_table(module),
     }
 }
 

@@ -68,11 +68,12 @@
 //! bugs (see `memgaze-instrument::lint`).
 
 use crate::cfg::Cfg;
+use crate::facts::ModuleFacts;
 use crate::instr::{AddrMode, BinOp, Instr, Operand};
 use crate::loops::LoopForest;
 use crate::module::LoadModule;
 use crate::proc::{BlockId, ProcId, Procedure};
-use crate::ranges::{self, top_ranges, RangeAnalysis, RegRanges};
+use crate::ranges::{self, RangeAnalysis, RegRanges};
 use crate::reg::{Reg, NUM_REGS};
 use crate::summary::ProcSummaries;
 use serde::{Deserialize, Serialize};
@@ -283,9 +284,9 @@ impl LoopCtx<'_> {
     }
 }
 
-/// Transfer one instruction. `rst`, when present, holds the interval
-/// state *before* the instruction (the caller steps it separately).
-fn transfer(ins: &Instr, st: &mut State, rst: Option<&RegRanges>, ctx: &LoopCtx) {
+/// Transfer one instruction. `rst` holds the interval state *before*
+/// the instruction (the caller steps it separately).
+fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
     match ins {
         Instr::Load { dst, addr } => {
             // With no slot tracked nothing can forward: skip resolving
@@ -409,8 +410,8 @@ fn transfer(ins: &Instr, st: &mut State, rst: Option<&RegRanges>, ctx: &LoopCtx)
 /// the interval state before the instruction: `and` with an all-ones
 /// low mask covering the proven range, or `rem` by a modulus the proven
 /// range never reaches.
-fn range_identity(op: BinOp, rhs: Operand, rst: Option<&RegRanges>, dst: &Reg) -> bool {
-    let (Some(rst), Operand::Imm(m)) = (rst, rhs) else {
+fn range_identity(op: BinOp, rhs: Operand, rst: &RegRanges, dst: &Reg) -> bool {
+    let Operand::Imm(m) = rhs else {
         return false;
     };
     let r = rst[dst.index()];
@@ -494,7 +495,7 @@ fn analyze_loop(
     forest: &LoopForest,
     li: usize,
     summaries: Option<&ProcSummaries>,
-    ranges: Option<&RangeAnalysis>,
+    ranges: &RangeAnalysis,
 ) -> LoopStates {
     let l = &forest.loops[li];
     // Track the first MAX_SLOTS syntactic frame-store targets; semantic
@@ -596,12 +597,10 @@ fn analyze_loop(
             };
             in_states[b.index()] = Some(inn);
             let mut st = inn;
-            let mut rr = ranges.map(|ra| *ra.block_entry(b));
+            let mut rr = *ranges.block_entry(b);
             for ins in &proc.block(b).instrs {
-                transfer(ins, &mut st, rr.as_ref(), &ctx);
-                if let Some(rr) = rr.as_mut() {
-                    ranges::step(ins, rr, summaries);
-                }
+                transfer(ins, &mut st, &rr, &ctx);
+                ranges::step(ins, &mut rr, summaries);
             }
             if out_states[b.index()].as_ref() != Some(&st) {
                 out_states[b.index()] = Some(st);
@@ -680,20 +679,6 @@ fn stride_of(coef: &[i64; NUM_DIMS], deltas: &[Option<i64>; NUM_DIMS]) -> Option
 }
 
 impl AbsInterp {
-    /// Analyze a single procedure with no module context (conventional
-    /// call clobbers, no argument facts, no data segment).
-    pub fn analyze(proc: &Procedure) -> AbsInterp {
-        let cfg = Cfg::build(proc);
-        let forest = LoopForest::build(proc, &cfg);
-        Self::analyze_with(proc, &cfg, &forest)
-    }
-
-    /// Analyze with a precomputed CFG and loop forest.
-    pub fn analyze_with(proc: &Procedure, cfg: &Cfg, forest: &LoopForest) -> AbsInterp {
-        let ranges = RangeAnalysis::analyze(proc, cfg, top_ranges(), None);
-        Self::analyze_full(proc, cfg, forest, None, Some(&ranges), None)
-    }
-
     /// The full layered analysis; `ModuleAbsInterp` supplies summaries,
     /// summary-seeded ranges, and the module data segment.
     fn analyze_full(
@@ -701,7 +686,7 @@ impl AbsInterp {
         cfg: &Cfg,
         forest: &LoopForest,
         summaries: Option<&ProcSummaries>,
-        ranges: Option<&RangeAnalysis>,
+        ranges: &RangeAnalysis,
         data_range: Option<(u64, u64)>,
     ) -> AbsInterp {
         // One fixpoint per loop in the forest — parents included, so
@@ -728,7 +713,7 @@ impl AbsInterp {
                         Some(s) => s,
                         None => top_state(),
                     };
-                    let mut rr = ranges.map(|ra| *ra.block_entry(blk.id));
+                    let mut rr = *ranges.block_entry(blk.id);
                     for ins in &blk.instrs {
                         let res = if let Instr::Load { addr, .. } = ins {
                             Some(match eval_addr(addr, &st) {
@@ -765,10 +750,8 @@ impl AbsInterp {
                             None
                         };
                         row.push(res);
-                        transfer(ins, &mut st, rr.as_ref(), &ctx);
-                        if let Some(rr) = rr.as_mut() {
-                            ranges::step(ins, rr, summaries);
-                        }
+                        transfer(ins, &mut st, &rr, &ctx);
+                        ranges::step(ins, &mut rr, summaries);
                     }
                 }
             }
@@ -888,10 +871,9 @@ fn const_addr(
     coef: &[i64; NUM_DIMS],
     konst: i64,
     header: BlockId,
-    ranges: Option<&RangeAnalysis>,
+    ranges: &RangeAnalysis,
     data_range: Option<(u64, u64)>,
 ) -> Option<i64> {
-    let ranges = ranges?;
     let (lo, hi) = data_range?;
     let entry = ranges.block_entry(header);
     let mut addr = konst;
@@ -919,24 +901,24 @@ pub struct ModuleAbsInterp {
 }
 
 impl ModuleAbsInterp {
-    /// Analyze every procedure of `module` with interprocedural facts.
-    pub fn analyze(module: &LoadModule) -> ModuleAbsInterp {
-        let summaries = ProcSummaries::compute(module);
+    /// Analyze every procedure of `module` with interprocedural facts,
+    /// over the CFGs and loop forests of its `facts`.
+    pub fn analyze(module: &LoadModule, facts: &ModuleFacts) -> ModuleAbsInterp {
+        let summaries = ProcSummaries::compute(module, facts);
         let data_range = module.data_range();
         let procs = module
             .procs
             .iter()
             .map(|p| {
-                let cfg = Cfg::build(p);
-                let forest = LoopForest::build(p, &cfg);
+                let cfg = facts.cfg(p.id);
                 let ranges =
-                    RangeAnalysis::analyze(p, &cfg, summaries.entry_ranges(p.id), Some(&summaries));
+                    RangeAnalysis::analyze(p, cfg, summaries.entry_ranges(p.id), Some(&summaries));
                 AbsInterp::analyze_full(
                     p,
-                    &cfg,
-                    &forest,
+                    cfg,
+                    facts.forest(p.id),
                     Some(&summaries),
-                    Some(&ranges),
+                    &ranges,
                     data_range,
                 )
             })
@@ -961,6 +943,16 @@ mod tests {
     use crate::builder::{ModuleBuilder, ProcBuilder};
     use crate::instr::{CmpOp, Terminator};
     use crate::proc::{BasicBlock, ProcId};
+    use crate::ranges::top_ranges;
+
+    /// One procedure with no module context: conventional call
+    /// clobbers, no argument facts, no data segment.
+    fn analyze(proc: &Procedure) -> AbsInterp {
+        let cfg = Cfg::build(proc);
+        let forest = LoopForest::build(proc, &cfg);
+        let ranges = RangeAnalysis::analyze(proc, &cfg, top_ranges(), None);
+        AbsInterp::analyze_full(proc, &cfg, &forest, None, &ranges, None)
+    }
 
     fn loop_proc(body_instrs: Vec<Instr>, latch_reg: Reg) -> Procedure {
         Procedure {
@@ -1023,7 +1015,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(8)));
     }
 
@@ -1047,7 +1039,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
     }
 
@@ -1072,7 +1064,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::Unknown));
     }
 
@@ -1100,7 +1092,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(8)));
         let res = ai.load_result(BlockId(1), 1).unwrap();
         assert_eq!(res, AbsResult::ProvenIrregular);
@@ -1108,7 +1100,7 @@ mod tests {
             AbsInterp::proven_class(res, &AddrMode::base_index(a, idx, 8, 0)),
             Some(memgaze_model::LoadClass::Irregular)
         );
-        let df = crate::dataflow::DataflowAnalysis::analyze(&p);
+        let df = crate::dataflow::tests::analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 1),
             Some(crate::dataflow::AddrKind::Irregular)
@@ -1132,7 +1124,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         let res = ai.load_result(BlockId(1), 0).unwrap();
         assert_eq!(res, AbsResult::strided(0));
         assert_eq!(
@@ -1169,11 +1161,11 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         // Two def sites defeat the dataflow IV pattern; the affine domain
         // composes them into one +16 recurrence.
         assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(16)));
-        let df = crate::dataflow::DataflowAnalysis::analyze(&p);
+        let df = crate::dataflow::tests::analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 0),
             Some(crate::dataflow::AddrKind::Irregular)
@@ -1197,7 +1189,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "s.c".into(),
         };
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(0), 0), Some(AbsResult::NoLoop));
     }
 
@@ -1221,7 +1213,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::Unknown));
     }
 
@@ -1302,7 +1294,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "k.c".into(),
         };
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::Unknown));
     }
 
@@ -1339,9 +1331,9 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
-        let df = crate::dataflow::DataflowAnalysis::analyze(&p);
+        let df = crate::dataflow::tests::analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 1),
             Some(crate::dataflow::AddrKind::Irregular)
@@ -1384,7 +1376,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         let res = ai.load_result(BlockId(1), 1).unwrap();
         assert_eq!(res.stride(), None, "killed slot must refute the proof");
     }
@@ -1425,7 +1417,7 @@ mod tests {
             ],
             i,
         );
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
         // An overlapping store (4 bytes off) must kill it.
         let mut instrs = p.blocks[1].instrs.clone();
@@ -1434,7 +1426,7 @@ mod tests {
             addr: AddrMode::base_disp(Reg::FP, -12),
         };
         let p2 = loop_proc(instrs, i);
-        let ai2 = AbsInterp::analyze(&p2);
+        let ai2 = analyze(&p2);
         assert_eq!(ai2.load_result(BlockId(1), 1).unwrap().stride(), None);
     }
 
@@ -1468,7 +1460,7 @@ mod tests {
         pb.switch_to(exit);
         pb.ret();
         let p = pb.finish(ProcId(0));
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         // Entry block is 0, outer header 1, inner body 2.
         let res = ai.load_result(BlockId(2), 0).unwrap();
         assert_eq!(
@@ -1502,7 +1494,7 @@ mod tests {
         pb.switch_to(exit);
         pb.ret();
         let p = pb.finish(ProcId(0));
-        let ai = AbsInterp::analyze(&p);
+        let ai = analyze(&p);
         assert_eq!(ai.load_result(BlockId(1), 2), Some(AbsResult::strided(8)));
         // With a mask smaller than the trip bound the identity fails and
         // the domain must decline (the index genuinely wraps).
@@ -1521,7 +1513,7 @@ mod tests {
         pb2.switch_to(exit);
         pb2.ret();
         let p2 = pb2.finish(ProcId(0));
-        let ai2 = AbsInterp::analyze(&p2);
+        let ai2 = analyze(&p2);
         assert_eq!(ai2.load_result(BlockId(1), 2), Some(AbsResult::Unknown));
     }
 
@@ -1565,11 +1557,17 @@ mod tests {
             mb.finish()
         }
 
-        let pure = ModuleAbsInterp::analyze(&build(false));
+        let pure = {
+            let m = build(false);
+            ModuleAbsInterp::analyze(&m, &ModuleFacts::build(&m))
+        };
         let res = pure.proc(ProcId(1)).load_result(BlockId(1), 1).unwrap();
         assert_eq!(res.stride(), Some(8), "pure call must preserve the slot");
 
-        let impure = ModuleAbsInterp::analyze(&build(true));
+        let impure = {
+            let m = build(true);
+            ModuleAbsInterp::analyze(&m, &ModuleFacts::build(&m))
+        };
         let res = impure.proc(ProcId(1)).load_result(BlockId(1), 1).unwrap();
         assert_eq!(res.stride(), None, "storing callee must kill the slot");
     }
@@ -1605,7 +1603,7 @@ mod tests {
         mb.add(main);
         let m = mb.finish();
 
-        let mai = ModuleAbsInterp::analyze(&m);
+        let mai = ModuleAbsInterp::analyze(&m, &ModuleFacts::build(&m));
         let res = mai.proc(ProcId(0)).load_result(BlockId(1), 0).unwrap();
         assert_eq!(
             res,

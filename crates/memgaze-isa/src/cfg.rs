@@ -33,11 +33,10 @@ impl Cfg {
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
         for b in &proc.blocks {
-            let ss = b.term.successors();
-            for s in &ss {
+            for s in b.term.successors() {
+                succs[b.id.index()].push(s);
                 preds[s.index()].push(b.id);
             }
-            succs[b.id.index()] = ss;
         }
 
         // Depth-first postorder from the entry.

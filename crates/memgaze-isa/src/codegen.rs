@@ -446,7 +446,6 @@ pub fn standard_suite(opt: OptLevel, elems: u32, reps: u32) -> Vec<UKernelSpec> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::DataflowAnalysis;
     use crate::interp::{Machine, VecSink};
 
     fn run(spec: &UKernelSpec) -> (LoadModule, crate::interp::ExecStats, VecSink) {
@@ -532,7 +531,7 @@ mod tests {
         assert_eq!(stats.loads, 2 * 64);
         // The classifier sees both classes.
         let kernel = m.find_proc("kernel").unwrap();
-        let df = DataflowAnalysis::analyze(m.proc(kernel));
+        let df = crate::dataflow::tests::analyze(m.proc(kernel));
         let c = df.class_counts();
         assert!(c.constant >= 1, "O0 kernel must contain constant loads");
         assert!(c.strided >= 1);
@@ -552,7 +551,7 @@ mod tests {
             };
             let m = generate(&spec);
             let kernel = m.find_proc("kernel").unwrap();
-            let df = DataflowAnalysis::analyze(m.proc(kernel));
+            let df = crate::dataflow::tests::analyze(m.proc(kernel));
             let c = df.class_counts();
             assert_eq!(c.strided > 0, want_str, "{}", spec.name());
             assert_eq!(c.irregular > 0, want_irr, "{}", spec.name());

@@ -14,7 +14,6 @@
 //! per natural loop, determines loop invariance from def sites, and
 //! classifies every load's effective address.
 
-use crate::cfg::Cfg;
 use crate::instr::{AddrMode, BinOp, Instr};
 use crate::loops::LoopForest;
 use crate::proc::{BlockId, Procedure};
@@ -216,30 +215,12 @@ fn classify_in_loop(addr: &AddrMode, ivs: &Ivs, defs: &Defs) -> AddrKind {
 }
 
 impl DataflowAnalysis {
-    /// Analyze a procedure, classifying every load.
-    pub fn analyze(proc: &Procedure) -> DataflowAnalysis {
-        let cfg = Cfg::build(proc);
-        let forest = LoopForest::build(proc, &cfg);
-        Self::analyze_with(proc, &forest)
-    }
-
-    /// Analyze with a precomputed loop forest.
-    pub fn analyze_with(proc: &Procedure, forest: &LoopForest) -> DataflowAnalysis {
-        Self::analyze_inner(proc, forest, None)
-    }
-
-    /// Analyze with interprocedural summaries: calls clobber only the
-    /// registers the callee actually writes, so values live across calls
-    /// to non-clobbering callees stay loop-invariant.
+    /// Classify every load of `proc`, whose loop forest is `forest`.
+    /// With interprocedural `summaries`, calls clobber only the registers
+    /// the callee actually writes, so values live across calls to
+    /// non-clobbering callees stay loop-invariant; without, a call
+    /// clobbers the conventional registers.
     pub fn analyze_in(
-        proc: &Procedure,
-        forest: &LoopForest,
-        summaries: &ProcSummaries,
-    ) -> DataflowAnalysis {
-        Self::analyze_inner(proc, forest, Some(summaries))
-    }
-
-    fn analyze_inner(
         proc: &Procedure,
         forest: &LoopForest,
         summaries: Option<&ProcSummaries>,
@@ -325,8 +306,16 @@ impl ClassCounts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cfg::Cfg;
+
+    /// One procedure on its own: calls clobber the conventional
+    /// registers.
+    pub(crate) fn analyze(proc: &Procedure) -> DataflowAnalysis {
+        let cfg = Cfg::build(proc);
+        DataflowAnalysis::analyze_in(proc, &LoopForest::build(proc, &cfg), None)
+    }
     use crate::instr::{CmpOp, Operand, Terminator};
     use crate::proc::{BasicBlock, ProcId};
 
@@ -403,7 +392,7 @@ mod tests {
     #[test]
     fn classifies_three_classes() {
         let p = loop_proc();
-        let df = DataflowAnalysis::analyze(&p);
+        let df = analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 0),
             Some(AddrKind::Strided { stride: 8 })
@@ -468,7 +457,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "k.c".into(),
         };
-        let df = DataflowAnalysis::analyze(&proc);
+        let df = analyze(&proc);
         assert_eq!(
             df.load_kind(BlockId(1), 0),
             Some(AddrKind::Strided { stride: 16 })
@@ -528,7 +517,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "k.c".into(),
         };
-        let df = DataflowAnalysis::analyze(&proc);
+        let df = analyze(&proc);
         assert_eq!(
             df.load_kind(BlockId(1), 0),
             Some(AddrKind::Strided { stride: -4 })
@@ -562,7 +551,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "s.c".into(),
         };
-        let df = DataflowAnalysis::analyze(&proc);
+        let df = analyze(&proc);
         assert_eq!(df.load_kind(BlockId(0), 0), Some(AddrKind::Constant));
         assert_eq!(df.load_kind(BlockId(0), 1), Some(AddrKind::Constant));
         assert_eq!(df.load_kind(BlockId(0), 2), Some(AddrKind::Irregular));
@@ -618,7 +607,7 @@ mod tests {
             entry: BlockId(0),
             src_file: "k.c".into(),
         };
-        let df = DataflowAnalysis::analyze(&proc);
+        let df = analyze(&proc);
         assert_eq!(df.load_kind(BlockId(1), 1), Some(AddrKind::Irregular));
     }
 }

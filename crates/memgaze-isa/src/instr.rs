@@ -332,21 +332,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jmp(b) => vec![*b],
+    /// Successor blocks of this terminator, in `taken`, `not_taken`
+    /// order; a branch whose two targets agree has one successor.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let targets: [Option<BlockId>; 2] = match *self {
+            Terminator::Jmp(b) => [Some(b), None],
             Terminator::Br {
                 taken, not_taken, ..
-            } => {
-                if taken == not_taken {
-                    vec![*taken]
-                } else {
-                    vec![*taken, *not_taken]
-                }
-            }
-            Terminator::Ret => vec![],
-        }
+            } => [Some(taken), (taken != not_taken).then_some(not_taken)],
+            Terminator::Ret => [None; 2],
+        };
+        targets.into_iter().flatten()
     }
 }
 
@@ -400,8 +396,9 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Jmp(BlockId(3)).successors(), vec![BlockId(3)]);
-        assert_eq!(Terminator::Ret.successors(), vec![]);
+        let succs = |t: Terminator| t.successors().collect::<Vec<_>>();
+        assert_eq!(succs(Terminator::Jmp(BlockId(3))), vec![BlockId(3)]);
+        assert_eq!(succs(Terminator::Ret), vec![]);
         let br = Terminator::Br {
             lhs: Reg::gp(0),
             op: CmpOp::Lt,
@@ -409,7 +406,7 @@ mod tests {
             taken: BlockId(1),
             not_taken: BlockId(2),
         };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(succs(br), vec![BlockId(1), BlockId(2)]);
         let self_br = Terminator::Br {
             lhs: Reg::gp(0),
             op: CmpOp::Lt,
@@ -417,7 +414,7 @@ mod tests {
             taken: BlockId(1),
             not_taken: BlockId(1),
         };
-        assert_eq!(self_br.successors(), vec![BlockId(1)]);
+        assert_eq!(succs(self_br), vec![BlockId(1)]);
     }
 
     #[test]

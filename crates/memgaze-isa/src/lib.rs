@@ -8,7 +8,8 @@
 //! (`[base + index*scale + disp]`), basic blocks and procedures
 //! ([`proc`]), load modules with instruction addresses ([`module`]),
 //! control-flow analysis (dominators and natural loops, [`cfg`] and
-//! [`loops`]), induction-variable/data-dependence analysis ([`dataflow`]),
+//! [`loops`], built once per module into [`facts`]),
+//! induction-variable/data-dependence analysis ([`dataflow`]),
 //! an IR [`builder`], microbenchmark code generation at O0/O3 ([`codegen`]),
 //! an interpreter that executes modules and streams load/`ptwrite` events
 //! ([`interp`]), a multi-pass IR verifier with typed diagnostics
@@ -21,6 +22,7 @@ pub mod cfg;
 pub mod codegen;
 pub mod dataflow;
 pub mod disasm;
+pub mod facts;
 pub mod instr;
 pub mod interp;
 pub mod loops;
@@ -35,6 +37,7 @@ pub use absint::{AbsInterp, AbsResult, ModuleAbsInterp};
 pub use builder::{ModuleBuilder, ProcBuilder};
 pub use cfg::Cfg;
 pub use dataflow::{AddrKind, DataflowAnalysis};
+pub use facts::ModuleFacts;
 pub use instr::{AddrMode, BinOp, CmpOp, Instr, Operand, Terminator};
 pub use interp::{EventSink, ExecStats, Machine, NullSink};
 pub use loops::{Loop, LoopForest};

@@ -46,18 +46,22 @@ pub struct LoadModule {
     pub data_break: u64,
 }
 
-/// Precomputed instruction-address layout of a module.
+/// Precomputed instruction-address layout of a module, as flat tables:
+/// every block of the module in address order, and per procedure the
+/// index of its first block in them.
 #[derive(Debug, Clone)]
 pub struct ModuleLayout {
-    /// Base ip of each procedure.
-    proc_base: Vec<u64>,
-    /// Per procedure, base ip of each block.
-    block_base: Vec<Vec<u64>>,
-    /// Per procedure, instruction count of each block.
-    block_len: Vec<Vec<u64>>,
-    /// One past each procedure's last instruction (excludes the alignment
-    /// padding that may follow before the next procedure's base).
-    proc_code_end: Vec<u64>,
+    /// Base ip of every block, procedure by procedure.
+    block_base: Vec<u64>,
+    /// Instruction count of every block, indexed like `block_base`.
+    block_len: Vec<u64>,
+    /// Procedure `p`'s blocks are `first_block[p]..first_block[p + 1]`
+    /// of `block_base`; one entry more than there are procedures.
+    first_block: Vec<usize>,
+    /// Per procedure, its base ip and one past its last instruction (the
+    /// code end excludes the alignment padding that may follow before
+    /// the next procedure's base).
+    proc_span: Vec<(u64, u64)>,
     /// One past the last instruction address.
     end_ip: u64,
 }
@@ -66,12 +70,13 @@ impl ModuleLayout {
     /// Address of instruction `idx` in `(proc, block)`. The terminator is
     /// at `idx == body_len`.
     pub fn ip_of(&self, proc: ProcId, block: BlockId, idx: usize) -> Ip {
-        Ip(self.block_base[proc.index()][block.index()] + idx as u64 * INSTR_BYTES)
+        let base = self.block_base[self.first_block[proc.index()] + block.index()];
+        Ip(base + idx as u64 * INSTR_BYTES)
     }
 
     /// First instruction address of a procedure.
     pub fn proc_base(&self, proc: ProcId) -> Ip {
-        Ip(self.proc_base[proc.index()])
+        Ip(self.proc_span[proc.index()].0)
     }
 
     /// One past the last instruction of a procedure.
@@ -82,7 +87,7 @@ impl ModuleLayout {
     /// padding to the preceding procedure would corrupt symbol ranges and
     /// `locate`.
     pub fn proc_end(&self, proc: ProcId) -> Ip {
-        Ip(self.proc_code_end[proc.index()])
+        Ip(self.proc_span[proc.index()].1)
     }
 
     /// Locate an instruction address: `(proc, block, index)`.
@@ -93,24 +98,25 @@ impl ModuleLayout {
         if raw >= self.end_ip || !raw.is_multiple_of(INSTR_BYTES) {
             return None;
         }
-        let p = self.proc_base.partition_point(|&b| b <= raw);
+        let p = self.proc_span.partition_point(|s| s.0 <= raw);
         if p == 0 {
             return None;
         }
         let proc = p - 1;
         // Inter-procedure padding: addresses past the proc's last
         // instruction but before the next proc's base belong to nothing.
-        if raw >= self.proc_code_end[proc] {
+        if raw >= self.proc_span[proc].1 {
             return None;
         }
-        let blocks = &self.block_base[proc];
+        let first = self.first_block[proc];
+        let blocks = &self.block_base[first..self.first_block[proc + 1]];
         let b = blocks.partition_point(|&bb| bb <= raw);
         if b == 0 {
             return None;
         }
         let block = b - 1;
         let idx = ((raw - blocks[block]) / INSTR_BYTES) as usize;
-        if (idx as u64) >= self.block_len[proc][block] {
+        if (idx as u64) >= self.block_len[first + block] {
             return None;
         }
         Some((ProcId(proc as u32), BlockId(block as u32), idx))
@@ -124,13 +130,27 @@ impl ModuleLayout {
         self.block_base
             .iter()
             .zip(&self.block_len)
-            .flat_map(|(bases, lens)| bases.iter().zip(lens))
             .flat_map(|(&base, &len)| (0..len).map(move |i| Ip(base + i * INSTR_BYTES)))
     }
 
     /// Total code size in (synthetic) bytes.
     pub fn code_bytes(&self) -> u64 {
-        self.end_ip - self.proc_base.first().copied().unwrap_or(self.end_ip)
+        self.end_ip - self.proc_span.first().map_or(self.end_ip, |s| s.0)
+    }
+
+    /// The symbol table of `module`, which this layout was computed
+    /// from: one function per procedure over its code range.
+    pub fn symbol_table(&self, module: &LoadModule) -> SymbolTable {
+        let mut t = SymbolTable::new();
+        for p in &module.procs {
+            t.add_function(
+                p.name.clone(),
+                self.proc_base(p.id),
+                self.proc_end(p.id),
+                p.src_file.clone(),
+            );
+        }
+        t
     }
 }
 
@@ -219,48 +239,37 @@ impl LoadModule {
     /// to [`PROC_ALIGN`]; the padding between a procedure's code end and
     /// the next base maps to no instruction.
     pub fn layout(&self) -> ModuleLayout {
-        let mut proc_base = Vec::with_capacity(self.procs.len());
-        let mut block_base = Vec::with_capacity(self.procs.len());
-        let mut block_len = Vec::with_capacity(self.procs.len());
-        let mut proc_code_end = Vec::with_capacity(self.procs.len());
+        let blocks: usize = self.procs.iter().map(|p| p.blocks.len()).sum();
+        let mut block_base = Vec::with_capacity(blocks);
+        let mut block_len = Vec::with_capacity(blocks);
+        let mut first_block = Vec::with_capacity(self.procs.len() + 1);
+        let mut proc_span = Vec::with_capacity(self.procs.len());
         debug_assert!(self.base_ip.is_multiple_of(PROC_ALIGN));
         let mut cur = self.base_ip;
         for p in &self.procs {
             cur = cur.next_multiple_of(PROC_ALIGN);
-            proc_base.push(cur);
-            let mut bases = Vec::with_capacity(p.blocks.len());
-            let mut lens = Vec::with_capacity(p.blocks.len());
+            first_block.push(block_base.len());
+            let base = cur;
             for b in &p.blocks {
-                bases.push(cur);
-                lens.push(b.len() as u64);
+                block_base.push(cur);
+                block_len.push(b.len() as u64);
                 cur += b.len() as u64 * INSTR_BYTES;
             }
-            block_base.push(bases);
-            block_len.push(lens);
-            proc_code_end.push(cur);
+            proc_span.push((base, cur));
         }
+        first_block.push(block_base.len());
         ModuleLayout {
-            proc_base,
             block_base,
             block_len,
-            proc_code_end,
+            first_block,
+            proc_span,
             end_ip: cur,
         }
     }
 
     /// Build the symbol table matching [`LoadModule::layout`].
     pub fn symbol_table(&self) -> SymbolTable {
-        let layout = self.layout();
-        let mut t = SymbolTable::new();
-        for p in &self.procs {
-            t.add_function(
-                p.name.clone(),
-                layout.proc_base(p.id),
-                layout.proc_end(p.id),
-                p.src_file.clone(),
-            );
-        }
-        t
+        self.layout().symbol_table(self)
     }
 
     /// Total instruction count over all procedures.

@@ -26,6 +26,7 @@
 //! facts — the harness may invoke them with anything.
 
 use crate::cfg::Cfg;
+use crate::facts::ModuleFacts;
 use crate::instr::Instr;
 use crate::module::LoadModule;
 use crate::proc::ProcId;
@@ -95,55 +96,36 @@ pub struct ProcSummaries {
 }
 
 impl ProcSummaries {
-    /// Compute summaries for every procedure in `module`.
-    pub fn compute(module: &LoadModule) -> ProcSummaries {
+    /// Compute summaries for every procedure in `module`, reading the
+    /// callers' CFGs from its `module_facts`.
+    pub fn compute(module: &LoadModule, module_facts: &ModuleFacts) -> ProcSummaries {
         let n = module.procs.len();
 
         // --- Layer 1: clobbers + may_store, least fixpoint over the
         // call graph (direct effects first, then callee propagation).
-        let mut sums: Vec<ProcSummary> = module
+        let (mut sums, callees): (Vec<ProcSummary>, Vec<Vec<ProcId>>) = module
             .procs
             .iter()
             .map(|p| {
-                let mut clobbers = 0u16;
-                let mut may_store = false;
-                for b in &p.blocks {
-                    for ins in &b.instrs {
-                        if matches!(ins, Instr::Store { .. }) {
-                            may_store = true;
-                        }
-                        if let Some(d) = ins.def() {
-                            if !d.is_fp() && !d.is_sp() {
-                                clobbers |= 1 << d.index();
-                            }
-                        }
-                    }
-                }
-                ProcSummary {
-                    clobbers,
-                    may_store,
+                let mut sum = ProcSummary {
+                    clobbers: 0,
+                    may_store: false,
                     args: [None; NUM_ARG_REGS],
-                }
-            })
-            .collect();
-
-        let callees: Vec<Vec<ProcId>> = module
-            .procs
-            .iter()
-            .map(|p| {
-                let mut cs = Vec::new();
-                for b in &p.blocks {
-                    for ins in &b.instrs {
-                        if let Instr::Call { proc } = *ins {
-                            if proc.index() < n {
-                                cs.push(proc);
-                            }
-                        }
+                };
+                let mut callees = Vec::new();
+                for ins in p.blocks.iter().flat_map(|b| &b.instrs) {
+                    match *ins {
+                        Instr::Store { .. } => sum.may_store = true,
+                        Instr::Call { proc } if proc.index() < n => callees.push(proc),
+                        _ => {}
+                    }
+                    if let Some(d) = ins.def().filter(|d| !d.is_fp() && !d.is_sp()) {
+                        sum.clobbers |= 1 << d.index();
                     }
                 }
-                cs
+                (sum, callees)
             })
-            .collect();
+            .unzip();
 
         let mut changed = true;
         while changed {
@@ -170,15 +152,15 @@ impl ProcSummaries {
         // terminates in at most 2·NUM_ARG_REGS·n joins; the cap is a
         // backstop, and any residual instability degrades to ⊤.
         // Only a procedure that calls has sites to evaluate.
-        let callers: Vec<(usize, Cfg)> = (0..n)
+        let callers: Vec<(usize, &Cfg)> = (0..n)
             .filter(|&i| !callees[i].is_empty())
-            .map(|i| (i, Cfg::build(&module.procs[i])))
+            .map(|i| (i, module_facts.cfg(ProcId(i as u32))))
             .collect();
         let mut facts: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
         let max_rounds = 2 * NUM_ARG_REGS * n + 2;
         let mut stable = false;
         for _ in 0..max_rounds {
-            let next = out.eval_sites(module, &callers, &facts);
+            let next = out.eval_sites(module, &callers);
             let mut grew = false;
             for (cur, new) in facts.iter_mut().zip(next.iter()) {
                 for (c, v) in cur.iter_mut().zip(new.iter()) {
@@ -201,7 +183,7 @@ impl ProcSummaries {
         // short instead, they must absorb one more evaluation round;
         // anything that would still move goes to ⊤.
         if !stable {
-            let check = out.eval_sites(module, &callers, &facts);
+            let check = out.eval_sites(module, &callers);
             for (cur, new) in facts.iter_mut().zip(check.iter()) {
                 for (c, v) in cur.iter_mut().zip(new.iter()) {
                     if c.join(*v) != *c {
@@ -214,21 +196,20 @@ impl ProcSummaries {
         out
     }
 
-    /// Evaluate every call site under the current fact table: run the
+    /// Evaluate every call site under the published fact table: run the
     /// range analysis in each caller (`callers`: procedure index and CFG;
     /// entry seeded from the caller's own facts) and collect the
     /// argument-register ranges at each `Call`.
     fn eval_sites(
         &self,
         module: &LoadModule,
-        callers: &[(usize, Cfg)],
-        facts: &[[Fact; NUM_ARG_REGS]],
+        callers: &[(usize, &Cfg)],
     ) -> Vec<[Fact; NUM_ARG_REGS]> {
         let n = module.procs.len();
         let mut seen: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
         for (pi, cfg) in callers {
             let proc = &module.procs[*pi];
-            let entry = entry_from_facts(&facts[*pi]);
+            let entry = self.entry_ranges(proc.id);
             let ra = RangeAnalysis::analyze(proc, cfg, entry, Some(self));
             for b in &proc.blocks {
                 let mut st = *ra.block_entry(b.id);
@@ -281,16 +262,6 @@ impl ProcSummaries {
     }
 }
 
-fn entry_from_facts(facts: &[Fact; NUM_ARG_REGS]) -> RegRanges {
-    let mut st = top_ranges();
-    for (a, f) in facts.iter().enumerate() {
-        if let Fact::Const(v) = f {
-            st[a] = Interval::point(*v);
-        }
-    }
-    st
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,7 +305,7 @@ mod tests {
     #[test]
     fn agreeing_sites_yield_const_arg_fact() {
         let (m, base) = two_proc_module(|b| b);
-        let sums = ProcSummaries::compute(&m);
+        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         let leaf = sums.get(ProcId(0));
         assert_eq!(leaf.args[0], Some(base));
         assert!(!leaf.may_store, "leaf never stores");
@@ -347,7 +318,7 @@ mod tests {
     #[test]
     fn disagreeing_sites_degrade_to_top() {
         let (m, _) = two_proc_module(|b| b + 0x40);
-        let sums = ProcSummaries::compute(&m);
+        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         assert_eq!(sums.get(ProcId(0)).args[0], None);
     }
 
@@ -369,7 +340,7 @@ mod tests {
         b.ret();
         mb.add(b);
         let m = mb.finish();
-        let sums = ProcSummaries::compute(&m);
+        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         let b_sum = sums.get(ProcId(1));
         assert!(b_sum.may_store, "store in callee must propagate");
         assert!(b_sum.clobbers_reg(Reg::gp(9)), "callee clobber propagates");

@@ -8,9 +8,10 @@
 //! producing typed [`Diagnostic`]s instead of stringly errors —
 //!
 //! * **structural** — proc/block id density, entry range, terminator and
-//!   call targets (the old `validate()` checks, now typed);
-//! * **CFG well-formedness** — succ/pred symmetry of the built [`Cfg`],
-//!   entry reachability (orphan blocks);
+//!   call targets (the old `validate()` checks, now typed), and the
+//!   alignment of the module's `base_ip`;
+//! * **CFG well-formedness** — succ/pred symmetry of the built
+//!   [`Cfg`](crate::cfg::Cfg), entry reachability (orphan blocks);
 //! * **def-before-use** — a forward must-be-defined dataflow pass over
 //!   registers (arguments `r0..r5`, `fp`, and `sp` are defined at entry);
 //! * **layout** — `ip_of`↔`locate` round-trip for every instruction,
@@ -18,10 +19,12 @@
 //! * **data/symbols** — data-region overlap, code/data range overlap,
 //!   `data_break` consistency, symbol-range sanity.
 //!
-//! The instrumentation-plan and differential-classification lints build on
-//! these ids from `memgaze-instrument::lint`.
+//! Every pass after the structural one borrows one [`ModuleFacts`], built
+//! once the structural pass found no error. The instrumentation-plan and
+//! differential-classification lints build on these ids from
+//! `memgaze-instrument::lint`.
 
-use crate::cfg::Cfg;
+use crate::facts::ModuleFacts;
 use crate::instr::Instr;
 use crate::module::{LoadModule, ModuleLayout, INSTR_BYTES, PROC_ALIGN};
 use crate::proc::{BlockId, ProcId, Procedure};
@@ -323,19 +326,24 @@ pub fn check_procedure(proc: &Procedure, module_name: &str) -> Result<(), Verify
 /// range), so when any structural error is present only the structural
 /// diagnostics are returned.
 pub fn verify_module(module: &LoadModule) -> Vec<Diagnostic> {
+    verify_module_facts(module).0
+}
+
+/// [`verify_module`], handing back the [`ModuleFacts`] its passes
+/// borrowed, for a caller that goes on to analyze the module. `None`
+/// when a structural error stopped the verifier before they were built.
+pub fn verify_module_facts(module: &LoadModule) -> (Vec<Diagnostic>, Option<ModuleFacts>) {
     let mut diags = Vec::new();
     structural_pass(module, &mut diags);
     if diags.iter().any(|d| d.severity == Severity::Error) {
-        return diags;
+        return (diags, None);
     }
-    // One CFG per procedure and one layout serve every pass below.
-    let cfgs: Vec<Cfg> = module.procs.iter().map(Cfg::build).collect();
-    let layout = module.layout();
-    cfg_pass(module, &cfgs, &mut diags);
-    def_before_use_pass(module, &cfgs, &layout, &mut diags);
-    layout_pass(module, &layout, &mut diags);
-    data_pass(module, &layout, &mut diags);
-    diags
+    let facts = ModuleFacts::build(module);
+    cfg_pass(module, &facts, &mut diags);
+    def_before_use_pass(module, &facts, &mut diags);
+    layout_pass(module, facts.layout(), &mut diags);
+    data_pass(module, facts.layout(), &mut diags);
+    (diags, Some(facts))
 }
 
 fn proc_structural_pass(p: &Procedure, module: &str, out: &mut Vec<Diagnostic>) {
@@ -367,6 +375,16 @@ fn proc_structural_pass(p: &Procedure, module: &str, out: &mut Vec<Diagnostic>) 
 }
 
 fn structural_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
+    // Procedure bases are laid out from `base_ip`: check it before any
+    // layout exists.
+    let base = module.base_ip;
+    if !base.is_multiple_of(PROC_ALIGN) {
+        out.push(Diagnostic::error(
+            LintId::ProcBaseUnaligned,
+            Site::module(&module.name),
+            format!("base_ip {base:#x} not {PROC_ALIGN}-byte aligned"),
+        ));
+    }
     for (i, p) in module.procs.iter().enumerate() {
         if p.id.index() != i {
             out.push(Diagnostic::error(
@@ -392,8 +410,9 @@ fn structural_pass(module: &LoadModule, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn cfg_pass(module: &LoadModule, cfgs: &[Cfg], out: &mut Vec<Diagnostic>) {
-    for (p, cfg) in module.procs.iter().zip(cfgs) {
+fn cfg_pass(module: &LoadModule, facts: &ModuleFacts, out: &mut Vec<Diagnostic>) {
+    for p in &module.procs {
+        let cfg = facts.cfg(p.id);
         for b in &p.blocks {
             if !cfg.is_reachable(b.id) {
                 out.push(Diagnostic::warning(
@@ -428,26 +447,18 @@ fn cfg_pass(module: &LoadModule, cfgs: &[Cfg], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Registers defined at procedure entry: argument/scratch `r0..r5` plus
-/// the frame and stack pointers (the calling convention the interpreter
-/// and `dataflow.rs` assume).
-fn entry_defined() -> u32 {
-    let mut set = 0u32;
-    for r in 0..6u8 {
-        set |= 1 << r;
-    }
-    set |= 1 << Reg::FP.0;
-    set |= 1 << Reg::SP.0;
-    set
-}
+/// The argument/scratch registers `r0..r5`, which a call also writes.
+const CALL_DEFINED: u32 = 0b11_1111;
 
-fn def_before_use_pass(
-    module: &LoadModule,
-    cfgs: &[Cfg],
-    layout: &ModuleLayout,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (p, cfg) in module.procs.iter().zip(cfgs) {
+/// Registers defined at procedure entry: `r0..r5` plus the frame and
+/// stack pointers (the calling convention the interpreter and
+/// `dataflow.rs` assume).
+const ENTRY_DEFINED: u32 = CALL_DEFINED | 1 << Reg::FP.0 | 1 << Reg::SP.0;
+
+fn def_before_use_pass(module: &LoadModule, facts: &ModuleFacts, out: &mut Vec<Diagnostic>) {
+    let layout = facts.layout();
+    for p in &module.procs {
+        let cfg = facts.cfg(p.id);
         let n = p.blocks.len();
         // Forward must-be-defined analysis: bitset per block of registers
         // definitely written on every path from entry to block entry.
@@ -458,13 +469,13 @@ fn def_before_use_pass(
         };
         let mut in_set = vec![all; n];
         let mut out_set = vec![all; n];
-        in_set[p.entry.index()] = entry_defined();
+        in_set[p.entry.index()] = ENTRY_DEFINED;
         let mut changed = true;
         while changed {
             changed = false;
             for &b in cfg.rpo() {
                 let mut inn = if b == p.entry {
-                    entry_defined()
+                    ENTRY_DEFINED
                 } else {
                     let mut acc = all;
                     for &pr in cfg.preds(b) {
@@ -483,10 +494,7 @@ fn def_before_use_pass(
                         inn |= 1 << d.0;
                     }
                     if matches!(ins, Instr::Call { .. }) {
-                        // Calls define the scratch/result registers.
-                        for r in 0..6u8 {
-                            inn |= 1 << r;
-                        }
+                        inn |= CALL_DEFINED;
                     }
                 }
                 if inn != out_set[b.index()] {
@@ -521,9 +529,7 @@ fn def_before_use_pass(
                     defined |= 1 << d.0;
                 }
                 if matches!(ins, Instr::Call { .. }) {
-                    for r in 0..6u8 {
-                        defined |= 1 << r;
-                    }
+                    defined |= CALL_DEFINED;
                 }
             }
             if let crate::instr::Terminator::Br { lhs, rhs, .. } = b.term {
@@ -549,14 +555,6 @@ fn def_before_use_pass(
 
 fn layout_pass(module: &LoadModule, layout: &ModuleLayout, out: &mut Vec<Diagnostic>) {
     for p in &module.procs {
-        let base = layout.proc_base(p.id).raw();
-        if !base.is_multiple_of(PROC_ALIGN) {
-            out.push(Diagnostic::error(
-                LintId::ProcBaseUnaligned,
-                Site::proc(&module.name, p.id),
-                format!("{}: base {base:#x} not {PROC_ALIGN}-byte aligned", p.name),
-            ));
-        }
         for b in &p.blocks {
             for idx in 0..b.len() {
                 let ip = layout.ip_of(p.id, b.id, idx);
@@ -608,7 +606,11 @@ fn layout_pass(module: &LoadModule, layout: &ModuleLayout, out: &mut Vec<Diagnos
 }
 
 fn data_pass(module: &LoadModule, layout: &ModuleLayout, out: &mut Vec<Diagnostic>) {
-    let code_lo = module.base_ip;
+    // The code runs from the first procedure's base, not from `base_ip`.
+    let code_lo = module
+        .procs
+        .first()
+        .map_or(module.base_ip, |p| layout.proc_base(p.id).raw());
     let code_hi = code_lo + layout.code_bytes();
     // Sort regions by base to find overlaps in one sweep.
     let mut regions: Vec<(u64, u64, &str)> = module

@@ -15,7 +15,6 @@ use crate::addr::Ip;
 use crate::sample::SampledTrace;
 use crate::symbols::FunctionId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-instruction annotation record.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,9 +54,9 @@ impl IpAnnot {
 }
 
 /// The auxiliary annotation file: instruction address → annotation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuxAnnotations {
-    map: BTreeMap<Ip, IpAnnot>,
+    map: IpTable<IpAnnot>,
 }
 
 impl AuxAnnotations {
@@ -73,19 +72,19 @@ impl AuxAnnotations {
 
     /// Look up the annotation for `ip`.
     pub fn get(&self, ip: Ip) -> Option<&IpAnnot> {
-        self.map.get(&ip)
+        self.map.get(ip)
     }
 
     /// The load class recorded for `ip`, defaulting to Irregular for
     /// unannotated instructions (conservative: irregular loads are never
     /// compressed away, so an unknown ip must be treated as observed data).
     pub fn class_of(&self, ip: Ip) -> LoadClass {
-        self.map.get(&ip).map_or(LoadClass::Irregular, |a| a.class)
+        self.get(ip).map_or(LoadClass::Irregular, |a| a.class)
     }
 
     /// Number of implied Constant loads carried by `ip` as a proxy.
     pub fn implied_const_of(&self, ip: Ip) -> u64 {
-        self.map.get(&ip).map_or(0, |a| a.implied_const as u64)
+        self.get(ip).map_or(0, |a| a.implied_const as u64)
     }
 
     /// Number of annotated instructions.
@@ -95,7 +94,7 @@ impl AuxAnnotations {
 
     /// True when no instruction is annotated.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len() == 0
     }
 
     /// Iterate over `(ip, annotation)` pairs in address order.
@@ -112,13 +111,84 @@ impl AuxAnnotations {
     }
 }
 
-/// Builds the annotation file in one pass; pairs already in address
-/// order (as the instrumentor emits them) cost no per-entry tree descent.
+/// Builds the annotation file in one pass; on equal addresses the last
+/// pair wins, as in a map.
 impl FromIterator<(Ip, IpAnnot)> for AuxAnnotations {
     fn from_iter<I: IntoIterator<Item = (Ip, IpAnnot)>>(pairs: I) -> AuxAnnotations {
         AuxAnnotations {
             map: pairs.into_iter().collect(),
         }
+    }
+}
+
+/// A table keyed by instruction address: `(ip, value)` pairs sorted by
+/// ip, no ip twice. The annotation file and the source map are built
+/// once, in address order, and then only read, so a sorted vector
+/// serves them with one allocation and a binary search per lookup.
+#[derive(Clone, PartialEq)]
+pub(crate) struct IpTable<V>(Vec<(Ip, V)>);
+
+impl<V> Default for IpTable<V> {
+    fn default() -> IpTable<V> {
+        IpTable(Vec::new())
+    }
+}
+
+impl<V> IpTable<V> {
+    /// Insert `value` at `ip`, replacing the value already there.
+    pub(crate) fn insert(&mut self, ip: Ip, value: V) {
+        match self.0.binary_search_by_key(&ip, |e| e.0) {
+            Ok(at) => {
+                if let Some(e) = self.0.get_mut(at) {
+                    e.1 = value;
+                }
+            }
+            Err(at) => self.0.insert(at, (ip, value)),
+        }
+    }
+
+    pub(crate) fn get(&self, ip: Ip) -> Option<&V> {
+        let at = self.0.binary_search_by_key(&ip, |e| e.0).ok()?;
+        self.0.get(at).map(|e| &e.1)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The pairs in address order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Ip, &V)> + '_ {
+        self.0.iter().map(|(ip, v)| (ip, v))
+    }
+}
+
+/// Input already in strictly increasing address order, as a rewriter
+/// emits it, is kept as it comes. Anything else is sorted, and of equal
+/// addresses the last pair wins, as in a map.
+impl<V> FromIterator<(Ip, V)> for IpTable<V> {
+    fn from_iter<I: IntoIterator<Item = (Ip, V)>>(pairs: I) -> IpTable<V> {
+        let mut pairs: Vec<(Ip, V)> = pairs.into_iter().collect();
+        if !pairs.is_sorted_by(|a, b| a.0 < b.0) {
+            // The sort is stable, so each run of equal addresses is in
+            // input order; the dedup moves the run's last value into the
+            // slot it keeps.
+            pairs.sort_by_key(|e| e.0);
+            pairs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        IpTable(pairs)
+    }
+}
+
+/// Prints what the `Debug` of a map with the same pairs prints.
+impl<V: std::fmt::Debug> std::fmt::Debug for IpTable<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

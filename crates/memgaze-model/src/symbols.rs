@@ -9,8 +9,8 @@
 //! code (§IV-C2).
 
 use crate::addr::Ip;
+use crate::annot::IpTable;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Dense function identifier, an index into [`SymbolTable::functions`].
 #[derive(
@@ -134,9 +134,9 @@ impl SymbolTable {
 
 /// Mapping from instrumented instruction addresses back to the original
 /// addresses and source lines (paper §III-D).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SourceMap {
-    map: BTreeMap<Ip, SourceLoc>,
+    map: IpTable<SourceLoc>,
 }
 
 /// One recovered source location.
@@ -161,7 +161,7 @@ impl SourceMap {
 
     /// Recover the original location of an instrumented instruction.
     pub fn resolve(&self, new_ip: Ip) -> Option<SourceLoc> {
-        self.map.get(&new_ip).copied()
+        self.map.get(new_ip).copied()
     }
 
     /// Number of mapped instructions.
@@ -171,7 +171,7 @@ impl SourceMap {
 
     /// True when nothing is mapped.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len() == 0
     }
 
     /// Iterate over `(instrumented ip, original location)` pairs in
@@ -181,8 +181,8 @@ impl SourceMap {
     }
 }
 
-/// Builds the map in one pass; pairs already in address order (as a
-/// rewriter emits them) cost no per-entry tree descent.
+/// Builds the map in one pass; on equal addresses the last pair wins,
+/// as in a map.
 impl FromIterator<(Ip, SourceLoc)> for SourceMap {
     fn from_iter<I: IntoIterator<Item = (Ip, SourceLoc)>>(pairs: I) -> SourceMap {
         SourceMap {

@@ -1,4 +1,5 @@
-//! Allocation and retention ratchet for the window kernels.
+//! Allocation and retention ratchet for the window kernels and the
+//! static side.
 //!
 //! A counting allocator (per thread, as in `decoder_torture.rs`) holds
 //! two bounds the kernels' thread-local workspace exists for: a warm
@@ -9,7 +10,10 @@
 //! summarises every frame `put` files, to allocations per frame and
 //! sample, not per access; a fourth the location zoom's peak memory to
 //! its accesses, not to the address span they cover; a fifth the window
-//! and locality series to allocations per call, not per sample.
+//! and locality series to allocations per call, not per sample. The
+//! last holds the static side — lint and instrumentation of a load
+//! module — to allocations per procedure, with each procedure's CFG and
+//! loop forest built once, not once per pass.
 
 use memgaze::analysis::{analyze_window, AnalysisConfig, Analyzer, StreamingAnalyzer};
 use memgaze::model::{
@@ -254,4 +258,33 @@ fn zoom_memory_follows_the_accesses_not_the_address_span() {
         peak <= accesses * 1024,
         "{peak} bytes at the peak for {accesses} accesses"
     );
+}
+
+/// The static side builds each module's layout, CFGs and loop forests
+/// once and borrows them in every pass. On this 64-procedure module a
+/// lint read 134.7 allocations per procedure and an instrumentation
+/// 92.3 (85.0 eliding) when every pass built its own, a layout cost two
+/// allocations per procedure and the side tables were trees; they read
+/// 71.6 and 49.3 (45.6) with one set of facts, a flat layout and sorted
+/// tables. The bounds sit between the two.
+#[test]
+fn static_side_allocates_per_procedure_not_per_fact() {
+    use memgaze::instrument::{lint_module, InstrumentConfig, Instrumenter};
+    let module = memgaze::workloads::modules::synthetic_module(64, 60);
+    let per_proc = |run: &dyn Fn()| -> f64 {
+        let before = ALLOCS.with(Cell::get);
+        run();
+        (ALLOCS.with(Cell::get) - before) as f64 / module.procs.len() as f64
+    };
+    let lint = per_proc(&|| {
+        assert!(!lint_module(&module, &InstrumentConfig::default()).has_errors());
+    });
+    assert!(lint <= 100.0, "lint: {lint:.1} allocations per procedure");
+    for config in [InstrumentConfig::default(), InstrumentConfig::eliding()] {
+        let instrument = per_proc(&|| drop(Instrumenter::new(config.clone()).instrument(&module)));
+        assert!(
+            instrument <= 70.0,
+            "instrument {config:?}: {instrument:.1} allocations per procedure"
+        );
+    }
 }

@@ -1,10 +1,11 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the zoom, the watch
-# loop and serve's window loads.
+# loop, serve's window loads and the address-keyed side tables.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels and zoom.rs),
-# crates/memgaze-core/src/watch.rs or crates/memgaze-serve/src/session.rs
+# crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs
+# or crates/memgaze-model/src/annot.rs
 # whose header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it. For every patch this script

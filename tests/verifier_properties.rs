@@ -93,6 +93,26 @@ fn mutation_call_target_missing() {
     assert_flags(&m, LintId::CallTargetMissing);
 }
 
+#[test]
+fn mutation_unaligned_base_ip_is_one_structural_error() {
+    // Every procedure base is laid out from `base_ip`. An unaligned one
+    // is reported before any layout is built: the debug build used to
+    // trip the layout's alignment assertion, and the release build
+    // rounded the first base up and reported nothing.
+    for opt in [OptLevel::O0, OptLevel::O3] {
+        let mut m = mixed(opt);
+        m.base_ip += 4;
+        let diags = verify_module(&m);
+        assert!(
+            diags.len() == 1
+                && diags[0].lint == LintId::ProcBaseUnaligned
+                && diags[0].severity == Severity::Error,
+            "{diags:?}"
+        );
+        assert!(lint_module(&m, &InstrumentConfig::default()).has_errors());
+    }
+}
+
 // --- CFG and dataflow mutations (C1xx) ----------------------------------
 
 #[test]
