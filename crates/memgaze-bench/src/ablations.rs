@@ -12,14 +12,14 @@
 //! 5. **Zoom hot threshold `t%`** (§IV-C2: "The stopping threshold is
 //!    also important"): leaf count and hot coverage across thresholds.
 
-use memgaze_analysis::{
-    compare_window_series, pow2_sizes, window_series, AnalysisConfig, Table, ZoomConfig,
-};
-use memgaze_bench::{emit, scales};
-use memgaze_core::{trace_workload, MemGaze, PipelineConfig};
+use crate::fig6::sampled_vs_full;
+use crate::scales::{App, Scales};
+use crate::Output;
+use memgaze_analysis::{pow2_sizes, AnalysisConfig, Table, ZoomConfig};
+use memgaze_core::WorkloadReport;
 use memgaze_model::Ip;
 use memgaze_ptsim::{OverheadModel, RunProfile, SamplerConfig, StreamSampler, TimeStreamSampler};
-use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
+use memgaze_workloads::minivite::{MapVariant, MiniViteConfig};
 use memgaze_workloads::ubench::{MicroBench, OptLevel};
 use serde::Serialize;
 
@@ -32,39 +32,32 @@ struct Out {
     zoom_threshold: Vec<(f64, usize, f64)>, // (t%, leaves, top-leaf pct)
 }
 
-fn ablate_yield(out: &mut Out, sc: &memgaze_bench::scales::Scales) {
+fn ablate_yield(out: &mut Out, sc: &Scales) {
     let bench = MicroBench::parse("str2|irr", sc.micro_elems, 20, OptLevel::O3).unwrap();
     let sizes = pow2_sizes(4, 8);
     for yf in [0.25, 0.55, 1.0] {
-        let mut cfg = PipelineConfig::microbench();
-        cfg.sampler.period = sc.micro_period;
+        let mut cfg = sc.micro_pipeline();
         cfg.sampler.yield_factor = yf;
-        let mg = MemGaze::new(cfg.clone());
-        let report = mg.run_microbench(&bench).unwrap();
-        let truth = mg.microbench_ground_truth(&bench).unwrap();
-        let fb = cfg.analysis.footprint_block;
-        let s = window_series(&report.trace, &report.instrumented.annots, fb, &sizes);
-        let full = truth.as_single_sample_trace();
-        let f = window_series(&full, &report.instrumented.annots, fb, &sizes);
-        let mape = compare_window_series(&f, &s);
+        let (report, _, mape) = sampled_vs_full(&cfg, &bench, &sizes);
         out.yield_factor
             .push((yf, report.trace.mean_window(), mape.f));
     }
 }
 
-fn ablate_payload(out: &mut Out, sc: &memgaze_bench::scales::Scales) {
-    let mv = MiniViteConfig {
-        scale: sc.graph_scale,
-        degree: sc.degree,
+/// miniVite with one Louvain iteration, traced under `sampler`.
+fn minivite_once(sc: &Scales, variant: MapVariant, sampler: &SamplerConfig) -> WorkloadReport {
+    let cfg = MiniViteConfig {
         iterations: 1,
-        variant: MapVariant::V1,
-        seed: 42,
-        v2_default_capacity: 64,
+        ..sc.minivite(variant)
     };
+    App::MiniVite(cfg).trace("mv", sampler)
+}
+
+fn ablate_payload(out: &mut Out, sc: &Scales) {
     for (label, compact) in [("64-bit", false), ("32-bit", true)] {
-        let mut cfg = SamplerConfig::application(sc.app_period);
+        let mut cfg = sc.app_sampler();
         cfg.compact_payloads = compact;
-        let (report, _) = trace_workload("mv", &cfg, |s| minivite::run(s, &mv));
+        let report = minivite_once(sc, MapVariant::V1, &cfg);
         let bytes = report.stream.packets.generated_bytes(compact);
         // Overhead: copy term scales with bytes.
         let prof = RunProfile {
@@ -121,20 +114,12 @@ fn ablate_trigger(out: &mut Out) {
         .push(("time-based".into(), frac_slow(&t_trace)));
 }
 
-fn ablate_strided_suppression(out: &mut Out, sc: &memgaze_bench::scales::Scales) {
+fn ablate_strided_suppression(out: &mut Out, sc: &Scales) {
     // Measure a strided-heavy workload, then estimate the overhead with
     // 3 of every 4 strided ptwrites suppressed (reconstructable from the
     // stride annotation).
-    let mv = MiniViteConfig {
-        scale: sc.graph_scale,
-        degree: sc.degree,
-        iterations: 1,
-        variant: MapVariant::V3, // hopscotch: strided probes dominate
-        seed: 42,
-        v2_default_capacity: 64,
-    };
-    let cfg = SamplerConfig::application(sc.app_period);
-    let (report, _) = trace_workload("mv", &cfg, |s| minivite::run(s, &mv));
+    // Hopscotch (v3): strided probes dominate.
+    let report = minivite_once(sc, MapVariant::V3, &sc.app_sampler());
     let strided_frac = {
         let total = report.trace.observed_accesses().max(1);
         let strided = report
@@ -169,17 +154,8 @@ fn ablate_strided_suppression(out: &mut Out, sc: &memgaze_bench::scales::Scales)
         .push(("strided/4".into(), model.estimate(&supp).overhead()));
 }
 
-fn ablate_zoom_threshold(out: &mut Out, sc: &memgaze_bench::scales::Scales) {
-    let mv = MiniViteConfig {
-        scale: sc.graph_scale,
-        degree: sc.degree,
-        iterations: 1,
-        variant: MapVariant::V2,
-        seed: 42,
-        v2_default_capacity: 64,
-    };
-    let cfg = SamplerConfig::application(sc.app_period);
-    let (report, _) = trace_workload("mv", &cfg, |s| minivite::run(s, &mv));
+fn ablate_zoom_threshold(out: &mut Out, sc: &Scales) {
+    let report = minivite_once(sc, MapVariant::V2, &sc.app_sampler());
     for t in [2.0, 10.0, 40.0] {
         let acfg = AnalysisConfig {
             zoom: ZoomConfig {
@@ -195,14 +171,13 @@ fn ablate_zoom_threshold(out: &mut Out, sc: &memgaze_bench::scales::Scales) {
     }
 }
 
-fn main() {
-    let sc = scales::from_env();
+pub(crate) fn run(sc: &Scales) -> Output {
     let mut out = Out::default();
-    ablate_yield(&mut out, &sc);
-    ablate_payload(&mut out, &sc);
+    ablate_yield(&mut out, sc);
+    ablate_payload(&mut out, sc);
     ablate_trigger(&mut out);
-    ablate_strided_suppression(&mut out, &sc);
-    ablate_zoom_threshold(&mut out, &sc);
+    ablate_strided_suppression(&mut out, sc);
+    ablate_zoom_threshold(&mut out, sc);
 
     let mut t = Table::new("Ablations", &["Knob", "Setting", "Result"]);
     for (yf, w, m) in &out.yield_factor {
@@ -240,5 +215,6 @@ fn main() {
             format!("{leaves} leaves, hottest covers {top:.1}%"),
         ]);
     }
-    emit("ablations", &t, &out);
+    println!("{}", t.render());
+    Output::new(&out)
 }

@@ -6,13 +6,11 @@
 //! paper's bands: continuous typically 10–95% (Darknet 5×–7× from its
 //! store rate); opt 10–35%, tracking the ptwrite execution rate.
 
+use crate::scales::{App, Scales, KERNELS, NETWORKS, VARIANTS};
+use crate::Output;
 use memgaze_analysis::{fmt_pct, Table};
-use memgaze_bench::{emit, scales};
-use memgaze_core::{phase_profiles, trace_workload, PhaseOverhead};
+use memgaze_core::phase_profiles;
 use memgaze_ptsim::{OverheadModel, PtMode, SamplerConfig};
-use memgaze_workloads::darknet::{self, Network};
-use memgaze_workloads::gap::{self, GapConfig, GapKernel};
-use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,15 +23,11 @@ struct Fig7Row {
     loads: u64,
 }
 
-fn collect(
-    name: &str,
-    period: u64,
-    run: impl FnOnce(&mut memgaze_workloads::TracedSpace<memgaze_core::SamplerRecorder>),
-) -> Vec<Fig7Row> {
+fn collect(name: &str, period: u64, app: App) -> Vec<Fig7Row> {
     // Opt-mode collection measures the true enabled fraction.
     let mut cfg = SamplerConfig::application(period);
     cfg.mode = PtMode::SampleOnly;
-    let (report, _) = trace_workload(name, &cfg, |s| run(s));
+    let report = app.trace(name, &cfg);
     let enabled_frac = if report.stream.ptwrites_executed == 0 {
         0.0
     } else {
@@ -46,7 +40,7 @@ fn collect(
 
     cont.iter()
         .zip(&opt)
-        .map(|(c, o): (&PhaseOverhead, &PhaseOverhead)| Fig7Row {
+        .map(|(c, o)| Fig7Row {
             benchmark: name.to_string(),
             phase: c.phase.clone(),
             continuous_overhead_pct: 100.0 * c.overhead,
@@ -57,56 +51,21 @@ fn collect(
         .collect()
 }
 
-fn main() {
-    let sc = scales::from_env();
+pub(crate) fn run(sc: &Scales) -> Output {
     let mut rows: Vec<Fig7Row> = Vec::new();
 
-    for variant in [MapVariant::V1, MapVariant::V2, MapVariant::V3] {
-        let mv = MiniViteConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            iterations: sc.louvain_iters,
-            variant,
-            seed: 42,
-            v2_default_capacity: 64,
-        };
-        rows.extend(collect(
-            &format!("miniVite-{}", variant.label()),
-            sc.app_period,
-            move |s| {
-                minivite::run(s, &mv);
-            },
-        ));
-    }
-    for kernel in [
-        GapKernel::Pr,
-        GapKernel::PrSpmv,
-        GapKernel::Cc,
-        GapKernel::CcSv,
-    ] {
-        let cfg = GapConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            kernel,
-            max_iters: sc.pr_iters,
-            seed: 9,
-        };
-        rows.extend(collect(
-            &format!("GAP-{}", kernel.label()),
-            sc.app_period,
-            move |s| {
-                gap::run(s, &cfg);
-            },
-        ));
-    }
-    for net in [Network::AlexNet, Network::ResNet152] {
-        rows.extend(collect(
-            &format!("Darknet-{}", net.label()),
-            sc.app_period,
-            move |s| {
-                darknet::run(s, net);
-            },
-        ));
+    let apps = VARIANTS
+        .map(|v| {
+            (
+                format!("miniVite-{}", v.label()),
+                App::MiniVite(sc.minivite(v)),
+            )
+        })
+        .into_iter()
+        .chain(KERNELS.map(|k| (format!("GAP-{}", k.label()), App::Gap(sc.gap(k)))))
+        .chain(NETWORKS.map(|n| (format!("Darknet-{}", n.label()), App::Darknet(n))));
+    for (name, app) in apps {
+        rows.extend(collect(&name, sc.app_period, app));
     }
 
     let mut table = Table::new(
@@ -130,29 +89,24 @@ fn main() {
             r.loads.to_string(),
         ]);
     }
-    emit("fig7_overhead", &table, &rows);
+    println!("{}", table.render());
 
     // Shape summary.
-    let darknet_worst = rows
-        .iter()
-        .filter(|r| r.benchmark.starts_with("Darknet"))
-        .map(|r| r.continuous_overhead_pct)
-        .fold(0.0f64, f64::max);
-    let graph_rows: Vec<&Fig7Row> = rows
-        .iter()
-        .filter(|r| !r.benchmark.starts_with("Darknet"))
-        .collect();
-    let graph_worst = graph_rows
-        .iter()
-        .map(|r| r.continuous_overhead_pct)
-        .fold(0.0f64, f64::max);
+    let worst = |darknet: bool| {
+        rows.iter()
+            .filter(|r| r.benchmark.starts_with("Darknet") == darknet)
+            .map(|r| r.continuous_overhead_pct)
+            .fold(0.0f64, f64::max)
+    };
     println!(
         "continuous: graph benchmarks worst {:.0}% (paper: typically 10–95%); Darknet worst {:.0}% (paper: 5×–7× = 400–600%)",
-        graph_worst, darknet_worst
+        worst(false),
+        worst(true)
     );
     let opt_max = rows
         .iter()
         .map(|r| r.opt_overhead_pct)
         .fold(0.0f64, f64::max);
     println!("opt: worst {:.0}% (paper: 10–35%)", opt_max);
+    Output::new(&rows)
 }

@@ -1,120 +1,133 @@
-//! Shared machinery for the paper-experiment binaries.
+//! The paper's evaluation (§VI–§VII) on the simulated substrate.
 //!
-//! Every table and figure of the paper's evaluation (§VI–§VII) has a
-//! binary under `src/bin/` that regenerates it on the simulated
-//! substrate; this library holds the common workload scales and the
-//! experiment output format (rendered table + machine-readable JSON under
-//! `experiments/`). Performance is measured by `benchmark/`, not here.
+//! Every table and figure has a module here that regenerates it, and
+//! [`TABLES`] names them for the `tables` binary: `tables` regenerates
+//! all of them, `tables fig6 table9` the named ones. Each writes one
+//! byte-deterministic `experiments/<file>.json`; a table that measures
+//! wall-clock time writes those fields to a second, host-stamped
+//! `experiments/<file>.timing.json`. Performance is measured by
+//! `benchmark/`, not here.
 
-use memgaze_analysis::Table;
+mod ablations;
+mod fig6;
+mod fig7;
+mod lint;
+pub mod scales;
+mod table2;
+mod table3;
+mod table4_5;
+mod table6_7_8;
+mod table9;
+
+use scales::Scales;
 use serde::Serialize;
-use std::io::Write as _;
-use std::path::PathBuf;
 
-pub mod scales {
-    //! Workload scales for the experiment binaries.
-    //!
-    //! `MEMGAZE_SCALE=small` shrinks everything for smoke runs; the
-    //! default is sized so each binary completes in well under a minute.
+/// Where experiment JSON lands, relative to the working directory.
+const EXPERIMENTS_DIR: &str = "experiments";
 
-    /// Experiment scale knobs.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Scales {
-        /// Microbenchmark array elements.
-        pub micro_elems: u32,
-        /// Microbenchmark repetitions.
-        pub micro_reps: u32,
-        /// Graph scale (2^scale vertices) for miniVite/GAP.
-        pub graph_scale: u32,
-        /// Graph average degree.
-        pub degree: usize,
-        /// miniVite Louvain iterations.
-        pub louvain_iters: usize,
-        /// PageRank iteration budget.
-        pub pr_iters: usize,
-        /// Application sampling period (loads).
-        pub app_period: u64,
-        /// Microbenchmark sampling period (loads).
-        pub micro_period: u64,
+/// One regenerable output: its name on the `tables` command line, the
+/// `experiments/` file it writes, and the function that computes it.
+pub struct Entry {
+    pub name: &'static str,
+    file: &'static str,
+    run: fn(&Scales) -> Output,
+}
+
+/// Every table and figure, in the order `tables` regenerates them.
+pub const TABLES: &[Entry] = &[
+    Entry::new("fig6", "fig6_validation", fig6::run),
+    Entry::new("fig7", "fig7_overhead", fig7::run),
+    Entry::new("table2", "table2_toolchain", table2::run),
+    Entry::new("table3", "table3_space", table3::run),
+    Entry::new("table4_5", "table4_5_minivite", table4_5::run),
+    Entry::new("table6_7_8", "table6_7_8_darknet", table6_7_8::run),
+    Entry::new("table9", "table9_fig8_9_gap", table9::run),
+    Entry::new("ablations", "ablations", ablations::run),
+    Entry::new("lint", "BENCH_lint", lint::run),
+];
+
+/// The entries `names` pick, in their order; every entry for no names.
+pub fn select(names: &[String]) -> Result<Vec<&'static Entry>, String> {
+    if names.is_empty() {
+        return Ok(TABLES.iter().collect());
+    }
+    let known = || TABLES.iter().map(|e| e.name).collect::<Vec<_>>().join(", ");
+    names
+        .iter()
+        .map(|n| {
+            TABLES
+                .iter()
+                .find(|e| e.name == n)
+                .ok_or_else(|| format!("unknown table {n:?} (tables: {})", known()))
+        })
+        .collect()
+}
+
+impl Entry {
+    const fn new(name: &'static str, file: &'static str, run: fn(&Scales) -> Output) -> Entry {
+        Entry { name, file, run }
     }
 
-    /// Resolve from the `MEMGAZE_SCALE` environment variable.
-    pub fn from_env() -> Scales {
-        match std::env::var("MEMGAZE_SCALE").as_deref() {
-            Ok("small") => Scales {
-                micro_elems: 1024,
-                micro_reps: 10,
-                graph_scale: 8,
-                degree: 6,
-                louvain_iters: 1,
-                pr_iters: 6,
-                app_period: 10_000,
-                micro_period: 5_000,
-            },
-            Ok("large") => Scales {
-                micro_elems: 8192,
-                micro_reps: 100,
-                graph_scale: 13,
-                degree: 12,
-                louvain_iters: 3,
-                pr_iters: 12,
-                app_period: 200_000,
-                micro_period: 10_000,
-            },
-            _ => Scales {
-                micro_elems: 4096,
-                micro_reps: 50,
-                graph_scale: 10,
-                degree: 8,
-                louvain_iters: 2,
-                pr_iters: 9,
-                app_period: 50_000,
-                micro_period: 10_000,
-            },
+    /// Compute this table at `sc`, print it and write its files.
+    pub fn regenerate(&self, sc: &Scales) -> std::io::Result<()> {
+        let out = (self.run)(sc);
+        std::fs::create_dir_all(EXPERIMENTS_DIR)?;
+        for (path, body) in out.files(self.file) {
+            std::fs::write(&path, body)?;
+            println!("[experiment data → {path}]");
+        }
+        println!();
+        Ok(())
+    }
+}
+
+/// What one table writes: its deterministic payload and, for a table
+/// that measures wall-clock time, the timings apart.
+pub(crate) struct Output {
+    data: String,
+    timing: Option<String>,
+}
+
+impl Output {
+    fn new(data: &impl Serialize) -> Output {
+        Output {
+            data: json(data),
+            timing: None,
         }
     }
+
+    fn with_timing(self, timing: &impl Serialize) -> Output {
+        Output {
+            timing: Some(with_host_fields(json(timing))),
+            ..self
+        }
+    }
+
+    /// `(path, contents)` of each file this output writes as `file`.
+    fn files(&self, file: &str) -> Vec<(String, &str)> {
+        let mut files = vec![(format!("{EXPERIMENTS_DIR}/{file}.json"), self.data.as_str())];
+        if let Some(timing) = &self.timing {
+            files.push((format!("{EXPERIMENTS_DIR}/{file}.timing.json"), timing));
+        }
+        files
+    }
 }
 
-/// Where experiment JSON lands.
-pub fn experiments_dir() -> PathBuf {
-    let dir = std::env::var("MEMGAZE_EXPERIMENTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("experiments"));
-    std::fs::create_dir_all(&dir).expect("create experiments dir");
-    dir
+fn json(payload: &impl Serialize) -> String {
+    serde_json::to_string_pretty(payload).expect("serialize experiment")
 }
 
-/// Print a rendered table and persist the machine-readable payload as
-/// `experiments/<id>.json`.
-pub fn emit<T: Serialize>(id: &str, table: &Table, payload: &T) {
-    println!("{}", table.render());
-    let path = experiments_dir().join(format!("{id}.json"));
-    let json =
-        with_host_fields(serde_json::to_string_pretty(payload).expect("serialize experiment"));
-    let mut f = std::fs::File::create(&path).expect("create experiment file");
-    f.write_all(json.as_bytes()).expect("write experiment file");
-    println!("[experiment data → {}]\n", path.display());
-}
-
-/// Prepend the host fact every bench JSON must carry — the core count —
-/// to a serialized top-level JSON object. Timings are only comparable
-/// between two runs when it matches, so [`emit`] injects it
-/// unconditionally.
-fn with_host_fields(body: String) -> String {
-    let Some(rest) = body.strip_prefix('{') else {
-        return body; // non-object payload: nothing to annotate
-    };
+/// Wrap serialized timings, whatever their root, in an object that
+/// leads with the host fact they depend on — the core count. Timings
+/// are only comparable between two runs when it matches.
+fn with_host_fields(timings: String) -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let sep = if rest.trim_start().starts_with('}') {
-        ""
-    } else {
-        ","
-    };
-    format!("{{\n  \"host_cpus\": {cpus}{sep}{rest}")
+    let timings = timings.replace('\n', "\n  ");
+    format!("{{\n  \"host_cpus\": {cpus},\n  \"timings\": {timings}\n}}")
 }
 
 /// Milliseconds elapsed running `f`, plus its result.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = std::time::Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64() * 1e3, out)
@@ -130,16 +143,70 @@ mod tests {
     };
 
     #[test]
-    fn host_fields_are_injected_into_object_payloads() {
-        let annotated = with_host_fields("{\n  \"a\": 1\n}".to_string());
-        assert!(annotated.starts_with("{\n  \"host_cpus\": "), "{annotated}");
-        assert!(annotated.ends_with("\"a\": 1\n}"), "{annotated}");
-        // An empty object gains the field without a dangling comma.
-        let empty = with_host_fields("{}".to_string());
-        assert!(empty.contains("\"host_cpus\""), "{empty}");
-        assert!(!empty.contains(",}"), "{empty}");
-        // Non-object payloads pass through untouched.
-        assert_eq!(with_host_fields("[1,2]".to_string()), "[1,2]");
+    fn deterministic_payloads_are_written_without_host_fields() {
+        let out = Output::new(&vec![1u64, 2]);
+        let files = out.files("t");
+        assert_eq!(
+            files,
+            vec![("experiments/t.json".to_string(), "[\n  1,\n  2\n]")]
+        );
+    }
+
+    #[test]
+    fn timing_payloads_are_written_with_host_fields() {
+        #[derive(Serialize)]
+        struct Row {
+            ms: f64,
+        }
+        let array = Output::new(&0u64).with_timing(&vec![Row { ms: 1.5 }]);
+        let object = Output::new(&0u64).with_timing(&Row { ms: 2.5 });
+        for (out, body) in [
+            (array, "[\n    {\n      \"ms\": 1.5\n    }\n  ]"),
+            (object, "{\n    \"ms\": 2.5\n  }"),
+        ] {
+            let files = out.files("t");
+            assert_eq!(files[0], ("experiments/t.json".to_string(), "0"));
+            let (path, timing) = &files[1];
+            assert_eq!(path, "experiments/t.timing.json");
+            assert!(timing.starts_with("{\n  \"host_cpus\": "), "{timing}");
+            assert!(
+                timing.ends_with(&format!(",\n  \"timings\": {body}\n}}")),
+                "{timing}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_table_has_its_own_name_and_deterministic_file() {
+        let mut names: Vec<&str> = TABLES.iter().map(|e| e.name).collect();
+        let mut files: Vec<String> = TABLES.iter().map(|e| format!("{}.json", e.file)).collect();
+        names.sort_unstable();
+        names.dedup();
+        files.sort_unstable();
+        files.dedup();
+        assert_eq!((names.len(), files.len()), (TABLES.len(), TABLES.len()));
+        // The checked-in deterministic files are exactly the ones the
+        // tables write: no orphan, and none written twice.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
+        let mut checked_in: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .filter(|f| !f.ends_with(".timing.json"))
+            .collect();
+        checked_in.sort_unstable();
+        assert_eq!(checked_in, files);
+    }
+
+    #[test]
+    fn select_picks_named_tables_and_rejects_unknown_ones() {
+        let pick = |names: &[&str]| {
+            let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+            select(&names).map(|es| es.iter().map(|e| e.name).collect::<Vec<_>>())
+        };
+        assert_eq!(pick(&[]).unwrap().len(), TABLES.len());
+        assert_eq!(pick(&["table9", "fig6"]).unwrap(), vec!["table9", "fig6"]);
+        let err = pick(&["fig6", "fig99"]).unwrap_err();
+        assert!(err.contains("fig99") && err.contains("table9"), "{err}");
     }
 
     #[test]
@@ -180,11 +247,5 @@ mod tests {
         let (ms, v) = timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn scales_resolve() {
-        let s = scales::from_env();
-        assert!(s.micro_elems > 0 && s.graph_scale > 0);
     }
 }

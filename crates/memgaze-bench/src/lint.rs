@@ -6,13 +6,15 @@
 //! full O0/O3 microbenchmark suites, a set of synthetic
 //! application-shaped modules, and four absint showcase workloads
 //! (spilled IV, nested loops, interprocedural summaries, masked index).
-//! Records per-module lint time, the oracle agreement rate, and — the
-//! acceptance bars — that there are zero unsound disagreements, zero
-//! error-severity diagnostics, and that eliding proven-strided loads
-//! measurably shrinks the instrumentation plan.
+//! Records the oracle agreement rate and — the acceptance bars — that
+//! there are zero unsound disagreements, zero error-severity
+//! diagnostics, and that eliding proven-strided loads measurably
+//! shrinks the instrumentation plan; per-module lint times go to the
+//! timing file.
 
+use crate::scales::Scales;
+use crate::{timed, Output};
 use memgaze_analysis::Table;
-use memgaze_bench::{emit, scales, timed};
 use memgaze_instrument::{
     lint_and_instrument, InstrPlan, InstrumentConfig, LintArtifacts, ModuleClassification,
 };
@@ -34,6 +36,11 @@ struct LintRow {
     unsound: u64,
     errors: usize,
     warnings: usize,
+}
+
+#[derive(Serialize)]
+struct LintTiming {
+    module: String,
     lint_ms: f64,
 }
 
@@ -54,7 +61,7 @@ struct TotalSummary {
 /// every module: how many loads the baseline plan instruments, how many
 /// survive with elision on, and the estimated trace-byte saving (each
 /// `ptwrite` packet costs 9 bytes, one per source register).
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct InstrImpact {
     base_instrumented: u64,
     elision_instrumented: u64,
@@ -74,8 +81,7 @@ struct Payload {
     total_warnings: usize,
 }
 
-fn modules() -> Vec<(String, LoadModule)> {
-    let sc = scales::from_env();
+fn modules(sc: &Scales) -> Vec<(String, LoadModule)> {
     let mut out = Vec::new();
     for opt in [OptLevel::O0, OptLevel::O3] {
         for spec in codegen::standard_suite(opt, sc.micro_elems, sc.micro_reps) {
@@ -110,22 +116,16 @@ fn trace_bytes(classification: &ModuleClassification, plan: &InstrPlan) -> u64 {
         .sum()
 }
 
-fn main() {
+pub(crate) fn run(sc: &Scales) -> Output {
     let config = InstrumentConfig::default();
     let mut rows = Vec::new();
+    let mut times = Vec::new();
     let mut total = memgaze_instrument::DiffSummary::default();
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
-    let mut instr = InstrImpact {
-        base_instrumented: 0,
-        elision_instrumented: 0,
-        elided: 0,
-        base_trace_bytes: 0,
-        elision_trace_bytes: 0,
-        reduction: 0.0,
-    };
+    let mut instr = InstrImpact::default();
 
-    for (name, module) in modules() {
+    for (name, module) in modules(sc) {
         let (lint_ms, (report, artifacts)) = timed(|| lint_and_instrument(&module, &config));
         let errors = report.count(Severity::Error);
         let warnings = report.count(Severity::Warning);
@@ -154,6 +154,10 @@ fn main() {
         }
 
         let d = report.differential;
+        times.push(LintTiming {
+            module: name.clone(),
+            lint_ms,
+        });
         rows.push(LintRow {
             module: name,
             loads: d.loads,
@@ -164,7 +168,6 @@ fn main() {
             unsound: d.unsound,
             errors,
             warnings,
-            lint_ms,
         });
     }
     instr.reduction = if instr.base_trace_bytes == 0 {
@@ -179,7 +182,7 @@ fn main() {
             "Module", "loads", "agree", "unknown", "upgr", "lost", "unsound", "err", "warn", "ms",
         ],
     );
-    for r in &rows {
+    for (r, t) in rows.iter().zip(&times) {
         table.push_row(vec![
             r.module.clone(),
             r.loads.to_string(),
@@ -190,7 +193,7 @@ fn main() {
             r.unsound.to_string(),
             r.errors.to_string(),
             r.warnings.to_string(),
-            format!("{:.2}", r.lint_ms),
+            format!("{:.2}", t.lint_ms),
         ]);
     }
 
@@ -209,7 +212,7 @@ fn main() {
         total_warnings,
         rows,
     };
-    emit("BENCH_lint", &table, &payload);
+    println!("{}", table.render());
     println!(
         "agreement {:.3} over {} loads ({} upgraded); {} unsound, {} errors; \
          elision drops instrumented {} → {} ({:.1}% trace bytes)",
@@ -227,4 +230,5 @@ fn main() {
         "unsound differential disagreement"
     );
     assert_eq!(total_errors, 0, "error-severity lint diagnostics");
+    Output::new(&payload).with_timing(&times)
 }

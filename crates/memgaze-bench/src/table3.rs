@@ -12,17 +12,16 @@
 //! reconstruct), and O0 is emulated with one implied frame load per
 //! instrumented load.
 
+use crate::scales::{App, Scales, NETWORKS};
+use crate::Output;
 use memgaze_analysis::Table;
-use memgaze_bench::{emit, scales};
-use memgaze_core::{full_trace_workload, trace_workload, MemGaze, PipelineConfig};
+use memgaze_core::{full_trace_workload, trace_workload, MemGaze};
 use memgaze_instrument::{InstrumentConfig, Instrumenter, ModuleClassification};
 use memgaze_model::{io, DecompressionInfo};
-use memgaze_ptsim::{collect_full, BandwidthModel, SamplerConfig};
-use memgaze_workloads::darknet::{self, Network};
-use memgaze_workloads::gap::{self, GapConfig, GapKernel};
-use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
+use memgaze_ptsim::{collect_full, BandwidthModel};
+use memgaze_workloads::gap::GapKernel;
+use memgaze_workloads::minivite::MapVariant;
 use memgaze_workloads::ubench::{MicroBench, OptLevel};
-use memgaze_workloads::{LoadRecorder, TracedSpace};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,80 +37,59 @@ struct Table3Row {
     kappa: f64,
 }
 
-fn pct(a: u64, b: u64) -> f64 {
-    if b == 0 {
-        0.0
-    } else {
-        100.0 * a as f64 / b as f64
-    }
-}
-
-/// A workload runnable under any recorder.
-trait Runner: Copy {
-    fn exec<R: LoadRecorder>(&self, space: &mut TracedSpace<R>);
-}
-
-#[derive(Clone, Copy)]
-struct Mv(MiniViteConfig);
-impl Runner for Mv {
-    fn exec<R: LoadRecorder>(&self, space: &mut TracedSpace<R>) {
-        minivite::run(space, &self.0);
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Gap(GapConfig);
-impl Runner for Gap {
-    fn exec<R: LoadRecorder>(&self, space: &mut TracedSpace<R>) {
-        gap::run(space, &self.0);
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Dark(Network);
-impl Runner for Dark {
-    fn exec<R: LoadRecorder>(&self, space: &mut TracedSpace<R>) {
-        darknet::run(space, self.0);
+impl Table3Row {
+    fn new(benchmark: String, sizes: [u64; 4], kappa: f64) -> Table3Row {
+        let [rec_bytes, all_bytes, all_plus_bytes, memgaze_bytes] = sizes;
+        let pct = |of: u64| {
+            if of == 0 {
+                0.0
+            } else {
+                100.0 * memgaze_bytes as f64 / of as f64
+            }
+        };
+        Table3Row {
+            benchmark,
+            rec_bytes,
+            all_bytes,
+            all_plus_bytes,
+            memgaze_bytes,
+            ratio_rec_pct: pct(rec_bytes),
+            ratio_all_pct: pct(all_bytes),
+            ratio_all_plus_pct: pct(all_plus_bytes),
+            kappa,
+        }
     }
 }
 
 /// Four trace sizes of one workload; `o0_extra > 0` emulates O0.
-fn workload_row(name: &str, period: u64, o0_extra: u32, runner: impl Runner) -> Table3Row {
+fn workload_row(name: &str, sc: &Scales, o0_extra: u32, app: App) -> Table3Row {
     let (rec, _) = full_trace_workload(name, Some(BandwidthModel::default()), true, |s| {
         s.set_o0_extra(o0_extra);
-        runner.exec(s)
+        app.run(s)
     });
     let (all, _) = full_trace_workload(name, None, true, |s| {
         s.set_o0_extra(o0_extra);
-        runner.exec(s)
+        app.run(s)
     });
-    let sampler = SamplerConfig::application(period);
-    let (sampled, _) = trace_workload(name, &sampler, |s| {
+    let (sampled, _) = trace_workload(name, &sc.app_sampler(), |s| {
         s.set_o0_extra(o0_extra);
-        runner.exec(s)
+        app.run(s)
     });
 
-    let rec_bytes = io::full_size_bytes(&rec.trace);
     let all_bytes = io::full_size_bytes(&all.trace);
     let kappa = DecompressionInfo::from_trace(&sampled.trace, &sampled.annots).kappa();
-    let all_plus_bytes = (all_bytes as f64 * kappa) as u64;
-    let memgaze_bytes = io::sampled_size_bytes(&sampled.trace);
-    Table3Row {
-        benchmark: name.to_string(),
-        rec_bytes,
+    let sizes = [
+        io::full_size_bytes(&rec.trace),
         all_bytes,
-        all_plus_bytes,
-        memgaze_bytes,
-        ratio_rec_pct: pct(memgaze_bytes, rec_bytes),
-        ratio_all_pct: pct(memgaze_bytes, all_bytes),
-        ratio_all_plus_pct: pct(memgaze_bytes, all_plus_bytes),
-        kappa,
-    }
+        (all_bytes as f64 * kappa) as u64,
+        io::sampled_size_bytes(&sampled.trace),
+    ];
+    Table3Row::new(name.to_string(), sizes, kappa)
 }
 
 /// Microbenchmark sizes on the IR path: real Rec/All/All⁺ collections.
-fn micro_row(name: &str, opt: OptLevel, elems: u32, reps: u32, period: u64) -> Table3Row {
-    let bench = MicroBench::parse(name, elems, reps, opt).expect("bench");
+fn micro_row(name: &str, opt: OptLevel, sc: &Scales) -> Table3Row {
+    let bench = MicroBench::parse(name, sc.micro_elems, sc.micro_reps, opt).expect("bench");
     let module = bench.module();
     let main = module.find_proc("main").unwrap();
 
@@ -132,40 +110,24 @@ fn micro_row(name: &str, opt: OptLevel, elems: u32, reps: u32, period: u64) -> T
     let (all, _) = collect_full(&comp, main, None, name).unwrap();
     let (all_plus, _) = collect_full(&unc, main, None, name).unwrap();
 
-    let mut cfg = PipelineConfig::microbench();
-    cfg.sampler.period = period;
-    let report = MemGaze::new(cfg).run_microbench(&bench).unwrap();
-
-    let rec_bytes = io::full_size_bytes(&rec);
-    let all_bytes = io::full_size_bytes(&all);
-    let all_plus_bytes = io::full_size_bytes(&all_plus);
-    let memgaze_bytes = io::sampled_size_bytes(&report.trace);
+    let report = MemGaze::new(sc.micro_pipeline())
+        .run_microbench(&bench)
+        .unwrap();
+    let sizes = [
+        io::full_size_bytes(&rec),
+        io::full_size_bytes(&all),
+        io::full_size_bytes(&all_plus),
+        io::sampled_size_bytes(&report.trace),
+    ];
     let kappa = DecompressionInfo::from_trace(&report.trace, &report.instrumented.annots).kappa();
-    Table3Row {
-        benchmark: format!("{}-{}", name, opt.suffix()),
-        rec_bytes,
-        all_bytes,
-        all_plus_bytes,
-        memgaze_bytes,
-        ratio_rec_pct: pct(memgaze_bytes, rec_bytes),
-        ratio_all_pct: pct(memgaze_bytes, all_bytes),
-        ratio_all_plus_pct: pct(memgaze_bytes, all_plus_bytes),
-        kappa,
-    }
+    Table3Row::new(format!("{}-{}", name, opt.suffix()), sizes, kappa)
 }
 
-fn main() {
-    let sc = scales::from_env();
+pub(crate) fn run(sc: &Scales) -> Output {
     let mut rows = Vec::new();
 
     for opt in [OptLevel::O0, OptLevel::O3] {
-        rows.push(micro_row(
-            "str2|irr",
-            opt,
-            sc.micro_elems,
-            sc.micro_reps,
-            sc.micro_period,
-        ));
+        rows.push(micro_row("str2|irr", opt, sc));
     }
 
     for (variant, o0) in [
@@ -174,20 +136,17 @@ fn main() {
         (MapVariant::V2, 0),
         (MapVariant::V3, 0),
     ] {
-        let mv = MiniViteConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            iterations: sc.louvain_iters,
-            variant,
-            seed: 42,
-            v2_default_capacity: 64,
-        };
         let label = format!(
             "miniVite-{}-{}",
             if o0 > 0 { "O0" } else { "O3" },
             variant.label()
         );
-        rows.push(workload_row(&label, sc.app_period, o0, Mv(mv)));
+        rows.push(workload_row(
+            &label,
+            sc,
+            o0,
+            App::MiniVite(sc.minivite(variant)),
+        ));
     }
 
     for kernel in [
@@ -196,30 +155,19 @@ fn main() {
         GapKernel::Pr,
         GapKernel::PrSpmv,
     ] {
-        let cfg = GapConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            kernel,
-            max_iters: sc.pr_iters,
-            seed: 9,
-        };
         for o0 in [1u32, 0] {
             let label = format!(
                 "GAP-{}-{}",
                 kernel.label(),
                 if o0 > 0 { "O0" } else { "O3" }
             );
-            rows.push(workload_row(&label, sc.app_period, o0, Gap(cfg)));
+            rows.push(workload_row(&label, sc, o0, App::Gap(sc.gap(kernel))));
         }
     }
 
-    for net in [Network::AlexNet, Network::ResNet152] {
-        rows.push(workload_row(
-            &format!("Darknet-{}", net.label()),
-            sc.app_period,
-            0,
-            Dark(net),
-        ));
+    for net in NETWORKS {
+        let label = format!("Darknet-{}", net.label());
+        rows.push(workload_row(&label, sc, 0, App::Darknet(net)));
     }
 
     let mut table = Table::new(
@@ -249,7 +197,7 @@ fn main() {
             format!("{:.2}", r.kappa),
         ]);
     }
-    emit("table3_space", &table, &rows);
+    println!("{}", table.render());
 
     let o0 = rows.iter().find(|r| r.benchmark.contains("O0-v1")).unwrap();
     let o3 = rows.iter().find(|r| r.benchmark.contains("O3-v1")).unwrap();
@@ -257,4 +205,5 @@ fn main() {
         "compression: O0 kappa {:.2} (paper ≈2), O3 kappa {:.2} (paper ≈1.2); sampled/All ratios {:.2}% / {:.2}%",
         o0.kappa, o3.kappa, o0.ratio_all_pct, o3.ratio_all_pct
     );
+    Output::new(&rows)
 }

@@ -7,11 +7,11 @@
 //! inflates accesses (resizing + over-allocation); v3 right-sizes and
 //! wins; run times order v1 > v2 > v3.
 
+use crate::scales::{Scales, VARIANTS};
+use crate::Output;
 use memgaze_analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Table};
-use memgaze_bench::{emit, scales};
 use memgaze_core::trace_workload;
-use memgaze_ptsim::SamplerConfig;
-use memgaze_workloads::minivite::{self, MapVariant, MiniViteConfig};
+use memgaze_workloads::minivite;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -34,34 +34,21 @@ struct RegionRowOut {
     accesses_per_block: f64,
 }
 
-#[derive(Serialize)]
-struct Output {
+#[derive(Serialize, Default)]
+struct Out {
     table4: Vec<FunctionRowOut>,
     table5: Vec<RegionRowOut>,
     runtimes: Vec<(String, u64)>,
 }
 
-fn main() {
-    let sc = scales::from_env();
-    let mut out = Output {
-        table4: Vec::new(),
-        table5: Vec::new(),
-        runtimes: Vec::new(),
-    };
+pub(crate) fn run(sc: &Scales) -> Output {
+    let mut out = Out::default();
 
-    for variant in [MapVariant::V1, MapVariant::V2, MapVariant::V3] {
-        let cfg = MiniViteConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            iterations: sc.louvain_iters,
-            variant,
-            seed: 42,
-            v2_default_capacity: 64,
-        };
-        let sampler = SamplerConfig::application(sc.app_period);
+    for variant in VARIANTS {
+        let cfg = sc.minivite(variant);
         let (report, result) = trace_workload(
             &format!("miniVite-O3-{}", variant.label()),
-            &sampler,
+            &sc.app_sampler(),
             |space| minivite::run(space, &cfg),
         );
         out.runtimes
@@ -128,7 +115,7 @@ fn main() {
         ]);
     }
     println!("{}", t4.render());
-    emit("table4_5_minivite", &t5, &out);
+    println!("{}", t5.render());
 
     println!("Run times (abstract cost):");
     for (v, c) in &out.runtimes {
@@ -153,4 +140,5 @@ fn main() {
         "runtime ordering v1 > v2 > v3: {}",
         out.runtimes[0].1 > out.runtimes[1].1 && out.runtimes[1].1 >= out.runtimes[2].1
     );
+    Output::new(&out)
 }

@@ -6,35 +6,27 @@
 //! time as gemm's N shrinks; ResNet's ΔF declines over time while
 //! AlexNet's varies with its heterogeneous layers.
 
+use crate::scales::{App, Scales, NETWORKS};
+use crate::Output;
 use memgaze_analysis::{fmt_f3, fmt_pct, fmt_si, AnalysisConfig, Table};
-use memgaze_bench::{emit, scales};
-use memgaze_core::trace_workload;
 use memgaze_ptsim::SamplerConfig;
-use memgaze_workloads::darknet::{self, Network};
 use serde::Serialize;
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct Out {
     table6: Vec<(String, String, f64, f64, f64, f64)>,
     table7: Vec<(String, String, f64, u64, u64, f64)>,
     table8: Vec<(usize, String, f64, f64, f64, f64)>,
 }
 
-fn main() {
-    let sc = scales::from_env();
-    let _ = sc;
-    let mut out = Out {
-        table6: Vec::new(),
-        table7: Vec::new(),
-        table8: Vec::new(),
-    };
+/// Darknet runs at its own sampler setting, whatever the scale.
+pub(crate) fn run(_: &Scales) -> Output {
+    let mut out = Out::default();
 
-    for net in [Network::AlexNet, Network::ResNet152] {
+    for net in NETWORKS {
         let mut sampler = SamplerConfig::application(20_000);
         sampler.seed = 11;
-        let (report, _) = trace_workload(&format!("Darknet-{}", net.label()), &sampler, |s| {
-            darknet::run(s, net)
-        });
+        let report = App::Darknet(net).trace(&format!("Darknet-{}", net.label()), &sampler);
         let analyzer = report.analyzer(AnalysisConfig::default());
 
         for row in analyzer.function_table() {
@@ -129,7 +121,7 @@ fn main() {
     }
     println!("{}", t6.render());
     println!("{}", t7.render());
-    emit("table6_7_8_darknet", &t8, &out);
+    println!("{}", t8.render());
 
     // Shape summaries.
     let gemm_all_strided = out
@@ -154,4 +146,5 @@ fn main() {
             b > a
         );
     }
+    Output::new(&out)
 }

@@ -8,11 +8,12 @@
 //! heatmaps show cc with fewer/smaller dark access bands; Fig. 9 plots
 //! intra-sample locality vs. interval size.
 
+use crate::scales::{Scales, KERNELS};
+use crate::Output;
 use memgaze_analysis::{fmt_f3, fmt_si, AnalysisConfig, Table};
-use memgaze_bench::{emit, scales};
 use memgaze_core::trace_workload;
 use memgaze_ptsim::SamplerConfig;
-use memgaze_workloads::gap::{self, GapConfig, GapKernel};
+use memgaze_workloads::gap::{self, GapKernel};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -42,34 +43,18 @@ struct Fig9Point {
     mean_delta_f: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct Out {
     table9: Vec<Table9Row>,
     fig8: Vec<Fig8Out>,
     fig9: Vec<Fig9Point>,
 }
 
-fn main() {
-    let sc = scales::from_env();
-    let mut out = Out {
-        table9: Vec::new(),
-        fig8: Vec::new(),
-        fig9: Vec::new(),
-    };
+pub(crate) fn run(sc: &Scales) -> Output {
+    let mut out = Out::default();
 
-    for kernel in [
-        GapKernel::Pr,
-        GapKernel::PrSpmv,
-        GapKernel::Cc,
-        GapKernel::CcSv,
-    ] {
-        let cfg = GapConfig {
-            scale: sc.graph_scale,
-            degree: sc.degree,
-            kernel,
-            max_iters: sc.pr_iters,
-            seed: 9,
-        };
+    for kernel in KERNELS {
+        let cfg = sc.gap(kernel);
         let sampler = SamplerConfig::application(sc.app_period / 4);
         let (report, result) = trace_workload(&format!("GAP-{}", kernel.label()), &sampler, |s| {
             gap::run(s, &cfg)
@@ -153,34 +138,21 @@ fn main() {
         ]);
     }
     println!("{}", t_fig9.render());
-    emit("table9_fig8_9_gap", &t9, &out);
+    println!("{}", t9.render());
 
     // Shape summaries.
-    let d_of = |alg: &str| {
-        out.table9
-            .iter()
-            .find(|r| r.algorithm == alg)
-            .map(|r| r.reuse_d)
-    };
-    if let (Some(pr), Some(spmv)) = (d_of("pr"), d_of("pr-spmv")) {
+    let row = |alg: &str| out.table9.iter().find(|r| r.algorithm == alg);
+    if let (Some(pr), Some(spmv)) = (row("pr"), row("pr-spmv")) {
+        let (pr, spmv) = (pr.reuse_d, spmv.reuse_d);
         println!(
-            "pr D {:.2} < pr-spmv D {:.2}: {} (paper: 1.13 < 2.41)",
-            pr,
-            spmv,
+            "pr D {pr:.2} < pr-spmv D {spmv:.2}: {} (paper: 1.13 < 2.41)",
             pr < spmv
         );
     }
-    let t_of = |alg: &str| {
-        out.table9
-            .iter()
-            .find(|r| r.algorithm == alg)
-            .map(|r| r.time_cost)
-    };
-    if let (Some(cc), Some(sv)) = (t_of("cc"), t_of("cc-sv")) {
+    if let (Some(cc), Some(sv)) = (row("cc"), row("cc-sv")) {
+        let (cc, sv) = (cc.time_cost, sv.time_cost);
         println!(
-            "cc time {} << cc-sv time {}: {} (paper: 2.7 s vs 45.5 s)",
-            cc,
-            sv,
+            "cc time {cc} << cc-sv time {sv}: {} (paper: 2.7 s vs 45.5 s)",
             cc < sv
         );
     }
@@ -190,4 +162,5 @@ fn main() {
             out.fig8[0].access_dark_cells_50, out.fig8[1].access_dark_cells_50
         );
     }
+    Output::new(&out)
 }

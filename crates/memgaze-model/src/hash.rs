@@ -1,8 +1,8 @@
 //! The workspace's one FNV-1a-64 implementation.
 //!
-//! Every checksum in the MemGaze wire formats — the `MGZX` frame-index
-//! sidecar, the `MGZP` partial report, and the `memgaze-store` blob
-//! and catalog formats and result-cache keys — is 64-bit FNV-1a. It is fast,
+//! Every checksum in MemGaze — the frame index's per-frame sums, the
+//! `MGZP` partial report, and the `memgaze-store` blob and catalog
+//! formats and result-cache keys — is 64-bit FNV-1a. It is fast,
 //! dependency-free, and has good dispersion; all of these uses are
 //! corruption detection and content addressing among trusted peers,
 //! not cryptography, so collision resistance against an adversary is
@@ -22,7 +22,7 @@ pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice, starting from the standard offset
-/// basis. This is the checksum used by the sidecar, the partial-report
+/// basis. This is the checksum used by the frame index, the partial-report
 /// codec, and the store formats.
 #[inline]
 pub fn fnv1a64(data: &[u8]) -> u64 {

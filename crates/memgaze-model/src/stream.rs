@@ -29,30 +29,29 @@
 //! at a time. [`encode_sharded`] / [`decode_sharded`] are in-memory
 //! conveniences over the two.
 //!
-//! # Frame-index sidecar
+//! # Frame index
 //!
 //! Shard frames are self-delimiting but not self-locating: a reader
 //! must still scan the container front to back to find frame `k`. For
 //! seek-based reads — the store's `put`, an analysis of a frame range —
-//! [`ShardWriter::finish_indexed`] additionally emits a [`FrameIndex`]
-//! sidecar recording, per frame, the payload byte offset, payload
-//! length, sample count, and an FNV-1a checksum, plus enough container
-//! identity (header checksum, total length, trailer totals) that
+//! [`ShardWriter::finish_indexed`] additionally returns a [`FrameIndex`]
+//! recording, per frame, the payload byte offset, payload length,
+//! sample count, and an FNV-1a checksum, plus enough container identity
+//! (header checksum, total length, trailer totals) that
 //! [`FrameIndex::validate`] can detect a stale or mismatched
-//! index-vs-container pair before anything seeks with it.
+//! index-vs-container pair before anything seeks with it. The index
+//! lives in memory only; what the store persists per frame is its
+//! `MGZC` catalog.
 
 use crate::error::ModelError;
 use crate::hash::fnv1a64;
 use crate::io::{check_header, get_samples, put_header, put_meta, put_sample, read_meta};
 use crate::sample::{Sample, SampledTrace, TraceMeta};
-use crate::wire::{self, put_u64_le, put_varint, read_varint, Reader};
+use crate::wire::{self, put_varint, read_varint, Reader};
 use std::io::{Read, Write};
 
 const VERSION_SHARDED: u16 = 2;
 const KIND_SHARDED: u8 = 2;
-
-const INDEX_MAGIC: &[u8; 4] = b"MGZX";
-const INDEX_VERSION: u16 = 1;
 
 /// Default shard granularity for callers without a better-informed
 /// choice: small enough to bound memory, large enough that per-frame
@@ -177,65 +176,6 @@ impl FrameIndex {
         decode_frame_payload(payload).map_err(|e| ModelError::InShard {
             shard: i as u64,
             source: Box::new(e),
-        })
-    }
-
-    /// Serialize the index (`MGZX` framing, FNV-checksummed).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32 + self.entries.len() * 16);
-        wire::put_header(&mut buf, INDEX_MAGIC, INDEX_VERSION);
-        put_varint(&mut buf, self.header_len);
-        put_u64_le(&mut buf, self.header_checksum);
-        put_varint(&mut buf, self.container_len);
-        put_varint(&mut buf, self.total_loads);
-        put_varint(&mut buf, self.total_instrumented_loads);
-        put_varint(&mut buf, self.entries.len() as u64);
-        let mut prev_offset = 0u64;
-        for e in &self.entries {
-            // Offsets are strictly increasing, so delta-encode them.
-            put_varint(&mut buf, e.offset - prev_offset);
-            prev_offset = e.offset;
-            put_varint(&mut buf, e.len);
-            put_varint(&mut buf, e.samples);
-            put_u64_le(&mut buf, e.checksum);
-        }
-        wire::seal(&mut buf, 0);
-        buf
-    }
-
-    /// Decode a serialized index, rejecting truncation and corruption.
-    pub fn decode(data: &[u8]) -> Result<FrameIndex, ModelError> {
-        let mut r = wire::open(data, INDEX_MAGIC, INDEX_VERSION, "frame index")?;
-        let header_len = r.varint("index header_len")?;
-        let header_checksum = r.u64_le("index header_checksum")?;
-        let container_len = r.varint("index container_len")?;
-        let total_loads = r.varint("index total_loads")?;
-        let total_instrumented_loads = r.varint("index total_instr")?;
-        // Each entry is at least 11 bytes encoded; bound the allocation.
-        let n = r.count(11, "frame index entries")?;
-        let mut entries = Vec::with_capacity(n);
-        let mut offset = 0u64;
-        for _ in 0..n {
-            offset = wire::add_delta(
-                offset,
-                r.varint("index entry offset")?,
-                "index entry offset",
-            )?;
-            entries.push(FrameIndexEntry {
-                offset,
-                len: r.varint("index entry len")?,
-                samples: r.varint("index entry samples")?,
-                checksum: r.u64_le("index entry checksum")?,
-            });
-        }
-        r.finish("frame index")?;
-        Ok(FrameIndex {
-            header_len,
-            header_checksum,
-            container_len,
-            total_loads,
-            total_instrumented_loads,
-            entries,
         })
     }
 }
@@ -836,21 +776,12 @@ mod tests {
                 all.extend(index.read_frame(&bytes, i).unwrap());
             }
             assert_eq!(all, t.samples, "shard size {shard}");
+            // A frame past the last is a typed staleness error.
+            assert!(matches!(
+                index.read_frame(&bytes, index.entries.len()),
+                Err(ModelError::StaleIndex { .. })
+            ));
         }
-    }
-
-    #[test]
-    fn frame_index_roundtrips_through_codec() {
-        let t = mk_trace(7, 12);
-        let (_, index) = encode_sharded_indexed(&t, 3);
-        let encoded = index.encode();
-        let back = FrameIndex::decode(&encoded).unwrap();
-        assert_eq!(index, back);
-        // Truncation and bit flips are rejected, never mis-decoded.
-        assert!(FrameIndex::decode(&encoded[..encoded.len() - 1]).is_err());
-        let mut flipped = encoded.clone();
-        flipped[10] ^= 0x40;
-        assert!(FrameIndex::decode(&flipped).is_err());
     }
 
     #[test]

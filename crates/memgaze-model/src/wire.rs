@@ -1,8 +1,7 @@
 //! The workspace's one wire kit.
 //!
 //! Every binary format in the workspace — the `MGZT` container, the
-//! `MGZX` index, the `MGZP` partial report, the `MGZB`/`MGZC` store
-//! objects — is built from the same few primitives: LEB128 varints, zigzag deltas, little-endian
+//! `MGZP` partial report, the `MGZB`/`MGZC` store objects — is built from the same few primitives: LEB128 varints, zigzag deltas, little-endian
 //! scalars, length-prefixed bytes, and a `magic | version | body | FNV`
 //! frame. They live here once, together with the guards every decoder
 //! of outside input needs:

@@ -97,10 +97,6 @@ pub fn frame_payload(i: usize) -> Vec<u8> {
     container[e.offset as usize..(e.offset + e.len) as usize].to_vec()
 }
 
-pub fn mgzx() -> Vec<u8> {
-    mgzt_v2().1.encode()
-}
-
 /// The partial over `frames` of the fixture container.
 pub fn partial(frames: std::ops::Range<usize>) -> PartialReport {
     let (container, index) = mgzt_v2();

@@ -27,7 +27,7 @@ mod common;
 
 use memgaze::analysis::PartialReport;
 use memgaze::model::stream::decode_frame_payload;
-use memgaze::model::{decode_sharded, fnv1a64, FrameIndex, TraceMeta};
+use memgaze::model::{decode_sharded, fnv1a64, TraceMeta};
 use memgaze::store::blob::decode_blob;
 use memgaze::store::{Catalog, QueryEngine, StoreConfig, StoreError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -130,7 +130,6 @@ fn typed<T, E: std::error::Error>(r: Result<T, E>) -> Result<(), String> {
 
 fn formats() -> Vec<Format> {
     let (container, _) = common::mgzt_v2();
-    let index_container = container.clone();
     let (raw_hash, raw_blob) = common::mgzb(&common::raw_blob_payload());
     let (lz_hash, lz_blob) = common::mgzb(&common::lz_blob_payload());
     // A partial that decodes goes one step on, as the store's merged
@@ -163,23 +162,6 @@ fn formats() -> Vec<Format> {
             valid: common::frame_payload(0),
             sealed: false,
             decode: Box::new(|d| typed(decode_frame_payload(d))),
-        },
-        Format {
-            name: "MGZX",
-            valid: common::mgzx(),
-            sealed: true,
-            // A decoded index is then used: validated against the real
-            // container and every frame it names read through it.
-            decode: Box::new(move |d| {
-                let index = FrameIndex::decode(d).map_err(|e| e.to_string())?;
-                index
-                    .validate(&index_container)
-                    .map_err(|e| e.to_string())?;
-                for i in 0..index.entries.len() {
-                    typed(index.read_frame(&index_container, i))?;
-                }
-                Ok(())
-            }),
         },
         Format {
             name: "MGZP",
@@ -389,7 +371,7 @@ fn sealed(magic: &[u8; 4], version: u16, body: &[u8]) -> Vec<u8> {
 }
 
 /// The inputs that broke a decoder before the wire kit, by name. At
-/// commit c59f616 the first three panic (debug overflow checks) and the
+/// commit c59f616 the first two panic (debug overflow checks) and the
 /// last, kept last for that reason, aborts the process on a reservation
 /// driven by an unvalidated length.
 #[test]
@@ -400,25 +382,6 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
             "MGZC whose trace-id length is u64::MAX",
             sealed(b"MGZC", 1, &varint(u64::MAX)),
             Box::new(|d| typed(Catalog::decode("x", d))),
-        ),
-        (
-            // `offset += delta` over the entry table.
-            "MGZX whose two entry offsets sum past u64",
-            {
-                let mut body = varint(7); // header_len
-                body.extend_from_slice(&[0; 8]); // header_checksum
-                for v in [100, 0, 0, 2] {
-                    body.extend_from_slice(&varint(v)); // lengths, totals, 2 entries
-                }
-                for delta in [u64::MAX, 1] {
-                    body.extend_from_slice(&varint(delta));
-                    body.extend_from_slice(&varint(1)); // len
-                    body.extend_from_slice(&varint(1)); // samples
-                    body.extend_from_slice(&[0; 8]); // checksum
-                }
-                sealed(b"MGZX", 1, &body)
-            },
-            Box::new(|d| typed(FrameIndex::decode(d))),
         ),
         (
             // `v += delta` in the sorted-list decoder.

@@ -13,21 +13,20 @@
 mod common;
 
 use memgaze::analysis::{AnalysisConfig, PartialReport};
-use memgaze::model::{fnv1a64, io, BlockSize, FrameIndex};
+use memgaze::model::{fnv1a64, io, BlockSize};
 use memgaze::store::blob::decode_blob;
 use memgaze::store::{Catalog, TraceStore};
 
 #[test]
 fn encoders_are_byte_identical_to_the_parent_commit() {
     let (container, _) = common::mgzt_v2();
-    let table: [(&str, Vec<u8>, u64); 9] = [
+    let table: [(&str, Vec<u8>, u64); 8] = [
         ("MGZT v2 container", container, 0x73fe_1edc_8806_55d0),
         (
             "frame payload",
             common::frame_payload(0),
             0xf3bd_be7e_194f_168c,
         ),
-        ("MGZX", common::mgzx(), 0x1535_1188_e7cb_b7cf),
         ("MGZP", common::mgzp(), 0xbe36_3839_a3f4_e57a),
         (".mgzr", common::mgzr(), 0x4236_7fab_5bf6_9c87),
         (
@@ -106,9 +105,6 @@ fn fixture(name: &str) -> Vec<u8> {
 fn objects_written_by_the_parent_commit_still_decode() {
     let catalog = Catalog::decode(common::TRACE_ID, &fixture("c59f616.mgzc")).unwrap();
     assert_eq!(catalog, common::catalog());
-
-    let index = FrameIndex::decode(&fixture("c59f616.mgzx")).unwrap();
-    assert_eq!(index, common::mgzt_v2().1);
 
     let partial = PartialReport::decode(&fixture("c59f616.mgzp")).unwrap();
     assert_eq!(partial, common::partial(0..1));
