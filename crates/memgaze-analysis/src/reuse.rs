@@ -173,6 +173,23 @@ impl BlockReuse {
     /// (§IV-B): one kernel reuse pass per sample, the per-block rows of
     /// all of them sorted once, the query index built once.
     pub fn from_samples(samples: &[Sample], bs: BlockSize) -> BlockReuse {
+        let mut br = BlockReuse::from_samples_unindexed(samples, bs);
+        br.rebuild_index();
+        br
+    }
+
+    /// [`from_samples`](Self::from_samples) as its
+    /// [`raw_rows`](Self::raw_rows), without building the query index —
+    /// for a caller that only persists the rows (the store catalog).
+    pub fn sample_rows(samples: &[Sample], bs: BlockSize) -> Vec<(u64, [u64; 4])> {
+        BlockReuse::from_samples_unindexed(samples, bs)
+            .raw_rows()
+            .collect()
+    }
+
+    /// One kernel reuse pass per sample, the rows sorted once; no query
+    /// index.
+    fn from_samples_unindexed(samples: &[Sample], bs: BlockSize) -> BlockReuse {
         let mut pairs = Vec::new();
         kernel::with_workspace(|ws| {
             for s in samples {
@@ -180,9 +197,7 @@ impl BlockReuse {
                 pairs.extend(ws.rows().iter().map(BlockStats::of_row));
             }
         });
-        let mut br = BlockReuse::from_pairs_unindexed(pairs);
-        br.rebuild_index();
-        br
+        BlockReuse::from_pairs_unindexed(pairs)
     }
 
     /// Coalesce many window summaries at once: concatenate the sorted
@@ -630,6 +645,10 @@ mod tests {
         assert_eq!(
             bulk,
             BlockReuse::from_samples(&samples, BlockSize::CACHE_LINE)
+        );
+        assert_eq!(
+            bulk.raw_rows().collect::<Vec<_>>(),
+            BlockReuse::sample_rows(&samples, BlockSize::CACHE_LINE)
         );
     }
 

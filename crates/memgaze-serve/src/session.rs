@@ -585,9 +585,8 @@ fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedRep
 /// Decode one uploaded container and analyze each shard into its
 /// partial — a transient [`StreamingAnalyzer`] per shard over empty
 /// annotations (the wire protocol carries traces, not annotation
-/// sidecars), exactly the per-frame unit the store's result cache
-/// proved merge-equivalent to a resident pass — beside the loads it
-/// covered. The shards' loads add up to the trailer's, whatever period
+/// sidecars), the per-shard unit whose merges `partial_merge_matches_resident`
+/// holds equal to a resident pass — beside the loads it covered. The shards' loads add up to the trailer's, whatever period
 /// each was sampled at; a trigger that runs backwards across frames, or
 /// a trailer below the loads the later frames cover, is a typed error.
 fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, ModelError> {

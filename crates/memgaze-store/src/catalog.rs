@@ -41,7 +41,8 @@ use memgaze_model::wire::{
     self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, WireError,
 };
 use memgaze_model::{
-    fnv1a64, BlockSize, FrameIndex, FrameIndexEntry, ModelError, SymbolTable, TraceMeta,
+    fnv1a64, BlockSize, FrameIndex, FrameIndexEntry, FunctionSym, Ip, ModelError, SymbolTable,
+    TraceMeta,
 };
 use std::collections::BTreeMap;
 
@@ -145,10 +146,7 @@ impl Catalog {
             .and_then(|end| container.get(end..))
             .ok_or_else(|| stale("frames end past the container"))?
             .to_vec();
-        let mut names: Vec<String> = Vec::new();
-        // Keyed by the symbol table's own names: an access looks its
-        // function up by `&str`, and a name is cloned on first sight only.
-        let mut name_ids: BTreeMap<&str, u32> = BTreeMap::new();
+        let mut funcs = FuncCounter::new(symbols);
         let mut frames = Vec::with_capacity(index.entries.len());
         for (i, e) in index.entries.iter().enumerate() {
             let payload = frame_payload(container, e, i)?;
@@ -157,41 +155,27 @@ impl Catalog {
                 source: Box::new(err),
             })?;
             let mut loads = 0u64;
-            let mut time_range: Option<(u64, u64)> = None;
-            let mut addr_range: Option<(u64, u64)> = None;
-            let mut func_loads: BTreeMap<u32, u64> = BTreeMap::new();
+            let (mut tlo, mut thi) = (u64::MAX, 0u64);
+            let (mut alo, mut ahi) = (u64::MAX, 0u64);
             for s in &samples {
                 loads += s.accesses.len() as u64;
                 for a in &s.accesses {
-                    time_range = Some(match time_range {
-                        None => (a.time, a.time),
-                        Some((lo, hi)) => (lo.min(a.time), hi.max(a.time)),
-                    });
-                    addr_range = Some(match addr_range {
-                        None => (a.addr.0, a.addr.0),
-                        Some((lo, hi)) => (lo.min(a.addr.0), hi.max(a.addr.0)),
-                    });
-                    if let Some(f) = symbols.lookup(a.ip) {
-                        let id = *name_ids.entry(f.name.as_str()).or_insert_with(|| {
-                            names.push(f.name.clone());
-                            (names.len() - 1) as u32
-                        });
-                        *func_loads.entry(id).or_insert(0) += 1;
-                    }
+                    (tlo, thi) = (tlo.min(a.time), thi.max(a.time));
+                    (alo, ahi) = (alo.min(a.addr.0), ahi.max(a.addr.0));
+                    funcs.count(a.ip);
                 }
             }
-            // Intra-sample reuse, matching the streaming analyzer's
-            // window semantics, over the frame's samples.
-            let reuse = BlockReuse::from_samples(&samples, summary_block);
             frames.push(FrameSummary {
                 hash: content_hash(payload),
                 len: e.len,
                 samples: e.samples,
                 loads,
-                time_range,
-                addr_range,
-                reuse_rows: reuse.raw_rows().collect(),
-                func_loads: func_loads.into_iter().collect(),
+                time_range: (loads > 0).then_some((tlo, thi)),
+                addr_range: (loads > 0).then_some((alo, ahi)),
+                // Intra-sample reuse, matching the streaming analyzer's
+                // window semantics, over the frame's samples.
+                reuse_rows: BlockReuse::sample_rows(&samples, summary_block),
+                func_loads: funcs.take_frame(),
             });
         }
         Ok(Catalog {
@@ -203,7 +187,7 @@ impl Catalog {
             container_checksum: fnv1a64(container),
             total_loads: index.total_loads,
             total_instrumented_loads: index.total_instrumented_loads,
-            func_names: names,
+            func_names: funcs.names,
             frames,
         })
     }
@@ -366,6 +350,77 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
     })
 }
 
+/// Attributes [`Catalog::scan`]'s accesses to function names: ids in
+/// first-seen order, one per name however many symbols carry it. A
+/// symbol's name id is resolved on its first access, and an access in
+/// the last function's `[lo, hi)` skips the symbol search.
+struct FuncCounter<'s> {
+    functions: &'s [FunctionSym],
+    name_ids: BTreeMap<&'s str, u32>,
+    /// Per symbol (table position), its name id once seen.
+    sym_ids: Vec<Option<u32>>,
+    names: Vec<String>,
+    /// The current frame's loads per name id.
+    counts: Vec<u64>,
+    last: Option<(Ip, Ip, u32)>,
+}
+
+impl<'s> FuncCounter<'s> {
+    fn new(symbols: &'s SymbolTable) -> FuncCounter<'s> {
+        FuncCounter {
+            functions: symbols.functions(),
+            name_ids: BTreeMap::new(),
+            sym_ids: vec![None; symbols.len()],
+            names: Vec::new(),
+            counts: Vec::new(),
+            last: None,
+        }
+    }
+
+    /// Count one access at `ip`; an ip no symbol covers is not counted.
+    fn count(&mut self, ip: Ip) {
+        if !self.last.is_some_and(|(lo, hi, _)| lo <= ip && ip < hi) {
+            // `SymbolTable::lookup`'s search, keeping the position; an ip
+            // below every symbol wraps to a position that gets nothing.
+            let pos = self
+                .functions
+                .partition_point(|f| f.lo <= ip)
+                .wrapping_sub(1);
+            let (Some(f), Some(slot)) = (self.functions.get(pos), self.sym_ids.get_mut(pos)) else {
+                return;
+            };
+            if ip >= f.hi {
+                return;
+            }
+            let id = *slot.get_or_insert_with(|| {
+                *self.name_ids.entry(f.name.as_str()).or_insert_with(|| {
+                    self.names.push(f.name.clone());
+                    self.counts.push(0);
+                    (self.names.len() - 1) as u32
+                })
+            });
+            self.last = Some((f.lo, f.hi, id));
+        }
+        if let Some(c) = self
+            .last
+            .and_then(|(_, _, id)| self.counts.get_mut(id as usize))
+        {
+            *c += 1;
+        }
+    }
+
+    /// The current frame's `(name id, loads)` pairs in id order, and a
+    /// zeroed count for the next frame.
+    fn take_frame(&mut self) -> Vec<(u32, u64)> {
+        self.counts
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(id, c)| (id as u32, std::mem::take(c)))
+            .collect()
+    }
+}
+
 /// Frame `i`'s payload bytes in `container`, or the
 /// [`ModelError::StaleIndex`] an entry reaching past the container earns.
 pub(crate) fn frame_payload<'c>(
@@ -472,6 +527,45 @@ mod tests {
         let encoded = cat.encode();
         let back = Catalog::decode("unit-trace", &encoded).unwrap();
         assert_eq!(cat, back);
+    }
+
+    #[test]
+    fn functions_are_attributed_per_access() {
+        let mut sy = SymbolTable::new();
+        sy.add_function("f", Ip(0x100), Ip(0x110), "a.c");
+        sy.add_function("g", Ip(0x110), Ip(0x120), "a.c");
+        sy.add_function("f", Ip(0x200), Ip(0x210), "b.c");
+        sy.add_function("h", Ip(0x300), Ip(0x310), "c.c");
+        // One sample per frame. Frame 0 opens on an unmapped ip and
+        // interleaves `g`, both `f`s and misses; frame 1 opens on a miss,
+        // returns to the second `f` across a miss, and touches `h`'s
+        // exclusive end; frame 2 is all misses.
+        let frames: [&[u64]; 3] = [
+            &[0x150, 0x114, 0x104, 0x204, 0x118, 0x400, 0x108, 0x50],
+            &[0x50, 0x300, 0x30c, 0x208, 0x150, 0x20c, 0x310],
+            &[0x60, 0x1ff],
+        ];
+        let mut t = SampledTrace::new(TraceMeta::new("attribution", 1000, 4096));
+        t.meta.total_loads = 3000;
+        for (s, ips) in frames.iter().enumerate() {
+            let base = s as u64 * 1000;
+            let accesses = ips
+                .iter()
+                .enumerate()
+                .map(|(i, &ip)| Access::new(ip, 0x1000 + i as u64 * 8, base + i as u64))
+                .collect();
+            t.push_sample(Sample::new(accesses, base + 100)).unwrap();
+        }
+        let (container, index) = encode_sharded_indexed(&t, 1);
+        let cat = Catalog::scan("attr", &container, &index, &sy, BlockSize::WORD).unwrap();
+        // Ids in first-seen order, one per name.
+        assert_eq!(cat.func_names, ["g", "f", "h"]);
+        let loads: Vec<_> = cat.frames.iter().map(|f| f.func_loads.clone()).collect();
+        assert_eq!(loads, [vec![(0, 2), (1, 3)], vec![(1, 2), (2, 2)], vec![]]);
+        assert_eq!(
+            cat.frames.iter().map(|f| f.loads).collect::<Vec<_>>(),
+            [8, 7, 2]
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Content-addressed trace store with a per-frame result cache and an
+//! Content-addressed trace store with a per-trace result cache and an
 //! index-backed query engine.
 //!
 //! MemGaze's value proposition (paper §I) is *rapid* load-level
@@ -17,8 +17,9 @@
 //!   hashes plus per-frame sample/load counts, time and address ranges,
 //!   per-block reuse rows, and function attribution (MGZC format);
 //! * [`store`] — [`TraceStore`]: `put`/`get`/`ls`/`gc`, byte-identical
-//!   container reassembly, and store-backed analysis with a per-frame
-//!   result cache keyed by (frame hash, analyzer-config hash);
+//!   container reassembly, and store-backed analysis — one analyzer
+//!   over a trace's frames — with a result cache keyed by (analyzer-config
+//!   hash, hash of the trace's frame hashes);
 //! * [`query`] — [`QueryEngine`]: region / time-range / per-function
 //!   statistics answered from catalog summaries without decoding any
 //!   shard.

@@ -6,19 +6,21 @@
 //! root/
 //!   blobs/aa/aabbcc...16hex.blob      compressed frame payloads (MGZB)
 //!   catalog/<trace-id>.mgzc           per-trace catalogs (MGZC)
-//!   results/<cfg-16hex>/<frame-16hex>.mgzp   cached per-frame partials
+//!   results/<cfg-16hex>/<key-16hex>.mgzr   one cached fold per trace
 //! ```
 //!
 //! Two tiers answer reads, cheapest first:
 //!
-//! 1. the **result cache** — per-frame [`PartialReport`]s keyed by
-//!    (frame content hash, analyzer config hash), so re-analysis of an
-//!    unchanged frame under an unchanged configuration is a file read
+//! 1. the **result cache** — one [`PartialReport`] per trace, the fold
+//!    of all its frames, keyed by (analyzer config hash, hash of the
+//!    trace's frame content hashes in order), so re-analysis of an
+//!    unchanged trace under an unchanged configuration is a file read
 //!    and a decode, no sample ever touched;
 //! 2. the **blob tier** — checksummed, block-compressed files fetched
-//!    by content hash. Keeping hot blobs in memory is the page cache's
-//!    job: an in-process LRU over decoded payloads measured 1.10x on a
-//!    re-analysis the result cache answers 27x faster (DESIGN.md §15).
+//!    by content hash, which a miss folds through one analyzer. Keeping
+//!    hot blobs in memory is the page cache's job: an in-process LRU
+//!    over decoded payloads measured 1.10x on a re-analysis the result
+//!    cache answers 27x faster (DESIGN.md §15).
 //!
 //! Content addressing makes `put` deduplicating (identical frames in
 //! any trace share one blob) and makes every read self-verifying: bytes
@@ -28,7 +30,7 @@
 //! torn file.
 
 use crate::blob::{decode_blob, encode_blob};
-use crate::catalog::{frame_payload, Catalog};
+use crate::catalog::{frame_payload, Catalog, FrameSummary};
 use crate::error::{io_err, StoreError};
 use memgaze_analysis::streaming::StreamingReport;
 use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer};
@@ -182,21 +184,21 @@ pub struct GcReport {
     pub blobs_removed: usize,
     /// Blob bytes reclaimed.
     pub blob_bytes_reclaimed: u64,
-    /// Cached results removed (frames no longer referenced).
+    /// Cached results removed (traces no longer stored).
     pub results_removed: usize,
 }
 
 /// Outcome of a store-backed analysis pass.
 #[derive(Debug, Clone)]
 pub struct StoreAnalysis {
-    /// The merged report — bit-identical to a resident streaming pass
+    /// The report — bit-identical to a resident streaming pass
     /// over the same container and configuration.
     pub report: StreamingReport,
     /// Trace metadata with trailer-final totals.
     pub meta: TraceMeta,
-    /// Frames served from the result cache.
+    /// Frames served from the result cache: all of them or none.
     pub result_hits: usize,
-    /// Frames analyzed from blobs.
+    /// Frames analyzed from blobs: all of them or none.
     pub result_misses: usize,
 }
 
@@ -209,7 +211,7 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A content-addressed store of trace shards with a per-frame result
+/// A content-addressed store of trace shards with a per-trace result
 /// cache.
 pub struct TraceStore {
     config: StoreConfig,
@@ -258,24 +260,14 @@ impl TraceStore {
         Ok(self.config.root.join("catalog").join(format!("{id}.mgzc")))
     }
 
-    fn result_path(&self, config_hash: u64, frame_hash: u64) -> PathBuf {
+    /// `results/<config, 16 hex>/<trace key, 16 hex>.mgzr`: the fold of
+    /// a whole trace under one analyzer configuration.
+    fn result_path(&self, config_hash: u64, trace_key: u64) -> PathBuf {
         self.config
             .root
             .join("results")
             .join(format!("{config_hash:016x}"))
-            .join(format!("{frame_hash:016x}.mgzp"))
-    }
-
-    /// Merged cache entry: the exact fold of a trace's per-frame
-    /// partials, keyed by the sequence of frame content hashes (the
-    /// `.mgzr` extension keeps it apart from per-frame `.mgzp`
-    /// entries in the same config directory).
-    fn range_result_path(&self, config_hash: u64, range_hash: u64) -> PathBuf {
-        self.config
-            .root
-            .join("results")
-            .join(format!("{config_hash:016x}"))
-            .join(format!("{range_hash:016x}.mgzr"))
+            .join(format!("{trace_key:016x}.mgzr"))
     }
 
     /// Store a container under `id`: scan it into a [`Catalog`], write
@@ -437,63 +429,36 @@ impl TraceStore {
         Ok(out)
     }
 
-    /// Remove blobs no catalog references, and cached results for
-    /// frames no catalog references.
+    /// Remove blobs no catalog references, and cached results no
+    /// catalog's frame-hash sequence keys.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
         let _span = memgaze_obs::span("store.gc");
         let mut live = std::collections::BTreeSet::new();
+        let mut live_keys = std::collections::BTreeSet::new();
         for entry in self.ls()? {
-            for f in self.catalog(&entry.id)?.frames {
-                live.insert(f.hash);
-            }
+            let catalog = self.catalog(&entry.id)?;
+            live_keys.insert(trace_key(&catalog.frames));
+            live.extend(catalog.frames.iter().map(|f| f.hash));
         }
-        let mut report = GcReport::default();
-        let blobs = self.config.root.join("blobs");
-        for shard_dir in read_dir_sorted(&blobs)? {
-            if !shard_dir.is_dir() {
-                continue;
+        let root = &self.config.root;
+        let (blobs_removed, blob_bytes_reclaimed) = sweep(&root.join("blobs"), |path| {
+            hash_from_path(path, ".blob").is_some_and(|hash| !live.contains(&hash))
+        })?;
+        // The config half of a key needs the annotations and symbols
+        // only an analyze is given, so an entry of a live trace survives
+        // under every configuration. Per-frame `.mgzp` entries are what
+        // an older store cached; nothing reads them.
+        let (results_removed, _) = sweep(&root.join("results"), |path| {
+            match hash_from_path(path, ".mgzr") {
+                Some(key) => !live_keys.contains(&key),
+                None => path.extension().is_some_and(|e| e == "mgzp"),
             }
-            for path in read_dir_sorted(&shard_dir)? {
-                let Some(hash) = hash_from_path(&path, ".blob") else {
-                    continue;
-                };
-                if live.contains(&hash) {
-                    continue;
-                }
-                let size = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                fs::remove_file(&path)
-                    .map_err(|e| io_err(format!("removing {}", path.display()), e))?;
-                report.blobs_removed += 1;
-                report.blob_bytes_reclaimed += size;
-            }
-        }
-        let results = self.config.root.join("results");
-        for cfg_dir in read_dir_sorted(&results)? {
-            if !cfg_dir.is_dir() {
-                continue;
-            }
-            for path in read_dir_sorted(&cfg_dir)? {
-                let Some(hash) = hash_from_path(&path, ".mgzp") else {
-                    // Merged-range entries are keyed by frame-hash
-                    // sequences gc cannot trace to live catalogs;
-                    // they are pure derived caches, so gc drops them
-                    // and the next analyze rebuilds what it needs.
-                    if path.extension().is_some_and(|e| e == "mgzr") {
-                        fs::remove_file(&path)
-                            .map_err(|e| io_err(format!("removing {}", path.display()), e))?;
-                        report.results_removed += 1;
-                    }
-                    continue;
-                };
-                if live.contains(&hash) {
-                    continue;
-                }
-                fs::remove_file(&path)
-                    .map_err(|e| io_err(format!("removing {}", path.display()), e))?;
-                report.results_removed += 1;
-            }
-        }
-        Ok(report)
+        })?;
+        Ok(GcReport {
+            blobs_removed,
+            blob_bytes_reclaimed,
+            results_removed,
+        })
     }
 
     /// Hash of everything that determines an analysis *result* for a
@@ -508,94 +473,13 @@ impl TraceStore {
         fnv1a64(&config_bytes(analysis, locality_sizes, annots, symbols))
     }
 
-    /// The fold behind [`analyze`](Self::analyze): every frame of
-    /// `catalog` into one [`PartialReport`], result caches first. The
-    /// merged tier holds the exact fold of the trace's frame-hash
-    /// sequence (a repeat analysis of an unchanged trace); otherwise
-    /// each frame comes from the per-frame tier or its blob. Returns the
-    /// partial plus (cache hits, misses).
-    fn analyze_frames(
-        &self,
-        catalog: &Catalog,
-        annots: &AuxAnnotations,
-        symbols: &SymbolTable,
-        analysis: AnalysisConfig,
-        locality_sizes: &[u64],
-    ) -> Result<(PartialReport, usize, usize), StoreError> {
-        let frames = &catalog.frames;
-        let mut span = memgaze_obs::span("store.analyze_frames");
-        if span.is_active() {
-            span.set_label(format!("{} ({} frames)", catalog.trace_id, frames.len()));
-        }
-        let cfg_hash = Self::config_hash(&analysis, locality_sizes, annots, symbols);
-        // The key is the hash sequence, not the trace id, so identical
-        // content under any id shares the entry. A one-frame trace has
-        // no merged entry: its per-frame entry is the fold.
-        let range_hash = (frames.len() > 1).then(|| {
-            let mut key = Vec::with_capacity(frames.len() * 8);
-            for f in frames {
-                key.extend_from_slice(&f.hash.to_le_bytes());
-            }
-            fnv1a64(&key)
-        });
-        if let Some(rh) = range_hash {
-            let cached = fs::read(self.range_result_path(cfg_hash, rh))
-                .ok()
-                .and_then(|d| PartialReport::decode(&d).ok());
-            if let Some(p) = cached {
-                memgaze_obs::counter!("store.result_hits").add(frames.len() as u64);
-                return Ok((p, frames.len(), 0));
-            }
-        }
-        let mut parts: Vec<PartialReport> = Vec::with_capacity(frames.len());
-        let mut hits = 0usize;
-        let mut misses = 0usize;
-        for f in frames {
-            let path = self.result_path(cfg_hash, f.hash);
-            // A cached result that fails to decode is treated as a miss
-            // and overwritten — the cache can never wedge an analysis.
-            let cached = fs::read(&path)
-                .ok()
-                .and_then(|d| PartialReport::decode(&d).ok());
-            let partial = match cached {
-                Some(p) => {
-                    hits += 1;
-                    memgaze_obs::counter!("store.result_hits").add(1);
-                    p
-                }
-                None => {
-                    misses += 1;
-                    memgaze_obs::counter!("store.result_misses").add(1);
-                    let payload = self.get_blob(f.hash)?;
-                    let samples = decode_frame_payload(&payload)?;
-                    let mut sa = StreamingAnalyzer::new(annots, symbols, analysis)
-                        .with_locality_sizes(locality_sizes);
-                    sa.ingest_shard(&samples);
-                    let p = sa.into_partial();
-                    write_atomic(&path, &p.encode())?;
-                    p
-                }
-            };
-            parts.push(partial);
-        }
-        // One partial per frame makes a sequential fold quadratic in
-        // the per-merge index rebuilds; merge_many folds them exactly
-        // with one rebuild.
-        let merged = PartialReport::merge_many(
-            parts,
-            analysis.footprint_block,
-            analysis.reuse_block,
-            locality_sizes,
-        )?;
-        if let Some(rh) = range_hash {
-            write_atomic(&self.range_result_path(cfg_hash, rh), &merged.encode())?;
-        }
-        Ok((merged, hits, misses))
-    }
-
-    /// Analyze a whole stored trace. The report is bit-identical to a
-    /// resident streaming pass over the original container with the
-    /// same configuration, whichever mix of caches served it.
+    /// Analyze a whole stored trace: every frame into one
+    /// [`PartialReport`], finished with the catalog's meta. The result
+    /// cache holds the fold of the trace's frame-hash sequence (a repeat
+    /// analysis of an unchanged trace); on a miss one analyzer ingests
+    /// every frame's verified blob and the fold is cached. The report is
+    /// bit-identical to a resident streaming pass over the original
+    /// container with the same configuration, whichever tier served it.
     pub fn analyze(
         &self,
         id: &str,
@@ -606,15 +490,52 @@ impl TraceStore {
     ) -> Result<StoreAnalysis, StoreError> {
         let catalog = self.catalog(id)?;
         let meta = catalog.meta()?;
-        let (merged, result_hits, result_misses) =
-            self.analyze_frames(&catalog, annots, symbols, analysis, locality_sizes)?;
+        let n = catalog.frames.len();
+        let mut span = memgaze_obs::span("store.analyze_frames");
+        if span.is_active() {
+            span.set_label(format!("{id} ({n} frames)"));
+        }
+        let cfg_hash = Self::config_hash(&analysis, locality_sizes, annots, symbols);
+        let path = self.result_path(cfg_hash, trace_key(&catalog.frames));
+        // A cached result that fails to decode is treated as a miss and
+        // overwritten — the cache can never wedge an analysis.
+        let cached = fs::read(&path)
+            .ok()
+            .and_then(|d| PartialReport::decode(&d).ok());
+        let (partial, result_hits, result_misses) = match cached {
+            Some(p) => {
+                memgaze_obs::counter!("store.result_hits").add(n as u64);
+                (p, n, 0)
+            }
+            None => {
+                memgaze_obs::counter!("store.result_misses").add(n as u64);
+                let mut sa = StreamingAnalyzer::new(annots, symbols, analysis)
+                    .with_locality_sizes(locality_sizes);
+                for f in &catalog.frames {
+                    sa.ingest_shard(&decode_frame_payload(&self.get_blob(f.hash)?)?);
+                }
+                let p = sa.into_partial();
+                write_atomic(&path, &p.encode())?;
+                (p, 0, n)
+            }
+        };
         Ok(StoreAnalysis {
-            report: merged.finish(&meta),
+            report: partial.finish(&meta),
             meta,
             result_hits,
             result_misses,
         })
     }
+}
+
+/// A trace's result-cache key: the FNV-1a-64 of its frame content
+/// hashes in order, so identical content under any id shares an entry.
+fn trace_key(frames: &[FrameSummary]) -> u64 {
+    let mut key = Vec::with_capacity(frames.len() * 8);
+    for f in frames {
+        key.extend_from_slice(&f.hash.to_le_bytes());
+    }
+    fnv1a64(&key)
 }
 
 /// Trace ids become file names; restrict them to a safe alphabet.
@@ -654,6 +575,24 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let _ = fs::remove_file(&tmp);
         io_err(format!("renaming into {}", path.display()), e)
     })
+}
+
+/// Remove every file one directory below `top` that `dead` picks;
+/// returns the files and bytes removed.
+fn sweep(top: &Path, dead: impl Fn(&Path) -> bool) -> Result<(usize, u64), StoreError> {
+    let mut removed = (0, 0);
+    for dir in read_dir_sorted(top)? {
+        if !dir.is_dir() {
+            continue;
+        }
+        for path in read_dir_sorted(&dir)?.into_iter().filter(|p| dead(p)) {
+            let size = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            fs::remove_file(&path)
+                .map_err(|e| io_err(format!("removing {}", path.display()), e))?;
+            removed = (removed.0 + 1, removed.1 + size);
+        }
+    }
+    Ok(removed)
 }
 
 /// Directory entries in sorted order; a missing directory is empty.
@@ -775,25 +714,70 @@ mod tests {
         let (cb, ib) = encode_sharded_indexed(&b, 2);
         store.put("a", &ca, &ia, &sy).unwrap();
         store.put("b", &cb, &ib, &sy).unwrap();
-        // Analyze "b" so it has cached results, then drop its catalog.
-        store
-            .analyze(
-                "b",
-                &AuxAnnotations::new(),
-                &sy,
-                AnalysisConfig::default(),
-                &[64],
-            )
-            .unwrap();
+        // Analyze both so each has a cached result, then drop "b"'s
+        // catalog.
+        let analyze = |id: &str| {
+            let r = store
+                .analyze(
+                    id,
+                    &AuxAnnotations::new(),
+                    &sy,
+                    AnalysisConfig::default(),
+                    &[64],
+                )
+                .unwrap();
+            (r.result_hits, r.result_misses)
+        };
+        assert_eq!(analyze("a"), (0, 3));
+        assert_eq!(analyze("b"), (0, 3));
         fs::remove_file(root.join("catalog/b.mgzc")).unwrap();
         let report = store.gc().unwrap();
         assert_eq!(report.blobs_removed, 3);
         assert!(report.blob_bytes_reclaimed > 0);
-        // "b"'s three per-frame results plus the merged-range entry its
-        // analyze persisted (range entries are always dropped by gc).
-        assert_eq!(report.results_removed, 4);
+        // "b"'s one entry goes; "a"'s survives and serves its next analyze.
+        assert_eq!(report.results_removed, 1);
+        assert_eq!(analyze("a"), (3, 0));
+        // A per-frame entry an older store left is dead weight.
+        let cfg_dir = read_dir_sorted(&root.join("results")).unwrap().remove(0);
+        fs::write(cfg_dir.join(format!("{:016x}.mgzp", 7)), b"old").unwrap();
+        assert_eq!(store.gc().unwrap().results_removed, 1);
+        assert_eq!(analyze("a"), (3, 0));
         // "a" is untouched and still reassembles.
         assert_eq!(store.get_container("a").unwrap(), ca);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn one_cached_fold_per_trace() {
+        let root = tmp_root("one-fold");
+        let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
+        let sy = SymbolTable::new();
+        let annots = AuxAnnotations::new();
+        let cfg = AnalysisConfig::default();
+        // One frame and three frames.
+        for (id, samples, salt) in [("one", 2, 0), ("three", 6, 5)] {
+            let (container, index) = encode_sharded_indexed(&mk_trace(samples, 11, salt), 2);
+            store.put(id, &container, &index, &sy).unwrap();
+        }
+        let counts = |id: &str| {
+            let r = store.analyze(id, &annots, &sy, cfg, &[64]).unwrap();
+            (r.result_hits, r.result_misses)
+        };
+        assert_eq!(counts("one"), (0, 1));
+        assert_eq!(counts("three"), (0, 3));
+        let cfg_dirs = read_dir_sorted(&root.join("results")).unwrap();
+        assert_eq!(cfg_dirs.len(), 1);
+        let entries = read_dir_sorted(&cfg_dirs[0]).unwrap();
+        let with_ext = |ext: &str| {
+            entries
+                .iter()
+                .filter(|p| p.extension().is_some_and(|e| e == ext))
+                .count()
+        };
+        assert_eq!((with_ext("mgzr"), with_ext("mgzp")), (2, 0));
+        assert_eq!(entries.len(), 2);
+        assert_eq!(counts("one"), (1, 0));
+        assert_eq!(counts("three"), (3, 0));
         fs::remove_dir_all(&root).unwrap();
     }
 

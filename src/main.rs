@@ -371,7 +371,7 @@ fn parse_span(s: &str) -> Option<(u64, u64)> {
 /// `memgaze store <put|get|ls|gc|analyze>`: manage the content-addressed
 /// trace store. `put` traces a GAP kernel and stores the sharded
 /// container; `get` reassembles the byte-identical container; `analyze`
-/// re-analyzes a stored trace through the per-frame result cache.
+/// re-analyzes a stored trace through the per-trace result cache.
 fn run_store_cmd(args: &Args) -> i32 {
     match args.positional.get(1).map(String::as_str) {
         Some("put") => {

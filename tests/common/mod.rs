@@ -112,13 +112,14 @@ pub fn partial(frames: std::ops::Range<usize>) -> PartialReport {
     .unwrap()
 }
 
-/// One frame's partial: what the store's result cache holds as `.mgzp`.
+/// One frame's partial: what a serve session holds per shard (and what
+/// the store once cached per frame as `.mgzp`).
 pub fn mgzp() -> Vec<u8> {
     partial(0..1).encode()
 }
 
-/// The exact fold of every frame's partial: what the store's
-/// merged-range cache holds as `.mgzr`.
+/// The exact fold of every frame's partial, as a serve seal builds it:
+/// the same trace's fold a store `.mgzr` entry holds.
 pub fn mgzr() -> Vec<u8> {
     let n = mgzt_v2().1.entries.len();
     let cfg = config();

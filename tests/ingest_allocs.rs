@@ -10,8 +10,9 @@
 //! summarises every frame `put` files, to allocations per frame and
 //! sample, not per access; a fourth the location zoom's peak memory to
 //! its accesses, not to the address span they cover; a fifth the window
-//! and locality series to allocations per call, not per sample. The
-//! last holds the static side — lint and instrumentation of a load
+//! and locality series to allocations per call, not per sample; a sixth
+//! a cold store analyze to one fold per trace, not a partial per frame.
+//! The last holds the static side — lint and instrumentation of a load
 //! module — to allocations per procedure, with each procedure's CFG and
 //! loop forest built once, not once per pass.
 
@@ -20,7 +21,7 @@ use memgaze::model::{
     encode_sharded_indexed, Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass,
     Sample, SampledTrace, SymbolTable, TraceMeta,
 };
-use memgaze::store::Catalog;
+use memgaze::store::{Catalog, StoreConfig, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -225,6 +226,45 @@ fn catalog_scan_allocates_per_frame_not_per_access() {
     assert!(
         big <= small + small / 2,
         "{small} allocations for {small_loads} accesses, {big} for {big_loads}"
+    );
+}
+
+#[test]
+fn cold_store_analyze_allocates_per_trace_not_per_frame() {
+    // 16 frames of 16 samples. A cold analyze folds them through one
+    // analyzer into one cached entry and reads 48 allocations per frame;
+    // an analyzer, a partial and a cached encoding per frame, then a
+    // merge of the partials, read 236.
+    let (annots, symbols) = side_tables();
+    let mut t = SampledTrace::new(TraceMeta::new("cold", 10_000, 16 << 10));
+    for k in 0..16 {
+        for s in shard(k) {
+            t.push_sample(s).unwrap();
+        }
+    }
+    t.meta.total_loads = t.samples.len() as u64 * 10_000;
+    let (container, index) = encode_sharded_indexed(&t, SHARD_SAMPLES as usize);
+    let root = std::env::temp_dir().join(format!("memgaze-cold-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
+    store.put("cold", &container, &index, &symbols).unwrap();
+    let before = ALLOCS.with(Cell::get);
+    let cold = store
+        .analyze(
+            "cold",
+            &annots,
+            &symbols,
+            AnalysisConfig::default(),
+            &[16, 64],
+        )
+        .unwrap();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!((cold.result_hits, cold.result_misses), (0, 16));
+    let per_frame = allocs / 16;
+    assert!(
+        per_frame <= 100,
+        "{allocs} allocations for 16 frames ({per_frame} per frame)"
     );
 }
 
