@@ -112,8 +112,7 @@ pub fn partial(frames: std::ops::Range<usize>) -> PartialReport {
     .unwrap()
 }
 
-/// One frame's partial: what a serve session holds per shard (and what
-/// the store once cached per frame as `.mgzp`).
+/// One frame's partial: what a serve session holds per shard.
 pub fn mgzp() -> Vec<u8> {
     partial(0..1).encode()
 }
