@@ -274,7 +274,8 @@ pub fn sealed_from_response(resp: &HttpResponse) -> Result<SealedReport, String>
     })
 }
 
-/// Decode the `partial` hex field of a `shard` delta event.
+/// Decode the `partial` hex field of an `upload` delta event: the
+/// partial of one whole upload.
 pub fn delta_partial_bytes(data: &str) -> Option<Vec<u8>> {
     unhex(&json_str_field(data, "partial")?)
 }

@@ -15,18 +15,21 @@
 //! |---|---|
 //! | `POST /sessions` | create a session (201 + `{"id": ...}`) |
 //! | `POST /sessions/{id}/shards` | feed one v2 MGZT container (202) |
-//! | `GET /sessions/{id}/deltas` | SSE stream of per-shard delta frames |
-//! | `POST /sessions/{id}/seal` | merge + freeze; returns the MGZP partial |
+//! | `GET /sessions/{id}/deltas` | SSE stream of per-upload delta frames |
+//! | `POST /sessions/{id}/seal` | freeze the fold; returns the MGZP partial |
 //! | `GET /sessions/{id}/report` | the sealed report again |
 //! | `GET /sessions/{id}` | status JSON |
 //! | `DELETE /sessions/{id}` | drop the session |
+//! | `GET /watch/events` | SSE stream of every session's windows (one per upload) and anomaly marks |
 //! | `GET /healthz` | liveness + drain state |
 //!
 //! Uploads decode through [`ShardReader`](memgaze_model::ShardReader);
-//! each shard becomes a [`PartialReport`](memgaze_analysis::PartialReport)
-//! delta — published live to SSE subscribers and folded at seal time
-//! with `merge_many`, whose merge laws make the sealed report
-//! **bit-identical** to a resident analyzer pass over the same shards.
+//! one analyzer folds each upload's frames into one
+//! [`PartialReport`](memgaze_analysis::PartialReport) delta — published
+//! live to SSE subscribers, closed as one watch window on
+//! `GET /watch/events`, and merged into the session's running fold,
+//! whose merge laws make the sealed report **bit-identical** to a
+//! resident analyzer pass over the same shards.
 //!
 //! ## Admission control
 //!
@@ -79,9 +82,6 @@ pub struct ServeConfig {
     /// Socket read timeout — bounds how long a torn client can hold a
     /// connection worker.
     pub read_timeout: Duration,
-    /// Shards folded into one rolling watch window; every closed
-    /// window is published on `GET /watch/events`.
-    pub watch_window_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -95,7 +95,6 @@ impl Default for ServeConfig {
             max_upload_bytes: 64 << 20,
             idle_timeout: Duration::from_secs(300),
             read_timeout: Duration::from_secs(10),
-            watch_window_shards: 4,
         }
     }
 }

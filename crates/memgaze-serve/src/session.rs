@@ -1,24 +1,20 @@
 //! Session lifecycle: create → feed → seal → query, with admission
 //! control and live delta publication.
 //!
-//! A session owns an ordered sequence of shard uploads. Each upload is
-//! a complete v2 MGZT container (header + shard frames + trailer) whose
-//! frames are decoded through [`ShardReader`] and analyzed shard by
-//! shard into [`PartialReport`] delta frames — the same per-shard
-//! partials the store's result cache merges,
-//! so the sealed report inherits their proven merge laws: folding the
-//! per-shard partials in feed order and finishing once is bit-identical
-//! to a resident [`StreamingAnalyzer`](memgaze_analysis::StreamingAnalyzer)
-//! pass over the same shards.
+//! A session owns an ordered sequence of uploads, and the upload is
+//! its unit. Each upload is a complete v2 MGZT container (header +
+//! shard frames + trailer) whose frames are decoded through
+//! [`ShardReader`] and folded by one [`StreamingAnalyzer`] into one
+//! [`PartialReport`]. The analyzer lives only inside the request: the
+//! session holds partials, never analyzers.
 //!
-//! Every `watch_window_shards` shards close a rolling watch window: the
-//! window's shard partials are merged once, the merged partial goes
-//! through the session's [`WindowRing`] with the loads its shards
-//! covered, and it replaces the shards in the list the seal merges.
-//! Merge is associative over contiguous cuts, so the sealed report is
-//! the same either way, and no partial is cloned. A shard covers the
-//! loads since the previous one's last trigger time — watch's rule —
-//! and an upload's first shard the rest of its trailer's `total_loads`.
+//! Each upload's partial is published as one delta, closes one rolling
+//! watch window through the session's [`WindowRing`] with the loads its
+//! trailer counts — watch's loads rule, with nothing to attribute per
+//! frame — and is merged into the session's running fold in feed
+//! order. Merging the partials of contiguous frame ranges in order and
+//! finishing once is bit-identical to a resident pass over the same
+//! frames, so the seal only encodes the fold.
 //!
 //! Concurrency discipline is a *combining lock*: uploads enter a
 //! bounded FIFO queue under the session mutex, and whichever handler
@@ -96,12 +92,14 @@ pub struct FeedSummary {
     pub queued: usize,
 }
 
-/// Per-shard analysis output, before it is folded into session state.
+/// One analyzed upload, before it is folded into session state.
 struct UploadAnalysis {
     /// The header's fields and the trailer's totals.
     meta: TraceMeta,
-    /// Each shard's partial and the loads it covered.
-    shards: Vec<(PartialReport, u64)>,
+    /// Frames the upload carried.
+    shards: u64,
+    /// The upload's partial; `None` when it carried no frame.
+    partial: Option<PartialReport>,
 }
 
 struct SessionInner {
@@ -117,12 +115,8 @@ struct SessionInner {
     shards: u64,
     samples: u64,
     meta: Option<TraceMeta>,
-    /// One merged partial per closed watch window, then the open
-    /// window's per-shard partials from `window_start` on.
-    partials: Vec<PartialReport>,
-    window_start: usize,
-    /// Loads the open window's shards covered.
-    window_loads: u64,
+    /// Every upload's partial so far, merged in feed order.
+    folded: Option<PartialReport>,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
     /// Drift detection across this session's windows.
@@ -200,9 +194,7 @@ impl Session {
                 shards: 0,
                 samples: 0,
                 meta: None,
-                partials: Vec::new(),
-                window_start: 0,
-                window_loads: 0,
+                folded: None,
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
                 ring: WindowRing::new(ANOMALY_THRESHOLD),
@@ -266,7 +258,7 @@ impl Session {
 
     /// Feed one uploaded container: enqueue, then drain the queue if no
     /// other handler is already doing so. Deltas are published to
-    /// subscribers as each shard's partial lands.
+    /// subscribers as each upload's partial lands.
     pub fn feed(&self, body: Vec<u8>, cfg: &ServeConfig) -> Result<FeedSummary, ServeError> {
         let mut span = memgaze_obs::span("serve.feed");
         if span.is_active() {
@@ -311,7 +303,7 @@ impl Session {
             g = lock(&self.inner);
             match analyzed {
                 Ok(an) => {
-                    if let Err(e) = self.absorb(&mut g, an, &mut summary, cfg) {
+                    if let Err(e) = self.absorb(&mut g, an, &mut summary) {
                         g.error = Some(e.to_string());
                         return Err(e);
                     }
@@ -327,14 +319,18 @@ impl Session {
         Ok(summary)
     }
 
-    /// Fold one analyzed upload into session state and publish deltas.
+    /// Fold one analyzed upload into session state: its partial closes
+    /// one watch window with the loads its trailer counts, is merged
+    /// into the session's fold, and is published as the upload's delta
+    /// beside the window's `window`/`anomaly` events on the server-wide
+    /// watch hub.
     fn absorb(
         &self,
         g: &mut MutexGuard<'_, SessionInner>,
         an: UploadAnalysis,
         summary: &mut FeedSummary,
-        cfg: &ServeConfig,
     ) -> Result<(), ServeError> {
+        let loads = an.meta.total_loads;
         match &mut g.meta {
             None => g.meta = Some(an.meta),
             Some(meta) => {
@@ -368,47 +364,35 @@ impl Session {
                 meta.total_instrumented_loads = instrumented;
             }
         }
-        for (partial, loads) in an.shards {
-            let samples = partial.num_samples();
-            let shard_no = g.shards;
-            g.shards += 1;
-            g.samples += samples;
-            summary.shards += 1;
-            summary.samples += samples;
-            memgaze_obs::counter!("serve.shards_fed").add(1);
-            if !g.subscribers.is_empty() {
-                let data = format!(
-                    "{{\"session\":\"{}\",\"shard\":{},\"samples\":{},\"partial\":\"{}\"}}",
-                    self.id,
-                    shard_no,
-                    samples,
-                    hex(&partial.encode())
-                );
-                publish(&mut g.subscribers, "shard", &data);
-            }
-            g.partials.push(partial);
-            // At most the session's checked total loads.
-            g.window_loads += loads;
-            if g.partials.len() - g.window_start >= cfg.watch_window_shards.max(1) {
-                self.close_watch_window(g, cfg)?;
-            }
+        let Some(partial) = an.partial else {
+            return Ok(());
+        };
+        let samples = partial.num_samples();
+        g.shards += an.shards;
+        g.samples += samples;
+        summary.shards += an.shards;
+        summary.samples += samples;
+        memgaze_obs::counter!("serve.shards_fed").add(an.shards);
+        let (stats, marks) = g.ring.close(&partial, loads);
+        let delta = (!g.subscribers.is_empty()).then(|| partial.encode());
+        match &mut g.folded {
+            None => g.folded = Some(partial),
+            Some(folded) => folded.merge(partial).map_err(|e| ServeError::BadRequest {
+                detail: format!("merge failed: {e}"),
+            })?,
         }
-        Ok(())
-    }
-
-    /// Merge the open window's shard partials into one, close it
-    /// through the drift ring, keep the merged partial for the seal,
-    /// and publish `window`/`anomaly` events on the server-wide watch
-    /// hub.
-    fn close_watch_window(
-        &self,
-        g: &mut SessionInner,
-        cfg: &ServeConfig,
-    ) -> Result<(), ServeError> {
-        let merged = merge(g.partials.split_off(g.window_start), cfg)?;
-        let (stats, marks) = g.ring.close(&merged, std::mem::take(&mut g.window_loads));
-        g.partials.push(merged);
-        g.window_start = g.partials.len();
+        if let Some(delta) = delta {
+            let data = format!(
+                "{{\"session\":\"{}\",\"upload\":{},\"shards\":{},\"samples\":{},\
+                 \"partial\":\"{}\"}}",
+                self.id,
+                stats.window,
+                an.shards,
+                samples,
+                hex(&delta)
+            );
+            publish(&mut g.subscribers, "upload", &data);
+        }
         memgaze_obs::counter!("serve.watch_windows").add(1);
         self.hub.publish("window", &window_json(&self.id, &stats));
         for m in &marks {
@@ -419,8 +403,8 @@ impl Session {
     }
 
     /// Seal the session: wait out any active drainer, drain whatever is
-    /// still queued, merge all per-shard partials, and freeze the
-    /// outcome. Idempotent — a second seal returns the same report.
+    /// still queued, and freeze the fold of every upload's partial.
+    /// Idempotent — a second seal returns the same report.
     pub fn seal(&self, cfg: &ServeConfig) -> Result<Arc<SealedReport>, ServeError> {
         let mut span = memgaze_obs::span("serve.seal");
         if span.is_active() {
@@ -449,22 +433,19 @@ impl Session {
             outcome?;
         }
 
-        // Flush a trailing partial watch window so the live view covers
-        // the stream's tail before the final `sealed` event.
-        if g.partials.len() > g.window_start {
-            if let Err(e) = self.close_watch_window(&mut g, cfg) {
-                g.error = Some(e.to_string());
-                return Err(e);
-            }
-        }
-        let partials = std::mem::take(&mut g.partials);
-        let merged = merge(partials, cfg)?;
+        let folded = g.folded.take().unwrap_or_else(|| {
+            PartialReport::empty(
+                cfg.analysis.footprint_block,
+                cfg.analysis.reuse_block,
+                &cfg.locality_sizes,
+            )
+        });
         let meta = g
             .meta
             .clone()
             .unwrap_or_else(|| TraceMeta::new("empty-session", 1, 0));
         let sealed = Arc::new(SealedReport {
-            partial_bytes: merged.encode(),
+            partial_bytes: folded.encode(),
             meta,
             shards: g.shards,
             samples: g.samples,
@@ -490,7 +471,7 @@ impl Session {
     }
 
     /// Register a live-delta subscriber. The stream receives one SSE
-    /// `shard` event per future shard and a final `sealed` event.
+    /// `upload` event per future upload and a final `sealed` event.
     ///
     /// If a seal won the race between the route's sealed check and this
     /// registration (e.g. SIGTERM drain), the client already holds an
@@ -516,19 +497,6 @@ impl Session {
     pub fn idle_for(&self) -> std::time::Duration {
         lock(&self.inner).last_touch.elapsed()
     }
-}
-
-/// Fold partials in frame order; a failure is the seal's typed error.
-fn merge(parts: Vec<PartialReport>, cfg: &ServeConfig) -> Result<PartialReport, ServeError> {
-    PartialReport::merge_many(
-        parts,
-        cfg.analysis.footprint_block,
-        cfg.analysis.reuse_block,
-        &cfg.locality_sizes,
-    )
-    .map_err(|e| ServeError::BadRequest {
-        detail: format!("merge failed: {e}"),
-    })
 }
 
 /// Render one closed window as a watch-hub event payload.
@@ -582,49 +550,53 @@ fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedRep
     publish(subscribers, "sealed", &data);
 }
 
-/// Decode one uploaded container and analyze each shard into its
-/// partial — a transient [`StreamingAnalyzer`] per shard over empty
-/// annotations (the wire protocol carries traces, not annotation
-/// sidecars), the per-shard unit whose merges `partial_merge_matches_resident`
-/// holds equal to a resident pass — beside the loads it covered. The shards' loads add up to the trailer's, whatever period
-/// each was sampled at; a trigger that runs backwards across frames, or
-/// a trailer below the loads the later frames cover, is a typed error.
+/// Decode one uploaded container and fold every frame with one
+/// [`StreamingAnalyzer`] over empty annotations (the wire protocol
+/// carries traces, not annotation sidecars) into the upload's partial.
+/// The trailer counts the upload's loads, whatever period each frame
+/// was sampled at: a frame whose last trigger runs below the previous
+/// frame's, or a trailer below the loads between the first and the last
+/// frame's last trigger, is a typed error.
 fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, ModelError> {
     let _span = memgaze_obs::span("serve.parse");
     let annots = AuxAnnotations::new();
     let symbols = SymbolTable::new();
+    let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
+        .with_locality_sizes(&cfg.locality_sizes);
     let mut reader = ShardReader::new(body)?;
-    // The last trigger so far; the loads of the frames after the first.
-    let (mut shards, mut last, mut later) = (Vec::new(), None, 0u64);
+    // The first and the latest frame's last trigger, and the frame count.
+    let (mut first, mut last, mut shards) = (None, None, 0u64);
     for shard in reader.by_ref() {
         let shard = shard?;
-        let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
-            .with_locality_sizes(&cfg.locality_sizes);
+        if let Some(now) = shard.samples.last().map(|s| s.trigger_time) {
+            if last.is_some_and(|l| now < l) {
+                return Err(ModelError::InShard {
+                    shard: shard.index,
+                    source: Box::new(ModelError::UnorderedSamples {
+                        index: shard.samples.len() - 1,
+                    }),
+                });
+            }
+            first.get_or_insert(now);
+            last = Some(now);
+        }
         sa.ingest_shard(&shard.samples);
-        let now = shard.samples.last().map(|s| s.trigger_time).or(last);
-        let loads = last
-            .zip(now)
-            .map_or(Some(0), |(l, n)| n.checked_sub(l))
-            .ok_or_else(|| ModelError::InShard {
-                shard: shard.index,
-                source: Box::new(ModelError::UnorderedSamples {
-                    index: shard.samples.len().saturating_sub(1),
-                }),
-            })?;
-        (last, later) = (now, later + loads);
-        shards.push((sa.into_partial(), loads));
+        shards += 1;
     }
     let meta = reader.meta().clone();
-    if let Some((_, first)) = shards.first_mut() {
-        let total_loads = meta.total_loads;
-        *first = total_loads
-            .checked_sub(later)
-            .ok_or(ModelError::InconsistentTotals {
-                total_loads,
-                at_least: later,
-            })?;
+    let span = last.zip(first).map_or(0, |(l, f)| l - f);
+    if meta.total_loads < span {
+        return Err(ModelError::InconsistentTotals {
+            total_loads: meta.total_loads,
+            at_least: span,
+        });
     }
-    Ok(UploadAnalysis { meta, shards })
+    let partial = (shards > 0).then(|| sa.into_partial());
+    Ok(UploadAnalysis {
+        meta,
+        shards,
+        partial,
+    })
 }
 
 /// The server's session table: creation, lookup, idle reaping, and the

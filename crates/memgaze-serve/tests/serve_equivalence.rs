@@ -9,7 +9,8 @@
 //! server, and drain seals what it holds.
 
 use memgaze_analysis::PartialReport;
-use memgaze_model::{Sample, ShardWriter};
+use memgaze_model::{Sample, ShardReader, ShardWriter};
+use memgaze_obs::json::{self, Value};
 use memgaze_serve::harness::{
     base_meta, container, drive_session, resident_report, synthetic_samples,
 };
@@ -445,44 +446,80 @@ fn connections_beyond_the_workers_wait_in_the_backlog() {
     server.drain();
 }
 
+/// Three uploads of 1, 3 and 2 frames of 2 samples each.
+fn three_uploads() -> Vec<Vec<Vec<Sample>>> {
+    let samples = synthetic_samples(12, 48, 2);
+    let frames: Vec<Vec<Sample>> = samples.chunks(2).map(|c| c.to_vec()).collect();
+    [0..1, 1..4, 4..6]
+        .into_iter()
+        .map(|r| frames[r].to_vec())
+        .collect()
+}
+
+/// Encode one upload of [`three_uploads`].
+fn upload_body(workload: &str, frames: &[Vec<Sample>]) -> Vec<u8> {
+    let refs: Vec<&[Sample]> = frames.iter().map(|f| f.as_slice()).collect();
+    container(workload, &refs)
+}
+
+/// An integer field of an SSE event's JSON payload.
+fn int_field(data: &str, key: &str) -> Option<u64> {
+    json::parse(data).ok()?.get(key).and_then(Value::as_u64)
+}
+
+/// Poll until `count()` sees a registered subscriber: the SSE head is
+/// written before the subscriber is registered.
+fn await_subscriber(count: impl Fn() -> usize) {
+    for _ in 0..100 {
+        if count() > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(count() > 0, "subscriber never registered");
+}
+
 #[test]
-fn subscribers_see_every_shard_delta_then_sealed() {
+fn subscribers_see_every_upload_delta_then_sealed() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 3).expect("bind");
     let http = Client::new(server.addr());
     let cfg = ServeConfig::default();
     let id = http.create_session().expect("create");
 
     let collector = http.subscribe_collect(&id).expect("subscribe");
-    // The SSE head is written before the subscriber is registered; wait
-    // for registration before feeding so no delta can be missed.
     let session = server.registry().get(&id).expect("session");
-    for _ in 0..100 {
-        if session.subscriber_count() > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        session.subscriber_count() > 0,
-        "subscriber never registered"
-    );
+    await_subscriber(|| session.subscriber_count());
 
-    let samples = synthetic_samples(6, 48, 2);
-    let groups: Vec<Vec<Sample>> = samples.chunks(2).map(|c| c.to_vec()).collect();
-    let refs: Vec<&[Sample]> = groups.iter().map(|g| g.as_slice()).collect();
-    let upload = container("sse", &refs);
-    assert_eq!(http.feed(&id, &upload, None).expect("feed").status, 202);
+    let uploads = three_uploads();
+    for frames in &uploads {
+        let body = upload_body("sse", frames);
+        assert_eq!(http.feed(&id, &body, None).expect("feed").status, 202);
+    }
     let sealed = http.seal(&id).expect("seal");
 
     let events = collector.collect();
-    let shard_events: Vec<&(String, String)> =
-        events.iter().filter(|(e, _)| e == "shard").collect();
-    assert_eq!(shard_events.len(), groups.len(), "events: {events:?}");
+    let upload_events: Vec<&(String, String)> =
+        events.iter().filter(|(e, _)| e == "upload").collect();
+    assert_eq!(upload_events.len(), uploads.len(), "events: {events:?}");
+    assert!(
+        events.iter().all(|(e, _)| e == "upload" || e == "sealed"),
+        "events: {events:?}"
+    );
     assert_eq!(events.last().map(|(e, _)| e.as_str()), Some("sealed"));
+    for (i, ((_, data), frames)) in upload_events.iter().zip(&uploads).enumerate() {
+        let samples: usize = frames.iter().map(Vec::len).sum();
+        assert_eq!(int_field(data, "upload"), Some(i as u64), "{data}");
+        assert_eq!(
+            int_field(data, "shards"),
+            Some(frames.len() as u64),
+            "{data}"
+        );
+        assert_eq!(int_field(data, "samples"), Some(samples as u64), "{data}");
+    }
 
-    // The deltas are the sealed report: merging the published per-shard
-    // partials reproduces the sealed partial bit for bit.
-    let deltas: Vec<PartialReport> = shard_events
+    // The deltas are the sealed report: merging the published
+    // per-upload partials reproduces the sealed partial bit for bit.
+    let deltas: Vec<PartialReport> = upload_events
         .iter()
         .map(|(_, data)| {
             let bytes = client::delta_partial_bytes(data).expect("partial field");
@@ -498,6 +535,49 @@ fn subscribers_see_every_shard_delta_then_sealed() {
     .expect("merge");
     assert_eq!(merged.encode(), sealed.partial_bytes);
     server.drain();
+}
+
+/// One upload is one watch window, whatever its frame count: three
+/// uploads of 1, 3 and 2 frames close three windows, each with its own
+/// trailer's `total_loads`, and the seal closes none.
+#[test]
+fn watch_stream_closes_one_window_per_upload() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 3).expect("bind");
+    let http = Client::new(server.addr());
+    let collector = http.watch_collect().expect("watch subscribe");
+    let hub = server.registry().watch_hub();
+    await_subscriber(|| hub.subscriber_count());
+
+    let id = http.create_session().expect("create");
+    let uploads = three_uploads();
+    let mut trailer_loads = Vec::new();
+    for frames in &uploads {
+        let body = upload_body("windows", frames);
+        let mut reader = ShardReader::new(&body[..]).expect("header");
+        assert_eq!(reader.by_ref().count(), frames.len());
+        trailer_loads.push(reader.meta().total_loads);
+        assert_eq!(http.feed(&id, &body, None).expect("feed").status, 202);
+    }
+    http.seal(&id).expect("seal");
+    server.drain();
+
+    let events = collector.collect();
+    let windows: Vec<&String> = events
+        .iter()
+        .filter(|(e, _)| e == "window")
+        .map(|(_, data)| data)
+        .collect();
+    assert_eq!(windows.len(), uploads.len(), "events: {events:?}");
+    for (i, (data, (frames, loads))) in windows
+        .iter()
+        .zip(uploads.iter().zip(&trailer_loads))
+        .enumerate()
+    {
+        let samples: usize = frames.iter().map(Vec::len).sum();
+        assert_eq!(int_field(data, "window"), Some(i as u64), "{data}");
+        assert_eq!(int_field(data, "loads"), Some(*loads), "{data}");
+        assert_eq!(int_field(data, "samples"), Some(samples as u64), "{data}");
+    }
 }
 
 /// The shutdown race: a subscriber whose registration loses the race
@@ -542,33 +622,19 @@ fn drain_during_subscribe_still_delivers_the_sealed_event() {
     assert!(text.contains("\"shards\":2"), "payload: {text:?}");
 }
 
-/// `GET /watch/events`: rolling windows close every
-/// `watch_window_shards` shards and publish per-window drift stats;
-/// a phase shift between uploads raises an anomaly event; drain ends
-/// the stream with a final `drained` event.
+/// `GET /watch/events`: every upload closes one rolling window and
+/// publishes its drift stats; a phase shift between uploads raises an
+/// anomaly event; drain ends the stream with a final `drained` event.
 #[test]
 fn watch_stream_publishes_windows_anomalies_then_drained() {
     use memgaze_model::Access;
 
-    let cfg = ServeConfig {
-        watch_window_shards: 1,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", cfg, 3).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 3).expect("bind");
     let http = Client::new(server.addr());
 
     let collector = http.watch_collect().expect("watch subscribe");
     let hub = server.registry().watch_hub();
-    for _ in 0..100 {
-        if hub.subscriber_count() > 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        hub.subscriber_count() > 0,
-        "watch subscriber never registered"
-    );
+    await_subscriber(|| hub.subscriber_count());
 
     // Phase A: tight cyclic reuse over 32 lines. Phase B: scattered
     // accesses over a region 3 orders of magnitude larger — footprint

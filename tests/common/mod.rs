@@ -112,13 +112,15 @@ pub fn partial(frames: std::ops::Range<usize>) -> PartialReport {
     .unwrap()
 }
 
-/// One frame's partial: what a serve session holds per shard.
+/// One frame's partial: the unit a serve session publishes and folds
+/// for an upload of one frame.
 pub fn mgzp() -> Vec<u8> {
     partial(0..1).encode()
 }
 
-/// The exact fold of every frame's partial, as a serve seal builds it:
-/// the same trace's fold a store `.mgzr` entry holds.
+/// The exact fold of every frame's partial: the shape of a serve seal
+/// over uploads of one frame each, and the same trace's fold a store
+/// `.mgzr` entry holds.
 pub fn mgzr() -> Vec<u8> {
     let n = mgzt_v2().1.entries.len();
     let cfg = config();

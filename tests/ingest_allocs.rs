@@ -11,10 +11,11 @@
 //! sample, not per access; a fourth the location zoom's peak memory to
 //! its accesses, not to the address span they cover; a fifth the window
 //! and locality series to allocations per call, not per sample; a sixth
-//! a cold store analyze to one fold per trace, not a partial per frame.
-//! The last holds the static side — lint and instrumentation of a load
-//! module — to allocations per procedure, with each procedure's CFG and
-//! loop forest built once, not once per pass.
+//! a cold store analyze to one fold per trace, not a partial per frame;
+//! a seventh a serve upload to one fold per upload, not a partial per
+//! frame. The last holds the static side — lint and instrumentation of
+//! a load module — to allocations per procedure, with each procedure's
+//! CFG and loop forest built once, not once per pass.
 
 use memgaze::analysis::{analyze_window, AnalysisConfig, Analyzer, StreamingAnalyzer};
 use memgaze::model::{
@@ -327,4 +328,36 @@ fn static_side_allocates_per_procedure_not_per_fact() {
             "instrument {config:?}: {instrument:.1} allocations per procedure"
         );
     }
+}
+
+/// A serve session folds each upload through one analyzer into one
+/// partial, merged into the session's running fold. 8 uploads of 4
+/// frames of 16 samples, fed and sealed, read 282 allocations per
+/// upload; an analyzer and a partial per frame, merged per window of 4
+/// frames and again at the seal, read 742. The bound sits between.
+#[test]
+fn a_serve_upload_allocates_per_upload_not_per_frame() {
+    use memgaze::serve::{harness::container, Registry, ServeConfig};
+    let cfg = ServeConfig::default();
+    let registry = Registry::new(cfg.clone());
+    let session = registry.create().unwrap();
+    let bodies: Vec<Vec<u8>> = (0..8u64)
+        .map(|u| {
+            let frames: Vec<Vec<Sample>> = (0..4).map(|f| shard(u * 4 + f)).collect();
+            let refs: Vec<&[Sample]> = frames.iter().map(Vec::as_slice).collect();
+            container("serve-allocs", &refs)
+        })
+        .collect();
+    let before = ALLOCS.with(Cell::get);
+    for body in bodies {
+        session.feed(body, &cfg).unwrap();
+    }
+    let sealed = session.seal(&cfg).unwrap();
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(sealed.shards, 32);
+    let per_upload = allocs / 8;
+    assert!(
+        per_upload <= 450,
+        "{allocs} allocations for 8 uploads ({per_upload} per upload)"
+    );
 }

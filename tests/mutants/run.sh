@@ -8,7 +8,10 @@
 # or crates/memgaze-model/src/annot.rs
 # whose header carries a line
 #   # suite: <cargo test arguments>
-# naming the suite that must fail under it. For every patch this script
+# naming the suite that must fail under it (serve's two window-loads
+# mutants, serve_window_loads_from_session_period.patch and
+# serve_window_loads_from_trigger_span.patch, both name the retune test
+# of tests/watch_equivalence.rs). For every patch this script
 # applies it with `git apply`, builds and runs that suite in release,
 # requires the suite to fail, and reverts with `git apply -R`. A patch
 # that no longer applies, a mutant that does not build, a suite that

@@ -210,12 +210,11 @@ fn offline_container_scales_by_trailer_loads() {
     }
 }
 
-/// Feed `uploads` to one session of a fresh server that closes a window
-/// per shard; return the session's `window` events and its finished
-/// seal.
+/// Feed `uploads` to one session of a fresh server, which closes a
+/// window per upload; return the session's `window` events and its
+/// finished seal.
 fn serve_windows(uploads: &[Vec<u8>]) -> (Vec<Value>, StreamingReport) {
     let cfg = ServeConfig {
-        watch_window_shards: 1,
         locality_sizes: LOCALITY.to_vec(),
         ..ServeConfig::default()
     };
@@ -249,13 +248,14 @@ fn serve_windows(uploads: &[Vec<u8>]) -> (Vec<Value>, StreamingReport) {
     (windows, sealed)
 }
 
-/// A serve session closes its windows by watch's loads rule, so it
-/// needs no period: fed an adaptive run's container whole, or one frame
-/// per upload with each header at the period then in force, every
-/// window carries the watch window's loads and prints the stats of the
-/// replay over empty annotations (serve receives no annotation
-/// sidecar), and the seal is the resident finish with the trailer's
-/// totals.
+/// A serve session closes one window per upload with the loads its
+/// trailer counts, so it needs no period. Fed an adaptive run's
+/// container whole, it closes one window with the trailer's loads and
+/// every sample. Fed one frame per upload, with each header at the
+/// period then in force, every window carries the watch window's loads
+/// and prints the stats of the replay over empty annotations (serve
+/// receives no annotation sidecar). Either way the seal is the resident
+/// finish with the trailer's totals.
 #[test]
 fn serve_windows_match_watch_across_a_retune() {
     let run = adaptive_run(4, 64);
@@ -303,46 +303,57 @@ fn serve_windows_match_watch_across_a_retune() {
         })
         .collect();
 
-    for (form, uploads) in [
-        ("whole", vec![run.container.clone()]),
-        ("per frame", per_frame),
-    ] {
-        let (windows, sealed) = serve_windows(&uploads);
-        assert_eq!(windows.len(), stats.len(), "{form}: one window per frame");
-        for (i, (event, want)) in windows.iter().zip(&stats).enumerate() {
-            let int = |key: &str| event.get(key).and_then(Value::as_u64);
-            assert_eq!(int("window"), Some(i as u64), "{form}");
-            assert_eq!(
-                int("loads"),
-                Some(run_loads[i]),
-                "{form}: window {i}'s loads"
-            );
-            assert_eq!(
-                int("samples"),
-                Some(want.samples as u64),
-                "{form}: window {i}"
-            );
-            assert_eq!(int("observed"), Some(want.observed), "{form}: window {i}");
-            for (key, value, digits) in [
-                ("f_hat_bytes", want.f_hat_bytes, 3),
-                ("delta_f", want.delta_f, 6),
-                ("df_irr_pct", want.delta_f_irr_pct, 3),
-                ("a_const_pct", want.a_const_pct, 3),
-                ("mean_d", want.mean_d, 3),
-                ("kappa", want.kappa, 6),
-            ] {
-                let printed: f64 = format!("{value:.digits$}").parse().expect("a number");
-                let got = match event.get(key) {
-                    Some(Value::Float(f)) => Some(*f),
-                    Some(Value::Int(n)) => Some(*n as f64),
-                    _ => None,
-                };
-                assert_eq!(got, Some(printed), "{form}: window {i}'s {key}");
-            }
-        }
+    let (windows, sealed) = serve_windows(std::slice::from_ref(&run.container));
+    let int = |event: &Value, key: &str| event.get(key).and_then(Value::as_u64);
+    assert_eq!(windows.len(), 1, "whole: one window per upload");
+    assert_eq!(int(&windows[0], "window"), Some(0), "whole");
+    assert_eq!(int(&windows[0], "loads"), Some(meta.total_loads), "whole");
+    assert_eq!(
+        int(&windows[0], "samples"),
+        Some(frames.iter().map(|f| f.len() as u64).sum()),
+        "whole"
+    );
+    assert_eq!(
+        sealed, resident,
+        "whole: the seal is not the resident finish"
+    );
+
+    let form = "per frame";
+    let (windows, sealed) = serve_windows(&per_frame);
+    assert_eq!(windows.len(), stats.len(), "{form}: one window per frame");
+    for (i, (event, want)) in windows.iter().zip(&stats).enumerate() {
+        let int = |key: &str| event.get(key).and_then(Value::as_u64);
+        assert_eq!(int("window"), Some(i as u64), "{form}");
         assert_eq!(
-            sealed, resident,
-            "{form}: the seal is not the resident finish"
+            int("loads"),
+            Some(run_loads[i]),
+            "{form}: window {i}'s loads"
         );
+        assert_eq!(
+            int("samples"),
+            Some(want.samples as u64),
+            "{form}: window {i}"
+        );
+        assert_eq!(int("observed"), Some(want.observed), "{form}: window {i}");
+        for (key, value, digits) in [
+            ("f_hat_bytes", want.f_hat_bytes, 3),
+            ("delta_f", want.delta_f, 6),
+            ("df_irr_pct", want.delta_f_irr_pct, 3),
+            ("a_const_pct", want.a_const_pct, 3),
+            ("mean_d", want.mean_d, 3),
+            ("kappa", want.kappa, 6),
+        ] {
+            let printed: f64 = format!("{value:.digits$}").parse().expect("a number");
+            let got = match event.get(key) {
+                Some(Value::Float(f)) => Some(*f),
+                Some(Value::Int(n)) => Some(*n as f64),
+                _ => None,
+            };
+            assert_eq!(got, Some(printed), "{form}: window {i}'s {key}");
+        }
     }
+    assert_eq!(
+        sealed, resident,
+        "{form}: the seal is not the resident finish"
+    );
 }
