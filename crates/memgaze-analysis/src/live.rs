@@ -172,6 +172,13 @@ impl WindowRing {
         partial: &PartialReport,
         loads: u64,
     ) -> (WindowStats, Vec<AnomalyMark>) {
+        let stats = self.next_stats(partial, loads);
+        (stats, self.close_stats(stats))
+    }
+
+    /// The stats [`close`](Self::close) would give `partial` as the
+    /// next window, leaving the ring as it is.
+    pub fn next_stats(&self, partial: &PartialReport, loads: u64) -> WindowStats {
         let mut diag: Option<FootprintDiagnostics> = None;
         for d in &partial.per_sample_diags {
             match &mut diag {
@@ -190,7 +197,7 @@ impl WindowRing {
         }
         let kappa = compression_ratio(partial.observed, partial.implied_const);
         let rho = sample_ratio(loads, partial.observed, kappa);
-        let stats = WindowStats {
+        WindowStats {
             window: self.closed,
             samples: partial.per_sample_diags.len(),
             loads,
@@ -202,7 +209,14 @@ impl WindowRing {
             a_const_pct: diag.a_const_pct(),
             mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
             kappa: diag.kappa,
-        };
+        }
+    }
+
+    /// Close the window `stats` describes, as
+    /// [`next_stats`](Self::next_stats) gave them: test drift against
+    /// the previous window and return any new marks.
+    pub fn close_stats(&mut self, stats: WindowStats) -> Vec<AnomalyMark> {
+        debug_assert_eq!(stats.window, self.closed, "stats of the next window");
         self.closed += 1;
         let mut marks = Vec::new();
         if let Some(prev) = &self.prev {
@@ -225,7 +239,7 @@ impl WindowRing {
         }
         self.prev = Some(stats);
         self.anomalies.extend(marks.iter().cloned());
-        (stats, marks)
+        marks
     }
 
     /// Every mark raised since the ring was created.

@@ -405,6 +405,9 @@ impl PartialReport {
     /// Merge the partial of the **immediately following** shard range
     /// into this one. Merging in any other order silently computes a
     /// different (wrong) trace, so callers fold partials in frame order.
+    /// The merged block-reuse summary is left without its query index,
+    /// which only [`finish`](Self::finish) needs: a fold of many merges
+    /// builds it once.
     pub fn merge(&mut self, other: PartialReport) -> Result<(), PartialError> {
         let _span = memgaze_obs::span("partial.merge");
         self.check_config(
@@ -421,7 +424,7 @@ impl PartialReport {
         for (rows, orows) in self.locality.iter_mut().zip(other.locality) {
             rows.extend(orows);
         }
-        self.block_reuse.merge(&other.block_reuse);
+        self.block_reuse.merge_unindexed(&other.block_reuse);
         self.histogram.merge(&other.histogram);
         let mut replay = ReuseTracker::new();
         for (id, fp) in other.funcs {
@@ -547,6 +550,8 @@ impl PartialReport {
         };
         let rho = decompression.rho();
         let fb = self.footprint_block;
+        let mut block_reuse = self.block_reuse;
+        block_reuse.ensure_index();
 
         let mut function_rows: Vec<FunctionRow> = self
             .funcs
@@ -601,7 +606,7 @@ impl PartialReport {
         crate::streaming::StreamingReport {
             decompression,
             function_rows,
-            block_reuse: self.block_reuse,
+            block_reuse,
             reuse_histogram: self.histogram,
             locality_series,
             ingest: self.stats,

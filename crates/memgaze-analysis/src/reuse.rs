@@ -137,7 +137,7 @@ impl BlockStats {
 /// table over the max distances. Every `region_*` query is then two
 /// binary searches plus O(1) lookups — O(log n) total — independent of
 /// how many region rows ask.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockReuse {
     /// Block numbers, strictly increasing.
     blocks: Vec<u64>,
@@ -150,6 +150,14 @@ pub struct BlockReuse {
     /// Sparse table for range-max over `max_dist`: `max_table[k][i]` =
     /// max over `stats[i..i + 2^k]`. Level 0 is the raw column.
     max_table: Vec<Vec<u64>>,
+}
+
+/// Equal summaries: the same blocks with the same stats. The query
+/// index is derived from them, built or not.
+impl PartialEq for BlockReuse {
+    fn eq(&self, other: &BlockReuse) -> bool {
+        (&self.blocks, &self.stats) == (&other.blocks, &other.stats)
+    }
 }
 
 impl Default for BlockReuse {
@@ -270,11 +278,20 @@ impl BlockReuse {
         br
     }
 
-    /// `[accesses, Σ distance, reuse count]` over every block of an
-    /// indexed summary.
+    /// `[accesses, Σ distance, reuse count]` over every block: the
+    /// prefix sums' last entries, or one pass over an unindexed
+    /// summary's stats.
     pub(crate) fn totals(&self) -> [u64; 3] {
-        [&self.pre_accesses, &self.pre_dist_sum, &self.pre_reuse_cnt]
-            .map(|pre| *pre.last().expect("an indexed summary has prefix sums"))
+        if let (Some(&a), Some(&d), Some(&r)) = (
+            self.pre_accesses.last(),
+            self.pre_dist_sum.last(),
+            self.pre_reuse_cnt.last(),
+        ) {
+            return [a, d, r];
+        }
+        self.stats.iter().fold([0; 3], |[a, d, r], s| {
+            [a + s.accesses, d + s.dist_sum, r + s.reuse_cnt]
+        })
     }
 
     /// Raw `(block, [accesses, dist_sum, reuse_cnt, max_dist])` rows in
@@ -331,6 +348,15 @@ impl BlockReuse {
     /// §IV-B). A two-pointer merge of the sorted columns, then an index
     /// rebuild — O(n + m) plus O(n log n) for the max table.
     pub fn merge(&mut self, other: &BlockReuse) {
+        self.merge_unindexed(other);
+        self.ensure_index();
+    }
+
+    /// [`merge`](Self::merge) without the index rebuild, for a
+    /// partial's summary: it is only merged again or encoded until
+    /// [`PartialReport::finish`](crate::PartialReport::finish) indexes
+    /// it. A merge that changes the columns drops the index.
+    pub(crate) fn merge_unindexed(&mut self, other: &BlockReuse) {
         if other.blocks.is_empty() {
             return;
         }
@@ -361,7 +387,21 @@ impl BlockReuse {
         }
         self.blocks = blocks;
         self.stats = stats;
-        self.rebuild_index();
+        for pre in [
+            &mut self.pre_accesses,
+            &mut self.pre_dist_sum,
+            &mut self.pre_reuse_cnt,
+        ] {
+            pre.clear();
+        }
+        self.max_table.clear();
+    }
+
+    /// Build the query index unless it is built.
+    pub(crate) fn ensure_index(&mut self) {
+        if self.pre_accesses.is_empty() {
+            self.rebuild_index();
+        }
     }
 
     /// Recompute the prefix sums and the range-max sparse table from
@@ -640,6 +680,8 @@ mod tests {
         }
         let bulk = BlockReuse::from_parts(parts);
         assert_eq!(folded, bulk);
+        // `==` ignores the index; the Debug form shows it.
+        assert_eq!(format!("{folded:?}"), format!("{bulk:?}"));
         // And both equal the one pass over the windows as samples.
         let samples: Vec<Sample> = windows.iter().map(|w| Sample::new(seq(w), 0)).collect();
         assert_eq!(
@@ -650,6 +692,20 @@ mod tests {
             bulk.raw_rows().collect::<Vec<_>>(),
             BlockReuse::sample_rows(&samples, BlockSize::CACHE_LINE)
         );
+    }
+
+    #[test]
+    fn an_unindexed_merge_indexes_to_the_indexed_one() {
+        let (a, b) = (summary(&[1, 2, 1, 9]), summary(&[1, 3, 1, 3]));
+        let mut indexed = a.clone();
+        indexed.merge(&b);
+        let mut lazy = a;
+        lazy.merge_unindexed(&b);
+        assert!(lazy.pre_accesses.is_empty() && lazy.max_table.is_empty());
+        assert_eq!(lazy.totals(), indexed.totals());
+        assert_eq!(lazy, indexed);
+        lazy.ensure_index();
+        assert_eq!(format!("{lazy:?}"), format!("{indexed:?}"));
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! one analyzer folds each upload's frames into one
 //! [`PartialReport`](memgaze_analysis::PartialReport) delta — published
 //! live to SSE subscribers, closed as one watch window on
-//! `GET /watch/events`, and merged into the session's running fold,
-//! whose merge laws make the sealed report **bit-identical** to a
-//! resident analyzer pass over the same shards.
+//! `GET /watch/events`, and merged into the session's runs, whose merge
+//! laws make the sealed report **bit-identical** to a resident analyzer
+//! pass over the same shards.
 //!
 //! ## Admission control
 //!

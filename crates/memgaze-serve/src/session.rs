@@ -5,16 +5,12 @@
 //! its unit. Each upload is a complete v2 MGZT container (header +
 //! shard frames + trailer) whose frames are decoded through
 //! [`ShardReader`] and folded by one [`StreamingAnalyzer`] into one
-//! [`PartialReport`]. The analyzer lives only inside the request: the
-//! session holds partials, never analyzers.
-//!
-//! Each upload's partial is published as one delta, closes one rolling
-//! watch window through the session's [`WindowRing`] with the loads its
-//! trailer counts — watch's loads rule, with nothing to attribute per
-//! frame — and is merged into the session's running fold in feed
-//! order. Merging the partials of contiguous frame ranges in order and
-//! finishing once is bit-identical to a resident pass over the same
-//! frames, so the seal only encodes the fold.
+//! [`PartialReport`]; the session holds partials, never analyzers. The
+//! partial is published as one delta, closes one watch window through
+//! the session's [`WindowRing`] with the loads its trailer counts, and
+//! joins the session's runs in feed order; the seal merges the runs.
+//! Merging the partials of contiguous frame ranges in order and
+//! finishing once is bit-identical to a resident pass.
 //!
 //! Concurrency discipline is a *combining lock*: uploads enter a
 //! bounded FIFO queue under the session mutex, and whichever handler
@@ -115,8 +111,9 @@ struct SessionInner {
     shards: u64,
     samples: u64,
     meta: Option<TraceMeta>,
-    /// Every upload's partial so far, merged in feed order.
-    folded: Option<PartialReport>,
+    /// Every upload's partial so far in feed order, merged into runs
+    /// by [`push_run`].
+    runs: Vec<PartialReport>,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
     /// Drift detection across this session's windows.
@@ -194,7 +191,7 @@ impl Session {
                 shards: 0,
                 samples: 0,
                 meta: None,
-                folded: None,
+                runs: Vec::new(),
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
                 ring: WindowRing::new(ANOMALY_THRESHOLD),
@@ -320,10 +317,9 @@ impl Session {
     }
 
     /// Fold one analyzed upload into session state: its partial closes
-    /// one watch window with the loads its trailer counts, is merged
-    /// into the session's fold, and is published as the upload's delta
-    /// beside the window's `window`/`anomaly` events on the server-wide
-    /// watch hub.
+    /// one watch window with the loads its trailer counts, joins the
+    /// session's runs, and is published as the upload's delta beside
+    /// the window's events on the server-wide watch hub.
     fn absorb(
         &self,
         g: &mut MutexGuard<'_, SessionInner>,
@@ -373,14 +369,11 @@ impl Session {
         summary.shards += an.shards;
         summary.samples += samples;
         memgaze_obs::counter!("serve.shards_fed").add(an.shards);
-        let (stats, marks) = g.ring.close(&partial, loads);
+        let stats = g.ring.next_stats(&partial, loads);
         let delta = (!g.subscribers.is_empty()).then(|| partial.encode());
-        match &mut g.folded {
-            None => g.folded = Some(partial),
-            Some(folded) => folded.merge(partial).map_err(|e| ServeError::BadRequest {
-                detail: format!("merge failed: {e}"),
-            })?,
-        }
+        // Merge first: a failed merge leaves the ring as it was.
+        push_run(&mut g.runs, partial)?;
+        let marks = g.ring.close_stats(stats);
         if let Some(delta) = delta {
             let data = format!(
                 "{{\"session\":\"{}\",\"upload\":{},\"shards\":{},\"samples\":{},\
@@ -403,7 +396,7 @@ impl Session {
     }
 
     /// Seal the session: wait out any active drainer, drain whatever is
-    /// still queued, and freeze the fold of every upload's partial.
+    /// still queued, and freeze the merge of every upload's partial.
     /// Idempotent — a second seal returns the same report.
     pub fn seal(&self, cfg: &ServeConfig) -> Result<Arc<SealedReport>, ServeError> {
         let mut span = memgaze_obs::span("serve.seal");
@@ -433,13 +426,17 @@ impl Session {
             outcome?;
         }
 
-        let folded = g.folded.take().unwrap_or_else(|| {
+        let mut folded = g.runs.pop().unwrap_or_else(|| {
             PartialReport::empty(
                 cfg.analysis.footprint_block,
                 cfg.analysis.reuse_block,
                 &cfg.locality_sizes,
             )
         });
+        // The runs in feed order, the smallest (last) first.
+        while let Some(before) = g.runs.pop() {
+            folded = merged(before, folded).inspect_err(|e| g.error = Some(e.to_string()))?;
+        }
         let meta = g
             .meta
             .clone()
@@ -471,7 +468,8 @@ impl Session {
     }
 
     /// Register a live-delta subscriber. The stream receives one SSE
-    /// `upload` event per future upload and a final `sealed` event.
+    /// `upload` event per future upload that carries frames, numbered
+    /// like the watch window it closes, and a final `sealed` event.
     ///
     /// If a seal won the race between the route's sealed check and this
     /// registration (e.g. SIGTERM drain), the client already holds an
@@ -548,6 +546,31 @@ fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedRep
         sealed.shards, sealed.samples
     );
     publish(subscribers, "sealed", &data);
+}
+
+/// Append an upload's `partial` to the session's `runs` in feed order,
+/// merging it into the last run while that holds no more samples. Equal
+/// uploads pair up like the digits of a binary counter: a sample takes
+/// part in O(log uploads) merges, where one fold of every upload would
+/// re-merge the whole session on each feed.
+fn push_run(runs: &mut Vec<PartialReport>, mut partial: PartialReport) -> Result<(), ServeError> {
+    while let Some(before) = runs.pop() {
+        if before.num_samples() > partial.num_samples() {
+            runs.push(before);
+            break;
+        }
+        partial = merged(before, partial)?;
+    }
+    runs.push(partial);
+    Ok(())
+}
+
+/// `before` with `after`, the partial of the frames that follow it.
+fn merged(mut before: PartialReport, after: PartialReport) -> Result<PartialReport, ServeError> {
+    before.merge(after).map_err(|e| ServeError::BadRequest {
+        detail: format!("merge failed: {e}"),
+    })?;
+    Ok(before)
 }
 
 /// Decode one uploaded container and fold every frame with one

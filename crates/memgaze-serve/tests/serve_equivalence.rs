@@ -580,6 +580,81 @@ fn watch_stream_closes_one_window_per_upload() {
     }
 }
 
+/// A frameless upload is accepted but closes no window and publishes
+/// no delta, and the deltas are numbered like the windows: uploads of
+/// 1, 0 and 2 frames give `upload` events 0 and 1 and windows 0 and 1.
+#[test]
+fn a_frameless_upload_closes_no_window_and_takes_no_number() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default(), 3).expect("bind");
+    let http = Client::new(server.addr());
+    let watch = http.watch_collect().expect("watch subscribe");
+    let hub = server.registry().watch_hub();
+    await_subscriber(|| hub.subscriber_count());
+    let id = http.create_session().expect("create");
+    let deltas = http.subscribe_collect(&id).expect("subscribe");
+    let session = server.registry().get(&id).expect("session");
+    await_subscriber(|| session.subscriber_count());
+
+    let frames: Vec<Vec<Sample>> = synthetic_samples(6, 48, 4)
+        .chunks(2)
+        .map(<[Sample]>::to_vec)
+        .collect();
+    for upload in [&frames[..1], &[], &frames[1..]] {
+        let body = upload_body("frameless", upload);
+        assert_eq!(http.feed(&id, &body, None).expect("feed").status, 202);
+    }
+    http.seal(&id).expect("seal");
+    server.drain();
+
+    let field = |events: Vec<(String, String)>, event: &str, key: &str| -> Vec<Option<u64>> {
+        events
+            .iter()
+            .filter(|(e, _)| e == event)
+            .map(|(_, data)| int_field(data, key))
+            .collect()
+    };
+    assert_eq!(
+        field(deltas.collect(), "upload", "upload"),
+        [Some(0), Some(1)]
+    );
+    assert_eq!(
+        field(watch.collect(), "window", "window"),
+        [Some(0), Some(1)]
+    );
+}
+
+/// A long session of uneven uploads, frameless ones among them, seals
+/// to the resident pass: the session's runs merge in feed order however
+/// their sample counts pair up.
+#[test]
+fn a_long_uneven_session_seals_to_the_resident_pass() {
+    let cfg = ServeConfig::default();
+    let registry = Registry::new(cfg.clone());
+    let session = registry.create().expect("create");
+    let groups: Vec<Vec<Sample>> = synthetic_samples(120, 32, 5)
+        .chunks(2)
+        .map(<[Sample]>::to_vec)
+        .collect();
+    let mut rest = &groups[..];
+    for k in 0.. {
+        if rest.is_empty() {
+            break;
+        }
+        // 0, 2, 4, 1, 3 frames, over and over.
+        let (upload, after) = rest.split_at((k * 2 % 5).min(rest.len()));
+        session
+            .feed(upload_body("uneven", upload), &cfg)
+            .expect("feed");
+        rest = after;
+    }
+    let sealed = session.seal(&cfg).expect("seal");
+    assert_eq!(sealed.shards, groups.len() as u64);
+    assert!(
+        sealed.finish().expect("finish") == resident_report("uneven", &groups, &cfg),
+        "served report != resident"
+    );
+}
+
 /// The shutdown race: a subscriber whose registration loses the race
 /// against seal (e.g. SIGTERM drain sealing every session) must still
 /// receive the final `sealed` event, not a torn stream. Exercised

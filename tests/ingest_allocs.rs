@@ -13,7 +13,8 @@
 //! and locality series to allocations per call, not per sample; a sixth
 //! a cold store analyze to one fold per trace, not a partial per frame;
 //! a seventh a serve upload to one fold per upload, not a partial per
-//! frame. The last holds the static side — lint and instrumentation of
+//! frame, and a long session's merges to what each upload adds. The
+//! last holds the static side — lint and instrumentation of
 //! a load module — to allocations per procedure, with each procedure's
 //! CFG and loop forest built once, not once per pass.
 
@@ -28,6 +29,8 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by every allocation and growth.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE: Cell<usize> = const { Cell::new(0) };
     /// The highest `LIVE` since a test last reset it.
     static PEAK: Cell<usize> = const { Cell::new(0) };
@@ -64,6 +67,7 @@ unsafe impl GlobalAlloc for Counting {
 
 fn grew(n: usize) {
     let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + n as u64));
     let _ = LIVE.try_with(|live| {
         live.set(live.get() + n);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
@@ -331,10 +335,10 @@ fn static_side_allocates_per_procedure_not_per_fact() {
 }
 
 /// A serve session folds each upload through one analyzer into one
-/// partial, merged into the session's running fold. 8 uploads of 4
-/// frames of 16 samples, fed and sealed, read 282 allocations per
-/// upload; an analyzer and a partial per frame, merged per window of 4
-/// frames and again at the seal, read 742. The bound sits between.
+/// partial, merged into the session's runs. 8 uploads of 4 frames of 16
+/// samples, fed and sealed, read 270 allocations per upload; an
+/// analyzer and a partial per frame, merged per window of 4 frames and
+/// again at the seal, read 742. The bound sits between.
 #[test]
 fn a_serve_upload_allocates_per_upload_not_per_frame() {
     use memgaze::serve::{harness::container, Registry, ServeConfig};
@@ -359,5 +363,41 @@ fn a_serve_upload_allocates_per_upload_not_per_frame() {
     assert!(
         per_upload <= 450,
         "{allocs} allocations for 8 uploads ({per_upload} per upload)"
+    );
+}
+
+/// Bytes a serve session allocates per upload over `uploads` uploads of
+/// one frame each, fed and sealed.
+fn serve_bytes_per_upload(uploads: usize) -> u64 {
+    use memgaze::serve::{harness::container, harness::synthetic_samples, Registry, ServeConfig};
+    let cfg = ServeConfig::default();
+    let registry = Registry::new(cfg.clone());
+    let session = registry.create().unwrap();
+    let samples = synthetic_samples(2 * uploads, 64, 1);
+    let bodies: Vec<Vec<u8>> = samples
+        .chunks(2)
+        .map(|frame| container("serve-long", &[frame]))
+        .collect();
+    let before = BYTES.with(Cell::get);
+    for body in bodies {
+        session.feed(body, &cfg).unwrap();
+    }
+    session.seal(&cfg).unwrap();
+    (BYTES.with(Cell::get) - before) / uploads as u64
+}
+
+/// A long serve session merges what each upload adds, not the whole
+/// session. Bytes allocated per upload of one 2-sample frame, fed and
+/// sealed, read 108 116 over 16 uploads and 150 916 over 256: the
+/// session's runs pair up like a binary counter. One running fold that
+/// every upload merged into read 200 413 and 2 275 427 (11×); a partial
+/// per frame, merged only per window and at the seal, read 135 643 and
+/// 170 710.
+#[test]
+fn a_long_serve_session_merges_per_upload_not_per_session() {
+    let (short, long) = (serve_bytes_per_upload(16), serve_bytes_per_upload(256));
+    assert!(
+        long <= 2 * short,
+        "{short} bytes per upload over 16 uploads, {long} over 256"
     );
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the zoom, the watch
-# loop, serve's window loads and the address-keyed side tables.
+# loop, serve's window loads and session runs, and the address-keyed
+# side tables.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels and zoom.rs),
@@ -11,7 +12,8 @@
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
 # serve_window_loads_from_trigger_span.patch, both name the retune test
-# of tests/watch_equivalence.rs). For every patch this script
+# of tests/watch_equivalence.rs; serve_one_running_fold.patch names the
+# long-session test of tests/ingest_allocs.rs). For every patch this script
 # applies it with `git apply`, builds and runs that suite in release,
 # requires the suite to fail, and reverts with `git apply -R`. A patch
 # that no longer applies, a mutant that does not build, a suite that
