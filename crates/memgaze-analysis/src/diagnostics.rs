@@ -34,7 +34,7 @@ impl FootprintDiagnostics {
     pub fn compute(accesses: &[Access], annots: &AuxAnnotations, bs: BlockSize) -> Self {
         let mut memo = AnnotMemo::new(annots);
         let counts = kernel::with_workspace(|ws| {
-            ws.class_pass(accesses.iter().map(|a| {
+            ws.distinct_pass(accesses.iter().map(|a| {
                 let (class, implied) = memo.get(a.ip);
                 (a.addr.block(bs), class, implied)
             }))

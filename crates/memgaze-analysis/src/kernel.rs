@@ -171,6 +171,16 @@ impl Markers {
         }
     }
 
+    /// The positions that hold a marker, in order: one sweep over the
+    /// words.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.buf[..self.words].iter().enumerate()).flat_map(|(w, &bits)| {
+            let next = |b: u64| Some(b & b.wrapping_sub(1)).filter(|&b| b != 0);
+            std::iter::successors(Some(bits).filter(|&b| b != 0), move |&b| next(b))
+                .map(move |b| 64 * w + b.trailing_zeros() as usize)
+        })
+    }
+
     /// Markers at positions `[0, pos]`.
     pub(crate) fn rank(&self, pos: usize) -> u64 {
         let own = self.buf[pos / 64] & !above(pos % 64);
@@ -275,7 +285,7 @@ pub(crate) struct Row {
     pub(crate) reuse_cnt: u32,
     pub(crate) max_dist: u32,
     /// Position of the block's latest access.
-    last: u32,
+    pub(crate) last: u32,
 }
 
 impl Row {
@@ -291,7 +301,7 @@ impl Row {
     }
 }
 
-/// Totals of one [`Workspace::class_pass`].
+/// Totals of one [`Workspace::distinct_pass`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ClassCounts {
     pub(crate) footprint: u64,
@@ -309,12 +319,73 @@ pub(crate) fn intervals(len: usize, chunk: usize) -> impl Iterator<Item = (usize
         .filter(move |(s, e)| e - s >= chunk.div_ceil(2))
 }
 
+/// The positions of a window grouped by a key — a sample cut into one
+/// window per function — by a counting sort: keys in first-seen order,
+/// positions in order within each.
+#[derive(Default)]
+pub(crate) struct Split {
+    /// The positions, key by key.
+    order: Vec<u32>,
+    /// `(key, start, end)` of each key's stretch of `order`.
+    stretches: Vec<(u32, u32, u32)>,
+    /// Per key, one more than its index in `stretches` while a split
+    /// runs; 0 otherwise.
+    index: Vec<u32>,
+}
+
+impl Split {
+    /// Group positions `0..keys.len()` by their key.
+    pub(crate) fn group(&mut self, keys: impl DoubleEndedIterator<Item = u32> + Clone) {
+        self.stretches.clear();
+        let mut n = 0usize;
+        for key in keys.clone() {
+            let k = key as usize;
+            if k >= self.index.len() {
+                self.index.resize(k + 1, 0);
+            }
+            if self.index[k] == 0 {
+                self.stretches.push((key, 0, 0));
+                self.index[k] = self.stretches.len() as u32;
+            }
+            self.stretches[self.index[k] as usize - 1].2 += 1;
+            n += 1;
+        }
+        // Counts to ends, then each end walked back to its start while
+        // the positions are placed last to first.
+        let mut end = 0;
+        for s in &mut self.stretches {
+            end += s.2;
+            (s.1, s.2) = (end, end);
+        }
+        self.order.resize(n, 0);
+        for (pos, key) in (0..n as u32).rev().zip(keys.rev()) {
+            let s = &mut self.stretches[self.index[key as usize] as usize - 1];
+            s.1 -= 1;
+            self.order[s.1 as usize] = pos;
+        }
+        for &(key, _, _) in &self.stretches {
+            self.index[key as usize] = 0;
+        }
+    }
+
+    /// Each key of the last [`group`](Self::group) with its positions.
+    pub(crate) fn stretches(&self) -> impl Iterator<Item = (u32, &[u32])> {
+        (self.stretches.iter()).map(|&(key, s, e)| (key, &self.order[s as usize..e as usize]))
+    }
+}
+
 /// The buffers every window kernel runs on.
 #[derive(Default)]
 pub(crate) struct Workspace {
     table: BlockTable,
     markers: Markers,
     rows: Vec<Row>,
+    /// The distinct blocks of the last distinct pass, in first-touch
+    /// order, each with the class bits of the loads that touched it.
+    distinct: Vec<(u64, u8)>,
+    /// A sample cut into windows, one per function; taken out while its
+    /// windows run their passes.
+    pub(crate) split: Split,
     /// `[pos, prev, distance]` of every reuse of the last reuse pass.
     reuses: Vec<[u32; 3]>,
     /// Per access of the last class columns, one more than the latest
@@ -331,6 +402,27 @@ pub(crate) struct Workspace {
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+    /// The slot → id column a `ReuseTracker` compacts and lists its
+    /// blocks through: a cell of its own, so a tracker fed from inside a
+    /// kernel's [`with_workspace`] can take it.
+    static SLOT_IDS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Most tracker slots whose slot → id column a thread keeps for the
+/// next call: 256 KiB.
+const RETAIN_SLOTS: usize = 1 << 16;
+
+/// Run `f` on this thread's slot → id column. A column longer than
+/// [`RETAIN_SLOTS`] is dropped before returning.
+pub(crate) fn with_slot_ids<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
+    SLOT_IDS.with(|cell| {
+        let mut ids = cell.borrow_mut();
+        let out = f(&mut ids);
+        if ids.len() > RETAIN_SLOTS {
+            *ids = Vec::new();
+        }
+        out
+    })
 }
 
 /// Run `f` on this thread's workspace. Kernels do not nest: `f` must
@@ -353,6 +445,7 @@ impl Workspace {
         self.longest = self.longest.max(n);
         self.table.begin(n);
         self.rows.clear();
+        self.distinct.clear();
         for column in [&mut self.reuses, &mut self.firsts, &mut self.lasts] {
             column.clear();
         }
@@ -431,30 +524,48 @@ impl Workspace {
         &self.reuses
     }
 
-    /// Footprint access diagnostics of one window (paper §V-E): distinct
-    /// blocks, distinct blocks touched by a Strided and by an Irregular
-    /// load, and the implied Constant loads. `items` yields `(block,
-    /// class bit, implied constants)` per access.
-    pub(crate) fn class_pass(
+    /// The distinct blocks of one window, each with the class bits of
+    /// the loads that touched it, left in [`distinct`](Self::distinct)
+    /// in first-touch order; returns their footprint access diagnostics
+    /// (paper §V-E): distinct blocks, distinct blocks touched by a
+    /// Strided and by an Irregular load, and the implied Constant loads.
+    /// `items` yields `(block, class bit, implied constants)` per access.
+    pub(crate) fn distinct_pass(
         &mut self,
         items: impl ExactSizeIterator<Item = (u64, u8, u64)>,
     ) -> ClassCounts {
         self.begin(items.len());
-        let mut c = ClassCounts::default();
+        let mut implied_const = 0;
         for (block, bit, implied) in items {
-            let (mask, new) = self.table.entry(block);
-            c.footprint += u64::from(new);
-            let fresh = bit & !(*mask as u8);
-            *mask |= u32::from(bit);
-            c.f_str += u64::from(fresh & STRIDED != 0);
-            c.f_irr += u64::from(fresh & IRREGULAR != 0);
-            c.implied_const += implied;
+            let (slot, new) = self.table.entry(block);
+            if new {
+                *slot = self.distinct.len() as u32;
+                self.distinct.push((block, bit));
+            } else {
+                self.distinct[*slot as usize].1 |= bit;
+            }
+            implied_const += implied;
+        }
+        let mut c = ClassCounts {
+            footprint: self.distinct.len() as u64,
+            implied_const,
+            ..ClassCounts::default()
+        };
+        for &(_, mask) in &self.distinct {
+            c.f_str += u64::from(mask & STRIDED != 0);
+            c.f_irr += u64::from(mask & IRREGULAR != 0);
         }
         c
     }
 
+    /// The blocks of the last [`distinct_pass`](Self::distinct_pass) with
+    /// their class bits, in first-touch order.
+    pub(crate) fn distinct(&self) -> &[(u64, u8)] {
+        &self.distinct
+    }
+
     /// What [`class_counts`](Self::class_counts) reads of a window given
-    /// as for [`class_pass`](Self::class_pass): per access, where its
+    /// as for [`distinct_pass`](Self::distinct_pass): per access, where its
     /// block was last touched before it, and the implied constants.
     pub(crate) fn class_columns(&mut self, items: impl ExactSizeIterator<Item = (u64, u8, u64)>) {
         self.begin(items.len());
@@ -843,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn class_pass_matches_the_set_definition() {
+    fn distinct_pass_matches_the_set_definition() {
         use std::collections::BTreeSet;
         let items: Vec<(u64, u8, u64)> = (0..500u64)
             .map(|i| {
@@ -867,16 +978,50 @@ mod tests {
             f_irr: with(IRREGULAR),
             implied_const: items.iter().map(|t| t.2).sum(),
         };
-        assert_eq!(
-            with_workspace(|ws| ws.class_pass(items.iter().copied())),
-            want
-        );
+        let (counts, distinct) = with_workspace(|ws| {
+            let counts = ws.distinct_pass(items.iter().copied());
+            (counts, ws.distinct().to_vec())
+        });
+        assert_eq!(counts, want);
+        // One entry per block, in first-touch order, with every class
+        // that touched it.
+        let mut seen = BTreeSet::new();
+        let order: Vec<u64> = (items.iter().map(|t| t.0))
+            .filter(|&b| seen.insert(b))
+            .collect();
+        let masks = order.iter().map(|&b| {
+            let mask = (items.iter().filter(|t| t.0 == b)).fold(0, |m, t| m | t.1);
+            (b, mask)
+        });
+        assert_eq!(distinct, masks.collect::<Vec<_>>());
         // The columns answer the whole window, as the pass does.
         let columns = with_workspace(|ws| {
             ws.class_columns(items.iter().copied());
             ws.class_counts(0, items.len())
         });
         assert_eq!(columns, want);
+    }
+
+    #[test]
+    fn split_groups_positions_by_key_in_order() {
+        let mut split = Split::default();
+        let group = |split: &mut Split, keys: &[u32]| {
+            split.group(keys.iter().copied());
+            (split.stretches())
+                .map(|(key, positions)| (key, positions.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            group(&mut split, &[3, 1, 3, 0, 1, 3]),
+            [(3, vec![0, 2, 5]), (1, vec![1, 4]), (0, vec![3])]
+        );
+        // A second split starts from nothing: no key of the first one
+        // stays grouped.
+        assert_eq!(
+            group(&mut split, &[0, 7, 0]),
+            [(0, vec![0, 2]), (7, vec![1])]
+        );
+        assert_eq!(group(&mut split, &[]), []);
     }
 
     #[test]

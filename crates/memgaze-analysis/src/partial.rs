@@ -123,7 +123,7 @@ impl ReusePartial {
     /// Snapshot a tracker's state.
     pub fn from_tracker(tracker: &ReuseTracker) -> ReusePartial {
         ReusePartial {
-            firsts: tracker.first_touch_order().to_vec(),
+            firsts: tracker.first_touch_order(),
             lru: tracker.lru_order(),
             events: tracker.events(),
             dist_sum: tracker.distance_sum(),
@@ -149,15 +149,16 @@ impl ReusePartial {
     /// into this one, exactly.
     ///
     /// Boundary events — the first access in `other` to a block already
-    /// seen in `self` — are replayed through a fresh tracker: feed
-    /// `self.lru` (all distinct, so no events), then `other.firsts` in
-    /// order. For such a block `b`, the distinct blocks between its two
-    /// accesses in the concatenated stream are (a) the `self` blocks
-    /// accessed after `b`'s last `self` access — exactly those behind
-    /// it in `self.lru` — and (b) the `other` blocks first touched
-    /// before `b` — exactly those fed earlier from `other.firsts`; the
-    /// tracker's marker moves dedupe the union. Events wholly inside
-    /// either segment are already counted in that segment's sums.
+    /// seen in `self` — are replayed through a fresh tracker: load
+    /// `self.lru` (all distinct, so no events), then feed `other.firsts`
+    /// as one window of distinct blocks. For such a block `b`, the
+    /// distinct blocks between its two accesses in the concatenated
+    /// stream are (a) the `self` blocks accessed after `b`'s last `self`
+    /// access — exactly those behind it in `self.lru` — and (b) the
+    /// `other` blocks first touched before `b` — exactly those ahead of
+    /// it in `other.firsts`; the tracker's marker moves dedupe the
+    /// union. Events wholly inside either segment are already counted
+    /// in that segment's sums.
     ///
     /// The merged orderings are built structurally (the replay
     /// tracker's post-state does not see `other`'s internal
@@ -195,11 +196,10 @@ impl ReusePartial {
         // slot window to cover both makes the whole replay
         // compaction-free, and the all-distinct LRU prefix loads in one
         // batch instead of n marker updates.
-        replay.preload_distinct(&self.lru, other.firsts.len() + 1);
+        let n = other.firsts.len();
+        replay.preload_distinct(&self.lru, n);
         debug_assert_eq!(replay.events(), 0, "lru blocks are distinct");
-        for &b in &other.firsts {
-            replay.feed(b);
-        }
+        replay.feed_window(n, other.firsts.iter().copied().zip(0u32..), 0, 0);
         let events = checked_sum([self.events, other.events, replay.events()], "reuse events")?;
         let dist_sum = checked_sum(
             [self.dist_sum, other.dist_sum, replay.distance_sum()],

@@ -43,10 +43,11 @@ use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
-use crate::kernel::{self, IpInfo, IpResolver, Markers, Row};
+use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, Markers, Row, Workspace};
 use crate::reuse::BlockReuse;
 use memgaze_model::{
-    AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable, TraceMeta,
+    Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
+    TraceMeta,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -90,18 +91,28 @@ pub(crate) struct SampleReuseSummary {
 /// Incremental exact reuse-distance tracker over an unbounded block
 /// stream, O(distinct blocks) memory.
 ///
-/// Feeding the concatenation of a function's accesses (one
-/// [`feed`](Self::feed) per access, in order) produces the same event
-/// count and the same integer distance sum as
-/// [`reuse::analyze_window`](crate::reuse::analyze_window) over the whole slice, so
-/// [`mean_distance`](Self::mean_distance) is bit-identical — including
-/// across shard boundaries, which a windowed analysis cannot see.
+/// The stream arrives a window at a time
+/// ([`feed_window`](Self::feed_window)): a window is summarized by its
+/// distinct blocks in first-touch order with the position of each one's
+/// last access, and by the count and distance sum of the reuses inside
+/// it — what [`Workspace::reuse_pass`](crate::kernel::Workspace::reuse_pass)
+/// leaves behind. Feeding a function's windows in order produces the
+/// same event count and the same integer distance sum as
+/// [`reuse::analyze_window`](crate::reuse::analyze_window) over their
+/// concatenation, so [`mean_distance`](Self::mean_distance) is
+/// bit-identical — including across window and shard boundaries, which
+/// a windowed analysis cannot see. [`feed`](Self::feed) is a window of
+/// one access.
 ///
-/// Positions are slots of a [`Markers`] set, handed out by a
-/// monotonically growing counter; when the slots fill up, live markers
-/// (one per distinct block) are compacted order-preservingly, which
-/// leaves every between-marker count — and hence every distance —
-/// unchanged.
+/// Each distinct block has a dense id (its index in first-touch order)
+/// and one marker in a [`Markers`] set, at the slot of its last access;
+/// a window takes the next `len` slots. Only a window's *first* touch of
+/// an earlier block crosses windows, so the tracker does one id probe,
+/// one rank, one `clear` and one `set` per distinct block of a window.
+/// When the slots fill up, the live markers are compacted in one sweep
+/// in slot order — the ids scattered into the thread's slot → id
+/// scratch name the block at each marker — which leaves every
+/// between-marker count, and hence every distance, unchanged.
 ///
 /// Beyond the running sums, the tracker records its blocks in
 /// first-touch order ([`first_touch_order`](Self::first_touch_order))
@@ -112,14 +123,17 @@ pub(crate) struct SampleReuseSummary {
 /// [`ReusePartial`](crate::partial::ReusePartial).
 pub struct ReuseTracker {
     markers: Markers,
-    last: FxHashMap<u64, usize>,
+    /// Block → id.
+    ids: FxHashMap<u64, u32>,
+    /// Per id, in first-touch order: the block and the slot of its
+    /// marker.
+    firsts: Vec<(u64, u32)>,
     next_slot: usize,
     cap: usize,
     /// The slot window a fresh tracker starts from.
     initial_cap: usize,
     events: u64,
     dist_sum: u64,
-    firsts: Vec<u64>,
 }
 
 impl Default for ReuseTracker {
@@ -142,99 +156,138 @@ impl ReuseTracker {
         markers.reset(cap, 0);
         ReuseTracker {
             markers,
-            last: FxHashMap::default(),
+            ids: FxHashMap::default(),
+            firsts: Vec::new(),
             next_slot: 0,
             cap,
             initial_cap: cap,
             events: 0,
             dist_sum: 0,
-            firsts: Vec::new(),
         }
     }
 
     /// Return to the fresh state — the initial slot window too, so a
     /// tracker that once replayed a large function does not clear that
     /// function's window for every small one after it — while keeping
-    /// every allocation (markers, marker map), so one tracker can serve
-    /// many replay rounds without churning the allocator.
+    /// every allocation (markers, id map, columns), so one tracker can
+    /// serve many replay rounds without churning the allocator.
     pub fn reset(&mut self) {
         self.cap = self.initial_cap;
         self.markers.reset(self.cap, 0);
-        self.last.clear();
+        self.ids.clear();
+        self.firsts.clear();
         self.next_slot = 0;
         self.events = 0;
         self.dist_sum = 0;
-        self.firsts.clear();
     }
 
     /// Seed a fresh (or just-reset) tracker with blocks known to be
     /// pairwise distinct, in first-touch order, and grow its slot window
-    /// so that `more` feeds after them run without compaction.
-    /// Equivalent to feeding each block once, but the window is sized
-    /// and its markers are written in one pass over its words instead
-    /// of n point updates. The partial-merge replay uses this for its
-    /// LRU prefix, which is distinct by construction. Capacity never
-    /// changes results (compaction preserves every distance); the room
-    /// only avoids the work.
+    /// so that windows of `more` accesses after them run without
+    /// compaction. Equivalent to feeding each block once, but the window
+    /// is sized and its markers are written in one pass over its words.
+    /// The partial-merge replay uses this for its LRU prefix, which is
+    /// distinct by construction. Capacity never changes results
+    /// (compaction preserves every distance); the room only avoids the
+    /// work.
     pub fn preload_distinct(&mut self, blocks: &[u64], more: usize) {
         debug_assert_eq!(self.next_slot, 0, "preload requires a fresh tracker");
         debug_assert_eq!(self.events, 0, "preload requires a fresh tracker");
         let n = blocks.len();
+        let ids = 0..u32::try_from(n).expect("tracker ids fit u32");
         while self.cap < n + more {
             self.cap *= 2;
         }
         self.markers.reset(self.cap, n);
-        self.last.reserve(n);
-        for (i, &b) in blocks.iter().enumerate() {
-            self.last.insert(b, i);
-        }
-        self.firsts.extend_from_slice(blocks);
+        self.ids.reserve(n);
+        self.ids.extend(blocks.iter().copied().zip(ids.clone()));
+        self.firsts.extend(blocks.iter().copied().zip(ids));
         self.next_slot = n;
     }
 
-    /// Observe the next block in the stream.
+    /// Observe the next block in the stream: a window of one access.
     pub fn feed(&mut self, block: u64) {
-        if self.next_slot == self.cap {
-            self.compact();
-        }
-        let pos = self.next_slot;
-        self.next_slot += 1;
-        match self.last.entry(block) {
-            Entry::Occupied(mut e) => {
-                let prev = e.insert(pos);
-                // Distinct blocks touched strictly between the previous
-                // access to this block and now — same definition as
-                // `analyze_window`, queried before the marker moves.
-                let distance = if pos > prev + 1 {
-                    self.markers.between(prev, pos)
-                } else {
-                    0
-                };
-                self.events += 1;
-                self.dist_sum += distance;
-                self.markers.shift(prev, pos);
-            }
-            Entry::Vacant(e) => {
-                e.insert(pos);
-                self.firsts.push(block);
-                self.markers.set(pos);
-            }
-        }
+        self.feed_window(1, [(block, 0)], 0, 0);
     }
 
-    /// Remap live markers onto consecutive slots, preserving order: a
-    /// marker's new slot is its rank among the live markers. The
-    /// markers are then rewritten in one pass as "slots 0..live".
-    fn compact(&mut self) {
-        let live = self.last.len();
-        for slot in self.last.values_mut() {
-            *slot = self.markers.rank(*slot) as usize - 1;
+    /// Observe the next window of `len` accesses, given as its distinct
+    /// blocks in first-touch order, each with the window position of its
+    /// last access, and the `events` reuses inside the window with their
+    /// distance sum.
+    ///
+    /// A reuse inside the window sees only window blocks, so the window
+    /// has counted it. What is left is each earlier block's first touch
+    /// here: the distinct blocks since its previous access are the
+    /// earlier blocks whose markers still sit after it — the window's
+    /// own earlier blocks have moved theirs into the window already —
+    /// and the blocks this window first-touched before it.
+    pub(crate) fn feed_window(
+        &mut self,
+        len: usize,
+        distinct: impl IntoIterator<Item = (u64, u32)>,
+        events: u64,
+        dist_sum: u64,
+    ) {
+        if self.next_slot + len > self.cap {
+            self.compact(len);
         }
-        if live * 2 > self.cap {
+        let end = u32::try_from(self.next_slot + len).expect("tracker slots fit u32");
+        let base = end - len as u32;
+        // Markers of earlier windows not yet moved into this one: they
+        // all sit below `base`.
+        let mut older = self.firsts.len() as u64;
+        for (touched, (block, last)) in (0u64..).zip(distinct) {
+            let slot = base + last;
+            match self.ids.entry(block) {
+                Entry::Occupied(e) => {
+                    let first = &mut self.firsts[*e.get() as usize];
+                    let prev = first.1 as usize;
+                    first.1 = slot;
+                    let distance = older - self.markers.rank(prev) + touched;
+                    self.events += 1;
+                    self.dist_sum += distance;
+                    self.markers.clear(prev);
+                    older -= 1;
+                }
+                Entry::Vacant(e) => {
+                    e.insert(u32::try_from(self.firsts.len()).expect("tracker ids fit u32"));
+                    self.firsts.push((block, slot));
+                }
+            }
+            self.markers.set(slot as usize);
+        }
+        self.next_slot = end as usize;
+        self.events += events;
+        self.dist_sum += dist_sum;
+    }
+
+    /// Move the live markers onto slots `0..live`, preserving their
+    /// order, in one sweep over the markers; then make room for a window
+    /// of `room` accesses after them.
+    fn compact(&mut self, room: usize) {
+        let live = self.firsts.len();
+        kernel::with_slot_ids(|ids| {
+            self.scatter_ids(ids);
+            for (to, from) in self.markers.ones().enumerate() {
+                self.firsts[ids[from] as usize].1 = to as u32;
+            }
+        });
+        while self.cap < live + room || live * 2 > self.cap {
             self.cap *= 2;
         }
         self.markers.reset(self.cap, live);
         self.next_slot = live;
+    }
+
+    /// Write each id at its marker's slot of `ids`, the slot → id column
+    /// a sweep over the markers reads.
+    fn scatter_ids(&self, ids: &mut Vec<u32>) {
+        if ids.len() < self.next_slot {
+            ids.resize(self.next_slot, 0);
+        }
+        for (id, &(_, slot)) in (0u32..).zip(&self.firsts) {
+            ids[slot as usize] = id;
+        }
     }
 
     /// Reuse events observed so far.
@@ -248,18 +301,19 @@ impl ReuseTracker {
     }
 
     /// Distinct blocks in the order they were first fed.
-    pub fn first_touch_order(&self) -> &[u64] {
-        &self.firsts
+    pub fn first_touch_order(&self) -> Vec<u64> {
+        self.firsts.iter().map(|&(block, _)| block).collect()
     }
 
     /// Distinct blocks in last-access order (least recently fed
-    /// first). Compaction preserves relative slot order, so sorting the
-    /// live markers by slot recovers the true last-access order even
-    /// across any number of compactions.
+    /// first): the markers in slot order, which compaction preserves.
     pub fn lru_order(&self) -> Vec<u64> {
-        let mut live: Vec<(u64, usize)> = self.last.iter().map(|(&b, &s)| (b, s)).collect();
-        live.sort_unstable_by_key(|&(_, slot)| slot);
-        live.into_iter().map(|(b, _)| b).collect()
+        kernel::with_slot_ids(|ids| {
+            self.scatter_ids(ids);
+            let mut lru = Vec::with_capacity(self.firsts.len());
+            lru.extend((self.markers.ones()).map(|slot| self.firsts[ids[slot] as usize].0));
+            lru
+        })
     }
 
     /// Mean reuse distance so far (0 when no reuse occurred), identical
@@ -274,17 +328,13 @@ impl ReuseTracker {
 struct FuncState {
     id: u32,
     name: String,
-    /// Footprint block → `stamp << 2 | class mask`: the classes whose
-    /// loads touched the block, and the 1-based global number of the
-    /// last sample that did.
-    blocks: FxHashMap<u64, u64>,
+    /// Footprint block → the class bits of the loads that touched it.
+    blocks: FxHashMap<u64, u8>,
     observed: u64,
     implied_const: u64,
     tracker: ReuseTracker,
     /// Per-sample footprint observations, in sample order.
     obs: Vec<f64>,
-    /// Distinct footprint blocks of the sample being ingested.
-    cur: u64,
 }
 
 impl FuncState {
@@ -297,9 +347,34 @@ impl FuncState {
             implied_const: 0,
             tracker: ReuseTracker::new(),
             obs: Vec::new(),
-            cur: 0,
         }
     }
+
+    /// Fold the footprint side of one window of `len` accesses: its
+    /// distinct blocks with their class bits, and its counts.
+    fn add_footprint(&mut self, distinct: &[(u64, u8)], counts: ClassCounts, len: usize) {
+        for &(block, mask) in distinct {
+            // Two ips of different classes can hit the same block, in
+            // one window or in two; each class must still record it.
+            *self.blocks.entry(block).or_insert(0) |= mask;
+        }
+        self.obs.push(counts.footprint as f64);
+        self.observed += len as u64;
+        self.implied_const += counts.implied_const;
+    }
+}
+
+/// Feed the window the workspace's last reuse pass ran over to a
+/// tracker.
+fn feed_reuse_pass(
+    tracker: &mut ReuseTracker,
+    ws: &Workspace,
+    len: usize,
+    events: u64,
+    dist_sum: u64,
+) {
+    let distinct = ws.rows().iter().map(|r| (r.block, r.last));
+    tracker.feed_window(len, distinct, events, dist_sum);
 }
 
 /// The fold: feed shards in trace order via
@@ -385,8 +460,8 @@ impl<'a> StreamingAnalyzer<'a> {
 
     /// Ingest the next shard of samples, which must continue the trace's
     /// global time order. Every access is resolved once into columns;
-    /// then each sample's kernel passes and its function pass fold into
-    /// the accumulators, in sample order.
+    /// then each sample's kernel passes and its per-function windows fold
+    /// into the accumulators, in sample order.
     pub fn ingest_shard(&mut self, samples: &[Sample]) {
         let mut span = memgaze_obs::span("streaming.ingest_shard");
         if span.is_active() {
@@ -397,7 +472,7 @@ impl<'a> StreamingAnalyzer<'a> {
             ));
         }
         let resolved = self.resolve(samples);
-        let shard_bytes = resolved.len() * std::mem::size_of::<memgaze_model::Access>();
+        let shard_bytes = resolved.len() * std::mem::size_of::<Access>();
         let mut rows = std::mem::take(&mut self.shard_rows);
         rows.clear();
         // Each sample with its slice of the resolved column.
@@ -405,8 +480,7 @@ impl<'a> StreamingAnalyzer<'a> {
         for s in samples {
             let (infos, after) = rest.split_at(s.accesses.len());
             rest = after;
-            self.fold_sample_passes(s, infos, &mut rows);
-            self.fold_sample_functions(s, infos);
+            self.fold_sample(s, infos, &mut rows);
         }
         self.resolved = resolved;
         // One shard-level BlockReuse merge event, built from the
@@ -475,12 +549,15 @@ impl<'a> StreamingAnalyzer<'a> {
 
     /// The kernel passes over one sample and its resolved column, folded
     /// into the accumulators: reuse (histogram, summary, one locality
-    /// row per size, and the per-block rows, appended to `rows`, all
-    /// read before the class pass starts its own window), then the
-    /// diagnostics.
-    fn fold_sample_passes(&mut self, s: &Sample, infos: &[IpInfo], rows: &mut Vec<Row>) {
+    /// row per size, and the per-block rows, appended to `rows`), then
+    /// the distinct pass (the diagnostics); and the sample's windows —
+    /// one per function it touches (§IV-B) — into their functions. A
+    /// sample of one function is that function's window, and its own two
+    /// passes are the window's.
+    fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo], rows: &mut Vec<Row>) {
         let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
         let accesses = &s.accesses[..];
+        let one = (infos.first().map(|i| i.slot)).filter(|&f| infos.iter().all(|i| i.slot == f));
         kernel::with_workspace(|ws| {
             let reuses = ws.reuse_pass(
                 (accesses.iter().zip(infos)).map(|(a, i)| (a.addr.block(rb), u64::from(i.implied))),
@@ -498,7 +575,11 @@ impl<'a> StreamingAnalyzer<'a> {
             for (series, &size) in self.locality.iter_mut().zip(&self.locality_sizes) {
                 series.push(ws.locality_split(size.max(1) as usize));
             }
-            let counts = ws.class_pass(
+            if let Some(f) = one {
+                let tracker = &mut self.funcs[f as usize].tracker;
+                feed_reuse_pass(tracker, ws, accesses.len(), events, dist_sum);
+            }
+            let counts = ws.distinct_pass(
                 (accesses.iter().zip(infos))
                     .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
             );
@@ -507,50 +588,40 @@ impl<'a> StreamingAnalyzer<'a> {
             self.observed += diag.observed;
             self.implied_const += diag.implied_const;
             self.per_sample_diags.push(diag);
+            match one {
+                Some(f) => {
+                    self.funcs[f as usize].add_footprint(ws.distinct(), counts, accesses.len())
+                }
+                None => self.fold_windows(ws, accesses, infos),
+            }
         });
     }
 
-    /// Sequential per-access function pass over one sample and its
-    /// resolved column: the code-window grouping (§IV-B) and the
-    /// per-function analyses over it, fused. One map probe per
-    /// access records the block, its class and whether this sample has
-    /// counted it; one more feeds the reuse tracker.
-    fn fold_sample_functions(&mut self, s: &Sample, infos: &[IpInfo]) {
-        let fb = self.cfg.footprint_block;
-        let rb = self.cfg.reuse_block;
-        // `num_samples` already counts this sample, so stamps are ≥ 1
-        // and 62 bits of them outlast any trace.
-        let stamp = self.num_samples;
-        for (a, info) in s.accesses.iter().zip(infos) {
-            let st = &mut self.funcs[info.slot as usize];
-            let class = u64::from(info.class);
-            match st.blocks.entry(a.addr.block(fb)) {
-                Entry::Occupied(mut e) => {
-                    let v = e.get_mut();
-                    if *v >> 2 != stamp {
-                        st.cur += 1;
-                    }
-                    // Two ips of different classes can hit the same
-                    // block; each class must still record it.
-                    *v = stamp << 2 | (*v & 3) | class;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(stamp << 2 | class);
-                    st.cur += 1;
-                }
-            }
-            st.implied_const += u64::from(info.implied);
-            st.observed += 1;
-            st.tracker.feed(a.addr.block(rb));
+    /// Cut a sample that touches several functions into one window per
+    /// function — a counting sort by function slot into the workspace's
+    /// split, access order kept within each — and fold each window's own
+    /// reuse and distinct passes into its function.
+    fn fold_windows(&mut self, ws: &mut Workspace, accesses: &[Access], infos: &[IpInfo]) {
+        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
+        let mut split = std::mem::take(&mut ws.split);
+        split.group(infos.iter().map(|i| i.slot));
+        for (f, window) in split.stretches() {
+            let st = &mut self.funcs[f as usize];
+            let reuses = ws.reuse_pass(
+                window
+                    .iter()
+                    .map(|&p| (accesses[p as usize].addr.block(rb), 0)),
+            );
+            let events = reuses.len() as u64;
+            let dist_sum = reuses.iter().map(|&[_, _, d]| u64::from(d)).sum();
+            feed_reuse_pass(&mut st.tracker, ws, window.len(), events, dist_sum);
+            let counts = ws.distinct_pass(window.iter().map(|&p| {
+                let (a, i) = (&accesses[p as usize], &infos[p as usize]);
+                (a.addr.block(fb), i.class, u64::from(i.implied))
+            }));
+            st.add_footprint(ws.distinct(), counts, window.len());
         }
-        // A non-zero `cur` marks exactly the functions this sample
-        // touched.
-        for st in self.funcs.iter_mut() {
-            if st.cur != 0 {
-                st.obs.push(st.cur as f64);
-                st.cur = 0;
-            }
-        }
+        ws.split = split;
     }
 
     /// Ingest accounting so far.
@@ -585,8 +656,8 @@ impl<'a> StreamingAnalyzer<'a> {
                 // list is the merge of the buckets whose mask has its
                 // bit.
                 let mut by_mask: [Vec<u64>; 4] = Default::default();
-                for (block, v) in st.blocks {
-                    by_mask[(v & 3) as usize].push(block);
+                for (block, mask) in st.blocks {
+                    by_mask[mask as usize].push(block);
                 }
                 for bucket in &mut by_mask {
                     bucket.sort_unstable();
@@ -798,21 +869,57 @@ mod tests {
 
     #[test]
     fn tracker_matches_windowed_analysis() {
-        // A stream with heavy reuse and a tiny slot capacity, forcing
-        // many compactions; 63 to 129 land them in the middle of a
-        // marker word.
+        // A stream with heavy reuse, fed per access and as windows cut
+        // every 1, 7, 64, 65 and 600 accesses, at slot capacities that
+        // force many compactions, inside what another cut feeds as one
+        // window and between windows; 63 to 129 land them in the middle
+        // of a marker word.
         let accesses: Vec<Access> = (0..600u64)
             .map(|i| Access::new(0x400u64, ((i * 7 + i / 13) % 41) * 64, i))
             .collect();
         let bs = BlockSize::CACHE_LINE;
+        let blocks: Vec<u64> = accesses.iter().map(|a| a.addr.block(bs)).collect();
+        // The definition: every reuse and its distance, the blocks in
+        // first-touch order and in last-access order.
         let r = crate::reuse::analyze_window(&accesses, bs);
+        let distance_sum: u64 = r.events.iter().map(|e| e.distance).sum();
+        let distinct = |order: &mut dyn Iterator<Item = u64>| {
+            let mut seen = std::collections::HashSet::new();
+            order.filter(|&b| seen.insert(b)).collect::<Vec<u64>>()
+        };
+        let firsts = distinct(&mut blocks.iter().copied());
+        let mut lru = distinct(&mut blocks.iter().rev().copied());
+        lru.reverse();
+        let want = (r.events.len() as u64, distance_sum, firsts, lru);
         for cap in [2usize, 8, 63, 64, 65, 129, 4096] {
-            let mut tr = ReuseTracker::with_slot_capacity(cap);
-            for a in &accesses {
-                tr.feed(a.addr.block(bs));
+            for cut in [None, Some(1), Some(7), Some(64), Some(65), Some(600)] {
+                let mut tr = ReuseTracker::with_slot_capacity(cap);
+                match cut {
+                    None => blocks.iter().for_each(|&b| tr.feed(b)),
+                    Some(cut) => {
+                        for window in blocks.chunks(cut) {
+                            kernel::with_workspace(|ws| {
+                                let reuses = ws.reuse_pass(window.iter().map(|&b| (b, 0)));
+                                let events = reuses.len() as u64;
+                                let dist_sum = reuses.iter().map(|r| u64::from(r[2])).sum();
+                                feed_reuse_pass(&mut tr, ws, window.len(), events, dist_sum);
+                            });
+                        }
+                    }
+                }
+                let got = (
+                    tr.events(),
+                    tr.distance_sum(),
+                    tr.first_touch_order(),
+                    tr.lru_order(),
+                );
+                assert_eq!(got, want, "cap {cap} cut {cut:?}");
+                assert_eq!(
+                    tr.mean_distance(),
+                    r.mean_distance(),
+                    "cap {cap} cut {cut:?}"
+                );
             }
-            assert_eq!(tr.events(), r.events.len() as u64, "cap {cap}");
-            assert_eq!(tr.mean_distance(), r.mean_distance(), "cap {cap}");
         }
     }
 

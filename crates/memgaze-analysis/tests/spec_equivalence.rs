@@ -7,9 +7,10 @@
 //! and the location zoom equal to the spec where the root proptests
 //! (`tests/streaming_equivalence.rs`, random traces of a few samples)
 //! do not reach: 48 samples over every shard size, degenerate traces,
-//! zoom trees worked by hand, and the top of the address space. Last,
-//! it holds the reuse kernel to the quadratic definition around the
-//! lengths where the kernel changes how it works.
+//! zoom trees worked by hand, the top of the address space, and
+//! samples that each belong to one function. Last, it holds the reuse
+//! kernel to the quadratic definition around the lengths where the
+//! kernel changes how it works.
 
 #[path = "../../../tests/common/arb.rs"]
 mod arb;
@@ -524,6 +525,25 @@ fn locality_series_matches_spec_across_passes() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A sample whose accesses all come from one function — alpha, beta
+    /// or none — is that function's window, and the fold reads the
+    /// function's reuse and footprint off the sample's own passes: the
+    /// report equals the spec at every pair of block sizes, on samples
+    /// long enough to leave the one-word marker set.
+    #[test]
+    fn fold_matches_spec_on_one_function_samples(
+        t in arb::traces_of(arb::arb_one_function_window(200)),
+        shard in 1usize..5,
+    ) {
+        let (annots, symbols) = arb::fixtures();
+        let sizes = [8u64, 32];
+        for blocks in BLOCK_SIZES {
+            let report = stream_resident_trace(&t, &annots, &symbols, config(blocks), &sizes, shard);
+            let i = input(&t, &annots, &symbols, blocks);
+            spec::check_report(&report, &i, &sizes, shard).map_err(TestCaseError::fail)?;
+        }
+    }
 
     /// `Analyzer` reads the fold's report: the five methods that do
     /// equal the spec, whichever is asked first, and `decompression()`

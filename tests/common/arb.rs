@@ -26,12 +26,29 @@ pub const BLOCK_SIZES: [(BlockSize, BlockSize); 3] = [
 /// Ips `0x400 + 4k`: `k < 64` is inside a function of [`fixtures`],
 /// `k ≥ 64` in none. Half the addresses fall in a 64-word arena.
 pub fn arb_access() -> impl Strategy<Value = Access> {
-    (
-        0u64..80,
-        prop_oneof![0u64..64, 0u64..(1 << 16)],
-        0u64..(1 << 20),
-    )
+    access_at(0..80)
+}
+
+/// An access whose ip is `0x400 + 4k` for a `k` in `ips`, as in
+/// [`arb_access`].
+fn access_at(ips: std::ops::Range<u64>) -> impl Strategy<Value = Access> {
+    (ips, prop_oneof![0u64..64, 0u64..(1 << 16)], 0u64..(1 << 20))
         .prop_map(|(ip, word, t)| Access::new(0x400 + ip * 4, 0x10_0000 + word * 8, t))
+}
+
+/// A time-ordered window of fewer than `max` accesses whose ips all
+/// come from one function of [`fixtures`] — alpha, beta or none — so a
+/// sample drawn from it is that function's whole window.
+pub fn arb_one_function_window(max: usize) -> impl Strategy<Value = Vec<Access>> {
+    prop_oneof![
+        prop::collection::vec(access_at(0..32), 0..max),
+        prop::collection::vec(access_at(32..64), 0..max),
+        prop::collection::vec(access_at(64..80), 0..max),
+    ]
+    .prop_map(|mut v| {
+        v.sort_by_key(|a| a.time);
+        v
+    })
 }
 
 /// A time-ordered window of fewer than `max` accesses; one in four is

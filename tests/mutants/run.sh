@@ -1,7 +1,7 @@
 #!/bin/sh
-# The mutation ratchet on the analysis kernels, the zoom, the watch
-# loop, serve's window loads and session runs, and the address-keyed
-# side tables.
+# The mutation ratchet on the analysis kernels, the per-function
+# windows of the fold, the zoom, the watch loop, serve's window loads
+# and session runs, and the address-keyed side tables.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels and zoom.rs),
@@ -13,7 +13,12 @@
 # mutants, serve_window_loads_from_session_period.patch and
 # serve_window_loads_from_trigger_span.patch, both name the retune test
 # of tests/watch_equivalence.rs; serve_one_running_fold.patch names the
-# long-session test of tests/ingest_allocs.rs). For every patch this script
+# long-session test of tests/ingest_allocs.rs; the per-function window
+# mutants, tracker_window_ignores_earlier_first_touches.patch and
+# sample_window_when_ends_share_a_function.patch, name
+# crates/memgaze-analysis/tests/spec_equivalence.rs, as do
+# tracker_skips_every_97th_feed.patch and class_mask_carry.patch, which
+# patch the window path). For every patch this script
 # applies it with `git apply`, builds and runs that suite in release,
 # requires the suite to fail, and reverts with `git apply -R`. A patch
 # that no longer applies, a mutant that does not build, a suite that
