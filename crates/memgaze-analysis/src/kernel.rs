@@ -11,6 +11,15 @@
 //! window allocates nothing once its thread's workspace is warm. A pass
 //! keeps what its chunk split needs to count any interval of it.
 //!
+//! The fold reads a sample's two passes twice over: `reuse_pass` leaves
+//! the distinct blocks in first-touch order with their last positions
+//! (a `ReuseTracker`'s window summary), and `distinct_pass` the distinct
+//! blocks with the class bits that touched them (the sample's
+//! diagnostics and a function's new footprint blocks, in one list). A
+//! sample of one function is that function's window; a sample of
+//! several is cut into one window per function by the workspace's
+//! [`Split`], a counting sort, and each runs both passes.
+//!
 //! The workspace is thread-local (each `serve` pool thread owns one)
 //! and what a thread keeps between calls is bounded: a window longer
 //! than [`RETAIN_WINDOW`] accesses still runs here, but
@@ -80,7 +89,7 @@ const DIRECT_WORDS: usize = 4;
 /// `ReuseTracker` owns one that outlives any window. A reuse at short
 /// interval lands in the word of the access it reuses and never reaches
 /// the tree.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Markers {
     /// The `words` bit words, then the `words` tree nodes: node `i`
     /// (1-based, at `words + i - 1`) counts words `[i - lowbit(i), i)`.
@@ -171,14 +180,16 @@ impl Markers {
         }
     }
 
-    /// The positions that hold a marker, in order: one sweep over the
-    /// words.
-    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (self.buf[..self.words].iter().enumerate()).flat_map(|(w, &bits)| {
-            let next = |b: u64| Some(b & b.wrapping_sub(1)).filter(|&b| b != 0);
-            std::iter::successors(Some(bits).filter(|&b| b != 0), move |&b| next(b))
-                .map(move |b| 64 * w + b.trailing_zeros() as usize)
-        })
+    /// The set read as ranks, in one sweep over the words: each tree
+    /// node becomes the count of markers in the words before its own.
+    pub(crate) fn into_ranks(mut self) -> Ranks {
+        let (bits, nodes) = self.buf.split_at_mut(self.words);
+        let mut before = 0;
+        for (word, node) in bits.iter().zip(nodes) {
+            *node = before;
+            before += u64::from(word.count_ones());
+        }
+        Ranks(self)
     }
 
     /// Markers at positions `[0, pos]`.
@@ -206,6 +217,27 @@ impl Markers {
             self.in_words(first + 1, last)
         };
         u64::from(ends) + whole
+    }
+}
+
+/// A marker set read as ranks ([`Markers::into_ranks`]).
+pub(crate) struct Ranks(Markers);
+
+impl Ranks {
+    /// Markers at positions below `pos`.
+    #[inline]
+    pub(crate) fn before(&self, pos: usize) -> u64 {
+        let Markers { buf, words } = &self.0;
+        let own = buf[pos / 64] & ((1u64 << (pos % 64)) - 1);
+        buf[words + pos / 64] + u64::from(own.count_ones())
+    }
+
+    /// Back to a marker set, as [`Markers::reset`] leaves one; the
+    /// allocation is kept.
+    pub(crate) fn reset(self, positions: usize, prefix: usize) -> Markers {
+        let mut markers = self.0;
+        markers.reset(positions, prefix);
+        markers
     }
 }
 
@@ -402,27 +434,6 @@ pub(crate) struct Workspace {
 
 thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
-    /// The slot → id column a `ReuseTracker` compacts and lists its
-    /// blocks through: a cell of its own, so a tracker fed from inside a
-    /// kernel's [`with_workspace`] can take it.
-    static SLOT_IDS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Most tracker slots whose slot → id column a thread keeps for the
-/// next call: 256 KiB.
-const RETAIN_SLOTS: usize = 1 << 16;
-
-/// Run `f` on this thread's slot → id column. A column longer than
-/// [`RETAIN_SLOTS`] is dropped before returning.
-pub(crate) fn with_slot_ids<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
-    SLOT_IDS.with(|cell| {
-        let mut ids = cell.borrow_mut();
-        let out = f(&mut ids);
-        if ids.len() > RETAIN_SLOTS {
-            *ids = Vec::new();
-        }
-        out
-    })
 }
 
 /// Run `f` on this thread's workspace. Kernels do not nest: `f` must

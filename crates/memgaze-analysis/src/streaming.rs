@@ -20,10 +20,13 @@
 //!   order — never per-shard subtotals;
 //! * [`BlockReuse::merge`] is the pairwise form of
 //!   [`BlockReuse::from_parts`], and both only sum and max integers;
-//! * per-function exact reuse distances cross shard boundaries via
-//!   [`ReuseTracker`], an incremental engine whose event sequence (and
-//!   thus integer distance sum) is that of the quadratic definition
-//!   over the function's concatenated code window.
+//! * per-function exact reuse distances cross sample and shard
+//!   boundaries via [`ReuseTracker`], fed one *window* per function per
+//!   sample — the function's accesses in that sample, summarized by a
+//!   reuse pass over them (the sample's own when the sample is one
+//!   function's) — whose event count and integer distance sum are those
+//!   of the quadratic definition over the function's concatenated code
+//!   window.
 //!
 //! The same laws extend across *passes*: a shard range's partials can be
 //! snapshotted into a [`PartialReport`](crate::partial::PartialReport)
@@ -109,10 +112,10 @@ pub(crate) struct SampleReuseSummary {
 /// a window takes the next `len` slots. Only a window's *first* touch of
 /// an earlier block crosses windows, so the tracker does one id probe,
 /// one rank, one `clear` and one `set` per distinct block of a window.
-/// When the slots fill up, the live markers are compacted in one sweep
-/// in slot order — the ids scattered into the thread's slot → id
-/// scratch name the block at each marker — which leaves every
-/// between-marker count, and hence every distance, unchanged.
+/// When the slots fill up, each block's marker moves to its rank among
+/// the live markers — one sweep over the marker words counts them —
+/// which leaves every between-marker count, and hence every distance,
+/// unchanged.
 ///
 /// Beyond the running sums, the tracker records its blocks in
 /// first-touch order ([`first_touch_order`](Self::first_touch_order))
@@ -169,7 +172,7 @@ impl ReuseTracker {
     /// Return to the fresh state — the initial slot window too, so a
     /// tracker that once replayed a large function does not clear that
     /// function's window for every small one after it — while keeping
-    /// every allocation (markers, id map, columns), so one tracker can
+    /// every allocation (markers, id map, first-touch list), so one tracker can
     /// serve many replay rounds without churning the allocator.
     pub fn reset(&mut self) {
         self.cap = self.initial_cap;
@@ -262,32 +265,20 @@ impl ReuseTracker {
     }
 
     /// Move the live markers onto slots `0..live`, preserving their
-    /// order, in one sweep over the markers; then make room for a window
-    /// of `room` accesses after them.
+    /// order — a block's new slot is its marker's rank, read off one
+    /// sweep over the marker words — then make room for a window of
+    /// `room` accesses after them.
     fn compact(&mut self, room: usize) {
         let live = self.firsts.len();
-        kernel::with_slot_ids(|ids| {
-            self.scatter_ids(ids);
-            for (to, from) in self.markers.ones().enumerate() {
-                self.firsts[ids[from] as usize].1 = to as u32;
-            }
-        });
+        let ranks = std::mem::take(&mut self.markers).into_ranks();
+        for first in &mut self.firsts {
+            first.1 = ranks.before(first.1 as usize) as u32;
+        }
         while self.cap < live + room || live * 2 > self.cap {
             self.cap *= 2;
         }
-        self.markers.reset(self.cap, live);
+        self.markers = ranks.reset(self.cap, live);
         self.next_slot = live;
-    }
-
-    /// Write each id at its marker's slot of `ids`, the slot → id column
-    /// a sweep over the markers reads.
-    fn scatter_ids(&self, ids: &mut Vec<u32>) {
-        if ids.len() < self.next_slot {
-            ids.resize(self.next_slot, 0);
-        }
-        for (id, &(_, slot)) in (0u32..).zip(&self.firsts) {
-            ids[slot as usize] = id;
-        }
     }
 
     /// Reuse events observed so far.
@@ -306,14 +297,15 @@ impl ReuseTracker {
     }
 
     /// Distinct blocks in last-access order (least recently fed
-    /// first): the markers in slot order, which compaction preserves.
+    /// first): each block at its marker's rank, which compaction
+    /// preserves.
     pub fn lru_order(&self) -> Vec<u64> {
-        kernel::with_slot_ids(|ids| {
-            self.scatter_ids(ids);
-            let mut lru = Vec::with_capacity(self.firsts.len());
-            lru.extend((self.markers.ones()).map(|slot| self.firsts[ids[slot] as usize].0));
-            lru
-        })
+        let ranks = self.markers.clone().into_ranks();
+        let mut lru = vec![0; self.firsts.len()];
+        for &(block, slot) in &self.firsts {
+            lru[ranks.before(slot as usize) as usize] = block;
+        }
+        lru
     }
 
     /// Mean reuse distance so far (0 when no reuse occurred), identical
