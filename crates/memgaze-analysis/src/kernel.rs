@@ -11,11 +11,12 @@
 //! window allocates nothing once its thread's workspace is warm. A pass
 //! keeps what its chunk split needs to count any interval of it.
 //!
-//! The fold reads a sample's two passes twice over: `reuse_pass` leaves
-//! the distinct blocks in first-touch order with their last positions
-//! (a `ReuseTracker`'s window summary), and `distinct_pass` the distinct
-//! blocks with the class bits that touched them (the sample's
-//! diagnostics and a function's new footprint blocks, in one list). A
+//! The fold also reads what a sample's two passes leave behind:
+//! `reuse_pass` the distinct blocks in first-touch order with their last
+//! positions (a `ReuseTracker`'s window summary), and `distinct_pass`
+//! the distinct blocks with the class bits that touched them (the
+//! sample's diagnostics and a function's new footprint blocks, in one
+//! list). A
 //! sample of one function is that function's window; a sample of
 //! several is cut into one window per function by the workspace's
 //! [`Split`], a counting sort, and each runs both passes.

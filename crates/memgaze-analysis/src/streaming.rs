@@ -172,8 +172,9 @@ impl ReuseTracker {
     /// Return to the fresh state — the initial slot window too, so a
     /// tracker that once replayed a large function does not clear that
     /// function's window for every small one after it — while keeping
-    /// every allocation (markers, id map, first-touch list), so one tracker can
-    /// serve many replay rounds without churning the allocator.
+    /// every allocation (markers, id map, first-touch list), so one
+    /// tracker can serve many replay rounds without churning the
+    /// allocator.
     pub fn reset(&mut self) {
         self.cap = self.initial_cap;
         self.markers.reset(self.cap, 0);
@@ -234,8 +235,8 @@ impl ReuseTracker {
         if self.next_slot + len > self.cap {
             self.compact(len);
         }
+        let base = u32::try_from(self.next_slot).expect("tracker slots fit u32");
         let end = u32::try_from(self.next_slot + len).expect("tracker slots fit u32");
-        let base = end - len as u32;
         // Markers of earlier windows not yet moved into this one: they
         // all sit below `base`.
         let mut older = self.firsts.len() as u64;
@@ -272,7 +273,8 @@ impl ReuseTracker {
         let live = self.firsts.len();
         let ranks = std::mem::take(&mut self.markers).into_ranks();
         for first in &mut self.firsts {
-            first.1 = ranks.before(first.1 as usize) as u32;
+            let rank = ranks.before(first.1 as usize);
+            first.1 = u32::try_from(rank).expect("a rank is below the id count, which fits u32");
         }
         while self.cap < live + room || live * 2 > self.cap {
             self.cap *= 2;

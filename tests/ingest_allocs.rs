@@ -129,10 +129,10 @@ fn side_tables() -> (AuxAnnotations, SymbolTable) {
 
 /// A warm analyzer allocates per sample, not per access: 128 samples of
 /// 500 accesses over two functions, every sample holding both, read 62
-/// allocations with the per-function state advanced once per access
-/// and 66 with it advanced once per sample window (the thread's
-/// tracker slot column growing with the largest tracker). The bound,
-/// 0.05 per access, is 3 200.
+/// allocations with the per-function state advanced once per access,
+/// and 62 with it advanced once per sample window (66 while each
+/// tracker kept a slot column of its own). The bound, 0.05 per access,
+/// is 3 200.
 #[test]
 fn warm_ingest_allocates_per_sample_not_per_access() {
     let (annots, symbols) = side_tables();
@@ -344,7 +344,7 @@ fn static_side_allocates_per_procedure_not_per_fact() {
 /// partial, merged into the session's runs. 8 uploads of 4 frames of 16
 /// samples, fed and sealed, read 268 allocations per upload (2 150 in
 /// all) with the per-function state advanced once per access, and 270
-/// (2 162) with it advanced once per sample window; an analyzer and a
+/// (2 166) with it advanced once per sample window; an analyzer and a
 /// partial per frame, merged per window of 4 frames and again at the
 /// seal, read 742. The bound sits between.
 #[test]
