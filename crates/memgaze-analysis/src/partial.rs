@@ -120,6 +120,17 @@ pub struct ReusePartial {
 }
 
 impl ReusePartial {
+    /// Whether `firsts` and `lru` order one set of distinct blocks, as
+    /// the merge's replay takes them to; the two buffers are scratch.
+    fn is_one_distinct_set(&self, firsts: &mut Vec<u64>, lru: &mut Vec<u64>) -> bool {
+        for (sorted, order) in [(&mut *firsts, &self.firsts), (&mut *lru, &self.lru)] {
+            sorted.clear();
+            sorted.extend_from_slice(order);
+            sorted.sort_unstable();
+        }
+        firsts == lru && firsts.windows(2).all(|w| w[0] < w[1])
+    }
+
     /// Snapshot a tracker's state.
     pub fn from_tracker(tracker: &ReuseTracker) -> ReusePartial {
         ReusePartial {
@@ -907,12 +918,16 @@ impl PartialReport {
         {
             return corrupt("reuse histogram disagrees with its count");
         }
+        let (mut firsts, mut lru) = (Vec::new(), Vec::new());
         for fp in self.funcs.values() {
             if !is_sorted_subset(&fp.strided, &fp.all)
                 || !is_sorted_subset(&fp.irregular, &fp.all)
                 || fp.obs.len() as u64 > self.num_samples
             {
                 return corrupt("function lists are not views of one footprint");
+            }
+            if !fp.reuse.is_one_distinct_set(&mut firsts, &mut lru) {
+                return corrupt("function reuse orders are not one set of distinct blocks");
             }
         }
         Ok(())
@@ -1391,6 +1406,33 @@ mod tests {
         flipped[20] ^= 0x10;
         assert!(PartialReport::decode(&flipped).is_err());
         assert!(PartialReport::decode(b"MGZP\x01\x00junk").is_err());
+    }
+
+    #[test]
+    fn reuse_orders_that_are_not_one_distinct_set_are_corrupt() {
+        let (t, annots, symbols) = synthetic_trace();
+        let (container, index) = encode_sharded_indexed(&t, 4);
+        let frames = 0..index.entries.len();
+        let cfg = AnalysisConfig::default();
+        let p = analyze_frames(&container, &index, frames, &annots, &symbols, cfg, &[16]).unwrap();
+        let damaged: [fn(&mut ReusePartial); 3] = [
+            |r| r.firsts[1] = r.firsts[0],
+            |r| r.lru[1] = r.lru[0],
+            |r| r.lru[0] = r.lru[0].wrapping_add(1 << 40),
+        ];
+        for damage in damaged {
+            let mut q = p.clone();
+            let fp = q
+                .funcs
+                .values_mut()
+                .find(|fp| fp.reuse.firsts.len() > 1)
+                .unwrap();
+            damage(&mut fp.reuse);
+            assert!(matches!(
+                PartialReport::decode(&q.encode()),
+                Err(PartialError::Corrupt { .. })
+            ));
+        }
     }
 
     #[test]
