@@ -8,12 +8,19 @@
 //! every annotation, source-map and `ptw_map` entry, the statistics and
 //! every diagnostic are in those strings, so a digest moves only when
 //! the toolchain's answer does.
+//!
+//! The fourth group, the abstract interpreter's four showcase modules at
+//! the sizes `tables lint` builds them, was pinned later, at commit
+//! 7aed35e. `call_graph_module` is the one module in which a procedure
+//! passes constants to another procedure that has loops.
 
 use memgaze::instrument::{lint_module, InstrumentConfig, Instrumenter};
 use memgaze::isa::codegen::OptLevel;
 use memgaze::isa::LoadModule;
 use memgaze::model::Fnv64;
-use memgaze::workloads::modules::synthetic_module;
+use memgaze::workloads::modules::{
+    call_graph_module, masked_index_module, nested_loop_module, spilled_iv_module, synthetic_module,
+};
 use memgaze::workloads::ubench;
 
 fn groups() -> Vec<(&'static str, Vec<LoadModule>)> {
@@ -28,6 +35,15 @@ fn groups() -> Vec<(&'static str, Vec<LoadModule>)> {
                 .map(|&(procs, loads)| synthetic_module(procs, loads))
                 .collect(),
         ),
+        (
+            "showcases",
+            vec![
+                spilled_iv_module(4096),
+                nested_loop_module(64, 64),
+                call_graph_module(4096),
+                masked_index_module(4096),
+            ],
+        ),
     ]
 }
 
@@ -41,7 +57,7 @@ fn configs() -> [(&'static str, InstrumentConfig); 4] {
 }
 
 /// `(group, config, instrument digest, lint digest)` at the parent.
-const GOLDEN: [(&str, &str, u64, u64); 12] = [
+const GOLDEN: [(&str, &str, u64, u64); 16] = [
     (
         "ubench O0",
         "default",
@@ -113,6 +129,30 @@ const GOLDEN: [(&str, &str, u64, u64); 12] = [
         "roi kernel",
         0x52ce_aa51_ac83_df82,
         0x59ca_e026_2876_c368,
+    ),
+    (
+        "showcases",
+        "default",
+        0xc818_bc05_843a_0b0d,
+        0x985d_6e5f_6ffc_0d17,
+    ),
+    (
+        "showcases",
+        "eliding",
+        0x012c_0fa9_760d_7e00,
+        0x985d_6e5f_6ffc_0d17,
+    ),
+    (
+        "showcases",
+        "uncompressed",
+        0x81b5_5f50_47cc_0c17,
+        0x985d_6e5f_6ffc_0d17,
+    ),
+    (
+        "showcases",
+        "roi kernel",
+        0x6f52_6893_16a3_3985,
+        0x985d_6e5f_6ffc_0d17,
     ),
 ];
 
