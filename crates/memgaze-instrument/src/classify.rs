@@ -116,8 +116,7 @@ impl ModuleClassification {
         let mai = ModuleAbsInterp::analyze(module, facts);
         let mut loads = Vec::with_capacity(module.num_loads());
         for proc in &module.procs {
-            let df =
-                DataflowAnalysis::analyze_in(proc, facts.forest(proc.id), Some(mai.summaries()));
+            let df = DataflowAnalysis::analyze_in(proc, facts.forest(proc.id), mai.summaries());
             let ai = mai.proc(proc.id);
             for block in &proc.blocks {
                 for (idx, ins) in block.instrs.iter().enumerate() {

@@ -256,7 +256,7 @@ fn eval_addr(addr: &AddrMode, st: &State) -> AbsVal {
 struct LoopCtx<'a> {
     /// Tracked slot keys `(frame base, disp)`, indexed by slot number.
     slot_keys: &'a [(Reg, i64)],
-    summaries: Option<&'a ProcSummaries>,
+    summaries: &'a ProcSummaries,
 }
 
 impl LoopCtx<'_> {
@@ -382,27 +382,17 @@ fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
                 }
             };
         }
-        Instr::Call { proc } => match ctx.summaries {
-            Some(sums) => {
-                let s = sums.get(*proc);
-                for r in 0..NUM_REGS.min(14) {
-                    if s.clobbers & (1 << r) != 0 {
-                        st.regs[r] = AbsVal::Top;
-                    }
-                }
-                if s.may_store {
-                    st.slots = [AbsVal::Top; MAX_SLOTS];
+        Instr::Call { proc } => {
+            let s = ctx.summaries.get(*proc);
+            for r in 0..NUM_REGS.min(14) {
+                if s.clobbers & (1 << r) != 0 {
+                    st.regs[r] = AbsVal::Top;
                 }
             }
-            None => {
-                // No summary: the conventional scratch set is clobbered
-                // and any memory may be written.
-                for v in st.regs.iter_mut().take(6) {
-                    *v = AbsVal::Top;
-                }
+            if s.may_store {
                 st.slots = [AbsVal::Top; MAX_SLOTS];
             }
-        },
+        }
     }
 }
 
@@ -494,7 +484,7 @@ fn analyze_loop(
     cfg: &Cfg,
     forest: &LoopForest,
     li: usize,
-    summaries: Option<&ProcSummaries>,
+    summaries: &ProcSummaries,
     ranges: &RangeAnalysis,
 ) -> LoopStates {
     let l = &forest.loops[li];
@@ -685,7 +675,7 @@ impl AbsInterp {
         proc: &Procedure,
         cfg: &Cfg,
         forest: &LoopForest,
-        summaries: Option<&ProcSummaries>,
+        summaries: &ProcSummaries,
         ranges: &RangeAnalysis,
         data_range: Option<(u64, u64)>,
     ) -> AbsInterp {
@@ -902,25 +892,22 @@ pub struct ModuleAbsInterp {
 
 impl ModuleAbsInterp {
     /// Analyze every procedure of `module` with interprocedural facts,
-    /// over the CFGs and loop forests of its `facts`.
+    /// over the CFGs and loop forests of its `facts`. A caller's ranges
+    /// are the ones its last summary round computed; only a procedure
+    /// that calls nothing gets its range analysis here.
     pub fn analyze(module: &LoadModule, facts: &ModuleFacts) -> ModuleAbsInterp {
-        let summaries = ProcSummaries::compute(module, facts);
+        let (summaries, caller_ranges) = ProcSummaries::compute(module, facts);
         let data_range = module.data_range();
         let procs = module
             .procs
             .iter()
-            .map(|p| {
+            .zip(caller_ranges)
+            .map(|(p, ranges)| {
                 let cfg = facts.cfg(p.id);
-                let ranges =
-                    RangeAnalysis::analyze(p, cfg, summaries.entry_ranges(p.id), Some(&summaries));
-                AbsInterp::analyze_full(
-                    p,
-                    cfg,
-                    facts.forest(p.id),
-                    Some(&summaries),
-                    &ranges,
-                    data_range,
-                )
+                let ranges = ranges.unwrap_or_else(|| {
+                    RangeAnalysis::analyze(p, cfg, summaries.entry_ranges(p.id), &summaries)
+                });
+                AbsInterp::analyze_full(p, cfg, facts.forest(p.id), &summaries, &ranges, data_range)
             })
             .collect();
         ModuleAbsInterp { summaries, procs }
@@ -945,13 +932,14 @@ mod tests {
     use crate::proc::{BasicBlock, ProcId};
     use crate::ranges::top_ranges;
 
-    /// One procedure with no module context: conventional call
-    /// clobbers, no argument facts, no data segment.
+    /// One procedure with no module context: the empty summary table
+    /// (conventional call clobbers), no argument facts, no data segment.
     fn analyze(proc: &Procedure) -> AbsInterp {
         let cfg = Cfg::build(proc);
         let forest = LoopForest::build(proc, &cfg);
-        let ranges = RangeAnalysis::analyze(proc, &cfg, top_ranges(), None);
-        AbsInterp::analyze_full(proc, &cfg, &forest, None, &ranges, None)
+        let sums = ProcSummaries::default();
+        let ranges = RangeAnalysis::analyze(proc, &cfg, top_ranges(), &sums);
+        AbsInterp::analyze_full(proc, &cfg, &forest, &sums, &ranges, None)
     }
 
     fn loop_proc(body_instrs: Vec<Instr>, latch_reg: Reg) -> Procedure {

@@ -93,13 +93,12 @@ type Ivs = [Option<i64>; NUM_REGS];
 
 /// Def sites of each register within a region of blocks.
 ///
-/// With procedure summaries, a call only pseudo-defines the registers the
-/// callee (transitively) writes; without them, it conservatively clobbers
-/// the conventional scratch registers r0–r5.
+/// A call pseudo-defines the registers its summary says the callee
+/// (transitively) writes.
 fn def_sites(
     proc: &Procedure,
     body: impl Iterator<Item = BlockId>,
-    summaries: Option<&ProcSummaries>,
+    summaries: &ProcSummaries,
 ) -> Defs {
     let mut defs = [DefSites::None; NUM_REGS];
     for b in body {
@@ -109,12 +108,9 @@ fn def_sites(
                 defs[d.index()].add(b, i);
             }
             if let Instr::Call { proc: callee } = ins {
+                let sum = summaries.get(*callee);
                 for (r, d) in defs.iter_mut().enumerate() {
-                    let clobbered = match summaries {
-                        Some(s) => s.get(*callee).clobbers_reg(Reg(r as u8)),
-                        None => r < 6,
-                    };
-                    if clobbered {
+                    if sum.clobbers_reg(Reg(r as u8)) {
                         d.add(b, i);
                     }
                 }
@@ -216,14 +212,13 @@ fn classify_in_loop(addr: &AddrMode, ivs: &Ivs, defs: &Defs) -> AddrKind {
 
 impl DataflowAnalysis {
     /// Classify every load of `proc`, whose loop forest is `forest`.
-    /// With interprocedural `summaries`, calls clobber only the registers
-    /// the callee actually writes, so values live across calls to
-    /// non-clobbering callees stay loop-invariant; without, a call
-    /// clobbers the conventional registers.
+    /// Calls clobber only the registers `summaries` says the callee
+    /// writes, so values live across calls to non-clobbering callees
+    /// stay loop-invariant.
     pub fn analyze_in(
         proc: &Procedure,
         forest: &LoopForest,
-        summaries: Option<&ProcSummaries>,
+        summaries: &ProcSummaries,
     ) -> DataflowAnalysis {
         // Per-loop IV steps and def sites, indexed like `forest.loops`.
         let loop_info: Vec<(Ivs, Defs)> = forest
@@ -310,11 +305,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::cfg::Cfg;
 
-    /// One procedure on its own: calls clobber the conventional
-    /// registers.
+    /// One procedure on its own, under the empty summary table: calls
+    /// clobber the conventional registers.
     pub(crate) fn analyze(proc: &Procedure) -> DataflowAnalysis {
         let cfg = Cfg::build(proc);
-        DataflowAnalysis::analyze_in(proc, &LoopForest::build(proc, &cfg), None)
+        let forest = LoopForest::build(proc, &cfg);
+        DataflowAnalysis::analyze_in(proc, &forest, &ProcSummaries::default())
     }
     use crate::instr::{CmpOp, Operand, Terminator};
     use crate::proc::{BasicBlock, ProcId};

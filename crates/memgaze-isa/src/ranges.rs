@@ -170,14 +170,13 @@ pub struct RangeAnalysis {
 
 impl RangeAnalysis {
     /// Run the analysis. `entry` seeds the procedure entry block (use
-    /// [`top_ranges`] or summary-derived argument facts); `summaries`,
-    /// when present, limits `Call` clobber to the callee's proven
-    /// clobber set instead of the conventional `r0..r5`.
+    /// [`top_ranges`] or summary-derived argument facts); a `Call`
+    /// clobbers the callee's clobber set in `summaries`.
     pub fn analyze(
         proc: &Procedure,
         cfg: &Cfg,
         entry: RegRanges,
-        summaries: Option<&ProcSummaries>,
+        summaries: &ProcSummaries,
     ) -> RangeAnalysis {
         let n = proc.blocks.len();
         let mut ins: Vec<RegRanges> = vec![top_ranges(); n];
@@ -305,7 +304,7 @@ fn refine_edge(out: &RegRanges, term: &Terminator, target: BlockId) -> RegRanges
 
 /// One-instruction transfer; public so the abstract interpreter can walk
 /// a block in lockstep with its affine state.
-pub fn step(instr: &Instr, st: &mut RegRanges, summaries: Option<&ProcSummaries>) {
+pub fn step(instr: &Instr, st: &mut RegRanges, summaries: &ProcSummaries) {
     let val = |st: &RegRanges, op: Operand| match op {
         Operand::Reg(r) => st[r.index()],
         Operand::Imm(v) => Interval::point(v),
@@ -374,7 +373,7 @@ pub fn step(instr: &Instr, st: &mut RegRanges, summaries: Option<&ProcSummaries>
             };
         }
         Instr::Call { proc } => {
-            let clobbers = summaries.map_or(!0u16, |s| s.get(proc).clobbers);
+            let clobbers = summaries.get(proc).clobbers;
             for (r, iv) in st.iter_mut().enumerate().take(14) {
                 if clobbers & (1 << r) != 0 {
                     *iv = Interval::TOP;
@@ -415,7 +414,7 @@ mod tests {
     fn loop_counter_is_bounded_by_branch_refinement() {
         let p = counted_loop();
         let cfg = Cfg::build(&p);
-        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), None);
+        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), &ProcSummaries::default());
         let body = ra.block_entry(crate::proc::BlockId(1));
         // Entry to the body: either 0 (preheader) or a back edge where
         // r0 < 100 held, so r0 in [0, 99].
@@ -426,7 +425,7 @@ mod tests {
     fn and_mask_bounds_result() {
         let p = counted_loop();
         let cfg = Cfg::build(&p);
-        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), None);
+        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), &ProcSummaries::default());
         let exit = ra.block_entry(crate::proc::BlockId(2));
         // r1 = r0 & 7 in the body.
         assert!(exit[1].within(0, 7), "r1 at exit: {:?}", exit[1]);
@@ -447,7 +446,7 @@ mod tests {
         pb.ret();
         let p = pb.finish(ProcId(0));
         let cfg = Cfg::build(&p);
-        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), None);
+        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), &ProcSummaries::default());
         assert_eq!(ra.block_entry(BlockId(1))[0], Interval::TOP);
         // The not-taken side (r0 <=u 5) is a clean signed interval.
         assert!(ra.block_entry(BlockId(2))[0].within(0, 5));
@@ -461,10 +460,10 @@ mod tests {
         pb.ret();
         let p = pb.finish(ProcId(0));
         let cfg = Cfg::build(&p);
-        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), None);
+        let ra = RangeAnalysis::analyze(&p, &cfg, top_ranges(), &ProcSummaries::default());
         let mut st = *ra.block_entry(BlockId(0));
         for i in &p.block(BlockId(0)).instrs {
-            step(i, &mut st, None);
+            step(i, &mut st, &ProcSummaries::default());
         }
         assert_eq!(st[0], Interval::TOP);
     }

@@ -10,17 +10,21 @@
 //!   procedure's direct effects and propagate along call edges until
 //!   stable. Recursion is handled for free — the iteration simply stops
 //!   growing. `FP`/`SP` are excluded because the [`Machine`]
-//!   (crate::interp) restores both on `Ret`.
+//!   (crate::interp) restores both on `Ret`. A callee the module does
+//!   not define counts as [`ProcSummary::CONVENTIONAL`].
 //! * **argument facts** — for each procedure, the constant value of each
 //!   argument register `r0..r5` if *every* call site in the module
 //!   passes that same constant (proved by running
 //!   [`RangeAnalysis`](crate::ranges) in each caller and reading the
-//!   point range at the call instruction). Facts feed back into the
-//!   per-caller range analyses, so the loop re-evaluates until the fact
-//!   table stops changing; joins only ever move a fact *up* the
-//!   three-level lattice (unset → constant → ⊤), which bounds the
-//!   iteration. Recursive cycles degrade naturally: a self-call whose
-//!   argument differs from the outer call sites joins to ⊤.
+//!   point range at the call instruction). The sites are evaluated in
+//!   rounds, each under the facts the previous round published, and
+//!   every observation stays joined in: joins only move a fact *up* the
+//!   three-level lattice (unset → constant → ⊤). Round one evaluates
+//!   every caller with the ⊤ entry of a procedure that has no facts yet,
+//!   so a register a caller only passes on reaches its callee as ⊤: a
+//!   constant crosses one call, never two. Recursive cycles degrade
+//!   naturally: a self-call whose argument differs from the outer call
+//!   sites joins to ⊤.
 //!
 //! Procedures that no instruction calls (entry points) keep ⊤ argument
 //! facts — the harness may invoke them with anything.
@@ -29,8 +33,8 @@ use crate::cfg::Cfg;
 use crate::facts::ModuleFacts;
 use crate::instr::Instr;
 use crate::module::LoadModule;
-use crate::proc::ProcId;
-use crate::ranges::{top_ranges, Interval, RangeAnalysis, RegRanges};
+use crate::proc::{ProcId, Procedure};
+use crate::ranges::{self, top_ranges, Interval, RangeAnalysis, RegRanges};
 use crate::reg::Reg;
 
 /// Number of conventional argument registers (`r0..r5`).
@@ -51,16 +55,13 @@ pub struct ProcSummary {
 }
 
 impl ProcSummary {
-    /// The assumption the analyses made before summaries existed: a call
-    /// may clobber all six argument/scratch registers and may store
-    /// anywhere. Used as the fallback for single-procedure analyses.
-    pub fn conventional() -> ProcSummary {
-        ProcSummary {
-            clobbers: 0b11_1111,
-            may_store: true,
-            args: [None; NUM_ARG_REGS],
-        }
-    }
+    /// A callee the module does not define: it may clobber the six
+    /// argument/scratch registers and may store anywhere.
+    pub const CONVENTIONAL: ProcSummary = ProcSummary {
+        clobbers: 0b11_1111,
+        may_store: true,
+        args: [None; NUM_ARG_REGS],
+    };
 
     /// Whether a call may modify `r`.
     pub fn clobbers_reg(&self, r: Reg) -> bool {
@@ -90,20 +91,27 @@ impl Fact {
 }
 
 /// Per-procedure summaries for a whole module, indexed by [`ProcId`].
-#[derive(Debug, Clone)]
+/// The empty table (`default`) describes a procedure analyzed on its
+/// own: every callee is [`ProcSummary::CONVENTIONAL`].
+#[derive(Debug, Clone, Default)]
 pub struct ProcSummaries {
     sums: Vec<ProcSummary>,
 }
 
 impl ProcSummaries {
     /// Compute summaries for every procedure in `module`, reading the
-    /// callers' CFGs from its `module_facts`.
-    pub fn compute(module: &LoadModule, module_facts: &ModuleFacts) -> ProcSummaries {
+    /// callers' CFGs from its `module_facts`. Beside the table comes,
+    /// per procedure that calls, its range analysis under its final
+    /// argument facts (`None` for a procedure that calls nothing).
+    pub fn compute(
+        module: &LoadModule,
+        module_facts: &ModuleFacts,
+    ) -> (ProcSummaries, Vec<Option<RangeAnalysis>>) {
         let n = module.procs.len();
 
         // --- Layer 1: clobbers + may_store, least fixpoint over the
         // call graph (direct effects first, then callee propagation).
-        let (mut sums, callees): (Vec<ProcSummary>, Vec<Vec<ProcId>>) = module
+        let (sums, callees): (Vec<ProcSummary>, Vec<Vec<ProcId>>) = module
             .procs
             .iter()
             .map(|p| {
@@ -116,7 +124,7 @@ impl ProcSummaries {
                 for ins in p.blocks.iter().flat_map(|b| &b.instrs) {
                     match *ins {
                         Instr::Store { .. } => sum.may_store = true,
-                        Instr::Call { proc } if proc.index() < n => callees.push(proc),
+                        Instr::Call { proc } => callees.push(proc),
                         _ => {}
                     }
                     if let Some(d) = ins.def().filter(|d| !d.is_fp() && !d.is_sp()) {
@@ -126,111 +134,86 @@ impl ProcSummaries {
                 (sum, callees)
             })
             .unzip();
+        let mut out = ProcSummaries { sums };
 
         let mut changed = true;
         while changed {
             changed = false;
-            for i in 0..n {
-                for &c in &callees[i] {
-                    let callee = sums[c.index()];
-                    let grown = sums[i].clobbers | callee.clobbers;
-                    let store = sums[i].may_store || callee.may_store;
-                    if grown != sums[i].clobbers || store != sums[i].may_store {
-                        sums[i].clobbers = grown;
-                        sums[i].may_store = store;
+            for (i, cs) in callees.iter().enumerate() {
+                for &c in cs {
+                    let callee = *out.get(c);
+                    let sum = &mut out.sums[i];
+                    let grown = sum.clobbers | callee.clobbers;
+                    let store = sum.may_store || callee.may_store;
+                    if grown != sum.clobbers || store != sum.may_store {
+                        sum.clobbers = grown;
+                        sum.may_store = store;
                         changed = true;
                     }
                 }
             }
         }
 
-        let mut out = ProcSummaries { sums };
-
-        // --- Layer 2: argument constants. Evaluate all call sites under
-        // the current fact table and accumulate upward (unset → const →
-        // ⊤) until stable. Because facts only ever rise, the loop
-        // terminates in at most 2·NUM_ARG_REGS·n joins; the cap is a
-        // backstop, and any residual instability degrades to ⊤.
-        // Only a procedure that calls has sites to evaluate.
-        let callers: Vec<(usize, &Cfg)> = (0..n)
-            .filter(|&i| !callees[i].is_empty())
-            .map(|i| (i, module_facts.cfg(ProcId(i as u32))))
-            .collect();
+        // --- Layer 2: argument constants, in rounds. A round evaluates
+        // call sites under the facts the previous round published and
+        // joins what it sees into the table. A caller's site ranges
+        // depend only on its own facts (its entry state) and on the
+        // clobbers, which layer 1 fixed, so a round re-runs only the
+        // callers whose own facts the previous round moved; the others
+        // would repeat observations already joined in. The rounds end
+        // when no caller's facts moved, so each caller's last range
+        // analysis ran under its final facts. They terminate: a round
+        // runs only after one that raised a fact, and each of the 6·n
+        // facts rises at most twice (unset → constant → ⊤), so there
+        // are at most 12·n + 1 rounds.
         let mut facts: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
-        let max_rounds = 2 * NUM_ARG_REGS * n + 2;
-        let mut stable = false;
-        for _ in 0..max_rounds {
-            let next = out.eval_sites(module, &callers);
-            let mut grew = false;
-            for (cur, new) in facts.iter_mut().zip(next.iter()) {
-                for (c, v) in cur.iter_mut().zip(new.iter()) {
-                    let joined = c.join(*v);
-                    if joined != *c {
-                        *c = joined;
-                        grew = true;
-                    }
-                }
+        let mut ranges: Vec<Option<RangeAnalysis>> = (0..n).map(|_| None).collect();
+        let mut work: Vec<usize> = (0..n).filter(|&i| !callees[i].is_empty()).collect();
+        while !work.is_empty() {
+            let mut moved = vec![false; n];
+            for &i in &work {
+                let cfg = module_facts.cfg(ProcId(i as u32));
+                let ra = out.eval_sites(&module.procs[i], cfg, &mut facts, &mut moved);
+                ranges[i] = Some(ra);
             }
             out.apply_facts(&facts);
-            if !grew {
-                stable = true;
-                break;
-            }
+            work = (0..n)
+                .filter(|&i| moved[i] && !callees[i].is_empty())
+                .collect();
         }
-
-        // A round that moved nothing evaluated every site under the facts
-        // it left published, so they absorb it. If the cap cut the loop
-        // short instead, they must absorb one more evaluation round;
-        // anything that would still move goes to ⊤.
-        if !stable {
-            let check = out.eval_sites(module, &callers);
-            for (cur, new) in facts.iter_mut().zip(check.iter()) {
-                for (c, v) in cur.iter_mut().zip(new.iter()) {
-                    if c.join(*v) != *c {
-                        *c = Fact::Top;
-                    }
-                }
-            }
-            out.apply_facts(&facts);
-        }
-        out
+        (out, ranges)
     }
 
-    /// Evaluate every call site under the published fact table: run the
-    /// range analysis in each caller (`callers`: procedure index and CFG;
-    /// entry seeded from the caller's own facts) and collect the
-    /// argument-register ranges at each `Call`.
+    /// Run the range analysis of the caller `proc` under the published
+    /// fact table and join the argument-register ranges at each of its
+    /// call sites into `facts`, flagging in `moved` each callee whose
+    /// fact rose. Returns the caller's range analysis.
     fn eval_sites(
         &self,
-        module: &LoadModule,
-        callers: &[(usize, &Cfg)],
-    ) -> Vec<[Fact; NUM_ARG_REGS]> {
-        let n = module.procs.len();
-        let mut seen: Vec<[Fact; NUM_ARG_REGS]> = vec![[Fact::Unset; NUM_ARG_REGS]; n];
-        for (pi, cfg) in callers {
-            let proc = &module.procs[*pi];
-            let entry = self.entry_ranges(proc.id);
-            let ra = RangeAnalysis::analyze(proc, cfg, entry, Some(self));
-            for b in &proc.blocks {
-                let mut st = *ra.block_entry(b.id);
-                for ins in &b.instrs {
-                    if let Instr::Call { proc: callee } = *ins {
-                        if callee.index() < n {
-                            let tgt = &mut seen[callee.index()];
-                            for (a, t) in tgt.iter_mut().enumerate() {
-                                let f = match st[a].as_point() {
-                                    Some(v) => Fact::Const(v),
-                                    None => Fact::Top,
-                                };
-                                *t = t.join(f);
+        proc: &Procedure,
+        cfg: &Cfg,
+        facts: &mut [[Fact; NUM_ARG_REGS]],
+        moved: &mut [bool],
+    ) -> RangeAnalysis {
+        let ra = RangeAnalysis::analyze(proc, cfg, self.entry_ranges(proc.id), self);
+        for b in &proc.blocks {
+            let mut st = *ra.block_entry(b.id);
+            for ins in &b.instrs {
+                if let Instr::Call { proc: callee } = *ins {
+                    if let Some(tgt) = facts.get_mut(callee.index()) {
+                        for (t, r) in tgt.iter_mut().zip(&st) {
+                            let joined = t.join(r.as_point().map_or(Fact::Top, Fact::Const));
+                            if joined != *t {
+                                *t = joined;
+                                moved[callee.index()] = true;
                             }
                         }
                     }
-                    crate::ranges::step(ins, &mut st, Some(self));
                 }
+                ranges::step(ins, &mut st, self);
             }
         }
-        seen
+        ra
     }
 
     fn apply_facts(&mut self, facts: &[[Fact; NUM_ARG_REGS]]) {
@@ -244,16 +227,19 @@ impl ProcSummaries {
         }
     }
 
-    /// Summary for one procedure.
+    /// Summary for one procedure; [`ProcSummary::CONVENTIONAL`] for one
+    /// the module does not define.
     pub fn get(&self, id: ProcId) -> &ProcSummary {
-        &self.sums[id.index()]
+        self.sums
+            .get(id.index())
+            .unwrap_or(&ProcSummary::CONVENTIONAL)
     }
 
     /// Entry-block register ranges implied by a procedure's argument
     /// facts (⊤ everywhere else).
     pub fn entry_ranges(&self, id: ProcId) -> RegRanges {
         let mut st = top_ranges();
-        for (a, fact) in self.sums[id.index()].args.iter().enumerate() {
+        for (a, fact) in self.get(id).args.iter().enumerate() {
             if let Some(v) = fact {
                 st[a] = Interval::point(*v);
             }
@@ -305,7 +291,7 @@ mod tests {
     #[test]
     fn agreeing_sites_yield_const_arg_fact() {
         let (m, base) = two_proc_module(|b| b);
-        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
+        let (sums, _) = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         let leaf = sums.get(ProcId(0));
         assert_eq!(leaf.args[0], Some(base));
         assert!(!leaf.may_store, "leaf never stores");
@@ -318,7 +304,7 @@ mod tests {
     #[test]
     fn disagreeing_sites_degrade_to_top() {
         let (m, _) = two_proc_module(|b| b + 0x40);
-        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
+        let (sums, _) = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         assert_eq!(sums.get(ProcId(0)).args[0], None);
     }
 
@@ -340,7 +326,7 @@ mod tests {
         b.ret();
         mb.add(b);
         let m = mb.finish();
-        let sums = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
+        let (sums, _) = ProcSummaries::compute(&m, &ModuleFacts::build(&m));
         let b_sum = sums.get(ProcId(1));
         assert!(b_sum.may_store, "store in callee must propagate");
         assert!(b_sum.clobbers_reg(Reg::gp(9)), "callee clobber propagates");

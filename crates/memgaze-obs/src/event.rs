@@ -1,9 +1,8 @@
 //! The structured event model and its JSONL wire format.
 //!
-//! Every observable fact is an [`Event`]: a closed span, an
-//! instantaneous mark, or a metric snapshot (counter / histogram /
-//! gauge). Events carry the emitting process id, and span ids are
-//! unique within it.
+//! Every observable fact is an [`Event`]: a closed span or a metric
+//! snapshot (counter / histogram / gauge). Events carry the emitting
+//! process id, and span ids are unique within it.
 
 use crate::json::{self, Value};
 
@@ -27,19 +26,6 @@ pub enum Event {
         dur_us: u64,
         /// Optional free-form detail (shard index, frame range, …).
         label: Option<String>,
-    },
-    /// An instantaneous annotated point (retry, kill, …).
-    Mark {
-        /// Emitting process.
-        pid: u32,
-        /// Enclosing span id, 0 for none.
-        parent: u64,
-        /// Mark name.
-        name: String,
-        /// Timestamp, microseconds since the Unix epoch.
-        at_us: u64,
-        /// Key/value detail.
-        fields: Vec<(String, String)>,
     },
     /// A counter snapshot (cumulative since process start).
     Count {
@@ -79,7 +65,6 @@ impl Event {
     pub fn pid(&self) -> u32 {
         match self {
             Event::Span { pid, .. }
-            | Event::Mark { pid, .. }
             | Event::Count { pid, .. }
             | Event::Hist { pid, .. }
             | Event::Gauge { pid, .. } => *pid,
@@ -90,7 +75,6 @@ impl Event {
     pub fn name(&self) -> &str {
         match self {
             Event::Span { name, .. }
-            | Event::Mark { name, .. }
             | Event::Count { name, .. }
             | Event::Hist { name, .. }
             | Event::Gauge { name, .. } => name,
@@ -141,31 +125,6 @@ impl Event {
                     s.push(',');
                     field_str(&mut s, "label", l);
                 }
-            }
-            Event::Mark {
-                pid,
-                parent,
-                name,
-                at_us,
-                fields,
-            } => {
-                field_str(&mut s, "t", "mark");
-                s.push(',');
-                field_num(&mut s, "pid", *pid as u64);
-                s.push(',');
-                field_num(&mut s, "parent", *parent);
-                s.push(',');
-                field_str(&mut s, "name", name);
-                s.push(',');
-                field_num(&mut s, "at_us", *at_us);
-                s.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    field_str(&mut s, k, v);
-                }
-                s.push('}');
             }
             Event::Count { pid, name, value } => {
                 field_str(&mut s, "t", "count");
@@ -241,24 +200,6 @@ impl Event {
                     .and_then(Value::as_str)
                     .map(|s| s.to_string()),
             }),
-            "mark" => {
-                let mut fields = Vec::new();
-                if let Some(Value::Obj(m)) = v.get("fields") {
-                    for (k, fv) in m {
-                        fields.push((
-                            k.clone(),
-                            fv.as_str().ok_or("non-string mark field")?.to_string(),
-                        ));
-                    }
-                }
-                Ok(Event::Mark {
-                    pid,
-                    parent: req_u64(v, "parent")?,
-                    name,
-                    at_us: req_u64(v, "at_us")?,
-                    fields,
-                })
-            }
             "count" => Ok(Event::Count {
                 pid,
                 name,
@@ -330,18 +271,6 @@ mod tests {
             start_us: 5,
             dur_us: 6,
             label: None,
-        });
-        round_trip(Event::Mark {
-            pid: 7,
-            parent: 2,
-            name: "test.mark".into(),
-            at_us: 99,
-            // Key-sorted: fields decode via a BTreeMap, so round-trip
-            // preserves the set, not the order.
-            fields: vec![
-                ("detail".into(), "worker exited\nwith status 3".into()),
-                ("range".into(), "0..3".into()),
-            ],
         });
         round_trip(Event::Count {
             pid: 7,

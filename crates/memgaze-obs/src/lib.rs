@@ -288,25 +288,6 @@ impl Drop for Span {
     }
 }
 
-/// Record an instantaneous annotated event (retry, kill, …) under the
-/// current thread's innermost open span.
-pub fn mark(name: &'static str, fields: &[(&str, String)]) {
-    if !enabled() {
-        return;
-    }
-    let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-    emit(Event::Mark {
-        pid: own_pid(),
-        parent,
-        name: name.to_string(),
-        at_us: now_us(),
-        fields: fields
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-    });
-}
-
 /// Look up (or register) a counter by name. Prefer the
 /// [`counter!`](crate::counter!) macro, which caches per call site.
 pub fn counter(name: &'static str) -> &'static Counter {
@@ -426,7 +407,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_counters_and_marks() {
+    fn spans_and_metrics() {
         // The only test here that configures the process-wide sinks.
         configure(ObsConfig {
             capture: true,
@@ -442,7 +423,6 @@ mod tests {
             counter!("test.counter").add(3);
             histogram!("test.hist").record(7);
             gauge!("test.gauge").set_max(41);
-            mark("test.mark", &[("k", "v".to_string())]);
         }
         drop(outer);
         flush();
@@ -460,9 +440,6 @@ mod tests {
         assert_eq!(outer_parent, 0);
         let (_, inner_parent) = find_span("test.inner").unwrap();
         assert_eq!(inner_parent, outer_id);
-        assert!(events.iter().any(
-            |e| matches!(e, Event::Mark { name, parent, .. } if name == "test.mark" && *parent != 0)
-        ));
         assert!(events.iter().any(
             |e| matches!(e, Event::Count { name, value, .. } if name == "test.counter" && *value >= 3)
         ));

@@ -301,7 +301,7 @@ fn merge_metrics(events: &[Event]) -> Metrics {
     }
 }
 
-/// Render the full profile: span tree, marks, then metric tables.
+/// Render the full profile: span tree, then metric tables.
 pub fn render_profile(events: &[Event]) -> String {
     let tree = build_tree(events);
     let st = stats(events);
@@ -316,23 +316,6 @@ pub fn render_profile(events: &[Event]) -> String {
     } else {
         let roots: Vec<&Node> = tree.roots.iter().collect();
         render_group(&mut out, &roots, 0);
-    }
-
-    let marks: Vec<&Event> = events
-        .iter()
-        .filter(|e| matches!(e, Event::Mark { .. }))
-        .collect();
-    if !marks.is_empty() {
-        let _ = writeln!(out, "\n== marks ({}) ==", marks.len());
-        for m in marks {
-            if let Event::Mark {
-                pid, name, fields, ..
-            } = m
-            {
-                let detail: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                let _ = writeln!(out, "  {name} (pid {pid})  {}", detail.join(" "));
-            }
-        }
     }
 
     let metrics = merge_metrics(events);

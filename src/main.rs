@@ -825,11 +825,11 @@ fn run_watch_cmd(args: &Args) -> i32 {
 
 /// `memgaze profile <subcommand...>`: run any other subcommand with
 /// observability forced on (in-memory capture + a JSONL file), then
-/// render the span tree with inclusive/exclusive times, the recorded
-/// marks, and the top counters. `--obs-out FILE` chooses where the
-/// JSONL events land (default: a file under the temp dir, reported on
-/// completion). Exits nonzero if the run recorded no spans or the
-/// event file fails to parse.
+/// render the span tree with inclusive/exclusive times and the top
+/// counters. `--obs-out FILE` chooses where the JSONL events land
+/// (default: a file under the temp dir, reported on completion). Exits
+/// nonzero if the run recorded no spans or the event file fails to
+/// parse.
 fn run_profile(args: &Args) -> i32 {
     if args.positional.len() < 2 {
         usage();

@@ -1,12 +1,13 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
 # windows of the fold, the zoom, the watch loop, serve's window loads
-# and session runs, and the address-keyed side tables.
+# and session runs, the address-keyed side tables and the static
+# side's procedure summaries.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels and zoom.rs),
-# crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs
-# or crates/memgaze-model/src/annot.rs
+# crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs,
+# crates/memgaze-model/src/annot.rs or crates/memgaze-isa/src
 # whose header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it (serve's two window-loads
@@ -18,13 +19,16 @@
 # sample_window_when_ends_share_a_function.patch, name
 # crates/memgaze-analysis/tests/spec_equivalence.rs, as do
 # tracker_skips_every_97th_feed.patch and class_mask_carry.patch, which
-# patch the window path). For every patch this script
-# applies it with `git apply`, builds and runs that suite in release,
-# requires the suite to fail, and reverts with `git apply -R`. A patch
-# that no longer applies, a mutant that does not build, a suite that
-# fails without its mutant (it would kill anything) and a suite that
-# still passes with it all fail the run. It prints killed/total and
-# exits 0 only when every mutant is killed.
+# patch the window path; of the summary mutants,
+# summary_keeps_first_round_ranges.patch names the chain test of
+# tests/verifier_properties.rs and unknown_callee_clobbers_nothing.patch
+# the call_clobbers_scratch unit tests of memgaze-isa). For every patch
+# this script applies it with `git apply`, builds and runs that suite in
+# release, requires the suite to fail, and reverts with `git apply -R`.
+# A patch that no longer applies, a mutant that does not build, a suite
+# that fails without its mutant (it would kill anything) and a suite
+# that still passes with it all fail the run. It prints killed/total
+# and exits 0 only when every mutant is killed.
 #
 # Usage: tests/mutants/run.sh [PATCH...]   (default: every patch)
 # It edits the sources it tests while it runs: run it on a tree with no

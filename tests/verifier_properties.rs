@@ -11,8 +11,9 @@ use memgaze::instrument::{
 };
 use memgaze::isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
 use memgaze::isa::{
-    verify_module, AbsResult, AddrKind, AddrMode, BasicBlock, BlockId, DataInit, Diagnostic, Instr,
-    LintId, LoadModule, Operand, ProcId, Reg, Severity, Terminator,
+    verify_module, AbsResult, AddrKind, AddrMode, BasicBlock, BlockId, CmpOp, DataInit, Diagnostic,
+    Instr, LintId, LoadModule, ModuleAbsInterp, ModuleBuilder, ModuleFacts, Operand, ProcBuilder,
+    ProcId, Reg, Severity, Terminator,
 };
 use memgaze::model::{Ip, LoadClass};
 use memgaze::workloads::modules::{
@@ -91,6 +92,12 @@ fn mutation_call_target_missing() {
         .instrs
         .push(Instr::Call { proc: ProcId(99) });
     assert_flags(&m, LintId::CallTargetMissing);
+    // The static side reads a missing callee as an unknown one, with the
+    // conventional clobbers, instead of indexing past the summary table.
+    let classification = ModuleClassification::analyze(&m);
+    assert_eq!(classification.len(), m.num_loads());
+    let out = Instrumenter::default().instrument(&m);
+    assert_eq!(out.stats.total_loads(), m.num_loads() as u64);
 }
 
 #[test]
@@ -541,6 +548,66 @@ fn mutation_recursive_arg_scramble_degrades_const_to_top() {
     assert_ne!(leaf.kind, AddrKind::Constant, "arg fact must hit top");
     let caller = the_load(&c, |l| l.scale == 8);
     assert_eq!(caller.kind, AddrKind::Strided { stride: 8 });
+    assert_sound(&m);
+}
+
+/// A procedure that loads `[r0]` four times in a loop, then calls
+/// `then_call` (with `r0` untouched) if given.
+fn loop_over_r0(name: &str, then_call: Option<ProcId>) -> ProcBuilder {
+    let (i, x) = (Reg::gp(6), Reg::gp(7));
+    let mut pb = ProcBuilder::new(name, "chain.c");
+    let body = pb.new_block();
+    let exit = pb.new_block();
+    pb.mov_imm(i, 0);
+    pb.jmp(body);
+    pb.switch_to(body);
+    pb.load(x, AddrMode::base_disp(Reg::gp(0), 0));
+    pb.add_imm(i, 1);
+    pb.br(i, CmpOp::Lt, Operand::Imm(4), body, exit);
+    pb.switch_to(exit);
+    if let Some(callee) = then_call {
+        pb.call(callee);
+    }
+    pb.ret();
+    pb
+}
+
+#[test]
+fn summaries_carry_a_constant_across_one_call() {
+    // main passes the data base in r0 to mid, and mid passes r0 on to
+    // leaf; mid and leaf each load off r0 in a loop. mid's own fact
+    // moves after the first round, so its load is Constant only if the
+    // abstract interpreter reads mid's ranges under its final facts.
+    let mut mb = ModuleBuilder::new("chain");
+    let base = mb.alloc_global("data", 8) as i64;
+    let leaf = mb.add(loop_over_r0("leaf", None));
+    let mid = mb.add(loop_over_r0("mid", Some(leaf)));
+    let mut main = ProcBuilder::new("main", "chain.c");
+    main.mov_imm(Reg::gp(0), base);
+    main.call(mid);
+    main.ret();
+    mb.add(main);
+    let m = mb.finish();
+
+    let mai = ModuleAbsInterp::analyze(&m, &ModuleFacts::build(&m));
+    assert_eq!(mai.summaries().get(mid).args[0], Some(base));
+    // The first round evaluated mid with a ⊤ entry and that observation
+    // stays joined in, so the constant does not cross the second call.
+    assert_eq!(mai.summaries().get(leaf).args[0], None);
+
+    let c = ModuleClassification::analyze(&m);
+    let mid_load = the_load(&c, |l| l.proc == mid);
+    assert_eq!(
+        mid_load.absint,
+        AbsResult::Proven {
+            stride: 0,
+            outer_stride: None,
+            const_addr: Some(base),
+        }
+    );
+    assert_eq!(mid_load.kind, AddrKind::Constant);
+    let leaf_load = the_load(&c, |l| l.proc == leaf);
+    assert_eq!(leaf_load.kind, AddrKind::Irregular);
     assert_sound(&m);
 }
 
