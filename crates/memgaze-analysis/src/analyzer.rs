@@ -14,22 +14,25 @@
 //! The analyzer computes no report of its own: it feeds `trace.samples`
 //! to the streaming fold ([`crate::StreamingAnalyzer`]) once and reads
 //! the [`StreamingReport`] back, so the resident tables are the tables
-//! `store`, `serve` and `watch` produce. What it adds is
-//! what needs the resident trace — the per-sample reuse *event lists*
-//! (heatmaps, histogram), the location zoom, the window and locality
-//! series, the interval tree, the working set — and memo slots for what
-//! a multi-table report re-reads: the report, the event lists, the zoom,
-//! and the time range every heatmap's columns cut. The slots are keyed
-//! implicitly by `(trace, config)`: the trace is borrowed immutably, and
+//! `store`, `serve` and `watch` produce. The same fold keeps each
+//! sample's reuse *event list* off its own reuse pass, so the resident
+//! path runs one reuse pass per sample: the heatmaps and the histogram
+//! bin those lists, and the locality series splits them. What the
+//! analyzer adds is what needs the resident trace — the location zoom,
+//! the heatmaps, the window and locality series, the interval tree, the
+//! working set — and three memo slots for what a multi-table report
+//! re-reads: the report with the event lists, the zoom, and the time
+//! range every heatmap's columns cut. The slots are keyed implicitly by
+//! `(trace, config)`: the trace is borrowed immutably, and
 //! [`Analyzer::with_config`] empties them.
 
 use crate::confidence::Confidence;
 use crate::heatmap::{self, region_heatmaps_from, Heatmap};
-use crate::histogram::{locality_vs_interval_with, LocalityPoint};
+use crate::histogram::{locality_series_from, LocalityPoint};
 use crate::interval_tree::IntervalTree;
 use crate::report::{fmt_f3, fmt_pct, fmt_si, Table};
-use crate::reuse::{self, BlockReuse, ReuseAnalysis};
-use crate::streaming::{stream_resident_trace, StreamingReport};
+use crate::reuse::{BlockReuse, ReuseAnalysis};
+use crate::streaming::{stream_resident_trace_keeping_events, StreamingReport};
 use crate::window::{window_series_with, WindowPoint};
 use crate::zoom::{zoom_trace_with, ZoomConfig, ZoomRegion};
 use memgaze_model::{AuxAnnotations, BlockSize, DecompressionInfo, SampledTrace, SymbolTable};
@@ -135,7 +138,8 @@ pub struct IntervalRow {
 /// `OnceLock`, which cannot compute twice, so occupancy is the compute
 /// count. The eight fields date from an analyzer with eight slots and
 /// stay because `benchmark/` sums them (ROADMAP, "Thaw the benchmark
-/// once (a)"); three slots hold these artifacts now.
+/// once (a)"); two slots hold these artifacts now — the report with the
+/// event lists, and the zoom — beside the heatmaps' time range.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// ρ/κ decompression facts — the report slot.
@@ -143,8 +147,8 @@ pub struct CacheStats {
     /// The zoom's attribution pass over the accesses, in place — the
     /// zoom slot.
     pub accesses: u64,
-    /// Per-sample reuse analyses (at the reuse block size) — their own
-    /// slot.
+    /// Per-sample reuse analyses (at the reuse block size), kept by the
+    /// fold — the report slot.
     pub sample_reuse: u64,
     /// Per-sample footprint diagnostics — the report slot.
     pub sample_diags: u64,
@@ -170,12 +174,11 @@ pub struct Analyzer<'a> {
     annots: &'a AuxAnnotations,
     symbols: &'a SymbolTable,
     cfg: AnalysisConfig,
-    /// The fold's report: re-read by the function table, `region_rows`,
-    /// every `region_row_for` and `interval_rows`.
-    report: OnceLock<StreamingReport>,
-    /// Per-sample reuse event lists: re-read by every heatmap and the
-    /// histogram.
-    sample_reuse: OnceLock<Vec<ReuseAnalysis>>,
+    /// The fold's report, re-read by the function table, `region_rows`,
+    /// every `region_row_for` and `interval_rows`; and the per-sample
+    /// reuse event lists its reuse pass kept, re-read by every heatmap,
+    /// the histogram and the locality series.
+    fold: OnceLock<(StreamingReport, Vec<ReuseAnalysis>)>,
     /// The zoom tree: re-read by every `region_rows`.
     zoom: OnceLock<Option<ZoomRegion>>,
     /// The trace's time range, a full pass to find: re-read by every
@@ -195,8 +198,7 @@ impl<'a> Analyzer<'a> {
             annots,
             symbols,
             cfg: AnalysisConfig::default(),
-            report: OnceLock::new(),
-            sample_reuse: OnceLock::new(),
+            fold: OnceLock::new(),
             zoom: OnceLock::new(),
             time_range: OnceLock::new(),
         }
@@ -234,12 +236,12 @@ impl<'a> Analyzer<'a> {
 
     /// Occupancy of the memo slots so far.
     pub fn cache_stats(&self) -> CacheStats {
-        let report = u64::from(self.report.get().is_some());
+        let report = u64::from(self.fold.get().is_some());
         let zoom = u64::from(self.zoom.get().is_some());
         CacheStats {
             decompression: report,
             accesses: zoom,
-            sample_reuse: u64::from(self.sample_reuse.get().is_some()),
+            sample_reuse: report,
             sample_diags: report,
             block_reuse: report,
             zoom,
@@ -248,18 +250,23 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// The streaming fold's report over the whole trace, memoized.
-    fn report(&self) -> &StreamingReport {
-        self.report.get_or_init(|| {
-            stream_resident_trace(
+    /// The streaming fold over the whole trace, memoized: its report and
+    /// the event lists of its reuse pass.
+    fn fold(&self) -> &(StreamingReport, Vec<ReuseAnalysis>) {
+        self.fold.get_or_init(|| {
+            stream_resident_trace_keeping_events(
                 self.trace,
                 self.annots,
                 self.symbols,
                 self.cfg,
-                &[],
                 RESIDENT_SHARD_SAMPLES,
             )
         })
+    }
+
+    /// The streaming fold's report over the whole trace, memoized.
+    fn report(&self) -> &StreamingReport {
+        &self.fold().0
     }
 
     /// ρ/κ decompression facts of the trace: the report's once a table
@@ -267,21 +274,18 @@ impl<'a> Analyzer<'a> {
     /// spec holds the report's copy equal to) for callers that never ask
     /// for one.
     pub fn decompression(&self) -> DecompressionInfo {
-        match self.report.get() {
-            Some(report) => report.decompression,
+        match self.fold.get() {
+            Some((report, _)) => report.decompression,
             None => DecompressionInfo::from_trace(self.trace, self.annots),
         }
     }
 
     /// Per-sample reuse analyses — the event lists heatmaps and the
-    /// histogram bin — at the configured reuse block size, memoized.
+    /// histogram bin and the locality series splits — at the configured
+    /// reuse block size: what `reuse::analyze_window` gives per sample,
+    /// kept by the fold's reuse pass, so they fill with the report.
     pub fn sample_reuse(&self) -> &[ReuseAnalysis] {
-        self.sample_reuse.get_or_init(|| {
-            let rb = self.cfg.reuse_block;
-            (self.trace.samples.iter())
-                .map(|s| reuse::analyze_window(&s.accesses, rb))
-                .collect()
-        })
+        &self.fold().1
     }
 
     /// Per-function locality rows, sorted by decompressed accesses
@@ -382,9 +386,10 @@ impl<'a> Analyzer<'a> {
         )
     }
 
-    /// Locality vs. interval size (Fig. 9).
+    /// Locality vs. interval size (Fig. 9), split out of the fold's
+    /// event lists; equal to `locality_vs_interval_with` bit for bit.
     pub fn locality_series(&self, sizes: &[u64]) -> Vec<LocalityPoint> {
-        locality_vs_interval_with(self.trace, self.annots, self.cfg.reuse_block, sizes, 1)
+        locality_series_from(self.trace, self.annots, self.sample_reuse(), sizes)
     }
 
     /// Access-frequency and reuse-distance heatmaps of a region (Fig. 8).
@@ -594,15 +599,15 @@ mod tests {
         let _ = a.interval_tree();
         assert_eq!(a.cache_stats(), CacheStats::default());
 
-        // region_rows() then region_row_for(): the report and the zoom,
-        // and no event list.
+        // region_rows() then region_row_for(): the report and the zoom.
+        // The event lists are the fold's, so they fill with the report.
         let rows = a.region_rows();
         assert!(!rows.is_empty());
         let _row = a.region_row_for(16 << 20, (16 << 20) + 4 * 64);
         let report_and_zoom = CacheStats {
             decompression: 1,
             accesses: 1,
-            sample_reuse: 0,
+            sample_reuse: 1,
             sample_diags: 1,
             block_reuse: 1,
             zoom: 1,
@@ -611,8 +616,9 @@ mod tests {
         };
         assert_eq!(a.cache_stats(), report_and_zoom);
 
-        // Pile on the rest of the report: the event lists join the
-        // other two slots, and nothing ever builds code windows.
+        // Pile on the rest of the report: the heatmaps, the histogram and
+        // the locality series read the lists already there, and nothing
+        // ever builds code windows.
         let _ = a.function_table();
         let _ = a.function_table_rendered("again");
         let _ = a.interval_rows(8);
@@ -620,13 +626,9 @@ mod tests {
         let _ = a.region_rows();
         let _ = a.heatmaps((1 << 20, 2 << 20), 4, 4);
         let _ = a.heatmaps((1 << 20, 2 << 20), 8, 8);
-        assert_eq!(
-            a.cache_stats(),
-            CacheStats {
-                sample_reuse: 1,
-                ..report_and_zoom
-            }
-        );
+        let _ = crate::reuse_histogram_from(a.sample_reuse());
+        let _ = a.locality_series(&[16, 64]);
+        assert_eq!(a.cache_stats(), report_and_zoom);
         // The report's ρ/κ facts are the model's one-pass definition.
         assert_eq!(
             a.decompression(),
@@ -638,9 +640,11 @@ mod tests {
     fn with_config_empties_the_slots() {
         let (t, annots, symbols) = setup();
         let a = Analyzer::new(&t, &annots, &symbols);
-        let _ = a.region_rows();
+        // The event lists alone fill the report slot they share.
         let _ = a.sample_reuse();
         assert_eq!(a.cache_stats().block_reuse, 1);
+        let _ = a.region_rows();
+        assert_eq!(a.cache_stats().zoom, 1);
         let a = a.with_config(AnalysisConfig {
             reuse_block: BlockSize::OS_PAGE,
             ..AnalysisConfig::default()
@@ -649,6 +653,91 @@ mod tests {
         // … and refill under the new configuration: 4 lines of one page.
         assert_eq!(a.region_row_for(16 << 20, (16 << 20) + 4 * 64).blocks, 1);
         assert_eq!(a.cache_stats().block_reuse, 1);
+        assert_eq!(a.cache_stats().sample_reuse, 1);
+    }
+
+    /// `setup`'s two functions over samples of 1 to 300 accesses, each
+    /// load a proxy for Constant ones (2 per Strided access, 1 per
+    /// Irregular one), so every interval's κ reads the implied prefix.
+    fn setup_with_constants() -> (SampledTrace, AuxAnnotations, SymbolTable) {
+        let (_, _, symbols) = setup();
+        let mut annots = AuxAnnotations::new();
+        for (ip, class, f, implied) in [
+            (0x110, LoadClass::Strided, 0, 2),
+            (0x210, LoadClass::Irregular, 1, 1),
+        ] {
+            let mut an = IpAnnot::of_class(class, FunctionId(f));
+            an.implied_const = implied;
+            annots.insert(Ip(ip), an);
+        }
+        let lens = [1u64, 40, 64, 65, 128, 300];
+        let mut t = SampledTrace::new(TraceMeta::new("c", 1000, 8192));
+        t.meta.total_loads = 1000 * lens.len() as u64;
+        for (s, &len) in (0u64..).zip(&lens) {
+            let base = s * 1000;
+            let acc = (0..len).map(|i| match i % 3 {
+                0 => Access::new(Ip(0x210), (16u64 << 20) + (i % 5) * 64, base + i),
+                _ => Access::new(Ip(0x110), (1u64 << 20) + (s * 300 + i) * 8, base + i),
+            });
+            t.push_sample(Sample::new(acc.collect(), base + len))
+                .unwrap();
+        }
+        (t, annots, symbols)
+    }
+
+    /// The default configuration, then whole pages as the reuse block.
+    fn both_reuse_blocks() -> [AnalysisConfig; 2] {
+        [
+            AnalysisConfig::default(),
+            AnalysisConfig {
+                reuse_block: BlockSize::OS_PAGE,
+                ..AnalysisConfig::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn locality_series_splits_the_folds_lists_bit_for_bit() {
+        let (t, annots, symbols) = setup_with_constants();
+        // 400 is longer than every sample, yet the 300-access one holds
+        // one interval of it (a tail of at least half counts); no sample
+        // holds one of 10 000.
+        let sizes = [1, 7, 64, 65, 400, 10_000];
+        let bits = |points: &[LocalityPoint]| -> Vec<[u64; 5]> {
+            (points.iter())
+                .map(|p| {
+                    let [d, g, f] = [p.mean_d, p.mean_delta_f, p.mean_f].map(f64::to_bits);
+                    [p.interval, p.windows, d, g, f]
+                })
+                .collect()
+        };
+        for cfg in both_reuse_blocks() {
+            let a = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+            let want = crate::locality_vs_interval_with(&t, &annots, cfg.reuse_block, &sizes, 1);
+            assert_eq!(want.len(), 5, "{want:?}");
+            assert!(want.iter().any(|p| p.mean_d > 0.0), "{want:?}");
+            assert_eq!(bits(&a.locality_series(&sizes)), bits(&want), "{cfg:?}");
+            // Asked again, off the same kept lists.
+            assert_eq!(bits(&a.locality_series(&sizes)), bits(&want), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn sample_reuse_is_analyze_window_per_sample() {
+        let (t, annots, symbols) = setup_with_constants();
+        for cfg in both_reuse_blocks() {
+            let want: Vec<ReuseAnalysis> = (t.samples.iter())
+                .map(|s| crate::analyze_window(&s.accesses, cfg.reuse_block))
+                .collect();
+            // Before any table, then after one.
+            let first = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+            assert_eq!(first.sample_reuse(), &want[..], "{cfg:?}");
+            assert!(!first.function_table().is_empty());
+            assert_eq!(first.sample_reuse(), &want[..], "{cfg:?}");
+            let after = Analyzer::new(&t, &annots, &symbols).with_config(cfg);
+            assert!(!after.function_table().is_empty());
+            assert_eq!(after.sample_reuse(), &want[..], "{cfg:?}");
+        }
     }
 
     #[test]

@@ -119,6 +119,35 @@ pub struct LocalityPoint {
     pub windows: u64,
 }
 
+impl LocalityPoint {
+    /// The point of an interval size from its `(windows, Σ mean D, Σ ΔF,
+    /// Σ F)` sums, or `None` when no interval of that size was measured.
+    pub(crate) fn from_sums(
+        interval: u64,
+        (n, d, g, f): (u64, f64, f64, f64),
+    ) -> Option<LocalityPoint> {
+        (n > 0).then(|| LocalityPoint {
+            interval,
+            mean_d: d / n as f64,
+            mean_delta_f: g / n as f64,
+            mean_f: f / n as f64,
+            windows: n,
+        })
+    }
+}
+
+/// Add one sample's `(windows, Σd, Σg, Σf)` row to a size's sums.
+pub(crate) fn add_row(sum: &mut (u64, f64, f64, f64), (n, d, g, f): (u64, f64, f64, f64)) {
+    *sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
+}
+
+/// The series of `sizes` from their sums.
+fn points(sizes: &[u64], sums: Vec<(u64, f64, f64, f64)>) -> Vec<LocalityPoint> {
+    (sizes.iter().zip(sums))
+        .filter_map(|(&interval, sum)| LocalityPoint::from_sums(interval, sum))
+        .collect()
+}
+
 /// Intra-sample locality as a function of access-interval size: chop each
 /// sample into intervals of each requested size and average D and ΔF.
 /// Every size is split out of one reuse pass per sample — the streaming
@@ -134,7 +163,6 @@ pub fn locality_vs_interval_with(
     sizes: &[u64],
     _threads: usize,
 ) -> Vec<LocalityPoint> {
-    // Per size: windows, Σ mean D, Σ ΔF, Σ F.
     let mut sums = vec![(0u64, 0.0, 0.0, 0.0); sizes.len()];
     let sample_rows = |s: &Sample, group: &[u64]| {
         let mut memo = AnnotMemo::new(annots);
@@ -147,21 +175,41 @@ pub fn locality_vs_interval_with(
             })
         })
     };
-    let fold = |k: usize, (n, d, g, f): (u64, f64, f64, f64)| {
-        let sum = &mut sums[k];
-        *sum = (sum.0 + n, sum.1 + d, sum.2 + g, sum.3 + f);
-    };
-    kernel::rows_per_size(&trace.samples, sizes, sample_rows, fold);
-    (sizes.iter().zip(sums))
-        .filter(|(_, (n, ..))| *n > 0)
-        .map(|(&interval, (n, d, g, f))| LocalityPoint {
-            interval,
-            mean_d: d / n as f64,
-            mean_delta_f: g / n as f64,
-            mean_f: f / n as f64,
-            windows: n,
-        })
-        .collect()
+    kernel::rows_per_size(&trace.samples, sizes, sample_rows, |k, row| {
+        add_row(&mut sums[k], row)
+    });
+    points(sizes, sums)
+}
+
+/// [`locality_vs_interval_with`] split out of reuse event lists already
+/// made, one per sample of `trace` (the resident fold's): no reuse pass
+/// of its own. Each sample's list and implied-constant prefix are loaded
+/// into the columns of the thread's workspace, where the pass would have
+/// left them, and split there. The series is at the block size the lists
+/// were made at.
+pub(crate) fn locality_series_from(
+    trace: &SampledTrace,
+    annots: &AuxAnnotations,
+    analyses: &[ReuseAnalysis],
+    sizes: &[u64],
+) -> Vec<LocalityPoint> {
+    let mut sums = vec![(0u64, 0.0, 0.0, 0.0); sizes.len()];
+    let mut memo = AnnotMemo::new(annots);
+    kernel::with_workspace(|ws| {
+        for (s, r) in trace.samples.iter().zip(analyses) {
+            // Window positions are u32 (the kernel's), so these are the
+            // pass's own values.
+            let reuses = (r.events.iter()).map(|e| {
+                let prev = e.pos - e.interval as usize;
+                [e.pos as u32, prev as u32, e.distance as u32]
+            });
+            ws.load_reuses(reuses, s.accesses.iter().map(|a| memo.get(a.ip).1));
+            for (sum, &size) in sums.iter_mut().zip(sizes) {
+                add_row(sum, ws.locality_split(size.max(1) as usize));
+            }
+        }
+    });
+    points(sizes, sums)
 }
 
 /// Reuse-distance histogram from precomputed per-sample analyses.

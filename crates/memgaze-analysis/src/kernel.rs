@@ -470,6 +470,11 @@ impl Workspace {
         &self.rows
     }
 
+    /// What the last [`reuse_pass`](Self::reuse_pass) returned.
+    pub(crate) fn reuses(&self) -> &[[u32; 3]] {
+        &self.reuses
+    }
+
     /// Exact reuse distances of one window of `(block, implied
     /// constants)`: returns `[pos, prev, distance]` of every access to a
     /// block seen before, in access order, and leaves per-block totals in
@@ -619,11 +624,31 @@ impl Workspace {
         c
     }
 
+    /// The columns a [`reuse_pass`](Self::reuse_pass) leaves for
+    /// [`locality_split`](Self::locality_split), loaded from a window
+    /// whose reuses an earlier pass found: its `[pos, prev, distance]`
+    /// in access order, and the implied constants of its accesses. The
+    /// split then runs as over the pass itself, with no pass.
+    pub(crate) fn load_reuses(
+        &mut self,
+        reuses: impl Iterator<Item = [u32; 3]>,
+        implied: impl ExactSizeIterator<Item = u64>,
+    ) {
+        self.begin(implied.len());
+        self.reuses.extend(reuses);
+        for (pos, v) in implied.enumerate() {
+            self.implied.push(self.implied[pos] + v);
+        }
+    }
+
     /// `(windows, Σ mean D, Σ ΔF, Σ F)` over the `chunk`-sized intervals
-    /// of the last [`reuse_pass`](Self::reuse_pass)'s window. A reuse
-    /// belongs to the interval `[s, e)` exactly when its previous access
-    /// does, at the same distance, and every other access of the interval
-    /// is a first touch of it.
+    /// of the last [`reuse_pass`](Self::reuse_pass)'s window, or of the
+    /// window [`load_reuses`](Self::load_reuses) loaded: the one locality
+    /// split, which the fold's rows, `locality_vs_interval_with` and the
+    /// resident analyzer's event lists all run, so they agree bit for
+    /// bit. A reuse belongs to the interval `[s, e)` exactly when its
+    /// previous access does, at the same distance, and every other access
+    /// of the interval is a first touch of it.
     pub(crate) fn locality_split(&self, chunk: usize) -> (u64, f64, f64, f64) {
         let mut reuses = self.reuses.iter().peekable();
         let mut out = (0u64, 0.0, 0.0, 0.0);

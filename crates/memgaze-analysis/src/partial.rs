@@ -39,7 +39,7 @@ use crate::analyzer::{AnalysisConfig, FunctionRow};
 use crate::confidence::Confidence;
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashSet;
-use crate::histogram::{LocalityPoint, Log2Histogram};
+use crate::histogram::{add_row, LocalityPoint, Log2Histogram};
 use crate::reuse::BlockReuse;
 use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
@@ -596,21 +596,9 @@ impl PartialReport {
             .iter()
             .zip(&self.locality)
             .filter_map(|(&size, rows)| {
-                let mut n = 0u64;
-                let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-                for &(pn, pd, pg, pf) in rows {
-                    n += pn;
-                    sum_d += pd;
-                    sum_g += pg;
-                    sum_f += pf;
-                }
-                (n > 0).then(|| LocalityPoint {
-                    interval: size,
-                    mean_d: sum_d / n as f64,
-                    mean_delta_f: sum_g / n as f64,
-                    mean_f: sum_f / n as f64,
-                    windows: n,
-                })
+                let mut sum = (0u64, 0.0, 0.0, 0.0);
+                rows.iter().for_each(|&row| add_row(&mut sum, row));
+                LocalityPoint::from_sums(size, sum)
             })
             .collect();
 

@@ -10,7 +10,7 @@
 //! Fenwick tree over the words for the long intervals
 //! (`kernel::Markers`).
 
-use crate::kernel::{self, Row};
+use crate::kernel::{self, Row, Workspace};
 use memgaze_model::{Access, BlockSize, Sample};
 use serde::{Deserialize, Serialize};
 
@@ -73,14 +73,13 @@ impl ReuseAnalysis {
             self.events.len() as f64 / self.accesses as f64
         }
     }
-}
 
-/// Analyze reuse within one window (typically one sample — the paper
-/// prefers intra-sample calculation).
-pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
-    let (events, unique_blocks) = kernel::with_workspace(|ws| {
-        let reuses = ws.reuse_pass(accesses.iter().map(|a| (a.addr.block(bs), 0)));
-        let events = (reuses.iter())
+    /// The analysis of `accesses` that the workspace's last reuse pass,
+    /// run over them at block size `bs`, leaves behind — what
+    /// [`analyze_window`] returns and what the resident fold keeps per
+    /// sample.
+    pub(crate) fn of_pass(ws: &Workspace, accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
+        let events = (ws.reuses().iter())
             .map(|&[pos, prev, distance]| ReuseEvent {
                 pos: pos as usize,
                 block: accesses[pos as usize].addr.block(bs),
@@ -88,13 +87,21 @@ pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
                 distance: u64::from(distance),
             })
             .collect();
-        (events, ws.rows().len() as u64)
-    });
-    ReuseAnalysis {
-        events,
-        accesses: accesses.len(),
-        unique_blocks,
+        ReuseAnalysis {
+            events,
+            accesses: accesses.len(),
+            unique_blocks: ws.rows().len() as u64,
+        }
     }
+}
+
+/// Analyze reuse within one window (typically one sample — the paper
+/// prefers intra-sample calculation).
+pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
+    kernel::with_workspace(|ws| {
+        ws.reuse_pass(accesses.iter().map(|a| (a.addr.block(bs), 0)));
+        ReuseAnalysis::of_pass(ws, accesses, bs)
+    })
 }
 
 /// Per-block statistics tracked by [`BlockReuse`].

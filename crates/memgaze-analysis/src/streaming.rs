@@ -47,7 +47,7 @@ use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
 use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, Markers, Row, Workspace};
-use crate::reuse::BlockReuse;
+use crate::reuse::{BlockReuse, ReuseAnalysis};
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
     TraceMeta,
@@ -413,6 +413,11 @@ pub struct StreamingAnalyzer<'a> {
     /// The current shard's per-block reuse rows, sample after sample;
     /// reused likewise.
     shard_rows: Vec<Row>,
+    /// Each sample's reuse event list, as `reuse::analyze_window` gives
+    /// it, read off the fold's own reuse pass — kept only for the
+    /// resident [`Analyzer`](crate::Analyzer), whose heatmaps, histogram
+    /// and locality series read them.
+    sample_events: Option<Vec<ReuseAnalysis>>,
 }
 
 impl<'a> StreamingAnalyzer<'a> {
@@ -440,6 +445,7 @@ impl<'a> StreamingAnalyzer<'a> {
             resolver: IpResolver::new(symbols, annots),
             resolved: Vec::new(),
             shard_rows: Vec::new(),
+            sample_events: None,
         }
     }
 
@@ -542,12 +548,12 @@ impl<'a> StreamingAnalyzer<'a> {
     }
 
     /// The kernel passes over one sample and its resolved column, folded
-    /// into the accumulators: reuse (histogram, summary, one locality
-    /// row per size, and the per-block rows, appended to `rows`), then
-    /// the distinct pass (the diagnostics); and the sample's windows —
-    /// one per function it touches (§IV-B) — into their functions. A
-    /// sample of one function is that function's window, and its own two
-    /// passes are the window's.
+    /// into the accumulators: reuse (histogram, summary, the kept event
+    /// list, one locality row per size, and the per-block rows, appended
+    /// to `rows`), then the distinct pass (the diagnostics); and the
+    /// sample's windows — one per function it touches (§IV-B) — into
+    /// their functions. A sample of one function is that function's
+    /// window, and its own two passes are the window's.
     fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo], rows: &mut Vec<Row>) {
         let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
         let accesses = &s.accesses[..];
@@ -565,6 +571,9 @@ impl<'a> StreamingAnalyzer<'a> {
                 events: events as usize,
                 mean_d: kernel::mean_distance(dist_sum, events),
             });
+            if let Some(kept) = &mut self.sample_events {
+                kept.push(ReuseAnalysis::of_pass(ws, accesses, rb));
+            }
             rows.extend_from_slice(ws.rows());
             for (series, &size) in self.locality.iter_mut().zip(&self.locality_sizes) {
                 series.push(ws.locality_split(size.max(1) as usize));
@@ -812,11 +821,37 @@ pub fn stream_resident_trace<'a>(
     locality_sizes: &[u64],
     shard_samples: usize,
 ) -> StreamingReport {
-    let mut sa = StreamingAnalyzer::new(annots, symbols, cfg).with_locality_sizes(locality_sizes);
+    let sa = StreamingAnalyzer::new(annots, symbols, cfg).with_locality_sizes(locality_sizes);
+    fold_resident(sa, trace, shard_samples).0
+}
+
+/// [`stream_resident_trace`] with no locality sizes, also returning each
+/// sample's reuse event list off the fold's own reuse pass: the
+/// resident [`Analyzer`](crate::Analyzer)'s one pass over its trace.
+pub(crate) fn stream_resident_trace_keeping_events(
+    trace: &SampledTrace,
+    annots: &AuxAnnotations,
+    symbols: &SymbolTable,
+    cfg: AnalysisConfig,
+    shard_samples: usize,
+) -> (StreamingReport, Vec<ReuseAnalysis>) {
+    let mut sa = StreamingAnalyzer::new(annots, symbols, cfg);
+    sa.sample_events = Some(Vec::with_capacity(trace.samples.len()));
+    fold_resident(sa, trace, shard_samples)
+}
+
+/// Feed `trace` to `sa` in `shard_samples`-sized shards and finish it,
+/// with the event lists it kept, if any.
+fn fold_resident(
+    mut sa: StreamingAnalyzer<'_>,
+    trace: &SampledTrace,
+    shard_samples: usize,
+) -> (StreamingReport, Vec<ReuseAnalysis>) {
     for shard in trace.samples.chunks(shard_samples.max(1)) {
         sa.ingest_shard(shard);
     }
-    sa.finish(&trace.meta)
+    let events = sa.sample_events.take().unwrap_or_default();
+    (sa.finish(&trace.meta), events)
 }
 
 #[cfg(test)]

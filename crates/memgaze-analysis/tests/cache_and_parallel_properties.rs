@@ -1,10 +1,11 @@
 //! Property tests of the throughput overhaul's pillars:
 //!
 //! 1. the memoized `Analyzer` returns the same resident-only artifacts
-//!    (zoom, region rows, heatmaps, window series, interval tree) as a
-//!    fresh analyzer computed from scratch for each query — the tables
-//!    it reads from the fold's report answer to the spec instead
-//!    (`spec_equivalence.rs`);
+//!    (zoom, region rows, heatmaps, window and locality series, interval
+//!    tree) as a fresh analyzer computed from scratch for each query, and
+//!    its event lists, which fill with the fold's report in one slot, are
+//!    `analyze_window`'s — the tables it reads from the fold's report
+//!    answer to the spec instead (`spec_equivalence.rs`);
 //! 2. the indexed `BlockReuse` region queries agree with a linear-scan
 //!    oracle over `(block, stats)` pairs;
 //! 3. the window kernels equal their set-and-scan definitions.
@@ -16,7 +17,8 @@ mod spec;
 
 use arb::{arb_trace, arb_window};
 use memgaze_analysis::{
-    analyze_window, captures_survivals, AnalysisConfig, Analyzer, BlockReuse, FootprintDiagnostics,
+    analyze_window, captures_survivals, locality_vs_interval_with, AnalysisConfig, Analyzer,
+    BlockReuse, FootprintDiagnostics,
 };
 use memgaze_model::{
     AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, SampledTrace, SymbolTable,
@@ -109,15 +111,33 @@ proptest! {
             let _ = cached.region_rows();
             let _ = cached.heatmaps(region, 8, 8);
             let _ = cached.window_series(&sizes);
+            let _ = cached.locality_series(&sizes);
             let _ = cached.interval_tree();
         }
+        // One slot holds the report and the event lists, one the zoom.
+        let stats = cached.cache_stats();
+        prop_assert_eq!(
+            (stats.decompression, stats.sample_reuse, stats.block_reuse, stats.zoom),
+            (1, 1, 1, 1)
+        );
         let fresh = || Analyzer::new(&t, &annots, &symbols).with_config(cfg);
         prop_assert_eq!(cached.region_rows(), fresh().region_rows());
         prop_assert_eq!(cached.heatmaps(region, 8, 8), fresh().heatmaps(region, 8, 8));
         prop_assert_eq!(cached.window_series(&sizes), fresh().window_series(&sizes));
+        prop_assert_eq!(cached.locality_series(&sizes), fresh().locality_series(&sizes));
+        prop_assert_eq!(
+            cached.locality_series(&sizes),
+            locality_vs_interval_with(&t, &annots, cfg.reuse_block, &sizes, 1)
+        );
         prop_assert_eq!(cached.interval_tree(), fresh().interval_tree());
         let f = fresh();
         prop_assert_eq!(cached.sample_reuse(), f.sample_reuse());
+        // Asked only for the lists, the fresh analyzer ran the fold.
+        prop_assert_eq!(f.cache_stats().block_reuse, 1);
+        let per_sample: Vec<_> = (t.samples.iter())
+            .map(|s| analyze_window(&s.accesses, cfg.reuse_block))
+            .collect();
+        prop_assert_eq!(cached.sample_reuse(), &per_sample[..]);
         prop_assert_eq!(cached.zoom(), f.zoom());
     }
 

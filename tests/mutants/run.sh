@@ -1,8 +1,8 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
-# windows of the fold, the zoom, the watch loop, serve's window loads
-# and session runs, the address-keyed side tables and the static
-# side's procedure summaries.
+# windows of the fold, the resident event lists, the zoom, the watch
+# loop, serve's window loads and session runs, the address-keyed side
+# tables and the static side's procedure summaries.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels and zoom.rs),
@@ -19,7 +19,10 @@
 # sample_window_when_ends_share_a_function.patch, name
 # crates/memgaze-analysis/tests/spec_equivalence.rs, as do
 # tracker_skips_every_97th_feed.patch and class_mask_carry.patch, which
-# patch the window path; of the summary mutants,
+# patch the window path; kept_list_interval_off_by_one.patch, on the
+# resident analyzer's locality series over the fold's kept event lists,
+# names the unit test that holds that series to
+# locality_vs_interval_with bit for bit; of the summary mutants,
 # summary_keeps_first_round_ranges.patch names the chain test of
 # tests/verifier_properties.rs and unknown_callee_clobbers_nothing.patch
 # the call_clobbers_scratch unit tests of memgaze-isa). For every patch
