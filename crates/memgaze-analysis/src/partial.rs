@@ -1,19 +1,22 @@
 //! Partial reports: the mergeable snapshot of a [`StreamingAnalyzer`]
 //! over a run of frames, and its `MGZP` wire codec.
 //!
-//! Two users build a report out of pieces analyzed apart:
+//! Two users keep a partial beyond the pass that built it:
 //!
-//! * the trace store's **result cache** analyzes each frame once into a
-//!   [`PartialReport`] ([`StreamingAnalyzer::into_partial`]), keeps it
-//!   on disk, and on every later analysis folds the cached partials in
-//!   frame order with [`PartialReport::merge_many`];
-//! * `memgaze serve` **seals** a session by merging the partials its
-//!   feeds produced and answers with the merged partial's bytes.
+//! * the trace store's **result cache** holds one whole-trace partial
+//!   per trace and configuration (a `.mgzr` entry), written by the
+//!   analysis that missed and decoded by every later one;
+//! * `memgaze serve` **seals** a session by folding the partials its
+//!   uploads produced and answers with the folded partial's bytes.
 //!
-//! Both end in [`PartialReport::finish`] — the *same* fold every other
-//! consumer ends in, the resident [`Analyzer`](crate::Analyzer)
-//! included — so a report merged from any contiguous split of the
-//! frames is bit-identical to a single pass.
+//! Partials are folded one way: [`PartialReport::push_run`] keeps them
+//! as runs that pair up like the digits of a binary counter, and
+//! [`PartialReport::fold_runs`] joins the runs in order. The serve seal
+//! and [`PartialReport::merge_many`] are both that fold. Every fold ends
+//! in [`PartialReport::finish`] — the *same* fold every other consumer
+//! ends in, the resident [`Analyzer`](crate::Analyzer) included — so a
+//! report merged from any contiguous split of the frames is
+//! bit-identical to a single pass.
 //!
 //! The merge laws, per artifact:
 //!
@@ -29,11 +32,12 @@
 //!   boundary events of two adjacent segments (see
 //!   [`ReusePartial::absorb`]).
 //!
-//! A partial that leaves the process — the store's result cache, the
-//! body `memgaze serve` answers a seal with — uses a hand-rolled,
+//! A partial that leaves the process uses a hand-rolled,
 //! length-prefixed, FNV-checksummed binary codec (varints + `f64` as
 //! IEEE-754 bits), because serialization here must round-trip **bit
-//! exactly** — JSON would not.
+//! exactly** — JSON would not. Every list is a count followed by plain
+//! deltas, and every count passes [`Reader::count`] before anything is
+//! reserved for it.
 
 use crate::analyzer::{AnalysisConfig, FunctionRow};
 use crate::confidence::Confidence;
@@ -45,7 +49,7 @@ use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
 };
 use memgaze_model::wire::{
-    self, add_delta, put_f64, put_str, put_varint, unzigzag, zigzag, Reader, WireError,
+    self, add_delta, put_f64, put_str, put_varint, zigzag, Reader, WireError,
 };
 use memgaze_model::{
     compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, ModelError,
@@ -55,7 +59,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 const PARTIAL_MAGIC: &[u8; 4] = b"MGZP";
-const PARTIAL_VERSION: u16 = 2;
+const PARTIAL_VERSION: u16 = 3;
 
 /// Errors of the partial-report algebra and its wire codec.
 #[derive(Debug)]
@@ -426,7 +430,7 @@ impl PartialReport {
             other.reuse_block,
             &other.locality_sizes,
         )?;
-        PartialReport::check_sums([&*self, &other].into_iter())?;
+        self.check_sums(&other)?;
         self.num_samples += other.num_samples;
         self.observed += other.observed;
         self.implied_const += other.implied_const;
@@ -479,14 +483,12 @@ impl PartialReport {
         Ok(())
     }
 
-    /// Sum every trace-wide counter over `parts`, so that the `+=` of
-    /// their merge (and the prefix sums of the merged [`BlockReuse`])
-    /// cannot overflow afterwards.
-    fn check_sums<'p>(
-        parts: impl Iterator<Item = &'p PartialReport> + Clone,
-    ) -> Result<(), PartialError> {
+    /// Sum every trace-wide counter of `self` and `other`, so that the
+    /// `+=` of their merge (and the prefix sums of the merged
+    /// [`BlockReuse`]) cannot overflow afterwards.
+    fn check_sums(&self, other: &PartialReport) -> Result<(), PartialError> {
         let sum = |what, of: &dyn Fn(&PartialReport) -> u64| {
-            checked_sum(parts.clone().map(of), what).map(drop)
+            checked_sum([of(self), of(other)], what).map(drop)
         };
         sum("sample counts", &|p| p.num_samples)?;
         sum("access counts", &|p| p.observed)?;
@@ -501,50 +503,71 @@ impl PartialReport {
         sum("block reuse counts", &|p| p.block_reuse.totals()[2])
     }
 
-    /// Exact fold of `parts` in frame order, equivalent to a sequential
-    /// left-to-right [`merge`](Self::merge) but built for many small
-    /// partials (one per shard frame, as the trace store's result cache
-    /// produces): the block-reuse summaries are k-way merged with a
-    /// single index rebuild, and everything order-sensitive is folded
-    /// as a balanced tree of adjacent pairs, which preserves segment
-    /// order while keeping each element out of all but O(log k) merges.
-    /// Every part must have been built for the given block and locality
-    /// sizes (else `ConfigMismatch`); an empty `parts` folds to
-    /// [`empty`](Self::empty) for them.
+    /// Exact fold of `parts` in frame order, equal to a left-to-right
+    /// [`merge`](Self::merge) of them: each part is pushed through
+    /// [`push_run`](Self::push_run) and the runs are joined by
+    /// [`fold_runs`](Self::fold_runs). Every part must have been built
+    /// for the given block and locality sizes (else `ConfigMismatch`);
+    /// an empty `parts` folds to [`empty`](Self::empty) for them.
     pub fn merge_many(
         parts: Vec<PartialReport>,
         footprint_block: BlockSize,
         reuse_block: BlockSize,
         locality_sizes: &[u64],
     ) -> Result<PartialReport, PartialError> {
-        let mut parts = parts;
         for p in &parts {
             p.check_config(footprint_block, reuse_block, locality_sizes)?;
         }
-        // Up front: the summaries leave their partials next, so the
-        // pairwise merges below would not see the block totals.
-        PartialReport::check_sums(parts.iter())?;
-        let mut reuses = Vec::with_capacity(parts.len());
-        for p in &mut parts {
-            reuses.push(std::mem::take(&mut p.block_reuse));
+        let mut runs = Vec::new();
+        for p in parts {
+            PartialReport::push_run(&mut runs, p)?;
         }
-        while parts.len() > 1 {
-            let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-            let mut it = parts.into_iter();
-            while let Some(mut a) = it.next() {
-                if let Some(b) = it.next() {
-                    a.merge(b)?;
-                }
-                next.push(a);
+        PartialReport::fold_runs(runs, footprint_block, reuse_block, locality_sizes)
+    }
+
+    /// Append `part`, the partial of the frames that follow every run's,
+    /// to `runs` in frame order, merging it into the last run while that
+    /// holds no more samples. Equal parts pair up like the digits of a
+    /// binary counter: a sample takes part in O(log parts) merges, where
+    /// one running fold would re-merge everything before it on each
+    /// push. A failed merge loses the runs it had popped.
+    pub fn push_run(
+        runs: &mut Vec<PartialReport>,
+        mut part: PartialReport,
+    ) -> Result<(), PartialError> {
+        while let Some(mut before) = runs.pop() {
+            if before.num_samples > part.num_samples {
+                runs.push(before);
+                break;
             }
-            parts = next;
+            before.merge(part)?;
+            part = before;
         }
-        let mut merged = match parts.pop() {
-            Some(p) => p,
-            None => PartialReport::empty(footprint_block, reuse_block, locality_sizes),
+        runs.push(part);
+        Ok(())
+    }
+
+    /// Join the runs [`push_run`](Self::push_run) built, in order, the
+    /// smallest (last) first; no runs fold to [`empty`](Self::empty) for
+    /// the given sizes.
+    pub fn fold_runs(
+        mut runs: Vec<PartialReport>,
+        footprint_block: BlockSize,
+        reuse_block: BlockSize,
+        locality_sizes: &[u64],
+    ) -> Result<PartialReport, PartialError> {
+        let Some(mut folded) = runs.pop() else {
+            return Ok(PartialReport::empty(
+                footprint_block,
+                reuse_block,
+                locality_sizes,
+            ));
         };
-        merged.block_reuse = BlockReuse::from_parts(reuses);
-        Ok(merged)
+        while let Some(mut before) = runs.pop() {
+            before.merge(folded)?;
+            folded = before;
+        }
+        Ok(folded)
     }
 
     /// Fold into the final report — the single fold shared with
@@ -654,40 +677,15 @@ impl PartialReport {
             }
         }
         put_varint(buf, self.block_reuse.len() as u64);
-        // The first row is verbatim (its block number may be 0, so its
-        // delta may be too). After that, rows are strictly block-sorted
-        // — deltas are positive — so 0 escapes a repeat: `0, k` stands
-        // for `k` more rows with the previous row's delta *and* stats.
-        // A uniformly streamed region yields thousands of equal-stat
-        // rows one block apart, which all collapse into one escape.
+        // Rows are strictly block-sorted: each is its block's delta from
+        // the row before (the first's from 0), then its stats.
         let mut prev_block = 0u64;
-        let mut prev_delta = 0u64;
-        let mut prev_stats = [u64::MAX; 4];
-        let mut repeat = 0u64;
-        let mut first = true;
         for (block, stats) in self.block_reuse.raw_rows() {
-            let delta = block - prev_block;
+            put_varint(buf, block - prev_block);
             prev_block = block;
-            if !first && delta == prev_delta && stats == prev_stats {
-                repeat += 1;
-                continue;
-            }
-            if repeat > 0 {
-                put_varint(buf, 0);
-                put_varint(buf, repeat);
-                repeat = 0;
-            }
-            put_varint(buf, delta);
             for s in stats {
                 put_varint(buf, s);
             }
-            prev_delta = delta;
-            prev_stats = stats;
-            first = false;
-        }
-        if repeat > 0 {
-            put_varint(buf, 0);
-            put_varint(buf, repeat);
         }
         let (bins, count, sum) = self.histogram.raw_parts();
         put_u64s(buf, bins);
@@ -771,30 +769,12 @@ impl PartialReport {
             }
             locality.push(rows);
         }
-        let n = get_count(&mut r, "block reuse count")?;
-        let mut rows: Vec<(u64, [u64; 4])> = Vec::with_capacity(r.reserve_hint(n));
+        // A row is a delta and 4 stats: at least 5 bytes.
+        let n = r.count(5, "block reuse count")?;
+        let mut rows: Vec<(u64, [u64; 4])> = Vec::with_capacity(n);
         let mut block = 0u64;
-        let mut prev_delta = 0u64;
-        while rows.len() < n {
-            let delta = r.varint("block delta")?;
-            if let (0, Some(&(_, stats))) = (delta, rows.last()) {
-                // Repeat escape: `k` more rows with the previous delta
-                // and stats (see the encoder).
-                let k = r.usize("block repeat")?;
-                if k == 0 || prev_delta == 0 || k > n - rows.len() {
-                    return Err(PartialError::Corrupt {
-                        detail: "bad block repeat run".to_string(),
-                    });
-                }
-                rows.reserve(k);
-                for _ in 0..k {
-                    block = add_delta(block, prev_delta, "block repeat")?;
-                    rows.push((block, stats));
-                }
-                continue;
-            }
-            block = add_delta(block, delta, "block delta")?;
-            prev_delta = delta;
+        for _ in 0..n {
+            block = add_delta(block, r.varint("block delta")?, "block delta")?;
             let mut stats = [0u64; 4];
             for s in &mut stats {
                 *s = r.varint("block stat")?;
@@ -948,206 +928,60 @@ pub fn analyze_frames(
 }
 
 // ---- list codecs ----
+//
+// Every list is its count, then one varint per entry, so a count passes
+// `Reader::count` at one byte an entry before anything is reserved.
 
-/// Hard ceiling on entries in one run-length-encoded list. The
-/// [`Reader::count`] remaining-bytes guard does not apply to RLE lists
-/// — a run escape stores thousands of entries in three bytes — so this
-/// bounds the memory a corrupt (checksum-colliding) count can make the
-/// decoder commit.
-const MAX_RLE_ENTRIES: usize = 1 << 26;
-
-/// Length prefix of a run-length-encoded list; see [`MAX_RLE_ENTRIES`].
-/// Callers reserve [`Reader::reserve_hint`] of it up front and grow as
-/// runs are expanded.
-fn get_count(r: &mut Reader<'_>, context: &'static str) -> Result<usize, PartialError> {
-    let n = r.usize(context)?;
-    if n > MAX_RLE_ENTRIES {
-        return Err(PartialError::Corrupt {
-            detail: format!("list of {n} entries exceeds decoder limit ({context})"),
-        });
-    }
-    Ok(n)
-}
-
-/// Encode an arbitrary-order `u64` list as zigzag deltas with
-/// run-length escapes: after a verbatim first element, each entry is
-/// the token `zigzag(v[i] - v[i-1]) + 1`; token `0` escapes a run —
-/// `0, zigzag(d), k` stands for `k` consecutive deltas of `d`. Block
-/// lists in first-touch or LRU order are near-sequential for streamed
-/// regions, so the dominant case is a handful of runs instead of one
-/// 3-byte absolute varint per block.
+/// An arbitrary-order list (reuse orders, histogram bins, locality
+/// sizes): each entry as the zigzag of its wrapping difference from the
+/// entry before, the first's from 0.
 fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
     put_varint(buf, vs.len() as u64);
-    let Some((&first, rest)) = vs.split_first() else {
-        return;
-    };
-    put_varint(buf, first);
-    let mut prev = first;
-    let mut i = 0;
-    while i < rest.len() {
-        let delta = rest[i].wrapping_sub(prev);
-        let mut run = 1;
-        while i + run < rest.len() && rest[i + run].wrapping_sub(rest[i + run - 1]) == delta {
-            run += 1;
-        }
-        if run >= SORTED_RUN_MIN {
-            put_varint(buf, 0);
-            put_varint(buf, zigzag(delta as i64));
-            put_varint(buf, run as u64);
-        } else {
-            let mut p = prev;
-            for k in 0..run {
-                put_varint(buf, zigzag(rest[i + k].wrapping_sub(p) as i64) + 1);
-                p = rest[i + k];
-            }
-        }
-        prev = rest[i + run - 1];
-        i += run;
+    let mut prev = 0u64;
+    for &v in vs {
+        put_varint(buf, zigzag(v.wrapping_sub(prev) as i64));
+        prev = v;
     }
 }
 
 fn get_u64s(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(r, context)?;
-    let mut out = Vec::with_capacity(r.reserve_hint(n));
-    if n == 0 {
-        return Ok(out);
-    }
-    // The encoder's deltas are wrapping differences of an arbitrary-order
-    // list, so the sums below wrap back by construction.
-    let mut v = r.varint(context)?;
-    out.push(v);
-    while out.len() < n {
-        let token = r.varint(context)?;
-        if token == 0 {
-            let d = r.zigzag(context)? as u64;
-            let k = r.usize(context)?;
-            if k == 0 || k > n - out.len() {
-                return Err(PartialError::Corrupt {
-                    detail: format!("bad run in u64 list ({context})"),
-                });
-            }
-            out.reserve(k);
-            for _ in 0..k {
-                v = v.wrapping_add(d);
-                out.push(v);
-            }
-        } else {
-            v = v.wrapping_add(unzigzag(token - 1) as u64);
-            out.push(v);
-        }
+    let n = r.count(1, context)?;
+    let mut out = Vec::with_capacity(n);
+    // The differences wrap, so their sum wraps back by construction.
+    let mut v = 0u64;
+    for _ in 0..n {
+        v = v.wrapping_add(r.zigzag(context)? as u64);
+        out.push(v);
     }
     Ok(out)
 }
 
-/// Sorted lists delta-encode; also validates order on decode.
-/// Shortest run of equal deltas worth collapsing into an RLE escape
-/// (marker + delta + count = 3 varints, so 4 is the break-even point
-/// for one-byte deltas).
-const SORTED_RUN_MIN: usize = 4;
-
-/// Delta-encode a strictly sorted list with periodic-pattern escapes.
-///
-/// The first element is written verbatim (as its delta from zero).
-/// After that, deltas are strictly positive — the list has no
-/// duplicates — which frees `0` as an escape: `0, p, k, d1..dp` means
-/// "the delta pattern `d1..dp` repeated `k` times". Block footprints
-/// are dominated by short periodic stride patterns (a pure stream is
-/// period 1; a stream with every j-th slot classified elsewhere has
-/// period j-1), so this collapses the codec's largest lists from one
-/// varint per block to a few bytes per pattern.
-const SORTED_MAX_PERIOD: usize = 4;
-
+/// A strictly sorted list (footprints): each entry as its positive
+/// difference from the entry before, the first's from 0.
 fn put_sorted(buf: &mut Vec<u8>, vs: &[u64]) {
     put_varint(buf, vs.len() as u64);
-    let Some((&first, rest)) = vs.split_first() else {
-        return;
-    };
-    put_varint(buf, first);
-    let mut prev = first;
-    let mut i = 0;
-    while i < rest.len() {
-        // Longest periodic cover starting here, over short periods.
-        let mut best_p = 0usize;
-        let mut best_cover = 0usize;
-        for p in 1..=SORTED_MAX_PERIOD.min(rest.len() - i) {
-            let mut j = i + p;
-            while j < rest.len()
-                && rest[j] - if j == 0 { prev } else { rest[j - 1] }
-                    == rest[j - p] - if j == p { prev } else { rest[j - p - 1] }
-            {
-                j += 1;
-            }
-            let cover = ((j - i) / p) * p;
-            if cover > best_cover {
-                best_cover = cover;
-                best_p = p;
-            }
-        }
-        if best_cover >= 2 * best_p && best_cover >= 8 {
-            put_varint(buf, 0);
-            put_varint(buf, best_p as u64);
-            put_varint(buf, (best_cover / best_p) as u64);
-            let mut p2 = prev;
-            for k in 0..best_p {
-                put_varint(buf, rest[i + k] - p2);
-                p2 = rest[i + k];
-            }
-            prev = rest[i + best_cover - 1];
-            i += best_cover;
-        } else {
-            put_varint(buf, rest[i] - prev);
-            prev = rest[i];
-            i += 1;
-        }
+    let mut prev = 0u64;
+    for &v in vs {
+        put_varint(buf, v - prev);
+        prev = v;
     }
 }
 
+/// [`put_sorted`]'s list, rejecting any that is not strictly sorted: a
+/// zero difference after the first entry repeats a block.
 fn get_sorted(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(r, context)?;
-    let mut out = Vec::with_capacity(r.reserve_hint(n));
-    if n == 0 {
-        return Ok(out);
-    }
-    let mut v = r.varint(context)?;
-    out.push(v);
-    while out.len() < n {
+    let n = r.count(1, context)?;
+    let mut out = Vec::with_capacity(n);
+    let mut v = 0u64;
+    for i in 0..n {
         let delta = r.varint(context)?;
-        if delta == 0 {
-            // Pattern escape: `k` repetitions of a `p`-delta pattern of
-            // strictly positive deltas.
-            let p = r.usize(context)?;
-            let k = r.usize(context)?;
-            let total = p.checked_mul(k).filter(|&t| t != 0 && t <= n - out.len());
-            let Some(total) = total else {
-                return Err(PartialError::Corrupt {
-                    detail: format!("bad pattern run in sorted list ({context})"),
-                });
-            };
-            let mut pat = [0u64; 16];
-            if p > pat.len() {
-                return Err(PartialError::Corrupt {
-                    detail: format!("pattern period {p} too long ({context})"),
-                });
-            }
-            for d in pat[..p].iter_mut() {
-                *d = r.varint(context)?;
-                if *d == 0 {
-                    return Err(PartialError::Corrupt {
-                        detail: format!("zero delta in sorted-list pattern ({context})"),
-                    });
-                }
-            }
-            out.reserve(total);
-            for _ in 0..k {
-                for &d in &pat[..p] {
-                    v = add_delta(v, d, context)?;
-                    out.push(v);
-                }
-            }
-        } else {
-            v = add_delta(v, delta, context)?;
-            out.push(v);
+        if delta == 0 && i > 0 {
+            return Err(PartialError::Corrupt {
+                detail: format!("repeated entry in sorted list ({context})"),
+            });
         }
+        v = add_delta(v, delta, context)?;
+        out.push(v);
     }
     Ok(out)
 }
@@ -1344,30 +1178,52 @@ mod tests {
         let pattern: Vec<u64> = (0..98304u64).filter(|i| i % 4 != 0).collect();
         let rev: Vec<u64> = (0..4096u64).rev().map(|i| i * 3 + 7).collect();
         let dups: Vec<u64> = (0..1000u64).map(|i| i / 10).collect();
+        let wide: Vec<u64> = vec![u64::MAX, 0, 1 << 63, 5, u64::MAX - 1];
         let small: Vec<u64> = vec![5, 6, 9];
-        for vs in [&seq, &pattern, &small, &Vec::new()] {
+        for vs in [&seq, &pattern, &small, &vec![0], &Vec::new()] {
             let mut buf = Vec::new();
             put_sorted(&mut buf, vs);
             let mut src = Reader::new(&buf);
             assert_eq!(&get_sorted(&mut src, "t").unwrap(), vs);
             assert!(src.is_empty());
         }
-        for vs in [&seq, &pattern, &rev, &dups, &small, &Vec::new()] {
+        for vs in [&seq, &pattern, &rev, &dups, &wide, &small, &Vec::new()] {
             let mut buf = Vec::new();
             put_u64s(&mut buf, vs);
             let mut src = Reader::new(&buf);
             assert_eq!(&get_u64s(&mut src, "t").unwrap(), vs);
             assert!(src.is_empty());
         }
-        // The run escapes actually engage: a 16K sequential list must
-        // collapse to bytes, not one varint per entry.
+        // Plain lists: a count, then one varint per entry — a step of one
+        // block is one byte.
         let mut buf = Vec::new();
-        put_u64s(&mut buf, &seq);
-        assert!(
-            buf.len() < 32,
-            "sequential list not run-compressed: {}",
-            buf.len()
-        );
+        put_sorted(&mut buf, &seq);
+        assert_eq!(buf.len(), 3 + 3 + (seq.len() - 1));
+    }
+
+    #[test]
+    fn a_footprint_list_that_repeats_a_block_is_corrupt() {
+        let (t, annots, symbols) = synthetic_trace();
+        let (container, index) = encode_sharded_indexed(&t, 4);
+        let frames = 0..index.entries.len();
+        let cfg = AnalysisConfig::default();
+        let mut p =
+            analyze_frames(&container, &index, frames, &annots, &symbols, cfg, &[16]).unwrap();
+        let fp = p.funcs.values_mut().find(|fp| fp.all.len() > 1).unwrap();
+        // The class lists back-reference the damaged footprint, so every
+        // subset check still holds: only the decoder's order check sees
+        // the repeat.
+        fp.all[1] = fp.all[0];
+        fp.strided = fp.all.clone();
+        fp.irregular = fp.all.clone();
+        assert!(matches!(
+            PartialReport::decode(&p.encode()),
+            Err(PartialError::Corrupt { .. })
+        ));
+        // A lone first entry of 0 is a delta of 0 and stays legal.
+        let mut buf = Vec::new();
+        put_sorted(&mut buf, &[0, 4]);
+        assert_eq!(get_sorted(&mut Reader::new(&buf), "t").unwrap(), [0, 4]);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! needs (paper §III-A: "The literals are extracted, keyed by instruction
 //! address, and placed in the auxiliary annotation file").
 
+use memgaze_isa::module::{INSTR_BYTES, PROC_ALIGN};
+use memgaze_isa::verify::check_structure;
 use memgaze_isa::{
-    AbsInterp, AbsResult, AddrKind, DataflowAnalysis, Instr, LoadModule, ModuleAbsInterp,
-    ModuleFacts,
+    AbsInterp, AbsResult, AddrKind, BlockId, DataflowAnalysis, Instr, LoadModule, ModuleAbsInterp,
+    ModuleFacts, ProcId,
 };
 use memgaze_model::{Ip, LoadClass};
 
@@ -103,9 +105,48 @@ pub struct ModuleClassification {
 impl ModuleClassification {
     /// Analyze all procedures of `module`: interprocedural summaries
     /// first, then per-procedure dataflow and abstract interpretation,
-    /// fused per load.
+    /// fused per load. A module the structural pass rejects
+    /// ([`check_structure`]) has no CFGs or layout to analyze over: it
+    /// is classified without proofs, every load Irregular.
     pub fn analyze(module: &LoadModule) -> ModuleClassification {
+        if check_structure(module).is_err() {
+            return Self::unproven(module);
+        }
         Self::analyze_with(module, &ModuleFacts::build(module))
+    }
+
+    /// Every load of `module` Irregular, with no proof, at the address a
+    /// walk of the procedures and blocks in table order lays it out at;
+    /// `proc` and `block` are those table positions. Reads nothing the
+    /// structural pass checks, so any module classifies.
+    fn unproven(module: &LoadModule) -> ModuleClassification {
+        let mut loads = Vec::with_capacity(module.num_loads());
+        let mut base = module.base_ip;
+        for (p, proc) in module.procs.iter().enumerate() {
+            base = base.next_multiple_of(PROC_ALIGN);
+            for (b, block) in proc.blocks.iter().enumerate() {
+                for (idx, ins) in block.instrs.iter().enumerate() {
+                    if let Instr::Load { addr, .. } = ins {
+                        loads.push(ClassifiedLoad {
+                            ip: Ip(base + idx as u64 * INSTR_BYTES),
+                            proc: ProcId(p as u32),
+                            block: BlockId(b as u32),
+                            idx,
+                            kind: AddrKind::Irregular,
+                            dataflow_kind: AddrKind::Irregular,
+                            absint: AbsResult::Unknown,
+                            absint_class: None,
+                            scale: addr.scale,
+                            disp: addr.disp,
+                            num_sources: addr.num_sources(),
+                            src_line: block.src_line,
+                        });
+                    }
+                }
+                base += block.len() as u64 * INSTR_BYTES;
+            }
+        }
+        ModuleClassification { loads }
     }
 
     /// [`analyze`](Self::analyze) over facts the caller already built

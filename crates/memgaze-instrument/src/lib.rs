@@ -158,9 +158,18 @@ impl Instrumenter {
 
     /// Analyze and rewrite `module` (paper Fig. 1, Step 1): classify,
     /// plan, and insert `ptwrite`s, producing the new executable plus the
-    /// auxiliary annotation file and source map.
+    /// auxiliary annotation file and source map. A module the structural
+    /// pass rejects cannot be laid out or rewritten: it comes back as it
+    /// is, with empty side tables and every load counted irregular.
     pub fn instrument(&self, module: &LoadModule) -> Instrumented {
-        self.instrument_classified(module, &ModuleClassification::analyze(module))
+        if memgaze_isa::verify::check_structure(module).is_err() {
+            return Instrumented::unrewritten(module);
+        }
+        // Free the facts before the rewrite, where the heap peaks.
+        let facts = memgaze_isa::ModuleFacts::build(module);
+        let classification = ModuleClassification::analyze_with(module, &facts);
+        drop(facts);
+        self.instrument_classified(module, &classification)
     }
 
     /// Plan and rewrite `module` from a classification the caller already

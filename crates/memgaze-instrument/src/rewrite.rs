@@ -57,6 +57,28 @@ pub struct Instrumented {
     pub orig_symbols: SymbolTable,
 }
 
+impl Instrumented {
+    /// `module` as it is, with empty side tables: no load is
+    /// instrumented, and each counts as an irregular one. What
+    /// [`Instrumenter::instrument`](crate::Instrumenter::instrument)
+    /// answers for a module the structural pass rejects.
+    pub(crate) fn unrewritten(module: &LoadModule) -> Instrumented {
+        let stats = InstrStats {
+            irregular_loads: module.num_loads() as u64,
+            blocks: module.procs.iter().map(|p| p.blocks.len() as u64).sum(),
+            ..InstrStats::default()
+        };
+        Instrumented {
+            module: module.clone(),
+            annots: AuxAnnotations::new(),
+            source_map: SourceMap::new(),
+            ptw_map: BTreeMap::new(),
+            stats,
+            orig_symbols: SymbolTable::new(),
+        }
+    }
+}
+
 /// Apply `plan` to `module`, producing the instrumented module and maps.
 ///
 /// The walk meets the loads in address order, the order `classification`

@@ -9,18 +9,17 @@
 //! * a length or count is narrowed `u64 → usize` with a check, never
 //!   `as` ([`to_usize`]);
 //! * a count is accepted only if the remaining input can hold that many
-//!   items ([`Reader::count`]), and where items can be smaller than a
-//!   byte (run-length lists) the up-front reservation is capped by the
-//!   remaining input instead ([`Reader::reserve_hint`]);
+//!   items ([`Reader::count`]), so nothing is reserved for more items
+//!   than the input has bytes;
 //! * a delta chain accumulates with overflow checks ([`add_delta`]);
 //! * bytes framed by an untrusted length are read from a stream one
 //!   bounded chunk at a time ([`read_bounded`]), and an output buffer
 //!   with an untrusted declared size grows only as bytes are produced
 //!   ([`grow_toward`]).
 //!
-//! Format-specific structure (field order, run-length and pattern
-//! escapes, LZ tokens) stays with its format; this module only supplies
-//! the primitives, so a fix to one of them is a fix to every format.
+//! Format-specific structure (field order, list layouts, LZ tokens)
+//! stays with its format; this module only supplies the primitives, so
+//! a fix to one of them is a fix to every format.
 //! All failures are a [`WireError`], which each crate's error type
 //! absorbs via `From`.
 
@@ -370,16 +369,6 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// How many of `n` declared items to reserve for up front when an
-    /// item can be smaller than a byte (run-length lists, where
-    /// [`count`](Self::count) does not apply): no more than the
-    /// remaining input has bytes. The rest is grown as items are
-    /// actually produced.
-    #[inline]
-    pub fn reserve_hint(&self, n: usize) -> usize {
-        n.min(self.remaining())
-    }
-
     /// Length-prefixed bytes.
     #[inline]
     pub fn bytes(&mut self, context: &'static str) -> Result<&'a [u8], WireError> {
@@ -573,7 +562,6 @@ mod tests {
         put_varint(&mut huge, u64::MAX);
         assert!(Reader::new(&huge).count(1, "c").is_err());
         assert!(Reader::new(&huge).bytes("b").is_err());
-        assert_eq!(Reader::new(&buf).reserve_hint(1 << 40), buf.len());
         assert!(add_delta(u64::MAX, 1, "d").is_err());
         assert_eq!(add_delta(3, 4, "d").unwrap(), 7);
     }

@@ -8,7 +8,9 @@
 //! [`PartialReport`]; the session holds partials, never analyzers. The
 //! partial is published as one delta, closes one watch window through
 //! the session's [`WindowRing`] with the loads its trailer counts, and
-//! joins the session's runs in feed order; the seal merges the runs.
+//! joins the session's runs in feed order
+//! ([`PartialReport::push_run`]); the seal joins the runs
+//! ([`PartialReport::fold_runs`]).
 //! Merging the partials of contiguous frame ranges in order and
 //! finishing once is bit-identical to a resident pass.
 //!
@@ -23,8 +25,8 @@ use crate::error::ServeError;
 use crate::http::hex;
 use crate::ServeConfig;
 use memgaze_analysis::{
-    AnomalyMark, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing, WindowStats,
-    ANOMALY_THRESHOLD,
+    AnomalyMark, PartialError, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing,
+    WindowStats, ANOMALY_THRESHOLD,
 };
 use memgaze_model::{AuxAnnotations, ModelError, ShardReader, SymbolTable, TraceMeta};
 use std::collections::{HashMap, VecDeque};
@@ -112,7 +114,7 @@ struct SessionInner {
     samples: u64,
     meta: Option<TraceMeta>,
     /// Every upload's partial so far in feed order, merged into runs
-    /// by [`push_run`].
+    /// by [`PartialReport::push_run`].
     runs: Vec<PartialReport>,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
@@ -372,7 +374,7 @@ impl Session {
         let stats = g.ring.next_stats(&partial, loads);
         let delta = (!g.subscribers.is_empty()).then(|| partial.encode());
         // Merge first: a failed merge leaves the ring as it was.
-        push_run(&mut g.runs, partial)?;
+        PartialReport::push_run(&mut g.runs, partial).map_err(merge_failed)?;
         let marks = g.ring.close_stats(stats);
         if let Some(delta) = delta {
             let data = format!(
@@ -426,17 +428,15 @@ impl Session {
             outcome?;
         }
 
-        let mut folded = g.runs.pop().unwrap_or_else(|| {
-            PartialReport::empty(
-                cfg.analysis.footprint_block,
-                cfg.analysis.reuse_block,
-                &cfg.locality_sizes,
-            )
-        });
-        // The runs in feed order, the smallest (last) first.
-        while let Some(before) = g.runs.pop() {
-            folded = merged(before, folded).inspect_err(|e| g.error = Some(e.to_string()))?;
-        }
+        let runs = std::mem::take(&mut g.runs);
+        let folded = PartialReport::fold_runs(
+            runs,
+            cfg.analysis.footprint_block,
+            cfg.analysis.reuse_block,
+            &cfg.locality_sizes,
+        )
+        .map_err(merge_failed)
+        .inspect_err(|e| g.error = Some(e.to_string()))?;
         let meta = g
             .meta
             .clone()
@@ -548,29 +548,12 @@ fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedRep
     publish(subscribers, "sealed", &data);
 }
 
-/// Append an upload's `partial` to the session's `runs` in feed order,
-/// merging it into the last run while that holds no more samples. Equal
-/// uploads pair up like the digits of a binary counter: a sample takes
-/// part in O(log uploads) merges, where one fold of every upload would
-/// re-merge the whole session on each feed.
-fn push_run(runs: &mut Vec<PartialReport>, mut partial: PartialReport) -> Result<(), ServeError> {
-    while let Some(before) = runs.pop() {
-        if before.num_samples() > partial.num_samples() {
-            runs.push(before);
-            break;
-        }
-        partial = merged(before, partial)?;
-    }
-    runs.push(partial);
-    Ok(())
-}
-
-/// `before` with `after`, the partial of the frames that follow it.
-fn merged(mut before: PartialReport, after: PartialReport) -> Result<PartialReport, ServeError> {
-    before.merge(after).map_err(|e| ServeError::BadRequest {
+/// A merge of the session's partials that failed: the upload (or the
+/// seal) is refused, and the caller poisons the session.
+fn merge_failed(e: PartialError) -> ServeError {
+    ServeError::BadRequest {
         detail: format!("merge failed: {e}"),
-    })?;
-    Ok(before)
+    }
 }
 
 /// Decode one uploaded container and fold every frame with one

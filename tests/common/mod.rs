@@ -17,7 +17,7 @@ pub const LOCALITY_SIZES: [u64; 2] = [8, 32];
 pub const TRACE_ID: &str = "golden";
 
 /// A small trace with a strided and an irregular stream, so the list
-/// codecs see runs, patterns and plain deltas.
+/// codecs see steps of one block beside wide and negative deltas.
 pub fn trace() -> SampledTrace {
     let mut t = SampledTrace::new(TraceMeta::new("wire-fixture", 10_000, 16 << 10));
     t.meta.total_loads = 70_000;

@@ -132,8 +132,8 @@ fn formats() -> Vec<Format> {
     let (container, _) = common::mgzt_v2();
     let (raw_hash, raw_blob) = common::mgzb(&common::raw_blob_payload());
     let (lz_hash, lz_blob) = common::mgzb(&common::lz_blob_payload());
-    // A partial that decodes goes one step on, as the store's merged
-    // range and every fan-out fold would take it: merged with itself
+    // A partial that decodes goes one step on, as a serve seal takes an
+    // upload's, through the one fold: merged with itself
     // (every counter doubles, every list unions with itself, the reuse
     // replay crosses a boundary) and finished into a report.
     let partial = |data: &[u8]| {
@@ -370,10 +370,28 @@ fn sealed(magic: &[u8; 4], version: u16, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The inputs that broke a decoder before the wire kit, by name. At
-/// commit c59f616 the first two panic (debug overflow checks) and the
-/// last, kept last for that reason, aborts the process on a reservation
-/// driven by an unvalidated length.
+/// An `MGZP` v3 frame with no samples, no block rows and an empty
+/// histogram, whose one function (id 0, no name) is `list` followed by
+/// zeros: the body up to that function's footprint list is fixed, so a
+/// row damages exactly the list it names.
+fn mgzp_v3(list: &[&[u8]]) -> Vec<u8> {
+    let mut body = vec![3u8, 6]; // footprint, reuse block log2
+    body.extend_from_slice(&[0; 10]); // no locality sizes, counters, rows, histogram
+    body.push(1); // one function
+    body.extend_from_slice(&[0, 0]); // id 0, empty name
+    for part in list {
+        body.extend_from_slice(part);
+    }
+    sealed(b"MGZP", 3, &body)
+}
+
+/// The inputs that broke a decoder before the wire kit, by name, then
+/// one count per kind of `MGZP` list (sorted, zigzag, block rows) that
+/// the remaining input cannot hold, which must be rejected before
+/// anything is reserved for it. At commit c59f616 the first two rows
+/// panic (debug overflow checks) and the last, kept last for that
+/// reason, aborts the process on a reservation driven by an
+/// unvalidated length.
 #[test]
 fn inputs_that_broke_the_old_decoders_are_rejected() {
     let rows: Vec<(&str, Vec<u8>, Decode)> = vec![
@@ -386,15 +404,29 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
         (
             // `v += delta` in the sorted-list decoder.
             "MGZP whose function footprint deltas sum past u64",
+            mgzp_v3(&[&varint(2), &varint(u64::MAX), &[1]]),
+            Box::new(|d| typed(PartialReport::decode(d))),
+        ),
+        (
+            "MGZP whose footprint list counts more entries than bytes remain",
+            mgzp_v3(&[&varint(1 << 20), &[1; 8]]),
+            Box::new(|d| typed(PartialReport::decode(d))),
+        ),
+        (
+            "MGZP whose reuse order counts more entries than bytes remain",
+            // An empty footprint, both class lists back-referencing it,
+            // no accesses, then `firsts`.
+            mgzp_v3(&[&[0, 0, 0, 0, 0], &varint(1 << 20), &[2; 8]]),
+            Box::new(|d| typed(PartialReport::decode(d))),
+        ),
+        (
+            "MGZP whose block rows count more rows than bytes remain",
             {
                 let mut body = vec![3u8, 6]; // footprint, reuse block log2
-                body.extend_from_slice(&[0; 10]); // no locality sizes, counters, rows, histogram
-                body.push(1); // one function
-                body.extend_from_slice(&[0, 0]); // id 0, empty name
-                body.push(2); // footprint list of two
-                body.extend_from_slice(&varint(u64::MAX));
-                body.push(1); // + 1
-                sealed(b"MGZP", 2, &body)
+                body.extend_from_slice(&[0; 6]); // no locality sizes, counters, rows
+                body.extend_from_slice(&varint(1 << 20)); // block rows
+                body.extend_from_slice(&[1; 24]);
+                sealed(b"MGZP", 3, &body)
             },
             Box::new(|d| typed(PartialReport::decode(d))),
         ),

@@ -1,11 +1,12 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
-# windows of the fold, the resident event lists, the zoom, the watch
-# loop, serve's window loads and session runs, the address-keyed side
-# tables and the static side's procedure summaries.
+# windows of the fold, the resident event lists, the zoom, the partial
+# reports' one fold and list codec, the watch loop, serve's window
+# loads, the address-keyed side tables and the static side's procedure
+# summaries.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
-# crates/memgaze-analysis/src (the kernels and zoom.rs),
+# crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
 # crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs,
 # crates/memgaze-model/src/annot.rs or crates/memgaze-isa/src
 # whose header carries a line
@@ -13,9 +14,13 @@
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
 # serve_window_loads_from_trigger_span.patch, both name the retune test
-# of tests/watch_equivalence.rs; serve_one_running_fold.patch names the
-# long-session test of tests/ingest_allocs.rs; the per-function window
-# mutants, tracker_window_ignores_earlier_first_touches.patch and
+# of tests/watch_equivalence.rs; serve_one_running_fold.patch, on the
+# binary counter in partial.rs that serve's sessions fold through,
+# names the long-session test of tests/ingest_allocs.rs;
+# sorted_list_accepts_a_repeat.patch, on the MGZP sorted-list decoder,
+# names the partial module's unit test of a repeated footprint block;
+# the per-function window mutants,
+# tracker_window_ignores_earlier_first_touches.patch and
 # sample_window_when_ends_share_a_function.patch, name
 # crates/memgaze-analysis/tests/spec_equivalence.rs, as do
 # tracker_skips_every_97th_feed.patch and class_mask_carry.patch, which

@@ -7,7 +7,8 @@
 use memgaze::instrument::lint::check_instrumented;
 use memgaze::instrument::plan::InstrPlan;
 use memgaze::instrument::{
-    lint_module, ClassifiedLoad, InstrumentConfig, Instrumenter, ModuleClassification,
+    lint_and_instrument, lint_module, ClassifiedLoad, InstrumentConfig, Instrumenter,
+    ModuleClassification,
 };
 use memgaze::isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
 use memgaze::isa::{
@@ -50,6 +51,27 @@ fn assert_flags(m: &LoadModule, lint: LintId) {
     );
 }
 
+/// A module the structural pass rejects builds no facts, so the static
+/// side neither indexes past a table nor follows a missing edge: it is
+/// classified without proofs, every load Irregular, and instrumenting
+/// leaves it as it is, while the lint stops at the verifier.
+fn assert_static_side_refuses_it(m: &LoadModule) {
+    let classification = ModuleClassification::analyze(m);
+    assert_eq!(classification.len(), m.num_loads());
+    assert!(classification
+        .loads()
+        .all(|l| l.class() == LoadClass::Irregular && l.absint_class.is_none()));
+    let out = Instrumenter::default().instrument(m);
+    assert_eq!(out.stats.total_loads(), m.num_loads() as u64);
+    assert_eq!(
+        (out.stats.instrumented_loads, out.stats.ptwrites_inserted),
+        (0, 0)
+    );
+    assert_eq!(out.module, *m);
+    let (report, artifacts) = lint_and_instrument(m, &InstrumentConfig::default());
+    assert!(report.has_errors() && artifacts.is_none());
+}
+
 // --- structural mutations (V0xx) ---------------------------------------
 
 #[test]
@@ -58,6 +80,7 @@ fn mutation_proc_id_mismatch() {
         let mut m = mixed(opt);
         m.procs[0].id = ProcId(7);
         assert_flags(&m, LintId::ProcIdMismatch);
+        assert_static_side_refuses_it(&m);
     }
 }
 
@@ -67,6 +90,7 @@ fn mutation_block_id_mismatch() {
     let b = m.procs[0].blocks.len() - 1;
     m.procs[0].blocks[b].id = BlockId(b as u32 + 5);
     assert_flags(&m, LintId::BlockIdMismatch);
+    assert_static_side_refuses_it(&m);
 }
 
 #[test]
@@ -74,6 +98,7 @@ fn mutation_entry_out_of_range() {
     let mut m = mixed(OptLevel::O0);
     m.procs[0].entry = BlockId(99);
     assert_flags(&m, LintId::EntryOutOfRange);
+    assert_static_side_refuses_it(&m);
 }
 
 #[test]
@@ -82,6 +107,7 @@ fn mutation_terminator_target_out_of_range() {
     let last = m.procs[0].blocks.len() - 1;
     m.procs[0].blocks[last].term = Terminator::Jmp(BlockId(999));
     assert_flags(&m, LintId::TermTargetOutOfRange);
+    assert_static_side_refuses_it(&m);
 }
 
 #[test]
@@ -92,12 +118,7 @@ fn mutation_call_target_missing() {
         .instrs
         .push(Instr::Call { proc: ProcId(99) });
     assert_flags(&m, LintId::CallTargetMissing);
-    // The static side reads a missing callee as an unknown one, with the
-    // conventional clobbers, instead of indexing past the summary table.
-    let classification = ModuleClassification::analyze(&m);
-    assert_eq!(classification.len(), m.num_loads());
-    let out = Instrumenter::default().instrument(&m);
-    assert_eq!(out.stats.total_loads(), m.num_loads() as u64);
+    assert_static_side_refuses_it(&m);
 }
 
 #[test]
@@ -116,7 +137,7 @@ fn mutation_unaligned_base_ip_is_one_structural_error() {
                 && diags[0].severity == Severity::Error,
             "{diags:?}"
         );
-        assert!(lint_module(&m, &InstrumentConfig::default()).has_errors());
+        assert_static_side_refuses_it(&m);
     }
 }
 

@@ -3,19 +3,21 @@
 //! The wire kit (`memgaze::model::wire`) replaced each format's private
 //! varint, framing and checksum code; this test pins that no encoded
 //! byte moved. Each digest is the FNV-1a-64 of the fixture as encoded
-//! at commit c59f616 (the parent of the wire-kit change), and the files
-//! under `tests/fixtures/` were written by that commit's encoders from
-//! the same `common` fixtures, so stores and result caches written
+//! at commit c59f616 (the parent of the wire-kit change), and the
+//! `c59f616*` files under `tests/fixtures/` were written by that
+//! commit's encoders from the same `common` fixtures, so stores written
 //! before the change stay readable. A digest changes only with a
 //! deliberate format revision, which must also bump that format's
-//! `*_VERSION`.
+//! `*_VERSION`: the `MGZP` and `.mgzr` digests are those of `MGZP`
+//! version 3 (plain delta lists), whose encoder wrote the `mgzp-v3.*`
+//! fixtures; the version-2 partials of c59f616 no longer decode.
 
 mod common;
 
-use memgaze::analysis::{AnalysisConfig, PartialReport};
+use memgaze::analysis::{AnalysisConfig, PartialError, PartialReport};
 use memgaze::model::{fnv1a64, io, BlockSize};
 use memgaze::store::blob::decode_blob;
-use memgaze::store::{Catalog, TraceStore};
+use memgaze::store::{Catalog, StoreConfig, TraceStore};
 
 #[test]
 fn encoders_are_byte_identical_to_the_parent_commit() {
@@ -27,8 +29,8 @@ fn encoders_are_byte_identical_to_the_parent_commit() {
             common::frame_payload(0),
             0xf3bd_be7e_194f_168c,
         ),
-        ("MGZP", common::mgzp(), 0xbe36_3839_a3f4_e57a),
-        (".mgzr", common::mgzr(), 0x4236_7fab_5bf6_9c87),
+        ("MGZP", common::mgzp(), 0x9c3d_00bd_a120_d5dc),
+        (".mgzr", common::mgzr(), 0x344f_64d6_4bad_662c),
         (
             "MGZB raw",
             common::mgzb(&common::raw_blob_payload()).1,
@@ -106,10 +108,17 @@ fn objects_written_by_the_parent_commit_still_decode() {
     let catalog = Catalog::decode(common::TRACE_ID, &fixture("c59f616.mgzc")).unwrap();
     assert_eq!(catalog, common::catalog());
 
-    let partial = PartialReport::decode(&fixture("c59f616.mgzp")).unwrap();
-    assert_eq!(partial, common::partial(0..1));
-    let merged = PartialReport::decode(&fixture("c59f616.mgzr")).unwrap();
-    assert_eq!(merged.encode(), common::mgzr());
+    // `MGZP` moved to version 3 with no decoder kept for version 2: the
+    // store reads a version-2 entry as a miss and overwrites it.
+    for file in ["c59f616.mgzp", "c59f616.mgzr"] {
+        assert!(
+            matches!(
+                PartialReport::decode(&fixture(file)),
+                Err(PartialError::Corrupt { detail }) if detail.contains("version 2, expected 3")
+            ),
+            "{file}"
+        );
+    }
 
     for (file, payload) in [
         ("c59f616-raw.blob", common::raw_blob_payload()),
@@ -122,4 +131,74 @@ fn objects_written_by_the_parent_commit_still_decode() {
             "{file}"
         );
     }
+}
+
+#[test]
+fn partials_written_by_the_version_3_encoder_decode() {
+    let partial = PartialReport::decode(&fixture("mgzp-v3.mgzp")).unwrap();
+    assert_eq!(partial, common::partial(0..1));
+    let merged = PartialReport::decode(&fixture("mgzp-v3.mgzr")).unwrap();
+    assert_eq!(merged.encode(), common::mgzr());
+}
+
+/// A `.mgzr` an older store left under a trace's result key is a miss:
+/// the analysis runs again, answers the same and overwrites the entry.
+#[test]
+fn a_version_2_result_on_disk_is_a_miss_and_is_overwritten() {
+    let root = std::env::temp_dir().join(format!("memgaze-golden-v2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
+    let (container, index) = common::mgzt_v2();
+    store
+        .put(common::TRACE_ID, &container, &index, &common::symbols())
+        .unwrap();
+    let frames = index.entries.len();
+    let analyze = || {
+        store
+            .analyze(
+                common::TRACE_ID,
+                &common::annots(),
+                &common::symbols(),
+                common::config(),
+                &common::LOCALITY_SIZES,
+            )
+            .unwrap()
+    };
+    let cold = analyze();
+    assert_eq!((cold.result_hits, cold.result_misses), (0, frames));
+    let entries: Vec<_> = walk(&root.join("results"))
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "mgzr"))
+        .collect();
+    let [entry] = &entries[..] else {
+        panic!("one result entry per trace, found {entries:?}");
+    };
+    let written = std::fs::read(entry).unwrap();
+    assert_eq!(written[..6], *b"MGZP\x03\x00", "a version-3 partial");
+
+    std::fs::write(entry, fixture("c59f616.mgzr")).unwrap();
+    let replanted = analyze();
+    assert_eq!(
+        (replanted.result_hits, replanted.result_misses),
+        (0, frames)
+    );
+    assert_eq!(replanted.report, cold.report);
+    assert_eq!(std::fs::read(entry).unwrap(), written);
+    let warm = analyze();
+    assert_eq!((warm.result_hits, warm.result_misses), (frames, 0));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Every file under `dir`, recursively.
+fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for e in std::fs::read_dir(dir).unwrap() {
+        let path = e.unwrap().path();
+        if path.is_dir() {
+            out.extend(walk(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
 }
