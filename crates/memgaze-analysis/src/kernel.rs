@@ -343,6 +343,27 @@ pub(crate) struct ClassCounts {
     pub(crate) implied_const: u64,
 }
 
+impl ClassCounts {
+    /// The counts of a set of distinct blocks given by their class masks,
+    /// beside `implied_const` implied Constant loads: every block, and
+    /// the blocks a Strided and an Irregular load touched.
+    pub(crate) fn of_masks(
+        masks: impl ExactSizeIterator<Item = u8>,
+        implied_const: u64,
+    ) -> ClassCounts {
+        let mut c = ClassCounts {
+            footprint: masks.len() as u64,
+            implied_const,
+            ..ClassCounts::default()
+        };
+        for mask in masks {
+            c.f_str += u64::from(mask & STRIDED != 0);
+            c.f_irr += u64::from(mask & IRREGULAR != 0);
+        }
+        c
+    }
+}
+
 /// The `[s, e)` of a `len`-access window's `chunk`-sized intervals, a
 /// tail shorter than half an interval skipped.
 pub(crate) fn intervals(len: usize, chunk: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -563,16 +584,7 @@ impl Workspace {
             }
             implied_const += implied;
         }
-        let mut c = ClassCounts {
-            footprint: self.distinct.len() as u64,
-            implied_const,
-            ..ClassCounts::default()
-        };
-        for &(_, mask) in &self.distinct {
-            c.f_str += u64::from(mask & STRIDED != 0);
-            c.f_irr += u64::from(mask & IRREGULAR != 0);
-        }
-        c
+        ClassCounts::of_masks(self.distinct.iter().map(|&(_, mask)| mask), implied_const)
     }
 
     /// The blocks of the last [`distinct_pass`](Self::distinct_pass) with

@@ -36,14 +36,16 @@
 //! length-prefixed, FNV-checksummed binary codec (varints + `f64` as
 //! IEEE-754 bits), because serialization here must round-trip **bit
 //! exactly** — JSON would not. Every list is a count followed by plain
-//! deltas, and every count passes [`Reader::count`] before anything is
-//! reserved for it.
+//! deltas (a footprint entry's followed by its class-mask byte), and
+//! every count passes [`Reader::count`] before anything is reserved for
+//! it.
 
 use crate::analyzer::{AnalysisConfig, FunctionRow};
 use crate::confidence::Confidence;
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashSet;
 use crate::histogram::{add_row, LocalityPoint, Log2Histogram};
+use crate::kernel::{ClassCounts, IRREGULAR, STRIDED};
 use crate::reuse::BlockReuse;
 use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
@@ -52,14 +54,13 @@ use memgaze_model::wire::{
     self, add_delta, put_f64, put_str, put_varint, zigzag, Reader, WireError,
 };
 use memgaze_model::{
-    compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, ModelError,
-    SymbolTable, TraceMeta,
+    AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, ModelError, SymbolTable, TraceMeta,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 const PARTIAL_MAGIC: &[u8; 4] = b"MGZP";
-const PARTIAL_VERSION: u16 = 3;
+const PARTIAL_VERSION: u16 = 4;
 
 /// Errors of the partial-report algebra and its wire codec.
 #[derive(Debug)]
@@ -248,10 +249,9 @@ impl ReusePartial {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncPartial {
     pub(crate) name: String,
-    /// Footprint blocks touched, sorted.
-    pub(crate) all: Vec<u64>,
-    pub(crate) strided: Vec<u64>,
-    pub(crate) irregular: Vec<u64>,
+    /// Footprint blocks touched, strictly sorted, each with the OR of
+    /// the class bits of the loads that touched it.
+    pub(crate) footprint: Vec<(u64, u8)>,
     pub(crate) observed: u64,
     pub(crate) implied_const: u64,
     pub(crate) reuse: ReusePartial,
@@ -274,9 +274,7 @@ impl FuncPartial {
             "function implied constants",
         )?;
         self.reuse.absorb_with(&other.reuse, replay)?;
-        union_sorted(&mut self.all, &other.all);
-        union_sorted(&mut self.strided, &other.strided);
-        union_sorted(&mut self.irregular, &other.irregular);
+        union_sorted(&mut self.footprint, &other.footprint);
         self.observed = observed;
         self.implied_const = implied_const;
         self.obs.extend(other.obs);
@@ -299,65 +297,31 @@ fn checked_sum(
         })
 }
 
-/// Whether sorted, deduplicated `sub` is a subset of sorted `all`: one
-/// walk over `all`, resumed for each element of `sub`.
-fn is_sorted_subset(sub: &[u64], all: &[u64]) -> bool {
-    let mut all = all.iter();
-    sub.iter().all(|b| all.any(|a| a == b))
-}
-
-/// Union of two sorted, deduplicated block lists, by galloping
-/// (exponential-search) merge: each side's next run is located with a
-/// doubling probe plus a binary search and copied as a slice, so mostly
-/// disjoint or mostly overlapping inputs cost O(runs · log) instead of
-/// one comparison per element. Output is the sorted dedup union either
-/// way — identical to a two-pointer merge.
-pub(crate) fn union_sorted(a: &mut Vec<u64>, b: &[u64]) {
-    if b.is_empty() {
+/// Union of two strictly block-sorted footprints, ORing the class bits
+/// of a block both hold. A `b` that starts past `a`'s last block is
+/// appended as it is.
+fn union_sorted(a: &mut Vec<(u64, u8)>, b: &[(u64, u8)]) {
+    let Some(&(first, _)) = b.first() else {
         return;
-    }
-    if a.is_empty() {
-        a.extend_from_slice(b);
-        return;
-    }
-    if a[a.len() - 1] < b[0] {
+    };
+    if a.last().is_none_or(|&(last, _)| last < first) {
         a.extend_from_slice(b);
         return;
     }
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
-            let run = gallop(&a[i..], b[j]);
-            out.extend_from_slice(&a[i..i + run]);
-            i += run;
-        } else if b[j] < a[i] {
-            let run = gallop(&b[j..], a[i]);
-            out.extend_from_slice(&b[j..j + run]);
-            j += run;
-        } else {
-            out.push(a[i]);
-            i += 1;
-            j += 1;
-        }
+    while let (Some(&(x, xm)), Some(&(y, ym))) = (a.get(i), b.get(j)) {
+        out.push(match x.cmp(&y) {
+            std::cmp::Ordering::Less => (x, xm),
+            std::cmp::Ordering::Greater => (y, ym),
+            std::cmp::Ordering::Equal => (x, xm | ym),
+        });
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     *a = out;
-}
-
-/// First index in sorted `s` whose value is `>= key`, assuming
-/// `s[0] < key`: double an upper probe until it crosses `key`, then
-/// binary-search the last probed window.
-fn gallop(s: &[u64], key: u64) -> usize {
-    debug_assert!(!s.is_empty() && s[0] < key);
-    let mut hi = 1usize;
-    while hi < s.len() && s[hi] < key {
-        hi *= 2;
-    }
-    let lo = hi / 2;
-    let hi = hi.min(s.len());
-    lo + s[lo..hi].partition_point(|&x| x < key)
 }
 
 /// The mergeable snapshot of a [`StreamingAnalyzer`] over one shard
@@ -591,15 +555,9 @@ impl PartialReport {
             .funcs
             .into_values()
             .map(|fp| {
-                let kappa = compression_ratio(fp.observed, fp.implied_const);
-                let diag = FootprintDiagnostics {
-                    observed: fp.observed,
-                    implied_const: fp.implied_const,
-                    footprint: fp.all.len() as u64,
-                    f_str: fp.strided.len() as u64,
-                    f_irr: fp.irregular.len() as u64,
-                    kappa,
-                };
+                let masks = fp.footprint.iter().map(|&(_, mask)| mask);
+                let counts = ClassCounts::of_masks(masks, fp.implied_const);
+                let diag = FootprintDiagnostics::from_counts(fp.observed, counts);
                 FunctionRow {
                     name: fp.name,
                     f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
@@ -695,14 +653,7 @@ impl PartialReport {
         for (&id, fp) in &self.funcs {
             put_varint(buf, u64::from(id));
             put_str(buf, &fp.name);
-            put_sorted(buf, &fp.all);
-            // Class lists ride as a one-byte back-reference when they
-            // equal `all` — functions dominated by a single load class
-            // are the norm, and re-encoding (then re-decoding) the full
-            // word-granular footprint list doubles the frame's weight
-            // for no information.
-            put_class_list(buf, &fp.strided, &fp.all);
-            put_class_list(buf, &fp.irregular, &fp.all);
+            put_footprint(buf, &fp.footprint);
             put_varint(buf, fp.observed);
             put_varint(buf, fp.implied_const);
             put_u64s(buf, &fp.reuse.firsts);
@@ -793,14 +744,9 @@ impl PartialReport {
         for _ in 0..n {
             let id = r.u32("function id")?;
             let name = r.string("function name")?;
-            let all = get_sorted(&mut r, "function footprint")?;
-            let strided = get_class_list(&mut r, &all, "function strided")?;
-            let irregular = get_class_list(&mut r, &all, "function irregular")?;
             let fp = FuncPartial {
                 name,
-                all,
-                strided,
-                irregular,
+                footprint: get_footprint(&mut r, "function footprint")?,
                 observed: r.varint("function observed")?,
                 implied_const: r.varint("function implied_const")?,
                 reuse: ReusePartial {
@@ -851,8 +797,8 @@ impl PartialReport {
     /// and [`merge`](Self::merge), [`finish`](Self::finish) and
     /// [`StreamingReport::interval_rows`] add up without looking: one
     /// row per sample whose counters total the trace-wide ones, and
-    /// per-function lists that are views of one footprint. A frame can
-    /// pass its checksum and say otherwise.
+    /// per-function reuse orders of one set of blocks. A frame can pass
+    /// its checksum and say otherwise.
     fn validate(&self) -> Result<(), PartialError> {
         let corrupt = |detail: &str| {
             Err(PartialError::Corrupt {
@@ -888,11 +834,8 @@ impl PartialReport {
         }
         let (mut firsts, mut lru) = (Vec::new(), Vec::new());
         for fp in self.funcs.values() {
-            if !is_sorted_subset(&fp.strided, &fp.all)
-                || !is_sorted_subset(&fp.irregular, &fp.all)
-                || fp.obs.len() as u64 > self.num_samples
-            {
-                return corrupt("function lists are not views of one footprint");
+            if fp.obs.len() as u64 > self.num_samples {
+                return corrupt("a function observed more samples than there are");
             }
             if !fp.reuse.is_one_distinct_set(&mut firsts, &mut lru) {
                 return corrupt("function reuse orders are not one set of distinct blocks");
@@ -929,8 +872,8 @@ pub fn analyze_frames(
 
 // ---- list codecs ----
 //
-// Every list is its count, then one varint per entry, so a count passes
-// `Reader::count` at one byte an entry before anything is reserved.
+// Every list is its count, then its entries, so a count passes
+// `Reader::count` at an entry's least size before anything is reserved.
 
 /// An arbitrary-order list (reuse orders, histogram bins, locality
 /// sizes): each entry as the zigzag of its wrapping difference from the
@@ -956,62 +899,46 @@ fn get_u64s(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, Parti
     Ok(out)
 }
 
-/// A strictly sorted list (footprints): each entry as its positive
-/// difference from the entry before, the first's from 0.
-fn put_sorted(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_varint(buf, vs.len() as u64);
+/// A footprint, strictly block-sorted: each entry as its block's
+/// positive difference from the entry before (the first's from 0), then
+/// its class mask byte.
+fn put_footprint(buf: &mut Vec<u8>, entries: &[(u64, u8)]) {
+    put_varint(buf, entries.len() as u64);
     let mut prev = 0u64;
-    for &v in vs {
-        put_varint(buf, v - prev);
-        prev = v;
+    for &(block, mask) in entries {
+        put_varint(buf, block - prev);
+        buf.push(mask);
+        prev = block;
     }
 }
 
-/// [`put_sorted`]'s list, rejecting any that is not strictly sorted: a
-/// zero difference after the first entry repeats a block.
-fn get_sorted(r: &mut Reader<'_>, context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = r.count(1, context)?;
+/// [`put_footprint`]'s list, rejecting any that is not strictly sorted
+/// (a zero difference after the first entry repeats a block) or whose
+/// mask holds a bit no load class sets.
+fn get_footprint(
+    r: &mut Reader<'_>,
+    context: &'static str,
+) -> Result<Vec<(u64, u8)>, PartialError> {
+    let n = r.count(2, context)?;
     let mut out = Vec::with_capacity(n);
-    let mut v = 0u64;
+    let mut block = 0u64;
     for i in 0..n {
         let delta = r.varint(context)?;
         if delta == 0 && i > 0 {
             return Err(PartialError::Corrupt {
-                detail: format!("repeated entry in sorted list ({context})"),
+                detail: format!("repeated block in footprint ({context})"),
             });
         }
-        v = add_delta(v, delta, context)?;
-        out.push(v);
+        block = add_delta(block, delta, context)?;
+        let mask = r.u8(context)?;
+        if mask > STRIDED | IRREGULAR {
+            return Err(PartialError::Corrupt {
+                detail: format!("class mask {mask} out of range ({context})"),
+            });
+        }
+        out.push((block, mask));
     }
     Ok(out)
-}
-
-/// Encode a class footprint list, back-referencing `all` when they are
-/// equal: tag byte 0 means "same list as `all`" (nothing follows), tag
-/// byte 1 means a [`put_sorted`] list follows. Equality is checked on
-/// the full contents, so the compression never assumes the subset
-/// invariant the analyzer happens to maintain.
-fn put_class_list(buf: &mut Vec<u8>, vs: &[u64], all: &[u64]) {
-    if vs == all {
-        buf.push(0);
-    } else {
-        buf.push(1);
-        put_sorted(buf, vs);
-    }
-}
-
-fn get_class_list(
-    r: &mut Reader<'_>,
-    all: &[u64],
-    context: &'static str,
-) -> Result<Vec<u64>, PartialError> {
-    match r.u8(context)? {
-        0 => Ok(all.to_vec()),
-        1 => get_sorted(r, context),
-        tag => Err(PartialError::Corrupt {
-            detail: format!("bad class-list tag {tag} ({context})"),
-        }),
-    }
 }
 
 fn get_block_size(r: &mut Reader<'_>, context: &'static str) -> Result<BlockSize, PartialError> {
@@ -1111,6 +1038,13 @@ mod tests {
             Ip(0x500),
             IpAnnot::of_class(LoadClass::Irregular, FunctionId(1)),
         );
+        // `beta`'s two ips share its 23 blocks, each block touched by one
+        // ip first and, in the longer samples, by the other: a split can
+        // leave a block one class on its left and both on its right.
+        annots.insert(
+            Ip(0x504),
+            IpAnnot::of_class(LoadClass::Strided, FunctionId(1)),
+        );
         let mut symbols = SymbolTable::new();
         symbols.add_function("alpha", Ip(0x400), Ip(0x500), "a.c");
         symbols.add_function("beta", Ip(0x500), Ip(0x600), "b.c");
@@ -1180,11 +1114,15 @@ mod tests {
         let dups: Vec<u64> = (0..1000u64).map(|i| i / 10).collect();
         let wide: Vec<u64> = vec![u64::MAX, 0, 1 << 63, 5, u64::MAX - 1];
         let small: Vec<u64> = vec![5, 6, 9];
-        for vs in [&seq, &pattern, &small, &vec![0], &Vec::new()] {
+        // Footprints: every mask a load class can leave on a block.
+        let masked =
+            |vs: &[u64]| -> Vec<(u64, u8)> { vs.iter().map(|&b| (b, (b % 7 % 4) as u8)).collect() };
+        for vs in [&seq, &pattern, &small, &vec![0, u64::MAX], &Vec::new()] {
+            let entries = masked(vs);
             let mut buf = Vec::new();
-            put_sorted(&mut buf, vs);
+            put_footprint(&mut buf, &entries);
             let mut src = Reader::new(&buf);
-            assert_eq!(&get_sorted(&mut src, "t").unwrap(), vs);
+            assert_eq!(get_footprint(&mut src, "t").unwrap(), entries);
             assert!(src.is_empty());
         }
         for vs in [&seq, &pattern, &rev, &dups, &wide, &small, &Vec::new()] {
@@ -1195,10 +1133,39 @@ mod tests {
             assert!(src.is_empty());
         }
         // Plain lists: a count, then one varint per entry — a step of one
-        // block is one byte.
+        // block is one byte, and a footprint entry's mask one more.
         let mut buf = Vec::new();
-        put_sorted(&mut buf, &seq);
-        assert_eq!(buf.len(), 3 + 3 + (seq.len() - 1));
+        put_footprint(&mut buf, &masked(&seq));
+        assert_eq!(buf.len(), 3 + (3 + 1) + 2 * (seq.len() - 1));
+    }
+
+    #[test]
+    fn into_partial_sorts_the_footprint_at_every_block_size() {
+        let (t, annots, symbols) = synthetic_trace();
+        // Byte and two-byte blocks sort pairs; larger ones pack words.
+        for log2 in [0u8, 1, 2, 3, 12] {
+            let footprint_block = BlockSize::from_log2(log2);
+            let cfg = AnalysisConfig {
+                footprint_block,
+                ..AnalysisConfig::default()
+            };
+            let mut want: BTreeMap<String, BTreeMap<u64, u8>> = BTreeMap::new();
+            for a in t.samples.iter().flat_map(|s| &s.accesses) {
+                let name = symbols.lookup(a.ip).unwrap().name.clone();
+                let mask = want.entry(name).or_default();
+                let bit = crate::kernel::class_bit(annots.class_of(a.ip));
+                *mask.entry(a.addr.block(footprint_block)).or_insert(0) |= bit;
+            }
+            let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg);
+            sa.ingest_shard(&t.samples);
+            let got: BTreeMap<String, BTreeMap<u64, u8>> = (sa.into_partial().funcs.into_values())
+                .map(|fp| {
+                    assert!(fp.footprint.windows(2).all(|w| w[0].0 < w[1].0));
+                    (fp.name, fp.footprint.into_iter().collect())
+                })
+                .collect();
+            assert_eq!(got, want, "block log2 {log2}");
+        }
     }
 
     #[test]
@@ -1209,21 +1176,21 @@ mod tests {
         let cfg = AnalysisConfig::default();
         let mut p =
             analyze_frames(&container, &index, frames, &annots, &symbols, cfg, &[16]).unwrap();
-        let fp = p.funcs.values_mut().find(|fp| fp.all.len() > 1).unwrap();
-        // The class lists back-reference the damaged footprint, so every
-        // subset check still holds: only the decoder's order check sees
+        let fp = (p.funcs.values_mut())
+            .find(|fp| fp.footprint.len() > 1)
+            .unwrap();
+        // Nothing downstream re-checks the order: only the decoder sees
         // the repeat.
-        fp.all[1] = fp.all[0];
-        fp.strided = fp.all.clone();
-        fp.irregular = fp.all.clone();
+        fp.footprint[1].0 = fp.footprint[0].0;
         assert!(matches!(
             PartialReport::decode(&p.encode()),
             Err(PartialError::Corrupt { .. })
         ));
         // A lone first entry of 0 is a delta of 0 and stays legal.
         let mut buf = Vec::new();
-        put_sorted(&mut buf, &[0, 4]);
-        assert_eq!(get_sorted(&mut Reader::new(&buf), "t").unwrap(), [0, 4]);
+        put_footprint(&mut buf, &[(0, STRIDED), (4, 0)]);
+        let back = get_footprint(&mut Reader::new(&buf), "t").unwrap();
+        assert_eq!(back, [(0, STRIDED), (4, 0)]);
     }
 
     #[test]

@@ -370,11 +370,11 @@ fn sealed(magic: &[u8; 4], version: u16, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// An `MGZP` v3 frame with no samples, no block rows and an empty
-/// histogram, whose one function (id 0, no name) is `list` followed by
-/// zeros: the body up to that function's footprint list is fixed, so a
-/// row damages exactly the list it names.
-fn mgzp_v3(list: &[&[u8]]) -> Vec<u8> {
+/// An `MGZP` v4 frame with no samples, no block rows and an empty
+/// histogram, whose one function (id 0, no name) is `list`: the body up
+/// to that function's footprint is fixed, so a row damages exactly the
+/// list it names.
+fn mgzp_v4(list: &[&[u8]]) -> Vec<u8> {
     let mut body = vec![3u8, 6]; // footprint, reuse block log2
     body.extend_from_slice(&[0; 10]); // no locality sizes, counters, rows, histogram
     body.push(1); // one function
@@ -382,16 +382,20 @@ fn mgzp_v3(list: &[&[u8]]) -> Vec<u8> {
     for part in list {
         body.extend_from_slice(part);
     }
-    sealed(b"MGZP", 3, &body)
+    sealed(b"MGZP", 4, &body)
 }
 
+/// The rest of [`mgzp_v4`]'s function after its footprint, and the
+/// ingest stats: all zero.
+const MGZP_V4_TAIL: [u8; 12] = [0; 12];
+
 /// The inputs that broke a decoder before the wire kit, by name, then
-/// one count per kind of `MGZP` list (sorted, zigzag, block rows) that
-/// the remaining input cannot hold, which must be rejected before
-/// anything is reserved for it. At commit c59f616 the first two rows
-/// panic (debug overflow checks) and the last, kept last for that
-/// reason, aborts the process on a reservation driven by an
-/// unvalidated length.
+/// one count per kind of `MGZP` list (footprint, zigzag, block rows)
+/// that the remaining input cannot hold, which must be rejected before
+/// anything is reserved for it, and a footprint mask no load class
+/// sets. At commit c59f616 the first two rows panic (debug overflow
+/// checks) and the last, kept last for that reason, aborts the process
+/// on a reservation driven by an unvalidated length.
 #[test]
 fn inputs_that_broke_the_old_decoders_are_rejected() {
     let rows: Vec<(&str, Vec<u8>, Decode)> = vec![
@@ -404,19 +408,25 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
         (
             // `v += delta` in the sorted-list decoder.
             "MGZP whose function footprint deltas sum past u64",
-            mgzp_v3(&[&varint(2), &varint(u64::MAX), &[1]]),
+            mgzp_v4(&[&varint(2), &varint(u64::MAX), &[1, 1, 1]]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
-            "MGZP whose footprint list counts more entries than bytes remain",
-            mgzp_v3(&[&varint(1 << 20), &[1; 8]]),
+            // An entry is a delta and a mask byte: the 16 bytes left
+            // after the count hold 8 entries, not 9.
+            "MGZP whose footprint counts more entries than bytes remain",
+            mgzp_v4(&[&varint(9), &[1; 16]]),
+            Box::new(|d| typed(PartialReport::decode(d))),
+        ),
+        (
+            "MGZP whose footprint mask is 4",
+            mgzp_v4(&[&[1, 5, 4], &MGZP_V4_TAIL]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
             "MGZP whose reuse order counts more entries than bytes remain",
-            // An empty footprint, both class lists back-referencing it,
-            // no accesses, then `firsts`.
-            mgzp_v3(&[&[0, 0, 0, 0, 0], &varint(1 << 20), &[2; 8]]),
+            // An empty footprint, no accesses, then `firsts`.
+            mgzp_v4(&[&[0, 0, 0], &varint(1 << 20), &[2; 8]]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
@@ -426,7 +436,7 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
                 body.extend_from_slice(&[0; 6]); // no locality sizes, counters, rows
                 body.extend_from_slice(&varint(1 << 20)); // block rows
                 body.extend_from_slice(&[1; 24]);
-                sealed(b"MGZP", 3, &body)
+                sealed(b"MGZP", 4, &body)
             },
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
@@ -451,6 +461,47 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
         })
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+    // The mask row's frame is whole: with a mask of both classes it
+    // decodes.
+    assert!(PartialReport::decode(&mgzp_v4(&[&[1, 5, 3], &MGZP_V4_TAIL])).is_ok());
+}
+
+/// A valid partial whose one function has 20 000 consecutive words,
+/// each touched by a Strided and an Irregular load, built through the
+/// public encoder. A decoder that gave each class a block list of its
+/// own would allocate three 8-byte words per footprint entry, which
+/// passes the bound where an entry's block takes one byte on the wire.
+#[test]
+fn a_footprint_both_classes_share_decodes_within_the_bound() {
+    use memgaze::analysis::{AnalysisConfig, StreamingAnalyzer};
+    use memgaze::model::{
+        Access, AuxAnnotations, BlockSize, FunctionId, Ip, IpAnnot, LoadClass, Sample, SymbolTable,
+    };
+    let mut annots = AuxAnnotations::new();
+    annots.insert(
+        Ip(0x400),
+        IpAnnot::of_class(LoadClass::Strided, FunctionId(0)),
+    );
+    annots.insert(
+        Ip(0x404),
+        IpAnnot::of_class(LoadClass::Irregular, FunctionId(0)),
+    );
+    let mut symbols = SymbolTable::new();
+    symbols.add_function("shared", Ip(0x400), Ip(0x500), "shared.c");
+    // Pages for reuse, so the reuse orders stay short beside the
+    // footprint.
+    let cfg = AnalysisConfig {
+        reuse_block: BlockSize::OS_PAGE,
+        ..AnalysisConfig::default()
+    };
+    let accesses: Vec<Access> = (0..40_000u64)
+        .map(|i| Access::new(0x400 + (i % 2) * 4, 0x10_0000 + i / 2 * 8, i))
+        .collect();
+    let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg);
+    sa.ingest_shard(&[Sample::new(accesses, 40_000)]);
+    let frame = sa.into_partial().encode();
+    let decode = |d: &[u8]| typed(PartialReport::decode(d));
+    assert_eq!(check(&decode, &frame, false), Ok(()));
 }
 
 /// A catalog's `container_len` is checked after reassembly; it must not

@@ -1,9 +1,9 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
 # windows of the fold, the resident event lists, the zoom, the partial
-# reports' one fold and list codec, the watch loop, serve's window
-# loads, the address-keyed side tables and the static side's procedure
-# summaries.
+# reports' one fold, footprint union and list codec, the watch loop,
+# serve's window loads, the address-keyed side tables and the static
+# side's procedure summaries.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
@@ -17,8 +17,10 @@
 # of tests/watch_equivalence.rs; serve_one_running_fold.patch, on the
 # binary counter in partial.rs that serve's sessions fold through,
 # names the long-session test of tests/ingest_allocs.rs;
-# sorted_list_accepts_a_repeat.patch, on the MGZP sorted-list decoder,
-# names the partial module's unit test of a repeated footprint block;
+# sorted_list_accepts_a_repeat.patch, on the MGZP footprint decoder,
+# names the partial module's unit test of a repeated footprint block,
+# and absorb_keeps_one_mask.patch, on the footprint union of a partial
+# merge, its test of merged partials against one pass;
 # the per-function window mutants,
 # tracker_window_ignores_earlier_first_touches.patch and
 # sample_window_when_ends_share_a_function.patch, name

@@ -9,8 +9,12 @@
 //! before the change stay readable. A digest changes only with a
 //! deliberate format revision, which must also bump that format's
 //! `*_VERSION`: the `MGZP` and `.mgzr` digests are those of `MGZP`
-//! version 3 (plain delta lists), whose encoder wrote the `mgzp-v3.*`
-//! fixtures; the version-2 partials of c59f616 no longer decode.
+//! version 4, whose encoder wrote the `mgzp-v4.*` fixtures. Version 4
+//! writes a function's footprint as one list of `(block delta, class
+//! mask)` entries where version 3 wrote the footprint and a strided and
+//! an irregular list, each of those two a back-reference to the
+//! footprint when equal to it; neither the version-3 partials
+//! (`mgzp-v3.*`) nor the version-2 partials of c59f616 decode.
 
 mod common;
 
@@ -29,8 +33,8 @@ fn encoders_are_byte_identical_to_the_parent_commit() {
             common::frame_payload(0),
             0xf3bd_be7e_194f_168c,
         ),
-        ("MGZP", common::mgzp(), 0x9c3d_00bd_a120_d5dc),
-        (".mgzr", common::mgzr(), 0x344f_64d6_4bad_662c),
+        ("MGZP", common::mgzp(), 0x7196_80d0_124b_277f),
+        (".mgzr", common::mgzr(), 0xf7f3_921a_e2ad_db81),
         (
             "MGZB raw",
             common::mgzb(&common::raw_blob_payload()).1,
@@ -108,13 +112,19 @@ fn objects_written_by_the_parent_commit_still_decode() {
     let catalog = Catalog::decode(common::TRACE_ID, &fixture("c59f616.mgzc")).unwrap();
     assert_eq!(catalog, common::catalog());
 
-    // `MGZP` moved to version 3 with no decoder kept for version 2: the
-    // store reads a version-2 entry as a miss and overwrites it.
-    for file in ["c59f616.mgzp", "c59f616.mgzr"] {
+    // `MGZP` moved to version 4 with no decoder kept for versions 2 and
+    // 3: the store reads such an entry as a miss and overwrites it.
+    for (file, version) in [
+        ("c59f616.mgzp", 2),
+        ("c59f616.mgzr", 2),
+        ("mgzp-v3.mgzp", 3),
+        ("mgzp-v3.mgzr", 3),
+    ] {
+        let want = format!("version {version}, expected 4");
         assert!(
             matches!(
                 PartialReport::decode(&fixture(file)),
-                Err(PartialError::Corrupt { detail }) if detail.contains("version 2, expected 3")
+                Err(PartialError::Corrupt { detail }) if detail.contains(&want)
             ),
             "{file}"
         );
@@ -134,18 +144,18 @@ fn objects_written_by_the_parent_commit_still_decode() {
 }
 
 #[test]
-fn partials_written_by_the_version_3_encoder_decode() {
-    let partial = PartialReport::decode(&fixture("mgzp-v3.mgzp")).unwrap();
+fn partials_written_by_the_version_4_encoder_decode() {
+    let partial = PartialReport::decode(&fixture("mgzp-v4.mgzp")).unwrap();
     assert_eq!(partial, common::partial(0..1));
-    let merged = PartialReport::decode(&fixture("mgzp-v3.mgzr")).unwrap();
+    let merged = PartialReport::decode(&fixture("mgzp-v4.mgzr")).unwrap();
     assert_eq!(merged.encode(), common::mgzr());
 }
 
 /// A `.mgzr` an older store left under a trace's result key is a miss:
 /// the analysis runs again, answers the same and overwrites the entry.
 #[test]
-fn a_version_2_result_on_disk_is_a_miss_and_is_overwritten() {
-    let root = std::env::temp_dir().join(format!("memgaze-golden-v2-{}", std::process::id()));
+fn an_older_result_on_disk_is_a_miss_and_is_overwritten() {
+    let root = std::env::temp_dir().join(format!("memgaze-golden-old-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let store = TraceStore::open(StoreConfig::new(&root)).unwrap();
     let (container, index) = common::mgzt_v2();
@@ -174,16 +184,19 @@ fn a_version_2_result_on_disk_is_a_miss_and_is_overwritten() {
         panic!("one result entry per trace, found {entries:?}");
     };
     let written = std::fs::read(entry).unwrap();
-    assert_eq!(written[..6], *b"MGZP\x03\x00", "a version-3 partial");
+    assert_eq!(written[..6], *b"MGZP\x04\x00", "a version-4 partial");
 
-    std::fs::write(entry, fixture("c59f616.mgzr")).unwrap();
-    let replanted = analyze();
-    assert_eq!(
-        (replanted.result_hits, replanted.result_misses),
-        (0, frames)
-    );
-    assert_eq!(replanted.report, cold.report);
-    assert_eq!(std::fs::read(entry).unwrap(), written);
+    for old in ["c59f616.mgzr", "mgzp-v3.mgzr"] {
+        std::fs::write(entry, fixture(old)).unwrap();
+        let replanted = analyze();
+        assert_eq!(
+            (replanted.result_hits, replanted.result_misses),
+            (0, frames),
+            "{old}"
+        );
+        assert_eq!(replanted.report, cold.report, "{old}");
+        assert_eq!(std::fs::read(entry).unwrap(), written, "{old}");
+    }
     let warm = analyze();
     assert_eq!((warm.result_hits, warm.result_misses), (frames, 0));
     std::fs::remove_dir_all(&root).unwrap();
