@@ -778,7 +778,7 @@ mod tests {
         let loads: Vec<Ip> = inst.ptw_map.values().map(|i| i.load_ip).collect();
         let victim = ips[0];
         let other_load = loads.iter().find(|&&l| l != loads[0]).copied().unwrap();
-        inst.ptw_map.get_mut(&victim).unwrap().load_ip = other_load;
+        inst.ptw_map.get_mut(victim).unwrap().load_ip = other_load;
         let diags = check_instrumented(&m, &inst, &classification, &plan, &config);
         assert!(
             diags.iter().any(|d| matches!(

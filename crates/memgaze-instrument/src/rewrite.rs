@@ -14,9 +14,8 @@ use crate::plan::InstrPlan;
 use crate::{InstrStats, InstrumentConfig};
 use memgaze_isa::{AddrKind, Instr, LoadModule, Procedure};
 use memgaze_model::symbols::{SourceLoc, SourceMap};
-use memgaze_model::{AuxAnnotations, FunctionId, Ip, IpAnnot, SymbolTable};
+use memgaze_model::{AuxAnnotations, FunctionId, Ip, IpAnnot, IpTable, SymbolTable};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Role of one `ptwrite` within its load's address reconstruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,8 +47,8 @@ pub struct Instrumented {
     pub annots: AuxAnnotations,
     /// New-instruction → original address/line mapping.
     pub source_map: SourceMap,
-    /// New `ptwrite` address → reconstruction info.
-    pub ptw_map: BTreeMap<Ip, PtwInfo>,
+    /// New `ptwrite` address → reconstruction info, in address order.
+    pub ptw_map: IpTable<PtwInfo>,
     /// Static statistics.
     pub stats: InstrStats,
     /// Symbol table of the *original* module (analyses attribute to
@@ -72,7 +71,7 @@ impl Instrumented {
             module: module.clone(),
             annots: AuxAnnotations::new(),
             source_map: SourceMap::new(),
-            ptw_map: BTreeMap::new(),
+            ptw_map: IpTable::new(),
             stats,
             orig_symbols: SymbolTable::new(),
         }
@@ -131,7 +130,16 @@ pub fn apply(
         stats.blocks += proc.blocks.len() as u64;
 
         for block in &proc.blocks {
-            let mut instrs = Vec::with_capacity(block.instrs.len());
+            // Room for the block's instructions and the `ptwrite`s its
+            // loads get.
+            let loads = block.instrs.iter().filter(|ins| ins.is_load()).count();
+            let ptwrites: usize = next_load
+                .clone()
+                .take(loads)
+                .filter(|(_, (_, decision))| decision.instrument)
+                .map(|(cl, _)| cl.num_sources)
+                .sum();
+            let mut instrs = Vec::with_capacity(block.instrs.len() + ptwrites);
             let line = block.src_line;
 
             for (idx, ins) in block.instrs.iter().enumerate() {
@@ -302,7 +310,7 @@ mod tests {
         // Index in address order within a group.
         let mut by_load: std::collections::HashMap<Ip, Vec<(Ip, PtwInfo)>> =
             std::collections::HashMap::new();
-        for (ip, info) in &out.ptw_map {
+        for (ip, info) in out.ptw_map.iter() {
             by_load.entry(info.load_ip).or_default().push((*ip, *info));
         }
         for (load_ip, group) in by_load {

@@ -21,6 +21,12 @@
 //! dimensions has stride `Σ coef·δ`; an address tainted `Loaded` is
 //! **provably irregular** (see the taint argument below).
 //!
+//! The coefficient vectors live in one hash-consed table per module
+//! ([`Forms`]): a value holds the id of its vector and its constant, so
+//! two forms are equal iff their ids are, and sums and multiples are
+//! computed once per pair of operands. Every vector is kept whole and
+//! exact, one wrapping `i64` per dimension.
+//!
 //! Four layers sharpen the original PR 3 domain (DESIGN.md §16):
 //!
 //! * **stack-slot forwarding** — stores to `fp`/`sp`-relative slots are
@@ -72,26 +78,197 @@ use crate::facts::ModuleFacts;
 use crate::instr::{AddrMode, BinOp, Instr, Operand};
 use crate::loops::LoopForest;
 use crate::module::LoadModule;
-use crate::proc::{BlockId, ProcId, Procedure};
+use crate::proc::{BasicBlock, BlockId, ProcId, Procedure};
 use crate::ranges::{self, RangeAnalysis, RegRanges};
 use crate::reg::{Reg, NUM_REGS};
 use crate::summary::ProcSummaries;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum number of frame slots tracked per loop; stores beyond the
 /// cap still get precise overlap kills, they just never forward.
 const MAX_SLOTS: usize = 8;
 /// Affine dimensions: register header values plus slot header contents.
 const NUM_DIMS: usize = NUM_REGS + MAX_SLOTS;
+// A form's nonzero dimensions are one `u32` mask.
+const _: () = assert!(NUM_DIMS <= 32);
+
+/// Coefficient per dimension (registers, then slots).
+type Coefs = [i64; NUM_DIMS];
+
+/// The id of a coefficient vector in a module's [`Forms`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct FormId(u32);
+
+/// The ids of the set bits of `mask`, lowest first: a form's nonzero
+/// dimensions in dimension order.
+fn dims(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let d = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            d
+        })
+    })
+}
+
+/// Multiply-rotate hashing (the rustc "Fx" hash) for the table's keys:
+/// ids, literals and coefficient vectors the analysis made itself.
+#[derive(Default)]
+struct FormHasher(u64);
+
+impl FormHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FormHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+}
+
+type FormMap<K> = HashMap<K, FormId, BuildHasherDefault<FormHasher>>;
+
+/// One module's coefficient vectors, hash-consed: each distinct vector
+/// is stored once, so equal forms have equal ids however they were
+/// reached, and a `join` that compares ids compares vectors. Sums and
+/// multiples are memoised on the operand ids. Nothing is capped or
+/// rounded: a vector has every dimension, each a wrapping `i64`.
+struct Forms {
+    /// Coefficient vector and nonzero-dimension mask (bit `d` for
+    /// dimension `d`) per id.
+    forms: Vec<(Coefs, u32)>,
+    /// Id per interned vector.
+    ids: FormMap<Coefs>,
+    /// `a + b` per `(a, b)` with `a < b`.
+    sums: FormMap<(FormId, FormId)>,
+    /// `k · a` per `(a, k)`.
+    scaled: FormMap<(FormId, i64)>,
+}
+
+impl Forms {
+    /// The zero vector, a constant's form.
+    const ZERO: FormId = FormId(0);
+    /// Room the table starts with: the zero and unit vectors and the few
+    /// dozen a module's address arithmetic adds.
+    const ROOM: usize = 64;
+
+    /// A table holding the zero vector and the unit vectors.
+    fn new() -> Forms {
+        let mut forms = Forms {
+            forms: Vec::with_capacity(Forms::ROOM),
+            ids: FormMap::with_capacity_and_hasher(Forms::ROOM, Default::default()),
+            sums: FormMap::with_capacity_and_hasher(Forms::ROOM, Default::default()),
+            scaled: FormMap::with_capacity_and_hasher(Forms::ROOM, Default::default()),
+        };
+        forms.intern([0; NUM_DIMS]);
+        for d in 0..NUM_DIMS {
+            let mut coefs = [0; NUM_DIMS];
+            coefs[d] = 1;
+            forms.intern(coefs);
+        }
+        forms
+    }
+
+    /// The unit vector of dimension `d`: its symbolic header value.
+    fn unit(d: usize) -> FormId {
+        FormId(1 + d as u32)
+    }
+
+    fn intern(&mut self, coefs: Coefs) -> FormId {
+        if let Some(&id) = self.ids.get(&coefs) {
+            return id;
+        }
+        let id = FormId(self.forms.len() as u32);
+        let mask = (0..NUM_DIMS)
+            .filter(|&d| coefs[d] != 0)
+            .fold(0u32, |m, d| m | 1 << d);
+        self.forms.push((coefs, mask));
+        self.ids.insert(coefs, id);
+        id
+    }
+
+    fn mask(&self, f: FormId) -> u32 {
+        self.forms[f.0 as usize].1
+    }
+
+    fn coef(&self, f: FormId, d: usize) -> i64 {
+        self.forms[f.0 as usize].0[d]
+    }
+
+    fn add(&mut self, a: FormId, b: FormId) -> FormId {
+        if a == Forms::ZERO {
+            return b;
+        }
+        if b == Forms::ZERO {
+            return a;
+        }
+        let key = (a.min(b), a.max(b));
+        if let Some(&sum) = self.sums.get(&key) {
+            return sum;
+        }
+        let mut coefs = self.forms[a.0 as usize].0;
+        for (c, x) in coefs.iter_mut().zip(&self.forms[b.0 as usize].0) {
+            *c = c.wrapping_add(*x);
+        }
+        let sum = self.intern(coefs);
+        self.sums.insert(key, sum);
+        sum
+    }
+
+    fn scale(&mut self, a: FormId, k: i64) -> FormId {
+        if k == 1 {
+            return a;
+        }
+        if a == Forms::ZERO || k == 0 {
+            return Forms::ZERO;
+        }
+        let key = (a, k);
+        if let Some(&scaled) = self.scaled.get(&key) {
+            return scaled;
+        }
+        let mut coefs = self.forms[a.0 as usize].0;
+        for c in coefs.iter_mut() {
+            *c = c.wrapping_mul(k);
+        }
+        let scaled = self.intern(coefs);
+        self.scaled.insert(key, scaled);
+        scaled
+    }
+}
 
 /// An abstract value: affine over loop-header dimensions, tainted by an
 /// in-loop load, or ⊤ (unknown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AbsVal {
-    /// `Σ coef[d] · d_header + konst`, all arithmetic wrapping.
+    /// `Σ coef[d] · d_header + konst`, all arithmetic wrapping, the
+    /// coefficients those of `form`.
     Affine {
-        /// Coefficient per dimension (registers, then slots).
-        coef: [i64; NUM_DIMS],
+        /// Coefficient vector (registers, then slots).
+        form: FormId,
         /// Constant term.
         konst: i64,
     },
@@ -105,39 +282,25 @@ enum AbsVal {
 impl AbsVal {
     fn konst(k: i64) -> AbsVal {
         AbsVal::Affine {
-            coef: [0; NUM_DIMS],
+            form: Forms::ZERO,
             konst: k,
         }
     }
 
-    /// The symbolic header-entry value of register `r`.
-    fn ident(r: Reg) -> AbsVal {
-        let mut coef = [0i64; NUM_DIMS];
-        coef[r.index()] = 1;
-        AbsVal::Affine { coef, konst: 0 }
+    /// The symbolic header-entry value of dimension `d`: register `d`,
+    /// or tracked slot `d - NUM_REGS`.
+    fn dim(d: usize) -> AbsVal {
+        AbsVal::Affine {
+            form: Forms::unit(d),
+            konst: 0,
+        }
     }
 
-    /// The symbolic header-entry content of tracked slot `s`.
-    fn slot_ident(s: usize) -> AbsVal {
-        let mut coef = [0i64; NUM_DIMS];
-        coef[NUM_REGS + s] = 1;
-        AbsVal::Affine { coef, konst: 0 }
-    }
-
-    fn add(self, other: AbsVal) -> AbsVal {
+    fn add(self, other: AbsVal, forms: &mut Forms) -> AbsVal {
         match (self, other) {
-            (
-                AbsVal::Affine { coef: a, konst: x },
+            (AbsVal::Affine { form: a, konst: x }, AbsVal::Affine { form: b, konst: y }) => {
                 AbsVal::Affine {
-                    coef: mut b,
-                    konst: y,
-                },
-            ) => {
-                for (bi, ai) in b.iter_mut().zip(a.iter()) {
-                    *bi = bi.wrapping_add(*ai);
-                }
-                AbsVal::Affine {
-                    coef: b,
+                    form: forms.add(a, b),
                     konst: x.wrapping_add(y),
                 }
             }
@@ -147,31 +310,25 @@ impl AbsVal {
         }
     }
 
-    fn scale(self, k: i64) -> AbsVal {
+    fn scale(self, k: i64, forms: &mut Forms) -> AbsVal {
         match self {
-            AbsVal::Affine { mut coef, konst } => {
-                for c in coef.iter_mut() {
-                    *c = c.wrapping_mul(k);
-                }
-                AbsVal::Affine {
-                    coef,
-                    konst: konst.wrapping_mul(k),
-                }
-            }
-            AbsVal::Loaded => AbsVal::Loaded,
-            AbsVal::Top => AbsVal::Top,
+            AbsVal::Affine { form, konst } => AbsVal::Affine {
+                form: forms.scale(form, k),
+                konst: konst.wrapping_mul(k),
+            },
+            tainted => tainted,
         }
     }
 
-    fn neg(self) -> AbsVal {
-        self.scale(-1)
+    fn neg(self, forms: &mut Forms) -> AbsVal {
+        self.scale(-1, forms)
     }
 
     /// `self + k` for a literal `k`: what `add(konst(k))` gives.
     fn offset(self, k: i64) -> AbsVal {
         match self {
-            AbsVal::Affine { coef, konst } => AbsVal::Affine {
-                coef,
+            AbsVal::Affine { form, konst } => AbsVal::Affine {
+                form,
                 konst: konst.wrapping_add(k),
             },
             tainted => tainted,
@@ -181,7 +338,10 @@ impl AbsVal {
     /// Constant term of a coefficient-free form, if this is one.
     fn as_const(self) -> Option<i64> {
         match self {
-            AbsVal::Affine { coef, konst } if coef.iter().all(|&c| c == 0) => Some(konst),
+            AbsVal::Affine {
+                form: Forms::ZERO,
+                konst,
+            } => Some(konst),
             _ => None,
         }
     }
@@ -218,8 +378,8 @@ struct State {
 
 fn identity_state() -> State {
     State {
-        regs: std::array::from_fn(|i| AbsVal::ident(Reg(i as u8))),
-        slots: std::array::from_fn(AbsVal::slot_ident),
+        regs: std::array::from_fn(AbsVal::dim),
+        slots: std::array::from_fn(|s| AbsVal::dim(NUM_REGS + s)),
     }
 }
 
@@ -238,15 +398,14 @@ fn join_states(a: &State, b: &State) -> State {
 }
 
 /// Evaluate an address expression in a state: `base + index·scale +
-/// disp`, summed from the base register's value so the common
-/// one-register address costs one copy.
-fn eval_addr(addr: &AddrMode, st: &State) -> AbsVal {
+/// disp`.
+fn eval_addr(addr: &AddrMode, st: &State, forms: &mut Forms) -> AbsVal {
     let mut v = match addr.base {
         Some(b) => st.regs[b.index()],
         None => AbsVal::konst(0),
     };
     if let Some(i) = addr.index {
-        v = v.add(st.regs[i.index()].scale(addr.scale as i64));
+        v = v.add(st.regs[i.index()].scale(addr.scale as i64, forms), forms);
     }
     v.offset(addr.disp)
 }
@@ -264,14 +423,10 @@ impl LoopCtx<'_> {
     /// address must be exactly `base_H + disp` for a frame base still at
     /// its header value (this catches `lea`-computed frame addresses and
     /// rejects any address whose base has been modified).
-    fn frame_slot(&self, addr: &AddrMode, st: &State) -> Option<(Reg, i64)> {
-        if let AbsVal::Affine { coef, konst } = eval_addr(addr, st) {
+    fn frame_slot(&self, addr: &AddrMode, st: &State, forms: &mut Forms) -> Option<(Reg, i64)> {
+        if let AbsVal::Affine { form, konst } = eval_addr(addr, st, forms) {
             for b in [Reg::FP, Reg::SP] {
-                let unit = coef
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &c)| c == i64::from(i == b.index()));
-                if unit {
+                if form == Forms::unit(b.index()) {
                     return Some((b, konst));
                 }
             }
@@ -284,15 +439,35 @@ impl LoopCtx<'_> {
     }
 }
 
+/// Whether `ins` reads the interval state in [`transfer`]: an `and` or a
+/// `rem` by a literal, the masking identities' shape.
+fn reads_ranges(ins: &Instr) -> bool {
+    matches!(
+        ins,
+        Instr::Bin {
+            op: BinOp::And | BinOp::Rem,
+            rhs: Operand::Imm(_),
+            ..
+        }
+    )
+}
+
 /// Transfer one instruction. `rst` holds the interval state *before*
-/// the instruction (the caller steps it separately).
-fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
+/// the instruction (the caller steps it separately); it may be `None`
+/// in a block where no instruction [`reads_ranges`].
+fn transfer(
+    ins: &Instr,
+    st: &mut State,
+    rst: Option<&RegRanges>,
+    ctx: &LoopCtx,
+    forms: &mut Forms,
+) {
     match ins {
         Instr::Load { dst, addr } => {
             // With no slot tracked nothing can forward: skip resolving
             // the address (most loops store to no frame slot).
             let fwd = (!ctx.slot_keys.is_empty())
-                .then(|| ctx.frame_slot(addr, st))
+                .then(|| ctx.frame_slot(addr, st, forms))
                 .flatten()
                 .and_then(|key| ctx.slot_index(key))
                 .map(|s| st.slots[s]);
@@ -302,7 +477,7 @@ fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
                 Some(v) => v,
             };
         }
-        Instr::Store { src, addr } => match ctx.frame_slot(addr, st) {
+        Instr::Store { src, addr } => match ctx.frame_slot(addr, st, forms) {
             Some((b, d)) => {
                 // Precise kill: an 8-byte store at `base_H + d` can only
                 // touch same-base slots within 8 bytes; cross-base
@@ -322,7 +497,7 @@ fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
         Instr::Ptwrite { .. } | Instr::Nop => {}
         Instr::MovImm { dst, imm } => st.regs[dst.index()] = AbsVal::konst(*imm),
         Instr::Mov { dst, src } => st.regs[dst.index()] = st.regs[src.index()],
-        Instr::Lea { dst, addr } => st.regs[dst.index()] = eval_addr(addr, st),
+        Instr::Lea { dst, addr } => st.regs[dst.index()] = eval_addr(addr, st, forms),
         Instr::Bin { op, dst, rhs } => {
             let lhs = st.regs[dst.index()];
             let rhs_val = match rhs {
@@ -330,15 +505,17 @@ fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
                 Operand::Reg(r) => st.regs[r.index()],
             };
             st.regs[dst.index()] = match op {
-                BinOp::Add => lhs.add(rhs_val),
-                BinOp::Sub => lhs.add(rhs_val.neg()),
+                BinOp::Add => lhs.add(rhs_val, forms),
+                BinOp::Sub => lhs.add(rhs_val.neg(forms), forms),
                 BinOp::Mul => match (lhs.as_const(), rhs_val.as_const()) {
-                    (_, Some(k)) => lhs.scale(k),
-                    (Some(k), _) => rhs_val.scale(k),
+                    (_, Some(k)) => lhs.scale(k, forms),
+                    (Some(k), _) => rhs_val.scale(k, forms),
                     _ => lhs.taint(rhs_val),
                 },
                 BinOp::Shl => match rhs_val.as_const() {
-                    Some(k) if (0..64).contains(&k) => lhs.scale(1i64.wrapping_shl(k as u32)),
+                    Some(k) if (0..64).contains(&k) => {
+                        lhs.scale(1i64.wrapping_shl(k as u32), forms)
+                    }
                     _ => lhs.taint(rhs_val),
                 },
                 // Bitwise/shift-right/remainder: foldable when both sides
@@ -372,7 +549,7 @@ fn transfer(ins: &Instr, st: &mut State, rst: &RegRanges, ctx: &LoopCtx) {
                             AbsVal::konst(v as i64)
                         }
                         _ => {
-                            if range_identity(*op, *rhs, rst, dst) {
+                            if rst.is_some_and(|rst| range_identity(*op, *rhs, rst, dst)) {
                                 lhs
                             } else {
                                 lhs.taint(rhs_val)
@@ -410,6 +587,36 @@ fn range_identity(op: BinOp, rhs: Operand, rst: &RegRanges, dst: &Reg) -> bool {
         BinOp::Rem => m > 0 && r.within(0, m - 1),
         _ => false,
     }
+}
+
+/// Run `blk` from `st` and return its out-state. With `record` (the
+/// block's slice of the per-instruction value table), each load's
+/// address value is written at the load's position, so the last run
+/// leaves the values of the last in-state. The interval state is
+/// stepped beside only when some instruction of the block reads it.
+fn walk_block(
+    blk: &BasicBlock,
+    mut st: State,
+    ranges: &RangeAnalysis,
+    ctx: &LoopCtx,
+    forms: &mut Forms,
+    mut record: Option<&mut [Option<AbsVal>]>,
+) -> State {
+    let mut rr = blk
+        .instrs
+        .iter()
+        .any(reads_ranges)
+        .then(|| *ranges.block_entry(blk.id));
+    for (i, ins) in blk.instrs.iter().enumerate() {
+        if let (Instr::Load { addr, .. }, Some(rec)) = (ins, record.as_deref_mut()) {
+            rec[i] = Some(eval_addr(addr, &st, forms));
+        }
+        transfer(ins, &mut st, rr.as_ref(), ctx, forms);
+        if let Some(rr) = rr.as_mut() {
+            ranges::step(ins, rr, ctx.summaries);
+        }
+    }
+    st
 }
 
 /// What the abstract interpreter proves about one load's address.
@@ -462,16 +669,18 @@ impl AbsResult {
 /// Per-procedure abstract-interpretation results for every load.
 #[derive(Debug, Clone)]
 pub struct AbsInterp {
-    /// `results[block][instr]` is `Some(result)` iff that instruction is
-    /// a load.
-    results: Vec<Vec<Option<AbsResult>>>,
+    /// Position in `results` of each block's first instruction, then the
+    /// instruction count.
+    starts: Vec<u32>,
+    /// One entry per instruction, block by block: `Some(result)` iff
+    /// that instruction is a load.
+    results: Vec<Option<AbsResult>>,
 }
 
-/// Per-loop analysis: block states and proven per-dimension deltas.
+/// Per-loop analysis: block out-states and proven per-dimension deltas.
 struct LoopStates {
-    /// Fixpoint in-state per body block (indexed by block id).
-    in_states: Vec<Option<State>>,
-    /// Fixpoint out-state per body block.
+    /// Fixpoint out-state per body block (indexed by block id; `None`
+    /// for a block the fixpoint never ran).
     out_states: Vec<Option<State>>,
     /// Proven per-iteration delta per dimension (`None` = no proof).
     deltas: [Option<i64>; NUM_DIMS],
@@ -479,6 +688,41 @@ struct LoopStates {
     slot_keys: Vec<(Reg, i64)>,
 }
 
+/// Each instruction's address value, laid out block by block: the
+/// per-procedure table the loop fixpoints write and the results read.
+struct LoadValues {
+    /// Position of each block's first instruction, then the count.
+    starts: Vec<u32>,
+    /// `Some(address value)` at each load a fixpoint ran.
+    values: Vec<Option<AbsVal>>,
+}
+
+impl LoadValues {
+    fn new(proc: &Procedure) -> LoadValues {
+        let mut starts = Vec::with_capacity(proc.blocks.len() + 1);
+        let mut len = 0u32;
+        for blk in &proc.blocks {
+            starts.push(len);
+            len += blk.instrs.len() as u32;
+        }
+        starts.push(len);
+        LoadValues {
+            starts,
+            values: vec![None; len as usize],
+        }
+    }
+
+    fn block(&mut self, b: BlockId) -> &mut [Option<AbsVal>] {
+        let (s, e) = (self.starts[b.index()], self.starts[b.index() + 1]);
+        &mut self.values[s as usize..e as usize]
+    }
+}
+
+/// Run loop `li`'s fixpoint. Each run of a block whose innermost loop
+/// is `li` records its loads' address values in `values`; a block runs
+/// again whenever its in-state moves, so its last run is on the
+/// fixpoint in-state.
+#[allow(clippy::too_many_arguments)]
 fn analyze_loop(
     proc: &Procedure,
     cfg: &Cfg,
@@ -486,6 +730,8 @@ fn analyze_loop(
     li: usize,
     summaries: &ProcSummaries,
     ranges: &RangeAnalysis,
+    forms: &mut Forms,
+    values: &mut LoadValues,
 ) -> LoopStates {
     let l = &forest.loops[li];
     // Track the first MAX_SLOTS syntactic frame-store targets; semantic
@@ -524,8 +770,10 @@ fn analyze_loop(
         /// The join of its predecessors' out-states.
         Joined,
     }
+    // Per block: how its in-state comes about (`None` outside the
+    // loop), and whether it is pending (see below).
     let n = proc.blocks.len();
-    let mut entry: Vec<Option<Entry>> = vec![None; n];
+    let mut sched: Vec<(Option<Entry>, bool)> = vec![(None, false); n];
     let order: Vec<BlockId> = cfg
         .rpo()
         .iter()
@@ -533,13 +781,13 @@ fn analyze_loop(
         .filter(|b| l.contains(*b))
         .collect();
     for &b in &order {
-        entry[b.index()] = Some(if b == l.header {
-            Entry::Header
+        sched[b.index()] = if b == l.header {
+            (Some(Entry::Header), true)
         } else if cfg.preds(b).iter().any(|p| !l.body.contains(p)) {
-            Entry::Outside
+            (Some(Entry::Outside), true)
         } else {
-            Entry::Joined
-        });
+            (Some(Entry::Joined), false)
+        };
     }
 
     // Sweep the body in reverse postorder until nothing is pending. A
@@ -551,22 +799,16 @@ fn analyze_loop(
     // every sweep's result, and the fixpoint, what a full sweep gives.
     // Flat lattice (unvisited → affine/loaded → ⊤): the fixpoint
     // terminates in O(body · NUM_DIMS) joins.
-    // (`vec![None; n]` would copy a 4.8 KB `None` per slot.)
-    let unvisited = || -> Vec<Option<State>> { (0..n).map(|_| None).collect() };
-    let (mut in_states, mut out_states) = (unvisited(), unvisited());
-    let mut pending: Vec<bool> = entry
-        .iter()
-        .map(|e| matches!(e, Some(Entry::Header | Entry::Outside)))
-        .collect();
+    let mut out_states: Vec<Option<State>> = vec![None; n];
     let mut progressed = true;
     while progressed {
         progressed = false;
         for &b in &order {
-            if !std::mem::take(&mut pending[b.index()]) {
+            if !std::mem::take(&mut sched[b.index()].1) {
                 continue;
             }
             progressed = true;
-            let inn = match entry[b.index()] {
+            let inn = match sched[b.index()].0 {
                 Some(Entry::Header) => identity_state(),
                 Some(Entry::Outside) => top_state(),
                 _ => {
@@ -585,17 +827,13 @@ fn analyze_loop(
                     }
                 }
             };
-            in_states[b.index()] = Some(inn);
-            let mut st = inn;
-            let mut rr = *ranges.block_entry(b);
-            for ins in &proc.block(b).instrs {
-                transfer(ins, &mut st, &rr, &ctx);
-                ranges::step(ins, &mut rr, summaries);
-            }
+            let record = (forest.innermost_index(b) == Some(li)).then(|| values.block(b));
+            let st = walk_block(proc.block(b), inn, ranges, &ctx, forms, record);
             if out_states[b.index()].as_ref() != Some(&st) {
                 out_states[b.index()] = Some(st);
                 for &succ in cfg.succs(b) {
-                    pending[succ.index()] |= entry[succ.index()] == Some(Entry::Joined);
+                    let (entry, pending) = &mut sched[succ.index()];
+                    *pending |= *entry == Some(Entry::Joined);
                 }
             }
         }
@@ -604,12 +842,6 @@ fn analyze_loop(
     // branching back to the header) ends the iteration with the
     // unit-coefficient self-recurrence `d = d_header + δ`, with one `δ`
     // across latches.
-    let latches: Vec<BlockId> = l
-        .body
-        .iter()
-        .copied()
-        .filter(|&b| cfg.succs(b).contains(&l.header))
-        .collect();
     let dim_val = |st: &State, d: usize| -> AbsVal {
         if d < NUM_REGS {
             st.regs[d]
@@ -618,37 +850,27 @@ fn analyze_loop(
         }
     };
     let mut deltas: [Option<i64>; NUM_DIMS] = [None; NUM_DIMS];
-    for (d, slot) in deltas.iter_mut().enumerate() {
-        let mut proven: Option<i64> = None;
-        let mut ok = !latches.is_empty();
-        for &latch in &latches {
-            let dv = out_states[latch.index()]
-                .as_ref()
-                .and_then(|st| match dim_val(st, d) {
-                    AbsVal::Affine { coef, konst } => {
-                        let unit = coef
-                            .iter()
-                            .enumerate()
-                            .all(|(i, &c)| c == i64::from(i == d));
-                        unit.then_some(konst)
-                    }
-                    _ => None,
-                });
-            match (dv, proven) {
-                (Some(x), None) => proven = Some(x),
+    let mut refuted = [false; NUM_DIMS];
+    let latches = l.body.iter().filter(|b| cfg.succs(**b).contains(&l.header));
+    for latch in latches {
+        let st = out_states[latch.index()].as_ref();
+        for d in 0..NUM_DIMS {
+            let dv = st.and_then(|st| match dim_val(st, d) {
+                AbsVal::Affine { form, konst } if form == Forms::unit(d) => Some(konst),
+                _ => None,
+            });
+            match (dv, deltas[d]) {
+                _ if refuted[d] => {}
+                (Some(x), None) => deltas[d] = Some(x),
                 (Some(x), Some(p)) if x == p => {}
                 _ => {
-                    ok = false;
-                    break;
+                    refuted[d] = true;
+                    deltas[d] = None;
                 }
             }
         }
-        if ok {
-            *slot = proven;
-        }
     }
     LoopStates {
-        in_states,
         out_states,
         deltas,
         slot_keys,
@@ -657,20 +879,18 @@ fn analyze_loop(
 
 /// Stride of an affine form under a loop's proven deltas: `Σ coef·δ`,
 /// `None` if any contributing dimension is unproven.
-fn stride_of(coef: &[i64; NUM_DIMS], deltas: &[Option<i64>; NUM_DIMS]) -> Option<i64> {
+fn stride_of(form: FormId, deltas: &[Option<i64>; NUM_DIMS], forms: &Forms) -> Option<i64> {
     let mut stride = 0i64;
-    for (d, &c) in coef.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        stride = stride.wrapping_add(c.wrapping_mul(deltas[d]?));
+    for d in dims(forms.mask(form)) {
+        stride = stride.wrapping_add(forms.coef(form, d).wrapping_mul(deltas[d]?));
     }
     Some(stride)
 }
 
 impl AbsInterp {
     /// The full layered analysis; `ModuleAbsInterp` supplies summaries,
-    /// summary-seeded ranges, and the module data segment.
+    /// summary-seeded ranges, the module data segment and the module's
+    /// form table.
     fn analyze_full(
         proc: &Procedure,
         cfg: &Cfg,
@@ -678,86 +898,79 @@ impl AbsInterp {
         summaries: &ProcSummaries,
         ranges: &RangeAnalysis,
         data_range: Option<(u64, u64)>,
+        forms: &mut Forms,
     ) -> AbsInterp {
+        let mut values = LoadValues::new(proc);
         // One fixpoint per loop in the forest — parents included, so
         // nest proofs can substitute into the enclosing loop's frame.
         let per_loop: Vec<LoopStates> = (0..forest.loops.len())
-            .map(|li| analyze_loop(proc, cfg, forest, li, summaries, ranges))
+            .map(|li| analyze_loop(proc, cfg, forest, li, summaries, ranges, forms, &mut values))
             .collect();
-        let mut results = Vec::with_capacity(proc.blocks.len());
+        let mut results = Vec::with_capacity(values.values.len());
         for blk in &proc.blocks {
-            let mut row = Vec::with_capacity(blk.instrs.len());
-            match forest.innermost_index(blk.id) {
-                None => {
-                    for ins in &blk.instrs {
-                        row.push(ins.is_load().then_some(AbsResult::NoLoop));
-                    }
-                }
-                Some(li) => {
-                    let ls = &per_loop[li];
-                    let ctx = LoopCtx {
-                        slot_keys: &ls.slot_keys,
-                        summaries,
-                    };
-                    let mut st = match ls.in_states[blk.id.index()] {
-                        Some(s) => s,
-                        None => top_state(),
-                    };
-                    let mut rr = *ranges.block_entry(blk.id);
-                    for ins in &blk.instrs {
-                        let res = if let Instr::Load { addr, .. } = ins {
-                            Some(match eval_addr(addr, &st) {
-                                AbsVal::Affine { coef, konst } => {
-                                    match stride_of(&coef, &ls.deltas) {
-                                        Some(stride) => {
-                                            let outer_stride = outer_stride(
-                                                forest, &per_loop, li, &coef, konst, cfg,
-                                            );
-                                            let const_addr = (stride == 0)
-                                                .then(|| {
-                                                    const_addr(
-                                                        &coef,
-                                                        konst,
-                                                        forest.loops[li].header,
-                                                        ranges,
-                                                        data_range,
-                                                    )
-                                                })
-                                                .flatten();
-                                            AbsResult::Proven {
-                                                stride,
-                                                outer_stride,
-                                                const_addr,
-                                            }
-                                        }
-                                        None => AbsResult::Unknown,
-                                    }
-                                }
-                                AbsVal::Loaded => AbsResult::ProvenIrregular,
-                                AbsVal::Top => AbsResult::Unknown,
-                            })
-                        } else {
-                            None
-                        };
-                        row.push(res);
-                        transfer(ins, &mut st, &rr, &ctx);
-                        ranges::step(ins, &mut rr, summaries);
-                    }
-                }
+            let Some(li) = forest.innermost_index(blk.id) else {
+                let no_loop = |ins: &Instr| ins.is_load().then_some(AbsResult::NoLoop);
+                results.extend(blk.instrs.iter().map(no_loop));
+                continue;
+            };
+            let ls = &per_loop[li];
+            if ls.out_states[blk.id.index()].is_none() {
+                // The fixpoint never ran this block: its loads are
+                // evaluated from ⊤.
+                let ctx = LoopCtx {
+                    slot_keys: &ls.slot_keys,
+                    summaries,
+                };
+                walk_block(
+                    blk,
+                    top_state(),
+                    ranges,
+                    &ctx,
+                    forms,
+                    Some(values.block(blk.id)),
+                );
             }
-            results.push(row);
+            for &value in values.block(blk.id).iter() {
+                results.push(value.map(|v| {
+                    match v {
+                        AbsVal::Affine { form, konst } => {
+                            match stride_of(form, &ls.deltas, forms) {
+                                Some(stride) => AbsResult::Proven {
+                                    stride,
+                                    outer_stride: outer_stride(
+                                        forest, &per_loop, li, form, konst, cfg, forms,
+                                    ),
+                                    const_addr: (stride == 0)
+                                        .then(|| {
+                                            let header = forest.loops[li].header;
+                                            const_addr(
+                                                form, konst, header, ranges, data_range, forms,
+                                            )
+                                        })
+                                        .flatten(),
+                                },
+                                None => AbsResult::Unknown,
+                            }
+                        }
+                        AbsVal::Loaded => AbsResult::ProvenIrregular,
+                        AbsVal::Top => AbsResult::Unknown,
+                    }
+                }));
+            }
         }
-        AbsInterp { results }
+        let starts = values.starts;
+        AbsInterp { starts, results }
     }
 
     /// The result for the load at `(block, idx)`, or `None` if that
     /// instruction is not a load.
     pub fn load_result(&self, block: BlockId, idx: usize) -> Option<AbsResult> {
-        self.results
-            .get(block.index())
-            .and_then(|row| row.get(idx))
-            .copied()
-            .flatten()
+        let start = *self.starts.get(block.index())? as usize;
+        let end = *self.starts.get(block.index() + 1)? as usize;
+        if idx >= end - start {
+            return None;
+        }
+        self.results.get(start + idx).copied().flatten()
     }
 
     /// Collapse a result to a definite load class, when one is proven.
@@ -804,9 +1017,10 @@ fn outer_stride(
     forest: &LoopForest,
     per_loop: &[LoopStates],
     li: usize,
-    coef: &[i64; NUM_DIMS],
+    form: FormId,
     konst: i64,
     cfg: &Cfg,
+    forms: &mut Forms,
 ) -> Option<i64> {
     let inner = &forest.loops[li];
     let pi = inner.parent?;
@@ -833,10 +1047,7 @@ fn outer_stride(
     // Substitute each inner dimension with its parent-frame value.
     let inner_keys = &per_loop[li].slot_keys;
     let mut acc = AbsVal::konst(konst);
-    for (d, &c) in coef.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
+    for d in dims(forms.mask(form)) {
         let v = if d < NUM_REGS {
             entry.regs[d]
         } else {
@@ -846,10 +1057,11 @@ fn outer_stride(
                 None => return None,
             }
         };
-        acc = acc.add(v.scale(c));
+        let term = v.scale(forms.coef(form, d), forms);
+        acc = acc.add(term, forms);
     }
     match acc {
-        AbsVal::Affine { coef, .. } => stride_of(&coef, &ps.deltas),
+        AbsVal::Affine { form, .. } => stride_of(form, &ps.deltas, forms),
         _ => None,
     }
 }
@@ -858,25 +1070,23 @@ fn outer_stride(
 /// point ranges at the loop header; accepted only inside the module's
 /// data segment.
 fn const_addr(
-    coef: &[i64; NUM_DIMS],
+    form: FormId,
     konst: i64,
     header: BlockId,
     ranges: &RangeAnalysis,
     data_range: Option<(u64, u64)>,
+    forms: &Forms,
 ) -> Option<i64> {
     let (lo, hi) = data_range?;
     let entry = ranges.block_entry(header);
     let mut addr = konst;
-    for (d, &c) in coef.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
+    for d in dims(forms.mask(form)) {
         // Slot dimensions have no interval information.
         if d >= NUM_REGS {
             return None;
         }
         let v = entry[d].as_point()?;
-        addr = addr.checked_add(c.checked_mul(v)?)?;
+        addr = addr.checked_add(forms.coef(form, d).checked_mul(v)?)?;
     }
     ((addr as u64) >= lo && (addr as u64) < hi).then_some(addr)
 }
@@ -894,10 +1104,12 @@ impl ModuleAbsInterp {
     /// Analyze every procedure of `module` with interprocedural facts,
     /// over the CFGs and loop forests of its `facts`. A caller's ranges
     /// are the ones its last summary round computed; only a procedure
-    /// that calls nothing gets its range analysis here.
+    /// that calls nothing gets its range analysis here. The procedures
+    /// share one form table.
     pub fn analyze(module: &LoadModule, facts: &ModuleFacts) -> ModuleAbsInterp {
         let (summaries, caller_ranges) = ProcSummaries::compute(module, facts);
         let data_range = module.data_range();
+        let mut forms = Forms::new();
         let procs = module
             .procs
             .iter()
@@ -907,7 +1119,8 @@ impl ModuleAbsInterp {
                 let ranges = ranges.unwrap_or_else(|| {
                     RangeAnalysis::analyze(p, cfg, summaries.entry_ranges(p.id), &summaries)
                 });
-                AbsInterp::analyze_full(p, cfg, facts.forest(p.id), &summaries, &ranges, data_range)
+                let forest = facts.forest(p.id);
+                AbsInterp::analyze_full(p, cfg, forest, &summaries, &ranges, data_range, &mut forms)
             })
             .collect();
         ModuleAbsInterp { summaries, procs }
@@ -939,7 +1152,7 @@ mod tests {
         let forest = LoopForest::build(proc, &cfg);
         let sums = ProcSummaries::default();
         let ranges = RangeAnalysis::analyze(proc, &cfg, top_ranges(), &sums);
-        AbsInterp::analyze_full(proc, &cfg, &forest, &sums, &ranges, None)
+        AbsInterp::analyze_full(proc, &cfg, &forest, &sums, &ranges, None, &mut Forms::new())
     }
 
     fn loop_proc(body_instrs: Vec<Instr>, latch_reg: Reg) -> Procedure {
@@ -984,6 +1197,42 @@ mod tests {
             entry: BlockId(0),
             src_file: "k.c".into(),
         }
+    }
+
+    #[test]
+    fn equal_vectors_intern_to_one_id_in_any_order() {
+        // 2·r0 + 3·r3 − slot2, reached three ways: the table hands out
+        // one id, so `join`'s equality is the vectors' equality.
+        let forms = &mut Forms::new();
+        let (r0, r3, s2) = (AbsVal::dim(0), AbsVal::dim(3), AbsVal::dim(NUM_REGS + 2));
+        let x = r0
+            .scale(2, forms)
+            .add(r3.scale(3, forms), forms)
+            .add(s2.neg(forms), forms);
+        let y = s2
+            .neg(forms)
+            .add(r3.add(r3, forms).add(r3, forms), forms)
+            .add(r0.add(r0, forms), forms);
+        let z = r0
+            .add(r3, forms)
+            .scale(2, forms)
+            .add(r3.add(s2.scale(-1, forms), forms), forms);
+        assert_eq!(x, y);
+        assert_eq!(y, z);
+        assert_eq!(x.join(z), x);
+        assert_ne!(x.join(x.offset(8)), x, "unequal constants still join to ⊤");
+        // Cancelling every term is the zero form, a constant.
+        assert_eq!(x.add(x.neg(forms), forms).as_const(), Some(0));
+        // Coefficients wrap mod 2⁶⁴ like the interpreter: 2⁶³ · 2 is 0.
+        let wrapped = r0.scale(i64::MIN, forms).scale(2, forms);
+        assert_eq!(wrapped.as_const(), Some(0));
+        let units = forms.forms.len();
+        assert_eq!(x.add(r0, forms).add(r0.neg(forms), forms), x);
+        assert_eq!(
+            forms.forms.len(),
+            units + 2,
+            "two new vectors, no duplicate"
+        );
     }
 
     #[test]

@@ -181,14 +181,27 @@ impl RangeAnalysis {
         let n = proc.blocks.len();
         let mut ins: Vec<RegRanges> = vec![top_ranges(); n];
         let mut outs: Vec<Option<RegRanges>> = vec![None; n];
-        let mut joins: Vec<u32> = vec![0; n];
         ins[cfg.entry().index()] = entry;
 
-        let mut changed = true;
-        while changed {
-            changed = false;
+        // Sweep in reverse postorder until nothing is pending. Every
+        // block runs once to begin with; after that a block is pending
+        // when a predecessor's out-state moved since it last ran. A block
+        // none of whose inputs moved would recompute the in-state it
+        // already computed: equal to its stored one, or (past
+        // `WIDEN_AFTER` joins) widened back onto it. Either way nothing
+        // moves, so skipping it leaves every sweep what a full sweep
+        // gives. Likewise a block whose in-state stands keeps its out.
+        // Per block: joins absorbed, and whether it is pending.
+        let mut sched: Vec<(u32, bool)> = vec![(0, true); n];
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
             for &b in cfg.rpo() {
                 let bi = b.index();
+                if !std::mem::take(&mut sched[bi].1) {
+                    continue;
+                }
+                progressed = true;
                 let mut inn: Option<RegRanges> = if b == cfg.entry() { Some(entry) } else { None };
                 for &p in cfg.preds(b) {
                     let Some(out) = &outs[p.index()] else {
@@ -201,9 +214,10 @@ impl RangeAnalysis {
                     });
                 }
                 let mut inn = inn.unwrap_or_else(top_ranges);
+                let mut moved = false;
                 if inn != ins[bi] {
-                    joins[bi] += 1;
-                    if joins[bi] > WIDEN_AFTER {
+                    sched[bi].0 += 1;
+                    if sched[bi].0 > WIDEN_AFTER {
                         for (cur, prev) in inn.iter_mut().zip(ins[bi].iter()) {
                             *cur = prev.widen(*cur);
                         }
@@ -212,18 +226,21 @@ impl RangeAnalysis {
                     // only a real move re-arms the fixpoint.
                     if inn != ins[bi] {
                         ins[bi] = inn;
-                        changed = true;
-                    } else {
-                        inn = ins[bi];
+                        moved = true;
                     }
                 }
-                let mut st = inn;
+                if !moved && outs[bi].is_some() {
+                    continue;
+                }
+                let mut st = ins[bi];
                 for instr in &proc.block(b).instrs {
                     step(instr, &mut st, summaries);
                 }
                 if outs[bi].as_ref() != Some(&st) {
                     outs[bi] = Some(st);
-                    changed = true;
+                    for &succ in cfg.succs(b) {
+                        sched[succ.index()].1 = true;
+                    }
                 }
             }
         }

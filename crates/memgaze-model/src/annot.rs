@@ -94,7 +94,7 @@ impl AuxAnnotations {
 
     /// True when no instruction is annotated.
     pub fn is_empty(&self) -> bool {
-        self.map.len() == 0
+        self.map.is_empty()
     }
 
     /// Iterate over `(ip, annotation)` pairs in address order.
@@ -122,11 +122,12 @@ impl FromIterator<(Ip, IpAnnot)> for AuxAnnotations {
 }
 
 /// A table keyed by instruction address: `(ip, value)` pairs sorted by
-/// ip, no ip twice. The annotation file and the source map are built
-/// once, in address order, and then only read, so a sorted vector
-/// serves them with one allocation and a binary search per lookup.
+/// ip, no ip twice. The annotation file, the source map and the
+/// instrumentor's `ptwrite` map are built once, in address order, and
+/// then read, so a sorted vector serves them with one allocation and a
+/// binary search per lookup. Its `Debug` prints what a map's prints.
 #[derive(Clone, PartialEq)]
-pub(crate) struct IpTable<V>(Vec<(Ip, V)>);
+pub struct IpTable<V>(Vec<(Ip, V)>);
 
 impl<V> Default for IpTable<V> {
     fn default() -> IpTable<V> {
@@ -135,9 +136,18 @@ impl<V> Default for IpTable<V> {
 }
 
 impl<V> IpTable<V> {
+    /// An empty table.
+    pub fn new() -> IpTable<V> {
+        IpTable::default()
+    }
+
+    fn find(&self, ip: Ip) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&ip, |e| e.0)
+    }
+
     /// Insert `value` at `ip`, replacing the value already there.
-    pub(crate) fn insert(&mut self, ip: Ip, value: V) {
-        match self.0.binary_search_by_key(&ip, |e| e.0) {
+    pub fn insert(&mut self, ip: Ip, value: V) {
+        match self.find(ip) {
             Ok(at) => {
                 if let Some(e) = self.0.get_mut(at) {
                     e.1 = value;
@@ -147,18 +157,47 @@ impl<V> IpTable<V> {
         }
     }
 
-    pub(crate) fn get(&self, ip: Ip) -> Option<&V> {
-        let at = self.0.binary_search_by_key(&ip, |e| e.0).ok()?;
+    /// Remove and return the value at `ip`.
+    pub fn remove(&mut self, ip: Ip) -> Option<V> {
+        let at = self.find(ip).ok()?;
+        Some(self.0.remove(at).1)
+    }
+
+    /// The value at `ip`.
+    pub fn get(&self, ip: Ip) -> Option<&V> {
+        let at = self.find(ip).ok()?;
         self.0.get(at).map(|e| &e.1)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// The value at `ip`, to change in place.
+    pub fn get_mut(&mut self, ip: Ip) -> Option<&mut V> {
+        let at = self.find(ip).ok()?;
+        self.0.get_mut(at).map(|e| &mut e.1)
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
         self.0.len()
     }
 
+    /// True when the table holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     /// The pairs in address order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Ip, &V)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (&Ip, &V)> + '_ {
         self.0.iter().map(|(ip, v)| (ip, v))
+    }
+
+    /// The addresses in order.
+    pub fn keys(&self) -> impl Iterator<Item = &Ip> + '_ {
+        self.0.iter().map(|e| &e.0)
+    }
+
+    /// The values in address order.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.0.iter().map(|e| &e.1)
     }
 }
 

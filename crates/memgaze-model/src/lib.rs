@@ -31,7 +31,7 @@ pub mod wire;
 
 pub use access::{Access, LoadClass};
 pub use addr::{Addr, BlockSize, Ip};
-pub use annot::{AuxAnnotations, IpAnnot};
+pub use annot::{AuxAnnotations, IpAnnot, IpTable};
 pub use error::ModelError;
 pub use hash::{fnv1a64, fnv1a64_seeded, Fnv64};
 pub use ratio::{compression_ratio, sample_ratio, DecompressionInfo};

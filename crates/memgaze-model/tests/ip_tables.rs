@@ -1,11 +1,13 @@
-//! The annotation file and the source map are sorted tables keyed by
-//! instruction address. Each is held here to a `BTreeMap` fed the same
-//! pairs: built by `insert`/`record` and by `collect`, from input with
-//! repeated addresses, in and out of order, both must answer every
-//! lookup, iterate, count and print exactly as the map does.
+//! The annotation file, the source map and the instrumentor's `ptwrite`
+//! map are sorted tables keyed by instruction address. Each is held here
+//! to a `BTreeMap` fed the same pairs: built by `insert`/`record` and by
+//! `collect`, from input with repeated addresses, in and out of order,
+//! all must answer every lookup, iterate, count and print exactly as the
+//! map does, and the bare table must also change in place and lose
+//! pairs as the map does.
 
 use memgaze_model::symbols::{SourceLoc, SourceMap};
-use memgaze_model::{AuxAnnotations, FunctionId, Ip, IpAnnot, LoadClass};
+use memgaze_model::{AuxAnnotations, FunctionId, Ip, IpAnnot, IpTable, LoadClass};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -77,7 +79,14 @@ fn same_as_model<T: Debug, V: Copy + Debug + PartialEq>(
         "{how}: {len} pairs, the map {}",
         model.len()
     );
-    let (got, want) = (format!("{table:?}"), format!("{name} {{ map: {model:?} }}"));
+    // A wrapper prints its table as its `map` field; the bare table
+    // (`name` empty) prints as the map itself.
+    let want = if name.is_empty() {
+        format!("{model:?}")
+    } else {
+        format!("{name} {{ map: {model:?} }}")
+    };
+    let got = format!("{table:?}");
     prop_assert!(got == want, "{how}: {got}, the map {want}");
     Ok(())
 }
@@ -130,5 +139,46 @@ proptest! {
             prop_assert!(table.is_empty() == model.is_empty(), "{how}");
         }
         prop_assert!(recorded == collected, "record and collect differ");
+    }
+
+    #[test]
+    fn table_edits_as_a_map(pairs in pairs(), edits in prop::collection::vec((0u64..26, 0u8..3, 0u32..1 << 20), 0..32)) {
+        let mut model: BTreeMap<Ip, u32> = pairs.iter().map(|&(s, v)| (ip(s), v)).collect();
+        let mut table: IpTable<u32> = pairs.iter().map(|&(s, v)| (ip(s), v)).collect();
+        for (slot, op, v) in edits {
+            let at = ip(slot);
+            match op {
+                0 => {
+                    let (got, want) = (table.remove(at), model.remove(&at));
+                    prop_assert!(got == want, "remove at {at}: {got:?}, the map {want:?}");
+                }
+                1 => {
+                    if let Some(x) = table.get_mut(at) {
+                        *x = v;
+                    }
+                    if let Some(x) = model.get_mut(&at) {
+                        *x = v;
+                    }
+                }
+                _ => {
+                    table.insert(at, v);
+                    model.insert(at, v);
+                }
+            }
+        }
+        same_as_model(
+            "edit",
+            &table,
+            &model,
+            |t, at| t.get(at).copied(),
+            |t| t.iter().map(|(k, v)| (*k, *v)).collect(),
+            table.len(),
+            "",
+        )?;
+        let keys: Vec<Ip> = table.keys().copied().collect();
+        let values: Vec<u32> = table.values().copied().collect();
+        prop_assert!(keys == model.keys().copied().collect::<Vec<_>>(), "keys");
+        prop_assert!(values == model.values().copied().collect::<Vec<_>>(), "values");
+        prop_assert!(table.is_empty() == model.is_empty(), "is_empty");
     }
 }

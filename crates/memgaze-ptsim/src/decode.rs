@@ -46,7 +46,7 @@ impl<'a> GroupDecoder<'a> {
     /// Feed one packet; returns a completed access when the packet closes
     /// a group.
     fn feed(&mut self, pkt: &PtwPacket) -> Option<Access> {
-        let info = match self.inst.ptw_map.get(&pkt.ip) {
+        let info = match self.inst.ptw_map.get(pkt.ip) {
             Some(i) => *i,
             None => {
                 self.unknown += 1;

@@ -186,7 +186,7 @@ mod tests {
         struct Count<'a>(&'a Instrumented, u64);
         impl EventSink for Count<'_> {
             fn on_ptwrite(&mut self, ip: Ip, _p: u64, _t: u64) {
-                if self.0.ptw_map.get(&ip).is_some_and(|i| i.last) {
+                if self.0.ptw_map.get(ip).is_some_and(|i| i.last) {
                     self.1 += 1;
                 }
             }

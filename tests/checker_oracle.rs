@@ -42,10 +42,10 @@ fn reference_check(
     let new_layout = inst.module.layout();
 
     // --- ptwrite groups ---------------------------------------------------
-    // Group ptw_map entries by the load they instrument; BTreeMap keys are
-    // new addresses, so each group comes out in address order.
+    // Group ptw_map entries by the load they instrument; the table is in
+    // new-address order, so each group comes out in address order.
     let mut groups: BTreeMap<Ip, Vec<(Ip, PtwInfo)>> = BTreeMap::new();
-    for (&ip, &info) in &inst.ptw_map {
+    for (&ip, &info) in inst.ptw_map.iter() {
         groups.entry(info.load_ip).or_default().push((ip, info));
     }
     for (&load_ip, decision) in plan.iter() {
@@ -151,7 +151,7 @@ fn reference_check(
             for (idx, ins) in block.instrs.iter().enumerate() {
                 if ins.is_ptwrite() {
                     let ip = new_layout.ip_of(proc.id, block.id, idx);
-                    if !inst.ptw_map.contains_key(&ip) {
+                    if inst.ptw_map.get(ip).is_none() {
                         diags.push(Diagnostic::error(
                             LintId::OrphanPtwrite,
                             Site::instr(name, proc.id, block.id, idx, Some(ip)),
@@ -425,18 +425,18 @@ fn damage(inst: &mut Instrumented, orig: &LoadModule, rng: &mut SmallRng) {
     match below(rng, 18) {
         0 => {
             if let Some(k) = pick(rng, &ptw_keys) {
-                inst.ptw_map.remove(&k);
+                inst.ptw_map.remove(k);
             }
         }
         // Redirect an entry: at another load, or at no load at all.
         1 | 2 => {
             if let (Some(k), Some(to)) = (pick(rng, &ptw_keys), pick(rng, &orig_ips)) {
-                inst.ptw_map.get_mut(&k).expect("picked").load_ip = to;
+                inst.ptw_map.get_mut(k).expect("picked").load_ip = to;
             }
         }
         3 => {
             if let Some(k) = pick(rng, &ptw_keys) {
-                let info = inst.ptw_map.get_mut(&k).expect("picked");
+                let info = inst.ptw_map.get_mut(k).expect("picked");
                 info.role = match info.role {
                     PtwRole::Base => PtwRole::Index,
                     PtwRole::Index => PtwRole::Base,
@@ -445,7 +445,7 @@ fn damage(inst: &mut Instrumented, orig: &LoadModule, rng: &mut SmallRng) {
         }
         4 => {
             if let Some(k) = pick(rng, &ptw_keys) {
-                let info = inst.ptw_map.get_mut(&k).expect("picked");
+                let info = inst.ptw_map.get_mut(k).expect("picked");
                 info.last = !info.last;
             }
         }
@@ -467,7 +467,7 @@ fn damage(inst: &mut Instrumented, orig: &LoadModule, rng: &mut SmallRng) {
         // Move an entry to another address.
         7 => {
             if let (Some(k), Some(to)) = (pick(rng, &ptw_keys), pick(rng, &new_ips)) {
-                let info = inst.ptw_map.remove(&k).expect("picked");
+                let info = inst.ptw_map.remove(k).expect("picked");
                 inst.ptw_map.insert(to, info);
             }
         }

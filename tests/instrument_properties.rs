@@ -6,7 +6,7 @@
 use memgaze::instrument::{InstrumentConfig, Instrumenter};
 use memgaze::isa::codegen::{self, Compose, OptLevel, Pattern, UKernelSpec};
 use memgaze::isa::interp::{Machine, VecSink};
-use memgaze::model::{LoadClass, TraceMeta};
+use memgaze::model::{Ip, LoadClass, TraceMeta};
 use memgaze::ptsim::collect_full;
 use proptest::prelude::*;
 
@@ -86,6 +86,9 @@ proptest! {
         let main = module.find_proc("main").unwrap();
 
         // Reference: original-module loads, filtered to instrumented ips.
+        let mut instrumented: Vec<Ip> = inst.ptw_map.values().map(|i| i.load_ip).collect();
+        instrumented.sort_unstable();
+        instrumented.dedup();
         let mut orig = Machine::new(&module, VecSink::default());
         orig.run(main, 200_000_000).unwrap();
         let reference: Vec<(u64, u64)> = orig
@@ -97,10 +100,7 @@ proptest! {
                     .get(*ip)
                     .map(|a| a.class != LoadClass::Constant)
                     .unwrap_or(false)
-                    && inst
-                        .ptw_map
-                        .values()
-                        .any(|i| i.load_ip == *ip)
+                    && instrumented.binary_search(ip).is_ok()
             })
             .map(|(_, addr, t)| (*addr, *t))
             .collect();

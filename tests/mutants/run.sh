@@ -3,7 +3,7 @@
 # windows of the fold, the resident event lists, the zoom, the partial
 # reports' one fold, footprint union and list codec, the watch loop,
 # serve's window loads, the address-keyed side tables and the static
-# side's procedure summaries.
+# side's procedure summaries and abstract interpreter.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
@@ -32,7 +32,11 @@
 # locality_vs_interval_with bit for bit; of the summary mutants,
 # summary_keeps_first_round_ranges.patch names the chain test of
 # tests/verifier_properties.rs and unknown_callee_clobbers_nothing.patch
-# the call_clobbers_scratch unit tests of memgaze-isa). For every patch
+# the call_clobbers_scratch unit tests of memgaze-isa; the two mutants
+# of the abstract interpreter, scale_memo_ignores_the_factor.patch on
+# its memo of multiples and load_value_from_first_visit.patch on the
+# address values its loop fixpoints record, name the wide-form test of
+# tests/ir_digests.rs). For every patch
 # this script applies it with `git apply`, builds and runs that suite in
 # release, requires the suite to fail, and reverts with `git apply -R`.
 # A patch that no longer applies, a mutant that does not build, a suite

@@ -255,7 +255,7 @@ fn mutation_remapped_ptwrite_breaks_group() {
         .find(|&l| l != first_load)
         .expect("module has more than one instrumented load");
     let victim = *a.inst.ptw_map.keys().next().unwrap();
-    a.inst.ptw_map.get_mut(&victim).unwrap().load_ip = other;
+    a.inst.ptw_map.get_mut(victim).unwrap().load_ip = other;
     let diags = check(&a);
     assert!(has(&diags, LintId::MissingPtwrite), "{diags:?}");
 }
@@ -264,7 +264,7 @@ fn mutation_remapped_ptwrite_breaks_group() {
 fn mutation_dropped_ptw_map_entry_is_orphan() {
     let mut a = artifacts(OptLevel::O0);
     let victim = *a.inst.ptw_map.keys().next().unwrap();
-    a.inst.ptw_map.remove(&victim);
+    a.inst.ptw_map.remove(victim);
     let diags = check(&a);
     assert!(has(&diags, LintId::OrphanPtwrite), "{diags:?}");
 }
