@@ -1141,10 +1141,32 @@ mod tests {
 
     #[test]
     fn into_partial_sorts_the_footprint_at_every_block_size() {
-        let (t, annots, symbols) = synthetic_trace();
-        // Byte and two-byte blocks sort pairs; larger ones pack words.
+        let (t, mut annots, symbols) = synthetic_trace();
+        annots.insert(
+            Ip(0x508),
+            IpAnnot::of_class(LoadClass::Constant, FunctionId(1)),
+        );
         for log2 in [0u8, 1, 2, 3, 12] {
             let footprint_block = BlockSize::from_log2(log2);
+            // Two samples on the edges of the 64-block chunks a
+            // function's footprint is kept in: blocks 63, 64 and 127,
+            // the top block and the one below its chunk, a block no
+            // class marks, and blocks 63 and 127 marked Irregular by one
+            // window of `beta` and Strided by the other.
+            let (top, at) = (u64::MAX >> log2, |block: u64| block << log2);
+            let edges = [
+                [(0x500, at(63)), (0x500, at(64)), (0x504, at(127))],
+                [(0x504, at(63)), (0x500, at(127)), (0x508, at(128))],
+                [(0x400, at(top)), (0x404, at(top - 64)), (0x408, at(64))],
+            ];
+            let mut t = t.clone();
+            for (s, accesses) in (0u64..).zip(edges) {
+                let base = 200_000 + s * 10_000;
+                let accesses = (base..).zip(accesses);
+                let accesses = accesses.map(|(time, (ip, addr))| Access::new(ip, addr, time));
+                t.push_sample(Sample::new(accesses.collect(), base + 3))
+                    .unwrap();
+            }
             let cfg = AnalysisConfig {
                 footprint_block,
                 ..AnalysisConfig::default()

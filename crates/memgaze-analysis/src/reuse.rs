@@ -10,6 +10,7 @@
 //! Fenwick tree over the words for the long intervals
 //! (`kernel::Markers`).
 
+use crate::fxhash::FxHashMap;
 use crate::kernel::{self, Row, Workspace};
 use memgaze_model::{Access, BlockSize, Sample};
 use serde::{Deserialize, Serialize};
@@ -114,23 +115,38 @@ struct BlockStats {
 }
 
 impl BlockStats {
-    fn of_row(row: &Row) -> (u64, BlockStats) {
-        (
-            row.block,
-            BlockStats {
-                accesses: u64::from(row.accesses),
-                dist_sum: row.dist_sum,
-                reuse_cnt: u64::from(row.reuse_cnt),
-                max_dist: u64::from(row.max_dist),
-            },
-        )
-    }
-
     fn absorb(&mut self, other: &BlockStats) {
         self.accesses += other.accesses;
         self.dist_sum += other.dist_sum;
         self.reuse_cnt += other.reuse_cnt;
         self.max_dist = self.max_dist.max(other.max_dist);
+    }
+}
+
+/// `block → [accesses, Σ distance, reuse count, max distance]`, absorbed
+/// one window's kernel rows at a time and sorted once into a
+/// [`BlockReuse`]: the streaming fold's one block-stat table.
+#[derive(Default)]
+pub(crate) struct BlockTable(FxHashMap<u64, BlockStats>);
+
+impl BlockTable {
+    /// Absorb the rows of one window's reuse pass.
+    pub(crate) fn absorb_rows(&mut self, rows: &[Row]) {
+        for row in rows {
+            let s = self.0.entry(row.block).or_default();
+            s.accesses += u64::from(row.accesses);
+            s.dist_sum += row.dist_sum;
+            s.reuse_cnt += u64::from(row.reuse_cnt);
+            s.max_dist = s.max_dist.max(u64::from(row.max_dist));
+        }
+    }
+
+    /// The summary of every row absorbed, its blocks sorted once; no
+    /// query index.
+    pub(crate) fn into_block_reuse(self) -> BlockReuse {
+        let mut pairs: Vec<(u64, BlockStats)> = self.0.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(b, _)| b);
+        BlockReuse::from_sorted_unindexed(pairs.into_iter())
     }
 }
 
@@ -183,10 +199,9 @@ impl Default for BlockReuse {
 }
 
 impl BlockReuse {
-    /// The summary of `samples` at block size `bs` — the one place a
-    /// `BlockReuse` is built from accesses. Reuse is intra-sample
-    /// (§IV-B): one kernel reuse pass per sample, the per-block rows of
-    /// all of them sorted once, the query index built once.
+    /// The summary of `samples` at block size `bs`. Reuse is
+    /// intra-sample (§IV-B): one kernel reuse pass per sample, its rows
+    /// absorbed into one [`BlockTable`], the query index built once.
     pub fn from_samples(samples: &[Sample], bs: BlockSize) -> BlockReuse {
         let mut br = BlockReuse::from_samples_unindexed(samples, bs);
         br.rebuild_index();
@@ -202,17 +217,16 @@ impl BlockReuse {
             .collect()
     }
 
-    /// One kernel reuse pass per sample, the rows sorted once; no query
-    /// index.
+    /// One kernel reuse pass per sample into one table; no query index.
     fn from_samples_unindexed(samples: &[Sample], bs: BlockSize) -> BlockReuse {
-        let mut pairs = Vec::new();
+        let mut table = BlockTable::default();
         kernel::with_workspace(|ws| {
             for s in samples {
                 ws.reuse_pass(s.accesses.iter().map(|a| (a.addr.block(bs), 0)));
-                pairs.extend(ws.rows().iter().map(BlockStats::of_row));
+                table.absorb_rows(ws.rows());
             }
         });
-        BlockReuse::from_pairs_unindexed(pairs)
+        table.into_block_reuse()
     }
 
     /// Coalesce many window summaries at once: concatenate the sorted
@@ -221,43 +235,17 @@ impl BlockReuse {
     /// O(n log n) — versus O(k·n) worth of index rebuilds when folding
     /// parts through [`BlockReuse::merge`] one by one.
     pub fn from_parts(parts: impl IntoIterator<Item = BlockReuse>) -> BlockReuse {
-        let mut br = BlockReuse::from_parts_unindexed(parts);
-        br.rebuild_index();
-        br
-    }
-
-    /// [`from_parts`](Self::from_parts) without rebuilding the query
-    /// index — for intermediate accumulator states that are only ever
-    /// merged again (`from_parts` consumes just `blocks`/`stats`),
-    /// never queried. Skipping the prefix sums and the O(n log n)
-    /// sparse max-table on every geometric fold is what keeps streaming
-    /// ingest's merge tax sublinear; a query against an unindexed state
-    /// panics on the empty prefix arrays rather than answering wrong.
-    pub(crate) fn from_parts_unindexed(parts: impl IntoIterator<Item = BlockReuse>) -> BlockReuse {
         let mut pairs: Vec<(u64, BlockStats)> = Vec::new();
         for p in parts {
             pairs.extend(p.blocks.into_iter().zip(p.stats));
         }
-        BlockReuse::from_pairs_unindexed(pairs)
-    }
-
-    /// The unindexed summary of many windows' kernel rows, concatenated
-    /// — a streaming shard's samples — sorted once, in place.
-    pub(crate) fn from_rows_unindexed(rows: &mut [Row]) -> BlockReuse {
-        // Rows arrive in first-touch order, so there are no runs for a
-        // stable sort to find.
-        rows.sort_unstable_by_key(|r| r.block);
-        BlockReuse::from_sorted_unindexed(rows.iter().map(BlockStats::of_row))
-    }
-
-    /// Sort `(block, stats)` pairs and absorb duplicate blocks; no
-    /// query index.
-    fn from_pairs_unindexed(mut pairs: Vec<(u64, BlockStats)>) -> BlockReuse {
         // The stable sort detects runs: summaries arrive with strictly
         // increasing blocks, so their concatenation is a handful of
         // pre-sorted runs that merge in near-linear time.
         pairs.sort_by_key(|&(b, _)| b);
-        BlockReuse::from_sorted_unindexed(pairs.into_iter())
+        let mut br = BlockReuse::from_sorted_unindexed(pairs.into_iter());
+        br.rebuild_index();
+        br
     }
 
     /// Absorb duplicate blocks of `(block, stats)` pairs in block order;

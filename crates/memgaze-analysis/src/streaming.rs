@@ -46,8 +46,9 @@ use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
-use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, Markers, Row, Workspace};
-use crate::reuse::{BlockReuse, ReuseAnalysis};
+use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, Markers, Workspace};
+use crate::kernel::{IRREGULAR, STRIDED};
+use crate::reuse::{BlockReuse, BlockTable, ReuseAnalysis};
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
     TraceMeta,
@@ -62,7 +63,7 @@ pub struct IngestStats {
     pub shards: u64,
     /// Samples ingested.
     pub samples: u64,
-    /// Partial-artifact merge events (one per shard-level fold).
+    /// Partial-artifact merge events: one per non-empty shard.
     pub merge_events: u64,
     /// Largest shard seen, in samples.
     pub peak_shard_samples: usize,
@@ -322,8 +323,15 @@ impl ReuseTracker {
 struct FuncState {
     id: u32,
     name: String,
-    /// Footprint block → the class bits of the loads that touched it.
-    blocks: FxHashMap<u64, u8>,
+    /// The footprint in chunks of 64 blocks: chunk key `block >> 6` →
+    /// the chunk's index in `chunks`.
+    chunk_index: FxHashMap<u64, usize>,
+    /// Per chunk, its key and three bit columns over its 64 blocks:
+    /// touched, touched by a Strided load, touched by an Irregular one.
+    chunks: Vec<(u64, [u64; 3])>,
+    /// The chunk last written: a window's distinct blocks cluster, so
+    /// most land in the chunk of the block before them.
+    last: usize,
     observed: u64,
     implied_const: u64,
     tracker: ReuseTracker,
@@ -336,7 +344,9 @@ impl FuncState {
         FuncState {
             id,
             name: name.to_string(),
-            blocks: FxHashMap::default(),
+            chunk_index: FxHashMap::default(),
+            chunks: Vec::new(),
+            last: 0,
             observed: 0,
             implied_const: 0,
             tracker: ReuseTracker::new(),
@@ -348,32 +358,48 @@ impl FuncState {
     /// distinct blocks with their class bits, and its counts.
     fn add_footprint(&mut self, distinct: &[(u64, u8)], counts: ClassCounts, len: usize) {
         for &(block, mask) in distinct {
+            let key = block >> 6;
+            if self.chunks.get(self.last).map(|c| c.0) != Some(key) {
+                let (index, chunks) = (&mut self.chunk_index, &mut self.chunks);
+                self.last = *index.entry(key).or_insert_with(|| {
+                    chunks.push((key, [0; 3]));
+                    chunks.len() - 1
+                });
+            }
+            let bit = 1u64 << (block & 63);
+            let cols = &mut self.chunks[self.last].1;
+            cols[0] |= bit;
             // Two ips of different classes can hit the same block, in
             // one window or in two; each class must still record it.
-            *self.blocks.entry(block).or_insert(0) |= mask;
+            cols[1] |= bit * u64::from(mask & STRIDED != 0);
+            cols[2] |= bit * u64::from(mask & IRREGULAR != 0);
         }
         self.obs.push(counts.footprint as f64);
         self.observed += len as u64;
         self.implied_const += counts.implied_const;
     }
-}
 
-/// A function's footprint map as one block-sorted list of `(block,
-/// class mask)` entries. Blocks of four bytes or more leave a word's two
-/// top bits free, so an entry packs into one word that orders as its
-/// block and the sort moves words, not pairs (a third less time on the
-/// benchmark's traces); smaller blocks sort the pairs.
-fn sorted_footprint(blocks: FxHashMap<u64, u8>, block_size: BlockSize) -> Vec<(u64, u8)> {
-    if block_size.log2() < 2 {
-        let mut entries: Vec<(u64, u8)> = blocks.into_iter().collect();
-        entries.sort_unstable_by_key(|&(block, _)| block);
-        return entries;
+    /// The footprint as one block-sorted list of `(block, class mask)`
+    /// entries: the chunks sorted by key, each one's blocks read off its
+    /// set bits in order.
+    fn footprint(&mut self) -> Vec<(u64, u8)> {
+        // The index goes first: the peak is the chunks and the list.
+        self.chunk_index = FxHashMap::default();
+        let mut chunks = std::mem::take(&mut self.chunks);
+        chunks.sort_unstable_by_key(|c| c.0);
+        let n = chunks.iter().map(|c| c.1[0].count_ones() as usize).sum();
+        let mut entries = Vec::with_capacity(n);
+        for (key, [mut touched, strided, irregular]) in chunks {
+            while touched != 0 {
+                let bit = touched.trailing_zeros();
+                let has = |col: u64| u8::from(col >> bit & 1 == 1);
+                let mask = has(strided) * STRIDED + has(irregular) * IRREGULAR;
+                entries.push((key << 6 | u64::from(bit), mask));
+                touched &= touched - 1;
+            }
+        }
+        entries
     }
-    let mut words: Vec<u64> = (blocks.into_iter())
-        .map(|(block, mask)| block << 2 | u64::from(mask))
-        .collect();
-    words.sort_unstable();
-    words.into_iter().map(|w| (w >> 2, (w & 3) as u8)).collect()
 }
 
 /// Feed the window the workspace's last reuse pass ran over to a
@@ -400,8 +426,10 @@ pub struct StreamingAnalyzer<'a> {
     implied_const: u64,
     per_sample_diags: Vec<FootprintDiagnostics>,
     per_sample_reuse: Vec<SampleReuseSummary>,
-    block_reuse: BlockReuse,
     histogram: Log2Histogram,
+    /// Every sample's per-block reuse rows, absorbed as they come: one
+    /// table for the whole pass, sorted once by `into_partial`.
+    block_table: BlockTable,
     /// Per locality size, one `(windows, Σd, Σg, Σf)` row *per sample*,
     /// retained (not pre-summed) so partial merges concatenate rows and
     /// the final fold runs once, in global sample order — `f64` sums of
@@ -412,25 +440,12 @@ pub struct StreamingAnalyzer<'a> {
     /// `BTreeMap`, so this order never reaches the report.
     funcs: Vec<FuncState>,
     stats: IngestStats,
-    /// Shard-level [`BlockReuse`] summaries not yet folded into
-    /// `block_reuse`. Folding is deferred geometrically (see
-    /// [`fold_pending_block_reuse`](Self::fold_pending_block_reuse)) so
-    /// the O(n log n) index rebuild runs O(log shards) times instead of
-    /// once per shard; `BlockReuse::from_parts` equals any pairwise
-    /// merge order, so the report stays bit-identical.
-    pending_block_reuse: Vec<BlockReuse>,
-    /// Total entries across `pending_block_reuse`, driving the fold
-    /// threshold.
-    pending_blocks: usize,
     /// Per-ip memo of `(function slot, class bit, implied constants)`.
     resolver: IpResolver<'a>,
     /// The current shard's accesses, resolved: one entry per access in
     /// shard order, the buffer reused from shard to shard. (The block
     /// columns are the accesses' own `addr`, shifted where it is read.)
     resolved: Vec<IpInfo>,
-    /// The current shard's per-block reuse rows, sample after sample;
-    /// reused likewise.
-    shard_rows: Vec<Row>,
     /// Each sample's reuse event list, as `reuse::analyze_window` gives
     /// it, read off the fold's own reuse pass — kept only for the
     /// resident [`Analyzer`](crate::Analyzer), whose heatmaps, histogram
@@ -453,16 +468,13 @@ impl<'a> StreamingAnalyzer<'a> {
             implied_const: 0,
             per_sample_diags: Vec::new(),
             per_sample_reuse: Vec::new(),
-            block_reuse: BlockReuse::default(),
             histogram: Log2Histogram::new(),
+            block_table: BlockTable::default(),
             locality: Vec::new(),
             funcs: Vec::new(),
             stats: IngestStats::default(),
-            pending_block_reuse: Vec::new(),
-            pending_blocks: 0,
             resolver: IpResolver::new(symbols, annots),
             resolved: Vec::new(),
-            shard_rows: Vec::new(),
             sample_events: None,
         }
     }
@@ -491,34 +503,18 @@ impl<'a> StreamingAnalyzer<'a> {
         }
         let resolved = self.resolve(samples);
         let shard_bytes = resolved.len() * std::mem::size_of::<Access>();
-        let mut rows = std::mem::take(&mut self.shard_rows);
-        rows.clear();
         // Each sample with its slice of the resolved column.
         let mut rest = &resolved[..];
         for s in samples {
             let (infos, after) = rest.split_at(s.accesses.len());
             rest = after;
-            self.fold_sample(s, infos, &mut rows);
+            self.fold_sample(s, infos);
         }
         self.resolved = resolved;
-        // One shard-level BlockReuse merge event, built from the
-        // samples' concatenated rows in one sort: that equals folding
-        // per-sample merges, and merging shard summaries equals
-        // `from_parts` over everything (integer absorption is
-        // associative). The shard summary is queued, never queried —
-        // so no index — and folded geometrically in
-        // `fold_pending_block_reuse`.
         if !samples.is_empty() {
-            let shard_summary = BlockReuse::from_rows_unindexed(&mut rows);
-            self.pending_blocks += shard_summary.len();
-            self.pending_block_reuse.push(shard_summary);
-            if self.pending_blocks > 4096.max(2 * self.block_reuse.len()) {
-                self.fold_pending_block_reuse();
-            }
             self.stats.merge_events += 1;
             memgaze_obs::counter!("streaming.merges").add(1);
         }
-        self.shard_rows = rows;
         self.stats.shards += 1;
         self.stats.samples += samples.len() as u64;
         self.stats.peak_shard_samples = self.stats.peak_shard_samples.max(samples.len());
@@ -545,34 +541,14 @@ impl<'a> StreamingAnalyzer<'a> {
         resolved
     }
 
-    /// Fold every queued shard summary into the global `block_reuse` in
-    /// one `from_parts` pass (one index rebuild). Grouping is free to
-    /// vary: `from_parts` over any partition equals pairwise merges in
-    /// any order, so deferring changes nothing in the final report.
-    fn fold_pending_block_reuse(&mut self) {
-        if self.pending_block_reuse.is_empty() {
-            return;
-        }
-        let _span = memgaze_obs::span("streaming.fold_block_reuse");
-        let mut parts = Vec::with_capacity(self.pending_block_reuse.len() + 1);
-        if !self.block_reuse.is_empty() {
-            parts.push(std::mem::take(&mut self.block_reuse));
-        }
-        parts.append(&mut self.pending_block_reuse);
-        // Intermediate state: only ever re-merged by the next fold or
-        // the final one in `into_partial`, so the query index waits.
-        self.block_reuse = BlockReuse::from_parts_unindexed(parts);
-        self.pending_blocks = 0;
-    }
-
     /// The kernel passes over one sample and its resolved column, folded
     /// into the accumulators: reuse (histogram, summary, the kept event
-    /// list, one locality row per size, and the per-block rows, appended
-    /// to `rows`), then the distinct pass (the diagnostics); and the
+    /// list, one locality row per size, and the per-block rows, absorbed
+    /// into the block table), then the distinct pass (the diagnostics); and the
     /// sample's windows — one per function it touches (§IV-B) — into
     /// their functions. A sample of one function is that function's
     /// window, and its own two passes are the window's.
-    fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo], rows: &mut Vec<Row>) {
+    fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo]) {
         let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
         let accesses = &s.accesses[..];
         let one = (infos.first().map(|i| i.slot)).filter(|&f| infos.iter().all(|i| i.slot == f));
@@ -592,7 +568,7 @@ impl<'a> StreamingAnalyzer<'a> {
             if let Some(kept) = &mut self.sample_events {
                 kept.push(ReuseAnalysis::of_pass(ws, accesses, rb));
             }
-            rows.extend_from_slice(ws.rows());
+            self.block_table.absorb_rows(ws.rows());
             for (series, &size) in self.locality.iter_mut().zip(&self.locality_sizes) {
                 series.push(ws.locality_split(size.max(1) as usize));
             }
@@ -653,29 +629,17 @@ impl<'a> StreamingAnalyzer<'a> {
     /// Snapshot everything accumulated so far into a mergeable
     /// [`PartialReport`](crate::partial::PartialReport): what the
     /// store's result cache keeps per frame.
-    pub fn into_partial(mut self) -> crate::partial::PartialReport {
+    pub fn into_partial(self) -> crate::partial::PartialReport {
         let _span = memgaze_obs::span("streaming.into_partial");
-        // Final fold, always through the *indexed* `from_parts`: every
-        // earlier fold skipped the query index, so the last one must
-        // (re)build it even when nothing is pending.
-        {
-            let mut parts = Vec::with_capacity(self.pending_block_reuse.len() + 1);
-            if !self.block_reuse.is_empty() {
-                parts.push(std::mem::take(&mut self.block_reuse));
-            }
-            parts.append(&mut self.pending_block_reuse);
-            self.block_reuse = BlockReuse::from_parts(parts);
-            self.pending_blocks = 0;
-        }
         let funcs = self
             .funcs
             .into_iter()
-            .map(|st| {
+            .map(|mut st| {
                 (
                     st.id,
                     crate::partial::FuncPartial {
+                        footprint: st.footprint(),
                         name: st.name,
-                        footprint: sorted_footprint(st.blocks, self.cfg.footprint_block),
                         observed: st.observed,
                         implied_const: st.implied_const,
                         reuse: crate::partial::ReusePartial::from_tracker(&st.tracker),
@@ -694,7 +658,9 @@ impl<'a> StreamingAnalyzer<'a> {
             per_sample_diags: self.per_sample_diags,
             per_sample_reuse: self.per_sample_reuse,
             locality: self.locality,
-            block_reuse: self.block_reuse,
+            // `finish` builds the query index; a partial that is only
+            // merged or encoded never needs it.
+            block_reuse: self.block_table.into_block_reuse(),
             histogram: self.histogram,
             funcs,
             stats: self.stats,
@@ -972,6 +938,60 @@ mod tests {
             assert_eq!(replay.cap, 1024, "function {f}");
             fresh.absorb(&next);
             assert_eq!(shared, fresh, "function {f}");
+        }
+    }
+
+    #[test]
+    fn block_table_equals_the_per_sample_summaries_merged() {
+        // 700 samples of 40 accesses over 50 000 lines: reuse inside a
+        // sample at short distances, on 35 lines that samples share, and
+        // lines shared across samples without reuse inside one;
+        // about 35 distinct lines a sample, so a 300-sample shard holds
+        // more rows than the 4 096 an earlier fold let pile up.
+        let (_, annots, symbols) = synthetic_setup();
+        let mut t = SampledTrace::new(TraceMeta::new("block-table", 10_000, 16 << 10));
+        t.meta.total_loads = 700 * 10_000;
+        for s in 0..700u64 {
+            let base = s * 10_000;
+            let accesses = (0..40u64)
+                .map(|i| {
+                    let line = match i % 4 {
+                        3 => s % 5 * 7 + i % 7,
+                        _ => (s * 131 + i * 977) % 50_000,
+                    };
+                    Access::new(0x400 + (i % 2) * 0x100, line * 64, base + i)
+                })
+                .collect();
+            t.push_sample(Sample::new(accesses, base + 40)).unwrap();
+        }
+        // Each sample's summary off the definition: accesses per line,
+        // and each reuse event's distance summed, counted and maxed.
+        let bs = AnalysisConfig::default().reuse_block;
+        let summary = |s: &Sample| {
+            let mut rows = std::collections::BTreeMap::<u64, [u64; 4]>::new();
+            for a in &s.accesses {
+                rows.entry(a.addr.block(bs)).or_default()[0] += 1;
+            }
+            for e in crate::reuse::analyze_window(&s.accesses, bs).events {
+                let row = rows.get_mut(&e.block).unwrap();
+                row[1] += e.distance;
+                row[2] += 1;
+                row[3] = row[3].max(e.distance);
+            }
+            BlockReuse::from_raw_rows(rows.into_iter().collect()).unwrap()
+        };
+        let want = BlockReuse::from_parts(t.samples.iter().map(summary));
+        assert!(want.len() > 4096 && want.region_max_distance(0, u64::MAX) > 0);
+        for shard in [1, 16, 300] {
+            let cfg = AnalysisConfig::default();
+            let got = stream_resident_trace(&t, &annots, &symbols, cfg, &[], shard).block_reuse;
+            assert_eq!(got, want, "{shard}-sample shards");
+            // `==` ignores the query index; the Debug form shows it.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{shard}-sample shards"
+            );
         }
     }
 

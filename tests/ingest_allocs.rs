@@ -131,8 +131,9 @@ fn side_tables() -> (AuxAnnotations, SymbolTable) {
 /// 500 accesses over two functions, every sample holding both, read 62
 /// allocations with the per-function state advanced once per access,
 /// and 62 with it advanced once per sample window (66 while each
-/// tracker kept a slot column of its own). The bound, 0.05 per access,
-/// is 3 200.
+/// tracker kept a slot column of its own); 45 with one block-stat
+/// table for the pass, where each shard's rows were sorted into a
+/// summary of their own. The bound, 0.05 per access, is 3 200.
 #[test]
 fn warm_ingest_allocates_per_sample_not_per_access() {
     let (annots, symbols) = side_tables();
@@ -153,6 +154,50 @@ fn warm_ingest_allocates_per_sample_not_per_access() {
     );
     // The report is still there to be had.
     assert_eq!(analyzer.stats().samples, 9 * SHARD_SAMPLES);
+}
+
+/// A function's footprint is kept in chunks of 64 words, which cost
+/// more than a word entry when they hold one word each. 64 samples,
+/// each 128 fresh words of one function 64 words apart (a chunk per
+/// word) beside 128 consecutive fresh words of another, ingested in
+/// 16-sample shards and snapshotted into a partial: the peak live bytes
+/// per distinct word read 167 with one map entry per word and the
+/// block rows sorted per shard, and 116 with the chunks and one
+/// block-stat table. The bound, 192, holds both.
+#[test]
+fn a_sparse_footprint_stays_within_bytes_per_block() {
+    const WORDS: u64 = 128;
+    let (annots, symbols) = side_tables();
+    let samples: Vec<Sample> = (0..64u64)
+        .map(|s| {
+            let base = s * 10_000;
+            let accesses = (0..2 * WORDS)
+                .map(|i| {
+                    let word = s * WORDS + i / 2;
+                    let (ip, addr) = match i % 2 {
+                        0 => (0x400, 0x1000_0000 + word * 64 * 8),
+                        _ => (0x500, 0x4000_0000 + word * 8),
+                    };
+                    Access::new(ip, addr, base + i)
+                })
+                .collect();
+            Sample::new(accesses, base + 2 * WORDS)
+        })
+        .collect();
+    let blocks = 2 * samples.len() as u64 * WORDS;
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let mut analyzer = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default());
+    for shard in samples.chunks(SHARD_SAMPLES as usize) {
+        analyzer.ingest_shard(shard);
+    }
+    let partial = analyzer.into_partial();
+    let per_block = (PEAK.with(Cell::get) - start) as u64 / blocks;
+    drop(partial);
+    assert!(
+        per_block <= 192,
+        "{per_block} bytes at the peak per distinct word, {blocks} words"
+    );
 }
 
 #[test]
@@ -243,9 +288,10 @@ fn catalog_scan_allocates_per_frame_not_per_access() {
 #[test]
 fn cold_store_analyze_allocates_per_trace_not_per_frame() {
     // 16 frames of 16 samples. A cold analyze folds them through one
-    // analyzer into one cached entry and reads 48 allocations per frame;
-    // an analyzer, a partial and a cached encoding per frame, then a
-    // merge of the partials, read 236.
+    // analyzer into one cached entry and reads 45 allocations per frame
+    // (48 while each shard's block rows were sorted into a summary of
+    // their own); an analyzer, a partial and a cached encoding per
+    // frame, then a merge of the partials, read 236.
     let (annots, symbols) = side_tables();
     let mut t = SampledTrace::new(TraceMeta::new("cold", 10_000, 16 << 10));
     for k in 0..16 {
@@ -344,9 +390,11 @@ fn static_side_allocates_per_procedure_not_per_fact() {
 /// partial, merged into the session's runs. 8 uploads of 4 frames of 16
 /// samples, fed and sealed, read 268 allocations per upload (2 150 in
 /// all) with the per-function state advanced once per access, and 270
-/// (2 166) with it advanced once per sample window; an analyzer and a
-/// partial per frame, merged per window of 4 frames and again at the
-/// seal, read 742. The bound sits between.
+/// (2 166) with it advanced once per sample window; 256 (2 049) at
+/// `33e1708`, and 223 (1 784) with a footprint of 64-word chunks and
+/// one block-stat table per analyzer. An analyzer and a partial per
+/// frame, merged per window of 4 frames and again at the seal, read
+/// 742. The bound sits between.
 #[test]
 fn a_serve_upload_allocates_per_upload_not_per_frame() {
     use memgaze::serve::{harness::container, Registry, ServeConfig};
@@ -396,8 +444,10 @@ fn serve_bytes_per_upload(uploads: usize) -> u64 {
 
 /// A long serve session merges what each upload adds, not the whole
 /// session. Bytes allocated per upload of one 2-sample frame, fed and
-/// sealed, read 108 116 over 16 uploads and 150 916 over 256: the
-/// session's runs pair up like a binary counter. One running fold that
+/// sealed, read 108 116 over 16 uploads and 150 916 over 256 (113 232
+/// and 159 025 at `33e1708`; 105 772 and 151 565 with footprint chunks
+/// and one block-stat table): the session's runs pair up like a binary
+/// counter. One running fold that
 /// every upload merged into read 200 413 and 2 275 427 (11×); a partial
 /// per frame, merged only per window and at the seal, read 135 643 and
 /// 170 710.

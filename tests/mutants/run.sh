@@ -1,6 +1,6 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
-# windows of the fold, the resident event lists, the zoom, the partial
+# windows of the fold and its two trace-long accumulators, the resident event lists, the zoom, the partial
 # reports' one fold, footprint union and list codec, the watch loop,
 # serve's window loads, the address-keyed side tables and the static
 # side's procedure summaries and abstract interpreter.
@@ -26,7 +26,13 @@
 # sample_window_when_ends_share_a_function.patch, name
 # crates/memgaze-analysis/tests/spec_equivalence.rs, as do
 # tracker_skips_every_97th_feed.patch and class_mask_carry.patch, which
-# patch the window path; kept_list_interval_off_by_one.patch, on the
+# patch the window path (the latter the footprint chunks' class
+# columns); of the fold's two trace-long accumulators,
+# footprint_chunk_key_times_63.patch, on the footprint list a
+# function's chunks emit, names the partial module's unit test of
+# chunk edges at every block size, and block_table_sums_max_dist.patch, on
+# the one block-stat table, the unit test that holds that table to the
+# per-sample summaries merged; kept_list_interval_off_by_one.patch, on the
 # resident analyzer's locality series over the fold's kept event lists,
 # names the unit test that holds that series to
 # locality_vs_interval_with bit for bit; of the summary mutants,
