@@ -324,14 +324,9 @@ struct FuncState {
     id: u32,
     name: String,
     /// The footprint in chunks of 64 blocks: chunk key `block >> 6` →
-    /// the chunk's index in `chunks`.
-    chunk_index: FxHashMap<u64, usize>,
-    /// Per chunk, its key and three bit columns over its 64 blocks:
-    /// touched, touched by a Strided load, touched by an Irregular one.
-    chunks: Vec<(u64, [u64; 3])>,
-    /// The chunk last written: a window's distinct blocks cluster, so
-    /// most land in the chunk of the block before them.
-    last: usize,
+    /// three bit columns over its blocks: touched, touched by a Strided
+    /// load, touched by an Irregular one.
+    chunks: FxHashMap<u64, [u64; 3]>,
     observed: u64,
     implied_const: u64,
     tracker: ReuseTracker,
@@ -344,9 +339,7 @@ impl FuncState {
         FuncState {
             id,
             name: name.to_string(),
-            chunk_index: FxHashMap::default(),
-            chunks: Vec::new(),
-            last: 0,
+            chunks: FxHashMap::default(),
             observed: 0,
             implied_const: 0,
             tracker: ReuseTracker::new(),
@@ -358,16 +351,8 @@ impl FuncState {
     /// distinct blocks with their class bits, and its counts.
     fn add_footprint(&mut self, distinct: &[(u64, u8)], counts: ClassCounts, len: usize) {
         for &(block, mask) in distinct {
-            let key = block >> 6;
-            if self.chunks.get(self.last).map(|c| c.0) != Some(key) {
-                let (index, chunks) = (&mut self.chunk_index, &mut self.chunks);
-                self.last = *index.entry(key).or_insert_with(|| {
-                    chunks.push((key, [0; 3]));
-                    chunks.len() - 1
-                });
-            }
             let bit = 1u64 << (block & 63);
-            let cols = &mut self.chunks[self.last].1;
+            let cols = self.chunks.entry(block >> 6).or_default();
             cols[0] |= bit;
             // Two ips of different classes can hit the same block, in
             // one window or in two; each class must still record it.
@@ -383,9 +368,7 @@ impl FuncState {
     /// entries: the chunks sorted by key, each one's blocks read off its
     /// set bits in order.
     fn footprint(&mut self) -> Vec<(u64, u8)> {
-        // The index goes first: the peak is the chunks and the list.
-        self.chunk_index = FxHashMap::default();
-        let mut chunks = std::mem::take(&mut self.chunks);
+        let mut chunks: Vec<_> = std::mem::take(&mut self.chunks).into_iter().collect();
         chunks.sort_unstable_by_key(|c| c.0);
         let n = chunks.iter().map(|c| c.1[0].count_ones() as usize).sum();
         let mut entries = Vec::with_capacity(n);
