@@ -11,15 +11,19 @@
 //! window allocates nothing once its thread's workspace is warm. A pass
 //! keeps what its chunk split needs to count any interval of it.
 //!
-//! The fold also reads what a sample's two passes leave behind:
-//! `reuse_pass` the distinct blocks in first-touch order with their last
-//! positions (a `ReuseTracker`'s window summary), and `distinct_pass`
-//! the distinct blocks with the class bits that touched them (the
-//! sample's diagnostics and a function's new footprint blocks, in one
-//! list). A
-//! sample of one function is that function's window; a sample of
-//! several is cut into one window per function by the workspace's
-//! [`Split`], a counting sort, and each runs both passes.
+//! The fold also reads what a window's pass leaves behind: the distinct
+//! blocks in first-touch order with their last positions (a
+//! `ReuseTracker`'s window summary), and the footprint. Where a reuse
+//! block ("line") holds at most 64 footprint blocks ([`LineSplit`]) the
+//! fold runs `masked_reuse_pass`, the one reuse-pass body that also
+//! keeps a bit per footprint block of each line, by load class; else a
+//! `distinct_pass` at the footprint block follows the reuse pass and
+//! lists the distinct blocks with the class bits that touched them.
+//! Either way the sample's diagnostics and a function's new footprint
+//! blocks come from one place. A sample of one function is that
+//! function's window; a sample of several is cut into one window per
+//! function by the workspace's [`Split`], a counting sort, and each
+//! runs its own pass.
 //!
 //! The workspace is thread-local (each `serve` pool thread owns one)
 //! and what a thread keeps between calls is bounded: a window longer
@@ -31,7 +35,7 @@
 //! slice; no caller builds one.
 
 use crate::fxhash::FxHashMap;
-use memgaze_model::{AuxAnnotations, Ip, LoadClass, SymbolTable};
+use memgaze_model::{Addr, AuxAnnotations, BlockSize, Ip, LoadClass, SymbolTable};
 use std::cell::RefCell;
 
 /// Longest window whose buffers a thread keeps for the next call. The
@@ -307,6 +311,80 @@ impl BlockTable {
     }
 }
 
+// ---- footprint blocks inside a line ----
+
+/// What a reuse pass keeps of an access beyond its block: nothing, or
+/// a mark in its line's row of [`Workspace::line_bits`].
+pub(crate) trait Touch: Copy {
+    /// Mark row `row` of `lines`, a new line when `row == lines.len()`.
+    fn mark(self, lines: &mut Vec<[u64; 3]>, row: usize);
+}
+
+impl Touch for () {
+    #[inline(always)]
+    fn mark(self, _: &mut Vec<[u64; 3]>, _: usize) {}
+}
+
+/// An access's footprint block as its bit in the line, and the class
+/// bit of its load ([`LineSplit::touch`]).
+#[derive(Clone, Copy)]
+pub(crate) struct BlockInLine {
+    bit: u64,
+    class: u8,
+}
+
+impl Touch for BlockInLine {
+    /// One OR per access: a line's columns are indexed by class bit, 0
+    /// (Constant), [`STRIDED`] and [`IRREGULAR`].
+    #[inline(always)]
+    fn mark(self, lines: &mut Vec<[u64; 3]>, row: usize) {
+        debug_assert!(self.class <= IRREGULAR, "a load has one class bit");
+        if row == lines.len() {
+            lines.push([0; 3]);
+        }
+        lines[row][usize::from(self.class)] |= self.bit;
+    }
+}
+
+/// A reuse block ("line") cut into `2^k` footprint blocks, where
+/// `k = log2(reuse block) − log2(footprint block)` lies in `0..=6`, so
+/// one line's footprint blocks fit a `u64`: the pairs whose footprint
+/// rides the reuse pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LineSplit {
+    footprint_log2: u32,
+    k: u32,
+}
+
+impl LineSplit {
+    /// The split of `reuse` lines into `footprint` blocks, or `None`
+    /// when a footprint block is larger than a line or a line holds
+    /// more than 64 of them.
+    pub(crate) fn new(reuse: BlockSize, footprint: BlockSize) -> Option<LineSplit> {
+        let k = reuse.log2().checked_sub(footprint.log2())?;
+        (k <= 6).then_some(LineSplit {
+            footprint_log2: u32::from(footprint.log2()),
+            k: u32::from(k),
+        })
+    }
+
+    /// `log2` of the footprint blocks in a line.
+    pub(crate) fn k(self) -> u32 {
+        self.k
+    }
+
+    /// An access at `addr` by a load of class bit `class`, for a
+    /// [`masked_reuse_pass`](Workspace::masked_reuse_pass).
+    #[inline]
+    pub(crate) fn touch(self, addr: Addr, class: u8) -> BlockInLine {
+        let sub = (addr.0 >> self.footprint_log2) & ((1 << self.k) - 1);
+        BlockInLine {
+            bit: 1 << sub,
+            class,
+        }
+    }
+}
+
 // ---- the workspace ----
 
 /// Per-block statistics of one window, in first-touch order.
@@ -334,7 +412,8 @@ impl Row {
     }
 }
 
-/// Totals of one [`Workspace::distinct_pass`].
+/// Footprint totals of one window: a [`Workspace::distinct_pass`], or
+/// the line popcounts of a masked reuse pass ([`Workspace::line_counts`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ClassCounts {
     pub(crate) footprint: u64,
@@ -434,6 +513,10 @@ pub(crate) struct Workspace {
     table: BlockTable,
     markers: Markers,
     rows: Vec<Row>,
+    /// Per row of the last [`masked_reuse_pass`](Workspace::masked_reuse_pass),
+    /// the footprint blocks inside its line that a Constant, a Strided
+    /// and an Irregular load touched: three columns, a bit per block.
+    line_bits: Vec<[u64; 3]>,
     /// The distinct blocks of the last distinct pass, in first-touch
     /// order, each with the class bits of the loads that touched it.
     distinct: Vec<(u64, u8)>,
@@ -478,6 +561,7 @@ impl Workspace {
         self.longest = self.longest.max(n);
         self.table.begin(n);
         self.rows.clear();
+        self.line_bits.clear();
         self.distinct.clear();
         for column in [&mut self.reuses, &mut self.firsts, &mut self.lasts] {
             column.clear();
@@ -511,6 +595,29 @@ impl Workspace {
         &mut self,
         items: impl ExactSizeIterator<Item = (u64, u64)>,
     ) -> &[[u32; 3]] {
+        self.pass(items.map(|(block, implied)| (block, implied, ())))
+    }
+
+    /// [`reuse_pass`](Self::reuse_pass) over `(line, implied constants,
+    /// footprint block)`, each access's block from [`LineSplit::touch`],
+    /// which also leaves per row the blocks of its line that the window
+    /// touched, by class: [`lines`](Self::lines), counted by
+    /// [`line_counts`](Self::line_counts). The fold's one pass over a
+    /// window, in place of a reuse pass and a distinct pass.
+    pub(crate) fn masked_reuse_pass(
+        &mut self,
+        items: impl ExactSizeIterator<Item = (u64, u64, BlockInLine)>,
+    ) -> &[[u32; 3]] {
+        self.pass(items)
+    }
+
+    /// The one reuse-pass body; `T` says what an access leaves in its
+    /// row of [`line_bits`](Self::line_bits), if anything.
+    #[inline]
+    fn pass<T: Touch>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = (u64, u64, T)>,
+    ) -> &[[u32; 3]] {
         let n = items.len();
         self.begin(n);
         let bitset = n <= BITSET_WINDOW;
@@ -518,9 +625,13 @@ impl Workspace {
         if !bitset {
             self.markers.reset(n, 0);
         }
-        for (pos, (block, implied)) in items.enumerate() {
+        for (pos, (block, implied, touch)) in items.enumerate() {
             self.implied.push(self.implied[pos] + implied);
             let (slot, new) = self.table.entry(block);
+            touch.mark(
+                &mut self.line_bits,
+                if new { self.rows.len() } else { *slot as usize },
+            );
             if new {
                 *slot = self.rows.len() as u32;
                 self.rows.push(Row {
@@ -560,6 +671,32 @@ impl Workspace {
             }
         }
         &self.reuses
+    }
+
+    /// The distinct lines of the last
+    /// [`masked_reuse_pass`](Self::masked_reuse_pass) in first-touch
+    /// order, each with its footprint blocks as three bit columns:
+    /// touched, touched by a Strided load, touched by an Irregular one.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = (u64, [u64; 3])> + '_ {
+        let bits = self.line_bits.iter().map(|&[c, s, i]| [c | s | i, s, i]);
+        self.rows.iter().map(|r| r.block).zip(bits)
+    }
+
+    /// What a [`distinct_pass`](Self::distinct_pass) at the footprint
+    /// block returns, counted off the last
+    /// [`masked_reuse_pass`](Self::masked_reuse_pass): its lines' bits
+    /// partition the window's distinct footprint blocks.
+    pub(crate) fn line_counts(&self) -> ClassCounts {
+        let mut c = ClassCounts {
+            implied_const: self.implied[self.implied.len() - 1],
+            ..ClassCounts::default()
+        };
+        for (_, [touched, strided, irregular]) in self.lines() {
+            c.footprint += u64::from(touched.count_ones());
+            c.f_str += u64::from(strided.count_ones());
+            c.f_irr += u64::from(irregular.count_ones());
+        }
+        c
     }
 
     /// The distinct blocks of one window, each with the class bits of
@@ -1049,6 +1186,95 @@ mod tests {
             ws.class_counts(0, items.len())
         });
         assert_eq!(columns, want);
+    }
+
+    /// The masked pass against the distinct pass over the same window,
+    /// for every line of `2^k` words, `k` in `0..=6`: the same counts,
+    /// and per line the bits of exactly the words the distinct pass
+    /// found, with their classes. The window holds a word only Constant
+    /// loads touch, a word a Strided and an Irregular load share, and
+    /// the top line's last words, at lengths either side of
+    /// [`BITSET_WINDOW`]; the reuse side equals the unmasked pass's.
+    #[test]
+    fn masked_pass_matches_the_distinct_pass_at_every_split() {
+        use std::collections::BTreeMap;
+        const CONSTANT_ONLY: u64 = 0x2000;
+        const SHARED: u64 = 0x3008;
+        let access = |i: u64| -> (Addr, u8, u64) {
+            let class = [STRIDED, IRREGULAR, 0][(i % 3) as usize];
+            match i % 5 {
+                0 => (Addr(u64::MAX - 8 * (i % 3)), class, 1),
+                1 => (Addr(CONSTANT_ONLY), 0, 2),
+                2 => (Addr(SHARED), [STRIDED, IRREGULAR][(i / 5 % 2) as usize], 0),
+                _ => (Addr(0x1_0000 + 8 * ((i * 13) % 97)), class, i % 4),
+            }
+        };
+        let fb = BlockSize::WORD;
+        for k in 0..=6u8 {
+            let rb = BlockSize::from_log2(fb.log2() + k);
+            let split = LineSplit::new(rb, fb).unwrap();
+            assert_eq!(split.k(), u32::from(k));
+            for n in [1, 3, 17, BITSET_WINDOW, BITSET_WINDOW + 1, 300] {
+                let items: Vec<_> = (0..n as u64).map(access).collect();
+                let (want, distinct) = with_workspace(|ws| {
+                    let words = items.iter().map(|&(a, c, i)| (a.block(fb), c, i));
+                    (ws.distinct_pass(words), ws.distinct().to_vec())
+                });
+                let plain = with_workspace(|ws| {
+                    ws.reuse_pass(items.iter().map(|&(a, _, i)| (a.block(rb), i)));
+                    (ws.reuses().to_vec(), ws.rows().to_vec())
+                });
+                let (counts, masked, lines) = with_workspace(|ws| {
+                    ws.masked_reuse_pass(
+                        (items.iter()).map(|&(a, c, i)| (a.block(rb), i, split.touch(a, c))),
+                    );
+                    let lines: Vec<(u64, [u64; 3])> = ws.lines().collect();
+                    let masked = (ws.reuses().to_vec(), ws.rows().to_vec());
+                    (ws.line_counts(), masked, lines)
+                });
+                let at = format!("k {k} n {n}");
+                assert_eq!(counts, want, "{at}");
+                assert_eq!(masked, plain, "{at}");
+                let mut by_line = BTreeMap::<u64, [u64; 3]>::new();
+                for &(word, mask) in &distinct {
+                    let bit = 1u64 << (word & ((1 << k) - 1));
+                    let cols = by_line.entry(word >> k).or_default();
+                    cols[0] |= bit;
+                    cols[1] |= bit * u64::from(mask & STRIDED != 0);
+                    cols[2] |= bit * u64::from(mask & IRREGULAR != 0);
+                }
+                assert_eq!(lines.len(), by_line.len(), "{at}: one row per line");
+                assert_eq!(
+                    lines.into_iter().collect::<BTreeMap<_, _>>(),
+                    by_line,
+                    "{at}"
+                );
+                // The three kinds of word the window was built around.
+                let word_bits = |addr: u64| {
+                    let word = Addr(addr).block(fb);
+                    let cols = by_line[&(word >> k)];
+                    cols.map(|c| c >> (word & ((1 << k) - 1)) & 1)
+                };
+                assert_eq!(word_bits(u64::MAX)[0], 1, "{at}: the top word");
+                if n > 2 {
+                    assert_eq!(word_bits(CONSTANT_ONLY), [1, 0, 0], "{at}");
+                    let both = if n > 7 { [1, 1, 1] } else { [1, 1, 0] };
+                    assert_eq!(word_bits(SHARED), both, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_blocks_ride_the_line_only_when_64_fit() {
+        let split =
+            |rb: u8, fb: u8| LineSplit::new(BlockSize::from_log2(rb), BlockSize::from_log2(fb));
+        assert_eq!(split(6, 3).map(LineSplit::k), Some(3));
+        assert_eq!(split(6, 6).map(LineSplit::k), Some(0));
+        assert_eq!(split(6, 0).map(LineSplit::k), Some(6));
+        assert_eq!(split(7, 0), None, "128 bytes a line");
+        assert_eq!(split(12, 0), None, "a page of bytes");
+        assert_eq!(split(6, 12), None, "a footprint block above the line");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
-use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, Markers, Workspace};
+use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, LineSplit, Markers, Workspace};
 use crate::kernel::{IRREGULAR, STRIDED};
 use crate::reuse::{BlockReuse, BlockTable, ReuseAnalysis};
 use memgaze_model::{
@@ -347,17 +347,25 @@ impl FuncState {
         }
     }
 
-    /// Fold the footprint side of one window of `len` accesses: its
-    /// distinct blocks with their class bits, and its counts.
-    fn add_footprint(&mut self, distinct: &[(u64, u8)], counts: ClassCounts, len: usize) {
-        for &(block, mask) in distinct {
-            let bit = 1u64 << (block & 63);
-            let cols = self.chunks.entry(block >> 6).or_default();
-            cols[0] |= bit;
+    /// Fold the footprint side of one window of `len` accesses: per
+    /// distinct line of `2^k` footprint blocks (`k ≤ 6`) its three bit
+    /// columns, and the window's counts. A line's blocks are
+    /// `line << k ..`, inside one chunk, so each line is one upsert.
+    fn add_footprint(
+        &mut self,
+        lines: impl Iterator<Item = (u64, [u64; 3])>,
+        k: u32,
+        counts: ClassCounts,
+        len: usize,
+    ) {
+        for (line, bits) in lines {
+            let first = line << k;
+            let cols = self.chunks.entry(first >> 6).or_default();
             // Two ips of different classes can hit the same block, in
             // one window or in two; each class must still record it.
-            cols[1] |= bit * u64::from(mask & STRIDED != 0);
-            cols[2] |= bit * u64::from(mask & IRREGULAR != 0);
+            for (col, b) in cols.iter_mut().zip(bits) {
+                *col |= b << (first & 63);
+            }
         }
         self.obs.push(counts.footprint as f64);
         self.observed += len as u64;
@@ -385,6 +393,76 @@ impl FuncState {
     }
 }
 
+/// How the fold passes over a window: its block sizes, and whether the
+/// footprint rides the reuse pass ([`LineSplit`]) or takes a distinct
+/// pass of its own.
+#[derive(Clone, Copy)]
+struct Passes {
+    reuse: BlockSize,
+    footprint: BlockSize,
+    lines: Option<LineSplit>,
+}
+
+impl Passes {
+    fn new(cfg: &AnalysisConfig) -> Passes {
+        Passes {
+            reuse: cfg.reuse_block,
+            footprint: cfg.footprint_block,
+            lines: LineSplit::new(cfg.reuse_block, cfg.footprint_block),
+        }
+    }
+
+    /// The window's reuse pass, keeping its lines' footprint bits when
+    /// they fit.
+    fn reuse_pass<'w, 'x>(
+        self,
+        ws: &'w mut Workspace,
+        window: impl ExactSizeIterator<Item = (&'x Access, &'x IpInfo)>,
+    ) -> &'w [[u32; 3]] {
+        let rb = self.reuse;
+        match self.lines {
+            Some(split) => ws.masked_reuse_pass(window.map(|(a, i)| {
+                let touch = split.touch(a.addr, i.class);
+                (a.addr.block(rb), u64::from(i.implied), touch)
+            })),
+            None => ws.reuse_pass(window.map(|(a, i)| (a.addr.block(rb), u64::from(i.implied)))),
+        }
+    }
+
+    /// The window's footprint counts, after its reuse pass: off the
+    /// line bits, or a distinct pass over `window` at the footprint
+    /// block.
+    fn footprint_counts<'x>(
+        self,
+        ws: &mut Workspace,
+        window: impl ExactSizeIterator<Item = (&'x Access, &'x IpInfo)>,
+    ) -> ClassCounts {
+        let fb = self.footprint;
+        match self.lines {
+            Some(_) => ws.line_counts(),
+            None => ws.distinct_pass(
+                window.map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
+            ),
+        }
+    }
+
+    /// Fold the window's footprint, as the last two calls left it in
+    /// `ws`, into its function: a distinct pass's blocks are lines of
+    /// one block.
+    fn add_footprint(self, st: &mut FuncState, ws: &Workspace, counts: ClassCounts, len: usize) {
+        match self.lines {
+            Some(split) => st.add_footprint(ws.lines(), split.k(), counts, len),
+            None => {
+                let blocks = ws.distinct().iter().map(|&(block, mask)| {
+                    let has = |class: u8| u64::from(mask & class != 0);
+                    (block, [1, has(STRIDED), has(IRREGULAR)])
+                });
+                st.add_footprint(blocks, 0, counts, len);
+            }
+        }
+    }
+}
+
 /// Feed the window the workspace's last reuse pass ran over to a
 /// tracker.
 fn feed_reuse_pass(
@@ -403,6 +481,7 @@ fn feed_reuse_pass(
 /// into a [`StreamingReport`].
 pub struct StreamingAnalyzer<'a> {
     cfg: AnalysisConfig,
+    passes: Passes,
     locality_sizes: Vec<u64>,
     num_samples: u64,
     observed: u64,
@@ -445,6 +524,7 @@ impl<'a> StreamingAnalyzer<'a> {
     ) -> StreamingAnalyzer<'a> {
         StreamingAnalyzer {
             cfg,
+            passes: Passes::new(&cfg),
             locality_sizes: Vec::new(),
             num_samples: 0,
             observed: 0,
@@ -524,21 +604,19 @@ impl<'a> StreamingAnalyzer<'a> {
         resolved
     }
 
-    /// The kernel passes over one sample and its resolved column, folded
+    /// The kernel pass over one sample and its resolved column, folded
     /// into the accumulators: reuse (histogram, summary, the kept event
     /// list, one locality row per size, and the per-block rows, absorbed
-    /// into the block table), then the distinct pass (the diagnostics); and the
-    /// sample's windows — one per function it touches (§IV-B) — into
-    /// their functions. A sample of one function is that function's
-    /// window, and its own two passes are the window's.
+    /// into the block table) and the footprint counts (the diagnostics);
+    /// and the sample's windows — one per function it touches (§IV-B) —
+    /// into their functions. A sample of one function is that function's
+    /// window, and its own pass is the window's.
     fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo]) {
-        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
+        let (rb, passes) = (self.cfg.reuse_block, self.passes);
         let accesses = &s.accesses[..];
         let one = (infos.first().map(|i| i.slot)).filter(|&f| infos.iter().all(|i| i.slot == f));
         kernel::with_workspace(|ws| {
-            let reuses = ws.reuse_pass(
-                (accesses.iter().zip(infos)).map(|(a, i)| (a.addr.block(rb), u64::from(i.implied))),
-            );
+            let reuses = passes.reuse_pass(ws, accesses.iter().zip(infos));
             let (events, mut dist_sum) = (reuses.len() as u64, 0u64);
             for &[_, _, d] in reuses {
                 self.histogram.insert(u64::from(d));
@@ -559,10 +637,7 @@ impl<'a> StreamingAnalyzer<'a> {
                 let tracker = &mut self.funcs[f as usize].tracker;
                 feed_reuse_pass(tracker, ws, accesses.len(), events, dist_sum);
             }
-            let counts = ws.distinct_pass(
-                (accesses.iter().zip(infos))
-                    .map(|(a, i)| (a.addr.block(fb), i.class, u64::from(i.implied))),
-            );
+            let counts = passes.footprint_counts(ws, accesses.iter().zip(infos));
             let diag = FootprintDiagnostics::from_counts(accesses.len() as u64, counts);
             self.num_samples += 1;
             self.observed += diag.observed;
@@ -570,7 +645,7 @@ impl<'a> StreamingAnalyzer<'a> {
             self.per_sample_diags.push(diag);
             match one {
                 Some(f) => {
-                    self.funcs[f as usize].add_footprint(ws.distinct(), counts, accesses.len())
+                    passes.add_footprint(&mut self.funcs[f as usize], ws, counts, accesses.len())
                 }
                 None => self.fold_windows(ws, accesses, infos),
             }
@@ -580,26 +655,24 @@ impl<'a> StreamingAnalyzer<'a> {
     /// Cut a sample that touches several functions into one window per
     /// function — a counting sort by function slot into the workspace's
     /// split, access order kept within each — and fold each window's own
-    /// reuse and distinct passes into its function.
+    /// pass into its function.
     fn fold_windows(&mut self, ws: &mut Workspace, accesses: &[Access], infos: &[IpInfo]) {
-        let (rb, fb) = (self.cfg.reuse_block, self.cfg.footprint_block);
+        let passes = self.passes;
         let mut split = std::mem::take(&mut ws.split);
         split.group(infos.iter().map(|i| i.slot));
         for (f, window) in split.stretches() {
             let st = &mut self.funcs[f as usize];
-            let reuses = ws.reuse_pass(
+            let items = || {
                 window
                     .iter()
-                    .map(|&p| (accesses[p as usize].addr.block(rb), 0)),
-            );
+                    .map(|&p| (&accesses[p as usize], &infos[p as usize]))
+            };
+            let reuses = passes.reuse_pass(ws, items());
             let events = reuses.len() as u64;
             let dist_sum = reuses.iter().map(|&[_, _, d]| u64::from(d)).sum();
             feed_reuse_pass(&mut st.tracker, ws, window.len(), events, dist_sum);
-            let counts = ws.distinct_pass(window.iter().map(|&p| {
-                let (a, i) = (&accesses[p as usize], &infos[p as usize]);
-                (a.addr.block(fb), i.class, u64::from(i.implied))
-            }));
-            st.add_footprint(ws.distinct(), counts, window.len());
+            let counts = passes.footprint_counts(ws, items());
+            passes.add_footprint(st, ws, counts, window.len());
         }
         ws.split = split;
     }

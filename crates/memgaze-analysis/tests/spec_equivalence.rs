@@ -240,6 +240,30 @@ fn fold_matches_spec_when_samples_spread_over_workers() {
 }
 
 #[test]
+fn fold_matches_spec_where_footprint_blocks_do_not_ride_the_line() {
+    // The fold counts a footprint off its reuse pass only where a line
+    // holds at most 64 footprint blocks. A page of bytes (4096 a line)
+    // and a footprint block above the line take the per-access distinct
+    // pass; 64 bytes a line is the widest split the reuse pass carries.
+    let (t, annots, symbols) = forty_eight_samples();
+    let sizes = [8u64, 32];
+    let pairs = [
+        (BlockSize::BYTE, BlockSize::OS_PAGE),
+        (BlockSize::OS_PAGE, BlockSize::CACHE_LINE),
+        (BlockSize::BYTE, BlockSize::CACHE_LINE),
+    ];
+    for blocks in pairs {
+        let want = spec::Expected::of(&input(&t, &annots, &symbols, blocks), &sizes);
+        for shard in [1usize, 16, 64] {
+            let report =
+                stream_resident_trace(&t, &annots, &symbols, config(blocks), &sizes, shard);
+            want.check(&report, shard)
+                .unwrap_or_else(|e| panic!("{blocks:?} shard {shard}: {e}"));
+        }
+    }
+}
+
+#[test]
 fn degenerate_traces_match_spec() {
     let (_, annots, symbols) = forty_eight_samples();
     // No sample at all: nothing is merged and every table is empty.

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! compare_bench OLD.json NEW.json
-//! compare_bench --check 'metrics.core.fanout_vs_stream.value<=1.5' FILE.json
-//! compare_bench --check 'metrics.store.cold_analyze_s.value/metrics.store.cached_analyze_s.value>=5' FILE.json
+//! compare_bench --check 'metrics.store.result_hit_share.value>=1' FILE.json
+//! compare_bench --check 'metrics.core.fanout_s.value/metrics.model.encode_s.value<=7' FILE.json
 //! ```
 //!
 //! Diff mode flattens every numeric field into a dotted path

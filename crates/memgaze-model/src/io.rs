@@ -21,7 +21,9 @@
 use crate::access::Access;
 use crate::error::ModelError;
 use crate::sample::{FullTrace, Sample, SampledTrace, TraceMeta};
-use crate::wire::{self, put_str, put_varint, read_string, read_varint, zigzag, Reader};
+use crate::wire::{
+    self, put_str, put_varint, read_string, read_varint, take_varint, unzigzag, zigzag, Reader,
+};
 use std::io::Read;
 
 pub(crate) const MAGIC: &[u8; 4] = b"MGZT";
@@ -66,7 +68,29 @@ fn put_access(buf: &mut Vec<u8>, st: &mut DeltaState, a: &Access) {
     st.time = a.time;
 }
 
-#[inline]
+/// One access off the front of `src` with no error path: `None` for
+/// anything but three whole varints whose time delta keeps the chain
+/// inside `u64`, and then neither `src` nor `st` has moved.
+#[inline(always)]
+fn next_access(src: &mut &[u8], st: &mut DeltaState) -> Option<Access> {
+    let mut rest = *src;
+    let dip = unzigzag(take_varint(&mut rest)?);
+    let daddr = unzigzag(take_varint(&mut rest)?);
+    let time = st.time.checked_add(take_varint(&mut rest)?)?;
+    *src = rest;
+    st.ip = st.ip.wrapping_add(dip as u64);
+    st.addr = st.addr.wrapping_add(daddr as u64);
+    st.time = time;
+    Some(Access {
+        ip: crate::Ip(st.ip),
+        addr: crate::Addr(st.addr),
+        time,
+    })
+}
+
+/// One access through the checked reader: the typed error, with its
+/// field's context, of whatever [`next_access`] declined.
+#[cold]
 fn get_access(r: &mut Reader<'_>, st: &mut DeltaState) -> Result<Access, ModelError> {
     let dip = r.zigzag("access.ip")?;
     let daddr = r.zigzag("access.addr")?;
@@ -117,7 +141,9 @@ pub(crate) fn put_sample(buf: &mut Vec<u8>, prev_trigger: u64, s: &Sample) {
 /// Decode one sample written by [`put_sample`]. The claimed window
 /// length is validated against the remaining payload before any
 /// allocation, so a corrupt count errors instead of reserving memory
-/// for it.
+/// for it. The accesses decode in one loop over the payload slice
+/// ([`next_access`]); an access it declines is decoded again through
+/// the checked [`Reader`], whose typed error is the one returned.
 pub(crate) fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample, ModelError> {
     let trigger = prev_trigger.wrapping_add(r.varint("trigger_time")?);
     // Every encoded access costs at least three bytes (three varints).
@@ -125,7 +151,11 @@ pub(crate) fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample
     let mut st = DeltaState::default();
     let mut accesses = Vec::with_capacity(w);
     for _ in 0..w {
-        accesses.push(get_access(r, &mut st)?);
+        let a = match next_access(r.as_stream(), &mut st) {
+            Some(a) => a,
+            None => get_access(r, &mut st)?,
+        };
+        accesses.push(a);
     }
     Ok(Sample::new(accesses, trigger))
 }

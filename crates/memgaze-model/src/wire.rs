@@ -313,25 +313,18 @@ impl<'a> Reader<'a> {
         self.u64_le(context).map(f64::from_bits)
     }
 
-    /// An unsigned LEB128 varint.
+    /// An unsigned LEB128 varint ([`take_varint`]): ten bytes that do
+    /// not end it are an overflow, input that ends inside it is
+    /// truncated.
     #[inline]
     pub fn varint(&mut self, context: &'static str) -> Result<u64, WireError> {
-        // Fast path: a u64 varint is at most 10 bytes, so when that many
-        // remain the whole value decodes with a single bounds decision
-        // instead of one per byte. The codecs decode hundreds of
-        // thousands of these per report.
-        if let Some((head, _)) = self.src.split_first_chunk::<10>() {
-            let mut v: u64 = 0;
-            for (i, &byte) in head.iter().enumerate() {
-                v |= u64::from(byte & 0x7f) << (7 * i as u32);
-                if byte & 0x80 == 0 {
-                    self.src = self.src.get(i + 1..).unwrap_or_default();
-                    return Ok(v);
-                }
+        take_varint(&mut self.src).ok_or_else(|| {
+            if self.src.len() >= 10 {
+                varint_overflow(context)
+            } else {
+                WireError::Truncated { context }
             }
-            return Err(varint_overflow(context));
-        }
-        varint_bytewise(|| self.u8(context), context)
+        })
     }
 
     /// A zigzag-coded signed varint.
@@ -418,26 +411,35 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The varint loop over any byte source, shared by the slice reader's
-/// short-input tail and the stream reader.
-#[inline]
-fn varint_bytewise(
-    mut next: impl FnMut() -> Result<u8, WireError>,
-    context: &'static str,
-) -> Result<u64, WireError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = next()?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
+/// An unsigned LEB128 varint off the front of `src`, with no error
+/// path: a value below 128 in one byte and no loop, else at most ten
+/// bytes, the bits of the tenth past the 64th dropped. `None` when
+/// `src` ends inside the varint or ten bytes do not end it, and then
+/// `src` has not moved. Every slice decoder reads its varints here,
+/// [`Reader::varint`] and the trace's per-access loop alike.
+#[inline(always)]
+pub(crate) fn take_varint(src: &mut &[u8]) -> Option<u64> {
+    match **src {
+        [byte, ref rest @ ..] if byte < 0x80 => {
+            *src = rest;
+            Some(u64::from(byte))
         }
-        shift += 7;
-        if shift >= 64 {
-            return Err(varint_overflow(context));
+        _ => take_long_varint(src),
+    }
+}
+
+/// [`take_varint`] past its one-byte case.
+#[inline]
+fn take_long_varint(src: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &byte) in src.iter().take(10).enumerate() {
+        v |= u64::from(byte & 0x7f) << (7 * i as u32);
+        if byte < 0x80 {
+            *src = src.get(i + 1..).unwrap_or_default();
+            return Some(v);
         }
     }
+    None
 }
 
 /// `N` bytes from a stream; an early end is [`WireError::Truncated`].
@@ -456,9 +458,21 @@ pub fn read_array<const N: usize>(
 }
 
 /// A varint read byte-at-a-time from a stream (wrap slow sources in a
-/// [`std::io::BufReader`]).
+/// [`std::io::BufReader`]), as [`Reader::varint`] reads one off a slice.
 pub fn read_varint(src: &mut impl Read, context: &'static str) -> Result<u64, WireError> {
-    varint_bytewise(|| read_array::<1>(src, context).map(|[b]| b), context)
+    let mut v: u64 = 0;
+    let mut shift = 0u32;
+    loop {
+        let [byte] = read_array::<1>(src, context)?;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+        if shift >= 64 {
+            return Err(varint_overflow(context));
+        }
+    }
 }
 
 /// A length-prefixed UTF-8 string from a stream.
@@ -521,7 +535,7 @@ mod tests {
             assert_eq!(varint_len(v), buf.len());
             assert_eq!(Reader::new(&buf).varint("t").unwrap(), v);
             assert_eq!(read_varint(&mut buf.as_slice(), "t").unwrap(), v);
-            // The fast path (≥ 10 bytes left) agrees with the tail loop.
+            // With ten bytes and more left past it, the same value.
             buf.extend_from_slice(&[0xff; 10]);
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint("t").unwrap(), v);

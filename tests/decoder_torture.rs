@@ -526,3 +526,92 @@ fn reassembly_does_not_trust_the_cataloged_length() {
     );
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// A frame payload of one sample: sample count 1, trigger delta 5, the
+/// access count, then `accesses` as written.
+fn one_sample_payload(count: u64, accesses: &[&[u8]]) -> Vec<u8> {
+    let mut out = vec![1, 5];
+    out.extend_from_slice(&varint(count));
+    for a in accesses {
+        out.extend_from_slice(a);
+    }
+    out
+}
+
+/// The sample decoder's errors, word for word, on fixed damaged frame
+/// payloads: truncation inside each of an access's three varints (in
+/// the short tail, where fewer than ten bytes remain), an 11-byte
+/// varint in each field (where ten or more remain), an access-time
+/// chain that passes `u64::MAX`, and an access count the remaining
+/// bytes cannot hold. A whole access is `[2, 4, 1]`: ip +1, address +2,
+/// time +1. Each message names the field and the sample it failed in.
+#[test]
+fn frame_payload_errors_read_as_they_did() {
+    let whole: &[u8] = &[2, 4, 1];
+    let eleven = [[0xffu8; 10].as_slice(), &[0x01]].concat();
+    let past_max = varint(u64::MAX);
+    let rows: Vec<(&str, Vec<u8>, &str)> = vec![
+        (
+            "truncated inside the ip varint",
+            one_sample_payload(2, &[whole, &[0x80, 0x80, 0x80]]),
+            "sample 0: truncated trace data while decoding access.ip",
+        ),
+        (
+            "truncated inside the address varint",
+            one_sample_payload(2, &[whole, &[2, 0x80, 0x80]]),
+            "sample 0: truncated trace data while decoding access.addr",
+        ),
+        (
+            "truncated inside the time varint",
+            one_sample_payload(2, &[whole, &[2, 4, 0x80]]),
+            "sample 0: truncated trace data while decoding access.time",
+        ),
+        (
+            "an 11-byte ip varint",
+            one_sample_payload(1, &[&eleven, &[4, 1]]),
+            "sample 0: bad trace header: varint overflow in access.ip",
+        ),
+        (
+            "an 11-byte address varint",
+            one_sample_payload(2, &[whole, &[2], &eleven, &[1]]),
+            "sample 0: bad trace header: varint overflow in access.addr",
+        ),
+        (
+            "an 11-byte time varint",
+            one_sample_payload(2, &[whole, &[2, 4], &eleven]),
+            "sample 0: bad trace header: varint overflow in access.time",
+        ),
+        (
+            "an access-time chain past u64::MAX",
+            one_sample_payload(2, &[&[2, 4], &past_max, &[2, 4, 1]]),
+            "sample 0: bad trace header: delta chain overflows u64 in access.time",
+        ),
+        (
+            "more accesses than the remaining bytes can hold",
+            one_sample_payload(3, &[whole, whole]),
+            "sample 0: truncated trace data while decoding sample accesses",
+        ),
+        (
+            "a second sample truncated inside its time varint",
+            {
+                let mut p = one_sample_payload(1, &[whole]);
+                p[0] = 2;
+                p.extend_from_slice(&[7, 1, 2, 4, 0x80]);
+                p
+            },
+            "sample 1: truncated trace data while decoding access.time",
+        ),
+    ];
+    for (name, payload, want) in rows {
+        match decode_frame_payload(&payload) {
+            Err(e) => assert_eq!(e.to_string(), want, "{name}"),
+            Ok(samples) => panic!("{name}: decoded {samples:?}"),
+        }
+    }
+    // Ten bytes are a whole varint: bits past the 64th are dropped, on
+    // the ip's zigzag as anywhere, and the access decodes.
+    let ten = [[0xffu8; 9].as_slice(), &[0x7f]].concat();
+    let samples = decode_frame_payload(&one_sample_payload(1, &[&ten, &[4, 1]])).unwrap();
+    let a = samples[0].accesses[0];
+    assert_eq!((a.ip.0, a.addr.0, a.time), (1 << 63, 2, 1));
+}

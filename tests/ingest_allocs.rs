@@ -134,8 +134,9 @@ fn side_tables() -> (AuxAnnotations, SymbolTable) {
 /// tracker kept a slot column of its own); 41 with one block-stat
 /// table for the pass and a footprint map of 64-word chunks, where
 /// each shard's rows were sorted into a summary of their own and each
-/// footprint word had a map entry. The bound, 0.05 per access, is
-/// 3 200.
+/// footprint word had a map entry; 41 with the footprint counted off
+/// the reuse pass (a bit column per class beside its rows) and no
+/// distinct pass. The bound, 0.05 per access, is 3 200.
 #[test]
 fn warm_ingest_allocates_per_sample_not_per_access() {
     let (annots, symbols) = side_tables();
@@ -202,7 +203,8 @@ fn peak_bytes_per_word(samples: &[Sample]) -> u64 {
 /// block-stat table included, of the sparse function beside a dense
 /// one: 168 with one footprint map entry per word and the block rows
 /// sorted per shard, 124 with the chunks in one map and one block-stat
-/// table. Most of that drop is the table's; the dense
+/// table, and 124 with the footprint bits in the reuse pass's
+/// workspace column. Most of that drop is the table's; the dense
 /// function's chunks cost under a byte per word. The bound, 192, holds
 /// both.
 #[test]
@@ -217,7 +219,9 @@ fn a_sparse_footprint_stays_within_bytes_per_block() {
 /// The sparse function alone, one chunk per word, so the chunks' own
 /// cost shows: 267 peak live bytes per distinct word with one footprint
 /// map entry per word and the block rows sorted per shard, 237 with the
-/// chunks in one map and one block-stat table. The chunks cost about 66
+/// chunks in one map and one block-stat table, 238 with the footprint
+/// bits in a workspace column beside the reuse pass's rows (24 bytes a
+/// line, kept with the thread's workspace). The chunks cost about 66
 /// bytes per word here (a 32-byte map slot per chunk, in a table half
 /// full) against 34 for the word entries; the table saves more than
 /// that. The bound, 280, fails if the chunks' cost per
@@ -320,9 +324,10 @@ fn catalog_scan_allocates_per_frame_not_per_access() {
 fn cold_store_analyze_allocates_per_trace_not_per_frame() {
     // 16 frames of 16 samples. A cold analyze folds them through one
     // analyzer into one cached entry and reads 44 allocations per frame
-    // (48 while each shard's block rows were sorted into a summary of
-    // their own); an analyzer, a partial and a cached encoding per
-    // frame, then a merge of the partials, read 236.
+    // (709 in all; 711 with a distinct pass per window, 48 per frame
+    // while each shard's block rows were sorted into a summary of their
+    // own); an analyzer, a partial and a cached encoding per frame,
+    // then a merge of the partials, read 236.
     let (annots, symbols) = side_tables();
     let mut t = SampledTrace::new(TraceMeta::new("cold", 10_000, 16 << 10));
     for k in 0..16 {
@@ -422,8 +427,9 @@ fn static_side_allocates_per_procedure_not_per_fact() {
 /// samples, fed and sealed, read 268 allocations per upload (2 150 in
 /// all) with the per-function state advanced once per access, and 270
 /// (2 166) with it advanced once per sample window; 256 (2 049) at
-/// `33e1708`, and 216 (1 728) with a footprint of 64-word chunks and
-/// one block-stat table per analyzer. An analyzer and a partial per
+/// `33e1708`, 216 (1 728) with a footprint of 64-word chunks and one
+/// block-stat table per analyzer, and 215 (1 726) with the footprint
+/// counted off the reuse pass. An analyzer and a partial per
 /// frame, merged per window of 4 frames and again at the seal, read
 /// 742. The bound sits between.
 #[test]
@@ -477,8 +483,9 @@ fn serve_bytes_per_upload(uploads: usize) -> u64 {
 /// session. Bytes allocated per upload of one 2-sample frame, fed and
 /// sealed, read 108 116 over 16 uploads and 150 916 over 256 (113 232
 /// and 159 025 at `33e1708`; 104 830 and 150 829 with footprint chunks
-/// and one block-stat table): the session's runs pair up like a binary
-/// counter. One running fold that
+/// and one block-stat table; 104 892 and 150 829 with the footprint
+/// counted off the reuse pass): the session's runs pair up like a
+/// binary counter. One running fold that
 /// every upload merged into read 200 413 and 2 275 427 (11×); a partial
 /// per frame, merged only per window and at the seal, read 135 643 and
 /// 170 710.

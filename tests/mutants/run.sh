@@ -29,8 +29,12 @@
 # patch the window path (the latter the footprint chunks' class
 # columns); of the fold's two trace-long accumulators,
 # footprint_chunk_key_times_63.patch, on the footprint list a
-# function's chunks emit, names the partial module's unit test of
-# chunk edges at every block size, and block_table_sums_max_dist.patch, on
+# function's chunks emit, and footprint_line_shift_k_minus_1.patch, on
+# where a line's footprint bits land in its chunk, name the partial
+# module's unit test of chunk edges at every block size;
+# masked_pass_drops_irregular.patch, on the reuse pass that keeps the
+# footprint bits, names the kernel's unit test that holds that pass to
+# the distinct pass at every split of a line; block_table_sums_max_dist.patch, on
 # the one block-stat table, the unit test that holds that table to the
 # per-sample summaries merged; kept_list_interval_off_by_one.patch, on the
 # resident analyzer's locality series over the fold's kept event lists,
