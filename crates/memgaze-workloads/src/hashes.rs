@@ -22,6 +22,29 @@ fn hash64(k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `hash64(key) mod cap`: a mask when `cap` is a power of two (every
+/// table the kernels build is), a division otherwise.
+#[inline]
+fn home_slot(key: u64, cap: usize) -> usize {
+    let (h, cap) = (hash64(key), cap as u64);
+    (if cap.is_power_of_two() {
+        h & (cap - 1)
+    } else {
+        h % cap
+    }) as usize
+}
+
+/// The slot after `j` in a window of `cap` slots: `(j + 1) mod cap`
+/// for `j < cap`, without the division.
+#[inline]
+fn next_slot(j: usize, cap: usize) -> usize {
+    if j + 1 == cap {
+        0
+    } else {
+        j + 1
+    }
+}
+
 /// Accumulating map interface shared by both variants: the logical
 /// operation of miniVite's `buildMap` is `map[key] += w`.
 pub trait AccumMap {
@@ -91,7 +114,7 @@ impl ChainedMap {
 impl AccumMap for ChainedMap {
     fn insert_add<R: LoadRecorder>(&mut self, space: &mut TracedSpace<R>, key: u64, delta: u64) {
         space.alu(12); // hash computation
-        let b = (hash64(key) % self.buckets.len() as u64) as usize;
+        let b = home_slot(key, self.buckets.len());
         let mut cur = *self.buckets.get(space, self.sites.bucket_head, b);
         while cur != 0 {
             space.alu(3); // compare + advance
@@ -154,6 +177,16 @@ pub const HOP_RANGE: usize = 32;
 
 /// Hopscotch (closed) hash map: v2 (default-sized, resizable) and v3
 /// (right-sized).
+///
+/// Invariant: no slot at or past `active` is occupied. Probes and
+/// inserts stay inside the window; [`set_active_capacity`] is called
+/// on an empty map (after [`AccumMap::clear`]); the in-place doubling
+/// only widens the window and clears the old prefix itself before
+/// reinserting; and `grow` (v2) builds a fresh table whose window is
+/// all of it. So [`AccumMap::clear`] resets `slots[..active]` alone:
+/// for v3 that is the last vertex's window, not the max-degree arena.
+///
+/// [`set_active_capacity`]: HopscotchMap::set_active_capacity
 pub struct HopscotchMap {
     /// Slots: `(key, val, occupied)`.
     slots: TVec<(u64, u64, bool)>,
@@ -205,6 +238,7 @@ impl HopscotchMap {
     /// the first `cap` slots (clamped to `[HOP_RANGE, capacity]`). Call
     /// after [`AccumMap::clear`].
     pub fn set_active_capacity(&mut self, cap: usize) {
+        debug_assert_eq!(self.len, 0, "set_active_capacity on a non-empty map");
         self.active = cap.clamp(HOP_RANGE, self.slots.len());
     }
 
@@ -217,14 +251,14 @@ impl HopscotchMap {
             space.load(self.sites.rehash, self.slots.addr(i));
             if occ {
                 let cap = new_slots.len();
-                let home = (hash64(k) % cap as u64) as usize;
-                for d in 0..HOP_RANGE {
-                    let j = (home + d) % cap;
+                let mut j = home_slot(k, cap);
+                for _ in 0..HOP_RANGE {
                     if !new_slots.raw()[j].2 {
                         new_slots.set(space, j, (k, v, true));
                         self.resize_copies += 1;
                         break;
                     }
+                    j = next_slot(j, cap);
                 }
             }
         }
@@ -238,10 +272,9 @@ impl AccumMap for HopscotchMap {
         loop {
             let cap = self.active;
             space.alu(12); // hash computation
-            let home = (hash64(key) % cap as u64) as usize;
-            for d in 0..HOP_RANGE {
+            let mut j = home_slot(key, cap);
+            for _ in 0..HOP_RANGE {
                 space.alu(3); // compare + wrap
-                let j = (home + d) % cap;
                 let (k, _, occ) = *self.slots.get(space, self.sites.probe, j);
                 if occ && k == key {
                     space.load(self.sites.value, self.slots.addr(j) + 8);
@@ -254,6 +287,7 @@ impl AccumMap for HopscotchMap {
                     self.len += 1;
                     return;
                 }
+                j = next_slot(j, cap);
             }
             // Neighborhood full.
             if !self.resizable && self.active < self.slots.len() {
@@ -304,9 +338,8 @@ impl AccumMap for HopscotchMap {
     }
 
     fn clear(&mut self) {
-        for s in self.slots.raw_mut() {
-            *s = (0, 0, false);
-        }
+        // Only the window can hold an entry (see the type's invariant).
+        self.slots.raw_mut()[..self.active].fill((0, 0, false));
         self.len = 0;
     }
 }
@@ -340,6 +373,90 @@ mod tests {
         map.clear();
         assert!(map.is_empty());
         assert!(map.get_max(space).is_none());
+    }
+
+    /// Random clears, window sizes and inserts on a hopscotch map, held
+    /// to a `HashMap` after every step: no slot at or past `active` is
+    /// occupied, `len` and `get_max` agree, and a clear leaves the
+    /// whole arena empty. Returns how often the window doubled in place.
+    fn window_oracle_check(
+        space: &mut TracedSpace<NullRecorder>,
+        map: &mut HopscotchMap,
+        seed: u64,
+        steps: usize,
+    ) -> usize {
+        let mut oracle: HashMap<u64, u64> = HashMap::new();
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut doublings = 0;
+        for step in 0..steps {
+            let r = next();
+            match r % 64 {
+                0..=1 => {
+                    map.clear();
+                    oracle.clear();
+                    assert!(map.is_empty());
+                    assert!(
+                        map.slots.raw().iter().all(|s| !s.2),
+                        "step {step}: clear left an occupied slot"
+                    );
+                    if !map.resizable {
+                        map.set_active_capacity((next() % 160) as usize);
+                    }
+                }
+                2..=4 => {
+                    let got = map.get_max(space);
+                    let want = oracle.values().max().copied();
+                    assert_eq!(got.map(|(_, v)| v), want, "step {step}: max value");
+                    if let Some((k, v)) = got {
+                        assert_eq!(oracle.get(&k), Some(&v), "step {step}: max key");
+                    }
+                }
+                _ => {
+                    let (key, delta) = ((r >> 8) % 120, (r >> 24) % 5);
+                    let before = map.active;
+                    map.insert_add(space, key, delta);
+                    *oracle.entry(key).or_insert(0) += delta;
+                    if !map.resizable && map.active > before {
+                        doublings += 1;
+                    }
+                }
+            }
+            assert_eq!(map.len(), oracle.len(), "step {step}: len");
+            assert!(
+                map.slots.raw()[map.active..].iter().all(|s| !s.2),
+                "step {step}: occupied slot past active {}",
+                map.active
+            );
+        }
+        doublings
+    }
+
+    #[test]
+    fn right_sized_window_holds_every_entry() {
+        let mut doublings = 0;
+        for seed in 1..=8 {
+            let mut space = TracedSpace::new(NullRecorder);
+            let mut m = HopscotchMap::new(&mut space, 512, false);
+            doublings += window_oracle_check(&mut space, &mut m, seed, 4000);
+        }
+        assert!(doublings > 0, "the runs must reach the in-place doubling");
+    }
+
+    #[test]
+    fn resizable_window_is_the_whole_table() {
+        for seed in 1..=4 {
+            let mut space = TracedSpace::new(NullRecorder);
+            let mut m = HopscotchMap::new(&mut space, HOP_RANGE, true);
+            window_oracle_check(&mut space, &mut m, seed, 4000);
+            assert!(m.resize_copies > 0, "seed {seed}: v2 must grow");
+            assert_eq!(m.active, m.slots.len());
+        }
     }
 
     #[test]

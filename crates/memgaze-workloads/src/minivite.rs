@@ -122,8 +122,8 @@ pub fn run<R: LoadRecorder>(space: &mut TracedSpace<R>, cfg: &MiniViteConfig) ->
 
     // The map object. v1/v2 reuse one instance across vertices (the
     // allocator reuses freed memory); v3 right-sizes per vertex, which we
-    // model by clearing a table sized to the maximum degree but scanning
-    // only the per-vertex capacity.
+    // model with one arena sized to the maximum degree whose active
+    // window is set per vertex: probes, scans and clears stay inside it.
     let max_degree = (0..n).map(|u| g.degree(u)).max().unwrap_or(1);
     enum MapImpl {
         V1(ChainedMap),

@@ -2,14 +2,15 @@
 # The mutation ratchet on the analysis kernels, the per-function
 # windows of the fold and its two trace-long accumulators, the resident event lists, the zoom, the partial
 # reports' one fold, footprint union and list codec, the watch loop,
-# serve's window loads, the address-keyed side tables and the static
-# side's procedure summaries and abstract interpreter.
+# serve's window loads, the address-keyed side tables, the static
+# side's procedure summaries and abstract interpreter, and the native
+# kernels' RMAT descent and v3 map.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
 # crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs,
-# crates/memgaze-model/src/annot.rs or crates/memgaze-isa/src
-# whose header carries a line
+# crates/memgaze-model/src/annot.rs, crates/memgaze-isa/src or
+# crates/memgaze-workloads/src whose header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
@@ -46,7 +47,12 @@
 # of the abstract interpreter, scale_memo_ignores_the_factor.patch on
 # its memo of multiples and load_value_from_first_visit.patch on the
 # address values its loop fixpoints record, name the wide-form test of
-# tests/ir_digests.rs). For every patch
+# tests/ir_digests.rs; rmat_v_bit_of_two_thresholds.patch, on the
+# integer RMAT descent, names the graph module's unit tests (the float
+# oracle, the pinned graphs), and
+# hopscotch_clear_keeps_the_window_tail.patch, on the v3 map's clear of
+# its window, the hashes module's (random windows against a HashMap)).
+# For every patch
 # this script applies it with `git apply`, builds and runs that suite in
 # release, requires the suite to fail, and reverts with `git apply -R`.
 # A patch that no longer applies, a mutant that does not build, a suite
