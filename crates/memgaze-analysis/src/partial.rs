@@ -33,7 +33,7 @@
 //!   [`ReusePartial::absorb`]).
 //!
 //! A partial that leaves the process uses a hand-rolled,
-//! length-prefixed, FNV-checksummed binary codec (varints + `f64` as
+//! length-prefixed, XXH64-sealed binary codec (varints + `f64` as
 //! IEEE-754 bits), because serialization here must round-trip **bit
 //! exactly** — JSON would not. Every list is a count followed by plain
 //! deltas (a footprint entry's followed by its class-mask byte), and
@@ -51,7 +51,7 @@ use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
 };
 use memgaze_model::wire::{
-    self, add_delta, put_f64, put_str, put_varint, zigzag, Reader, WireError,
+    self, add_delta, put_f64, put_str, put_varint, zigzag, Reader, Sum, WireError,
 };
 use memgaze_model::{
     AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, ModelError, SymbolTable, TraceMeta,
@@ -60,7 +60,10 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 const PARTIAL_MAGIC: &[u8; 4] = b"MGZP";
-const PARTIAL_VERSION: u16 = 4;
+/// Version 5 is version 4's body sealed with XXH64 where 4 had FNV-1a.
+/// Only a result cache or a live session holds a partial, so no older
+/// version is read: a cached one is a miss, and is overwritten.
+const PARTIAL_VERSION: u16 = 5;
 
 /// Errors of the partial-report algebra and its wire codec.
 #[derive(Debug)]
@@ -598,7 +601,7 @@ impl PartialReport {
     }
 
     /// Serialize for the result cache and the serve seal (`MGZP`
-    /// framing, FNV-checksummed, `f64` as IEEE-754 bits — bit-exact
+    /// framing, XXH64-sealed, `f64` as IEEE-754 bits — bit-exact
     /// round trip).
     pub fn encode(&self) -> Vec<u8> {
         let _span = memgaze_obs::span("codec.encode_partial");
@@ -679,7 +682,12 @@ impl PartialReport {
     /// must surface as a typed error, never a bad merge.
     pub fn decode(data: &[u8]) -> Result<PartialReport, PartialError> {
         let _span = memgaze_obs::span("codec.decode_partial");
-        let mut r = wire::open(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
+        let (_, mut r) = wire::open(
+            data,
+            PARTIAL_MAGIC,
+            &[(PARTIAL_VERSION, Sum::Xxh64)],
+            "partial report",
+        )?;
         let footprint_block = get_block_size(&mut r, "partial footprint block")?;
         let reuse_block = get_block_size(&mut r, "partial reuse block")?;
         let locality_sizes = get_u64s(&mut r, "partial locality sizes")?;

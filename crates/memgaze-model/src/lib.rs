@@ -33,7 +33,7 @@ pub use access::{Access, LoadClass};
 pub use addr::{Addr, BlockSize, Ip};
 pub use annot::{AuxAnnotations, IpAnnot, IpTable};
 pub use error::ModelError;
-pub use hash::{fnv1a64, fnv1a64_seeded, Fnv64};
+pub use hash::{fnv1a64, fnv1a64_seeded, xxh64, xxh64_seeded, Fnv64};
 pub use ratio::{compression_ratio, sample_ratio, DecompressionInfo};
 pub use sample::{FullTrace, Sample, SampledTrace, TraceMeta};
 pub use stream::{

@@ -36,7 +36,7 @@
 //! seek-based reads — the store's `put`, an analysis of a frame range —
 //! [`ShardWriter::finish_indexed`] additionally returns a [`FrameIndex`]
 //! recording, per frame, the payload byte offset, payload length,
-//! sample count, and an FNV-1a checksum, plus enough container identity
+//! sample count, and an XXH64 checksum, plus enough container identity
 //! (header checksum, total length, trailer totals) that
 //! [`FrameIndex::validate`] can detect a stale or mismatched
 //! index-vs-container pair before anything seeks with it. The index
@@ -44,7 +44,7 @@
 //! `MGZC` catalog.
 
 use crate::error::ModelError;
-use crate::hash::fnv1a64;
+use crate::hash::xxh64;
 use crate::io::{check_header, get_samples, put_header, put_meta, put_sample, read_meta};
 use crate::sample::{Sample, SampledTrace, TraceMeta};
 use crate::wire::{self, put_varint, read_varint, Reader};
@@ -67,7 +67,7 @@ pub struct FrameIndexEntry {
     pub len: u64,
     /// Samples encoded in the frame.
     pub samples: u64,
-    /// FNV-1a checksum of the payload bytes.
+    /// XXH64 of the payload bytes.
     pub checksum: u64,
 }
 
@@ -77,7 +77,7 @@ pub struct FrameIndexEntry {
 pub struct FrameIndex {
     /// Byte length of the container header + provisional meta.
     pub header_len: u64,
-    /// FNV-1a checksum of those header bytes.
+    /// XXH64 of those header bytes.
     pub header_checksum: u64,
     /// Total container length in bytes, trailer included.
     pub container_len: u64,
@@ -121,7 +121,7 @@ impl FrameIndex {
                 detail: format!("header length {} exceeds container", self.header_len),
             });
         };
-        let got = fnv1a64(header);
+        let got = xxh64(header);
         if got != self.header_checksum {
             return Err(ModelError::StaleIndex {
                 detail: format!(
@@ -162,7 +162,7 @@ impl FrameIndex {
                 detail: format!("frame {i} spans past the container end"),
             });
         };
-        let got = fnv1a64(payload);
+        let got = xxh64(payload);
         if got != entry.checksum {
             return Err(ModelError::StaleIndex {
                 detail: format!(
@@ -209,7 +209,7 @@ impl<W: Write> ShardWriter<W> {
             scratch: Vec::new(),
             pos: buf.len() as u64,
             header_len: buf.len() as u64,
-            header_checksum: fnv1a64(&buf),
+            header_checksum: xxh64(&buf),
             entries: Vec::new(),
         })
     }
@@ -235,7 +235,7 @@ impl<W: Write> ShardWriter<W> {
             offset: self.pos + head.len() as u64,
             len: self.scratch.len() as u64,
             samples: samples.len() as u64,
-            checksum: fnv1a64(&self.scratch),
+            checksum: xxh64(&self.scratch),
         });
         self.pos += (head.len() + self.scratch.len()) as u64;
         self.shards += 1;

@@ -2,7 +2,7 @@
 //!
 //! Every binary format in the workspace — the `MGZT` container, the
 //! `MGZP` partial report, the `MGZB`/`MGZC` store objects — is built from the same few primitives: LEB128 varints, zigzag deltas, little-endian
-//! scalars, length-prefixed bytes, and a `magic | version | body | FNV`
+//! scalars, length-prefixed bytes, and a `magic | version | body | sum`
 //! frame. They live here once, together with the guards every decoder
 //! of outside input needs:
 //!
@@ -23,11 +23,11 @@
 //! All failures are a [`WireError`], which each crate's error type
 //! absorbs via `From`.
 
-use crate::hash::fnv1a64;
+use crate::hash::{fnv1a64, fnv1a64_seeded, xxh64, xxh64_seeded};
 use std::io::Read;
 
 /// Bytes of framing around a sealed body: magic, `u16` version, and the
-/// trailing FNV-1a-64.
+/// trailing 64-bit sum.
 const FRAME_OVERHEAD: usize = 4 + 2 + 8;
 
 /// Largest step [`read_bounded`] asks a stream for at once.
@@ -162,37 +162,76 @@ pub fn put_header(buf: &mut Vec<u8>, magic: &[u8; 4], version: u16) {
     buf.extend_from_slice(&version.to_le_bytes());
 }
 
+/// The 64-bit sum a sealed frame carries, which its version names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sum {
+    /// FNV-1a-64: the sum of the version-1 `MGZB` and `MGZC` objects,
+    /// kept so stores written before XXH64 stay readable.
+    Fnv1a,
+    /// XXH64: what [`seal`] writes.
+    Xxh64,
+}
+
+impl Sum {
+    /// The sum of `data`: FNV-1a from its offset basis, XXH64 from seed 0.
+    #[inline]
+    pub fn of(self, data: &[u8]) -> u64 {
+        match self {
+            Sum::Fnv1a => fnv1a64(data),
+            Sum::Xxh64 => xxh64(data),
+        }
+    }
+
+    /// The sum of `data` under `seed`, a domain of its own.
+    #[inline]
+    pub fn seeded(self, seed: u64, data: &[u8]) -> u64 {
+        match self {
+            Sum::Fnv1a => fnv1a64_seeded(seed, data),
+            Sum::Xxh64 => xxh64_seeded(seed, data),
+        }
+    }
+}
+
 /// Seal the frame that starts at `buf[start..]` by appending the
-/// FNV-1a-64 of those bytes. Whatever precedes `start` (a pooled
-/// buffer's earlier content) is not covered.
+/// XXH64 of those bytes. Whatever precedes `start` (a pooled buffer's
+/// earlier content) is not covered.
 pub fn seal(buf: &mut Vec<u8>, start: usize) {
-    let sum = fnv1a64(buf.get(start..).unwrap_or_default());
+    let sum = xxh64(buf.get(start..).unwrap_or_default());
     put_u64_le(buf, sum);
 }
 
-/// Open a frame written by [`put_header`] … [`seal`]: verify the
-/// trailing checksum, then magic and version, and return a reader over
-/// the body between them.
+/// Open a frame written by [`put_header`] … [`seal`]: check magic and
+/// version, where `versions` lists each version the format reads with
+/// the sum it was sealed with, then verify the trailing sum with that
+/// version's, and return the sum with a reader over the body.
 pub fn open<'a>(
     data: &'a [u8],
     magic: &[u8; 4],
-    version: u16,
+    versions: &[(u16, Sum)],
     what: &'static str,
-) -> Result<Reader<'a>, WireError> {
+) -> Result<(Sum, Reader<'a>), WireError> {
     if data.len() < FRAME_OVERHEAD {
         return Err(WireError::Truncated { context: what });
     }
     let (body, sum_bytes) = data.split_at(data.len() - 8);
+    let mut r = Reader::new(body);
+    r.magic(magic, what)?;
+    let ver = r.u16_le(what)?;
+    let Some(&(_, sum)) = versions.iter().find(|(v, _)| *v == ver) else {
+        let expected: Vec<String> = versions.iter().map(|(v, _)| v.to_string()).collect();
+        return Err(malformed(format!(
+            "{what} version {ver}, expected {}",
+            expected.join(" or ")
+        )));
+    };
     let want = Reader::new(sum_bytes).u64_le(what)?;
-    let got = fnv1a64(body);
+    let got = sum.of(body);
     if got != want {
         return Err(malformed(format!(
             "{what} checksum mismatch: {got:#018x} != stored {want:#018x}"
         )));
     }
-    let mut r = Reader::new(body);
-    r.header(magic, version, what)?;
-    Ok(r)
+    Ok((sum, r))
 }
 
 /// Narrow a decoded count, length or offset to `usize`, rejecting what
@@ -378,6 +417,15 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Check a frame's four magic bytes.
+    fn magic(&mut self, magic: &[u8; 4], what: &'static str) -> Result<(), WireError> {
+        let got = self.array::<4>(what)?;
+        if &got != magic {
+            return Err(bad_magic(what, got));
+        }
+        Ok(())
+    }
+
     /// Check a [`put_header`] header: magic, then version.
     pub fn header(
         &mut self,
@@ -385,10 +433,7 @@ impl<'a> Reader<'a> {
         version: u16,
         what: &'static str,
     ) -> Result<(), WireError> {
-        let got = self.array::<4>(what)?;
-        if &got != magic {
-            return Err(bad_magic(what, got));
-        }
+        self.magic(magic, what)?;
         let ver = self.u16_le(what)?;
         if ver != version {
             return Err(malformed(format!(
@@ -587,17 +632,53 @@ mod tests {
         put_str(&mut buf, "body");
         seal(&mut buf, 5);
         let frame = &buf[5..];
-        let mut r = open(frame, b"MGZ?", 3, "test frame").unwrap();
+        let v3 = [(3, Sum::Xxh64)];
+        let (sum, mut r) = open(frame, b"MGZ?", &v3, "test frame").unwrap();
+        assert_eq!(sum, Sum::Xxh64);
         assert_eq!(r.string("s").unwrap(), "body");
         r.finish("test frame").unwrap();
-        assert!(open(frame, b"MGZ!", 3, "t").is_err());
-        assert!(open(frame, b"MGZ?", 4, "t").is_err());
+        assert!(open(frame, b"MGZ!", &v3, "t").is_err());
+        assert!(open(frame, b"MGZ?", &[(4, Sum::Xxh64)], "t").is_err());
         for cut in 0..frame.len() {
-            assert!(open(&frame[..cut], b"MGZ?", 3, "t").is_err());
+            assert!(open(&frame[..cut], b"MGZ?", &v3, "t").is_err());
         }
         let mut flipped = frame.to_vec();
         flipped[7] ^= 1;
-        assert!(open(&flipped, b"MGZ?", 3, "t").is_err());
+        assert!(open(&flipped, b"MGZ?", &v3, "t").is_err());
+    }
+
+    #[test]
+    fn each_version_verifies_with_its_own_sum() {
+        let mut old = Vec::new();
+        put_header(&mut old, b"MGZ?", 1);
+        put_str(&mut old, "old body");
+        let sum = fnv1a64(&old);
+        put_u64_le(&mut old, sum);
+        let mut new = Vec::new();
+        put_header(&mut new, b"MGZ?", 2);
+        put_str(&mut new, "new body");
+        seal(&mut new, 0);
+        let both = [(1, Sum::Fnv1a), (2, Sum::Xxh64)];
+        let (sum, mut r) = open(&old, b"MGZ?", &both, "t").unwrap();
+        assert_eq!(
+            (sum, r.string("s").unwrap().as_str()),
+            (Sum::Fnv1a, "old body")
+        );
+        let (sum, mut r) = open(&new, b"MGZ?", &both, "t").unwrap();
+        assert_eq!(
+            (sum, r.string("s").unwrap().as_str()),
+            (Sum::Xxh64, "new body")
+        );
+        // A frame sealed with the other version's sum does not open.
+        let swapped = [(1, Sum::Xxh64), (2, Sum::Fnv1a)];
+        assert!(open(&old, b"MGZ?", &swapped, "t").is_err());
+        assert!(open(&new, b"MGZ?", &swapped, "t").is_err());
+        match open(&new, b"MGZ?", &[(1, Sum::Fnv1a)], "t") {
+            Err(WireError::Malformed { detail }) => {
+                assert_eq!(detail, "t version 2, expected 1")
+            }
+            other => panic!("expected a version error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Content-addressed blob framing.
 //!
 //! A blob is one shard-frame payload (the MGZT frame bytes past the
-//! length varint), stored under its *content hash* — a seeded FNV-1a-64
-//! of the uncompressed payload. Identical frames across traces (or
+//! length varint), stored under its *content hash* — a seeded XXH64 of
+//! the uncompressed payload. Identical frames across traces (or
 //! across re-puts of the same trace) therefore share one file, which is
 //! what makes the store deduplicating.
 //!
 //! On-disk framing:
 //!
 //! ```text
-//! magic "MGZB" | version u16 = 1 | enc u8 (0 raw, 1 lz)
-//! | raw_len varint | payload bytes | fnv1a64(all preceding bytes) u64 LE
+//! magic "MGZB" | version u16 = 2 | enc u8 (0 raw, 1 lz)
+//! | raw_len varint | payload bytes | xxh64(all preceding bytes) u64 LE
 //! ```
+//!
+//! Version 2 is version 1 with XXH64 where version 1 had FNV-1a, in the
+//! seal and in the content hash. A version-1 blob still decodes: its
+//! seal and its content hash are checked with FNV-1a, so a store
+//! written before XXH64 stays readable.
 //!
 //! The trailing checksum covers the *encoded* bytes, so media rot is
 //! caught before any decompression runs; after decoding, the content
@@ -23,16 +28,18 @@
 
 use crate::compress;
 use crate::error::StoreError;
-use memgaze_model::fnv1a64_seeded;
-use memgaze_model::wire::{self, put_varint, WireError};
+use memgaze_model::wire::{self, put_varint, Sum, WireError};
 
 const BLOB_MAGIC: &[u8; 4] = b"MGZB";
-const BLOB_VERSION: u16 = 1;
+const BLOB_VERSION: u16 = 2;
+/// Every version [`decode_blob`] reads, with the sum that sealed and
+/// addressed it.
+const BLOB_VERSIONS: [(u16, Sum); 2] = [(1, Sum::Fnv1a), (BLOB_VERSION, Sum::Xxh64)];
 const ENC_RAW: u8 = 0;
 const ENC_LZ: u8 = 1;
 
-/// Seed for content addresses. Deliberately distinct from the plain
-/// FNV offset basis so a blob's content hash never collides by
+/// Seed for content addresses. Deliberately distinct from the seed of
+/// the plain sum so a blob's content hash never collides by
 /// construction with the frame checksums the [`memgaze_model::FrameIndex`]
 /// records for the same bytes — the two namespaces stay disjoint.
 pub const CONTENT_HASH_SEED: u64 = 0x6d67_7a73_746f_7265; // "mgzstore"
@@ -40,7 +47,7 @@ pub const CONTENT_HASH_SEED: u64 = 0x6d67_7a73_746f_7265; // "mgzstore"
 /// Content address of a frame payload.
 #[inline]
 pub fn content_hash(payload: &[u8]) -> u64 {
-    fnv1a64_seeded(CONTENT_HASH_SEED, payload)
+    Sum::Xxh64.seeded(CONTENT_HASH_SEED, payload)
 }
 
 /// Frame a payload for disk: compress when it pays, checksum always.
@@ -69,10 +76,10 @@ fn corrupt(hash: u64, detail: impl Into<String>) -> StoreError {
 
 /// Decode a blob fetched by content address `hash`, verifying the
 /// framing checksum, the declared encoding, and finally that the
-/// recovered payload really hashes to `hash`.
+/// recovered payload really hashes to `hash` by its version's sum.
 pub fn decode_blob(hash: u64, data: &[u8]) -> Result<Vec<u8>, StoreError> {
     let wire = |e: WireError| corrupt(hash, e.to_string());
-    let mut r = wire::open(data, BLOB_MAGIC, BLOB_VERSION, "blob").map_err(wire)?;
+    let (sum, mut r) = wire::open(data, BLOB_MAGIC, &BLOB_VERSIONS, "blob").map_err(wire)?;
     let enc = r.u8("encoding").map_err(wire)?;
     let raw_len = r.usize("raw length").map_err(wire)?;
     let body = r.rest();
@@ -89,7 +96,7 @@ pub fn decode_blob(hash: u64, data: &[u8]) -> Result<Vec<u8>, StoreError> {
         ENC_LZ => compress::decompress(body, raw_len).map_err(|detail| corrupt(hash, detail))?,
         other => return Err(corrupt(hash, format!("unknown encoding {other}"))),
     };
-    let got = content_hash(&payload);
+    let got = sum.seeded(CONTENT_HASH_SEED, &payload);
     if got != hash {
         return Err(corrupt(
             hash,
@@ -102,7 +109,7 @@ pub fn decode_blob(hash: u64, data: &[u8]) -> Result<Vec<u8>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::fnv1a64;
+    use memgaze_model::xxh64;
 
     #[test]
     fn roundtrip_compressible_and_not() {
@@ -123,7 +130,7 @@ mod tests {
     #[test]
     fn content_hash_disjoint_from_frame_checksum() {
         let payload = b"same bytes, two namespaces";
-        assert_ne!(content_hash(payload), fnv1a64(payload));
+        assert_ne!(content_hash(payload), xxh64(payload));
     }
 
     #[test]

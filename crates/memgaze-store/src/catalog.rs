@@ -1,4 +1,4 @@
-//! Persistent per-trace catalog (MGZC v1).
+//! Persistent per-trace catalog (MGZC v2).
 //!
 //! The catalog is the store's promotion of the in-memory
 //! [`FrameIndex`] sidecar to a durable, queryable record: for each
@@ -18,7 +18,7 @@
 //! bytes.
 //!
 //! ```text
-//! magic "MGZC" | version u16 = 1
+//! magic "MGZC" | version u16 = 2
 //! | trace_id string | summary_block log2 u8
 //! | header_bytes blob | trailer_bytes blob
 //! | container_len varint | container_checksum u64 LE
@@ -30,24 +30,32 @@
 //! |   addr flag u8 [lo varint, span varint]
 //! |   reuse rows: count varint, then delta-coded block + 4 stat varints
 //! |   func loads: count varint, then (name index varint, loads varint)
-//! | fnv1a64(all preceding bytes) u64 LE
+//! | xxh64(all preceding bytes) u64 LE
 //! ```
+//!
+//! Version 2 is version 1's layout with XXH64 where version 1 had
+//! FNV-1a: the seal, the container checksum and the frames' content
+//! hashes (blob addresses) alike. A version-1 catalog still decodes,
+//! and its [`Catalog::sum`] says its reassembly checks with FNV-1a.
 
 use crate::blob::content_hash;
 use crate::error::StoreError;
 use memgaze_analysis::BlockReuse;
 use memgaze_model::stream::decode_frame_payload;
 use memgaze_model::wire::{
-    self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, WireError,
+    self, add_delta, put_bytes, put_str, put_u64_le, put_varint, Reader, Sum, WireError,
 };
 use memgaze_model::{
-    fnv1a64, BlockSize, FrameIndex, FrameIndexEntry, FunctionSym, Ip, ModelError, SymbolTable,
+    xxh64, BlockSize, FrameIndex, FrameIndexEntry, FunctionSym, Ip, ModelError, SymbolTable,
     TraceMeta,
 };
 use std::collections::BTreeMap;
 
 const CATALOG_MAGIC: &[u8; 4] = b"MGZC";
-const CATALOG_VERSION: u16 = 1;
+const CATALOG_VERSION: u16 = 2;
+/// Every version [`Catalog::decode`] reads, with the sum it was sealed
+/// and checksummed with.
+const CATALOG_VERSIONS: [(u16, Sum); 2] = [(1, Sum::Fnv1a), (CATALOG_VERSION, Sum::Xxh64)];
 
 /// Summary of one stored frame — everything the query engine can know
 /// about the frame without fetching its blob.
@@ -76,20 +84,6 @@ pub struct FrameSummary {
     pub func_loads: Vec<(u32, u64)>,
 }
 
-impl FrameSummary {
-    /// Whether the frame's time range intersects `[lo, hi)`.
-    pub fn overlaps_time(&self, lo: u64, hi: u64) -> bool {
-        self.time_range
-            .is_some_and(|(tlo, thi)| tlo < hi && thi >= lo)
-    }
-
-    /// Whether the frame's address range intersects `[lo, hi)`.
-    pub fn overlaps_addr(&self, lo: u64, hi: u64) -> bool {
-        self.addr_range
-            .is_some_and(|(alo, ahi)| alo < hi && ahi >= lo)
-    }
-}
-
 /// Durable record of one stored trace: identity, reassembly material,
 /// and the per-frame summary table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,8 +98,14 @@ pub struct Catalog {
     pub trailer_bytes: Vec<u8>,
     /// Total container length in bytes.
     pub container_len: u64,
-    /// FNV-1a checksum of the whole original container.
+    /// Checksum of the whole original container, by [`Self::sum`].
     pub container_checksum: u64,
+    /// The sum of the version the catalog was written in, which its
+    /// container checksum was taken with: XXH64 for a scan, FNV-1a for
+    /// a version-1 catalog. [`Catalog::encode`] writes the current
+    /// version whatever this says, so a version-1 catalog re-encoded
+    /// fails its reassembly check; a store writes only fresh scans.
+    pub sum: Sum,
     /// Trailer `total_loads`.
     pub total_loads: u64,
     /// Trailer `total_instrumented_loads`.
@@ -184,7 +184,8 @@ impl Catalog {
             header_bytes,
             trailer_bytes,
             container_len: container.len() as u64,
-            container_checksum: fnv1a64(container),
+            container_checksum: xxh64(container),
+            sum: Sum::Xxh64,
             total_loads: index.total_loads,
             total_instrumented_loads: index.total_instrumented_loads,
             func_names: funcs.names,
@@ -218,7 +219,7 @@ impl Catalog {
         self.frames.iter().map(|f| f.len).sum()
     }
 
-    /// Serialize (MGZC framing, FNV-checksummed).
+    /// Serialize (MGZC framing, XXH64-sealed).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + self.frames.len() * 64);
         wire::put_header(&mut buf, CATALOG_MAGIC, CATALOG_VERSION);
@@ -273,7 +274,7 @@ impl Catalog {
 }
 
 fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
-    let mut r = wire::open(data, CATALOG_MAGIC, CATALOG_VERSION, "catalog")?;
+    let (sum, mut r) = wire::open(data, CATALOG_MAGIC, &CATALOG_VERSIONS, "catalog")?;
     let trace_id = r.string("trace id")?;
     let summary_block = r.u8("summary block")?;
     if summary_block >= 64 {
@@ -343,6 +344,7 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
         trailer_bytes,
         container_len,
         container_checksum,
+        sum,
         total_loads,
         total_instrumented_loads,
         func_names,

@@ -8,7 +8,7 @@
 //! traces a durable home built for that access pattern:
 //!
 //! * [`blob`] — shard-frame payloads stored as checksummed,
-//!   block-compressed blobs under a seeded-FNV *content hash*, so
+//!   block-compressed blobs under a seeded-XXH64 *content hash*, so
 //!   identical frames are stored once and every read is self-verifying;
 //! * [`compress`] — the general-purpose LZ block codec layered over the
 //!   existing trigger delta chains;

@@ -36,7 +36,7 @@ use memgaze_analysis::streaming::StreamingReport;
 use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer};
 use memgaze_model::annot::AuxAnnotations;
 use memgaze_model::stream::decode_frame_payload;
-use memgaze_model::wire::{self, grow_toward, put_str, put_varint, varint_len, zigzag};
+use memgaze_model::wire::{self, grow_toward, put_str, put_u64_le, put_varint, varint_len, zigzag};
 use memgaze_model::{fnv1a64, BlockSize, FrameIndex, LoadClass, SymbolTable, TraceMeta};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -44,9 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The canonical encoding [`TraceStore::config_hash`] hashes: the
 /// block sizes, the locality sizes, every annotation and every symbol,
-/// in the frame the fan-out worker spec (`MGZS` v3) once used. Nothing
-/// decodes it; it keeps those bytes exactly so result caches written
-/// under the spec keep their keys (pinned in `tests/wire_golden.rs`).
+/// in the frame the fan-out worker spec (`MGZS` v3) once used, FNV-1a
+/// trailer included. Nothing decodes it; it keeps those bytes exactly
+/// so result caches written under the spec keep their keys (pinned in
+/// `tests/wire_golden.rs`).
 fn config_bytes(
     analysis: &AnalysisConfig,
     locality_sizes: &[u64],
@@ -80,7 +81,8 @@ fn config_bytes(
         put_varint(&mut buf, f.hi.raw());
         put_str(&mut buf, &f.src_file);
     }
-    wire::seal(&mut buf, 0);
+    let trailer = fnv1a64(&buf);
+    put_u64_le(&mut buf, trailer);
     buf
 }
 
@@ -392,7 +394,7 @@ impl TraceStore {
                 ),
             });
         }
-        let got = fnv1a64(&out);
+        let got = catalog.sum.of(&out);
         if got != catalog.container_checksum {
             return Err(StoreError::StaleCatalog {
                 detail: format!(
@@ -558,6 +560,15 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Write-then-rename so concurrent readers (and crashed writers) never
 /// see a torn object.
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    write_atomic_with(path, |tmp| fs::write(tmp, bytes))
+}
+
+/// [`write_atomic`] with the write of the temporary file given: `write`
+/// fills the file it is handed, which is then renamed onto `path`.
+fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&Path) -> std::io::Result<()>,
+) -> Result<(), StoreError> {
     let parent = path.parent().ok_or_else(|| {
         io_err(
             format!("writing {}", path.display()),
@@ -570,11 +581,17 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    fs::write(&tmp, bytes).map_err(|e| io_err(format!("writing {}", tmp.display()), e))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        io_err(format!("renaming into {}", path.display()), e)
-    })
+    // A failed write (ENOSPC, EIO) can leave a partial file, which no
+    // sweep matches: remove it whichever step failed.
+    write(&tmp)
+        .map_err(|e| io_err(format!("writing {}", tmp.display()), e))
+        .and_then(|()| {
+            fs::rename(&tmp, path)
+                .map_err(|e| io_err(format!("renaming into {}", path.display()), e))
+        })
+        .inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
 }
 
 /// Remove every file one directory below `top` that `dead` picks;
@@ -825,6 +842,29 @@ mod tests {
             store.get_container("tr"),
             Err(StoreError::CorruptBlob { .. })
         ));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_temporary_file() {
+        let root = tmp_root("failed-write");
+        let dir = root.join("objects");
+        let files = |dir: &Path| read_dir_sorted(dir).unwrap();
+        // The write fails after some bytes reached the file, as a full
+        // disk fails it.
+        let err = write_atomic_with(&dir.join("a.blob"), |tmp| {
+            fs::write(tmp, b"partial")?;
+            Err(std::io::Error::other("no space left on device"))
+        });
+        assert!(matches!(err, Err(StoreError::Io { .. })), "{err:?}");
+        assert_eq!(files(&dir), Vec::<PathBuf>::new());
+        // The rename fails: the target is a directory that is not empty.
+        let target = dir.join("b.blob");
+        fs::create_dir_all(target.join("inside")).unwrap();
+        assert!(write_atomic(&target, b"whole").is_err());
+        write_atomic(&dir.join("c.blob"), b"whole").unwrap();
+        assert_eq!(fs::read(dir.join("c.blob")).unwrap(), b"whole");
+        assert_eq!(files(&dir), [target, dir.join("c.blob")]);
         fs::remove_dir_all(&root).unwrap();
     }
 

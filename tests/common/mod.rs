@@ -171,6 +171,14 @@ pub fn mgzc() -> Vec<u8> {
     catalog().encode()
 }
 
+/// A file under `tests/fixtures/`.
+pub fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
 /// A bench-emitter-shaped document: nesting, arrays, escapes, floats.
 pub fn json() -> String {
     r#"{"bench":"wire \"kit\"\n","host_cpus":2,"ratio":-1.5e-3,"ok":true,"none":null,

@@ -10,10 +10,13 @@
 //!   and count field inflated", without a per-format map of where the
 //!   fields are,
 //!
-//! with the trailing checksum recomputed on checksummed frames so the
-//! damage reaches the parser. Every decode must return — `Ok` or the
-//! crate's typed error, never a panic — and a counting allocator holds
-//! its peak allocation to `ALLOC_FACTOR × input + ALLOC_SLACK` bytes.
+//! with the trailing checksum recomputed on checksummed frames, by the
+//! sum their version is sealed with, so the damage reaches the parser.
+//! The version-1 blobs and catalog c59f616 wrote, sealed with FNV-1a,
+//! are tortured beside the current versions, sealed with XXH64. Every
+//! decode must return — `Ok` or the crate's typed error, never a panic
+//! — and a counting allocator holds its peak allocation to
+//! `ALLOC_FACTOR × input + ALLOC_SLACK` bytes.
 //! A partial report (`MGZP`, `.mgzr`) that still decodes is then
 //! merged with itself and finished, and a catalog (`MGZC`) that still
 //! decodes is queried through `QueryEngine`, under the same two rules.
@@ -27,8 +30,9 @@ mod common;
 
 use memgaze::analysis::PartialReport;
 use memgaze::model::stream::decode_frame_payload;
-use memgaze::model::{decode_sharded, fnv1a64, TraceMeta};
+use memgaze::model::{decode_sharded, fnv1a64, fnv1a64_seeded, xxh64, TraceMeta};
 use memgaze::store::blob::decode_blob;
+use memgaze::store::blob::CONTENT_HASH_SEED;
 use memgaze::store::{Catalog, QueryEngine, StoreConfig, StoreError, TraceStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -119,8 +123,8 @@ type Decode = Box<dyn Fn(&[u8]) -> Result<(), String>>;
 struct Format {
     name: &'static str,
     valid: Vec<u8>,
-    /// Whether the last eight bytes are the FNV-1a-64 of the rest.
-    sealed: bool,
+    /// The sum the last eight bytes hold of the rest, if they hold one.
+    sum: Option<fn(&[u8]) -> u64>,
     decode: Decode,
 }
 
@@ -132,6 +136,22 @@ fn formats() -> Vec<Format> {
     let (container, _) = common::mgzt_v2();
     let (raw_hash, raw_blob) = common::mgzb(&common::raw_blob_payload());
     let (lz_hash, lz_blob) = common::mgzb(&common::lz_blob_payload());
+    // The version-1 blobs are filed under FNV-1a content hashes.
+    let v1_hash = |payload: Vec<u8>| fnv1a64_seeded(CONTENT_HASH_SEED, &payload);
+    let v1_raw_hash = v1_hash(common::raw_blob_payload());
+    let v1_lz_hash = v1_hash(common::lz_blob_payload());
+    // A decoded catalog is then queried, as `memgaze query` does.
+    let catalog = |d: &[u8]| {
+        let catalog = Catalog::decode(common::TRACE_ID, d).map_err(|e| e.to_string())?;
+        typed(catalog.meta())?;
+        let engine = QueryEngine::new(&catalog).map_err(|e| e.to_string())?;
+        std::hint::black_box((
+            engine.region(0, u64::MAX),
+            engine.time_range(0, u64::MAX),
+            engine.functions(),
+        ));
+        Ok(())
+    };
     // A partial that decodes goes one step on, as a serve seal takes an
     // upload's, through the one fold: merged with itself
     // (every counter doubles, every list unions with itself, the reuse
@@ -154,60 +174,67 @@ fn formats() -> Vec<Format> {
         Format {
             name: "MGZT v2 container",
             valid: container,
-            sealed: false,
+            sum: None,
             decode: Box::new(|d| typed(decode_sharded(d))),
         },
         Format {
             name: "frame payload",
             valid: common::frame_payload(0),
-            sealed: false,
+            sum: None,
             decode: Box::new(|d| typed(decode_frame_payload(d))),
         },
         Format {
             name: "MGZP",
             valid: common::mgzp(),
-            sealed: true,
+            sum: Some(xxh64),
             decode: Box::new(partial),
         },
         Format {
             name: ".mgzr",
             valid: common::mgzr(),
-            sealed: true,
+            sum: Some(xxh64),
             decode: Box::new(partial),
         },
         Format {
             name: "MGZB raw",
             valid: raw_blob,
-            sealed: true,
+            sum: Some(xxh64),
             decode: Box::new(move |d| typed(decode_blob(raw_hash, d))),
         },
         Format {
             name: "MGZB lz",
             valid: lz_blob,
-            sealed: true,
+            sum: Some(xxh64),
             decode: Box::new(move |d| typed(decode_blob(lz_hash, d))),
         },
         Format {
             name: "MGZC",
             valid: common::mgzc(),
-            sealed: true,
-            // A decoded catalog is then queried, as `memgaze query` does.
-            decode: Box::new(|d| {
-                let catalog = Catalog::decode(common::TRACE_ID, d).map_err(|e| e.to_string())?;
-                typed(catalog.meta())?;
-                let engine = QueryEngine::new(&catalog).map_err(|e| e.to_string())?;
-                std::hint::black_box((
-                    engine.region(0, u64::MAX),
-                    engine.time_range(0, u64::MAX),
-                    engine.functions(),
-                ));
-                Ok(())
-            }),
+            sum: Some(xxh64),
+            decode: Box::new(catalog),
+        },
+        Format {
+            name: "MGZB v1 raw (c59f616)",
+            valid: common::fixture("c59f616-raw.blob"),
+            sum: Some(fnv1a64),
+            decode: Box::new(move |d| typed(decode_blob(v1_raw_hash, d))),
+        },
+        Format {
+            name: "MGZB v1 lz (c59f616)",
+            valid: common::fixture("c59f616-lz.blob"),
+            sum: Some(fnv1a64),
+            decode: Box::new(move |d| typed(decode_blob(v1_lz_hash, d))),
+        },
+        Format {
+            name: "MGZC v1 (c59f616)",
+            valid: common::fixture("c59f616.mgzc"),
+            sum: Some(fnv1a64),
+            decode: Box::new(catalog),
         },
         Format {
             name: "json",
             valid: common::json().into_bytes(),
-            sealed: false,
+            sum: None,
             // Callers hold JSON as `str`; bytes that are not UTF-8 never
             // reach the parser.
             decode: Box::new(|d| match std::str::from_utf8(d) {
@@ -219,9 +246,9 @@ fn formats() -> Vec<Format> {
 }
 
 /// Recompute a sealed frame's trailing checksum after damage.
-fn reseal(bytes: &mut [u8]) {
+fn reseal(bytes: &mut [u8], sum: fn(&[u8]) -> u64) {
     if let Some(body_len) = bytes.len().checked_sub(8) {
-        let sum = fnv1a64(&bytes[..body_len]);
+        let sum = sum(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     }
 }
@@ -254,7 +281,7 @@ fn varint_span(bytes: &[u8], at: usize) -> usize {
 /// Every damaged variant of `f.valid`, as `(what, bytes, must_fail)`.
 fn damaged(f: &Format) -> Vec<(String, Vec<u8>, bool)> {
     let valid = &f.valid;
-    let body_len = if f.sealed {
+    let body_len = if f.sum.is_some() {
         valid.len() - 8
     } else {
         valid.len()
@@ -263,13 +290,13 @@ fn damaged(f: &Format) -> Vec<(String, Vec<u8>, bool)> {
     for cut in 0..valid.len() {
         out.push((format!("truncated to {cut}"), valid[..cut].to_vec(), true));
     }
-    if f.sealed {
+    if let Some(sum) = f.sum {
         // Truncate the body under a fresh checksum too, so the parser
         // (not just the checksum) meets the short input.
         for cut in 0..body_len {
             let mut bytes = valid[..cut].to_vec();
             bytes.extend_from_slice(&[0; 8]);
-            reseal(&mut bytes);
+            reseal(&mut bytes, sum);
             out.push((format!("body truncated to {cut} and resealed"), bytes, true));
         }
     }
@@ -299,10 +326,10 @@ fn damaged(f: &Format) -> Vec<(String, Vec<u8>, bool)> {
             }
         }
     }
-    if f.sealed {
+    if let Some(sum) = f.sum {
         for (_, bytes, must_fail) in &mut out {
             if !*must_fail {
-                reseal(bytes);
+                reseal(bytes, sum);
             }
         }
     }
@@ -360,21 +387,22 @@ fn every_format_survives_systematic_damage() {
     );
 }
 
-/// `magic | version | body`, sealed.
+/// `magic | version | body`, sealed with XXH64 as the current versions
+/// are.
 fn sealed(magic: &[u8; 4], version: u16, body: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(body);
     out.extend_from_slice(&[0; 8]);
-    reseal(&mut out);
+    reseal(&mut out, xxh64);
     out
 }
 
-/// An `MGZP` v4 frame with no samples, no block rows and an empty
+/// An `MGZP` v5 frame with no samples, no block rows and an empty
 /// histogram, whose one function (id 0, no name) is `list`: the body up
 /// to that function's footprint is fixed, so a row damages exactly the
 /// list it names.
-fn mgzp_v4(list: &[&[u8]]) -> Vec<u8> {
+fn mgzp_v5(list: &[&[u8]]) -> Vec<u8> {
     let mut body = vec![3u8, 6]; // footprint, reuse block log2
     body.extend_from_slice(&[0; 10]); // no locality sizes, counters, rows, histogram
     body.push(1); // one function
@@ -382,12 +410,12 @@ fn mgzp_v4(list: &[&[u8]]) -> Vec<u8> {
     for part in list {
         body.extend_from_slice(part);
     }
-    sealed(b"MGZP", 4, &body)
+    sealed(b"MGZP", 5, &body)
 }
 
-/// The rest of [`mgzp_v4`]'s function after its footprint, and the
+/// The rest of [`mgzp_v5`]'s function after its footprint, and the
 /// ingest stats: all zero.
-const MGZP_V4_TAIL: [u8; 12] = [0; 12];
+const MGZP_V5_TAIL: [u8; 12] = [0; 12];
 
 /// The inputs that broke a decoder before the wire kit, by name, then
 /// one count per kind of `MGZP` list (footprint, zigzag, block rows)
@@ -402,31 +430,31 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
         (
             // `Dec::take` computed `pos + n` with n = u64::MAX.
             "MGZC whose trace-id length is u64::MAX",
-            sealed(b"MGZC", 1, &varint(u64::MAX)),
+            sealed(b"MGZC", 2, &varint(u64::MAX)),
             Box::new(|d| typed(Catalog::decode("x", d))),
         ),
         (
             // `v += delta` in the sorted-list decoder.
             "MGZP whose function footprint deltas sum past u64",
-            mgzp_v4(&[&varint(2), &varint(u64::MAX), &[1, 1, 1]]),
+            mgzp_v5(&[&varint(2), &varint(u64::MAX), &[1, 1, 1]]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
             // An entry is a delta and a mask byte: the 16 bytes left
             // after the count hold 8 entries, not 9.
             "MGZP whose footprint counts more entries than bytes remain",
-            mgzp_v4(&[&varint(9), &[1; 16]]),
+            mgzp_v5(&[&varint(9), &[1; 16]]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
             "MGZP whose footprint mask is 4",
-            mgzp_v4(&[&[1, 5, 4], &MGZP_V4_TAIL]),
+            mgzp_v5(&[&[1, 5, 4], &MGZP_V5_TAIL]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
             "MGZP whose reuse order counts more entries than bytes remain",
             // An empty footprint, no accesses, then `firsts`.
-            mgzp_v4(&[&[0, 0, 0], &varint(1 << 20), &[2; 8]]),
+            mgzp_v5(&[&[0, 0, 0], &varint(1 << 20), &[2; 8]]),
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
         (
@@ -436,7 +464,7 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
                 body.extend_from_slice(&[0; 6]); // no locality sizes, counters, rows
                 body.extend_from_slice(&varint(1 << 20)); // block rows
                 body.extend_from_slice(&[1; 24]);
-                sealed(b"MGZP", 4, &body)
+                sealed(b"MGZP", 5, &body)
             },
             Box::new(|d| typed(PartialReport::decode(d))),
         ),
@@ -447,7 +475,7 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
                 let mut body = vec![1u8]; // enc = lz
                 body.extend_from_slice(&varint(1 << 40));
                 body.extend_from_slice(&varint(1 << 40)); // the stream's own raw_len
-                sealed(b"MGZB", 1, &body)
+                sealed(b"MGZB", 2, &body)
             },
             Box::new(|d| typed(decode_blob(0, d))),
         ),
@@ -463,7 +491,7 @@ fn inputs_that_broke_the_old_decoders_are_rejected() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // The mask row's frame is whole: with a mask of both classes it
     // decodes.
-    assert!(PartialReport::decode(&mgzp_v4(&[&[1, 5, 3], &MGZP_V4_TAIL])).is_ok());
+    assert!(PartialReport::decode(&mgzp_v5(&[&[1, 5, 3], &MGZP_V5_TAIL])).is_ok());
 }
 
 /// A valid partial whose one function has 20 000 consecutive words,

@@ -3,14 +3,15 @@
 # windows of the fold and its two trace-long accumulators, the resident event lists, the zoom, the partial
 # reports' one fold, footprint union and list codec, the watch loop,
 # serve's window loads, the address-keyed side tables, the static
-# side's procedure summaries and abstract interpreter, and the native
-# kernels' RMAT descent and v3 map.
+# side's procedure summaries and abstract interpreter, the native
+# kernels' RMAT descent and v3 map, and the wire kit's XXH64 and
+# versioned open.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
 # crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs,
-# crates/memgaze-model/src/annot.rs, crates/memgaze-isa/src or
-# crates/memgaze-workloads/src whose header carries a line
+# crates/memgaze-model/src/{annot,hash,wire}.rs, crates/memgaze-isa/src
+# or crates/memgaze-workloads/src whose header carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
@@ -51,7 +52,11 @@
 # integer RMAT descent, names the graph module's unit tests (the float
 # oracle, the pinned graphs), and
 # hopscotch_clear_keeps_the_window_tail.patch, on the v3 map's clear of
-# its window, the hashes module's (random windows against a HashMap)).
+# its window, the hashes module's (random windows against a HashMap);
+# xxh64_skips_the_tail_bytes.patch names the published XXH64 vectors,
+# and open_checks_version_1_with_xxh64.patch, on the sum `wire::open`
+# picks by version, the store test of tests/wire_golden.rs that plants
+# a version-1 catalog and its blobs).
 # For every patch
 # this script applies it with `git apply`, builds and runs that suite in
 # release, requires the suite to fail, and reverts with `git apply -R`.

@@ -1,13 +1,15 @@
 //! Property tests of the content-addressed trace store: byte-identity
 //! of put/get under block compression, catalog rebuild equivalence,
-//! bit-identical cached re-analysis, and typed (never panicking)
-//! corruption handling.
+//! bit-identical cached re-analysis, typed (never panicking)
+//! corruption handling, and sealed frames of every length that refuse
+//! each flipped bit and each cut.
 
-use memgaze::analysis::{stream_resident_trace, AnalysisConfig};
+use memgaze::analysis::{stream_resident_trace, AnalysisConfig, PartialReport, StreamingAnalyzer};
 use memgaze::model::{
     encode_sharded_indexed, Access, AuxAnnotations, BlockSize, Ip, Sample, SampledTrace,
     SymbolTable, TraceMeta,
 };
+use memgaze::store::blob::{content_hash, decode_blob, encode_blob};
 use memgaze::store::{Catalog, StoreConfig, StoreError, TraceStore};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -223,5 +225,86 @@ proptest! {
             other => prop_assert!(false, "expected CorruptCatalog, got {:?}", other.map(|_| ())),
         }
         std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+/// Every proper prefix of `frame`, and `frame` with each of its bits
+/// flipped in turn.
+fn damaged(frame: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let cuts = (0..frame.len()).map(|cut| frame[..cut].to_vec());
+    let flips = (0..frame.len() * 8).map(|bit| {
+        let mut bytes = frame.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        bytes
+    });
+    cuts.chain(flips)
+}
+
+/// A current-version frame of each sealed format whose length moves
+/// one byte per byte of `fill`: an `MGZB` blob of `fill`, an `MGZC`
+/// catalog whose trace id and an `MGZP` partial whose one function's
+/// name are `fill` spelled in letters.
+fn sealed_frames(fill: &[u8]) -> [Vec<u8>; 3] {
+    let text: String = fill.iter().map(|b| char::from(b'a' + b % 26)).collect();
+    let empty = SampledTrace::new(TraceMeta::new("sealed", 1000, 4096));
+    let (container, index) = encode_sharded_indexed(&empty, 4);
+    let catalog = Catalog::scan(
+        &text,
+        &container,
+        &index,
+        &SymbolTable::new(),
+        BlockSize::WORD,
+    )
+    .unwrap()
+    .encode();
+    let mut sy = SymbolTable::new();
+    sy.add_function(&text, Ip(0x400), Ip(0x410), "f.c");
+    let annots = AuxAnnotations::new();
+    let mut sa = StreamingAnalyzer::new(&annots, &sy, AnalysisConfig::default());
+    let accesses = (0..3u64)
+        .map(|i| Access::new(0x400, 0x1000 + i * 8, i))
+        .collect();
+    sa.ingest_shard(&[Sample::new(accesses, 3)]);
+    [encode_blob(fill), catalog, sa.into_partial().encode()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Sealed `MGZB`, `MGZC` and `MGZP` frames over every prefix of 200
+    /// random bytes, so their lengths cross XXH64's 32-byte stripes and
+    /// its 8-, 4- and 1-byte tails: each frame decodes, and each cut and
+    /// each flipped bit of it is that format's typed error.
+    #[test]
+    fn sealed_frames_refuse_every_flip_and_cut(
+        bytes in prop::collection::vec(0u8..=255, 200..201),
+    ) {
+        for len in 0..=bytes.len() {
+            let fill = &bytes[..len];
+            let hash = content_hash(fill);
+            let [blob, catalog, partial] = sealed_frames(fill);
+            prop_assert_eq!(decode_blob(hash, &blob).unwrap(), fill);
+            for bad in damaged(&blob) {
+                let refused =
+                    matches!(decode_blob(hash, &bad), Err(StoreError::CorruptBlob { .. }));
+                prop_assert!(refused, "MGZB of {} bytes", len);
+            }
+            prop_assert!(Catalog::decode("t", &catalog).is_ok());
+            for bad in damaged(&catalog) {
+                let refused = matches!(
+                    Catalog::decode("t", &bad),
+                    Err(StoreError::CorruptCatalog { .. })
+                );
+                prop_assert!(refused, "MGZC with a {}-byte id", len);
+            }
+            prop_assert!(PartialReport::decode(&partial).is_ok());
+            for bad in damaged(&partial) {
+                prop_assert!(
+                    PartialReport::decode(&bad).is_err(),
+                    "MGZP with a {}-byte name",
+                    len
+                );
+            }
+        }
     }
 }
