@@ -66,7 +66,8 @@ pub use partial::{analyze_frames, FuncPartial, PartialError, PartialReport, Reus
 pub use report::{fmt_f3, fmt_pct, fmt_si, Table};
 pub use reuse::{analyze_window, BlockReuse, ReuseAnalysis, ReuseEvent};
 pub use streaming::{
-    stream_resident_trace, IngestStats, ReuseTracker, StreamingAnalyzer, StreamingReport,
+    stream_resident_trace, IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer,
+    StreamingReport,
 };
 pub use window::{pow2_sizes, window_series, window_series_with, CodeWindows, WindowPoint};
 pub use workingset::{working_set, WorkingSet};

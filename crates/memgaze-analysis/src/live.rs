@@ -27,7 +27,8 @@
 
 use crate::diagnostics::FootprintDiagnostics;
 use crate::partial::PartialReport;
-use memgaze_model::{compression_ratio, sample_ratio};
+use crate::streaming::SampleReuseSummary;
+use memgaze_model::{compression_ratio, sample_ratio, BlockSize};
 use serde::{Deserialize, Serialize};
 
 /// Ratio between consecutive windows at which a metric counts as
@@ -163,8 +164,8 @@ impl WindowRing {
         }
     }
 
-    /// Close a window: fold its partial into stats with
-    /// `ρ = loads / (κ·A)` (Eq. 1 with `|σ|(w+z)` = the `loads` the
+    /// Close a window: fold its partial's per-sample rows into stats
+    /// with `ρ = loads / (κ·A)` (Eq. 1 with `|σ|(w+z)` = the `loads` the
     /// window covered), test drift against the previous window, and
     /// return the stats plus any new marks.
     pub fn close(
@@ -172,15 +173,30 @@ impl WindowRing {
         partial: &PartialReport,
         loads: u64,
     ) -> (WindowStats, Vec<AnomalyMark>) {
-        let stats = self.next_stats(partial, loads);
+        let stats = self.next_stats(
+            &partial.per_sample_diags,
+            &partial.per_sample_reuse,
+            partial.footprint_block,
+            loads,
+        );
         (stats, self.close_stats(stats))
     }
 
-    /// The stats [`close`](Self::close) would give `partial` as the
-    /// next window, leaving the ring as it is.
-    pub fn next_stats(&self, partial: &PartialReport, loads: u64) -> WindowStats {
+    /// The stats [`close`](Self::close) would give the next window,
+    /// leaving the ring as it is. The window is its samples' rows: a
+    /// partial's, or the ones a running
+    /// [`StreamingAnalyzer`](crate::StreamingAnalyzer) added over the
+    /// window ([`sample_rows`](crate::StreamingAnalyzer::sample_rows)),
+    /// which are the same rows.
+    pub fn next_stats(
+        &self,
+        diags: &[FootprintDiagnostics],
+        reuse: &[SampleReuseSummary],
+        footprint_block: BlockSize,
+        loads: u64,
+    ) -> WindowStats {
         let mut diag: Option<FootprintDiagnostics> = None;
-        for d in &partial.per_sample_diags {
+        for d in diags {
             match &mut diag {
                 Some(m) => m.merge(d),
                 None => diag = Some(*d),
@@ -189,21 +205,22 @@ impl WindowRing {
         let diag = diag.unwrap_or_default();
         let mut d_sum = 0.0;
         let mut d_n = 0u64;
-        for r in &partial.per_sample_reuse {
+        for r in reuse {
             if r.events > 0 {
                 d_sum += r.mean_d * r.events as f64;
                 d_n += r.events as u64;
             }
         }
-        let kappa = compression_ratio(partial.observed, partial.implied_const);
-        let rho = sample_ratio(loads, partial.observed, kappa);
+        // A partial's `observed` and `implied_const` are its rows' sums.
+        let kappa = compression_ratio(diag.observed, diag.implied_const);
+        let rho = sample_ratio(loads, diag.observed, kappa);
         WindowStats {
             window: self.closed,
-            samples: partial.per_sample_diags.len(),
+            samples: diags.len(),
             loads,
             observed: diag.observed,
             implied_const: diag.implied_const,
-            f_hat_bytes: rho * diag.footprint as f64 * partial.footprint_block.bytes() as f64,
+            f_hat_bytes: rho * diag.footprint as f64 * footprint_block.bytes() as f64,
             delta_f: diag.delta_f(),
             delta_f_irr_pct: diag.delta_f_irr_pct(),
             a_const_pct: diag.a_const_pct(),
@@ -261,6 +278,13 @@ mod tests {
     const PERIOD: u64 = 1000;
 
     fn window_partial(samples: &[Sample]) -> PartialReport {
+        let (annots, symbols) = side_tables();
+        let mut sa = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default());
+        sa.ingest_shard(samples);
+        sa.into_partial()
+    }
+
+    fn side_tables() -> (AuxAnnotations, SymbolTable) {
         let mut annots = AuxAnnotations::new();
         annots.insert(
             Ip(0x400),
@@ -273,10 +297,7 @@ mod tests {
             Ip(0x404),
             IpAnnot::of_class(LoadClass::Irregular, FunctionId(0)),
         );
-        let symbols = SymbolTable::new();
-        let mut sa = StreamingAnalyzer::new(&annots, &symbols, AnalysisConfig::default());
-        sa.ingest_shard(samples);
-        sa.into_partial()
+        (annots, SymbolTable::new())
     }
 
     /// Close a window whose samples each covered one full period.
@@ -307,6 +328,41 @@ mod tests {
                 Sample::new(accesses, (s as u64 + 1) * PERIOD)
             })
             .collect()
+    }
+
+    /// A window's stats over the rows a running analyzer added for it
+    /// equal the stats over the window's own partial, which is what a
+    /// partial's `close` reads: a sample's rows depend on that sample
+    /// alone, and `κ` and `ρ` read sums of them.
+    #[test]
+    fn next_stats_over_a_partial_equals_next_stats_over_its_rows() {
+        let (annots, symbols) = side_tables();
+        let cfg = AnalysisConfig::default();
+        // Scattered over 64 lines, so the window's samples reuse.
+        let (before, window) = (strided(3, 0), scattered(4, 1 << 12));
+        let mut running = StreamingAnalyzer::new(&annots, &symbols, cfg);
+        running.ingest_shard(&before);
+        let from = running.stats().samples as usize;
+        running.ingest_shard(&window);
+        let partial = window_partial(&window);
+        let (diags, reuse) = running.sample_rows(from);
+        assert_eq!(diags, &partial.per_sample_diags[..]);
+        assert_eq!(reuse, &partial.per_sample_reuse[..]);
+        let sum = |of: fn(&FootprintDiagnostics) -> u64| diags.iter().map(of).sum::<u64>();
+        assert_eq!(sum(|d| d.observed), partial.observed);
+        assert_eq!(sum(|d| d.implied_const), partial.implied_const);
+        let ring = WindowRing::new(ANOMALY_THRESHOLD);
+        for loads in [0, 1, 4 * PERIOD, u64::MAX] {
+            let rows = ring.next_stats(diags, reuse, cfg.footprint_block, loads);
+            let (own, _) = WindowRing::new(ANOMALY_THRESHOLD).close(&partial, loads);
+            assert_eq!(rows, own);
+            assert!(rows.mean_d > 0.0, "{rows:?}");
+        }
+        // No rows are an empty window.
+        let none = ring.next_stats(&[], &[], cfg.footprint_block, 4 * PERIOD);
+        let empty = PartialReport::empty(cfg.footprint_block, cfg.reuse_block, &[]);
+        let (own, _) = WindowRing::new(ANOMALY_THRESHOLD).close(&empty, 4 * PERIOD);
+        assert_eq!(none, own);
     }
 
     #[test]

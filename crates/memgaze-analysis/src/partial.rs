@@ -6,13 +6,13 @@
 //! * the trace store's **result cache** holds one whole-trace partial
 //!   per trace and configuration (a `.mgzr` entry), written by the
 //!   analysis that missed and decoded by every later one;
-//! * `memgaze serve` **seals** a session by folding the partials its
-//!   uploads produced and answers with the folded partial's bytes.
+//! * `memgaze serve` **seals** a session as the partial of its one
+//!   running analyzer, and publishes each upload's own partial to the
+//!   session's delta subscribers.
 //!
-//! Partials are folded one way: [`PartialReport::push_run`] keeps them
-//! as runs that pair up like the digits of a binary counter, and
-//! [`PartialReport::fold_runs`] joins the runs in order. The serve seal
-//! and [`PartialReport::merge_many`] are both that fold. Every fold ends
+//! Partials are folded one way, [`PartialReport::merge_many`]: it keeps
+//! them as runs that pair up like the digits of a binary counter and
+//! joins the runs in order. Every fold ends
 //! in [`PartialReport::finish`] — the *same* fold every other consumer
 //! ends in, the resident [`Analyzer`](crate::Analyzer) included — so a
 //! report merged from any contiguous split of the frames is
@@ -471,9 +471,10 @@ impl PartialReport {
     }
 
     /// Exact fold of `parts` in frame order, equal to a left-to-right
-    /// [`merge`](Self::merge) of them: each part is pushed through
-    /// [`push_run`](Self::push_run) and the runs are joined by
-    /// [`fold_runs`](Self::fold_runs). Every part must have been built
+    /// [`merge`](Self::merge) of them: each part joins runs that pair up
+    /// like the digits of a binary counter, so a sample takes part in
+    /// O(log parts) merges, and the runs are joined in order at the
+    /// end. Every part must have been built
     /// for the given block and locality sizes (else `ConfigMismatch`);
     /// an empty `parts` folds to [`empty`](Self::empty) for them.
     pub fn merge_many(
@@ -498,7 +499,7 @@ impl PartialReport {
     /// binary counter: a sample takes part in O(log parts) merges, where
     /// one running fold would re-merge everything before it on each
     /// push. A failed merge loses the runs it had popped.
-    pub fn push_run(
+    fn push_run(
         runs: &mut Vec<PartialReport>,
         mut part: PartialReport,
     ) -> Result<(), PartialError> {
@@ -517,7 +518,7 @@ impl PartialReport {
     /// Join the runs [`push_run`](Self::push_run) built, in order, the
     /// smallest (last) first; no runs fold to [`empty`](Self::empty) for
     /// the given sizes.
-    pub fn fold_runs(
+    fn fold_runs(
         mut runs: Vec<PartialReport>,
         footprint_block: BlockSize,
         reuse_block: BlockSize,
@@ -1109,6 +1110,51 @@ mod tests {
                     "bounds {bounds:?}"
                 );
             }
+        }
+    }
+
+    /// Equal parts pair up like the digits of a binary counter: after
+    /// `n` one-sample parts the runs hold the powers of two that sum to
+    /// `n`, largest first, so a sample takes part in O(log n) merges.
+    /// One running fold, merging each part into everything before it,
+    /// would hold a single run.
+    #[test]
+    fn push_run_keeps_the_binary_digits_of_the_part_count() {
+        let (t, annots, symbols) = synthetic_trace();
+        let cfg = AnalysisConfig::default();
+        let mut runs = Vec::new();
+        for n in 1..=40u64 {
+            let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg);
+            let sample = &t.samples[n as usize % t.samples.len()];
+            sa.ingest_shard(std::slice::from_ref(sample));
+            PartialReport::push_run(&mut runs, sa.into_partial()).unwrap();
+            let held: Vec<u64> = runs.iter().map(PartialReport::num_samples).collect();
+            let digits: Vec<u64> = (0..u64::BITS)
+                .rev()
+                .map(|b| 1 << b)
+                .filter(|d| n & d != 0)
+                .collect();
+            assert_eq!(held, digits, "after {n} parts");
+        }
+    }
+
+    /// An analyzer fed nothing snapshots to the merge identity, to the
+    /// byte.
+    #[test]
+    fn an_unfed_analyzer_is_the_empty_partial() {
+        let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+        let sizes = [8u64, 32];
+        let page = AnalysisConfig {
+            footprint_block: BlockSize::OS_PAGE,
+            ..AnalysisConfig::default()
+        };
+        for cfg in [AnalysisConfig::default(), page] {
+            let unfed = StreamingAnalyzer::new(&annots, &symbols, cfg)
+                .with_locality_sizes(&sizes)
+                .into_partial();
+            let empty = PartialReport::empty(cfg.footprint_block, cfg.reuse_block, &sizes);
+            assert_eq!(unfed.encode(), empty.encode());
+            assert_eq!(unfed, empty);
         }
     }
 

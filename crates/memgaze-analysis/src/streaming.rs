@@ -84,10 +84,10 @@ impl IngestStats {
     }
 }
 
-/// Per-sample reuse summary retained for interval rows: enough for
-/// their `Σ mean·count / Σ count` fold.
+/// Per-sample reuse summary retained for interval rows and windows:
+/// enough for their `Σ mean·count / Σ count` fold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct SampleReuseSummary {
+pub struct SampleReuseSummary {
     pub(crate) events: usize,
     pub(crate) mean_d: f64,
 }
@@ -680,6 +680,16 @@ impl<'a> StreamingAnalyzer<'a> {
     /// Ingest accounting so far.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
+    }
+
+    /// The per-sample rows of the samples ingested from the `from`-th
+    /// on (none past the last), in ingest order: each sample's footprint
+    /// diagnostics and reuse summary, what a partial carries. A sample's
+    /// rows depend on that sample alone, so a window's rows read here
+    /// are the rows of the window's own partial.
+    pub fn sample_rows(&self, from: usize) -> (&[FootprintDiagnostics], &[SampleReuseSummary]) {
+        let diags = self.per_sample_diags.get(from..).unwrap_or_default();
+        (diags, self.per_sample_reuse.get(from..).unwrap_or_default())
     }
 
     /// Snapshot everything accumulated so far into a mergeable

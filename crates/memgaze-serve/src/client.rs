@@ -88,7 +88,7 @@ impl Client {
         self.request("POST", &format!("/sessions/{id}/shards"), container, chunk)
     }
 
-    /// Seal and pull the report: merged partial from the body, metadata
+    /// Seal and pull the report: the MGZP partial from the body, metadata
     /// from the `X-Memgaze-*` headers.
     pub fn seal(&self, id: &str) -> Result<SealedReport, String> {
         let resp = self

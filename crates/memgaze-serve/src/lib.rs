@@ -23,13 +23,12 @@
 //! | `GET /watch/events` | SSE stream of every session's windows (one per upload) and anomaly marks |
 //! | `GET /healthz` | liveness + drain state |
 //!
-//! Uploads decode through [`ShardReader`](memgaze_model::ShardReader);
-//! one analyzer folds each upload's frames into one
-//! [`PartialReport`](memgaze_analysis::PartialReport) delta — published
-//! live to SSE subscribers, closed as one watch window on
-//! `GET /watch/events`, and merged into the session's runs, whose merge
-//! laws make the sealed report **bit-identical** to a resident analyzer
-//! pass over the same shards.
+//! Uploads decode through [`ShardReader`](memgaze_model::ShardReader)
+//! into the session's one running analyzer, so the sealed report is
+//! **bit-identical** to a resident pass over the same shards. Each
+//! upload closes one watch window on `GET /watch/events` and, for SSE
+//! subscribers, is published as its own
+//! [`PartialReport`](memgaze_analysis::PartialReport) delta.
 //!
 //! ## Admission control
 //!
@@ -103,8 +102,8 @@ impl Default for ServeConfig {
 /// tests, and the bench driver.
 pub mod harness {
     use super::*;
-    use memgaze_analysis::{StreamingAnalyzer, StreamingReport};
-    use memgaze_model::{Access, AuxAnnotations, Sample, ShardWriter, SymbolTable, TraceMeta};
+    use memgaze_analysis::StreamingReport;
+    use memgaze_model::{Access, Sample, ShardWriter, TraceMeta};
 
     /// Synthetic per-session sample stream: a strided phase interleaved
     /// with cyclic reuse over hot regions, time-ordered across samples.
@@ -154,7 +153,8 @@ pub mod harness {
             .expect("trailer write")
     }
 
-    /// The resident reference pass: one [`StreamingAnalyzer`] fed the
+    /// The resident reference pass: one
+    /// [`StreamingAnalyzer`](memgaze_analysis::StreamingAnalyzer) fed the
     /// same shard groups in order, finished with the same accumulated
     /// metadata the server derives.
     pub fn resident_report(
@@ -162,10 +162,7 @@ pub mod harness {
         groups: &[Vec<Sample>],
         cfg: &ServeConfig,
     ) -> StreamingReport {
-        let annots = AuxAnnotations::new();
-        let symbols = SymbolTable::new();
-        let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
-            .with_locality_sizes(&cfg.locality_sizes);
+        let mut sa = session::analyzer(cfg);
         let mut meta = base_meta(workload);
         for g in groups {
             sa.ingest_shard(g);

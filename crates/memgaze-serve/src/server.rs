@@ -354,7 +354,7 @@ fn feed(req: &Request, registry: &Registry, id: &str) -> Result<Response, ServeE
     ))
 }
 
-/// The sealed report on the wire: merged MGZP partial as the body, the
+/// The sealed report on the wire: the session's MGZP partial as the body, the
 /// accumulated [`TraceMeta`](memgaze_model::TraceMeta) in
 /// `X-Memgaze-*` headers — everything the client needs to `finish()`
 /// bit-identically.

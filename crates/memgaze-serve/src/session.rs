@@ -4,15 +4,13 @@
 //! A session owns an ordered sequence of uploads, and the upload is
 //! its unit. Each upload is a complete v2 MGZT container (header +
 //! shard frames + trailer) whose frames are decoded through
-//! [`ShardReader`] and folded by one [`StreamingAnalyzer`] into one
-//! [`PartialReport`]; the session holds partials, never analyzers. The
-//! partial is published as one delta, closes one watch window through
-//! the session's [`WindowRing`] with the loads its trailer counts, and
-//! joins the session's runs in feed order
-//! ([`PartialReport::push_run`]); the seal joins the runs
-//! ([`PartialReport::fold_runs`]).
-//! Merging the partials of contiguous frame ranges in order and
-//! finishing once is bit-identical to a resident pass.
+//! [`ShardReader`] and fed, in feed order, to the session's one running
+//! [`StreamingAnalyzer`]: one fold over the session's frames, which is
+//! what a resident pass computes. The rows the upload added close one
+//! watch window through the session's [`WindowRing`] with the loads its
+//! trailer counts; the seal is the analyzer's [`PartialReport`]. Only a
+//! session with delta subscribers folds an upload twice, the second
+//! time into the upload's own partial, which is its published delta.
 //!
 //! Concurrency discipline is a *combining lock*: uploads enter a
 //! bounded FIFO queue under the session mutex, and whichever handler
@@ -25,21 +23,21 @@ use crate::error::ServeError;
 use crate::http::hex;
 use crate::ServeConfig;
 use memgaze_analysis::{
-    AnomalyMark, PartialError, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing,
-    WindowStats, ANOMALY_THRESHOLD,
+    AnomalyMark, PartialReport, StreamingAnalyzer, StreamingReport, WindowRing, WindowStats,
+    ANOMALY_THRESHOLD,
 };
 use memgaze_model::{AuxAnnotations, ModelError, ShardReader, SymbolTable, TraceMeta};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Everything a seal produces, shared out read-only.
 #[derive(Debug)]
 pub struct SealedReport {
-    /// The merged [`PartialReport`], encoded with the MGZP codec.
+    /// The session's [`PartialReport`], encoded with the MGZP codec.
     pub partial_bytes: Vec<u8>,
     /// Accumulated trace metadata (header fields from the first upload,
     /// trailer totals summed across uploads).
@@ -90,14 +88,14 @@ pub struct FeedSummary {
     pub queued: usize,
 }
 
-/// One analyzed upload, before it is folded into session state.
+/// One upload fed to the session's analyzer.
 struct UploadAnalysis {
     /// The header's fields and the trailer's totals.
     meta: TraceMeta,
     /// Frames the upload carried.
     shards: u64,
-    /// The upload's partial; `None` when it carried no frame.
-    partial: Option<PartialReport>,
+    /// The upload's own partial, built for delta subscribers only.
+    delta: Option<PartialReport>,
 }
 
 struct SessionInner {
@@ -106,16 +104,15 @@ struct SessionInner {
     /// no longer be guaranteed).
     error: Option<String>,
     queue: VecDeque<Vec<u8>>,
-    queued_bytes: u64,
     /// True while some handler is the active drainer.
     draining: bool,
     accepted_bytes: u64,
     shards: u64,
     samples: u64,
     meta: Option<TraceMeta>,
-    /// Every upload's partial so far in feed order, merged into runs
-    /// by [`PartialReport::push_run`].
-    runs: Vec<PartialReport>,
+    /// The session's one fold, fed every upload in feed order; `None`
+    /// while the drainer holds it, and for good if that drainer died.
+    fold: Option<StreamingAnalyzer<'static>>,
     subscribers: Vec<TcpStream>,
     last_touch: Instant,
     /// Drift detection across this session's windows.
@@ -180,20 +177,19 @@ fn lock(m: &Mutex<SessionInner>) -> MutexGuard<'_, SessionInner> {
 }
 
 impl Session {
-    fn new(id: String, hub: Arc<WatchHub>) -> Session {
+    fn new(id: String, hub: Arc<WatchHub>, cfg: &ServeConfig) -> Session {
         Session {
             id,
             inner: Mutex::new(SessionInner {
                 sealed: None,
                 error: None,
                 queue: VecDeque::new(),
-                queued_bytes: 0,
                 draining: false,
                 accepted_bytes: 0,
                 shards: 0,
                 samples: 0,
                 meta: None,
-                runs: Vec::new(),
+                fold: Some(analyzer(cfg)),
                 subscribers: Vec::new(),
                 last_touch: Instant::now(),
                 ring: WindowRing::new(ANOMALY_THRESHOLD),
@@ -216,6 +212,14 @@ impl Session {
         }
     }
 
+    /// What a poisoned session answers every feed and seal with.
+    fn poisoned(&self, g: &SessionInner) -> ServeError {
+        ServeError::Decode {
+            session: self.id.clone(),
+            detail: g.error.clone().unwrap_or_default(),
+        }
+    }
+
     /// Admission check + enqueue, without draining. Split out from
     /// [`feed`](Self::feed) so the rejection paths are directly
     /// testable.
@@ -227,11 +231,8 @@ impl Session {
                 id: self.id.clone(),
             });
         }
-        if let Some(detail) = &g.error {
-            return Err(ServeError::Decode {
-                session: self.id.clone(),
-                detail: detail.clone(),
-            });
+        if g.error.is_some() {
+            return Err(self.poisoned(&g));
         }
         let would_hold = g.accepted_bytes + body.len() as u64;
         if would_hold > cfg.session_bytes {
@@ -250,7 +251,6 @@ impl Session {
             });
         }
         g.accepted_bytes = would_hold;
-        g.queued_bytes += body.len() as u64;
         g.queue.push_back(body);
         Ok(g.queue.len())
     }
@@ -264,7 +264,7 @@ impl Session {
             span.set_label(format!("{} ({} bytes)", self.id, body.len()));
         }
         self.try_enqueue(body, cfg)?;
-        let mut g = lock(&self.inner);
+        let g = lock(&self.inner);
         if g.draining {
             // Another handler owns the drain; our upload keeps FIFO
             // order in its queue.
@@ -273,59 +273,56 @@ impl Session {
                 ..FeedSummary::default()
             });
         }
-        g.draining = true;
-        let outcome = self.drain_queue(g, cfg);
-        let mut g = lock(&self.inner);
-        g.draining = false;
-        g.last_touch = Instant::now();
-        drop(g);
-        self.idle.notify_all();
-        outcome
+        self.drain_queue(g, cfg)
     }
 
-    /// Drain the pending queue in FIFO order; the caller must have set
-    /// `draining`. The lock is released while a batch is analyzed so
-    /// concurrent feeds can still enqueue.
+    /// Become the drainer (the caller found none active) and drain the
+    /// queue in FIFO order, with the analyzer taken out and the lock
+    /// released while an upload is fed, so feeds can still enqueue.
     fn drain_queue<'a>(
         &'a self,
-        mut g: MutexGuard<'a, SessionInner>,
+        g: MutexGuard<'a, SessionInner>,
         cfg: &ServeConfig,
     ) -> Result<FeedSummary, ServeError> {
+        let _stand_down = StandDown(self);
+        // Bound after the stand-down, so released before it runs.
+        let mut g = g;
+        g.draining = true;
         let mut summary = FeedSummary::default();
         while let Some(upload) = g.queue.pop_front() {
-            g.queued_bytes = g.queued_bytes.saturating_sub(upload.len() as u64);
+            let mut fold = g.fold.take().ok_or_else(|| self.poisoned(&g))?;
+            let own = (!g.subscribers.is_empty()).then(|| analyzer(cfg));
             drop(g);
             let started = Instant::now();
-            let analyzed = analyze_upload(&upload, cfg);
+            let analyzed = analyze_upload(&upload, &mut fold, own);
             memgaze_obs::histogram!("serve.feed_us")
                 .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
             g = lock(&self.inner);
-            match analyzed {
-                Ok(an) => {
-                    if let Err(e) = self.absorb(&mut g, an, &mut summary) {
-                        g.error = Some(e.to_string());
-                        return Err(e);
-                    }
-                }
-                Err(e) => {
-                    let err = ServeError::decode(&self.id, &e);
-                    g.error = Some(err.to_string());
+            let absorbed = analyzed
+                .map_err(|e| {
                     memgaze_obs::counter!("serve.decode_failures").add(1);
-                    return Err(err);
-                }
+                    ServeError::decode(&self.id, &e)
+                })
+                .and_then(|an| self.absorb(&mut g, &fold, an, cfg, &mut summary));
+            g.fold = Some(fold);
+            if let Err(e) = absorbed {
+                g.error = Some(e.to_string());
+                return Err(e);
             }
         }
         Ok(summary)
     }
 
-    /// Fold one analyzed upload into session state: its partial closes
-    /// one watch window with the loads its trailer counts, joins the
-    /// session's runs, and is published as the upload's delta beside
-    /// the window's events on the server-wide watch hub.
+    /// Take one fed upload into session state: the rows it added to the
+    /// analyzer close one watch window with the loads its trailer counts,
+    /// published on the watch hub beside its own partial, if built, as
+    /// the upload's delta.
     fn absorb(
         &self,
         g: &mut MutexGuard<'_, SessionInner>,
+        fold: &StreamingAnalyzer<'_>,
         an: UploadAnalysis,
+        cfg: &ServeConfig,
         summary: &mut FeedSummary,
     ) -> Result<(), ServeError> {
         let loads = an.meta.total_loads;
@@ -362,21 +359,21 @@ impl Session {
                 meta.total_instrumented_loads = instrumented;
             }
         }
-        let Some(partial) = an.partial else {
+        if an.shards == 0 {
             return Ok(());
-        };
-        let samples = partial.num_samples();
+        }
+        // The fold's rows past the session's samples are the upload's.
+        let (diags, reuse) = fold.sample_rows(g.samples as usize);
+        let samples = diags.len() as u64;
         g.shards += an.shards;
         g.samples += samples;
         summary.shards += an.shards;
         summary.samples += samples;
         memgaze_obs::counter!("serve.shards_fed").add(an.shards);
-        let stats = g.ring.next_stats(&partial, loads);
-        let delta = (!g.subscribers.is_empty()).then(|| partial.encode());
-        // Merge first: a failed merge leaves the ring as it was.
-        PartialReport::push_run(&mut g.runs, partial).map_err(merge_failed)?;
+        let block = cfg.analysis.footprint_block;
+        let stats = g.ring.next_stats(diags, reuse, block, loads);
         let marks = g.ring.close_stats(stats);
-        if let Some(delta) = delta {
+        if let Some(delta) = an.delta.map(|p| p.encode()) {
             let data = format!(
                 "{{\"session\":\"{}\",\"upload\":{},\"shards\":{},\"samples\":{},\
                  \"partial\":\"{}\"}}",
@@ -398,7 +395,7 @@ impl Session {
     }
 
     /// Seal the session: wait out any active drainer, drain whatever is
-    /// still queued, and freeze the merge of every upload's partial.
+    /// still queued, and freeze the session's analyzer into its partial.
     /// Idempotent — a second seal returns the same report.
     pub fn seal(&self, cfg: &ServeConfig) -> Result<Arc<SealedReport>, ServeError> {
         let mut span = memgaze_obs::span("serve.seal");
@@ -412,37 +409,22 @@ impl Session {
         if let Some(sealed) = &g.sealed {
             return Ok(Arc::clone(sealed));
         }
-        if let Some(detail) = &g.error {
-            return Err(ServeError::Decode {
-                session: self.id.clone(),
-                detail: detail.clone(),
-            });
+        if g.error.is_some() {
+            return Err(self.poisoned(&g));
         }
         // Become the drainer for anything still queued.
         if !g.queue.is_empty() {
-            g.draining = true;
-            let outcome = self.drain_queue(g, cfg);
+            self.drain_queue(g, cfg)?;
             g = lock(&self.inner);
-            g.draining = false;
-            self.idle.notify_all();
-            outcome?;
         }
-
-        let runs = std::mem::take(&mut g.runs);
-        let folded = PartialReport::fold_runs(
-            runs,
-            cfg.analysis.footprint_block,
-            cfg.analysis.reuse_block,
-            &cfg.locality_sizes,
-        )
-        .map_err(merge_failed)
-        .inspect_err(|e| g.error = Some(e.to_string()))?;
+        let fold = g.fold.take().ok_or_else(|| self.poisoned(&g))?;
         let meta = g
             .meta
             .clone()
             .unwrap_or_else(|| TraceMeta::new("empty-session", 1, 0));
         let sealed = Arc::new(SealedReport {
-            partial_bytes: folded.encode(),
+            // An analyzer fed nothing gives the empty partial.
+            partial_bytes: fold.into_partial().encode(),
             meta,
             shards: g.shards,
             samples: g.samples,
@@ -548,27 +530,44 @@ fn publish_sealed(subscribers: &mut Vec<TcpStream>, id: &str, sealed: &SealedRep
     publish(subscribers, "sealed", &data);
 }
 
-/// A merge of the session's partials that failed: the upload (or the
-/// seal) is refused, and the caller poisons the session.
-fn merge_failed(e: PartialError) -> ServeError {
-    ServeError::BadRequest {
-        detail: format!("merge failed: {e}"),
+/// The active drainer's stand-down, run however the drain ends,
+/// unwinding included: it clears `draining` and wakes a waiting seal,
+/// and a drainer that died holding the session's analyzer leaves the
+/// session poisoned, so no seal freezes a fold missing an upload.
+struct StandDown<'a>(&'a Session);
+
+impl Drop for StandDown<'_> {
+    fn drop(&mut self) {
+        let mut g = lock(&self.0.inner);
+        g.draining = false;
+        g.last_touch = Instant::now();
+        if g.fold.is_none() && g.sealed.is_none() {
+            g.error.get_or_insert_with(|| "the drainer died".into());
+        }
+        self.0.idle.notify_all();
     }
 }
 
-/// Decode one uploaded container and fold every frame with one
-/// [`StreamingAnalyzer`] over empty annotations (the wire protocol
-/// carries traces, not annotation sidecars) into the upload's partial.
-/// The trailer counts the upload's loads, whatever period each frame
-/// was sampled at: a frame whose last trigger runs below the previous
-/// frame's, or a trailer below the loads between the first and the last
-/// frame's last trigger, is a typed error.
-fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, ModelError> {
+/// An analyzer for `cfg` over empty annotations and symbols: the wire
+/// protocol carries traces, not annotation sidecars.
+pub(crate) fn analyzer(cfg: &ServeConfig) -> StreamingAnalyzer<'static> {
+    static ANNOTS: LazyLock<AuxAnnotations> = LazyLock::new(AuxAnnotations::new);
+    static SYMBOLS: LazyLock<SymbolTable> = LazyLock::new(SymbolTable::new);
+    StreamingAnalyzer::new(&ANNOTS, &SYMBOLS, cfg.analysis).with_locality_sizes(&cfg.locality_sizes)
+}
+
+/// Decode one uploaded container and feed every frame to the session's
+/// analyzer `fold`, and to `own`, if given, for the upload's own
+/// partial. The trailer counts the upload's loads, whatever period each
+/// frame was sampled at: a frame whose last trigger runs below the
+/// previous frame's, or a trailer below the loads between the first and
+/// the last frame's last trigger, is a typed error.
+fn analyze_upload(
+    body: &[u8],
+    fold: &mut StreamingAnalyzer<'static>,
+    mut own: Option<StreamingAnalyzer<'static>>,
+) -> Result<UploadAnalysis, ModelError> {
     let _span = memgaze_obs::span("serve.parse");
-    let annots = AuxAnnotations::new();
-    let symbols = SymbolTable::new();
-    let mut sa = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
-        .with_locality_sizes(&cfg.locality_sizes);
     let mut reader = ShardReader::new(body)?;
     // The first and the latest frame's last trigger, and the frame count.
     let (mut first, mut last, mut shards) = (None, None, 0u64);
@@ -586,7 +585,10 @@ fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, Mode
             first.get_or_insert(now);
             last = Some(now);
         }
-        sa.ingest_shard(&shard.samples);
+        fold.ingest_shard(&shard.samples);
+        if let Some(own) = &mut own {
+            own.ingest_shard(&shard.samples);
+        }
         shards += 1;
     }
     let meta = reader.meta().clone();
@@ -597,11 +599,10 @@ fn analyze_upload(body: &[u8], cfg: &ServeConfig) -> Result<UploadAnalysis, Mode
             at_least: span,
         });
     }
-    let partial = (shards > 0).then(|| sa.into_partial());
     Ok(UploadAnalysis {
         meta,
         shards,
-        partial,
+        delta: own.map(StreamingAnalyzer::into_partial),
     })
 }
 
@@ -650,7 +651,7 @@ impl Registry {
             });
         }
         let id = format!("s{}", self.next_id.fetch_add(1, Ordering::SeqCst));
-        let session = Arc::new(Session::new(id.clone(), Arc::clone(&self.hub)));
+        let session = Arc::new(Session::new(id.clone(), Arc::clone(&self.hub), &self.cfg));
         table.insert(id, Arc::clone(&session));
         memgaze_obs::counter!("serve.sessions_created").add(1);
         memgaze_obs::gauge!("serve.live_sessions").set_max(table.len() as u64);
@@ -715,5 +716,39 @@ impl Registry {
         // Watch subscribers get a final `drained` event, then close.
         self.hub.close(sealed);
         (sealed, failures)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A drainer that dies holding the session's analyzer poisons the
+    /// session: no seal freezes a fold missing an upload, and neither a
+    /// seal nor a feed waits on the dead drainer.
+    #[test]
+    fn a_drainer_that_dies_holding_the_fold_poisons_the_session() {
+        let cfg = ServeConfig::default();
+        let registry = Registry::new(cfg.clone());
+        let session = registry.create().expect("create");
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _stand_down = StandDown(&session);
+            let mut g = lock(&session.inner);
+            g.draining = true;
+            let fold = g.fold.take();
+            drop(g);
+            let _fed_halfway = fold;
+            panic!("the drainer dies mid-feed");
+        }));
+        assert!(died.is_err());
+        assert!(!lock(&session.inner).draining);
+        let poisoned = |r: Result<(), ServeError>| match r {
+            Err(ServeError::Decode { detail, .. }) => detail.contains("died"),
+            _ => false,
+        };
+        assert!(poisoned(session.seal(&cfg).map(drop)));
+        let body = crate::harness::container("dies", &[]);
+        assert!(poisoned(session.feed(body, &cfg).map(drop)));
+        assert!(!session.status().sealed);
     }
 }

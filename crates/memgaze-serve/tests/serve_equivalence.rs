@@ -8,8 +8,10 @@
 //! status (never a panic, never a hang), torn clients don't wedge the
 //! server, and drain seals what it holds.
 
-use memgaze_analysis::PartialReport;
-use memgaze_model::{Sample, ShardReader, ShardWriter};
+use memgaze_analysis::{
+    AnomalyMark, PartialReport, StreamingAnalyzer, WindowRing, WindowStats, ANOMALY_THRESHOLD,
+};
+use memgaze_model::{Access, AuxAnnotations, Sample, ShardReader, ShardWriter, SymbolTable};
 use memgaze_obs::json::{self, Value};
 use memgaze_serve::harness::{
     base_meta, container, drive_session, resident_report, synthetic_samples,
@@ -623,9 +625,165 @@ fn a_frameless_upload_closes_no_window_and_takes_no_number() {
     );
 }
 
+/// A socket pair: the server end, to hand to the watch hub or a
+/// session, and a thread that reads the client end to EOF as SSE
+/// `(event, data)` pairs.
+fn event_pipe() -> (TcpStream, std::thread::JoinHandle<Vec<(String, String)>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let reader = std::thread::spawn(move || {
+        let mut text = String::new();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        std::io::Read::read_to_string(&mut stream, &mut text).expect("read events");
+        text.split("\n\n")
+            .filter_map(|e| e.strip_prefix("event: ")?.split_once("\ndata: "))
+            .map(|(event, data)| (event.to_string(), data.to_string()))
+            .collect()
+    });
+    let (server_end, _) = listener.accept().expect("accept");
+    (server_end, reader)
+}
+
+/// A `window` event's payload as the parent published it.
+fn window_json(session: &str, s: &WindowStats) -> String {
+    format!(
+        "{{\"session\":\"{session}\",\"window\":{},\"samples\":{},\"loads\":{},\"observed\":{},\
+         \"f_hat_bytes\":{:.3},\"delta_f\":{:.6},\"df_irr_pct\":{:.3},\"a_const_pct\":{:.3},\
+         \"mean_d\":{:.3},\"kappa\":{:.6}}}",
+        s.window,
+        s.samples,
+        s.loads,
+        s.observed,
+        s.f_hat_bytes,
+        s.delta_f,
+        s.delta_f_irr_pct,
+        s.a_const_pct,
+        s.mean_d,
+        s.kappa
+    )
+}
+
+/// An `anomaly` event's payload as the parent published it.
+fn anomaly_json(session: &str, m: &AnomalyMark) -> String {
+    format!(
+        "{{\"session\":\"{session}\",\"window\":{},\"metric\":\"{}\",\"ratio\":{:.3},\
+         \"detail\":\"{}\"}}",
+        m.window,
+        m.kind.metric(),
+        m.ratio,
+        json::escape(&m.detail())
+    )
+}
+
+/// Frames of 2 samples of 48 accesses, time-ordered across the session;
+/// a `true` frame scatters its addresses over 256 MiB, so switching
+/// kinds between uploads raises anomaly marks.
+fn kinded_frames(kinds: &[bool], salt: u64) -> Vec<Vec<Sample>> {
+    let samples = synthetic_samples(2 * kinds.len(), 48, salt);
+    let scatter = |s: &Sample| {
+        let accesses = s.accesses.iter().map(|a| {
+            let addr = 0x900_0000 + a.addr.raw().wrapping_mul(2654435761) % (1 << 28);
+            Access::new(a.ip, addr, a.time)
+        });
+        Sample::new(accesses.collect(), s.trigger_time)
+    };
+    samples
+        .chunks(2)
+        .zip(kinds)
+        .map(|(frame, &scattered)| match scattered {
+            true => frame.iter().map(scatter).collect(),
+            false => frame.to_vec(),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// However a session's frames are split into uploads, frameless ones
+    /// included, the session publishes what a partial per upload did:
+    /// each `window` and `anomaly` event is `WindowRing::close` over the
+    /// upload's own partial with its trailer's loads, each `upload` delta
+    /// is that partial's bytes, and the seal is their merge.
+    #[test]
+    fn any_split_publishes_each_upload_own_window_and_delta(
+        kinds in prop::collection::vec(0u8..2, 1..10),
+        sizes in prop::collection::vec(0usize..4, 1..8),
+        salt in 0u64..8,
+    ) {
+        let kinds: Vec<bool> = kinds.iter().map(|&k| k == 1).collect();
+        let frames = kinded_frames(&kinds, salt);
+        // The drawn upload sizes, then uploads of 3 frames.
+        let mut uploads: Vec<&[Vec<Sample>]> = Vec::new();
+        let mut rest = &frames[..];
+        for &n in sizes.iter().chain(std::iter::repeat(&3)) {
+            if rest.is_empty() {
+                break;
+            }
+            let (upload, after) = rest.split_at(n.min(rest.len()));
+            uploads.push(upload);
+            rest = after;
+        }
+
+        let cfg = ServeConfig::default();
+        let registry = Registry::new(cfg.clone());
+        let (hub_end, hub_events) = event_pipe();
+        registry.watch_hub().subscribe(hub_end);
+        let session = registry.create().expect("create");
+        let (delta_end, delta_events) = event_pipe();
+        session.subscribe(delta_end).expect("subscribe");
+
+        let (annots, symbols) = (AuxAnnotations::new(), SymbolTable::new());
+        let mut ring = WindowRing::new(ANOMALY_THRESHOLD);
+        let (mut events, mut partials) = (Vec::new(), Vec::new());
+        for upload in &uploads {
+            let body = upload_body("splits", upload);
+            let mut reader = ShardReader::new(&body[..]).expect("header");
+            assert_eq!(reader.by_ref().count(), upload.len());
+            let loads = reader.meta().total_loads;
+            session.feed(body, &cfg).expect("feed");
+            if upload.is_empty() {
+                continue;
+            }
+            let mut own = StreamingAnalyzer::new(&annots, &symbols, cfg.analysis)
+                .with_locality_sizes(&cfg.locality_sizes);
+            upload.iter().for_each(|frame| own.ingest_shard(frame));
+            let own = own.into_partial();
+            let (stats, marks) = ring.close(&own, loads);
+            events.push(("window".to_string(), window_json(&session.id, &stats)));
+            for m in &marks {
+                events.push(("anomaly".to_string(), anomaly_json(&session.id, m)));
+            }
+            partials.push(own);
+        }
+        let sealed = session.seal(&cfg).expect("seal");
+        registry.seal_all();
+
+        let mut hub = hub_events.join().expect("hub reader");
+        prop_assert_eq!(hub.pop().map(|(e, _)| e), Some("drained".to_string()));
+        prop_assert_eq!(hub, events);
+        let deltas: Vec<Vec<u8>> = delta_events
+            .join()
+            .expect("delta reader")
+            .iter()
+            .filter(|(e, _)| e == "upload")
+            .map(|(_, data)| client::delta_partial_bytes(data).expect("partial field"))
+            .collect();
+        let own_bytes: Vec<Vec<u8>> = partials.iter().map(PartialReport::encode).collect();
+        prop_assert!(deltas == own_bytes, "upload deltas differ from the uploads' own partials");
+        let merged = PartialReport::merge_many(
+            partials,
+            cfg.analysis.footprint_block,
+            cfg.analysis.reuse_block,
+            &cfg.locality_sizes,
+        )
+        .expect("merge");
+        prop_assert!(merged.encode() == sealed.partial_bytes, "sealed bytes != merged partials");
+    }
+}
+
 /// A long session of uneven uploads, frameless ones among them, seals
-/// to the resident pass: the session's runs merge in feed order however
-/// their sample counts pair up.
+/// to the resident pass: the session's one analyzer is fed every frame
+/// in feed order, whatever the uploads' sizes.
 #[test]
 fn a_long_uneven_session_seals_to_the_resident_pass() {
     let cfg = ServeConfig::default();

@@ -408,8 +408,24 @@ impl TraceStore {
 
     /// List stored traces, sorted by id.
     pub fn ls(&self) -> Result<Vec<TraceEntry>, StoreError> {
-        let dir = self.config.root.join("catalog");
         let mut out = Vec::new();
+        self.each_catalog(|id, catalog| {
+            out.push(TraceEntry {
+                id: id.to_string(),
+                frames: catalog.frames.len(),
+                samples: catalog.total_samples(),
+                payload_bytes: catalog.payload_bytes(),
+                workload: catalog.meta().map(|m| m.workload).unwrap_or_default(),
+            })
+        })?;
+        out.sort_by(|a, b| a.id.cmp(&b.id));
+        Ok(out)
+    }
+
+    /// Decode every stored catalog once, in directory order, and hand
+    /// it to `f` with its trace id.
+    fn each_catalog(&self, mut f: impl FnMut(&str, &Catalog)) -> Result<(), StoreError> {
+        let dir = self.config.root.join("catalog");
         for entry in
             fs::read_dir(&dir).map_err(|e| io_err(format!("listing {}", dir.display()), e))?
         {
@@ -418,17 +434,9 @@ impl TraceStore {
             let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".mgzc")) else {
                 continue;
             };
-            let catalog = self.catalog(id)?;
-            out.push(TraceEntry {
-                id: id.to_string(),
-                frames: catalog.frames.len(),
-                samples: catalog.total_samples(),
-                payload_bytes: catalog.payload_bytes(),
-                workload: catalog.meta().map(|m| m.workload).unwrap_or_default(),
-            });
+            f(id, &self.catalog(id)?);
         }
-        out.sort_by(|a, b| a.id.cmp(&b.id));
-        Ok(out)
+        Ok(())
     }
 
     /// Remove blobs no catalog references, and cached results no
@@ -437,11 +445,10 @@ impl TraceStore {
         let _span = memgaze_obs::span("store.gc");
         let mut live = std::collections::BTreeSet::new();
         let mut live_keys = std::collections::BTreeSet::new();
-        for entry in self.ls()? {
-            let catalog = self.catalog(&entry.id)?;
+        self.each_catalog(|_, catalog| {
             live_keys.insert(trace_key(&catalog.frames));
             live.extend(catalog.frames.iter().map(|f| f.hash));
-        }
+        })?;
         let root = &self.config.root;
         let (blobs_removed, blob_bytes_reclaimed) = sweep(&root.join("blobs"), |path| {
             hash_from_path(path, ".blob").is_some_and(|hash| !live.contains(&hash))

@@ -16,9 +16,10 @@
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
 # serve_window_loads_from_trigger_span.patch, both name the retune test
-# of tests/watch_equivalence.rs; serve_one_running_fold.patch, on the
-# binary counter in partial.rs that serve's sessions fold through,
-# names the long-session test of tests/ingest_allocs.rs;
+# of tests/watch_equivalence.rs; merge_many_one_running_fold.patch, on
+# the binary counter `merge_many` folds through in partial.rs, names the
+# partial module's unit test that holds the runs to the binary digits of
+# the part count;
 # sorted_list_accepts_a_repeat.patch, on the MGZP footprint decoder,
 # names the partial module's unit test of a repeated footprint block,
 # and absorb_keeps_one_mask.patch, on the footprint union of a partial
