@@ -98,6 +98,11 @@ impl<T: Copy> CircBuffer<T> {
 
     /// Push an item, evicting the oldest contents on wrap (circular
     /// overwrite).
+    // The per-load path indexes unchecked: `head` and `tail` are wrapped
+    // below `slots.len()`, the eviction loop reads only while `len > 0`
+    // (so `slots` is non-empty), and `grow` runs before a full ring is
+    // written.
+    #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn push(&mut self, item: T, cost: u64) {
         // Locals, so each field is read and written once per push
@@ -165,7 +170,7 @@ impl<T: Copy> CircBuffer<T> {
         let keep = ((self.len as f64) * f).round() as usize;
         let skip = self.len - keep.min(self.len);
         self.slots.rotate_left(self.head);
-        let live = &self.slots[skip..self.len];
+        let live = self.slots.get(skip..self.len).unwrap_or_default();
         let out = live.iter().map(|(item, _)| *item).collect();
         self.head = 0;
         self.len = 0;

@@ -1,20 +1,16 @@
-//! Perf-like collectors (paper Fig. 1, Step 2).
-//!
-//! [`SampledCollector`] implements the paper's sampled tracing: `ptwrite`
-//! packets land in the circular buffer; a trigger every `w+z` executed
-//! loads snapshots the buffer into a raw sample. In *continuous* mode
+//! Collection configuration and the IR interpreter's path (paper Fig. 1,
+//! Step 2): the one PT model over `ptwrite` packets, each costing its
+//! bytes plus the amortised TSC/PSB sideband. In *continuous* mode
 //! (current kernel support) PT generates packets all the time; in *opt*
 //! mode (the paper's proof of concept) PT is enabled only during an
 //! enable-window before each trigger, which the overhead model rewards.
-//!
-//! [`FullCollector`] models full-trace collection, where "the data copy
-//! rate between PT's pinned kernel buffer and user memory is too high for
-//! real-time, resulting in random drops of 30–50%" (§VI-A): a token-bucket
-//! bandwidth model drops packets under pressure and emits DROP records.
+//! The full collector refills at each load, by the loads since the
+//! previous one, after that load's packets.
 
 use crate::buffer::{CircBuffer, DEFAULT_YIELD};
 use crate::guard::IpGuards;
 use crate::packet::{sideband_bytes, PacketStats, PtwPacket};
+use crate::pt::{FullCollector, Payload, Sampler};
 use memgaze_isa::interp::EventSink;
 use memgaze_model::Ip;
 use serde::{Deserialize, Serialize};
@@ -82,8 +78,8 @@ impl SamplerConfig {
     }
 
     /// Bring degenerate knobs to what a collector can run: a period of one
-    /// load, a buffer of one packet, a yield factor in `[0, 1]`. Every collector
-    /// constructor, `StreamSampler::retune` and `runner::collect_sampled` call it.
+    /// load, a buffer of one packet, a yield factor in `[0, 1]`.
+    /// `Sampler::new`, `Sampler::retune` and `runner::collect_sampled` call it.
     pub(crate) fn normalise(&mut self) {
         self.period = self.period.max(1);
         self.buffer_bytes = self.buffer_bytes.max(self.packet_bytes());
@@ -128,78 +124,62 @@ pub struct RawSampledTrace {
     pub ptwrites_executed: u64,
 }
 
-/// Sampled-trace collector; plugs into the interpreter as an
+/// The sampler on the packet path; plugs into the interpreter as an
 /// [`EventSink`].
-#[derive(Debug)]
-pub struct SampledCollector {
-    cfg: SamplerConfig,
-    buf: CircBuffer<PtwPacket>,
-    out: RawSampledTrace,
-    next_trigger: u64,
+pub type SampledCollector = Sampler<PtwPacket>;
+
+impl Payload for PtwPacket {
+    type Sample = RawSample;
+
+    fn unit_bytes(_packet_bytes: u64) -> u64 {
+        1
+    }
+
+    /// A packet's bytes plus the TSC/PSB sideband emitted with it.
+    #[inline]
+    fn cost(packets: u64, packet_bytes: u64, nth: u64) -> u64 {
+        packets * packet_bytes + sideband_bytes(nth)
+    }
+
+    fn held(ring: &CircBuffer<PtwPacket>) -> u64 {
+        ring.len() as u64
+    }
+
+    fn sample(packets: Vec<PtwPacket>, trigger_time: u64) -> RawSample {
+        RawSample {
+            trigger_time,
+            packets,
+        }
+    }
 }
 
 impl SampledCollector {
-    /// A collector with the given configuration.
-    pub fn new(mut cfg: SamplerConfig) -> SampledCollector {
-        cfg.normalise();
-        let (cap, packet) = (cfg.buffer_bytes, cfg.packet_bytes());
-        SampledCollector {
-            buf: CircBuffer::new(cap, packet, cfg.yield_factor, cfg.seed),
-            out: RawSampledTrace::default(),
-            next_trigger: cfg.period,
-            cfg,
-        }
-    }
-
-    /// Snapshot the buffer into a raw sample at the current load count.
-    fn sample(&mut self) {
-        let packets = self.buf.snapshot();
-        self.out.samples.push(RawSample {
-            trigger_time: self.out.total_loads,
-            packets,
-        });
-    }
-
     /// Finish collection: flush a final partial sample if the buffer holds
     /// data, and return the raw trace.
-    pub fn finish(mut self) -> RawSampledTrace {
-        if !self.buf.is_empty() {
-            self.sample();
+    pub fn finish(self) -> RawSampledTrace {
+        let (_, samples, stats) = self.close();
+        RawSampledTrace {
+            samples,
+            stats: stats.packets,
+            total_loads: stats.total_loads,
+            ptwrites_enabled: stats.ptwrites_enabled,
+            ptwrites_executed: stats.ptwrites_executed,
         }
-        self.out
-    }
-
-    /// Immutable view of the raw trace so far.
-    pub fn raw(&self) -> &RawSampledTrace {
-        &self.out
     }
 }
 
 impl EventSink for SampledCollector {
     fn on_load(&mut self, _ip: Ip, _addr: u64, _load_time: u64) {
-        self.out.total_loads += 1;
-        if self.out.total_loads >= self.next_trigger {
-            self.sample();
-            self.next_trigger += self.cfg.period;
-        }
+        self.advance(1);
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {
-        self.out.ptwrites_executed += 1;
-        let enabled = self.out.total_loads >= self.cfg.enable_from(self.next_trigger);
-        if !enabled || !self.cfg.guards.allows(ip) {
-            return;
-        }
-        self.out.ptwrites_enabled += 1;
-        self.out.stats.add_ptw(1);
-        // Sideband TSC/PSB packets consume amortized buffer space.
-        let cost = self.cfg.packet_bytes() + sideband_bytes(self.out.stats.ptw_packets);
         let packet = PtwPacket {
             ip,
             payload,
             load_time,
         };
-        self.buf.push(packet, cost);
+        self.record(ip, packet, 1);
     }
 }
 
@@ -223,87 +203,21 @@ impl Default for BandwidthModel {
     }
 }
 
-/// Full-trace collector with bandwidth-limited copies.
-#[derive(Debug)]
-pub struct FullCollector {
-    bw: BandwidthModel,
-    compact: bool,
-    guards: IpGuards,
-    tokens: f64,
-    last_load_time: u64,
-    /// Kept packets.
-    pub packets: Vec<PtwPacket>,
-    /// Accounting.
-    pub stats: PacketStats,
-    /// Total loads executed.
-    pub total_loads: u64,
-    in_drop_burst: bool,
-}
-
-impl FullCollector {
-    /// A full collector with the given bandwidth model.
-    pub fn new(bw: BandwidthModel) -> FullCollector {
-        FullCollector {
-            tokens: bw.burst_bytes,
-            bw,
-            compact: false,
-            guards: IpGuards::all(),
-            last_load_time: 0,
-            packets: Vec::new(),
-            stats: PacketStats::default(),
-            total_loads: 0,
-            in_drop_burst: false,
-        }
-    }
-
-    /// An ideal collector that never drops (used to produce 'All'
-    /// baselines directly).
-    pub fn unlimited() -> FullCollector {
-        FullCollector::new(BandwidthModel {
-            bytes_per_load: f64::INFINITY,
-            burst_bytes: f64::INFINITY,
-        })
-    }
-
-    /// Restrict collection to the guarded ranges.
-    pub fn with_guards(mut self, guards: IpGuards) -> FullCollector {
-        self.guards = guards;
-        self
-    }
-}
-
-impl EventSink for FullCollector {
+impl EventSink for FullCollector<PtwPacket> {
     fn on_load(&mut self, _ip: Ip, _addr: u64, load_time: u64) {
-        self.total_loads += 1;
+        self.loads += 1;
         let dt = load_time.saturating_sub(self.last_load_time);
         self.last_load_time = load_time;
-        if self.tokens.is_finite() {
-            self.tokens =
-                (self.tokens + dt as f64 * self.bw.bytes_per_load).min(self.bw.burst_bytes);
-        }
+        self.refill(dt);
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {
-        if !self.guards.allows(ip) {
-            return;
-        }
-        self.stats.add_ptw(1);
-        let cost = PtwPacket::bytes(self.compact) as f64;
-        if self.tokens >= cost {
-            self.tokens -= cost;
-            self.in_drop_burst = false;
-            self.packets.push(PtwPacket {
-                ip,
-                payload,
-                load_time,
-            });
-        } else {
-            self.stats.dropped_packets += 1;
-            if !self.in_drop_burst {
-                self.stats.drop_records += 1;
-                self.in_drop_burst = true;
-            }
-        }
+        let packet = PtwPacket {
+            ip,
+            payload,
+            load_time,
+        };
+        self.offer(packet, 1);
     }
 }
 
@@ -386,7 +300,7 @@ mod tests {
     fn full_collector_drops_under_pressure() {
         // 2 packets per load at 10 B each = 20 B/load demand vs 6 B/load
         // sustainable → heavy drops.
-        let mut c = FullCollector::new(BandwidthModel::default());
+        let mut c = FullCollector::<PtwPacket>::new(BandwidthModel::default());
         feed(&mut c, 100_000, 2);
         let rate = c.stats.drop_rate();
         assert!(
@@ -395,17 +309,17 @@ mod tests {
         );
         assert!(c.stats.drop_records > 0);
         // 1 packet per load = 10 B vs 6 B: still drops, but less.
-        let mut c1 = FullCollector::new(BandwidthModel::default());
+        let mut c1 = FullCollector::<PtwPacket>::new(BandwidthModel::default());
         feed(&mut c1, 100_000, 1);
         assert!(c1.stats.drop_rate() < rate);
     }
 
     #[test]
     fn unlimited_collector_never_drops() {
-        let mut c = FullCollector::unlimited();
+        let mut c = FullCollector::<PtwPacket>::unlimited();
         feed(&mut c, 50_000, 2);
         assert_eq!(c.stats.dropped_packets, 0);
-        assert_eq!(c.packets.len(), 100_000);
+        assert_eq!(c.kept.len(), 100_000);
     }
 
     #[test]

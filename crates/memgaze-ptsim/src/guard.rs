@@ -48,7 +48,9 @@ impl IpGuards {
             return true;
         }
         let pos = self.ranges.partition_point(|(lo, _)| *lo <= ip);
-        pos > 0 && ip < self.ranges[pos - 1].1
+        pos.checked_sub(1)
+            .and_then(|last| self.ranges.get(last))
+            .is_some_and(|&(_, hi)| ip < hi)
     }
 
     /// Whether any filter is configured.

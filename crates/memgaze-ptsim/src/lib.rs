@@ -4,7 +4,7 @@
 //! The real system pins a circular buffer that `ptwrite` fills without OS
 //! intervention, triggers a sample every `w+z` loads, and suffers
 //! bandwidth-limited copies (perf drops 30–50% of a full trace). Every
-//! one of those mechanisms is modeled here:
+//! one of those mechanisms is modeled once, in [`pt`]:
 //!
 //! * [`packet`] — PTW/TSC/PSB packet sizes and accounting (including the
 //!   compact 32-bit payload ablation);
@@ -12,14 +12,22 @@
 //!   async-fill yield artifact (16 KiB ≈ 1150 addresses, 8 KiB ≈ 500);
 //! * [`guard`] — hardware IP-range filters (region of interest without
 //!   re-instrumentation);
-//! * [`collector`] — sampled and full perf-like collectors
-//!   (continuous vs. sample-only PT enable; token-bucket drop model);
+//! * [`pt`] — the one [`Sampler`] and the one token-bucket
+//!   [`FullCollector`], generic over what the buffer holds;
+//! * [`collector`] — the configuration, and the model over the IR
+//!   interpreter's `ptwrite` packets;
+//! * [`stream`] — the model over pre-decoded load streams;
 //! * [`decode`] — packet-group decoding back to effective addresses using
 //!   the instrumentor's annotations (Analysis/1, "trace building");
-//! * [`stream`] — the same collection mechanisms over pre-decoded load
-//!   streams (the application-workload path);
 //! * [`overhead`] — the Fig. 7 time-overhead model;
 //! * [`runner`] — end-to-end drivers over instrumented IR modules.
+//!
+//! Its non-test code may not `unwrap`, `expect` or index unchecked (an
+//! `allow` says why).
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod buffer;
 pub mod collector;
@@ -29,19 +37,18 @@ pub mod guard;
 mod oracle;
 pub mod overhead;
 pub mod packet;
+pub mod pt;
 pub mod runner;
 pub mod stream;
-pub mod timetrigger;
 
 pub use buffer::CircBuffer;
 pub use collector::{
-    BandwidthModel, FullCollector, PtMode, RawSample, RawSampledTrace, SampledCollector,
-    SamplerConfig,
+    BandwidthModel, PtMode, RawSample, RawSampledTrace, SampledCollector, SamplerConfig,
 };
 pub use decode::{decode_full, decode_sampled, DecodeOutcome};
 pub use guard::IpGuards;
 pub use overhead::{OverheadEstimate, OverheadModel, RunProfile};
 pub use packet::{PacketStats, PtwPacket};
+pub use pt::{FullCollector, Payload, Sampler};
 pub use runner::{collect_full, collect_sampled, ground_truth, RunStats};
-pub use stream::{SamplerObservation, StreamFull, StreamSampler, StreamStats};
-pub use timetrigger::TimeStreamSampler;
+pub use stream::{SamplerObservation, StreamFull, StreamSampler, StreamStats, TimeStreamSampler};

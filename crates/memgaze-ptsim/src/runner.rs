@@ -5,11 +5,10 @@
 //! from the original module, sampled PT traces and bandwidth-limited full
 //! PT traces from the instrumented one.
 
-use crate::collector::{
-    BandwidthModel, FullCollector, RawSampledTrace, SampledCollector, SamplerConfig,
-};
+use crate::collector::{BandwidthModel, RawSampledTrace, SampledCollector, SamplerConfig};
 use crate::decode::{self, DecodeOutcome};
-use crate::packet::PacketStats;
+use crate::packet::{PacketStats, PtwPacket};
+use crate::pt::FullCollector;
 use memgaze_instrument::Instrumented;
 use memgaze_isa::interp::{EventSink, ExecStats, Machine};
 use memgaze_isa::{LoadModule, ProcId};
@@ -102,7 +101,7 @@ pub fn collect_full(
     workload: &str,
 ) -> Result<(FullTrace, RunStats), Box<dyn std::error::Error>> {
     let collector = match bw {
-        Some(b) => FullCollector::new(b),
+        Some(b) => FullCollector::<PtwPacket>::new(b),
         None => FullCollector::unlimited(),
     };
     let mut mach = Machine::new(&inst.module, collector);
@@ -115,13 +114,7 @@ pub fn collect_full(
         ptwrites_enabled: c.stats.ptw_packets,
     };
     let meta = TraceMeta::new(workload, 0, 0);
-    let outcome = decode::decode_full(
-        &c.packets,
-        c.stats.dropped_packets,
-        c.total_loads,
-        inst,
-        meta,
-    );
+    let outcome = decode::decode_full(&c.kept, c.stats.dropped_packets, c.loads, inst, meta);
     Ok((outcome.trace, stats))
 }
 

@@ -3,192 +3,101 @@
 //! The application workloads (miniVite, GAP, Darknet) run as native Rust
 //! against a traced address space rather than through the IR interpreter;
 //! they emit loads tagged with a static site ip and instrumentation
-//! metadata. This module applies the *same* PT mechanisms — circular
-//! buffer with async-fill yield, load-count trigger, per-packet byte
-//! accounting, guards, bandwidth-limited full collection — to such
-//! streams, producing the same [`SampledTrace`]/[`FullTrace`] the decoder
-//! yields on the packet path.
+//! metadata. This module runs the *same* PT model over [`Access`]es: the
+//! ring holds `buffer_bytes / packet_bytes` whole packets, an access
+//! costs its packet count (two-source loads carry two), and the full
+//! collector refills before a load's packets.
 
 use crate::buffer::CircBuffer;
-use crate::collector::{BandwidthModel, SamplerConfig};
-use crate::guard::IpGuards;
-use crate::packet::{PacketStats, PtwPacket};
+use crate::packet::PacketStats;
+use crate::pt::{FullCollector, Payload, Sampler};
 use memgaze_model::{Access, FullTrace, Ip, Sample, SampledTrace, TraceMeta};
 
-/// Sampled collection over a decoded load stream. A load costs a few
-/// counter bumps and, when its `ptwrite` is enabled, one write into the
-/// ring; everything else is derived when somebody reads it.
-#[derive(Debug)]
-pub struct StreamSampler {
-    cfg: SamplerConfig,
-    /// Buffered accesses, each costing its packet count (two-source
-    /// loads carry two packets).
-    ring: CircBuffer<Access>,
-    loads: u64,
-    next_trigger: u64,
-    /// `cfg.enable_from(next_trigger)`, re-derived whenever either moves.
-    enable_from: u64,
-    samples: Vec<Sample>,
-    ptwrites_executed: u64,
-    ptwrites_enabled: u64,
-    /// Packets the snapshots took out of the ring. An enabled packet is
-    /// in the ring, was snapshotted, or was overwritten by buffer wrap,
-    /// so the overwritten count needs no counter of its own.
-    snapshotted: u64,
-    /// Since the last [`StreamSampler::take_observation`]: the enabled and
-    /// overwritten totals at its start, and the peak fill in packets.
-    enabled_at_observation: u64,
-    overwritten_at_observation: u64,
-    interval_peak: u64,
+/// The load-triggered sampler over a decoded load stream.
+pub type StreamSampler = Sampler<Access>;
+
+/// The cycle-triggered sampler (paper §III-C, footnote 2: "Sampling in
+/// time will decrease accuracy if the load rate changes over time"); its
+/// period is in cycles.
+pub type TimeStreamSampler = Sampler<Access, true>;
+
+/// Full-trace collection over a decoded load stream ('Rec' traces, or
+/// 'All' with [`FullCollector::unlimited`]).
+pub type StreamFull = FullCollector<Access>;
+
+impl Payload for Access {
+    type Sample = Sample;
+
+    fn unit_bytes(packet_bytes: u64) -> u64 {
+        packet_bytes
+    }
+
+    #[inline]
+    fn cost(packets: u64, _packet_bytes: u64, _nth: u64) -> u64 {
+        packets
+    }
+
+    fn held(ring: &CircBuffer<Access>) -> u64 {
+        ring.used()
+    }
+
+    fn sample(accesses: Vec<Access>, trigger_time: u64) -> Sample {
+        Sample::new(accesses, trigger_time)
+    }
 }
 
 impl StreamSampler {
-    /// A sampler with the given configuration, degenerate knobs floored.
-    pub fn new(mut cfg: SamplerConfig) -> StreamSampler {
-        cfg.normalise();
-        StreamSampler {
-            ring: CircBuffer::new(cfg.packet_slots(), 1, cfg.yield_factor, cfg.seed),
-            loads: 0,
-            next_trigger: cfg.period,
-            enable_from: cfg.enable_from(cfg.period),
-            samples: Vec::new(),
-            ptwrites_executed: 0,
-            ptwrites_enabled: 0,
-            snapshotted: 0,
-            enabled_at_observation: 0,
-            overwritten_at_observation: 0,
-            interval_peak: 0,
-            cfg,
-        }
-    }
-
-    /// Snapshot the ring into a sample at the current load count.
-    fn sample(&mut self) {
-        self.snapshotted += self.ring.used();
-        let accesses = self.ring.snapshot();
-        self.samples.push(Sample::new(accesses, self.loads));
-    }
-
-    #[cold]
-    fn trigger(&mut self) {
-        self.sample();
-        self.next_trigger += self.cfg.period;
-        self.enable_from = self.cfg.enable_from(self.next_trigger);
-    }
-
     /// Feed one executed load. `instrumented` marks loads that carry
     /// `ptwrite`s; `packets` is the number of source registers (1 or 2).
     #[inline]
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         if instrumented {
-            let packets = u64::from(packets);
-            self.ptwrites_executed += packets;
-            if self.loads >= self.enable_from
-                && (!self.cfg.guards.is_filtering() || self.cfg.guards.allows(ip))
-            {
-                self.ptwrites_enabled += packets;
-                self.ring.push(Access::new(ip, addr, self.loads), packets);
-                if self.ring.used() > self.interval_peak {
-                    self.interval_peak = self.ring.used();
-                }
-            }
+            self.record(ip, Access::new(ip, addr, self.loads), u64::from(packets));
         }
-        self.loads += 1;
-        if self.loads >= self.next_trigger {
-            self.trigger();
-        }
-    }
-
-    /// Loads seen so far.
-    pub fn loads_seen(&self) -> u64 {
-        self.loads
-    }
-
-    /// Number of completed samples awaiting collection.
-    #[inline]
-    pub fn completed_samples(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Drain the samples completed so far without ending collection —
-    /// the streaming ingest path encodes them shard-by-shard as they
-    /// appear instead of letting the whole trace pile up here.
-    pub fn take_completed(&mut self) -> Vec<Sample> {
-        std::mem::take(&mut self.samples)
-    }
-
-    /// Drain the interval accounting since the previous call: how many
-    /// packets were enabled, how many were overwritten by buffer wrap
-    /// before a snapshot could save them, and the peak buffer fill.
-    /// This is the feedback signal the watch controller observes.
-    pub fn take_observation(&mut self) -> SamplerObservation {
-        let overwritten = self.ptwrites_enabled - self.snapshotted - self.ring.used();
-        let obs = SamplerObservation {
-            enabled_packets: self.ptwrites_enabled - self.enabled_at_observation,
-            overwritten_packets: overwritten - self.overwritten_at_observation,
-            peak_used_bytes: self.interval_peak * self.cfg.packet_bytes(),
-            buffer_bytes: self.cfg.buffer_bytes,
-        };
-        self.enabled_at_observation = self.ptwrites_enabled;
-        self.overwritten_at_observation = overwritten;
-        self.interval_peak = self.ring.used();
-        obs
-    }
-
-    /// Retune the sampling knobs mid-run: period (`w + z`), buffer
-    /// capacity, and the hardware address-range guards. The next
-    /// trigger is re-derived from the new period so a shrunk period
-    /// takes effect immediately instead of after the old interval. A
-    /// shrunk buffer keeps its contents until the next packet arrives.
-    pub fn retune(&mut self, period: u64, buffer_bytes: u64, guards: IpGuards) {
-        let old_period = self.cfg.period;
-        self.cfg.period = period;
-        self.cfg.buffer_bytes = buffer_bytes;
-        self.cfg.guards = guards;
-        self.cfg.normalise();
-        if self.cfg.period != old_period {
-            self.next_trigger = self.loads + self.cfg.period;
-        }
-        self.ring.set_capacity(self.cfg.packet_slots());
-        self.enable_from = self.cfg.enable_from(self.next_trigger);
-    }
-
-    /// The sampling configuration currently in force (post-retune).
-    pub fn config(&self) -> &SamplerConfig {
-        &self.cfg
+        self.advance(1);
     }
 
     /// Finish, returning the trace parts instead of an assembled trace:
     /// final metadata, any samples not yet drained (including the
     /// flushed trailing partial sample), and collection stats.
-    pub fn finish_parts(mut self, workload: &str) -> (TraceMeta, Vec<Sample>, StreamStats) {
-        if !self.ring.is_empty() {
-            self.sample();
-        }
-        let mut meta = TraceMeta::new(workload, self.cfg.period, self.cfg.buffer_bytes);
-        meta.total_loads = self.loads;
-        meta.total_instrumented_loads = self.ptwrites_executed;
-        // TSC/PSB counts telescope, so one bulk add equals the per-load
-        // adds it replaces.
-        let mut packets = PacketStats::default();
-        packets.add_ptw(self.ptwrites_enabled);
-        let stats = StreamStats {
-            packets,
-            total_loads: self.loads,
-            ptwrites_executed: self.ptwrites_executed,
-            ptwrites_enabled: self.ptwrites_enabled,
-        };
-        (meta, self.samples, stats)
+    pub fn finish_parts(self, workload: &str) -> (TraceMeta, Vec<Sample>, StreamStats) {
+        let (cfg, samples, stats) = self.close();
+        let mut meta = TraceMeta::new(workload, cfg.period, cfg.buffer_bytes);
+        meta.total_loads = stats.total_loads;
+        meta.total_instrumented_loads = stats.ptwrites_executed;
+        (meta, samples, stats)
     }
 
     /// Finish: flush a trailing partial sample and build the trace.
     pub fn finish(self, workload: &str) -> (SampledTrace, StreamStats) {
         let (meta, samples, stats) = self.finish_parts(workload);
-        let mut trace = SampledTrace::new(meta);
-        for s in samples {
-            trace.push_sample(s).expect("samples are produced in order");
+        // Snapshots are taken as the load count grows, so the samples
+        // are in trigger order.
+        (SampledTrace { meta, samples }, stats)
+    }
+}
+
+impl TimeStreamSampler {
+    /// Feed one executed load that took `cycles` cycles of program time
+    /// (1 for back-to-back loads; larger in compute-heavy phases).
+    pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8, cycles: u64) {
+        if instrumented {
+            self.record(ip, Access::new(ip, addr, self.loads), u64::from(packets));
         }
-        (trace, stats)
+        self.advance(cycles.max(1));
+    }
+
+    /// Finish and build the trace. The meta's `period` field records the
+    /// *average* loads per sample so ρ stays meaningful for downstream
+    /// analysis (which is exactly the bias: it is only an average).
+    pub fn finish(self, workload: &str) -> (SampledTrace, PacketStats) {
+        let (cfg, samples, stats) = self.close();
+        let avg_period = (stats.total_loads)
+            .checked_div(samples.len() as u64)
+            .unwrap_or(cfg.period);
+        let mut meta = TraceMeta::new(workload, avg_period.max(1), cfg.buffer_bytes);
+        meta.total_loads = stats.total_loads;
+        (SampledTrace { meta, samples }, stats.packets)
     }
 }
 
@@ -207,7 +116,7 @@ pub struct StreamStats {
 
 /// One interval's feedback signal from the sampler: how hard the
 /// circular buffer was pressed and how much was lost to overwrite.
-/// Drained by [`StreamSampler::take_observation`].
+/// Drained by [`Sampler::take_observation`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SamplerObservation {
     /// Packets written while PT was enabled this interval.
@@ -240,68 +149,14 @@ impl SamplerObservation {
     }
 }
 
-/// Full-trace collection over a decoded load stream, with the
-/// token-bucket bandwidth model ('Rec' traces).
-#[derive(Debug)]
-pub struct StreamFull {
-    bw: BandwidthModel,
-    compact: bool,
-    tokens: f64,
-    /// Kept accesses.
-    pub accesses: Vec<Access>,
-    /// Packet accounting.
-    pub stats: PacketStats,
-    loads: u64,
-    dropped_accesses: u64,
-    in_drop_burst: bool,
-}
-
 impl StreamFull {
-    /// Bandwidth-limited collection.
-    pub fn new(bw: BandwidthModel) -> StreamFull {
-        StreamFull {
-            tokens: bw.burst_bytes,
-            bw,
-            compact: false,
-            accesses: Vec::new(),
-            stats: PacketStats::default(),
-            loads: 0,
-            dropped_accesses: 0,
-            in_drop_burst: false,
-        }
-    }
-
-    /// Ideal collection ('All' traces).
-    pub fn unlimited() -> StreamFull {
-        StreamFull::new(BandwidthModel {
-            bytes_per_load: f64::INFINITY,
-            burst_bytes: f64::INFINITY,
-        })
-    }
-
     /// Feed one executed load.
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         let time = self.loads;
         self.loads += 1;
-        if self.tokens.is_finite() {
-            self.tokens = (self.tokens + self.bw.bytes_per_load).min(self.bw.burst_bytes);
-        }
-        if !instrumented {
-            return;
-        }
-        self.stats.add_ptw(u64::from(packets));
-        let cost = u64::from(packets) as f64 * PtwPacket::bytes(self.compact) as f64;
-        if self.tokens >= cost {
-            self.tokens -= cost;
-            self.in_drop_burst = false;
-            self.accesses.push(Access::new(ip, addr, time));
-        } else {
-            self.stats.dropped_packets += u64::from(packets);
-            self.dropped_accesses += 1;
-            if !self.in_drop_burst {
-                self.stats.drop_records += 1;
-                self.in_drop_burst = true;
-            }
+        self.refill(1);
+        if instrumented {
+            self.offer(Access::new(ip, addr, time), u64::from(packets));
         }
     }
 
@@ -309,10 +164,10 @@ impl StreamFull {
     pub fn finish(self, workload: &str) -> FullTrace {
         let mut meta = TraceMeta::new(workload, 0, 0);
         meta.total_loads = self.loads;
-        meta.total_instrumented_loads = self.accesses.len() as u64 + self.dropped_accesses;
+        meta.total_instrumented_loads = self.kept.len() as u64 + self.dropped;
         let mut t = FullTrace::new(meta);
-        t.accesses = self.accesses;
-        t.dropped = self.dropped_accesses;
+        t.accesses = self.kept;
+        t.dropped = self.dropped;
         t
     }
 }
@@ -320,7 +175,8 @@ impl StreamFull {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::PtMode;
+    use crate::collector::{BandwidthModel, PtMode, SamplerConfig};
+    use crate::guard::IpGuards;
 
     fn feed_n(s: &mut StreamSampler, n: u64) {
         for t in 0..n {
@@ -458,6 +314,34 @@ mod tests {
         assert_eq!(u.finish("w").dropped, 0);
     }
 
+    proptest::proptest! {
+        /// The two refill orders are one rule: the bucket starts full and a
+        /// refill at the cap adds nothing, so whether a load's refill comes
+        /// before its packets (the stream path) or after them (the packet
+        /// path) every offer sees the same tokens.
+        #[test]
+        fn refill_before_or_after_a_load_keeps_and_drops_the_same(
+            bw in (0u64..400, 0u64..400),
+            loads in proptest::collection::vec((0u8..4, 1u8..3), 1..600),
+        ) {
+            let bw = BandwidthModel {
+                bytes_per_load: bw.0 as f64 / 10.0,
+                burst_bytes: bw.1 as f64,
+            };
+            let (mut before, mut after) = (StreamFull::new(bw), StreamFull::new(bw));
+            for (t, &(kind, packets)) in (0u64..).zip(&loads) {
+                before.on_load(Ip(0x1), t * 8, kind != 0, packets);
+                after.loads += 1;
+                if kind != 0 {
+                    after.offer(Access::new(Ip(0x1), t * 8, t), u64::from(packets));
+                }
+                after.refill(1);
+            }
+            proptest::prop_assert_eq!(before.stats, after.stats);
+            proptest::prop_assert_eq!(before.finish("w"), after.finish("w"));
+        }
+    }
+
     #[test]
     fn sample_only_reduces_enabled_ptwrites() {
         let mut cfg = SamplerConfig::application(10_000);
@@ -475,5 +359,74 @@ mod tests {
         let (_, sc) = cont.finish("c");
         assert_eq!(so.ptwrites_executed, sc.ptwrites_executed);
         assert!(so.ptwrites_enabled * 3 < sc.ptwrites_enabled);
+    }
+
+    /// A two-phase stream: a dense phase (1 cycle/load, addresses in
+    /// region A) and a sparse phase (10 cycles/load, region B), equal
+    /// load counts.
+    fn feed_two_phase(mut dense: impl FnMut(Ip, u64, u64), n: u64) {
+        for t in 0..n {
+            dense(Ip(0x400), 0x10_0000 + (t % 512) * 64, 1);
+        }
+        for t in 0..n {
+            dense(Ip(0x404), 0x80_0000 + (t % 512) * 64, 10);
+        }
+    }
+
+    #[test]
+    fn time_trigger_biases_toward_slow_phases() {
+        let mut cfg = SamplerConfig::application(20_000);
+        cfg.buffer_bytes = 2 << 10;
+        let mut time_sampler = TimeStreamSampler::new(cfg.clone());
+        let mut load_sampler = StreamSampler::new(SamplerConfig {
+            // Equalize the *number of triggers*: total cycles = 11n,
+            // total loads = 2n, so the load-based period is scaled.
+            period: 20_000 * 2 / 11,
+            ..cfg
+        });
+        let n = 200_000u64;
+        feed_two_phase(|ip, a, c| time_sampler.on_load(ip, a, true, 1, c), n);
+        feed_two_phase(|ip, a, _| load_sampler.on_load(ip, a, true, 1), n);
+
+        let (tt, _) = time_sampler.finish("time");
+        let (lt, _) = load_sampler.finish("loads");
+
+        let frac_b = |trace: &SampledTrace| {
+            let total = trace.observed_accesses().max(1);
+            let b = trace
+                .accesses()
+                .filter(|a| a.addr.raw() >= 0x80_0000)
+                .count() as u64;
+            b as f64 / total as f64
+        };
+        // The load stream is 50/50; load-based sampling stays near that,
+        // time-based sampling over-represents the slow phase.
+        let fb_load = frac_b(&lt);
+        let fb_time = frac_b(&tt);
+        assert!(
+            (0.3..0.7).contains(&fb_load),
+            "load-based sample should be balanced: {fb_load:.2}"
+        );
+        assert!(
+            fb_time > fb_load + 0.15,
+            "time-based sample must over-represent the slow phase: {fb_time:.2} vs {fb_load:.2}"
+        );
+    }
+
+    #[test]
+    fn uniform_rate_makes_both_triggers_agree() {
+        let cfg = SamplerConfig::application(10_000);
+        let mut tt = TimeStreamSampler::new(cfg.clone());
+        let mut lt = StreamSampler::new(cfg);
+        for t in 0..100_000u64 {
+            let addr = 0x10_0000 + (t % 1024) * 64;
+            tt.on_load(Ip(0x400), addr, true, 1, 1);
+            lt.on_load(Ip(0x400), addr, true, 1);
+        }
+        let (a, _) = tt.finish("t");
+        let (b, _) = lt.finish("l");
+        // Same trigger cadence, similar sample counts and windows.
+        assert!((a.num_samples() as i64 - b.num_samples() as i64).abs() <= 1);
+        assert!((a.mean_window() - b.mean_window()).abs() / b.mean_window() < 0.4);
     }
 }

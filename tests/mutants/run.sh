@@ -4,14 +4,15 @@
 # reports' one fold, footprint union and list codec, the watch loop,
 # serve's window loads, the address-keyed side tables, the static
 # side's procedure summaries and abstract interpreter, the native
-# kernels' RMAT descent and v3 map, and the wire kit's XXH64 and
-# versioned open.
+# kernels' RMAT descent and v3 map, the wire kit's XXH64 and
+# versioned open, and the PT model's cost rule and token-bucket refill.
 #
 # Each tests/mutants/*.patch is one minimal hunk against
 # crates/memgaze-analysis/src (the kernels, zoom.rs and partial.rs),
 # crates/memgaze-core/src/watch.rs, crates/memgaze-serve/src/session.rs,
-# crates/memgaze-model/src/{annot,hash,wire}.rs, crates/memgaze-isa/src
-# or crates/memgaze-workloads/src whose header carries a line
+# crates/memgaze-model/src/{annot,hash,wire}.rs, crates/memgaze-isa/src,
+# crates/memgaze-workloads/src or crates/memgaze-ptsim/src whose header
+# carries a line
 #   # suite: <cargo test arguments>
 # naming the suite that must fail under it (serve's two window-loads
 # mutants, serve_window_loads_from_session_period.patch and
@@ -57,7 +58,11 @@
 # xxh64_skips_the_tail_bytes.patch names the published XXH64 vectors,
 # and open_checks_version_1_with_xxh64.patch, on the sum `wire::open`
 # picks by version, the store test of tests/wire_golden.rs that plants
-# a version-1 catalog and its blobs).
+# a version-1 catalog and its blobs; packet_cost_without_sideband.patch,
+# on what a ptwrite packet costs in the trace buffer, names the packet
+# sampler's pins in tests/ptsim_pins.rs, and
+# stream_full_refills_only_after_a_record.patch, on where the stream
+# full collector refills, the stream full collector's pins there).
 # For every patch
 # this script applies it with `git apply`, builds and runs that suite in
 # release, requires the suite to fail, and reverts with `git apply -R`.
