@@ -4,8 +4,6 @@
 //! (current kernel support) PT generates packets all the time; in *opt*
 //! mode (the paper's proof of concept) PT is enabled only during an
 //! enable-window before each trigger, which the overhead model rewards.
-//! The full collector refills at each load, by the loads since the
-//! previous one, after that load's packets.
 
 use crate::buffer::{CircBuffer, DEFAULT_YIELD};
 use crate::guard::IpGuards;
@@ -204,11 +202,8 @@ impl Default for BandwidthModel {
 }
 
 impl EventSink for FullCollector<PtwPacket> {
-    fn on_load(&mut self, _ip: Ip, _addr: u64, load_time: u64) {
-        self.loads += 1;
-        let dt = load_time.saturating_sub(self.last_load_time);
-        self.last_load_time = load_time;
-        self.refill(dt);
+    fn on_load(&mut self, _ip: Ip, _addr: u64, _load_time: u64) {
+        self.load();
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {

@@ -4,7 +4,7 @@
 //! The real system pins a circular buffer that `ptwrite` fills without OS
 //! intervention, triggers a sample every `w+z` loads, and suffers
 //! bandwidth-limited copies (perf drops 30–50% of a full trace). Every
-//! one of those mechanisms is modeled once, in [`pt`]:
+//! one of those mechanisms is modeled once, in `pt`:
 //!
 //! * [`packet`] — PTW/TSC/PSB packet sizes and accounting (including the
 //!   compact 32-bit payload ablation);
@@ -12,8 +12,9 @@
 //!   async-fill yield artifact (16 KiB ≈ 1150 addresses, 8 KiB ≈ 500);
 //! * [`guard`] — hardware IP-range filters (region of interest without
 //!   re-instrumentation);
-//! * [`pt`] — the one [`Sampler`] and the one token-bucket
-//!   [`FullCollector`], generic over what the buffer holds;
+//! * `pt` (private) — the one sampler and the one token-bucket full
+//!   collector, generic over what the buffer holds; callers name them by
+//!   their aliases ([`SampledCollector`], [`StreamSampler`], …);
 //! * [`collector`] — the configuration, and the model over the IR
 //!   interpreter's `ptwrite` packets;
 //! * [`stream`] — the model over pre-decoded load streams;
@@ -37,7 +38,7 @@ pub mod guard;
 mod oracle;
 pub mod overhead;
 pub mod packet;
-pub mod pt;
+mod pt;
 pub mod runner;
 pub mod stream;
 
@@ -49,6 +50,6 @@ pub use decode::{decode_full, decode_sampled, DecodeOutcome};
 pub use guard::IpGuards;
 pub use overhead::{OverheadEstimate, OverheadModel, RunProfile};
 pub use packet::{PacketStats, PtwPacket};
-pub use pt::{FullCollector, Payload, Sampler};
+pub use pt::{SamplerObservation, StreamStats};
 pub use runner::{collect_full, collect_sampled, ground_truth, RunStats};
-pub use stream::{SamplerObservation, StreamFull, StreamSampler, StreamStats, TimeStreamSampler};
+pub use stream::{StreamFull, StreamSampler, TimeStreamSampler};

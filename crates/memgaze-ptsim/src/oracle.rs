@@ -7,7 +7,7 @@ use crate::buffer::{CircBuffer, Lcg};
 use crate::collector::{PtMode, SamplerConfig};
 use crate::guard::IpGuards;
 use crate::packet::{sideband_bytes, PacketStats, PtwPacket, PSB_PERIOD, TSC_PERIOD};
-use crate::stream::{SamplerObservation, StreamSampler, StreamStats};
+use crate::{pt::SamplerObservation, pt::StreamStats, stream::StreamSampler};
 use memgaze_model::{Access, Addr, Ip, Sample, TraceMeta};
 use proptest::prelude::*;
 use std::collections::VecDeque;

@@ -9,10 +9,9 @@
 //! the cycle-triggered sampler counts.
 
 use crate::buffer::CircBuffer;
-use crate::collector::{BandwidthModel, SamplerConfig};
+use crate::collector::{BandwidthModel, PtMode, SamplerConfig};
 use crate::guard::IpGuards;
 use crate::packet::{PacketStats, PTW_BYTES};
-use crate::stream::{SamplerObservation, StreamStats};
 use memgaze_model::Ip;
 
 /// What the circular buffer holds on one load path.
@@ -32,7 +31,8 @@ pub trait Payload: Copy {
 /// Sampled collection over payload `P`, the trigger counting loads, or
 /// cycles where `CYCLES` (§III-C footnote 2's foil). A load costs a few
 /// counter bumps and, when its `ptwrite`s are enabled, one write into
-/// the ring; everything else is derived when read.
+/// the ring; everything else is derived when read. The cycle trigger
+/// runs PT continuously: the sample-only enable window is sized in loads.
 #[derive(Debug)]
 pub struct Sampler<P: Payload, const CYCLES: bool = false> {
     cfg: SamplerConfig,
@@ -63,6 +63,9 @@ impl<P: Payload, const CYCLES: bool> Sampler<P, CYCLES> {
     /// the period is in what the trigger counts.
     pub fn new(mut cfg: SamplerConfig) -> Sampler<P, CYCLES> {
         cfg.normalise();
+        if CYCLES {
+            cfg.mode = PtMode::Continuous;
+        }
         let unit = P::unit_bytes(cfg.packet_bytes());
         Sampler {
             ring: CircBuffer::new(
@@ -237,9 +240,6 @@ pub struct FullCollector<P> {
     /// Items dropped.
     pub(crate) dropped: u64,
     in_drop_burst: bool,
-    /// Load-counter time of the previous load (the packet path refills
-    /// by the time since it).
-    pub(crate) last_load_time: u64,
 }
 
 impl<P> FullCollector<P> {
@@ -253,7 +253,6 @@ impl<P> FullCollector<P> {
             loads: 0,
             dropped: 0,
             in_drop_burst: false,
-            last_load_time: 0,
         }
     }
 
@@ -265,13 +264,16 @@ impl<P> FullCollector<P> {
         })
     }
 
-    /// Add `loads` loads' worth of copy bandwidth, up to one burst.
+    /// One load retired: count it and, from the second on, add a load's
+    /// copy bandwidth, up to one burst. The stream path calls it before
+    /// the load's packets, the packet path after them (a load's
+    /// `ptwrite`s precede it).
     #[inline]
-    pub(crate) fn refill(&mut self, loads: u64) {
-        if self.tokens.is_finite() {
-            self.tokens =
-                (self.tokens + loads as f64 * self.bw.bytes_per_load).min(self.bw.burst_bytes);
+    pub(crate) fn load(&mut self) {
+        if self.loads > 0 && self.tokens.is_finite() {
+            self.tokens = (self.tokens + self.bw.bytes_per_load).min(self.bw.burst_bytes);
         }
+        self.loads += 1;
     }
 
     /// Offer an item of `packets` full-size packets for copy.
@@ -290,6 +292,54 @@ impl<P> FullCollector<P> {
                 self.stats.drop_records += 1;
                 self.in_drop_burst = true;
             }
+        }
+    }
+}
+
+/// Accounting from a sampled collection run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamStats {
+    /// Packet/byte accounting.
+    pub packets: PacketStats,
+    /// Loads fed.
+    pub total_loads: u64,
+    /// `ptwrite`s the instrumented binary executed.
+    pub ptwrites_executed: u64,
+    /// `ptwrite`s executed while PT was enabled.
+    pub ptwrites_enabled: u64,
+}
+
+/// One interval's feedback signal from the sampler: how hard the
+/// circular buffer was pressed and how much was lost to overwrite.
+/// Drained by the samplers' `take_observation`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SamplerObservation {
+    /// Packets written while PT was enabled this interval.
+    pub enabled_packets: u64,
+    /// Packets evicted by buffer wrap before a snapshot saved them.
+    pub overwritten_packets: u64,
+    /// Peak circular-buffer fill (bytes) this interval.
+    pub peak_used_bytes: u64,
+    /// Buffer capacity in force at drain time.
+    pub buffer_bytes: u64,
+}
+
+impl SamplerObservation {
+    /// Fraction of enabled packets lost to overwrite (0 when idle).
+    pub fn drop_rate(&self) -> f64 {
+        if self.enabled_packets == 0 {
+            0.0
+        } else {
+            self.overwritten_packets as f64 / self.enabled_packets as f64
+        }
+    }
+
+    /// Peak buffer fill as a fraction of capacity.
+    pub fn pressure(&self) -> f64 {
+        if self.buffer_bytes == 0 {
+            0.0
+        } else {
+            self.peak_used_bytes as f64 / self.buffer_bytes as f64
         }
     }
 }

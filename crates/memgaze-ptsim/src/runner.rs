@@ -93,7 +93,7 @@ pub fn collect_sampled(
 }
 
 /// Run the instrumented module under the bandwidth-limited full collector
-/// and decode ('Rec' traces, or 'All' with [`FullCollector::unlimited`]).
+/// and decode ('Rec' traces, or 'All' with no bandwidth limit).
 pub fn collect_full(
     inst: &Instrumented,
     entry: ProcId,

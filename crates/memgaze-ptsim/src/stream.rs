@@ -5,12 +5,11 @@
 //! they emit loads tagged with a static site ip and instrumentation
 //! metadata. This module runs the *same* PT model over [`Access`]es: the
 //! ring holds `buffer_bytes / packet_bytes` whole packets, an access
-//! costs its packet count (two-source loads carry two), and the full
-//! collector refills before a load's packets.
+//! costs its packet count (two-source loads carry two).
 
 use crate::buffer::CircBuffer;
 use crate::packet::PacketStats;
-use crate::pt::{FullCollector, Payload, Sampler};
+use crate::pt::{FullCollector, Payload, Sampler, StreamStats};
 use memgaze_model::{Access, FullTrace, Ip, Sample, SampledTrace, TraceMeta};
 
 /// The load-triggered sampler over a decoded load stream.
@@ -22,7 +21,7 @@ pub type StreamSampler = Sampler<Access>;
 pub type TimeStreamSampler = Sampler<Access, true>;
 
 /// Full-trace collection over a decoded load stream ('Rec' traces, or
-/// 'All' with [`FullCollector::unlimited`]).
+/// 'All' with `StreamFull::unlimited()`).
 pub type StreamFull = FullCollector<Access>;
 
 impl Payload for Access {
@@ -101,60 +100,11 @@ impl TimeStreamSampler {
     }
 }
 
-/// Accounting from a stream collection run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Packet/byte accounting.
-    pub packets: PacketStats,
-    /// Loads fed.
-    pub total_loads: u64,
-    /// `ptwrite`s the instrumented binary executed.
-    pub ptwrites_executed: u64,
-    /// `ptwrite`s executed while PT was enabled.
-    pub ptwrites_enabled: u64,
-}
-
-/// One interval's feedback signal from the sampler: how hard the
-/// circular buffer was pressed and how much was lost to overwrite.
-/// Drained by [`Sampler::take_observation`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SamplerObservation {
-    /// Packets written while PT was enabled this interval.
-    pub enabled_packets: u64,
-    /// Packets evicted by buffer wrap before a snapshot saved them.
-    pub overwritten_packets: u64,
-    /// Peak circular-buffer fill (bytes) this interval.
-    pub peak_used_bytes: u64,
-    /// Buffer capacity in force at drain time.
-    pub buffer_bytes: u64,
-}
-
-impl SamplerObservation {
-    /// Fraction of enabled packets lost to overwrite (0 when idle).
-    pub fn drop_rate(&self) -> f64 {
-        if self.enabled_packets == 0 {
-            0.0
-        } else {
-            self.overwritten_packets as f64 / self.enabled_packets as f64
-        }
-    }
-
-    /// Peak buffer fill as a fraction of capacity.
-    pub fn pressure(&self) -> f64 {
-        if self.buffer_bytes == 0 {
-            0.0
-        } else {
-            self.peak_used_bytes as f64 / self.buffer_bytes as f64
-        }
-    }
-}
-
 impl StreamFull {
     /// Feed one executed load.
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         let time = self.loads;
-        self.loads += 1;
-        self.refill(1);
+        self.load();
         if instrumented {
             self.offer(Access::new(ip, addr, time), u64::from(packets));
         }
@@ -314,34 +264,6 @@ mod tests {
         assert_eq!(u.finish("w").dropped, 0);
     }
 
-    proptest::proptest! {
-        /// The two refill orders are one rule: the bucket starts full and a
-        /// refill at the cap adds nothing, so whether a load's refill comes
-        /// before its packets (the stream path) or after them (the packet
-        /// path) every offer sees the same tokens.
-        #[test]
-        fn refill_before_or_after_a_load_keeps_and_drops_the_same(
-            bw in (0u64..400, 0u64..400),
-            loads in proptest::collection::vec((0u8..4, 1u8..3), 1..600),
-        ) {
-            let bw = BandwidthModel {
-                bytes_per_load: bw.0 as f64 / 10.0,
-                burst_bytes: bw.1 as f64,
-            };
-            let (mut before, mut after) = (StreamFull::new(bw), StreamFull::new(bw));
-            for (t, &(kind, packets)) in (0u64..).zip(&loads) {
-                before.on_load(Ip(0x1), t * 8, kind != 0, packets);
-                after.loads += 1;
-                if kind != 0 {
-                    after.offer(Access::new(Ip(0x1), t * 8, t), u64::from(packets));
-                }
-                after.refill(1);
-            }
-            proptest::prop_assert_eq!(before.stats, after.stats);
-            proptest::prop_assert_eq!(before.finish("w"), after.finish("w"));
-        }
-    }
-
     #[test]
     fn sample_only_reduces_enabled_ptwrites() {
         let mut cfg = SamplerConfig::application(10_000);
@@ -411,6 +333,20 @@ mod tests {
             fb_time > fb_load + 0.15,
             "time-based sample must over-represent the slow phase: {fb_time:.2} vs {fb_load:.2}"
         );
+    }
+
+    #[test]
+    fn cycle_trigger_ignores_sample_only_mode() {
+        // The sample-only enable window is sized in loads, so the cycle
+        // trigger keeps PT enabled for the whole run in either mode.
+        let mut cfg = SamplerConfig::application(20_000);
+        cfg.buffer_bytes = 2 << 10;
+        let mut cont = TimeStreamSampler::new(cfg.clone());
+        cfg.mode = PtMode::SampleOnly;
+        let mut opt = TimeStreamSampler::new(cfg);
+        feed_two_phase(|ip, a, c| cont.on_load(ip, a, true, 1, c), 50_000);
+        feed_two_phase(|ip, a, c| opt.on_load(ip, a, true, 1, c), 50_000);
+        assert_eq!(opt.finish("t"), cont.finish("t"));
     }
 
     #[test]

@@ -61,8 +61,9 @@
 # a version-1 catalog and its blobs; packet_cost_without_sideband.patch,
 # on what a ptwrite packet costs in the trace buffer, names the packet
 # sampler's pins in tests/ptsim_pins.rs, and
-# stream_full_refills_only_after_a_record.patch, on where the stream
-# full collector refills, the stream full collector's pins there).
+# stream_full_refills_after_the_record.patch, on when the stream
+# full collector refills, the hand-counted refill test of
+# tests/space_and_overhead.rs).
 # For every patch
 # this script applies it with `git apply`, builds and runs that suite in
 # release, requires the suite to fail, and reverts with `git apply -R`.

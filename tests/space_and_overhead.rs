@@ -3,7 +3,8 @@
 
 use memgaze::core::{full_trace_workload, phase_profiles, trace_workload};
 use memgaze::model::io;
-use memgaze::ptsim::{BandwidthModel, OverheadModel, PtMode, SamplerConfig};
+use memgaze::model::Ip;
+use memgaze::ptsim::{BandwidthModel, OverheadModel, PtMode, SamplerConfig, StreamFull};
 use memgaze::workloads::gap::{self, GapConfig, GapKernel};
 use memgaze::workloads::minivite::{self, MapVariant, MiniViteConfig};
 
@@ -69,6 +70,31 @@ fn rec_traces_drop_under_bandwidth_pressure() {
     // Correcting by DROP records recovers the All count.
     let corrected = rec.trace.accesses.len() as u64 + rec.trace.dropped;
     assert_eq!(corrected, all.trace.accesses.len() as u64);
+}
+
+#[test]
+fn stream_full_refills_before_a_loads_packets() {
+    // Ten bytes of copy bandwidth per load, a two-packet (20-byte) burst.
+    // Each load's refill comes before its packets are offered, on every
+    // load, instrumented or not.
+    let bw = BandwidthModel {
+        bytes_per_load: 10.0,
+        burst_bytes: 20.0,
+    };
+    let mut full = StreamFull::new(bw);
+    // Load 0 takes 10 bytes of the full bucket; load 1's refill brings
+    // it back to 20 in time for its two packets.
+    full.on_load(Ip(0x10), 0x1000, true, 1);
+    full.on_load(Ip(0x10), 0x1008, true, 2);
+    // An uninstrumented load refills too: load 3's two packets fit.
+    full.on_load(Ip(0x10), 0x1010, false, 1);
+    full.on_load(Ip(0x10), 0x1018, true, 2);
+    // Load 4 finds 10 bytes after its refill and drops its two packets.
+    full.on_load(Ip(0x10), 0x1020, true, 2);
+    let trace = full.finish("hand");
+    assert_eq!(trace.accesses.len(), 3);
+    assert_eq!(trace.dropped, 1);
+    assert_eq!(trace.meta.total_loads, 5);
 }
 
 #[test]
