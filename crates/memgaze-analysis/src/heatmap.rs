@@ -137,7 +137,7 @@ pub fn region_heatmaps_from(
     for (s, analysis) in trace.samples.iter().zip(analyses) {
         let mut events = analysis.events.iter().peekable();
         for (pos, a) in s.accesses.iter().enumerate() {
-            let event = events.next_if(|e| e.pos == pos);
+            let event = events.next_if(|e| e.pos as usize == pos);
             if let Some((r, c)) = acc_map.bin(a.addr.raw(), a.time) {
                 let i = r * cols + c;
                 acc_map.data[i] += 1.0;

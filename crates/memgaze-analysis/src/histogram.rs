@@ -197,13 +197,7 @@ pub(crate) fn locality_series_from(
     let mut memo = AnnotMemo::new(annots);
     kernel::with_workspace(|ws| {
         for (s, r) in trace.samples.iter().zip(analyses) {
-            // Window positions are u32 (the kernel's), so these are the
-            // pass's own values.
-            let reuses = (r.events.iter()).map(|e| {
-                let prev = e.pos - e.interval as usize;
-                [e.pos as u32, prev as u32, e.distance as u32]
-            });
-            ws.load_reuses(reuses, s.accesses.iter().map(|a| memo.get(a.ip).1));
+            ws.load_reuses(&r.events, s.accesses.iter().map(|a| memo.get(a.ip).1));
             for (sum, &size) in sums.iter_mut().zip(sizes) {
                 add_row(sum, ws.locality_split(size.max(1) as usize));
             }
@@ -217,7 +211,7 @@ pub fn reuse_histogram_from(analyses: &[ReuseAnalysis]) -> Log2Histogram {
     let mut h = Log2Histogram::new();
     for r in analyses {
         for e in &r.events {
-            h.insert(e.distance);
+            h.insert(u64::from(e.distance));
         }
     }
     h

@@ -35,6 +35,7 @@
 //! slice; no caller builds one.
 
 use crate::fxhash::FxHashMap;
+use crate::reuse::ReuseEvent;
 use memgaze_model::{Addr, AuxAnnotations, BlockSize, Ip, LoadClass, SymbolTable};
 use std::cell::RefCell;
 
@@ -523,8 +524,8 @@ pub(crate) struct Workspace {
     /// A sample cut into windows, one per function; taken out while its
     /// windows run their passes.
     pub(crate) split: Split,
-    /// `[pos, prev, distance]` of every reuse of the last reuse pass.
-    reuses: Vec<[u32; 3]>,
+    /// Every reuse of the last reuse pass, in access order.
+    reuses: Vec<ReuseEvent>,
     /// Per access of the last class columns, one more than the latest
     /// earlier position of its block by any load, by a Strided load and
     /// by an Irregular one (0 for none, `u32::MAX` in a class the access
@@ -563,9 +564,9 @@ impl Workspace {
         self.rows.clear();
         self.line_bits.clear();
         self.distinct.clear();
-        for column in [&mut self.reuses, &mut self.firsts, &mut self.lasts] {
-            column.clear();
-        }
+        self.reuses.clear();
+        self.firsts.clear();
+        self.lasts.clear();
         self.implied.resize(1, 0);
     }
 
@@ -576,12 +577,12 @@ impl Workspace {
     }
 
     /// What the last [`reuse_pass`](Self::reuse_pass) returned.
-    pub(crate) fn reuses(&self) -> &[[u32; 3]] {
+    pub(crate) fn reuses(&self) -> &[ReuseEvent] {
         &self.reuses
     }
 
     /// Exact reuse distances of one window of `(block, implied
-    /// constants)`: returns `[pos, prev, distance]` of every access to a
+    /// constants)`: returns the [`ReuseEvent`] of every access to a
     /// block seen before, in access order, and leaves per-block totals in
     /// [`rows`](Self::rows).
     ///
@@ -594,7 +595,7 @@ impl Workspace {
     pub(crate) fn reuse_pass(
         &mut self,
         items: impl ExactSizeIterator<Item = (u64, u64)>,
-    ) -> &[[u32; 3]] {
+    ) -> &[ReuseEvent] {
         self.pass(items.map(|(block, implied)| (block, implied, ())))
     }
 
@@ -607,7 +608,7 @@ impl Workspace {
     pub(crate) fn masked_reuse_pass(
         &mut self,
         items: impl ExactSizeIterator<Item = (u64, u64, BlockInLine)>,
-    ) -> &[[u32; 3]] {
+    ) -> &[ReuseEvent] {
         self.pass(items)
     }
 
@@ -617,7 +618,7 @@ impl Workspace {
     fn pass<T: Touch>(
         &mut self,
         items: impl ExactSizeIterator<Item = (u64, u64, T)>,
-    ) -> &[[u32; 3]] {
+    ) -> &[ReuseEvent] {
         let n = items.len();
         self.begin(n);
         let bitset = n <= BITSET_WINDOW;
@@ -667,7 +668,11 @@ impl Workspace {
                 } else {
                     self.markers.shift(prev, pos);
                 }
-                self.reuses.push([pos as u32, prev as u32, distance as u32]);
+                self.reuses.push(ReuseEvent {
+                    pos: pos as u32,
+                    prev: prev as u32,
+                    distance: distance as u32,
+                });
             }
         }
         &self.reuses
@@ -775,16 +780,16 @@ impl Workspace {
 
     /// The columns a [`reuse_pass`](Self::reuse_pass) leaves for
     /// [`locality_split`](Self::locality_split), loaded from a window
-    /// whose reuses an earlier pass found: its `[pos, prev, distance]`
-    /// in access order, and the implied constants of its accesses. The
-    /// split then runs as over the pass itself, with no pass.
+    /// whose reuses an earlier pass found: its events in access order,
+    /// and the implied constants of its accesses. The split then runs as
+    /// over the pass itself, with no pass.
     pub(crate) fn load_reuses(
         &mut self,
-        reuses: impl Iterator<Item = [u32; 3]>,
+        reuses: &[ReuseEvent],
         implied: impl ExactSizeIterator<Item = u64>,
     ) {
         self.begin(implied.len());
-        self.reuses.extend(reuses);
+        self.reuses.extend_from_slice(reuses);
         for (pos, v) in implied.enumerate() {
             self.implied.push(self.implied[pos] + v);
         }
@@ -803,10 +808,10 @@ impl Workspace {
         let mut out = (0u64, 0.0, 0.0, 0.0);
         for (s, e) in intervals(self.implied.len() - 1, chunk) {
             let (mut events, mut dist_sum) = (0u64, 0u64);
-            while let Some(&[_, prev, d]) = reuses.next_if(|r| (r[0] as usize) < e) {
-                if prev as usize >= s {
+            while let Some(r) = reuses.next_if(|r| (r.pos as usize) < e) {
+                if r.prev as usize >= s {
                     events += 1;
-                    dist_sum += u64::from(d);
+                    dist_sum += u64::from(r.distance);
                 }
             }
             let observed = (e - s) as u64;
@@ -1092,8 +1097,8 @@ mod tests {
             }
             // So are the per-access columns the chunk split reads.
             let columns = |ws: &mut Workspace| {
-                let c = [&ws.reuses, &ws.firsts, &ws.lasts].map(|v| v.capacity());
-                [c[0], c[1], c[2], ws.implied.capacity()]
+                let (r, f, l, i) = (&ws.reuses, &ws.firsts, &ws.lasts, &ws.implied);
+                [r.capacity(), f.capacity(), l.capacity(), i.capacity()]
             };
             let after_reuse = with_workspace(columns);
             let counts = with_workspace(|ws| {

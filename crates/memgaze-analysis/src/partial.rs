@@ -406,7 +406,7 @@ impl PartialReport {
         for (rows, orows) in self.locality.iter_mut().zip(other.locality) {
             rows.extend(orows);
         }
-        self.block_reuse.merge_unindexed(&other.block_reuse);
+        self.block_reuse.merge(&other.block_reuse);
         self.histogram.merge(&other.histogram);
         let mut replay = ReuseTracker::new();
         for (id, fp) in other.funcs {
@@ -552,8 +552,6 @@ impl PartialReport {
         };
         let rho = decompression.rho();
         let fb = self.footprint_block;
-        let mut block_reuse = self.block_reuse;
-        block_reuse.ensure_index();
 
         let mut function_rows: Vec<FunctionRow> = self
             .funcs
@@ -590,7 +588,7 @@ impl PartialReport {
         crate::streaming::StreamingReport {
             decompression,
             function_rows,
-            block_reuse,
+            block_reuse: self.block_reuse,
             reuse_histogram: self.histogram,
             locality_series,
             ingest: self.stats,

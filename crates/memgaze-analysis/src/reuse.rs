@@ -15,18 +15,25 @@ use crate::kernel::{self, Row, Workspace};
 use memgaze_model::{Access, BlockSize, Sample};
 use serde::{Deserialize, Serialize};
 
-/// One observed reuse: the access index, its block, interval, and distance.
+/// One observed reuse, as the kernel's reuse pass records it: three
+/// window positions' worth of `u32` (12 bytes). Windows are indexed in
+/// `u32` by the kernel, so nothing is narrowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReuseEvent {
     /// Index of the reusing access within the window.
-    pub pos: usize,
-    /// The reused block number.
-    pub block: u64,
-    /// Loads since the previous access to this block (reuse interval).
-    pub interval: u64,
+    pub pos: u32,
+    /// Index of the previous access to the same block.
+    pub prev: u32,
     /// Unique blocks since the previous access to this block (reuse
     /// distance).
-    pub distance: u64,
+    pub distance: u32,
+}
+
+impl ReuseEvent {
+    /// Loads since the previous access to this block (reuse interval).
+    pub fn interval(&self) -> u64 {
+        u64::from(self.pos - self.prev)
+    }
 }
 
 /// Exact per-window reuse analysis.
@@ -47,14 +54,17 @@ impl ReuseAnalysis {
     /// invariant the streaming tracker and partial merges rely on.
     pub fn mean_distance(&self) -> f64 {
         kernel::mean_distance(
-            self.events.iter().map(|e| e.distance).sum(),
+            self.events.iter().map(|e| u64::from(e.distance)).sum(),
             self.events.len() as u64,
         )
     }
 
     /// Maximum reuse distance (the paper's "Max D"), or 0.
     pub fn max_distance(&self) -> u64 {
-        self.events.iter().map(|e| e.distance).max().unwrap_or(0)
+        (self.events.iter())
+            .map(|e| u64::from(e.distance))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Mean reuse interval.
@@ -62,7 +72,7 @@ impl ReuseAnalysis {
         if self.events.is_empty() {
             0.0
         } else {
-            self.events.iter().map(|e| e.interval as f64).sum::<f64>() / self.events.len() as f64
+            self.events.iter().map(|e| e.interval() as f64).sum::<f64>() / self.events.len() as f64
         }
     }
 
@@ -75,22 +85,13 @@ impl ReuseAnalysis {
         }
     }
 
-    /// The analysis of `accesses` that the workspace's last reuse pass,
-    /// run over them at block size `bs`, leaves behind — what
-    /// [`analyze_window`] returns and what the resident fold keeps per
-    /// sample.
-    pub(crate) fn of_pass(ws: &Workspace, accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
-        let events = (ws.reuses().iter())
-            .map(|&[pos, prev, distance]| ReuseEvent {
-                pos: pos as usize,
-                block: accesses[pos as usize].addr.block(bs),
-                interval: u64::from(pos - prev),
-                distance: u64::from(distance),
-            })
-            .collect();
+    /// The analysis of the `accesses` accesses that the workspace's last
+    /// reuse pass ran over — what [`analyze_window`] returns and what the
+    /// resident fold keeps per sample: a copy of the pass's events.
+    pub(crate) fn of_pass(ws: &Workspace, accesses: usize) -> ReuseAnalysis {
         ReuseAnalysis {
-            events,
-            accesses: accesses.len(),
+            events: ws.reuses().to_vec(),
+            accesses,
             unique_blocks: ws.rows().len() as u64,
         }
     }
@@ -101,7 +102,7 @@ impl ReuseAnalysis {
 pub fn analyze_window(accesses: &[Access], bs: BlockSize) -> ReuseAnalysis {
     kernel::with_workspace(|ws| {
         ws.reuse_pass(accesses.iter().map(|a| (a.addr.block(bs), 0)));
-        ReuseAnalysis::of_pass(ws, accesses, bs)
+        ReuseAnalysis::of_pass(ws, accesses.len())
     })
 }
 
@@ -141,84 +142,61 @@ impl BlockTable {
         }
     }
 
-    /// The summary of every row absorbed, its blocks sorted once; no
-    /// query index.
+    /// The summary of every row absorbed, its blocks sorted once.
     pub(crate) fn into_block_reuse(self) -> BlockReuse {
         let mut pairs: Vec<(u64, BlockStats)> = self.0.into_iter().collect();
         pairs.sort_unstable_by_key(|&(b, _)| b);
-        BlockReuse::from_sorted_unindexed(pairs.into_iter())
+        BlockReuse::from_sorted(pairs.into_iter())
     }
 }
+
+/// Blocks per chunk of [`BlockReuse`]'s query index.
+const CHUNK: usize = 64;
 
 /// Per-block spatio-temporal reuse summary for location analysis
 /// (paper §IV-C2): `D(b)` is the mean unique blocks between subsequent
 /// accesses to block `b`.
 ///
 /// Region tables (IV–IX) query the same summary for every region row,
-/// so instead of a hash map that each query scans in full, blocks are
-/// kept sorted with prefix sums of the summable stats and a sparse
-/// table over the max distances. Every `region_*` query is then two
-/// binary searches plus O(1) lookups — O(log n) total — independent of
-/// how many region rows ask.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// so blocks are kept sorted beside an index over chunks of [`CHUNK`]
+/// blocks: the sums of the summable stats before each chunk, and a
+/// sparse table over the chunk maxima of the max distances. A `region_*`
+/// query is two binary searches, O(1) lookups over its whole chunks and
+/// a scan of at most two partial chunks. The index costs about 1–1.5
+/// bytes per block beside the summary's 40, and builds in one pass.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockReuse {
     /// Block numbers, strictly increasing.
     blocks: Vec<u64>,
     /// Per-block stats, parallel to `blocks`.
     stats: Vec<BlockStats>,
-    /// `pre_*[i]` = sum of the stat over `stats[0..i]` (length n+1).
-    pre_accesses: Vec<u64>,
-    pre_dist_sum: Vec<u64>,
-    pre_reuse_cnt: Vec<u64>,
-    /// Sparse table for range-max over `max_dist`: `max_table[k][i]` =
-    /// max over `stats[i..i + 2^k]`. Level 0 is the raw column.
-    max_table: Vec<Vec<u64>>,
+    /// `chunk_sums[c]` = `[accesses, Σ distance, reuse count]` over
+    /// `stats[..c · CHUNK]`, for every `c · CHUNK <= n`.
+    chunk_sums: Vec<[u64; 3]>,
+    /// Sparse table over the `m = n / CHUNK` whole chunks' max
+    /// distances, levels concatenated: level `k` starts at
+    /// [`level_start`]`(k, m)` and its `c`-th entry is the max over
+    /// chunks `c..c + 2^k`. Level 0 is the chunk maxima.
+    chunk_max: Vec<u64>,
 }
 
-/// Equal summaries: the same blocks with the same stats. The query
-/// index is derived from them, built or not.
-impl PartialEq for BlockReuse {
-    fn eq(&self, other: &BlockReuse) -> bool {
-        (&self.blocks, &self.stats) == (&other.blocks, &other.stats)
-    }
+/// Where level `k` of a sparse table over `m` entries starts: levels
+/// `j < k` hold `m + 1 − 2^j` entries each.
+fn level_start(k: usize, m: usize) -> usize {
+    k * (m + 1) + 1 - (1 << k)
 }
 
 impl Default for BlockReuse {
     fn default() -> BlockReuse {
-        let mut br = BlockReuse {
-            blocks: Vec::new(),
-            stats: Vec::new(),
-            pre_accesses: Vec::new(),
-            pre_dist_sum: Vec::new(),
-            pre_reuse_cnt: Vec::new(),
-            max_table: Vec::new(),
-        };
-        br.rebuild_index();
-        br
+        BlockReuse::from_sorted(std::iter::empty())
     }
 }
 
 impl BlockReuse {
     /// The summary of `samples` at block size `bs`. Reuse is
     /// intra-sample (§IV-B): one kernel reuse pass per sample, its rows
-    /// absorbed into one [`BlockTable`], the query index built once.
+    /// absorbed into one [`BlockTable`], sorted and indexed once.
     pub fn from_samples(samples: &[Sample], bs: BlockSize) -> BlockReuse {
-        let mut br = BlockReuse::from_samples_unindexed(samples, bs);
-        br.rebuild_index();
-        br
-    }
-
-    /// [`from_samples`](Self::from_samples) as its
-    /// [`raw_rows`](Self::raw_rows), without building the query index —
-    /// for a caller that only persists the rows (the store catalog).
-    pub fn sample_rows(samples: &[Sample], bs: BlockSize) -> Vec<(u64, [u64; 4])> {
-        BlockReuse::from_samples_unindexed(samples, bs)
-            .raw_rows()
-            .collect()
-    }
-
-    /// One kernel reuse pass per sample into one table; no query index.
-    fn from_samples_unindexed(samples: &[Sample], bs: BlockSize) -> BlockReuse {
         let mut table = BlockTable::default();
         kernel::with_workspace(|ws| {
             for s in samples {
@@ -229,11 +207,17 @@ impl BlockReuse {
         table.into_block_reuse()
     }
 
+    /// [`from_samples`](Self::from_samples) as its
+    /// [`raw_rows`](Self::raw_rows) — what the store catalog persists.
+    pub fn sample_rows(samples: &[Sample], bs: BlockSize) -> Vec<(u64, [u64; 4])> {
+        BlockReuse::from_samples(samples, bs).raw_rows().collect()
+    }
+
     /// Coalesce many window summaries at once: concatenate the sorted
-    /// columns, sort, absorb duplicate blocks, and rebuild the index a
+    /// columns, sort, absorb duplicate blocks, and build the index a
     /// single time. For `k` parts totalling `n` entries this is
-    /// O(n log n) — versus O(k·n) worth of index rebuilds when folding
-    /// parts through [`BlockReuse::merge`] one by one.
+    /// O(n log n) — versus O(k·n) when folding parts through
+    /// [`BlockReuse::merge`] one by one.
     pub fn from_parts(parts: impl IntoIterator<Item = BlockReuse>) -> BlockReuse {
         let mut pairs: Vec<(u64, BlockStats)> = Vec::new();
         for p in parts {
@@ -243,50 +227,88 @@ impl BlockReuse {
         // increasing blocks, so their concatenation is a handful of
         // pre-sorted runs that merge in near-linear time.
         pairs.sort_by_key(|&(b, _)| b);
-        let mut br = BlockReuse::from_sorted_unindexed(pairs.into_iter());
-        br.rebuild_index();
-        br
+        BlockReuse::from_sorted(pairs.into_iter())
     }
 
-    /// Absorb duplicate blocks of `(block, stats)` pairs in block order;
-    /// no query index. Order among equal blocks is irrelevant: `absorb`
-    /// only sums and maxes.
-    fn from_sorted_unindexed(
-        pairs: impl ExactSizeIterator<Item = (u64, BlockStats)>,
-    ) -> BlockReuse {
-        let mut br = BlockReuse {
-            blocks: Vec::with_capacity(pairs.len()),
-            stats: Vec::with_capacity(pairs.len()),
-            pre_accesses: Vec::new(),
-            pre_dist_sum: Vec::new(),
-            pre_reuse_cnt: Vec::new(),
-            max_table: Vec::new(),
-        };
+    /// Absorb duplicate blocks of `(block, stats)` pairs in block order,
+    /// then index. Order among equal blocks is irrelevant: `absorb` only
+    /// sums and maxes.
+    fn from_sorted(pairs: impl ExactSizeIterator<Item = (u64, BlockStats)>) -> BlockReuse {
+        let mut blocks: Vec<u64> = Vec::with_capacity(pairs.len());
+        let mut stats: Vec<BlockStats> = Vec::with_capacity(pairs.len());
         for (b, s) in pairs {
-            if br.blocks.last() == Some(&b) {
-                br.stats.last_mut().expect("parallel to blocks").absorb(&s);
+            if blocks.last() == Some(&b) {
+                stats.last_mut().expect("parallel to blocks").absorb(&s);
             } else {
-                br.blocks.push(b);
-                br.stats.push(s);
+                blocks.push(b);
+                stats.push(s);
             }
         }
-        br
+        BlockReuse::indexed(blocks, stats)
     }
 
-    /// `[accesses, Σ distance, reuse count]` over every block: the
-    /// prefix sums' last entries, or one pass over an unindexed
-    /// summary's stats.
-    pub(crate) fn totals(&self) -> [u64; 3] {
-        if let (Some(&a), Some(&d), Some(&r)) = (
-            self.pre_accesses.last(),
-            self.pre_dist_sum.last(),
-            self.pre_reuse_cnt.last(),
-        ) {
-            return [a, d, r];
+    /// The summary of `blocks` (strictly increasing) and their `stats`,
+    /// with its index built: the chunk sums and chunk maxima in one pass
+    /// over the stats, then the sparse table over the `n / CHUNK` maxima.
+    fn indexed(blocks: Vec<u64>, stats: Vec<BlockStats>) -> BlockReuse {
+        debug_assert!(blocks.windows(2).all(|w| w[0] < w[1]));
+        let m = stats.len() / CHUNK;
+        let mut chunk_sums = Vec::with_capacity(m + 1);
+        chunk_sums.push([0u64; 3]);
+        // ⌊log₂ m⌋ + 1 levels; none without a whole chunk.
+        let levels = (usize::BITS - m.leading_zeros()) as usize;
+        let mut chunk_max = Vec::with_capacity(level_start(levels, m));
+        let mut sum = [0u64; 3];
+        for chunk in stats.chunks_exact(CHUNK) {
+            let mut max = 0;
+            for s in chunk {
+                sum = [
+                    sum[0] + s.accesses,
+                    sum[1] + s.dist_sum,
+                    sum[2] + s.reuse_cnt,
+                ];
+                max = max.max(s.max_dist);
+            }
+            chunk_sums.push(sum);
+            chunk_max.push(max);
         }
-        self.stats.iter().fold([0; 3], |[a, d, r], s| {
-            [a + s.accesses, d + s.dist_sum, r + s.reuse_cnt]
-        })
+        for k in 1..levels {
+            let (prev, half) = (level_start(k - 1, m), 1 << (k - 1));
+            for c in 0..=m - (1 << k) {
+                chunk_max.push(chunk_max[prev + c].max(chunk_max[prev + c + half]));
+            }
+        }
+        BlockReuse {
+            blocks,
+            stats,
+            chunk_sums,
+            chunk_max,
+        }
+    }
+
+    /// `[accesses, Σ distance, reuse count]` over `stats[..i]`: the sums
+    /// before `i`'s chunk, then the at most `CHUNK − 1` stats of it
+    /// before `i`.
+    fn prefix(&self, i: usize) -> [u64; 3] {
+        let c = i / CHUNK;
+        let [mut a, mut d, mut r] = self.chunk_sums[c];
+        for s in &self.stats[c * CHUNK..i] {
+            a += s.accesses;
+            d += s.dist_sum;
+            r += s.reuse_cnt;
+        }
+        [a, d, r]
+    }
+
+    /// `[accesses, Σ distance, reuse count]` over `stats[l..r]`.
+    fn sums(&self, l: usize, r: usize) -> [u64; 3] {
+        let (hi, lo) = (self.prefix(r), self.prefix(l));
+        [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]]
+    }
+
+    /// `[accesses, Σ distance, reuse count]` over every block.
+    pub(crate) fn totals(&self) -> [u64; 3] {
+        self.prefix(self.stats.len())
     }
 
     /// Raw `(block, [accesses, dist_sum, reuse_cnt, max_dist])` rows in
@@ -308,8 +330,8 @@ impl BlockReuse {
         if !rows.windows(2).all(|w| w[0].0 < w[1].0) {
             return None;
         }
-        // The index keeps prefix sums of the summable stats; rows whose
-        // totals leave `u64` are not something an analyzer produced.
+        // The index keeps sums of the summable stats; rows whose totals
+        // leave `u64` are not something an analyzer produced.
         rows.iter().try_fold([0u64; 3], |sums, &(_, stats)| {
             Some([
                 sums[0].checked_add(stats[0])?,
@@ -317,41 +339,25 @@ impl BlockReuse {
                 sums[2].checked_add(stats[2])?,
             ])
         })?;
-        let mut br = BlockReuse {
-            blocks: rows.iter().map(|&(b, _)| b).collect(),
-            stats: rows
-                .into_iter()
-                .map(
-                    |(_, [accesses, dist_sum, reuse_cnt, max_dist])| BlockStats {
-                        accesses,
-                        dist_sum,
-                        reuse_cnt,
-                        max_dist,
-                    },
-                )
-                .collect(),
-            pre_accesses: Vec::new(),
-            pre_dist_sum: Vec::new(),
-            pre_reuse_cnt: Vec::new(),
-            max_table: Vec::new(),
-        };
-        br.rebuild_index();
-        Some(br)
+        let blocks = rows.iter().map(|&(b, _)| b).collect();
+        let stats = rows
+            .into_iter()
+            .map(
+                |(_, [accesses, dist_sum, reuse_cnt, max_dist])| BlockStats {
+                    accesses,
+                    dist_sum,
+                    reuse_cnt,
+                    max_dist,
+                },
+            )
+            .collect();
+        Some(BlockReuse::indexed(blocks, stats))
     }
 
     /// Merge another window's summary into this one (sample aggregation,
-    /// §IV-B). A two-pointer merge of the sorted columns, then an index
-    /// rebuild — O(n + m) plus O(n log n) for the max table.
+    /// §IV-B): a two-pointer merge of the sorted columns, then one pass
+    /// to index them — O(n + m).
     pub fn merge(&mut self, other: &BlockReuse) {
-        self.merge_unindexed(other);
-        self.ensure_index();
-    }
-
-    /// [`merge`](Self::merge) without the index rebuild, for a
-    /// partial's summary: it is only merged again or encoded until
-    /// [`PartialReport::finish`](crate::PartialReport::finish) indexes
-    /// it. A merge that changes the columns drops the index.
-    pub(crate) fn merge_unindexed(&mut self, other: &BlockReuse) {
         if other.blocks.is_empty() {
             return;
         }
@@ -380,59 +386,7 @@ impl BlockReuse {
                 j += 1;
             }
         }
-        self.blocks = blocks;
-        self.stats = stats;
-        for pre in [
-            &mut self.pre_accesses,
-            &mut self.pre_dist_sum,
-            &mut self.pre_reuse_cnt,
-        ] {
-            pre.clear();
-        }
-        self.max_table.clear();
-    }
-
-    /// Build the query index unless it is built.
-    pub(crate) fn ensure_index(&mut self) {
-        if self.pre_accesses.is_empty() {
-            self.rebuild_index();
-        }
-    }
-
-    /// Recompute the prefix sums and the range-max sparse table from
-    /// `blocks`/`stats`.
-    fn rebuild_index(&mut self) {
-        let n = self.blocks.len();
-        debug_assert!(self.blocks.windows(2).all(|w| w[0] < w[1]));
-        self.pre_accesses = Vec::with_capacity(n + 1);
-        self.pre_dist_sum = Vec::with_capacity(n + 1);
-        self.pre_reuse_cnt = Vec::with_capacity(n + 1);
-        self.pre_accesses.push(0);
-        self.pre_dist_sum.push(0);
-        self.pre_reuse_cnt.push(0);
-        for s in &self.stats {
-            self.pre_accesses
-                .push(self.pre_accesses.last().unwrap() + s.accesses);
-            self.pre_dist_sum
-                .push(self.pre_dist_sum.last().unwrap() + s.dist_sum);
-            self.pre_reuse_cnt
-                .push(self.pre_reuse_cnt.last().unwrap() + s.reuse_cnt);
-        }
-        self.max_table.clear();
-        if n == 0 {
-            return;
-        }
-        self.max_table
-            .push(self.stats.iter().map(|s| s.max_dist).collect());
-        let mut width = 1usize;
-        while width * 2 <= n {
-            let prev = self.max_table.last().unwrap();
-            let next: Vec<u64> = (0..=n - width * 2)
-                .map(|i| prev[i].max(prev[i + width]))
-                .collect();
-            self.max_table.push(next);
-            width *= 2;
-        }
+        *self = BlockReuse::indexed(blocks, stats);
     }
 
     /// Index range `[l, r)` covering blocks in `[lo_block, hi_block)`.
@@ -445,18 +399,18 @@ impl BlockReuse {
     /// Mean reuse distance of accesses to blocks in `[lo_block, hi_block)`.
     pub fn region_mean_distance(&self, lo_block: u64, hi_block: u64) -> f64 {
         let (l, r) = self.index_range(lo_block, hi_block);
-        let n = self.pre_reuse_cnt[r] - self.pre_reuse_cnt[l];
+        let [_, dist_sum, n] = self.sums(l, r);
         if n == 0 {
             0.0
         } else {
-            (self.pre_dist_sum[r] - self.pre_dist_sum[l]) as f64 / n as f64
+            dist_sum as f64 / n as f64
         }
     }
 
     /// Accesses to blocks in `[lo_block, hi_block)`.
     pub fn region_accesses(&self, lo_block: u64, hi_block: u64) -> u64 {
         let (l, r) = self.index_range(lo_block, hi_block);
-        self.pre_accesses[r] - self.pre_accesses[l]
+        self.sums(l, r)[0]
     }
 
     /// `(block, accesses)` of every touched block in `[lo_block,
@@ -475,15 +429,25 @@ impl BlockReuse {
     }
 
     /// Maximum reuse distance observed in `[lo_block, hi_block)` — the
-    /// paper's "Max D" column (Table IX).
+    /// paper's "Max D" column (Table IX): the whole chunks' max off the
+    /// sparse table, and a scan of the partial chunk at each end (at
+    /// most 126 stats where no chunk lies whole inside).
     pub fn region_max_distance(&self, lo_block: u64, hi_block: u64) -> u64 {
         let (l, r) = self.index_range(lo_block, hi_block);
-        if l >= r {
-            return 0;
+        let scan = |from: usize, to: usize| {
+            (self.stats[from..to].iter().map(|s| s.max_dist))
+                .max()
+                .unwrap_or(0)
+        };
+        // Whole chunks `[a, b)`.
+        let (a, b) = (l.div_ceil(CHUNK), r / CHUNK);
+        if a >= b {
+            return scan(l, r);
         }
-        let k = (r - l).ilog2() as usize;
-        let row = &self.max_table[k];
-        row[l].max(row[r - (1 << k)])
+        let k = (b - a).ilog2() as usize;
+        let level = level_start(k, self.stats.len() / CHUNK);
+        let whole = self.chunk_max[level + a].max(self.chunk_max[level + b - (1 << k)]);
+        whole.max(scan(l, a * CHUNK)).max(scan(b * CHUNK, r))
     }
 
     /// Distinct blocks touched in `[lo_block, hi_block)`.
@@ -539,7 +503,7 @@ mod tests {
         let r = analyze_window(&seq(&[1, 2, 3, 1]), BlockSize::CACHE_LINE);
         assert_eq!(r.events.len(), 1);
         assert_eq!(r.events[0].distance, 2);
-        assert_eq!(r.events[0].interval, 3);
+        assert_eq!(r.events[0].interval(), 3);
         assert_eq!(r.unique_blocks, 3);
         assert_eq!(r.max_distance(), 2);
     }
@@ -548,7 +512,10 @@ mod tests {
     fn back_to_back_reuse_is_distance_zero() {
         let r = analyze_window(&seq(&[5, 5, 5]), BlockSize::CACHE_LINE);
         assert_eq!(r.events.len(), 2);
-        assert!(r.events.iter().all(|e| e.distance == 0 && e.interval == 1));
+        assert!(r
+            .events
+            .iter()
+            .all(|e| e.distance == 0 && e.interval() == 1));
         assert_eq!(r.mean_distance(), 0.0);
         assert_eq!(r.mean_interval(), 1.0);
     }
@@ -557,8 +524,8 @@ mod tests {
     fn stack_distance_counts_unique_not_total() {
         // a b b b a: interval 4 but only one distinct block between.
         let r = analyze_window(&seq(&[1, 2, 2, 2, 1]), BlockSize::CACHE_LINE);
-        let a_reuse = r.events.iter().find(|e| e.block == 1).unwrap();
-        assert_eq!(a_reuse.interval, 4);
+        let a_reuse = r.events.iter().find(|e| e.pos == 4).unwrap();
+        assert_eq!((a_reuse.prev, a_reuse.interval()), (0, 4));
         assert_eq!(a_reuse.distance, 1);
     }
 
@@ -600,10 +567,11 @@ mod tests {
             std::collections::HashMap::new();
         let mut sums: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
         for e in &r.events {
-            let m = max_by_block.entry(e.block).or_insert(0);
-            *m = (*m).max(e.distance);
-            let s = sums.entry(e.block).or_insert((0, 0));
-            s.0 += e.distance;
+            let (block, d) = (blocks[e.pos as usize], u64::from(e.distance));
+            let m = max_by_block.entry(block).or_insert(0);
+            *m = (*m).max(d);
+            let s = sums.entry(block).or_insert((0, 0));
+            s.0 += d;
             s.1 += 1;
         }
 
@@ -675,8 +643,6 @@ mod tests {
         }
         let bulk = BlockReuse::from_parts(parts);
         assert_eq!(folded, bulk);
-        // `==` ignores the index; the Debug form shows it.
-        assert_eq!(format!("{folded:?}"), format!("{bulk:?}"));
         // And both equal the one pass over the windows as samples.
         let samples: Vec<Sample> = windows.iter().map(|w| Sample::new(seq(w), 0)).collect();
         assert_eq!(
@@ -689,18 +655,63 @@ mod tests {
         );
     }
 
+    /// The chunked index against a scan of the rows, at every pair of
+    /// range ends on and beside the chunk edges (and at random ends),
+    /// for summaries of 0 to 129 blocks and one of several chunks: whole
+    /// chunks from the table, partial ones at either end, and ranges
+    /// inside one chunk or empty.
     #[test]
-    fn an_unindexed_merge_indexes_to_the_indexed_one() {
-        let (a, b) = (summary(&[1, 2, 1, 9]), summary(&[1, 3, 1, 3]));
-        let mut indexed = a.clone();
-        indexed.merge(&b);
-        let mut lazy = a;
-        lazy.merge_unindexed(&b);
-        assert!(lazy.pre_accesses.is_empty() && lazy.max_table.is_empty());
-        assert_eq!(lazy.totals(), indexed.totals());
-        assert_eq!(lazy, indexed);
-        lazy.ensure_index();
-        assert_eq!(format!("{lazy:?}"), format!("{indexed:?}"));
+    fn chunked_index_matches_scan_at_chunk_edges() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in [0usize, 1, 63, 64, 65, 127, 128, 129, 1000] {
+            // Blocks 3i + 5, so a block range can also start or end
+            // between two blocks.
+            let rows: Vec<(u64, [u64; 4])> = (0..n as u64)
+                .map(|i| {
+                    let [a, d, c, m] = [next() % 9 + 1, next() % 1000, next() % 5, next() % 4096];
+                    (3 * i + 5, [a, d, c, m])
+                })
+                .collect();
+            let br = BlockReuse::from_raw_rows(rows.clone()).unwrap();
+            let mut ends: Vec<usize> = [0, 1, 2, 62, 63, 64, 65, 126, 127, 128, 129, 130]
+                .into_iter()
+                .chain([n.saturating_sub(1), n])
+                .chain((0..8).map(|_| next() as usize % (n + 1)))
+                .filter(|&i| i <= n)
+                .collect();
+            ends.sort_unstable();
+            ends.dedup();
+            for &l in &ends {
+                for &r in &ends {
+                    // Index `i` is block 3i + 5; the range starts on or
+                    // just before block l and ends just past block r − 1.
+                    let (lo, hi) = (3 * l as u64 + 4, 3 * r as u64 + 3);
+                    let inside = &rows[l..r.max(l)];
+                    let sum = |k: usize| inside.iter().map(|(_, s)| s[k]).sum::<u64>();
+                    let max = inside.iter().map(|(_, s)| s[3]).max().unwrap_or(0);
+                    let at = format!("n {n} [{l}, {r})");
+                    assert_eq!(br.region_accesses(lo, hi), sum(0), "{at}");
+                    assert_eq!(br.region_blocks(lo, hi), inside.len() as u64, "{at}");
+                    assert_eq!(br.region_max_distance(lo, hi), max, "{at}");
+                    let mean = if sum(2) == 0 {
+                        0.0
+                    } else {
+                        sum(1) as f64 / sum(2) as f64
+                    };
+                    assert_eq!(br.region_mean_distance(lo, hi), mean, "{at}");
+                }
+            }
+            assert_eq!(
+                br.totals(),
+                [0, 1, 2].map(|k| rows.iter().map(|(_, s)| s[k]).sum())
+            );
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::fxhash::FxHashMap;
 use crate::histogram::{LocalityPoint, Log2Histogram};
 use crate::kernel::{self, ClassCounts, IpInfo, IpResolver, LineSplit, Markers, Workspace};
 use crate::kernel::{IRREGULAR, STRIDED};
-use crate::reuse::{BlockReuse, BlockTable, ReuseAnalysis};
+use crate::reuse::{BlockReuse, BlockTable, ReuseAnalysis, ReuseEvent};
 use memgaze_model::{
     Access, AuxAnnotations, BlockSize, DecompressionInfo, Sample, SampledTrace, SymbolTable,
     TraceMeta,
@@ -418,7 +418,7 @@ impl Passes {
         self,
         ws: &'w mut Workspace,
         window: impl ExactSizeIterator<Item = (&'x Access, &'x IpInfo)>,
-    ) -> &'w [[u32; 3]] {
+    ) -> &'w [ReuseEvent] {
         let rb = self.reuse;
         match self.lines {
             Some(split) => ws.masked_reuse_pass(window.map(|(a, i)| {
@@ -612,22 +612,22 @@ impl<'a> StreamingAnalyzer<'a> {
     /// into their functions. A sample of one function is that function's
     /// window, and its own pass is the window's.
     fn fold_sample(&mut self, s: &Sample, infos: &[IpInfo]) {
-        let (rb, passes) = (self.cfg.reuse_block, self.passes);
+        let passes = self.passes;
         let accesses = &s.accesses[..];
         let one = (infos.first().map(|i| i.slot)).filter(|&f| infos.iter().all(|i| i.slot == f));
         kernel::with_workspace(|ws| {
             let reuses = passes.reuse_pass(ws, accesses.iter().zip(infos));
             let (events, mut dist_sum) = (reuses.len() as u64, 0u64);
-            for &[_, _, d] in reuses {
-                self.histogram.insert(u64::from(d));
-                dist_sum += u64::from(d);
+            for r in reuses {
+                self.histogram.insert(u64::from(r.distance));
+                dist_sum += u64::from(r.distance);
             }
             self.per_sample_reuse.push(SampleReuseSummary {
                 events: events as usize,
                 mean_d: kernel::mean_distance(dist_sum, events),
             });
             if let Some(kept) = &mut self.sample_events {
-                kept.push(ReuseAnalysis::of_pass(ws, accesses, rb));
+                kept.push(ReuseAnalysis::of_pass(ws, accesses.len()));
             }
             self.block_table.absorb_rows(ws.rows());
             for (series, &size) in self.locality.iter_mut().zip(&self.locality_sizes) {
@@ -669,7 +669,7 @@ impl<'a> StreamingAnalyzer<'a> {
             };
             let reuses = passes.reuse_pass(ws, items());
             let events = reuses.len() as u64;
-            let dist_sum = reuses.iter().map(|&[_, _, d]| u64::from(d)).sum();
+            let dist_sum = reuses.iter().map(|r| u64::from(r.distance)).sum();
             feed_reuse_pass(&mut st.tracker, ws, window.len(), events, dist_sum);
             let counts = passes.footprint_counts(ws, items());
             passes.add_footprint(st, ws, counts, window.len());
@@ -938,7 +938,7 @@ mod tests {
         // The definition: every reuse and its distance, the blocks in
         // first-touch order and in last-access order.
         let r = crate::reuse::analyze_window(&accesses, bs);
-        let distance_sum: u64 = r.events.iter().map(|e| e.distance).sum();
+        let distance_sum: u64 = r.events.iter().map(|e| u64::from(e.distance)).sum();
         let distinct = |order: &mut dyn Iterator<Item = u64>| {
             let mut seen = std::collections::HashSet::new();
             order.filter(|&b| seen.insert(b)).collect::<Vec<u64>>()
@@ -957,7 +957,7 @@ mod tests {
                             kernel::with_workspace(|ws| {
                                 let reuses = ws.reuse_pass(window.iter().map(|&b| (b, 0)));
                                 let events = reuses.len() as u64;
-                                let dist_sum = reuses.iter().map(|r| u64::from(r[2])).sum();
+                                let dist_sum = reuses.iter().map(|r| u64::from(r.distance)).sum();
                                 feed_reuse_pass(&mut tr, ws, window.len(), events, dist_sum);
                             });
                         }
@@ -1039,10 +1039,13 @@ mod tests {
                 rows.entry(a.addr.block(bs)).or_default()[0] += 1;
             }
             for e in crate::reuse::analyze_window(&s.accesses, bs).events {
-                let row = rows.get_mut(&e.block).unwrap();
-                row[1] += e.distance;
+                let row = rows
+                    .get_mut(&s.accesses[e.pos as usize].addr.block(bs))
+                    .unwrap();
+                let d = u64::from(e.distance);
+                row[1] += d;
                 row[2] += 1;
-                row[3] = row[3].max(e.distance);
+                row[3] = row[3].max(d);
             }
             BlockReuse::from_raw_rows(rows.into_iter().collect()).unwrap()
         };

@@ -42,10 +42,13 @@ fn oracle(t: &SampledTrace, bs: BlockSize) -> ScanOracle {
             m.entry(a.addr.block(bs)).or_default().0 += 1;
         }
         for e in &r.events {
-            let ent = m.entry(e.block).or_default();
-            ent.1 += e.distance;
+            let ent = m
+                .entry(s.accesses[e.pos as usize].addr.block(bs))
+                .or_default();
+            let d = u64::from(e.distance);
+            ent.1 += d;
             ent.2 += 1;
-            ent.3 = ent.3.max(e.distance);
+            ent.3 = ent.3.max(d);
         }
     }
     ScanOracle {

@@ -101,7 +101,7 @@ pub struct OverheadEstimate {
 
 impl OverheadEstimate {
     /// Total extra cycles.
-    pub fn extra_cycles(&self) -> f64 {
+    fn extra_cycles(&self) -> f64 {
         self.ptw_on_cycles + self.ptw_off_cycles + self.copy_cycles + self.interference_cycles
     }
 

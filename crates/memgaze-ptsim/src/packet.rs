@@ -20,8 +20,6 @@ pub const PTW_BYTES_COMPACT: u64 = 6;
 pub const TSC_BYTES: u64 = 8;
 /// Bytes of a PSB synchronization packet.
 pub const PSB_BYTES: u64 = 16;
-/// Bytes perf spends on one DROP bookkeeping record.
-pub const DROP_RECORD_BYTES: u64 = 8;
 /// A TSC packet is emitted once per this many PTW packets.
 pub const TSC_PERIOD: u64 = 32;
 /// A PSB packet is emitted once per this many PTW packets.
@@ -87,13 +85,6 @@ impl PacketStats {
         self.ptw_packets * PtwPacket::bytes(compact)
             + self.tsc_packets * TSC_BYTES
             + self.psb_packets * PSB_BYTES
-    }
-
-    /// Bytes that survived to the output (drops removed, DROP records
-    /// added).
-    pub fn kept_bytes(&self, compact: bool) -> u64 {
-        let dropped = self.dropped_packets * PtwPacket::bytes(compact);
-        self.generated_bytes(compact) - dropped + self.drop_records * DROP_RECORD_BYTES
     }
 
     /// Fraction of PTW packets dropped.
@@ -171,8 +162,6 @@ mod tests {
             100 * 10 + s.tsc_packets * TSC_BYTES + s.psb_packets * PSB_BYTES
         );
         s.dropped_packets = 40;
-        s.drop_records = 2;
-        assert_eq!(s.kept_bytes(false), gen - 400 + 16);
         assert!((s.drop_rate() - 0.4).abs() < 1e-12);
         // Compact payloads shrink everything PTW.
         assert!(s.generated_bytes(true) < gen);

@@ -96,6 +96,7 @@ impl TimeStreamSampler {
             .unwrap_or(cfg.period);
         let mut meta = TraceMeta::new(workload, avg_period.max(1), cfg.buffer_bytes);
         meta.total_loads = stats.total_loads;
+        meta.total_instrumented_loads = stats.ptwrites_executed;
         (SampledTrace { meta, samples }, stats.packets)
     }
 }
@@ -347,6 +348,28 @@ mod tests {
         feed_two_phase(|ip, a, c| cont.on_load(ip, a, true, 1, c), 50_000);
         feed_two_phase(|ip, a, c| opt.on_load(ip, a, true, 1, c), 50_000);
         assert_eq!(opt.finish("t"), cont.finish("t"));
+    }
+
+    #[test]
+    fn both_triggers_count_the_instrumented_loads() {
+        let cfg = SamplerConfig::application(10_000);
+        let mut tt = TimeStreamSampler::new(cfg.clone());
+        let mut lt = StreamSampler::new(cfg);
+        // Every third load carries no `ptwrite`, every other one two; the
+        // count is of `ptwrite`s executed, whatever the trigger.
+        for t in 0..30_000u64 {
+            let (instrumented, packets) = (t % 3 != 0, 1 + (t % 2) as u8);
+            tt.on_load(Ip(0x400), t * 8, instrumented, packets, 1 + t % 5);
+            lt.on_load(Ip(0x400), t * 8, instrumented, packets);
+        }
+        let (time, _) = tt.finish("t");
+        let (load, stats) = lt.finish("l");
+        assert_eq!(load.meta.total_instrumented_loads, stats.ptwrites_executed);
+        assert_eq!(
+            time.meta.total_instrumented_loads,
+            load.meta.total_instrumented_loads
+        );
+        assert!(time.meta.total_instrumented_loads > 0);
     }
 
     #[test]

@@ -266,14 +266,31 @@ impl Catalog {
     /// Decode a serialized catalog for trace `id`, rejecting truncation
     /// and corruption with [`StoreError::CorruptCatalog`].
     pub fn decode(id: &str, data: &[u8]) -> Result<Catalog, StoreError> {
-        decode_catalog(data).map_err(|e| StoreError::CorruptCatalog {
-            id: id.to_string(),
-            detail: e.to_string(),
-        })
+        decode_catalog(data, true).map_err(|e| corrupt(id, e))
+    }
+
+    /// [`decode`](Self::decode) without keeping the frames' summaries:
+    /// every frame's `reuse_rows` and `func_loads` are read and checked
+    /// as `decode` checks them, but left empty — for a caller that needs
+    /// only the header, trailer, frame hashes and lengths (reassembly,
+    /// `gc`, a whole-trace analyze). It accepts exactly what `decode`
+    /// accepts.
+    pub fn decode_without_summaries(id: &str, data: &[u8]) -> Result<Catalog, StoreError> {
+        decode_catalog(data, false).map_err(|e| corrupt(id, e))
     }
 }
 
-fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
+fn corrupt(id: &str, e: WireError) -> StoreError {
+    StoreError::CorruptCatalog {
+        id: id.to_string(),
+        detail: e.to_string(),
+    }
+}
+
+/// Decode a catalog, keeping each frame's reuse rows and function loads
+/// only if `summaries` is set; either way every field is read and
+/// bounded and the seal is verified.
+fn decode_catalog(data: &[u8], summaries: bool) -> Result<Catalog, WireError> {
     let (sum, mut r) = wire::open(data, CATALOG_MAGIC, &CATALOG_VERSIONS, "catalog")?;
     let trace_id = r.string("trace id")?;
     let summary_block = r.u8("summary block")?;
@@ -304,7 +321,7 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
         let time_range = get_range(&mut r, "frame time range")?;
         let addr_range = get_range(&mut r, "frame address range")?;
         let nrows = r.count(5, "frame reuse row count")?;
-        let mut reuse_rows = Vec::with_capacity(nrows);
+        let mut reuse_rows = Vec::with_capacity(if summaries { nrows } else { 0 });
         let mut block = 0u64;
         for _ in 0..nrows {
             block = add_delta(block, r.varint("frame reuse block")?, "frame reuse block")?;
@@ -312,10 +329,12 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
             for s in &mut stats {
                 *s = r.varint("frame reuse stat")?;
             }
-            reuse_rows.push((block, stats));
+            if summaries {
+                reuse_rows.push((block, stats));
+            }
         }
         let nfl = r.count(2, "frame function load count")?;
-        let mut func_loads = Vec::with_capacity(nfl);
+        let mut func_loads = Vec::with_capacity(if summaries { nfl } else { 0 });
         for _ in 0..nfl {
             let id = r.u32("frame function id")?;
             if id as usize >= func_names.len() {
@@ -323,7 +342,10 @@ fn decode_catalog(data: &[u8]) -> Result<Catalog, WireError> {
                     detail: format!("frame function id {id} names no function"),
                 });
             }
-            func_loads.push((id, r.varint("frame function loads")?));
+            let loads = r.varint("frame function loads")?;
+            if summaries {
+                func_loads.push((id, loads));
+            }
         }
         frames.push(FrameSummary {
             hash,
@@ -529,6 +551,27 @@ mod tests {
         let encoded = cat.encode();
         let back = Catalog::decode("unit-trace", &encoded).unwrap();
         assert_eq!(cat, back);
+    }
+
+    #[test]
+    fn a_catalog_read_without_summaries_is_the_full_one_emptied() {
+        let t = mk_trace(9, 23);
+        let (container, index) = encode_sharded_indexed(&t, 4);
+        let sy = mk_symbols();
+        let cat =
+            Catalog::scan("unit-trace", &container, &index, &sy, BlockSize::CACHE_LINE).unwrap();
+        let encoded = cat.encode();
+        let mut want = Catalog::decode("unit-trace", &encoded).unwrap();
+        for f in &mut want.frames {
+            assert!(!f.reuse_rows.is_empty() && !f.func_loads.is_empty());
+            f.reuse_rows.clear();
+            f.func_loads.clear();
+        }
+        let lean = Catalog::decode_without_summaries("unit-trace", &encoded).unwrap();
+        assert_eq!(lean, want);
+        for cut in 0..encoded.len() {
+            assert!(Catalog::decode_without_summaries("unit-trace", &encoded[..cut]).is_err());
+        }
     }
 
     #[test]

@@ -326,15 +326,23 @@ impl TraceStore {
 
     /// Load the catalog for `id`.
     pub fn catalog(&self, id: &str) -> Result<Catalog, StoreError> {
+        Catalog::decode(id, &self.catalog_bytes(id)?)
+    }
+
+    /// The catalog for `id` without its frames' summaries
+    /// ([`Catalog::decode_without_summaries`]): what reassembly, `ls`,
+    /// `gc` and a whole-trace analyze read.
+    fn catalog_frames(&self, id: &str) -> Result<Catalog, StoreError> {
+        Catalog::decode_without_summaries(id, &self.catalog_bytes(id)?)
+    }
+
+    /// The stored bytes of `id`'s catalog.
+    fn catalog_bytes(&self, id: &str) -> Result<Vec<u8>, StoreError> {
         let path = self.catalog_path(id)?;
-        let data = match fs::read(&path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::MissingTrace { id: id.to_string() })
-            }
-            Err(e) => return Err(io_err(format!("reading {}", path.display()), e)),
-        };
-        Catalog::decode(id, &data)
+        fs::read(&path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => StoreError::MissingTrace { id: id.to_string() },
+            _ => io_err(format!("reading {}", path.display()), e),
+        })
     }
 
     /// Fetch a frame payload by content hash. The returned bytes are
@@ -355,7 +363,7 @@ impl TraceStore {
     /// its catalog and blobs, verifying total length and whole-container
     /// checksum — any catalog/blob drift is [`StoreError::StaleCatalog`].
     pub fn get_container(&self, id: &str) -> Result<Vec<u8>, StoreError> {
-        let catalog = self.catalog(id)?;
+        let catalog = self.catalog_frames(id)?;
         self.reassemble(&catalog)
     }
 
@@ -422,8 +430,8 @@ impl TraceStore {
         Ok(out)
     }
 
-    /// Decode every stored catalog once, in directory order, and hand
-    /// it to `f` with its trace id.
+    /// Decode every stored catalog once, in directory order and without
+    /// its frames' summaries, and hand it to `f` with its trace id.
     fn each_catalog(&self, mut f: impl FnMut(&str, &Catalog)) -> Result<(), StoreError> {
         let dir = self.config.root.join("catalog");
         for entry in
@@ -434,7 +442,7 @@ impl TraceStore {
             let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".mgzc")) else {
                 continue;
             };
-            f(id, &self.catalog(id)?);
+            f(id, &self.catalog_frames(id)?);
         }
         Ok(())
     }
@@ -497,7 +505,7 @@ impl TraceStore {
         analysis: AnalysisConfig,
         locality_sizes: &[u64],
     ) -> Result<StoreAnalysis, StoreError> {
-        let catalog = self.catalog(id)?;
+        let catalog = self.catalog_frames(id)?;
         let meta = catalog.meta()?;
         let n = catalog.frames.len();
         let mut span = memgaze_obs::span("store.analyze_frames");

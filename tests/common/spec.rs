@@ -141,10 +141,9 @@ pub fn analyze_window_naive(window: &[Access], bs: BlockSize) -> ReuseAnalysis {
         if let Some(prev) = (0..pos).rev().find(|&p| blocks[p] == block) {
             let between: BTreeSet<u64> = blocks[prev + 1..pos].iter().copied().collect();
             events.push(ReuseEvent {
-                pos,
-                block,
-                interval: (pos - prev) as u64,
-                distance: between.len() as u64,
+                pos: pos as u32,
+                prev: prev as u32,
+                distance: between.len() as u32,
             });
         }
     }
@@ -160,8 +159,13 @@ fn reuses(window: &[Access], bs: BlockSize) -> Vec<(u64, u64)> {
     analyze_window_naive(window, bs)
         .events
         .iter()
-        .map(|e| (e.block, e.distance))
+        .map(|e| (blocks_at(window, bs, e.pos), u64::from(e.distance)))
         .collect()
+}
+
+/// The block of the access at window position `pos`.
+fn blocks_at(window: &[Access], bs: BlockSize, pos: u32) -> u64 {
+    window[pos as usize].addr.block(bs)
 }
 
 /// Mean reuse distance `D`: an integer sum over an integer count, 0

@@ -152,6 +152,27 @@ fn formats() -> Vec<Format> {
         ));
         Ok(())
     };
+    // The read that keeps no frame summaries (reassembly, `gc`, a
+    // whole-trace analyze) accepts what the full read accepts, with the
+    // same error, and is that catalog with its summaries emptied.
+    let catalog_frames = |d: &[u8]| {
+        let lean = Catalog::decode_without_summaries(common::TRACE_ID, d);
+        match (lean, Catalog::decode(common::TRACE_ID, d)) {
+            (Ok(lean), Ok(mut full)) => {
+                for f in &mut full.frames {
+                    f.reuse_rows.clear();
+                    f.func_loads.clear();
+                }
+                assert_eq!(lean, full);
+                typed(lean.meta())
+            }
+            (Err(lean), Err(full)) => {
+                assert_eq!(lean.to_string(), full.to_string());
+                Err(lean.to_string())
+            }
+            (lean, full) => panic!("the two reads disagree: {lean:?} against {full:?}"),
+        }
+    };
     // A partial that decodes goes one step on, as a serve seal takes an
     // upload's, through the one fold: merged with itself
     // (every counter doubles, every list unions with itself, the reuse
@@ -214,6 +235,12 @@ fn formats() -> Vec<Format> {
             decode: Box::new(catalog),
         },
         Format {
+            name: "MGZC without summaries",
+            valid: common::mgzc(),
+            sum: Some(xxh64),
+            decode: Box::new(catalog_frames),
+        },
+        Format {
             name: "MGZB v1 raw (c59f616)",
             valid: common::fixture("c59f616-raw.blob"),
             sum: Some(fnv1a64),
@@ -230,6 +257,12 @@ fn formats() -> Vec<Format> {
             valid: common::fixture("c59f616.mgzc"),
             sum: Some(fnv1a64),
             decode: Box::new(catalog),
+        },
+        Format {
+            name: "MGZC v1 (c59f616) without summaries",
+            valid: common::fixture("c59f616.mgzc"),
+            sum: Some(fnv1a64),
+            decode: Box::new(catalog_frames),
         },
         Format {
             name: "json",

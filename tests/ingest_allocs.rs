@@ -14,8 +14,9 @@
 //! a cold store analyze to one fold per trace, not a partial per frame;
 //! a seventh a serve upload to a feed of the session's one analyzer, not
 //! a partial per frame or per upload, and a long session's bytes per
-//! upload to a flat line. The
-//! last holds the static side — lint and instrumentation of
+//! upload to a flat line; an eighth a finished report's block summary
+//! and the resident analyzer's kept reuse lists to bytes near the data
+//! they hold. The last holds the static side — lint and instrumentation of
 //! a load module — to allocations per procedure, with each procedure's
 //! CFG and loop forest built once, not once per pass.
 
@@ -285,6 +286,51 @@ fn a_whole_function_window_does_not_stay_resident() {
         kept <= 64 << 10,
         "{kept} bytes still live after a 200 k-access window and a {SAMPLE_ACCESSES}-access one"
     );
+}
+
+/// Live bytes of what `make` returns.
+fn held<T>(make: impl FnOnce() -> T) -> u64 {
+    let before = LIVE.with(Cell::get);
+    let made = make();
+    let bytes = LIVE.with(Cell::get) - before;
+    drop(made);
+    bytes as u64
+}
+
+/// A finished report's block summary and the resident analyzer's kept
+/// reuse lists against the data they hold, over 65 536 distinct lines
+/// (128 samples, each of 512 fresh lines read twice). The summary keeps
+/// 40 bytes a block; its query index over 64-block chunks adds about
+/// 1.5 (a copy reads 41.5 bytes a block), where a sparse table over
+/// every block and three prefix-sum columns made it 184. The kept lists
+/// hold a reuse in 12 bytes, the kernel's own row (32 with its block
+/// and 64-bit fields). The bounds, 48 and 16, fail if either comes back.
+#[test]
+fn reuse_summaries_stay_near_the_size_of_their_data() {
+    const LINES: u64 = 512;
+    let (annots, symbols) = side_tables();
+    let mut t = SampledTrace::new(TraceMeta::new("sizes", 10_000, 16 << 10));
+    t.meta.total_loads = 128 * 10_000;
+    for s in 0..128u64 {
+        let base = s * 10_000;
+        let accesses = (0..2 * LINES)
+            .map(|i| {
+                let line = s * LINES + i % LINES;
+                Access::new(0x500u64, 0x4000_0000 + line * 64, base + i)
+            })
+            .collect();
+        t.push_sample(Sample::new(accesses, base + 2 * LINES))
+            .unwrap();
+    }
+    let a = Analyzer::new(&t, &annots, &symbols);
+    let blocks = a.block_reuse().len() as u64;
+    assert_eq!(blocks, 128 * LINES);
+    let per_block = held(|| a.block_reuse().clone()) as f64 / blocks as f64;
+    assert!(per_block <= 48.0, "{per_block:.2} bytes per block");
+    let reuses: u64 = a.sample_reuse().iter().map(|r| r.events.len() as u64).sum();
+    assert_eq!(reuses, 128 * LINES);
+    let per_reuse = held(|| a.sample_reuse().to_vec()) as f64 / reuses as f64;
+    assert!(per_reuse <= 16.0, "{per_reuse:.2} bytes per kept reuse");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 #!/bin/sh
 # The mutation ratchet on the analysis kernels, the per-function
-# windows of the fold and its two trace-long accumulators, the resident event lists, the zoom, the partial
+# windows of the fold and its two trace-long accumulators, the block
+# summary's chunked index, the resident event lists, the zoom, the partial
 # reports' one fold, footprint union and list codec, the watch loop,
 # serve's window loads, the address-keyed side tables, the static
 # side's procedure summaries and abstract interpreter, the native
@@ -40,9 +41,12 @@
 # footprint bits, names the kernel's unit test that holds that pass to
 # the distinct pass at every split of a line; block_table_sums_max_dist.patch, on
 # the one block-stat table, the unit test that holds that table to the
-# per-sample summaries merged; kept_list_interval_off_by_one.patch, on the
-# resident analyzer's locality series over the fold's kept event lists,
-# names the unit test that holds that series to
+# per-sample summaries merged; region_max_skips_the_tail_chunk.patch, on
+# the block summary's chunked range max, the unit test that holds its
+# index to a scan at every range end on and beside a chunk edge;
+# kept_list_interval_off_by_one.patch, on how the resident analyzer
+# loads the fold's kept reuse rows (the kernel's own) for its locality
+# series, names the unit test that holds that series to
 # locality_vs_interval_with bit for bit; of the summary mutants,
 # summary_keeps_first_round_ranges.patch names the chain test of
 # tests/verifier_properties.rs and unknown_callee_clobbers_nothing.patch

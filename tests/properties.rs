@@ -75,8 +75,8 @@ proptest! {
     fn distance_bounded_by_footprint_and_interval(w in arb_window(200)) {
         let r = analysis::analyze_window(&w, BlockSize::CACHE_LINE);
         for e in &r.events {
-            prop_assert!(e.distance < r.unique_blocks.max(1));
-            prop_assert!(e.distance < e.interval);
+            prop_assert!(u64::from(e.distance) < r.unique_blocks.max(1));
+            prop_assert!(u64::from(e.distance) < e.interval());
         }
     }
 
