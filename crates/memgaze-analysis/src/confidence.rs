@@ -18,9 +18,9 @@ pub struct Confidence {
     /// Sample mean of the metric.
     pub mean: f64,
     /// Sample standard deviation.
-    pub std_dev: f64,
+    std_dev: f64,
     /// Half-width of the 95% confidence interval of the mean.
-    pub ci_half_width: f64,
+    ci_half_width: f64,
 }
 
 impl Confidence {
@@ -58,7 +58,7 @@ impl Confidence {
 
     /// Relative CI half-width (∞ when the mean is zero or samples are
     /// insufficient).
-    pub fn relative_ci(&self) -> f64 {
+    pub(crate) fn relative_ci(&self) -> f64 {
         if self.mean == 0.0 {
             f64::INFINITY
         } else {
@@ -68,7 +68,7 @@ impl Confidence {
 
     /// Flag this unit as undersampled given minimum sample count and
     /// maximum relative CI.
-    pub fn is_undersampled(&self, min_samples: u64, max_relative_ci: f64) -> bool {
+    pub(crate) fn is_undersampled(&self, min_samples: u64, max_relative_ci: f64) -> bool {
         self.samples < min_samples || self.relative_ci() > max_relative_ci
     }
 }

@@ -26,7 +26,7 @@ pub struct FootprintDiagnostics {
     /// Footprint of blocks touched by Irregular accesses.
     pub f_irr: u64,
     /// Compression ratio κ of the window.
-    pub kappa: f64,
+    pub(crate) kappa: f64,
 }
 
 impl FootprintDiagnostics {
@@ -56,41 +56,13 @@ impl FootprintDiagnostics {
     }
 
     /// Footprint growth `ΔF̂` (Eq. 4).
-    pub fn delta_f(&self) -> f64 {
+    pub(crate) fn delta_f(&self) -> f64 {
         footprint_growth(self.footprint, self.observed, self.kappa)
-    }
-
-    /// Strided footprint growth.
-    pub fn delta_f_str(&self) -> f64 {
-        footprint_growth(self.f_str, self.observed, self.kappa)
-    }
-
-    /// Irregular footprint growth.
-    pub fn delta_f_irr(&self) -> f64 {
-        footprint_growth(self.f_irr, self.observed, self.kappa)
-    }
-
-    /// Percentage of footprint with strided access (`F_str%`).
-    pub fn f_str_pct(&self) -> f64 {
-        if self.footprint == 0 {
-            0.0
-        } else {
-            100.0 * self.f_str as f64 / self.footprint as f64
-        }
-    }
-
-    /// Percentage of footprint with irregular access (`F_irr%`).
-    pub fn f_irr_pct(&self) -> f64 {
-        if self.footprint == 0 {
-            0.0
-        } else {
-            100.0 * self.f_irr as f64 / self.footprint as f64
-        }
     }
 
     /// Fraction of footprint growth due to strided accesses
     /// (`ΔF_str%`), normalized over the classified components.
-    pub fn delta_f_str_pct(&self) -> f64 {
+    pub(crate) fn delta_f_str_pct(&self) -> f64 {
         let denom = (self.f_str + self.f_irr) as f64;
         if denom == 0.0 {
             0.0
@@ -101,7 +73,7 @@ impl FootprintDiagnostics {
 
     /// Fraction of footprint growth due to irregular accesses
     /// (`ΔF_irr%`).
-    pub fn delta_f_irr_pct(&self) -> f64 {
+    pub(crate) fn delta_f_irr_pct(&self) -> f64 {
         let denom = (self.f_str + self.f_irr) as f64;
         if denom == 0.0 {
             0.0
@@ -111,7 +83,7 @@ impl FootprintDiagnostics {
     }
 
     /// Fraction of accesses to constant-sized data (`A_const%`).
-    pub fn a_const_pct(&self) -> f64 {
+    pub(crate) fn a_const_pct(&self) -> f64 {
         let total = self.observed + self.implied_const;
         if total == 0 {
             0.0
@@ -123,7 +95,7 @@ impl FootprintDiagnostics {
     /// Merge another window's diagnostics (aggregation over samples;
     /// footprints add — an over-estimate the paper acknowledges as
     /// "quantitative overestimates rather than qualitative", §VI-A).
-    pub fn merge(&mut self, other: &FootprintDiagnostics) {
+    pub(crate) fn merge(&mut self, other: &FootprintDiagnostics) {
         self.observed += other.observed;
         self.implied_const += other.implied_const;
         self.footprint += other.footprint;
@@ -177,7 +149,6 @@ mod tests {
         assert!((d.kappa - (1.0 + 5.0 / 7.0)).abs() < 1e-12);
         // ΔF = 6/(κ·7) = 6/12 = 0.5.
         assert!((d.delta_f() - 0.5).abs() < 1e-12);
-        assert!((d.f_str_pct() - 100.0 * 5.0 / 6.0).abs() < 1e-9);
         assert!((d.delta_f_str_pct() - 100.0 * 5.0 / 7.0).abs() < 1e-9);
         assert!((d.a_const_pct() - 100.0 * 5.0 / 12.0).abs() < 1e-9);
     }
@@ -197,7 +168,6 @@ mod tests {
         let d = FootprintDiagnostics::compute(&[], &annots(), BlockSize::CACHE_LINE);
         assert_eq!(d.footprint, 0);
         assert_eq!(d.delta_f(), 0.0);
-        assert_eq!(d.f_str_pct(), 0.0);
         assert_eq!(d.a_const_pct(), 0.0);
     }
 

@@ -56,18 +56,9 @@ pub enum WindowKind {
     Inter,
 }
 
-/// Estimated footprint `F̂` (Eq. 3): exact intra-window, `ρ·(C+S)`
-/// inter-window.
-pub fn estimated_footprint(cs: CapturesSurvivals, rho: f64, kind: WindowKind) -> f64 {
-    match kind {
-        WindowKind::Intra => cs.footprint() as f64,
-        WindowKind::Inter => rho * cs.footprint() as f64,
-    }
-}
-
 /// Footprint growth `ΔF̂ = F / (κ·A)` (Eq. 4): average new footprint per
 /// decompressed access. `observed` is `A(σ)`.
-pub fn footprint_growth(footprint_blocks: u64, observed: u64, kappa: f64) -> f64 {
+pub(crate) fn footprint_growth(footprint_blocks: u64, observed: u64, kappa: f64) -> f64 {
     let denom = kappa * observed as f64;
     if denom <= 0.0 {
         0.0
@@ -105,16 +96,6 @@ mod tests {
         assert_eq!(cs.captures, 1);
         assert_eq!(cs.survivals, 2);
         assert_eq!(cs.footprint(), footprint(&accesses, bs));
-    }
-
-    #[test]
-    fn eq3_intra_vs_inter() {
-        let cs = CapturesSurvivals {
-            captures: 10,
-            survivals: 30,
-        };
-        assert_eq!(estimated_footprint(cs, 50.0, WindowKind::Intra), 40.0);
-        assert_eq!(estimated_footprint(cs, 50.0, WindowKind::Inter), 2000.0);
     }
 
     #[test]

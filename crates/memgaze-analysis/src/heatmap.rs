@@ -14,15 +14,15 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Heatmap {
     /// Address bins (rows).
-    pub rows: usize,
+    rows: usize,
     /// Time bins (columns).
-    pub cols: usize,
+    cols: usize,
     /// Row-major cell values.
-    pub data: Vec<f64>,
+    data: Vec<f64>,
     /// Address range covered `[lo, hi)`.
-    pub addr_range: (u64, u64),
+    addr_range: (u64, u64),
     /// Time range covered `[lo, hi)`.
-    pub time_range: (u64, u64),
+    time_range: (u64, u64),
 }
 
 impl Heatmap {
@@ -43,12 +43,12 @@ impl Heatmap {
     }
 
     /// Cell value at `(row, col)`.
-    pub fn at(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn at(&self, row: usize, col: usize) -> f64 {
         self.data[row * self.cols + col]
     }
 
     /// Maximum cell value (the "darkest" cell).
-    pub fn max(&self) -> f64 {
+    fn max(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
     }
 
@@ -117,7 +117,7 @@ pub(crate) fn time_range(trace: &SampledTrace) -> (u64, u64) {
 ///
 /// `analyses` are the per-sample reuse analyses in sample order, events
 /// in access order — the analyzer shares its cached ones across heatmaps.
-pub fn region_heatmaps_from(
+pub(crate) fn region_heatmaps_from(
     trace: &SampledTrace,
     analyses: &[ReuseAnalysis],
     time_range: (u64, u64),

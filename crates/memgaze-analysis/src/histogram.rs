@@ -23,12 +23,12 @@ pub struct Log2Histogram {
 
 impl Log2Histogram {
     /// An empty histogram.
-    pub fn new() -> Log2Histogram {
+    pub(crate) fn new() -> Log2Histogram {
         Log2Histogram::default()
     }
 
     /// Insert a value.
-    pub fn insert(&mut self, v: u64) {
+    pub(crate) fn insert(&mut self, v: u64) {
         let bin = if v == 0 {
             0
         } else {
@@ -44,7 +44,7 @@ impl Log2Histogram {
 
     /// Fold another histogram's mass into this one (for merging
     /// per-sample partial histograms).
-    pub fn merge(&mut self, other: &Log2Histogram) {
+    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
         if self.bins.len() < other.bins.len() {
             self.bins.resize(other.bins.len(), 0);
         }
@@ -86,20 +86,6 @@ impl Log2Histogram {
             .enumerate()
             .filter(|&(_k, &c)| c > 0)
             .map(|(k, &c)| (if k == 0 { 0 } else { 1u64 << (k - 1) }, c))
-    }
-
-    /// Value below which `q` of the mass lies (approximate, by bin upper
-    /// bound).
-    pub fn quantile(&self, q: f64) -> u64 {
-        let target = (self.count as f64 * q).ceil() as u64;
-        let mut seen = 0;
-        for (k, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if k == 0 { 0 } else { 1u64 << (k - 1) };
-            }
-        }
-        0
     }
 }
 
@@ -240,17 +226,6 @@ mod tests {
         assert_eq!(bins[4], (8, 1));
         assert_eq!(bins[5], (512, 1));
         assert!((h.mean() - 1025.0 / 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut h = Log2Histogram::new();
-        for v in 0..100u64 {
-            h.insert(v);
-        }
-        assert!(h.quantile(0.5) <= 64);
-        assert!(h.quantile(1.0) >= 64);
-        assert_eq!(Log2Histogram::new().quantile(0.5), 0);
     }
 
     fn mk_trace(block_cycle: u64, w: usize) -> SampledTrace {

@@ -39,7 +39,7 @@ pub struct IntervalNode {
     pub kind: NodeKind,
     /// Levels above the sample layer (samples are level 0; function nodes
     /// are level −1, encoded as 0 with kind Function).
-    pub level: u32,
+    level: u32,
     /// Covered logical-time range `[start, end)` in loads.
     pub time_range: (u64, u64),
     /// Observed accesses under this node.
@@ -51,20 +51,20 @@ pub struct IntervalNode {
     pub f_hat: f64,
     /// Mean intra-window reuse distance (exact at sample level; accesses-
     /// weighted mean above).
-    pub mean_d: f64,
+    mean_d: f64,
     /// Child indices in the arena.
     pub children: Vec<usize>,
 }
 
 impl IntervalNode {
     /// Footprint growth of this node.
-    pub fn delta_f(&self) -> f64 {
+    fn delta_f(&self) -> f64 {
         self.diag.delta_f()
     }
 
     /// The zoom score: hot (many accesses) with poor reuse (large
     /// footprint growth).
-    pub fn zoom_score(&self) -> f64 {
+    fn zoom_score(&self) -> f64 {
         self.accesses as f64 * self.delta_f()
     }
 }
@@ -179,16 +179,6 @@ impl IntervalTree {
             }
         }
     }
-
-    /// All sample-level node indices, in time order.
-    pub fn sample_nodes(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.kind, NodeKind::Sample))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Samples with at least this many accesses get intra-interval children
@@ -289,6 +279,18 @@ fn sample_subtree(
 mod tests {
     use super::*;
     use memgaze_model::{Access, Ip, Sample, TraceMeta};
+
+    impl IntervalTree {
+        /// All sample-level node indices, in time order.
+        pub(crate) fn sample_nodes(&self) -> Vec<usize> {
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| matches!(n.kind, NodeKind::Sample))
+                .map(|(i, _)| i)
+                .collect()
+        }
+    }
 
     fn trace(nsamples: usize) -> (SampledTrace, SymbolTable) {
         let mut symbols = SymbolTable::new();

@@ -44,7 +44,7 @@ use std::cell::RefCell;
 /// everything chopped out of them stay below it; a whole-function
 /// code window or a full trace viewed as one sample (tens of thousands
 /// of accesses and up) does not, and must not pin megabytes per thread.
-pub(crate) const RETAIN_WINDOW: usize = 4096;
+const RETAIN_WINDOW: usize = 4096;
 
 /// Windows up to this length keep their markers in one `u64`.
 const BITSET_WINDOW: usize = 64;
@@ -176,7 +176,7 @@ impl Markers {
     /// Move the marker at `from` to `to`, which has none: bit
     /// operations alone when both sit in one word.
     #[inline]
-    pub(crate) fn shift(&mut self, from: usize, to: usize) {
+    fn shift(&mut self, from: usize, to: usize) {
         if from / 64 == to / 64 {
             debug_assert_eq!(self.buf[to / 64] >> (to % 64) & 1, 0);
             self.buf[to / 64] ^= 1 << (from % 64) | 1 << (to % 64);
@@ -206,7 +206,7 @@ impl Markers {
 
     /// Markers strictly between `prev` and `pos`.
     #[inline]
-    pub(crate) fn between(&self, prev: usize, pos: usize) -> u64 {
+    fn between(&self, prev: usize, pos: usize) -> u64 {
         debug_assert!(prev < pos);
         let (first, last) = (prev / 64, pos / 64);
         let (head, tail) = (above(prev % 64), (1u64 << (pos % 64)) - 1);
@@ -316,7 +316,7 @@ impl BlockTable {
 
 /// What a reuse pass keeps of an access beyond its block: nothing, or
 /// a mark in its line's row of [`Workspace::line_bits`].
-pub(crate) trait Touch: Copy {
+trait Touch: Copy {
     /// Mark row `row` of `lines`, a new line when `row == lines.len()`.
     fn mark(self, lines: &mut Vec<[u64; 3]>, row: usize);
 }

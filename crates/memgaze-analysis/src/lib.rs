@@ -28,47 +28,40 @@
 //! Every pass runs on the calling thread: a sample is a few hundred to a
 //! thousand accesses, which the window kernels analyze in microseconds.
 
-pub mod analyzer;
-pub mod confidence;
-pub mod diagnostics;
+mod analyzer;
+mod confidence;
+mod diagnostics;
 pub mod footprint;
-pub mod fxhash;
-pub mod heatmap;
-pub mod histogram;
-pub mod interval_tree;
+mod fxhash;
+mod heatmap;
+mod histogram;
+mod interval_tree;
 mod kernel;
-pub mod live;
+mod live;
 pub mod mape;
-pub mod partial;
-pub mod report;
-pub mod reuse;
+mod partial;
+mod report;
+mod reuse;
 pub mod streaming;
-pub mod window;
-pub mod workingset;
-pub mod zoom;
+mod window;
+mod workingset;
+mod zoom;
 
 pub use analyzer::{AnalysisConfig, Analyzer, CacheStats, FunctionRow, IntervalRow, RegionRow};
 pub use confidence::Confidence;
 pub use diagnostics::FootprintDiagnostics;
-pub use footprint::{
-    captures_survivals, estimated_footprint, footprint, footprint_growth, CapturesSurvivals,
-    WindowKind,
-};
-pub use fxhash::{FxHashMap, FxHashSet};
-pub use heatmap::{region_heatmaps_from, Heatmap};
+pub use footprint::{captures_survivals, footprint, WindowKind};
+pub use heatmap::Heatmap;
 pub use histogram::{
     locality_vs_interval_with, reuse_histogram_from, LocalityPoint, Log2Histogram,
 };
 pub use interval_tree::{IntervalNode, IntervalTree, NodeKind};
 pub use live::{AnomalyKind, AnomalyMark, WindowRing, WindowStats, ANOMALY_THRESHOLD};
 pub use mape::{compare_window_series, mape, pct_error, MapeReport};
-pub use partial::{analyze_frames, FuncPartial, PartialError, PartialReport, ReusePartial};
+pub use partial::{analyze_frames, PartialError, PartialReport};
 pub use report::{fmt_f3, fmt_pct, fmt_si, Table};
-pub use reuse::{analyze_window, BlockReuse, ReuseAnalysis, ReuseEvent};
-pub use streaming::{
-    stream_resident_trace, IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer,
-    StreamingReport,
-};
-pub use window::{pow2_sizes, window_series, window_series_with, CodeWindows, WindowPoint};
+pub use reuse::{analyze_window, BlockReuse, ReuseAnalysis, ReuseEvent, RowPartError};
+pub use streaming::{stream_resident_trace, IngestStats, StreamingAnalyzer, StreamingReport};
+pub use window::{pow2_sizes, window_series, CodeWindows, WindowPoint};
 pub use workingset::{working_set, WorkingSet};
 pub use zoom::{zoom_trace_with, RegionCode, ZoomConfig, ZoomRegion};

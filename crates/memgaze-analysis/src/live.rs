@@ -55,7 +55,7 @@ pub struct WindowStats {
     /// Observed accesses `A` across the window.
     pub observed: u64,
     /// Implied constant accesses `A_const` across the window.
-    pub implied_const: u64,
+    implied_const: u64,
     /// Estimated footprint `F̂` in bytes (`ρ · F · block`).
     pub f_hat_bytes: f64,
     /// Footprint growth `ΔF̂` of the merged window.
@@ -105,9 +105,9 @@ pub struct AnomalyMark {
     /// `now / max(prev, floor)` — at least the configured threshold.
     pub ratio: f64,
     /// The metric's value in the previous window.
-    pub prev: f64,
+    prev: f64,
     /// The metric's value in this window.
-    pub now: f64,
+    now: f64,
 }
 
 impl AnomalyMark {

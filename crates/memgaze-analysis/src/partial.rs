@@ -120,11 +120,11 @@ impl From<WireError> for PartialError {
 /// needed to merge two adjacent segments exactly — see
 /// [`absorb`](Self::absorb).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReusePartial {
-    pub(crate) firsts: Vec<u64>,
-    pub(crate) lru: Vec<u64>,
-    pub(crate) events: u64,
-    pub(crate) dist_sum: u64,
+pub(crate) struct ReusePartial {
+    firsts: Vec<u64>,
+    lru: Vec<u64>,
+    events: u64,
+    dist_sum: u64,
 }
 
 impl ReusePartial {
@@ -140,7 +140,7 @@ impl ReusePartial {
     }
 
     /// Snapshot a tracker's state.
-    pub fn from_tracker(tracker: &ReuseTracker) -> ReusePartial {
+    pub(crate) fn from_tracker(tracker: &ReuseTracker) -> ReusePartial {
         ReusePartial {
             firsts: tracker.first_touch_order(),
             lru: tracker.lru_order(),
@@ -149,14 +149,9 @@ impl ReusePartial {
         }
     }
 
-    /// Reuse events in the summarized stream.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Mean reuse distance, identical to
-    /// [`ReuseTracker::mean_distance`] over the same stream.
-    pub fn mean_distance(&self) -> f64 {
+    /// Mean reuse distance (0 when no reuse occurred), identical to the
+    /// tracker's over the same stream.
+    fn mean_distance(&self) -> f64 {
         if self.events == 0 {
             0.0
         } else {
@@ -184,16 +179,10 @@ impl ReusePartial {
     /// reorderings): first-touch order is `self.firsts` then `other`'s
     /// new blocks; last-access order is `self.lru` minus `other`'s
     /// blocks, then `other.lru`.
-    pub fn absorb(&mut self, other: &ReusePartial) {
-        let mut replay = ReuseTracker::new();
-        self.absorb_with(other, &mut replay)
-            .expect("reuse totals of one stream fit u64");
-    }
-
-    /// [`absorb`](Self::absorb) with a caller-supplied replay tracker,
-    /// so a fold over many functions reuses one set of marker
-    /// allocations. The tracker is reset here; any prior state is
-    /// discarded. Results are independent of the tracker's capacity
+    ///
+    /// The caller supplies the replay tracker, so a fold over many
+    /// functions reuses one set of marker allocations. The tracker is
+    /// reset here; any prior state is discarded. Results are independent of the tracker's capacity
     /// (compaction preserves every distance), so scratch reuse cannot
     /// change the merge. Fails, before changing `self`, when the summed
     /// totals leave `u64` — which no analyzed stream's do, but a decoded
@@ -250,7 +239,7 @@ impl ReusePartial {
 
 /// Per-function partial artifacts of one shard range.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuncPartial {
+pub(crate) struct FuncPartial {
     pub(crate) name: String,
     /// Footprint blocks touched, strictly sorted, each with the OR of
     /// the class bits of the loads that touched it.
@@ -351,7 +340,7 @@ pub struct PartialReport {
 impl PartialReport {
     /// The merge identity for a given configuration: merging any
     /// partial into it yields that partial.
-    pub fn empty(
+    pub(crate) fn empty(
         footprint_block: BlockSize,
         reuse_block: BlockSize,
         locality_sizes: &[u64],
@@ -373,11 +362,6 @@ impl PartialReport {
         }
     }
 
-    /// Samples summarized by this partial.
-    pub fn num_samples(&self) -> u64 {
-        self.num_samples
-    }
-
     /// Ingest accounting of the pass that produced this partial
     /// (rolled up across merges: counters sum, peaks take the max).
     pub fn stats(&self) -> &IngestStats {
@@ -390,7 +374,7 @@ impl PartialReport {
     /// The merged block-reuse summary is left without its query index,
     /// which only [`finish`](Self::finish) needs: a fold of many merges
     /// builds it once.
-    pub fn merge(&mut self, other: PartialReport) -> Result<(), PartialError> {
+    fn merge(&mut self, other: PartialReport) -> Result<(), PartialError> {
         let _span = memgaze_obs::span("partial.merge");
         self.check_config(
             other.footprint_block,
@@ -966,6 +950,16 @@ mod tests {
         encode_sharded_indexed, Access, FunctionId, Ip, IpAnnot, LoadClass, Sample, SampledTrace,
     };
 
+    /// The two-segment merge the many-function fold is held to.
+    impl ReusePartial {
+        /// [`absorb_with`](Self::absorb_with) with a fresh replay tracker.
+        pub(crate) fn absorb(&mut self, other: &ReusePartial) {
+            let mut replay = ReuseTracker::new();
+            self.absorb_with(other, &mut replay)
+                .expect("reuse totals of one stream fit u64");
+        }
+    }
+
     fn mk_stream(seed: u64, n: usize) -> Vec<u64> {
         // Deterministic pseudo-random block stream with heavy reuse.
         let mut x = seed | 1;
@@ -1126,7 +1120,7 @@ mod tests {
             let sample = &t.samples[n as usize % t.samples.len()];
             sa.ingest_shard(std::slice::from_ref(sample));
             PartialReport::push_run(&mut runs, sa.into_partial()).unwrap();
-            let held: Vec<u64> = runs.iter().map(PartialReport::num_samples).collect();
+            let held: Vec<u64> = runs.iter().map(|p| p.num_samples).collect();
             let digits: Vec<u64> = (0..u64::BITS)
                 .rev()
                 .map(|b| 1 << b)

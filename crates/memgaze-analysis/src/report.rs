@@ -43,11 +43,11 @@ pub fn fmt_f3(v: f64) -> String {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     /// Table title.
-    pub title: String,
+    title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    headers: Vec<String>,
     /// Rows of cells.
-    pub rows: Vec<Vec<String>>,
+    rows: Vec<Vec<String>>,
 }
 
 impl Table {

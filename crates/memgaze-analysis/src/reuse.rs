@@ -52,37 +52,11 @@ impl ReuseAnalysis {
     /// or 0 when nothing is reused. The sum is taken in integers so the
     /// result is independent of how the events were grouped — the same
     /// invariant the streaming tracker and partial merges rely on.
-    pub fn mean_distance(&self) -> f64 {
+    pub(crate) fn mean_distance(&self) -> f64 {
         kernel::mean_distance(
             self.events.iter().map(|e| u64::from(e.distance)).sum(),
             self.events.len() as u64,
         )
-    }
-
-    /// Maximum reuse distance (the paper's "Max D"), or 0.
-    pub fn max_distance(&self) -> u64 {
-        (self.events.iter())
-            .map(|e| u64::from(e.distance))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean reuse interval.
-    pub fn mean_interval(&self) -> f64 {
-        if self.events.is_empty() {
-            0.0
-        } else {
-            self.events.iter().map(|e| e.interval() as f64).sum::<f64>() / self.events.len() as f64
-        }
-    }
-
-    /// Fraction of accesses that reuse a previously seen block.
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.events.len() as f64 / self.accesses as f64
-        }
     }
 
     /// The analysis of the `accesses` accesses that the workspace's last
@@ -150,6 +124,16 @@ impl BlockTable {
     }
 }
 
+/// Why [`BlockReuse::from_row_parts`] refused its rows, with the index
+/// of the first part at fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowPartError {
+    /// The part's rows are not in strictly increasing block order.
+    Unordered(usize),
+    /// A sum over the parts up to this one leaves `u64`.
+    Overflow(usize),
+}
+
 /// Blocks per chunk of [`BlockReuse`]'s query index.
 const CHUNK: usize = 64;
 
@@ -213,21 +197,49 @@ impl BlockReuse {
         BlockReuse::from_samples(samples, bs).raw_rows().collect()
     }
 
-    /// Coalesce many window summaries at once: concatenate the sorted
-    /// columns, sort, absorb duplicate blocks, and build the index a
-    /// single time. For `k` parts totalling `n` entries this is
-    /// O(n log n) — versus O(k·n) when folding parts through
+    /// Coalesce many summaries' [`raw_rows`](Self::raw_rows) at once
+    /// (a stored trace's frames): one pass checks that each part is in
+    /// strictly increasing block order and that the sums of `[accesses,
+    /// Σ distance, reuse count]` over every part so far fit `u64`, and
+    /// yields each part's sums; then the rows are sorted, coalesced and
+    /// indexed a single time. For `k` parts totalling `n` rows this is
+    /// O(n log n), versus O(k·n) when folding parts through
     /// [`BlockReuse::merge`] one by one.
-    pub fn from_parts(parts: impl IntoIterator<Item = BlockReuse>) -> BlockReuse {
+    pub fn from_row_parts<'a>(
+        parts: impl IntoIterator<Item = &'a [(u64, [u64; 4])]>,
+    ) -> Result<(BlockReuse, Vec<[u64; 3]>), RowPartError> {
         let mut pairs: Vec<(u64, BlockStats)> = Vec::new();
-        for p in parts {
-            pairs.extend(p.blocks.into_iter().zip(p.stats));
+        let mut part_sums = Vec::new();
+        let mut total = [0u64; 3];
+        for (i, rows) in parts.into_iter().enumerate() {
+            if !rows.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(RowPartError::Unordered(i));
+            }
+            let mut sums = [0u64; 3];
+            for &(block, [accesses, dist_sum, reuse_cnt, max_dist]) in rows {
+                for (s, v) in sums.iter_mut().zip([accesses, dist_sum, reuse_cnt]) {
+                    *s = s.checked_add(v).ok_or(RowPartError::Overflow(i))?;
+                }
+                pairs.push((
+                    block,
+                    BlockStats {
+                        accesses,
+                        dist_sum,
+                        reuse_cnt,
+                        max_dist,
+                    },
+                ));
+            }
+            for (t, s) in total.iter_mut().zip(sums) {
+                *t = t.checked_add(s).ok_or(RowPartError::Overflow(i))?;
+            }
+            part_sums.push(sums);
         }
-        // The stable sort detects runs: summaries arrive with strictly
-        // increasing blocks, so their concatenation is a handful of
-        // pre-sorted runs that merge in near-linear time.
+        // The stable sort detects runs: each part's rows are strictly
+        // increasing, so their concatenation is a handful of pre-sorted
+        // runs that merge in near-linear time.
         pairs.sort_by_key(|&(b, _)| b);
-        BlockReuse::from_sorted(pairs.into_iter())
+        Ok((BlockReuse::from_sorted(pairs.into_iter()), part_sums))
     }
 
     /// Absorb duplicate blocks of `(block, stats)` pairs in block order,
@@ -465,18 +477,6 @@ impl BlockReuse {
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
     }
-
-    /// Iterate `(block, accesses, mean_distance)` entries in block order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, f64)> + '_ {
-        self.blocks.iter().zip(&self.stats).map(|(&b, s)| {
-            let d = if s.reuse_cnt == 0 {
-                0.0
-            } else {
-                s.dist_sum as f64 / s.reuse_cnt as f64
-            };
-            (b, s.accesses, d)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -505,7 +505,6 @@ mod tests {
         assert_eq!(r.events[0].distance, 2);
         assert_eq!(r.events[0].interval(), 3);
         assert_eq!(r.unique_blocks, 3);
-        assert_eq!(r.max_distance(), 2);
     }
 
     #[test]
@@ -517,7 +516,6 @@ mod tests {
             .iter()
             .all(|e| e.distance == 0 && e.interval() == 1));
         assert_eq!(r.mean_distance(), 0.0);
-        assert_eq!(r.mean_interval(), 1.0);
     }
 
     #[test]
@@ -527,16 +525,6 @@ mod tests {
         let a_reuse = r.events.iter().find(|e| e.pos == 4).unwrap();
         assert_eq!((a_reuse.prev, a_reuse.interval()), (0, 4));
         assert_eq!(a_reuse.distance, 1);
-    }
-
-    #[test]
-    fn reuse_fraction() {
-        let r = analyze_window(&seq(&[1, 2, 1, 2]), BlockSize::CACHE_LINE);
-        assert!((r.reuse_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(
-            analyze_window(&[], BlockSize::CACHE_LINE).reuse_fraction(),
-            0.0
-        );
     }
 
     #[test]
@@ -584,9 +572,9 @@ mod tests {
             (98, 99),
         ] {
             let scan_accesses: u64 = br
-                .iter()
-                .filter(|&(b, _, _)| b >= lo && b < hi)
-                .map(|(_, a, _)| a)
+                .raw_rows()
+                .filter(|&(b, _)| b >= lo && b < hi)
+                .map(|(_, s)| s[0])
                 .sum();
             assert_eq!(
                 br.region_accesses(lo, hi),
@@ -594,7 +582,7 @@ mod tests {
                 "accesses [{lo},{hi})"
             );
 
-            let scan_blocks = br.iter().filter(|&(b, _, _)| b >= lo && b < hi).count() as u64;
+            let scan_blocks = br.raw_rows().filter(|&(b, _)| b >= lo && b < hi).count() as u64;
             assert_eq!(br.region_blocks(lo, hi), scan_blocks, "blocks [{lo},{hi})");
 
             let scan_max = max_by_block
@@ -629,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_matches_pairwise_merge() {
+    fn from_row_parts_matches_pairwise_merge() {
         let windows: Vec<Vec<u64>> = vec![
             vec![1, 2, 1, 9],
             vec![1, 3, 1, 3, 3],
@@ -641,8 +629,14 @@ mod tests {
         for p in &parts {
             folded.merge(p);
         }
-        let bulk = BlockReuse::from_parts(parts);
+        let rows: Vec<Vec<(u64, [u64; 4])>> =
+            parts.iter().map(|p| p.raw_rows().collect()).collect();
+        let (bulk, sums) = BlockReuse::from_row_parts(rows.iter().map(Vec::as_slice)).unwrap();
         assert_eq!(folded, bulk);
+        assert_eq!(
+            sums,
+            parts.iter().map(BlockReuse::totals).collect::<Vec<_>>()
+        );
         // And both equal the one pass over the windows as samples.
         let samples: Vec<Sample> = windows.iter().map(|w| Sample::new(seq(w), 0)).collect();
         assert_eq!(

@@ -19,7 +19,7 @@
 //! * every `f64` reduction folds *per-sample* terms in global sample
 //!   order — never per-shard subtotals;
 //! * [`BlockReuse::merge`] is the pairwise form of
-//!   [`BlockReuse::from_parts`], and both only sum and max integers;
+//!   [`BlockReuse::from_row_parts`], and both only sum and max integers;
 //! * per-function exact reuse distances cross sample and shard
 //!   boundaries via [`ReuseTracker`], fed one *window* per function per
 //!   sample — the function's accesses in that sample, summarized by a
@@ -75,7 +75,7 @@ pub struct IngestStats {
 impl IngestStats {
     /// Roll another pass's accounting into this one: counters add,
     /// peaks take the max — the rollup of a partial-report merge.
-    pub fn merge(&mut self, other: &IngestStats) {
+    pub(crate) fn merge(&mut self, other: &IngestStats) {
         self.shards += other.shards;
         self.samples += other.samples;
         self.merge_events += other.merge_events;
@@ -103,10 +103,10 @@ pub struct SampleReuseSummary {
 /// leaves behind. Feeding a function's windows in order produces the
 /// same event count and the same integer distance sum as
 /// [`reuse::analyze_window`](crate::reuse::analyze_window) over their
-/// concatenation, so [`mean_distance`](Self::mean_distance) is
-/// bit-identical — including across window and shard boundaries, which
-/// a windowed analysis cannot see. [`feed`](Self::feed) is a window of
-/// one access.
+/// concatenation, so the mean distance is bit-identical — including
+/// across window and shard boundaries, which a windowed analysis cannot
+/// see. The unit tests hold it to the definition fed one access at a
+/// time.
 ///
 /// Each distinct block has a dense id (its index in first-touch order)
 /// and one marker in a [`Markers`] set, at the slot of its last access;
@@ -125,7 +125,7 @@ pub struct SampleReuseSummary {
 /// stream well enough that two trackers over adjacent stream segments
 /// merge *exactly* — see
 /// [`ReusePartial`](crate::partial::ReusePartial).
-pub struct ReuseTracker {
+pub(crate) struct ReuseTracker {
     markers: Markers,
     /// Block → id.
     ids: FxHashMap<u64, u32>,
@@ -148,13 +148,13 @@ impl Default for ReuseTracker {
 
 impl ReuseTracker {
     /// A tracker with the default slot capacity.
-    pub fn new() -> ReuseTracker {
+    pub(crate) fn new() -> ReuseTracker {
         ReuseTracker::with_slot_capacity(1024)
     }
 
     /// A tracker that compacts after `cap` slots — exposed so tests can
     /// force frequent compactions.
-    pub fn with_slot_capacity(cap: usize) -> ReuseTracker {
+    pub(crate) fn with_slot_capacity(cap: usize) -> ReuseTracker {
         let cap = cap.max(2);
         let mut markers = Markers::default();
         markers.reset(cap, 0);
@@ -176,7 +176,7 @@ impl ReuseTracker {
     /// every allocation (markers, id map, first-touch list), so one
     /// tracker can serve many replay rounds without churning the
     /// allocator.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cap = self.initial_cap;
         self.markers.reset(self.cap, 0);
         self.ids.clear();
@@ -195,7 +195,7 @@ impl ReuseTracker {
     /// distinct by construction. Capacity never changes results
     /// (compaction preserves every distance); the room only avoids the
     /// work.
-    pub fn preload_distinct(&mut self, blocks: &[u64], more: usize) {
+    pub(crate) fn preload_distinct(&mut self, blocks: &[u64], more: usize) {
         debug_assert_eq!(self.next_slot, 0, "preload requires a fresh tracker");
         debug_assert_eq!(self.events, 0, "preload requires a fresh tracker");
         let n = blocks.len();
@@ -208,11 +208,6 @@ impl ReuseTracker {
         self.ids.extend(blocks.iter().copied().zip(ids.clone()));
         self.firsts.extend(blocks.iter().copied().zip(ids));
         self.next_slot = n;
-    }
-
-    /// Observe the next block in the stream: a window of one access.
-    pub fn feed(&mut self, block: u64) {
-        self.feed_window(1, [(block, 0)], 0, 0);
     }
 
     /// Observe the next window of `len` accesses, given as its distinct
@@ -285,36 +280,30 @@ impl ReuseTracker {
     }
 
     /// Reuse events observed so far.
-    pub fn events(&self) -> u64 {
+    pub(crate) fn events(&self) -> u64 {
         self.events
     }
 
     /// Integer sum of all event distances so far.
-    pub fn distance_sum(&self) -> u64 {
+    pub(crate) fn distance_sum(&self) -> u64 {
         self.dist_sum
     }
 
     /// Distinct blocks in the order they were first fed.
-    pub fn first_touch_order(&self) -> Vec<u64> {
+    pub(crate) fn first_touch_order(&self) -> Vec<u64> {
         self.firsts.iter().map(|&(block, _)| block).collect()
     }
 
     /// Distinct blocks in last-access order (least recently fed
     /// first): each block at its marker's rank, which compaction
     /// preserves.
-    pub fn lru_order(&self) -> Vec<u64> {
+    pub(crate) fn lru_order(&self) -> Vec<u64> {
         let ranks = self.markers.clone().into_ranks();
         let mut lru = vec![0; self.firsts.len()];
         for &(block, slot) in &self.firsts {
             lru[ranks.before(slot as usize) as usize] = block;
         }
         lru
-    }
-
-    /// Mean reuse distance so far (0 when no reuse occurred), identical
-    /// to `ReuseAnalysis::mean_distance` over the same stream.
-    pub fn mean_distance(&self) -> f64 {
-        kernel::mean_distance(self.dist_sum, self.events)
     }
 }
 
@@ -886,6 +875,20 @@ mod tests {
     use super::*;
     use memgaze_model::{Access, FunctionId, Ip, IpAnnot, LoadClass};
 
+    /// The per-access definitions the windowed tracker is held to.
+    impl ReuseTracker {
+        /// Observe the next block in the stream: a window of one access.
+        pub(crate) fn feed(&mut self, block: u64) {
+            self.feed_window(1, [(block, 0)], 0, 0);
+        }
+
+        /// Mean reuse distance so far (0 when no reuse occurred), identical
+        /// to `ReuseAnalysis::mean_distance` over the same stream.
+        fn mean_distance(&self) -> f64 {
+            kernel::mean_distance(self.dist_sum, self.events)
+        }
+    }
+
     fn synthetic_setup() -> (SampledTrace, AuxAnnotations, SymbolTable) {
         let mut t = SampledTrace::new(TraceMeta::new("stream-test", 10_000, 16 << 10));
         t.meta.total_loads = 16 * 10_000;
@@ -1047,9 +1050,10 @@ mod tests {
                 row[2] += 1;
                 row[3] = row[3].max(d);
             }
-            BlockReuse::from_raw_rows(rows.into_iter().collect()).unwrap()
+            rows.into_iter().collect::<Vec<_>>()
         };
-        let want = BlockReuse::from_parts(t.samples.iter().map(summary));
+        let rows: Vec<Vec<(u64, [u64; 4])>> = t.samples.iter().map(summary).collect();
+        let (want, _) = BlockReuse::from_row_parts(rows.iter().map(Vec::as_slice)).unwrap();
         assert!(want.len() > 4096 && want.region_max_distance(0, u64::MAX) > 0);
         for shard in [1, 16, 300] {
             let cfg = AnalysisConfig::default();

@@ -120,7 +120,7 @@ pub fn window_series(
 /// [`window_series`] with precomputed decompression facts — the
 /// analyzer passes its cached ρ/κ here so the series does not re-derive
 /// them per call.
-pub fn window_series_with(
+pub(crate) fn window_series_with(
     trace: &SampledTrace,
     annots: &AuxAnnotations,
     bs: BlockSize,
@@ -247,29 +247,12 @@ impl CodeWindows {
         }
     }
 
-    /// Iterate `(function name, accesses, runs)` sorted by function id.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[Access], u64)> + '_ {
-        self.per_func
-            .values()
-            .map(|f| (f.name.as_str(), f.accesses.as_slice(), f.runs))
-    }
-
     /// The accesses attributed to the named function.
     pub fn function(&self, name: &str) -> Option<&[Access]> {
         self.per_func
             .values()
             .find(|f| f.name == name)
             .map(|f| f.accesses.as_slice())
-    }
-
-    /// Number of functions with at least one access.
-    pub fn len(&self) -> usize {
-        self.per_func.len()
-    }
-
-    /// True when no accesses were attributed.
-    pub fn is_empty(&self) -> bool {
-        self.per_func.is_empty()
     }
 }
 
@@ -351,11 +334,11 @@ mod tests {
         ];
         t.push_sample(Sample::new(accesses, 6)).unwrap();
         let cw = CodeWindows::build(&t, &symbols);
-        assert_eq!(cw.len(), 3);
+        assert_eq!(cw.per_func.len(), 3);
         assert_eq!(cw.function("a").unwrap().len(), 3);
         assert_eq!(cw.function("b").unwrap().len(), 2);
         assert_eq!(cw.function("<unknown>").unwrap().len(), 1);
-        let a_runs = cw.iter().find(|(n, _, _)| *n == "a").unwrap().2;
+        let a_runs = cw.per_func.values().find(|f| f.name == "a").unwrap().runs;
         assert_eq!(a_runs, 2);
     }
 
@@ -364,6 +347,8 @@ mod tests {
         let t = SampledTrace::new(TraceMeta::new("t", 100, 8192));
         let pts = window_series(&t, &AuxAnnotations::new(), BlockSize::CACHE_LINE, &[16]);
         assert!(pts.is_empty());
-        assert!(CodeWindows::build(&t, &SymbolTable::new()).is_empty());
+        assert!(CodeWindows::build(&t, &SymbolTable::new())
+            .per_func
+            .is_empty());
     }
 }

@@ -19,22 +19,22 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkingSet {
     /// Page size used.
-    pub page_size: BlockSize,
+    page_size: BlockSize,
     /// Distinct pages observed in samples.
     pub pages_observed: u64,
     /// ρ-scaled estimate of the population's working set, in pages.
     pub pages_estimated: f64,
     /// Footprint growth ΔF̂ at page granularity (pages per decompressed
     /// access).
-    pub delta_f_pages: f64,
+    delta_f_pages: f64,
     /// Mean gap, in loads, between consecutive samples touching the same
     /// page (0 when no page recurs).
-    pub mean_intersample_gap: f64,
+    mean_intersample_gap: f64,
     /// Estimated inter-sample reuse distance: ΔF̂ × mean gap — the
     /// average unique pages touched between two uses of a page.
     pub est_intersample_distance: f64,
     /// Pages touched by two or more samples (inter-sample captures).
-    pub recurring_pages: u64,
+    recurring_pages: u64,
 }
 
 /// Compute the working set of a trace at `page` granularity.

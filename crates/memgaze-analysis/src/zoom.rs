@@ -94,20 +94,6 @@ pub struct ZoomRegion {
 }
 
 impl ZoomRegion {
-    /// Accesses per touched block — the paper's "A / block" hotness.
-    pub fn accesses_per_block(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.accesses as f64 / self.blocks as f64
-        }
-    }
-
-    /// Region size in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.hi - self.lo
-    }
-
     /// Depth-first iterator over leaf regions (final zoom results).
     pub fn leaves(&self) -> Vec<&ZoomRegion> {
         let mut out = Vec::new();
@@ -454,8 +440,9 @@ mod tests {
         let b_leaf = leaves.iter().find(|r| r.lo >= (63 << 20)).unwrap();
         // A is streamed (1024 distinct blocks, 1 access each); B is
         // reused (8 blocks, 128 accesses each).
-        assert!(a_leaf.accesses_per_block() < 2.0);
-        assert!(b_leaf.accesses_per_block() > 50.0);
+        let per_block = |r: &ZoomRegion| r.accesses as f64 / r.blocks as f64;
+        assert!(per_block(a_leaf) < 2.0);
+        assert!(per_block(b_leaf) > 50.0);
         // B's reuse distance is small: cycling 8 blocks gives D = 7 for
         // most reuses, with a few large cross-phase distances pulling the
         // mean up slightly.

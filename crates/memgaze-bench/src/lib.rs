@@ -34,7 +34,7 @@ pub struct Entry {
 }
 
 /// Every table and figure, in the order `tables` regenerates them.
-pub const TABLES: &[Entry] = &[
+const TABLES: &[Entry] = &[
     Entry::new("fig6", "fig6_validation", fig6::run),
     Entry::new("fig7", "fig7_overhead", fig7::run),
     Entry::new("table2", "table2_toolchain", table2::run),
@@ -83,7 +83,7 @@ impl Entry {
 
 /// What one table writes: its deterministic payload and, for a table
 /// that measures wall-clock time, the timings apart.
-pub(crate) struct Output {
+struct Output {
     data: String,
     timing: Option<String>,
 }

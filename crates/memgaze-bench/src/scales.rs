@@ -62,22 +62,22 @@ pub struct Scales {
     /// Microbenchmark repetitions.
     pub(crate) micro_reps: u32,
     /// Graph scale (2^scale vertices) for miniVite/GAP.
-    pub(crate) graph_scale: u32,
+    graph_scale: u32,
     /// Graph average degree.
-    pub(crate) degree: usize,
+    degree: usize,
     /// miniVite Louvain iterations.
-    pub(crate) louvain_iters: usize,
+    louvain_iters: usize,
     /// PageRank iteration budget.
-    pub(crate) pr_iters: usize,
+    pr_iters: usize,
     /// Application sampling period (loads).
     pub(crate) app_period: u64,
     /// Microbenchmark sampling period (loads).
-    pub(crate) micro_period: u64,
+    micro_period: u64,
 }
 
 impl Scales {
     /// The scale called `name`: `small`, `default` or `large`.
-    pub(crate) fn named(name: &str) -> Result<Scales, String> {
+    fn named(name: &str) -> Result<Scales, String> {
         Ok(match name {
             "small" => Scales {
                 micro_elems: 1024,

@@ -8,7 +8,7 @@
 //! benchmark thaws (ROADMAP).
 
 use memgaze_analysis::{analyze_frames, AnalysisConfig, StreamingReport};
-use memgaze_model::{AuxAnnotations, FrameIndex, ModelError, ShardReader, SymbolTable, TraceMeta};
+use memgaze_model::{AuxAnnotations, FrameIndex, ModelError, ShardReader, SymbolTable};
 
 /// What [`run_fanout`] reads.
 #[derive(Debug, Clone, Default)]
@@ -33,8 +33,6 @@ pub enum FanoutBackend {
 pub struct FanoutRunReport {
     /// The report, bit-identical to the resident streaming analyzer's.
     pub report: StreamingReport,
-    /// Trace metadata with trailer-patched totals.
-    pub meta: TraceMeta,
 }
 
 /// Analyze every frame of an indexed container in one fold. A stale
@@ -67,14 +65,13 @@ pub fn run_fanout(
     )?;
     Ok(FanoutRunReport {
         report: partial.finish(&meta),
-        meta,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace};
+    use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace, TraceMeta};
 
     #[test]
     fn one_fold_matches_resident_streaming() {
@@ -113,7 +110,6 @@ mod tests {
             &FanoutBackend::InProcess,
         )
         .unwrap();
-        assert_eq!(run.meta, t.meta);
         assert_eq!(run.report, resident);
     }
 }

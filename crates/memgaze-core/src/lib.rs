@@ -22,23 +22,20 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod fanout;
-pub mod hotspot;
-pub mod overheads;
+mod fanout;
+mod overheads;
 pub mod pipeline;
-pub mod recorders;
-pub mod watch;
+mod recorders;
+mod watch;
 
 pub use fanout::{run_fanout, FanoutBackend, FanoutConfig, FanoutRunReport};
-pub use hotspot::{profile_hotspots, HotspotReport};
 pub use overheads::{phase_profiles, PhaseOverhead};
 pub use pipeline::{
     analyze_shard_container, full_trace_workload, trace_workload, trace_workload_streaming,
-    FullWorkloadReport, MemGaze, MicroReport, PipelineConfig, PipelineError,
-    StreamingWorkloadReport, WorkloadReport,
+    MemGaze, MicroReport, PipelineConfig, StreamingWorkloadReport, WorkloadReport,
 };
-pub use recorders::{FullRecorder, SamplerRecorder, StreamingRecorder, TeeRecorder};
+pub use recorders::{FullRecorder, SamplerRecorder, StreamingRecorder};
 pub use watch::{
-    phase_shift_steps, watch_smoke, watch_workload, Controller, ControllerConfig, ControllerMode,
-    GuardAction, Retune, WatchConfig, WatchReport,
+    phase_shift_steps, watch_smoke, watch_workload, ControllerConfig, ControllerMode, GuardAction,
+    Retune, WatchConfig, WatchReport,
 };

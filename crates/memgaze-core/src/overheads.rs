@@ -16,7 +16,7 @@ pub struct PhaseOverhead {
     /// Fractional overhead (0.4 = 40%).
     pub overhead: f64,
     /// Slowdown factor.
-    pub slowdown: f64,
+    slowdown: f64,
     /// The Fig. 7 predictor: ptwrites / non-ptwrite instructions.
     pub ptwrite_ratio: f64,
     /// Loads executed in the phase.
@@ -26,7 +26,7 @@ pub struct PhaseOverhead {
 /// Build one [`RunProfile`] from a phase's counters. `enabled_fraction`
 /// is the share of `ptwrite`s executed while PT was enabled (1.0 for
 /// continuous mode; the collector's measured ratio for opt mode).
-pub fn profile_of(phase: &Phase, enabled_fraction: f64, bytes_per_packet: u64) -> RunProfile {
+fn profile_of(phase: &Phase, enabled_fraction: f64, bytes_per_packet: u64) -> RunProfile {
     let c = &phase.counters;
     let enabled = (c.ptwrites as f64 * enabled_fraction).round() as u64;
     RunProfile {

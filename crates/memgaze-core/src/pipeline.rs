@@ -21,11 +21,11 @@ pub struct PipelineConfig {
     /// Processor-Tracing collection parameters.
     pub sampler: SamplerConfig,
     /// Instrumentor configuration (ROI, compression).
-    pub instrument: InstrumentConfig,
+    instrument: InstrumentConfig,
     /// Analysis parameters.
     pub analysis: AnalysisConfig,
     /// Overhead-model constants.
-    pub overhead: OverheadModel,
+    overhead: OverheadModel,
 }
 
 impl PipelineConfig {
@@ -33,16 +33,6 @@ impl PipelineConfig {
     pub fn microbench() -> PipelineConfig {
         PipelineConfig {
             sampler: SamplerConfig::microbench(),
-            instrument: InstrumentConfig::default(),
-            analysis: AnalysisConfig::default(),
-            overhead: OverheadModel::default(),
-        }
-    }
-
-    /// The paper's application setup: large period, 8-KiB buffer.
-    pub fn application(period: u64) -> PipelineConfig {
-        PipelineConfig {
-            sampler: SamplerConfig::application(period),
             instrument: InstrumentConfig::default(),
             analysis: AnalysisConfig::default(),
             overhead: OverheadModel::default(),
@@ -91,22 +81,13 @@ pub struct WorkloadReport {
     /// Collection statistics.
     pub stream: StreamStats,
     /// Simulated allocations (object → address range).
-    pub allocations: Vec<Allocation>,
+    allocations: Vec<Allocation>,
 }
 
 impl WorkloadReport {
     /// An analyzer over this report.
     pub fn analyzer(&self, cfg: AnalysisConfig) -> Analyzer<'_> {
         Analyzer::new(&self.trace, &self.annots, &self.symbols).with_config(cfg)
-    }
-
-    /// Address range of the most recent allocation with `label`.
-    pub fn object_range(&self, label: &str) -> Option<(u64, u64)> {
-        self.allocations
-            .iter()
-            .rev()
-            .find(|a| a.label == label)
-            .map(|a| (a.base, a.base + a.bytes))
     }
 
     /// Address range covering *all* allocations with `label`.
@@ -130,14 +111,7 @@ pub struct FullWorkloadReport {
     pub annots: AuxAnnotations,
     /// Symbols.
     pub symbols: SymbolTable,
-    /// Per-phase counters.
-    pub phases: Vec<Phase>,
-    /// Allocations.
-    pub allocations: Vec<Allocation>,
 }
-
-/// Interpreter step budget for profiling and collection runs.
-pub(crate) const MAX_INSTRS: u64 = 2_000_000_000;
 
 /// The pipeline façade.
 pub struct MemGaze {
@@ -309,16 +283,12 @@ pub struct StreamingWorkloadReport {
     pub symbols: SymbolTable,
     /// Per-phase execution counters.
     pub phases: Vec<Phase>,
-    /// Collection statistics.
-    pub stream: StreamStats,
-    /// Simulated allocations (object → address range).
-    pub allocations: Vec<Allocation>,
     /// The sharded v2 container the analysis consumed; kept so callers
     /// can persist it or re-run other analyses shard by shard.
     pub container: Vec<u8>,
     /// Frame index sidecar for `container`, enabling seek-based frame
     /// reads without rescanning the container.
-    pub index: FrameIndex,
+    index: FrameIndex,
 }
 
 impl StreamingWorkloadReport {
@@ -401,8 +371,7 @@ pub fn trace_workload_streaming<T>(
     let annots = space.annotations();
     let symbols = space.symbols();
     let phases = space.phases().to_vec();
-    let allocations = space.allocations().to_vec();
-    let (container, index, _meta, stream) = {
+    let (container, index, _meta, _stream) = {
         let _span = memgaze_obs::span("pipeline.seal");
         space
             .into_recorder()
@@ -422,8 +391,6 @@ pub fn trace_workload_streaming<T>(
             annots,
             symbols,
             phases,
-            stream,
-            allocations,
             container,
             index,
         },
@@ -448,16 +415,12 @@ pub fn full_trace_workload<T>(
     let value = run(&mut space);
     let annots = space.annotations();
     let symbols = space.symbols();
-    let phases = space.phases().to_vec();
-    let allocations = space.allocations().to_vec();
     let trace = space.into_recorder().full.finish(name);
     (
         FullWorkloadReport {
             trace,
             annots,
             symbols,
-            phases,
-            allocations,
         },
         value,
     )
@@ -554,7 +517,6 @@ mod tests {
         assert_eq!(decoded, resident.trace);
         assert_eq!(streamed.meta, resident.trace.meta);
         assert_eq!(streamed.phases, resident.phases);
-        assert_eq!(streamed.stream.total_loads, resident.stream.total_loads);
 
         // And the incremental analysis matches the resident analyzer bit
         // for bit.

@@ -8,12 +8,12 @@ use memgaze_workloads::LoadRecorder;
 /// Routes workload loads into the sampled PT collector.
 pub struct SamplerRecorder {
     /// The wrapped sampler.
-    pub sampler: StreamSampler,
+    pub(crate) sampler: StreamSampler,
 }
 
 impl SamplerRecorder {
     /// Wrap a sampler.
-    pub fn new(sampler: StreamSampler) -> SamplerRecorder {
+    pub(crate) fn new(sampler: StreamSampler) -> SamplerRecorder {
         SamplerRecorder { sampler }
     }
 }
@@ -28,12 +28,12 @@ impl LoadRecorder for SamplerRecorder {
 /// Routes workload loads into the full-trace collector.
 pub struct FullRecorder {
     /// The wrapped collector.
-    pub full: StreamFull,
+    pub(crate) full: StreamFull,
 }
 
 impl FullRecorder {
     /// Wrap a full collector.
-    pub fn new(full: StreamFull) -> FullRecorder {
+    pub(crate) fn new(full: StreamFull) -> FullRecorder {
         FullRecorder { full }
     }
 }
@@ -60,7 +60,7 @@ impl StreamingRecorder {
     /// provisional `meta` (totals are patched by the trailer at finish).
     // Writing a header to a Vec cannot fail.
     #[allow(clippy::expect_used)]
-    pub fn new(
+    pub(crate) fn new(
         sampler: StreamSampler,
         meta: &TraceMeta,
         shard_samples: usize,
@@ -73,11 +73,6 @@ impl StreamingRecorder {
             pending: Vec::new(),
             shard_samples: shard_samples.max(1),
         }
-    }
-
-    /// Shard frames written so far.
-    pub fn shards_written(&self) -> u64 {
-        self.writer.shards()
     }
 
     /// Move the sampler's completed samples to `pending` and write out
@@ -102,7 +97,7 @@ impl StreamingRecorder {
     /// Sealing validates the trailer totals against the samples actually
     /// written; an inconsistency is a typed [`ModelError`], not a panic —
     /// the caller decides whether a bad recording is fatal.
-    pub fn finish(
+    pub(crate) fn finish(
         self,
         workload: &str,
     ) -> Result<(Vec<u8>, FrameIndex, TraceMeta, StreamStats), ModelError> {
@@ -135,16 +130,23 @@ impl LoadRecorder for StreamingRecorder {
 
 /// Fan-out to two recorders (e.g. sampled + full in a single run, so the
 /// validation baseline sees the identical load stream).
-pub struct TeeRecorder<A: LoadRecorder, B: LoadRecorder> {
+pub(crate) struct TeeRecorder<A: LoadRecorder, B: LoadRecorder> {
     /// First target.
-    pub a: A,
+    pub(crate) a: A,
     /// Second target.
-    pub b: B,
+    pub(crate) b: B,
 }
 
 impl<A: LoadRecorder, B: LoadRecorder> TeeRecorder<A, B> {
     /// Tee to `a` and `b`.
-    pub fn new(a: A, b: B) -> TeeRecorder<A, B> {
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "ROADMAP: sampling-fidelity slice 1 tees the sampler with a full-trace reference"
+        )
+    )]
+    pub(crate) fn new(a: A, b: B) -> TeeRecorder<A, B> {
         TeeRecorder { a, b }
     }
 }
@@ -203,7 +205,7 @@ mod tests {
             streaming.record(Ip(0x400 + t % 7), addr, true, 1);
         }
         let (trace, res_stats) = resident.sampler.finish("t");
-        assert!(streaming.shards_written() > 1);
+        assert!(streaming.writer.shards() > 1);
         let (container, index, meta, stats) = streaming.finish("t").unwrap();
         assert_eq!(meta, trace.meta);
         assert_eq!(stats.total_loads, res_stats.total_loads);

@@ -29,7 +29,7 @@ use memgaze_analysis::{
 use memgaze_model::{
     AuxAnnotations, FrameIndex, LoadClass, Sample, ShardWriter, SymbolTable, TraceMeta,
 };
-use memgaze_ptsim::{IpGuards, SamplerConfig, SamplerObservation, StreamStats};
+use memgaze_ptsim::{IpGuards, SamplerConfig, SamplerObservation};
 use memgaze_workloads::TracedSpace;
 
 use crate::pipeline::PipelineError;
@@ -121,7 +121,7 @@ pub struct Retune {
 /// function (shed enabled packets). Below the band the steps unwind in
 /// reverse. Inside the band nothing moves and the settle streak grows.
 #[derive(Debug)]
-pub struct Controller {
+struct Controller {
     cfg: ControllerConfig,
     mode: ControllerMode,
     period: u64,
@@ -135,7 +135,7 @@ pub struct Controller {
 
 impl Controller {
     /// A controller starting from the sampler's initial knobs.
-    pub fn new(mode: ControllerMode, cfg: ControllerConfig, sampler: &SamplerConfig) -> Controller {
+    fn new(mode: ControllerMode, cfg: ControllerConfig, sampler: &SamplerConfig) -> Controller {
         Controller {
             cfg,
             mode,
@@ -152,7 +152,7 @@ impl Controller {
     /// Feed one interval's observation; returns the retune to apply,
     /// if any. Pinned mode observes (tracking convergence of the
     /// as-configured knobs) but never retunes.
-    pub fn observe(&mut self, window: usize, obs: &SamplerObservation) -> Option<Retune> {
+    fn observe(&mut self, window: usize, obs: &SamplerObservation) -> Option<Retune> {
         let drop = obs.drop_rate();
         let pressure = obs.pressure();
         self.last_drop = drop;
@@ -216,22 +216,17 @@ impl Controller {
     }
 
     /// Window at which the settle streak completed, if it has.
-    pub fn converged_at(&self) -> Option<usize> {
+    fn converged_at(&self) -> Option<usize> {
         self.converged_at
     }
 
     /// Every retune applied so far.
-    pub fn trace(&self) -> &[Retune] {
+    fn trace(&self) -> &[Retune] {
         &self.trace
     }
 
-    /// The most recent interval's drop rate.
-    pub fn last_drop_rate(&self) -> f64 {
-        self.last_drop
-    }
-
     /// Knobs currently in force.
-    pub fn knobs(&self) -> (u64, u64) {
+    fn knobs(&self) -> (u64, u64) {
         (self.period, self.buffer_bytes)
     }
 }
@@ -278,16 +273,10 @@ pub struct WatchReport {
     pub container: Vec<u8>,
     /// Frame index for `container`.
     pub index: FrameIndex,
-    /// Final trace metadata.
-    pub meta: TraceMeta,
     /// Site annotations at end of run.
     pub annots: AuxAnnotations,
     /// Symbols at end of run.
     pub symbols: SymbolTable,
-    /// Collection statistics.
-    pub stream: StreamStats,
-    /// Samples per window the run used.
-    pub window_samples: usize,
 }
 
 /// Run a step-based workload under the watch loop. `step` is called
@@ -366,7 +355,7 @@ pub fn watch_workload(
     let annots = space.annotations();
     let symbols = space.symbols();
     let recorder = space.into_recorder();
-    let (meta, tail, stream) = recorder.sampler.finish_parts(name);
+    let (meta, tail, _stream) = recorder.sampler.finish_parts(name);
     pending.extend(tail);
     // Close remaining windows, including a trailing partial one — the
     // live view should not silently drop the stream's tail.
@@ -387,14 +376,11 @@ pub fn watch_workload(
         windows: sink.windows,
         retunes: controller.trace().to_vec(),
         converged_at: controller.converged_at(),
-        final_drop_rate: controller.last_drop_rate(),
+        final_drop_rate: controller.last_drop,
         container,
         index,
-        meta,
         annots,
         symbols,
-        stream,
-        window_samples,
     })
 }
 

@@ -41,7 +41,7 @@ pub struct ClassifiedLoad {
     /// Number of source registers (1 or 2; 0 for globals).
     pub num_sources: usize,
     /// Source line of the containing block.
-    pub src_line: u32,
+    pub(crate) src_line: u32,
 }
 
 impl ClassifiedLoad {

@@ -26,14 +26,14 @@
 //! assert!(out.stats.static_kappa() >= 1.0);
 //! ```
 
-pub mod classify;
+mod classify;
 pub mod lint;
 pub mod plan;
-pub mod rewrite;
+mod rewrite;
 
 pub use classify::{ClassifiedLoad, ModuleClassification};
 pub use lint::{lint_and_instrument, lint_module, DiffSummary, LintArtifacts, LintReport};
-pub use plan::{InstrPlan, PlannedLoad};
+pub use plan::InstrPlan;
 pub use rewrite::{Instrumented, PtwInfo, PtwRole};
 
 use memgaze_isa::LoadModule;
@@ -46,16 +46,16 @@ pub struct InstrumentConfig {
     /// Region of interest: procedure names to instrument. `None`
     /// instruments every procedure. Mirrors the paper's selective
     /// instrumentation from hotspot analysis (§II).
-    pub roi: Option<BTreeSet<String>>,
+    roi: Option<BTreeSet<String>>,
     /// When false, Constant loads are instrumented too (no compression) —
     /// used to produce the paper's uncompressed "All⁺" baselines.
-    pub skip_constant_loads: Option<bool>,
+    skip_constant_loads: Option<bool>,
     /// When true, loads whose stride the abstract interpreter *proved*
     /// (dataflow and absint agree on a nonzero stride) are elided from
     /// instrumentation: their address sequence is reconstructible from
     /// the annotation alone. Default off — the baseline pipeline is
     /// unchanged unless this is opted into.
-    pub elide_proven_strided: Option<bool>,
+    elide_proven_strided: Option<bool>,
 }
 
 impl InstrumentConfig {
@@ -96,7 +96,7 @@ impl InstrumentConfig {
     }
 
     /// Whether proven-strided loads are elided (default false).
-    pub fn elides(&self) -> bool {
+    fn elides(&self) -> bool {
         self.elide_proven_strided.unwrap_or(false)
     }
 

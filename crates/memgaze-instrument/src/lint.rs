@@ -110,7 +110,7 @@ impl LintReport {
 /// that is less regular than the final class is a soundness error; one
 /// that is more regular means an upgrade was computed but not consumed
 /// (a fusion bug, surfaced as lost compression).
-pub fn differential_pass(
+fn differential_pass(
     module: &LoadModule,
     classification: &ModuleClassification,
 ) -> (Vec<Diagnostic>, DiffSummary) {

@@ -87,7 +87,7 @@ impl Instrumented {
 ///
 /// # Panics
 /// Panics if `classification` or `plan` was not built from `module`.
-pub fn apply(
+pub(crate) fn apply(
     module: &LoadModule,
     classification: &ModuleClassification,
     plan: &InstrPlan,

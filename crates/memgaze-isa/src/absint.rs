@@ -647,16 +647,6 @@ pub enum AbsResult {
 }
 
 impl AbsResult {
-    /// A plain innermost-loop stride proof with no nest or range facts —
-    /// the common case and the test shorthand.
-    pub fn strided(stride: i64) -> AbsResult {
-        AbsResult::Proven {
-            stride,
-            outer_stride: None,
-            const_addr: None,
-        }
-    }
-
     /// The proven innermost stride, if any.
     pub fn stride(self) -> Option<i64> {
         match self {
@@ -1145,6 +1135,15 @@ mod tests {
     use crate::proc::{BasicBlock, ProcId};
     use crate::ranges::top_ranges;
 
+    /// A plain innermost-loop stride proof with no nest or range facts.
+    fn strided(stride: i64) -> AbsResult {
+        AbsResult::Proven {
+            stride,
+            outer_stride: None,
+            const_addr: None,
+        }
+    }
+
     /// One procedure with no module context: the empty summary table
     /// (conventional call clobbers), no argument facts, no data segment.
     fn analyze(proc: &Procedure) -> AbsInterp {
@@ -1253,7 +1252,7 @@ mod tests {
             i,
         );
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 0), Some(strided(8)));
     }
 
     #[test]
@@ -1277,7 +1276,7 @@ mod tests {
             i,
         );
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 1), Some(strided(8)));
     }
 
     #[test]
@@ -1330,7 +1329,7 @@ mod tests {
             i,
         );
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 0), Some(strided(8)));
         let res = ai.load_result(BlockId(1), 1).unwrap();
         assert_eq!(res, AbsResult::ProvenIrregular);
         assert_eq!(
@@ -1363,7 +1362,7 @@ mod tests {
         );
         let ai = analyze(&p);
         let res = ai.load_result(BlockId(1), 0).unwrap();
-        assert_eq!(res, AbsResult::strided(0));
+        assert_eq!(res, strided(0));
         assert_eq!(
             AbsInterp::proven_class(res, &AddrMode::base_disp(Reg::FP, -8)),
             Some(memgaze_model::LoadClass::Constant)
@@ -1401,7 +1400,7 @@ mod tests {
         let ai = analyze(&p);
         // Two def sites defeat the dataflow IV pattern; the affine domain
         // composes them into one +16 recurrence.
-        assert_eq!(ai.load_result(BlockId(1), 0), Some(AbsResult::strided(16)));
+        assert_eq!(ai.load_result(BlockId(1), 0), Some(strided(16)));
         let df = crate::dataflow::tests::analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 0),
@@ -1569,7 +1568,7 @@ mod tests {
             i,
         );
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 1), Some(strided(8)));
         let df = crate::dataflow::tests::analyze(&p);
         assert_eq!(
             df.load_kind(BlockId(1), 1),
@@ -1655,7 +1654,7 @@ mod tests {
             i,
         );
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 1), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 1), Some(strided(8)));
         // An overlapping store (4 bytes off) must kill it.
         let mut instrs = p.blocks[1].instrs.clone();
         instrs[4] = Instr::Store {
@@ -1732,7 +1731,7 @@ mod tests {
         pb.ret();
         let p = pb.finish(ProcId(0));
         let ai = analyze(&p);
-        assert_eq!(ai.load_result(BlockId(1), 2), Some(AbsResult::strided(8)));
+        assert_eq!(ai.load_result(BlockId(1), 2), Some(strided(8)));
         // With a mask smaller than the trip bound the identity fails and
         // the domain must decline (the index genuinely wraps).
         let mut pb2 = ProcBuilder::new("mask2", "t.c");

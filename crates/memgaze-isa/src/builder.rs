@@ -57,13 +57,8 @@ impl ProcBuilder {
         self.current = b.index();
     }
 
-    /// The currently selected block.
-    pub fn current(&self) -> BlockId {
-        BlockId(self.current as u32)
-    }
-
     /// Set the source line attributed to subsequently emitted code.
-    pub fn at_line(&mut self, line: u32) -> &mut Self {
+    pub(crate) fn at_line(&mut self, line: u32) -> &mut Self {
         self.line = line;
         if self.blocks[self.current].instrs.is_empty() {
             self.blocks[self.current].src_line = line;
@@ -118,11 +113,6 @@ impl ProcBuilder {
         self.emit(Instr::Call { proc })
     }
 
-    /// `ptwrite src`.
-    pub fn ptwrite(&mut self, src: Reg) -> &mut Self {
-        self.emit(Instr::Ptwrite { src })
-    }
-
     /// Terminate the current block with an unconditional jump.
     pub fn jmp(&mut self, target: BlockId) {
         self.terminate(Terminator::Jmp(target));
@@ -154,7 +144,7 @@ impl ProcBuilder {
     ///
     /// # Panics
     /// Panics if any block lacks a terminator.
-    pub fn finish(self, id: ProcId) -> Procedure {
+    pub(crate) fn finish(self, id: ProcId) -> Procedure {
         let blocks = self
             .blocks
             .into_iter()
@@ -195,7 +185,7 @@ impl ModuleBuilder {
     }
 
     /// The id the next added procedure will receive.
-    pub fn next_proc_id(&self) -> ProcId {
+    pub(crate) fn next_proc_id(&self) -> ProcId {
         ProcId(self.module.procs.len() as u32)
     }
 
@@ -211,7 +201,7 @@ impl ModuleBuilder {
     }
 
     /// Initialize a previously allocated region.
-    pub fn init_global(&mut self, base: u64, words: &[u64]) {
+    pub(crate) fn init_global(&mut self, base: u64, words: &[u64]) {
         self.module.init_global(base, words)
     }
 

@@ -8,7 +8,7 @@ use crate::proc::{BlockId, Procedure};
 
 /// Control-flow graph of one procedure.
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     /// Successor lists per block.
     succs: Vec<Vec<BlockId>>,
     /// Predecessor lists per block.
@@ -28,7 +28,7 @@ pub struct Cfg {
 
 impl Cfg {
     /// Build the CFG and dominator tree for a procedure.
-    pub fn build(proc: &Procedure) -> Cfg {
+    pub(crate) fn build(proc: &Procedure) -> Cfg {
         let n = proc.blocks.len();
         let mut succs = vec![Vec::new(); n];
         let mut preds = vec![Vec::new(); n];
@@ -111,32 +111,27 @@ impl Cfg {
     }
 
     /// Successors of a block.
-    pub fn succs(&self, b: BlockId) -> &[BlockId] {
+    pub(crate) fn succs(&self, b: BlockId) -> &[BlockId] {
         &self.succs[b.index()]
     }
 
     /// Predecessors of a block.
-    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+    pub(crate) fn preds(&self, b: BlockId) -> &[BlockId] {
         &self.preds[b.index()]
     }
 
     /// Blocks in reverse postorder (reachable only).
-    pub fn rpo(&self) -> &[BlockId] {
+    pub(crate) fn rpo(&self) -> &[BlockId] {
         &self.rpo
     }
 
     /// Whether `b` is reachable from the entry.
-    pub fn is_reachable(&self, b: BlockId) -> bool {
+    pub(crate) fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_index[b.index()] != usize::MAX
     }
 
-    /// Immediate dominator of `b` (the entry dominates itself).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
-    }
-
     /// Whether `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
@@ -156,7 +151,7 @@ impl Cfg {
     }
 
     /// The entry block.
-    pub fn entry(&self) -> BlockId {
+    pub(crate) fn entry(&self) -> BlockId {
         self.entry
     }
 }
@@ -208,9 +203,9 @@ mod tests {
             Terminator::Ret,
         ]);
         let cfg = Cfg::build(&p);
-        assert_eq!(cfg.idom(BlockId(1)), Some(BlockId(0)));
-        assert_eq!(cfg.idom(BlockId(2)), Some(BlockId(0)));
-        assert_eq!(cfg.idom(BlockId(3)), Some(BlockId(0)));
+        assert_eq!(cfg.idom[1], Some(BlockId(0)));
+        assert_eq!(cfg.idom[2], Some(BlockId(0)));
+        assert_eq!(cfg.idom[3], Some(BlockId(0)));
         assert!(cfg.dominates(BlockId(0), BlockId(3)));
         assert!(!cfg.dominates(BlockId(1), BlockId(3)));
         assert!(cfg.dominates(BlockId(3), BlockId(3)));
@@ -228,8 +223,8 @@ mod tests {
         ]);
         let cfg = Cfg::build(&p);
         assert!(cfg.dominates(BlockId(1), BlockId(2)));
-        assert_eq!(cfg.idom(BlockId(2)), Some(BlockId(1)));
-        assert_eq!(cfg.idom(BlockId(3)), Some(BlockId(1)));
+        assert_eq!(cfg.idom[2], Some(BlockId(1)));
+        assert_eq!(cfg.idom[3], Some(BlockId(1)));
         // Back edge: 2 → 1 where 1 dominates 2.
         assert!(cfg.dominates(BlockId(1), BlockId(2)));
     }
@@ -240,7 +235,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         assert!(cfg.is_reachable(BlockId(0)));
         assert!(!cfg.is_reachable(BlockId(1)));
-        assert_eq!(cfg.idom(BlockId(1)), None);
+        assert_eq!(cfg.idom[1], None);
         assert!(!cfg.dominates(BlockId(0), BlockId(1)));
         assert_eq!(cfg.rpo(), &[BlockId(0)]);
     }

@@ -265,45 +265,26 @@ impl DataflowAnalysis {
             .copied()
             .flatten()
     }
-
-    /// Count loads per class across the procedure.
-    pub fn class_counts(&self) -> ClassCounts {
-        let mut c = ClassCounts::default();
-        for row in &self.kinds {
-            for k in row.iter().flatten() {
-                match k {
-                    AddrKind::Constant => c.constant += 1,
-                    AddrKind::Strided { .. } => c.strided += 1,
-                    AddrKind::Irregular => c.irregular += 1,
-                }
-            }
-        }
-        c
-    }
-}
-
-/// Load counts per class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassCounts {
-    /// Constant loads.
-    pub constant: u64,
-    /// Strided loads.
-    pub strided: u64,
-    /// Irregular loads.
-    pub irregular: u64,
-}
-
-impl ClassCounts {
-    /// Total loads.
-    pub fn total(&self) -> u64 {
-        self.constant + self.strided + self.irregular
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::cfg::Cfg;
+
+    /// Loads per class across the procedure: `[constant, strided,
+    /// irregular]`.
+    pub(crate) fn class_counts(df: &DataflowAnalysis) -> [u64; 3] {
+        let mut c = [0; 3];
+        for k in df.kinds.iter().flatten().flatten() {
+            c[match k {
+                AddrKind::Constant => 0,
+                AddrKind::Strided { .. } => 1,
+                AddrKind::Irregular => 2,
+            }] += 1;
+        }
+        c
+    }
 
     /// One procedure on its own, under the empty summary table: calls
     /// clobber the conventional registers.
@@ -396,11 +377,7 @@ pub(crate) mod tests {
         assert_eq!(df.load_kind(BlockId(1), 1), Some(AddrKind::Irregular));
         assert_eq!(df.load_kind(BlockId(1), 2), Some(AddrKind::Constant));
         assert_eq!(df.load_kind(BlockId(1), 3), None); // the Bin
-        let c = df.class_counts();
-        assert_eq!(
-            (c.constant, c.strided, c.irregular, c.total()),
-            (1, 1, 1, 3)
-        );
+        assert_eq!(class_counts(&df), [1, 1, 1]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl ModuleFacts {
     }
 
     /// The CFG of procedure `p`.
-    pub fn cfg(&self, p: ProcId) -> &Cfg {
+    pub(crate) fn cfg(&self, p: ProcId) -> &Cfg {
         &self.procs[p.index()].0
     }
 

@@ -60,11 +60,6 @@ impl AddrMode {
         }
     }
 
-    /// Registers this mode reads (the `ptwrite` sources).
-    pub fn source_regs(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.base.into_iter().chain(self.index)
-    }
-
     /// Number of source registers (1-source loads cost one `ptwrite`,
     /// 2-source loads two — paper §III-A and Table III).
     pub fn num_sources(&self) -> usize {
@@ -74,7 +69,7 @@ impl AddrMode {
     /// Whether this is scalar frame or global addressing — the *structural*
     /// precondition of the Constant class (paper §III-B): offset-only
     /// addressing relative to the frame pointer or to a global section.
-    pub fn is_scalar_frame_or_global(&self) -> bool {
+    pub(crate) fn is_scalar_frame_or_global(&self) -> bool {
         match (self.base, self.index) {
             (Some(b), None) => b.is_fp() || b.is_sp(),
             (None, None) => true,
@@ -119,18 +114,10 @@ pub enum Operand {
 
 impl Operand {
     /// The register, if this operand is one.
-    pub fn as_reg(self) -> Option<Reg> {
+    pub(crate) fn as_reg(self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(r),
             Operand::Imm(_) => None,
-        }
-    }
-
-    /// The immediate, if this operand is one.
-    pub fn as_imm(self) -> Option<i64> {
-        match self {
-            Operand::Imm(i) => Some(i),
-            Operand::Reg(_) => None,
         }
     }
 }
@@ -187,7 +174,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Evaluate the predicate on unsigned operands.
     #[inline]
-    pub fn eval(self, lhs: u64, rhs: u64) -> bool {
+    pub(crate) fn eval(self, lhs: u64, rhs: u64) -> bool {
         match self {
             CmpOp::Eq => lhs == rhs,
             CmpOp::Ne => lhs != rhs,
@@ -285,7 +272,7 @@ impl Instr {
     }
 
     /// Registers read by this instruction, address sources first.
-    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+    pub(crate) fn uses(&self) -> impl Iterator<Item = Reg> {
         let regs: [Option<Reg>; 3] = match *self {
             Instr::Load { addr, .. } | Instr::Lea { addr, .. } => [addr.base, addr.index, None],
             Instr::Store { src, addr } => [addr.base, addr.index, Some(src)],
@@ -297,7 +284,7 @@ impl Instr {
     }
 
     /// The register written by this instruction, if any.
-    pub fn def(&self) -> Option<Reg> {
+    pub(crate) fn def(&self) -> Option<Reg> {
         match self {
             Instr::Load { dst, .. }
             | Instr::MovImm { dst, .. }
@@ -334,7 +321,7 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks of this terminator, in `taken`, `not_taken`
     /// order; a branch whose two targets agree has one successor.
-    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+    pub(crate) fn successors(&self) -> impl Iterator<Item = BlockId> {
         let targets: [Option<BlockId>; 2] = match *self {
             Terminator::Jmp(b) => [Some(b), None],
             Terminator::Br {
@@ -354,8 +341,6 @@ mod tests {
     fn addr_mode_sources() {
         let m = AddrMode::base_index(Reg::gp(1), Reg::gp(2), 8, 16);
         assert_eq!(m.num_sources(), 2);
-        let srcs: Vec<Reg> = m.source_regs().collect();
-        assert_eq!(srcs, vec![Reg::gp(1), Reg::gp(2)]);
         assert!(!m.is_scalar_frame_or_global());
 
         assert!(AddrMode::base_disp(Reg::FP, -8).is_scalar_frame_or_global());

@@ -50,23 +50,12 @@ pub struct ExecStats {
     /// Loads executed.
     pub loads: u64,
     /// Stores executed.
-    pub stores: u64,
+    stores: u64,
     /// `ptwrite`s executed.
     pub ptwrites: u64,
 }
 
-impl ExecStats {
-    /// Ratio of executed `ptwrite`s to non-`ptwrite` instructions — the
-    /// overhead predictor of paper Fig. 7 (fourth series).
-    pub fn ptwrite_ratio(&self) -> f64 {
-        let non_ptw = self.instrs.saturating_sub(self.ptwrites);
-        if non_ptw == 0 {
-            0.0
-        } else {
-            self.ptwrites as f64 / non_ptw as f64
-        }
-    }
-}
+impl ExecStats {}
 
 type Page = [u8; PAGE_BYTES as usize];
 
@@ -93,7 +82,7 @@ const UNMAPPED: u32 = u32::MAX;
 /// `u64::MAX`) takes the byte-wise path. Both give the bytes the
 /// byte-wise path alone would.
 #[derive(Debug)]
-pub struct Memory {
+struct Memory {
     pages: Vec<Box<Page>>,
     index: HashMap<u64, u32>,
     /// `(page number, position in pages | UNMAPPED)`.
@@ -108,7 +97,7 @@ impl Default for Memory {
 
 impl Memory {
     /// Empty memory.
-    pub fn new() -> Memory {
+    fn new() -> Memory {
         Memory {
             pages: Vec::new(),
             index: HashMap::new(),
@@ -150,7 +139,7 @@ impl Memory {
     }
 
     /// Read one byte (unmapped memory reads as zero).
-    pub fn read_u8(&self, addr: u64) -> u8 {
+    fn read_u8(&self, addr: u64) -> u8 {
         match self.page(addr) {
             Some(p) => p[(addr % PAGE_BYTES) as usize],
             None => 0,
@@ -158,14 +147,14 @@ impl Memory {
     }
 
     /// Write one byte.
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
+    fn write_u8(&mut self, addr: u64, v: u8) {
         self.page_mut(addr)[(addr % PAGE_BYTES) as usize] = v;
     }
 
     /// Read a little-endian u64 (alignment not required; unmapped
     /// memory reads as zero).
     #[inline]
-    pub fn read_u64(&self, addr: u64) -> u64 {
+    fn read_u64(&self, addr: u64) -> u64 {
         let off = (addr % PAGE_BYTES) as usize;
         if off + 8 > PAGE_BYTES as usize {
             return self.read_straddling(addr);
@@ -178,7 +167,7 @@ impl Memory {
 
     /// Write a little-endian u64.
     #[inline]
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
+    fn write_u64(&mut self, addr: u64, v: u64) {
         let off = (addr % PAGE_BYTES) as usize;
         if off + 8 <= PAGE_BYTES as usize {
             self.page_mut(addr)[off..off + 8].copy_from_slice(&v.to_le_bytes());
@@ -231,11 +220,6 @@ impl Memory {
             rest = tail;
         }
     }
-
-    /// Number of resident pages (for memory accounting in tests).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// One call-stack frame: the return continuation.
@@ -254,9 +238,9 @@ pub struct Machine<'m, S: EventSink> {
     module: &'m LoadModule,
     layout: crate::module::ModuleLayout,
     /// Architectural registers.
-    pub regs: [u64; NUM_REGS],
+    regs: [u64; NUM_REGS],
     /// Data memory.
-    pub mem: Memory,
+    mem: Memory,
     sink: S,
     stats: ExecStats,
     call_stack: Vec<Frame>,
@@ -505,7 +489,7 @@ pub struct VecSink {
     /// Recorded `(ip, effective address, load time)` triples.
     pub loads: Vec<(Ip, u64, u64)>,
     /// Recorded `(ip, payload, load time)` ptwrite triples.
-    pub ptwrites: Vec<(Ip, u64, u64)>,
+    ptwrites: Vec<(Ip, u64, u64)>,
 }
 
 impl EventSink for VecSink {
@@ -611,10 +595,10 @@ mod tests {
         let r = Reg::gp(0);
         let mut pb = ProcBuilder::new("f", "f.c");
         pb.mov_imm(r, 0xabcd);
-        pb.ptwrite(r);
         pb.ret();
         let id = mb.add(pb);
-        let m = mb.finish();
+        let mut m = mb.finish();
+        m.procs[0].blocks[0].instrs.push(Instr::Ptwrite { src: r });
         let mut mach = Machine::new(&m, VecSink::default());
         let stats = mach.run(id, 100).unwrap();
         assert_eq!(stats.ptwrites, 1);
@@ -633,7 +617,7 @@ mod tests {
         assert_eq!(mem.read_u64(0x1ffd), 0x0123_4567_89ab_cdef);
         // Unmapped reads as zero.
         assert_eq!(mem.read_u64(0x99_0000), 0);
-        assert!(mem.resident_pages() >= 2);
+        assert!(mem.pages.len() >= 2);
     }
 
     /// The word path against the byte path it replaced: one memory is
@@ -681,7 +665,7 @@ mod tests {
                 byte_write(&mut bytes, addr, v);
             }
             assert_eq!(words.read_u64(addr), byte_read(&bytes, addr), "{addr:#x}");
-            assert_eq!(words.resident_pages(), bytes.resident_pages());
+            assert_eq!(words.pages.len(), bytes.pages.len());
         }
         // The wrap at the top of the address space, and the reverse
         // direction: what the byte path wrote, the word path reads.
@@ -693,12 +677,12 @@ mod tests {
             assert_eq!(bytes.read_u64(addr), byte_read(&words, addr), "{addr:#x}");
         }
         assert_eq!(words.read_u64(0) as u32, 0x0123_4567);
-        assert_eq!(words.resident_pages(), bytes.resident_pages());
+        assert_eq!(words.pages.len(), bytes.pages.len());
         // Unmapped reads are zero and map nothing.
-        let before = words.resident_pages();
+        let before = words.pages.len();
         assert_eq!(words.read_u64(0x5555_0000_0ff9), 0);
         assert_eq!(words.read_u64(0x5555_0000_0000), 0);
-        assert_eq!(words.resident_pages(), before);
+        assert_eq!(words.pages.len(), before);
     }
 
     /// The data image lands where the word-at-a-time load put it, and an
@@ -725,11 +709,7 @@ mod tests {
                 let addr = base.wrapping_add(i * 8);
                 assert_eq!(mach.mem.read_u64(addr), want.read_u64(addr), "{addr:#x}");
             }
-            assert_eq!(
-                mach.mem.resident_pages(),
-                want.resident_pages(),
-                "{base:#x}"
-            );
+            assert_eq!(mach.mem.pages.len(), want.pages.len(), "{base:#x}");
         }
     }
 
@@ -776,17 +756,5 @@ mod tests {
             Machine::new(&m, NullSink).run(ProcId(0), total.instrs),
             Ok(total)
         );
-    }
-
-    #[test]
-    fn ptwrite_ratio() {
-        let s = ExecStats {
-            instrs: 110,
-            loads: 50,
-            stores: 0,
-            ptwrites: 10,
-        };
-        assert!((s.ptwrite_ratio() - 0.1).abs() < 1e-12);
-        assert_eq!(ExecStats::default().ptwrite_ratio(), 0.0);
     }
 }

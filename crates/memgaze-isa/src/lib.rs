@@ -18,32 +18,31 @@
 
 pub mod absint;
 pub mod builder;
-pub mod cfg;
+mod cfg;
 pub mod codegen;
-pub mod dataflow;
-pub mod disasm;
-pub mod facts;
-pub mod instr;
+mod dataflow;
+mod disasm;
+mod facts;
+mod instr;
 pub mod interp;
-pub mod loops;
+mod loops;
 pub mod module;
-pub mod proc;
-pub mod ranges;
-pub mod reg;
-pub mod summary;
+mod proc;
+mod ranges;
+mod reg;
+mod summary;
 pub mod verify;
 
 pub use absint::{AbsInterp, AbsResult, ModuleAbsInterp};
 pub use builder::{ModuleBuilder, ProcBuilder};
-pub use cfg::Cfg;
 pub use dataflow::{AddrKind, DataflowAnalysis};
 pub use facts::ModuleFacts;
 pub use instr::{AddrMode, BinOp, CmpOp, Instr, Operand, Terminator};
 pub use interp::{EventSink, ExecStats, Machine, NullSink};
-pub use loops::{Loop, LoopForest};
+pub use loops::LoopForest;
 pub use module::{DataInit, LoadModule};
 pub use proc::{BasicBlock, BlockId, ProcId, Procedure};
-pub use ranges::{Interval, RangeAnalysis};
+pub use ranges::Interval;
 pub use reg::Reg;
 pub use summary::{ProcSummaries, ProcSummary};
-pub use verify::{verify_module, Diagnostic, LintId, Severity, Site, VerifyError};
+pub use verify::{verify_module, Diagnostic, LintId, Severity, Site};

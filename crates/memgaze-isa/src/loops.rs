@@ -13,20 +13,20 @@ use std::collections::BTreeSet;
 
 /// One natural loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Loop {
+pub(crate) struct Loop {
     /// Loop header (dominates every block in the body).
-    pub header: BlockId,
+    pub(crate) header: BlockId,
     /// All blocks in the loop, including the header.
-    pub body: BTreeSet<BlockId>,
+    pub(crate) body: BTreeSet<BlockId>,
     /// Index of the innermost enclosing loop in the forest, if any.
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Nesting depth (outermost = 1).
-    pub depth: u32,
+    depth: u32,
 }
 
 impl Loop {
     /// Whether the loop body contains `b`.
-    pub fn contains(&self, b: BlockId) -> bool {
+    pub(crate) fn contains(&self, b: BlockId) -> bool {
         self.body.contains(&b)
     }
 }
@@ -36,14 +36,14 @@ impl Loop {
 pub struct LoopForest {
     /// Loops ordered outermost-first (by increasing body size is not
     /// guaranteed; use `parent`/`depth`).
-    pub loops: Vec<Loop>,
+    pub(crate) loops: Vec<Loop>,
     /// Innermost loop index per block, if the block is in any loop.
     innermost: Vec<Option<usize>>,
 }
 
 impl LoopForest {
     /// Find the natural loops of `proc` given its `cfg`.
-    pub fn build(proc: &Procedure, cfg: &Cfg) -> LoopForest {
+    pub(crate) fn build(proc: &Procedure, cfg: &Cfg) -> LoopForest {
         let n = proc.blocks.len();
         // Collect back edges and merge bodies per header.
         let mut header_bodies: Vec<(BlockId, BTreeSet<BlockId>)> = Vec::new();
@@ -121,25 +121,10 @@ impl LoopForest {
         LoopForest { loops, innermost }
     }
 
-    /// The innermost loop containing `b`, if any.
-    pub fn innermost(&self, b: BlockId) -> Option<&Loop> {
-        self.innermost_index(b).map(|i| &self.loops[i])
-    }
-
     /// Index into [`loops`](Self::loops) of the innermost loop
     /// containing `b`, if any.
-    pub fn innermost_index(&self, b: BlockId) -> Option<usize> {
+    pub(crate) fn innermost_index(&self, b: BlockId) -> Option<usize> {
         self.innermost.get(b.index()).copied().flatten()
-    }
-
-    /// Number of loops.
-    pub fn len(&self) -> usize {
-        self.loops.len()
-    }
-
-    /// True when the procedure has no loops.
-    pub fn is_empty(&self) -> bool {
-        self.loops.is_empty()
     }
 }
 
@@ -185,12 +170,18 @@ mod tests {
         let p = proc_of(vec![Terminator::Jmp(BlockId(1)), br(1, 2), Terminator::Ret]);
         let cfg = Cfg::build(&p);
         let f = LoopForest::build(&p, &cfg);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.loops.len(), 1);
         assert_eq!(f.loops[0].header, BlockId(1));
         assert!(f.loops[0].contains(BlockId(1)));
         assert!(!f.loops[0].contains(BlockId(0)));
-        assert_eq!(f.innermost(BlockId(1)).unwrap().header, BlockId(1));
-        assert!(f.innermost(BlockId(2)).is_none());
+        assert_eq!(
+            f.innermost_index(BlockId(1))
+                .map(|i| &f.loops[i])
+                .unwrap()
+                .header,
+            BlockId(1)
+        );
+        assert!(f.innermost_index(BlockId(2)).map(|i| &f.loops[i]).is_none());
     }
 
     #[test]
@@ -207,7 +198,7 @@ mod tests {
         ]);
         let cfg = Cfg::build(&p);
         let f = LoopForest::build(&p, &cfg);
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.loops.len(), 2);
         let outer = f.loops.iter().position(|l| l.header == BlockId(1)).unwrap();
         let inner = f.loops.iter().position(|l| l.header == BlockId(2)).unwrap();
         assert_eq!(f.loops[outer].depth, 1);
@@ -215,9 +206,21 @@ mod tests {
         assert_eq!(f.loops[inner].parent, Some(outer));
         assert!(f.loops[outer].body.is_superset(&f.loops[inner].body));
         // Innermost for the inner body is the inner loop.
-        assert_eq!(f.innermost(BlockId(3)).unwrap().header, BlockId(2));
+        assert_eq!(
+            f.innermost_index(BlockId(3))
+                .map(|i| &f.loops[i])
+                .unwrap()
+                .header,
+            BlockId(2)
+        );
         // Outer-only blocks resolve to the outer loop.
-        assert_eq!(f.innermost(BlockId(4)).unwrap().header, BlockId(1));
+        assert_eq!(
+            f.innermost_index(BlockId(4))
+                .map(|i| &f.loops[i])
+                .unwrap()
+                .header,
+            BlockId(1)
+        );
     }
 
     #[test]
@@ -225,7 +228,7 @@ mod tests {
         let p = proc_of(vec![Terminator::Jmp(BlockId(1)), Terminator::Ret]);
         let cfg = Cfg::build(&p);
         let f = LoopForest::build(&p, &cfg);
-        assert!(f.is_empty());
+        assert!(f.loops.is_empty());
     }
 
     #[test]
@@ -240,7 +243,7 @@ mod tests {
         ]);
         let cfg = Cfg::build(&p);
         let f = LoopForest::build(&p, &cfg);
-        assert_eq!(f.len(), 1);
+        assert_eq!(f.loops.len(), 1);
         let l = &f.loops[0];
         assert!(l.contains(BlockId(2)) && l.contains(BlockId(3)));
     }

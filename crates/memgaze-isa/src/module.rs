@@ -156,9 +156,9 @@ impl ModuleLayout {
 
 impl LoadModule {
     /// Default code base address.
-    pub const DEFAULT_BASE_IP: u64 = 0x40_0000;
+    const DEFAULT_BASE_IP: u64 = 0x40_0000;
     /// Default data base address (globals/heap image).
-    pub const DEFAULT_DATA_BASE: u64 = 0x10_0000_0000;
+    const DEFAULT_DATA_BASE: u64 = 0x10_0000_0000;
 
     /// An empty module with default layout bases.
     pub fn new(name: impl Into<String>) -> LoadModule {
@@ -195,7 +195,7 @@ impl LoadModule {
 
     /// Allocate `words` 8-byte words of zeroed global data; returns the
     /// base address.
-    pub fn alloc_global(&mut self, label: impl Into<String>, words: usize) -> u64 {
+    pub(crate) fn alloc_global(&mut self, label: impl Into<String>, words: usize) -> u64 {
         let base = self.data_break;
         self.data.push(DataInit {
             label: label.into(),
@@ -211,7 +211,7 @@ impl LoadModule {
     /// `None` when no globals exist. Used by the abstract interpreter to
     /// accept range-instantiated constant addresses only when they point
     /// at real data.
-    pub fn data_range(&self) -> Option<(u64, u64)> {
+    pub(crate) fn data_range(&self) -> Option<(u64, u64)> {
         let lo = self
             .data
             .iter()
@@ -225,7 +225,7 @@ impl LoadModule {
     ///
     /// # Panics
     /// Panics if no region with `base` exists or `words` exceeds it.
-    pub fn init_global(&mut self, base: u64, words: &[u64]) {
+    pub(crate) fn init_global(&mut self, base: u64, words: &[u64]) {
         let region = self
             .data
             .iter_mut()

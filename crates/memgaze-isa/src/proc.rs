@@ -33,7 +33,7 @@ pub struct ProcId(pub u32);
 impl ProcId {
     /// Index into the module's procedure vector.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -100,18 +100,18 @@ impl Procedure {
     }
 
     /// Total instruction count (bodies + terminators).
-    pub fn num_instrs(&self) -> usize {
+    pub(crate) fn num_instrs(&self) -> usize {
         self.blocks.iter().map(|b| b.len()).sum()
     }
 
     /// Total number of loads.
-    pub fn num_loads(&self) -> usize {
+    pub(crate) fn num_loads(&self) -> usize {
         self.blocks.iter().map(|b| b.load_positions().count()).sum()
     }
 
     /// Verify structural invariants (ids dense, terminator targets valid).
     /// Returns the first violation as a typed diagnostic.
-    pub fn validate(&self) -> Result<(), crate::verify::VerifyError> {
+    pub(crate) fn validate(&self) -> Result<(), crate::verify::VerifyError> {
         crate::verify::check_procedure(self, "<proc>")
     }
 }

@@ -39,29 +39,29 @@ use crate::summary::ProcSummaries;
 /// A signed interval `[lo, hi]`, never empty; `TOP` is `[i64::MIN, i64::MAX]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
-    pub lo: i64,
-    pub hi: i64,
+    lo: i64,
+    hi: i64,
 }
 
 impl Interval {
     /// The full range — no information.
-    pub const TOP: Interval = Interval {
+    const TOP: Interval = Interval {
         lo: i64::MIN,
         hi: i64::MAX,
     };
 
     /// The single-value interval `[v, v]`.
-    pub fn point(v: i64) -> Interval {
+    pub(crate) fn point(v: i64) -> Interval {
         Interval { lo: v, hi: v }
     }
 
     /// `Some(v)` iff this interval holds exactly one value.
-    pub fn as_point(self) -> Option<i64> {
+    pub(crate) fn as_point(self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
     /// Whether `self` is entirely contained in `[lo, hi]`.
-    pub fn within(self, lo: i64, hi: i64) -> bool {
+    pub(crate) fn within(self, lo: i64, hi: i64) -> bool {
         self.lo >= lo && self.hi <= hi
     }
 
@@ -145,10 +145,10 @@ impl Interval {
 }
 
 /// Per-register intervals at one program point.
-pub type RegRanges = [Interval; NUM_REGS];
+pub(crate) type RegRanges = [Interval; NUM_REGS];
 
 /// All-⊤ entry state (nothing known about any register).
-pub fn top_ranges() -> RegRanges {
+pub(crate) fn top_ranges() -> RegRanges {
     [Interval::TOP; NUM_REGS]
 }
 
@@ -164,7 +164,7 @@ fn join_ranges(a: &RegRanges, b: &RegRanges) -> RegRanges {
 const WIDEN_AFTER: u32 = 2;
 
 /// Whole-procedure interval analysis results (block-entry states).
-pub struct RangeAnalysis {
+pub(crate) struct RangeAnalysis {
     ins: Vec<RegRanges>,
 }
 
@@ -172,7 +172,7 @@ impl RangeAnalysis {
     /// Run the analysis. `entry` seeds the procedure entry block (use
     /// [`top_ranges`] or summary-derived argument facts); a `Call`
     /// clobbers the callee's clobber set in `summaries`.
-    pub fn analyze(
+    pub(crate) fn analyze(
         proc: &Procedure,
         cfg: &Cfg,
         entry: RegRanges,
@@ -279,7 +279,7 @@ impl RangeAnalysis {
     }
 
     /// Block-entry intervals for `b`.
-    pub fn block_entry(&self, b: BlockId) -> &RegRanges {
+    pub(crate) fn block_entry(&self, b: BlockId) -> &RegRanges {
         &self.ins[b.index()]
     }
 }
@@ -321,7 +321,7 @@ fn refine_edge(out: &RegRanges, term: &Terminator, target: BlockId) -> RegRanges
 
 /// One-instruction transfer; public so the abstract interpreter can walk
 /// a block in lockstep with its affine state.
-pub fn step(instr: &Instr, st: &mut RegRanges, summaries: &ProcSummaries) {
+pub(crate) fn step(instr: &Instr, st: &mut RegRanges, summaries: &ProcSummaries) {
     let val = |st: &RegRanges, op: Operand| match op {
         Operand::Reg(r) => st[r.index()],
         Operand::Imm(v) => Interval::point(v),

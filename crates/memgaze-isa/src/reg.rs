@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Number of architectural registers.
-pub const NUM_REGS: usize = 16;
+pub(crate) const NUM_REGS: usize = 16;
 
 /// An architectural register.
 ///
@@ -17,7 +17,7 @@ impl Reg {
     /// Frame pointer (x64 `rbp` analogue).
     pub const FP: Reg = Reg(14);
     /// Stack pointer (x64 `rsp` analogue).
-    pub const SP: Reg = Reg(15);
+    pub(crate) const SP: Reg = Reg(15);
 
     /// General-purpose register `i` (0..=13).
     ///
@@ -36,13 +36,13 @@ impl Reg {
 
     /// Whether this is the frame pointer.
     #[inline]
-    pub fn is_fp(self) -> bool {
+    pub(crate) fn is_fp(self) -> bool {
         self == Reg::FP
     }
 
     /// Whether this is the stack pointer.
     #[inline]
-    pub fn is_sp(self) -> bool {
+    pub(crate) fn is_sp(self) -> bool {
         self == Reg::SP
     }
 }

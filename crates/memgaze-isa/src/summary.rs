@@ -38,17 +38,17 @@ use crate::ranges::{self, top_ranges, Interval, RangeAnalysis, RegRanges};
 use crate::reg::Reg;
 
 /// Number of conventional argument registers (`r0..r5`).
-pub const NUM_ARG_REGS: usize = 6;
+const NUM_ARG_REGS: usize = 6;
 
 /// What a call to one procedure may do to the caller's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcSummary {
     /// Bit `r` set ⇒ the call may modify general-purpose register `r`
     /// (transitively). `FP`/`SP` are never included: `Ret` restores them.
-    pub clobbers: u16,
+    pub(crate) clobbers: u16,
     /// Whether the procedure (or any transitive callee) may execute a
     /// `Store` — if so, callers must kill all tracked stack slots.
-    pub may_store: bool,
+    pub(crate) may_store: bool,
     /// Per argument register `r0..r5`: `Some(c)` iff every call site in
     /// the module passes exactly the constant `c`.
     pub args: [Option<i64>; NUM_ARG_REGS],
@@ -57,14 +57,14 @@ pub struct ProcSummary {
 impl ProcSummary {
     /// A callee the module does not define: it may clobber the six
     /// argument/scratch registers and may store anywhere.
-    pub const CONVENTIONAL: ProcSummary = ProcSummary {
+    const CONVENTIONAL: ProcSummary = ProcSummary {
         clobbers: 0b11_1111,
         may_store: true,
         args: [None; NUM_ARG_REGS],
     };
 
     /// Whether a call may modify `r`.
-    pub fn clobbers_reg(&self, r: Reg) -> bool {
+    pub(crate) fn clobbers_reg(&self, r: Reg) -> bool {
         !r.is_fp() && !r.is_sp() && self.clobbers & (1 << r.index()) != 0
     }
 }
@@ -103,7 +103,7 @@ impl ProcSummaries {
     /// callers' CFGs from its `module_facts`. Beside the table comes,
     /// per procedure that calls, its range analysis under its final
     /// argument facts (`None` for a procedure that calls nothing).
-    pub fn compute(
+    pub(crate) fn compute(
         module: &LoadModule,
         module_facts: &ModuleFacts,
     ) -> (ProcSummaries, Vec<Option<RangeAnalysis>>) {
@@ -237,7 +237,7 @@ impl ProcSummaries {
 
     /// Entry-block register ranges implied by a procedure's argument
     /// facts (⊤ everywhere else).
-    pub fn entry_ranges(&self, id: ProcId) -> RegRanges {
+    pub(crate) fn entry_ranges(&self, id: ProcId) -> RegRanges {
         let mut st = top_ranges();
         for (a, fact) in self.get(id).args.iter().enumerate() {
             if let Some(v) = fact {

@@ -201,7 +201,7 @@ impl Site {
     }
 
     /// A procedure-scoped site.
-    pub fn proc(name: &str, proc: ProcId) -> Site {
+    fn proc(name: &str, proc: ProcId) -> Site {
         Site {
             proc: Some(proc),
             ..Site::module(name)
@@ -311,7 +311,7 @@ pub fn check_structure(module: &LoadModule) -> Result<(), VerifyError> {
 }
 
 /// Structural pass for one procedure (used by [`Procedure::validate`]).
-pub fn check_procedure(proc: &Procedure, module_name: &str) -> Result<(), VerifyError> {
+pub(crate) fn check_procedure(proc: &Procedure, module_name: &str) -> Result<(), VerifyError> {
     let mut diags = Vec::new();
     proc_structural_pass(proc, module_name, &mut diags);
     match diags.into_iter().find(|d| d.severity == Severity::Error) {

@@ -32,7 +32,7 @@ impl LoadClass {
     }
 
     /// Short mnemonic used in reports.
-    pub fn mnemonic(self) -> &'static str {
+    fn mnemonic(self) -> &'static str {
         match self {
             LoadClass::Constant => "const",
             LoadClass::Strided => "str",

@@ -25,18 +25,6 @@ impl Addr {
     pub fn block(self, bs: BlockSize) -> u64 {
         self.0 >> bs.log2()
     }
-
-    /// Byte offset within the containing block.
-    #[inline]
-    pub fn block_offset(self, bs: BlockSize) -> u64 {
-        self.0 & (bs.bytes() - 1)
-    }
-
-    /// Address advanced by `delta` bytes.
-    #[inline]
-    pub fn offset(self, delta: i64) -> Addr {
-        Addr(self.0.wrapping_add(delta as u64))
-    }
 }
 
 impl std::fmt::Display for Addr {
@@ -97,16 +85,6 @@ impl BlockSize {
     /// 8-byte word granularity, matching a `ptwrite` payload.
     pub const WORD: BlockSize = BlockSize { log2: 3 };
 
-    /// Construct from a byte count, which must be a power of two.
-    pub fn from_bytes(bytes: u64) -> Result<BlockSize, crate::ModelError> {
-        if bytes == 0 || !bytes.is_power_of_two() {
-            return Err(crate::ModelError::InvalidBlockSize(bytes));
-        }
-        Ok(BlockSize {
-            log2: bytes.trailing_zeros() as u8,
-        })
-    }
-
     /// Construct directly from `log2(bytes)`.
     pub fn from_log2(log2: u8) -> BlockSize {
         debug_assert!(log2 < 64);
@@ -157,20 +135,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_size_from_bytes() {
-        assert_eq!(BlockSize::from_bytes(64).unwrap(), BlockSize::CACHE_LINE);
-        assert_eq!(BlockSize::from_bytes(4096).unwrap(), BlockSize::OS_PAGE);
-        assert_eq!(BlockSize::from_bytes(1).unwrap(), BlockSize::BYTE);
-        assert!(BlockSize::from_bytes(0).is_err());
-        assert!(BlockSize::from_bytes(48).is_err());
-    }
-
-    #[test]
-    fn block_number_and_offset() {
+    fn block_number() {
         let a = Addr(0x1234);
         let bs = BlockSize::CACHE_LINE;
         assert_eq!(a.block(bs), 0x1234 >> 6);
-        assert_eq!(a.block_offset(bs), 0x1234 & 63);
         // Two addresses in the same line share the block number.
         assert_eq!(Addr(0x1000).block(bs), Addr(0x103f).block(bs));
         assert_ne!(Addr(0x1000).block(bs), Addr(0x1040).block(bs));
@@ -203,13 +171,6 @@ mod tests {
     fn byte_granularity_is_identity() {
         let a = Addr(0xdead_beef);
         assert_eq!(a.block(BlockSize::BYTE), a.raw());
-        assert_eq!(a.block_offset(BlockSize::BYTE), 0);
-    }
-
-    #[test]
-    fn addr_offset_wraps() {
-        assert_eq!(Addr(10).offset(-4), Addr(6));
-        assert_eq!(Addr(10).offset(4), Addr(14));
     }
 
     #[test]

@@ -69,16 +69,7 @@ pub enum ModelError {
     Io(std::io::Error),
 }
 
-impl ModelError {
-    /// The shard index a decode failure occurred in, if this error came
-    /// from a sharded container.
-    pub fn shard_index(&self) -> Option<u64> {
-        match self {
-            ModelError::InShard { shard, .. } => Some(*shard),
-            _ => None,
-        }
-    }
-}
+impl ModelError {}
 
 impl std::fmt::Display for ModelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -180,7 +171,6 @@ mod tests {
                 source: Box::new(inner),
             }),
         };
-        assert_eq!(e.shard_index(), Some(3));
         assert!(e.to_string().contains("shard 3"));
         assert!(e.to_string().contains("sample 7"));
         let mid = e.source().unwrap();

@@ -37,7 +37,7 @@ pub fn xxh64(data: &[u8]) -> u64 {
 /// XXH64 of `data` under `seed`. Whole 32-byte stripes go through four
 /// lanes; the last 0–31 bytes are folded in as 8-byte words, one 4-byte
 /// word and single bytes.
-pub fn xxh64_seeded(seed: u64, data: &[u8]) -> u64 {
+pub(crate) fn xxh64_seeded(seed: u64, data: &[u8]) -> u64 {
     let (words, bytes) = data.as_chunks::<8>();
     let (stripes, words) = words.as_chunks::<4>();
     let mut h = if stripes.is_empty() {
@@ -97,10 +97,10 @@ fn xxh_round(acc: u64, word: u64) -> u64 {
 
 /// The standard FNV-1a-64 offset basis — the initial state of an
 /// unseeded hash.
-pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a-64 prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over a byte slice, starting from the standard offset
 /// basis: the golden digests, the result-cache keys, and the sum of the
@@ -137,7 +137,7 @@ impl Fnv64 {
     }
 
     /// A hasher starting from `seed` (see [`fnv1a64_seeded`]).
-    pub fn with_seed(seed: u64) -> Fnv64 {
+    fn with_seed(seed: u64) -> Fnv64 {
         Fnv64 { state: seed }
     }
 

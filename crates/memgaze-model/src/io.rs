@@ -26,7 +26,7 @@ use crate::wire::{
 };
 use std::io::Read;
 
-pub(crate) const MAGIC: &[u8; 4] = b"MGZT";
+const MAGIC: &[u8; 4] = b"MGZT";
 
 /// Bytes of a [`put_header`] header: magic, `u16` version, kind.
 const HEADER_BYTES: u64 = 7;
@@ -144,7 +144,7 @@ pub(crate) fn put_sample(buf: &mut Vec<u8>, prev_trigger: u64, s: &Sample) {
 /// for it. The accesses decode in one loop over the payload slice
 /// ([`next_access`]); an access it declines is decoded again through
 /// the checked [`Reader`], whose typed error is the one returned.
-pub(crate) fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample, ModelError> {
+fn get_sample(r: &mut Reader<'_>, prev_trigger: u64) -> Result<Sample, ModelError> {
     let trigger = prev_trigger.wrapping_add(r.varint("trigger_time")?);
     // Every encoded access costs at least three bytes (three varints).
     let w = r.count(3, "sample accesses")?;

@@ -17,14 +17,14 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod access;
-pub mod addr;
+mod access;
+mod addr;
 pub mod annot;
-pub mod error;
-pub mod hash;
+mod error;
+mod hash;
 pub mod io;
-pub mod ratio;
-pub mod sample;
+mod ratio;
+mod sample;
 pub mod stream;
 pub mod symbols;
 pub mod wire;
@@ -33,11 +33,11 @@ pub use access::{Access, LoadClass};
 pub use addr::{Addr, BlockSize, Ip};
 pub use annot::{AuxAnnotations, IpAnnot, IpTable};
 pub use error::ModelError;
-pub use hash::{fnv1a64, fnv1a64_seeded, xxh64, xxh64_seeded, Fnv64};
+pub use hash::{fnv1a64, fnv1a64_seeded, xxh64, Fnv64};
 pub use ratio::{compression_ratio, sample_ratio, DecompressionInfo};
 pub use sample::{FullTrace, Sample, SampledTrace, TraceMeta};
 pub use stream::{
     decode_frame_payload, decode_sharded, encode_sharded, encode_sharded_indexed, FrameIndex,
-    FrameIndexEntry, Shard, ShardReader, ShardWriter, DEFAULT_SHARD_SAMPLES,
+    FrameIndexEntry, Shard, ShardReader, ShardWriter,
 };
 pub use symbols::{FunctionId, FunctionSym, SymbolTable};

@@ -63,25 +63,9 @@ impl Sample {
         }
     }
 
-    /// Number of recorded accesses (`w` for this sample).
-    #[inline]
-    pub fn window(&self) -> usize {
-        self.accesses.len()
-    }
-
     /// Logical time of the first recorded access, if any.
     pub fn start_time(&self) -> Option<u64> {
         self.accesses.first().map(|a| a.time)
-    }
-
-    /// Logical time of the last recorded access, if any.
-    pub fn end_time(&self) -> Option<u64> {
-        self.accesses.last().map(|a| a.time)
-    }
-
-    /// True if the sample recorded nothing (e.g. PT was gated off).
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
     }
 }
 
@@ -140,11 +124,6 @@ impl SampledTrace {
     pub fn accesses(&self) -> impl Iterator<Item = &Access> + '_ {
         self.samples.iter().flat_map(|s| s.accesses.iter())
     }
-
-    /// True if no sample recorded any access.
-    pub fn is_empty(&self) -> bool {
-        self.samples.iter().all(|s| s.is_empty())
-    }
 }
 
 /// A full (unsampled) trace used as a validation baseline (paper §VI-A) and
@@ -168,17 +147,6 @@ impl FullTrace {
             accesses: Vec::new(),
             dropped: 0,
         }
-    }
-
-    /// Number of recorded accesses.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.accesses.is_empty()
     }
 
     /// Fraction of instrumented accesses that were dropped.
@@ -216,13 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn sample_window_and_times() {
+    fn sample_start_time() {
         let s = Sample::new(vec![acc(5), acc(6), acc(7)], 10);
-        assert_eq!(s.window(), 3);
         assert_eq!(s.start_time(), Some(5));
-        assert_eq!(s.end_time(), Some(7));
-        assert!(!s.is_empty());
-        assert!(Sample::new(vec![], 3).is_empty());
+        assert_eq!(Sample::new(vec![], 3).start_time(), None);
     }
 
     #[test]
@@ -248,14 +213,12 @@ mod tests {
         assert_eq!(t.observed_accesses(), 5);
         assert!((t.mean_window() - 2.5).abs() < 1e-12);
         assert_eq!(t.accesses().count(), 5);
-        assert!(!t.is_empty());
     }
 
     #[test]
     fn empty_trace_statistics() {
         let t = SampledTrace::new(TraceMeta::new("t", 1000, 8192));
         assert_eq!(t.mean_window(), 0.0);
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -53,11 +53,6 @@ use std::io::{Read, Write};
 const VERSION_SHARDED: u16 = 2;
 const KIND_SHARDED: u8 = 2;
 
-/// Default shard granularity for callers without a better-informed
-/// choice: small enough to bound memory, large enough that per-frame
-/// overhead (absolute first trigger, frame length) is negligible.
-pub const DEFAULT_SHARD_SAMPLES: usize = 64;
-
 /// Location and identity of one shard frame inside a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameIndexEntry {
@@ -68,7 +63,7 @@ pub struct FrameIndexEntry {
     /// Samples encoded in the frame.
     pub samples: u64,
     /// XXH64 of the payload bytes.
-    pub checksum: u64,
+    checksum: u64,
 }
 
 /// Sidecar index over a v2 sharded container: per-frame seek table plus
@@ -78,9 +73,9 @@ pub struct FrameIndex {
     /// Byte length of the container header + provisional meta.
     pub header_len: u64,
     /// XXH64 of those header bytes.
-    pub header_checksum: u64,
+    header_checksum: u64,
     /// Total container length in bytes, trailer included.
-    pub container_len: u64,
+    container_len: u64,
     /// Trailer `total_loads`, duplicated so workers need not scan to
     /// the trailer.
     pub total_loads: u64,
@@ -290,11 +285,6 @@ impl<W: Write> ShardWriter<W> {
     pub fn shards(&self) -> u64 {
         self.shards
     }
-
-    /// Samples written so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
 }
 
 /// One decoded shard frame.
@@ -305,7 +295,7 @@ pub struct Shard {
     /// The shard's samples, in trace time order.
     pub samples: Vec<Sample>,
     /// Encoded payload size of this frame in bytes.
-    pub encoded_bytes: usize,
+    encoded_bytes: usize,
 }
 
 /// Iterator decoding one shard frame at a time from any [`Read`]
@@ -345,11 +335,6 @@ impl<R: Read> ShardReader<R> {
     /// trailer has been read (i.e. the iterator returned `None`).
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// Whether the terminator (or an error) has been reached.
-    pub fn is_finished(&self) -> bool {
-        self.done
     }
 
     fn next_shard(&mut self) -> Result<Option<Shard>, ModelError> {
@@ -519,7 +504,6 @@ mod tests {
             vec![4, 4, 2]
         );
         assert_eq!(shards[2].index, 2);
-        assert!(reader.is_finished());
         // Trailer patched the totals.
         assert_eq!(reader.meta().total_loads, t.meta.total_loads);
         assert_eq!(
@@ -541,7 +525,6 @@ mod tests {
             w.write_shard(chunk).unwrap();
         }
         assert_eq!(w.shards(), 3);
-        assert_eq!(w.samples(), 6);
         let bytes = w.finish(42_000, 777).unwrap();
         let mut r = ShardReader::new(&bytes[..]).unwrap();
         assert_eq!(r.meta().total_loads, 0);
@@ -562,7 +545,7 @@ mod tests {
         let last = results.last().unwrap();
         match last {
             Err(e) => {
-                assert_eq!(e.shard_index(), Some(2), "got {e}");
+                assert!(matches!(e, ModelError::InShard { shard: 2, .. }), "got {e}");
             }
             Ok(_) => panic!("truncated container must error"),
         }
@@ -594,7 +577,7 @@ mod tests {
         let reader = ShardReader::new(&buf[..]).unwrap();
         let results: Vec<Result<Shard, ModelError>> = reader.collect();
         match results.last().unwrap() {
-            Err(e) => assert_eq!(e.shard_index(), Some(0)),
+            Err(e) => assert!(matches!(e, ModelError::InShard { shard: 0, .. })),
             Ok(_) => panic!("corrupt count must error"),
         }
     }

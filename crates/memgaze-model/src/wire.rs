@@ -126,7 +126,7 @@ pub fn zigzag(v: i64) -> u64 {
 
 /// Inverse of [`zigzag`].
 #[inline]
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -238,7 +238,7 @@ pub fn open<'a>(
 /// the platform cannot address instead of letting `as usize` wrap it
 /// into a small (hostile-length-aliasing) value.
 #[inline]
-pub fn to_usize(v: u64, context: &'static str) -> Result<usize, WireError> {
+pub(crate) fn to_usize(v: u64, context: &'static str) -> Result<usize, WireError> {
     usize::try_from(v).map_err(|_| WireError::Oversize { context, value: v })
 }
 
@@ -303,7 +303,7 @@ impl<'a> Reader<'a> {
     /// block) needs only its stream decoder. What the stream consumes,
     /// this reader has consumed.
     #[inline]
-    pub fn as_stream(&mut self) -> &mut &'a [u8] {
+    pub(crate) fn as_stream(&mut self) -> &mut &'a [u8] {
         &mut self.src
     }
 
@@ -427,7 +427,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Check a [`put_header`] header: magic, then version.
-    pub fn header(
+    pub(crate) fn header(
         &mut self,
         magic: &[u8; 4],
         version: u16,
@@ -488,7 +488,7 @@ fn take_long_varint(src: &mut &[u8]) -> Option<u64> {
 }
 
 /// `N` bytes from a stream; an early end is [`WireError::Truncated`].
-pub fn read_array<const N: usize>(
+pub(crate) fn read_array<const N: usize>(
     src: &mut impl Read,
     context: &'static str,
 ) -> Result<[u8; N], WireError> {
@@ -504,7 +504,7 @@ pub fn read_array<const N: usize>(
 
 /// A varint read byte-at-a-time from a stream (wrap slow sources in a
 /// [`std::io::BufReader`]), as [`Reader::varint`] reads one off a slice.
-pub fn read_varint(src: &mut impl Read, context: &'static str) -> Result<u64, WireError> {
+pub(crate) fn read_varint(src: &mut impl Read, context: &'static str) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -521,7 +521,7 @@ pub fn read_varint(src: &mut impl Read, context: &'static str) -> Result<u64, Wi
 }
 
 /// A length-prefixed UTF-8 string from a stream.
-pub fn read_string(src: &mut impl Read, context: &'static str) -> Result<String, WireError> {
+pub(crate) fn read_string(src: &mut impl Read, context: &'static str) -> Result<String, WireError> {
     let len = read_varint(src, context)?;
     let mut raw = Vec::new();
     read_bounded(src, len, &mut raw, context)?;
@@ -535,7 +535,7 @@ pub fn read_string(src: &mut impl Read, context: &'static str) -> Result<String,
 /// header framing gigabytes against a short stream costs kilobytes, not
 /// `len`. On a short stream the bytes that did arrive stay in `out` and
 /// the error is [`WireError::Truncated`].
-pub fn read_bounded(
+pub(crate) fn read_bounded(
     src: &mut impl Read,
     len: u64,
     out: &mut Vec<u8>,

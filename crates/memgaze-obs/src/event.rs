@@ -62,22 +62,12 @@ pub enum Event {
 
 impl Event {
     /// The emitting process id.
-    pub fn pid(&self) -> u32 {
+    pub(crate) fn pid(&self) -> u32 {
         match self {
             Event::Span { pid, .. }
             | Event::Count { pid, .. }
             | Event::Hist { pid, .. }
             | Event::Gauge { pid, .. } => *pid,
-        }
-    }
-
-    /// The event name.
-    pub fn name(&self) -> &str {
-        match self {
-            Event::Span { name, .. }
-            | Event::Count { name, .. }
-            | Event::Hist { name, .. }
-            | Event::Gauge { name, .. } => name,
         }
     }
 
@@ -176,7 +166,7 @@ impl Event {
 
     /// Decode one parsed JSONL line. `Err` describes the malformation;
     /// the caller decides whether that aborts a stitch or skips a line.
-    pub fn from_value(v: &Value) -> Result<Event, String> {
+    fn from_value(v: &Value) -> Result<Event, String> {
         let tag = v
             .get("t")
             .and_then(Value::as_str)
@@ -231,7 +221,7 @@ impl Event {
     }
 
     /// Decode one raw JSONL line.
-    pub fn from_json_line(line: &str) -> Result<Event, String> {
+    pub(crate) fn from_json_line(line: &str) -> Result<Event, String> {
         Event::from_value(&json::parse(line)?)
     }
 }

@@ -43,7 +43,7 @@ impl Value {
     }
 
     /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -273,7 +273,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Escape a string into a JSON string literal (without quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

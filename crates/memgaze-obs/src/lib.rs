@@ -42,7 +42,8 @@ mod profile;
 pub use event::Event;
 pub use json::{parse as parse_json, Value};
 pub use metrics::{Counter, Gauge, Histogram};
-pub use profile::{render_profile, render_summary, stats as profile_stats, ProfileStats};
+use profile::render_summary;
+pub use profile::{render_profile, stats as profile_stats, ProfileStats};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -54,7 +55,7 @@ use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
 /// Sink-selection environment variable (see the crate docs).
-pub const OBS_ENV: &str = "MEMGAZE_OBS";
+const OBS_ENV: &str = "MEMGAZE_OBS";
 
 /// Observability configuration: which sinks receive events.
 #[derive(Debug, Clone, Default)]
@@ -75,12 +76,12 @@ impl ObsConfig {
     }
 
     /// Whether any sink is active.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.jsonl_path.is_some() || self.capture || self.summary
     }
 
     /// Parse [`OBS_ENV`].
-    pub fn from_env() -> ObsConfig {
+    fn from_env() -> ObsConfig {
         let mut cfg = ObsConfig::default();
         if let Ok(spec) = std::env::var(OBS_ENV) {
             for tok in spec.split(',').map(str::trim) {
@@ -149,7 +150,7 @@ fn lock_live<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Whether observability is on. The first call reads the environment;
 /// later calls are two relaxed atomic loads.
 #[inline]
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     if !INITTED.load(Ordering::Acquire) {
         init_from_env();
     }
@@ -189,7 +190,7 @@ pub fn configure(cfg: ObsConfig) {
 /// Microseconds since the Unix epoch, monotonic within this process:
 /// the wall clock is read once and advanced by `Instant` elapsed time,
 /// so spans nest consistently even if the system clock steps.
-pub fn now_us() -> u64 {
+fn now_us() -> u64 {
     static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
     let (anchor, base) = EPOCH.get_or_init(|| {
         let unix = std::time::SystemTime::now()
@@ -202,7 +203,7 @@ pub fn now_us() -> u64 {
 }
 
 /// This process's id.
-pub fn own_pid() -> u32 {
+fn own_pid() -> u32 {
     std::process::id()
 }
 
@@ -315,7 +316,7 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 /// Nonzero live registry values, for the summary renderer:
 /// `(counters, histograms as (name, count, sum, bins), gauges)`.
 #[allow(clippy::type_complexity)]
-pub(crate) fn registry_snapshot() -> (
+fn registry_snapshot() -> (
     Vec<(String, u64)>,
     Vec<(String, u64, u64, Vec<u64>)>,
     Vec<(String, u64)>,

@@ -42,7 +42,7 @@ impl Counter {
     }
 
     /// The counter's registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
@@ -90,7 +90,7 @@ impl Histogram {
     }
 
     /// The histogram's registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
@@ -113,22 +113,12 @@ impl Histogram {
     }
 
     /// Total recorded values.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / c as f64
-        }
-    }
-
     /// Snapshot `(count, sum, populated-prefix bins)`.
-    pub fn snapshot(&self) -> (u64, u64, Vec<u64>) {
+    pub(crate) fn snapshot(&self) -> (u64, u64, Vec<u64>) {
         let mut bins: Vec<u64> = self
             .bins
             .iter()
@@ -161,7 +151,7 @@ impl Gauge {
     }
 
     /// The gauge's registered name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
@@ -186,14 +176,8 @@ impl Gauge {
     }
 
     /// Largest value observed.
-    pub fn value(&self) -> u64 {
+    pub(crate) fn value(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// Most recently [`set`](Self::set) value (0 if only `set_max` was
-    /// ever used).
-    pub fn last(&self) -> u64 {
-        self.last.load(Ordering::Relaxed)
     }
 }
 

@@ -18,11 +18,11 @@ pub struct ProfileStats {
     /// Total span events.
     pub spans: usize,
     /// Spans with no resolvable parent (trace roots and orphans).
-    pub roots: usize,
+    roots: usize,
     /// Distinct emitting processes.
-    pub processes: usize,
+    processes: usize,
     /// Total events of any kind.
-    pub events: usize,
+    events: usize,
 }
 
 type Key = (u32, u64);
@@ -343,7 +343,7 @@ pub fn render_profile(events: &[Event]) -> String {
 /// Render the live metric registries (the stderr summary sink). Spans
 /// are not included — summaries are for processes that only want the
 /// counter rollup without an event file.
-pub fn render_summary() -> String {
+pub(crate) fn render_summary() -> String {
     let mut events: Vec<Event> = Vec::new();
     let pid = crate::own_pid();
     let st = crate::registry_snapshot();

@@ -11,20 +11,20 @@
 
 /// Deterministic 64-bit LCG (no `rand` dependency in the hardware model).
 #[derive(Debug, Clone)]
-pub struct Lcg {
+pub(crate) struct Lcg {
     state: u64,
 }
 
 impl Lcg {
     /// Seeded generator.
-    pub fn new(seed: u64) -> Lcg {
+    pub(crate) fn new(seed: u64) -> Lcg {
         Lcg {
             state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
         }
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         // Musl-style LCG constants, xor-folded for better high bits.
         self.state = self
             .state
@@ -35,19 +35,19 @@ impl Lcg {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 }
 
 /// Default mean yield factor matching the paper's observed ≈ 0.49–0.56
 /// addresses per expected buffer slot.
-pub const DEFAULT_YIELD: f64 = 0.55;
+pub(crate) const DEFAULT_YIELD: f64 = 0.55;
 
 /// Slots reserved up front: a buffer of up to this many items (40 KiB of
 /// full PTW packets; the presets are 8 and 16 KiB) is allocated once, at
@@ -79,7 +79,7 @@ pub struct CircBuffer<T> {
 
 impl<T: Copy> CircBuffer<T> {
     /// A buffer of capacity `cap ≥ min_cost`, what its cheapest item costs.
-    pub fn new(cap: u64, min_cost: u64, yield_factor: f64, seed: u64) -> CircBuffer<T> {
+    pub(crate) fn new(cap: u64, min_cost: u64, yield_factor: f64, seed: u64) -> CircBuffer<T> {
         assert!(cap >= min_cost, "buffer smaller than one packet");
         assert!(
             (0.0..=1.0).contains(&yield_factor),
@@ -104,7 +104,7 @@ impl<T: Copy> CircBuffer<T> {
     // written.
     #[allow(clippy::indexing_slicing)]
     #[inline]
-    pub fn push(&mut self, item: T, cost: u64) {
+    pub(crate) fn push(&mut self, item: T, cost: u64) {
         // Locals, so each field is read and written once per push
         // whatever the slot store may alias.
         let (mut head, mut len, mut used) = (self.head, self.len, self.used);
@@ -140,31 +140,31 @@ impl<T: Copy> CircBuffer<T> {
     }
 
     /// Number of items currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when no items are held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Cost currently held.
     #[inline]
-    pub fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
     }
 
     /// Change the capacity. Contents stay until the next push evicts
     /// what no longer fits.
-    pub fn set_capacity(&mut self, cap: u64) {
+    pub(crate) fn set_capacity(&mut self, cap: u64) {
         self.cap = cap;
     }
 
     /// Read the buffer at a sampling trigger: returns the most recent
     /// items (the async-fill artifact discards the oldest fraction) and
     /// resets the buffer for the next window.
-    pub fn snapshot(&mut self) -> Vec<T> {
+    pub(crate) fn snapshot(&mut self) -> Vec<T> {
         let jitter = self.rng.range_f64(-0.1, 0.1);
         let f = (self.yield_factor + jitter).clamp(0.05, 1.0);
         let keep = ((self.len as f64) * f).round() as usize;

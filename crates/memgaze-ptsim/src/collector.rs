@@ -71,7 +71,7 @@ impl SamplerConfig {
     }
 
     /// Whole packets the buffer holds.
-    pub(crate) fn packet_slots(&self) -> u64 {
+    fn packet_slots(&self) -> u64 {
         self.buffer_bytes / self.packet_bytes()
     }
 
@@ -102,24 +102,24 @@ impl SamplerConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RawSample {
     /// Load-counter time of the trigger.
-    pub trigger_time: u64,
+    pub(crate) trigger_time: u64,
     /// Snapshot packets, oldest first.
-    pub packets: Vec<PtwPacket>,
+    pub(crate) packets: Vec<PtwPacket>,
 }
 
 /// The raw sampled trace a collection run produces (perf.data analogue).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RawSampledTrace {
     /// Raw samples in trigger order.
-    pub samples: Vec<RawSample>,
+    pub(crate) samples: Vec<RawSample>,
     /// Packet/byte accounting.
-    pub stats: PacketStats,
+    pub(crate) stats: PacketStats,
     /// Total loads observed by the trigger counter.
-    pub total_loads: u64,
+    pub(crate) total_loads: u64,
     /// Total `ptwrite`s executed while PT was enabled.
-    pub ptwrites_enabled: u64,
+    ptwrites_enabled: u64,
     /// Total `ptwrite`s executed in the run (enabled or not).
-    pub ptwrites_executed: u64,
+    pub(crate) ptwrites_executed: u64,
 }
 
 /// The sampler on the packet path; plugs into the interpreter as an
@@ -297,7 +297,8 @@ mod tests {
         // sustainable → heavy drops.
         let mut c = FullCollector::<PtwPacket>::new(BandwidthModel::default());
         feed(&mut c, 100_000, 2);
-        let rate = c.stats.drop_rate();
+        let drop_rate = |s: &PacketStats| s.dropped_packets as f64 / s.ptw_packets as f64;
+        let rate = drop_rate(&c.stats);
         assert!(
             (0.3..=0.9).contains(&rate),
             "drop rate {rate} outside plausible range"
@@ -306,7 +307,7 @@ mod tests {
         // 1 packet per load = 10 B vs 6 B: still drops, but less.
         let mut c1 = FullCollector::<PtwPacket>::new(BandwidthModel::default());
         feed(&mut c1, 100_000, 1);
-        assert!(c1.stats.drop_rate() < rate);
+        assert!(drop_rate(&c1.stats) < rate);
     }
 
     #[test]

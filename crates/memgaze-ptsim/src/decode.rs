@@ -18,9 +18,6 @@ use memgaze_model::{Access, FullTrace, Ip, ModelError, Sample, SampledTrace, Tra
 pub struct DecodeOutcome<T> {
     /// The decoded trace.
     pub trace: T,
-    /// Packet groups discarded because they were split by a buffer wrap
-    /// or truncation.
-    pub incomplete_groups: u64,
     /// Packets whose `ptwrite` address had no mapping (should be zero for
     /// self-produced traces).
     pub unknown_packets: u64,
@@ -29,7 +26,6 @@ pub struct DecodeOutcome<T> {
 struct GroupDecoder<'a> {
     inst: &'a Instrumented,
     pending: Option<(Ip, u64)>,
-    incomplete: u64,
     unknown: u64,
 }
 
@@ -38,7 +34,6 @@ impl<'a> GroupDecoder<'a> {
         GroupDecoder {
             inst,
             pending: None,
-            incomplete: 0,
             unknown: 0,
         }
     }
@@ -66,10 +61,9 @@ impl<'a> GroupDecoder<'a> {
             });
         match info.role {
             PtwRole::Base => {
-                if self.pending.take().is_some() {
-                    // A previous base never met its index: wrap loss.
-                    self.incomplete += 1;
-                }
+                // A previous base that never met its index is a wrap
+                // loss: drop it.
+                self.pending = None;
                 if info.last {
                     // Single-source load: address completes now.
                     Some(Access {
@@ -93,20 +87,16 @@ impl<'a> GroupDecoder<'a> {
                         time: pkt.load_time,
                     })
                 }
-                _ => {
-                    // Index without its base (buffer head cut the group).
-                    self.incomplete += 1;
-                    None
-                }
+                // Index without its base (buffer head cut the group).
+                _ => None,
             },
         }
     }
 
-    /// Flush at a sample boundary: a dangling base is an incomplete group.
+    /// Flush at a sample boundary: a dangling base is an incomplete
+    /// group and is dropped.
     fn flush(&mut self) {
-        if self.pending.take().is_some() {
-            self.incomplete += 1;
-        }
+        self.pending = None;
     }
 }
 
@@ -122,7 +112,7 @@ fn decode_sample(sample: &RawSample, dec: &mut GroupDecoder<'_>) -> Sample {
 }
 
 /// Decode a raw sampled trace into a [`SampledTrace`].
-pub fn decode_sampled(
+pub(crate) fn decode_sampled(
     raw: &RawSampledTrace,
     inst: &Instrumented,
     mut meta: TraceMeta,
@@ -136,7 +126,6 @@ pub fn decode_sampled(
     }
     Ok(DecodeOutcome {
         trace,
-        incomplete_groups: dec.incomplete,
         unknown_packets: dec.unknown,
     })
 }
@@ -161,7 +150,6 @@ pub fn decode_full(
     }
     dec.flush();
     DecodeOutcome {
-        incomplete_groups: dec.incomplete,
         unknown_packets: dec.unknown,
         trace,
     }
@@ -218,7 +206,6 @@ mod tests {
         // Two loads: 2-source (2 packets) + 1-source (1 packet).
         assert_eq!(packets.len(), 3);
         let out = decode_full(&packets, 0, 2, &inst, TraceMeta::new("toy", 0, 0));
-        assert_eq!(out.incomplete_groups, 0);
         assert_eq!(out.unknown_packets, 0);
         let a = &out.trace.accesses;
         assert_eq!(a.len(), 2);
@@ -236,7 +223,6 @@ mod tests {
         // buffer wrap would.
         let cut = &packets[1..];
         let out = decode_full(cut, 0, 2, &inst, TraceMeta::new("toy", 0, 0));
-        assert_eq!(out.incomplete_groups, 1);
         assert_eq!(out.trace.accesses.len(), 1);
     }
 

@@ -16,7 +16,7 @@ pub struct IpGuards {
 
 impl IpGuards {
     /// Guards that pass everything (no filtering configured).
-    pub fn all() -> IpGuards {
+    pub(crate) fn all() -> IpGuards {
         IpGuards::default()
     }
 
@@ -43,7 +43,7 @@ impl IpGuards {
     }
 
     /// Whether the hardware emits packets at `ip`.
-    pub fn allows(&self, ip: Ip) -> bool {
+    pub(crate) fn allows(&self, ip: Ip) -> bool {
         if self.ranges.is_empty() {
             return true;
         }
@@ -55,7 +55,7 @@ impl IpGuards {
 
     /// Whether any filter is configured.
     #[inline]
-    pub fn is_filtering(&self) -> bool {
+    pub(crate) fn is_filtering(&self) -> bool {
         !self.ranges.is_empty()
     }
 }

@@ -30,23 +30,23 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod buffer;
-pub mod collector;
-pub mod decode;
-pub mod guard;
+mod buffer;
+mod collector;
+mod decode;
+mod guard;
 #[cfg(test)]
 mod oracle;
-pub mod overhead;
+mod overhead;
 pub mod packet;
 mod pt;
-pub mod runner;
-pub mod stream;
+mod runner;
+mod stream;
 
 pub use buffer::CircBuffer;
 pub use collector::{
     BandwidthModel, PtMode, RawSample, RawSampledTrace, SampledCollector, SamplerConfig,
 };
-pub use decode::{decode_full, decode_sampled, DecodeOutcome};
+pub use decode::{decode_full, DecodeOutcome};
 pub use guard::IpGuards;
 pub use overhead::{OverheadEstimate, OverheadModel, RunProfile};
 pub use packet::{PacketStats, PtwPacket};

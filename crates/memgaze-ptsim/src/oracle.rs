@@ -124,11 +124,6 @@ impl LiteralSampler {
         }
     }
 
-    /// Loads seen so far.
-    fn loads_seen(&self) -> u64 {
-        self.loads
-    }
-
     /// Number of completed samples awaiting collection.
     fn completed_samples(&self) -> usize {
         self.samples.len()
@@ -364,7 +359,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(new.loads_seen(), old.loads_seen());
         prop_assert_eq!(new.take_observation(), old.take_observation());
         let (new_meta, new_samples, new_stats) = new.finish_parts("w");
         let (old_meta, old_samples, old_stats) = old.finish_parts("w");

@@ -19,22 +19,22 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverheadModel {
     /// Baseline cycles per original instruction.
-    pub cycles_per_instr: f64,
+    cycles_per_instr: f64,
     /// Cycles per `ptwrite` executed while PT is enabled (packet
     /// generation + buffer pressure).
-    pub ptwrite_on_cycles: f64,
+    ptwrite_on_cycles: f64,
     /// Cycles per `ptwrite` executed while PT is disabled (it still
     /// occupies the pipeline as one instruction).
-    pub ptwrite_off_cycles: f64,
+    ptwrite_off_cycles: f64,
     /// Cycles per trace byte copied from the pinned kernel buffer.
-    pub copy_cycles_per_byte: f64,
+    copy_cycles_per_byte: f64,
     /// Store-interference coefficient. The interference term is
     /// *quadratic* in the store rate (stores × stores/instrs), so it only
     /// matters for genuinely store-heavy code — the paper hypothesizes
     /// Darknet's 5×–7× comes from "ptwrite interfering with its much
     /// higher store rate" while ordinary benchmarks stay in the 10–95%
     /// band.
-    pub store_interference: f64,
+    store_interference: f64,
 }
 
 impl Default for OverheadModel {
@@ -88,15 +88,15 @@ impl RunProfile {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OverheadEstimate {
     /// Baseline cycles of the uninstrumented program.
-    pub base_cycles: f64,
+    base_cycles: f64,
     /// Extra cycles from enabled `ptwrite`s.
-    pub ptw_on_cycles: f64,
+    ptw_on_cycles: f64,
     /// Extra cycles from masked `ptwrite`s.
-    pub ptw_off_cycles: f64,
+    ptw_off_cycles: f64,
     /// Extra cycles from trace copies.
-    pub copy_cycles: f64,
+    copy_cycles: f64,
     /// Extra cycles from store interference.
-    pub interference_cycles: f64,
+    interference_cycles: f64,
 }
 
 impl OverheadEstimate {

@@ -15,19 +15,19 @@ use serde::{Deserialize, Serialize};
 /// Bytes of a full 64-bit PTW packet (2-byte opcode + 8-byte payload).
 pub const PTW_BYTES: u64 = 10;
 /// Bytes of a compact 32-bit PTW packet (2-byte opcode + 4-byte payload).
-pub const PTW_BYTES_COMPACT: u64 = 6;
+const PTW_BYTES_COMPACT: u64 = 6;
 /// Bytes of a TSC timestamp packet.
-pub const TSC_BYTES: u64 = 8;
+pub(crate) const TSC_BYTES: u64 = 8;
 /// Bytes of a PSB synchronization packet.
-pub const PSB_BYTES: u64 = 16;
+pub(crate) const PSB_BYTES: u64 = 16;
 /// A TSC packet is emitted once per this many PTW packets.
-pub const TSC_PERIOD: u64 = 32;
+pub(crate) const TSC_PERIOD: u64 = 32;
 /// A PSB packet is emitted once per this many PTW packets.
-pub const PSB_PERIOD: u64 = 1024;
+pub(crate) const PSB_PERIOD: u64 = 1024;
 
 /// Bytes of TSC/PSB sideband emitted along with the `nth` PTW packet
 /// (1-based) — the space those packets take inside the trace buffer.
-pub fn sideband_bytes(nth: u64) -> u64 {
+pub(crate) fn sideband_bytes(nth: u64) -> u64 {
     u64::from(nth.is_multiple_of(TSC_PERIOD)) * TSC_BYTES
         + u64::from(nth.is_multiple_of(PSB_PERIOD)) * PSB_BYTES
 }
@@ -47,7 +47,7 @@ pub struct PtwPacket {
 
 impl PtwPacket {
     /// Encoded size of this packet.
-    pub fn bytes(compact: bool) -> u64 {
+    pub(crate) fn bytes(compact: bool) -> u64 {
         if compact {
             PTW_BYTES_COMPACT
         } else {
@@ -62,18 +62,18 @@ pub struct PacketStats {
     /// PTW packets generated by the hardware.
     pub ptw_packets: u64,
     /// TSC packets generated.
-    pub tsc_packets: u64,
+    tsc_packets: u64,
     /// PSB packets generated.
-    pub psb_packets: u64,
+    psb_packets: u64,
     /// Packets dropped by the collector (PTW only).
-    pub dropped_packets: u64,
+    pub(crate) dropped_packets: u64,
     /// DROP bookkeeping records emitted.
-    pub drop_records: u64,
+    pub(crate) drop_records: u64,
 }
 
 impl PacketStats {
     /// Record `n` PTW packets plus their amortized TSC/PSB companions.
-    pub fn add_ptw(&mut self, n: u64) {
+    pub(crate) fn add_ptw(&mut self, n: u64) {
         let before = self.ptw_packets;
         self.ptw_packets += n;
         self.tsc_packets += (before + n) / TSC_PERIOD - before / TSC_PERIOD;
@@ -85,15 +85,6 @@ impl PacketStats {
         self.ptw_packets * PtwPacket::bytes(compact)
             + self.tsc_packets * TSC_BYTES
             + self.psb_packets * PSB_BYTES
-    }
-
-    /// Fraction of PTW packets dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.ptw_packets == 0 {
-            0.0
-        } else {
-            self.dropped_packets as f64 / self.ptw_packets as f64
-        }
     }
 }
 
@@ -161,14 +152,7 @@ mod tests {
             gen,
             100 * 10 + s.tsc_packets * TSC_BYTES + s.psb_packets * PSB_BYTES
         );
-        s.dropped_packets = 40;
-        assert!((s.drop_rate() - 0.4).abs() < 1e-12);
         // Compact payloads shrink everything PTW.
         assert!(s.generated_bytes(true) < gen);
-    }
-
-    #[test]
-    fn empty_stats_zero_rate() {
-        assert_eq!(PacketStats::default().drop_rate(), 0.0);
     }
 }

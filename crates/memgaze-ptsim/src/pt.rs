@@ -143,11 +143,6 @@ impl<P: Payload, const CYCLES: bool> Sampler<P, CYCLES> {
         self.samples.push(P::sample(items, self.loads));
     }
 
-    /// Loads seen so far.
-    pub fn loads_seen(&self) -> u64 {
-        self.loads
-    }
-
     /// Number of completed samples awaiting collection.
     #[inline]
     pub fn completed_samples(&self) -> usize {

@@ -15,7 +15,7 @@ use memgaze_isa::{LoadModule, ProcId};
 use memgaze_model::{Access, FullTrace, Ip, SampledTrace, TraceMeta};
 
 /// Default interpreter step budget for collection runs.
-pub const DEFAULT_MAX_INSTRS: u64 = 2_000_000_000;
+const DEFAULT_MAX_INSTRS: u64 = 2_000_000_000;
 
 /// Statistics of one collection run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,10 +24,6 @@ pub struct RunStats {
     pub exec: ExecStats,
     /// Packet accounting.
     pub packets: PacketStats,
-    /// Samples produced (sampled runs only).
-    pub samples: u64,
-    /// `ptwrite`s executed while PT was enabled.
-    pub ptwrites_enabled: u64,
 }
 
 /// Ground-truth sink: records every load of the original module.
@@ -85,8 +81,6 @@ pub fn collect_sampled(
     let stats = RunStats {
         exec,
         packets: raw.stats,
-        samples: raw.samples.len() as u64,
-        ptwrites_enabled: raw.ptwrites_enabled,
     };
     let outcome = decode::decode_sampled(&raw, inst, meta)?;
     Ok((outcome.trace.clone(), stats, outcome))
@@ -110,8 +104,6 @@ pub fn collect_full(
     let stats = RunStats {
         exec,
         packets: c.stats,
-        samples: 0,
-        ptwrites_enabled: c.stats.ptw_packets,
     };
     let meta = TraceMeta::new(workload, 0, 0);
     let outcome = decode::decode_full(&c.kept, c.stats.dropped_packets, c.loads, inst, meta);

@@ -174,7 +174,7 @@ mod tests {
         cfg.yield_factor = 7.5;
         let (trace, stats, _) = crate::runner::collect_sampled(&inst, main, cfg, "u").unwrap();
         assert_eq!((trace.meta.period, trace.meta.buffer_bytes), (1, 6));
-        assert_eq!(stats.samples, stats.exec.loads);
+        assert_eq!(trace.num_samples() as u64, stats.exec.loads);
     }
 
     #[test]

@@ -20,9 +20,9 @@ pub struct HttpResponse {
     /// Status code.
     pub status: u16,
     /// Headers, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    headers: Vec<(String, String)>,
     /// Body bytes.
-    pub body: Vec<u8>,
+    body: Vec<u8>,
 }
 
 impl HttpResponse {
@@ -242,7 +242,7 @@ fn read_response(r: &mut BufReader<TcpStream>) -> std::io::Result<HttpResponse> 
 
 /// Pull a `"key":"value"` string field out of a flat JSON object — all
 /// this client ever needs to parse.
-pub fn json_str_field(json: &str, key: &str) -> Option<String> {
+fn json_str_field(json: &str, key: &str) -> Option<String> {
     let marker = format!("\"{key}\":\"");
     let start = json.find(&marker)? + marker.len();
     let rest = &json[start..];
@@ -250,7 +250,7 @@ pub fn json_str_field(json: &str, key: &str) -> Option<String> {
 }
 
 /// Reconstruct a [`SealedReport`] from a seal/report response.
-pub fn sealed_from_response(resp: &HttpResponse) -> Result<SealedReport, String> {
+fn sealed_from_response(resp: &HttpResponse) -> Result<SealedReport, String> {
     let num = |name: &str| -> Result<u64, String> {
         resp.header(name)
             .and_then(|v| v.parse().ok())

@@ -98,7 +98,7 @@ impl ServeError {
     }
 
     /// Stable machine-readable error kind for the JSON body.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ServeError::SessionLimit { .. } => "session_limit",
             ServeError::QueueFull { .. } => "queue_full",
@@ -114,7 +114,7 @@ impl ServeError {
     }
 
     /// Wrap a container decode failure for session `id`.
-    pub fn decode(id: &str, e: &ModelError) -> ServeError {
+    pub(crate) fn decode(id: &str, e: &ModelError) -> ServeError {
         ServeError::Decode {
             session: id.to_string(),
             detail: e.to_string(),

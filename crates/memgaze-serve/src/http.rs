@@ -15,21 +15,21 @@ const MAX_HEADERS: usize = 64;
 
 /// A parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Upper-cased method (`GET`, `POST`, `DELETE`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target as sent (no query parsing; the protocol is
     /// path-shaped).
-    pub path: String,
+    pub(crate) path: String,
     /// Headers in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
+    headers: Vec<(String, String)>,
     /// Decoded body (empty when the request had none).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// First value of a header, by lower-case name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(k, _)| k == name)
@@ -38,7 +38,7 @@ impl Request {
 
     /// Whether the client asked to close the connection after this
     /// exchange.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -46,7 +46,7 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The peer closed the connection before sending a request line —
     /// the normal end of a keep-alive connection.
     Closed,
@@ -147,7 +147,7 @@ fn read_chunked_body(r: &mut impl BufRead, max_body: usize) -> Result<Vec<u8>, H
 /// Read one request. `Ok(None)` is never returned — a cleanly closed
 /// idle connection surfaces as [`HttpError::Closed`], which callers
 /// treat as the end of keep-alive, not a fault.
-pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
+pub(crate) fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
     let mut head_budget = MAX_HEAD_BYTES;
     let request_line = read_line(r, &mut head_budget)?;
     let mut parts = request_line.split_whitespace();
@@ -206,13 +206,13 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, Ht
 
 /// A response under construction.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
-    pub status: u16,
+    status: u16,
     /// Extra headers beyond the computed `Content-Length`.
-    pub headers: Vec<(String, String)>,
+    headers: Vec<(String, String)>,
     /// Response body.
-    pub body: Vec<u8>,
+    body: Vec<u8>,
 }
 
 /// Reason phrase for the handful of status codes this server emits.
@@ -234,7 +234,7 @@ fn reason(status: u16) -> &'static str {
 
 impl Response {
     /// An empty response with this status.
-    pub fn new(status: u16) -> Response {
+    fn new(status: u16) -> Response {
         Response {
             status,
             headers: Vec::new(),
@@ -243,27 +243,27 @@ impl Response {
     }
 
     /// A JSON response (the caller supplies ready-rendered JSON).
-    pub fn json(status: u16, body: String) -> Response {
+    pub(crate) fn json(status: u16, body: String) -> Response {
         Response::new(status)
             .header("Content-Type", "application/json")
             .with_body(body.into_bytes())
     }
 
     /// A binary (`application/octet-stream`) response.
-    pub fn binary(status: u16, body: Vec<u8>) -> Response {
+    pub(crate) fn binary(status: u16, body: Vec<u8>) -> Response {
         Response::new(status)
             .header("Content-Type", "application/octet-stream")
             .with_body(body)
     }
 
     /// Append a header.
-    pub fn header(mut self, name: &str, value: impl std::fmt::Display) -> Response {
+    pub(crate) fn header(mut self, name: &str, value: impl std::fmt::Display) -> Response {
         self.headers.push((name.to_string(), value.to_string()));
         self
     }
 
     /// Set the body.
-    pub fn with_body(mut self, body: Vec<u8>) -> Response {
+    fn with_body(mut self, body: Vec<u8>) -> Response {
         self.body = body;
         self
     }
@@ -271,7 +271,7 @@ impl Response {
     /// Serialize onto the wire with a correct `Content-Length`, as one
     /// write: on a `TCP_NODELAY` socket every write is a segment and a
     /// wake-up of the peer's reader.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         let head: usize = self
             .headers
             .iter()
@@ -290,7 +290,7 @@ impl Response {
 }
 
 /// Lower-case hex of `bytes` (delta frames travel inside JSON lines).
-pub fn hex(bytes: &[u8]) -> String {
+pub(crate) fn hex(bytes: &[u8]) -> String {
     let digit = |n: u8| char::from(if n < 10 { b'0' + n } else { b'a' + n - 10 });
     let mut out = String::with_capacity(bytes.len() * 2);
     for &b in bytes {
@@ -301,7 +301,7 @@ pub fn hex(bytes: &[u8]) -> String {
 }
 
 /// Inverse of [`hex`]; `None` on odd length or non-hex digits.
-pub fn unhex(s: &str) -> Option<Vec<u8>> {
+pub(crate) fn unhex(s: &str) -> Option<Vec<u8>> {
     let pairs = s.as_bytes().chunks_exact(2);
     if !pairs.remainder().is_empty() {
         return None;

@@ -45,13 +45,13 @@
 )]
 
 pub mod client;
-pub mod error;
-pub mod http;
+mod error;
+mod http;
 mod pool;
-pub mod server;
-pub mod session;
+mod server;
+mod session;
 
-pub use client::{Client, HttpResponse};
+pub use client::Client;
 pub use error::ServeError;
 pub use server::{DrainReport, Server};
 pub use session::{Registry, SealedReport, Session, SessionStatus, WatchHub};

@@ -41,11 +41,11 @@ pub struct SealedReport {
     pub partial_bytes: Vec<u8>,
     /// Accumulated trace metadata (header fields from the first upload,
     /// trailer totals summed across uploads).
-    pub meta: TraceMeta,
+    pub(crate) meta: TraceMeta,
     /// Shards fed across all uploads.
     pub shards: u64,
     /// Samples fed across all uploads.
-    pub samples: u64,
+    pub(crate) samples: u64,
 }
 
 impl SealedReport {
@@ -61,15 +61,15 @@ impl SealedReport {
 #[derive(Debug, Clone, Copy)]
 pub struct SessionStatus {
     /// Whether the session has been sealed.
-    pub sealed: bool,
+    pub(crate) sealed: bool,
     /// Shards analyzed so far.
-    pub shards: u64,
+    pub(crate) shards: u64,
     /// Samples analyzed so far.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Upload bytes accepted so far (analyzed + queued).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Uploads waiting in the queue right now.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// High-water mark of `bytes` (equals `bytes`; uploads are never
     /// returned).
     pub peak_bytes: u64,
@@ -80,12 +80,12 @@ pub struct SessionStatus {
 pub struct FeedSummary {
     /// Shards this call analyzed (its own upload and any it drained for
     /// other callers).
-    pub shards: u64,
+    pub(crate) shards: u64,
     /// Samples this call analyzed.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Uploads still queued when the call returned (nonzero only when
     /// another handler was draining).
-    pub queued: usize,
+    pub(crate) queued: usize,
 }
 
 /// One upload fed to the session's analyzer.
@@ -153,12 +153,12 @@ impl WatchHub {
     }
 
     /// Publish one event to every watch subscriber.
-    pub fn publish(&self, event: &str, data: &str) {
+    fn publish(&self, event: &str, data: &str) {
         publish(&mut self.subs(), event, data);
     }
 
     /// Publish the final `drained` event and close every subscriber.
-    pub fn close(&self, sessions_sealed: usize) {
+    fn close(&self, sessions_sealed: usize) {
         let mut subs = self.subs();
         publish(
             &mut subs,
@@ -439,7 +439,7 @@ impl Session {
     }
 
     /// The sealed report, if the session has been sealed.
-    pub fn sealed(&self) -> Result<Arc<SealedReport>, ServeError> {
+    pub(crate) fn sealed(&self) -> Result<Arc<SealedReport>, ServeError> {
         let g = lock(&self.inner);
         match &g.sealed {
             Some(s) => Ok(Arc::clone(s)),
@@ -474,7 +474,7 @@ impl Session {
     }
 
     /// Seconds since the session was last touched.
-    pub fn idle_for(&self) -> std::time::Duration {
+    fn idle_for(&self) -> std::time::Duration {
         lock(&self.inner).last_touch.elapsed()
     }
 }
@@ -610,7 +610,7 @@ fn analyze_upload(
 /// drain switch that turns new work away during shutdown.
 pub struct Registry {
     /// Shared admission-control and analysis configuration.
-    pub cfg: ServeConfig,
+    pub(crate) cfg: ServeConfig,
     sessions: Mutex<HashMap<String, Arc<Session>>>,
     next_id: AtomicU64,
     draining: AtomicBool,
@@ -673,12 +673,12 @@ impl Registry {
 
     /// Remove a session (client delete or reaper). Handlers still
     /// holding its `Arc` finish safely; new lookups see 404.
-    pub fn remove(&self, id: &str) -> bool {
+    pub(crate) fn remove(&self, id: &str) -> bool {
         self.table().remove(id).is_some()
     }
 
     /// Session ids currently live, sorted.
-    pub fn ids(&self) -> Vec<String> {
+    pub(crate) fn ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self.table().keys().cloned().collect();
         ids.sort();
         ids
@@ -686,7 +686,7 @@ impl Registry {
 
     /// Drop sessions idle past the configured timeout. Returns how many
     /// were reaped.
-    pub fn reap_idle(&self) -> usize {
+    pub(crate) fn reap_idle(&self) -> usize {
         let timeout = self.cfg.idle_timeout;
         let mut table = self.table();
         let before = table.len();

@@ -63,7 +63,7 @@ fn hash4(bytes: &[u8]) -> usize {
 // src.len()` while a match extends, `lit_start <= i` for the literals,
 // and `head` is indexed by `hash4`, which is below its length.
 #[allow(clippy::indexing_slicing)]
-pub fn compress(src: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
     put_varint(&mut out, src.len() as u64);
     if src.len() < MIN_MATCH {
@@ -128,7 +128,7 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
 /// starts at a small multiple of the input and grows, to the declared
 /// length at most, only by what literals present in the input or matches
 /// over bytes already produced justify.
-pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
+pub(crate) fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
     let wire = |e: WireError| e.to_string();
     let mut r = Reader::new(src);
     let raw_len = r.usize("raw length").map_err(wire)?;

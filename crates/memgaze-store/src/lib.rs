@@ -35,17 +35,16 @@
 )]
 
 pub mod blob;
-pub mod catalog;
-pub mod compress;
-pub mod error;
-pub mod query;
-pub mod store;
+mod catalog;
+mod compress;
+mod error;
+mod query;
+mod store;
 
 pub use blob::{content_hash, CONTENT_HASH_SEED};
 pub use catalog::{Catalog, FrameSummary};
 pub use error::StoreError;
 pub use query::{FunctionAnswer, QueryEngine, RegionAnswer, TimeAnswer};
 pub use store::{
-    validate_trace_id, CacheStats, GcReport, PutReceipt, StoreAnalysis, StoreConfig, TraceEntry,
-    TraceStore,
+    CacheStats, GcReport, PutReceipt, StoreAnalysis, StoreConfig, TraceEntry, TraceStore,
 };

@@ -14,7 +14,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::StoreError;
-use memgaze_analysis::BlockReuse;
+use memgaze_analysis::{BlockReuse, RowPartError};
 use memgaze_model::BlockSize;
 use std::collections::BTreeMap;
 
@@ -93,25 +93,23 @@ impl QueryEngine {
             id: catalog.trace_id.clone(),
             detail,
         };
-        let mut parts = Vec::with_capacity(catalog.frames.len());
+        let overflow = |i: usize| corrupt(format!("frame {i}: totals overflow u64"));
+        // One pass checks every frame's rows (block order, sums across
+        // frames in `u64`) and yields its sums; one sort indexes them all.
+        let (reuse, sums) =
+            BlockReuse::from_row_parts(catalog.frames.iter().map(|f| f.reuse_rows.as_slice()))
+                .map_err(|e| match e {
+                    RowPartError::Unordered(i) => {
+                        corrupt(format!("frame {i}: reuse rows out of block order"))
+                    }
+                    RowPartError::Overflow(i) => overflow(i),
+                })?;
         let mut frames = Vec::with_capacity(catalog.frames.len());
         let mut functions: BTreeMap<String, (u64, usize)> = BTreeMap::new();
-        let mut totals = [0u64; 5];
-        for (i, f) in catalog.frames.iter().enumerate() {
-            let overflow = || corrupt(format!("frame {i}: totals overflow u64"));
-            let br = BlockReuse::from_raw_rows(f.reuse_rows.clone())
-                .ok_or_else(|| corrupt(format!("frame {i}: reuse rows out of block order")))?;
-            parts.push(br);
-            // One frame's row sums fit: `from_raw_rows` checked them.
-            let [accesses, dist_sum, reuse_cnt] =
-                f.reuse_rows.iter().fold([0u64; 3], |[a, d, c], (_, s)| {
-                    [a + s[0], d + s[1], c + s[2]]
-                });
-            for (total, v) in totals
-                .iter_mut()
-                .zip([f.samples, f.loads, accesses, dist_sum, reuse_cnt])
-            {
-                *total = total.checked_add(v).ok_or_else(overflow)?;
+        let mut totals = [0u64; 2];
+        for (i, (f, [_, dist_sum, reuse_cnt])) in catalog.frames.iter().zip(sums).enumerate() {
+            for (total, v) in totals.iter_mut().zip([f.samples, f.loads]) {
+                *total = total.checked_add(v).ok_or_else(|| overflow(i))?;
             }
             frames.push(FrameFacts {
                 samples: f.samples,
@@ -127,21 +125,16 @@ impl QueryEngine {
                     .get(id as usize)
                     .ok_or_else(|| corrupt(format!("frame {i}: function id {id} out of table")))?;
                 let slot = functions.entry(name.clone()).or_insert((0, 0));
-                slot.0 = slot.0.checked_add(loads).ok_or_else(overflow)?;
+                slot.0 = slot.0.checked_add(loads).ok_or_else(|| overflow(i))?;
                 slot.1 += 1;
             }
         }
         Ok(QueryEngine {
             summary_block: catalog.summary_block,
-            reuse: BlockReuse::from_parts(parts),
+            reuse,
             frames,
             functions,
         })
-    }
-
-    /// The block size region statistics are granular to.
-    pub fn summary_block(&self) -> BlockSize {
-        self.summary_block
     }
 
     /// Statistics for the address region `[lo_addr, hi_addr)`.
@@ -237,10 +230,15 @@ mod tests {
     };
 
     fn mk_catalog() -> Catalog {
+        catalog_of(6)
+    }
+
+    /// A catalog of `samples` one-sample frames.
+    fn catalog_of(samples: u64) -> Catalog {
         let mut t = SampledTrace::new(TraceMeta::new("query-unit", 10_000, 16 << 10));
-        t.meta.total_loads = 60_000;
-        t.meta.total_instrumented_loads = 600;
-        for s in 0..6u64 {
+        t.meta.total_loads = samples * 10_000;
+        t.meta.total_instrumented_loads = samples * 100;
+        for s in 0..samples {
             let base = s * 10_000;
             // Two address neighborhoods: low for even samples, high for odd.
             let region = if s % 2 == 0 {
@@ -259,6 +257,60 @@ mod tests {
         let mut sy = SymbolTable::new();
         sy.add_function("walker", Ip(0x400), Ip(0x408), "w.c");
         Catalog::scan("q", &container, &index, &sy, BlockSize::CACHE_LINE).unwrap()
+    }
+
+    /// The detail of the `CorruptCatalog` error `catalog` gets.
+    fn corrupt_detail(catalog: &Catalog) -> String {
+        match QueryEngine::new(catalog) {
+            Err(StoreError::CorruptCatalog { detail, .. }) => detail,
+            Err(e) => panic!("not a corrupt catalog: {e}"),
+            Ok(_) => panic!("a corrupt catalog was accepted"),
+        }
+    }
+
+    #[test]
+    fn repeated_block_in_a_frame_is_corrupt() {
+        let mut c = mk_catalog();
+        let row = c.frames[1].reuse_rows[0];
+        c.frames[1].reuse_rows.insert(1, row);
+        // A zero block delta is well-formed on the wire.
+        let c = Catalog::decode("q", &c.encode()).unwrap();
+        assert_eq!(c.frames[1].reuse_rows[..2], [row, row]);
+        assert_eq!(corrupt_detail(&c), "frame 1: reuse rows out of block order");
+    }
+
+    #[test]
+    fn row_sums_across_frames_that_leave_u64_are_corrupt() {
+        // Frame 0's accesses sum to exactly `u64::MAX`; frame 1 adds more.
+        let mut c = mk_catalog();
+        let rest: u64 = c.frames[0].reuse_rows[1..].iter().map(|(_, s)| s[0]).sum();
+        c.frames[0].reuse_rows[0].1[0] = u64::MAX - rest;
+        let c = Catalog::decode("q", &c.encode()).unwrap();
+        assert_eq!(corrupt_detail(&c), "frame 1: totals overflow u64");
+    }
+
+    #[test]
+    fn region_over_everything_is_the_pairwise_merge() {
+        let c = catalog_of(3);
+        assert_eq!(c.frames.len(), 3);
+        let mut merged = BlockReuse::default();
+        for f in &c.frames {
+            merged.merge(&BlockReuse::from_raw_rows(f.reuse_rows.clone()).unwrap());
+        }
+        let (lo, hi) = c.summary_block.block_range(0, u64::MAX);
+        assert_eq!(
+            QueryEngine::new(&c).unwrap().region(0, u64::MAX),
+            RegionAnswer {
+                accesses: merged.region_accesses(lo, hi),
+                blocks: merged.region_blocks(lo, hi),
+                mean_distance: merged.region_mean_distance(lo, hi),
+                max_distance: merged.region_max_distance(lo, hi),
+                frames: 3,
+            }
+        );
+        // Frames 0 and 2 share their blocks, so the merge coalesced.
+        assert_eq!(merged.region_blocks(lo, hi), 8);
+        assert_eq!(merged.region_accesses(lo, hi), 30);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use memgaze_analysis::{AnalysisConfig, PartialReport, StreamingAnalyzer};
 use memgaze_model::annot::AuxAnnotations;
 use memgaze_model::stream::decode_frame_payload;
 use memgaze_model::wire::{self, grow_toward, put_str, put_u64_le, put_varint, varint_len, zigzag};
-use memgaze_model::{fnv1a64, BlockSize, FrameIndex, LoadClass, SymbolTable, TraceMeta};
+use memgaze_model::{fnv1a64, BlockSize, FrameIndex, LoadClass, SymbolTable};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,9 +123,9 @@ fn put_u64_runs(buf: &mut Vec<u8>, vs: &[u64]) {
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Root directory; created (with parents) on open.
-    pub root: PathBuf,
+    root: PathBuf,
     /// Block size for catalog reuse summaries.
-    pub summary_block: BlockSize,
+    summary_block: BlockSize,
 }
 
 impl StoreConfig {
@@ -196,8 +196,6 @@ pub struct StoreAnalysis {
     /// The report — bit-identical to a resident streaming pass
     /// over the same container and configuration.
     pub report: StreamingReport,
-    /// Trace metadata with trailer-final totals.
-    pub meta: TraceMeta,
     /// Frames served from the result cache: all of them or none.
     pub result_hits: usize,
     /// Frames analyzed from blobs: all of them or none.
@@ -228,11 +226,6 @@ impl TraceStore {
                 .map_err(|e| io_err(format!("creating {}", dir.display()), e))?;
         }
         Ok(TraceStore { config })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.config.root
     }
 
     /// Block size catalog reuse summaries are computed at.
@@ -538,7 +531,6 @@ impl TraceStore {
         };
         Ok(StoreAnalysis {
             report: partial.finish(&meta),
-            meta,
             result_hits,
             result_misses,
         })
@@ -556,7 +548,7 @@ fn trace_key(frames: &[FrameSummary]) -> u64 {
 }
 
 /// Trace ids become file names; restrict them to a safe alphabet.
-pub fn validate_trace_id(id: &str) -> Result<(), StoreError> {
+fn validate_trace_id(id: &str) -> Result<(), StoreError> {
     let ok = !id.is_empty()
         && id.len() <= 128
         && id
@@ -655,7 +647,7 @@ fn hash_from_path(path: &Path, ext: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace};
+    use memgaze_model::{encode_sharded_indexed, Access, Sample, SampledTrace, TraceMeta};
 
     fn mk_trace(samples: usize, w: usize, salt: u64) -> SampledTrace {
         let mut t = SampledTrace::new(TraceMeta::new("store-unit", 10_000, 16 << 10));

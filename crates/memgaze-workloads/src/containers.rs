@@ -51,32 +51,14 @@ impl<T> TVec<T> {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Simulated address of element `i`.
     #[inline]
-    pub fn addr(&self, i: usize) -> u64 {
+    pub(crate) fn addr(&self, i: usize) -> u64 {
         self.base + i as u64 * self.elem_bytes
-    }
-
-    /// Base address of the allocation.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Address range `[base, end)`.
-    pub fn range(&self) -> (u64, u64) {
-        (
-            self.base,
-            self.base + self.data.len() as u64 * self.elem_bytes,
-        )
     }
 
     /// Traced read of element `i` through `site`.
@@ -93,27 +75,13 @@ impl<T> TVec<T> {
         self.data[i] = v;
     }
 
-    /// Traced read-modify-write: one load (traced) plus one store.
-    #[inline]
-    pub fn update<R: LoadRecorder>(
-        &mut self,
-        space: &mut TracedSpace<R>,
-        site: SiteId,
-        i: usize,
-        f: impl FnOnce(&mut T),
-    ) {
-        space.load(site, self.addr(i));
-        space.store(self.addr(i));
-        f(&mut self.data[i]);
-    }
-
     /// Untraced view of the underlying data (setup/verification only).
-    pub fn raw(&self) -> &[T] {
+    pub(crate) fn raw(&self) -> &[T] {
         &self.data
     }
 
     /// Untraced mutable view (setup only).
-    pub fn raw_mut(&mut self) -> &mut [T] {
+    pub(crate) fn raw_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
 }
@@ -129,7 +97,6 @@ mod tests {
         let mut space = TracedSpace::new(NullRecorder);
         let v: TVec<u64> = TVec::new(&mut space, "v", 10, 0);
         assert_eq!(v.addr(3) - v.addr(0), 24);
-        assert_eq!(v.range().1 - v.range().0, 80);
         assert_eq!(v.len(), 10);
     }
 
@@ -154,7 +121,8 @@ mod tests {
         let site = space.site("f", "x", LoadClass::Strided, false, 1);
         let mut v: TVec<u64> = TVec::new(&mut space, "v", 4, 0);
         v.set(&mut space, 0, 42);
-        v.update(&mut space, site, 0, |x| *x += 1);
+        let x = *v.get(&mut space, site, 0);
+        v.set(&mut space, 0, x + 1);
         assert_eq!(v.raw()[0], 43);
         let c = space.counters();
         assert_eq!(c.stores, 2);

@@ -20,13 +20,13 @@ use serde::{Deserialize, Serialize};
 
 /// One lowered convolution: gemm dimensions plus the im2col geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LayerShape {
+struct LayerShape {
     /// Output channels (gemm M).
-    pub m: usize,
+    m: usize,
     /// Filter volume (gemm K = in_ch·k·k).
-    pub k: usize,
+    k: usize,
     /// Output spatial size (gemm N = out_h·out_w).
-    pub n: usize,
+    n: usize,
 }
 
 /// Which pre-trained network geometry to mimic.
@@ -49,7 +49,7 @@ impl Network {
 
     /// The network's layer shapes (scaled ÷8 in each spatial dimension
     /// from the real models).
-    pub fn layers(self) -> Vec<LayerShape> {
+    fn layers(self) -> Vec<LayerShape> {
         match self {
             Network::AlexNet => vec![
                 // conv1..conv5: N falls fast (3025→169 real; scaled).
@@ -124,7 +124,7 @@ impl Network {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DarknetResult {
     /// Per-layer output checksums (functional witness).
-    pub checksums: Vec<u64>,
+    checksums: Vec<u64>,
     /// Total multiply-accumulate operations.
     pub macs: u64,
 }

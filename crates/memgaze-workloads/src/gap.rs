@@ -12,7 +12,7 @@
 //!   edge until quiescent.
 
 use crate::containers::TVec;
-use crate::graph::{Graph, GraphKind};
+use crate::graph::Graph;
 use crate::space::{LoadRecorder, TracedSpace};
 use memgaze_model::LoadClass;
 use serde::{Deserialize, Serialize};
@@ -90,7 +90,7 @@ const FXP: u64 = 1 << 20;
 /// phase ("rank" or "cc").
 pub fn run<R: LoadRecorder>(space: &mut TracedSpace<R>, cfg: &GapConfig) -> GapResult {
     space.phase("graphgen");
-    let g = Graph::generate(space, GraphKind::Rmat, cfg.scale, cfg.degree, cfg.seed);
+    let g = Graph::generate(space, cfg.scale, cfg.degree, cfg.seed);
     match cfg.kernel {
         GapKernel::Pr => pagerank(space, &g, cfg, false),
         GapKernel::PrSpmv => pagerank(space, &g, cfg, true),
@@ -393,7 +393,7 @@ mod tests {
         for kernel in [GapKernel::Cc, GapKernel::CcSv] {
             let mut space = TracedSpace::new(NullRecorder);
             let c = cfg(kernel);
-            let g = Graph::generate(&mut space, GraphKind::Rmat, c.scale, c.degree, c.seed);
+            let g = Graph::generate(&mut space, c.scale, c.degree, c.seed);
             let reference = reference_components(&g);
             let result = match kernel {
                 GapKernel::Cc => afforest(&mut space, &g),

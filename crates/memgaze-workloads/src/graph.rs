@@ -1,11 +1,10 @@
-//! Graphs in CSR form plus synthetic generators.
+//! Graphs in CSR form plus a synthetic generator.
 //!
 //! The paper's graph benchmarks run on generated graphs (GAP uses a
 //! Kronecker graph of 2²² vertices and 64 M edges; miniVite generates its
-//! input too). We provide a uniform (Erdős–Rényi-style) generator and an
-//! RMAT/Kronecker generator with the usual (0.57, 0.19, 0.19, 0.05)
-//! partition probabilities, scaled down by default so full-trace
-//! validation baselines stay tractable.
+//! input too). We provide an RMAT/Kronecker generator with the usual
+//! (0.57, 0.19, 0.19, 0.05) partition probabilities, scaled down by
+//! default so full-trace validation baselines stay tractable.
 
 use crate::containers::TVec;
 use crate::space::{LoadRecorder, SiteId, TracedSpace};
@@ -14,15 +13,15 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// An undirected graph in CSR form, traced.
-pub struct Graph {
+pub(crate) struct Graph {
     /// Number of vertices.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Offsets into `targets` (n+1 entries).
-    pub offsets: TVec<u64>,
+    pub(crate) offsets: TVec<u64>,
     /// Flattened adjacency lists.
-    pub targets: TVec<u32>,
+    pub(crate) targets: TVec<u32>,
     /// Per-edge weights, parallel to `targets`.
-    pub weights: TVec<u32>,
+    pub(crate) weights: TVec<u32>,
     sites: GraphSites,
 }
 
@@ -32,22 +31,13 @@ struct GraphSites {
     weight: SiteId,
 }
 
-/// Graph generator family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphKind {
-    /// Uniformly random endpoints.
-    Uniform,
-    /// RMAT/Kronecker with skewed degree distribution.
-    Rmat,
-}
-
 impl Graph {
-    /// Generate a graph with `2^scale` vertices and `degree·2^scale`
-    /// undirected edges, building it through the traced space (the
-    /// paper's distinct "graph generation" phase).
-    pub fn generate<R: LoadRecorder>(
+    /// Generate an RMAT/Kronecker graph (skewed degree distribution)
+    /// with `2^scale` vertices and `degree·2^scale` undirected edges,
+    /// building it through the traced space (the paper's distinct "graph
+    /// generation" phase).
+    pub(crate) fn generate<R: LoadRecorder>(
         space: &mut TracedSpace<R>,
-        kind: GraphKind,
         scale: u32,
         degree: usize,
         seed: u64,
@@ -59,11 +49,7 @@ impl Graph {
         // Edge list.
         let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
         for _ in 0..m {
-            let (u, v) = match kind {
-                GraphKind::Uniform => (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32),
-                GraphKind::Rmat => rmat_edge(&mut rng, scale),
-            };
-            edges.push((u, v));
+            edges.push(rmat_edge(&mut rng, scale));
         }
 
         // Degree count + prefix sum (both directions: undirected). A
@@ -127,19 +113,14 @@ impl Graph {
         }
     }
 
-    /// Number of directed edges (2× the undirected count).
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Untraced degree of `u`.
-    pub fn degree(&self, u: usize) -> usize {
+    pub(crate) fn degree(&self, u: usize) -> usize {
         (self.offsets.raw()[u + 1] - self.offsets.raw()[u]) as usize
     }
 
     /// Traced adjacency access: the half-open range of `u`'s edges.
     /// Two strided offset loads (`offsets[u]`, `offsets[u+1]`).
-    pub fn edge_range<R: LoadRecorder>(
+    pub(crate) fn edge_range<R: LoadRecorder>(
         &self,
         space: &mut TracedSpace<R>,
         u: usize,
@@ -150,12 +131,12 @@ impl Graph {
     }
 
     /// Traced edge target load (strided over the adjacency list).
-    pub fn target<R: LoadRecorder>(&self, space: &mut TracedSpace<R>, e: usize) -> u32 {
+    pub(crate) fn target<R: LoadRecorder>(&self, space: &mut TracedSpace<R>, e: usize) -> u32 {
         *self.targets.get(space, self.sites.target, e)
     }
 
     /// Traced edge weight load.
-    pub fn weight<R: LoadRecorder>(&self, space: &mut TracedSpace<R>, e: usize) -> u32 {
+    pub(crate) fn weight<R: LoadRecorder>(&self, space: &mut TracedSpace<R>, e: usize) -> u32 {
         *self.weights.get(space, self.sites.weight, e)
     }
 }
@@ -203,10 +184,17 @@ mod tests {
     use super::*;
     use crate::space::NullRecorder;
 
+    impl Graph {
+        /// Number of directed edges (2× the undirected count).
+        fn num_edges(&self) -> usize {
+            self.targets.len()
+        }
+    }
+
     #[test]
     fn csr_structure_consistent() {
         let mut space = TracedSpace::new(NullRecorder);
-        let g = Graph::generate(&mut space, GraphKind::Uniform, 8, 4, 1);
+        let g = Graph::generate(&mut space, 8, 4, 1);
         assert_eq!(g.n, 256);
         assert_eq!(g.num_edges(), 2 * 256 * 4);
         assert_eq!(g.offsets.raw()[0], 0);
@@ -222,7 +210,7 @@ mod tests {
     #[test]
     fn rmat_is_skewed() {
         let mut space = TracedSpace::new(NullRecorder);
-        let g = Graph::generate(&mut space, GraphKind::Rmat, 10, 8, 7);
+        let g = Graph::generate(&mut space, 10, 8, 7);
         let mut degs: Vec<usize> = (0..g.n).map(|u| g.degree(u)).collect();
         degs.sort_unstable_by(|a, b| b.cmp(a));
         // Top 1% of vertices should hold far more than 1% of edges.
@@ -232,18 +220,12 @@ mod tests {
             "top-1% holds only {top} of {}",
             g.num_edges()
         );
-        // Uniform graphs are not skewed like that.
-        let gu = Graph::generate(&mut space, GraphKind::Uniform, 10, 8, 7);
-        let mut du: Vec<usize> = (0..gu.n).map(|u| gu.degree(u)).collect();
-        du.sort_unstable_by(|a, b| b.cmp(a));
-        let top_u: usize = du[..gu.n / 100].iter().sum();
-        assert!(top > 2 * top_u, "rmat {top} vs uniform {top_u}");
     }
 
     #[test]
     fn traced_traversal_emits_loads() {
         let mut space = TracedSpace::new(NullRecorder);
-        let g = Graph::generate(&mut space, GraphKind::Uniform, 6, 4, 3);
+        let g = Graph::generate(&mut space, 6, 4, 3);
         let before = space.counters().loads;
         let (lo, hi) = g.edge_range(&mut space, 0);
         for e in lo..hi {
@@ -311,7 +293,7 @@ mod tests {
 
     /// FNV-1a-64 of a graph's CSR arrays and of the load stream its
     /// generation emits.
-    fn generate_digest(kind: GraphKind, scale: u32, degree: usize, seed: u64) -> (u64, u64) {
+    fn generate_digest(scale: u32, degree: usize, seed: u64) -> (u64, u64) {
         use memgaze_model::Fnv64;
         let mut stream = Fnv64::new();
         let csr = {
@@ -322,7 +304,7 @@ mod tests {
                         .update(&addr.to_le_bytes());
                 });
             let mut space = TracedSpace::new(rec);
-            let g = Graph::generate(&mut space, kind, scale, degree, seed);
+            let g = Graph::generate(&mut space, scale, degree, seed);
             let mut h = Fnv64::new();
             g.offsets.raw().iter().for_each(|o| {
                 h.update(&o.to_le_bytes());
@@ -335,80 +317,24 @@ mod tests {
         (csr, stream.finish())
     }
 
-    /// `(kind, scale, degree, seed, (CSR digest, generation-stream
-    /// digest))`.
-    type GoldenGraph = (GraphKind, u32, usize, u64, (u64, u64));
+    /// `(scale, degree, seed, (CSR digest, generation-stream digest))`.
+    type GoldenGraph = (u32, usize, u64, (u64, u64));
 
-    const GOLDEN_GRAPHS: [GoldenGraph; 8] = [
-        (
-            GraphKind::Uniform,
-            6,
-            4,
-            1,
-            (0xc4de_5952_61b1_ec19, 0x1845_7549_f518_6f25),
-        ),
-        (
-            GraphKind::Uniform,
-            9,
-            12,
-            2,
-            (0x1232_a2e9_f931_e21c, 0x6771_53ac_e9a5_2e25),
-        ),
-        (
-            GraphKind::Uniform,
-            8,
-            8,
-            0x6a9,
-            (0x928c_1ba3_e7ba_70fe, 0x2614_dc4f_6ccd_9b25),
-        ),
-        (
-            GraphKind::Uniform,
-            11,
-            3,
-            77,
-            (0x66e3_415f_99fd_98ac, 0xcf6a_e1f0_c64a_3925),
-        ),
-        (
-            GraphKind::Rmat,
-            6,
-            4,
-            1,
-            (0xfebd_e24c_1c4c_9454, 0x1845_7549_f518_6f25),
-        ),
-        (
-            GraphKind::Rmat,
-            9,
-            12,
-            2,
-            (0xfaaf_7a17_3b10_e7fc, 0x6771_53ac_e9a5_2e25),
-        ),
-        (
-            GraphKind::Rmat,
-            8,
-            8,
-            0x6a9,
-            (0xad42_6985_2c6c_bab0, 0x2614_dc4f_6ccd_9b25),
-        ),
-        (
-            GraphKind::Rmat,
-            11,
-            3,
-            77,
-            (0x1638_d54a_342e_8b84, 0xcf6a_e1f0_c64a_3925),
-        ),
+    const GOLDEN_GRAPHS: [GoldenGraph; 4] = [
+        (6, 4, 1, (0xfebd_e24c_1c4c_9454, 0x1845_7549_f518_6f25)),
+        (9, 12, 2, (0xfaaf_7a17_3b10_e7fc, 0x6771_53ac_e9a5_2e25)),
+        (8, 8, 0x6a9, (0xad42_6985_2c6c_bab0, 0x2614_dc4f_6ccd_9b25)),
+        (11, 3, 77, (0x1638_d54a_342e_8b84, 0xcf6a_e1f0_c64a_3925)),
     ];
 
-    /// Graphs over seeds × generator kinds, digests recorded at commit
+    /// Graphs over seeds, digests recorded at commit
     /// c8f3c79 (the float-compare RMAT descent, two copies of the
     /// degree prefix sums).
     #[test]
     fn generated_graphs_are_the_parent_commits() {
-        for (kind, scale, degree, seed, want) in GOLDEN_GRAPHS {
-            let got = generate_digest(kind, scale, degree, seed);
-            assert_eq!(
-                got, want,
-                "{kind:?} scale {scale} degree {degree} seed {seed}"
-            );
+        for (scale, degree, seed, want) in GOLDEN_GRAPHS {
+            let got = generate_digest(scale, degree, seed);
+            assert_eq!(got, want, "scale {scale} degree {degree} seed {seed}");
         }
     }
 
@@ -416,8 +342,8 @@ mod tests {
     fn generation_is_deterministic() {
         let mut s1 = TracedSpace::new(NullRecorder);
         let mut s2 = TracedSpace::new(NullRecorder);
-        let g1 = Graph::generate(&mut s1, GraphKind::Rmat, 8, 4, 42);
-        let g2 = Graph::generate(&mut s2, GraphKind::Rmat, 8, 4, 42);
+        let g1 = Graph::generate(&mut s1, 8, 4, 42);
+        let g2 = Graph::generate(&mut s2, 8, 4, 42);
         assert_eq!(g1.targets.raw(), g2.targets.raw());
         assert_eq!(g1.offsets.raw(), g2.offsets.raw());
     }

@@ -47,23 +47,19 @@ fn next_slot(j: usize, cap: usize) -> usize {
 
 /// Accumulating map interface shared by both variants: the logical
 /// operation of miniVite's `buildMap` is `map[key] += w`.
-pub trait AccumMap {
+pub(crate) trait AccumMap {
     /// `map[key] += delta`, inserting on first touch.
     fn insert_add<R: LoadRecorder>(&mut self, space: &mut TracedSpace<R>, key: u64, delta: u64);
     /// The `(key, value)` with the maximum value (miniVite's `getMax`).
     fn get_max<R: LoadRecorder>(&self, space: &mut TracedSpace<R>) -> Option<(u64, u64)>;
     /// Logical entry count.
     fn len(&self) -> usize;
-    /// True when no entries exist.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
     /// Remove all entries, keeping capacity.
     fn clear(&mut self);
 }
 
 /// Chained (open) hash map: v1.
-pub struct ChainedMap {
+pub(crate) struct ChainedMap {
     /// Bucket heads: node index + 1, 0 = empty.
     buckets: TVec<u32>,
     /// Node storage: `(key, val, next+1)`.
@@ -84,7 +80,7 @@ struct ChainedSites {
 impl ChainedMap {
     /// A chained map with `buckets` buckets and room for `max_nodes`
     /// entries.
-    pub fn new<R: LoadRecorder>(
+    pub(crate) fn new<R: LoadRecorder>(
         space: &mut TracedSpace<R>,
         buckets: usize,
         max_nodes: usize,
@@ -173,7 +169,7 @@ impl AccumMap for ChainedMap {
 }
 
 /// Neighborhood size of the hopscotch table.
-pub const HOP_RANGE: usize = 32;
+pub(crate) const HOP_RANGE: usize = 32;
 
 /// Hopscotch (closed) hash map: v2 (default-sized, resizable) and v3
 /// (right-sized).
@@ -187,7 +183,7 @@ pub const HOP_RANGE: usize = 32;
 /// for v3 that is the last vertex's window, not the max-degree arena.
 ///
 /// [`set_active_capacity`]: HopscotchMap::set_active_capacity
-pub struct HopscotchMap {
+pub(crate) struct HopscotchMap {
     /// Slots: `(key, val, occupied)`.
     slots: TVec<(u64, u64, bool)>,
     /// Slots in use for the current instance (right-sizing, v3): probes
@@ -199,7 +195,7 @@ pub struct HopscotchMap {
     resizable: bool,
     sites: HopSites,
     /// Slots rehash-copied over the map's lifetime (v2's hidden cost).
-    pub resize_copies: u64,
+    pub(crate) resize_copies: u64,
 }
 
 struct HopSites {
@@ -211,7 +207,7 @@ struct HopSites {
 
 impl HopscotchMap {
     /// A hopscotch map with `capacity` slots.
-    pub fn new<R: LoadRecorder>(
+    pub(crate) fn new<R: LoadRecorder>(
         space: &mut TracedSpace<R>,
         capacity: usize,
         resizable: bool,
@@ -237,7 +233,7 @@ impl HopscotchMap {
     /// Right-size this instance (v3): subsequent probes/scans use only
     /// the first `cap` slots (clamped to `[HOP_RANGE, capacity]`). Call
     /// after [`AccumMap::clear`].
-    pub fn set_active_capacity(&mut self, cap: usize) {
+    pub(crate) fn set_active_capacity(&mut self, cap: usize) {
         debug_assert_eq!(self.len, 0, "set_active_capacity on a non-empty map");
         self.active = cap.clamp(HOP_RANGE, self.slots.len());
     }
@@ -371,7 +367,7 @@ mod tests {
         // the max.
         assert_eq!(oracle[&bk], bv, "winning key {bk} vs oracle {ok}");
         map.clear();
-        assert!(map.is_empty());
+        assert_eq!(map.len(), 0);
         assert!(map.get_max(space).is_none());
     }
 
@@ -400,7 +396,7 @@ mod tests {
                 0..=1 => {
                     map.clear();
                     oracle.clear();
-                    assert!(map.is_empty());
+                    assert_eq!(map.len(), 0);
                     assert!(
                         map.slots.raw().iter().all(|s| !s.2),
                         "step {step}: clear left an occupied slot"

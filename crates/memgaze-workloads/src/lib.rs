@@ -5,7 +5,7 @@
 //!   execution counters;
 //! * [`containers`] — traced vectors over the simulated space;
 //! * [`hashes`] — the miniVite `map` variants (chained vs. hopscotch);
-//! * [`graph`] — CSR graphs with uniform and RMAT generators;
+//! * [`graph`] — CSR graphs from an RMAT generator;
 //! * [`ubench`] — the microbenchmark suite (IR-generated, `str`/`irr`
 //!   compositions);
 //! * [`modules`] — the other generated IR modules: Table II's
@@ -17,14 +17,14 @@
 //! * [`darknet`] — `gemm`/`im2col` inference with AlexNet and
 //!   ResNet-152 geometries.
 
-pub mod containers;
+mod containers;
 pub mod darknet;
 pub mod gap;
-pub mod graph;
-pub mod hashes;
+mod graph;
+mod hashes;
 pub mod minivite;
 pub mod modules;
-pub mod space;
+mod space;
 pub mod ubench;
 
 pub use containers::TVec;

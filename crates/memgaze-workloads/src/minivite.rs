@@ -13,7 +13,7 @@
 //!   vertex degree): strided accesses without the v2 overheads.
 
 use crate::containers::TVec;
-use crate::graph::{Graph, GraphKind};
+use crate::graph::Graph;
 use crate::hashes::{AccumMap, ChainedMap, HopscotchMap, HOP_RANGE};
 use crate::space::{LoadRecorder, SiteId, TracedSpace};
 use memgaze_model::LoadClass;
@@ -77,7 +77,7 @@ pub struct MiniViteResult {
     /// Final community assignment per vertex.
     pub communities: Vec<u32>,
     /// Vertices that changed community, per iteration.
-    pub moves: Vec<usize>,
+    moves: Vec<usize>,
     /// Total simulated "abstract work" (for run-time comparison between
     /// variants; v1's pointer chases cost more than v2/v3's strided
     /// probes).
@@ -99,7 +99,7 @@ struct Vertices {
 /// Run miniVite: graph generation phase + modularity phase.
 pub fn run<R: LoadRecorder>(space: &mut TracedSpace<R>, cfg: &MiniViteConfig) -> MiniViteResult {
     space.phase("graphgen");
-    let g = Graph::generate(space, GraphKind::Rmat, cfg.scale, cfg.degree, cfg.seed);
+    let g = Graph::generate(space, cfg.scale, cfg.degree, cfg.seed);
 
     space.phase("modularity");
     let n = g.n;

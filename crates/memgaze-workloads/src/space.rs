@@ -28,13 +28,6 @@ pub trait LoadRecorder {
 pub struct NullRecorder;
 impl LoadRecorder for NullRecorder {}
 
-impl NullRecorder {
-    /// Shared no-op instance.
-    pub fn new() -> NullRecorder {
-        NullRecorder
-    }
-}
-
 /// Adapter turning a closure into a [`LoadRecorder`].
 pub struct FnRecorder<F: FnMut(Ip, u64, bool, u8)>(pub F);
 
@@ -51,20 +44,20 @@ pub struct Site {
     /// Synthetic instruction address.
     pub ip: Ip,
     /// Enclosing function, as the symbol table and annotations number it.
-    pub func_id: FunctionId,
+    func_id: FunctionId,
     /// Enclosing function name.
-    pub func: String,
+    func: String,
     /// Short site label ("bucket-head", "neighbor-scan", …).
-    pub label: String,
+    label: String,
     /// Static class.
-    pub class: LoadClass,
+    class: LoadClass,
     /// Two-source addressing (costs two packets).
-    pub two_source: bool,
+    two_source: bool,
     /// Constant loads this site implies per execution (frame traffic the
     /// compression suppressed).
-    pub implied_const: u32,
+    implied_const: u32,
     /// Source line for attribution.
-    pub line: u32,
+    line: u32,
 }
 
 /// Dense site identifier.
@@ -271,18 +264,6 @@ impl<R: LoadRecorder> TracedSpace<R> {
         self.allocations.iter().rev().find(|a| a.label == label)
     }
 
-    /// Address range covering every allocation with the given label
-    /// (e.g. all nodes of a chained hash map).
-    pub fn label_range(&self, label: &str) -> Option<(u64, u64)> {
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for a in self.allocations.iter().filter(|a| a.label == label) {
-            lo = lo.min(a.base);
-            hi = hi.max(a.base + a.bytes);
-        }
-        (lo < hi).then_some((lo, hi))
-    }
-
     fn func_id(&mut self, func: &str) -> usize {
         match self.funcs.iter().position(|f| f.name == func) {
             Some(i) => i,
@@ -334,22 +315,6 @@ impl<R: LoadRecorder> TracedSpace<R> {
         SiteId((self.sites.len() - 1) as u32)
     }
 
-    /// Register a site that additionally implies `n` Constant loads per
-    /// execution (the frame traffic its basic block would contain).
-    pub fn site_with_const(
-        &mut self,
-        func: &str,
-        label: &str,
-        class: LoadClass,
-        two_source: bool,
-        line: u32,
-        implied_const: u32,
-    ) -> SiteId {
-        let id = self.site(func, label, class, two_source, line);
-        self.sites[id.0 as usize].implied_const = implied_const;
-        id
-    }
-
     /// Execute one load through `site` at `addr`.
     #[inline]
     pub fn load(&mut self, site: SiteId, addr: u64) {
@@ -360,13 +325,13 @@ impl<R: LoadRecorder> TracedSpace<R> {
 
     /// Execute one store (counted, never traced).
     #[inline]
-    pub fn store(&mut self, _addr: u64) {
+    pub(crate) fn store(&mut self, _addr: u64) {
         self.stores += 1;
     }
 
     /// Charge `n` ALU instructions to the current phase.
     #[inline]
-    pub fn alu(&mut self, n: u64) {
+    pub(crate) fn alu(&mut self, n: u64) {
         self.alu += n;
     }
 
@@ -423,16 +388,29 @@ impl<R: LoadRecorder> TracedSpace<R> {
     pub fn recorder_mut(&mut self) -> &mut R {
         &mut self.recorder
     }
-
-    /// The registered sites.
-    pub fn sites(&self) -> &[Site] {
-        &self.sites
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<R: LoadRecorder> TracedSpace<R> {
+        /// Register a site that additionally implies `n` Constant loads
+        /// per execution (the frame traffic its basic block would contain).
+        fn site_with_const(
+            &mut self,
+            func: &str,
+            label: &str,
+            class: LoadClass,
+            two_source: bool,
+            line: u32,
+            implied_const: u32,
+        ) -> SiteId {
+            let id = self.site(func, label, class, two_source, line);
+            self.sites[id.0 as usize].implied_const = implied_const;
+            id
+        }
+    }
 
     #[test]
     fn allocation_layout() {
@@ -443,10 +421,6 @@ mod tests {
         assert!(b >= a + 100);
         assert_eq!(s.find_allocation("a").unwrap().bytes, 100);
         assert!(s.find_allocation("zzz").is_none());
-        s.alloc("a", 100);
-        let (lo, hi) = s.label_range("a").unwrap();
-        assert_eq!(lo, a);
-        assert!(hi > b);
     }
 
     #[test]
@@ -455,7 +429,7 @@ mod tests {
         let s1 = s.site("f", "x", LoadClass::Strided, true, 1);
         let s2 = s.site("g", "y", LoadClass::Irregular, false, 2);
         let s3 = s.site("f", "z", LoadClass::Constant, false, 3);
-        let sites = s.sites();
+        let sites = &s.sites;
         assert_eq!(sites[s1.0 as usize].ip, Ip(SITE_BASE));
         assert_eq!(sites[s2.0 as usize].ip, Ip(SITE_BASE + FUNC_STRIDE));
         assert_eq!(sites[s3.0 as usize].ip, Ip(SITE_BASE + 4));
@@ -597,7 +571,7 @@ mod tests {
     fn annotations_reflect_sites() {
         let mut s = TracedSpace::new(NullRecorder);
         let a = s.site_with_const("f", "x", LoadClass::Strided, true, 7, 3);
-        let ip = s.sites()[a.0 as usize].ip;
+        let ip = s.sites[a.0 as usize].ip;
         let ax = s.annotations();
         let annot = ax.get(ip).unwrap();
         assert_eq!(annot.class, LoadClass::Strided);

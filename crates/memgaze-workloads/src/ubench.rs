@@ -17,9 +17,9 @@ pub struct MicroBench {
 
 impl MicroBench {
     /// Default element count (array length) for the suite.
-    pub const DEFAULT_ELEMS: u32 = 4096;
+    const DEFAULT_ELEMS: u32 = 4096;
     /// Default repetition count (the paper repeats hotspots 100×).
-    pub const DEFAULT_REPS: u32 = 100;
+    const DEFAULT_REPS: u32 = 100;
 
     /// Build from a spec.
     pub fn new(spec: UKernelSpec) -> MicroBench {
